@@ -1,0 +1,9 @@
+"""Put the checkout's root and ``src/`` on the path (tier-1 never collects here)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
