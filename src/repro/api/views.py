@@ -540,8 +540,9 @@ class LiveView(QueryHandle):
 
         Uninstalls the compiled rules from the owning engine and cancels the
         view's subscriptions.  With ``settle=True`` (default) the system is
-        then driven to convergence so every residue is retracted: the owner's
-        recompute drops the view's derived facts, delegation diffs retract
+        then driven to convergence so every residue is retracted: the owner
+        rederives the removed heads, which drops the view's derived facts
+        (standing views are not re-evaluated), delegation diffs retract
         the remainders installed at remote peers, and those peers' updates
         withdraw the answers they had pushed.  Reads on a closed view return
         ``()``; :meth:`on_change` / :meth:`explain` raise

@@ -166,6 +166,10 @@ class DelegationStore:
     def __init__(self, owner: str):
         self.owner = owner
         self._installed: Dict[str, InstalledDelegation] = {}
+        # (all(), rules()) in their deterministic order, rebuilt after an
+        # install or a retraction: every stage of the engine asks for the rules.
+        self._ordered: Optional[Tuple[Tuple[InstalledDelegation, ...],
+                                      Tuple[Rule, ...]]] = None
 
     def __len__(self) -> int:
         return len(self._installed)
@@ -173,15 +177,21 @@ class DelegationStore:
     def __contains__(self, delegation_id: str) -> bool:
         return delegation_id in self._installed
 
+    def get(self, delegation_id: str) -> Optional[InstalledDelegation]:
+        """The installed delegation with this id, or ``None``."""
+        return self._installed.get(delegation_id)
+
     def install(self, delegation_id: str, delegator: str, rule: Rule) -> InstalledDelegation:
         """Install (or overwrite) a delegated rule."""
         installed = InstalledDelegation(delegation_id=delegation_id, delegator=delegator,
                                         rule=rule)
         self._installed[delegation_id] = installed
+        self._ordered = None
         return installed
 
     def retract(self, delegation_id: str) -> Optional[InstalledDelegation]:
         """Remove a delegated rule; returns it if it was installed."""
+        self._ordered = None
         return self._installed.pop(delegation_id, None)
 
     def retract_from(self, delegator: str) -> List[InstalledDelegation]:
@@ -189,16 +199,23 @@ class DelegationStore:
         removed = [d for d in self._installed.values() if d.delegator == delegator]
         for delegation in removed:
             self._installed.pop(delegation.delegation_id, None)
+        self._ordered = None
         return removed
 
     def rules(self) -> Tuple[Rule, ...]:
         """The delegated rules, in a deterministic order."""
-        ordered = sorted(self._installed.values(), key=lambda d: d.delegation_id)
-        return tuple(d.rule for d in ordered)
+        return self._ordering()[1]
 
     def all(self) -> Tuple[InstalledDelegation, ...]:
         """Every installed delegation, in a deterministic order."""
-        return tuple(sorted(self._installed.values(), key=lambda d: d.delegation_id))
+        return self._ordering()[0]
+
+    def _ordering(self) -> Tuple[Tuple[InstalledDelegation, ...], Tuple[Rule, ...]]:
+        if self._ordered is None:
+            ordered = tuple(sorted(self._installed.values(),
+                                   key=lambda d: d.delegation_id))
+            self._ordered = (ordered, tuple(d.rule for d in ordered))
+        return self._ordered
 
     def by_delegator(self) -> Dict[str, List[InstalledDelegation]]:
         """Installed delegations grouped by delegator."""

@@ -17,12 +17,15 @@ a stage are returned in a :class:`StageResult` for the caller to deliver.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.delegation import Delegation, DelegationDiff
 from repro.core.errors import EvaluationError, SchemaError
-from repro.core.evaluation import RuleEvaluator, RuleOutcome, stratify_local_rules
+from repro.core.evaluation import (LocationPattern, RuleEvaluator, RuleOutcome,
+                                   location_pattern, pattern_matches,
+                                   stratify_local_rules)
 from repro.core.facts import Delta, Fact
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Atom, Rule
@@ -32,18 +35,41 @@ from repro.planner import BodyPlanner, StagePlan, StatsProvider, resolve_planner
 from repro.planner.magic import MAGIC_PREFIX
 from repro.store.backend import resolve_backend
 
-#: Predicate marker for atoms whose relation or peer position is still a
-#: variable at analysis time — they may read from (or derive into) any
-#: relation, so dependency analysis treats them as depending on everything.
-_WILDCARD = "*any*"
+
+def _split(atoms: Iterable[Atom]) -> Tuple[FrozenSet[str], Tuple[LocationPattern, ...]]:
+    """The predicates ``atoms`` name outright, and the patterns of the rest."""
+    exact: Set[str] = set()
+    open_: Set[LocationPattern] = set()
+    for atom in atoms:
+        pattern = location_pattern(atom)
+        if None in pattern:
+            open_.add(pattern)
+        else:
+            exact.add("%s@%s" % pattern)
+    return frozenset(exact), tuple(open_)
 
 
-def _predicate_of(atom: Atom) -> str:
-    relation = atom.relation_constant()
-    peer = atom.peer_constant()
-    if relation is None or peer is None:
-        return _WILDCARD
-    return f"{relation}@{peer}"
+def _reads(body: Tuple[FrozenSet[str], Tuple[LocationPattern, ...]],
+           predicates: Set[str]) -> bool:
+    exact, open_ = body
+    return (not predicates.isdisjoint(exact)
+            or any(pattern_matches(pattern, predicate)
+                   for pattern in open_ for predicate in predicates))
+
+
+def _head_targets(head: LocationPattern,
+                  local_intensional: FrozenSet[str]) -> Set[str]:
+    """The predicates a head can derive into during a local fixpoint.
+
+    A head with a variable position reaches, *locally*, only this peer's
+    intensional relations: its facts for other peers leave through the
+    stage's remote updates, and local extensional heads are deferred and
+    arrive as the next stage's input delta.
+    """
+    if None in head:
+        return {predicate for predicate in local_intensional
+                if pattern_matches(head, predicate)}
+    return {"%s@%s" % head}
 
 
 class _ProgramAnalysis:
@@ -52,99 +78,122 @@ class _ProgramAnalysis:
     Cached on the engine and rebuilt whenever the rule set changes (own
     rules added/removed/replaced, delegations installed or retracted) — the
     cache is validated by object identity against ``state.all_rules()``, so
-    any mutation path invalidates it, including ones that bypass the engine
-    API (e.g. the delegation controller installing an approved rule).
+    any mutation path is seen, including ones that bypass the engine API
+    (e.g. the delegation controller installing an approved rule).  The
+    superseded analysis is what the rule set is diffed against: a program
+    change reaches the fixpoint as the rules added and the rules removed.
+
+    Dependencies are position-wise.  An atom whose relation or peer is a
+    variable is kept as the pattern of its constant position, so
+    ``communicate@$attendee`` is re-fired by ``communicate@*`` alone, and the
+    closure of a head with a variable position is the finite set
+    :func:`_head_targets` gives: no delta ever asks for a full recompute.
     """
 
-    __slots__ = ("rules", "strata", "body_predicates", "negated_predicates",
-                 "head_predicate")
+    __slots__ = ("rules", "strata", "body", "head", "negated")
 
     def __init__(self, peer: str, rules: Tuple[Rule, ...]):
         self.rules = rules
         self.strata = stratify_local_rules(peer, list(rules))
-        self.body_predicates: Dict[Rule, FrozenSet[str]] = {}
-        self.head_predicate: Dict[Rule, str] = {}
-        self.negated_predicates: Set[str] = set()
+        # Both keyed by id(rule): the analysis keeps its rules alive, and the
+        # seminaive loop asks per rule and iteration — hashing a Rule walks
+        # every term of it.
+        self.body: Dict[int, Tuple[FrozenSet[str], Tuple[LocationPattern, ...]]] = {}
+        self.head: Dict[int, LocationPattern] = {}
         for rule in rules:
-            predicates = set()
-            for atom in rule.body:
-                predicate = _predicate_of(atom)
-                predicates.add(predicate)
-                if atom.negated:
-                    self.negated_predicates.add(predicate)
-            self.body_predicates[rule] = frozenset(predicates)
-            self.head_predicate[rule] = _predicate_of(rule.head)
+            self.body[id(rule)] = _split(rule.body)
+            self.head[id(rule)] = location_pattern(rule.head)
+        self.negated = _split(atom for rule in rules for atom in rule.body
+                              if atom.negated)
 
     def matches(self, rules: Tuple[Rule, ...]) -> bool:
         """``True`` when the analysis still describes exactly these rules."""
         return len(self.rules) == len(rules) and all(
-            cached is current for cached, current in zip(self.rules, rules))
+            map(operator.is_, self.rules, rules))
+
+    def changes(self, rules: Tuple[Rule, ...]) -> Tuple[List[Rule], List[Rule]]:
+        """``(added, removed)``: ``rules`` against the analysed ones, by identity."""
+        current = {id(rule) for rule in rules}
+        return ([rule for rule in rules if id(rule) not in self.head],
+                [rule for rule in self.rules if id(rule) not in current])
 
     def triggered(self, rule: Rule, delta_predicates: Set[str]) -> bool:
         """``True`` when a delta over these predicates can re-fire ``rule``."""
-        body = self.body_predicates[rule]
-        return _WILDCARD in body or not delta_predicates.isdisjoint(body)
+        return _reads(self.body[id(rule)], delta_predicates)
 
-    def touches_negation(self, delta_predicates: Set[str]) -> bool:
-        """``True`` when the delta reaches a negated body occurrence."""
-        negated = self.negated_predicates
-        if not negated:
-            return False
-        return _WILDCARD in negated or not delta_predicates.isdisjoint(negated)
+    def head_targets(self, rule: Rule, local_intensional: FrozenSet[str]) -> Set[str]:
+        """The predicates ``rule`` can derive into during a local fixpoint."""
+        return _head_targets(self.head[id(rule)], local_intensional)
 
-    def derivation_closure(self, seed_predicates: Set[str]) -> Optional[Set[str]]:
-        """Every predicate the seed predicates can derive into, transitively.
+    def reaches_negation(self, seed_predicates: Set[str],
+                         local_intensional: FrozenSet[str]) -> bool:
+        """``True`` when facts new in the seed predicates can reach a negated
+        body occurrence — directly, or through the heads they derive into.
 
         Follows rule bodies forward to heads only (unlike
         :meth:`affected_closure` it does not pull in sibling definitions of
         reached heads — it answers "what can this delta change", not "what
-        must be recomputed").  Returns ``None`` when a wildcard-headed rule
-        is reachable, meaning the delta could derive anywhere.
+        must be recomputed").
         """
+        if not any(self.negated):
+            return False
         reachable = set(seed_predicates)
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.rules:
-                head = self.head_predicate[rule]
-                if head in reachable:
-                    continue
-                body = self.body_predicates[rule]
-                if _WILDCARD in body or not reachable.isdisjoint(body):
-                    if head == _WILDCARD:
-                        return None
-                    reachable.add(head)
-                    changed = True
-        return reachable
+        pending = list(self.rules)
+        grown = True
+        while grown:
+            grown = False
+            waiting = []
+            for rule in pending:
+                if self.triggered(rule, reachable):
+                    targets = self.head_targets(rule, local_intensional)
+                    if not targets <= reachable:
+                        reachable |= targets
+                        grown = True
+                else:
+                    waiting.append(rule)
+            pending = waiting
+        return _reads(self.negated, reachable)
 
-    def affected_closure(self, seed_predicates: Set[str]
-                         ) -> Tuple[Set[str], Set[Rule], bool]:
+    def affected_closure(self, seed_predicates: Set[str],
+                         seed_rules: List[Rule],
+                         local_intensional: FrozenSet[str],
+                         shipped: Callable[[Rule], Set[str]]
+                         ) -> Tuple[Set[str], Set[Rule]]:
         """Predicates and rules transitively reachable from a delta.
 
-        A rule is affected when its body reads an affected predicate *or*
-        its head derives into one (every definition of a cleared predicate
-        must re-fire, not only the ones the delta touched).  The returned
-        flag is ``True`` when a wildcard-headed rule is affected, in which
-        case the caller must fall back to a full recompute.
+        A rule is affected when it is a seed rule, its body reads an affected
+        predicate *or* its head derives into one (every definition of a
+        cleared predicate must re-fire, not only the ones the delta touched).
+        Every predicate an affected rule derives into is affected in turn;
+        for a head with a variable position that is its local targets plus
+        ``shipped(rule)``, the predicates of what it has sent or deferred so
+        far (their recorded derivations die with the rule's memo).
         """
         affected = set(seed_predicates)
-        affected_rules: Set[Rule] = set()
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.rules:
-                if rule in affected_rules:
-                    continue
-                body = self.body_predicates[rule]
-                head = self.head_predicate[rule]
-                if (_WILDCARD in body or not affected.isdisjoint(body)
-                        or head in affected):
+        affected_rules: Set[Rule] = set(seed_rules)
+        seeded = {id(rule) for rule in seed_rules}
+        pending = []
+        for rule in self.rules:
+            targets = self.head_targets(rule, local_intensional)
+            if None in self.head[id(rule)]:
+                targets |= shipped(rule)
+            if id(rule) in seeded:
+                affected |= targets
+            else:
+                pending.append((rule, targets))
+        grown = True
+        while grown:
+            grown = False
+            waiting = []
+            for rule, targets in pending:
+                if self.triggered(rule, affected) or not targets.isdisjoint(affected):
                     affected_rules.add(rule)
-                    changed = True
-                    if head == _WILDCARD:
-                        return set(), set(), True
-                    affected.add(head)
-        return affected, affected_rules, False
+                    affected |= targets
+                    grown = True
+                else:
+                    waiting.append((rule, targets))
+            pending = waiting
+        return affected, affected_rules
 
 
 @dataclass(frozen=True)
@@ -179,10 +228,11 @@ class StageResult:
     derived_changed: bool = False
     deferred_local_updates: int = 0
     #: Which fixpoint strategy the stage used: ``"full"`` (clear everything
-    #: and recompute — program/schema change or naive mode), ``"delta"``
-    #: (seminaive over the input delta), ``"rederive"`` (scoped
+    #: and recompute — an engine's first stage, naive mode, a provenance
+    #: recorder that cannot be maintained), ``"delta"`` (seminaive over the
+    #: inserted facts and the added rules), ``"rederive"`` (scoped
     #: delete-and-rederive of the affected predicate closure) or ``"skip"``
-    #: (no input delta — nothing evaluated at all).
+    #: (nothing changed that a local rule reads — nothing evaluated at all).
     evaluation_path: str = "full"
     outgoing_updates: List[OutgoingUpdate] = field(default_factory=list)
     delegations_to_install: List[Delegation] = field(default_factory=list)
@@ -288,19 +338,25 @@ class WebdamLogEngine:
         # has never evaluated its program.
         self._dirty = True
         # --- incremental-fixpoint state --------------------------------- #
-        # Cached dependency analysis of the current program (rebuilt when the
-        # rule set changes); explicit invalidation points are add_rule /
-        # remove_rule / replace_rule / load_program and delegation installs,
-        # with an identity check against state.all_rules() as the backstop.
+        # Dependency analysis of the program the last fixpoint evaluated
+        # (``None`` before the first stage), checked by identity against
+        # state.all_rules() at every stage: a changed rule set is diffed
+        # against it, so the fixpoint sees the rules added and removed.
         self._analysis: Optional[_ProgramAnalysis] = None
-        # Set by declare(): a schema (re)declaration can change how head
-        # facts are classified, which the rule-set identity check cannot see.
-        self._schema_changed = False
+        # Local relations declared intensional since the last fixpoint: heads
+        # deriving into them were classified extensional until now, so their
+        # definitions re-fire (the rule-set identity check cannot see this).
+        self._newly_intensional: Set[str] = set()
         # Per-rule cumulative outputs (remote facts, delegations, deferred
         # extensional updates) of the last fixpoint.  The stage outcome fed
         # to _emit_outputs is the union over the current rules, so skipping
         # un-affected rules never loses (or spuriously retracts) outputs.
         self._rule_memo: Dict[Rule, RuleOutcome] = {}
+        # That union, kept until a memo entry changes (``None`` = stale), and
+        # the union _emit_outputs last diffed: an idle stage hands the same
+        # object over again and has nothing to send.
+        self._outcome: Optional[RuleOutcome] = None
+        self._emitted: Optional[RuleOutcome] = None
         # Deletions performed by end-of-stage housekeeping (non-persistent
         # relation clears, strict provided clears) that the next fixpoint
         # must treat as part of its input delta.
@@ -334,7 +390,7 @@ class WebdamLogEngine:
         if isinstance(program, str):
             program = parse_program(program, default_peer=self.peer, author=self.peer)
         for schema in program.schemas:
-            self.state.declare(schema)
+            self.declare(schema)
         for fact in program.facts:
             if fact.peer == self.peer:
                 self.state.insert_fact(fact)
@@ -343,15 +399,27 @@ class WebdamLogEngine:
         for rule in program.rules:
             self.state.add_rule(rule)
         self._invalidate_program_cache()
-        self._schema_changed = True
         self.mark_dirty()
         return program
 
     def declare(self, schema: RelationSchema) -> RelationSchema:
-        """Declare a relation schema."""
-        self._schema_changed = True
+        """Declare a relation schema.
+
+        Only a relation that *becomes* intensional changes what the engine
+        computed so far; re-declaring a known relation (every delegation
+        install carries its schemas) changes nothing.
+        """
+        new = self.state.schemas.get(schema.name, schema.peer) is None
+        declared = self.state.declare(schema)
+        if new and declared.is_intensional():
+            if declared.peer == self.peer:
+                self._newly_intensional.add(declared.qualified_name)
+            else:
+                # Facts shipped there that vanished since are now view facts
+                # to retract: the next stage must diff its outputs again.
+                self._emitted = None
         self.mark_dirty()
-        return self.state.declare(schema)
+        return declared
 
     def add_rule(self, rule: Union[str, Rule]) -> Rule:
         """Add a rule to the peer's own program (parsed if given as text)."""
@@ -373,8 +441,9 @@ class WebdamLogEngine:
         """Remove several own rules at once (one cache invalidation).
 
         Used by the live-view machinery to uninstall a compiled query: the
-        next stage's full recompute clears the view's derived facts, and the
-        delegation diff retracts whatever the removed rules had delegated.
+        next stage rederives the closure of the removed heads, which clears
+        the view's derived facts, and the delegation diff retracts whatever
+        the removed rules had delegated.
         Unknown identifiers are skipped; the removed rules are returned.
         """
         removed = [rule for rule_id in rule_ids
@@ -393,13 +462,13 @@ class WebdamLogEngine:
         return self.state.replace_rule(rule_id, new_rule)
 
     def _invalidate_program_cache(self) -> None:
-        """Drop the cached program analysis (rule set is about to change).
+        """Bump :attr:`program_version` (the rule set is about to change).
 
-        Also bumps :attr:`program_version`, which keys the planner's plan
-        cache — so removing rules (e.g. a live view uninstalling its magic
-        predicates on ``close()``) can never leave a stale plan behind.
+        The version keys the planner's plan cache — so removing rules (e.g.
+        a live view uninstalling its magic predicates on ``close()``) can
+        never leave a stale plan behind.  The program analysis is *kept*:
+        the next fixpoint diffs the new rule set against it.
         """
-        self._analysis = None
         self.program_version += 1
         if self._planner is not None:
             self._planner.sync(self.program_version)
@@ -656,25 +725,31 @@ class WebdamLogEngine:
             self.state.store.apply(self.state.deferred_updates)
             self.state.deferred_updates = Delta.empty()
 
-        for _sender, fact in pending.inserted_facts:
+        for sender, fact in pending.inserted_facts:
             consumed += 1
             if fact.peer != self.peer:
                 # Mis-routed fact; ignore (the runtime should not let this happen).
                 continue
             if self.state.is_local_intensional(fact):
-                self.state.add_provided(fact)
+                self.state.add_provided(fact, sender)
             else:
                 self.state.store.insert(fact)
-        for _sender, fact in pending.deleted_facts:
+        for sender, fact in pending.deleted_facts:
             consumed += 1
             if fact.peer != self.peer:
                 continue
             if self.state.is_local_intensional(fact):
-                self.state.remove_provided(fact)
+                self.state.remove_provided(fact, sender)
             else:
                 self.state.store.delete(fact)
         for sender, delegation_id, rule in pending.delegations_to_install:
             consumed += 1
+            known = self.state.delegations_in.get(delegation_id)
+            if (known is not None and known.delegator == sender
+                    and known.rule == rule):
+                # A duplicated install delivery is a strict no-op, like a
+                # duplicated retraction below.
+                continue
             self.state.install_delegation(delegation_id, sender, rule)
             self._invalidate_program_cache()
         for sender, delegation_id in pending.delegations_to_retract:
@@ -712,20 +787,29 @@ class WebdamLogEngine:
                    ("on_base_deleted", "on_rederive", "on_full_recompute"))
 
     def _run_fixpoint(self, result: StageResult) -> RuleOutcome:
-        """Run the local fixpoint, choosing the cheapest sound strategy.
+        """Run the local fixpoint, choosing its path from *what changed*:
+        the input delta, the rules added and removed since the last fixpoint,
+        and the local relations that became intensional.
 
         * **full** — clear every local intensional relation and recompute
-          (the seed engine's behaviour).  Used when the program or a schema
-          changed, in ``"naive"`` mode, or when a legacy provenance recorder
-          (no maintenance hooks, or per-stage mode) is attached.
-        * **skip** — the input delta is empty: nothing can change, the
-          memoised outcome is returned without evaluating anything.
-        * **delta** — the input delta is insert-only and does not reach a
-          negated literal: seminaive evaluation seeds from the delta and
-          re-fires only the rules whose body reads a delta predicate.
-        * **rederive** — the delta contains deletions (or reaches negation):
-          the affected predicate closure is cleared and recomputed; rules and
-          relations outside the closure are untouched.
+          (the seed engine's behaviour).  Only the first stage of an engine,
+          ``"naive"`` mode, a legacy provenance recorder (no maintenance
+          hooks, or per-stage mode) and primary-key displacement take it.
+        * **skip** — nothing changed that a local rule reads: the memoised
+          outcome is returned without evaluating anything.  Removed rules
+          with remote heads need no more than this — dropping their memo
+          makes :meth:`_emit_outputs` retract what they had shipped.
+        * **delta** — facts were only inserted, rules only added, and neither
+          reaches a negated literal: added rules are evaluated once in full,
+          then seminaive evaluation seeds from the inserted and the newly
+          derived facts and re-fires only the rules whose body reads them.
+        * **rederive** — the delta contains deletions, reaches negation, a
+          removed rule derived into a local intensional relation (under a
+          maintained provenance tracker: into any relation — its recorded
+          derivations die with the predicates' and the sibling definitions
+          re-record theirs), or a local relation became intensional: the
+          affected predicate closure is cleared and recomputed (added rules
+          included); rules and relations outside the closure are untouched.
 
         In every case the outcome handed to :meth:`_emit_outputs` is the
         union of the per-rule memo, so remote updates, delegations and
@@ -733,15 +817,21 @@ class WebdamLogEngine:
         a full recompute would have produced.
         """
         rules = self.state.all_rules()
-        analysis = self._analysis
-        program_changed = analysis is None or not analysis.matches(rules)
-        if program_changed:
+        previous = self._analysis
+        added: List[Rule] = []
+        removed: List[Rule] = []
+        if previous is not None and previous.matches(rules):
+            analysis = previous
+        else:
             analysis = self._analysis = _ProgramAnalysis(self.peer, rules)
+            if previous is not None:
+                added, removed = previous.changes(rules)
             # Identity backstop: rule mutations that bypassed the engine API
             # still move the program version (and drop cached plans).
             self.program_version += 1
             if self._planner is not None:
                 self._planner.sync(self.program_version)
+        reclassified, self._newly_intensional = self._newly_intensional, set()
 
         input_delta = (self._carryover_delta
                        .merge(self.state.store.peek_delta())
@@ -750,10 +840,8 @@ class WebdamLogEngine:
 
         provenance_incremental = self._provenance_incremental()
         force_full = (self.evaluation_mode == "naive"
-                      or (self.provenance is not None and not provenance_incremental)
-                      or program_changed
-                      or self._schema_changed)
-        self._schema_changed = False
+                      or previous is None
+                      or (self.provenance is not None and not provenance_incremental))
 
         # Deleted input facts die in the provenance graph regardless of the
         # evaluation path chosen below: their derivations (and transitive
@@ -764,11 +852,68 @@ class WebdamLogEngine:
 
         delta_predicates = ({fact.qualified_relation for fact in input_delta.inserted}
                             | {fact.qualified_relation for fact in input_delta.deleted})
-        if not force_full and not delta_predicates:
+        if not (force_full or delta_predicates or added or removed or reclassified):
             result.evaluation_path = "skip"
-            return self._memo_outcome(analysis)
+            return self._memo_outcome()
 
-        evaluator = RuleEvaluator(
+        if force_full:
+            result.evaluation_path = "full"
+            evaluator = self._evaluator()
+            outcome = self._fixpoint_rederive(analysis, evaluator, result,
+                                              None, None)
+            self._record_stage_plan(evaluator, analysis, result)
+            return outcome
+
+        local_intensional = frozenset(
+            schema.qualified_name for schema in self.state.schemas
+            if schema.peer == self.peer and schema.is_intensional())
+        # A removed rule loses its memo, which retracts what it had sent.
+        # What it derived into local intensional relations is only found by
+        # rederiving those; under a maintained tracker so are the derivations
+        # it recorded for *any* head, a remote one included.
+        orphaned: Set[str] = set()
+        for rule in removed:
+            if rule in rules:
+                continue  # replaced by an equal rule: nothing was removed
+            head = location_pattern(rule.head)
+            if self.provenance is None:
+                orphaned |= _head_targets(head, local_intensional) & local_intensional
+            else:
+                orphaned |= _head_targets(head, local_intensional)
+                orphaned |= self._shipped_predicates(rule)
+            if self._rule_memo.pop(rule, None) is not None:
+                self._outcome = None
+
+        # Negation makes insertions non-monotone: check the *derivation
+        # closure* of the new facts against the negated predicates — an
+        # insert may only reach a negated occurrence through derived
+        # intermediates.
+        fresh = set(delta_predicates)
+        for rule in added:
+            fresh |= analysis.head_targets(rule, local_intensional)
+        if (input_delta.deleted or orphaned or reclassified
+                or analysis.reaches_negation(fresh, local_intensional)):
+            result.evaluation_path = "rederive"
+            affected_predicates, affected_rules = analysis.affected_closure(
+                delta_predicates | orphaned | reclassified, added,
+                local_intensional, self._shipped_predicates)
+            evaluator = self._evaluator()
+            outcome = self._fixpoint_rederive(analysis, evaluator, result,
+                                              affected_predicates, affected_rules)
+        elif delta_predicates or added:
+            result.evaluation_path = "delta"
+            evaluator = self._evaluator()
+            outcome = self._fixpoint_seminaive(analysis, evaluator, result,
+                                               input_delta.inserted, added)
+        else:
+            result.evaluation_path = "skip"
+            return self._memo_outcome()
+        self._record_stage_plan(evaluator, analysis, result)
+        return outcome
+
+    def _evaluator(self) -> RuleEvaluator:
+        """The rule evaluator of one stage (it collects that stage's plans)."""
+        return RuleEvaluator(
             peer=self.peer,
             fact_source=self.state.fact_view,
             kind_resolver=self.state.kind_of,
@@ -782,37 +927,14 @@ class WebdamLogEngine:
                       if self.use_indexes and self.provenance is None else None),
             planner=self._planner,
         )
-        if force_full:
-            result.evaluation_path = "full"
-            outcome = self._fixpoint_rederive(analysis, evaluator, result,
-                                              None, None)
-            self._record_stage_plan(evaluator, analysis, result)
-            return outcome
 
-        # Negation makes insertions non-monotone: check the *derivation
-        # closure* of the delta against the negated predicates — an insert
-        # may only reach a negated occurrence through derived intermediates.
-        reachable = analysis.derivation_closure(delta_predicates)
-        if input_delta.deleted or reachable is None or analysis.touches_negation(reachable):
-            affected_predicates, affected_rules, needs_full = (
-                analysis.affected_closure(delta_predicates))
-            if reachable is None or needs_full:
-                result.evaluation_path = "full"
-                outcome = self._fixpoint_rederive(analysis, evaluator, result,
-                                                  None, None)
-            else:
-                result.evaluation_path = "rederive"
-                outcome = self._fixpoint_rederive(analysis, evaluator, result,
-                                                  affected_predicates,
-                                                  affected_rules)
-            self._record_stage_plan(evaluator, analysis, result)
-            return outcome
-
-        result.evaluation_path = "delta"
-        outcome = self._fixpoint_seminaive(analysis, evaluator, result,
-                                           input_delta.inserted)
-        self._record_stage_plan(evaluator, analysis, result)
-        return outcome
+    def _shipped_predicates(self, rule: Rule) -> Set[str]:
+        """The predicates ``rule`` has sent or deferred facts of so far."""
+        entry = self._rule_memo.get(rule)
+        if entry is None:
+            return set()
+        return ({fact.qualified_relation for fact in entry.remote_facts}
+                | {fact.qualified_relation for fact in entry.local_extensional})
 
     def _record_stage_plan(self, evaluator: RuleEvaluator,
                            analysis: _ProgramAnalysis,
@@ -834,16 +956,48 @@ class WebdamLogEngine:
 
     def _fixpoint_seminaive(self, analysis: _ProgramAnalysis,
                             evaluator: RuleEvaluator, result: StageResult,
-                            inserted: FrozenSet[Fact]) -> RuleOutcome:
-        """Seminaive pass over an insert-only input delta.
+                            inserted: FrozenSet[Fact],
+                            added: List[Rule]) -> RuleOutcome:
+        """Seminaive pass over an insert-only input delta and added rules.
 
         The derived store is *not* cleared: previous derivations stay valid
-        under insertions (negation is excluded by the caller).  Each stratum
-        drains a delta of facts new this stage; rules re-fire only when their
-        body reads a delta predicate, restricted to the delta facts.
+        under insertions (negation is excluded by the caller).  Added rules
+        are evaluated once in full — what they derive joins the facts new
+        this stage.  Each stratum then drains a delta of those facts; rules
+        re-fire only when their body reads a delta predicate, restricted to
+        the delta facts.
         """
         accumulated: Dict[str, Set[Fact]] = {}
         for fact in inserted:
+            accumulated.setdefault(fact.qualified_relation, set()).add(fact)
+
+        def absorb(rule: Rule, outcome: RuleOutcome, new_facts: Set[Fact]) -> bool:
+            """Fold one evaluation in; ``False`` on primary-key displacement."""
+            result.rules_evaluated += 1
+            result.substitutions_explored += outcome.substitutions_explored
+            result.compiled_sql += outcome.compiled_sql
+            self._memo_merge(rule, outcome)
+            for fact in outcome.local_intensional:
+                insert_delta = self.state.derived.insert(fact)
+                if insert_delta.deleted:
+                    return False
+                if insert_delta:
+                    result.derived_intensional += 1
+                    new_facts.add(fact)
+            return True
+
+        def recompute() -> RuleOutcome:
+            # Primary-key replacement on a derived relation: the insertion
+            # displaced an existing fact, which is no longer monotone — fall
+            # back to a full recompute for this stage.
+            result.evaluation_path = "full"
+            return self._fixpoint_rederive(analysis, evaluator, result, None, None)
+
+        derived_by_added: Set[Fact] = set()
+        for rule in added:
+            if not absorb(rule, evaluator.evaluate_rule(rule), derived_by_added):
+                return recompute()
+        for fact in derived_by_added:
             accumulated.setdefault(fact.qualified_relation, set()).add(fact)
 
         for stratum in analysis.strata:
@@ -856,28 +1010,14 @@ class WebdamLogEngine:
                 for rule in stratum:
                     if not analysis.triggered(rule, delta_predicates):
                         continue
-                    result.rules_evaluated += 1
-                    outcome = evaluator.evaluate_rule_delta(rule, delta)
-                    result.substitutions_explored += outcome.substitutions_explored
-                    self._memo_merge(rule, outcome)
-                    for fact in outcome.local_intensional:
-                        insert_delta = self.state.derived.insert(fact)
-                        if insert_delta.deleted:
-                            # Primary-key replacement on a derived relation:
-                            # the insertion displaced an existing fact, which
-                            # is no longer monotone — fall back to a full
-                            # recompute for this stage.
-                            result.evaluation_path = "full"
-                            return self._fixpoint_rederive(analysis, evaluator,
-                                                           result, None, None)
-                        if insert_delta:
-                            result.derived_intensional += 1
-                            new_facts.add(fact)
+                    if not absorb(rule, evaluator.evaluate_rule_delta(rule, delta),
+                                  new_facts):
+                        return recompute()
                 delta = {}
                 for fact in new_facts:
                     delta.setdefault(fact.qualified_relation, set()).add(fact)
                     accumulated.setdefault(fact.qualified_relation, set()).add(fact)
-        return self._memo_outcome(analysis)
+        return self._memo_outcome()
 
     def _fixpoint_rederive(self, analysis: _ProgramAnalysis,
                            evaluator: RuleEvaluator, result: StageResult,
@@ -910,6 +1050,7 @@ class WebdamLogEngine:
         else:
             for rule in affected_rules:
                 self._rule_memo.pop(rule, None)
+        self._outcome = None
 
         for stratum in analysis.strata:
             selected = stratum if full else [r for r in stratum if r in affected_rules]
@@ -929,7 +1070,7 @@ class WebdamLogEngine:
                         if self.state.derived.insert(fact):
                             changed = True
                             result.derived_intensional += 1
-        return self._memo_outcome(analysis)
+        return self._memo_outcome()
 
     def _memo_merge(self, rule: Rule, outcome: RuleOutcome) -> None:
         """Fold one evaluation's non-intensional outputs into the rule's memo.
@@ -940,22 +1081,35 @@ class WebdamLogEngine:
         entry = self._rule_memo.get(rule)
         if entry is None:
             entry = self._rule_memo[rule] = RuleOutcome()
-        entry.local_extensional |= outcome.local_extensional
-        entry.remote_facts |= outcome.remote_facts
-        entry.delegations |= outcome.delegations
+        if not (outcome.local_extensional <= entry.local_extensional
+                and outcome.remote_facts <= entry.remote_facts
+                and outcome.delegations <= entry.delegations):
+            entry.local_extensional |= outcome.local_extensional
+            entry.remote_facts |= outcome.remote_facts
+            entry.delegations |= outcome.delegations
+            self._outcome = None
 
-    def _memo_outcome(self, analysis: _ProgramAnalysis) -> RuleOutcome:
-        """The stage outcome: the union of every current rule's memo."""
-        total = RuleOutcome()
-        for rule in analysis.rules:
-            entry = self._rule_memo.get(rule)
-            if entry is not None:
+    def _memo_outcome(self) -> RuleOutcome:
+        """The stage outcome: the union of every current rule's memo.
+
+        Shared between stages until a memo entry changes — read-only.
+        """
+        total = self._outcome
+        if total is None:
+            total = self._outcome = RuleOutcome()
+            for entry in self._rule_memo.values():
                 total.local_extensional |= entry.local_extensional
                 total.remote_facts |= entry.remote_facts
                 total.delegations |= entry.delegations
         return total
 
     def _emit_outputs(self, outcome: RuleOutcome, result: StageResult) -> None:
+        if (outcome is self._emitted and not self._pending_remote_inserts
+                and not self._pending_remote_deletes):
+            # The outcome last diffed, and nothing queued by the user: every
+            # sent set and outstanding delegation already matches it.
+            return
+        self._emitted = outcome
         # -- facts derived for remote peers ------------------------------ #
         current_by_target: Dict[str, Set[Fact]] = {}
         for fact in outcome.remote_facts:

@@ -74,6 +74,23 @@ def _adapt_fact_source(source: FactSource) -> FactSource:
     return adapted
 
 
+#: ``(relation, peer)`` of an atom as dependency analysis and seminaive
+#: restriction see it; ``None`` marks a position that is still a variable.
+LocationPattern = Tuple[Optional[str], Optional[str]]
+
+
+def location_pattern(atom: Atom) -> LocationPattern:
+    """The constant relation and peer of ``atom`` (``None`` where variable)."""
+    return atom.relation_constant(), atom.peer_constant()
+
+
+def pattern_matches(pattern: LocationPattern, predicate: str) -> bool:
+    """``True`` when ``"rel@peer"`` agrees with every constant position."""
+    relation, peer = pattern
+    name, _, owner = predicate.partition("@")
+    return relation in (None, name) and peer in (None, owner)
+
+
 @dataclass
 class RuleOutcome:
     """Everything produced by evaluating one rule once."""
@@ -206,25 +223,22 @@ class RuleEvaluator:
         once per positive body occurrence of a delta predicate, with that
         occurrence restricted to the delta facts — every derivation that uses
         at least one delta fact is found, old derivations using only
-        pre-existing facts are not re-explored.  Body literals whose relation
-        or peer position is still a variable match any delta predicate and
-        are restricted to the union of all delta facts.
+        pre-existing facts are not re-explored.  A body literal whose relation
+        or peer position is still a variable is restricted to the delta facts
+        of the predicates agreeing with its constant position.
         """
         outcome = RuleOutcome()
-        union: Optional[Set[Fact]] = None
         for index, literal in enumerate(rule.body):
             if literal.negated:
                 continue
-            relation = literal.relation_constant()
-            peer_name = literal.peer_constant()
-            if relation is None or peer_name is None:
-                if union is None:
-                    union = set()
-                    for facts in delta.values():
-                        union |= facts
-                restricted: Set[Fact] = union
+            pattern = location_pattern(literal)
+            if None in pattern:
+                restricted: Set[Fact] = set()
+                for predicate, facts in delta.items():
+                    if pattern_matches(pattern, predicate):
+                        restricted |= facts
             else:
-                restricted = delta.get(f"{relation}@{peer_name}", set())
+                restricted = delta.get("%s@%s" % pattern, set())
             if not restricted:
                 continue
             self._evaluate_from(rule, 0, {}, outcome, (),
@@ -257,6 +271,12 @@ class RuleEvaluator:
         if peer_name != self.peer:
             # Remote literal: delegate the remainder of the rule.
             if not self.allow_delegation:
+                return
+            if restrict is not None and all(
+                    walked != restrict[0] for walked, _ in support):
+                # The delta literal was not walked yet, so this delegation
+                # uses no delta fact: it is an old one, or the pass restricted
+                # to an earlier literal finds it.
                 return
             self._emit_delegation(rule, index, substitution, peer_name, outcome)
             return
@@ -390,6 +410,10 @@ def stratify_local_rules(peer: str, rules: List[Rule]) -> List[List[Rule]]:
     semantics, mirroring the original system where negation was not supported
     at all.
     """
+    if not any(atom.negated for rule in rules for atom in rule.body):
+        # Strata only separate what negation reads from what derives it.
+        return [list(rules)]
+
     from repro.datalog.program import DatalogAtom, DatalogProgram, DatalogRule, Var
     from repro.datalog.stratification import StratificationError, stratify as datalog_stratify
 

@@ -15,16 +15,15 @@ default (:mod:`repro.store.memory`), or durable SQLite tables
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, RelationSchema, SchemaRegistry
-from repro.core.terms import Constant, ConstantValue, Term
+from repro.core.terms import Constant, ConstantValue, Term, render_constant
 from repro.store.memory import MemoryBackend, MemoryTable
 
 
-@dataclass(frozen=True, eq=False)
 class Fact:
     """A ground fact ``relation@peer(values...)``.
 
@@ -38,20 +37,39 @@ class Fact:
     three different facts even though the payloads compare ``==`` in Python
     — otherwise they would collide in delta sets while the stores keep them
     distinct.
+
+    Facts are immutable (assignment raises).  The class is slotted and keeps
+    its hash, so the set algebra every stage runs never re-hashes the nested
+    key, and its rendering, so sorting a relation by ``str`` renders each
+    stored fact once.
     """
 
-    relation: str
-    peer: str
-    values: Tuple[ConstantValue, ...]
+    __slots__ = ("relation", "peer", "values", "_key", "_hash", "_str")
 
-    def __post_init__(self):
-        if not self.relation or not self.peer:
+    def __init__(self, relation: str, peer: str,
+                 values: Iterable[ConstantValue]):
+        if not relation or not peer:
             raise SchemaError("fact must name a relation and a peer")
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "_key", (
-            self.relation, self.peer,
-            tuple((type(v), v) for v in self.values)))
+        if values.__class__ is not tuple:
+            values = tuple(values)
+        key = (relation, peer, tuple(zip(map(type, values), values)))
+        _set_relation(self, relation)
+        _set_peer(self, peer)
+        _set_values(self, values)
+        _set_key(self, key)
+        _set_hash(self, hash(key))
+        _set_str(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Fact")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Fact")
+
+    def __reduce__(self):
+        # Rebuild from the public fields: the cached hash depends on the
+        # receiving process's string hashing.
+        return (Fact, (self.relation, self.peer, self.values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fact):
@@ -59,7 +77,11 @@ class Fact:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"Fact(relation={self.relation!r}, peer={self.peer!r}, "
+                f"values={self.values!r})")
 
     @property
     def arity(self) -> int:
@@ -93,14 +115,29 @@ class Fact:
         return Fact(relation, self.peer, self.values)
 
     def __str__(self) -> str:
-        rendered = ", ".join(str(Constant(v)) for v in self.values)
-        return f"{self.relation}@{self.peer}({rendered})"
+        rendered = self._str
+        if rendered is None:
+            values = ", ".join(map(render_constant, self.values))
+            rendered = f"{self.relation}@{self.peer}({values})"
+            _set_str(self, rendered)
+        return rendered
 
     @classmethod
     def of(cls, qualified: str, *values: ConstantValue) -> "Fact":
         """Build a fact from a qualified relation name: ``Fact.of("r@p", 1, "x")``."""
         rel = RelationName.parse(qualified)
         return cls(rel.name, rel.peer, tuple(values))
+
+
+# The slot setters: ``__setattr__`` refuses assignment, and a stage builds
+# facts by the thousand — going through the slot descriptors is a third
+# cheaper than ``object.__setattr__`` with a name lookup per field.
+_set_relation = Fact.relation.__set__
+_set_peer = Fact.peer.__set__
+_set_values = Fact.values.__set__
+_set_key = Fact._key.__set__
+_set_hash = Fact._hash.__set__
+_set_str = Fact._str.__set__
 
 
 def fact_matches_bindings(fact: Fact, bindings: Dict[int, ConstantValue]) -> bool:
@@ -134,6 +171,10 @@ class Delta:
 
     def merge(self, other: "Delta") -> "Delta":
         """Combine two deltas; an insert followed by a delete of the same fact cancels out."""
+        if not other:
+            return self
+        if not self:
+            return other
         inserted = (set(self.inserted) | set(other.inserted)) - set(other.deleted)
         deleted = (set(self.deleted) | set(other.deleted)) - set(other.inserted)
         return Delta(frozenset(inserted), frozenset(deleted))

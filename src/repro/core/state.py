@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple
 
 from repro.core.delegation import DelegationStore, DelegationTracker, InstalledDelegation
 from repro.core.errors import SchemaError
@@ -81,7 +81,9 @@ class PeerState:
                                namespace=STORE_NAMESPACE)
         self.derived = FactStore(self.schemas, owner=peer, backend=self.backend,
                                  namespace=DERIVED_NAMESPACE)
-        self.provided: Set[Fact] = set()
+        # Who currently provides each provided fact: a fact is visible while
+        # at least one sender still derives it.
+        self._provided_senders: Dict[Fact, Set[str]] = {}
         self._provided_by_relation: Dict[Tuple[str, str], Set[Fact]] = {}
         self._provided_inserted: Set[Fact] = set()
         self._provided_deleted: Set[Fact] = set()
@@ -147,10 +149,17 @@ class PeerState:
     # ------------------------------------------------------------------ #
 
     def declare(self, schema: RelationSchema) -> RelationSchema:
-        """Declare a relation schema (persisted on durable backends)."""
+        """Declare a relation schema (persisted on durable backends).
+
+        Re-declaring a known relation returns the registry's entry and writes
+        nothing: every delegation install carries the schemas its rule
+        mentions, so most declarations a peer receives are repeats.
+        """
+        new = self.schemas.get(schema.name, schema.peer) is None
         declared = self.schemas.declare(schema)
-        self.backend.save_meta("schema", f"{declared.name}@{declared.peer}",
-                               serialize.encode_schema(declared))
+        if new:
+            self.backend.save_meta("schema", f"{declared.name}@{declared.peer}",
+                                   serialize.encode_schema(declared))
         return declared
 
     def kind_of(self, relation: str, peer: str) -> Optional[RelationKind]:
@@ -282,22 +291,40 @@ class PeerState:
             )
         return self.store.delete(fact)
 
-    def add_provided(self, fact: Fact) -> None:
-        """Record a fact received from a remote peer for a local intensional relation."""
-        if fact in self.provided:
+    @property
+    def provided(self) -> KeysView[Fact]:
+        """The facts remote peers currently provide for local intensional relations."""
+        return self._provided_senders.keys()
+
+    def add_provided(self, fact: Fact, sender: str) -> None:
+        """Record a fact ``sender`` derives for a local intensional relation.
+
+        The same fact may be provided by several senders (two selected
+        attendees publishing the same rating); it stays visible until the
+        last of them retracts it.
+        """
+        senders = self._provided_senders.get(fact)
+        if senders is not None:
+            senders.add(sender)
             return
-        self.provided.add(fact)
+        self._provided_senders[fact] = {sender}
         self._provided_by_relation.setdefault((fact.relation, fact.peer), set()).add(fact)
         if fact in self._provided_deleted:
             self._provided_deleted.discard(fact)
         else:
             self._provided_inserted.add(fact)
 
-    def remove_provided(self, fact: Fact) -> None:
-        """Retract a previously provided fact (sender no longer derives it)."""
-        if fact not in self.provided:
+    def remove_provided(self, fact: Fact, sender: str) -> None:
+        """``sender`` no longer derives ``fact``; it vanishes with its last sender."""
+        senders = self._provided_senders.get(fact)
+        if senders is None:
             return
-        self.provided.discard(fact)
+        senders.discard(sender)
+        if not senders:
+            self._drop_provided(fact)
+
+    def _drop_provided(self, fact: Fact) -> None:
+        del self._provided_senders[fact]
         bucket = self._provided_by_relation.get((fact.relation, fact.peer))
         if bucket is not None:
             bucket.discard(fact)
@@ -318,7 +345,7 @@ class PeerState:
         """
         removed = tuple(self.provided)
         for fact in removed:
-            self.remove_provided(fact)
+            self._drop_provided(fact)
         return Delta.deletion(removed)
 
     def provided_count(self, relation: str, peer: str) -> int:

@@ -39,6 +39,17 @@ class Term:
         return isinstance(self, Variable)
 
 
+def render_constant(value: ConstantValue) -> str:
+    """The surface syntax of a ground value — ``str(Constant(value))``
+    without building the wrapper (facts render their values through it)."""
+    if isinstance(value, str):
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(value, bytes):
+        return f'b"{value.hex()}"'
+    return repr(value)
+
+
 class Constant(Term):
     """A ground data value.
 
@@ -70,12 +81,7 @@ class Constant(Term):
         return f"Constant({self.value!r})"
 
     def __str__(self) -> str:
-        if isinstance(self.value, str):
-            escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        if isinstance(self.value, bytes):
-            return f'b"{self.value.hex()}"'
-        return repr(self.value)
+        return render_constant(self.value)
 
 
 class Variable(Term):

@@ -182,6 +182,57 @@ class TestRemoteInteraction:
         engine.run_stage()
         assert engine.query("view") == ()
 
+    def test_fact_provided_by_two_senders_outlives_one_of_them(self, engine):
+        engine.declare(RelationSchema("view", "alice", ("x",),
+                                      kind=RelationKind.INTENSIONAL))
+        fact = Fact("view", "alice", (1,))
+        engine.receive_facts("bob", inserted=[fact])
+        engine.receive_facts("carol", inserted=[fact])
+        engine.run_stage()
+        engine.receive_facts("bob", deleted=[fact])
+        result = engine.run_stage()
+        assert engine.query("view") == (fact,)
+        assert not result.visible_delta
+        # A retraction by someone who never provided it changes nothing.
+        engine.receive_facts("dave", deleted=[fact])
+        engine.run_stage()
+        assert engine.query("view") == (fact,)
+        engine.receive_facts("carol", deleted=[fact])
+        result = engine.run_stage()
+        assert engine.query("view") == ()
+        assert result.visible_delta.deleted == frozenset({fact})
+
+    @pytest.mark.parametrize("replication", ["reliable", "causal"])
+    def test_rating_gathered_from_two_selected_attendees_survives_a_deselect(
+            self, replication):
+        """The Wepic ranking view: the same ``attendeeRatings(49, 4)`` derived
+        at two selected attendees stays while either is still selected."""
+        from repro.runtime.system import WebdamLogSystem
+
+        system = WebdamLogSystem(replication=replication)
+        jules = system.add_peer("Jules")
+        jules.load_program("""
+        collection extensional persistent selectedAttendee@Jules(attendee);
+        collection intensional attendeeRatings@Jules(id, rating);
+        rule attendeeRatings@Jules($id, $rating) :-
+            selectedAttendee@Jules($attendee), rate@$attendee($id, $rating);
+        """)
+        for name in ("Emilien", "Julia"):
+            system.add_peer(name).load_program(f"""
+            collection extensional persistent rate@{name}(id, rating);
+            fact rate@{name}(49, 4);
+            """)
+            jules.insert_fact(Fact("selectedAttendee", "Jules", (name,)))
+        rating = Fact("attendeeRatings", "Jules", (49, 4))
+        assert system.converge(max_steps=60).converged
+        assert jules.query("attendeeRatings") == (rating,)
+        jules.delete_fact(Fact("selectedAttendee", "Jules", ("Emilien",)))
+        assert system.converge(max_steps=60).converged
+        assert jules.query("attendeeRatings") == (rating,)
+        jules.delete_fact(Fact("selectedAttendee", "Jules", ("Julia",)))
+        assert system.converge(max_steps=60).converged
+        assert jules.query("attendeeRatings") == ()
+
     def test_strict_stage_inputs_drop_provided_facts(self):
         engine = WebdamLogEngine("alice", strict_stage_inputs=True)
         engine.declare(RelationSchema("view", "alice", ("x",),

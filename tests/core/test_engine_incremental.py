@@ -59,14 +59,48 @@ class TestEvaluationPaths:
         assert result.rules_evaluated <= 4  # 2 tc rules × ≤2 iterations
         assert {f.values for f in engine.query("unrelated")} == {(9,)}
 
-    def test_rule_changes_force_a_full_recompute(self, engine):
-        engine.load_program(TC_PROGRAM)
+    def test_rule_changes_are_deltas_not_resets(self, engine):
+        """Adding a rule evaluates that rule; removing one rederives the
+        closure of its head — and both agree with a naive engine."""
+        naive = WebdamLogEngine("alice", evaluation_mode="naive")
+        for each in (engine, naive):
+            each.load_program(TC_PROGRAM)
+            each.load_program("collection intensional loop@alice(x);")
+            for edge in ((1, 2), (2, 1), (2, 3)):
+                each.insert_fact(Fact("link", "alice", edge))
+            each.run_to_quiescence()
+            each.add_rule("loop@alice($x) :- tc@alice($x, $x)")
+        result = engine.run_stage()
+        naive.run_stage()
+        assert result.evaluation_path == "delta"
+        assert result.rules_evaluated == 1  # the added rule, once
+        assert {f.values for f in engine.query("loop")} == {(1,), (2,)}
+        assert engine.snapshot() == naive.snapshot()
+
+        for each in (engine, naive):
+            each.remove_rule(each.rules()[-1].rule_id)
+        result = engine.run_stage()
+        naive.run_stage()
+        assert result.evaluation_path == "rederive"
+        assert result.rules_evaluated == 0  # loop@alice has no definition left
+        assert engine.query("loop") == ()
+        assert engine.snapshot() == naive.snapshot()
+        assert engine.eval_counters["stages_full"] == 1  # the first stage only
+
+    def test_removing_a_rule_with_a_remote_head_evaluates_nothing(self, engine):
+        engine.declare(RelationSchema("mirror", "bob", ("x",),
+                                      kind=RelationKind.INTENSIONAL))
+        engine.load_program("""
+        collection extensional persistent mine@alice(x);
+        rule mirror@bob($x) :- mine@alice($x);
+        """)
+        engine.insert_fact(Fact("mine", "alice", (1,)))
         engine.run_to_quiescence()
-        engine.add_rule("loop@alice($x) :- tc@alice($x, $x)")
-        assert engine.run_stage().evaluation_path == "full"
-        removed = engine.rules()[-1]
-        engine.remove_rule(removed.rule_id)
-        assert engine.run_stage().evaluation_path == "full"
+        engine.remove_rule(engine.rules()[0].rule_id)
+        result = engine.run_stage()
+        assert result.evaluation_path == "skip"
+        assert [u.deleted for u in result.outgoing_updates] == [
+            frozenset({Fact("mirror", "bob", (1,))})]
 
     def test_negation_touching_delta_takes_the_rederive_path(self, engine):
         engine.load_program("""

@@ -1,5 +1,8 @@
 """Tests of facts, deltas and the fact store."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.errors import SchemaError
@@ -50,6 +53,22 @@ class TestFact:
         assert Fact("r", "p", (1,)) == Fact("r", "p", (1,))
         assert Fact("r", "p", (1,)) != Fact("r", "q", (1,))
         assert len({Fact("r", "p", (1,)), Fact("r", "p", (1,))}) == 1
+
+    def test_immutable_slotted_and_picklable(self):
+        fact = Fact("r", "p", (1, "x", True))
+        with pytest.raises(AttributeError):
+            fact.relation = "other"
+        with pytest.raises(AttributeError):
+            fact.extra = 1
+        with pytest.raises(AttributeError):
+            del fact.values
+        assert not hasattr(fact, "__dict__")
+        rendered = str(fact)
+        assert str(fact) is rendered  # rendered once
+        for clone in (pickle.loads(pickle.dumps(fact)), copy.deepcopy(fact)):
+            assert clone == fact and hash(clone) == hash(fact)
+            assert str(clone) == rendered
+        assert repr(fact) == "Fact(relation='r', peer='p', values=(1, 'x', True))"
 
 
 class TestDelta:
