@@ -262,6 +262,14 @@ class PolicyEngine:
             self._view_policies.clear()
         return graph
 
+    def stamp(self) -> Tuple:
+        """What every decision depends on besides the fact itself: the policy's
+        version, the provenance graph and the graph's version.  Two equal
+        stamps mean no decision changed in between."""
+        graph = self._graph()
+        return (self.policy.version, graph,
+                None if graph is None else graph.version)
+
     def _can_read_relation(self, relation: str, peer: str) -> bool:
         key = (relation, peer)
         decision = self._relation_reads.get(key)

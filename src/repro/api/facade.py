@@ -15,6 +15,7 @@ processes — that proves the builder's backend seam.
 from __future__ import annotations
 
 import warnings
+import weakref
 from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -247,7 +248,12 @@ class System:
         #: Per-owner access-control policies and cached decision engines,
         #: used by ``query(..., viewer=...)`` / :class:`LiveView` filtering.
         self.policies = PolicySet(self._tracker_of)
+        #: Compiled views hold installed rules until closed, so they are kept;
+        #: a single-relation handle holds nothing and is only remembered
+        #: while its caller keeps it (a page polling ``query("rel")`` every
+        #: second must not grow the deployment).
         self._views: List[LiveView] = []
+        self._relation_views: "weakref.WeakSet[LiveView]" = weakref.WeakSet()
         self._view_counter = 0
         runtime.add_stage_observer(self._on_stage)
 
@@ -282,7 +288,7 @@ class System:
         and forgets its handle — so a departed peer leaves no observer or
         view residue that would fire on a name later reused.
         """
-        for view in tuple(self._views):
+        for view in (*self._views, *self._relation_views):
             if view.owner == name:
                 # settle=False: the peer is leaving, driving the deployment
                 # to fixpoint on its behalf is the caller's decision.
@@ -405,7 +411,7 @@ class System:
                 "relation, not a remote fetch)"
             )
         view = LiveView(self, owner, relation, location=location, viewer=viewer)
-        self._views.append(view)
+        self._relation_views.add(view)
         return view
 
     def _install_view(self, handle: PeerHandle, query: QueryLike,
@@ -433,13 +439,19 @@ class System:
         return view
 
     def _forget_view(self, view: LiveView) -> None:
+        self._relation_views.discard(view)
         try:
             self._views.remove(view)
         except ValueError:
             pass
 
     def open_views(self) -> Tuple[LiveView, ...]:
-        """The live views currently open (compiled and degenerate alike)."""
+        """The compiled live views currently open, in opening order.
+
+        Single-relation handles (``query("rel")``) install nothing and are
+        not listed; they are still closed with their peer or the deployment
+        while somebody holds them.
+        """
         return tuple(self._views)
 
     # -- access control ------------------------------------------------------ #
@@ -506,8 +518,20 @@ class System:
             pass
 
     def _on_stage(self, name: str, report: PeerStageReport) -> None:
-        """Stage observer: push the stage's visible delta to the subscriptions."""
-        delta = report.stage_result.visible_delta
+        """Stage observer: tell the open views what the stage changed (they
+        mark what they must recompute), then push its visible delta to the
+        subscriptions (whose callbacks may read those views).
+
+        Views also get the deletions the visible delta leaves out: a tuple
+        that one source dropped while another still holds it did not change
+        visibility, but the group it is counted in did.
+        """
+        result = report.stage_result
+        delta, masked = result.visible_delta, result.masked_deletions
+        if delta or masked:
+            for view in self._views:
+                if view.owner == name:
+                    view._note_changes(delta.inserted, delta.deleted, masked)
         for subscription in tuple(self._subscriptions):
             if not subscription.active:
                 self._drop_subscription(subscription)
@@ -581,7 +605,7 @@ class System:
             with system().transport("tcp").build() as deployment:
                 ...
         """
-        for view in tuple(self._views):
+        for view in (*self._views, *self._relation_views):
             view.close(settle=False)
         for subscription in tuple(self._subscriptions):
             subscription.cancel()

@@ -40,7 +40,8 @@ class QueryHandle:
     same handle can be consulted before and after runs.
     """
 
-    def __init__(self, source: Callable[[], Tuple[Fact, ...]], description: str,
+    def __init__(self, source: Optional[Callable[[], Tuple[Fact, ...]]],
+                 description: str,
                  stream: Optional[Callable[[], Iterator[Fact]]] = None):
         self._source = source
         self._stream = stream
@@ -168,7 +169,7 @@ class Subscription:
         peer's next completed stage, or when the facade resumes execution.
         """
         for name, peer in self._targets(peers):
-            facts = sorted(peer.query(self.relation), key=str)
+            facts = peer.query(self.relation)  # already in rendering order
             if facts:
                 self._backlog.setdefault(name, []).extend(facts)
 
@@ -200,20 +201,23 @@ class Subscription:
             return 0
         flushed = self.flush_backlog(host)
         fired = 0
-        for fact in sorted(delta.inserted, key=str):
-            if fact.relation == self.relation and fact.peer == host:
-                fired += self._fire(host, fact)
-        for fact in sorted(delta.deleted, key=str):
-            if fact.relation != self.relation:
-                continue
-            seen = self._seen.get(host)
-            was_seen = seen is not None and fact in seen
-            if was_seen:
+        # Filter first: a stage's delta spans every relation of the peer, a
+        # subscription watches one — only its own facts are worth ordering.
+        relation = self.relation
+        for fact in sorted((fact for fact in delta.inserted
+                            if fact.relation == relation and fact.peer == host),
+                           key=str):
+            fired += self._fire(host, fact)
+        seen = self._seen.get(host)
+        if seen:
+            for fact in sorted((fact for fact in delta.deleted
+                                if fact.relation == relation and fact in seen),
+                               key=str):
                 seen.discard(fact)
-            if (was_seen and self.on_remove is not None
-                    and fact.peer == host and self.active):
-                self.on_remove(fact)
-                self.removals += 1
+                if (self.on_remove is not None and fact.peer == host
+                        and self.active):
+                    self.on_remove(fact)
+                    self.removals += 1
         self.delivered += fired
         return flushed + fired
 

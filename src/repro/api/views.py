@@ -24,8 +24,10 @@ keeping the historical :class:`~repro.api.query.QueryHandle` behaviour.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from repro.core.errors import ParseError, SafetyError
 from repro.core.facts import Fact
@@ -156,6 +158,17 @@ class CompiledView:
         """Identifiers of the installed rules (for uninstallation)."""
         return tuple(rule.rule_id for rule in self.rules)
 
+    def aggregate_specs(self) -> Dict[int, Aggregate]:
+        """Answer position -> aggregate function computed there."""
+        return {a.position: Aggregate.from_name(a.function)
+                for a in self.aggregates}
+
+    def group_positions(self) -> Tuple[int, ...]:
+        """Answer positions that hold group keys (every non-aggregate one)."""
+        aggregated = {a.position for a in self.aggregates}
+        return tuple(i for i in range(len(self.head_args))
+                     if i not in aggregated)
+
 
 def _scope_atom(atom: Atom, aux_map: Dict[str, str], owner: str) -> Atom:
     """Rename references to auxiliary relations to their view-scoped names."""
@@ -271,6 +284,12 @@ def _noop_callback(fact: Fact) -> None:
     return None
 
 
+def _typed(values: Sequence) -> Tuple:
+    """A group key under the stores' type-strict equality (``1`` is not
+    ``True`` is not ``1.0``), usable as a dict key."""
+    return tuple(zip(map(type, values), values))
+
+
 class LiveView(QueryHandle):
     """A standing, incrementally-maintained answer to a declarative query.
 
@@ -306,13 +325,32 @@ class LiveView(QueryHandle):
         self.viewer = viewer
         self._closed = False
         self._subscriptions: List[Subscription] = []
+        aggregate = compiled is not None and compiled.is_aggregate()
+        self._specs = compiled.aggregate_specs() if aggregate else {}
+        self._positions = compiled.group_positions() if aggregate else ()
+        # -- read-path state (docs/storage.md, "Read path") ---------------- #
+        # Aggregate view without a viewer: typed group key -> answer fact,
+        # the same facts in rendering order, the tuple handed to readers and
+        # the groups a stage touched since.  ``None`` until the first read
+        # primes it.
+        self._groups: Optional[Dict[Tuple, Fact]] = None
+        self._ordered: List[Fact] = []
+        self._answer: Tuple[Fact, ...] = ()
+        self._dirty: Set[Tuple] = set()
+        # With a viewer: (raw facts, policy/lineage stamp, filtered answer).
+        self._viewer_answer: Optional[
+            Tuple[Tuple[Fact, ...], Tuple, Tuple[Fact, ...]]] = None
+        # (answer, its value tuples): an unchanged page is not re-projected.
+        self._rows: Optional[Tuple[Tuple[Fact, ...], Tuple[Tuple, ...]]] = None
         if description is None:
             description = (f"view {relation}@{owner}" if compiled is not None
                            else f"{relation}@{self._location} as seen by {owner}")
             if viewer is not None:
                 description += f" for viewer {viewer}"
-        super().__init__(source=self._read, description=description,
-                         stream=None)
+        # No ``source``: facts() is overridden below, and a bound method kept
+        # on the instance would be a reference cycle — a handle dropped by a
+        # polling caller should be freed at once, not at the next GC pass.
+        super().__init__(source=None, description=description, stream=None)
 
     # ------------------------------------------------------------------ #
     # reading
@@ -349,25 +387,36 @@ class LiveView(QueryHandle):
     def _read(self) -> Tuple[Fact, ...]:
         if self._closed:
             return ()
-        if (self.viewer is None and self.compiled is not None
-                and self.compiled.is_aggregate()):
-            # SQL-capable backends compute the grouping in-store (GROUP BY);
-            # None means the backend could not guarantee bit-identical
-            # results and the Python path below takes over.
-            pushed = self._aggregate_pushdown()
-            if pushed is not None:
-                return pushed
+        aggregate = bool(self._specs)
+        if self.viewer is None:
+            return self._maintained() if aggregate else self.raw_facts()
+        # What a viewer may read follows the owner's grants and the lineage
+        # of every raw tuple, so a group cannot be patched from a raw delta:
+        # filter-then-aggregate over everything, kept only while the raw
+        # facts, the policy and the provenance graph all stand still.
         raw = self.raw_facts()
-        if self.viewer is not None:
-            raw = self._system.policies.filter_readable(self._owner, raw,
-                                                        self.viewer)
-        if self.compiled is not None and self.compiled.is_aggregate():
-            return self._aggregate(raw)
-        return tuple(raw)
+        engine = self._system.policies.engine(self._owner)
+        stamp = engine.stamp()
+        kept = self._viewer_answer
+        if kept is not None and kept[0] is raw and kept[1] == stamp:
+            return kept[2]
+        answer = engine.filter_readable(raw, self.viewer)
+        if aggregate:
+            answer = self._aggregate(answer)
+        self._viewer_answer = (raw, stamp, answer)
+        return answer
 
     def facts(self) -> Tuple[Fact, ...]:
         """The current answers (ACL-filtered, aggregated where applicable)."""
         return self._read()
+
+    def rows(self) -> Tuple[Tuple, ...]:
+        """The value tuples of :meth:`facts` (relation/peer stripped)."""
+        facts = self._read()
+        kept = self._rows
+        if kept is None or kept[0] is not facts:
+            kept = self._rows = (facts, tuple(fact.values for fact in facts))
+        return kept[1]
 
     def plan(self) -> Optional[Dict[str, object]]:
         """The plan behind this view: mode, rules, magic relations, orders.
@@ -397,43 +446,109 @@ class LiveView(QueryHandle):
             "rule_plans": tuple(rule_plans),
         }
 
+    # -- aggregate views: groups maintained from the stage deltas -------- #
+
+    def _owner_state(self):
+        return self._system.runtime.peer(self._owner).engine.state
+
+    def _maintained(self) -> Tuple[Fact, ...]:
+        """The grouped answer, recomputing only the groups a stage touched."""
+        if self._groups is None:
+            self._prime()
+        elif self._dirty:
+            self._refresh()
+        return self._answer
+
+    def _prime(self) -> None:
+        """First read (or first after a reopen): aggregate the whole relation.
+
+        SQL-capable backends group in-store (``GROUP BY``); ``None`` means the
+        backend could not guarantee bit-identical results, and one scan in
+        rendering order feeds the Python aggregation instead.
+        """
+        answer = self._aggregate_pushdown()
+        if answer is None:
+            answer = self._aggregate(sorted(
+                self._owner_state().fact_view(self.relation, self._owner),
+                key=str))
+        positions = self._positions
+        self._groups = {_typed([fact.values[i] for i in positions]): fact
+                        for fact in answer}
+        self._ordered = list(answer)
+        self._answer = answer
+        self._dirty.clear()
+
+    def _note_changes(self, *changes: Iterable[Fact]) -> None:
+        """Stage observer: mark the groups of the raw tuples that changed."""
+        if self._groups is None:
+            return
+        relation, owner, positions = self.relation, self._owner, self._positions
+        dirty = self._dirty
+        for changed in changes:
+            for fact in changed:
+                if fact.relation == relation and fact.peer == owner:
+                    values = fact.values
+                    dirty.add(_typed([values[i] for i in positions]))
+
+    def _refresh(self) -> None:
+        """Recompute the dirty groups, each from one bound index probe.
+
+        A group's rows are aggregated in rendering order, which is the order
+        a sorted scan of the whole relation would have grouped them in — so
+        float sums and averages keep their bits.
+        """
+        state = self._owner_state()
+        relation, owner, positions = self.relation, self._owner, self._positions
+        groups, ordered = self._groups, self._ordered
+        for key in self._dirty:
+            stale = groups.pop(key, None)
+            if stale is not None:
+                index = bisect_left(ordered, str(stale), key=str)
+                while ordered[index] is not stale:
+                    index += 1
+                del ordered[index]
+            values = [value for _, value in key]
+            rows = [fact.values for fact in sorted(
+                state.fact_view(relation, owner, dict(zip(positions, values))),
+                key=str)]
+            if rows:
+                fresh = groups[key] = self._group_fact(values, rows)
+                insort(ordered, fresh, key=str)
+        self._dirty.clear()
+        self._answer = tuple(ordered)
+
     def _aggregate_pushdown(self) -> Optional[Tuple[Fact, ...]]:
         """Grouped aggregation executed inside the owner's storage backend."""
-        compiled = self.compiled
-        specs = {a.position: Aggregate.from_name(a.function)
-                 for a in compiled.aggregates}
-        width = len(compiled.head_args)
-        group_positions = [i for i in range(width) if i not in specs]
-        state = self._system.runtime.peer(self._owner).engine.state
-        rows = state.aggregate_view(self.relation, self._location, width,
-                                    group_positions, specs)
+        rows = self._owner_state().aggregate_view(
+            self.relation, self._location, len(self.compiled.head_args),
+            list(self._positions), self._specs)
         if rows is None:
             return None
         return tuple(sorted(
             (Fact(self.relation, self._owner, tuple(values)) for values in rows),
             key=str))
 
+    def _group_fact(self, key: Sequence, rows: Sequence[Tuple]) -> Fact:
+        """The answer fact of one group: its key values and its aggregates."""
+        values: List[object] = [None] * len(self.compiled.head_args)
+        for position, value in zip(self._positions, key):
+            values[position] = value
+        for position, function in self._specs.items():
+            values[position] = compute_aggregate(
+                function, [row[position] for row in rows])
+        return Fact(self.relation, self._owner, tuple(values))
+
     def _aggregate(self, raw: Sequence[Fact]) -> Tuple[Fact, ...]:
-        compiled = self.compiled
-        specs = {a.position: Aggregate.from_name(a.function)
-                 for a in compiled.aggregates}
-        width = len(compiled.head_args)
-        group_positions = [i for i in range(width) if i not in specs]
+        """Group-and-aggregate ``raw`` from scratch, keys compared type-strictly."""
+        positions = self._positions
         groups: Dict[Tuple, List[Tuple]] = {}
         for fact in raw:
             row = fact.values
-            key = tuple(row[i] for i in group_positions)
-            groups.setdefault(key, []).append(row)
-        results: List[Fact] = []
-        for key, rows in groups.items():
-            values: List[object] = [None] * width
-            for slot, index in enumerate(group_positions):
-                values[index] = key[slot]
-            for index, function in specs.items():
-                values[index] = compute_aggregate(
-                    function, [row[index] for row in rows])
-            results.append(Fact(self.relation, self._owner, tuple(values)))
-        return tuple(sorted(results, key=str))
+            groups.setdefault(_typed([row[i] for i in positions]), []).append(row)
+        return tuple(sorted(
+            (self._group_fact([value for _, value in key], rows)
+             for key, rows in groups.items()),
+            key=str))
 
     # ------------------------------------------------------------------ #
     # streaming
@@ -568,6 +683,16 @@ class LiveView(QueryHandle):
                 if settle:
                     self._system.converge(max_steps=max_steps)
         self._system._forget_view(self)
+        self._drop_read_state()
+
+    def _drop_read_state(self) -> None:
+        """Release everything the read path kept for this view."""
+        self._groups, self._ordered, self._answer = None, [], ()
+        self._dirty.clear()
+        self._viewer_answer = self._rows = None
+        peer = self._system.runtime.peers.get(self._owner)
+        if peer is not None and self.compiled is not None:
+            peer.engine.state.forget_snapshot(self.relation, self._location)
 
     def __enter__(self) -> "LiveView":
         return self

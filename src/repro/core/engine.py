@@ -211,6 +211,12 @@ class OutgoingUpdate:
         return bool(self.inserted) or bool(self.deleted)
 
 
+#: The one empty set every stage without masked deletions shares
+#: (``frozenset()`` allocates a new object per call, and stage results are
+#: kept in the run history).
+_NO_FACTS: FrozenSet[Fact] = frozenset()
+
+
 @dataclass
 class StageResult:
     """Everything produced by one computation stage of a peer."""
@@ -243,6 +249,11 @@ class StageResult:
     #: the :mod:`repro.api` subscription machinery consumes, so observers are
     #: fed from deltas as stages complete instead of re-scanning relations.
     visible_delta: Delta = field(default_factory=Delta.empty)
+    #: The deletions filtered out of ``visible_delta``: one source dropped
+    #: the fact, another still holds it.  ``fact_view`` yields a fact once
+    #: per source holding it, so a reader that counts rows (an aggregate
+    #: live view) must learn of these too.  Almost always empty.
+    masked_deletions: FrozenSet[Fact] = _NO_FACTS
     #: The plans the stage's fixpoint executed (literal orders, estimated vs.
     #: actual cardinalities) plus the magic predicates active in the program.
     #: ``None`` when the planner is off or the stage evaluated nothing.
@@ -635,8 +646,8 @@ class WebdamLogEngine:
         derived_delta = self.state.derived.take_delta()
         provided_delta = self.state.take_provided_delta()
         result.derived_changed = bool(derived_delta)
-        result.visible_delta = self._visible_delta(store_delta, derived_delta,
-                                                   provided_delta)
+        result.visible_delta, result.masked_deletions = self._visible_delta(
+            store_delta, derived_delta, provided_delta)
         # Stage boundary: everything this stage wrote — facts, schemas, rules,
         # delegations — becomes durable in one transaction.  This is the
         # recovery unit: a peer that dies mid-stage reopens at the previous
@@ -646,17 +657,17 @@ class WebdamLogEngine:
         return result
 
     def _visible_delta(self, store_delta: Delta, derived_delta: Delta,
-                       provided_delta: Delta) -> Delta:
+                       provided_delta: Delta) -> Tuple[Delta, FrozenSet[Fact]]:
         """Combine the per-source deltas into one delta of *visible* facts.
 
         A fact reported deleted by one source may still be visible through
         another (e.g. a derivation that vanished while the same fact is still
         provided by a remote sender); such deletions are dropped so the delta
-        describes actual visibility transitions.
+        describes actual visibility transitions, and returned beside it.
         """
         combined = store_delta.merge(derived_delta).merge(provided_delta)
         if not combined.deleted:
-            return combined
+            return combined, _NO_FACTS
         still_visible = {
             fact for fact in combined.deleted
             if fact in self.state.provided
@@ -664,8 +675,9 @@ class WebdamLogEngine:
             or self.state.store.contains(fact)
         }
         if not still_visible:
-            return combined
-        return Delta(combined.inserted, combined.deleted - still_visible)
+            return combined, _NO_FACTS
+        return (Delta(combined.inserted, combined.deleted - still_visible),
+                frozenset(still_visible))
 
     def run_to_quiescence(self, max_stages: int = 50) -> List[StageResult]:
         """Run stages until the peer is locally quiescent (single-peer helper).

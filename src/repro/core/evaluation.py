@@ -18,13 +18,12 @@ update, or a fact destined for a remote peer.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.delegation import Delegation
 from repro.core.errors import EvaluationError
-from repro.core.facts import Fact, fact_matches_bindings
+from repro.core.facts import Fact
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind
 from repro.core.terms import Constant, Term, Variable
@@ -33,45 +32,12 @@ from repro.core.unification import Substitution, match_atom_fact
 #: Callable giving the evaluator access to local facts:
 #: ``fact_source(relation_name, peer_name, bindings)`` returns an iterable of
 #: facts; ``bindings`` is an optional ``{argument position: value}`` map the
-#: source may use to answer from a hash index instead of a scan.  Legacy
-#: two-argument sources are adapted transparently (the evaluator filters the
-#: bindings itself).
-FactSource = Callable[..., Iterable[Fact]]
+#: source may use to answer from a hash index instead of a scan — every fact
+#: it returns must match them (:func:`repro.core.facts.fact_matches_bindings`).
+FactSource = Callable[[str, str, Optional[Dict[int, object]]], Iterable[Fact]]
 
 #: Callable classifying a relation: returns a :class:`RelationKind` (or None if unknown).
 KindResolver = Callable[[str, str], Optional[RelationKind]]
-
-
-def _adapt_fact_source(source: FactSource) -> FactSource:
-    """Wrap a legacy two-argument fact source into the bindings-aware protocol.
-
-    Sources that already accept ``(relation, peer, bindings)`` are returned
-    unchanged; two-argument sources are wrapped so the bindings filter is
-    applied on the evaluator side, keeping indexed and legacy sources
-    observationally identical.
-    """
-    try:
-        parameters = inspect.signature(source).parameters.values()
-    except (TypeError, ValueError):  # builtins / exotic callables
-        parameters = ()
-    accepts_bindings = sum(
-        1 for p in parameters
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ) >= 3 or any(p.kind == p.VAR_POSITIONAL for p in parameters)
-    if accepts_bindings:
-        return source
-
-    def adapted(relation: str, peer: str,
-                bindings: Optional[Dict[int, object]] = None) -> Iterator[Fact]:
-        facts = source(relation, peer)
-        if not bindings:
-            yield from facts
-            return
-        for fact in facts:
-            if fact_matches_bindings(fact, bindings):
-                yield fact
-
-    return adapted
 
 
 #: ``(relation, peer)`` of an atom as dependency analysis and seminaive
@@ -153,7 +119,7 @@ class RuleEvaluator:
                  pushdown=None,
                  planner=None):
         self.peer = peer
-        self.fact_source = _adapt_fact_source(fact_source)
+        self.fact_source = fact_source
         self.kind_resolver = kind_resolver or (lambda relation, peer_name: None)
         self.allow_delegation = allow_delegation
         # Optional provenance hook: called with (derived fact, rule, supporting facts)

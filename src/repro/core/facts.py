@@ -146,8 +146,8 @@ def fact_matches_bindings(fact: Fact, bindings: Dict[int, ConstantValue]) -> boo
     Type-strict, mirroring :class:`~repro.core.terms.Constant` equality and
     the hash-index keys (``True`` stays distinct from ``1``); a bound
     position beyond the fact's arity never matches.  This is the one
-    definition of positional matching shared by the indexed stores, the
-    provided-fact filter and the legacy fact-source adapter.
+    definition of positional matching shared by the indexed stores and the
+    provided-fact filter.
     """
     values = fact.values
     return all(position < len(values)
@@ -225,6 +225,10 @@ class FactStore:
         self._tables: Dict[RelationName, MemoryTable] = {}
         self._pending_inserted: Set[Fact] = set()
         self._pending_deleted: Set[Fact] = set()
+        # Bumped per recorded change of a relation; readers that cache a
+        # relation's contents (PeerState.query) compare it instead of
+        # re-reading the table.
+        self._generations: Dict[Tuple[str, str], int] = {}
         default_kind = (RelationKind.INTENSIONAL if namespace == "derived"
                         else RelationKind.EXTENSIONAL)
         for relation, peer, arity in self.backend.stored_relations(namespace):
@@ -350,16 +354,30 @@ class FactStore:
         return total
 
     def _record(self, inserted: Set[Fact], deleted: Set[Fact]) -> None:
+        generations = self._generations
         for fact in deleted:
+            key = (fact.relation, fact.peer)
+            generations[key] = generations.get(key, 0) + 1
             if fact in self._pending_inserted:
                 self._pending_inserted.discard(fact)
             else:
                 self._pending_deleted.add(fact)
         for fact in inserted:
+            key = (fact.relation, fact.peer)
+            generations[key] = generations.get(key, 0) + 1
             if fact in self._pending_deleted:
                 self._pending_deleted.discard(fact)
             else:
                 self._pending_inserted.add(fact)
+
+    def generation(self, relation: str, peer: str) -> int:
+        """How many changes of ``relation@peer`` were recorded so far.
+
+        Unchanged between two calls means the relation's stored contents are
+        unchanged; the converse does not hold (a clear-and-rederive that ends
+        with the same rows still counts).
+        """
+        return self._generations.get((relation, peer), 0)
 
     def take_delta(self) -> Delta:
         """Return and reset the delta accumulated since the previous call."""

@@ -87,6 +87,12 @@ class PeerState:
         self._provided_by_relation: Dict[Tuple[str, str], Set[Fact]] = {}
         self._provided_inserted: Set[Fact] = set()
         self._provided_deleted: Set[Fact] = set()
+        # Per-relation change count of the provided set (see FactStore.generation)
+        # and the relation snapshots :meth:`query` answers from while the
+        # three generations of a relation stand still.
+        self._provided_generations: Dict[Tuple[str, str], int] = {}
+        self._snapshots: Dict[Tuple[str, str],
+                              Tuple[Tuple[int, int, int], Tuple[Fact, ...]]] = {}
         self.own_rules: List[Rule] = []
         self.delegations_in = DelegationStore(peer)
         persisted_rules = self.backend.load_meta("rule")
@@ -308,7 +314,9 @@ class PeerState:
             senders.add(sender)
             return
         self._provided_senders[fact] = {sender}
-        self._provided_by_relation.setdefault((fact.relation, fact.peer), set()).add(fact)
+        key = (fact.relation, fact.peer)
+        self._provided_by_relation.setdefault(key, set()).add(fact)
+        self._provided_generations[key] = self._provided_generations.get(key, 0) + 1
         if fact in self._provided_deleted:
             self._provided_deleted.discard(fact)
         else:
@@ -325,11 +333,13 @@ class PeerState:
 
     def _drop_provided(self, fact: Fact) -> None:
         del self._provided_senders[fact]
-        bucket = self._provided_by_relation.get((fact.relation, fact.peer))
+        key = (fact.relation, fact.peer)
+        self._provided_generations[key] = self._provided_generations.get(key, 0) + 1
+        bucket = self._provided_by_relation.get(key)
         if bucket is not None:
             bucket.discard(fact)
             if not bucket:
-                del self._provided_by_relation[(fact.relation, fact.peer)]
+                del self._provided_by_relation[key]
         if fact in self._provided_inserted:
             self._provided_inserted.discard(fact)
         else:
@@ -414,9 +424,33 @@ class PeerState:
         return self.pushdown.aggregate(relation, peer, width, group_positions, specs)
 
     def query(self, relation: str, peer: Optional[str] = None) -> Tuple[Fact, ...]:
-        """Facts of ``relation`` visible at this peer (stored, derived or provided)."""
+        """Facts of ``relation`` visible at this peer (stored, derived or provided).
+
+        Sorted by rendering.  The answer is kept per queried relation and
+        handed out again — the same tuple object — until one of the three
+        sources records a change of that relation, so a page that polls an
+        unchanged relation neither rebuilds nor re-sorts its facts.  The
+        stores invalidate it at the write itself, not at the stage boundary:
+        a fact inserted between two stages is visible to the next read.
+        """
         target_peer = peer or self.peer
-        return tuple(sorted(self.fact_view(relation, target_peer), key=str))
+        if target_peer != self.peer:
+            return ()
+        key = (relation, target_peer)
+        generations = (self.store.generation(relation, target_peer),
+                       self.derived.generation(relation, target_peer),
+                       self._provided_generations.get(key, 0))
+        snapshot = self._snapshots.get(key)
+        if snapshot is not None and snapshot[0] == generations:
+            return snapshot[1]
+        facts = tuple(sorted(self.fact_view(relation, target_peer), key=str))
+        self._snapshots[key] = (generations, facts)
+        return facts
+
+    def forget_snapshot(self, relation: str, peer: Optional[str] = None) -> None:
+        """Release the kept answer of :meth:`query` for a relation nobody
+        will read again (a closed live view's answer relation)."""
+        self._snapshots.pop((relation, peer or self.peer), None)
 
     def snapshot(self) -> Dict[str, Tuple[Fact, ...]]:
         """Snapshot of every non-empty relation, keyed by qualified name."""

@@ -315,9 +315,42 @@ class ProvenanceGraph:
         """
         cached = self._bases_index.get(fact)
         if cached is None:
-            cached = frozenset(f.qualified_relation for f in self.base_facts(fact))
-            self._bases_index[fact] = cached
+            cached = self._bases_index[fact] = self._walk_base_relations(fact)
         return cached
+
+    def _walk_base_relations(self, fact: Fact) -> FrozenSet[str]:
+        """:meth:`base_facts` by relation, reusing the index along the way.
+
+        The walk does not descend into a supporting fact that already has an
+        index entry: the entry is the base set of that fact's *whole*
+        lineage, so its union is exactly what the descent would collect —
+        also on a cyclic why-graph, where the entry already covers whatever
+        is reachable back through ``fact``.  Facts of one recursive relation
+        share most of their ancestry, so filtering them one after the other
+        costs a step each instead of a walk each.
+        """
+        derivations = self._derivations
+        if fact not in derivations:
+            return frozenset({fact.qualified_relation})
+        index = self._bases_index
+        bases: Set[str] = set()
+        seen: Set[Fact] = {fact}
+        frontier: List[Fact] = [fact]
+        while frontier:
+            for derivation in derivations[frontier.pop()]:
+                for supporting in derivation.support:
+                    if supporting in seen:
+                        continue
+                    seen.add(supporting)
+                    if supporting not in derivations:
+                        bases.add(supporting.qualified_relation)
+                        continue
+                    known = index.get(supporting)
+                    if known is None:
+                        frontier.append(supporting)
+                    else:
+                        bases.update(known)
+        return frozenset(bases)
 
     def lineage_peers(self, fact: Fact) -> FrozenSet[str]:
         """Peers owning some fact in the lineage of ``fact`` (indexed, O(1))."""

@@ -1,5 +1,9 @@
 """Declarative queries compiled into incrementally-maintained live views."""
 
+import gc
+import sys
+import warnings
+
 import pytest
 
 from repro.api import LiveView, QueryHandle, ReproApiError, system
@@ -158,6 +162,47 @@ class TestCompiledViews:
         with pytest.raises(ReproApiError, match="cannot install view"):
             deployment.query("q", "ans($x, $y) :- score@q($x, $y)", name="a")
 
+    def test_polling_single_relation_handles_leaves_nothing_behind(self):
+        """``query("rel")`` installs nothing, so a page that polls it a
+        thousand times must not grow the deployment: not the list of open
+        views, and not the work of a later stage (which walks that list)."""
+        deployment = build_pair()
+        seed(deployment)
+        board = deployment.query("q", "n(count($x)) :- a@q($x)")
+        deployment.converge()
+        assert board.rows() == ((3,),)
+
+        def calls_of_one_update(value):
+            count = 0
+
+            def profiler(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            deployment.peer("q").insert(f"a@q({value})")
+            sys.setprofile(profiler)
+            try:
+                deployment.converge()
+            finally:
+                sys.setprofile(None)
+            return count
+
+        calls_of_one_update(100)                   # warm every lazy path
+        before = calls_of_one_update(101)
+        for _ in range(500):
+            assert deployment.query("q", "a").rows()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                assert deployment.peer("q").facts("a")
+        gc.collect()
+        assert deployment.open_views() == (board,)
+        assert calls_of_one_update(102) == before
+        assert board.rows() == ((6,),)
+        # A handle somebody still holds is closed with its peer all the same.
+        held = deployment.query("q", "a")
+        deployment.remove_peer("q")
+        assert held.closed and board.closed
+        assert deployment.open_views() == ()
+
     def test_open_views_registry(self):
         deployment = build_pair()
         assert deployment.open_views() == ()
@@ -178,6 +223,47 @@ class TestAggregates:
         deployment.peer("r").insert("b@r(3, 40)")
         deployment.converge()
         assert sorted(view.rows()) == [(1, 2, 10.5), (3, 2, 35.0)]
+
+    def test_a_read_recomputes_only_the_groups_a_stage_touched(self):
+        deployment = build_pair()
+        q = deployment.peer("q")
+        for row in ((1, 7), (1, 8), (2, 7)):
+            q.insert(f"score@q{row}")
+        view = deployment.query("q", "stats($x, count($p), sum($p)) :- score@q($x, $p)")
+        deployment.converge()
+        first = view.facts()
+        assert view.rows() == ((1, 2, 15), (2, 1, 7))
+        assert view.facts() is first                  # nothing changed: kept
+        q.insert("score@q(2, 9)")
+        assert view.facts() is first                  # written, not staged yet
+        deployment.converge()
+        second = view.facts()
+        assert view.rows() == ((1, 2, 15), (2, 2, 16))
+        assert second[0] is first[0]                  # group 1 was not touched
+        q.delete("score@q(2, 7)")
+        q.delete("score@q(2, 9)")
+        q.insert("score@q(0, 1)")
+        deployment.converge()
+        assert view.rows() == ((0, 1, 1), (1, 2, 15))  # a group left, one came
+        view.close()
+        assert view.facts() == () and view.rows() == ()
+
+    def test_close_releases_what_the_read_path_kept(self):
+        deployment = build_pair()
+        seed(deployment)
+        state = deployment.runtime.peer("q").engine.state
+        plain = deployment.query("q", "ans($x) :- a@q($x), not c@q($x)")
+        grouped = deployment.query("q", "n(count($x)) :- a@q($x)")
+        deployment.converge()
+        assert plain.rows() == ((1,), (3,)) and grouped.rows() == ((3,),)
+        assert (plain.relation, "q") in state._snapshots
+        # An aggregate is primed from a scan of its own: no second copy of
+        # its raw tuples is kept for it.
+        assert (grouped.relation, "q") not in state._snapshots
+        plain.close()
+        grouped.close()
+        assert (plain.relation, "q") not in state._snapshots
+        assert grouped._groups is None and grouped._answer == ()
 
     def test_aggregate_support_columns_preserve_multiplicity(self):
         # Two score facts with the same value for the same x must both count:
@@ -419,3 +505,34 @@ class TestViewerFiltering:
         view = deployment.peer("q").query("a", viewer="bob")
         assert sorted(view.rows()) == [(1,), (2,), (3,)]
         assert deployment.query("q", "a", viewer="eve").facts() == ()
+
+    def test_streaming_respects_the_viewer(self):
+        # Every shape of handle streams through the viewer's filter: a
+        # single-relation handle, a compiled view and an aggregate view.
+        deployment = (system()
+                      .provenance()
+                      .peer("q").program(Q_PROGRAM).grant("a", "bob")
+                      .peer("r").program(R_PROGRAM)
+                      .build())
+        seed(deployment)
+        q = deployment.peer("q")
+        plain = deployment.query("q", "a", viewer="bob")
+        assert sorted(f.values for f in plain.iter_facts()) == [(1,), (2,), (3,)]
+        assert list(deployment.query("q", "a", viewer="eve").iter_facts()) == []
+        assert list(deployment.query("q", "c", viewer="bob").iter_facts()) == []
+
+        joined = q.query("ans($x, $p) :- a@q($x), score@q($x, $p)", viewer="bob")
+        q.insert("score@q(1, 7)")
+        assert list(joined.iter_facts()) == []        # score@q is not granted
+        q.grant("score", "bob")
+        q.insert("score@q(3, 9)")
+        assert [f.values for f in joined.iter_facts()] == [(1, 7), (3, 9)]
+        q.insert("a@q(4)")
+        q.insert("score@q(4, 2)")
+        streamed = [f.values for f in joined.iter_facts()]
+        assert streamed[:2] == [(1, 7), (3, 9)] and streamed[2:] == [(4, 2)]
+
+        counted = q.query("n(count($x)) :- a@q($x)", viewer="bob")
+        assert [f.values for f in counted.iter_facts()] == [(4,)]
+        hidden = q.query("n(count($x)) :- a@q($x)", viewer="eve")
+        assert list(hidden.iter_facts()) == []

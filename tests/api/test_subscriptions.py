@@ -1,6 +1,8 @@
 """Subscriptions: exactly one callback per fact that becomes visible."""
 
 from repro.api import system
+from repro.api.query import Subscription
+from repro.core.facts import Delta, Fact
 
 JULES = """
 collection extensional persistent selectedAttendee@Jules(attendee);
@@ -66,6 +68,25 @@ class TestExactlyOnce:
         built.run()
         # The two pictures became visible twice: once per derivation episode.
         assert len(fired) == 4
+
+
+class TestDeltaDelivery:
+    def test_only_the_watched_relation_is_ordered(self):
+        """A stage delta spans every relation of the peer; a subscription
+        filters on relation and peer first and renders (to sort) only its
+        own facts — in the order it always delivered them."""
+        watched = [Fact("r", "p", (value,)) for value in (3, 1, 2)]
+        others = [Fact("other", "p", (value,)) for value in range(50)]
+        elsewhere = Fact("r", "q", (0,))
+        added, removed = [], []
+        subscription = Subscription("r", added.append, peer="p",
+                                    on_remove=removed.append)
+        assert subscription.on_delta(
+            "p", Delta.insertion(watched + others + [elsewhere])) == 3
+        assert [fact.values for fact in added] == [(1,), (2,), (3,)]
+        subscription.on_delta("p", Delta.deletion(watched + others))
+        assert [fact.values for fact in removed] == [(1,), (2,), (3,)]
+        assert all(fact._str is None for fact in others)
 
 
 class TestScopesAndLifecycle:

@@ -202,6 +202,31 @@ class TestRemoteInteraction:
         assert engine.query("view") == ()
         assert result.visible_delta.deleted == frozenset({fact})
 
+    def test_deletion_masked_by_another_source_is_reported_beside_the_delta(
+            self, engine):
+        """Derived locally and provided remotely: dropping either holder is
+        no visibility change, but ``fact_view`` yields one row fewer."""
+        engine.declare(RelationSchema("base", "alice", ("x",)))
+        engine.declare(RelationSchema("view", "alice", ("x",),
+                                      kind=RelationKind.INTENSIONAL))
+        engine.add_rule("view@alice($x) :- base@alice($x)")
+        fact = Fact("view", "alice", (1,))
+        engine.insert_fact(Fact("base", "alice", (1,)))
+        engine.receive_facts("bob", inserted=[fact])
+        result = engine.run_stage()
+        assert fact in result.visible_delta.inserted
+        assert result.masked_deletions == frozenset()
+        assert len(list(engine.state.fact_view("view", "alice"))) == 2
+        engine.receive_facts("bob", deleted=[fact])
+        result = engine.run_stage()
+        assert not result.visible_delta
+        assert result.masked_deletions == frozenset({fact})
+        assert list(engine.state.fact_view("view", "alice")) == [fact]
+        engine.delete_fact(Fact("base", "alice", (1,)))
+        result = engine.run_stage()
+        assert fact in result.visible_delta.deleted
+        assert result.masked_deletions == frozenset()
+
     @pytest.mark.parametrize("replication", ["reliable", "causal"])
     def test_rating_gathered_from_two_selected_attendees_survives_a_deselect(
             self, replication):

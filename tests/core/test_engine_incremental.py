@@ -236,7 +236,10 @@ class TestFactStoreIndexes:
 
 
 class TestEvaluatorSources:
-    def test_legacy_two_argument_source_is_filtered(self):
+    def test_two_argument_source_is_rejected(self):
+        """The bindings-aware protocol is the only one: the transparent
+        adapter for ``source(relation, peer)`` callables is gone, and such a
+        source fails at its first call instead of being silently wrapped."""
         facts = [Fact("r", "p", (1, "a")), Fact("r", "p", (2, "b"))]
 
         def source(relation, peer):
@@ -244,8 +247,8 @@ class TestEvaluatorSources:
 
         evaluator = RuleEvaluator("p", source)
         rule = parse_rule("out@p($x) :- r@p($x, \"a\")")
-        outcome = evaluator.evaluate_rule(rule)
-        assert {f.values for f in outcome.local_extensional} == {(1,)}
+        with pytest.raises(TypeError):
+            evaluator.evaluate_rule(rule)
 
     def test_negated_ground_literal_uses_the_index_probe(self):
         facts = {"s": [Fact("s", "p", (1,)), Fact("s", "p", (2,))],

@@ -5,7 +5,7 @@ import pytest
 from repro.core.delegation import Delegation
 from repro.core.errors import EvaluationError
 from repro.core.evaluation import RuleEvaluator, RuleOutcome, stratify_local_rules
-from repro.core.facts import Fact
+from repro.core.facts import Fact, fact_matches_bindings
 from repro.core.parser import parse_rule
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind
@@ -14,8 +14,9 @@ from repro.core.schema import RelationKind
 def make_source(facts):
     """Build a fact_source callable from a list of facts."""
 
-    def source(relation, peer):
-        return [f for f in facts if f.relation == relation and f.peer == peer]
+    def source(relation, peer, bindings=None):
+        return [f for f in facts if f.relation == relation and f.peer == peer
+                and fact_matches_bindings(f, bindings or {})]
 
     return source
 

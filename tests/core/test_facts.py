@@ -223,3 +223,74 @@ class TestFactStore:
         delta = store.delete_many(facts[:2])
         assert len(delta.deleted) == 2
         assert store.total_facts() == 3
+
+    def test_generation_counts_recorded_changes_per_relation(self):
+        store = FactStore()
+        assert store.generation("r", "p") == 0
+        store.insert(Fact("r", "p", (1,)))
+        first = store.generation("r", "p")
+        assert first > 0
+        store.insert(Fact("r", "p", (1,)))             # already there: no change
+        store.delete(Fact("r", "p", (9,)))             # never there: no change
+        assert store.generation("r", "p") == first
+        store.insert(Fact("other", "p", (1,)))         # another relation
+        assert store.generation("r", "p") == first
+        store.insert_many([Fact("r", "p", (2,)), Fact("r", "p", (3,))])
+        second = store.generation("r", "p")
+        assert second > first
+        store.delete(Fact("r", "p", (2,)))
+        third = store.generation("r", "p")
+        assert third > second
+        store.clear_relation("r", "p")
+        assert store.generation("r", "p") > third
+
+
+class TestRelationSnapshots:
+    """``PeerState.query`` keeps a relation's sorted answer until a store,
+    the derived store or the provided set records a change of it."""
+
+    def _state(self):
+        from repro.core.state import PeerState
+        state = PeerState("p")
+        state.declare(RelationSchema(name="view", peer="p", columns=("x",),
+                                     kind=RelationKind.INTENSIONAL))
+        return state
+
+    def test_same_tuple_until_the_relation_changes(self):
+        state = self._state()
+        state.insert_fact(Fact("r", "p", (2,)))
+        state.insert_fact(Fact("r", "p", (1,)))
+        first = state.query("r")
+        assert [fact.values for fact in first] == [(1,), (2,)]
+        state.insert_fact(Fact("other", "p", (1,)))
+        assert state.query("r") is first
+        state.insert_fact(Fact("r", "p", (0,)))         # no stage in between
+        assert [fact.values for fact in state.query("r")] == [(0,), (1,), (2,)]
+        state.delete_fact(Fact("r", "p", (1,)))
+        assert [fact.values for fact in state.query("r")] == [(0,), (2,)]
+
+    def test_derived_and_provided_facts_invalidate_too(self):
+        state = self._state()
+        assert state.query("view") == ()
+        state.derived.insert(Fact("view", "p", (1,)))
+        assert [fact.values for fact in state.query("view")] == [(1,)]
+        state.add_provided(Fact("view", "p", (2,)), "a")
+        kept = state.query("view")
+        assert [fact.values for fact in kept] == [(1,), (2,)]
+        state.add_provided(Fact("view", "p", (2,)), "b")    # second sender
+        state.remove_provided(Fact("view", "p", (2,)), "a")  # one remains
+        assert state.query("view") is kept
+        state.remove_provided(Fact("view", "p", (2,)), "b")
+        assert [fact.values for fact in state.query("view")] == [(1,)]
+        state.add_provided(Fact("view", "p", (3,)), "a")
+        state.clear_provided()
+        assert [fact.values for fact in state.query("view")] == [(1,)]
+
+    def test_remote_relations_are_never_visible_and_snapshots_can_be_dropped(self):
+        state = self._state()
+        state.insert_fact(Fact("r", "p", (1,)))
+        assert state.query("r", "elsewhere") == ()
+        kept = state.query("r")
+        state.forget_snapshot("r")
+        again = state.query("r")
+        assert again == kept and again is not kept

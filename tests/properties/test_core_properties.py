@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) of the core data structures."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.facts import Delta, Fact, FactStore
@@ -148,9 +148,13 @@ class TestMatchingProperties:
         assert result[Variable("P")] == Constant(fact.peer)
 
     @given(facts(max_arity=3))
+    @example(Fact("r", "p", ("$0",)))
     @settings(max_examples=100)
     def test_ground_atom_built_from_fact_matches_exactly_itself(self, fact):
-        atom = Atom.of(fact.relation, fact.peer, *fact.values)
+        # Explicit constants: ``Atom.of`` would read a value such as "$0" as
+        # a variable, and the atom would no longer be ground.
+        atom = Atom(Constant(fact.relation), Constant(fact.peer),
+                    tuple(Constant(value) for value in fact.values))
         assert match_atom_fact(atom, fact) == {}
         other = Fact(fact.relation, fact.peer, fact.values + ("extra",))
         assert match_atom_fact(atom, other) is None

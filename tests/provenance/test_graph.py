@@ -135,6 +135,38 @@ class TestSupportCounting:
         assert not self.graph.depends_on_peer(a, "r")
 
 
+    def test_lineage_walk_stops_at_indexed_ancestors(self):
+        """A miss unions in the entry of a supporting fact instead of walking
+        below it — on a cycle too, where the entry was itself computed
+        through the fact now being asked about."""
+        a = Fact("tc", "p", (1, 1))
+        b = Fact("tc", "p", (2, 2))
+        c = Fact("tc", "p", (3, 3))
+        self.graph.add(Derivation(a, "c1", (b, Fact("edge", "q", (1, 1)))))
+        self.graph.add(Derivation(b, "c2", (a, Fact("edge", "r", (2, 2)))))
+        self.graph.add(Derivation(c, "c3", (b, Fact("edge", "s", (3, 3)))))
+        assert self.graph.base_relations(b) == frozenset({"edge@q", "edge@r"})
+        descended = []
+        derivations = self.graph._derivations
+
+        class Spy(dict):
+            def __getitem__(self, fact):
+                descended.append(fact)
+                return dict.__getitem__(self, fact)
+
+        self.graph._derivations = Spy(derivations)
+        assert self.graph.base_relations(c) == frozenset(
+            {"edge@q", "edge@r", "edge@s"})
+        assert descended == [c]                      # b's entry was reused
+        assert self.graph.base_relations(a) == frozenset({"edge@q", "edge@r"})
+        self.graph._derivations = derivations
+        # Retracting below b drops every entry that was built on it.
+        self.graph.retract_fact(Fact("edge", "r", (2, 2)))
+        for fact in (a, b, c):
+            assert self.graph.base_relations(fact) == frozenset(
+                base.qualified_relation for base in self.graph.base_facts(fact))
+
+
 class TestTrackerEngineIntegration:
     PROGRAM = """
     collection extensional persistent selected@alice(name);
