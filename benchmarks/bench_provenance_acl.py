@@ -8,8 +8,9 @@ check re-walked the whole lineage graph.  This benchmark measures both fixes:
 * **evaluation** — two provenance-attached variants of
   :class:`~repro.core.engine.WebdamLogEngine` run identical workloads:
 
-  - ``pinned_full``   — a legacy hook-less recorder (the pre-subsystem
-                        behaviour: every stage is a full recompute);
+  - ``pinned_full``   — the same tracker on a ``"naive"``-mode engine
+                        (the pre-subsystem behaviour: every stage is a
+                        full recompute that re-records everything);
   - ``incremental``   — the maintained :class:`ProvenanceTracker` riding the
                         delta / rederive paths.
 
@@ -50,26 +51,10 @@ from repro.core.facts import Fact
 from repro.provenance.graph import ProvenanceTracker
 
 
-class LegacyRecorder:
-    """A hook-less provenance recorder: reproduces the pre-subsystem pinning.
-
-    It records derivations cumulatively (duplicates kept out) but exposes no
-    maintenance hooks, so the engine falls back to a full recompute at every
-    stage — exactly the provenance-attached behaviour this PR replaces.
-    """
-
-    def __init__(self):
-        self.graph = ProvenanceTracker().graph
-
-    def record(self, fact, rule, support):
-        from repro.provenance.graph import Derivation
-        self.graph.add(Derivation(fact=fact, rule_id=rule.rule_id,
-                                  support=tuple(support), author=rule.author))
-
-
+#: Variant name -> the engine's evaluation mode; both attach the tracker.
 VARIANTS = {
-    "pinned_full": LegacyRecorder,
-    "incremental": ProvenanceTracker,
+    "pinned_full": "naive",
+    "incremental": "incremental",
 }
 
 TC_PROGRAM = """
@@ -91,8 +76,8 @@ rule recommended@bench($id, $v) :- visible@bench($id, $v), friend@bench($v, $u),
 
 
 def _engine(variant: str) -> WebdamLogEngine:
-    engine = WebdamLogEngine("bench")
-    engine.provenance = VARIANTS[variant]()
+    engine = WebdamLogEngine("bench", evaluation_mode=VARIANTS[variant])
+    engine.provenance = ProvenanceTracker()
     return engine
 
 

@@ -39,12 +39,12 @@ from typing import FrozenSet
 
 from repro.bench.harness import bench_metadata
 from repro.bench.reporting import format_table
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.net.events import NetEventLog
 from repro.net.sim import SimulatedGossipNetwork
 from repro.replication.dots import Op
 from repro.replication.state import ReplicationState
-from repro.runtime import wire
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
     FactMessage,
@@ -69,7 +69,7 @@ class FullStateMessage:
             "sender": self.sender,
             "recipient": self.recipient,
             "version": self.version,
-            "facts": [wire.encode_fact(f) for f in sorted(self.facts, key=str)],
+            "facts": [codec.encode_fact(f) for f in sorted(self.facts, key=str)],
         }
 
 

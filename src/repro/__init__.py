@@ -24,8 +24,8 @@ This package provides:
   seminaive fixpoint, stratified negation, aggregation) playing the role of
   the Bud engine used by the original system.
 * :mod:`repro.runtime` — transports, peers, and a system orchestrator for
-  running networks of WebdamLog peers either in-memory (deterministic,
-  measurable rounds) or as separate OS processes.
+  running networks of WebdamLog peers in-memory (deterministic, measurable
+  rounds) or over real sockets (:mod:`repro.net`).
 * :mod:`repro.acl` — control of delegation (pending-delegation queues,
   trust), plus the discretionary / provenance-based access-control model the
   paper sketches.

@@ -34,9 +34,8 @@ This package is the public facade over all of them:
   derivations without touching engine internals.
 
 Direct construction of :class:`~repro.runtime.peer.Peer` and
-:class:`~repro.runtime.system.WebdamLogSystem` keeps working but is
-deprecated as a public entry point; new code should start from
-:func:`system`.
+:class:`~repro.runtime.system.WebdamLogSystem` keeps working (the runtime's
+own tests use it), but applications should start from :func:`system`.
 """
 
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
@@ -56,7 +55,7 @@ from repro.net.tcp import TcpTransport
 from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
 from repro.api.builder import BuildError, PeerBuilder, SystemBuilder, system
 from repro.api.errors import ReproApiError
-from repro.api.facade import PeerHandle, ProcessSystem, System
+from repro.api.facade import PeerHandle, System
 from repro.api.query import FactCallback, QueryHandle, Subscription
 from repro.api.views import CompiledView, LiveView, compile_query
 
@@ -71,7 +70,6 @@ __all__ = [
     "BuildError",
     "System",
     "PeerHandle",
-    "ProcessSystem",
     "Transport",
     "TransportEvent",
     "InMemoryTransport",

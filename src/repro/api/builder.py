@@ -20,9 +20,6 @@ transport — and ``build()`` turns it into a running
 Peer-scoped calls (``trusts``, ``wrapper``, ``program``, ``rule``, ``fact``,
 ``schema``…) apply to the most recently introduced peer; ``peer(name)``
 starts the next one; ``build()`` may be called from anywhere in the chain.
-``backend("processes")`` builds the same description onto the multiprocess
-runtime instead (programs and facts only — the reduced
-:class:`~repro.api.facade.ProcessSystem` facade).
 """
 
 from __future__ import annotations
@@ -36,21 +33,17 @@ from repro.core.schema import RelationSchema
 from repro.planner import PLANNER_MODES
 from repro.replication import REPLICATION_MODES
 from repro.runtime.inmemory import InMemoryTransport
-from repro.runtime.processes import ProcessNetwork
 from repro.runtime.scheduler import Scheduler, resolve_scheduler
 from repro.runtime.system import WebdamLogSystem
 from repro.runtime.transport import Transport
-from repro.api.facade import PeerHandle, ProcessSystem, System
-
-#: Backends ``build()`` knows how to assemble.
-BACKENDS = ("inmemory", "processes")
+from repro.api.facade import PeerHandle, System
 
 #: Transport names ``transport(...)`` resolves (besides explicit instances).
 TRANSPORTS = ("inmemory", "tcp")
 
 
 class BuildError(ValueError):
-    """A builder chain described something the chosen backend cannot build."""
+    """A builder chain described something that cannot be built."""
 
 
 def system() -> "SystemBuilder":
@@ -90,7 +83,6 @@ class SystemBuilder:
         self._default_trusted: Tuple[str, ...] = ()
         self._auto_accept = True
         self._strict_stage_inputs = False
-        self._backend = "inmemory"
         self._scheduler: Optional[Scheduler] = None
         self._evaluation_mode = "incremental"
         self._provenance = False
@@ -181,13 +173,6 @@ class SystemBuilder:
     def strict_stage_inputs(self, enabled: bool = True) -> "SystemBuilder":
         """Facts pushed to local intensional relations last one stage only."""
         self._strict_stage_inputs = enabled
-        return self
-
-    def backend(self, name: str) -> "SystemBuilder":
-        """Choose the runtime backend: ``"inmemory"`` or ``"processes"``."""
-        if name not in BACKENDS:
-            raise BuildError(f"unknown backend {name!r}; choose from {BACKENDS}")
-        self._backend = name
         return self
 
     def scheduler(self, scheduler: Union[str, Scheduler]) -> "SystemBuilder":
@@ -311,13 +296,8 @@ class SystemBuilder:
 
     # -- realisation ------------------------------------------------------ #
 
-    def build(self) -> Union[System, ProcessSystem]:
+    def build(self) -> System:
         """Assemble the described deployment and return its facade."""
-        if self._backend == "processes":
-            return self._build_processes()
-        return self._build_inmemory()
-
-    def _build_inmemory(self) -> System:
         if self._transport is not None and self._transport_knobs_set:
             raise BuildError(
                 "latency/drop_probability/seed configure the default in-memory "
@@ -387,60 +367,6 @@ class SystemBuilder:
         for view_relation, grantee in spec.declassifications:
             handle.declassify(view_relation, grantee)
 
-    def _build_processes(self) -> ProcessSystem:
-        if self._transport is not None or self._transport_name is not None:
-            raise BuildError("the processes backend manages its own transport")
-        if self._storage is not None and self._storage != "memory":
-            raise BuildError(
-                "the processes backend does not support explicit storage "
-                "configuration yet; set REPRO_STORE_BACKEND in the worker "
-                "environment instead"
-            )
-        if self._scheduler is not None:
-            raise BuildError(
-                "the processes backend manages its own scheduling (each worker "
-                "process drives its own engine); scheduler(...) requires the "
-                "in-memory backend"
-            )
-        if self._planner is not None:
-            raise BuildError(
-                "the processes backend does not support explicit planner "
-                "configuration; set REPRO_PLANNER in the worker environment "
-                "instead"
-            )
-        if self._replication is not None and self._replication != "reliable":
-            raise BuildError(
-                "the processes backend runs reliable replication only (its "
-                "pipe transport delivers exactly once, in order); causal "
-                "replication requires the in-memory backend"
-            )
-        network = ProcessNetwork(provenance=self._provenance)
-        try:
-            for spec in self._specs:
-                if (spec.wrappers or spec.schemas or spec.trusted
-                        or spec.trust_all or spec.grants
-                        or spec.declassifications):
-                    raise BuildError(
-                        f"peer {spec.name!r}: the processes backend supports "
-                        "programs, rules and facts only (wrappers, schemas, "
-                        "trust and access-control grants require the "
-                        "in-memory backend)"
-                    )
-                network.spawn_peer(spec.name,
-                                   "\n".join(spec.programs) or None)
-                for rule in spec.rules:
-                    if not isinstance(rule, str):
-                        raise BuildError("processes backend takes rules as text")
-                    network.add_rule(spec.name, rule)
-                for fact in spec.facts:
-                    if isinstance(fact, str):
-                        raise BuildError("processes backend takes Fact objects")
-                    network.insert_fact(spec.name, fact)
-        except Exception:
-            network.shutdown()
-            raise
-        return ProcessSystem(network)
-
 
 class PeerBuilder:
     """The peer-scoped section of a builder chain.
@@ -498,7 +424,7 @@ class PeerBuilder:
         ``relation`` may be bare (qualified with the peer's name at build
         time); grants feed the deployment's
         :class:`~repro.acl.policies.PolicySet`, which ``query(...,
-        viewer=...)`` live views filter through.  In-memory backend only.
+        viewer=...)`` live views filter through.
         """
         self._spec.grants.append((relation, grantee, privilege))
         return self
@@ -528,6 +454,6 @@ class PeerBuilder:
         """Return to the system-level builder."""
         return self._parent
 
-    def build(self) -> Union[System, ProcessSystem]:
+    def build(self) -> System:
         """Assemble the deployment described so far."""
         return self._parent.build()

@@ -5,16 +5,10 @@ what :meth:`SystemBuilder.build() <repro.api.builder.SystemBuilder.build>`
 returns: one object through which deployments are driven (runs), inspected
 (queries, stats, totals) and observed (subscriptions).  :class:`PeerHandle`
 is the per-peer slice of that surface.
-
-:class:`ProcessSystem` is the same idea over the multiprocess backend
-(:class:`~repro.runtime.processes.ProcessNetwork`): a reduced facade — no
-wrappers, trust or subscriptions, since peer state lives in other OS
-processes — that proves the builder's backend seam.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -28,12 +22,11 @@ from repro.core.schema import RelationSchema, SchemaRegistry
 from repro.provenance.graph import Explanation
 from repro.runtime.inmemory import NetworkStats
 from repro.runtime.peer import Peer, PeerStageReport
-from repro.runtime.processes import ProcessNetwork
 from repro.runtime.scheduler import LockstepScheduler, drive
 from repro.runtime.system import RoundReport, RunSummary, WebdamLogSystem
 from repro.runtime.transport import Transport
 from repro.api.errors import ReproApiError
-from repro.api.query import FactCallback, QueryHandle, Subscription
+from repro.api.query import FactCallback, Subscription
 from repro.api.views import LiveView, QueryLike, compile_query, is_declarative
 
 
@@ -133,21 +126,6 @@ class PeerHandle:
                 "a declarative query names its peers inline (rel@peer literals)"
             )
         return self._system._install_view(self, query, viewer=viewer, name=name)
-
-    def facts(self, relation: str, peer: Optional[str] = None) -> Tuple[Fact, ...]:
-        """Deprecated one-shot read: use ``query(relation).facts()``.
-
-        .. deprecated::
-           ``PeerHandle.facts`` predates :class:`LiveView`; the live handle
-           returned by :meth:`query` answers one-shot reads *and* streaming,
-           observation and ACL filtering through one object.
-        """
-        warnings.warn(
-            "PeerHandle.facts() is deprecated; use query(relation).facts() "
-            "(the LiveView handle) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.query(relation, peer=peer).facts()
 
     def subscribe(self, relation: str, callback: FactCallback,
                   on_remove: Optional[FactCallback] = None) -> Subscription:
@@ -627,105 +605,3 @@ class System:
                 f"round {self.runtime.current_round}, "
                 f"scheduler {self.runtime.scheduler.name}, "
                 f"transport {type(self.runtime.transport).__name__})")
-
-
-class ProcessSystem:
-    """A deployment whose peers run as separate OS processes.
-
-    Built by ``system().backend("processes")...build()``.  The facade is
-    narrower than :class:`System` — peer state lives in worker processes, so
-    only program loading, fact insertion, queries and counters are available.
-    Use as a context manager (or call :meth:`close`) so the workers are
-    always terminated.
-    """
-
-    def __init__(self, network: ProcessNetwork):
-        self.network = network
-
-    def __enter__(self) -> "ProcessSystem":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Terminate every peer process."""
-        self.network.shutdown()
-
-    # -- topology ---------------------------------------------------------- #
-
-    def add_peer(self, name: str, program: Optional[str] = None) -> None:
-        """Spawn one more peer process (optionally loading a program)."""
-        self.network.spawn_peer(name, program)
-
-    def peer_names(self) -> Tuple[str, ...]:
-        """Names of the spawned peers, sorted."""
-        return self.network.peer_names()
-
-    # -- actions ------------------------------------------------------------ #
-
-    def load_program(self, peer: str, text: str) -> None:
-        """Load a program text at one peer process."""
-        self.network.load_program(peer, text)
-
-    def insert(self, peer: str, fact: Fact) -> None:
-        """Insert a fact at one peer process."""
-        self.network.insert_fact(peer, fact)
-
-    def run(self, max_rounds: int = 50) -> int:
-        """Run rounds until every process is quiescent; returns the round count."""
-        return self.network.run_until_quiescent(max_rounds=max_rounds)
-
-    def converge(self, max_steps: Optional[int] = None) -> int:
-        """Scheduler-API name for :meth:`run` (same verb as :class:`System`)."""
-        return self.run(max_rounds=50 if max_steps is None else max_steps)
-
-    # -- reading ------------------------------------------------------------ #
-
-    def query(self, at: str, relation: str, peer: Optional[str] = None) -> QueryHandle:
-        """A handle over ``relation`` as computed in peer ``at``'s process.
-
-        Only the single-relation form is available here: compiling a
-        declarative query installs rules into a live engine, which lives in
-        another OS process on this backend.
-        """
-        if is_declarative(relation):
-            raise ReproApiError(
-                "declarative queries (rule bodies, ans :- body) require the "
-                "in-memory backend; the processes backend only reads single "
-                "relations"
-            )
-        return QueryHandle(
-            source=lambda: tuple(self.network.query(at, relation, peer)),
-            description=f"{relation}@{peer or at} in process {at}",
-        )
-
-    def counts(self, peer: str) -> Dict[str, int]:
-        """Counters of one peer process."""
-        return self.network.counts(peer)
-
-    def explain(self, at: str, fact: Union[str, Fact]) -> Explanation:
-        """Why/lineage story of ``fact`` as recorded in peer ``at``'s process.
-
-        Requires ``system().provenance().backend("processes")``.  Derivations
-        are shipped between the worker processes on the wire encoding, so the
-        lineage crosses process boundaries.  Returns the same
-        :class:`~repro.provenance.graph.Explanation` as :meth:`System.explain`,
-        so code written against one backend runs on the other.
-        """
-        if isinstance(fact, str):
-            fact = parse_fact(fact, default_peer=at)
-        decoded = self.network.explain(at, fact)
-        return Explanation(
-            fact=fact,
-            derived=decoded["derived"],
-            why=tuple(decoded["why"]),
-            lineage=decoded["lineage"],
-            base_relations=decoded["base_relations"],
-            peers=decoded["peers"],
-        )
-
-    @property
-    def messages_routed(self) -> int:
-        """Messages routed between the peer processes so far."""
-        return self.network.messages_routed

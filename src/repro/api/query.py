@@ -84,7 +84,7 @@ class QueryHandle:
         visible, then **steps the system's scheduler** and yields each new
         fact as the stage that made it visible completes — interleaving
         consumption with execution, the way a client tails a live feed.  On a
-        detached handle (e.g. over the process backend) it degrades to a plain
+        detached handle it degrades to a plain
         iteration of the currently visible facts.
         """
         if self._stream is None:
@@ -230,29 +230,6 @@ class Subscription:
         if not delta and not self._backlog:
             return 0
         return self.on_delta(host, delta)
-
-    # ------------------------------------------------------------------ #
-    # legacy polling (pre-delta API, kept for external callers)
-    # ------------------------------------------------------------------ #
-
-    def poll(self, peers: Dict[str, "object"]) -> int:
-        """Snapshot-diff delivery: fire for facts that became visible.
-
-        Deprecated in favour of :meth:`on_delta`; retained so external code
-        that polled subscriptions by hand keeps working.
-        """
-        if not self.active:
-            return 0
-        fired = 0
-        for name, peer in self._targets(peers):
-            current = set(peer.query(self.relation))
-            seen = self._seen.get(name, set())
-            for fact in sorted(current - seen, key=str):
-                self.callback(fact)
-                fired += 1
-            self._seen[name] = current
-        self.delivered += fired
-        return fired
 
     # ------------------------------------------------------------------ #
     # internals

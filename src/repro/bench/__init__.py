@@ -1,32 +1,15 @@
-"""Measurement and reporting helpers for the benchmark harness.
+"""Measurement and reporting helpers for the ``benchmarks/`` scripts.
 
-Every benchmark in ``benchmarks/`` follows the same pattern: build a
-scenario, apply a workload, run the system, and report a table or a series
-whose *shape* reproduces the corresponding figure or demonstration scenario
-of the paper.  This package provides the shared pieces:
-
-* :mod:`repro.bench.harness` — experiment drivers (run a scenario and collect
-  counters, sweep a parameter, time a callable);
-* :mod:`repro.bench.reporting` — plain-text tables and series formatting used
-  both by the benchmarks and by EXPERIMENTS.md.
+* :mod:`repro.bench.harness` — best-of-N timing (``time_repeated``) and the
+  metadata block every ``BENCH_*.json`` report embeds (``bench_metadata``);
+* :mod:`repro.bench.reporting` — aligned plain-text tables (``format_table``).
 """
 
-from repro.bench.harness import (
-    ExperimentResult,
-    measure_scenario,
-    measure_system,
-    run_sweep,
-    time_callable,
-)
-from repro.bench.reporting import format_table, format_series, print_table
+from repro.bench.harness import bench_metadata, time_repeated
+from repro.bench.reporting import format_table
 
 __all__ = [
-    "ExperimentResult",
-    "measure_scenario",
-    "measure_system",
-    "run_sweep",
-    "time_callable",
+    "bench_metadata",
+    "time_repeated",
     "format_table",
-    "format_series",
-    "print_table",
 ]

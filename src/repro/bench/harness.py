@@ -1,4 +1,4 @@
-"""Experiment drivers shared by the benchmark harness."""
+"""Timing and report-metadata helpers shared by the ``benchmarks/`` scripts."""
 
 from __future__ import annotations
 
@@ -6,101 +6,7 @@ import datetime
 import os
 import platform
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-
-@dataclass
-class ExperimentResult:
-    """Counters collected from one experiment run."""
-
-    label: str
-    metrics: Dict[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.metrics[key]
-
-    def get(self, key: str, default=None):
-        """Dictionary-style access with a default."""
-        return self.metrics.get(key, default)
-
-    def row(self, columns: Sequence[str]) -> Tuple:
-        """The metrics projected onto ``columns`` (prefixed with the label)."""
-        return (self.label,) + tuple(self.metrics.get(column, "") for column in columns)
-
-
-def _transport_stats(system):
-    """The transport counters of a runtime system or an api facade."""
-    transport = getattr(system, "transport", None)
-    if transport is None:  # pragma: no cover - pre-protocol systems
-        transport = system.network
-    return transport.stats
-
-
-def _standard_metrics(summary, totals, stats, elapsed: float) -> Dict[str, Any]:
-    """The counter set shared by every experiment driver."""
-    total_stages = getattr(summary, "total_stages", None)
-    return {
-        "rounds": summary.round_count,
-        "converged": summary.converged,
-        "scheduler": getattr(summary, "scheduler", "lockstep"),
-        "stages": total_stages() if callable(total_stages) else None,
-        "messages": stats.messages_sent,
-        "payload_items": stats.payload_items,
-        "derived_facts": totals["derived_facts"],
-        "extensional_facts": totals["extensional_facts"],
-        "installed_delegations": totals["installed_delegations"],
-        "pending_delegations": totals["pending_delegations"],
-        "peers": totals["peers"],
-        "elapsed_seconds": elapsed,
-    }
-
-
-def measure_scenario(scenario, label: str = "scenario",
-                     max_rounds: int = 100) -> ExperimentResult:
-    """Run a scenario to convergence and collect the standard counters.
-
-    The counters are the ones the paper's qualitative claims are about: how
-    many rounds until convergence, how many messages and payload items moved,
-    how many facts were derived and how many delegations were installed.
-    ``scenario`` needs ``run(max_rounds=...)`` and a ``system`` exposing
-    ``totals()`` and a :class:`~repro.runtime.transport.Transport` — both the
-    Wepic :class:`~repro.wepic.scenario.DemoScenario` and anything built via
-    :mod:`repro.api` qualify.
-    """
-    start = time.perf_counter()
-    summary = scenario.run(max_rounds=max_rounds)
-    elapsed = time.perf_counter() - start
-    metrics = _standard_metrics(summary, scenario.system.totals(),
-                                _transport_stats(scenario.system), elapsed)
-    return ExperimentResult(label=label, metrics=metrics)
-
-
-def measure_system(deployment, label: str = "system",
-                   max_rounds: int = 100) -> ExperimentResult:
-    """Run a :class:`repro.api.System` to convergence and collect counters.
-
-    The facade counterpart of :func:`measure_scenario` for deployments built
-    directly with :func:`repro.api.system`.
-    """
-    start = time.perf_counter()
-    summary = deployment.run(max_rounds=max_rounds)
-    elapsed = time.perf_counter() - start
-    metrics = _standard_metrics(summary, deployment.totals(),
-                                deployment.stats, elapsed)
-    return ExperimentResult(label=label, metrics=metrics)
-
-
-def run_sweep(parameter_values: Iterable, runner: Callable[[Any], ExperimentResult]
-              ) -> List[ExperimentResult]:
-    """Run ``runner`` for every value of a parameter sweep."""
-    return [runner(value) for value in parameter_values]
-
-
-def time_callable(function: Callable[[], Any], repeat: int = 1) -> Tuple[float, Any]:
-    """Wall-clock time of ``function`` (best of ``repeat`` runs) and its last result."""
-    timing, result = time_repeated(function, repeat)
-    return timing["best_seconds"], result
+from typing import Any, Callable, Dict, List, Tuple
 
 
 def time_repeated(function: Callable[[], Any], repeats: int = 1
@@ -153,14 +59,3 @@ def bench_metadata(repeats: int = 1, **extra: Any) -> Dict[str, Any]:
     }
     metadata.update(extra)
     return metadata
-
-
-def compare(baseline: ExperimentResult, candidate: ExperimentResult,
-            metrics: Sequence[str]) -> Dict[str, float]:
-    """Ratios candidate/baseline for the given metrics (0 when the baseline is 0)."""
-    ratios: Dict[str, float] = {}
-    for metric in metrics:
-        base = baseline.get(metric, 0) or 0
-        cand = candidate.get(metric, 0) or 0
-        ratios[metric] = (cand / base) if base else 0.0
-    return ratios

@@ -1,4 +1,4 @@
-"""Plain-text tables and series for the benchmark reports.
+"""Plain-text tables for the benchmark reports.
 
 The original paper is a demo paper without numeric tables; each benchmark
 nevertheless prints its results as an aligned table (rows = sweep points,
@@ -7,7 +7,7 @@ columns = counters) so that EXPERIMENTS.md can quote them directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence
 
 
 def _format_cell(value: Any) -> str:
@@ -43,25 +43,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     for row in rendered_rows:
         lines.append(render_row(row))
     return "\n".join(lines)
-
-
-def print_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
-                title: Optional[str] = None) -> str:
-    """Print (and return) an aligned table."""
-    text = format_table(headers, rows, title=title)
-    print(text)
-    return text
-
-
-def format_series(name: str, points: Iterable[Tuple[Any, Any]],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render a single (x, y) series, one point per line."""
-    lines = [f"# series: {name} ({x_label} -> {y_label})"]
-    for x, y in points:
-        lines.append(f"{_format_cell(x)}\t{_format_cell(y)}")
-    return "\n".join(lines)
-
-
-def results_to_rows(results: Iterable, columns: Sequence[str]) -> List[Tuple]:
-    """Project a list of :class:`~repro.bench.harness.ExperimentResult` onto table rows."""
-    return [result.row(columns) for result in results]

@@ -33,6 +33,7 @@ from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.core.state import PeerState
 from repro.planner import BodyPlanner, StagePlan, StatsProvider, resolve_planner_mode
 from repro.planner.magic import MAGIC_PREFIX
+from repro.provenance.graph import ProvenanceTracker
 from repro.store.backend import resolve_backend
 
 
@@ -234,11 +235,11 @@ class StageResult:
     derived_changed: bool = False
     deferred_local_updates: int = 0
     #: Which fixpoint strategy the stage used: ``"full"`` (clear everything
-    #: and recompute — an engine's first stage, naive mode, a provenance
-    #: recorder that cannot be maintained), ``"delta"`` (seminaive over the
-    #: inserted facts and the added rules), ``"rederive"`` (scoped
-    #: delete-and-rederive of the affected predicate closure) or ``"skip"``
-    #: (nothing changed that a local rule reads — nothing evaluated at all).
+    #: and recompute — an engine's first stage, naive mode), ``"delta"``
+    #: (seminaive over the inserted facts and the added rules),
+    #: ``"rederive"`` (scoped delete-and-rederive of the affected predicate
+    #: closure) or ``"skip"`` (nothing changed that a local rule reads —
+    #: nothing evaluated at all).
     evaluation_path: str = "full"
     outgoing_updates: List[OutgoingUpdate] = field(default_factory=list)
     delegations_to_install: List[Delegation] = field(default_factory=list)
@@ -330,13 +331,11 @@ class WebdamLogEngine:
         self.use_indexes = use_indexes
         # Optional provenance tracker (see :mod:`repro.provenance`): when set,
         # every derivation of the fixpoint is recorded through its ``record``
-        # method, which the access-control view policies build upon.  A
-        # tracker exposing the maintenance hooks (``on_base_deleted`` /
-        # ``on_rederive`` / ``on_full_recompute``) rides the incremental
-        # evaluation paths — the graph is kept consistent along delta and
-        # rederive stages; a hook-less recorder (or per-stage mode) falls
-        # back to the historical full recompute every stage.
-        self.provenance = None
+        # method, which the access-control view policies build upon, and its
+        # maintenance hooks (``on_base_deleted`` / ``on_rederive`` /
+        # ``on_full_recompute``) keep the graph consistent along the delta
+        # and rederive stages.
+        self.provenance: Optional[ProvenanceTracker] = None
         # Facts addressed to remote peers by the local user (or wrappers),
         # flushed at the next stage.
         self._pending_remote_inserts: Dict[str, Set[Fact]] = {}
@@ -600,8 +599,6 @@ class WebdamLogEngine:
         self.state.stage_counter += 1
         self._dirty = False
         result = StageResult(peer=self.peer, stage=self.state.stage_counter)
-        if self.provenance is not None and hasattr(self.provenance, "notify_stage"):
-            self.provenance.notify_stage(self.state.stage_counter)
 
         # ---- step 1: load inputs ------------------------------------- #
         result.consumed_inputs = self._consume_inputs()
@@ -784,20 +781,6 @@ class WebdamLogEngine:
         pending.clear()
         return consumed
 
-    def _provenance_incremental(self) -> bool:
-        """``True`` when the attached tracker can ride the incremental paths.
-
-        Requires the maintenance hooks (``on_base_deleted`` / ``on_rederive``
-        / ``on_full_recompute``) and cumulative mode: a per-stage tracker
-        expects every stage to re-record all derivations, which only the
-        historical full recompute provides.
-        """
-        provenance = self.provenance
-        if provenance is None or getattr(provenance, "per_stage", False):
-            return False
-        return all(hasattr(provenance, hook) for hook in
-                   ("on_base_deleted", "on_rederive", "on_full_recompute"))
-
     def _run_fixpoint(self, result: StageResult) -> RuleOutcome:
         """Run the local fixpoint, choosing its path from *what changed*:
         the input delta, the rules added and removed since the last fixpoint,
@@ -805,8 +788,7 @@ class WebdamLogEngine:
 
         * **full** — clear every local intensional relation and recompute
           (the seed engine's behaviour).  Only the first stage of an engine,
-          ``"naive"`` mode, a legacy provenance recorder (no maintenance
-          hooks, or per-stage mode) and primary-key displacement take it.
+          ``"naive"`` mode and primary-key displacement take it.
         * **skip** — nothing changed that a local rule reads: the memoised
           outcome is returned without evaluating anything.  Removed rules
           with remote heads need no more than this — dropping their memo
@@ -817,7 +799,7 @@ class WebdamLogEngine:
           derived facts and re-fires only the rules whose body reads them.
         * **rederive** — the delta contains deletions, reaches negation, a
           removed rule derived into a local intensional relation (under a
-          maintained provenance tracker: into any relation — its recorded
+          provenance tracker: into any relation — its recorded
           derivations die with the predicates' and the sibling definitions
           re-record theirs), or a local relation became intensional: the
           affected predicate closure is cleared and recomputed (added rules
@@ -850,16 +832,13 @@ class WebdamLogEngine:
                        .merge(self.state.peek_provided_delta()))
         self._carryover_delta = Delta.empty()
 
-        provenance_incremental = self._provenance_incremental()
-        force_full = (self.evaluation_mode == "naive"
-                      or previous is None
-                      or (self.provenance is not None and not provenance_incremental))
+        force_full = self.evaluation_mode == "naive" or previous is None
 
         # Deleted input facts die in the provenance graph regardless of the
         # evaluation path chosen below: their derivations (and transitive
         # dependents) are retracted, and the rederive/full pass re-records
         # whatever is still derivable.
-        if provenance_incremental and input_delta.deleted:
+        if self.provenance is not None and input_delta.deleted:
             self.provenance.on_base_deleted(input_delta.deleted)
 
         delta_predicates = ({fact.qualified_relation for fact in input_delta.inserted}
@@ -881,7 +860,7 @@ class WebdamLogEngine:
             if schema.peer == self.peer and schema.is_intensional())
         # A removed rule loses its memo, which retracts what it had sent.
         # What it derived into local intensional relations is only found by
-        # rederiving those; under a maintained tracker so are the derivations
+        # rederiving those; under a provenance tracker so are the derivations
         # it recorded for *any* head, a remote one included.
         orphaned: Set[str] = set()
         for rule in removed:
@@ -1044,7 +1023,7 @@ class WebdamLogEngine:
         stage is still the true derived change.
         """
         full = affected_rules is None
-        if self._provenance_incremental():
+        if self.provenance is not None:
             # Mirror the store clears in the provenance graph: the cleared
             # predicates' derivations die here and are re-recorded by the
             # re-evaluation below, so the graph tracks exact derivability.

@@ -17,18 +17,24 @@ extensional, ephemeral and derived facts.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple
 
+from repro.core import codec
 from repro.core.delegation import DelegationStore, DelegationTracker, InstalledDelegation
 from repro.core.errors import SchemaError
 from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.rules import Rule, ensure_rule_counter_above
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
-from repro.store import serialize
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
 from repro.store.memory import MemoryBackend
+
+
+def _record(encoded) -> str:
+    """A metadata record as stored: the canonical JSON of its codec encoding."""
+    return json.dumps(encoded, sort_keys=True)
 
 
 @dataclass
@@ -76,7 +82,7 @@ class PeerState:
         # Schemas must be back before the fact stores attach their tables.
         persisted_schemas = self.backend.load_meta("schema")
         for _key, payload in persisted_schemas:
-            self.schemas.declare(serialize.decode_schema(payload))
+            self.schemas.declare(codec.decode_schema(json.loads(payload)))
         self.store = FactStore(self.schemas, owner=peer, backend=self.backend,
                                namespace=STORE_NAMESPACE)
         self.derived = FactStore(self.schemas, owner=peer, backend=self.backend,
@@ -97,12 +103,12 @@ class PeerState:
         self.delegations_in = DelegationStore(peer)
         persisted_rules = self.backend.load_meta("rule")
         for _key, payload in persisted_rules:
-            self.own_rules.append(serialize.decode_rule(payload))
+            self.own_rules.append(codec.decode_rule(json.loads(payload)))
         persisted_delegations = self.backend.load_meta("delegation")
         for _key, payload in persisted_delegations:
-            installed = serialize.decode_delegation(payload)
-            self.delegations_in.install(installed.delegation_id, installed.delegator,
-                                        installed.rule)
+            record = json.loads(payload)
+            self.delegations_in.install(record["delegation_id"], record["delegator"],
+                                        codec.decode_rule(record["rule"]))
         self.restored = bool(persisted_schemas or persisted_rules
                              or persisted_delegations
                              or self.store.relations() or self.derived.relations())
@@ -165,7 +171,7 @@ class PeerState:
         declared = self.schemas.declare(schema)
         if new:
             self.backend.save_meta("schema", f"{declared.name}@{declared.peer}",
-                                   serialize.encode_schema(declared))
+                                   _record(codec.encode_schema(declared)))
         return declared
 
     def kind_of(self, relation: str, peer: str) -> Optional[RelationKind]:
@@ -189,7 +195,7 @@ class PeerState:
             rule = Rule(head=rule.head, body=rule.body, author=self.peer,
                         origin=rule.origin, rule_id=rule.rule_id)
         self.own_rules.append(rule)
-        self.backend.save_meta("rule", rule.rule_id, serialize.encode_rule(rule))
+        self.backend.save_meta("rule", rule.rule_id, _record(codec.encode_rule(rule)))
         return rule
 
     def remove_rule(self, rule_id: str) -> Optional[Rule]:
@@ -209,7 +215,8 @@ class PeerState:
                                    author=new_rule.author or self.peer,
                                    origin=new_rule.origin, rule_id=rule_id)
                 self.own_rules[index] = replacement
-                self.backend.save_meta("rule", rule_id, serialize.encode_rule(replacement))
+                self.backend.save_meta("rule", rule_id,
+                                       _record(codec.encode_rule(replacement)))
                 return replacement
         raise KeyError(f"no rule with id {rule_id!r} at peer {self.peer}")
 
@@ -234,8 +241,11 @@ class PeerState:
         overwrites the identical record.
         """
         installed = self.delegations_in.install(delegation_id, delegator, rule)
-        self.backend.save_meta("delegation", delegation_id,
-                               serialize.encode_delegation(installed))
+        self.backend.save_meta("delegation", delegation_id, _record({
+            "delegation_id": installed.delegation_id,
+            "delegator": installed.delegator,
+            "rule": codec.encode_rule(installed.rule),
+        }))
         return installed
 
     def retract_delegation(self, delegation_id: str) -> Optional[InstalledDelegation]:

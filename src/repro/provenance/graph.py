@@ -33,7 +33,6 @@ accumulating for the lifetime of the run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -406,25 +405,10 @@ class ProvenanceTracker:
     the wire) are remembered separately via :meth:`record_remote`: local
     re-evaluation cannot re-derive them, so they survive full recomputes and
     are dropped only when the shipped fact itself is retracted.
-
-    The historical ``per_stage`` mode (clear the graph at every stage) is
-    deprecated: it relied on every stage re-recording all derivations, which
-    pins the engine to full recomputes.  A tracker in per-stage mode still
-    behaves exactly as before — the engine detects it and falls back to full
-    evaluation.
     """
 
-    def __init__(self, per_stage: bool = False):
+    def __init__(self):
         self.graph = ProvenanceGraph()
-        if per_stage:
-            warnings.warn(
-                "ProvenanceTracker(per_stage=True) is deprecated; the graph "
-                "is now incrementally maintained, so the cumulative default "
-                "already reflects the current derivability state",
-                DeprecationWarning, stacklevel=2,
-            )
-        self.per_stage = per_stage
-        self._last_stage_seen: Optional[int] = None
         # Derivations shipped by remote peers, keyed for idempotent re-adds.
         self._remote: Dict[Tuple[Fact, str, Tuple[Fact, ...]], Derivation] = {}
         # The shipped facts themselves (message-inserted heads).  Lineage
@@ -477,28 +461,6 @@ class ProvenanceTracker:
         if anchor:
             self._remote_anchors.add(derivation.fact)
         self.graph.add(derivation)
-
-    def notify_stage(self, stage: int) -> None:
-        """Inform the tracker that a new stage started (used in per-stage mode)."""
-        if self.per_stage and stage != self._last_stage_seen:
-            self.graph.clear()
-        self._last_stage_seen = stage
-
-    def reset_each_stage(self) -> "ProvenanceTracker":
-        """Deprecated: switch to per-stage mode (clears the graph every stage).
-
-        .. deprecated::
-           The graph is incrementally maintained; per-stage clearing forces
-           the engine back to full recomputes and is no longer needed.
-        """
-        warnings.warn(
-            "ProvenanceTracker.reset_each_stage() is deprecated; the graph "
-            "is now incrementally maintained and already reflects the "
-            "current derivability state",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.per_stage = True
-        return self
 
     # Engine maintenance hooks (the incremental evaluation paths) ---------- #
 

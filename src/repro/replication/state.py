@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.replication.channel import ChannelInbox, ChannelOutbox, Effect
 from repro.replication.dots import CausalContext
@@ -329,7 +330,7 @@ class ReplicationState:
 
 
 # --------------------------------------------------------------------------- #
-# channel serialisation (JSON-compatible, via the wire codecs)
+# channel serialisation (JSON-compatible, via the shared codec)
 # --------------------------------------------------------------------------- #
 
 def _encode_outbox(box: ChannelOutbox) -> str:
@@ -337,7 +338,7 @@ def _encode_outbox(box: ChannelOutbox) -> str:
         "seq": box.seq,
         "acked": box.acked,
         "log": [wire.encode_op(box.log[s]) for s in sorted(box.log)],
-        "live": [[wire.encode_fact(fact), sorted(seqs)]
+        "live": [[codec.encode_fact(fact), sorted(seqs)]
                  for fact, seqs in sorted(box.live.items(), key=lambda e: str(e[0]))],
     })
 
@@ -351,7 +352,7 @@ def _decode_outbox(target: str, encoded: str) -> ChannelOutbox:
         op = wire.decode_op(encoded)
         box.log[op.seq] = op
     for encoded_fact, seqs in payload.get("live", []):
-        box.live[wire.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
+        box.live[codec.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
     # Everything unacknowledged retransmits: in-flight messages died with us.
     box.last_sent = box.acked
     return box
@@ -360,7 +361,7 @@ def _decode_outbox(target: str, encoded: str) -> ChannelOutbox:
 def _encode_inbox(box: ChannelInbox) -> str:
     return json.dumps({
         "cc": box.cc.encode(),
-        "visible": [[wire.encode_fact(fact), sorted(seqs)]
+        "visible": [[codec.encode_fact(fact), sorted(seqs)]
                     for fact, seqs in sorted(box.visible.items(),
                                              key=lambda e: str(e[0]))],
         "tombstoned": sorted(box.tombstoned),
@@ -375,7 +376,7 @@ def _decode_inbox(origin: str, encoded: str) -> ChannelInbox:
     box = ChannelInbox(origin)
     box.cc = CausalContext.decode(payload.get("cc", {}))
     for encoded_fact, seqs in payload.get("visible", []):
-        box.visible[wire.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
+        box.visible[codec.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
     box.tombstoned = set(int(s) for s in payload.get("tombstoned", []))
     box.delegation_seq = {str(k): int(v)
                           for k, v in payload.get("delegation_seq", {}).items()}

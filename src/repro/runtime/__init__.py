@@ -8,13 +8,9 @@ stats), with interchangeable implementations:
 
 * :class:`~repro.runtime.inmemory.InMemoryTransport` — a deterministic
   simulated network (per-round delivery, configurable latency and loss) that
-  makes rounds and message counts measurable, used by the benchmarks
-  (``InMemoryNetwork`` is its deprecated historical name);
+  makes rounds and message counts measurable, used by the benchmarks;
 * :class:`~repro.runtime.transport.RecordingTransport` — a decorator that
-  logs every send/deliver event of an inner transport;
-* :class:`~repro.runtime.processes.ProcessNetwork` — each peer runs in its own
-  OS process (the "simulate peers as processes locally" substitution), with
-  messages serialised over pipes.
+  logs every send/deliver event of an inner transport.
 
 :class:`~repro.runtime.peer.Peer` wraps a :class:`~repro.core.engine.WebdamLogEngine`
 together with its delegation controller and wrappers;
@@ -29,7 +25,7 @@ from repro.runtime.messages import (
     PeerJoinMessage,
     Message,
 )
-from repro.runtime.inmemory import InMemoryNetwork, InMemoryTransport, NetworkStats
+from repro.runtime.inmemory import InMemoryTransport, NetworkStats
 from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
 from repro.runtime.peer import Peer
 from repro.runtime.scheduler import (
@@ -49,7 +45,6 @@ __all__ = [
     "DelegationInstallMessage",
     "DelegationRetractMessage",
     "PeerJoinMessage",
-    "InMemoryNetwork",
     "InMemoryTransport",
     "NetworkStats",
     "RecordingTransport",

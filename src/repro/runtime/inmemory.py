@@ -10,8 +10,7 @@ An optional drop probability (with a seeded random generator) supports the
 failure-injection tests.
 
 :class:`InMemoryTransport` is the reference implementation of the
-:class:`~repro.runtime.transport.Transport` protocol; ``InMemoryNetwork`` is
-its deprecated historical name, kept as an alias for one release.
+:class:`~repro.runtime.transport.Transport` protocol.
 """
 
 from __future__ import annotations
@@ -268,9 +267,3 @@ class InMemoryTransport:
         stats = self.stats
         self.stats = NetworkStats()
         return stats
-
-
-#: Deprecated alias — the class was renamed when the
-#: :class:`~repro.runtime.transport.Transport` protocol was extracted.
-#: Use :class:`InMemoryTransport` (or ``repro.api.InMemoryTransport``).
-InMemoryNetwork = InMemoryTransport

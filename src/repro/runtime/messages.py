@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 from repro.core.schema import RelationSchema
@@ -88,8 +89,8 @@ class FactMessage(Message):
 
     def to_wire(self) -> Dict[str, Any]:
         encoded = super().to_wire()
-        encoded["inserted"] = [wire.encode_fact(f) for f in sorted(self.inserted, key=str)]
-        encoded["deleted"] = [wire.encode_fact(f) for f in sorted(self.deleted, key=str)]
+        encoded["inserted"] = [codec.encode_fact(f) for f in sorted(self.inserted, key=str)]
+        encoded["deleted"] = [codec.encode_fact(f) for f in sorted(self.deleted, key=str)]
         encoded["derivations"] = [wire.encode_derivation(d) for d in self.derivations]
         return encoded
 
@@ -115,8 +116,8 @@ class DelegationInstallMessage(Message):
     def to_wire(self) -> Dict[str, Any]:
         encoded = super().to_wire()
         encoded["delegation_id"] = self.delegation_id
-        encoded["rule"] = wire.encode_rule(self.rule) if self.rule is not None else None
-        encoded["schemas"] = [wire.encode_schema(s) for s in self.schemas]
+        encoded["rule"] = codec.encode_rule(self.rule) if self.rule is not None else None
+        encoded["schemas"] = [codec.encode_schema(s) for s in self.schemas]
         return encoded
 
 
@@ -221,8 +222,8 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
     }
     if kind == "FactMessage":
         return FactMessage(
-            inserted=frozenset(wire.decode_fact(f) for f in encoded.get("inserted", [])),
-            deleted=frozenset(wire.decode_fact(f) for f in encoded.get("deleted", [])),
+            inserted=frozenset(codec.decode_fact(f) for f in encoded.get("inserted", [])),
+            deleted=frozenset(codec.decode_fact(f) for f in encoded.get("deleted", [])),
             derivations=tuple(wire.decode_derivation(d)
                               for d in encoded.get("derivations", [])),
             **common,
@@ -231,8 +232,8 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
         rule = encoded.get("rule")
         return DelegationInstallMessage(
             delegation_id=encoded.get("delegation_id", ""),
-            rule=wire.decode_rule(rule) if rule is not None else None,
-            schemas=tuple(wire.decode_schema(s) for s in encoded.get("schemas", [])),
+            rule=codec.decode_rule(rule) if rule is not None else None,
+            schemas=tuple(codec.decode_schema(s) for s in encoded.get("schemas", [])),
             **common,
         )
     if kind == "DelegationRetractMessage":

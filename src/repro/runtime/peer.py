@@ -23,6 +23,7 @@ from repro.acl.delegation_control import DelegationController, DelegationDecisio
 from repro.acl.trust import TrustStore
 from repro.core.delegation import Delegation
 from repro.core.engine import StageResult, WebdamLogEngine
+from repro.core.errors import SchemaError
 from repro.core.facts import Delta, Fact
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationSchema, SchemaRegistry
@@ -203,7 +204,7 @@ class Peer:
     def explain(self, fact: Fact) -> Explanation:
         """Why/lineage story of ``fact`` from the maintained provenance graph."""
         tracker = self.engine.provenance
-        if tracker is None or not hasattr(tracker, "explain"):
+        if tracker is None:
             raise RuntimeError(
                 f"peer {self.name!r} has no provenance tracker attached; "
                 "enable it with system().provenance() or "
@@ -263,24 +264,14 @@ class Peer:
                 self.replication.on_ack(message.sender, message.acked)
         elif isinstance(message, FactMessage):
             self.engine.receive_facts(message.sender, message.inserted, message.deleted)
-            tracker = self.engine.provenance
-            if message.derivations and tracker is not None \
-                    and hasattr(tracker, "record_remote"):
-                for derivation in message.derivations:
-                    # Only the message-inserted facts are anchors; lineage
-                    # intermediates live as long as an anchor reaches them.
-                    tracker.record_remote(
-                        derivation, anchor=derivation.fact in message.inserted)
+            for derivation in message.derivations:
+                # Only the message-inserted facts are anchors; lineage
+                # intermediates live as long as an anchor reaches them.
+                self._record_shipped(derivation,
+                                     anchor=derivation.fact in message.inserted)
         elif isinstance(message, DelegationInstallMessage):
-            for schema in message.schemas:
-                try:
-                    self.engine.declare(schema)
-                except Exception:
-                    # Conflicting schema knowledge: keep the local declaration.
-                    pass
-            if message.rule is not None:
-                self.controller.submit(message.sender, message.delegation_id, message.rule,
-                                       round_number=self._round)
+            self._submit_delegation(message.sender, message.delegation_id,
+                                    message.rule, message.schemas)
         elif isinstance(message, DelegationRetractMessage):
             self.controller.submit_retraction(message.sender, message.delegation_id)
         elif isinstance(message, PeerJoinMessage):
@@ -312,21 +303,32 @@ class Peer:
                 self.engine.receive_facts(origin, deleted=(effect[1],))
             elif kind == "delegate":
                 _, delegation_id, rule, schemas = effect
-                for schema in schemas:
-                    try:
-                        self.engine.declare(schema)
-                    except Exception:
-                        # Conflicting schema knowledge: keep the local one.
-                        pass
-                if rule is not None:
-                    self.controller.submit(origin, delegation_id, rule,
-                                           round_number=self._round)
+                self._submit_delegation(origin, delegation_id, rule, schemas)
             elif kind == "undelegate":
                 self.controller.submit_retraction(origin, effect[1])
             elif kind == "derivation":
-                tracker = self.engine.provenance
-                if tracker is not None and hasattr(tracker, "record_remote"):
-                    tracker.record_remote(effect[1], anchor=effect[2])
+                self._record_shipped(effect[1], anchor=effect[2])
+
+    def _submit_delegation(self, sender: str, delegation_id: str,
+                           rule: Optional[Rule],
+                           schemas: Iterable[RelationSchema]) -> None:
+        """Learn a delegated rule's schemas, then hand it to the controller."""
+        for schema in schemas:
+            try:
+                self.engine.declare(schema)
+            except SchemaError:
+                # Conflicting schema knowledge: keep the local declaration.
+                pass
+        if rule is not None:
+            self.controller.submit(sender, delegation_id, rule,
+                                   round_number=self._round)
+
+    def _record_shipped(self, derivation: ProvenanceDerivation,
+                        anchor: bool) -> None:
+        """Remember a derivation a remote peer shipped (provenance on only)."""
+        tracker = self.engine.provenance
+        if tracker is not None:
+            tracker.record_remote(derivation, anchor=anchor)
 
     def notify_send_failed(self, message: Message) -> None:
         """The transport rejected a message (unknown recipient).
@@ -433,9 +435,9 @@ class Peer:
         provenance is not enabled.
         """
         tracker = self.engine.provenance
-        graph = getattr(tracker, "graph", None)
-        if graph is None:
+        if tracker is None:
             return ()
+        graph = tracker.graph
         sent = self._sent_derivations.setdefault(target, set())
         lineage = self._sent_lineage_facts.setdefault(target, set())
         if deleted:
@@ -476,9 +478,9 @@ class Peer:
         holds everything shipped through the normal update path this stage).
         """
         tracker = self.engine.provenance
-        graph = getattr(tracker, "graph", None)
-        if graph is None or not hasattr(tracker, "drain_new_derivations"):
+        if tracker is None:
             return {}
+        graph = tracker.graph
         fresh = tracker.drain_new_derivations()
         if not fresh:
             return {}

@@ -13,26 +13,22 @@ and exposes the **primitives** an execution driver composes:
 default :class:`~repro.runtime.scheduler.LockstepScheduler` reproduces the
 historical global rounds, while the reactive and async drivers activate only
 peers with pending work (see :mod:`repro.runtime.scheduler`).  Drive the
-system with :meth:`converge` / :meth:`step` (or ``await`` :meth:`aconverge`);
-the historical ``run_round`` / ``run_rounds`` / ``run_until_quiescent``
-methods remain as deprecated lockstep shims.
+system with :meth:`converge` / :meth:`step` (or ``await`` :meth:`aconverge`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.acl.trust import TrustStore
 from repro.core.errors import TransportError
 from repro.core.facts import Fact
 from repro.core.schema import SchemaRegistry
-from repro.runtime.inmemory import InMemoryTransport, NetworkStats
+from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import PeerJoinMessage
 from repro.runtime.peer import Peer, PeerStageReport
 from repro.runtime.scheduler import (
     AsyncScheduler,
-    LockstepScheduler,
     RoundReport,
     RunSummary,
     Scheduler,
@@ -125,28 +121,11 @@ class WebdamLogSystem:
         self.replication = replication
         self._round = 0
         self.history: List[RoundReport] = []
-        self._round_observers: List[Callable[[RoundReport], None]] = []
         self._stage_observers: List[Callable[[str, PeerStageReport], None]] = []
-
-    @property
-    def network(self) -> "Transport":
-        """Deprecated alias of :attr:`transport` (pre-protocol name)."""
-        return self.transport
 
     # ------------------------------------------------------------------ #
     # observers
     # ------------------------------------------------------------------ #
-
-    def add_round_observer(self, observer: Callable[[RoundReport], None]) -> None:
-        """Call ``observer(report)`` after every scheduling cycle."""
-        self._round_observers.append(observer)
-
-    def remove_round_observer(self, observer: Callable[[RoundReport], None]) -> None:
-        """Stop calling a previously added observer (no-op when unknown)."""
-        try:
-            self._round_observers.remove(observer)
-        except ValueError:
-            pass
 
     def add_stage_observer(self, observer: Callable[[str, PeerStageReport], None]) -> None:
         """Call ``observer(peer_name, report)`` after every executed peer stage.
@@ -303,11 +282,9 @@ class WebdamLogSystem:
         return stage_report
 
     def finish_round(self, report: RoundReport) -> RoundReport:
-        """Close a scheduling cycle: advance the transport clock, notify observers."""
+        """Close a scheduling cycle: advance the transport clock."""
         self.transport.advance_round()
         self.history.append(report)
-        for observer in tuple(self._round_observers):
-            observer(report)
         return report
 
     def due_message_count(self, name: str) -> int:
@@ -388,61 +365,8 @@ class WebdamLogSystem:
                                       quiet_period=quiet_period)
 
     # ------------------------------------------------------------------ #
-    # deprecated round-based shims (pre-scheduler API)
-    # ------------------------------------------------------------------ #
-
-    def run_round(self) -> RoundReport:
-        """Deprecated: execute one lockstep round (every peer runs one stage).
-
-        .. deprecated::
-           Use :meth:`step` (with the scheduler of your choice) or
-           :meth:`converge`.
-        """
-        warnings.warn(
-            "WebdamLogSystem.run_round() is deprecated; use step() or "
-            "converge() with a scheduler (see repro.runtime.scheduler)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return LockstepScheduler().step(self)
-
-    def run_rounds(self, count: int) -> List[RoundReport]:
-        """Deprecated: execute ``count`` lockstep rounds unconditionally.
-
-        .. deprecated::
-           Use :meth:`step` (with the scheduler of your choice) or
-           :meth:`converge`.
-        """
-        warnings.warn(
-            "WebdamLogSystem.run_rounds() is deprecated; use step() or "
-            "converge() with a scheduler (see repro.runtime.scheduler)",
-            DeprecationWarning, stacklevel=2,
-        )
-        driver = LockstepScheduler()
-        return [driver.step(self) for _ in range(count)]
-
-    def run_until_quiescent(self, max_rounds: int = 100,
-                            extra_rounds: int = 0) -> RunSummary:
-        """Deprecated: run lockstep rounds until the whole system converges.
-
-        .. deprecated::
-           Use :meth:`converge` (equivalent under the default lockstep
-           scheduler, and scheduler-aware otherwise).
-        """
-        warnings.warn(
-            "WebdamLogSystem.run_until_quiescent() is deprecated; use "
-            "converge() (see repro.runtime.scheduler)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return LockstepScheduler().converge(self, max_steps=max_rounds,
-                                            extra_rounds=extra_rounds)
-
-    # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #
-
-    def network_stats(self) -> NetworkStats:
-        """The network's accumulated statistics."""
-        return self.transport.stats
 
     def totals(self) -> Dict[str, int]:
         """System-wide counters: rounds, messages, facts, delegations."""

@@ -1,186 +1,36 @@
-"""Wire encoding of facts, rules and messages.
+"""Wire encoding of the runtime's own payloads: derivations and replicated ops.
 
-The in-memory network passes Python objects around directly, but the process
-transport (and any real network transport) needs a serialisable encoding.
-The encoding is plain JSON-compatible dictionaries; binary values (picture
-contents) are hex-encoded.
-
-The functions come in ``encode_*`` / ``decode_*`` pairs and round-trip every
-object exactly (including term types: ``1`` and ``True`` stay distinct).
+The in-memory transport passes Python objects around directly; a socket
+transport, the event log and the durable replication channel state need a
+serialisable encoding.  Facts, rules and schemas are encoded by the shared
+:mod:`repro.core.codec`; this module adds the two payloads only the runtime
+knows about, in ``encode_*`` / ``decode_*`` pairs that round-trip exactly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
-from repro.acl.policies import Grant, Privilege
-from repro.core.facts import Fact
-from repro.core.rules import Atom, Rule
-from repro.core.schema import RelationKind, RelationSchema
-from repro.core.terms import Constant, Term, Variable
+from repro.core import codec
 from repro.provenance.graph import Derivation
-from repro.replication.dots import CausalContext, Op
+from repro.replication.dots import Op
 
 
 # --------------------------------------------------------------------------- #
-# values and terms
-# --------------------------------------------------------------------------- #
-
-def encode_value(value) -> Any:
-    """Encode a constant value into a JSON-compatible representation."""
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
-        return value
-    raise TypeError(f"cannot encode value of type {type(value).__name__}")
-
-
-def decode_value(encoded) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(encoded, dict) and "__bytes__" in encoded:
-        return bytes.fromhex(encoded["__bytes__"])
-    return encoded
-
-
-def encode_term(term: Term) -> Dict[str, Any]:
-    """Encode a term (constant or variable)."""
-    if isinstance(term, Variable):
-        return {"var": term.name}
-    if isinstance(term, Constant):
-        return {"const": encode_value(term.value),
-                "type": type(term.value).__name__}
-    raise TypeError(f"cannot encode term {term!r}")
-
-
-def decode_term(encoded: Dict[str, Any]) -> Term:
-    """Inverse of :func:`encode_term`."""
-    if "var" in encoded:
-        return Variable(encoded["var"])
-    value = decode_value(encoded["const"])
-    type_name = encoded.get("type")
-    if type_name == "bool" and not isinstance(value, bool):
-        value = bool(value)
-    elif type_name == "int" and isinstance(value, bool):
-        value = int(value)
-    elif type_name == "float" and isinstance(value, int):
-        value = float(value)
-    return Constant(value)
-
-
-# --------------------------------------------------------------------------- #
-# facts, atoms, rules, schemas
-# --------------------------------------------------------------------------- #
-
-def encode_fact(fact: Fact) -> Dict[str, Any]:
-    """Encode a fact."""
-    return {
-        "relation": fact.relation,
-        "peer": fact.peer,
-        "values": [encode_value(v) for v in fact.values],
-        "types": [type(v).__name__ for v in fact.values],
-    }
-
-
-def decode_fact(encoded: Dict[str, Any]) -> Fact:
-    """Inverse of :func:`encode_fact`."""
-    values: List[Any] = []
-    types = encoded.get("types", [])
-    for index, raw in enumerate(encoded["values"]):
-        value = decode_value(raw)
-        type_name = types[index] if index < len(types) else None
-        if type_name == "bool" and not isinstance(value, bool):
-            value = bool(value)
-        elif type_name == "int" and isinstance(value, bool):
-            value = int(value)
-        elif type_name == "float" and isinstance(value, int):
-            value = float(value)
-        values.append(value)
-    return Fact(encoded["relation"], encoded["peer"], tuple(values))
-
-
-def encode_atom(atom: Atom) -> Dict[str, Any]:
-    """Encode an atom."""
-    return {
-        "relation": encode_term(atom.relation),
-        "peer": encode_term(atom.peer),
-        "args": [encode_term(a) for a in atom.args],
-        "negated": atom.negated,
-    }
-
-
-def decode_atom(encoded: Dict[str, Any]) -> Atom:
-    """Inverse of :func:`encode_atom`."""
-    return Atom(
-        relation=decode_term(encoded["relation"]),
-        peer=decode_term(encoded["peer"]),
-        args=tuple(decode_term(a) for a in encoded["args"]),
-        negated=encoded.get("negated", False),
-    )
-
-
-def encode_rule(rule: Rule) -> Dict[str, Any]:
-    """Encode a rule including its metadata."""
-    return {
-        "head": encode_atom(rule.head),
-        "body": [encode_atom(a) for a in rule.body],
-        "author": rule.author,
-        "origin": rule.origin,
-        "rule_id": rule.rule_id,
-    }
-
-
-def decode_rule(encoded: Dict[str, Any]) -> Rule:
-    """Inverse of :func:`encode_rule`."""
-    return Rule(
-        head=decode_atom(encoded["head"]),
-        body=tuple(decode_atom(a) for a in encoded["body"]),
-        author=encoded.get("author"),
-        origin=encoded.get("origin"),
-        rule_id=encoded.get("rule_id") or "rule-wire",
-    )
-
-
-def encode_schema(schema: RelationSchema) -> Dict[str, Any]:
-    """Encode a relation schema."""
-    return {
-        "name": schema.name,
-        "peer": schema.peer,
-        "columns": list(schema.columns),
-        "kind": schema.kind.value,
-        "persistent": schema.persistent,
-        "key": list(schema.key),
-    }
-
-
-def decode_schema(encoded: Dict[str, Any]) -> RelationSchema:
-    """Inverse of :func:`encode_schema`."""
-    return RelationSchema(
-        name=encoded["name"],
-        peer=encoded["peer"],
-        columns=tuple(encoded["columns"]),
-        kind=RelationKind(encoded.get("kind", "extensional")),
-        persistent=encoded.get("persistent", True),
-        key=tuple(encoded.get("key", ())),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# provenance and policy payloads
+# provenance payloads
 # --------------------------------------------------------------------------- #
 
 def encode_derivation(derivation: Derivation) -> Dict[str, Any]:
     """Encode a provenance :class:`~repro.provenance.graph.Derivation`.
 
     Peers running with provenance enabled attach derivations to their fact
-    updates, so receivers (including process-backend workers) can answer
-    why/lineage queries across peer boundaries.
+    updates, so receivers can answer why/lineage queries across peer
+    boundaries.
     """
     return {
-        "fact": encode_fact(derivation.fact),
+        "fact": codec.encode_fact(derivation.fact),
         "rule_id": derivation.rule_id,
-        "support": [encode_fact(f) for f in derivation.support],
+        "support": [codec.encode_fact(f) for f in derivation.support],
         "author": derivation.author,
     }
 
@@ -188,15 +38,15 @@ def encode_derivation(derivation: Derivation) -> Dict[str, Any]:
 def decode_derivation(encoded: Dict[str, Any]) -> Derivation:
     """Inverse of :func:`encode_derivation`."""
     return Derivation(
-        fact=decode_fact(encoded["fact"]),
+        fact=codec.decode_fact(encoded["fact"]),
         rule_id=encoded["rule_id"],
-        support=tuple(decode_fact(f) for f in encoded.get("support", [])),
+        support=tuple(codec.decode_fact(f) for f in encoded.get("support", [])),
         author=encoded.get("author"),
     )
 
 
 # --------------------------------------------------------------------------- #
-# replication payloads (dotted delta ops and causal contexts)
+# replication payloads (dotted delta ops)
 # --------------------------------------------------------------------------- #
 
 def encode_op(op: Op) -> Dict[str, Any]:
@@ -208,15 +58,15 @@ def encode_op(op: Op) -> Dict[str, Any]:
     """
     encoded: Dict[str, Any] = {"seq": op.seq, "kind": op.kind}
     if op.fact is not None:
-        encoded["fact"] = encode_fact(op.fact)
+        encoded["fact"] = codec.encode_fact(op.fact)
     if op.removed:
         encoded["removed"] = list(op.removed)
     if op.delegation_id:
         encoded["delegation_id"] = op.delegation_id
     if op.rule is not None:
-        encoded["rule"] = encode_rule(op.rule)
+        encoded["rule"] = codec.encode_rule(op.rule)
     if op.schemas:
-        encoded["schemas"] = [encode_schema(s) for s in op.schemas]
+        encoded["schemas"] = [codec.encode_schema(s) for s in op.schemas]
     if op.derivation is not None:
         encoded["derivation"] = encode_derivation(op.derivation)
         encoded["anchor"] = op.anchor
@@ -231,41 +81,11 @@ def decode_op(encoded: Dict[str, Any]) -> Op:
     return Op(
         seq=encoded["seq"],
         kind=encoded["kind"],
-        fact=decode_fact(fact) if fact is not None else None,
+        fact=codec.decode_fact(fact) if fact is not None else None,
         removed=tuple(encoded.get("removed", ())),
         delegation_id=encoded.get("delegation_id", ""),
-        rule=decode_rule(rule) if rule is not None else None,
-        schemas=tuple(decode_schema(s) for s in encoded.get("schemas", [])),
+        rule=codec.decode_rule(rule) if rule is not None else None,
+        schemas=tuple(codec.decode_schema(s) for s in encoded.get("schemas", [])),
         derivation=decode_derivation(derivation) if derivation is not None else None,
         anchor=encoded.get("anchor", True),
-    )
-
-
-def encode_causal_context(context: CausalContext) -> Dict[str, Any]:
-    """Encode a compact causal context (contiguous base + extras)."""
-    return context.encode()
-
-
-def decode_causal_context(encoded: Dict[str, Any]) -> CausalContext:
-    """Inverse of :func:`encode_causal_context`."""
-    return CausalContext.decode(encoded)
-
-
-def encode_grant(grant: Grant) -> Dict[str, Any]:
-    """Encode an access-control :class:`~repro.acl.policies.Grant`."""
-    return {
-        "relation": grant.relation,
-        "grantee": grant.grantee,
-        "privilege": grant.privilege.value,
-        "grantor": grant.grantor,
-    }
-
-
-def decode_grant(encoded: Dict[str, Any]) -> Grant:
-    """Inverse of :func:`encode_grant`."""
-    return Grant(
-        relation=encoded["relation"],
-        grantee=encoded["grantee"],
-        privilege=Privilege(encoded["privilege"]),
-        grantor=encoded["grantor"],
     )

@@ -39,8 +39,8 @@ from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
 from repro.store.sqlite import (
     EXACT_SUM_TAGS,
     NUMERIC_TAGS,
-    decode_value,
-    encode_value,
+    decode_column,
+    encode_column,
 )
 
 #: Sentinel for a body that is *provably empty* (a positive literal reads a
@@ -58,7 +58,7 @@ class CompiledBody:
 
     def decode(self, row) -> Dict[Variable, Constant]:
         return {
-            var: Constant(decode_value(row[2 * i], row[2 * i + 1]))
+            var: Constant(decode_column(row[2 * i], row[2 * i + 1]))
             for i, var in enumerate(self.head_vars)
         }
 
@@ -211,7 +211,7 @@ class BodyPushdown:
         """
         for position, term in enumerate(atom.args):
             if isinstance(term, Constant):
-                tag, stored = encode_value(term.value)
+                tag, stored = encode_column(term.value)
                 conds.append(f"{alias}.t{position} = ?")
                 params.append(tag)
                 conds.append(f"{alias}.v{position} = ?")
@@ -318,7 +318,7 @@ class BodyPushdown:
         for row in rows:
             output: List[object] = [None] * width
             for slot, g in enumerate(group_positions):
-                output[g] = decode_value(row[2 * slot], row[2 * slot + 1])
+                output[g] = decode_column(row[2 * slot], row[2 * slot + 1])
             for offset, p in enumerate(agg_positions):
                 function = specs[p]
                 raw = row[base + offset]
@@ -327,7 +327,7 @@ class BodyPushdown:
                 elif function is Aggregate.AVG:
                     output[p] = float(raw)
                 elif function in (Aggregate.MIN, Aggregate.MAX):
-                    output[p] = decode_value(min_max_tags[p], raw)
+                    output[p] = decode_column(min_max_tags[p], raw)
                 else:  # SUM over EXACT_SUM_TAGS: SQLite returns the exact int.
                     output[p] = int(raw)
             results.append(tuple(output))

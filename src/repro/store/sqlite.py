@@ -57,7 +57,7 @@ NUMERIC_TAGS = frozenset({_TAG_BOOL, _TAG_INT, _TAG_FLOAT})
 EXACT_SUM_TAGS = frozenset({_TAG_BOOL, _TAG_INT})
 
 
-def encode_value(value: ConstantValue) -> Tuple[str, object]:
+def encode_column(value: ConstantValue) -> Tuple[str, object]:
     """Encode one constant payload as a ``(tag, storable)`` pair."""
     if value is None:
         return _TAG_NONE, 0
@@ -74,8 +74,8 @@ def encode_value(value: ConstantValue) -> Tuple[str, object]:
     raise StoreError(f"unsupported constant type {type(value).__name__!r}")
 
 
-def decode_value(tag: str, stored) -> ConstantValue:
-    """Inverse of :func:`encode_value`."""
+def decode_column(tag: str, stored) -> ConstantValue:
+    """Inverse of :func:`encode_column`."""
     if tag == _TAG_NONE:
         return None
     if tag == _TAG_BOOL:
@@ -126,7 +126,7 @@ class SqliteTable:
             return (0,)
         params: List[object] = []
         for value in values:
-            tag, stored = encode_value(value)
+            tag, stored = encode_column(value)
             params.append(tag)
             params.append(stored)
         return tuple(params)
@@ -134,7 +134,7 @@ class SqliteTable:
     def _decode_row(self, row) -> Tuple[ConstantValue, ...]:
         if not self._arity:
             return ()
-        return tuple(decode_value(row[2 * i], row[2 * i + 1]) for i in range(self._arity))
+        return tuple(decode_column(row[2 * i], row[2 * i + 1]) for i in range(self._arity))
 
     def _eq_clause(self, count: int) -> str:
         if not count:
@@ -265,7 +265,7 @@ class SqliteTable:
         clause = " AND ".join(f"t{p} = ? AND v{p} = ?" for p in positions)
         params: List[object] = []
         for p in positions:
-            tag, stored = encode_value(bindings[p])
+            tag, stored = encode_column(bindings[p])
             params.append(tag)
             params.append(stored)
         cur = self.backend.execute(

@@ -75,7 +75,7 @@ class WorkloadTrace:
         Returns counters: events applied, rounds executed, messages sent.
         """
         rounds = 0
-        messages_before = scenario.system.network.stats.messages_sent
+        messages_before = scenario.system.transport.stats.messages_sent
         for event in self.events:
             self._apply(scenario, event)
             if run_between_events:
@@ -87,7 +87,7 @@ class WorkloadTrace:
         return {
             "events": len(self.events),
             "rounds": rounds,
-            "messages": scenario.system.network.stats.messages_sent - messages_before,
+            "messages": scenario.system.transport.stats.messages_sent - messages_before,
         }
 
     @staticmethod

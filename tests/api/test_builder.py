@@ -100,10 +100,6 @@ class TestChainErgonomics:
         with pytest.raises(BuildError):
             builder.peer("alice")
 
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(BuildError):
-            system().backend("carrier-pigeon")
-
     def test_explicit_transport_conflicts_with_latency_knobs(self):
         from repro.api import InMemoryTransport
 

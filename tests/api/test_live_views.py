@@ -2,7 +2,6 @@
 
 import gc
 import sys
-import warnings
 
 import pytest
 
@@ -74,13 +73,6 @@ class TestDegenerateQueries:
         deployment = build_pair()
         with pytest.raises(ReproApiError, match="location qualifier"):
             deployment.query("q", "a@q($x), c@q($x)", peer="r")
-
-    def test_facts_shim_is_deprecated(self):
-        deployment = build_pair()
-        seed(deployment)
-        with pytest.warns(DeprecationWarning, match="LiveView"):
-            facts = deployment.peer("q").facts("a")
-        assert len(facts) == 4 or len(facts) == 3  # live data either way
 
 
 class TestCompiledViews:
@@ -190,9 +182,7 @@ class TestCompiledViews:
         before = calls_of_one_update(101)
         for _ in range(500):
             assert deployment.query("q", "a").rows()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert deployment.peer("q").facts("a")
+            assert deployment.peer("q").query("a").facts()
         gc.collect()
         assert deployment.open_views() == (board,)
         assert calls_of_one_update(102) == before

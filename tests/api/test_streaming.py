@@ -137,12 +137,6 @@ class TestBuilderScheduler:
         with pytest.raises(BuildError, match="unknown scheduler"):
             system().scheduler("eager")
 
-    def test_processes_backend_rejects_scheduler(self):
-        from repro.api import BuildError
-        with pytest.raises(BuildError, match="processes backend"):
-            (system().backend("processes").scheduler("reactive")
-             .peer("a").build())
-
 
 class TestStreamingAcrossSchedulers:
     """iter_facts must stream under every execution driver, not just lockstep."""

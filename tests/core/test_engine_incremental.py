@@ -150,24 +150,6 @@ class TestEvaluationPaths:
         assert result.evaluation_path == "delta"
         assert engine.provenance.why(Fact("tc", "alice", (1, 2)))
 
-    def test_legacy_recorder_still_forces_the_full_path(self, engine):
-        """A hook-less recorder keeps the historical full-recompute contract."""
-
-        class Recorder:
-            def __init__(self):
-                self.seen = []
-
-            def record(self, fact, rule, support):
-                self.seen.append((fact, rule.rule_id, support))
-
-        engine.load_program(TC_PROGRAM)
-        engine.provenance = Recorder()
-        engine.run_to_quiescence()
-        engine.insert_fact(Fact("link", "alice", (1, 2)))
-        result = engine.run_stage()
-        assert result.evaluation_path == "full"
-        assert engine.provenance.seen
-
 
 class TestMemoisedOutputs:
     def test_remote_updates_survive_unrelated_stages(self, engine):

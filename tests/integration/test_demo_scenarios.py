@@ -141,3 +141,124 @@ class TestWorkloadDrivenScenario:
                 expected |= {p.picture_id for p in workload.libraries[other]}
             got = {p.picture_id for p in app.attendee_pictures()}
             assert got == expected
+
+
+def _peer_ring(peers, pictures, publish_to_sigmod=False):
+    names = [f"peer{i}" for i in range(peers)]
+    scenario = build_demo_scenario(attendees=names, pictures_per_attendee=pictures,
+                                   with_facebook=False,
+                                   publish_to_sigmod=publish_to_sigmod)
+    return scenario, names
+
+
+class TestQualitativeShapes:
+    """The shapes the paper argues for, asserted as counts (never as timings)."""
+
+    @pytest.mark.parametrize("attendees", [2, 4, 8])
+    def test_delegations_grow_with_the_selection_not_the_data(self, attendees):
+        """Figure 1: one attendeePictures delegation per selected attendee."""
+        scenario, names = _peer_ring(attendees, pictures=4)
+        viewer = scenario.app(names[0])
+        for other in names[1:]:
+            viewer.select_attendee(other)
+        scenario.run(max_rounds=80)
+        assert len(viewer.attendee_pictures()) == 4 * (attendees - 1)
+        # One delegation per selected attendee per Wepic rule whose body
+        # reaches them: attendeePictures, attendeeRatings and the transfer rule.
+        assert scenario.api.totals()["installed_delegations"] == 3 * (attendees - 1)
+        picture_delegations = sum(
+            1 for name in names
+            for d in scenario.app(name).peer.installed_delegations()
+            if d.rule.head.relation_constant() == "attendeePictures")
+        assert picture_delegations == attendees - 1
+
+    def test_propagation_rounds_do_not_depend_on_the_upload_count(self):
+        """Figure 2: the Émilien → sigmod → SigmodFB pipeline depth fixes the
+        round count; uploads batch per stage."""
+        rounds = {}
+        for uploads in (1, 20):
+            scenario = build_demo_scenario(pictures_per_attendee=0)
+            emilien = scenario.app("Emilien")
+            scenario.run()
+            for index in range(uploads):
+                emilien.authorize_facebook(
+                    emilien.upload_picture(picture_id=1000 + index))
+            rounds[uploads] = scenario.run(max_rounds=100).round_count
+            assert len(scenario.sigmod_pictures()) == uploads
+            assert len(scenario.facebook.photos_in_group("sigmod")) == uploads
+        assert rounds[20] <= rounds[1] + 1
+
+    def test_exactly_the_authorised_pictures_reach_the_facebook_group(self):
+        config = WorkloadConfig(attendees=3, pictures_per_attendee=4,
+                                ratings_per_attendee=0, comments_per_attendee=0,
+                                tags_per_attendee=0, selection_fraction=0.0,
+                                facebook_authorization_fraction=0.5, seed=17)
+        workload = generate_workload(config)
+        scenario = build_demo_scenario(attendees=workload.attendees,
+                                       pictures_per_attendee=0)
+        load_workload(scenario, workload, apply_selections=False)
+        scenario.run(max_rounds=100)
+        authorised = sum(len(ids)
+                         for ids in workload.facebook_authorizations.values())
+        assert 0 < authorised < workload.total_pictures()
+        assert len(scenario.facebook.photos_in_group("sigmod")) == authorised
+        assert len(scenario.sigmod_pictures()) == workload.total_pictures()
+
+    def test_each_rule_swap_retracts_and_reinstalls_the_delegation(self):
+        """'Customizing rules', repeated: every swap replaces the delegation
+        installed at the selected attendee (never stacks a second one), and
+        the frame comes back whole."""
+        scenario = build_demo_scenario(attendees=("Emilien", "Jules"),
+                                       pictures_per_attendee=8,
+                                       with_facebook=False, publish_to_sigmod=False)
+        jules = scenario.app("Jules")
+        emilien = scenario.app("Emilien")
+        jules.select_attendee("Emilien")
+
+        def installed_bodies():
+            scenario.run(max_rounds=40)
+            return [len(d.rule.body) for d in emilien.peer.installed_delegations()
+                    if d.rule.head.relation_constant() == "attendeePictures"]
+
+        (plain,) = installed_bodies()
+        for _ in range(3):
+            jules.restrict_to_rating(5)
+            assert installed_bodies() == [plain + 1]  # + the rate@$owner literal
+            jules.reset_attendee_pictures_rule()
+            assert installed_bodies() == [plain]
+        assert len(jules.attendee_pictures()) == 8
+
+    def test_convergence_depth_is_flat_in_the_peer_count(self):
+        """All-to-all selection: messages grow with the selected pairs, the
+        rounds to convergence do not."""
+        rounds = {}
+        for peers in (2, 8):
+            scenario, names = _peer_ring(peers, pictures=2)
+            for name in names:
+                for other in names:
+                    if other != name:
+                        scenario.app(name).select_attendee(other)
+            rounds[peers] = scenario.run(max_rounds=120).round_count
+            for name in names:
+                assert len(scenario.app(name).attendee_pictures()) == (peers - 1) * 2
+        assert abs(rounds[2] - rounds[8]) <= 1
+
+    def test_selective_delegation_moves_less_data_than_centralising(self):
+        """The introduction's argument: with one attendee of seven selected,
+        delegation ships well under half of what publishing everything to a
+        central peer does, for the same view."""
+        scenario, names = _peer_ring(8, pictures=4)
+        viewer = scenario.app(names[0])
+        viewer.select_attendee(names[1])
+        scenario.run(max_rounds=100)
+        delegated_view = len(viewer.attendee_pictures())
+        delegated_payload = scenario.stats().payload_items
+
+        scenario, names = _peer_ring(8, pictures=4, publish_to_sigmod=True)
+        sigmod = scenario.sigmod_peer
+        sigmod.insert_fact(Fact("selectedAttendee", "sigmod", (names[1],)))
+        sigmod.add_rule("attendeeView@sigmod($id, $n, $a, $d) :- "
+                        "selectedAttendee@sigmod($a), pictures@sigmod($id, $n, $a, $d)")
+        scenario.run(max_rounds=100)
+        assert delegated_view == len(sigmod.query("attendeeView")) == 4
+        assert delegated_payload * 2 < scenario.stats().payload_items

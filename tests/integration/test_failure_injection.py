@@ -39,7 +39,7 @@ class TestMessageLoss:
         assert summary.converged
         assert jules.query("attendeePictures") == ()
         assert len(emilien.installed_delegations()) == 0
-        assert system.network.stats.messages_dropped > 0
+        assert system.transport.stats.messages_dropped > 0
 
     def test_partial_loss_never_yields_wrong_facts(self):
         # Whatever the loss pattern, facts that do arrive are genuine.
@@ -91,7 +91,7 @@ class TestLatency:
 class TestScenarioUnderLoss:
     def test_demo_scenario_with_loss_converges(self):
         scenario = build_demo_scenario(pictures_per_attendee=1)
-        scenario.system.network.drop_probability = 0.3
+        scenario.system.transport.drop_probability = 0.3
         jules = scenario.app("Jules")
         jules.select_attendee("Emilien")
         summary = scenario.run(max_rounds=60)

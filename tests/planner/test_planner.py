@@ -211,11 +211,6 @@ class TestBuilderKnob:
         with pytest.raises(BuildError):
             system().planner("fancy")
 
-    def test_processes_backend_rejects_planner(self):
-        with pytest.raises(BuildError):
-            (system().planner("order").backend("processes")
-             .peer("p").done().build())
-
     def test_engine_inherits_builder_mode(self):
         deployment = system().planner("off").peer("p").build()
         try:

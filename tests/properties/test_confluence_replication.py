@@ -22,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import system
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.net.events import NetEventLog, read_events
 from repro.replication.dots import Op
-from repro.runtime import wire
 from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
@@ -88,7 +88,7 @@ def drive(deployment, script=SCRIPT, max_steps=800):
 def snapshot_bytes(deployment):
     """A canonical byte string of every relation at every peer."""
     encoded = {
-        peer: {relation: [wire.encode_fact(f) for f in sorted(facts, key=str)]
+        peer: {relation: [codec.encode_fact(f) for f in sorted(facts, key=str)]
                for relation, facts in sorted(relations.items())}
         for peer, relations in deployment.snapshot().items()
     }

@@ -3,11 +3,11 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import codec
 from repro.core.facts import Delta, Fact, FactStore
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
 from repro.core.unification import match_atom_fact
-from repro.runtime import wire
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -52,7 +52,7 @@ class TestWireRoundTrip:
     @given(facts())
     @settings(max_examples=150)
     def test_fact_roundtrip(self, fact):
-        decoded = wire.decode_fact(wire.encode_fact(fact))
+        decoded = codec.decode_fact(codec.encode_fact(fact))
         assert decoded == fact
         for original, recovered in zip(fact.values, decoded.values):
             assert type(original) is type(recovered)
@@ -60,12 +60,12 @@ class TestWireRoundTrip:
     @given(scalar_values)
     def test_constant_term_roundtrip(self, value):
         term = Constant(value)
-        assert wire.decode_term(wire.encode_term(term)) == term
+        assert codec.decode_term(codec.encode_term(term)) == term
 
     @given(identifiers)
     def test_variable_term_roundtrip(self, name):
         term = Variable(name)
-        assert wire.decode_term(wire.encode_term(term)) == term
+        assert codec.decode_term(codec.encode_term(term)) == term
 
 
 # ---------------------------------------------------------------------------

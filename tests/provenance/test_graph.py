@@ -1,7 +1,5 @@
 """Tests of provenance recording, queries and incremental maintenance."""
 
-import pytest
-
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.provenance.graph import Derivation, ProvenanceGraph, ProvenanceTracker
@@ -193,19 +191,6 @@ class TestTrackerEngineIntegration:
         assert frozenset({Fact("selected", "alice", ("bob",)),
                           Fact("pictures", "alice", (1, "bob"))}) in supports
 
-    def test_per_stage_mode_is_deprecated_but_still_clears(self):
-        engine = WebdamLogEngine("alice")
-        with pytest.warns(DeprecationWarning, match="reset_each_stage"):
-            tracker = ProvenanceTracker().reset_each_stage()
-        engine.provenance = tracker
-        engine.load_program(self.PROGRAM)
-        engine.run_stage()
-        assert len(tracker.graph) > 0
-        engine.delete_fact('selected@alice("bob")')
-        engine.run_stage()
-        derived = Fact("view", "alice", (1, "bob"))
-        assert not tracker.graph.is_derived(derived)
-
     def test_cascade_killed_remote_derivations_are_not_resurrected(self):
         """A shipped derivation whose shipped support died stays dead."""
         tracker = ProvenanceTracker()
@@ -267,7 +252,7 @@ class TestTrackerEngineIntegration:
 
     def test_cumulative_mode_keeps_history(self):
         engine = WebdamLogEngine("alice")
-        tracker = ProvenanceTracker(per_stage=False)
+        tracker = ProvenanceTracker()
         engine.provenance = tracker
         engine.load_program(self.PROGRAM)
         engine.run_stage()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import TransportError
 from repro.core.facts import Fact
-from repro.runtime.inmemory import InMemoryNetwork, InMemoryTransport
+from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import FactMessage
 
 
@@ -150,8 +150,3 @@ class TestAccounting:
         old = network.reset_stats()
         assert old.messages_sent == 1
         assert network.stats.messages_sent == 0
-
-
-class TestDeprecatedAlias:
-    def test_inmemorynetwork_is_inmemorytransport(self):
-        assert InMemoryNetwork is InMemoryTransport

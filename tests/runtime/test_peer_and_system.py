@@ -5,7 +5,9 @@ import pytest
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
+from repro.replication.dots import Op
 from repro.runtime.messages import (
+    DeltaEnvelopeMessage,
     DelegationInstallMessage,
     DelegationRetractMessage,
     FactMessage,
@@ -13,6 +15,8 @@ from repro.runtime.messages import (
 )
 from repro.runtime.peer import Peer
 from repro.runtime.system import WebdamLogSystem
+from repro.store.backend import StoreError
+from repro.store.memory import MemoryBackend
 
 
 class TestPeerMessageDispatch:
@@ -89,6 +93,53 @@ class TestPeerMessageDispatch:
         assert len(installs) == 1
         schema_names = {s.qualified_name for s in installs[0].schemas}
         assert "attendeePictures@Jules" in schema_names
+
+
+class _FailingMetaBackend(MemoryBackend):
+    """A store whose metadata writes fail (a full disk, a locked database)."""
+
+    def save_meta(self, kind, key, payload):
+        raise StoreError(f"cannot persist {kind} {key}")
+
+
+class TestLearningADelegatedRulesSchemas:
+    """Both dispatchers (reliable message, causal envelope effect) learn the
+    schemas a delegated rule ships with through one helper."""
+
+    RULE = "view@bob($x) :- r@alice($x)"
+
+    def _deliver_install(self, peer, schema):
+        rule = parse_rule(self.RULE, author="bob")
+        if peer.replication is None:
+            peer.deliver(DelegationInstallMessage(
+                sender="bob", recipient="alice", delegation_id="d1", rule=rule,
+                schemas=(schema,)))
+        else:
+            peer.deliver(DeltaEnvelopeMessage(
+                sender="bob", recipient="alice", frontier=1,
+                ops=(Op(seq=1, kind="delegate", delegation_id="d1", rule=rule,
+                        schemas=(schema,)),)))
+
+    @pytest.mark.parametrize("replication", ["reliable", "causal"])
+    def test_a_store_failure_while_persisting_a_schema_surfaces(self, replication):
+        peer = Peer("alice", auto_accept_delegations=True,
+                    storage=_FailingMetaBackend(), replication=replication)
+        schema = RelationSchema("view", "bob", ("x",), kind=RelationKind.INTENSIONAL)
+        with pytest.raises(StoreError, match="cannot persist schema"):
+            self._deliver_install(peer, schema)
+
+    @pytest.mark.parametrize("replication", ["reliable", "causal"])
+    def test_a_conflicting_schema_is_ignored_and_the_rule_still_installs(
+            self, replication):
+        peer = Peer("alice", auto_accept_delegations=True, replication=replication)
+        local = peer.declare(RelationSchema("view", "bob", ("x",),
+                                            kind=RelationKind.INTENSIONAL))
+        conflicting = RelationSchema("view", "bob", ("x", "y"),
+                                     kind=RelationKind.EXTENSIONAL)
+        self._deliver_install(peer, conflicting)
+        peer.run_stage()
+        assert peer.engine.state.schemas.get("view", "bob") == local
+        assert len(peer.installed_delegations()) == 1
 
 
 class TestSystem:

@@ -269,33 +269,3 @@ class TestQuietPeriod:
                                             ("b", "pong"))}
 
         assert snapshot(1) == snapshot(4)
-
-
-class TestDeprecatedShims:
-    """The round-based methods warn and delegate to the lockstep driver."""
-
-    def test_run_round_warns_and_runs_a_lockstep_round(self):
-        sys = build_ping_pong("reactive")
-        with pytest.warns(DeprecationWarning, match="run_round"):
-            report = sys.run_round()
-        # A lockstep round activates every peer, whatever the configured driver.
-        assert set(report.peer_reports) == set(sys.peers)
-
-    def test_run_rounds_warns(self):
-        sys = build_ping_pong("lockstep")
-        with pytest.warns(DeprecationWarning, match="run_rounds"):
-            reports = sys.run_rounds(2)
-        assert len(reports) == 2
-
-    def test_run_until_quiescent_warns_and_still_converges(self):
-        sys = build_ping_pong("lockstep")
-        with pytest.warns(DeprecationWarning, match="run_until_quiescent"):
-            summary = sys.run_until_quiescent()
-        assert summary.converged
-        assert len(sys.peer("a").query("ack")) == 1
-
-    def test_converge_does_not_warn(self, recwarn):
-        sys = build_ping_pong("lockstep")
-        sys.converge()
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
