@@ -373,9 +373,19 @@ class System:
 
     # -- live-view plumbing (used by PeerHandle.query) ---------------------- #
 
-    def _next_view_name(self) -> str:
-        self._view_counter += 1
-        return f"_view{self._view_counter}"
+    def _next_view_name(self, owner: str) -> str:
+        """A fresh auto-generated view name at ``owner``.
+
+        Names the owner already declares are skipped: a reopened durable
+        store still holds the schemas of the auto-named views that were open
+        when it shut down, while this counter restarts at zero.
+        """
+        schemas = self.runtime.peer(owner).engine.state.schemas
+        while True:
+            self._view_counter += 1
+            name = f"_view{self._view_counter}"
+            if schemas.get(name, owner) is None:
+                return name
 
     def _degenerate_view(self, handle: PeerHandle, relation: str,
                          location: Optional[str],
@@ -397,7 +407,7 @@ class System:
         owner = handle.name
         peer = self.runtime.peer(owner)
         compiled = compile_query(
-            query, owner=owner, view_name=name or self._next_view_name(),
+            query, owner=owner, view_name=name or self._next_view_name(owner),
             planner_mode=getattr(peer.engine, "planner_mode", "off"))
         try:
             peer.declare(compiled.schema)

@@ -26,7 +26,7 @@ from repro.core.errors import EvaluationError, SchemaError
 from repro.core.evaluation import (LocationPattern, RuleEvaluator, RuleOutcome,
                                    location_pattern, pattern_matches,
                                    stratify_local_rules)
-from repro.core.facts import Delta, Fact
+from repro.core.facts import Delta, Fact, fact_matches_bindings
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
@@ -91,7 +91,7 @@ class _ProgramAnalysis:
     :func:`_head_targets` gives: no delta ever asks for a full recompute.
     """
 
-    __slots__ = ("rules", "strata", "body", "head", "negated")
+    __slots__ = ("rules", "strata", "body", "head", "negated", "_defining")
 
     def __init__(self, peer: str, rules: Tuple[Rule, ...]):
         self.rules = rules
@@ -106,6 +106,7 @@ class _ProgramAnalysis:
             self.head[id(rule)] = location_pattern(rule.head)
         self.negated = _split(atom for rule in rules for atom in rule.body
                               if atom.negated)
+        self._defining: Dict[str, List[Rule]] = {}
 
     def matches(self, rules: Tuple[Rule, ...]) -> bool:
         """``True`` when the analysis still describes exactly these rules."""
@@ -125,6 +126,24 @@ class _ProgramAnalysis:
     def head_targets(self, rule: Rule, local_intensional: FrozenSet[str]) -> Set[str]:
         """The predicates ``rule`` can derive into during a local fixpoint."""
         return _head_targets(self.head[id(rule)], local_intensional)
+
+    def defining(self, predicate: str) -> List[Rule]:
+        """The rules whose head agrees with ``predicate`` (kept per predicate)."""
+        rules = self._defining.get(predicate)
+        if rules is None:
+            rules = self._defining[predicate] = [
+                rule for rule in self.rules
+                if pattern_matches(self.head[id(rule)], predicate)]
+        return rules
+
+    def feeds_itself(self, rules: List[Rule],
+                     local_intensional: FrozenSet[str]) -> bool:
+        """``True`` when one of ``rules`` reads a predicate one of them
+        derives into: only then can a second pass over them find more."""
+        targets: Set[str] = set()
+        for rule in rules:
+            targets |= self.head_targets(rule, local_intensional)
+        return any(self.triggered(rule, targets) for rule in rules)
 
     def reaches_negation(self, seed_predicates: Set[str],
                          local_intensional: FrozenSet[str]) -> bool:
@@ -237,9 +256,11 @@ class StageResult:
     #: Which fixpoint strategy the stage used: ``"full"`` (clear everything
     #: and recompute — an engine's first stage, naive mode), ``"delta"``
     #: (seminaive over the inserted facts and the added rules),
-    #: ``"rederive"`` (scoped delete-and-rederive of the affected predicate
-    #: closure) or ``"skip"`` (nothing changed that a local rule reads —
-    #: nothing evaluated at all).
+    #: ``"rederive"`` (delete-and-rederive: on the deleted tuples'
+    #: consequences for a fact deletion; on the affected predicate closure
+    #: when the delta reaches negation, a rule with a local intensional head
+    #: was removed or a relation became intensional) or ``"skip"`` (nothing
+    #: changed that a local rule reads — nothing evaluated at all).
     evaluation_path: str = "full"
     outgoing_updates: List[OutgoingUpdate] = field(default_factory=list)
     delegations_to_install: List[Delegation] = field(default_factory=list)
@@ -332,9 +353,9 @@ class WebdamLogEngine:
         # Optional provenance tracker (see :mod:`repro.provenance`): when set,
         # every derivation of the fixpoint is recorded through its ``record``
         # method, which the access-control view policies build upon, and its
-        # maintenance hooks (``on_base_deleted`` / ``on_rederive`` /
-        # ``on_full_recompute``) keep the graph consistent along the delta
-        # and rederive stages.
+        # maintenance hooks (``on_tuples_deleted`` / ``on_base_deleted`` /
+        # ``on_rederive`` / ``on_full_recompute``) keep the graph consistent
+        # along the delta and rederive stages.
         self.provenance: Optional[ProvenanceTracker] = None
         # Facts addressed to remote peers by the local user (or wrappers),
         # flushed at the next stage.
@@ -797,13 +818,21 @@ class WebdamLogEngine:
           reaches a negated literal: added rules are evaluated once in full,
           then seminaive evaluation seeds from the inserted and the newly
           derived facts and re-fires only the rules whose body reads them.
-        * **rederive** — the delta contains deletions, reaches negation, a
-          removed rule derived into a local intensional relation (under a
-          provenance tracker: into any relation — its recorded
-          derivations die with the predicates' and the sibling definitions
-          re-record theirs), or a local relation became intensional: the
-          affected predicate closure is cleared and recomputed (added rules
-          included); rules and relations outside the closure are untouched.
+        * **rederive** — the delta contains deletions.  Delete-and-rederive
+          on *tuples* (:meth:`_fixpoint_dred`): the consequences of the
+          deleted facts are over-deleted along the delta rules, each is
+          probed for a derivation that survives, and the seminaive pass picks
+          up from what was rederived and inserted.  No relation is cleared
+          and the cost follows the deleted tuples' consequences.  Three
+          triggers still clear *predicates* (:meth:`_fixpoint_rederive` on
+          the affected closure, added rules included; rules and relations
+          outside it untouched), because they invalidate facts no deleted
+          tuple names: a delta (or an added rule's head) that reaches a
+          negated literal, a local relation that became intensional, and a
+          removed rule that derived into a local intensional relation (under
+          a provenance tracker: into any relation — its recorded derivations
+          die with the predicates' and the sibling definitions re-record
+          theirs).
 
         In every case the outcome handed to :meth:`_emit_outputs` is the
         union of the per-rule memo, so remote updates, delegations and
@@ -834,30 +863,21 @@ class WebdamLogEngine:
 
         force_full = self.evaluation_mode == "naive" or previous is None
 
-        # Deleted input facts die in the provenance graph regardless of the
-        # evaluation path chosen below: their derivations (and transitive
-        # dependents) are retracted, and the rederive/full pass re-records
-        # whatever is still derivable.
-        if self.provenance is not None and input_delta.deleted:
-            self.provenance.on_base_deleted(input_delta.deleted)
-
         delta_predicates = ({fact.qualified_relation for fact in input_delta.inserted}
                             | {fact.qualified_relation for fact in input_delta.deleted})
         if not (force_full or delta_predicates or added or removed or reclassified):
             result.evaluation_path = "skip"
             return self._memo_outcome()
 
+        evaluator = self._evaluator()
         if force_full:
             result.evaluation_path = "full"
-            evaluator = self._evaluator()
             outcome = self._fixpoint_rederive(analysis, evaluator, result,
-                                              None, None)
+                                              None, None, input_delta.deleted)
             self._record_stage_plan(evaluator, analysis, result)
             return outcome
 
-        local_intensional = frozenset(
-            schema.qualified_name for schema in self.state.schemas
-            if schema.peer == self.peer and schema.is_intensional())
+        local_intensional = self._local_intensional()
         # A removed rule loses its memo, which retracts what it had sent.
         # What it derived into local intensional relations is only found by
         # rederiving those; under a provenance tracker so are the derivations
@@ -882,18 +902,21 @@ class WebdamLogEngine:
         fresh = set(delta_predicates)
         for rule in added:
             fresh |= analysis.head_targets(rule, local_intensional)
-        if (input_delta.deleted or orphaned or reclassified
+        if (orphaned or reclassified
                 or analysis.reaches_negation(fresh, local_intensional)):
             result.evaluation_path = "rederive"
             affected_predicates, affected_rules = analysis.affected_closure(
                 delta_predicates | orphaned | reclassified, added,
                 local_intensional, self._shipped_predicates)
-            evaluator = self._evaluator()
             outcome = self._fixpoint_rederive(analysis, evaluator, result,
-                                              affected_predicates, affected_rules)
+                                              affected_predicates, affected_rules,
+                                              input_delta.deleted)
+        elif input_delta.deleted:
+            result.evaluation_path = "rederive"
+            outcome = self._fixpoint_dred(analysis, evaluator, result,
+                                          input_delta, added)
         elif delta_predicates or added:
             result.evaluation_path = "delta"
-            evaluator = self._evaluator()
             outcome = self._fixpoint_seminaive(analysis, evaluator, result,
                                                input_delta.inserted, added)
         else:
@@ -902,20 +925,33 @@ class WebdamLogEngine:
         self._record_stage_plan(evaluator, analysis, result)
         return outcome
 
-    def _evaluator(self) -> RuleEvaluator:
-        """The rule evaluator of one stage (it collects that stage's plans)."""
+    def _local_intensional(self) -> FrozenSet[str]:
+        """The qualified names of this peer's intensional relations."""
+        return frozenset(
+            schema.qualified_name for schema in self.state.schemas
+            if schema.peer == self.peer and schema.is_intensional())
+
+    def _evaluator(self, fact_source=None) -> RuleEvaluator:
+        """The rule evaluator of one stage (it collects that stage's plans).
+
+        With a ``fact_source`` of its own, an evaluator that only looks:
+        it reads that source, records no derivation and pushes nothing down.
+        """
+        looks = fact_source is not None
         return RuleEvaluator(
             peer=self.peer,
-            fact_source=self.state.fact_view,
+            fact_source=fact_source if looks else self.state.fact_view,
             kind_resolver=self.state.kind_of,
-            on_derivation=self.provenance.record if self.provenance is not None else None,
+            on_derivation=(self.provenance.record
+                           if self.provenance is not None and not looks else None),
             use_indexes=self.use_indexes,
             # Whole-body SQL pushdown: only meaningful on SQL-capable
             # backends, and only when no provenance hook needs per-derivation
             # support tuples.  Disabled together with the indexes so the
             # scan-everything baseline stays a true baseline.
             pushdown=(self.state.pushdown
-                      if self.use_indexes and self.provenance is None else None),
+                      if self.use_indexes and self.provenance is None and not looks
+                      else None),
             planner=self._planner,
         )
 
@@ -1010,23 +1046,150 @@ class WebdamLogEngine:
                     accumulated.setdefault(fact.qualified_relation, set()).add(fact)
         return self._memo_outcome()
 
+    def _fixpoint_dred(self, analysis: _ProgramAnalysis,
+                       evaluator: RuleEvaluator, result: StageResult,
+                       input_delta: Delta, added: List[Rule]) -> RuleOutcome:
+        """Delete-and-rederive on tuples, for a delta no negation can see.
+
+        1. **Over-delete.**  The deleted input facts that no base source —
+           store, provided set — still holds seed a delta, and the delta
+           rules fire on it against the *pre-delete* state (today's facts
+           plus the seeds; the derived store is not touched yet, nothing is
+           recorded): a derivation that used two deleted facts, or one at two
+           body positions, is only there.  Whatever they produce that this
+           peer holds — a head in the derived store, a remote fact,
+           delegation or deferred extensional fact in the producing rule's
+           memo — *may* have lost its last derivation; over-deleted heads
+           feed the next round.  A seed still in the derived store is
+           over-deleted too: it may support itself through a cycle.
+        2. **Delete** them from the derived store and the memos.
+        3. **Re-derive.**  Each one is asked of its defining rules (a memo
+           entry: of the rule that held it) from the substitution it fixes —
+           :meth:`RuleEvaluator.derives` — and put back where a derivation
+           survives.
+        4. **Propagate.**  The seminaive pass runs on the inserted and the
+           re-derived facts: it finds what only derives *through* them, and
+           records and merges as on the delta path.
+
+        The provenance graph follows by exact removal
+        (:meth:`ProvenanceTracker.on_tuples_deleted`): every derivation it
+        holds was valid before, and stays valid unless a support stopped
+        being visible.
+        """
+        state = self.state
+        derived = state.derived
+        dead = {fact for fact in input_delta.deleted
+                if fact not in state.provided and not state.store.contains(fact)}
+        overdeleted = {fact for fact in dead if derived.contains(fact)}
+
+        # -- 1. over-delete ------------------------------------------------ #
+        seeds: Dict[Tuple[str, str], List[Fact]] = {}
+        for fact in dead - overdeleted:
+            seeds.setdefault((fact.relation, fact.peer), []).append(fact)
+
+        def before(relation, peer, bindings=None):
+            yield from state.fact_view(relation, peer, bindings)
+            for fact in seeds.get((relation, peer), ()):
+                if not bindings or fact_matches_bindings(fact, bindings):
+                    yield fact
+
+        looker = self._evaluator(before)
+        looker.plans_used = evaluator.plans_used
+        lost: Dict[Rule, RuleOutcome] = {}
+        wave = dead
+        while wave:
+            result.fixpoint_iterations += 1
+            delta: Dict[str, Set[Fact]] = {}
+            for fact in wave:
+                delta.setdefault(fact.qualified_relation, set()).add(fact)
+            delta_predicates = set(delta)
+            wave = set()
+            for rule in analysis.rules:
+                if not analysis.triggered(rule, delta_predicates):
+                    continue
+                outcome = looker.evaluate_rule_delta(rule, delta)
+                result.rules_evaluated += 1
+                result.substitutions_explored += outcome.substitutions_explored
+                for fact in outcome.local_intensional:
+                    if fact not in overdeleted and derived.contains(fact):
+                        overdeleted.add(fact)
+                        wave.add(fact)
+                entry = self._rule_memo.get(rule)
+                if entry is not None:
+                    held = RuleOutcome(
+                        local_extensional=outcome.local_extensional & entry.local_extensional,
+                        remote_facts=outcome.remote_facts & entry.remote_facts,
+                        delegations=outcome.delegations & entry.delegations)
+                    if not held.is_empty():
+                        lost.setdefault(rule, RuleOutcome()).merge(held)
+
+        # -- 2. delete ------------------------------------------------------ #
+        for fact in overdeleted:
+            derived.delete(fact)
+        for rule, held in lost.items():
+            entry = self._rule_memo[rule]
+            entry.local_extensional -= held.local_extensional
+            entry.remote_facts -= held.remote_facts
+            entry.delegations -= held.delegations
+            self._outcome = None
+
+        # -- 3. re-derive ---------------------------------------------------- #
+        prober = self._evaluator(state.fact_view)
+        prober.plans_used = evaluator.plans_used
+
+        def survives(rule: Rule, wanted: Union[Fact, Delegation]) -> bool:
+            found, explored = prober.derives(rule, wanted)
+            result.rules_evaluated += 1
+            result.substitutions_explored += explored
+            return found
+
+        rederived: Set[Fact] = set()
+        for fact in overdeleted:
+            if any(survives(rule, fact)
+                   for rule in analysis.defining(fact.qualified_relation)):
+                derived.insert(fact)
+                result.derived_intensional += 1
+                rederived.add(fact)
+        for rule, held in lost.items():
+            self._memo_merge(rule, RuleOutcome(
+                local_extensional={fact for fact in held.local_extensional
+                                   if survives(rule, fact)},
+                remote_facts={fact for fact in held.remote_facts
+                              if survives(rule, fact)},
+                delegations={delegation for delegation in held.delegations
+                             if survives(rule, delegation)}))
+
+        # -- 4. propagate ------------------------------------------------------ #
+        outcome = self._fixpoint_seminaive(analysis, evaluator, result,
+                                           input_delta.inserted | rederived, added)
+        if self.provenance is not None:
+            self.provenance.on_tuples_deleted(dead, {
+                fact for fact in dead | overdeleted
+                if fact not in state.provided and not derived.contains(fact)})
+        return outcome
+
     def _fixpoint_rederive(self, analysis: _ProgramAnalysis,
                            evaluator: RuleEvaluator, result: StageResult,
                            affected_predicates: Optional[Set[str]],
-                           affected_rules: Optional[Set[Rule]]) -> RuleOutcome:
-        """Delete-and-rederive: clear the affected derived relations and
-        recompute their defining rules stratum by stratum.
+                           affected_rules: Optional[Set[Rule]],
+                           deleted: FrozenSet[Fact] = _NO_FACTS) -> RuleOutcome:
+        """Delete-and-rederive on predicates: clear the affected derived
+        relations and recompute their defining rules stratum by stratum.
 
         ``affected_* = None`` means *everything* — the seed engine's
         clear-and-recompute.  The clear-deltas stay pending and net out
         against the re-derivations, so the delta taken at the end of the
-        stage is still the true derived change.
+        stage is still the true derived change.  ``deleted`` are the
+        stage's deleted input facts.
         """
         full = affected_rules is None
         if self.provenance is not None:
-            # Mirror the store clears in the provenance graph: the cleared
+            # The deleted input facts die in the graph with everything that
+            # hangs on them, and the store clears are mirrored: the cleared
             # predicates' derivations die here and are re-recorded by the
             # re-evaluation below, so the graph tracks exact derivability.
+            if deleted:
+                self.provenance.on_base_deleted(deleted)
             if full:
                 self.provenance.on_full_recompute()
             else:
@@ -1043,11 +1206,15 @@ class WebdamLogEngine:
                 self._rule_memo.pop(rule, None)
         self._outcome = None
 
+        local_intensional = self._local_intensional()
         for stratum in analysis.strata:
             selected = stratum if full else [r for r in stratum if r in affected_rules]
             if not selected:
                 continue
+            # A second pass only confirms the fixpoint unless a selected
+            # rule reads what a selected rule derives.
             changed = True
+            recursive = analysis.feeds_itself(selected, local_intensional)
             while changed:
                 changed = False
                 result.fixpoint_iterations += 1
@@ -1059,7 +1226,7 @@ class WebdamLogEngine:
                     self._memo_merge(rule, outcome)
                     for fact in outcome.local_intensional:
                         if self.state.derived.insert(fact):
-                            changed = True
+                            changed = recursive
                             result.derived_intensional += 1
         return self._memo_outcome()
 

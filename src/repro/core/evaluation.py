@@ -19,7 +19,8 @@ update, or a fact destined for a remote peer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set,
+                    Tuple, Union)
 
 from repro.core.delegation import Delegation
 from repro.core.errors import EvaluationError
@@ -89,6 +90,29 @@ class RuleOutcome:
                 + len(self.remote_facts) + len(self.delegations))
 
 
+class _Derived(Exception):
+    """Unwinds the body walk of :meth:`RuleEvaluator.derives` at its first hit."""
+
+
+def delegation_bindings(rule: Rule, delegation: Delegation) -> Substitution:
+    """The variables of ``rule`` that a delegation split from it fixes.
+
+    The delegated rule is ``rule``'s head and the remainder of its body under
+    the substitution of the local prefix: wherever ``rule`` has a variable
+    and the delegated rule a constant, the prefix bound it.
+    """
+    delegated = delegation.rule
+    remainder = rule.body[len(rule.body) - len(delegated.body):]
+    substitution: Substitution = {}
+    for pattern, atom in zip((rule.head, *remainder),
+                             (delegated.head, *delegated.body)):
+        for term, bound in zip((pattern.relation, pattern.peer, *pattern.args),
+                               (atom.relation, atom.peer, *atom.args)):
+            if isinstance(term, Variable) and isinstance(bound, Constant):
+                substitution[term] = bound
+    return substitution
+
+
 class RuleEvaluator:
     """Evaluates WebdamLog rules at a single peer.
 
@@ -141,12 +165,17 @@ class RuleEvaluator:
         # support tuples are normalised back to written order on emission.
         self.planner = planner
         # Plans executed since construction, for StagePlan observability.
-        self.plans_used: Dict[Tuple[str, Optional[int]], object] = {}
+        self.plans_used: Dict[Tuple, object] = {}
+        # What a running :meth:`derives` probe is looking for.
+        self._wanted: Union[Fact, Delegation, None] = None
 
-    def _plan_of(self, rule: Rule, delta_index: Optional[int] = None):
+    def _plan_of(self, rule: Rule, delta_index: Optional[int] = None,
+                 bound: Optional[Substitution] = None):
         if self.planner is None:
             return None
-        if delta_index is None:
+        if bound is not None:
+            plan = self.planner.plan_rule_bound(rule, frozenset(bound))
+        elif delta_index is None:
             plan = self.planner.plan_rule(rule)
         else:
             plan = self.planner.plan_rule_delta(rule, delta_index)
@@ -211,6 +240,35 @@ class RuleEvaluator:
                                 restrict=(index, restricted),
                                 plan=self._plan_of(rule, delta_index=index))
         return outcome
+
+    def derives(self, rule: Rule,
+                wanted: Union[Fact, Delegation]) -> Tuple[bool, int]:
+        """Does ``rule`` produce ``wanted`` right now?  A head-bound probe.
+
+        The body is walked from the substitution ``wanted`` fixes — the match
+        of the rule head against a wanted fact, :func:`delegation_bindings`
+        of a wanted delegation — and planned with those variables bound, so
+        every literal they reach is a hash probe instead of a scan; the walk
+        stops at the first derivation.  Nothing is recorded or collected.
+        Returns ``(found, substitutions explored)``.
+        """
+        if isinstance(wanted, Delegation):
+            substitution = delegation_bindings(rule, wanted)
+        else:
+            substitution = match_atom_fact(rule.head, wanted)
+            if substitution is None:
+                return False, 0  # the head cannot produce this fact
+        outcome = RuleOutcome()
+        self._wanted = wanted
+        try:
+            self._evaluate_from(rule, 0, substitution, outcome, (),
+                                plan=self._plan_of(rule, bound=substitution))
+            found = False
+        except _Derived:
+            found = True
+        finally:
+            self._wanted = None
+        return found, outcome.substitutions_explored
 
     # ------------------------------------------------------------------ #
 
@@ -325,14 +383,17 @@ class RuleEvaluator:
             origin=rule.origin or rule.rule_id,
             rule_id=f"{rule.rule_id}@{target}",
         )
-        outcome.delegations.add(
-            Delegation(
-                target=target,
-                rule=delegated_rule,
-                delegator=self.peer,
-                origin_rule_id=rule.origin or rule.rule_id,
-            )
+        delegation = Delegation(
+            target=target,
+            rule=delegated_rule,
+            delegator=self.peer,
+            origin_rule_id=rule.origin or rule.rule_id,
         )
+        if self._wanted is not None:
+            if delegation == self._wanted:
+                raise _Derived
+            return
+        outcome.delegations.add(delegation)
 
     def _emit_head(self, rule: Rule, substitution: Substitution,
                    outcome: RuleOutcome,
@@ -343,6 +404,10 @@ class RuleEvaluator:
                 f"rule {rule.rule_id}: head {head} is not ground after evaluating the body"
             )
         fact = head.to_fact()
+        if self._wanted is not None:
+            if fact == self._wanted:
+                raise _Derived
+            return
         if self.on_derivation is not None:
             # Support facts are tagged with their original body position and
             # sorted back to written order, so provenance (and explain())

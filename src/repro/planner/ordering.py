@@ -24,7 +24,7 @@ positions (constants, or variables bound by already-placed literals).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
@@ -35,8 +35,8 @@ from repro.planner.stats import StatsProvider, drifted
 class BodyPlanner:
     """Plans rule-body evaluation order for one peer.
 
-    Plans are cached per ``(rule_id, delta_index)``; the cache is cleared on
-    program-version bumps (rule/delegation changes, see
+    Plans are cached per ``(rule_id, delta_index, bound variables)``; the
+    cache is cleared on program-version bumps (rule/delegation changes, see
     :attr:`repro.core.engine.WebdamLogEngine.program_version`) and a cached
     plan is replanned when the count of any relation it reads has drifted by
     more than the stats drift factor (insert/retract churn changes the
@@ -48,8 +48,9 @@ class BodyPlanner:
         self.stats = stats
         self.mode = mode
         self._version = -1
-        # {(rule_id, delta_index): (plan, {(relation, peer): count at planning})}
-        self._cache: Dict[Tuple[str, Optional[int]],
+        # {(rule_id, delta_index, bound variables):
+        #      (plan, {(relation, peer): count at planning})}
+        self._cache: Dict[Tuple[str, Optional[int], FrozenSet[Variable]],
                           Optional[Tuple[RulePlan, Dict[Tuple[str, str], int]]]] = {}
         self.counters: Dict[str, int] = {
             "plans_computed": 0,
@@ -88,9 +89,20 @@ class BodyPlanner:
         outside the local prefix (written order applies)."""
         return self._cached_plan(rule, delta_index)
 
-    def _cached_plan(self, rule: Rule, delta_index: Optional[int]
+    def plan_rule_bound(self, rule: Rule, bound: FrozenSet[Variable]
+                        ) -> Optional[RulePlan]:
+        """Plan an evaluation that starts from a substitution of ``bound``
+        (a head-bound probe: "does this rule still derive that fact?").
+        The local prefix is ordered by cost with those variables treated as
+        bound from the first literal on — ``reach($x, $z) :- reach($x, $y),
+        edge($y, $z)`` asked for one ``($x, $z)`` starts at ``edge(?, $z)``
+        instead of walking ``reach($x, ?)``."""
+        return self._cached_plan(rule, None, bound)
+
+    def _cached_plan(self, rule: Rule, delta_index: Optional[int],
+                     bound: FrozenSet[Variable] = frozenset()
                      ) -> Optional[RulePlan]:
-        key = (rule.rule_id, delta_index)
+        key = (rule.rule_id, delta_index, bound)
         if key in self._cache:
             entry = self._cache[key]
             if entry is None:
@@ -101,7 +113,7 @@ class BodyPlanner:
                 self.counters["plans_cached"] += 1
                 plan.cached = True
                 return plan
-        plan, snapshot = self._compute(rule, delta_index)
+        plan, snapshot = self._compute(rule, delta_index, bound)
         self._cache[key] = None if plan is None else (plan, snapshot)
         if plan is not None:
             self.counters["plans_computed"] += 1
@@ -123,13 +135,14 @@ class BodyPlanner:
             length += 1
         return length
 
-    def _compute(self, rule: Rule, delta_index: Optional[int]
+    def _compute(self, rule: Rule, delta_index: Optional[int],
+                 initially_bound: FrozenSet[Variable] = frozenset()
                  ) -> Tuple[Optional[RulePlan], Dict[Tuple[str, str], int]]:
         prefix = self._local_prefix(rule)
         if prefix < 2 or (delta_index is not None and delta_index >= prefix):
             return None, {}
 
-        bound: Set[Variable] = set()
+        bound: Set[Variable] = set(initially_bound)
         order: List[int] = []
         estimates: Dict[int, Optional[float]] = {}
         remaining = set(range(prefix))
@@ -185,7 +198,8 @@ class BodyPlanner:
             relation, peer = atom.relation_constant(), atom.peer_constant()
             snapshot[(relation, peer)] = self.stats.count(relation, peer)
         plan = RulePlan(rule_id=rule.rule_id, order=order_tuple, steps=steps,
-                        reordered=reordered, delta_index=delta_index)
+                        reordered=reordered, delta_index=delta_index,
+                        bound=tuple(sorted(v.name for v in initially_bound)))
         return plan, snapshot
 
     def _estimate(self, atom: Atom, bound: Set[Variable]) -> float:

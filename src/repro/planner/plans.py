@@ -47,7 +47,9 @@ class RulePlan:
     prefix keep their written order at the tail, so delegation remainders
     (``rule.body[index:]``) stay exactly the written suffix.  ``delta_index``
     is the body position restricted to the delta during seminaive evaluation
-    (always first in ``order``), ``None`` for full evaluations.
+    (always first in ``order``), ``None`` for full evaluations.  ``bound``
+    names the variables the walk starts with (a head-bound probe); empty
+    for evaluations that start from nothing.
     """
 
     rule_id: str
@@ -56,10 +58,11 @@ class RulePlan:
     reordered: bool
     delta_index: Optional[int] = None
     cached: bool = False
+    bound: Tuple[str, ...] = ()
 
-    def key(self) -> Tuple[str, Optional[int]]:
+    def key(self) -> Tuple[str, Optional[int], Tuple[str, ...]]:
         """Identity of the plan within a stage."""
-        return (self.rule_id, self.delta_index)
+        return (self.rule_id, self.delta_index, self.bound)
 
     def as_dict(self) -> Dict:
         """Plain-data form (used by benchmarks and debugging dumps)."""
@@ -68,6 +71,7 @@ class RulePlan:
             "order": list(self.order),
             "reordered": self.reordered,
             "delta_index": self.delta_index,
+            "bound": list(self.bound),
             "cached": self.cached,
             "steps": [step.as_dict() for step in self.steps],
         }

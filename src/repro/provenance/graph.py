@@ -17,9 +17,12 @@ Unlike the original passive recorder, the graph is **maintained**: it is a
 support-counted structure that the engine's incremental evaluation paths keep
 in sync with the current derivability state.
 
-* a derivation dies when any of its supporting facts dies
+* a derivation dies when any of its supporting facts stops being visible —
+  removed exactly (:meth:`ProvenanceGraph.drop_support`) when the engine
+  names every such fact, its tuple-level delete-and-rederive;
+* where the engine clears predicates and re-records instead, a fact dies
+  when its last derivation dies and the removal cascades
   (:meth:`ProvenanceGraph.remove_support`);
-* a fact dies when its last derivation dies (the removal cascades);
 * :meth:`ProvenanceGraph.base_relations` and
   :meth:`ProvenanceGraph.depends_on_peer` are answered from a per-fact
   lineage index (frozen set of base relations / peers), built on demand and
@@ -158,6 +161,23 @@ class ProvenanceGraph:
                         frontier.append(head)
         return removed
 
+    def drop_support(self, fact: Fact) -> int:
+        """``fact`` stopped being visible: drop exactly the derivations it
+        supports, and nothing else.
+
+        The exact counterpart of :meth:`remove_support` for a caller that
+        names *every* fact that stopped being visible (the engine's
+        tuple-level delete-and-rederive).  Nothing cascades: a head left
+        without a recorded derivation may still be visible — provided by
+        another peer, or an extensional fact — and then what it supports
+        stands.  Returns how many derivations died.
+        """
+        self._invalidate([fact])
+        removed = 0
+        for derivation in self._supported.pop(fact, ()):
+            removed += self._discard(derivation, skip_support=fact)
+        return removed
+
     def retract_fact(self, fact: Fact) -> int:
         """``fact`` was deleted: drop its derivations and cascade its support.
 
@@ -172,14 +192,18 @@ class ProvenanceGraph:
                 removed += 1
         return removed + self.remove_support(fact)
 
+    def discard(self, derivation: Derivation) -> bool:
+        """Remove exactly one derivation (``False`` if it was not there)."""
+        self._invalidate([derivation.fact])
+        return self._discard(derivation)
+
     def remove_derivation(self, derivation: Derivation) -> bool:
         """Remove one specific derivation; cascade if its fact thereby dies.
 
         Returns ``False`` when the derivation was not (or no longer) in the
         graph.
         """
-        self._invalidate([derivation.fact])
-        if not self._discard(derivation):
+        if not self.discard(derivation):
             return False
         if derivation.fact not in self._derivations:
             self.remove_support(derivation.fact)
@@ -396,10 +420,13 @@ class ProvenanceTracker:
     (or build the whole deployment with ``system().provenance()``).  The
     engine records every derivation through :meth:`record` and keeps the
     graph consistent along its incremental evaluation paths through the
-    maintenance hooks :meth:`on_base_deleted`, :meth:`on_rederive` and
-    :meth:`on_full_recompute` — the graph always reflects the *current*
-    derivability state, so why/lineage answers match what a full recompute
-    would record, at delta cost.
+    maintenance hooks — :meth:`on_tuples_deleted` where it deletes and
+    rederives tuples (exact removal, nothing re-recorded), and
+    :meth:`on_base_deleted` with :meth:`on_rederive` or
+    :meth:`on_full_recompute` where it clears predicates and re-records what
+    survives.  The graph always reflects the *current* derivability state,
+    so why/lineage answers match what a full recompute would record, at
+    delta cost.
 
     Derivations received from remote peers (shipped with fact updates over
     the wire) are remembered separately via :meth:`record_remote`: local
@@ -472,20 +499,40 @@ class ProvenanceTracker:
         # Reconciliation is only needed when the deletions touch the shipped
         # memory at all (anchors are heads, so they are covered too).
         if self._remote and not dead.isdisjoint(self._remote_facts):
-            self._remote_anchors -= dead
             self._sync_remote(dead)
+
+    def on_tuples_deleted(self, withdrawn: Set[Fact], invisible: Set[Fact]) -> None:
+        """The engine deleted and rederived *tuples*: the graph follows
+        exactly, with nothing cleared and nothing re-recorded.
+
+        ``withdrawn`` are the input facts that lost their last base source
+        (store, senders): what remote peers shipped to explain them goes.
+        ``invisible`` are the facts no source holds any more — withdrawn
+        ones no rule rederived, plus the derived facts that fell with them:
+        a recorded derivation is valid exactly while all its supports are
+        visible, so the derivations they support go (:meth:`ProvenanceGraph.
+        drop_support`).  Derivations *of* a withdrawn fact that a local rule
+        still derives (a cycle through itself, a deferred extensional head)
+        stay.
+        """
+        for fact in invisible:
+            self.graph.drop_support(fact)
+        if self._remote and not (withdrawn.isdisjoint(self._remote_facts)
+                                 and invisible.isdisjoint(self._remote_facts)):
+            self._sync_remote(withdrawn)
 
     def _sync_remote(self, dead: Set[Fact]) -> None:
         """Reconcile the shipped-derivation memory after retractions.
 
         A remembered entry survives only when (a) its head was not
-        explicitly retracted, (b) the graph's support-count cascade did not
-        kill it (otherwise a later full recompute would resurrect a
+        explicitly retracted, (b) the graph still holds it — no support of
+        it died there (otherwise a later full recompute would resurrect a
         derivation whose support died), and (c) its head is still reachable
         from a live anchor through the shipped support edges — lineage
         intermediates orphaned by an anchor's retraction are garbage
         collected from the memory *and* the graph.
         """
+        self._remote_anchors -= dead
         by_head: Dict[Fact, List[Derivation]] = {}
         for (head, _, _), derivation in self._remote.items():
             by_head.setdefault(head, []).append(derivation)
@@ -502,6 +549,7 @@ class ProvenanceTracker:
         for key, derivation in self._remote.items():
             head = key[0]
             if head in dead:
+                self.graph.discard(derivation)
                 continue
             if head not in reachable:
                 self.graph.remove_derivation(derivation)

@@ -171,6 +171,13 @@ class MemoryTable:
             # A bound position beyond the relation's arity can never match.
             return
         key = tuple(self._index_key(bindings[p]) for p in positions)
+        if len(positions) == self.schema.arity:
+            # Every column bound: the rows are already keyed by exactly this,
+            # a "does this tuple exist" probe needs no index of its own.
+            row = self._tuples.get(key)
+            if row is not None:
+                yield row
+            return
         yield from self._index_for(positions).get(key, {}).values()
 
 

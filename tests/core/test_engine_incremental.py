@@ -21,6 +21,37 @@ class TestEvaluationPaths:
         engine.load_program(TC_PROGRAM)
         assert engine.run_stage().evaluation_path == "full"
 
+    def test_a_stratum_that_does_not_feed_itself_is_evaluated_once(self, engine):
+        """A second pass only confirms the fixpoint unless a rule of the
+        stratum reads what a rule of the stratum derives."""
+        engine.load_program("""
+        collection extensional persistent base@alice(x);
+        collection intensional left@alice(x);
+        collection intensional right@alice(x);
+        rule left@alice($x) :- base@alice($x);
+        rule right@alice($x) :- base@alice($x);
+        """)
+        engine.insert_fact(Fact("base", "alice", (1,)))
+        result = engine.run_stage()
+        assert result.evaluation_path == "full"
+        assert (result.rules_evaluated, result.fixpoint_iterations) == (2, 1)
+        assert len(engine.query("left")) == len(engine.query("right")) == 1
+
+    def test_a_stratum_that_feeds_itself_runs_to_fixpoint(self, engine):
+        """... whatever the order the rules are written in."""
+        engine.load_program("""
+        collection extensional persistent base@alice(x);
+        collection intensional first@alice(x);
+        collection intensional second@alice(x);
+        rule second@alice($x) :- first@alice($x);
+        rule first@alice($x) :- base@alice($x);
+        """)
+        engine.insert_fact(Fact("base", "alice", (1,)))
+        result = engine.run_stage()
+        assert result.evaluation_path == "full"
+        assert result.fixpoint_iterations > 1
+        assert {f.values for f in engine.query("second")} == {(1,)}
+
     def test_insertions_take_the_delta_path(self, engine):
         engine.load_program(TC_PROGRAM)
         engine.run_to_quiescence()
@@ -49,15 +80,29 @@ class TestEvaluationPaths:
         engine.insert_fact(Fact("link", "alice", (1, 2)))
         engine.insert_fact(Fact("other", "alice", (9,)))
         engine.run_to_quiescence()
-        baseline = engine.eval_counters["rules_evaluated"]
-        engine.delete_fact(Fact("link", "alice", (1, 2)))
-        result = engine.run_stage()
-        assert result.evaluation_path == "rederive"
-        # Only the two tc rules re-fired; the unrelated rule was not touched.
-        evaluated = engine.eval_counters["rules_evaluated"] - baseline
-        assert evaluated == result.rules_evaluated
-        assert result.rules_evaluated <= 4  # 2 tc rules × ≤2 iterations
-        assert {f.values for f in engine.query("unrelated")} == {(9,)}
+
+        def delete_and_reinsert():
+            baseline = engine.eval_counters["rules_evaluated"]
+            engine.delete_fact(Fact("link", "alice", (1, 2)))
+            result = engine.run_stage()
+            assert result.evaluation_path == "rederive"
+            evaluated = engine.eval_counters["rules_evaluated"] - baseline
+            assert evaluated == result.rules_evaluated
+            assert {f.values for f in engine.query("unrelated")} == {(9,)}
+            engine.insert_fact(Fact("link", "alice", (1, 2)))
+            engine.run_to_quiescence()
+            return result
+
+        small = delete_and_reinsert()
+        # The work is bounded by the deleted tuple's consequences, not by the
+        # relation: 200 links it has nothing to do with change nothing.
+        for node in range(100, 300):
+            engine.insert_fact(Fact("link", "alice", (node, node + 1000)))
+        engine.run_to_quiescence()
+        large = delete_and_reinsert()
+        assert large.rules_evaluated == small.rules_evaluated
+        if engine.planner_mode != "off":  # written order scans link first
+            assert large.substitutions_explored <= small.substitutions_explored
 
     def test_rule_changes_are_deltas_not_resets(self, engine):
         """Adding a rule evaluates that rule; removing one rederives the
@@ -149,6 +194,169 @@ class TestEvaluationPaths:
         result = engine.run_stage()
         assert result.evaluation_path == "delta"
         assert engine.provenance.why(Fact("tc", "alice", (1, 2)))
+
+
+class TestTupleLevelDeletes:
+    """Delete-and-rederive on tuples: the traps of over-delete and probe."""
+
+    def test_a_delete_clears_no_relation_and_evaluates_only_what_it_reaches(
+            self, engine, monkeypatch):
+        from repro.provenance import ProvenanceTracker
+
+        engine.load_program(TC_PROGRAM)
+        engine.load_program("""
+        collection extensional persistent other@alice(x);
+        collection intensional unrelated@alice(x);
+        rule unrelated@alice($x) :- other@alice($x);
+        """)
+        engine.provenance = ProvenanceTracker()
+        for edge in ((1, 2), (2, 3)):
+            engine.insert_fact(Fact("link", "alice", edge))
+        engine.insert_fact(Fact("other", "alice", (9,)))
+        engine.run_to_quiescence()
+        unrelated = engine.rules()[-1]
+        touched, cleared = [], []
+        for name in ("evaluate_rule", "evaluate_rule_delta", "derives"):
+            original = getattr(RuleEvaluator, name)
+            monkeypatch.setattr(
+                RuleEvaluator, name,
+                lambda self, rule, *args, _original=original:
+                    touched.append(rule) or _original(self, rule, *args))
+        monkeypatch.setattr(engine.state.derived, "clear_relation",
+                            lambda *args: cleared.append(args))
+        monkeypatch.setattr(engine.provenance, "on_rederive",
+                            lambda *args: cleared.append(args))
+        engine.delete_fact(Fact("link", "alice", (2, 3)))
+        result = engine.run_stage()
+        assert result.evaluation_path == "rederive"
+        assert cleared == []
+        assert touched and unrelated not in touched
+        assert {f.values for f in engine.query("tc")} == {(1, 2)}
+        assert set(engine.provenance.graph.facts()) == {
+            Fact("tc", "alice", (1, 2)), Fact("unrelated", "alice", (9,))}
+
+    def test_over_delete_reads_the_state_before_the_delete(self, engine):
+        """Trap (a): a derivation from two deleted facts — or from one fact at
+        two body positions — exists only in the old state."""
+        engine.load_program("""
+        collection extensional persistent a@alice(x);
+        collection intensional pair@alice(x, y);
+        rule pair@alice($x, $y) :- a@alice($x), a@alice($y);
+        """)
+        for value in (1, 2, 3):
+            engine.insert_fact(Fact("a", "alice", (value,)))
+        engine.run_to_quiescence()
+        engine.delete_fact(Fact("a", "alice", (1,)))
+        engine.insert_fact(Fact("a", "alice", (4,)))  # same stage: harmless
+        assert engine.run_stage().evaluation_path == "rederive"
+        assert {f.values for f in engine.query("pair")} == {
+            (x, y) for x in (2, 3, 4) for y in (2, 3, 4)}
+        engine.delete_fact(Fact("a", "alice", (2,)))
+        engine.delete_fact(Fact("a", "alice", (3,)))
+        assert engine.run_stage().evaluation_path == "rederive"
+        assert {f.values for f in engine.query("pair")} == {(4, 4)}
+
+    def test_a_withdrawn_fact_supporting_itself_through_a_cycle_goes(self, engine):
+        """Trap (b): a provided fact that is also derived — through a cycle
+        it is part of — is no reason to keep the derived copy."""
+        engine.load_program(TC_PROGRAM)
+        for edge in ((3, 5), (5, 3)):
+            engine.insert_fact(Fact("link", "alice", edge))
+        engine.receive_facts("bob", inserted=[Fact("tc", "alice", (3, 0))])
+        engine.run_to_quiescence()
+        assert engine.state.derived.contains(Fact("tc", "alice", (3, 0)))
+        engine.receive_facts("bob", deleted=[Fact("tc", "alice", (3, 0))])
+        result = engine.run_stage()
+        assert result.evaluation_path == "rederive"
+        assert {f.values for f in engine.query("tc")} == {
+            (3, 5), (5, 3), (3, 3), (5, 5)}
+        assert {f.values for f in result.visible_delta.deleted} == {(3, 0), (5, 0)}
+
+    def test_an_output_leaves_the_memo_of_the_rule_that_lost_it(self, engine):
+        """Trap (e): another rule still deriving a remote fact does not keep
+        it in the memo of the rule that no longer does."""
+        engine.declare(RelationSchema("mirror", "bob", ("x",),
+                                      kind=RelationKind.INTENSIONAL))
+        engine.load_program("""
+        collection extensional persistent a@alice(x);
+        collection extensional persistent b@alice(x);
+        rule mirror@bob($x) :- a@alice($x);
+        rule mirror@bob($x) :- b@alice($x);
+        """)
+        engine.insert_fact(Fact("a", "alice", (1,)))
+        engine.insert_fact(Fact("b", "alice", (1,)))
+        engine.run_to_quiescence()
+        engine.delete_fact(Fact("a", "alice", (1,)))
+        result = engine.run_stage()
+        assert result.evaluation_path == "rederive"
+        assert result.outgoing_updates == []  # the second rule still derives it
+        engine.delete_fact(Fact("b", "alice", (1,)))
+        result = engine.run_stage()
+        assert [u.deleted for u in result.outgoing_updates] == [
+            frozenset({Fact("mirror", "bob", (1,))})]
+
+    def test_a_delegation_is_probed_from_what_it_fixes(self, engine):
+        """Trap (e): a delegation with two derivations (``$m`` is bound by
+        the prefix only) is retracted with the second one, not the first."""
+        engine.load_program("""
+        collection extensional persistent l@alice(src, dst);
+        rule far@alice($x) :- l@alice($x, $m), l@alice($m, $y), remote@bob($y);
+        """)
+        for edge in ((0, 1), (1, 9), (0, 2), (2, 9)):
+            engine.insert_fact(Fact("l", "alice", edge))
+        result = engine.run_stage()
+        assert len(result.delegations_to_install) == 1
+        engine.delete_fact(Fact("l", "alice", (0, 1)))
+        result = engine.run_stage()
+        assert result.evaluation_path == "rederive"
+        assert result.delegations_to_retract == []
+        assert len(engine.state.delegation_tracker.outstanding()) == 1
+        engine.delete_fact(Fact("l", "alice", (2, 9)))
+        result = engine.run_stage()
+        assert len(result.delegations_to_retract) == 1
+        assert engine.state.delegation_tracker.outstanding() == ()
+
+    def test_a_deferred_extensional_fact_leaves_with_its_rule_only(self, engine):
+        """Trap (e), deferred heads: deleted under the rule that derives it,
+        the fact comes back; deleted with its support, it stays gone."""
+        engine.load_program("""
+        collection extensional persistent base@alice(x);
+        collection extensional persistent seen@alice(x);
+        rule seen@alice($x) :- base@alice($x);
+        """)
+        engine.insert_fact(Fact("base", "alice", (1,)))
+        engine.run_to_quiescence()
+        engine.delete_fact(Fact("seen", "alice", (1,)))
+        engine.run_to_quiescence()
+        assert {f.values for f in engine.query("seen")} == {(1,)}
+        engine.delete_fact(Fact("base", "alice", (1,)))
+        engine.delete_fact(Fact("seen", "alice", (1,)))
+        engine.run_to_quiescence()
+        assert engine.query("seen") == ()
+
+    def test_the_probe_is_planned_with_the_head_variables_bound(self, engine):
+        """Trap (f): asked for one ``listed(item)``, the rule starts at
+        ``owns(item, ?)`` — two rows — although ``member`` is the smaller
+        relation and an unbound plan would walk it first."""
+        engine.load_program("""
+        collection extensional persistent member@alice(club);
+        collection extensional persistent owns@alice(item, club);
+        collection intensional listed@alice(item);
+        rule listed@alice($item) :- member@alice($club), owns@alice($item, $club);
+        """)
+        for club in range(30):
+            engine.insert_fact(Fact("member", "alice", (club,)))
+            for item in range(5):
+                engine.insert_fact(Fact("owns", "alice", (club * 10 + item, club)))
+        engine.insert_fact(Fact("owns", "alice", (0, 29)))  # item 0: clubs 0 and 29
+        engine.run_to_quiescence()
+        engine.delete_fact(Fact("owns", "alice", (0, 0)))
+        result = engine.run_stage()
+        assert result.evaluation_path == "rederive"
+        # listed(0) is over-deleted and found again through club 29.
+        assert len(engine.query("listed")) == 150
+        if engine.planner_mode != "off":
+            assert result.substitutions_explored < 10  # member alone is 30
 
 
 class TestMemoisedOutputs:

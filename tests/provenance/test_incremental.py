@@ -9,7 +9,7 @@ derivability state (garbage-collecting derivations of retracted facts).
 from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
-from repro.provenance.graph import ProvenanceTracker
+from repro.provenance.graph import Derivation, ProvenanceTracker
 
 TC_PROGRAM = """
 collection extensional persistent link@p(src, dst);
@@ -103,6 +103,106 @@ class TestRetraction:
         derived = set(engine.query("tc"))
         tracked = set(engine.provenance.graph.facts())
         assert tracked == derived
+
+
+FEED_PROGRAM = """
+collection extensional persistent base@p(x);
+collection extensional persistent seen@p(x);
+collection intensional feed@p(x);
+collection intensional shown@p(x);
+rule feed@p($x) :- base@p($x);
+rule shown@p($x) :- feed@p($x);
+rule seen@p($x) :- base@p($x);
+"""
+
+
+def supports(engine: WebdamLogEngine):
+    """Every fact's recorded supports."""
+    graph = engine.provenance.graph
+    return {fact: frozenset(graph.why(fact)) for fact in graph.facts()}
+
+
+class TestExactRemovalOnTheTuplePath:
+    """A fact deletion rederives tuples: the graph is neither cleared nor
+    re-recorded, so what it drops must be exact.  ``feed@p`` is derived from
+    ``base@p`` *and* provided by a remote sender; a naive engine, which
+    re-records everything at every stage, is the reference."""
+
+    def pair(self):
+        engines = []
+        for mode in ("incremental", "naive"):
+            engine = WebdamLogEngine("p", evaluation_mode=mode)
+            engine.provenance = ProvenanceTracker()
+            engine.load_program(FEED_PROGRAM)
+            engine.insert_fact(Fact("base", "p", (1,)))
+            engine.receive_facts("q", inserted=[Fact("feed", "p", (1,))])
+            engine.run_to_quiescence()
+            engines.append(engine)
+        incremental, naive = engines
+        # From here on nothing may be repaired by a predicate-level re-record.
+        incremental.provenance.on_rederive = None
+        incremental.provenance.on_full_recompute = None
+        return incremental, naive
+
+    def step(self, engines, act):
+        for engine in engines:
+            act(engine)
+        results = [engine.run_stage() for engine in engines]
+        assert supports(engines[0]) == supports(engines[1])
+        assert engines[0].snapshot() == engines[1].snapshot()
+        return results[0]
+
+    def test_a_fact_withdrawn_by_one_source_keeps_what_the_other_supports(self):
+        """Trap (c): ``feed(1)`` leaves the provided set but a rule still
+        derives it — its derivation and the one it supports stand."""
+        engines = self.pair()
+        feed, shown = Fact("feed", "p", (1,)), Fact("shown", "p", (1,))
+        result = self.step(engines, lambda e: e.receive_facts("q", deleted=[feed]))
+        assert result.evaluation_path == "rederive"
+        assert result.masked_deletions == frozenset({feed})
+        assert supports(engines[0])[feed] == {frozenset({Fact("base", "p", (1,))})}
+        assert supports(engines[0])[shown] == {frozenset({feed})}
+
+    def test_a_fact_left_without_derivations_still_supports_while_provided(self):
+        """Trap (d): ``feed(1)`` loses its only recorded derivation but a
+        sender still provides it — no count cascade through it."""
+        engines = self.pair()
+        feed, shown = Fact("feed", "p", (1,)), Fact("shown", "p", (1,))
+        result = self.step(engines, lambda e: e.delete_fact(Fact("base", "p", (1,))))
+        assert result.evaluation_path == "rederive"
+        assert feed not in supports(engines[0])
+        assert supports(engines[0])[shown] == {frozenset({feed})}
+        # ... and when the sender withdraws it too, everything goes.
+        self.step(engines, lambda e: e.receive_facts("q", deleted=[feed]))
+        assert supports(engines[0]) == {}
+
+    def test_a_deleted_extensional_fact_keeps_the_derivation_that_brings_it_back(self):
+        """Trap (c): ``seen(1)`` is deleted under the rule that derives it; it
+        is deferred again without the rule re-firing, so its derivation must
+        not die with the deletion."""
+        engines = self.pair()
+        seen = Fact("seen", "p", (1,))
+        assert seen in engines[0].state.store.all_facts()
+        result = self.step(engines, lambda e: e.delete_fact(seen))
+        assert result.evaluation_path == "rederive"
+        assert supports(engines[0])[seen] == {frozenset({Fact("base", "p", (1,))})}
+        self.step(engines, lambda e: None)
+        assert seen in engines[0].state.store.all_facts()
+
+    def test_shipped_derivations_of_a_withdrawn_fact_go_the_local_ones_stay(self):
+        """``_sync_remote`` still reconciles what remote peers shipped."""
+        engines = self.pair()
+        feed = Fact("feed", "p", (1,))
+        shipped = Derivation(fact=feed, rule_id="rule-q", author="q",
+                             support=(Fact("post", "q", (1,)),))
+        for engine in engines:
+            engine.provenance.record_remote(shipped)
+        assert len(supports(engines[0])[feed]) == 2
+        self.step(engines, lambda e: e.receive_facts("q", deleted=[feed]))
+        assert supports(engines[0])[feed] == {frozenset({Fact("base", "p", (1,))})}
+        # A later full recompute must not resurrect it from the memory.
+        ProvenanceTracker.on_full_recompute(engines[0].provenance)
+        assert frozenset(shipped.support) not in engines[0].provenance.why(feed)
 
 
 class TestCrossPeerShipping:

@@ -114,6 +114,25 @@ class TestReopen:
         reopened.converge()
         reopened.close()
 
+    def test_auto_named_views_do_not_collide_after_reopen(self, tmp_path):
+        """The view counter restarts at zero with the process, the schemas of
+        the views that were open at shutdown do not: the first ad-hoc query
+        after a reopen must not be named like one of them."""
+        deployment = build(tmp_path, peers=("hub",))
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        view = deployment.peer("hub").query("ans($id, $id) :- local@hub($id)")
+        deployment.converge()
+        assert view.rows() == ((1, 1),)
+        deployment.close()  # the view is still open
+
+        reopened = build(tmp_path, peers=("hub",), programs=False)
+        reopened.converge()
+        again = reopened.peer("hub").query("ans($id) :- local@hub($id)")
+        assert again.name != view.name
+        reopened.converge()
+        assert again.rows() == ((1,),)
+        reopened.close()
+
     def test_delegation_reinstall_is_idempotent(self, tmp_path):
         deployment = build(tmp_path)
         seed(deployment)
