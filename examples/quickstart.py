@@ -20,9 +20,10 @@ from repro.api import system
 def main() -> None:
     deployment = (
         system()
-        # Event-driven execution: only peers with pending work run stages.
-        # Swap for "lockstep" (the default) to reproduce the paper's global
-        # rounds, or "async" to drive the deployment from asyncio.
+        # Event-driven execution (the default, named here for the example):
+        # only peers with pending work run stages.  Swap for "lockstep" to
+        # run every peer every round, or "async" to drive the deployment
+        # from asyncio.
         .scheduler("reactive")
         # Jules' program: one declaration block and the delegation rule
         # from the paper.

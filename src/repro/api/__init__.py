@@ -12,11 +12,11 @@ This package is the public facade over all of them:
                     .build())
 
 * :class:`System` / :class:`PeerHandle` — the built deployment:
-  ``converge()`` / ``step()`` / ``await aconverge()`` (driven by the
-  scheduler chosen with ``system().scheduler("reactive")`` — lockstep
-  rounds, event-driven activation, or asyncio; see
-  :mod:`repro.runtime.scheduler`), ``query()``, ``subscribe()``, stats and
-  totals, per-peer operations.
+  ``converge()`` / ``step()`` / ``await aconverge()`` (a cycle runs only
+  the peers with work; ``system().scheduler("async")`` drives the same
+  policy from asyncio and ``scheduler("lockstep")`` runs every peer every
+  cycle, the reference cadence — see :mod:`repro.runtime.scheduler`),
+  ``query()``, ``subscribe()``, stats and totals, per-peer operations.
 * :class:`Transport` — the protocol the runtime moves messages through, with
   :class:`InMemoryTransport` (deterministic rounds) and
   :class:`RecordingTransport` (event-logging decorator) shipped here; pass

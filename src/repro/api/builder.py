@@ -176,9 +176,12 @@ class SystemBuilder:
         return self
 
     def scheduler(self, scheduler: Union[str, Scheduler]) -> "SystemBuilder":
-        """Choose the execution driver: ``"lockstep"`` (default), ``"reactive"``
-        or ``"async"`` — or pass any :class:`~repro.runtime.scheduler.Scheduler`
-        instance.  See the README's *Execution model* section for how to pick.
+        """Choose the execution driver: ``"reactive"`` (default — a cycle runs
+        only the peers with work), ``"async"`` (the same policy from asyncio)
+        or ``"lockstep"`` (every peer every cycle: the reference for
+        round-for-round comparisons) — or pass any
+        :class:`~repro.runtime.scheduler.Scheduler` instance.  See the
+        README's *Execution model* section for how to pick.
         """
         try:
             self._scheduler = resolve_scheduler(scheduler)

@@ -301,10 +301,11 @@ class System:
                  quiet_period: Optional[int] = None) -> RunSummary:
         """Drive the deployment to a fixpoint with its configured scheduler.
 
-        This is the primary execution verb: under the default lockstep
-        scheduler it is exactly the historical round loop; under the
-        reactive or async schedulers only peers with pending work run
-        stages.  Pending ``include_existing`` subscription deliveries are
+        This is the primary execution verb: under the default (reactive)
+        and the async schedulers a cycle runs stages only at the peers with
+        pending work, so the returned summary's ``peer_reports`` list only
+        those; under ``scheduler("lockstep")`` it is exactly the historical
+        round loop.  Pending ``include_existing`` subscription deliveries are
         flushed before execution resumes.  On a networked transport the
         fixpoint requires the transport's ``convergence_quiet_period`` of
         consecutive quiet cycles (override per call with ``quiet_period``).
@@ -334,9 +335,10 @@ class System:
     def run_round(self) -> RoundReport:
         """Execute exactly one lockstep round (every peer runs one stage).
 
-        Prefer :meth:`step`, which respects the configured scheduler; this
-        method always drives a full lockstep round, matching its historical
-        contract.
+        Prefer :meth:`step`, which respects the configured scheduler and, by
+        default, runs only the peers with work; this method always drives a
+        full round of the lockstep reference driver, idle peers included,
+        matching its historical contract.
         """
         self._flush_subscription_backlogs()
         return LockstepScheduler().step(self.runtime)

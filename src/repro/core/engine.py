@@ -232,8 +232,7 @@ class OutgoingUpdate:
 
 
 #: The one empty set every stage without masked deletions shares
-#: (``frozenset()`` allocates a new object per call, and stage results are
-#: kept in the run history).
+#: (``frozenset()`` allocates a new object per call).
 _NO_FACTS: FrozenSet[Fact] = frozenset()
 
 
@@ -364,9 +363,12 @@ class WebdamLogEngine:
         # Facts previously shipped to each target as the result of rule
         # derivations; used to avoid re-sending and to retract view facts.
         self._sent_remote: Dict[str, Set[Fact]] = {}
-        # Whether the engine needs a stage for reasons the stores cannot see
-        # (rule or program changes).  Starts ``True``: a freshly built peer
-        # has never evaluated its program.
+        # Whether the engine needs a stage for reasons the stores cannot see:
+        # raised by every method that hands it input (rule or program
+        # changes, received facts and delegations, facts queued for remote
+        # peers); a completed stage lowers it unless it leaves work to its
+        # successor.  Starts ``True``: a freshly built peer has never
+        # evaluated its program.
         self._dirty = True
         # --- incremental-fixpoint state --------------------------------- #
         # Dependency analysis of the program the last fixpoint evaluated
@@ -548,6 +550,7 @@ class WebdamLogEngine:
         if fact.peer == self.peer:
             return self.state.delete_fact(fact)
         self._pending_remote_deletes.setdefault(fact.peer, set()).add(fact)
+        self.mark_dirty()
         return Delta.deletion([fact])
 
     def send_fact(self, fact: Fact) -> None:
@@ -555,6 +558,7 @@ class WebdamLogEngine:
         if fact.peer == self.peer:
             raise SchemaError(f"fact {fact} is local; use insert_fact")
         self._pending_remote_inserts.setdefault(fact.peer, set()).add(fact)
+        self.mark_dirty()
 
     # ------------------------------------------------------------------ #
     # transport-facing input methods (step 1 inputs)
@@ -567,14 +571,17 @@ class WebdamLogEngine:
             self.state.pending.inserted_facts.append((sender, fact))
         for fact in deleted:
             self.state.pending.deleted_facts.append((sender, fact))
+        self.mark_dirty()
 
     def receive_delegation(self, sender: str, delegation_id: str, rule: Rule) -> None:
         """Record a delegation install received from ``sender`` for the next stage."""
         self.state.pending.delegations_to_install.append((sender, delegation_id, rule))
+        self.mark_dirty()
 
     def receive_delegation_retraction(self, sender: str, delegation_id: str) -> None:
         """Record a delegation retraction received from ``sender`` for the next stage."""
         self.state.pending.delegations_to_retract.append((sender, delegation_id))
+        self.mark_dirty()
 
     def has_pending_input(self) -> bool:
         """``True`` when inputs are waiting to be consumed by the next stage."""
@@ -586,21 +593,31 @@ class WebdamLogEngine:
     def mark_dirty(self) -> None:
         """Flag that the peer's next stage may produce new results.
 
-        Called on program mutations (and by the runtime when wrappers touch
-        the store outside a stage); event-driven schedulers use
-        :meth:`needs_stage` to decide which peers to activate.
+        Called by every method that hands the engine input — program
+        mutations, received facts and delegations, facts queued for remote
+        peers — and by the runtime when a wrapper is attached; the
+        work-driven schedulers use :meth:`needs_stage` to decide which peers
+        to activate.
         """
         self._dirty = True
 
     def needs_stage(self) -> bool:
         """``True`` when running a stage could change anything.
 
-        A peer whose program is unchanged, whose stores saw no writes since
-        the last stage, and which has no pending inputs is guaranteed to run
-        a quiescent stage — an event-driven scheduler can safely skip it.
+        A stage consumes: the program (rules, delegations, schemas), the
+        pending inputs (:meth:`has_pending_input`), what the previous stage
+        left for it (deferred extensional updates; the deletions its
+        housekeeping made in scratch relations and strict provided facts,
+        whose consequences are still derived) and the writes the stores saw
+        since.  The last are read off the stores, because wrappers and
+        callers write to them directly; every other input arrives through a
+        method of this class (or the end of :meth:`run_stage`) that raises
+        one flag.  A peer for which all of this is quiet is guaranteed to run
+        a quiescent stage — a work-driven scheduler can safely skip it, and
+        probes every peer every cycle to find out, hence one flag and not a
+        walk over the queues.
         """
         return (self._dirty
-                or self.has_pending_input()
                 or self.state.store.has_pending_changes()
                 or self.state.has_provided_changes())
 
@@ -618,7 +635,6 @@ class WebdamLogEngine:
         become durable atomically).
         """
         self.state.stage_counter += 1
-        self._dirty = False
         result = StageResult(peer=self.peer, stage=self.state.stage_counter)
 
         # ---- step 1: load inputs ------------------------------------- #
@@ -672,6 +688,10 @@ class WebdamLogEngine:
         # stage boundary.
         if commit:
             self.state.commit()
+        # Everything that raised the flag is consumed (a stage that raises
+        # keeps it); these two are inputs of the next stage that no store
+        # delta shows.
+        self._dirty = bool(deferred or self._carryover_delta)
         return result
 
     def _visible_delta(self, store_delta: Delta, derived_delta: Delta,

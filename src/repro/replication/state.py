@@ -276,11 +276,16 @@ class ReplicationState:
         """
         if self._queued:
             return True
+        # Asked of every peer every cycle: a quiet channel answers from its
+        # counters, without a call.
         for box in self.outboxes.values():
-            if not box.unreachable and (box.last_sent < box.seq or box.unacked):
+            if not box.unreachable and (box.last_sent < box.seq
+                                        or box.acked < box.seq):
                 return True
         for box in self.inboxes.values():
-            if not box.is_complete() or box.cc.base > box.acked:
+            base = box.cc.base
+            if base > box.acked or (base < box.advertised
+                                    and not box.is_complete()):
                 return True
         return False
 

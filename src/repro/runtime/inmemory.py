@@ -255,12 +255,14 @@ class InMemoryTransport:
         are not counted — event-driven schedulers use this to avoid waking a
         peer before its messages are actually deliverable.
         """
-        return sum(1 for deliver_at, _ in self._in_flight.get(peer, ())
-                   if deliver_at <= self._round)
+        pending = self._in_flight.get(peer)
+        if not pending:
+            return 0
+        return sum(1 for deliver_at, _ in pending if deliver_at <= self._round)
 
     def has_in_flight(self) -> bool:
         """``True`` when at least one message has not been delivered yet."""
-        return self.pending_count() > 0
+        return any(self._in_flight.values())
 
     def reset_stats(self) -> NetworkStats:
         """Return the current statistics and start fresh counters."""

@@ -215,19 +215,25 @@ class Peer:
     def needs_stage(self) -> bool:
         """``True`` when running a stage at this peer could change anything.
 
-        Event-driven schedulers use this to skip peers that are guaranteed to
-        run a quiescent stage.  Peers with wrappers are never safe to skip on
-        this basis alone — the wrapped external service may have changed —
-        which is why schedulers also consult :attr:`wrappers`.
-
+        The work-driven schedulers skip a peer that answers ``False``: it is
+        guaranteed to run a quiescent stage.  Three things can ask for one.
         In causal mode, replication attention (unsent ops, unacknowledged
-        channels, queued anti-entropy control) also demands a stage: the
-        digest/pull/ack protocol must run to completion before the peer may
-        look quiescent.
+        channels, queued anti-entropy control): the digest/pull/ack protocol
+        must run to completion before the peer may look quiescent.  The
+        engine (see :meth:`WebdamLogEngine.needs_stage`).  And an attached
+        wrapper, through ``wants_stage(peer)`` — the wrapped service may have
+        changed where the engine cannot see it; a wrapper without the method
+        cannot say when, and is polled every cycle.
         """
         if self.replication is not None and self.replication.needs_attention():
             return True
-        return self.engine.needs_stage()
+        if self.engine.needs_stage():
+            return True
+        for wrapper in self.wrappers:
+            wants = getattr(wrapper, "wants_stage", None)
+            if wants is None or wants(self):
+                return True
+        return False
 
     def counts(self) -> Dict[str, int]:
         """Combined engine and controller counters."""

@@ -1,33 +1,34 @@
 """Execution drivers: *when* peers run their computation stages.
 
 The WebdamLog model is defined over **autonomous** peers — each peer runs a
-local computation stage when inputs arrive, with no global coordination.  The
-original runtime nevertheless drove every peer in global lockstep rounds,
-which costs one stage execution per peer per round even when only two peers
-are exchanging facts.  This module makes the driving policy an injectable
-seam of :class:`~repro.runtime.system.WebdamLogSystem`:
+local computation stage when inputs arrive, with no global coordination.  A
+round therefore costs who has work, not how many peers are deployed.  The
+driving policy is an injectable seam of
+:class:`~repro.runtime.system.WebdamLogSystem`:
 
 * :class:`Scheduler` — the protocol every driver implements: ``step`` runs
   one scheduling cycle, ``converge`` cycles until the system reaches a
   fixpoint.
-* :class:`LockstepScheduler` — the historical semantics (every peer runs a
-  stage every cycle, in deterministic name order).  It remains the default,
-  so existing round-count measurements stay reproducible.
-* :class:`ReactiveScheduler` — event-driven: a cycle activates only the
-  peers that can make progress (due transport messages, pending engine
-  inputs, dirty local state, or an attached wrapper whose external service
-  must be polled).  Cycles with no eligible peer still advance the transport
-  clock, so in-flight messages with ``latency > 1`` are never forgotten:
-  quiescence is only reported when nothing is runnable *and* nothing is in
-  flight.
+* :class:`ReactiveScheduler` — **the default**, event-driven: a cycle
+  activates only the peers that can make progress (due transport messages,
+  pending engine inputs, dirty local state, or an attached wrapper that asks
+  for a poll through ``wants_stage`` — see :mod:`repro.wrappers.base`).
+  Cycles with no eligible peer still advance the transport clock, so
+  in-flight messages with ``latency > 1`` are never forgotten: quiescence is
+  only reported when nothing is runnable *and* nothing is in flight.
 * :class:`AsyncScheduler` — an asyncio driver with one mailbox and one
   worker task per peer, for embedding a deployment in an asynchronous
   application (``await system.aconverge()``).  Eligibility is the reactive
   policy; stages within a cycle are dispatched through the per-peer
   mailboxes and interleave at await points.
+* :class:`LockstepScheduler` — every peer runs a stage every cycle, in
+  deterministic name order.  Selectable by name as the *reference*: the
+  equivalence tests and the sparse-activation benchmark compare the other
+  two against it round for round.
 
-All three drivers reach the same fixpoints: a peer whose program is
-unchanged, whose stores saw no writes, and which has no pending input is
+All three drivers reach the same fixpoints in the same number of cycles with
+the same messages: a peer whose program is unchanged, whose stores saw no
+writes, which has no pending input and whose wrappers have nothing to poll is
 guaranteed to run a quiescent stage, so skipping it cannot lose derivations
 (see :meth:`repro.core.engine.WebdamLogEngine.needs_stage`).
 """
@@ -60,10 +61,10 @@ DEFAULT_MAX_STEPS = 100
 class RoundReport:
     """What happened during one scheduling cycle.
 
-    Under the lockstep driver a cycle is exactly one historical *round* —
-    every peer appears in ``peer_reports``.  Under event-driven drivers only
-    the activated peers appear (possibly none, when the cycle merely advanced
-    the transport clock past in-flight latency).
+    Only the activated peers appear in ``peer_reports`` — under the default
+    driver possibly none, when the cycle merely advanced the transport clock
+    past in-flight latency; under the lockstep reference driver a cycle is
+    exactly one historical *round* and every peer appears.
     """
 
     round_number: int
@@ -101,7 +102,7 @@ class RunSummary:
 
     rounds: List[RoundReport] = field(default_factory=list)
     converged: bool = False
-    scheduler: str = "lockstep"
+    scheduler: str = "reactive"
 
     @property
     def round_count(self) -> int:
@@ -226,8 +227,9 @@ def drive(system: "WebdamLogSystem",
 def _drive_to_fixpoint(driver: "Scheduler", system: "WebdamLogSystem",
                        max_steps: Optional[int],
                        extra_rounds: int,
-                       quiet_period: Optional[int] = None) -> RunSummary:
-    """The shared ``converge`` loop: step until :func:`settled` held for the
+                       quiet_period: Optional[int] = None,
+                       is_settled=settled) -> RunSummary:
+    """The shared ``converge`` loop: step until ``is_settled`` held for the
     required number of consecutive cycles (or the step limit is hit)."""
     limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     required_quiet = resolve_quiet_period(system, quiet_period)
@@ -236,7 +238,7 @@ def _drive_to_fixpoint(driver: "Scheduler", system: "WebdamLogSystem",
     for _ in range(limit):
         report = driver.step(system)
         summary.rounds.append(report)
-        quiet = quiet + 1 if settled(system, report) else 0
+        quiet = quiet + 1 if is_settled(system, report) else 0
         if quiet >= required_quiet:
             summary.converged = True
             break
@@ -246,36 +248,56 @@ def _drive_to_fixpoint(driver: "Scheduler", system: "WebdamLogSystem",
 
 
 def reactive_eligible(system: "WebdamLogSystem") -> List[str]:
-    """The peers an event-driven cycle must activate, in deterministic order.
+    """The peers a work-driven cycle must activate, in deterministic order.
 
-    A peer is eligible when it has due transport messages, when its engine
-    reports that a stage could change something (pending inputs, dirty rules,
-    store writes since the last stage), or when it hosts a wrapper — wrapped
-    external services can only surface changes through the wrapper's
-    ``before_stage`` poll, so wrapper peers are polled every cycle, exactly
-    as the lockstep driver polled them every round.
+    One pass over the peers in name order.  A peer is eligible when
+    transport messages are due to it or when a stage there could change
+    something (:meth:`repro.runtime.peer.Peer.needs_stage`): unconsumed
+    engine input, dirty rules, store writes or housekeeping deletions since
+    the last stage, causal-replication attention, or a wrapper that asks for
+    a poll.  A wrapper is *not* polled merely for being attached:
+    ``wants_stage(peer)`` says when the wrapped service may have changed, and
+    only a wrapper without that method is polled every cycle, exactly as the
+    lockstep driver polls it every round.
+
+    Transports that track latency expose an exact ``due_count``; for any
+    other the (conservative) pending count is used, which may activate a
+    peer early but never starves one.
     """
-    eligible: List[str] = []
-    for name in sorted(system.peers):
-        peer = system.peers[name]
-        if peer.wrappers or peer.needs_stage() or system.due_message_count(name):
-            eligible.append(name)
-    return eligible
+    transport = system.transport
+    due = getattr(transport, "due_count", None) or transport.pending_count
+    return [name for name, peer in system.ordered_peers()
+            if peer.needs_stage() or due(name)]
+
+
+def _settled_after(system: "WebdamLogSystem", report: RoundReport) -> bool:
+    """:func:`settled` for a work-driven cycle, skipping what is implied.
+
+    A peer that holds engine input or replication attention is always
+    eligible, so a cycle that activated *nobody* was planned from a scan that
+    found none — and with no stage run nothing but the transport clock moved
+    since: only the in-flight check is left.
+    """
+    if not report.peer_reports:
+        return not system.transport.has_in_flight()
+    return settled(system, report)
 
 
 class LockstepScheduler:
-    """The historical driver: every peer runs one stage every cycle.
+    """The reference driver: every peer runs one stage every cycle.
 
-    Deterministic and reproducible — the round counts and message totals of
-    the paper's benchmarks are defined in terms of this driver — but a cycle
-    costs one stage execution per registered peer regardless of activity.
+    A cycle costs one stage execution per registered peer regardless of
+    activity, which is why it is no longer the default.  It stays selectable
+    (``scheduler("lockstep")``, ``run_round()``) as the cadence the other
+    drivers are checked against: they must reach its fixpoints in its number
+    of cycles with its messages, only without its idle stages.
     """
 
     name = "lockstep"
 
     def step(self, system: "WebdamLogSystem") -> RoundReport:
         report = system.begin_round()
-        for name in sorted(system.peers):
+        for name in system.peer_names():
             system.activate_peer(name, report)
         return system.finish_round(report)
 
@@ -288,14 +310,19 @@ class LockstepScheduler:
 
 
 class ReactiveScheduler:
-    """Event-driven driver: activate only peers with something to do.
+    """The default driver: activate only peers with something to do.
 
-    Each cycle computes the eligible set (see :func:`reactive_eligible`),
-    runs one stage per eligible peer, and advances the transport clock.  A
-    cycle that activates nobody while messages are in flight simply lets the
-    clock tick — this is what makes quiescence detection sound for
+    Each cycle runs one stage per eligible peer (see
+    :func:`reactive_eligible`) and advances the transport clock.  A cycle
+    that activates nobody while messages are in flight simply lets the clock
+    tick — this is what makes quiescence detection sound for
     ``latency > 1``: convergence is never reported while the transport still
     holds undelivered messages.
+
+    ``converge`` scans the peers once per cycle, and not at all after a
+    cycle that ran nobody and left nothing in flight (see
+    :func:`_settled_after`): the deployment has settled as the last scan
+    saw it.
     """
 
     name = "reactive"
@@ -311,7 +338,7 @@ class ReactiveScheduler:
                  extra_rounds: int = 0,
                  quiet_period: Optional[int] = None) -> RunSummary:
         return _drive_to_fixpoint(self, system, max_steps, extra_rounds,
-                                  quiet_period)
+                                  quiet_period, is_settled=_settled_after)
 
 
 class AsyncScheduler:
@@ -345,7 +372,7 @@ class AsyncScheduler:
 
     async def astep(self, system: "WebdamLogSystem") -> RoundReport:
         """Run one asynchronous cycle (one mailbox round-trip per eligible peer)."""
-        mailboxes = {name: asyncio.Queue() for name in sorted(system.peers)}
+        mailboxes = {name: asyncio.Queue() for name in system.peer_names()}
         errors: List[BaseException] = []
         workers = [asyncio.create_task(self._worker(system, name, box, errors))
                    for name, box in mailboxes.items()]
@@ -363,7 +390,7 @@ class AsyncScheduler:
         required_quiet = resolve_quiet_period(system, quiet_period)
         summary = RunSummary(scheduler=self.name)
         mailboxes: Dict[str, asyncio.Queue] = {
-            name: asyncio.Queue() for name in sorted(system.peers)
+            name: asyncio.Queue() for name in system.peer_names()
         }
         errors: List[BaseException] = []
         workers = [asyncio.create_task(self._worker(system, name, box, errors))
@@ -373,7 +400,7 @@ class AsyncScheduler:
             for _ in range(limit):
                 report = await self._cycle(system, mailboxes, errors)
                 summary.rounds.append(report)
-                quiet = quiet + 1 if settled(system, report) else 0
+                quiet = quiet + 1 if _settled_after(system, report) else 0
                 if quiet >= required_quiet:
                     summary.converged = True
                     break
@@ -444,12 +471,12 @@ SCHEDULERS = {
 def resolve_scheduler(spec: Union[None, str, Scheduler]) -> Scheduler:
     """Turn a scheduler spec (name, instance or ``None``) into a driver.
 
-    ``None`` resolves to the default :class:`LockstepScheduler`; a string is
+    ``None`` resolves to the default :class:`ReactiveScheduler`; a string is
     looked up in :data:`SCHEDULERS`; anything else is assumed to implement
     the :class:`Scheduler` protocol and returned as-is.
     """
     if spec is None:
-        return LockstepScheduler()
+        return ReactiveScheduler()
     if isinstance(spec, str):
         factory = SCHEDULERS.get(spec)
         if factory is None:

@@ -10,10 +10,12 @@ and exposes the **primitives** an execution driver composes:
   transport — and notifies the stage observers with the stage's deltas.
 
 *Which* peers are activated, and when, is the scheduler's decision: the
-default :class:`~repro.runtime.scheduler.LockstepScheduler` reproduces the
-historical global rounds, while the reactive and async drivers activate only
-peers with pending work (see :mod:`repro.runtime.scheduler`).  Drive the
-system with :meth:`converge` / :meth:`step` (or ``await`` :meth:`aconverge`).
+default :class:`~repro.runtime.scheduler.ReactiveScheduler` and the async
+driver activate only the peers with work, while
+:class:`~repro.runtime.scheduler.LockstepScheduler` runs every peer every
+cycle — the reference the other two are compared against (see
+:mod:`repro.runtime.scheduler`).  Drive the system with :meth:`converge` /
+:meth:`step` (or ``await`` :meth:`aconverge`).
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ class WebdamLogSystem:
         ``latency``/``drop_probability``/``seed`` are ignored.
     scheduler:
         The execution driver: a :class:`~repro.runtime.scheduler.Scheduler`
-        instance or one of the names ``"lockstep"`` (default), ``"reactive"``,
-        ``"async"``.
+        instance or one of the names ``"reactive"`` (default: a cycle runs
+        only the peers with work), ``"async"`` or ``"lockstep"`` (every peer
+        every cycle, the reference for round-for-round comparisons).
     evaluation_mode:
         The per-peer fixpoint strategy: ``"incremental"`` (default — the
         seminaive, index-accelerated engine) or ``"naive"`` (the historical
@@ -120,7 +123,9 @@ class WebdamLogSystem:
         # envelopes, so the mode is a system-level choice.
         self.replication = replication
         self._round = 0
-        self.history: List[RoundReport] = []
+        # (name, peer) pairs in name order — the order every driver activates
+        # in; rebuilt after add_peer/remove_peer.
+        self._ordered: Optional[Tuple[Tuple[str, Peer], ...]] = None
         self._stage_observers: List[Callable[[str, PeerStageReport], None]] = []
 
     # ------------------------------------------------------------------ #
@@ -181,6 +186,7 @@ class WebdamLogSystem:
             # transport's send/drop/dup records, so one JSONL replays it all.
             peer.replication.event_log = getattr(self.transport, "event_log", None)
         self.peers[name] = peer
+        self._ordered = None
         self.transport.register(name)
         if program:
             peer.load_program(program)
@@ -197,6 +203,7 @@ class WebdamLogSystem:
         """Remove a peer from the system (its undelivered messages are dropped)."""
         peer = self.peers.pop(name, None)
         if peer is not None:
+            self._ordered = None
             self.transport.unregister(name)
             for other in self.peers.values():
                 # Causal-mode peers would otherwise retransmit to the dead
@@ -222,7 +229,17 @@ class WebdamLogSystem:
 
     def peer_names(self) -> Tuple[str, ...]:
         """Sorted names of the registered peers."""
-        return tuple(sorted(self.peers))
+        return tuple(name for name, _ in self.ordered_peers())
+
+    def ordered_peers(self) -> Tuple[Tuple[str, Peer], ...]:
+        """The registered ``(name, peer)`` pairs in name order.
+
+        Kept between topology changes, so a driver's per-cycle scan does not
+        sort the names again.
+        """
+        if self._ordered is None:
+            self._ordered = tuple(sorted(self.peers.items()))
+        return self._ordered
 
     def __contains__(self, name: str) -> bool:
         return name in self.peers
@@ -284,20 +301,7 @@ class WebdamLogSystem:
     def finish_round(self, report: RoundReport) -> RoundReport:
         """Close a scheduling cycle: advance the transport clock."""
         self.transport.advance_round()
-        self.history.append(report)
         return report
-
-    def due_message_count(self, name: str) -> int:
-        """Messages deliverable to ``name`` at the current transport round.
-
-        Transports that track latency expose an exact ``due_count``; for any
-        other implementation the (conservative) total pending count is used,
-        which may activate a peer early but never starves one.
-        """
-        due = getattr(self.transport, "due_count", None)
-        if due is not None:
-            return due(name)
-        return self.transport.pending_count(name)
 
     def pending_engine_input(self) -> bool:
         """``True`` while any engine holds unconsumed input."""
@@ -401,4 +405,4 @@ class WebdamLogSystem:
 
     def snapshot(self) -> Dict[str, Dict[str, Tuple[Fact, ...]]]:
         """Per-peer snapshot of every visible relation."""
-        return {name: peer.engine.snapshot() for name, peer in sorted(self.peers.items())}
+        return {name: peer.engine.snapshot() for name, peer in self.ordered_peers()}

@@ -163,8 +163,10 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
         An explicit :class:`repro.api.Transport`; overrides ``latency`` and
         ``seed`` (e.g. a :class:`repro.api.RecordingTransport` for tracing).
     scheduler:
-        Execution driver of the deployment: ``"lockstep"`` (default),
-        ``"reactive"``, ``"async"`` or a
+        Execution driver of the deployment: ``"reactive"`` (default — only
+        peers with work run; the attendees' email wrappers and the SigmodFB
+        wrapper are polled when they ask, not every cycle), ``"async"``,
+        ``"lockstep"`` (every peer every cycle, the reference) or a
         :class:`~repro.runtime.scheduler.Scheduler` instance.
     provenance:
         When ``True`` every peer tracks why-provenance incrementally;

@@ -10,6 +10,16 @@ called by :class:`~repro.runtime.peer.Peer`:
   the external service.
 
 Both hooks are optional; subclasses override what they need.
+
+The hooks only run when the host peer runs a stage, and the work-driven
+drivers (``"reactive"``, the default, and ``"async"``) run a stage only at a
+peer that has something to do.  A wrapper whose input lives *outside* the
+peer — an external service that can change on its own — therefore tells the
+driver when it needs one: ``wants_stage(peer)`` is asked once per scheduling
+cycle and a ``True`` activates the host even if its engine is idle.  The
+default answer is ``True`` (poll me every cycle); a wrapper class without
+the method is treated the same way.  Override it with a cheap check — it
+runs every cycle for every wrapper, so compare a counter, do not fetch.
 """
 
 from __future__ import annotations
@@ -46,6 +56,17 @@ class Wrapper:
         """The relation schemas this wrapper exports to WebdamLog."""
         return ()
 
+    def wants_stage(self, peer) -> bool:
+        """Whether the host peer must run a stage for this wrapper's sake.
+
+        Asked by the work-driven drivers once per cycle.  ``True`` — the
+        default — means "my hooks may find something new even though nothing
+        reached the peer": the wrapper is polled every cycle.  Return
+        ``False`` while the hooks are known to have nothing to do; writes to
+        the host's relations and incoming messages activate the peer anyway.
+        """
+        return True
+
     def before_stage(self, peer) -> None:
         """Hook run before each computation stage of the host peer."""
 
@@ -61,11 +82,20 @@ class PseudoPeerWrapper(Wrapper):
     :meth:`push_to_service` (called with facts that appeared in the peer's
     relations but are not yet in the service — e.g. a photo posted by another
     peer).  The default ``before_stage`` performs a bidirectional
-    reconciliation between the two.
+    reconciliation between the two, and :meth:`wants_stage` asks for one
+    exactly when its inputs moved: the service (see :meth:`service_version`)
+    or a reconciled relation of the host.
     """
 
     #: Relations whose locally-inserted facts are pushed back to the service.
     writable_relations: Tuple[str, ...] = ()
+
+    def __init__(self):
+        super().__init__()
+        # What the last reconciliation saw — the service's change counter
+        # when it was read, and the store generation of every relation it
+        # compared when it finished; ``None`` before the first one.
+        self._reconciled: Optional[Tuple[object, Dict[str, int]]] = None
 
     def service_facts(self) -> Set[Fact]:
         """The current contents of the service as facts of the pseudo-peer."""
@@ -75,8 +105,36 @@ class PseudoPeerWrapper(Wrapper):
         """Write one fact back into the external service."""
         raise NotImplementedError
 
+    def service_version(self) -> Optional[object]:
+        """The wrapped service's change counter, or ``None`` if it keeps none.
+
+        A service object (``self.service``) that bumps a ``version``
+        attribute in every mutator is only read again after it changed; one
+        without is polled at every cycle.
+        """
+        return getattr(getattr(self, "service", None), "version", None)
+
+    def wants_stage(self, peer) -> bool:
+        """``True`` when a reconciliation could find something to do.
+
+        That is: none has run yet, the service changed since the last one
+        read it (the wrapper's own pushes count — the service decides how a
+        write is rendered), or a reconciled relation of the host was written
+        since (a stage stores the facts it receives *after* ``before_stage``,
+        so they are pushed by the next one).
+        """
+        if self._reconciled is None:
+            return True
+        version, generations = self._reconciled
+        if version is None or version != self.service_version():
+            return True
+        generation = peer.engine.state.store.generation
+        return any(generation(relation, peer.name) != seen
+                   for relation, seen in generations.items())
+
     def before_stage(self, peer) -> None:
         """Reconcile the service and the pseudo-peer's relations in both directions."""
+        version = self.service_version()
         service_side = self.service_facts()
         store = peer.engine.state.store
         local_side: Set[Fact] = set()
@@ -96,6 +154,8 @@ class PseudoPeerWrapper(Wrapper):
                     # The service refused the write (e.g. unauthorised user);
                     # drop the fact so the rejection is observable.
                     store.delete(fact)
+        self._reconciled = (version, {relation: store.generation(relation, peer.name)
+                                      for relation in relations})
 
 
 class RelationWatchingWrapper(Wrapper):
@@ -114,6 +174,11 @@ class RelationWatchingWrapper(Wrapper):
     def __init__(self):
         super().__init__()
         self._processed: Set[Fact] = set()
+
+    def wants_stage(self, peer) -> bool:
+        """Never: the only input is what a stage left in the watched relation,
+        and a write to that relation between stages activates the peer."""
+        return False
 
     def handle_fact(self, peer, fact: Fact) -> None:
         """React to one new fact of the watched relation."""

@@ -33,9 +33,15 @@ class DropboxFile:
 
 
 class DropboxService:
-    """An in-memory file store with per-user folders and shareable links."""
+    """An in-memory file store with per-user folders and shareable links.
+
+    Every mutator bumps :attr:`version` (see
+    :meth:`repro.wrappers.base.PseudoPeerWrapper.service_version`).
+    """
 
     def __init__(self):
+        #: Change counter: bumped by every call that writes to the service.
+        self.version = 0
         self._files: Dict[Tuple[str, str], DropboxFile] = {}
         self._links: Dict[Tuple[str, str], str] = {}
 
@@ -44,11 +50,13 @@ class DropboxService:
         if not path.startswith("/"):
             raise WrapperError(f"Dropbox path must be absolute, got {path!r}")
         record = DropboxFile(owner=owner, path=path, name=name, size=int(size))
+        self.version += 1
         self._files[(owner, path)] = record
         return record
 
     def delete(self, owner: str, path: str) -> bool:
         """Delete a file; returns ``True`` when it existed."""
+        self.version += 1
         removed = self._files.pop((owner, path), None) is not None
         self._links.pop((owner, path), None)
         return removed
@@ -69,6 +77,7 @@ class DropboxService:
         link = self._links.get((owner, path))
         if link is None:
             link = f"https://dropbox.example/s/{owner}{path.replace('/', '-')}"
+            self.version += 1
             self._links[(owner, path)] = link
         return link
 

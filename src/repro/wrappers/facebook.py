@@ -60,9 +60,15 @@ class FacebookTag:
 
 
 class FacebookService:
-    """In-memory model of the parts of Facebook used by Wepic."""
+    """In-memory model of the parts of Facebook used by Wepic.
+
+    Every mutator bumps :attr:`version`, so a wrapper can tell "nothing
+    happened since I last looked" without fetching anything.
+    """
 
     def __init__(self):
+        #: Change counter: bumped by every call that writes to the service.
+        self.version = 0
         self._users: Set[str] = set()
         self._friends: Dict[str, Set[str]] = {}
         self._groups: Dict[str, Set[str]] = {}
@@ -75,6 +81,7 @@ class FacebookService:
 
     def add_user(self, user: str) -> None:
         """Create a user account (idempotent)."""
+        self.version += 1
         self._users.add(user)
         self._friends.setdefault(user, set())
 
@@ -87,6 +94,7 @@ class FacebookService:
         for account in (user, friend):
             if account not in self._users:
                 raise WrapperError(f"unknown Facebook user {account!r}")
+        self.version += 1
         self._friends[user].add(friend)
         self._friends[friend].add(user)
 
@@ -98,6 +106,7 @@ class FacebookService:
 
     def create_group(self, group: str) -> None:
         """Create a group (idempotent)."""
+        self.version += 1
         self._groups.setdefault(group, set())
 
     def join_group(self, group: str, user: str) -> None:
@@ -106,6 +115,7 @@ class FacebookService:
             raise WrapperError(f"unknown Facebook group {group!r}")
         if user not in self._users:
             raise WrapperError(f"unknown Facebook user {user!r}")
+        self.version += 1
         self._groups[group].add(user)
 
     def group_members(self, group: str) -> Tuple[str, ...]:
@@ -141,6 +151,7 @@ class FacebookService:
             photo_id = next(self._photo_counter)
         photo = FacebookPhoto(photo_id=photo_id, owner=owner, name=name, data=data,
                               group=group)
+        self.version += 1
         self._photos[photo_id] = photo
         return photo
 
@@ -169,6 +180,7 @@ class FacebookService:
         if photo_id not in self._photos:
             raise WrapperError(f"unknown photo {photo_id!r}")
         comment = FacebookComment(photo_id=photo_id, author=author, text=text)
+        self.version += 1
         self._comments.append(comment)
         return comment
 
@@ -177,6 +189,7 @@ class FacebookService:
         if photo_id not in self._photos:
             raise WrapperError(f"unknown photo {photo_id!r}")
         tag = FacebookTag(photo_id=photo_id, tagged_user=tagged_user)
+        self.version += 1
         self._tags.append(tag)
         return tag
 

@@ -1,0 +1,276 @@
+"""Differential equivalence of the default driver and the lockstep reference.
+
+The default driver runs a stage only at the peers that can change something;
+``"lockstep"`` runs every peer every cycle.  Skipping a peer is admissible
+only if its stage would have been a no-op, so the two must be
+indistinguishable from outside after *every* ``converge()``: the same
+snapshot at every peer, the same number of cycles, the same messages on the
+transport (a lossy one draws from one seeded stream, so the same messages are
+lost), the same state of the wrapped services and the same ``explain()``
+story — while the default driver runs no stage that found nothing to do.
+
+One deployment exercises every way work can reach a peer: base-fact inserts
+and deletes, rules added and removed (local, remote-extensional and
+remote-intensional heads), a delegation that comes and goes with a fact, a
+scratch relation (its end-of-stage clear is input of the *next* stage), a
+local extensional head (stored by the next stage too), live views opened and
+closed (one with negation), a wrapped service that is written to from inside
+(a fact pushed to ``files@box``) and changed from outside between two
+converges, and an outbox wrapper that never asks for a poll.  It runs once
+over the program's defaults and once under causal replication with provenance
+over a transport that loses, duplicates and reorders.
+
+The reference polls every wrapper at every stage whatever ``wants_stage``
+says (``before_stage`` never consults it), so a wrapper that fails to ask
+for a poll it needs shows up here as a difference.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.api import InMemoryTransport, system
+from repro.core.facts import Fact
+from repro.wrappers.dropbox import DropboxService, DropboxWrapper
+from repro.wrappers.email import EmailService, EmailWrapper
+
+PROGRAMS = {
+    "a": """
+collection ext persistent item@a(x);
+collection ext persistent friend@a(p);
+collection ext scratch ping@a(x);
+collection ext persistent log@a(x);
+collection int echo@a(x);
+collection int seen@a(x);
+collection int both@a(x);
+collection int boxed@a(path);
+rule echo@a($x) :- ping@a($x);
+rule seen@a($x) :- friend@a($p), item@$p($x);
+rule log@a($x) :- seen@a($x);
+rule boxed@a($p) :- files@box($p, $n, $s);
+""",
+    "b": """
+collection ext persistent item@b(x);
+rule inbox@c($x) :- item@b($x);
+rule email@c("a", "item", $x, "b") :- item@b($x);
+""",
+    "c": """
+collection ext persistent item@c(x);
+collection ext persistent inbox@c(x);
+collection int big@c(x);
+rule big@c($x) :- inbox@c($x), item@c($x);
+""",
+}
+
+#: Rules that come and go: a local intensional head, a remote extensional
+#: head and a remote intensional one (its facts are *provided* at ``a``).
+EXTRA_RULES = (
+    ("a", "both@a($x) :- item@a($x), seen@a($x)"),
+    ("b", "item@c($x) :- item@b($x)"),
+    ("c", "seen@a($x) :- big@c($x)"),
+)
+
+#: Views that open and close: a join over a derived relation, and negation.
+VIEWS = (
+    ("a", "seen@a($x), item@a($x)"),
+    ("c", "inbox@c($x), not item@c($x)"),
+)
+
+VALUES = st.integers(0, 2)
+operation = st.one_of(
+    st.tuples(st.just("item"), st.booleans(), st.sampled_from("abc"), VALUES),
+    st.tuples(st.just("friend"), st.booleans(), st.sampled_from("bc")),
+    st.tuples(st.just("ping"), VALUES),
+    st.tuples(st.just("rule"), st.booleans(), st.integers(0, len(EXTRA_RULES) - 1)),
+    st.tuples(st.just("view"), st.booleans(), st.integers(0, len(VIEWS) - 1)),
+    st.tuples(st.just("push"), VALUES),
+    st.tuples(st.just("upload"), VALUES),
+)
+#: A ``converge()`` follows every batch of one to three operations.
+batches = st.lists(st.lists(operation, min_size=1, max_size=3), max_size=6)
+
+#: Batches every run replays: one per way a skipped stage could go missing.
+SCRIPTED = (
+    # the scratch clear is the next stage's input, and nobody else's
+    [[("ping", 1)], [("ping", 1), ("ping", 2)]],
+    # the service changes from outside, nothing else does
+    [[("upload", 0)], [("upload", 1)], [("upload", 1)]],
+    # a pushed fact reaches the service one stage after it reached the peer
+    [[("push", 2)], [("upload", 2), ("push", 0)]],
+    # a delegation installed, fed, starved and retracted
+    [[("friend", True, "b"), ("item", True, "b", 1)], [("item", False, "b", 1)],
+     [("item", True, "b", 2), ("friend", False, "b")]],
+    # the outbox wrapper: one email per fact, whoever else is idle
+    [[("item", True, "b", 0)], [("item", False, "b", 0)], [("item", True, "b", 0)]],
+    # a remote-head rule removed: nothing local changes, a retraction leaves
+    [[("item", True, "b", 1), ("rule", True, 1)], [("rule", False, 1)]],
+    # provided facts and a view over them, opened, changed, closed
+    [[("item", True, "c", 1), ("item", True, "b", 1), ("rule", True, 2)],
+     [("view", True, 0), ("item", True, "a", 1)], [("view", False, 0)],
+     [("rule", False, 2)]],
+    # negation in a view at a peer that is otherwise only written to
+    [[("view", True, 1), ("item", True, "b", 2)], [("item", True, "c", 2)],
+     [("view", False, 1)]],
+)
+
+
+def scripted(test):
+    for script in SCRIPTED:
+        test = example(script)(test)
+    return test
+
+
+class AskCountingDropbox(DropboxWrapper):
+    """Counts the times the wrapper asked the driver for a stage."""
+
+    asked = 0
+
+    def wants_stage(self, peer):
+        wanted = super().wants_stage(peer)
+        self.asked += wanted
+        return wanted
+
+
+class Deployment:
+    """One deployment plus the handles the operations need."""
+
+    def __init__(self, scheduler, lossy):
+        self.dropbox, self.mail = DropboxService(), EmailService()
+        self.box_wrapper = AskCountingDropbox(self.dropbox, "u", peer_name="box")
+        builder = system()
+        if scheduler is not None:
+            builder.scheduler(scheduler)
+        if lossy:
+            builder.provenance().replication("causal").transport(InMemoryTransport(
+                loss_probability=0.15, duplicate_probability=0.15,
+                reorder_window=3, seed=7))
+        for name, program in PROGRAMS.items():
+            peer = builder.peer(name).program(program)
+            if name == "c":
+                peer.wrapper(EmailWrapper(self.mail))
+        builder.peer("box").wrapper(self.box_wrapper)
+        self.api = builder.build()
+        self.rules = {}
+        self.views = {}
+        self.idle_stages = []
+        self._seen = {}
+
+    # -- the no-idle-stage watch (default driver only) ---------------------- #
+
+    def watch_for_idle_stages(self):
+        self.api.runtime.add_stage_observer(self._on_stage)
+
+    def _on_stage(self, name, report):
+        peer = self.api.runtime.peers[name]
+        # A program change and a poll the wrapper asked for are work too.
+        stamp = (peer.engine.program_version,
+                 self.box_wrapper.asked if name == "box" else 0)
+        unchanged = self._seen.get(name) == stamp
+        self._seen[name] = stamp
+        # Under causal replication a peer with an unacknowledged channel is
+        # staged while it waits: its digest timer counts its own stages.
+        if (peer.replication is None and unchanged
+                and report.stage_result.evaluation_path == "skip"
+                and not report.delivered_messages and not report.sent_messages):
+            self.idle_stages.append((name, report.stage_result.stage))
+
+    # -- operations ----------------------------------------------------------- #
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "item":
+            _, insert, peer, value = op
+            handle = self.api.peer(peer)
+            (handle.insert if insert else handle.delete)(Fact("item", peer, (value,)))
+        elif kind == "friend":
+            handle = self.api.peer("a")
+            (handle.insert if op[1] else handle.delete)(Fact("friend", "a", (op[2],)))
+        elif kind == "ping":
+            self.api.peer("a").insert(Fact("ping", "a", (op[1],)))
+        elif kind == "rule":
+            _, add, index = op
+            owner, text = EXTRA_RULES[index]
+            peer = self.api.peer(owner).unwrap()
+            if add and index not in self.rules:
+                self.rules[index] = peer.add_rule(text).rule_id
+            elif not add and index in self.rules:
+                peer.remove_rule(self.rules.pop(index))
+        elif kind == "view":
+            _, open_, index = op
+            owner, query = VIEWS[index]
+            if open_ and index not in self.views:
+                self.views[index] = self.api.query(owner, query)
+            elif not open_ and index in self.views:
+                self.views.pop(index).close(settle=False)
+        elif kind == "push":
+            # written at ``a``, stored at ``box``, uploaded by its wrapper
+            self.api.peer("a").insert(Fact("files", "box", (f"/in{op[1]}", "in", op[1])))
+        elif kind == "upload":
+            # nobody tells the deployment: the wrapper has to notice
+            self.dropbox.upload("u", f"/out{op[1]}", "out", op[1] + len(self.dropbox.files_of("u")))
+
+    # -- what an outsider can observe ------------------------------------------ #
+
+    def observed(self):
+        stats = self.api.stats
+        story = {
+            "snapshot": self.api.snapshot(),
+            "views": {index: view.rows() for index, view in sorted(self.views.items())},
+            "messages": (stats.messages_sent, stats.messages_delivered,
+                         stats.messages_dropped, stats.payload_items,
+                         dict(stats.by_kind)),
+            "dropbox": self.dropbox.files_of("u"),
+            "emails": self.mail.sent_count,
+        }
+        if self.api.runtime.provenance:
+            story["explain"] = {
+                fact: self._explained("a", fact)
+                for relation in ("seen", "both", "boxed")
+                for fact in self.api.peer("a").unwrap().query(relation)}
+        return story
+
+    def _explained(self, at, fact):
+        told = self.api.explain(at, fact)
+        return (told.derived, frozenset(told.why), told.lineage,
+                told.base_relations, told.peers)
+
+
+def _converge_both(reference, candidate):
+    expected, summary = reference.api.converge(), candidate.api.converge()
+    assert expected.converged and summary.converged
+    assert summary.round_count == expected.round_count
+    assert summary.rounds_to_convergence == expected.rounds_to_convergence
+    assert candidate.observed() == reference.observed()
+    assert candidate.idle_stages == []
+    return expected, summary
+
+
+class TestDefaultDriverMatchesLockstep:
+    @pytest.mark.parametrize("lossy", [False, True],
+                             ids=["defaults", "causal-lossy-provenance"])
+    def test_every_converge_agrees_with_the_reference(self, lossy):
+        stages = [0, 0]
+
+        @scripted
+        @given(batches)
+        @settings(max_examples=15 if not lossy else 8, deadline=None)
+        def run(stream):
+            reference = Deployment("lockstep", lossy)
+            candidate = Deployment(None, lossy)
+            candidate.watch_for_idle_stages()
+            pairs = [_converge_both(reference, candidate)]
+            for batch in stream:
+                for op in batch:
+                    reference.apply(op)
+                    candidate.apply(op)
+                pairs.append(_converge_both(reference, candidate))
+            # settled means settled: asking again runs nothing new
+            pairs.append(_converge_both(reference, candidate))
+            stages[0] += sum(expected.total_stages() for expected, _ in pairs)
+            stages[1] += sum(summary.total_stages() for _, summary in pairs)
+            reference.api.close()
+            candidate.api.close()
+
+        run()
+        # ... and it is the same work, not the same waste.
+        assert stages[1] * 2 < stages[0]

@@ -190,7 +190,7 @@ class TestAsyncScheduler:
 
 class TestSchedulerResolution:
     def test_names_resolve(self):
-        assert isinstance(resolve_scheduler(None), LockstepScheduler)
+        assert isinstance(resolve_scheduler(None), ReactiveScheduler)
         assert isinstance(resolve_scheduler("lockstep"), LockstepScheduler)
         assert isinstance(resolve_scheduler("reactive"), ReactiveScheduler)
         assert isinstance(resolve_scheduler("async"), AsyncScheduler)
@@ -269,3 +269,63 @@ class TestQuietPeriod:
                                             ("b", "pong"))}
 
         assert snapshot(1) == snapshot(4)
+
+
+SCRATCH_ECHO = """
+collection ext scratch ping@a(x);
+collection int echo@a(x);
+rule echo@a($x) :- ping@a($x);
+"""
+
+STRICT_ECHO_A = """
+collection int inbox@a(x);
+collection int echo@a(x);
+rule echo@a($x) :- inbox@a($x);
+"""
+
+STRICT_ECHO_B = """
+collection ext persistent src@b(x);
+fact src@b(1);
+rule inbox@a($x) :- src@b($x);
+"""
+
+#: ``None`` is the default driver, whatever it resolves to.
+EVERY_DRIVER = ["lockstep", "reactive", "async", None]
+
+
+class TestStageLeftovers:
+    """A stage's housekeeping deletions are input of the *next* stage.
+
+    The facts were visible to the stage that cleared them, so what it derived
+    from them is retracted one stage later — by a stage nothing else asks for.
+    Every driver must run it (``needs_stage()`` used to forget the carry-over,
+    so the work-driven drivers stopped one stage early, ``echo`` still derived).
+    """
+
+    @pytest.mark.parametrize("scheduler", EVERY_DRIVER)
+    def test_scratch_relation_consequences_are_retracted(self, scheduler):
+        sys = WebdamLogSystem(scheduler=scheduler)
+        peer = sys.add_peer("a", program=SCRATCH_ECHO)
+        sys.converge()
+        peer.insert_fact("ping@a(1)")
+        summary = sys.converge()
+        assert summary.converged
+        assert peer.query("ping") == ()
+        assert peer.query("echo") == ()
+        # derive, retract, detect quiescence — the lockstep reference's count
+        assert summary.round_count == 3
+
+    @pytest.mark.parametrize("scheduler", EVERY_DRIVER)
+    def test_strict_provided_fact_lasts_one_stage(self, scheduler):
+        def run(driver):
+            sys = WebdamLogSystem(strict_stage_inputs=True, scheduler=driver)
+            sys.add_peer("a", program=STRICT_ECHO_A)
+            sys.add_peer("b", program=STRICT_ECHO_B)
+            return sys, sys.converge()
+
+        reference, expected = run("lockstep")
+        candidate, summary = run(scheduler)
+        assert summary.converged
+        assert candidate.peer("a").query("echo") == ()
+        assert candidate.snapshot() == reference.snapshot()
+        assert summary.round_count == expected.round_count
