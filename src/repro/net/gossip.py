@@ -68,10 +68,18 @@ class GossipBuffer:
         return len(self._seen)
 
     def digest(self) -> Tuple[str, ...]:
-        """The most recent envelope ids (up to ``digest_window``)."""
+        """The most recent envelope ids (up to ``digest_window``), oldest
+        first.
+
+        Taken from the recent end of the buffer, so an offer costs its
+        window, not the (up to ``buffer_size``) ids the buffer holds.
+        """
         window = self.config.digest_window
-        ids = list(self._seen.keys())
-        return tuple(ids[-window:])
+        if len(self._seen) <= window:
+            return tuple(self._seen)
+        recent = list(itertools.islice(reversed(self._seen), window))
+        recent.reverse()
+        return tuple(recent)
 
     def missing(self, offered: Iterable[str]) -> Tuple[str, ...]:
         """Of the offered ids, the ones this buffer has not seen."""

@@ -22,8 +22,10 @@ the simulator (virtual clock) and direct unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.net.frames import MemberUpdate
 
@@ -64,13 +66,19 @@ class SwimConfig:
 
 @dataclass
 class Member:
-    """The local view of one peer."""
+    """The local view of one peer.
+
+    Written by its :class:`MembershipTable` only — every answer the table
+    keeps ready is derived from these fields at the place they change.
+    """
 
     name: str
     address: str
     status: str
     incarnation: int
     changed_at: float
+    #: Position in the table's insertion order (this node itself is 0).
+    ordinal: int = 0
 
     def is_routable(self) -> bool:
         """``True`` while the member is a valid gossip/probe target."""
@@ -82,7 +90,28 @@ class Member:
 
 
 class MembershipTable:
-    """One node's membership view plus its dissemination queue."""
+    """One node's membership view plus its dissemination queue.
+
+    **The table is the only writer of a** :class:`Member`.  Members are
+    created and changed in four places — :meth:`apply`'s new-member and
+    supersede branches, its stale-update-teaches-an-address branch, and this
+    node's own row in :meth:`leave` / self-refutation — and each of the
+    first three ends in :meth:`_reindex`, which keeps ready what callers
+    used to recompute by scanning ``members`` on every tick and frame:
+
+    * ``_routable`` — the names :meth:`knows` answers ``True`` for, this
+      node excluded, as a name-sorted list (``bisect``);
+    * ``_suspects`` — the names whose status is ``suspect``;
+    * ``_peer_status`` — ``name -> status`` of every member but this node,
+      in insertion order;
+    * ``Member.ordinal`` — the member's position in ``members``.
+
+    Invariant: after every public call each of them equals what a rescan of
+    ``members`` would give.  This node's own row is in none of them (nobody
+    routes to, suspects or lists itself), which is why the two places that
+    touch only that row maintain no index.  Members are never removed — the
+    dead and the departed stay as tombstones.
+    """
 
     def __init__(self, self_name: str, self_address: str,
                  config: Optional[SwimConfig] = None, now: float = 0.0):
@@ -91,8 +120,12 @@ class MembershipTable:
         self.members: Dict[str, Member] = {
             self_name: Member(self_name, self_address, ALIVE, 0, now),
         }
-        # [update, remaining retransmissions] — drained by piggyback().
-        self._queue: List[List] = []
+        self._routable: List[str] = []
+        self._suspects: Set[str] = set()
+        self._peer_status: Dict[str, str] = {}
+        # peer -> [update, remaining retransmissions], oldest first —
+        # drained by piggyback().
+        self._queue: Dict[str, List] = {}
 
     # ------------------------------------------------------------------ #
     # views
@@ -114,19 +147,27 @@ class MembershipTable:
         member = self.members.get(name)
         return member.address if member is not None and member.address else None
 
+    @property
+    def routable(self) -> Sequence[str]:
+        """The maintained list behind :meth:`routable_peers` — read-only.
+
+        For callers that index or bisect it in place (target sampling);
+        anything that wants to keep or reorder the names takes the copy.
+        """
+        return self._routable
+
     def routable_peers(self) -> List[str]:
         """Peers this node may probe or gossip to (alive or suspect), sorted."""
-        return sorted(
-            name for name, member in self.members.items()
-            if name != self.self_name and member.is_routable()
-        )
+        return list(self._routable)
 
     def alive_peers(self) -> List[str]:
         """Peers currently believed alive (excluding self), sorted."""
-        return sorted(
-            name for name, member in self.members.items()
-            if name != self.self_name and member.status == ALIVE
-        )
+        return sorted(name for name, status in self._peer_status.items()
+                      if status == ALIVE)
+
+    def peer_statuses(self) -> Dict[str, str]:
+        """``peer -> status`` of every member but this node (a copy)."""
+        return dict(self._peer_status)
 
     def status_of(self, name: str) -> Optional[str]:
         member = self.members.get(name)
@@ -154,31 +195,57 @@ class MembershipTable:
             return self._apply_about_self(update)
         current = self.members.get(update.peer)
         if current is None:
-            if update.status in (DEAD, LEFT):
-                # Record tombstones for unknown peers too: a stale "alive"
-                # arriving later must not resurrect them.
-                self.members[update.peer] = Member(
-                    update.peer, update.address, update.status,
-                    update.incarnation, now)
-                self._enqueue(update)
-                return update.status
-            self.members[update.peer] = Member(
-                update.peer, update.address, update.status,
-                update.incarnation, now)
+            # Dead and left peers we never saw are recorded like any other
+            # (as tombstones): a stale "alive" arriving later must not
+            # resurrect them.
+            current = Member(update.peer, update.address, update.status,
+                             update.incarnation, now,
+                             ordinal=len(self.members))
+            self.members[update.peer] = current
+            self._reindex(current)
             self._enqueue(update)
             return update.status
-        if not self._supersedes(update, current):
+        if not _supersedes(update.incarnation, update.status, current):
             # Stale — but an address we lack is still worth learning.
             if update.address and not current.address:
                 current.address = update.address
+                self._reindex(current)
             return None
         current.status = update.status
         current.incarnation = update.incarnation
         current.changed_at = now
         if update.address:
             current.address = update.address
+        self._reindex(current)
         self._enqueue(current.as_update())
         return update.status
+
+    def merge_wire(self, encoded_updates: Iterable[Dict[str, Any]],
+                   now: float) -> List[Tuple[str, str]]:
+        """:meth:`apply` a frame's ``updates`` list straight from its wire form.
+
+        Returns ``(peer, transition)`` for the assertions that changed the
+        table, in order.  The merge is a join: an assertion the table
+        already dominates changes nothing, so it is rejected from its wire
+        dictionary — a :class:`MemberUpdate` is built only for one that
+        supersedes, teaches a missing address or is about this node.  (On
+        an anti-entropy digest, which repeats the sender's whole view, that
+        is a few in a hundred.)
+        """
+        members, self_name = self.members, self.self_name
+        transitions: List[Tuple[str, str]] = []
+        for encoded in encoded_updates:
+            peer = encoded["peer"]
+            current = members.get(peer)
+            if (current is not None and peer != self_name
+                    and not _supersedes(encoded.get("incarnation", 0),
+                                        encoded["status"], current)
+                    and (current.address or not encoded.get("address"))):
+                continue
+            transition = self.apply(MemberUpdate.from_wire(encoded), now)
+            if transition:
+                transitions.append((peer, transition))
+        return transitions
 
     def _apply_about_self(self, update: MemberUpdate) -> Optional[str]:
         """Assertions about *this* node: refute suspicion/death by
@@ -190,15 +257,27 @@ class MembershipTable:
             return "refuted"
         return None
 
-    @staticmethod
-    def _supersedes(update: MemberUpdate, current: Member) -> bool:
-        if update.incarnation > current.incarnation:
-            # A higher incarnation always wins — it is newer information
-            # from the member itself (alive refutation or rejoin).
-            return True
-        if update.incarnation < current.incarnation:
-            return False
-        return _PRECEDENCE[update.status] > _PRECEDENCE[current.status]
+    def _reindex(self, member: Member) -> None:
+        """Bring every index in line with ``member`` as it now stands.
+
+        Called wherever a member other than this node is created or
+        changed; it looks only at the member's current fields, so calling
+        it again is harmless.
+        """
+        name = member.name
+        self._peer_status[name] = member.status
+        if member.status == SUSPECT:
+            self._suspects.add(name)
+        else:
+            self._suspects.discard(name)
+        routable = self._routable
+        position = bisect_left(routable, name)
+        listed = position < len(routable) and routable[position] == name
+        if member.is_routable():
+            if not listed:
+                routable.insert(position, name)
+        elif listed:
+            del routable[position]
 
     def suspect(self, name: str, now: float) -> Optional[str]:
         """Local failure-detector verdict: ``name`` missed its probes."""
@@ -218,11 +297,15 @@ class MembershipTable:
 
     def expire_suspects(self, now: float) -> List[str]:
         """Promote suspects older than ``suspect_timeout`` to dead."""
-        expired = [
-            name for name, member in self.members.items()
-            if member.status == SUSPECT
-            and now - member.changed_at >= self.config.suspect_timeout
-        ]
+        if not self._suspects:
+            return []
+        members, timeout = self.members, self.config.suspect_timeout
+        expired = [name for name in self._suspects
+                   if now - members[name].changed_at >= timeout]
+        # Verdicts go out in the table's insertion order, whatever order
+        # the suspicions arose in: it is the order of the ``dead`` events
+        # and of the dissemination queue.
+        expired.sort(key=lambda name: members[name].ordinal)
         for name in expired:
             self.declare_dead(name, now)
         return expired
@@ -244,25 +327,49 @@ class MembershipTable:
     def _enqueue(self, update: MemberUpdate) -> None:
         # Replace any queued entry about the same peer: the new assertion
         # supersedes it, and stale retransmissions would only be rejected.
-        self._queue = [entry for entry in self._queue
-                       if entry[0].peer != update.peer]
-        self._queue.append([update, self.config.retransmit])
+        # (Popped first so the new entry goes to the back of the queue.)
+        self._queue.pop(update.peer, None)
+        self._queue[update.peer] = [update, self.config.retransmit]
 
     def piggyback(self, limit: Optional[int] = None) -> Tuple[MemberUpdate, ...]:
         """Updates to attach to an outgoing frame (decrements their budget)."""
+        if not self._queue:
+            return ()
         limit = self.config.piggyback_limit if limit is None else limit
-        selected: List[MemberUpdate] = []
-        for entry in self._queue[:limit]:
-            selected.append(entry[0])
+        selected = list(islice(self._queue.values(), limit))
+        for entry in selected:
             entry[1] -= 1
-        self._queue = [entry for entry in self._queue if entry[1] > 0]
-        return tuple(selected)
+            if entry[1] <= 0:
+                del self._queue[entry[0].peer]
+        return tuple(entry[0] for entry in selected)
+
+    def wire_view(self) -> List[Dict[str, Any]]:
+        """Every member in wire form, name-sorted: a digest's ``updates``.
+
+        The same records, in the same order, as encoding
+        :meth:`full_view` — built without the :class:`MemberUpdate` in
+        between, because anti-entropy sends the whole view every time.
+        """
+        return [{"peer": name, "status": member.status,
+                 "incarnation": member.incarnation, "address": member.address}
+                for name, member in sorted(self.members.items())]
 
     def full_view(self) -> Tuple[MemberUpdate, ...]:
-        """Every member as an update (the welcome payload for joiners)."""
+        """Every member as an update, name-sorted."""
         return tuple(member.as_update()
                      for _, member in sorted(self.members.items()))
 
     def pending_updates(self) -> int:
         """Number of updates still awaiting dissemination."""
         return len(self._queue)
+
+
+def _supersedes(incarnation: int, status: str, current: Member) -> bool:
+    """Does ``status`` at ``incarnation`` override what ``current`` records?"""
+    if incarnation > current.incarnation:
+        # A higher incarnation always wins — it is newer information
+        # from the member itself (alive refutation or rejoin).
+        return True
+    if incarnation < current.incarnation:
+        return False
+    return _PRECEDENCE[status] > _PRECEDENCE[current.status]

@@ -26,6 +26,7 @@ deduplicated; everything the node does is reported to its
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,10 +166,15 @@ class GossipNode:
 
     def handle_frame(self, wire_frame: dict, now: float) -> List[Output]:
         """Process one incoming frame; returns the frames to send back out."""
-        frame = frame_from_wire(wire_frame)
-        updates = getattr(frame, "updates", ())
-        if updates:
-            self._apply_updates(updates, now)
+        encoded_updates = wire_frame.get("updates")
+        if encoded_updates:
+            # The frame is decoded without its updates: they are merged
+            # from their wire form, where most are rejected as stale
+            # without ever becoming objects.
+            frame = frame_from_wire({**wire_frame, "updates": ()})
+            self._merge_updates(encoded_updates, now)
+        else:
+            frame = frame_from_wire(wire_frame)
         if isinstance(frame, JoinFrame):
             return self._on_join(frame, now)
         if isinstance(frame, LeaveFrame):
@@ -216,12 +222,12 @@ class GossipNode:
     # membership internals
     # ------------------------------------------------------------------ #
 
-    def _apply_updates(self, updates: Sequence[MemberUpdate],
+    def _merge_updates(self, encoded_updates: Sequence[dict],
                        now: float) -> None:
-        for update in updates:
-            transition = self.membership.apply(update, now)
-            if transition and transition != ALIVE:
-                self.events.emit(transition, self.name, now, peer=update.peer)
+        for peer, transition in self.membership.merge_wire(encoded_updates,
+                                                           now):
+            if transition != ALIVE:
+                self.events.emit(transition, self.name, now, peer=peer)
 
     def _on_join(self, frame: JoinFrame, now: float) -> List[Output]:
         transition = self.membership.apply(
@@ -231,9 +237,7 @@ class GossipNode:
             self.events.emit("member-joined", self.name, now, peer=frame.peer)
         # Welcome the joiner with our whole membership view and our digest,
         # so it can pull the envelopes it missed before existing.
-        welcome = DigestFrame(peer=self.name, ids=self.buffer.digest(),
-                              updates=self.membership.full_view()).to_wire()
-        return [(frame.peer, frame.address, welcome)]
+        return [(frame.peer, frame.address, self._digest_with_view())]
 
     def _send_probe(self, now: float) -> List[Output]:
         target = self._next_probe_target()
@@ -251,10 +255,10 @@ class GossipNode:
     def _next_probe_target(self) -> Optional[str]:
         # SWIM's round-robin over a shuffled ring: every member is probed
         # within one traversal, in an order fresh each cycle.
-        routable = set(self.membership.routable_peers())
-        self._probe_ring = [p for p in self._probe_ring if p in routable]
+        knows = self.membership.knows
+        self._probe_ring = [p for p in self._probe_ring if knows(p)]
         if not self._probe_ring:
-            ring = sorted(routable)
+            ring = self.membership.routable_peers()
             self._rng.shuffle(ring)
             self._probe_ring = ring
         return self._probe_ring.pop() if self._probe_ring else None
@@ -395,9 +399,15 @@ class GossipNode:
         # piggyback queue: once retransmit budgets are exhausted, this is
         # the channel that repairs membership knowledge gaps (a node the
         # flood never told about some peer learns of it here).
-        frame = DigestFrame(peer=self.name, ids=self.buffer.digest(),
-                            updates=self.membership.full_view()).to_wire()
-        return [(peer, address, frame)]
+        return [(peer, address, self._digest_with_view())]
+
+    def _digest_with_view(self) -> dict:
+        """A digest of the buffer carrying the whole membership view."""
+        frame = DigestFrame(peer=self.name, ids=self.buffer.digest()).to_wire()
+        # Encoded by the table, straight from its members: a view is a
+        # hundred records at a hundred peers, sent every interval.
+        frame["updates"] = self.membership.wire_view()
+        return frame
 
     def _on_digest(self, frame: DigestFrame, now: float) -> List[Output]:
         address = self.membership.address_of(frame.peer)
@@ -440,14 +450,38 @@ class GossipNode:
     def _sample_targets(self, count: int,
                         exclude: Optional[set] = None
                         ) -> List[Tuple[str, str]]:
-        """Up to ``count`` random routable (peer, address) pairs."""
-        excluded = exclude or set()
-        candidates = [
-            (peer, self.membership.address_of(peer))
-            for peer in self.membership.routable_peers()
-            if peer not in excluded
-        ]
-        candidates = [(p, a) for p, a in candidates if a]
-        if len(candidates) <= count:
-            return candidates
-        return self._rng.sample(candidates, count)
+        """Up to ``count`` random routable (peer, address) pairs.
+
+        The candidates are the table's routable list minus ``exclude``, in
+        name order.  They are never written out: the excluded names that
+        are routable at all become *holes* (positions in the list), the
+        sample is drawn over ``range(candidates)`` and each drawn index is
+        shifted past the holes at or below it.  ``random.sample`` looks at
+        its population only through ``len()`` and indexing, so it draws the
+        same numbers from the node's generator, and picks the same
+        positions, for a ``range`` as for a list of that length — the
+        choice, and every later one, is what sampling the written-out
+        candidates would have made.
+        """
+        routable = self.membership.routable
+        holes = []
+        for name in exclude or ():
+            position = bisect_left(routable, name)
+            if position < len(routable) and routable[position] == name:
+                holes.append(position)
+        holes.sort()
+        candidates = len(routable) - len(holes)
+        if candidates <= count:
+            picks = range(candidates)
+        else:
+            picks = self._rng.sample(range(candidates), count)
+        address_of = self.membership.address_of
+        targets = []
+        for index in picks:
+            for hole in holes:
+                if hole > index:
+                    break
+                index += 1
+            peer = routable[index]
+            targets.append((peer, address_of(peer)))
+        return targets

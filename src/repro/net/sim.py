@@ -151,12 +151,7 @@ class SimulatedGossipNetwork:
 
     def membership_view(self, name: str) -> Dict[str, str]:
         """``peer -> status`` as seen by ``name`` (excluding itself)."""
-        node = self.nodes[name]
-        return {
-            member.name: member.status
-            for member in node.membership.members.values()
-            if member.name != name
-        }
+        return self.nodes[name].membership.peer_statuses()
 
     def converged(self) -> bool:
         """``True`` when every node can route to every other node.
@@ -167,8 +162,5 @@ class SimulatedGossipNetwork:
         everywhere would never stabilise at nonzero drop probabilities.
         """
         live = set(self.nodes)
-        for name, node in self.nodes.items():
-            for other in live - {name}:
-                if not node.membership.knows(other):
-                    return False
-        return True
+        return all(live <= {name, *node.membership.routable}
+                   for name, node in self.nodes.items())

@@ -174,22 +174,22 @@ class TcpTransport:
                       if existing else [])
         seeds = [(name, self._endpoints[name].node.address)
                  for name in seed_names]
-        node = GossipNode(
-            peer, "",  # address assigned once the server's port is known
-            gossip=self.gossip, swim=self.swim, seeds=seeds,
-            events=self.events, rng_seed=self._rng.randrange(2 ** 32),
-            now=self._now(),
-        )
 
         async def handle(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
             await self._serve_connection(node, reader, writer)
 
+        # The node is built once the server's port is known, so its table
+        # is born with its address; no connection is served before then
+        # (nothing awaits between the two statements).
         server = await asyncio.start_server(handle, self.host, 0)
         port = server.sockets[0].getsockname()[1]
         address = f"{self.host}:{port}"
-        node.address = address
-        node.membership.members[peer].address = address
+        node = GossipNode(
+            peer, address, gossip=self.gossip, swim=self.swim, seeds=seeds,
+            events=self.events, rng_seed=self._rng.randrange(2 ** 32),
+            now=self._now(),
+        )
         self.events.emit("register", peer, self._now(), address=address)
         self._endpoints[peer] = _Endpoint(node, server)
         await self._transmit(node.start(self._now()))
@@ -357,11 +357,7 @@ class TcpTransport:
         endpoint = self._endpoints.get(peer)
         if endpoint is None:
             return {}
-        return {
-            member.name: member.status
-            for member in endpoint.node.membership.members.values()
-            if member.name != peer
-        }
+        return endpoint.node.membership.peer_statuses()
 
     def close(self) -> None:
         """Stop the ticker, close every server, connection and the loop."""

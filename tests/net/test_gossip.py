@@ -1,5 +1,7 @@
 """Gossip buffer: dedupe, bounded retention, digests and anti-entropy sets."""
 
+import pytest
+
 from repro.net.frames import EnvelopeFrame
 from repro.net.gossip import GossipBuffer, GossipConfig, next_envelope_id
 
@@ -32,6 +34,15 @@ def test_digest_is_bounded_by_window():
     for i in range(5):
         buffer.observe(envelope(i))
     assert buffer.digest() == ("a#3", "a#4")
+
+
+@pytest.mark.parametrize("held", [0, 1, 3, 4, 5, 9])
+def test_digest_is_the_recent_end_of_the_buffer(held):
+    buffer = GossipBuffer(GossipConfig(digest_window=4, buffer_size=8))
+    for i in range(held):
+        buffer.observe(envelope(i))
+    arrival_order = [f"a#{i}" for i in range(held)][-8:]
+    assert buffer.digest() == tuple(arrival_order[-4:])
 
 
 def test_missing_and_not_in_are_complements_over_the_window():

@@ -1,5 +1,8 @@
 """The virtual-clock gossip simulator: convergence, delivery, churn."""
 
+import json
+import re
+
 import pytest
 
 from repro.core.facts import Fact
@@ -98,13 +101,47 @@ def test_duplicate_node_name_is_rejected():
         net.add_node("peer0")
 
 
+class RecordedNetwork(SimulatedGossipNetwork):
+    """Keeps every ``(dest, address, frame)`` handed to ``_transmit``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.transmitted = []
+
+    def _transmit(self, outputs):
+        self.transmitted.extend(outputs)
+        super()._transmit(outputs)
+
+
+def canonical(records):
+    """``records`` as JSON with envelope ids (``origin#n``, numbered by a
+    process-wide counter) renumbered by first appearance."""
+    seen = {}
+    return re.sub(r"#\d+",
+                  lambda match: seen.setdefault(match.group(), f"#{len(seen)}"),
+                  json.dumps(records, sort_keys=True))
+
+
 def test_deterministic_under_fixed_seed():
     def trace():
-        net = build(10, drop_probability=0.1)
+        net = RecordedNetwork(latency=0.005, latency_jitter=0.005,
+                              drop_probability=0.1, seed=11)
+        for i in range(10):
+            net.add_node(f"peer{i}")
         net.run(1.0)
-        net.submit("peer0", fact_message("peer0", "peer5"))
-        net.run(1.0)
-        return net.frames_sent, net.frames_dropped, len(net.drain("peer5"))
+        net.submit("peer0", FactMessage(
+            sender="peer0", recipient="peer5", message_id="m1",
+            inserted=frozenset({Fact("r", "peer5", ("v",))})))
+        net.remove_node("peer3", graceful=False)
+        net.run(2.0)
+        counters = net.frames_sent, net.frames_dropped, len(net.drain("peer5"))
+        return (counters, canonical(net.transmitted),
+                canonical(net.events.events()))
 
     first, second = trace(), trace()
     assert first == second
+    counters, frames, events = first
+    assert counters[0] > 300 and counters[1] > 0 and counters[2] == 1
+    # the whole story is in there: a flood, anti-entropy, a verdict
+    assert all(kind in frames for kind in ('"envelope"', '"digest"', '"ping-req"'))
+    assert '"suspect"' in events and '"deliver"' in events

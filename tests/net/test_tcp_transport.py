@@ -50,6 +50,46 @@ def test_register_assigns_real_addresses():
         assert not transport.is_registered("carol")
 
 
+class SentFrames(TcpTransport):
+    """Keeps every ``(dest, address, frame)`` the transport puts on a socket."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sent = []
+
+    async def _transmit(self, outputs):
+        self.sent.extend(outputs)
+        await super()._transmit(outputs)
+
+
+def test_registered_node_knows_its_own_address_from_the_start():
+    """A node's table is born with the server's ``host:port`` — nobody sets
+    it behind the table's back — so the first peer's view hands it on."""
+    with SentFrames(seed=1) as transport:
+        transport.register("alice")
+        transport.register("bob")
+        alice_at = transport.address_of("alice")
+        bob_at = transport.address_of("bob")
+        alice = transport._endpoints["alice"].node
+        bob = transport._endpoints["bob"].node
+        assert alice.membership.self_address == alice_at == alice.address
+        assert bob.membership.self_address == bob_at == bob.address
+
+        def welcomes():
+            return [wire for dest, _, wire in list(transport.sent)
+                    if dest == "bob" and wire["type"] == "digest"]
+        assert wait_for(welcomes)
+        # alice's welcome digest tells bob where alice and bob listen
+        told = {u["peer"]: u["address"] for u in welcomes()[0]["updates"]}
+        assert told == {"alice": alice_at, "bob": bob_at}
+        # ... and each ends up in the other's routable index, by that address
+        assert wait_for(lambda: alice.membership.routable_peers() == ["bob"]
+                        and bob.membership.routable_peers() == ["alice"])
+        for view in (bob.membership.wire_view(),
+                     [u.to_wire() for u in bob.membership.full_view()]):
+            assert {u["peer"]: u["address"] for u in view} == told
+
+
 def test_membership_converges_between_peers():
     with TcpTransport(seed=1) as transport:
         for name in ("alice", "bob", "carol"):
