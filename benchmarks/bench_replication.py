@@ -137,15 +137,20 @@ def update_wave(producers, wave: int, inserts: int, deletes: int):
 def run_delta(topology, waves, churn_plan, drop, seed, max_rounds=4000):
     """The dotted delta protocol end to end over the lossy mesh."""
     mesh = LossyMesh(drop, seed)
-    states = {name: ReplicationState(name) for name in topology.producers}
-    replicas = {name: ReplicationState(name) for name in topology.followers}
+    # Nothing here persists a channel, so nothing journals its changes; the
+    # round counter is the clock the digest and pull timers read.
+    states = {name: ReplicationState(name, journal=False)
+              for name in topology.producers}
+    replicas = {name: ReplicationState(name, journal=False)
+                for name in topology.followers}
+    rounds = 0
 
     def deliver(state):
         for message in mesh.deliver(state.peer):
             if isinstance(message, DeltaEnvelopeMessage):
-                state.apply_envelope(message)
+                state.apply_envelope(message, rounds)
             elif isinstance(message, ReplicationDigestMessage):
-                state.on_digest(message.sender, message.frontier)
+                state.on_digest(message.sender, message.frontier, rounds)
             elif isinstance(message, ReplicationPullMessage):
                 state.on_pull(message.sender, message.want)
             elif isinstance(message, ReplicationAckMessage):
@@ -155,7 +160,13 @@ def run_delta(topology, waves, churn_plan, drop, seed, max_rounds=4000):
         yield from states.values()
         yield from replicas.values()
 
-    rounds = 0
+    def pump():
+        nonlocal rounds
+        rounds += 1
+        for state in everyone():
+            deliver(state)
+            mesh.send(state.flush(rounds))
+
     last_update_round = 0
     for wave, changes in enumerate(waves):
         for name, (gained, lost) in changes.items():
@@ -174,26 +185,20 @@ def run_delta(topology, waves, churn_plan, drop, seed, max_rounds=4000):
                 for state in states.values():
                     state.drop_channel(victim)
             for joiner, sponsor, live in churn_plan["joined"]:
-                replicas[joiner] = ReplicationState(joiner)
+                replicas[joiner] = ReplicationState(joiner, journal=False)
                 topology.followers_of[sponsor].append(joiner)
                 states[sponsor].encode_outgoing([FactMessage(
                     sender=sponsor, recipient=joiner,
                     inserted=frozenset(live), deleted=frozenset())])
         for _ in range(2):  # a couple of rounds of steady-state traffic per wave
-            rounds += 1
-            for state in everyone():
-                deliver(state)
-                mesh.send(state.flush())
+            pump()
         last_update_round = rounds
 
     while rounds < max_rounds and (not mesh.idle or
-                                   any(s.needs_attention() for s in everyone())):
-        rounds += 1
-        for state in everyone():
-            deliver(state)
-            mesh.send(state.flush())
+                                   any(s.unsettled() for s in everyone())):
+        pump()
 
-    converged = mesh.idle and not any(s.needs_attention() for s in everyone())
+    converged = mesh.idle and not any(s.unsettled() for s in everyone())
     replica_sets = {}
     for name, state in replicas.items():
         merged = set()

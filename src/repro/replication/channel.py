@@ -17,6 +17,11 @@ yet leaves a tombstone that silently consumes the insert when it shows up.
 The inbox reports only **visibility transitions** (fact appeared / fact
 vanished, delegation installed / retracted) as effects, which the runtime
 feeds to the engine's ordinary input paths.
+
+Both halves can keep a **change journal** for an owner that persists them
+(:meth:`repro.replication.state.ReplicationState.persist`): every mutation
+records which per-dot row it wrote or removed, so a persistence point costs
+what changed since the last one, not what the channel holds.
 """
 
 from __future__ import annotations
@@ -35,11 +40,37 @@ from repro.replication.dots import CausalContext, Op
 #: ``("undelegate", delegation_id)``, ``("derivation", derivation, anchor)``.
 Effect = Tuple
 
+#: A channel's change journal: ``(row kind, seq)`` -> the value the row now
+#: holds, or ``None`` when the row is gone.  An outbox journals its
+#: retransmission log (``"op"`` -> the :class:`Op`) and its live insert dots
+#: (``"live"`` -> the fact); an inbox its visible dots (``"vis"`` -> the
+#: fact), its tombstones (``"tomb"`` -> ``True``) and its delegation
+#: watermarks (``"dg"``, keyed by the winning op's seq -> the delegation id).
+Journal = Dict[Tuple[str, int], object]
 
-class ChannelOutbox:
+
+class _Journaled:
+    """What both channel halves keep for an owner that persists them."""
+
+    def __init__(self, journal: bool):
+        #: Channel state changed since the last persistence point.
+        self.dirty = False
+        #: Rows changed since the last persistence point (see :data:`Journal`);
+        #: ``None`` when nobody persists this channel, which then keeps no
+        #: bookkeeping at all.
+        self.changes: Optional[Journal] = {} if journal else None
+
+    def _row(self, kind: str, seq: int, value: object) -> None:
+        """Journal that row ``(kind, seq)`` now holds ``value`` (``None``: gone)."""
+        if self.changes is not None:
+            self.changes[kind, seq] = value
+
+
+class ChannelOutbox(_Journaled):
     """The sending half of one channel (this peer -> ``target``)."""
 
-    def __init__(self, target: str):
+    def __init__(self, target: str, journal: bool = False):
+        super().__init__(journal)
         self.target = target
         #: Highest sequence number assigned so far (the channel's frontier).
         self.seq = 0
@@ -51,8 +82,6 @@ class ChannelOutbox:
         self.acked = 0
         #: Highest sequence number already handed out for first transmission.
         self.last_sent = 0
-        #: Channel state changed since the last persistence snapshot.
-        self.dirty = False
         #: The target raised a transport error (unknown peer): stop trying.
         self.unreachable = False
 
@@ -61,6 +90,7 @@ class ChannelOutbox:
     def _append(self, op: Op) -> Op:
         self.log[op.seq] = op
         self.dirty = True
+        self._row("op", op.seq, op)
         return op
 
     def _next_seq(self) -> int:
@@ -77,6 +107,7 @@ class ChannelOutbox:
             return None
         seq = self._next_seq()
         self.live[fact] = {seq}
+        self._row("live", seq, fact)
         return self._append(Op(seq=seq, kind="insert", fact=fact))
 
     def delete(self, fact: Fact) -> Op:
@@ -87,6 +118,8 @@ class ChannelOutbox:
         facts that reached it through other means (e.g. its own base facts).
         """
         removed = tuple(sorted(self.live.pop(fact, ())))
+        for seq in removed:
+            self._row("live", seq, None)
         return self._append(Op(seq=self._next_seq(), kind="delete",
                                fact=fact, removed=removed))
 
@@ -132,12 +165,18 @@ class ChannelOutbox:
         return [self.log[s] for s in sorted(set(want)) if s in self.log]
 
     def ack(self, acked: int) -> None:
-        """Record the receiver's contiguous frontier; prune the log to it."""
+        """Record the receiver's contiguous frontier; prune the log to it.
+
+        The log holds nothing at or below the previous frontier, so the
+        prune walks the newly acknowledged sequence numbers, not the log.
+        """
+        acked = min(acked, self.seq)
         if acked <= self.acked:
             return
-        self.acked = min(acked, self.seq)
-        for seq in [s for s in self.log if s <= self.acked]:
-            del self.log[seq]
+        previous, self.acked = self.acked, acked
+        for seq in range(previous + 1, self.acked + 1):
+            if self.log.pop(seq, None) is not None:
+                self._row("op", seq, None)
         self.dirty = True
 
     @property
@@ -145,11 +184,24 @@ class ChannelOutbox:
         """``True`` while the receiver has not acknowledged the frontier."""
         return not self.unreachable and self.acked < self.seq
 
+    # -- what a persistence point stores --------------------------------- #
 
-class ChannelInbox:
+    def header(self) -> Dict[str, int]:
+        """The fixed-size part of the channel (everything else is rows)."""
+        return {"seq": self.seq, "acked": self.acked}
+
+    def rows(self) -> Set[Tuple[str, int]]:
+        """The ``(kind, seq)`` of every row the channel holds."""
+        rows = {("op", seq) for seq in self.log}
+        rows.update(("live", seq) for dots in self.live.values() for seq in dots)
+        return rows
+
+
+class ChannelInbox(_Journaled):
     """The receiving half of one channel (``origin`` -> this peer)."""
 
-    def __init__(self, origin: str):
+    def __init__(self, origin: str, journal: bool = False):
+        super().__init__(journal)
         self.origin = origin
         #: Sequence numbers already joined (duplicates have no effect).
         self.cc = CausalContext()
@@ -163,8 +215,6 @@ class ChannelInbox:
         self.advertised = 0
         #: Contiguous frontier last acknowledged back to the origin.
         self.acked = 0
-        #: Inbox state changed since the last persistence snapshot.
-        self.dirty = False
 
     def apply(self, op: Op) -> List[Effect]:
         """Join one op; returns the visibility-transition effects (if any)."""
@@ -174,9 +224,11 @@ class ChannelInbox:
         if op.kind == "insert":
             if op.seq in self.tombstoned:
                 self.tombstoned.discard(op.seq)
+                self._row("tomb", op.seq, None)
                 return []
             dots = self.visible.setdefault(op.fact, set())
             dots.add(op.seq)
+            self._row("vis", op.seq, op.fact)
             return [("insert", op.fact)] if len(dots) == 1 else []
         if op.kind == "delete":
             if not op.removed:
@@ -186,25 +238,36 @@ class ChannelInbox:
             for seq in op.removed:
                 if dots is not None and seq in dots:
                     dots.discard(seq)
+                    self._row("vis", seq, None)
                 else:
                     self.tombstoned.add(seq)
+                    self._row("tomb", seq, True)
             if dots is not None and not dots:
                 del self.visible[op.fact]
                 return [("delete", op.fact)]
             return []
         if op.kind == "delegate":
-            if op.seq > self.delegation_seq.get(op.delegation_id, 0):
-                self.delegation_seq[op.delegation_id] = op.seq
+            if self._advance_delegation(op):
                 return [("delegate", op.delegation_id, op.rule, op.schemas)]
             return []
         if op.kind == "undelegate":
-            if op.seq > self.delegation_seq.get(op.delegation_id, 0):
-                self.delegation_seq[op.delegation_id] = op.seq
+            if self._advance_delegation(op):
                 return [("undelegate", op.delegation_id)]
             return []
         if op.kind == "derivation":
             return [("derivation", op.derivation, op.anchor)]
         raise ValueError(f"unknown op kind {op.kind!r}")
+
+    def _advance_delegation(self, op: Op) -> bool:
+        """Move a delegation's watermark to ``op``; ``False`` when it is stale."""
+        previous = self.delegation_seq.get(op.delegation_id, 0)
+        if op.seq <= previous:
+            return False
+        self.delegation_seq[op.delegation_id] = op.seq
+        self._row("dg", op.seq, op.delegation_id)
+        if previous:
+            self._row("dg", previous, None)
+        return True
 
     def apply_all(self, ops: Iterable[Op]) -> List[Effect]:
         """Join a batch in sequence order (deterministic effect order)."""
@@ -226,3 +289,17 @@ class ChannelInbox:
     def is_complete(self) -> bool:
         """``True`` when every advertised sequence number was joined."""
         return self.cc.is_complete(self.advertised)
+
+    # -- what a persistence point stores --------------------------------- #
+
+    def header(self) -> Dict[str, object]:
+        """The part of the channel that is not one row per dot."""
+        return {"cc": self.cc.encode(), "advertised": self.advertised,
+                "acked": self.acked}
+
+    def rows(self) -> Set[Tuple[str, int]]:
+        """The ``(kind, seq)`` of every row the channel holds."""
+        rows = {("tomb", seq) for seq in self.tombstoned}
+        rows.update(("vis", seq) for dots in self.visible.values() for seq in dots)
+        rows.update(("dg", seq) for seq in self.delegation_seq.values())
+        return rows

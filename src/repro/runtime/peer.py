@@ -86,8 +86,12 @@ class Peer:
         # repro.replication).  ``None`` defers to REPRO_REPLICATION.
         self.replication_mode = resolve_replication_mode(replication)
         if self.replication_mode == "causal":
-            self.replication: Optional[ReplicationState] = ReplicationState(name)
-            self.replication.restore(self.engine.state.backend)
+            backend = self.engine.state.backend
+            # A backend that keeps nothing is never restored from, so its
+            # peer journals no channel changes and persists none.
+            self.replication: Optional[ReplicationState] = ReplicationState(
+                name, journal=backend.persistent)
+            self.replication.restore(backend)
             # Remote-provided facts are volatile engine state: a reliable-mode
             # restart recovers them because the restarted *sender* re-ships
             # everything, but a causal outbox's live-set dedup suppresses that
@@ -212,20 +216,23 @@ class Peer:
             )
         return tracker.explain(fact)
 
-    def needs_stage(self) -> bool:
-        """``True`` when running a stage at this peer could change anything.
+    def needs_stage(self, now: int) -> bool:
+        """``True`` when a stage at this peer in cycle ``now`` could change
+        anything.
 
         The work-driven schedulers skip a peer that answers ``False``: it is
         guaranteed to run a quiescent stage.  Three things can ask for one.
-        In causal mode, replication attention (unsent ops, unacknowledged
-        channels, queued anti-entropy control): the digest/pull/ack protocol
-        must run to completion before the peer may look quiescent.  The
-        engine (see :meth:`WebdamLogEngine.needs_stage`).  And an attached
-        wrapper, through ``wants_stage(peer)`` — the wrapped service may have
-        changed where the engine cannot see it; a wrapper without the method
-        cannot say when, and is polled every cycle.
+        In causal mode, replication attention (unsent ops, queued
+        anti-entropy control, a digest due this cycle) — a peer that is only
+        waiting for an ack is *not* staged; that the deployment has not
+        settled meanwhile is :meth:`ReplicationState.unsettled`'s answer,
+        which ``converge()`` consults.  The engine (see
+        :meth:`WebdamLogEngine.needs_stage`).  And an attached wrapper,
+        through ``wants_stage(peer)`` — the wrapped service may have changed
+        where the engine cannot see it; a wrapper without the method cannot
+        say when, and is polled every cycle.
         """
-        if self.replication is not None and self.replication.needs_attention():
+        if self.replication is not None and self.replication.needs_attention(now):
             return True
         if self.engine.needs_stage():
             return True
@@ -249,8 +256,13 @@ class Peer:
     # transport-facing methods
     # ------------------------------------------------------------------ #
 
-    def deliver(self, message: Message) -> None:
-        """Dispatch one incoming message to the engine / controller."""
+    def deliver(self, message: Message, now: int = 0) -> None:
+        """Dispatch one incoming message to the engine / controller.
+
+        ``now`` is the scheduler cycle of the delivery
+        (:attr:`WebdamLogSystem.current_round`); only causal replication's
+        timers read it, so a peer driven by hand may leave it out.
+        """
         if isinstance(message, (DeltaEnvelopeMessage, ReplicationDigestMessage,
                                 ReplicationPullMessage, ReplicationAckMessage)):
             if self.replication is None:
@@ -260,10 +272,10 @@ class Peer:
                     "the same replication mode"
                 )
             if isinstance(message, DeltaEnvelopeMessage):
-                effects = self.replication.apply_envelope(message)
+                effects = self.replication.apply_envelope(message, now)
                 self._apply_replication_effects(message.sender, effects)
             elif isinstance(message, ReplicationDigestMessage):
-                self.replication.on_digest(message.sender, message.frontier)
+                self.replication.on_digest(message.sender, message.frontier, now)
             elif isinstance(message, ReplicationPullMessage):
                 self.replication.on_pull(message.sender, message.want)
             else:
@@ -285,11 +297,11 @@ class Peer:
         else:  # pragma: no cover - defensive
             raise TypeError(f"peer {self.name} cannot handle message {message!r}")
 
-    def deliver_all(self, messages: Iterable[Message]) -> int:
+    def deliver_all(self, messages: Iterable[Message], now: int = 0) -> int:
         """Deliver a batch of messages; returns how many were processed."""
         count = 0
         for message in messages:
-            self.deliver(message)
+            self.deliver(message, now)
             count += 1
         return count
 
@@ -352,14 +364,14 @@ class Peer:
         if self.replication is not None:
             self.replication.drop_channel(peer)
 
-    def run_stage(self) -> Tuple[StageResult, List[Message]]:
+    def run_stage(self, now: int = 0) -> Tuple[StageResult, List[Message]]:
         """Run one engine stage and convert its outputs into messages.
 
         In causal replication mode the stage's messages are absorbed into
         channel ops and re-emitted as delta envelopes (plus the anti-entropy
-        control traffic); the channel state is persisted inside the same
-        transaction as the engine's stage commit, so recovery replays to the
-        same causal join.
+        control traffic that falls due in cycle ``now``); what changed in the
+        channels is persisted inside the same transaction as the engine's
+        stage commit, so recovery replays to the same causal join.
         """
         self._round += 1
         for wrapper in self.wrappers:
@@ -372,7 +384,7 @@ class Peer:
         else:
             result = self.engine.run_stage(commit=False)
             outgoing = self.replication.encode_outgoing(self._messages_from(result))
-            outgoing.extend(self.replication.flush())
+            outgoing.extend(self.replication.flush(now))
             self.replication.persist(self.engine.state.backend)
             self.engine.state.commit()
         for wrapper in self.wrappers:

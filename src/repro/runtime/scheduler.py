@@ -11,8 +11,9 @@ driving policy is an injectable seam of
   fixpoint.
 * :class:`ReactiveScheduler` — **the default**, event-driven: a cycle
   activates only the peers that can make progress (due transport messages,
-  pending engine inputs, dirty local state, or an attached wrapper that asks
-  for a poll through ``wants_stage`` — see :mod:`repro.wrappers.base`).
+  pending engine inputs, dirty local state, causal replication with
+  something to send this cycle, or an attached wrapper that asks for a poll
+  through ``wants_stage`` — see :mod:`repro.wrappers.base`).
   Cycles with no eligible peer still advance the transport clock, so
   in-flight messages with ``latency > 1`` are never forgotten: quiescence is
   only reported when nothing is runnable *and* nothing is in flight.
@@ -189,14 +190,14 @@ def settled(system: "WebdamLogSystem", report: RoundReport) -> bool:
     Convergence means: every stage executed this cycle was quiescent, no
     message remains in flight on the transport (crucial for ``latency > 1``,
     where a message can be undeliverable for several cycles), no engine
-    holds unconsumed input, and no causal replication channel is awaiting
-    anti-entropy (a dropped digest leaves nothing in flight while an outbox
+    holds unconsumed input, and no causal replication channel is short of
+    its frontier (a dropped digest leaves nothing in flight while an outbox
     is still unacknowledged — the in-flight check alone cannot see it).
     """
     return (report.is_quiescent()
             and not system.transport.has_in_flight()
             and not system.pending_engine_input()
-            and not system.replication_attention())
+            and not system.replication_unsettled())
 
 
 def drive(system: "WebdamLogSystem",
@@ -254,8 +255,11 @@ def reactive_eligible(system: "WebdamLogSystem") -> List[str]:
     transport messages are due to it or when a stage there could change
     something (:meth:`repro.runtime.peer.Peer.needs_stage`): unconsumed
     engine input, dirty rules, store writes or housekeeping deletions since
-    the last stage, causal-replication attention, or a wrapper that asks for
-    a poll.  A wrapper is *not* polled merely for being attached:
+    the last stage, causal replication with something to send this cycle, or
+    a wrapper that asks for a poll.  A causal peer that is only waiting for
+    an ack is not eligible until its digest falls due — the cycle count
+    (:attr:`WebdamLogSystem.current_round`) is the clock the timer reads.  A
+    wrapper is *not* polled merely for being attached:
     ``wants_stage(peer)`` says when the wrapped service may have changed, and
     only a wrapper without that method is polled every cycle, exactly as the
     lockstep driver polls it every round.
@@ -266,20 +270,24 @@ def reactive_eligible(system: "WebdamLogSystem") -> List[str]:
     """
     transport = system.transport
     due = getattr(transport, "due_count", None) or transport.pending_count
+    now = system.current_round
     return [name for name, peer in system.ordered_peers()
-            if peer.needs_stage() or due(name)]
+            if peer.needs_stage(now) or due(name)]
 
 
 def _settled_after(system: "WebdamLogSystem", report: RoundReport) -> bool:
     """:func:`settled` for a work-driven cycle, skipping what is implied.
 
-    A peer that holds engine input or replication attention is always
-    eligible, so a cycle that activated *nobody* was planned from a scan that
-    found none — and with no stage run nothing but the transport clock moved
-    since: only the in-flight check is left.
+    A peer that holds engine input is always eligible, so a cycle that
+    activated *nobody* was planned from a scan that found none — and with no
+    stage run nothing but the transport clock moved since.  Two checks are
+    left: nothing in flight, and no causal peer *waiting* — one whose channel
+    is unacknowledged is not eligible until its digest falls due, and the
+    deployment has not settled while it waits.
     """
     if not report.peer_reports:
-        return not system.transport.has_in_flight()
+        return (not system.transport.has_in_flight()
+                and not system.replication_unsettled())
     return settled(system, report)
 
 
@@ -319,10 +327,10 @@ class ReactiveScheduler:
     ``latency > 1``: convergence is never reported while the transport still
     holds undelivered messages.
 
-    ``converge`` scans the peers once per cycle, and not at all after a
-    cycle that ran nobody and left nothing in flight (see
-    :func:`_settled_after`): the deployment has settled as the last scan
-    saw it.
+    ``converge`` scans the peers once per cycle; after a cycle that ran
+    nobody and left nothing in flight it only asks whether a causal peer is
+    still waiting for an ack (see :func:`_settled_after`): if none is, the
+    deployment has settled as the last scan saw it.
     """
 
     name = "reactive"

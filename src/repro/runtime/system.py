@@ -253,7 +253,13 @@ class WebdamLogSystem:
 
     @property
     def current_round(self) -> int:
-        """Number of scheduling cycles executed so far."""
+        """Number of scheduling cycles begun so far.
+
+        The one clock of a deployment: :meth:`activate_peer` hands it to the
+        peer, and causal replication measures its digest interval and pull
+        patience in it (not in stages, which a peer with nothing to do does
+        not run).
+        """
         return self._round
 
     def begin_round(self) -> RoundReport:
@@ -270,8 +276,8 @@ class WebdamLogSystem:
         """
         peer = self.peers[name]
         incoming = self.transport.receive(name)
-        delivered = peer.deliver_all(incoming)
-        stage_result, outgoing = peer.run_stage()
+        delivered = peer.deliver_all(incoming, self._round)
+        stage_result, outgoing = peer.run_stage(self._round)
         sent = 0
         for message in outgoing:
             try:
@@ -307,19 +313,20 @@ class WebdamLogSystem:
         """``True`` while any engine holds unconsumed input."""
         return any(peer.engine.has_pending_input() for peer in self.peers.values())
 
-    def replication_attention(self) -> bool:
-        """``True`` while any causal channel still has anti-entropy work.
+    def replication_unsettled(self) -> bool:
+        """``True`` while any causal channel is short of its frontier.
 
         An adversarial transport can drop a digest, leaving nothing in
-        flight while an outbox is still unacknowledged; the in-flight check
-        alone would then let ``converge()`` settle during the digest backoff
-        window with the loss unrepaired.  Folding this into
+        flight while an outbox is still unacknowledged — and the peer that
+        owns it runs no stage while it waits for the next digest to fall
+        due.  The in-flight check and the stage reports alone would then let
+        ``converge()`` settle with the loss unrepaired.  Folding this into
         :func:`repro.runtime.scheduler.settled` is what makes the state
         module's contract hold: a causal system refuses to settle while any
         channel has unacknowledged ops.
         """
         return any(peer.replication is not None
-                   and peer.replication.needs_attention()
+                   and peer.replication.unsettled()
                    for peer in self.peers.values())
 
     # ------------------------------------------------------------------ #

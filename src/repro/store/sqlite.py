@@ -316,6 +316,8 @@ class SqliteBackend:
             "CREATE TABLE IF NOT EXISTS _repro_meta ("
             " kind TEXT NOT NULL, key TEXT NOT NULL, seq INTEGER NOT NULL,"
             " payload TEXT NOT NULL, PRIMARY KEY (kind, key))")
+        #: Highest meta ``seq`` handed out per kind (see :meth:`save_meta`).
+        self._meta_seq: Dict[str, int] = {}
         self._physical: Dict[Tuple[str, str, str], Tuple[str, int]] = {}
         for namespace, relation, peer, table_name, arity in self._conn.execute(
                 "SELECT namespace, relation, peer, table_name, arity FROM _repro_catalog"):
@@ -415,17 +417,19 @@ class SqliteBackend:
 
     def save_meta(self, kind: str, key: str, payload: str) -> None:
         self.begin()
-        row = self._conn.execute(
-            "SELECT seq FROM _repro_meta WHERE kind = ? AND key = ?", (kind, key)).fetchone()
-        if row is not None:
-            seq = row[0]
-        else:
+        # One statement whatever the kind holds: a new key takes the next
+        # number of its kind (the highest stored is read once per kind; a
+        # rolled-back save only leaves a gap), a known key keeps its place.
+        seq = self._meta_seq.get(kind)
+        if seq is None:
             seq = self._conn.execute(
-                "SELECT COALESCE(MAX(seq), 0) + 1 FROM _repro_meta WHERE kind = ?",
+                "SELECT COALESCE(MAX(seq), 0) FROM _repro_meta WHERE kind = ?",
                 (kind,)).fetchone()[0]
+        self._meta_seq[kind] = seq + 1
         self._conn.execute(
-            "INSERT OR REPLACE INTO _repro_meta (kind, key, seq, payload) VALUES (?, ?, ?, ?)",
-            (kind, key, seq, payload))
+            "INSERT INTO _repro_meta (kind, key, seq, payload) VALUES (?, ?, ?, ?)"
+            " ON CONFLICT (kind, key) DO UPDATE SET payload = excluded.payload",
+            (kind, key, seq + 1, payload))
 
     def delete_meta(self, kind: str, key: str) -> None:
         self.begin()

@@ -2,8 +2,11 @@
 
 Two :class:`ReplicationState` instances are driven directly (no engine, no
 transport) so every protocol exchange — envelope, digest, pull, ack — is
-visible and individually droppable.
+visible and individually droppable.  There is no scheduler here, so the test
+is the clock: every ``flush`` and every delivery says which cycle it is.
 """
+
+import json
 
 from repro.core.facts import Fact
 from repro.net.events import NetEventLog
@@ -27,15 +30,15 @@ def fact_message(*inserted, deleted=()):
                        inserted=frozenset(inserted), deleted=frozenset(deleted))
 
 
-def exchange(sender, receiver, messages):
+def exchange(sender, receiver, messages, now=0):
     """Deliver protocol messages to their handler; returns engine effects."""
     effects = []
     for message in messages:
         if isinstance(message, DeltaEnvelopeMessage):
             target = receiver if message.recipient == receiver.peer else sender
-            effects.extend(target.apply_envelope(message))
+            effects.extend(target.apply_envelope(message, now))
         elif isinstance(message, ReplicationDigestMessage):
-            receiver.on_digest(message.sender, message.frontier)
+            receiver.on_digest(message.sender, message.frontier, now)
         elif isinstance(message, ReplicationPullMessage):
             sender.on_pull(message.sender, message.want)
         elif isinstance(message, ReplicationAckMessage):
@@ -48,14 +51,15 @@ class TestCleanPath:
         alice = ReplicationState("alice")
         bob = ReplicationState("bob")
         assert alice.encode_outgoing([fact_message(F1, F2)]) == []
-        out = alice.flush()
+        out = alice.flush(1)
         assert len(out) == 1 and isinstance(out[0], DeltaEnvelopeMessage)
-        effects = exchange(alice, bob, out)
+        effects = exchange(alice, bob, out, now=2)
         assert set(effects) == {("insert", F1), ("insert", F2)}
         # bob queued an ack; his flush ships it; alice prunes
-        exchange(alice, bob, bob.flush())
-        assert not alice.needs_attention()
-        assert not bob.needs_attention()
+        assert bob.needs_attention(2)
+        exchange(alice, bob, bob.flush(2), now=3)
+        assert not alice.unsettled() and not alice.needs_attention(3)
+        assert not bob.unsettled() and not bob.needs_attention(3)
         assert alice.outbox("bob").log == {}
 
     def test_passthrough_for_unmanaged_messages(self):
@@ -70,45 +74,50 @@ class TestLossRepair:
         alice = ReplicationState("alice", digest_interval=2)
         bob = ReplicationState("bob")
         alice.encode_outgoing([fact_message(F1)])
-        lost = alice.flush()  # envelope DROPPED by the adversary
+        assert alice.needs_attention(1)  # an op to send
+        lost = alice.flush(1)  # envelope DROPPED by the adversary
         assert len(lost) == 1
-        assert alice.needs_attention()  # unacked channel keeps alice awake
-        # ticks pass; a digest eventually fires
-        digests = []
-        while not digests:
-            digests = alice.flush()
+        # the unacked channel keeps alice from settling, but she only waits:
+        # nothing to do until the digest falls due, two cycles on
+        assert alice.unsettled()
+        assert not alice.needs_attention(2) and alice.flush(2) == []
+        assert alice.needs_attention(3)
+        digests = alice.flush(3)
         assert isinstance(digests[0], ReplicationDigestMessage)
-        exchange(alice, bob, digests)
-        pulls = bob.flush()
+        exchange(alice, bob, digests, now=3)
+        pulls = bob.flush(3)
         assert isinstance(pulls[0], ReplicationPullMessage)
         assert pulls[0].want == (1,)
-        exchange(alice, bob, pulls)
-        repair = alice.flush()
-        assert exchange(alice, bob, repair) == [("insert", F1)]
-        exchange(alice, bob, bob.flush())
-        assert not alice.needs_attention() and not bob.needs_attention()
+        exchange(alice, bob, pulls, now=4)
+        repair = alice.flush(4)
+        assert exchange(alice, bob, repair, now=4) == [("insert", F1)]
+        exchange(alice, bob, bob.flush(4), now=5)
+        assert not alice.unsettled() and not bob.unsettled()
+        assert not alice.needs_attention(5) and not bob.needs_attention(5)
 
     def test_lost_ack_recovered_by_digest_reack(self):
         alice = ReplicationState("alice", digest_interval=2)
         bob = ReplicationState("bob")
         alice.encode_outgoing([fact_message(F1)])
-        exchange(alice, bob, alice.flush())
-        bob.flush()  # ack DROPPED
-        digests = []
-        while not digests:
-            digests = alice.flush()
-        exchange(alice, bob, digests)  # digest of a complete channel: re-ack
-        exchange(alice, bob, bob.flush())
+        exchange(alice, bob, alice.flush(1), now=2)
+        bob.flush(2)  # ack DROPPED
+        # bob owes nothing more; alice, unacknowledged, waits for her timer
+        assert not bob.unsettled() and alice.unsettled()
+        assert alice.flush(2) == []
+        digests = alice.flush(3)
+        assert isinstance(digests[0], ReplicationDigestMessage)
+        exchange(alice, bob, digests, now=4)  # complete channel: re-ack
+        exchange(alice, bob, bob.flush(4), now=5)
         assert alice.outbox("bob").acked == 1
-        assert not alice.needs_attention()
+        assert not alice.unsettled() and not alice.needs_attention(5)
 
     def test_duplicated_envelope_is_noop(self):
         alice = ReplicationState("alice")
         bob = ReplicationState("bob")
         alice.encode_outgoing([fact_message(F1)])
-        envelope = alice.flush()[0]
-        assert bob.apply_envelope(envelope) == [("insert", F1)]
-        assert bob.apply_envelope(envelope) == []
+        envelope = alice.flush(1)[0]
+        assert bob.apply_envelope(envelope, 2) == [("insert", F1)]
+        assert bob.apply_envelope(envelope, 2) == []
         assert bob.counters["envelopes_applied"] == 2
         assert len(bob.inbox("alice").visible) == 1
 
@@ -116,13 +125,37 @@ class TestLossRepair:
         alice = ReplicationState("alice")
         bob = ReplicationState("bob")
         alice.encode_outgoing([fact_message(F1)])
-        first = alice.flush()[0]
+        first = alice.flush(1)[0]
         alice.encode_outgoing([fact_message(F3, deleted=(F1,))])
-        second = alice.flush()[0]
+        second = alice.flush(2)[0]
         # the adversary delivers the later envelope first
-        bob.apply_envelope(second)
-        bob.apply_envelope(first)
+        bob.apply_envelope(second, 3)
+        bob.apply_envelope(first, 3)
         assert bob.inbox("alice").visible == {F3: {2}}
+
+
+class TestPullPatience:
+    def test_a_gap_is_pulled_again_only_after_the_patience_or_on_a_digest(self):
+        alice = ReplicationState("alice")
+        bob = ReplicationState("bob", pull_patience=2)
+        envelopes = []
+        for cycle, item in enumerate((F1, F2, F3), start=1):
+            alice.encode_outgoing([fact_message(item)])
+            envelopes.append(alice.flush(cycle)[0])
+        lost, second, third = envelopes
+        bob.apply_envelope(second, 4)  # a gap: pulled at once
+        bob.apply_envelope(third, 5)   # same gap, one cycle on: be patient
+        assert [m.want for m in bob.flush(5)] == [(1,)]
+        bob.apply_envelope(third, 6)   # the patience has run out
+        assert [m.want for m in bob.flush(6)] == [(1,)]
+        bob.apply_envelope(third, 7)
+        assert bob.flush(7) == []
+        bob.on_digest("alice", 3, 7)   # a digest does not wait
+        assert [m.want for m in bob.flush(7)] == [(1,)]
+        assert bob.counters["pulls_sent"] == 3 and bob.unsettled()
+        bob.apply_envelope(lost, 8)
+        assert [m.acked for m in bob.flush(8)] == [3]
+        assert not bob.unsettled()
 
 
 class TestChannelLifecycle:
@@ -130,8 +163,8 @@ class TestChannelLifecycle:
         alice = ReplicationState("alice")
         alice.encode_outgoing([fact_message(F1)])
         alice.mark_unreachable("bob")
-        assert alice.flush() == []
-        assert not alice.needs_attention()
+        assert alice.flush(1) == []
+        assert not alice.unsettled() and not alice.needs_attention(99)
 
     def test_drop_channel_forgets_both_halves(self):
         alice = ReplicationState("alice")
@@ -139,7 +172,7 @@ class TestChannelLifecycle:
         alice.inbox("bob")
         alice.drop_channel("bob")
         assert alice.outboxes == {} and alice.inboxes == {}
-        assert not alice.needs_attention()
+        assert not alice.unsettled() and not alice.needs_attention(99)
 
 
 class TestPersistence:
@@ -147,12 +180,12 @@ class TestPersistence:
         backend = MemoryBackend()
         alice = ReplicationState("alice")
         alice.encode_outgoing([fact_message(F1, F2)])
-        envelope = alice.flush()[0]
+        envelope = alice.flush(1)[0]
         alice.on_ack("bob", 1)
         alice.persist(backend)
 
         bob = ReplicationState("bob")
-        bob.apply_envelope(envelope)
+        bob.apply_envelope(envelope, 2)
         bob.persist(backend)
 
         alice2 = ReplicationState("alice")
@@ -170,13 +203,13 @@ class TestPersistence:
         assert inbox.cc.base == 2
         assert inbox.visible == {F1: {1}, F2: {2}} or len(inbox.visible) == 2
         # the retransmitted duplicate is absorbed
-        assert bob2.apply_envelope(envelope) == []
+        assert bob2.apply_envelope(envelope, 3) == []
 
     def test_dropped_channel_removed_from_backend(self):
         backend = MemoryBackend()
         alice = ReplicationState("alice")
         alice.encode_outgoing([fact_message(F1)])
-        alice.flush()
+        alice.flush(1)
         alice.persist(backend)
         assert backend.load_meta("replication")
         alice.drop_channel("bob")
@@ -187,24 +220,31 @@ class TestPersistence:
         backend = MemoryBackend()
         alice = ReplicationState("alice")
         alice.encode_outgoing([fact_message(F1)])
-        alice.flush()
+        alice.flush(1)
         alice.persist(backend)
         records = dict(backend.load_meta("replication"))
-        backend.save_meta("replication", "out:bob", "SENTINEL")
-        alice.persist(backend)  # nothing dirty: must not overwrite
-        assert dict(backend.load_meta("replication"))["out:bob"] == "SENTINEL"
-        assert records  # sanity: the first persist did write
+        assert json.loads(records["out:bob"]) == {"seq": 1, "acked": 0}
+        for key in records:
+            backend.save_meta("replication", key, "SENTINEL")
+        alice.persist(backend)  # nothing dirty: must not overwrite a row
+        assert set(dict(backend.load_meta("replication")).values()) == {"SENTINEL"}
+        assert len(records) == 3  # sanity: header, log op, live dot
 
 
 class TestEventLog:
-    def test_joins_digests_and_pulls_are_recorded(self):
+    def test_joins_digests_pulls_and_acks_are_recorded_with_their_cycle(self):
         log = NetEventLog()
         alice = ReplicationState("alice", digest_interval=1, event_log=log)
         bob = ReplicationState("bob", event_log=log)
         alice.encode_outgoing([fact_message(F1)])
-        alice.flush()  # envelope dropped
-        exchange(alice, bob, alice.flush())  # digest arrives
-        exchange(alice, bob, bob.flush())    # pull
-        exchange(alice, bob, alice.flush())  # repair envelope
-        actions = {event["action"] for event in log.events()}
-        assert {"digest", "pull", "join"} <= actions
+        alice.flush(1)  # envelope dropped
+        exchange(alice, bob, alice.flush(2), now=3)  # digest arrives
+        exchange(alice, bob, bob.flush(3), now=4)    # pull
+        exchange(alice, bob, alice.flush(4), now=5)  # repair envelope
+        events = log.events()
+        # (alice digests every cycle here, so the repair travels with one)
+        assert [(e["action"], e["node"], e["ts"]) for e in events] == [
+            ("digest", "alice", 2.0), ("pull", "bob", 3.0),
+            ("digest", "alice", 4.0), ("pull", "bob", 5.0),
+            ("join", "bob", 5.0), ("ack", "bob", 5.0)]
+        assert events[-1]["origin"] == "alice" and events[-1]["acked"] == 1
