@@ -20,12 +20,16 @@ by a definer with sufficient rights.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from itertools import compress, count, repeat
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import AccessControlError
-from repro.core.facts import Fact
+from repro.core.facts import Fact, fact_identity
 from repro.provenance.graph import ProvenanceGraph
+
+_values_of = operator.attrgetter("values")
 
 
 class Privilege(enum.Enum):
@@ -210,23 +214,89 @@ class ViewPolicy:
         return tuple(sorted(allowed))
 
 
+class _Answer:
+    """What one viewer may read of one relation, kept between reads.
+
+    ``default`` is the relation-level decision, which every fact the graph
+    does not derive gets; ``exceptions`` are the derived facts whose
+    lineage decides otherwise (by :data:`fact_identity`).  ``raw`` /
+    ``facts`` are the last input and its answer, valid while no exception
+    moves.
+
+    ``rows`` maps the ``id`` of a fact's ``values`` tuple to whether that
+    fact is an exception (``held`` keeps the tuples alive, so an id stays
+    its row's).  The memory backend hands the same row tuple to every
+    snapshot of a relation, so a later pass decides the rows it met without
+    hashing or comparing a fact.  Facts of one relation that share a
+    ``values`` tuple are one fact, so this is exact; ``row_hashes`` tells
+    when an exception that moved may have a remembered row.
+    """
+
+    __slots__ = ("graph", "cursor", "default", "exceptions", "raw", "facts",
+                 "rows", "held", "row_hashes")
+
+    def __init__(self, graph: Optional[ProvenanceGraph], default: bool):
+        self.graph = graph
+        self.cursor: Optional[Tuple[int, int]] = None
+        self.default = default
+        self.exceptions: Set[Tuple] = set()
+        self.raw: Optional[Tuple[Fact, ...]] = None
+        self.facts: Tuple[Fact, ...] = ()
+        self.rows: Dict[int, bool] = {}
+        self.held: List[Tuple] = []
+        self.row_hashes: Set[int] = set()
+
+    def forget_rows(self) -> None:
+        self.rows.clear()
+        self.held.clear()
+        self.row_hashes.clear()
+
+    def select(self, facts: Tuple[Fact, ...]) -> Tuple[Fact, ...]:
+        """The facts ``default`` and ``exceptions`` say the viewer may read,
+        in their order: one pass over the row identities."""
+        rows = self.rows
+        if len(rows) > 2 * len(facts) + 64:
+            self.forget_rows()                     # rows long deleted
+        ids = list(map(id, map(_values_of, facts)))
+        excepted = list(map(rows.get, ids))
+        if None in excepted:
+            positions = list(compress(count(), map(operator.is_, excepted,
+                                                   repeat(None))))
+            fresh = list(map(facts.__getitem__, positions))
+            keys = list(map(fact_identity, fresh))
+            marks = list(map(self.exceptions.__contains__, keys))
+            rows.update(zip(map(ids.__getitem__, positions), marks))
+            self.held.extend(map(_values_of, fresh))
+            self.row_hashes.update(map(hash, keys))
+            for position, mark in zip(positions, marks):
+                excepted[position] = mark
+        if self.default:
+            return tuple(compress(facts, map(operator.not_, excepted)))
+        return tuple(compress(facts, excepted))
+
+
 class PolicyEngine:
-    """Cached access-control decisions over a maintained provenance graph.
+    """Access-control decisions over a maintained provenance graph, and the
+    maintained answer of each (relation, viewer) filter.
 
     :meth:`AccessControlPolicy.can_read_fact` re-derives the lineage of a
     fact on every check; this engine is the scalable front-end for query
-    filtering: per-fact checks probe the provenance graph's maintained
-    lineage index (O(1) amortised) and the resulting decisions are cached by
-    ``(peer, base-relation set)``.  Both caches are **delta-invalidated**:
+    filtering.  Per-fact checks probe the provenance graph's maintained
+    lineage index (O(1) amortised) and their decisions are cached by
+    ``(peer, base-relation set)``.  A filter over one relation
+    (:meth:`filter_readable` with ``relation=``) keeps one relation-level
+    decision, which covers every fact the graph does not derive, and the
+    derived facts that are exceptions to it; a read re-decides only the
+    facts the graph's change feed
+    (:meth:`~repro.provenance.graph.ProvenanceGraph.changes_since`) names,
+    and answers with the unfiltered tuple itself when there are no
+    exceptions, else with one membership pass over it, in its order.
 
-    * grant / revoke / declassify bumps
-      :attr:`AccessControlPolicy.version` — decision and view-policy caches
-      are dropped;
-    * any provenance mutation bumps
-      :attr:`~repro.provenance.graph.ProvenanceGraph.version` — the derived
-      :class:`ViewPolicy` cache is dropped (per-fact decisions stay valid:
-      they are keyed by the base-relation set, which the graph's own lineage
-      index already re-derives precisely).
+    What is kept is rebuilt when a grant / revoke / declassify bumps
+    :attr:`AccessControlPolicy.version`, when the graph is cleared or the
+    feed cannot tell, and when the engine is bound to another tracker.  The
+    :class:`ViewPolicy` cache is dropped on any graph mutation
+    (:attr:`~repro.provenance.graph.ProvenanceGraph.version`).
 
     ``provenance`` may be a :class:`~repro.provenance.graph.ProvenanceGraph`,
     a :class:`~repro.provenance.graph.ProvenanceTracker` (its graph is used)
@@ -244,8 +314,13 @@ class PolicyEngine:
         self._relation_reads: Dict[Tuple[str, str], bool] = {}
         # view relation -> derived ViewPolicy; graph- and policy-dependent.
         self._view_policies: Dict[str, ViewPolicy] = {}
+        # (relation, viewer) -> maintained answer; policy-dependent, and
+        # bound to the graph it was built from.
+        self._answers: Dict[Tuple[str, str], _Answer] = {}
 
-    def _graph(self) -> Optional[ProvenanceGraph]:
+    @property
+    def graph(self) -> Optional[ProvenanceGraph]:
+        """The provenance graph decisions are made over (``None``: none)."""
         return getattr(self.provenance, "graph", self.provenance)
 
     def _sync(self) -> Optional[ProvenanceGraph]:
@@ -255,20 +330,13 @@ class PolicyEngine:
             self._decisions.clear()
             self._relation_reads.clear()
             self._view_policies.clear()
-        graph = self._graph()
+            self._answers.clear()
+        graph = self.graph
         graph_version = None if graph is None else graph.version
         if graph_version != self._graph_version:
             self._graph_version = graph_version
             self._view_policies.clear()
         return graph
-
-    def stamp(self) -> Tuple:
-        """What every decision depends on besides the fact itself: the policy's
-        version, the provenance graph and the graph's version.  Two equal
-        stamps mean no decision changed in between."""
-        graph = self._graph()
-        return (self.policy.version, graph,
-                None if graph is None else graph.version)
 
     def _can_read_relation(self, relation: str, peer: str) -> bool:
         key = (relation, peer)
@@ -294,9 +362,61 @@ class PolicyEngine:
                 self._can_read_relation(base, peer) for base in bases)
         return decision
 
-    def filter_readable(self, facts: Iterable[Fact], peer: str) -> Tuple[Fact, ...]:
-        """Filter ``facts`` down to those ``peer`` may read."""
-        return tuple(fact for fact in facts if self.can_read_fact(fact, peer))
+    def filter_readable(self, facts: Iterable[Fact], peer: str,
+                        relation: Optional[str] = None) -> Tuple[Fact, ...]:
+        """Filter ``facts`` down to those ``peer`` may read, in their order.
+
+        With ``relation`` (the qualified name of every one of ``facts``) the
+        answer comes from the maintained (relation, viewer) state, and is
+        the same tuple again for the same input while nothing moved.
+        Without it every fact is checked.
+        """
+        if relation is None:
+            return tuple(fact for fact in facts if self.can_read_fact(fact, peer))
+        facts = tuple(facts)
+        answer = self._answer(relation, peer)
+        if answer.raw is facts:
+            return answer.facts
+        if answer.exceptions:
+            result = answer.select(facts)
+        else:
+            result = facts if answer.default else ()
+        answer.raw, answer.facts = facts, result
+        return result
+
+    def _answer(self, relation: str, peer: str) -> _Answer:
+        """The (relation, viewer) state, brought up to date with the graph."""
+        graph = self._sync()
+        answer = self._answers.get((relation, peer))
+        if answer is None or answer.graph is not graph:
+            return self._prime(relation, peer, graph)
+        if graph is not None:
+            changed, answer.cursor = graph.changes_since(answer.cursor)
+            if changed is None:
+                return self._prime(relation, peer, graph)
+            name, _, owner = relation.rpartition("@")
+            exceptions, default = answer.exceptions, answer.default
+            moved = {fact_identity(fact): fact for fact in changed
+                     if fact.relation == name and fact.peer == owner}
+            for key, fact in moved.items():
+                if (self.can_read_fact(fact, peer) != default) != (key in exceptions):
+                    exceptions ^= {key}              # the decision flipped
+                    answer.raw = None
+                    if hash(key) in answer.row_hashes:
+                        answer.forget_rows()
+        return answer
+
+    def _prime(self, relation: str, peer: str,
+               graph: Optional[ProvenanceGraph]) -> _Answer:
+        """Decide every derived fact of ``relation`` once, from scratch."""
+        answer = _Answer(graph, self._can_read_relation(relation, peer))
+        if graph is not None:
+            _, answer.cursor = graph.changes_since(None)
+            answer.exceptions = {
+                fact_identity(fact) for fact in graph.facts_of(relation)
+                if self.can_read_fact(fact, peer) != answer.default}
+        self._answers[(relation, peer)] = answer
+        return answer
 
     def view_policy(self, view_relation: str,
                     facts: Optional[Iterable[Fact]] = None) -> ViewPolicy:

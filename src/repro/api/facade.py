@@ -470,8 +470,13 @@ class System:
         relation re-scan.  ``on_remove`` (optional) fires once per reported
         fact that stops being visible.
         """
-        subscription = Subscription(relation, callback, peer=peer,
-                                    on_remove=on_remove)
+        return self._attach(Subscription(relation, callback, peer=peer,
+                                         on_remove=on_remove),
+                            include_existing)
+
+    def _attach(self, subscription: Subscription,
+                include_existing: bool = False) -> Subscription:
+        """Start feeding a built subscription (see :meth:`subscribe`)."""
         if include_existing:
             subscription.enqueue_existing(self.runtime.peers)
         else:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
@@ -284,6 +285,9 @@ def _noop_callback(fact: Fact) -> None:
     return None
 
 
+_values_of = attrgetter("values")
+
+
 def _typed(values: Sequence) -> Tuple:
     """A group key under the stores' type-strict equality (``1`` is not
     ``True`` is not ``1.0``), usable as a dict key."""
@@ -337,9 +341,9 @@ class LiveView(QueryHandle):
         self._ordered: List[Fact] = []
         self._answer: Tuple[Fact, ...] = ()
         self._dirty: Set[Tuple] = set()
-        # With a viewer: (raw facts, policy/lineage stamp, filtered answer).
+        # Aggregate view with a viewer: (filtered raw facts, their groups).
         self._viewer_answer: Optional[
-            Tuple[Tuple[Fact, ...], Tuple, Tuple[Fact, ...]]] = None
+            Tuple[Tuple[Fact, ...], Tuple[Fact, ...]]] = None
         # (answer, its value tuples): an unchanged page is not re-projected.
         self._rows: Optional[Tuple[Tuple[Fact, ...], Tuple[Tuple, ...]]] = None
         if description is None:
@@ -390,21 +394,20 @@ class LiveView(QueryHandle):
         aggregate = bool(self._specs)
         if self.viewer is None:
             return self._maintained() if aggregate else self.raw_facts()
-        # What a viewer may read follows the owner's grants and the lineage
-        # of every raw tuple, so a group cannot be patched from a raw delta:
-        # filter-then-aggregate over everything, kept only while the raw
-        # facts, the policy and the provenance graph all stand still.
-        raw = self.raw_facts()
-        engine = self._system.policies.engine(self._owner)
-        stamp = engine.stamp()
+        # The owner's policy engine keeps what this viewer may read of the
+        # raw relation and hands back the same tuple while nothing moved.  A
+        # group cannot be patched from a raw delta — a grant or a lineage
+        # change moves rows no delta names — so an aggregate is recomputed
+        # from the filtered rows whenever they are a different tuple.
+        answer = self._system.policies.engine(self._owner).filter_readable(
+            self.raw_facts(), self.viewer,
+            relation=f"{self.relation}@{self._location}")
+        if not aggregate:
+            return answer
         kept = self._viewer_answer
-        if kept is not None and kept[0] is raw and kept[1] == stamp:
-            return kept[2]
-        answer = engine.filter_readable(raw, self.viewer)
-        if aggregate:
-            answer = self._aggregate(answer)
-        self._viewer_answer = (raw, stamp, answer)
-        return answer
+        if kept is None or kept[0] is not answer:
+            kept = self._viewer_answer = (answer, self._aggregate(answer))
+        return kept[1]
 
     def facts(self) -> Tuple[Fact, ...]:
         """The current answers (ACL-filtered, aggregated where applicable)."""
@@ -415,7 +418,7 @@ class LiveView(QueryHandle):
         facts = self._read()
         kept = self._rows
         if kept is None or kept[0] is not facts:
-            kept = self._rows = (facts, tuple(fact.values for fact in facts))
+            kept = self._rows = (facts, tuple(map(_values_of, facts)))
         return kept[1]
 
     def plan(self) -> Optional[Dict[str, object]]:
@@ -595,39 +598,24 @@ class LiveView(QueryHandle):
 
         Deliveries are fed from each completed stage's ``visible_delta`` —
         O(changes), no relation re-scans.  When the view has a ``viewer=``,
-        additions are filtered through the owner's policy engine, and a
-        removal is reported exactly when the addition was (the ACL decision
-        is made at delivery time and remembered — a retracted fact has no
-        lineage left to re-check, and the observer must end up with the same
-        answer set either way).  The returned
+        the observer holds what the viewer may read: additions are filtered
+        through the owner's policy engine, a removal is reported exactly for
+        a delivered fact, and a stage that moves the lineage of an answer
+        without changing its visibility is followed too (see
+        :class:`_ViewerSubscription`).  The returned
         :class:`~repro.api.query.Subscription` is cancelled automatically by
         :meth:`close`.
         """
         if self._closed:
             raise ReproApiError(f"live view {self.description} is closed")
         add = on_add or _noop_callback
-        remove = on_remove
-        if self.viewer is not None:
-            viewer = self.viewer
-            policies = self._system.policies
-            delivered: set = set()
-            inner_add, inner_remove = add, on_remove
-
-            def add(fact: Fact) -> None:
-                if policies.engine(self._owner).can_read_fact(fact, viewer):
-                    delivered.add(fact)
-                    inner_add(fact)
-
-            # `remove` is installed even without a user callback, so the
-            # delivered-set stays in sync across retract-and-re-derive.
-            def remove(fact: Fact) -> None:
-                if fact in delivered:
-                    delivered.discard(fact)
-                    if inner_remove is not None:
-                        inner_remove(fact)
-        subscription = self._system.subscribe(
-            self.relation, add, peer=self._owner,
-            include_existing=include_existing, on_remove=remove)
+        if self.viewer is None:
+            subscription = self._system.subscribe(
+                self.relation, add, peer=self._owner,
+                include_existing=include_existing, on_remove=on_remove)
+        else:
+            subscription = self._system._attach(
+                _ViewerSubscription(self, add, on_remove), include_existing)
         self._subscriptions.append(subscription)
         return subscription
 
@@ -703,3 +691,92 @@ class LiveView(QueryHandle):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"{len(self)} facts"
         return f"LiveView({self.description}, {state})"
+
+
+class _ViewerSubscription(Subscription):
+    """The observer of a ``viewer=`` view: it ends every stage holding what
+    :meth:`LiveView.rows` returns.
+
+    A fact is decided when it is delivered (or primed) and the decision is
+    remembered: a retracted fact has no lineage left to check, so its
+    removal is reported exactly when it was delivered.  A stage can also
+    move the lineage of a fact whose visibility it leaves alone, so after
+    every stage at the owner the facts the provenance graph's change feed
+    names are decided again — a delivered one the viewer may no longer read
+    fires ``on_remove``, a visible undelivered one it now may read fires
+    ``on_add``.  A grant or revoke is not a stage and moves nothing here.
+    """
+
+    def __init__(self, view: LiveView, on_add: FactCallback,
+                 on_remove: Optional[FactCallback]):
+        # `_withdraw` is installed even without a user callback, so the
+        # delivered set stays in sync across retract-and-re-derive.
+        super().__init__(view.relation, self._deliver, peer=view.owner,
+                         on_remove=self._withdraw)
+        self._policies = view._system.policies
+        self._viewer = view.viewer
+        self._on_add, self._on_remove = on_add, on_remove
+        self._delivered: Set[Fact] = set()
+        # (graph, cursor) of the change feed read so far.
+        self._feed: Optional[Tuple[object, Tuple[int, int]]] = None
+        self._moved()
+
+    def _readable(self, fact: Fact) -> bool:
+        return self._policies.engine(self.peer).can_read_fact(fact, self._viewer)
+
+    def _deliver(self, fact: Fact) -> None:
+        if self._readable(fact):
+            self._delivered.add(fact)
+            self._on_add(fact)
+
+    def _withdraw(self, fact: Fact) -> None:
+        if fact in self._delivered:
+            self._delivered.discard(fact)
+            if self._on_remove is not None:
+                self._on_remove(fact)
+
+    def prime(self, peers) -> None:
+        super().prime(peers)
+        self._delivered = {fact for fact in self._seen.get(self.peer, ())
+                           if self._readable(fact)}
+
+    def notify_stage(self, host: str, delta) -> int:
+        fired = super().notify_stage(host, delta)
+        if self.active and host == self.peer:
+            fired += self._recheck()
+        return fired
+
+    def _moved(self) -> Optional[Iterable[Fact]]:
+        """What the change feed names since the last call; ``None`` when it
+        cannot say (a first read, a cleared graph, another tracker)."""
+        graph = self._policies.engine(self.peer).graph
+        if graph is None:
+            self._feed = None
+            return ()
+        feed = self._feed
+        cursor = feed[1] if feed is not None and feed[0] is graph else None
+        changed, cursor = graph.changes_since(cursor)
+        self._feed = (graph, cursor)
+        return changed
+
+    def _recheck(self) -> int:
+        seen = self._seen.get(self.peer, set())
+        changed = self._moved()
+        if changed is None:
+            candidates = seen
+        else:
+            relation, owner = self.relation, self.peer
+            candidates = {fact for fact in changed
+                          if fact.relation == relation and fact.peer == owner}
+        delivered, fired = self._delivered, 0
+        for fact in sorted(candidates, key=str):
+            if fact in delivered:
+                if not self._readable(fact):
+                    self._withdraw(fact)
+                    self.removals += 1
+            elif fact in seen and self._readable(fact):
+                delivered.add(fact)
+                self._on_add(fact)
+                fired += 1
+        self.delivered += fired
+        return fired

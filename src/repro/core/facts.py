@@ -16,6 +16,7 @@ default (:mod:`repro.store.memory`), or durable SQLite tables
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import SchemaError
@@ -138,6 +139,11 @@ _set_values = Fact.values.__set__
 _set_key = Fact._key.__set__
 _set_hash = Fact._hash.__set__
 _set_str = Fact._str.__set__
+
+#: What ``Fact`` equality compares, read without a Python-level call: a set
+#: of these answers a membership probe without ``Fact.__hash__`` /
+#: ``Fact.__eq__`` frames, for passes over a whole relation.
+fact_identity = attrgetter("_key")
 
 
 def fact_matches_bindings(fact: Fact, bindings: Dict[int, ConstantValue]) -> bool:

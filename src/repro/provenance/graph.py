@@ -23,12 +23,15 @@ in sync with the current derivability state.
 * where the engine clears predicates and re-records instead, a fact dies
   when its last derivation dies and the removal cascades
   (:meth:`ProvenanceGraph.remove_support`);
-* :meth:`ProvenanceGraph.base_relations` and
-  :meth:`ProvenanceGraph.depends_on_peer` are answered from a per-fact
-  lineage index (frozen set of base relations / peers), built on demand and
-  invalidated precisely — only the entries of facts whose lineage a mutation
-  can reach — so repeated access-control probes are O(1) per fact instead of
-  a transitive walk.
+* :meth:`ProvenanceGraph.base_relations` is answered from a per-fact lineage
+  index (the frozen set of base relations), built on demand.  A base set
+  only grows while derivations are added, so a new derivation of an indexed
+  fact *grows* the entries it reaches instead of dropping them; what can
+  shrink a set or change its kind (a first derivation, every removal,
+  :meth:`~ProvenanceGraph.clear`) drops exactly the entries it can reach.
+  Repeated access-control probes are O(1) per fact instead of a walk.
+* :meth:`ProvenanceGraph.changes_since` is the graph's change feed: the
+  facts whose derived-ness or base set may have moved.
 
 Retracted or overwritten facts therefore drop out of the graph instead of
 accumulating for the lifetime of the run.
@@ -94,10 +97,15 @@ class Explanation:
 class ProvenanceGraph:
     """Support-counted derivations, indexed by derived and supporting fact.
 
-    Every mutation bumps :attr:`version` (consumers such as the ACL layer's
-    :class:`~repro.acl.policies.PolicyEngine` use it to invalidate their own
-    caches on deltas only).
+    Every mutation bumps :attr:`version`; consumers that keep an answer per
+    fact (the ACL layer's :class:`~repro.acl.policies.PolicyEngine`) read
+    :meth:`changes_since` instead, which names the facts that moved.
     """
+
+    #: A segment of the change feed is full once it holds more entries than
+    #: this or than there are derived facts — a reader a whole segment
+    #: behind re-reads the graph for less (:meth:`changes_since`).
+    FEED_FLOOR = 1024
 
     def __init__(self):
         # Derived fact -> its alternative derivations (the support count of a
@@ -113,9 +121,16 @@ class ProvenanceGraph:
         #: Bumped on every mutation; external caches key off it.
         self.version = 0
         # The incremental lineage index: per-fact frozen sets, built on first
-        # probe and invalidated for exactly the facts a mutation can reach.
+        # probe, grown by new derivations and invalidated for exactly the
+        # facts a removal can reach.
         self._bases_index: Dict[Fact, FrozenSet[str]] = {}
-        self._peers_index: Dict[Fact, FrozenSet[str]] = {}
+        # The change feed: facts whose derived-ness or base set may have
+        # moved, appended while somebody reads it (``None`` otherwise), and
+        # the full segment before it; the epoch numbers the segments.
+        self._feed: Optional[List[Fact]] = None
+        self._older: Optional[List[Fact]] = None
+        self._feed_read = False
+        self._epoch = 0
 
     def __len__(self) -> int:
         return self._count
@@ -126,19 +141,26 @@ class ProvenanceGraph:
 
     def add(self, derivation: Derivation) -> bool:
         """Record one derivation; returns ``False`` for a known duplicate."""
-        existing = self._derivations.setdefault(derivation.fact, [])
+        head = derivation.fact
+        existing = self._derivations.setdefault(head, [])
         key = derivation.key()
         for known in existing:
             if known.key() == key:
                 return False
-        self._invalidate([derivation.fact])
+        # A first derivation changes what the head's set *is* (its own
+        # relation becomes its lineage's), and an unindexed head has no set
+        # to grow: both drop what they reach.  Otherwise the sets only grow.
+        indexed = bool(existing) and head in self._bases_index
+        if not indexed:
+            self._invalidate([head])
         existing.append(derivation)
-        self._by_relation.setdefault(
-            derivation.fact.qualified_relation, set()).add(derivation.fact)
+        self._by_relation.setdefault(head.qualified_relation, set()).add(head)
         for supporting in set(derivation.support):
             self._supported.setdefault(supporting, []).append(derivation)
         self._count += 1
         self.version += 1
+        if indexed:
+            self._grow(head, derivation.support)
         return True
 
     def remove_support(self, fact: Fact) -> int:
@@ -236,9 +258,9 @@ class ProvenanceGraph:
         self._supported.clear()
         self._by_relation.clear()
         self._bases_index.clear()
-        self._peers_index.clear()
         self._count = 0
         self.version += 1
+        self._drop_feed()
 
     def _discard(self, derivation: Derivation,
                  skip_support: Optional[Fact] = None) -> bool:
@@ -271,14 +293,16 @@ class ProvenanceGraph:
         return True
 
     def _invalidate(self, roots: Iterable[Fact]) -> None:
-        """Drop the lineage-index entries of ``roots`` and every dependent.
+        """Drop the lineage-index entries of ``roots`` and every dependent,
+        and name them all in the change feed.
 
         Walks the reverse (supported-by) edges transitively *before* the
         mutation happens, so every fact whose lineage could include a root is
         reached while the edges still exist.
         """
-        if not self._bases_index and not self._peers_index:
+        if not self._bases_index and self._feed is None:
             return
+        index = self._bases_index
         stack = list(roots)
         seen: Set[Fact] = set()
         while stack:
@@ -286,10 +310,103 @@ class ProvenanceGraph:
             if fact in seen:
                 continue
             seen.add(fact)
-            self._bases_index.pop(fact, None)
-            self._peers_index.pop(fact, None)
+            index.pop(fact, None)
             for derivation in self._supported.get(fact, ()):
                 stack.append(derivation.fact)
+        self._publish(seen)
+
+    def _grow(self, head: Fact, support: Tuple[Fact, ...]) -> None:
+        """A new derivation of the indexed ``head``: union what its support
+        adds into every entry whose lineage holds the head.
+
+        The growth is pushed along the reverse edges and stops at an entry
+        that already holds it (whatever lies beyond holds it too); a fact
+        without an entry is passed through, as an indexed one may lie
+        beyond it.  Union is monotone, so this is exact on cyclic
+        why-graphs: the support's entries from before the derivation are
+        the least fixpoint.
+        """
+        index, derivations = self._bases_index, self._derivations
+        entry = index[head]
+        gained: Set[str] = set()
+        for supporting in support:
+            if supporting in derivations:
+                gained.update(self.base_relations(supporting))
+            else:
+                gained.add(supporting.qualified_relation)
+        if gained <= entry:
+            return
+        grown = frozenset(gained - entry)
+        stack = [head]
+        reached: Set[Fact] = {head}
+        changed: List[Fact] = []
+        while stack:
+            fact = stack.pop()
+            entry = index.get(fact)
+            if entry is not None:
+                if grown <= entry:
+                    continue
+                index[fact] = entry | grown
+            changed.append(fact)
+            for derivation in self._supported.get(fact, ()):
+                dependent = derivation.fact
+                if dependent not in reached:
+                    reached.add(dependent)
+                    stack.append(dependent)
+        self._publish(changed)
+
+    # ------------------------------------------------------------------ #
+    # the change feed
+    # ------------------------------------------------------------------ #
+
+    def changes_since(self, cursor: Optional[Tuple[int, int]]
+                      ) -> Tuple[Optional[List[Fact]], Tuple[int, int]]:
+        """The facts whose derived-ness or base relations may have changed
+        since ``cursor``, and the cursor to pass next time.
+
+        ``None`` instead of a list means the reader cannot be told — a first
+        read, a :meth:`clear` since, or it fell more than a segment behind —
+        and must rebuild what it keeps from the graph.  A fact may be named
+        more than once.
+
+        The first call starts the feed.  A full segment (more entries than
+        :attr:`FEED_FLOOR` or than there are derived facts) is kept while
+        the next one fills, so a reader that reads once per segment is
+        always told; a segment that fills while nobody reads stops the feed
+        until the next call, so a reader that went away costs neither
+        memory nor walks.
+        """
+        feed = self._feed
+        if feed is None:
+            feed = self._feed = []
+        self._feed_read = True
+        end = (self._epoch, len(feed))
+        if cursor is not None:
+            epoch, position = cursor
+            if epoch == self._epoch:
+                return feed[position:], end
+            if epoch == self._epoch - 1 and self._older is not None:
+                return self._older[position:] + feed, end
+        return None, end
+
+    def _publish(self, facts: Iterable[Fact]) -> None:
+        feed = self._feed
+        if feed is None:
+            return
+        feed.extend(facts)
+        if len(feed) > max(self.FEED_FLOOR, len(self._derivations)):
+            if not self._feed_read:
+                self._drop_feed()
+                return
+            self._older, self._feed = feed, []
+            self._epoch += 1
+            self._feed_read = False
+
+    def _drop_feed(self) -> None:
+        """Stop journaling; every reader's next :meth:`changes_since` says
+        ``None``, and the first such call starts a fresh feed."""
+        self._feed = self._older = None
+        self._epoch += 2
 
     # ------------------------------------------------------------------ #
     # queries
@@ -333,8 +450,9 @@ class ProvenanceGraph:
     def base_relations(self, fact: Fact) -> FrozenSet[str]:
         """Qualified names of the base relations the lineage of ``fact`` draws from.
 
-        Answered from the maintained lineage index: O(1) once built, rebuilt
-        only after a mutation that can reach ``fact``'s lineage.
+        Answered from the maintained lineage index: O(1) once built, grown
+        in place by new derivations, rebuilt only after a removal or a first
+        derivation that can reach ``fact``'s lineage.
         """
         cached = self._bases_index.get(fact)
         if cached is None:
@@ -376,12 +494,8 @@ class ProvenanceGraph:
         return frozenset(bases)
 
     def lineage_peers(self, fact: Fact) -> FrozenSet[str]:
-        """Peers owning some fact in the lineage of ``fact`` (indexed, O(1))."""
-        cached = self._peers_index.get(fact)
-        if cached is None:
-            cached = frozenset(f.peer for f in self.lineage(fact))
-            self._peers_index[fact] = cached
-        return cached
+        """Peers owning some fact in the lineage of ``fact``."""
+        return frozenset(f.peer for f in self.lineage(fact))
 
     def depends_on_peer(self, fact: Fact, peer: str) -> bool:
         """``True`` when some fact in the lineage belongs to a relation of ``peer``."""
@@ -406,7 +520,7 @@ class ProvenanceGraph:
             why=self.why(fact),
             lineage=lineage,
             base_relations=self.base_relations(fact),
-            peers=frozenset({fact.peer}) | self.lineage_peers(fact),
+            peers=frozenset([fact.peer, *(f.peer for f in lineage)]),
         )
 
 

@@ -485,6 +485,73 @@ class TestViewerFiltering:
         deployment.converge()
         assert [f.values for f in removed] == [(2,)]
 
+    TC_PROGRAM = """
+    collection extensional persistent edge@hub(src, dst);
+    collection extensional persistent bridge@hub(src, dst);
+    collection intensional reach@hub(src, dst);
+    rule reach@hub($x, $y) :- edge@hub($x, $y);
+    rule reach@hub($x, $y) :- bridge@hub($x, $y);
+    rule reach@hub($x, $z) :- reach@hub($x, $y), edge@hub($y, $z);
+    rule reach@hub($x, $z) :- reach@hub($x, $y), bridge@hub($y, $z);
+    """
+
+    def watched_reach(self, query):
+        """``guest`` may read ``edge`` only; an observer of ``reach`` that
+        records what it was told, beside the view's own answer."""
+        deployment = (system().provenance()
+                      .peer("hub").program(self.TC_PROGRAM).grant("edge", "guest")
+                      .build())
+        view = deployment.query("hub", query, viewer="guest")
+        held, events = set(), []
+
+        def added(fact):
+            events.append(("add", fact.values))
+            held.add(fact.values)
+
+        def removed(fact):
+            events.append(("remove", fact.values))
+            held.discard(fact.values)
+
+        view.on_change(added, removed)
+        return deployment, view, held, events
+
+    @pytest.mark.parametrize("query", ["reach", "ans($x, $y) :- reach@hub($x, $y)"])
+    def test_on_change_follows_a_lineage_change_in_both_directions(self, query):
+        # Regression: a new derivation through bridge@hub leaves reach(a, b)
+        # visible — no visible delta names it — while the viewer loses it;
+        # the observer used to keep holding it.
+        deployment, view, held, events = self.watched_reach(query)
+        hub = deployment.peer("hub")
+        hub.insert('edge@hub("a", "b")')
+        deployment.converge()
+        assert held == set(view.rows()) == {("a", "b")}
+        hub.insert('bridge@hub("a", "b")')
+        deployment.converge()
+        assert view.rows() == ()
+        assert held == set() and events[-1] == ("remove", ("a", "b"))
+        # The converse: the bridge goes, reach(a, b) stays visible and is
+        # readable again — a visible, undelivered fact that becomes readable.
+        hub.delete('bridge@hub("a", "b")')
+        deployment.converge()
+        assert held == set(view.rows()) == {("a", "b")}
+        assert events == [("add", ("a", "b")), ("remove", ("a", "b")),
+                          ("add", ("a", "b"))]
+
+    def test_on_change_follows_lineage_through_recursion(self):
+        deployment, view, held, _ = self.watched_reach("reach")
+        hub = deployment.peer("hub")
+        for edge in (("a", "b"), ("b", "c"), ("c", "d")):
+            hub.insert(f'edge@hub("{edge[0]}", "{edge[1]}")')
+        deployment.converge()
+        assert held == set(view.rows()) and ("a", "d") in held
+        # A bridge parallel to b -> c taints every pair reaching through it.
+        hub.insert('bridge@hub("b", "c")')
+        deployment.converge()
+        assert held == set(view.rows()) == {("a", "b"), ("c", "d")}
+        hub.delete('bridge@hub("b", "c")')
+        deployment.converge()
+        assert held == set(view.rows()) and len(held) == 6
+
     def test_builder_grants_and_declassification(self):
         deployment = (system()
                       .peer("q").program(Q_PROGRAM).grant("a", "bob")

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acl.policies import AccessControlPolicy, PolicyEngine, Privilege
 from repro.api import system
 from repro.core.facts import Fact
 from repro.datalog.aggregation import Aggregate, compute_aggregate
-from repro.provenance.graph import Derivation, ProvenanceGraph
+from repro.provenance.graph import Derivation, ProvenanceGraph, ProvenanceTracker
 
 HUB, FAR, GUEST = "h", "r", "guest"
 
@@ -91,9 +92,9 @@ streams = st.lists(st.tuples(operations, st.booleans()), max_size=24)
 # the oracle: the uncached read path
 # --------------------------------------------------------------------------- #
 
-def scan(deployment, relation):
-    state = deployment.runtime.peer(HUB).engine.state
-    return tuple(sorted(state.fact_view(relation, HUB), key=str))
+def scan(deployment, relation, peer=HUB):
+    state = deployment.runtime.peer(peer).engine.state
+    return tuple(sorted(state.fact_view(relation, peer), key=str))
 
 
 def readable(deployment, fact, viewer):
@@ -367,6 +368,135 @@ class TestReadsMatchAFromScratchRecompute:
 
 
 # --------------------------------------------------------------------------- #
+# viewer reads over a recursive relation, against the uncached policy check
+# --------------------------------------------------------------------------- #
+
+TC = "t"
+TC_PROGRAM = f"""
+collection extensional persistent edge@{TC}(src, dst);
+collection extensional persistent bridge@{TC}(src, dst);
+collection intensional reach@{TC}(src, dst);
+rule reach@{TC}($x, $y) :- edge@{TC}($x, $y);
+rule reach@{TC}($x, $y) :- bridge@{TC}($x, $y);
+rule reach@{TC}($x, $z) :- reach@{TC}($x, $y), edge@{TC}($y, $z);
+rule reach@{TC}($x, $z) :- reach@{TC}($x, $y), bridge@{TC}($y, $z);
+"""
+
+#: name -> (query, viewer): the recursive relation itself, a compiled view
+#: over it, a grouped one, and the ungranted base relation.
+TC_VIEWS = {
+    "reach": ("reach", GUEST),
+    "pairs": (f"ans($x, $y) :- reach@{TC}($x, $y)", GUEST),
+    "fanout": (f"fanout($x, count($y)) :- reach@{TC}($x, $y)", GUEST),
+    "bridges": ("bridge", GUEST),
+    "staff": ("reach", "staff"),
+}
+
+tc_nodes = st.integers(min_value=0, max_value=4)
+tc_operations = st.one_of(
+    st.tuples(st.just("edge"), st.tuples(tc_nodes, tc_nodes)),
+    st.tuples(st.just("bridge"), st.tuples(tc_nodes, tc_nodes)),
+    st.tuples(st.just("delete"), st.tuples(st.sampled_from(["edge", "bridge"]),
+                                           st.integers(min_value=0, max_value=20))),
+    st.tuples(st.just("grant"), st.tuples(st.sampled_from(["bridge", "reach"]),
+                                          st.booleans())),
+    st.tuples(st.just("declassify"), st.none()),
+    st.tuples(st.just("provenance"), st.none()),
+    st.tuples(st.just("converge"), st.none()),
+)
+
+
+def tc_expected(deployment, view):
+    """Scan, sort by rendering, filter with the uncached policy check — and
+    group in Python for the aggregate view."""
+    raw = scan(deployment, view.relation, TC)
+    tracker = deployment.runtime.peer(TC).engine.provenance
+    readable = deployment.access_policy(TC).readable_facts(
+        raw, view.viewer, provenance=getattr(tracker, "graph", None))
+    return aggregate(view, readable) if view.compiled is not None \
+        and view.compiled.is_aggregate() else readable
+
+
+def tc_check(deployment, views):
+    for name, view in views.items():
+        want = tc_expected(deployment, view)
+        assert bits(view.facts()) == bits(want), name
+        assert view.facts() is view.facts(), name         # kept while still
+
+
+def tc_apply(deployment, operation):
+    kind, argument = operation
+    hub = deployment.peer(TC)
+    if kind in ("edge", "bridge"):
+        hub.insert(Fact(kind, TC, (f"n{argument[0]}", f"n{argument[1]}")))
+    elif kind == "delete":
+        relation, index = argument
+        stored = hub.unwrap().query(relation)
+        if stored:
+            hub.delete(stored[index % len(stored)])
+    elif kind == "grant":
+        relation, grant = argument
+        if grant:
+            hub.grant(relation, GUEST)
+        else:
+            hub.access_policy.revoke(f"{relation}@{TC}", GUEST)
+    elif kind == "declassify":
+        hub.declassify("reach", GUEST)
+    elif kind == "provenance":
+        engine = deployment.runtime.peer(TC).engine
+        if engine.provenance is None:
+            engine.provenance = ProvenanceTracker()
+    else:
+        deployment.converge(max_steps=60)
+
+
+class TestViewerReadsMatchTheUncachedPolicyCheck:
+    @given(provenance=st.booleans(),
+           stream=st.lists(st.tuples(tc_operations, st.booleans()), max_size=24))
+    @settings(max_examples=40, deadline=None)
+    def test_every_viewer_read_equals_readable_facts(self, provenance, stream):
+        """Half the reads land between a write and the stage that consumes
+        it; provenance starts on or is switched on mid-run (after reads)."""
+        builder = system().provenance() if provenance else system()
+        deployment = builder.peer(TC).program(TC_PROGRAM).build()
+        hub = deployment.peer(TC)
+        hub.grant("edge", GUEST).grant("edge", "staff").grant("bridge", "staff")
+        views = {name: hub.query(text, viewer=viewer)
+                 for name, (text, viewer) in TC_VIEWS.items()}
+        tc_check(deployment, views)
+        for operation, settle in stream:
+            tc_apply(deployment, operation)
+            tc_check(deployment, views)
+            if settle:
+                deployment.converge(max_steps=60)
+                tc_check(deployment, views)
+        deployment.close()
+
+    def test_a_bridge_between_insert_and_converge_is_not_shown(self):
+        """The write moves the snapshot at once; the graph only at the
+        stage.  Neither the ungranted base fact nor anything derived from it
+        may reach the guest in between."""
+        deployment = system().provenance().peer(TC).program(TC_PROGRAM).build()
+        hub = deployment.peer(TC)
+        hub.grant("edge", GUEST)
+        views = {name: hub.query(text, viewer=viewer)
+                 for name, (text, viewer) in TC_VIEWS.items()}
+        hub.insert(Fact("edge", TC, ("n0", "n1")))
+        deployment.converge()
+        assert views["reach"].rows() == (("n0", "n1"),)
+        hub.insert(Fact("bridge", TC, ("n1", "n2")))
+        assert views["bridges"].rows() == ()
+        assert views["reach"].rows() == (("n0", "n1"),)
+        tc_check(deployment, views)
+        deployment.converge()
+        assert views["reach"].rows() == (("n0", "n1"),)
+        hub.declassify("reach", GUEST).grant("reach", GUEST)
+        assert views["reach"].rows() == (("n0", "n1"), ("n0", "n2"), ("n1", "n2"))
+        tc_check(deployment, views)
+        deployment.close()
+
+
+# --------------------------------------------------------------------------- #
 # the lineage index
 # --------------------------------------------------------------------------- #
 
@@ -406,3 +536,241 @@ class TestLineageIndexReuse:
                     assert graph.base_relations(fact) == frozenset(
                         base.qualified_relation
                         for base in graph.base_facts(fact)), fact
+
+
+# --------------------------------------------------------------------------- #
+# the lineage index, its change feed and the maintained viewer answers
+# --------------------------------------------------------------------------- #
+
+RELATIONS = ("r0", "r1", "r2")
+UNIVERSE = tuple(Fact(RELATIONS[index % 3], "p", (index,)) for index in range(9))
+members = st.integers(min_value=0, max_value=len(UNIVERSE) - 1)
+
+#: Every kind of graph mutation, grant changes, and probes that fill the
+#: index.  Heads and supports share one pool: cycles and self-support.
+mutations = st.lists(st.one_of(
+    st.tuples(st.just("add"), members,
+              st.tuples(st.integers(min_value=0, max_value=2),
+                        st.lists(members, min_size=1, max_size=3))),
+    st.tuples(st.just("drop_support"), members, st.none()),
+    st.tuples(st.just("retract_fact"), members, st.none()),
+    st.tuples(st.just("remove_derivation"), members, st.integers(0, 3)),
+    st.tuples(st.just("retract_predicates"), st.sampled_from(RELATIONS), st.none()),
+    st.tuples(st.just("clear"), st.none(), st.none()),
+    st.tuples(st.just("grant"), st.sampled_from(RELATIONS), st.booleans()),
+    st.tuples(st.just("declassify"), st.sampled_from(RELATIONS), st.none()),
+    st.tuples(st.just("probe"), st.lists(members, max_size=9), st.none()),
+), max_size=40)
+
+
+def walked_bases(graph, fact):
+    """Base relations of ``fact`` by a walk that consults no index."""
+    if not graph.is_derived(fact):
+        return frozenset({fact.qualified_relation})
+    seen, frontier, bases = {fact}, [fact], set()
+    while frontier:
+        for derivation in graph.derivations_of(frontier.pop()):
+            for supporting in derivation.support:
+                if supporting in seen:
+                    continue
+                seen.add(supporting)
+                if graph.is_derived(supporting):
+                    frontier.append(supporting)
+                else:
+                    bases.add(supporting.qualified_relation)
+    return frozenset(bases)
+
+
+def lineage_answers(graph):
+    return {fact: (graph.is_derived(fact), walked_bases(graph, fact))
+            for fact in UNIVERSE}
+
+
+def mutate(graph, policy, kind, argument, extra):
+    if kind == "add":
+        rule, support = extra
+        graph.add(Derivation(UNIVERSE[argument], f"rule-{rule}",
+                             tuple(UNIVERSE[index] for index in support)))
+    elif kind == "drop_support":
+        graph.drop_support(UNIVERSE[argument])
+    elif kind == "retract_fact":
+        graph.retract_fact(UNIVERSE[argument])
+    elif kind == "remove_derivation":
+        known = graph.derivations_of(UNIVERSE[argument])
+        if known:
+            graph.remove_derivation(known[extra % len(known)])
+    elif kind == "retract_predicates":
+        graph.retract_predicates([f"{argument}@p"])
+    elif kind == "clear":
+        graph.clear()
+    elif kind == "grant":
+        if extra:
+            policy.grant(f"{argument}@p", "v", Privilege.READ)
+        else:
+            policy.revoke(f"{argument}@p", "v")
+    elif kind == "declassify":
+        policy.declassify(f"{argument}@p", "v")
+    else:
+        for index in argument:
+            graph.base_relations(UNIVERSE[index])
+
+
+class TestLineageIndexAndFeed:
+    @given(mutations, st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_feed_and_answers_follow_every_mutation(self, stream, read,
+                                                             answers, cramped):
+        """After every step: each index entry equals a walk that consults no
+        index; when somebody reads the feed, it names every fact whose
+        derived-ness or base relations moved (or says it cannot); and the
+        maintained (relation, viewer) answers equal the uncached reference.
+        Without the answers only the probes fill the index, so it stays
+        sparse; a ``cramped`` feed is dropped after a few entries, so the
+        readers' start-over path runs too."""
+        graph = ProvenanceGraph()
+        if cramped:
+            graph.FEED_FLOOR = 2
+        policy = AccessControlPolicy("p")
+        policy.grant("r0@p", "v", Privilege.READ)
+        engine = PolicyEngine(policy, graph)
+        # The same input tuples every step, so a kept answer can be reused.
+        raws = {relation: tuple(fact for fact in UNIVERSE if fact.relation == relation)
+                for relation in RELATIONS}
+        cursor = graph.changes_since(None)[1] if read else None
+        before = lineage_answers(graph)
+        for kind, argument, extra in stream:
+            mutate(graph, policy, kind, argument, extra)
+            for fact, entry in list(graph._bases_index.items()):
+                assert entry == walked_bases(graph, fact), (kind, fact)
+            after = lineage_answers(graph)
+            if read:
+                changed, cursor = graph.changes_since(cursor)
+                moved = {fact for fact in UNIVERSE if before[fact] != after[fact]}
+                if changed is None:
+                    assert kind == "clear" or cramped
+                else:
+                    assert moved <= set(changed), (kind, moved - set(changed))
+            before = after
+            if not answers:
+                continue
+            for relation, raw in raws.items():
+                for viewer in ("v", "w", "p"):
+                    want = policy.readable_facts(raw, viewer, provenance=graph)
+                    got = engine.filter_readable(raw, viewer, relation=f"{relation}@p")
+                    assert got == want, (kind, relation, viewer)
+                    assert engine.filter_readable(raw, viewer,
+                                                  relation=f"{relation}@p") is got
+
+    def test_growth_passes_through_an_unindexed_fact(self):
+        """``top`` was probed and its walk went through ``mid`` without
+        leaving an entry there: growth at ``low`` must reach ``top`` anyway,
+        and the feed must name ``mid`` too — its base set grew as well."""
+        graph = ProvenanceGraph()
+        a, b, c = (Fact(name, "p", (0,)) for name in ("a", "b", "c"))
+        low, mid, top = (Fact("v", "p", (index,)) for index in range(3))
+        graph.add(Derivation(low, "r", (a,)))
+        graph.add(Derivation(mid, "r", (low,)))
+        graph.add(Derivation(top, "r", (mid,)))
+        assert graph.base_relations(low) == graph.base_relations(top) == {"a@p"}
+        assert mid not in graph._bases_index
+        _, cursor = graph.changes_since(None)
+        graph.add(Derivation(low, "s", (b,)))
+        assert graph.base_relations(top) == {"a@p", "b@p"}
+        assert set(graph.changes_since(cursor)[0]) == {low, mid, top}
+        # A support that is derived but unindexed contributes its lineage.
+        other = Fact("w", "p", (0,))
+        graph.add(Derivation(other, "r", (c,)))
+        graph.add(Derivation(low, "t", (other,)))
+        assert graph.base_relations(top) == {"a@p", "b@p", "c@p"}
+
+    def test_an_unread_feed_stays_bounded(self):
+        graph = ProvenanceGraph()
+        chain = [Fact("n", "p", (index,)) for index in range(50)]
+        links = [Derivation(head, "rule", (support,))
+                 for support, head in zip(chain, chain[1:])]
+        for link in links:
+            graph.add(link)
+        _, cursor = graph.changes_since(None)
+        held = []
+        for _ in range(30):                          # and then nobody reads
+            graph.remove_derivation(links[0])        # the whole chain dies
+            for link in links:
+                graph.add(link)
+            held.append(len(graph._feed or ()) + len(graph._older or ()))
+        assert 0 < max(held) <= 2 * (graph.FEED_FLOOR + len(chain))
+        assert held[-1] == 0                         # stopped, not rotating
+        changed, cursor = graph.changes_since(cursor)
+        assert changed is None                       # dropped: start over
+        graph.add(Derivation(chain[0], "root", (Fact("m", "p", (0,)),)))
+        changed, _ = graph.changes_since(cursor)
+        assert set(changed) == set(chain)            # then told again
+
+    def test_forgotten_rows_take_their_verdicts_along(self):
+        """A filter remembers rows by the identity of their ``values``
+        tuple.  Rows that left the input are forgotten past a size bound;
+        a new row may then reuse a forgotten one's address, and must not
+        inherit its verdict."""
+        graph = ProvenanceGraph()
+        policy = AccessControlPolicy("p")
+        policy.grant("b@p", "v", Privilege.READ)
+        engine = PolicyEngine(policy, graph)
+        base = Fact("b", "p", (0,))
+        kept = Fact("r", "p", ("kept",))
+        graph.add(Derivation(kept, "rule", (base,)))     # always an exception
+        for step in range(40):
+            derived = step % 2 == 0
+            if derived:
+                for index in range(60):
+                    graph.add(Derivation(Fact("r", "p", (step, index)), "rule", (base,)))
+            # Equal facts, but values tuples of their own: only the input
+            # holds them, so they die with it.
+            raw = (kept,) + tuple(Fact("r", "p", tuple([step, index]))
+                                  for index in range(60))
+            assert engine.filter_readable(raw, "v", relation="r@p") == \
+                policy.readable_facts(raw, "v", provenance=graph), step
+
+    def test_a_reader_once_per_segment_is_always_told(self):
+        graph = ProvenanceGraph()
+        graph.FEED_FLOOR = 40
+        chain = [Fact("n", "p", (index,)) for index in range(6)]
+        links = [Derivation(head, "rule", (support,))
+                 for support, head in zip(chain, chain[1:])]
+        for link in links:
+            graph.add(link)
+        _, cursor = graph.changes_since(None)
+        for _ in range(20):                  # 15 entries a round, 40 a segment
+            graph.remove_derivation(links[0])
+            for link in links:
+                graph.add(link)
+            changed, cursor = graph.changes_since(cursor)
+            assert changed is not None and set(chain[1:]) <= set(changed)
+
+    def test_a_known_lineage_grows_without_dropping_an_entry(self):
+        """The case the index exists for: a recursive relation whose every
+        fact already draws on both bases gains derivations, and nothing
+        downstream is walked again or named in the feed."""
+        graph = ProvenanceGraph()
+        edge, bridge = Fact("edge", "p", (0, 1)), Fact("bridge", "p", (0, 1))
+        reach = [Fact("reach", "p", (0, index)) for index in range(1, 6)]
+        graph.add(Derivation(reach[0], "e", (edge,)))
+        graph.add(Derivation(reach[0], "b", (bridge,)))
+        for head, support in zip(reach[1:], reach):
+            graph.add(Derivation(head, "step", (support, edge)))
+        assert {graph.base_relations(fact) for fact in reach} == {
+            frozenset({"edge@p", "bridge@p"})}
+        entries = dict(graph._bases_index)
+        _, cursor = graph.changes_since(None)
+        graph.add(Derivation(reach[0], "again", (edge, bridge)))
+        graph.add(Derivation(reach[2], "again", (reach[0],)))
+        assert graph._bases_index == entries
+        assert graph.changes_since(cursor)[0] == []
+        # Something new in the lineage does move its dependents, up to the
+        # first entry that already holds it.
+        extra = Fact("extra", "p", (1,))
+        graph.add(Derivation(reach[3], "extra", (extra,)))
+        assert set(graph.changes_since(cursor)[0]) == set(reach[3:])
+        _, cursor = graph.changes_since(cursor)
+        graph.add(Derivation(reach[1], "extra", (extra,)))
+        assert set(graph.changes_since(cursor)[0]) == {reach[1], reach[2]}
+        assert {fact for fact in reach
+                if "extra@p" in graph.base_relations(fact)} == set(reach[1:])
