@@ -18,5 +18,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["networkx"],
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

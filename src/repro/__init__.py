@@ -19,10 +19,11 @@ This package provides:
   builds, the pluggable :class:`~repro.api.Transport` protocol, and the
   query/subscription surface.
 * :mod:`repro.core` — the WebdamLog language (terms, facts, rules, parser)
-  and the per-peer engine (three-step computation stage, delegation).
-* :mod:`repro.datalog` — a from-scratch datalog substrate (naive and
-  seminaive fixpoint, stratified negation, aggregation) playing the role of
-  the Bud engine used by the original system.
+  and the per-peer engine (three-step computation stage, delegation): the
+  one rule evaluator, playing the role of the Bud engine used by the
+  original system.
+* :mod:`repro.datalog` — the stratification of a peer's rules and the
+  group-by aggregate functions.
 * :mod:`repro.runtime` — transports, peers, and a system orchestrator for
   running networks of WebdamLog peers in-memory (deterministic, measurable
   rounds) or over real sockets (:mod:`repro.net`).

@@ -544,7 +544,7 @@ class System:
         Yields the facts already visible, then steps the configured scheduler
         and yields each fact as the stage that derived it completes, until
         the system converges (or ``max_steps`` cycles ran).  This is the
-        engine behind :meth:`QueryHandle.iter_facts`.
+        engine behind :meth:`LiveView.iter_facts`.
         """
         buffer: deque = deque()
         subscription = self.subscribe(relation, buffer.append, peer=at,

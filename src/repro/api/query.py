@@ -3,15 +3,14 @@
 Scenarios, benchmarks and tests used to reach into ``peer.engine.state`` to
 see what a peer derived.  The two classes here replace that:
 
-* :class:`QueryHandle` — a re-runnable, lazily evaluated view over one
-  relation at one peer.  Every read reflects the current state of the system,
-  so a handle created before a run can be read after it.  Handles attached
-  to a live :class:`~repro.api.facade.System` additionally support
-  :meth:`QueryHandle.iter_facts` — a **streaming** iterator that drives the
-  system's scheduler step by step and yields each fact as the stage that
-  derived it completes.  :class:`~repro.api.views.LiveView` — what
-  ``System.query`` / ``PeerHandle.query`` return since the declarative query
-  API — subclasses it, adding compiled-view maintenance, ``on_change``
+* :class:`QueryHandle` — the base of a re-runnable, lazily evaluated view
+  over one relation at one peer.  Every read reflects the current state of
+  the system, so a handle created before a run can be read after it.
+  :class:`~repro.api.views.LiveView` — what ``System.query`` /
+  ``PeerHandle.query`` return — is its one implementation: it supplies the
+  reads, a **streaming** :meth:`~repro.api.views.LiveView.iter_facts` that
+  drives the system's scheduler step by step and yields each fact as the
+  stage that derived it completes, compiled-view maintenance, ``on_change``
   observation, ACL filtering and the ``close()`` lifecycle.
 * :class:`Subscription` — a callback fired **exactly once per fact** that
   becomes visible in a watched relation.  Subscriptions are **delta-driven**:
@@ -37,19 +36,16 @@ class QueryHandle:
     """A lazily evaluated view over the facts of one relation.
 
     The handle holds no data itself; every access re-reads the peer, so the
-    same handle can be consulted before and after runs.
+    same handle can be consulted before and after runs.  Subclasses supply
+    :meth:`facts`.
     """
 
-    def __init__(self, source: Optional[Callable[[], Tuple[Fact, ...]]],
-                 description: str,
-                 stream: Optional[Callable[[], Iterator[Fact]]] = None):
-        self._source = source
-        self._stream = stream
+    def __init__(self, description: str):
         self.description = description
 
     def facts(self) -> Tuple[Fact, ...]:
         """The facts currently visible, in the peer's storage order."""
-        return tuple(self._source())
+        raise NotImplementedError
 
     def rows(self) -> Tuple[Tuple, ...]:
         """The value tuples of the visible facts (relation/peer stripped)."""
@@ -80,16 +76,13 @@ class QueryHandle:
     def iter_facts(self) -> Iterator[Fact]:
         """Stream the relation: yield facts while driving the system to fixpoint.
 
-        On a handle attached to a live system this iterates the facts already
+        :class:`~repro.api.views.LiveView` iterates the facts already
         visible, then **steps the system's scheduler** and yields each new
         fact as the stage that made it visible completes — interleaving
-        consumption with execution, the way a client tails a live feed.  On a
-        detached handle it degrades to a plain
-        iteration of the currently visible facts.
+        consumption with execution, the way a client tails a live feed.  The
+        base handle iterates the currently visible facts.
         """
-        if self._stream is None:
-            return iter(self.facts())
-        return self._stream()
+        return iter(self.facts())
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self.facts())

@@ -351,10 +351,7 @@ class LiveView(QueryHandle):
                            else f"{relation}@{self._location} as seen by {owner}")
             if viewer is not None:
                 description += f" for viewer {viewer}"
-        # No ``source``: facts() is overridden below, and a bound method kept
-        # on the instance would be a reference cycle — a handle dropped by a
-        # polling caller should be freed at once, not at the next GC pass.
-        super().__init__(source=None, description=description, stream=None)
+        super().__init__(description)
 
     # ------------------------------------------------------------------ #
     # reading

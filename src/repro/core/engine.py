@@ -24,13 +24,14 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tup
 from repro.core.delegation import Delegation, DelegationDiff
 from repro.core.errors import EvaluationError, SchemaError
 from repro.core.evaluation import (LocationPattern, RuleEvaluator, RuleOutcome,
-                                   location_pattern, pattern_matches,
-                                   stratify_local_rules)
+                                   head_targets, location_pattern, pattern_matches)
 from repro.core.facts import Delta, Fact, fact_matches_bindings
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.core.state import PeerState
+# The module, not the function: stratification imports repro.core in turn.
+from repro.datalog import stratification
 from repro.planner import BodyPlanner, StagePlan, StatsProvider, resolve_planner_mode
 from repro.planner.magic import MAGIC_PREFIX
 from repro.provenance.graph import ProvenanceTracker
@@ -58,21 +59,6 @@ def _reads(body: Tuple[FrozenSet[str], Tuple[LocationPattern, ...]],
                    for pattern in open_ for predicate in predicates))
 
 
-def _head_targets(head: LocationPattern,
-                  local_intensional: FrozenSet[str]) -> Set[str]:
-    """The predicates a head can derive into during a local fixpoint.
-
-    A head with a variable position reaches, *locally*, only this peer's
-    intensional relations: its facts for other peers leave through the
-    stage's remote updates, and local extensional heads are deferred and
-    arrive as the next stage's input delta.
-    """
-    if None in head:
-        return {predicate for predicate in local_intensional
-                if pattern_matches(head, predicate)}
-    return {"%s@%s" % head}
-
-
 class _ProgramAnalysis:
     """Precomputed dependency structure of a peer's current program.
 
@@ -88,14 +74,16 @@ class _ProgramAnalysis:
     variable is kept as the pattern of its constant position, so
     ``communicate@$attendee`` is re-fired by ``communicate@*`` alone, and the
     closure of a head with a variable position is the finite set
-    :func:`_head_targets` gives: no delta ever asks for a full recompute.
+    :func:`~repro.core.evaluation.head_targets` gives: no delta ever asks for
+    a full recompute.  The strata depend on that set too, so the analysis is
+    also rebuilt when a local relation becomes intensional.
     """
 
     __slots__ = ("rules", "strata", "body", "head", "negated", "_defining")
 
-    def __init__(self, peer: str, rules: Tuple[Rule, ...]):
+    def __init__(self, rules: Tuple[Rule, ...], local_intensional: FrozenSet[str]):
         self.rules = rules
-        self.strata = stratify_local_rules(peer, list(rules))
+        self.strata = stratification.stratify(rules, local_intensional)
         # Both keyed by id(rule): the analysis keeps its rules alive, and the
         # seminaive loop asks per rule and iteration — hashing a Rule walks
         # every term of it.
@@ -125,7 +113,7 @@ class _ProgramAnalysis:
 
     def head_targets(self, rule: Rule, local_intensional: FrozenSet[str]) -> Set[str]:
         """The predicates ``rule`` can derive into during a local fixpoint."""
-        return _head_targets(self.head[id(rule)], local_intensional)
+        return head_targets(self.head[id(rule)], local_intensional)
 
     def defining(self, predicate: str) -> List[Rule]:
         """The rules whose head agrees with ``predicate`` (kept per predicate)."""
@@ -863,10 +851,14 @@ class WebdamLogEngine:
         previous = self._analysis
         added: List[Rule] = []
         removed: List[Rule] = []
-        if previous is not None and previous.matches(rules):
-            analysis = previous
+        reclassified, self._newly_intensional = self._newly_intensional, set()
+        rules_changed = previous is None or not previous.matches(rules)
+        if rules_changed or reclassified:
+            analysis = self._analysis = _ProgramAnalysis(
+                rules, self._local_intensional())
         else:
-            analysis = self._analysis = _ProgramAnalysis(self.peer, rules)
+            analysis = previous
+        if rules_changed:
             if previous is not None:
                 added, removed = previous.changes(rules)
             # Identity backstop: rule mutations that bypassed the engine API
@@ -874,7 +866,6 @@ class WebdamLogEngine:
             self.program_version += 1
             if self._planner is not None:
                 self._planner.sync(self.program_version)
-        reclassified, self._newly_intensional = self._newly_intensional, set()
 
         input_delta = (self._carryover_delta
                        .merge(self.state.store.peek_delta())
@@ -908,9 +899,9 @@ class WebdamLogEngine:
                 continue  # replaced by an equal rule: nothing was removed
             head = location_pattern(rule.head)
             if self.provenance is None:
-                orphaned |= _head_targets(head, local_intensional) & local_intensional
+                orphaned |= head_targets(head, local_intensional) & local_intensional
             else:
-                orphaned |= _head_targets(head, local_intensional)
+                orphaned |= head_targets(head, local_intensional)
                 orphaned |= self._shipped_predicates(rule)
             if self._rule_memo.pop(rule, None) is not None:
                 self._outcome = None

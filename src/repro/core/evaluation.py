@@ -19,8 +19,8 @@ update, or a fact destined for a remote peer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set,
-                    Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple,
+                    Union)
 
 from repro.core.delegation import Delegation
 from repro.core.errors import EvaluationError
@@ -56,6 +56,21 @@ def pattern_matches(pattern: LocationPattern, predicate: str) -> bool:
     relation, peer = pattern
     name, _, owner = predicate.partition("@")
     return relation in (None, name) and peer in (None, owner)
+
+
+def head_targets(head: LocationPattern,
+                 local_intensional: FrozenSet[str]) -> Set[str]:
+    """The predicates a head can derive into during a local fixpoint.
+
+    A head with a variable position reaches, *locally*, only this peer's
+    intensional relations: its facts for other peers leave through the
+    stage's remote updates, and local extensional heads are deferred and
+    arrive as the next stage's input delta.
+    """
+    if None in head:
+        return {predicate for predicate in local_intensional
+                if pattern_matches(head, predicate)}
+    return {"%s@%s" % head}
 
 
 @dataclass
@@ -423,64 +438,3 @@ class RuleEvaluator:
             outcome.local_intensional.add(fact)
         else:
             outcome.local_extensional.add(fact)
-
-
-# --------------------------------------------------------------------------- #
-# stratification of a peer's local program
-# --------------------------------------------------------------------------- #
-
-def stratify_local_rules(peer: str, rules: List[Rule]) -> List[List[Rule]]:
-    """Group a peer's rules into strata for negation-safe fixpoint evaluation.
-
-    The predicate dependency graph is built over qualified relation names.
-    Atoms whose relation or peer position is a variable are approximated by a
-    wildcard node that depends on every head (and every head depends on it),
-    which is conservative.  When the resulting graph has a cycle through
-    negation the rules are returned as a single stratum: the engine still
-    evaluates them, but negation-as-failure is then only a best-effort
-    semantics, mirroring the original system where negation was not supported
-    at all.
-    """
-    if not any(atom.negated for rule in rules for atom in rule.body):
-        # Strata only separate what negation reads from what derives it.
-        return [list(rules)]
-
-    from repro.datalog.program import DatalogAtom, DatalogProgram, DatalogRule, Var
-    from repro.datalog.stratification import StratificationError, stratify as datalog_stratify
-
-    wildcard = "*any*"
-
-    def predicate_of(atom: Atom) -> str:
-        relation = atom.relation_constant()
-        peer_name = atom.peer_constant()
-        if relation is None or peer_name is None:
-            return wildcard
-        return f"{relation}@{peer_name}"
-
-    program = DatalogProgram()
-    index_of: Dict[int, Rule] = {}
-    for position, rule in enumerate(rules):
-        marker = Var("x")
-        head = DatalogAtom(predicate_of(rule.head), (marker,))
-        body = [DatalogAtom(predicate_of(atom), (marker,), atom.negated) for atom in rule.body]
-        # Keep a positional marker predicate so that each WebdamLog rule maps
-        # to a distinguishable datalog rule even when predicates collide.
-        program.rules.append(DatalogRule(head, tuple(body)))
-        index_of[position] = rule
-
-    try:
-        strata = datalog_stratify(program)
-    except StratificationError:
-        return [list(rules)]
-
-    # Map the datalog strata back onto the original rules, preserving order.
-    rule_to_stratum: Dict[int, int] = {}
-    for stratum_index, stratum_rules in enumerate(strata):
-        for datalog_rule in stratum_rules:
-            for position, original in enumerate(program.rules):
-                if original is datalog_rule:
-                    rule_to_stratum[position] = stratum_index
-    grouped: Dict[int, List[Rule]] = {}
-    for position, rule in index_of.items():
-        grouped.setdefault(rule_to_stratum.get(position, 0), []).append(rule)
-    return [grouped[s] for s in sorted(grouped)]

@@ -1,41 +1,17 @@
-"""A from-scratch datalog substrate.
+"""What the WebdamLog engine needs beyond its own rule evaluator.
 
-The original WebdamLog system runs each peer's local fixpoint on top of the
-Bud (Bloom) datalog engine.  This package is the reproduction's equivalent
-substrate: a small but complete datalog evaluator with
+* :mod:`repro.datalog.stratification` — :func:`stratify` groups a peer's
+  rules into strata for stratified negation;
+* :mod:`repro.datalog.aggregation` — the group-by aggregate functions shared
+  by aggregate views, the SQL compiler and the Wepic ranking module.
 
-* naive and seminaive bottom-up evaluation (:mod:`repro.datalog.naive`,
-  :mod:`repro.datalog.seminaive`),
-* predicate dependency analysis and stratified negation
-  (:mod:`repro.datalog.stratification`),
-* group-by aggregation (:mod:`repro.datalog.aggregation`), and
-* hash-index assisted joins (:mod:`repro.datalog.indexes`).
-
-It is intentionally independent of the WebdamLog-specific term model: a
-predicate is just a name, a tuple is a tuple of plain Python values, and a
-variable is a :class:`~repro.datalog.program.Var`.  The WebdamLog engine in
-:mod:`repro.core` reuses the stratification machinery and mirrors the
-seminaive delta discipline, while this package is also usable (and
-benchmarked) on its own.
+Rules are evaluated by :mod:`repro.core.evaluation` alone.
 """
 
-from repro.datalog.program import Var, DatalogAtom, DatalogRule, DatalogProgram, Database
-from repro.datalog.naive import NaiveEvaluator
-from repro.datalog.seminaive import SeminaiveEvaluator
-from repro.datalog.stratification import DependencyGraph, stratify, StratificationError
-from repro.datalog.aggregation import Aggregate, AggregateSpec
+from repro.datalog.aggregation import Aggregate, aggregate_relation, compute_aggregate
 
 __all__ = [
-    "Var",
-    "DatalogAtom",
-    "DatalogRule",
-    "DatalogProgram",
-    "Database",
-    "NaiveEvaluator",
-    "SeminaiveEvaluator",
-    "DependencyGraph",
-    "stratify",
-    "StratificationError",
     "Aggregate",
-    "AggregateSpec",
+    "aggregate_relation",
+    "compute_aggregate",
 ]

@@ -1,14 +1,13 @@
-"""Group-by aggregation for rule heads.
+"""Group-by aggregation: the aggregate functions and one plain-tuple group-by.
 
-Aggregate rules have heads whose positions may be aggregate terms, e.g.::
+An aggregate view such as::
 
-    picture_count(?Owner, count(?Id)) :- pictures(?Id, ?Name, ?Owner)
+    board($id, avg($stars), count($stars)) :- rate@hub($user, $id, $stars)
 
-Grouping is on the non-aggregated head variables.  Aggregates are applied to
-the *set* of derived ground heads of the rule (duplicates are eliminated
-first, consistent with set semantics), after the rule body has been fully
-evaluated; recursion through aggregation is not supported, matching standard
-stratified-aggregation semantics.
+keeps its raw tuples as rule output and groups them on read, on the
+non-aggregated positions, through :func:`compute_aggregate`
+(:class:`repro.api.views.LiveView`).  The SQL compiler's ``GROUP BY``
+pushdown only runs where its answers are bit-identical to that function's.
 
 The Wepic application uses aggregation for its "select and rank photos based
 on their annotations" feature (average rating, comment counts).
@@ -17,10 +16,7 @@ on their annotations" feature (average rating, comment counts).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.datalog.program import AggregateTerm, DatalogAtom, DatalogRule, Var
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class Aggregate(enum.Enum):
@@ -41,21 +37,12 @@ class Aggregate(enum.Enum):
             raise ValueError(f"unknown aggregate function {name!r}") from exc
 
 
-@dataclass(frozen=True)
-class AggregateSpec:
-    """A fully-resolved aggregate: which function over which head position."""
-
-    position: int
-    function: Aggregate
-    variable: Var
-
-
 def compute_aggregate(function: Aggregate, values: Sequence) -> object:
     """Apply one aggregate function to a sequence of values.
 
     ``COUNT`` counts the values; the numeric aggregates return ``None`` on an
-    empty input.  This is the single evaluation point shared by rule-head
-    aggregation, :func:`aggregate_relation` and the live-view read path.
+    empty input.  This is the single evaluation point shared by
+    :func:`aggregate_relation` and the live-view read path.
     """
     if function is Aggregate.COUNT:
         return len(values)
@@ -73,67 +60,12 @@ def compute_aggregate(function: Aggregate, values: Sequence) -> object:
     raise ValueError(f"unsupported aggregate {function}")  # pragma: no cover
 
 
-#: Backwards-compatible alias of :func:`compute_aggregate` (pre-public name).
-_compute = compute_aggregate
-
-
-def make_aggregate_rule(head: DatalogAtom, body: Sequence[DatalogAtom],
-                        aggregates: Dict[int, Tuple[str, Var]]) -> DatalogRule:
-    """Build an aggregate rule.
-
-    ``aggregates`` maps head positions to ``(function_name, variable)``;
-    the head atom should carry the aggregated variable at those positions
-    (it is replaced during evaluation).
-    """
-    specs = tuple(
-        (position, AggregateTerm(Aggregate.from_name(name).value, var))
-        for position, (name, var) in sorted(aggregates.items())
-    )
-    return DatalogRule(head=head, body=tuple(body), head_aggregates=specs)
-
-
-def apply_head_aggregates(rule: DatalogRule,
-                          derived_heads: Iterable[DatalogAtom]) -> List[DatalogAtom]:
-    """Collapse the derived ground heads of an aggregate rule into grouped results.
-
-    ``derived_heads`` are the ground instantiations of the head obtained by
-    evaluating the body *without* applying aggregation (the aggregate
-    positions therefore hold the raw values of the aggregated variables).
-    """
-    if not rule.head_aggregates:
-        return list(derived_heads)
-
-    group_positions = rule.group_positions()
-
-    groups: Dict[Tuple, List[Tuple]] = {}
-    seen_rows = set()
-    for head in derived_heads:
-        row = head.terms
-        if row in seen_rows:
-            continue
-        seen_rows.add(row)
-        key = tuple(row[i] for i in group_positions)
-        groups.setdefault(key, []).append(row)
-
-    results: List[DatalogAtom] = []
-    for key, rows in groups.items():
-        output = [None] * rule.head.arity
-        for slot, index in enumerate(group_positions):
-            output[index] = key[slot]
-        for position, term in rule.head_aggregates:
-            function = Aggregate.from_name(term.function)
-            values = [row[position] for row in rows]
-            output[position] = compute_aggregate(function, values)
-        results.append(DatalogAtom(rule.head.predicate, tuple(output)))
-    return results
-
-
 def aggregate_relation(rows: Iterable[Tuple], group_by: Sequence[int],
                        aggregates: Sequence[Tuple[int, Aggregate]]) -> List[Tuple]:
     """Standalone group-by over plain tuples.
 
-    Used by the Wepic ranking module and by the benchmark harness to compute
-    summary tables without going through a rule.
+    Used by the Wepic ranking module to compute summary tables without going
+    through a rule.
 
     Parameters
     ----------

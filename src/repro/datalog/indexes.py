@@ -1,19 +1,13 @@
-"""Join support for the datalog evaluators.
+"""A hash index over plain tuples, keyed by a subset of positions.
 
-Evaluation of a rule body is a left-to-right sequence of *matches*: each body
-atom is matched against the tuples of its predicate under the bindings
-accumulated so far.  :class:`RelationIndex` provides hash lookups on the
-bound positions so that a match does not need to scan the whole relation.
+The engine does not use it (its stores keep their own indexes); it stays
+only while ``bench/trace.py`` names ``RelationIndex.lookup`` as a trace
+target.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
-
-from repro.datalog.program import Database, DatalogAtom, DatalogTerm, Var
-
-#: Bindings accumulated while evaluating a rule body.
-Bindings = Dict[Var, object]
+from typing import Dict, Iterable, List, Tuple
 
 
 class RelationIndex:
@@ -38,194 +32,3 @@ class RelationIndex:
 
     def __len__(self) -> int:
         return self._count
-
-
-class IndexPool:
-    """Cache of :class:`RelationIndex` instances over one database.
-
-    Indexes are keyed by ``(predicate, positions)``, built lazily from the
-    database's current contents and maintained incrementally afterwards:
-    callers notify the pool of every newly inserted row via :meth:`add_row`,
-    so the pool stays valid across fixpoint iterations instead of being
-    rebuilt per pass.
-    """
-
-    def __init__(self, database: Database):
-        self._database = database
-        self._indexes: Dict[Tuple[str, Tuple[int, ...]], RelationIndex] = {}
-        self._by_predicate: Dict[str, List[RelationIndex]] = {}
-
-    def index(self, predicate: str, positions: Tuple[int, ...]) -> RelationIndex:
-        """Return (building if necessary) the index on ``positions`` of ``predicate``."""
-        key = (predicate, positions)
-        existing = self._indexes.get(key)
-        if existing is None:
-            existing = RelationIndex(self._database.relation(predicate), positions)
-            self._indexes[key] = existing
-            self._by_predicate.setdefault(predicate, []).append(existing)
-        return existing
-
-    def add_row(self, predicate: str, row: Tuple) -> None:
-        """Maintain every cached index of ``predicate`` after an insertion.
-
-        Call exactly once per row that was actually added to the database
-        (i.e. when ``database.add`` returned ``True``), so buckets never hold
-        duplicates.
-        """
-        for index in self._by_predicate.get(predicate, ()):
-            index.add(row)
-
-    def invalidate(self) -> None:
-        """Drop every cached index (call after non-insert database changes)."""
-        self._indexes.clear()
-        self._by_predicate.clear()
-
-
-def plan_body_order(body: Tuple[DatalogAtom, ...], database: Database,
-                    delta_predicate: Optional[str] = None) -> Optional[Tuple[int, ...]]:
-    """Greedy cheap-first ordering of a rule body, as a tuple of body indexes.
-
-    The order keeps a delta-restricted occurrence first (the delta is usually
-    far smaller than its full relation), then repeatedly picks the smallest
-    remaining positive relation, interleaving each negated literal as soon as
-    every one of its variables is bound.  Relative order of occurrences of the
-    same predicate is preserved, which the delta bookkeeping of
-    :func:`repro.datalog.naive.evaluate_rule` relies on.
-
-    Returns ``None`` when the written order is already the chosen order, so
-    callers can skip rebuilding the rule.
-    """
-    total = len(body)
-    if total < 2:
-        return None
-    order: List[int] = []
-    remaining = list(range(total))
-    bound: Set[Var] = set()
-
-    def place(position: int) -> None:
-        order.append(position)
-        remaining.remove(position)
-        if not body[position].negated:
-            bound.update(body[position].variables())
-
-    if delta_predicate is not None:
-        for position in remaining:
-            literal = body[position]
-            if not literal.negated and literal.predicate == delta_predicate:
-                place(position)
-                break
-
-    def prior_occurrences_placed(position: int) -> bool:
-        predicate = body[position].predicate
-        return all(
-            body[other].predicate != predicate or body[other].negated
-            for other in remaining
-            if other < position
-        )
-
-    while remaining:
-        ready_negations = [
-            position for position in remaining
-            if body[position].negated
-            and all(var in bound for var in body[position].variables())
-        ]
-        if ready_negations:
-            place(ready_negations[0])
-            continue
-        positives = [
-            position for position in remaining
-            if not body[position].negated and prior_occurrences_placed(position)
-        ]
-        if not positives:
-            return None
-        place(min(positives, key=lambda p: (database.size(body[p].predicate), p)))
-
-    chosen = tuple(order)
-    if chosen == tuple(range(total)):
-        return None
-    return chosen
-
-
-def match_atom(atom: DatalogAtom, rows_source: Database, bindings: Bindings,
-               pool: Optional[IndexPool] = None,
-               rows_override: Optional[Iterable[Tuple]] = None) -> Iterator[Bindings]:
-    """Yield every extension of ``bindings`` that matches ``atom`` against the database.
-
-    Parameters
-    ----------
-    atom:
-        A positive atom.
-    rows_source:
-        Database supplying tuples of ``atom.predicate``.
-    bindings:
-        Bindings accumulated from earlier body literals; not mutated.
-    pool:
-        Optional :class:`IndexPool`; when provided and at least one position
-        of the atom is bound, a hash index is used instead of a scan.
-    rows_override:
-        When given, match against these rows instead of the database (used by
-        seminaive evaluation to restrict one atom to the delta relation).
-    """
-    if atom.negated:
-        raise ValueError("match_atom expects a positive atom")
-
-    bound_positions: List[int] = []
-    bound_key: List[object] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Var):
-            if term in bindings:
-                bound_positions.append(position)
-                bound_key.append(bindings[term])
-        else:
-            bound_positions.append(position)
-            bound_key.append(term)
-
-    if rows_override is not None:
-        candidate_rows: Iterable[Tuple] = rows_override
-    elif pool is not None and bound_positions:
-        index = pool.index(atom.predicate, tuple(bound_positions))
-        candidate_rows = index.lookup(tuple(bound_key))
-    else:
-        candidate_rows = rows_source.relation(atom.predicate)
-
-    for row in candidate_rows:
-        if len(row) != atom.arity:
-            continue
-        extended = dict(bindings)
-        matched = True
-        for term, value in zip(atom.terms, row):
-            if isinstance(term, Var):
-                existing = extended.get(term, _MISSING)
-                if existing is _MISSING:
-                    extended[term] = value
-                elif existing != value or type(existing) is not type(value):
-                    matched = False
-                    break
-            else:
-                if term != value or type(term) is not type(value):
-                    matched = False
-                    break
-        if matched:
-            yield extended
-
-
-class _Missing:
-    """Sentinel distinct from any user value (including ``None``)."""
-
-    __repr__ = lambda self: "<missing>"  # noqa: E731  pragma: no cover
-
-
-_MISSING = _Missing()
-
-
-def negated_match_exists(atom: DatalogAtom, database: Database, bindings: Bindings,
-                         pool: Optional[IndexPool] = None) -> bool:
-    """``True`` when the (negated) atom has at least one match under ``bindings``.
-
-    All variables of the atom are expected to be bound (safety guarantees
-    this); any unbound variable is treated existentially.
-    """
-    positive = DatalogAtom(atom.predicate, atom.terms, False)
-    for _ in match_atom(positive, database, bindings, pool):
-        return True
-    return False

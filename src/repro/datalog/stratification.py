@@ -1,161 +1,135 @@
-"""Predicate dependency analysis and stratification.
+"""Stratification of a peer's rules for negation-safe fixpoint evaluation.
 
-A datalog program with negation is *stratifiable* when its predicate
-dependency graph has no cycle that traverses a negative edge.  Stratification
-assigns each IDB predicate to a stratum such that
+Rule ``r`` *reads* rule ``d`` when ``d`` can derive, during the peer's local
+fixpoint, into a predicate one of ``r``'s body literals matches.  What a head
+derives into is :func:`~repro.core.evaluation.head_targets`: its own
+predicate, or — for a head whose relation or peer is a variable, such as
+``$protocol@$attendee`` — the peer's intensional relations agreeing with its
+constant position.  A body literal matches a predicate on its constant
+positions (:func:`~repro.core.evaluation.pattern_matches`), so ``$r@p``
+reads every rule that derives into a relation at ``p``.  The read is
+*negative* when the literal is negated.  A stratification puts every rule
 
-* if ``p`` depends positively on ``q`` then ``stratum(p) >= stratum(q)``, and
-* if ``p`` depends negatively on ``q`` then ``stratum(p) > stratum(q)``.
+* in a stratum no lower than each rule it reads, and
+* strictly above each rule it reads under negation.
 
-Evaluating strata in increasing order with negation-as-failure against fully
-computed lower strata yields the standard perfect-model semantics.
+:func:`stratify` computes the least such numbering: Tarjan's algorithm finds
+the strongly connected components of the read graph, in an order where each
+component comes after every component it reads, and a component's stratum is
+the longest path into it counting negative reads only.  Evaluating the strata
+in increasing order, each to its fixpoint, with negation-as-failure against
+the completed lower strata yields the perfect model.
 
-The WebdamLog engine reuses this module to stratify each peer's *local*
-rules; the paper notes that negation is part of the language even though the
-original prototype did not implement it, so supporting it here is one of the
-"optional/extension" features of the reproduction.
+A negative read inside one component is a cycle through negation, which no
+stratification satisfies.  The rules are then returned as a single stratum:
+the engine still evaluates them, but negation-as-failure is only a
+best-effort semantics there, mirroring the original system where negation
+was not supported at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-import networkx as nx
+from repro.core.evaluation import head_targets, location_pattern, pattern_matches
+from repro.core.rules import Rule
 
-from repro.datalog.program import DatalogProgram, DatalogRule
-
-
-class StratificationError(Exception):
-    """Raised when a program has a cycle through negation."""
+#: ``reads[r]``: ``(d, negated)`` for every read of rule ``d`` by rule ``r``.
+Reads = List[List[Tuple[int, bool]]]
 
 
-@dataclass
-class DependencyGraph:
-    """The predicate dependency graph of a datalog program.
+def _reads(rules: List[Rule], local_intensional: FrozenSet[str]) -> Reads:
+    definers: Dict[str, List[int]] = {}
+    for position, rule in enumerate(rules):
+        for predicate in head_targets(location_pattern(rule.head), local_intensional):
+            definers.setdefault(predicate, []).append(position)
+    reads: Reads = []
+    for rule in rules:
+        edges: List[Tuple[int, bool]] = []
+        for atom in rule.body:
+            pattern = location_pattern(atom)
+            if None in pattern:
+                matched = [positions for predicate, positions in definers.items()
+                           if pattern_matches(pattern, predicate)]
+            else:
+                matched = [definers.get("%s@%s" % pattern, ())]
+            for positions in matched:
+                edges.extend((position, atom.negated) for position in positions)
+        reads.append(edges)
+    return reads
 
-    Nodes are predicate names.  An edge ``q -> p`` means that ``p`` depends
-    on ``q`` (``q`` appears in the body of a rule defining ``p``); the edge is
-    marked negative when ``q`` appears under negation.
+
+def _components(reads: Reads) -> List[List[int]]:
+    """Tarjan's strongly connected components of the read graph, each listed
+    after every component it reads (iterative: programs may be long)."""
+    order: List[int] = [-1] * len(reads)
+    low: List[int] = [0] * len(reads)
+    on_stack = [False] * len(reads)
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+    for root in range(len(reads)):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(reads[root]))]
+        while work:
+            node, pending = work[-1]
+            for read, _ in pending:
+                if order[read] < 0:
+                    order[read] = low[read] = counter
+                    counter += 1
+                    stack.append(read)
+                    on_stack[read] = True
+                    work.append((read, iter(reads[read])))
+                    break
+                if on_stack[read]:
+                    low[node] = min(low[node], order[read])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == order[node]:
+                    component: List[int] = []
+                    member = -1
+                    while member != node:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                    components.append(component)
+    return components
+
+
+def stratify(rules: Sequence[Rule],
+             local_intensional: FrozenSet[str]) -> List[List[Rule]]:
+    """Partition ``rules`` into strata, lowest first, in written order within each.
+
+    ``local_intensional`` are the qualified names (``"rel@peer"``) of the
+    peer's intensional relations.  Without negation, or with a cycle through
+    it, the result is one stratum.
     """
-
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
-
-    @classmethod
-    def from_rules(cls, rules: Iterable[DatalogRule]) -> "DependencyGraph":
-        """Build the dependency graph of ``rules``."""
-        dependency = cls()
-        graph = dependency.graph
-        for r in rules:
-            head = r.head.predicate
-            graph.add_node(head)
-            for atom in r.body:
-                graph.add_node(atom.predicate)
-                existing = graph.get_edge_data(atom.predicate, head, default=None)
-                negative = atom.negated or (existing is not None and existing.get("negative"))
-                graph.add_edge(atom.predicate, head, negative=bool(negative))
-        return dependency
-
-    @classmethod
-    def from_program(cls, program: DatalogProgram) -> "DependencyGraph":
-        """Build the dependency graph of a program."""
-        return cls.from_rules(program.rules)
-
-    def predicates(self) -> Tuple[str, ...]:
-        """Sorted node list."""
-        return tuple(sorted(self.graph.nodes))
-
-    def depends_on(self, predicate: str) -> Set[str]:
-        """Predicates that ``predicate`` depends on (directly)."""
-        return set(self.graph.predecessors(predicate))
-
-    def negative_edges(self) -> Set[Tuple[str, str]]:
-        """Edges marked negative, as ``(body_predicate, head_predicate)`` pairs."""
-        return {
-            (u, v) for u, v, data in self.graph.edges(data=True) if data.get("negative")
-        }
-
-    def is_recursive(self, predicate: str) -> bool:
-        """``True`` when ``predicate`` participates in a dependency cycle."""
-        try:
-            cycle_nodes = set()
-            for component in nx.strongly_connected_components(self.graph):
-                if len(component) > 1:
-                    cycle_nodes.update(component)
-                elif component and self.graph.has_edge(next(iter(component)), next(iter(component))):
-                    cycle_nodes.update(component)
-            return predicate in cycle_nodes
-        except nx.NetworkXError:  # pragma: no cover - defensive
-            return False
-
-    def has_negative_cycle(self) -> bool:
-        """``True`` when some strongly connected component contains a negative edge."""
-        negative = self.negative_edges()
-        if not negative:
-            return False
-        for component in nx.strongly_connected_components(self.graph):
-            members = set(component)
-            for u, v in negative:
-                if u in members and v in members:
-                    return True
-        return False
-
-    def stratify(self) -> Dict[str, int]:
-        """Assign a stratum number to every predicate.
-
-        Raises
-        ------
-        StratificationError
-            When the program is not stratifiable.
-        """
-        if self.has_negative_cycle():
-            raise StratificationError(
-                "program is not stratifiable: a recursive cycle traverses negation"
-            )
-        strata: Dict[str, int] = {node: 0 for node in self.graph.nodes}
-        node_count = self.graph.number_of_nodes()
-        changed = True
-        iterations = 0
-        while changed:
-            changed = False
-            iterations += 1
-            if iterations > node_count * node_count + 2:
-                # The negative-cycle check should prevent this.
-                raise StratificationError("stratification failed to converge")
-            for u, v, data in self.graph.edges(data=True):
-                required = strata[u] + (1 if data.get("negative") else 0)
-                if strata[v] < required:
-                    strata[v] = required
-                    changed = True
-        return strata
-
-
-def stratify(program: DatalogProgram) -> List[List[DatalogRule]]:
-    """Partition the rules of ``program`` into an ordered list of strata.
-
-    Rules are grouped by the stratum of their head predicate, and the groups
-    are returned in increasing stratum order.  Evaluating the groups in order
-    (completing each fixpoint before moving on) implements stratified
-    negation.
-    """
-    dependency = DependencyGraph.from_program(program)
-    strata_of = dependency.stratify()
-    by_stratum: Dict[int, List[DatalogRule]] = {}
-    for r in program.rules:
-        by_stratum.setdefault(strata_of.get(r.head.predicate, 0), []).append(r)
-    return [by_stratum[s] for s in sorted(by_stratum)]
-
-
-def condensation_order(rules: Sequence[DatalogRule]) -> List[List[str]]:
-    """Topological order of the strongly-connected components of the dependency graph.
-
-    Useful for evaluating non-recursive portions of a program predicate by
-    predicate; returned as a list of components (each a list of predicates)
-    in evaluation order.
-    """
-    dependency = DependencyGraph.from_rules(rules)
-    condensed = nx.condensation(dependency.graph)
-    order: List[List[str]] = []
-    for node in nx.topological_sort(condensed):
-        order.append(sorted(condensed.nodes[node]["members"]))
-    return order
+    rules = list(rules)
+    if not any(atom.negated for rule in rules for atom in rule.body):
+        # Strata only separate what negation reads from what derives it.
+        return [rules]
+    reads = _reads(rules, local_intensional)
+    stratum_of = [0] * len(rules)
+    for component in _components(reads):
+        members = set(component)
+        stratum = 0
+        for reader in component:
+            for definer, negated in reads[reader]:
+                if definer not in members:
+                    stratum = max(stratum, stratum_of[definer] + negated)
+                elif negated:
+                    return [rules]  # a cycle through negation
+        for reader in component:
+            stratum_of[reader] = stratum
+    strata: List[List[Rule]] = [[] for _ in range(max(stratum_of) + 1)]
+    for rule, stratum in zip(rules, stratum_of):
+        strata[stratum].append(rule)
+    return strata

@@ -84,8 +84,8 @@ def rank_pictures(pictures: Sequence[Picture], rating_facts: Iterable[Fact],
 def rating_summary(rating_facts: Iterable[Fact]) -> Tuple[Tuple[int, float, int], ...]:
     """Per-picture rating summary ``(picture_id, average, count)``.
 
-    Implemented with the datalog substrate's group-by aggregation so the same
-    code path the benchmarks exercise serves the application feature.
+    Implemented with :func:`~repro.datalog.aggregation.aggregate_relation`,
+    whose aggregate functions the live views share.
     """
     rows = []
     for fact in rating_facts:

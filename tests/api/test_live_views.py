@@ -266,6 +266,16 @@ class TestAggregates:
         deployment.converge()
         assert view.rows() == ((2,),)
 
+    def test_a_repeated_body_literal_counts_each_substitution_once(self):
+        deployment = build_pair()
+        q = deployment.peer("q")
+        for row in ((1, 7), (2, 7), (3, 8)):
+            q.insert(f"score@q{row}")
+        view = deployment.query(
+            "q", "n($p, count($x)) :- score@q($x, $p), score@q($x, $p)")
+        deployment.converge()
+        assert view.rows() == ((7, 2), (8, 1))
+
     def test_min_max_sum(self):
         deployment = build_pair()
         seed(deployment)

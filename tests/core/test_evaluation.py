@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.delegation import Delegation
 from repro.core.errors import EvaluationError
-from repro.core.evaluation import RuleEvaluator, RuleOutcome, stratify_local_rules
+from repro.core.engine import WebdamLogEngine
+from repro.core.evaluation import RuleEvaluator, RuleOutcome
 from repro.core.facts import Fact, fact_matches_bindings
 from repro.core.parser import parse_rule
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind
+from repro.datalog.stratification import stratify
 
 
 def make_source(facts):
@@ -220,7 +222,7 @@ class TestStratifyLocalRules:
             parse_rule("a@p($x) :- base@p($x)"),
             parse_rule("b@p($x) :- base@p($x), not a@p($x)"),
         ]
-        strata = stratify_local_rules("p", rules)
+        strata = stratify(rules, frozenset())
         assert len(strata) == 2
         assert strata[0][0].head.relation_constant() == "a"
         assert strata[1][0].head.relation_constant() == "b"
@@ -230,7 +232,7 @@ class TestStratifyLocalRules:
             parse_rule("a@p($x) :- base@p($x)"),
             parse_rule("b@p($x) :- a@p($x)"),
         ]
-        strata = stratify_local_rules("p", rules)
+        strata = stratify(rules, frozenset())
         assert sum(len(s) for s in strata) == 2
 
     def test_unstratifiable_falls_back_to_single_stratum(self):
@@ -238,9 +240,49 @@ class TestStratifyLocalRules:
             parse_rule("a@p($x) :- base@p($x), not b@p($x)"),
             parse_rule("b@p($x) :- base@p($x), not a@p($x)"),
         ]
-        strata = stratify_local_rules("p", rules)
+        strata = stratify(rules, frozenset())
         assert len(strata) == 1
         assert len(strata[0]) == 2
 
     def test_empty_rule_list(self):
-        assert stratify_local_rules("p", []) in ([], [[]])
+        assert stratify([], frozenset()) in ([], [[]])
+
+
+class TestStratificationThroughVariableLiterals:
+    """A literal whose relation or peer is a variable is ordered after every
+    rule deriving into a relation it can match, whatever the written order."""
+
+    DECLARATIONS = """
+        collection extensional persistent base@p(x);
+        collection extensional persistent c@p(x);
+        collection extensional persistent d@p(x);
+        collection extensional persistent sel@p(r);
+        collection extensional persistent tgt@p(r);
+        collection intensional a@p(x);
+        collection intensional b@p(x);
+        collection intensional out@p(x);
+        fact base@p(1); fact base@p(2); fact c@p(2);
+    """
+
+    def run(self, rules, facts):
+        engine = WebdamLogEngine("p")
+        engine.load_program(self.DECLARATIONS + facts
+                            + "".join(f"rule {rule};\n" for rule in rules))
+        engine.run_to_quiescence()
+        return engine
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_variable_relation_body_reads_after_negation(self, reverse):
+        rules = ["b@p($x) :- c@p($x)",
+                 "a@p($x) :- base@p($x), not b@p($x)",
+                 "out@p($x) :- sel@p($r), $r@p($x)"]
+        engine = self.run(rules[::-1] if reverse else rules, 'fact sel@p("a");')
+        assert {fact.values for fact in engine.query("out")} == {(1,)}
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_variable_relation_head_is_read_under_negation(self, reverse):
+        rules = ["a@p($x) :- base@p($x), not b@p($x)",
+                 "$r@p($x) :- tgt@p($r), c@p($x), not d@p($x)"]
+        engine = self.run(rules[::-1] if reverse else rules, 'fact tgt@p("b");')
+        assert {fact.values for fact in engine.query("b")} == {(2,)}
+        assert {fact.values for fact in engine.query("a")} == {(1,)}

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.datalog.aggregation import (
-    Aggregate,
-    aggregate_relation,
-    apply_head_aggregates,
-    make_aggregate_rule,
-)
-from repro.datalog.naive import evaluate_rule
-from repro.datalog.program import Database, Var, atom
+from repro.datalog.aggregation import Aggregate, aggregate_relation
 
 
 class TestAggregateEnum:
@@ -51,44 +44,3 @@ class TestAggregateRelation:
         result = aggregate_relation(rows, group_by=[0, 1],
                                     aggregates=[(2, Aggregate.SUM)])
         assert set(result) == {(1, "a", 30), (1, "b", 5)}
-
-
-class TestAggregateRules:
-    def test_count_rule(self):
-        # picture_count(Owner, count(Id)) :- pictures(Id, Owner)
-        r = make_aggregate_rule(
-            head=atom("picture_count", "?owner", "?id"),
-            body=[atom("pictures", "?id", "?owner")],
-            aggregates={1: ("count", Var("id"))},
-        )
-        database = Database([("pictures", (1, "alice")), ("pictures", (2, "alice")),
-                             ("pictures", (3, "bob"))])
-        produced = evaluate_rule(r, database)
-        assert {a.terms for a in produced} == {("alice", 2), ("bob", 1)}
-
-    def test_avg_rule(self):
-        r = make_aggregate_rule(
-            head=atom("avg_rating", "?id", "?value"),
-            body=[atom("rate", "?id", "?value")],
-            aggregates={1: ("avg", Var("value"))},
-        )
-        database = Database([("rate", (1, 5)), ("rate", (1, 3)), ("rate", (2, 4))])
-        produced = evaluate_rule(r, database)
-        assert {a.terms for a in produced} == {(1, 4.0), (2, 4.0)}
-
-    def test_duplicate_derivations_collapse_before_aggregation(self):
-        r = make_aggregate_rule(
-            head=atom("cnt", "?owner", "?id"),
-            body=[atom("pictures", "?id", "?owner"), atom("pictures", "?id", "?owner")],
-            aggregates={1: ("count", Var("id"))},
-        )
-        database = Database([("pictures", (1, "alice")), ("pictures", (2, "alice"))])
-        produced = evaluate_rule(r, database)
-        assert {a.terms for a in produced} == {("alice", 2)}
-
-    def test_apply_head_aggregates_passthrough_without_aggregates(self):
-        from repro.datalog.program import DatalogRule
-
-        plain = DatalogRule(atom("p", "?x"), (atom("q", "?x"),))
-        heads = [atom("p", 1), atom("p", 2)]
-        assert apply_head_aggregates(plain, heads) == heads

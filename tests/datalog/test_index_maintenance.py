@@ -1,8 +1,6 @@
-"""Incremental maintenance of the datalog join indexes."""
+"""Incremental maintenance of the hash index over plain tuples."""
 
-from repro.datalog.indexes import IndexPool, RelationIndex
-from repro.datalog.program import Database, DatalogProgram, atom, rule
-from repro.datalog.seminaive import SeminaiveEvaluator
+from repro.datalog.indexes import RelationIndex
 
 
 class TestRelationIndex:
@@ -17,38 +15,3 @@ class TestRelationIndex:
         index = RelationIndex([(1, "a")], positions=(0,))
         index.add((1, "b"))
         assert sorted(index.lookup((1,))) == [(1, "a"), (1, "b")]
-
-
-class TestIndexPool:
-    def test_add_row_maintains_cached_indexes(self):
-        database = Database([("edge", (1, 2))])
-        pool = IndexPool(database)
-        by_src = pool.index("edge", (0,))
-        assert by_src.lookup((1,)) == [(1, 2)]
-        database.add("edge", (1, 3))
-        pool.add_row("edge", (1, 3))
-        assert sorted(by_src.lookup((1,))) == [(1, 2), (1, 3)]
-        # A second index on the same predicate is kept in sync too.
-        by_dst = pool.index("edge", (1,))
-        database.add("edge", (4, 3))
-        pool.add_row("edge", (4, 3))
-        assert sorted(by_dst.lookup((3,))) == [(1, 3), (4, 3)]
-
-    def test_add_row_for_unindexed_predicate_is_a_noop(self):
-        pool = IndexPool(Database())
-        pool.add_row("never_indexed", (1,))  # must not raise
-
-
-class TestSeminaiveStaysCorrect:
-    def test_closure_agrees_with_reference_after_pool_reuse(self):
-        program = DatalogProgram()
-        program.add_rule(rule(atom("path", "?x", "?y"), atom("edge", "?x", "?y")))
-        program.add_rule(rule(atom("path", "?x", "?z"),
-                              atom("path", "?x", "?y"), atom("edge", "?y", "?z")))
-        database = Database()
-        n = 12
-        for i in range(n - 1):
-            database.add("edge", (i, i + 1))
-        result = SeminaiveEvaluator(program).run(database)
-        expected = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        assert result.relation("path") == expected

@@ -1,29 +1,19 @@
-"""Property-based tests of the evaluators and the distributed engine."""
+"""Property-based tests of the engine, at one peer and distributed."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.core.schema import RelationKind, RelationSchema
-from repro.datalog.naive import NaiveEvaluator
-from repro.datalog.program import Database, DatalogProgram, atom, rule
-from repro.datalog.seminaive import SeminaiveEvaluator
 from repro.runtime.system import WebdamLogSystem
 
 edges = st.lists(
     st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12)),
     max_size=40,
 )
-
-
-def transitive_closure_program() -> DatalogProgram:
-    program = DatalogProgram()
-    program.add_rule(rule(atom("path", "?x", "?y"), atom("edge", "?x", "?y")))
-    program.add_rule(rule(atom("path", "?x", "?z"),
-                          atom("path", "?x", "?y"), atom("edge", "?y", "?z")))
-    return program
 
 
 def reference_closure(edge_set):
@@ -40,35 +30,35 @@ def reference_closure(edge_set):
     return closure
 
 
-class TestEvaluatorProperties:
+TC_PROGRAM = """
+collection extensional persistent edge@p(src, dst);
+collection intensional path@p(src, dst);
+rule path@p($x, $y) :- edge@p($x, $y);
+rule path@p($x, $z) :- path@p($x, $y), edge@p($y, $z);
+"""
+
+
+def local_closure(edge_list, **options):
+    engine = WebdamLogEngine("p", **options)
+    engine.load_program(TC_PROGRAM)
+    engine.insert_facts([Fact("edge", "p", edge) for edge in edge_list])
+    engine.run_to_quiescence()
+    return {fact.values for fact in engine.query("path")}
+
+
+class TestLocalFixpointProperties:
     @given(edges)
     @settings(max_examples=40, deadline=None)
-    def test_naive_and_seminaive_agree_with_reference(self, edge_list):
-        database = Database()
-        for a, b in edge_list:
-            database.add("edge", (a, b))
-        naive_db = NaiveEvaluator(transitive_closure_program()).run(database)
-        semi_db = SeminaiveEvaluator(transitive_closure_program()).run(database)
+    def test_incremental_and_naive_agree_with_reference(self, edge_list):
         expected = reference_closure(set(edge_list))
-        assert naive_db.relation("path") == expected
-        assert semi_db.relation("path") == expected
+        assert local_closure(edge_list) == expected
+        assert local_closure(edge_list, evaluation_mode="naive") == expected
 
     @given(edges)
     @settings(max_examples=30, deadline=None)
     def test_evaluation_is_monotone_in_the_input(self, edge_list):
-        if not edge_list:
-            return
         smaller = edge_list[: len(edge_list) // 2]
-        db_small = Database()
-        db_large = Database()
-        for a, b in smaller:
-            db_small.add("edge", (a, b))
-        for a, b in edge_list:
-            db_large.add("edge", (a, b))
-        evaluator = SeminaiveEvaluator(transitive_closure_program())
-        small_paths = evaluator.run(db_small).relation("path")
-        large_paths = evaluator.run(db_large).relation("path")
-        assert small_paths <= large_paths
+        assert local_closure(smaller) <= local_closure(edge_list)
 
 
 class TestDistributedConvergenceProperties:
