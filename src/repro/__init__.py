@@ -35,9 +35,8 @@ This package provides:
   email and Dropbox services.
 * :mod:`repro.wepic` — the Wepic conference picture-sharing application
   built from WebdamLog rules, including the three-peer demo scenario.
-* :mod:`repro.workloads` — synthetic workload generators.
-* :mod:`repro.bench` — measurement and reporting helpers used by the
-  benchmark harness.
+* :mod:`repro.workloads` — the seeded Zipf sampler of the benchmark's
+  rating streams.
 """
 
 from repro.core.terms import Constant, Variable

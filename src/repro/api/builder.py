@@ -84,7 +84,6 @@ class SystemBuilder:
         self._auto_accept = True
         self._strict_stage_inputs = False
         self._scheduler: Optional[Scheduler] = None
-        self._evaluation_mode = "incremental"
         self._provenance = False
         self._storage: Optional[str] = None
         self._storage_options: dict = {}
@@ -160,13 +159,10 @@ class SystemBuilder:
         self._default_trusted = self._default_trusted + tuple(peers)
         return self
 
-    def control_delegation(self, enabled: bool = True) -> "SystemBuilder":
-        """Queue delegations from untrusted peers for explicit approval."""
-        self._auto_accept = not enabled
-        return self
-
     def auto_accept_delegations(self, enabled: bool = True) -> "SystemBuilder":
-        """Install every incoming delegation immediately (the default)."""
+        """Install every incoming delegation immediately (the default);
+        ``False`` queues delegations from untrusted peers for explicit
+        approval."""
         self._auto_accept = enabled
         return self
 
@@ -187,19 +183,6 @@ class SystemBuilder:
             self._scheduler = resolve_scheduler(scheduler)
         except ValueError as exc:
             raise BuildError(str(exc)) from exc
-        return self
-
-    def evaluation(self, mode: str) -> "SystemBuilder":
-        """Choose the per-peer fixpoint strategy: ``"incremental"`` (default,
-        seminaive + hash indexes) or ``"naive"`` (the historical
-        clear-and-recompute, kept as a differential/benchmark baseline).
-        """
-        if mode not in ("incremental", "naive"):
-            raise BuildError(
-                f"unknown evaluation mode {mode!r}; choose from "
-                "('incremental', 'naive')"
-            )
-        self._evaluation_mode = mode
         return self
 
     def provenance(self, enabled: bool = True) -> "SystemBuilder":
@@ -316,7 +299,6 @@ class SystemBuilder:
             strict_stage_inputs=self._strict_stage_inputs,
             transport=transport,
             scheduler=self._scheduler,
-            evaluation_mode=self._evaluation_mode,
             provenance=self._provenance,
             storage=self._storage,
             storage_options=dict(self._storage_options),

@@ -241,7 +241,7 @@ class StageResult:
     derived_changed: bool = False
     deferred_local_updates: int = 0
     #: Which fixpoint strategy the stage used: ``"full"`` (clear everything
-    #: and recompute — an engine's first stage, naive mode), ``"delta"``
+    #: and recompute — an engine's first stage), ``"delta"``
     #: (seminaive over the inserted facts and the added rules),
     #: ``"rederive"`` (delete-and-rederive: on the deleted tuples'
     #: consequences for a fact deletion; on the affected predicate closure
@@ -299,27 +299,18 @@ class WebdamLogEngine:
 
     def __init__(self, peer: str, schemas: Optional[SchemaRegistry] = None,
                  strict_stage_inputs: bool = False,
-                 evaluation_mode: str = "incremental",
-                 use_indexes: bool = True,
                  storage=None, storage_options: Optional[Dict] = None,
                  planner: Optional[str] = None):
-        if evaluation_mode not in ("incremental", "naive"):
-            raise ValueError(
-                f"unknown evaluation_mode {evaluation_mode!r}; "
-                "expected 'incremental' or 'naive'"
-            )
         self.peer = peer
         backend = resolve_backend(storage, peer=peer, options=storage_options)
         self.state = PeerState(peer, schemas, backend=backend)
         # Cost-based planner mode: ``off`` (written order), ``order`` (join
         # ordering) or ``magic`` (ordering + demand transformation of live
-        # views).  ``None`` defers to REPRO_PLANNER / the default.  Ordering
-        # is tied to the indexes — with use_indexes=False the engine is the
-        # scan-everything seed baseline and must stay order-identical to it.
+        # views).  ``None`` defers to REPRO_PLANNER / the default.
         self.planner_mode = resolve_planner_mode(planner)
         self._planner = (
             BodyPlanner(peer, StatsProvider(self.state), mode=self.planner_mode)
-            if self.planner_mode != "off" and use_indexes else None)
+            if self.planner_mode != "off" else None)
         # Monotonically increasing program version: bumped whenever the rule
         # set changes (rules added/removed/replaced, delegations installed or
         # retracted, programs loaded).  The planner's plan cache is keyed on
@@ -330,13 +321,6 @@ class WebdamLogEngine:
         # the default keeps them until the sender retracts them, which is the
         # behaviour the Wepic demo relies on.
         self.strict_stage_inputs = strict_stage_inputs
-        # ``"incremental"`` runs the seminaive / scoped-rederive fixpoint;
-        # ``"naive"`` forces the historical clear-and-recompute at every
-        # stage (the differential tests and benchmarks use it as baseline).
-        self.evaluation_mode = evaluation_mode
-        # When False the evaluator falls back to full relation scans instead
-        # of the incrementally-maintained hash indexes (seed behaviour).
-        self.use_indexes = use_indexes
         # Optional provenance tracker (see :mod:`repro.provenance`): when set,
         # every derivation of the fixpoint is recorded through its ``record``
         # method, which the access-control view policies build upon, and its
@@ -816,8 +800,8 @@ class WebdamLogEngine:
         and the local relations that became intensional.
 
         * **full** — clear every local intensional relation and recompute
-          (the seed engine's behaviour).  Only the first stage of an engine,
-          ``"naive"`` mode and primary-key displacement take it.
+          (the seed engine's behaviour).  Only the first stage of an engine
+          and primary-key displacement take it.
         * **skip** — nothing changed that a local rule reads: the memoised
           outcome is returned without evaluating anything.  Removed rules
           with remote heads need no more than this — dropping their memo
@@ -872,7 +856,7 @@ class WebdamLogEngine:
                        .merge(self.state.peek_provided_delta()))
         self._carryover_delta = Delta.empty()
 
-        force_full = self.evaluation_mode == "naive" or previous is None
+        force_full = previous is None
 
         delta_predicates = ({fact.qualified_relation for fact in input_delta.inserted}
                             | {fact.qualified_relation for fact in input_delta.deleted})
@@ -955,14 +939,11 @@ class WebdamLogEngine:
             kind_resolver=self.state.kind_of,
             on_derivation=(self.provenance.record
                            if self.provenance is not None and not looks else None),
-            use_indexes=self.use_indexes,
             # Whole-body SQL pushdown: only meaningful on SQL-capable
             # backends, and only when no provenance hook needs per-derivation
-            # support tuples.  Disabled together with the indexes so the
-            # scan-everything baseline stays a true baseline.
+            # support tuples.
             pushdown=(self.state.pushdown
-                      if self.use_indexes and self.provenance is None and not looks
-                      else None),
+                      if self.provenance is None and not looks else None),
             planner=self._planner,
         )
 

@@ -154,7 +154,6 @@ class RuleEvaluator:
                  kind_resolver: Optional[KindResolver] = None,
                  allow_delegation: bool = True,
                  on_derivation: Optional[Callable[[Fact, Rule, Tuple[Fact, ...]], None]] = None,
-                 use_indexes: bool = True,
                  pushdown=None,
                  planner=None):
         self.peer = peer
@@ -164,10 +163,6 @@ class RuleEvaluator:
         # Optional provenance hook: called with (derived fact, rule, supporting facts)
         # for every head emitted locally or for a remote peer.
         self.on_derivation = on_derivation
-        # When False the evaluator never passes bindings to the fact source —
-        # every literal match is a full relation scan, reproducing the seed
-        # engine's behaviour exactly (used as the benchmark baseline).
-        self.use_indexes = use_indexes
         # Optional whole-body SQL fast path (repro.store.compiler.BodyPushdown).
         # Provenance needs per-derivation support tuples, which the set-at-a-
         # time SQL path cannot produce — the engine only wires the pushdown in
@@ -204,8 +199,7 @@ class RuleEvaluator:
         """Evaluate one rule and return everything it produces."""
         outcome = RuleOutcome()
         plan = self._plan_of(rule)
-        if (self.pushdown is not None and self.on_derivation is None
-                and self.use_indexes):
+        if self.pushdown is not None and self.on_derivation is None:
             substitutions = self.pushdown.run(
                 rule, order=plan.order if plan is not None else None)
             if substitutions is not None:
@@ -349,8 +343,6 @@ class RuleEvaluator:
 
     def _bindings_of(self, literal: Atom) -> Optional[Dict[int, object]]:
         """Bound argument positions of an already-substituted literal."""
-        if not self.use_indexes:
-            return None
         bindings: Optional[Dict[int, object]] = None
         for position, term in enumerate(literal.args):
             if isinstance(term, Constant):

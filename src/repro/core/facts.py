@@ -33,11 +33,13 @@ class Fact:
     storage layer.  Use :meth:`terms` to obtain the :class:`Constant` view
     needed by unification.
 
-    Equality and hashing are *type-strict*, matching :class:`Constant` and
-    the storage row keys: ``r@p(1)``, ``r@p(True)`` and ``r@p(1.0)`` are
-    three different facts even though the payloads compare ``==`` in Python
-    — otherwise they would collide in delta sets while the stores keep them
-    distinct.
+    Equality is *type-strict*, matching :class:`Constant` and the storage
+    row keys: ``r@p(1)``, ``r@p(True)`` and ``r@p(1.0)`` are three different
+    facts even though the payloads compare ``==`` in Python — otherwise they
+    would collide in delta sets while the stores keep them distinct.  The
+    hash leaves the types out: a type object hashes by its address, so
+    hashing them would order every set of facts differently in every
+    process, whatever ``PYTHONHASHSEED`` says.
 
     Facts are immutable (assignment raises).  The class is slotted and keeps
     its hash, so the set algebra every stage runs never re-hashes the nested
@@ -58,7 +60,7 @@ class Fact:
         _set_peer(self, peer)
         _set_values(self, values)
         _set_key(self, key)
-        _set_hash(self, hash(key))
+        _set_hash(self, hash((relation, peer, values)))
         _set_str(self, None)
 
     def __setattr__(self, name, value):

@@ -7,7 +7,8 @@ line, in the spirit of :class:`~repro.runtime.transport.RecordingTransport`
 but serialisable and shared across transports.  The same sink is accepted by
 ``RecordingTransport(log_path=...)``, so an in-memory run and a TCP run of
 the same deployment produce event streams a single analyzer can consume
-(``benchmarks/bench_gossip_propagation.py`` is that analyzer).
+(the ``gossip_sim`` workload of ``bench/`` reads envelope latency off the
+``send`` / ``deliver`` pairs).
 
 Event schema — every record carries at least::
 

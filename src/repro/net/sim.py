@@ -7,7 +7,8 @@ told to.  Because :class:`~repro.net.node.GossipNode` is sans-io, the exact
 same protocol code runs here and under the real TCP transport — the
 benchmark's propagation numbers describe the protocol, not the harness.
 
-Typical use (see ``benchmarks/bench_gossip_propagation.py``)::
+Typical use (``bench/workloads/gossip.py``, the ``gossip_sim`` workload,
+drives it the same way)::
 
     net = SimulatedGossipNetwork(latency=0.01, drop_probability=0.02, seed=7)
     for i in range(100):

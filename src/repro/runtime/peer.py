@@ -66,7 +66,6 @@ class Peer:
                  auto_accept_delegations: bool = False,
                  strict_stage_inputs: bool = False,
                  schemas: Optional[SchemaRegistry] = None,
-                 evaluation_mode: str = "incremental",
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
                  planner: Optional[str] = None,
@@ -74,7 +73,6 @@ class Peer:
         self.name = name
         self.engine = WebdamLogEngine(name, schemas=schemas,
                                       strict_stage_inputs=strict_stage_inputs,
-                                      evaluation_mode=evaluation_mode,
                                       storage=storage,
                                       storage_options=storage_options,
                                       planner=planner)

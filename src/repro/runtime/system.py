@@ -75,10 +75,6 @@ class WebdamLogSystem:
         instance or one of the names ``"reactive"`` (default: a cycle runs
         only the peers with work), ``"async"`` or ``"lockstep"`` (every peer
         every cycle, the reference for round-for-round comparisons).
-    evaluation_mode:
-        The per-peer fixpoint strategy: ``"incremental"`` (default — the
-        seminaive, index-accelerated engine) or ``"naive"`` (the historical
-        clear-and-recompute, kept as the differential baseline).
     provenance:
         When ``True`` every peer gets a
         :class:`~repro.provenance.graph.ProvenanceTracker` whose graph is
@@ -94,7 +90,6 @@ class WebdamLogSystem:
                  strict_stage_inputs: bool = False,
                  transport: Optional["Transport"] = None,
                  scheduler: Union[None, str, Scheduler] = None,
-                 evaluation_mode: str = "incremental",
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
                  planner: Optional[str] = None,
@@ -107,7 +102,6 @@ class WebdamLogSystem:
         self.default_trusted = tuple(default_trusted)
         self.auto_accept_delegations = auto_accept_delegations
         self.strict_stage_inputs = strict_stage_inputs
-        self.evaluation_mode = evaluation_mode
         self.provenance = provenance
         # Storage backend specification applied to every peer ("memory",
         # "sqlite", or None to consult REPRO_STORE_BACKEND); each peer
@@ -175,7 +169,6 @@ class WebdamLogSystem:
                 else auto_accept_delegations)
         peer = Peer(name, trust=trust, auto_accept_delegations=auto,
                     strict_stage_inputs=self.strict_stage_inputs, schemas=schemas,
-                    evaluation_mode=self.evaluation_mode,
                     provenance=self.provenance if provenance is None else provenance,
                     storage=self.storage,
                     storage_options=dict(self.storage_options),

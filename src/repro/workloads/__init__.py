@@ -1,31 +1,9 @@
-"""Synthetic workload generation for the Wepic experiments.
+"""Synthetic workload generation.
 
-The paper's demo relies on conference attendees uploading, rating and
-transferring real photos.  The reproduction synthesises equivalent workloads
-with seeded randomness so every experiment is repeatable:
-
-* :mod:`repro.workloads.generator` — attendee populations, picture libraries,
-  rating/comment/tag matrices, selection patterns and authorization sets;
-* :mod:`repro.workloads.traces` — event traces (sequences of user actions)
-  that can be replayed against a :class:`~repro.wepic.scenario.DemoScenario`.
+* :mod:`repro.workloads.generator` — :class:`ZipfSampler`, the seeded
+  Zipf-skewed sampler the benchmark's rating streams are drawn from.
 """
 
-from repro.workloads.generator import (
-    WorkloadConfig,
-    Workload,
-    ZipfSampler,
-    generate_workload,
-    attendee_names,
-)
-from repro.workloads.traces import TraceEvent, WorkloadTrace, generate_trace
+from repro.workloads.generator import ZipfSampler
 
-__all__ = [
-    "WorkloadConfig",
-    "Workload",
-    "ZipfSampler",
-    "generate_workload",
-    "attendee_names",
-    "TraceEvent",
-    "WorkloadTrace",
-    "generate_trace",
-]
+__all__ = ["ZipfSampler"]

@@ -1,40 +1,17 @@
-"""Workload generation: attendees, pictures, annotations, selections.
+"""Seeded samplers for synthetic workloads.
 
-All generation is driven by a :class:`WorkloadConfig` and a seed, so the same
-configuration always produces the same workload — a requirement for the
-benchmark harness, whose sweeps must be comparable across runs.
+:class:`ZipfSampler` draws the skewed fan-out of annotation traffic (a few
+popular pictures soak up most ratings); the benchmark's hub workloads build
+their rating streams from it.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional
 
 from repro.core.errors import WorkloadError
-from repro.wepic.annotations import MAX_RATING, MIN_RATING, Comment, NameTag, Rating
-from repro.wepic.pictures import Picture, PictureLibrary, generate_library
-
-#: First names used to build attendee populations; combined with an index
-#: suffix when more attendees than names are requested.
-_FIRST_NAMES = (
-    "Emilien", "Jules", "Julia", "Serge", "Gerome", "Alice", "Bob", "Carol",
-    "David", "Eve", "Frank", "Grace", "Heidi", "Ivan", "Judy", "Mallory",
-    "Niaj", "Olivia", "Peggy", "Rupert", "Sybil", "Trent", "Victor", "Wendy",
-)
-
-
-def attendee_names(count: int) -> Tuple[str, ...]:
-    """Deterministic list of ``count`` distinct attendee names."""
-    if count < 0:
-        raise WorkloadError("attendee count must be non-negative")
-    names: List[str] = []
-    for index in range(count):
-        base = _FIRST_NAMES[index % len(_FIRST_NAMES)]
-        suffix = index // len(_FIRST_NAMES)
-        names.append(base if suffix == 0 else f"{base}{suffix + 1}")
-    return tuple(names)
 
 
 class ZipfSampler:
@@ -76,186 +53,3 @@ class ZipfSampler:
     def sample_many(self, count: int) -> List[int]:
         """``count`` independent ranks."""
         return [self.sample() for _ in range(count)]
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Parameters of a synthetic Wepic workload."""
-
-    attendees: int = 3
-    pictures_per_attendee: int = 5
-    picture_size: int = 64
-    ratings_per_attendee: int = 5
-    comments_per_attendee: int = 2
-    tags_per_attendee: int = 2
-    selection_fraction: float = 0.5
-    facebook_authorization_fraction: float = 0.5
-    #: Skew of annotation fan-out over pictures: 0 keeps the historical
-    #: uniform choice, > 0 draws pictures from a :class:`ZipfSampler` so a
-    #: few popular pictures soak up most ratings/comments/tags.
-    popularity_exponent: float = 0.0
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.attendees < 1:
-            raise WorkloadError("a workload needs at least one attendee")
-        if not 0.0 <= self.selection_fraction <= 1.0:
-            raise WorkloadError("selection_fraction must be within [0, 1]")
-        if not 0.0 <= self.facebook_authorization_fraction <= 1.0:
-            raise WorkloadError("facebook_authorization_fraction must be within [0, 1]")
-        if self.picture_size < 1:
-            raise WorkloadError("picture_size must be positive")
-        if self.popularity_exponent < 0:
-            raise WorkloadError("popularity_exponent must be non-negative")
-
-
-@dataclass
-class Workload:
-    """A fully generated workload, ready to be loaded into a scenario."""
-
-    config: WorkloadConfig
-    attendees: Tuple[str, ...]
-    libraries: Dict[str, PictureLibrary]
-    ratings: List[Rating]
-    comments: List[Comment]
-    tags: List[NameTag]
-    selections: Dict[str, Tuple[str, ...]]
-    facebook_authorizations: Dict[str, Tuple[int, ...]]
-
-    def total_pictures(self) -> int:
-        """Total number of pictures across every attendee."""
-        return sum(len(library) for library in self.libraries.values())
-
-    def pictures_of(self, attendee: str) -> PictureLibrary:
-        """The picture library of one attendee."""
-        return self.libraries[attendee]
-
-    def all_pictures(self) -> Tuple[Picture, ...]:
-        """Every picture of the workload, in a deterministic order."""
-        pictures: List[Picture] = []
-        for attendee in self.attendees:
-            pictures.extend(self.libraries[attendee].pictures)
-        return tuple(pictures)
-
-    def ratings_of(self, rater: str) -> Tuple[Rating, ...]:
-        """The ratings authored by one attendee."""
-        return tuple(r for r in self.ratings if r.author == rater)
-
-
-def generate_workload(config: WorkloadConfig) -> Workload:
-    """Generate a workload from its configuration (fully deterministic)."""
-    rng = random.Random(config.seed)
-    attendees = attendee_names(config.attendees)
-
-    libraries: Dict[str, PictureLibrary] = {}
-    next_picture_id = 1
-    for attendee in attendees:
-        libraries[attendee] = generate_library(
-            attendee, config.pictures_per_attendee,
-            size=config.picture_size, start_id=next_picture_id,
-        )
-        next_picture_id += config.pictures_per_attendee
-
-    all_pictures = [picture for attendee in attendees
-                    for picture in libraries[attendee].pictures]
-
-    ratings: List[Rating] = []
-    comments: List[Comment] = []
-    tags: List[NameTag] = []
-    for attendee in attendees:
-        candidates = [p for p in all_pictures if p.owner != attendee] or all_pictures
-        if config.popularity_exponent > 0:
-            sampler = ZipfSampler(len(candidates), config.popularity_exponent,
-                                  rng)
-            pick = lambda: candidates[sampler.sample()]  # noqa: E731
-        else:
-            pick = lambda: rng.choice(candidates)  # noqa: E731
-        for _ in range(min(config.ratings_per_attendee, len(candidates))):
-            picture = pick()
-            ratings.append(Rating(picture_id=picture.picture_id, author=attendee,
-                                  value=rng.randint(MIN_RATING, MAX_RATING)))
-        for index in range(min(config.comments_per_attendee, len(candidates))):
-            picture = pick()
-            comments.append(Comment(picture_id=picture.picture_id, author=attendee,
-                                    text=f"comment {index} by {attendee}"))
-        for _ in range(min(config.tags_per_attendee, len(candidates))):
-            picture = pick()
-            tagged = rng.choice(attendees)
-            tags.append(NameTag(picture_id=picture.picture_id, author=attendee,
-                                attendee=tagged))
-
-    selections: Dict[str, Tuple[str, ...]] = {}
-    for attendee in attendees:
-        others = [name for name in attendees if name != attendee]
-        rng.shuffle(others)
-        count = max(1, round(config.selection_fraction * len(others))) if others else 0
-        selections[attendee] = tuple(sorted(others[:count]))
-
-    authorizations: Dict[str, Tuple[int, ...]] = {}
-    for attendee in attendees:
-        owned = libraries[attendee].pictures
-        authorized = [p.picture_id for p in owned
-                      if rng.random() < config.facebook_authorization_fraction]
-        authorizations[attendee] = tuple(sorted(authorized))
-
-    return Workload(
-        config=config,
-        attendees=attendees,
-        libraries=libraries,
-        ratings=ratings,
-        comments=comments,
-        tags=tags,
-        selections=selections,
-        facebook_authorizations=authorizations,
-    )
-
-
-def load_workload(scenario, workload: Workload,
-                  apply_selections: bool = True,
-                  apply_annotations: bool = True,
-                  apply_authorizations: bool = True) -> None:
-    """Load a generated workload into a :class:`~repro.wepic.scenario.DemoScenario`.
-
-    Attendees present in the workload but missing from the scenario are added
-    on the fly.  Pictures are uploaded, annotations recorded (ratings pushed
-    to the owners so the paper's ``rate@$owner`` rule variant works),
-    selections and Facebook authorisations applied.
-    """
-    for attendee in workload.attendees:
-        if attendee not in scenario.apps:
-            scenario.add_attendee(attendee)
-        app = scenario.app(attendee)
-        library = workload.libraries[attendee]
-        scenario.libraries[attendee] = library
-        app.upload_library(library)
-
-    owners_by_picture = {p.picture_id: p.owner for p in workload.all_pictures()}
-
-    if apply_annotations:
-        for rating in workload.ratings:
-            app = scenario.app(rating.author)
-            app.rate_picture(rating.picture_id, rating.value,
-                             owner=owners_by_picture.get(rating.picture_id))
-        for comment in workload.comments:
-            app = scenario.app(comment.author)
-            app.comment_picture(comment.picture_id, comment.text,
-                                owner=owners_by_picture.get(comment.picture_id))
-        for tag in workload.tags:
-            app = scenario.app(tag.author)
-            app.tag_picture(tag.picture_id, tag.attendee,
-                            owner=owners_by_picture.get(tag.picture_id))
-
-    if apply_selections:
-        for attendee, selected in workload.selections.items():
-            app = scenario.app(attendee)
-            for other in selected:
-                app.select_attendee(other)
-
-    if apply_authorizations:
-        for attendee, picture_ids in workload.facebook_authorizations.items():
-            app = scenario.app(attendee)
-            library = workload.libraries[attendee]
-            for picture_id in picture_ids:
-                picture = library.by_id(picture_id)
-                if picture is not None:
-                    app.authorize_facebook(picture)

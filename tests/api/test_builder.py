@@ -51,7 +51,7 @@ class TestPeerRoundTrips:
 
     def test_trusts_round_trip(self):
         built = (system()
-                 .control_delegation()
+                 .auto_accept_delegations(False)
                  .peer("alice").trusts("bob", "carol")
                  .peer("bob")
                  .build())
@@ -76,7 +76,7 @@ class TestPeerRoundTrips:
 
     def test_control_delegation_queues_untrusted_rules(self):
         built = (system()
-                 .control_delegation()
+                 .auto_accept_delegations(False)
                  .peer("Jules").program(QUICKSTART_JULES)
                  .peer("Emilien").program(QUICKSTART_EMILIEN)
                  .build())

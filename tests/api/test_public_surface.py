@@ -11,9 +11,8 @@ from repro.api import SystemBuilder
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
     "transport", "latency", "drop_probability", "seed", "default_trusted",
-    "control_delegation", "auto_accept_delegations", "strict_stage_inputs",
-    "scheduler", "evaluation", "provenance", "storage", "planner",
-    "replication",
+    "auto_accept_delegations", "strict_stage_inputs", "scheduler",
+    "provenance", "storage", "planner", "replication",
 }
 
 #: Builder methods that describe topology or realise it, not a mode.
@@ -33,7 +32,7 @@ def test_every_system_knob_returns_the_builder_for_chaining():
     arguments = {
         "transport": ("inmemory",), "latency": (2,), "drop_probability": (0.1,),
         "seed": (3,), "default_trusted": ("sigmod",), "scheduler": ("reactive",),
-        "evaluation": ("naive",), "storage": ("memory",), "planner": ("order",),
+        "storage": ("memory",), "planner": ("order",),
         "replication": ("causal",),
     }
     builder = SystemBuilder()

@@ -7,7 +7,6 @@ import pytest
 from repro.core.engine import WebdamLogEngine
 from repro.runtime.system import WebdamLogSystem
 from repro.wepic.scenario import build_demo_scenario
-from repro.workloads.generator import WorkloadConfig, generate_workload
 
 
 @pytest.fixture
@@ -36,11 +35,3 @@ def controlled_scenario():
     """The demo scenario with control of delegation enabled (pending queues)."""
     return build_demo_scenario(pictures_per_attendee=2, control_delegation=True)
 
-
-@pytest.fixture
-def small_workload():
-    """A small deterministic workload (3 attendees, 2 pictures each)."""
-    config = WorkloadConfig(attendees=3, pictures_per_attendee=2,
-                            ratings_per_attendee=2, comments_per_attendee=1,
-                            tags_per_attendee=1, seed=11)
-    return generate_workload(config)

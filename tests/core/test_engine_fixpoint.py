@@ -1,9 +1,10 @@
 """Classic datalog programs run by one peer's engine.
 
-Each case runs under every evaluation path the engine offers — the
-incremental fixpoint with the cost-ordered and the written-order body, the
-clear-and-recompute ``naive`` mode, and the index-free scans — and every
-path must derive the same answer, the one a fresh engine computes from the
+Each case runs on the engine with the cost-ordered and with the
+written-order body, and on the two halves of the test-side reference
+(``tests/reference_engine.py``): an engine that recomputes every stage
+(``naive``) and one whose every probe is a filtered scan (``scan``).  Every
+run must derive the same answer, the one a fresh engine computes from the
 final facts.
 """
 
@@ -14,11 +15,15 @@ import pytest
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
+from tests.reference_engine import recompute_every_stage, scan_every_probe
+
 MODES = {
-    "incremental": dict(planner="order"),
-    "written-order": dict(planner="off"),
-    "naive": dict(evaluation_mode="naive"),
-    "scan": dict(use_indexes=False),
+    "incremental": lambda: WebdamLogEngine("p", planner="order"),
+    "written-order": lambda: WebdamLogEngine("p", planner="off"),
+    "naive": lambda: recompute_every_stage(
+        WebdamLogEngine("p", planner="off", storage="memory")),
+    "scan": lambda: scan_every_probe(
+        WebdamLogEngine("p", planner="off", storage="memory")),
 }
 
 TC_PROGRAM = """
@@ -49,7 +54,7 @@ def mode(request):
 
 def run(mode, program, facts):
     """An engine in ``mode`` with ``program`` loaded, at quiescence over ``facts``."""
-    engine = WebdamLogEngine("p", **MODES[mode])
+    engine = MODES[mode]()
     engine.load_program(program)
     engine.insert_facts([Fact(relation, "p", values) for relation, values in facts])
     engine.run_to_quiescence()

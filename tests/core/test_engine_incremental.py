@@ -8,6 +8,8 @@ from repro.core.facts import Fact, FactStore
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
 
+from tests.reference_engine import reference_engine
+
 TC_PROGRAM = """
 collection extensional persistent link@alice(src, dst);
 collection intensional tc@alice(src, dst);
@@ -106,8 +108,8 @@ class TestEvaluationPaths:
 
     def test_rule_changes_are_deltas_not_resets(self, engine):
         """Adding a rule evaluates that rule; removing one rederives the
-        closure of its head — and both agree with a naive engine."""
-        naive = WebdamLogEngine("alice", evaluation_mode="naive")
+        closure of its head — and both agree with the reference engine."""
+        naive = reference_engine("alice")
         for each in (engine, naive):
             each.load_program(TC_PROGRAM)
             each.load_program("collection intensional loop@alice(x);")

@@ -1,10 +1,14 @@
 """Tests of facts, deltas and the fact store."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.errors import SchemaError
 from repro.core.facts import Delta, Fact, FactStore
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
@@ -53,6 +57,23 @@ class TestFact:
         assert Fact("r", "p", (1,)) == Fact("r", "p", (1,))
         assert Fact("r", "p", (1,)) != Fact("r", "q", (1,))
         assert len({Fact("r", "p", (1,)), Fact("r", "p", (1,))}) == 1
+
+    def test_payload_types_stay_distinct_facts(self):
+        facts = [Fact("r", "p", (1,)), Fact("r", "p", (True,)), Fact("r", "p", (1.0,))]
+        assert len(set(facts)) == 3
+        assert all(a != b for a in facts for b in facts if a is not b)
+
+    def test_a_set_of_facts_iterates_in_the_same_order_in_every_process(self):
+        script = ("from repro.core.facts import Fact\n"
+                  "print([f.values for f in {Fact('r', 'p', (i, str(i), i % 2 == 0))"
+                  " for i in range(50)}])")
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+            filter(None, (source, os.environ.get("PYTHONPATH")))))
+        first, second = (subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                        capture_output=True, text=True).stdout
+                         for _ in range(2))
+        assert first == second
 
     def test_immutable_slotted_and_picklable(self):
         fact = Fact("r", "p", (1, "x", True))

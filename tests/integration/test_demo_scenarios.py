@@ -4,11 +4,12 @@ Each test walks through one of the scenarios the demo presents to the SIGMOD
 audience, asserting the observable outcome the paper describes.
 """
 
+import random
+
 import pytest
 
 from repro.core.facts import Fact
 from repro.wepic.scenario import build_demo_scenario
-from repro.workloads.generator import WorkloadConfig, generate_workload, load_workload
 
 
 class TestInteractionViaFacebook:
@@ -125,21 +126,29 @@ class TestInteractionViaTheWeb:
 
 class TestWorkloadDrivenScenario:
     def test_generated_workload_converges_and_views_are_consistent(self):
-        config = WorkloadConfig(attendees=4, pictures_per_attendee=3,
-                                ratings_per_attendee=3, seed=5)
-        workload = generate_workload(config)
-        scenario = build_demo_scenario(attendees=workload.attendees,
-                                       pictures_per_attendee=0)
-        load_workload(scenario, workload)
+        attendees = ("Emilien", "Jules", "Julia", "Serge")
+        scenario = build_demo_scenario(attendees=attendees, pictures_per_attendee=3)
+        rng = random.Random(5)
+        pictures = [p for library in scenario.libraries.values()
+                    for p in library.pictures]
+        selections = {}
+        for attendee in attendees:
+            app = scenario.app(attendee)
+            others = [p for p in pictures if p.owner != attendee]
+            for picture in rng.sample(others, 3):
+                app.rate_picture(picture.picture_id, rng.randint(1, 5),
+                                 owner=picture.owner)
+            selections[attendee] = rng.sample(
+                [name for name in attendees if name != attendee], 2)
+            for other in selections[attendee]:
+                app.select_attendee(other)
         summary = scenario.run(max_rounds=80)
         assert summary.converged
         # Every attendee's view equals the pictures of the attendees they selected.
-        for attendee in workload.attendees:
-            app = scenario.app(attendee)
-            expected = set()
-            for other in workload.selections[attendee]:
-                expected |= {p.picture_id for p in workload.libraries[other]}
-            got = {p.picture_id for p in app.attendee_pictures()}
+        for attendee in attendees:
+            expected = {p.picture_id for other in selections[attendee]
+                        for p in scenario.libraries[other].pictures}
+            got = {p.picture_id for p in scenario.app(attendee).attendee_pictures()}
             assert got == expected
 
 
@@ -189,20 +198,19 @@ class TestQualitativeShapes:
         assert rounds[20] <= rounds[1] + 1
 
     def test_exactly_the_authorised_pictures_reach_the_facebook_group(self):
-        config = WorkloadConfig(attendees=3, pictures_per_attendee=4,
-                                ratings_per_attendee=0, comments_per_attendee=0,
-                                tags_per_attendee=0, selection_fraction=0.0,
-                                facebook_authorization_fraction=0.5, seed=17)
-        workload = generate_workload(config)
-        scenario = build_demo_scenario(attendees=workload.attendees,
-                                       pictures_per_attendee=0)
-        load_workload(scenario, workload, apply_selections=False)
+        scenario = build_demo_scenario(attendees=("Emilien", "Jules", "Julia"),
+                                       pictures_per_attendee=4)
+        rng = random.Random(17)
+        authorised = 0
+        for attendee, library in scenario.libraries.items():
+            for picture in library.pictures:
+                if rng.random() < 0.5:
+                    scenario.app(attendee).authorize_facebook(picture)
+                    authorised += 1
         scenario.run(max_rounds=100)
-        authorised = sum(len(ids)
-                         for ids in workload.facebook_authorizations.values())
-        assert 0 < authorised < workload.total_pictures()
+        assert 0 < authorised < 12
         assert len(scenario.facebook.photos_in_group("sigmod")) == authorised
-        assert len(scenario.sigmod_pictures()) == workload.total_pictures()
+        assert len(scenario.sigmod_pictures()) == 12
 
     def test_each_rule_swap_retracts_and_reinstalls_the_delegation(self):
         """'Customizing rules', repeated: every swap replaces the delegation

@@ -5,8 +5,8 @@ A fact deletion whose consequences reach no negated literal is handled on
 the delta rules, probes each for a derivation that survives and lets the
 seminaive pass pick up from there — no derived relation is cleared, no
 predicate of the provenance graph re-recorded.  That path must stay
-observationally identical to the naive clear-and-recompute engine *stage by
-stage*: same snapshot, same facts sent, same outstanding delegations and,
+observationally identical to the clear-and-recompute reference of
+``tests/reference_engine.py`` *stage by stage*: same snapshot, same facts sent, same outstanding delegations and,
 under a tracker, the same recorded supports of every fact.
 
 The churn program of ``test_differential_engine.py`` reaches negation from
@@ -25,6 +25,7 @@ from repro.provenance.graph import ProvenanceTracker
 
 from tests.properties.test_differential_program_changes import outputs_of
 from tests.properties.test_differential_provenance import provenance_story
+from tests.reference_engine import reference_engine
 
 #: Linear and cyclic recursion (``tc``, which two remote senders also feed),
 #: a self-join and a second rule for the same head (``twin``), a remote
@@ -99,7 +100,7 @@ def _apply(engine: WebdamLogEngine, op) -> None:
 
 def _pair(storage, provenance, program=PROGRAM):
     incremental = WebdamLogEngine("p", storage=storage)
-    naive = WebdamLogEngine("p", evaluation_mode="naive", storage=storage)
+    naive = reference_engine("p")
     delegated = parse_rule(DELEGATED, default_peer="p", author="q")
     for engine in (incremental, naive):
         if provenance:

@@ -1,7 +1,8 @@
-"""Differential equivalence of the incremental and naive engines.
+"""Differential equivalence of the engine and the clear-and-recompute reference.
 
-The incremental engine (seminaive insert path + scoped delete-and-rederive)
-must be observationally identical to the seed clear-and-recompute engine:
+The engine (seminaive insert path + scoped delete-and-rederive) must be
+observationally identical to the reference of ``tests/reference_engine.py``,
+which recomputes every stage and scans every probe:
 byte-identical snapshots after every operation, identical outgoing updates
 and delegations at the system level — only the amount of work may differ.
 
@@ -20,6 +21,8 @@ from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.runtime.system import WebdamLogSystem
 
+from tests.reference_engine import ReferenceSystem, reference_engine
+
 CHURN_PROGRAM = """
 collection extensional persistent link@p(src, dst);
 collection extensional persistent blocked@p(node);
@@ -27,11 +30,13 @@ collection intensional tc@p(src, dst);
 collection intensional ok@p(src, dst);
 collection intensional bad@p(node);
 collection intensional clear@p(src, dst);
+collection intensional oneway@p(src, dst);
 rule tc@p($x, $y) :- link@p($x, $y);
 rule tc@p($x, $z) :- link@p($x, $y), tc@p($y, $z);
 rule ok@p($x, $y) :- tc@p($x, $y), not blocked@p($x);
 rule bad@p($n) :- blocked@p($n), link@p($n, $y);
 rule clear@p($x, $y) :- tc@p($x, $y), not bad@p($x);
+rule oneway@p($x, $y) :- link@p($x, $y), not tc@p($y, $x);
 """
 
 #: One random operation: (kind, a, b) over a small node domain.
@@ -44,8 +49,8 @@ operations = st.lists(
 
 
 def _engine_pair(program: str):
-    incremental = WebdamLogEngine("p", evaluation_mode="incremental")
-    naive = WebdamLogEngine("p", evaluation_mode="naive", use_indexes=False)
+    incremental = WebdamLogEngine("p")
+    naive = reference_engine("p")
     incremental.load_program(program)
     naive.load_program(program)
     return incremental, naive
@@ -113,11 +118,9 @@ class TestSinglePeerDifferential:
             assert incremental.snapshot() == naive.snapshot()
 
 
-def _build_system(mode: str, use_indexes: bool) -> WebdamLogSystem:
-    system = WebdamLogSystem(evaluation_mode=mode)
+def _build_system(system: WebdamLogSystem) -> WebdamLogSystem:
     for name in ("hub", "left", "right"):
-        peer = system.add_peer(name)
-        peer.engine.use_indexes = use_indexes
+        system.add_peer(name)
     system.peer("hub").load_program("""
     collection extensional persistent follows@hub(who);
     collection intensional wall@hub(id);
@@ -139,8 +142,8 @@ class TestDistributedDifferential:
         appears and retracts the delegation when it is withdrawn; both modes
         must agree on every peer's full snapshot after each convergence.
         """
-        incremental = _build_system("incremental", use_indexes=True)
-        naive = _build_system("naive", use_indexes=False)
+        incremental = _build_system(WebdamLogSystem())
+        naive = _build_system(ReferenceSystem())
         rng = random.Random(seed)
         script = []
         for _ in range(25):
@@ -172,9 +175,9 @@ class TestDistributedDifferential:
     def test_strict_stage_inputs_matches_naive_system(self):
         """Strict per-stage provided semantics agree between the modes."""
         results = {}
-        for mode in ("incremental", "naive"):
-            system = WebdamLogSystem(strict_stage_inputs=True,
-                                     evaluation_mode=mode)
+        for mode, build in (("incremental", WebdamLogSystem),
+                            ("naive", ReferenceSystem)):
+            system = build(strict_stage_inputs=True)
             source = system.add_peer("source")
             sink = system.add_peer("sink")
             sink.load_program("""
@@ -201,9 +204,8 @@ class TestWorkReduction:
         than the seed clear-and-recompute on an incremental TC workload."""
         counters = {}
         snapshots = {}
-        for mode, use_indexes in (("incremental", True), ("naive", False)):
-            engine = WebdamLogEngine("p", evaluation_mode=mode,
-                                     use_indexes=use_indexes)
+        for mode, engine in (("incremental", WebdamLogEngine("p")),
+                             ("naive", reference_engine("p"))):
             engine.load_program("""
             collection extensional persistent link@p(src, dst);
             collection intensional tc@p(src, dst);

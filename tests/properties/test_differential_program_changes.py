@@ -6,7 +6,8 @@ position (the Wepic transfer rule) and programs that change while they run
 The incremental engine treats both as deltas — a wildcard atom depends on
 the predicates agreeing with its constant position, a rule change evaluates
 the added rules and rederives the closure of the removed heads — and must
-stay observationally identical to the naive clear-and-recompute engine:
+stay observationally identical to the clear-and-recompute reference of
+``tests/reference_engine.py``:
 same snapshots, same messages, same provenance stories, and never a ``full``
 stage after an engine's first.
 """
@@ -26,6 +27,8 @@ from repro.provenance.graph import ProvenanceTracker
 from repro.runtime.system import WebdamLogSystem
 
 from tests.properties.test_differential_provenance import provenance_story
+from tests.reference_engine import (ReferenceSystem, reference_deployment,
+                                    reference_engine)
 
 
 def outputs_of(results):
@@ -104,7 +107,7 @@ class TestWildcardRulesStayIncremental:
     @settings(max_examples=40, deadline=None)
     def test_transfer_rule_and_its_delegated_form_match_naive(self, stream):
         incremental = WebdamLogEngine("p")
-        naive = WebdamLogEngine("p", evaluation_mode="naive", use_indexes=False)
+        naive = reference_engine("p")
         delegated = parse_rule(DELEGATED_TRANSFER, default_peer="p", author="q")
         for engine in (incremental, naive):
             engine.load_program(TRANSFER_PROGRAM)
@@ -139,14 +142,13 @@ class TestWildcardRulesStayIncremental:
 
     @pytest.mark.parametrize("seed", [5, 23, 2013])
     def test_wepic_like_deployment_matches_naive_without_full_stages(self, seed):
-        def build(mode):
-            deployment = WebdamLogSystem(evaluation_mode=mode)
+        def build(deployment):
             for name in ("p", "q", "r"):
                 peer = deployment.add_peer(name)
                 peer.load_program(TRANSFER_PROGRAM.replace("@p", f"@{name}"))
             return deployment
 
-        incremental, naive = build("incremental"), build("naive")
+        incremental, naive = build(WebdamLogSystem()), build(ReferenceSystem())
         rng = random.Random(seed)
         for _ in range(40):
             owner = rng.choice("pqr")
@@ -298,7 +300,7 @@ class TestProgramChangesAreDeltas:
         delegations = [parse_rule(text, default_peer="p", author="q")
                        for text in DELEGATION_POOL]
         incremental = WebdamLogEngine("p")
-        naive = WebdamLogEngine("p", evaluation_mode="naive", use_indexes=False)
+        naive = reference_engine("p")
         for engine in (incremental, naive):
             if provenance:
                 engine.provenance = ProvenanceTracker()
@@ -316,14 +318,16 @@ class TestProgramChangesAreDeltas:
 
     def test_aggregate_views_opened_and_closed_under_churn(self):
         """Ad-hoc aggregate views are program changes too: rows agree with a
-        naive deployment, and no open or close recomputes the standing view."""
+        reference deployment, and no open or close recomputes the standing
+        view."""
         rows = {}
-        for evaluation in ("incremental", "naive"):
-            deployment = (system().evaluation(evaluation)
-                          .peer("q").program("""
-                          collection extensional persistent score@q(who, points);
-                          collection extensional persistent banned@q(who);
-                          """).build())
+        for evaluation, build in (("incremental", lambda builder: builder.build()),
+                                  ("naive", reference_deployment)):
+            deployment = build(system()
+                               .peer("q").program("""
+                               collection extensional persistent score@q(who, points);
+                               collection extensional persistent banned@q(who);
+                               """).done())
             hub = deployment.peer("q")
             standing = hub.query(
                 "board($w, count($p), avg($p)) :- score@q($w, $p), not banned@q($w)")
@@ -428,7 +432,7 @@ class TestStrictNoOps:
 
     def test_a_relation_declared_intensional_late_rederives_its_definitions(self):
         incremental = WebdamLogEngine("p")
-        naive = WebdamLogEngine("p", evaluation_mode="naive")
+        naive = reference_engine("p")
         for engine in (incremental, naive):
             engine.load_program("""
             collection extensional persistent base@p(x);

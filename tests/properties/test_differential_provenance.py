@@ -2,8 +2,8 @@
 
 The incrementally maintained provenance graph (delta appends + support-count
 retraction + scoped rederive clears) must answer why/lineage queries exactly
-as the naive reference — an engine in ``evaluation_mode="naive"`` whose
-tracker is rebuilt from scratch by every full recompute.  These tests drive
+as the reference of ``tests/reference_engine.py`` — an engine that
+recomputes every stage, so its tracker is rebuilt from scratch each time.  These tests drive
 randomized insert/retract/delegation churn through both configurations in
 lockstep and compare the full provenance story at every quiescence point.
 """
@@ -18,6 +18,8 @@ from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.provenance.graph import ProvenanceGraph, ProvenanceTracker
 from repro.runtime.system import WebdamLogSystem
+
+from tests.reference_engine import ReferenceSystem, reference_engine
 
 CHURN_PROGRAM = """
 collection extensional persistent link@p(src, dst);
@@ -50,8 +52,8 @@ def provenance_story(graph: ProvenanceGraph):
 
 
 def _engine_pair(program: str):
-    incremental = WebdamLogEngine("p", evaluation_mode="incremental")
-    naive = WebdamLogEngine("p", evaluation_mode="naive", use_indexes=False)
+    incremental = WebdamLogEngine("p")
+    naive = reference_engine("p")
     for engine in (incremental, naive):
         engine.provenance = ProvenanceTracker()
         engine.load_program(program)
@@ -118,11 +120,9 @@ class TestSinglePeerDifferential:
         assert incremental.eval_counters["stages_delta"] > 0
 
 
-def _build_system(mode: str) -> WebdamLogSystem:
-    system = WebdamLogSystem(evaluation_mode=mode, provenance=True)
+def _build_system(system: WebdamLogSystem) -> WebdamLogSystem:
     for name in ("hub", "left", "right"):
-        peer = system.add_peer(name)
-        peer.engine.use_indexes = mode == "incremental"
+        system.add_peer(name)
     system.peer("hub").load_program("""
     collection extensional persistent follows@hub(who);
     collection intensional wall@hub(id);
@@ -139,9 +139,9 @@ class TestDistributedDifferential:
     def test_strict_stage_inputs_matches_naive_provenance(self):
         """Housekeeping clears (strict provided semantics) retract exactly."""
         results = {}
-        for mode in ("incremental", "naive"):
-            system = WebdamLogSystem(strict_stage_inputs=True,
-                                     evaluation_mode=mode, provenance=True)
+        for mode, build in (("incremental", WebdamLogSystem),
+                            ("naive", ReferenceSystem)):
+            system = build(strict_stage_inputs=True, provenance=True)
             source = system.add_peer("source")
             sink = system.add_peer("sink")
             sink.load_program("""
@@ -172,8 +172,8 @@ class TestDistributedDifferential:
         from) the attendee peers; the shipped provenance recorded at the hub
         must agree between the incremental and naive configurations.
         """
-        incremental = _build_system("incremental")
-        naive = _build_system("naive")
+        incremental = _build_system(WebdamLogSystem(provenance=True))
+        naive = _build_system(ReferenceSystem(provenance=True))
         rng = random.Random(seed)
         script = []
         for _ in range(20):
@@ -206,3 +206,70 @@ class TestDistributedDifferential:
                 nai_graph = naive.peer(name).engine.provenance.graph
                 assert (provenance_story(inc_graph)
                         == provenance_story(nai_graph)), name
+
+
+def _transitive_closure(engine: WebdamLogEngine) -> None:
+    """A 16-node chain, then five edges back into it, one stage each."""
+    engine.load_program("""
+    collection extensional persistent link@p(src, dst);
+    collection intensional tc@p(src, dst);
+    rule tc@p($x, $y) :- link@p($x, $y);
+    rule tc@p($x, $z) :- link@p($x, $y), tc@p($y, $z);
+    """)
+    for i in range(15):
+        engine.insert_fact(Fact("link", "p", (i, i + 1)))
+    engine.run_to_quiescence(max_stages=10)
+    for i in range(5):
+        engine.insert_fact(Fact("link", "p", (16 + i, i)))
+        engine.run_to_quiescence(max_stages=10)
+
+
+def _wepic_ranking(engine: WebdamLogEngine) -> None:
+    """Visibility and recommendation joins over six users' albums, then
+    uploads and likes streaming in, one stage each."""
+    engine.load_program("""
+    collection extensional persistent pictures@p(id, owner);
+    collection extensional persistent friend@p(viewer, owner);
+    collection extensional persistent liked@p(id, user);
+    collection intensional visible@p(id, viewer);
+    collection intensional recommended@p(id, viewer);
+    rule visible@p($id, $v) :- friend@p($v, $o), pictures@p($id, $o);
+    rule recommended@p($id, $v) :- visible@p($id, $v), friend@p($v, $u), liked@p($id, $u);
+    """)
+    for picture in range(30):
+        engine.insert_fact(Fact("pictures", "p", (picture, f"user{picture % 6}")))
+    for viewer in range(6):
+        for offset in (1, 2):
+            engine.insert_fact(Fact("friend", "p", (f"user{viewer}",
+                                                    f"user{(viewer + offset) % 6}")))
+    engine.run_to_quiescence(max_stages=10)
+    rng = random.Random(1729)
+    uploaded = 30
+    for step in range(14):
+        if step % 2 == 0:
+            engine.insert_fact(Fact("pictures", "p", (uploaded, f"user{uploaded % 6}")))
+            uploaded += 1
+        else:
+            engine.insert_fact(Fact("liked", "p", (rng.randrange(uploaded),
+                                                   f"user{rng.randrange(6)}")))
+        engine.run_to_quiescence(max_stages=10)
+
+
+class TestWorkReduction:
+    @pytest.mark.parametrize("workload", [_transitive_closure, _wepic_ranking],
+                             ids=["transitive_closure", "wepic_ranking"])
+    def test_same_story_for_a_fifth_of_the_work(self, workload):
+        """Insert streams under a tracker: the maintained graph answers as
+        the one rebuilt by every recompute, at least 5x cheaper, along the
+        delta path."""
+        incremental, naive = WebdamLogEngine("p"), reference_engine("p")
+        for engine in (incremental, naive):
+            engine.provenance = ProvenanceTracker()
+            workload(engine)
+        assert incremental.snapshot() == naive.snapshot()
+        assert (provenance_story(incremental.provenance.graph)
+                == provenance_story(naive.provenance.graph))
+        counters = incremental.eval_counters
+        assert counters["stages_delta"] + counters["stages_rederive"] > 0
+        assert (naive.eval_counters["substitutions_explored"]
+                >= 5 * counters["substitutions_explored"])

@@ -10,6 +10,8 @@ from repro.core.facts import Fact
 from repro.core.schema import RelationKind, RelationSchema
 from repro.runtime.system import WebdamLogSystem
 
+from tests.reference_engine import reference_engine
+
 edges = st.lists(
     st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12)),
     max_size=40,
@@ -38,8 +40,8 @@ rule path@p($x, $z) :- path@p($x, $y), edge@p($y, $z);
 """
 
 
-def local_closure(edge_list, **options):
-    engine = WebdamLogEngine("p", **options)
+def local_closure(edge_list, engine=None):
+    engine = engine if engine is not None else WebdamLogEngine("p")
     engine.load_program(TC_PROGRAM)
     engine.insert_facts([Fact("edge", "p", edge) for edge in edge_list])
     engine.run_to_quiescence()
@@ -52,7 +54,7 @@ class TestLocalFixpointProperties:
     def test_incremental_and_naive_agree_with_reference(self, edge_list):
         expected = reference_closure(set(edge_list))
         assert local_closure(edge_list) == expected
-        assert local_closure(edge_list, evaluation_mode="naive") == expected
+        assert local_closure(edge_list, reference_engine("p")) == expected
 
     @given(edges)
     @settings(max_examples=30, deadline=None)

@@ -1,0 +1,87 @@
+"""The reference the differential suites trust is what it claims to be.
+
+``tests/reference_engine.py`` builds its two baselines from outside the
+engine; these tests pin that it does: every stage of a reference takes the
+full clear-and-recompute path, every probe is a filtered scan that hands no
+bindings to the store, and the filtered scan answers each probe exactly as
+the hash indexes do.
+"""
+
+import pytest
+
+from repro.api import system
+from repro.core.engine import WebdamLogEngine
+from repro.core.facts import Fact
+
+from tests.reference_engine import ReferenceSystem, reference_deployment, reference_engine
+
+PROGRAM = """
+collection extensional persistent link@p(src, dst);
+collection intensional tc@p(src, dst);
+rule tc@p($x, $y) :- link@p($x, $y);
+rule tc@p($x, $z) :- link@p($x, $y), tc@p($y, $z);
+"""
+
+LINKS = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), (1, "b"), (True, "b"), (1.0, "c")]
+
+
+def _loaded(engine):
+    engine.load_program(PROGRAM)
+    for link in LINKS:
+        engine.insert_fact(Fact("link", "p", link))
+    engine.run_to_quiescence()
+    return engine
+
+
+@pytest.mark.parametrize("bindings", [
+    {}, {0: "a"}, {1: "b"}, {0: "a", 1: "b"}, {0: 1}, {0: True}, {0: "z"},
+], ids=["unbound", "first", "second", "both", "int", "bool", "absent"])
+def test_a_scan_answers_every_probe_as_the_index_does(bindings):
+    indexed = _loaded(WebdamLogEngine("p", planner="off", storage="memory"))
+    scanned = _loaded(reference_engine("p"))
+    for relation in ("link", "tc"):
+        expected = set(indexed.state.fact_view(relation, "p", bindings))
+        assert set(scanned.state.fact_view(relation, "p", bindings)) == expected
+
+
+def test_a_scan_hands_the_store_no_bindings():
+    engine = reference_engine("p")
+    asked = []
+    store_facts = engine.state.store.facts
+
+    def recording(relation, peer, bindings=None):
+        asked.append(bindings)
+        return store_facts(relation, peer, bindings)
+
+    engine.state.store.facts = recording
+    _loaded(engine)
+    assert asked and not any(asked)
+
+
+def test_every_stage_of_the_reference_recomputes_from_scratch():
+    engine = _loaded(reference_engine("p"))
+    engine.delete_fact(Fact("link", "p", ("b", "c")))
+    engine.run_to_quiescence()
+    engine.run_stage()
+    counters = engine.eval_counters
+    assert counters["stages_full"] >= 3
+    assert counters["stages_delta"] == counters["stages_rederive"] == 0
+    assert counters["stages_skip"] == 0
+
+
+def test_a_reference_system_runs_a_reference_at_every_peer():
+    runtime = ReferenceSystem()
+    for name in ("a", "b"):
+        engine = runtime.add_peer(name).engine
+        assert "run_stage" in vars(engine)
+        assert "fact_view" in vars(engine.state)
+
+
+
+def test_a_reference_deployment_runs_a_reference_at_every_peer():
+    deployment = reference_deployment(system().peer("a").done().peer("b").done())
+    engines = [peer.engine for peer in deployment.runtime.peers.values()]
+    assert len(engines) == 2
+    for engine in engines:
+        assert "run_stage" in vars(engine)
+        assert "fact_view" in vars(engine.state)

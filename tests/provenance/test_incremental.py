@@ -11,6 +11,8 @@ from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.provenance.graph import Derivation, ProvenanceTracker
 
+from tests.reference_engine import reference_engine
+
 TC_PROGRAM = """
 collection extensional persistent link@p(src, dst);
 collection intensional tc@p(src, dst);
@@ -125,13 +127,12 @@ def supports(engine: WebdamLogEngine):
 class TestExactRemovalOnTheTuplePath:
     """A fact deletion rederives tuples: the graph is neither cleared nor
     re-recorded, so what it drops must be exact.  ``feed@p`` is derived from
-    ``base@p`` *and* provided by a remote sender; a naive engine, which
-    re-records everything at every stage, is the reference."""
+    ``base@p`` *and* provided by a remote sender; the reference engine,
+    which re-records everything at every stage, is the reference."""
 
     def pair(self):
         engines = []
-        for mode in ("incremental", "naive"):
-            engine = WebdamLogEngine("p", evaluation_mode=mode)
+        for engine in (WebdamLogEngine("p"), reference_engine("p")):
             engine.provenance = ProvenanceTracker()
             engine.load_program(FEED_PROGRAM)
             engine.insert_fact(Fact("base", "p", (1,)))

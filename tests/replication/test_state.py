@@ -7,6 +7,7 @@ is the clock: every ``flush`` and every delivery says which cycle it is.
 """
 
 import json
+import random
 
 from repro.core.facts import Fact
 from repro.net.events import NetEventLog
@@ -248,3 +249,83 @@ class TestEventLog:
             ("digest", "alice", 4.0), ("pull", "bob", 5.0),
             ("join", "bob", 5.0), ("ack", "bob", 5.0)]
         assert events[-1]["origin"] == "alice" and events[-1]["acked"] == 1
+
+
+class TestLossyMeshWithChurn:
+    def test_every_follower_converges_to_its_producers_live_sets(self):
+        """40 producers each replicate 20 waves of inserts and deletes to
+        three of 80 followers over a mesh that drops 15 % of all messages;
+        halfway, ten followers depart and ten joiners are bootstrapped from
+        a sponsor's live set.  Every survivor ends holding exactly what its
+        producers hold."""
+        rng = random.Random(7)
+        producers = [f"prod{i:03d}" for i in range(40)]
+        followers = [f"repl{i:03d}" for i in range(80)]
+        followers_of = {name: rng.sample(followers, 3) for name in producers}
+        live = {name: set() for name in producers}
+        states = {name: ReplicationState(name, journal=False)
+                  for name in producers + followers}
+        mailboxes = {}
+        loss = random.Random(7)
+        cycle = 0
+
+        def pump():
+            nonlocal cycle
+            cycle += 1
+            for state in list(states.values()):
+                for message in mailboxes.pop(state.peer, ()):
+                    if isinstance(message, DeltaEnvelopeMessage):
+                        state.apply_envelope(message, cycle)
+                    elif isinstance(message, ReplicationDigestMessage):
+                        state.on_digest(message.sender, message.frontier, cycle)
+                    elif isinstance(message, ReplicationPullMessage):
+                        state.on_pull(message.sender, message.want)
+                    else:
+                        state.on_ack(message.sender, message.acked)
+                for message in state.flush(cycle):
+                    if loss.random() >= 0.15:
+                        mailboxes.setdefault(message.recipient, []).append(message)
+
+        def ship(sender, recipient, inserted, deleted=()):
+            states[sender].encode_outgoing([FactMessage(
+                sender=sender, recipient=recipient,
+                inserted=frozenset(inserted), deleted=frozenset(deleted))])
+
+        departed = rng.sample(followers, 10)
+        sponsors = rng.sample(producers, 10)
+        for wave in range(20):
+            for name in producers:
+                gained = {Fact("replica", name, (name, wave * 8 + i)) for i in range(8)}
+                lost = set(sorted(live[name], key=str)[:2])
+                live[name] = (live[name] - lost) | gained
+                for follower in followers_of[name]:
+                    ship(name, follower, gained, lost)
+            if wave == 10:
+                for victim in departed:
+                    del states[victim]
+                    mailboxes.pop(victim, None)
+                    for name in producers:
+                        if victim in followers_of[name]:
+                            followers_of[name].remove(victim)
+                        states[name].drop_channel(victim)
+                for index, sponsor in enumerate(sponsors):
+                    joiner = f"join{index:03d}"
+                    states[joiner] = ReplicationState(joiner, journal=False)
+                    followers_of[sponsor].append(joiner)
+                    ship(sponsor, joiner, live[sponsor])
+            pump()
+            pump()
+
+        while cycle < 4000 and (any(mailboxes.values())
+                                or any(s.unsettled() for s in states.values())):
+            pump()
+        assert not any(mailboxes.values())
+        assert not any(state.unsettled() for state in states.values())
+        expected = {}
+        for name in producers:
+            for follower in followers_of[name]:
+                expected.setdefault(follower, set()).update(live[name])
+        replicas = {name: set().union(*(box.visible for box in state.inboxes.values()))
+                    for name, state in states.items() if name not in producers}
+        assert {name: facts for name, facts in replicas.items() if facts} == expected
+

@@ -1,161 +1,20 @@
-"""Tests of the workload generators and traces."""
+"""Tests of the seeded workload sampler."""
+
+import random
 
 import pytest
 
 from repro.core.errors import WorkloadError
-from repro.wepic.scenario import build_demo_scenario
-from repro.workloads.generator import (
-    WorkloadConfig,
-    ZipfSampler,
-    attendee_names,
-    generate_workload,
-    load_workload,
-)
-from repro.workloads.traces import TraceEvent, WorkloadTrace, generate_trace
-
-
-class TestAttendeeNames:
-    def test_distinct_names(self):
-        names = attendee_names(50)
-        assert len(names) == 50
-        assert len(set(names)) == 50
-
-    def test_deterministic(self):
-        assert attendee_names(10) == attendee_names(10)
-
-    def test_negative_rejected(self):
-        with pytest.raises(WorkloadError):
-            attendee_names(-1)
-
-
-class TestWorkloadConfig:
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            WorkloadConfig(attendees=0)
-        with pytest.raises(WorkloadError):
-            WorkloadConfig(selection_fraction=1.5)
-        with pytest.raises(WorkloadError):
-            WorkloadConfig(picture_size=0)
-        with pytest.raises(WorkloadError):
-            WorkloadConfig(facebook_authorization_fraction=-0.1)
-
-
-class TestGenerateWorkload:
-    def test_sizes_match_config(self, small_workload):
-        workload = small_workload
-        assert len(workload.attendees) == 3
-        assert workload.total_pictures() == 6
-        assert all(len(lib) == 2 for lib in workload.libraries.values())
-        assert len(workload.ratings) == 3 * 2
-        assert len(workload.comments) == 3
-        assert len(workload.tags) == 3
-
-    def test_deterministic_for_same_seed(self):
-        config = WorkloadConfig(attendees=4, pictures_per_attendee=3, seed=99)
-        first = generate_workload(config)
-        second = generate_workload(config)
-        assert first.ratings == second.ratings
-        assert first.selections == second.selections
-        assert [p.name for p in first.all_pictures()] == [p.name for p in second.all_pictures()]
-
-    def test_different_seeds_differ(self):
-        base = WorkloadConfig(attendees=4, pictures_per_attendee=3, seed=1)
-        other = WorkloadConfig(attendees=4, pictures_per_attendee=3, seed=2)
-        assert generate_workload(base).ratings != generate_workload(other).ratings
-
-    def test_picture_ids_globally_unique(self, small_workload):
-        ids = [p.picture_id for p in small_workload.all_pictures()]
-        assert len(ids) == len(set(ids))
-
-    def test_selections_never_include_self(self, small_workload):
-        for attendee, selected in small_workload.selections.items():
-            assert attendee not in selected
-
-    def test_authorizations_reference_owned_pictures(self, small_workload):
-        for attendee, picture_ids in small_workload.facebook_authorizations.items():
-            owned = set(small_workload.libraries[attendee].ids())
-            assert set(picture_ids) <= owned
-
-    def test_accessors(self, small_workload):
-        attendee = small_workload.attendees[0]
-        assert small_workload.pictures_of(attendee) is small_workload.libraries[attendee]
-        assert all(r.author == attendee for r in small_workload.ratings_of(attendee))
-
-
-class TestLoadWorkload:
-    def test_load_into_scenario(self, small_workload):
-        scenario = build_demo_scenario(attendees=small_workload.attendees,
-                                       pictures_per_attendee=0)
-        load_workload(scenario, small_workload)
-        summary = scenario.run()
-        assert summary.converged
-        for attendee in small_workload.attendees:
-            app = scenario.app(attendee)
-            assert len(app.local_pictures()) == 2
-            assert app.selected_attendees()
-
-    def test_load_adds_missing_attendees(self, small_workload):
-        scenario = build_demo_scenario(attendees=small_workload.attendees[:1],
-                                       pictures_per_attendee=0)
-        load_workload(scenario, small_workload, apply_annotations=False)
-        assert set(scenario.attendees()) == set(small_workload.attendees)
-
-
-class TestTraces:
-    def test_event_validation(self):
-        with pytest.raises(WorkloadError):
-            TraceEvent("teleport", "Jules")
-        event = TraceEvent("select", "Jules", ("Emilien",))
-        assert "select" in str(event)
-
-    def test_generate_trace_is_deterministic(self):
-        first = generate_trace(attendees=3, events=15, seed=5)
-        second = generate_trace(attendees=3, events=15, seed=5)
-        assert [str(e) for e in first] == [str(e) for e in second]
-        assert len(first) == 15
-
-    def test_counts_by_kind(self):
-        trace = generate_trace(attendees=3, events=30, seed=5)
-        counts = trace.counts_by_kind()
-        assert sum(counts.values()) == 30
-        assert counts.get("upload", 0) >= 1
-
-    def test_replay_against_scenario(self):
-        trace = generate_trace(attendees=2, events=10, seed=3)
-        scenario = build_demo_scenario(attendees=("Emilien", "Jules"),
-                                       pictures_per_attendee=0)
-        stats = trace.replay(scenario)
-        assert stats["events"] == 10
-        assert stats["rounds"] >= 1
-
-    def test_replay_with_joins(self):
-        trace = generate_trace(attendees=2, events=12, seed=3, join_probability=0.4)
-        assert trace.counts_by_kind().get("join", 0) >= 1
-        scenario = build_demo_scenario(attendees=("Emilien", "Jules"),
-                                       pictures_per_attendee=0)
-        stats = trace.replay(scenario)
-        assert stats["events"] == 12
-        assert len(scenario.attendees()) > 2
-
-    def test_manual_trace_customisation_event(self):
-        scenario = build_demo_scenario(pictures_per_attendee=1)
-        trace = WorkloadTrace()
-        trace.append(TraceEvent("select", "Jules", ("Emilien",)))
-        trace.append(TraceEvent("customize_rating_filter", "Jules", (5,)))
-        trace.append(TraceEvent("reset_rule", "Jules"))
-        stats = trace.replay(scenario, run_between_events=True)
-        assert stats["events"] == 3
+from repro.workloads.generator import ZipfSampler
 
 
 class TestZipfSampler:
     def test_deterministic_for_same_rng_seed(self):
-        import random
         a = ZipfSampler(100, 1.1, random.Random(5)).sample_many(200)
         b = ZipfSampler(100, 1.1, random.Random(5)).sample_many(200)
         assert a == b
 
     def test_skew_concentrates_on_head(self):
-        import random
         draws = ZipfSampler(1000, 1.2, random.Random(9)).sample_many(5000)
         head = sum(1 for rank in draws if rank < 10)
         # Under a uniform law the top-10 ranks would get ~1% of the draws;
@@ -164,7 +23,6 @@ class TestZipfSampler:
         assert all(0 <= rank < 1000 for rank in draws)
 
     def test_exponent_zero_is_uniform(self):
-        import random
         draws = ZipfSampler(10, 0.0, random.Random(1)).sample_many(5000)
         counts = [draws.count(rank) for rank in range(10)]
         assert min(counts) > 300  # every rank drawn roughly equally
@@ -174,31 +32,24 @@ class TestZipfSampler:
             ZipfSampler(0, 1.0)
         with pytest.raises(WorkloadError):
             ZipfSampler(10, -0.5)
-        with pytest.raises(WorkloadError):
-            WorkloadConfig(popularity_exponent=-1.0)
 
     def test_workload_fanout_follows_exponent(self):
-        flat = generate_workload(WorkloadConfig(
-            attendees=8, pictures_per_attendee=20, ratings_per_attendee=40,
-            picture_size=1, seed=11))
-        skewed = generate_workload(WorkloadConfig(
-            attendees=8, pictures_per_attendee=20, ratings_per_attendee=40,
-            picture_size=1, popularity_exponent=1.5, seed=11))
-
-        def top_share(workload):
+        def top_share(exponent):
+            draws = ZipfSampler(160, exponent, random.Random(11)).sample_many(320)
             counts = {}
-            for rating in workload.ratings:
-                counts[rating.picture_id] = counts.get(rating.picture_id, 0) + 1
-            ranked = sorted(counts.values(), reverse=True)
-            top = sum(ranked[:5])
-            return top / len(workload.ratings)
+            for rank in draws:
+                counts[rank] = counts.get(rank, 0) + 1
+            return sum(sorted(counts.values(), reverse=True)[:5]) / len(draws)
 
-        assert top_share(skewed) > top_share(flat) * 1.5
+        assert top_share(1.5) > top_share(0.0) * 1.5
 
     def test_exponent_zero_matches_historical_stream(self):
-        """The knob is opt-in: exponent 0 reproduces the exact pre-knob
-        workload for a given seed (same rng consumption)."""
-        a = generate_workload(WorkloadConfig(attendees=4, seed=42))
-        b = generate_workload(WorkloadConfig(attendees=4, seed=42,
-                                             popularity_exponent=0.0))
-        assert a.ratings == b.ratings and a.tags == b.tags
+        """The knob is opt-in: every draw, at any exponent, consumes exactly
+        one ``random()``, so a seeded stream that follows the draws is the
+        same whatever the exponent."""
+        for exponent in (0.0, 1.2):
+            rng, twin = random.Random(42), random.Random(42)
+            ZipfSampler(50, exponent, rng).sample_many(30)
+            for _ in range(30):
+                twin.random()
+            assert rng.random() == twin.random()
