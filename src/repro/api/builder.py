@@ -24,13 +24,13 @@ starts the next one; ``build()`` may be called from anywhere in the chain.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 from repro.core.schema import RelationSchema
-from repro.planner import PLANNER_MODES
 from repro.replication import REPLICATION_MODES
 from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.scheduler import Scheduler, resolve_scheduler
@@ -76,10 +76,6 @@ class SystemBuilder:
         self._transport: Optional[Transport] = None
         self._transport_name: Optional[str] = None
         self._transport_options: dict = {}
-        self._latency = 1
-        self._drop_probability = 0.0
-        self._seed: Optional[int] = 0
-        self._transport_knobs_set = False
         self._default_trusted: Tuple[str, ...] = ()
         self._auto_accept = True
         self._strict_stage_inputs = False
@@ -87,7 +83,6 @@ class SystemBuilder:
         self._provenance = False
         self._storage: Optional[str] = None
         self._storage_options: dict = {}
-        self._planner: Optional[str] = None
         self._replication: Optional[str] = None
         self._specs: List[_PeerSpec] = []
 
@@ -131,27 +126,6 @@ class SystemBuilder:
             self._transport = transport
             self._transport_name = None
             self._transport_options = {}
-        return self
-
-    def latency(self, rounds: int) -> "SystemBuilder":
-        """Delivery latency (in rounds) of the default in-memory transport."""
-        self._latency = rounds
-        self._transport_knobs_set = True
-        return self
-
-    def drop_probability(self, probability: float, seed: Optional[int] = None
-                         ) -> "SystemBuilder":
-        """Loss model of the default transport (for failure injection)."""
-        self._drop_probability = probability
-        if seed is not None:
-            self._seed = seed
-        self._transport_knobs_set = True
-        return self
-
-    def seed(self, seed: Optional[int]) -> "SystemBuilder":
-        """Seed of the default transport's loss model."""
-        self._seed = seed
-        self._transport_knobs_set = True
         return self
 
     def default_trusted(self, *peers: str) -> "SystemBuilder":
@@ -225,27 +199,6 @@ class SystemBuilder:
         self._storage_options = dict(options)
         return self
 
-    def planner(self, mode: str) -> "SystemBuilder":
-        """Choose the cost-based query planner mode for every peer.
-
-        * ``"off"`` — evaluate rule bodies in written order (the baseline);
-        * ``"order"`` — reorder each rule's local body prefix by estimated
-          cardinality before evaluation;
-        * ``"magic"`` (default) — additionally rewrite bound-head view
-          programs with a magic-set/demand transformation so only
-          demand-reachable auxiliary facts are derived.
-
-        When this method is not called, the ``REPRO_PLANNER`` environment
-        variable picks the mode — that is how CI runs the whole suite once
-        per mode.  See ``docs/planner.md``.
-        """
-        if mode not in PLANNER_MODES:
-            raise BuildError(
-                f"unknown planner mode {mode!r}; choose from {PLANNER_MODES}"
-            )
-        self._planner = mode
-        return self
-
     def replication(self, mode: str) -> "SystemBuilder":
         """Choose how peer-to-peer updates are replicated.
 
@@ -284,12 +237,6 @@ class SystemBuilder:
 
     def build(self) -> System:
         """Assemble the described deployment and return its facade."""
-        if self._transport is not None and self._transport_knobs_set:
-            raise BuildError(
-                "latency/drop_probability/seed configure the default in-memory "
-                "transport and have no effect on an explicit transport(...); "
-                "configure the transport instance instead"
-            )
         transport = self._transport if self._transport is not None else (
             self._make_named_transport()
         )
@@ -302,7 +249,6 @@ class SystemBuilder:
             provenance=self._provenance,
             storage=self._storage,
             storage_options=dict(self._storage_options),
-            planner=self._planner,
             replication=self._replication,
         )
         built = System(runtime)
@@ -318,23 +264,20 @@ class SystemBuilder:
 
     def _make_named_transport(self) -> Transport:
         if self._transport_name == "tcp":
-            if self._transport_knobs_set:
-                raise BuildError(
-                    "latency/drop_probability/seed configure the in-memory "
-                    "transport; tune the TCP transport through "
-                    'transport("tcp", gossip=..., swim=..., seed=...) instead'
-                )
             # Imported lazily: the net subsystem (asyncio servers, gossip,
             # SWIM) is only paid for by deployments that ask for it.
             from repro.net.tcp import TcpTransport
-            return TcpTransport(**self._transport_options)
-        options = {
-            "latency": self._latency,
-            "drop_probability": self._drop_probability,
-            "seed": self._seed,
-        }
-        options.update(self._transport_options)
-        return InMemoryTransport(**options)
+            factory = TcpTransport
+        else:
+            factory = InMemoryTransport
+        try:
+            inspect.signature(factory).bind(**self._transport_options)
+        except TypeError as error:
+            # e.g. the in-memory ``latency`` passed to ``transport("tcp")``.
+            raise BuildError(
+                f"transport {self._transport_name or 'inmemory'!r}: {error}"
+            ) from None
+        return factory(**self._transport_options)
 
     def _populate(self, handle: PeerHandle, spec: _PeerSpec) -> None:
         for schema in spec.schemas:

@@ -409,8 +409,7 @@ class System:
         owner = handle.name
         peer = self.runtime.peer(owner)
         compiled = compile_query(
-            query, owner=owner, view_name=name or self._next_view_name(owner),
-            planner_mode=getattr(peer.engine, "planner_mode", "off"))
+            query, owner=owner, view_name=name or self._next_view_name(owner))
         try:
             peer.declare(compiled.schema)
             for schema in compiled.extra_schemas:

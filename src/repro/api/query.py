@@ -66,10 +66,10 @@ class QueryHandle:
         Plain relation handles have no plan (the read is a direct relation
         scan), so the base implementation returns ``None``.
         :class:`~repro.api.views.LiveView` overrides this with the compiled
-        view's plan: the planner mode, the installed rules, the magic/demand
-        relations the demand transformation added, and the per-rule literal
-        orders (with estimated vs. actual cardinalities) the cost-based
-        planner chose.  See ``docs/planner.md``.
+        view's plan: the installed rules, the magic/demand relations the
+        demand transformation added, and the per-rule literal orders (with
+        estimated vs. actual cardinalities) the cost-based planner chose.
+        See ``docs/planner.md``.
         """
         return None
 

@@ -180,8 +180,7 @@ def _scope_atom(atom: Atom, aux_map: Dict[str, str], owner: str) -> Atom:
     return atom
 
 
-def compile_query(query: QueryLike, owner: str, view_name: str,
-                  planner_mode: str = "off") -> CompiledView:
+def compile_query(query: QueryLike, owner: str, view_name: str) -> CompiledView:
     """Compile a declarative query into a view schema plus view rules.
 
     The compiled answer rule's head derives into ``view_name@owner``
@@ -194,10 +193,10 @@ def compile_query(query: QueryLike, owner: str, view_name: str,
     A query *text* may carry several ``;``-separated clauses: every clause
     but the last defines a **view-scoped auxiliary relation**, renamed to
     ``{view_name}_{name}`` so concurrent views never collide, installed and
-    uninstalled together with the answer rule.  With ``planner_mode="magic"``
-    an answer clause that probes an auxiliary relation with constant
-    arguments is rewritten by :func:`repro.planner.magic.apply_magic` so only
-    demand-reachable auxiliary facts are ever derived.
+    uninstalled together with the answer rule.  An answer clause that probes
+    an auxiliary relation with constant arguments is rewritten by
+    :func:`repro.planner.magic.apply_magic` so only demand-reachable
+    auxiliary facts are ever derived.
     """
     program = _as_parsed_program(query, owner)
     parsed = program.answer
@@ -263,7 +262,7 @@ def compile_query(query: QueryLike, owner: str, view_name: str,
     rules: Tuple[Rule, ...] = tuple(aux_rules) + (answer_rule,)
     anchor_facts: Tuple[Fact, ...] = ()
     magic_relations: Tuple[str, ...] = ()
-    if planner_mode == "magic" and aux_rules:
+    if aux_rules:
         rewrite = apply_magic(view_name, owner, answer_rule,
                               tuple(aux_rules), set(aux_map.values()))
         if rewrite is not None:
@@ -419,28 +418,26 @@ class LiveView(QueryHandle):
         return kept[1]
 
     def plan(self) -> Optional[Dict[str, object]]:
-        """The plan behind this view: mode, rules, magic relations, orders.
+        """The plan behind this view: rules, magic relations, orders.
 
         ``rule_plans`` holds the cost-based planner's cached
         :class:`~repro.planner.plans.RulePlan` for each of the view's
         installed rules (literal order, estimated vs. actual cardinalities);
-        it is empty until a stage has evaluated the view's rules, and always
-        empty under ``REPRO_PLANNER=off``.  Relation-scan views (no compiled
-        query) return ``None`` like the base handle.
+        it is empty until a stage has evaluated the view's rules, and it
+        skips a rule whose local body prefix has nothing to order.
+        Relation-scan views (no compiled query) return ``None`` like the
+        base handle.
         """
         if self.compiled is None:
             return None
-        engine = self._system.runtime.peer(self._owner).engine
-        planner = getattr(engine, "_planner", None)
+        planner = self._system.runtime.peer(self._owner).engine._planner
         rule_ids = {rule.rule_id for rule in self.compiled.rules}
         rule_plans = []
-        if planner is not None:
-            for key in sorted(planner._cache, key=str):
-                entry = planner._cache[key]
-                if entry is not None and entry[0].rule_id in rule_ids:
-                    rule_plans.append(entry[0].as_dict())
+        for key in sorted(planner._cache, key=str):
+            entry = planner._cache[key]
+            if entry is not None and entry[0].rule_id in rule_ids:
+                rule_plans.append(entry[0].as_dict())
         return {
-            "planner_mode": getattr(engine, "planner_mode", "off"),
             "rules": tuple(str(rule) for rule in self.compiled.rules),
             "magic_relations": tuple(self.compiled.magic_relations),
             "rule_plans": tuple(rule_plans),

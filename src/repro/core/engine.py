@@ -32,7 +32,7 @@ from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.core.state import PeerState
 # The module, not the function: stratification imports repro.core in turn.
 from repro.datalog import stratification
-from repro.planner import BodyPlanner, StagePlan, StatsProvider, resolve_planner_mode
+from repro.planner import BodyPlanner, StagePlan, StatsProvider
 from repro.planner.magic import MAGIC_PREFIX
 from repro.provenance.graph import ProvenanceTracker
 from repro.store.backend import resolve_backend
@@ -265,7 +265,8 @@ class StageResult:
     masked_deletions: FrozenSet[Fact] = _NO_FACTS
     #: The plans the stage's fixpoint executed (literal orders, estimated vs.
     #: actual cardinalities) plus the magic predicates active in the program.
-    #: ``None`` when the planner is off or the stage evaluated nothing.
+    #: ``None`` when the stage executed no plan and no magic predicate is
+    #: active.
     plan: Optional[StagePlan] = None
 
     def outgoing_fact_count(self) -> int:
@@ -299,18 +300,12 @@ class WebdamLogEngine:
 
     def __init__(self, peer: str, schemas: Optional[SchemaRegistry] = None,
                  strict_stage_inputs: bool = False,
-                 storage=None, storage_options: Optional[Dict] = None,
-                 planner: Optional[str] = None):
+                 storage=None, storage_options: Optional[Dict] = None):
         self.peer = peer
         backend = resolve_backend(storage, peer=peer, options=storage_options)
         self.state = PeerState(peer, schemas, backend=backend)
-        # Cost-based planner mode: ``off`` (written order), ``order`` (join
-        # ordering) or ``magic`` (ordering + demand transformation of live
-        # views).  ``None`` defers to REPRO_PLANNER / the default.
-        self.planner_mode = resolve_planner_mode(planner)
-        self._planner = (
-            BodyPlanner(peer, StatsProvider(self.state), mode=self.planner_mode)
-            if self.planner_mode != "off" else None)
+        # Cost-based ordering of every rule body's local prefix.
+        self._planner = BodyPlanner(peer, StatsProvider(self.state))
         # Monotonically increasing program version: bumped whenever the rule
         # set changes (rules added/removed/replaced, delegations installed or
         # retracted, programs loaded).  The planner's plan cache is keyed on
@@ -475,8 +470,7 @@ class WebdamLogEngine:
         the next fixpoint diffs the new rule set against it.
         """
         self.program_version += 1
-        if self._planner is not None:
-            self._planner.sync(self.program_version)
+        self._planner.sync(self.program_version)
 
     def rules(self) -> Tuple[Rule, ...]:
         """The peer's own rules."""
@@ -848,8 +842,7 @@ class WebdamLogEngine:
             # Identity backstop: rule mutations that bypassed the engine API
             # still move the program version (and drop cached plans).
             self.program_version += 1
-            if self._planner is not None:
-                self._planner.sync(self.program_version)
+            self._planner.sync(self.program_version)
 
         input_delta = (self._carryover_delta
                        .merge(self.state.store.peek_delta())
@@ -959,9 +952,6 @@ class WebdamLogEngine:
                            analysis: _ProgramAnalysis,
                            result: StageResult) -> None:
         """Surface the executed plans (and planner counters) on the stage."""
-        planner = self._planner
-        if planner is None:
-            return
         magic = tuple(sorted({
             head for rule in analysis.rules
             if (head := rule.head.relation_constant()) is not None
@@ -970,7 +960,7 @@ class WebdamLogEngine:
         if plans or magic:
             result.plan = StagePlan(rule_plans=plans, magic_relations=magic)
         # Planner counters are lifetime totals, like the other eval counters.
-        for key, value in planner.counters.items():
+        for key, value in self._planner.counters.items():
             self.eval_counters[key] = value
 
     def _fixpoint_seminaive(self, analysis: _ProgramAnalysis,

@@ -15,55 +15,14 @@ The planner sits between the program and the tuple-at-a-time evaluator:
 * :class:`~repro.planner.plans.RulePlan` / :class:`StagePlan` record the
   chosen literal order with estimated vs. actual cardinalities, surfaced on
   :attr:`repro.core.engine.StageResult.plan`.
-
-The ``REPRO_PLANNER`` environment variable (``off`` / ``order`` / ``magic``)
-and :meth:`repro.api.SystemBuilder.planner` select the mode; ``off`` keeps
-the seed's written-order behaviour reachable for differential testing.
 """
 
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-#: Environment variable selecting the planner mode when the builder does not.
-PLANNER_ENV = "REPRO_PLANNER"
-
-#: Accepted planner modes: ``off`` evaluates bodies in written order,
-#: ``order`` adds cost-based join ordering, ``magic`` additionally applies
-#: the magic-set demand transformation to compiled live-view programs.
-PLANNER_MODES = ("off", "order", "magic")
-
-#: Mode used when neither the builder nor the environment chose one.
-DEFAULT_PLANNER_MODE = "magic"
-
-
-def resolve_planner_mode(mode: Optional[str] = None) -> str:
-    """Resolve the effective planner mode.
-
-    Explicit ``mode`` wins, then the ``REPRO_PLANNER`` environment variable,
-    then :data:`DEFAULT_PLANNER_MODE`.  Unknown names raise ``ValueError``.
-    """
-    chosen = mode or os.environ.get(PLANNER_ENV) or DEFAULT_PLANNER_MODE
-    chosen = chosen.strip().lower()
-    if chosen not in PLANNER_MODES:
-        raise ValueError(
-            f"unknown planner mode {chosen!r}; expected one of "
-            f"{', '.join(PLANNER_MODES)}"
-        )
-    return chosen
-
-
-from repro.planner.plans import LiteralStep, RulePlan, StagePlan  # noqa: E402
-from repro.planner.stats import StatsProvider  # noqa: E402
-from repro.planner.ordering import BodyPlanner  # noqa: E402
-from repro.planner.magic import MagicRewrite, apply_magic  # noqa: E402
+from repro.planner.plans import LiteralStep, RulePlan, StagePlan
+from repro.planner.stats import StatsProvider
+from repro.planner.ordering import BodyPlanner
+from repro.planner.magic import MagicRewrite, apply_magic
 
 __all__ = [
-    "PLANNER_ENV",
-    "PLANNER_MODES",
-    "DEFAULT_PLANNER_MODE",
-    "resolve_planner_mode",
     "LiteralStep",
     "RulePlan",
     "StagePlan",

@@ -43,10 +43,9 @@ class BodyPlanner:
     cheapest order).
     """
 
-    def __init__(self, peer: str, stats: StatsProvider, mode: str = "order"):
+    def __init__(self, peer: str, stats: StatsProvider):
         self.peer = peer
         self.stats = stats
-        self.mode = mode
         self._version = -1
         # {(rule_id, delta_index, bound variables):
         #      (plan, {(relation, peer): count at planning})}

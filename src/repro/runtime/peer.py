@@ -68,14 +68,12 @@ class Peer:
                  schemas: Optional[SchemaRegistry] = None,
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
-                 planner: Optional[str] = None,
                  replication: Optional[str] = None):
         self.name = name
         self.engine = WebdamLogEngine(name, schemas=schemas,
                                       strict_stage_inputs=strict_stage_inputs,
                                       storage=storage,
-                                      storage_options=storage_options,
-                                      planner=planner)
+                                      storage_options=storage_options)
         if provenance:
             self.engine.provenance = ProvenanceTracker()
         # Replication mode: ``"reliable"`` ships raw fact/delegation messages

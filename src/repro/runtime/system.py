@@ -49,16 +49,11 @@ class WebdamLogSystem:
     The orchestrator depends only on the
     :class:`~repro.runtime.transport.Transport` protocol; pass any conforming
     ``transport`` to swap the backend.  When none is given a deterministic
-    :class:`~repro.runtime.inmemory.InMemoryTransport` is built from the
-    ``latency`` / ``drop_probability`` / ``seed`` parameters (the historical
-    constructor signature, kept for compatibility).
+    :class:`~repro.runtime.inmemory.InMemoryTransport` with its default
+    settings (one round of latency, lossless) is used.
 
     Parameters
     ----------
-    latency:
-        Delivery latency of the default in-memory transport, in rounds.
-    drop_probability / seed:
-        Loss model of the default transport (for failure-injection tests).
     default_trusted:
         Peers that every newly added peer trusts by default.  The demo
         configuration trusts only the ``sigmod`` peer; pass
@@ -68,8 +63,7 @@ class WebdamLogSystem:
         immediately; set to ``False`` to enable the pending-queue control of
         delegation for untrusted delegators.
     transport:
-        An explicit :class:`~repro.runtime.transport.Transport`.  When given,
-        ``latency``/``drop_probability``/``seed`` are ignored.
+        An explicit :class:`~repro.runtime.transport.Transport`.
     scheduler:
         The execution driver: a :class:`~repro.runtime.scheduler.Scheduler`
         instance or one of the names ``"reactive"`` (default: a cycle runs
@@ -83,20 +77,16 @@ class WebdamLogSystem:
         lineage-based access control work across peer boundaries.
     """
 
-    def __init__(self, latency: int = 1, drop_probability: float = 0.0,
-                 seed: Optional[int] = 0,
-                 default_trusted: Sequence[str] = (),
+    def __init__(self, default_trusted: Sequence[str] = (),
                  auto_accept_delegations: bool = True,
                  strict_stage_inputs: bool = False,
                  transport: Optional["Transport"] = None,
                  scheduler: Union[None, str, Scheduler] = None,
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
-                 planner: Optional[str] = None,
                  replication: Optional[str] = None):
-        self.transport = transport if transport is not None else InMemoryTransport(
-            latency=latency, drop_probability=drop_probability, seed=seed,
-        )
+        self.transport = (transport if transport is not None
+                          else InMemoryTransport())
         self.scheduler: Scheduler = resolve_scheduler(scheduler)
         self.peers: Dict[str, Peer] = {}
         self.default_trusted = tuple(default_trusted)
@@ -108,9 +98,6 @@ class WebdamLogSystem:
         # resolves its own backend instance (one database file per peer).
         self.storage = storage
         self.storage_options = dict(storage_options or {})
-        # Planner mode applied to every peer ("off", "order", "magic", or
-        # None to consult REPRO_PLANNER / the default).
-        self.planner = planner
         # Replication mode applied to every peer ("reliable", "causal", or
         # None to consult REPRO_REPLICATION / the default).  Mixed-mode
         # deployments are not supported: a reliable peer rejects replication
@@ -172,7 +159,6 @@ class WebdamLogSystem:
                     provenance=self.provenance if provenance is None else provenance,
                     storage=self.storage,
                     storage_options=dict(self.storage_options),
-                    planner=self.planner,
                     replication=self.replication)
         if peer.replication is not None:
             # Causal joins/digests/pulls land in the same event stream as the

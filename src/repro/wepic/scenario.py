@@ -187,7 +187,7 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
     if transport is not None:
         builder.transport(transport)
     else:
-        builder.latency(latency).seed(seed)
+        builder.transport("inmemory", latency=latency, seed=seed)
     if scheduler is not None:
         builder.scheduler(scheduler)
 

@@ -100,11 +100,29 @@ class TestChainErgonomics:
         with pytest.raises(BuildError):
             builder.peer("alice")
 
+    def test_named_inmemory_transport_takes_latency_and_loss(self):
+        built = (system().transport("inmemory", latency=3, drop_probability=0.25,
+                                    seed=9)
+                 .peer("alice").build())
+        transport = built.runtime.transport
+        assert (transport.latency, transport.drop_probability) == (3, 0.25)
+
+    def test_default_transport_is_one_round_and_lossless(self):
+        from repro.api import InMemoryTransport
+
+        transport = system().peer("alice").build().runtime.transport
+        assert isinstance(transport, InMemoryTransport)
+        assert (transport.latency, transport.drop_probability) == (1, 0.0)
+
     def test_explicit_transport_conflicts_with_latency_knobs(self):
         from repro.api import InMemoryTransport
 
-        builder = system().transport(InMemoryTransport()).latency(5).peer("a").done()
         with pytest.raises(BuildError):
+            system().transport(InMemoryTransport(), latency=5)
+
+    def test_named_transport_rejects_unknown_options(self):
+        builder = system().transport("inmemory", latncy=5).peer("a").done()
+        with pytest.raises(BuildError, match="latncy"):
             builder.build()
 
     def test_build_from_peer_scope(self):

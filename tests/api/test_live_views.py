@@ -351,7 +351,7 @@ class TestClose:
         """A magic-rewritten view must close to zero: no scoped aux
         relations, no magic/demand predicates, no demand-anchor EDB fact,
         no rules — only the user's extensional facts survive."""
-        deployment = (system().planner("magic")
+        deployment = (system()
                       .peer("q").program(Q_PROGRAM)
                       .peer("r").program(R_PROGRAM)
                       .build())
@@ -631,7 +631,7 @@ class TestStandingViewsCostWhatChanged:
         return f'pictures@w({number}, "p{number}.jpg", "user{number % self.USERS:02d}")'
 
     def deployment(self):
-        builder = system().planner("magic").peer("w").program("""
+        builder = system().peer("w").program("""
         collection extensional persistent pictures@w(id, name, owner);
         collection extensional persistent rate@w(user, id, stars);
         collection extensional persistent hidden@w(id);

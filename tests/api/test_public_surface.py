@@ -10,9 +10,8 @@ from repro.api import SystemBuilder
 
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
-    "transport", "latency", "drop_probability", "seed", "default_trusted",
-    "auto_accept_delegations", "strict_stage_inputs", "scheduler",
-    "provenance", "storage", "planner", "replication",
+    "transport", "default_trusted", "auto_accept_delegations",
+    "strict_stage_inputs", "scheduler", "provenance", "storage", "replication",
 }
 
 #: Builder methods that describe topology or realise it, not a mode.
@@ -30,9 +29,8 @@ def test_system_scope_builder_knobs_are_exactly_the_ledger():
 
 def test_every_system_knob_returns_the_builder_for_chaining():
     arguments = {
-        "transport": ("inmemory",), "latency": (2,), "drop_probability": (0.1,),
-        "seed": (3,), "default_trusted": ("sigmod",), "scheduler": ("reactive",),
-        "storage": ("memory",), "planner": ("order",),
+        "transport": ("inmemory",), "default_trusted": ("sigmod",),
+        "scheduler": ("reactive",), "storage": ("memory",),
         "replication": ("causal",),
     }
     builder = SystemBuilder()

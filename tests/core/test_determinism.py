@@ -22,7 +22,7 @@ SCENARIO = """
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
-engine = WebdamLogEngine("hub", storage="memory", planner="off")
+engine = WebdamLogEngine("hub", storage="memory")
 engine.load_program('''
 collection extensional persistent edge@hub(src, dst);
 collection extensional persistent bridge@hub(src, dst);

@@ -1,11 +1,11 @@
 """Classic datalog programs run by one peer's engine.
 
-Each case runs on the engine with the cost-ordered and with the
-written-order body, and on the two halves of the test-side reference
-(``tests/reference_engine.py``): an engine that recomputes every stage
-(``naive``) and one whose every probe is a filtered scan (``scan``).  Every
-run must derive the same answer, the one a fresh engine computes from the
-final facts.
+Each case runs on the engine, and on the three parts of the test-side
+reference (``tests/reference_engine.py``), each on its own: an engine that
+walks every body in written order (``written-order``), one that recomputes
+every stage (``naive``) and one whose every probe is a filtered scan
+(``scan``).  Every run must derive the same answer, the one a fresh engine
+computes from the final facts.
 """
 
 import random
@@ -15,15 +15,17 @@ import pytest
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
-from tests.reference_engine import recompute_every_stage, scan_every_probe
+from tests.reference_engine import (
+    recompute_every_stage,
+    scan_every_probe,
+    written_order,
+)
 
 MODES = {
-    "incremental": lambda: WebdamLogEngine("p", planner="order"),
-    "written-order": lambda: WebdamLogEngine("p", planner="off"),
-    "naive": lambda: recompute_every_stage(
-        WebdamLogEngine("p", planner="off", storage="memory")),
-    "scan": lambda: scan_every_probe(
-        WebdamLogEngine("p", planner="off", storage="memory")),
+    "incremental": lambda: WebdamLogEngine("p"),
+    "written-order": lambda: written_order(WebdamLogEngine("p")),
+    "naive": lambda: recompute_every_stage(WebdamLogEngine("p", storage="memory")),
+    "scan": lambda: scan_every_probe(WebdamLogEngine("p", storage="memory")),
 }
 
 TC_PROGRAM = """

@@ -103,8 +103,7 @@ class TestEvaluationPaths:
         engine.run_to_quiescence()
         large = delete_and_reinsert()
         assert large.rules_evaluated == small.rules_evaluated
-        if engine.planner_mode != "off":  # written order scans link first
-            assert large.substitutions_explored <= small.substitutions_explored
+        assert large.substitutions_explored <= small.substitutions_explored
 
     def test_rule_changes_are_deltas_not_resets(self, engine):
         """Adding a rule evaluates that rule; removing one rederives the
@@ -357,8 +356,7 @@ class TestTupleLevelDeletes:
         assert result.evaluation_path == "rederive"
         # listed(0) is over-deleted and found again through club 29.
         assert len(engine.query("listed")) == 150
-        if engine.planner_mode != "off":
-            assert result.substitutions_explored < 10  # member alone is 30
+        assert result.substitutions_explored < 10  # member alone is 30
 
 
 class TestMemoisedOutputs:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.facts import Fact
 from repro.core.schema import RelationKind, RelationSchema
+from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.system import WebdamLogSystem
 from repro.wepic.scenario import build_demo_scenario
 
@@ -13,8 +14,9 @@ def attendee_view_system(drop_probability=0.0, seed=0, latency=1):
     # mode's eventual-consistency model, where lost messages stay lost
     # (causal mode repairs loss — see tests/properties/
     # test_confluence_replication.py).
-    system = WebdamLogSystem(drop_probability=drop_probability, seed=seed,
-                             latency=latency, replication="reliable")
+    transport = InMemoryTransport(latency=latency,
+                                  drop_probability=drop_probability, seed=seed)
+    system = WebdamLogSystem(transport=transport, replication="reliable")
     jules = system.add_peer("Jules")
     emilien = system.add_peer("Emilien")
     jules.declare(RelationSchema("attendeePictures", "Jules", ("id",),

@@ -198,7 +198,7 @@ def test_tcp_transport_with_async_scheduler():
 def test_builder_rejects_inmemory_knobs_with_tcp():
     from repro.api import BuildError
     with pytest.raises(BuildError):
-        system().latency(2).transport("tcp").build()
+        system().transport("tcp", latency=2).build()
 
 
 def test_builder_rejects_unknown_transport_name():

@@ -1,6 +1,6 @@
-"""Unit tests of the cost-based planner: mode resolution, body ordering,
-plan caching/invalidation, the multi-clause query parser, the magic-set
-rewrite's soundness bail-outs, and the builder knob."""
+"""Unit tests of the cost-based planner: body ordering, plan
+caching/invalidation, the multi-clause query parser, the magic-set rewrite's
+soundness bail-outs, and the work both save against written order."""
 
 from __future__ import annotations
 
@@ -8,18 +8,14 @@ import random
 
 import pytest
 
-from repro.api.builder import BuildError, system
+from repro.api.builder import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.errors import ParseError
 from repro.core.facts import Fact
 from repro.core.parser import parse_query_program, parse_rule
-from repro.planner import (
-    DEFAULT_PLANNER_MODE,
-    PLANNER_ENV,
-    PLANNER_MODES,
-    resolve_planner_mode,
-)
 from repro.api.views import compile_query
+
+from tests.reference_engine import written_order
 
 PROGRAM = """
 collection extensional persistent big@p(x, y);
@@ -29,34 +25,14 @@ collection intensional out@p(x, y);
 """
 
 
-def make_engine(mode="order"):
-    engine = WebdamLogEngine("p", planner=mode)
+def make_engine():
+    engine = WebdamLogEngine("p")
     engine.load_program(PROGRAM)
     for index in range(100):
         engine.insert_fact(Fact("big", "p", (index, index + 1)))
     engine.insert_fact(Fact("sel", "p", (7,)))
     engine.run_to_quiescence()
     return engine
-
-
-class TestModeResolution:
-    def test_explicit_mode_wins(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV, "off")
-        assert resolve_planner_mode("magic") == "magic"
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV, "off")
-        assert resolve_planner_mode() == "off"
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_ENV, raising=False)
-        assert resolve_planner_mode() == DEFAULT_PLANNER_MODE
-        assert DEFAULT_PLANNER_MODE in PLANNER_MODES
-
-    def test_normalisation_and_unknown(self):
-        assert resolve_planner_mode("  Order ") == "order"
-        with pytest.raises(ValueError):
-            resolve_planner_mode("fancy")
 
 
 class TestBodyOrdering:
@@ -178,7 +154,7 @@ class TestQueryProgramParsing:
 class TestMagicBailouts:
     def test_single_clause_query_is_not_rewritten(self):
         compiled = compile_query("ans($x) :- sel@p($x)", owner="p",
-                                 view_name="_v", planner_mode="magic")
+                                 view_name="_v")
         assert compiled.magic_relations == ()
         assert compiled.anchor_facts == ()
 
@@ -186,14 +162,14 @@ class TestMagicBailouts:
         # No constant in the aux occurrence: nothing to seed demand from.
         compiled = compile_query(
             "r($x, $y) :- big@p($x, $y); ans($x, $y) :- r($x, $y)",
-            owner="p", view_name="_v", planner_mode="magic")
+            owner="p", view_name="_v")
         assert compiled.magic_relations == ()
 
     def test_remote_aux_body_is_not_rewritten(self):
         # Demand propagation cannot cross peers soundly; bail out.
         compiled = compile_query(
             "r($x, $y) :- big@q($x, $y); ans($y) :- r(1, $y)",
-            owner="p", view_name="_v", planner_mode="magic")
+            owner="p", view_name="_v")
         assert compiled.magic_relations == ()
 
     def test_bound_recursive_query_is_rewritten(self):
@@ -201,46 +177,59 @@ class TestMagicBailouts:
             "r($x, $y) :- big@p($x, $y); "
             "r($x, $z) :- r($x, $y), big@p($y, $z); "
             "ans($y) :- r(1, $y)",
-            owner="p", view_name="_v", planner_mode="magic")
+            owner="p", view_name="_v")
         assert compiled.magic_relations
         assert compiled.anchor_facts
         assert any(schema.name.startswith("_magic_")
                    for schema in compiled.extra_schemas)
 
 
-class TestBuilderKnob:
-    def test_unknown_mode_is_rejected_eagerly(self):
-        with pytest.raises(BuildError):
-            system().planner("fancy")
-
-    def test_engine_inherits_builder_mode(self):
-        deployment = system().planner("off").peer("p").build()
-        try:
-            engine = deployment.runtime.peer("p").engine
-            assert engine.planner_mode == "off"
-            assert engine._planner is None
-        finally:
-            deployment.close()
+class TestViewPlan:
+    def test_plan_names_rules_magic_relations_and_cached_orders(self):
+        """A compiled view's plan: its rules, no magic for a single clause,
+        and the cost-ordered plan that probes ``big`` from ``sel``."""
+        deployment = system().peer("p").program(PROGRAM).done().build()
+        deployment.peer("p").insert_many(
+            [f"big@p({index}, {index + 1})" for index in range(100)] + ["sel@p(7)"])
+        view = deployment.query("p", "ans($x, $y) :- big@p($x, $y), sel@p($x)")
+        deployment.converge()
+        assert sorted(view.rows()) == [(7, 8)]
+        plan = view.plan()
+        assert set(plan) == {"rules", "magic_relations", "rule_plans"}
+        assert len(plan["rules"]) == 1 and plan["magic_relations"] == ()
+        assert [1, 0] in [rule_plan["order"] for rule_plan in plan["rule_plans"]]
 
 
 class TestWorkReduction:
     """The planner's two claims as substitution counts on the memory store,
-    with identical answers and an identical fixpoint against ``off``."""
+    with identical answers and an identical fixpoint against the written-order
+    reference."""
 
     @staticmethod
-    def open_view(planner, program, rows, query):
-        deployment = (system().storage("memory").planner(planner)
+    def open_view(program, rows, query=None, rules=None, answer=None):
+        """Open ``query`` as a view, or load ``rules`` in written order and
+        read their ``answer`` relation (the reference); report the answers,
+        the user relations and the substitutions the opening cost."""
+        deployment = (system().storage("memory")
                       .peer("hub").program(program).done().build())
+        engine = deployment.runtime.peer("hub").engine
+        if query is None:
+            written_order(engine)
         deployment.peer("hub").insert_many(rows)
         deployment.converge()
-        engine = deployment.runtime.peer("hub").engine
         before = engine.eval_counters["substitutions_explored"]
-        view = deployment.query("hub", query)
+        if query is None:
+            deployment.peer("hub").load_program(rules)
+            view = deployment.query("hub", answer)
+        else:
+            view = deployment.query("hub", query)
         deployment.converge()
         work = engine.eval_counters["substitutions_explored"] - before
+        private = ("_view", "_magic_", "_demand_") + tuple(
+            f"{name}@" for name in ("reach", "ans", "picks"))
         visible = {relation: facts
                    for relation, facts in deployment.peer("hub").snapshot().items()
-                   if not relation.startswith(("_view", "_magic_", "_demand_"))}
+                   if not relation.startswith(private)}
         return sorted(view.rows()), visible, work
 
     def test_ordering_probes_the_selective_literal_first(self):
@@ -255,11 +244,14 @@ class TestWorkReduction:
         collection extensional persistent rated@hub(user, picture, stars);
         collection extensional persistent vip@hub(user);
         """
-        query = "picks($u, $p, $s) :- rated@hub($u, $p, $s), vip@hub($u)"
-        *off, off_work = self.open_view("off", program, rows, query)
-        *planned, planned_work = self.open_view("order", program, rows, query)
-        assert planned == off
-        assert off_work >= 10 * planned_work
+        *written, written_work = self.open_view(program, rows, rules="""
+        collection intensional picks@hub(user, picture, stars);
+        rule picks@hub($u, $p, $s) :- rated@hub($u, $p, $s), vip@hub($u);
+        """, answer="picks")
+        *planned, planned_work = self.open_view(
+            program, rows, "picks($u, $p, $s) :- rated@hub($u, $p, $s), vip@hub($u)")
+        assert planned == written
+        assert written_work >= 10 * planned_work
 
     def test_magic_sets_derive_only_what_the_bound_query_demands(self):
         """Reachability from one node of a 30-link chain: the baseline
@@ -267,11 +259,17 @@ class TestWorkReduction:
         that node."""
         rows = [f'link@hub("n{index}", "n{index + 1}")' for index in range(30)]
         program = "collection extensional persistent link@hub(src, dst);"
-        query = ('reach($x, $y) :- link@hub($x, $y); '
-                 'reach($x, $z) :- reach($x, $y), link@hub($y, $z); '
-                 'ans($y) :- reach("n0", $y)')
-        *off, off_work = self.open_view("off", program, rows, query)
-        *magic, magic_work = self.open_view("magic", program, rows, query)
-        assert magic == off
-        assert off_work >= 5 * magic_work
+        *written, written_work = self.open_view(program, rows, rules="""
+        collection intensional reach@hub(src, dst);
+        collection intensional ans@hub(dst);
+        rule reach@hub($x, $y) :- link@hub($x, $y);
+        rule reach@hub($x, $z) :- reach@hub($x, $y), link@hub($y, $z);
+        rule ans@hub($y) :- reach@hub("n0", $y);
+        """, answer="ans")
+        *magic, magic_work = self.open_view(
+            program, rows, 'reach($x, $y) :- link@hub($x, $y); '
+            'reach($x, $z) :- reach($x, $y), link@hub($y, $z); '
+            'ans($y) :- reach("n0", $y)')
+        assert magic == written
+        assert written_work >= 5 * magic_work
 

@@ -232,6 +232,4 @@ class TestWorkFollowsTheDeletedTuple:
         assert incremental.snapshot() == naive.snapshot()
         assert (provenance_story(incremental.provenance.graph)
                 == provenance_story(naive.provenance.graph))
-        # Written order (planner off) walks link before the delta literal.
-        factor = 2 if incremental.planner_mode == "off" else 20
-        assert result.substitutions_explored * factor < reference.substitutions_explored
+        assert result.substitutions_explored * 20 < reference.substitutions_explored

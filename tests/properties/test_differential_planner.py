@@ -1,14 +1,16 @@
 """Differential equivalence of the cost-based planner.
 
-``REPRO_PLANNER=order`` may only change *how* a body is evaluated (literal
-order, index probes) and ``magic`` may additionally restrict derivation to
-demand-reachable facts of the *view's own* scoped relations — neither may
+The planner may only change *how* a body is evaluated (literal order, index
+probes), and a view's magic-set rewrite may additionally restrict derivation
+to demand-reachable facts of the *view's own* scoped relations — neither may
 change what any user-visible relation holds, what a view answers, what a
-stage's visible delta reports, or what ``explain()`` says about an answer.
-These tests run randomized programs under insert/retract churn with the
-planner on and off and require byte-identical observations, then check the
-planned run actually took a different execution strategy (plans reordered /
-magic predicates installed)."""
+stage's visible delta reports, what it delegates, or what ``explain()`` says
+about an answer.  These tests run randomized programs under insert/retract
+churn against the written-order reference
+(:func:`tests.reference_engine.written_order`; a view's reference is its
+clauses installed as ordinary rules) and require byte-identical
+observations, then check the planned run actually took a different
+execution strategy (plans computed / magic predicates installed)."""
 
 from __future__ import annotations
 
@@ -19,29 +21,48 @@ from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
+from tests.reference_engine import written_order
+
+#: ``via`` reads a relation of peer ``q`` between two local literals: only
+#: the literal before it may be reordered, and the delegation it ships
+#: carries the rest of the body in written order.
 CHURN_PROGRAM = """
 collection extensional persistent link@p(src, dst);
 collection extensional persistent blocked@p(node);
 collection intensional tc@p(src, dst);
 collection intensional ok@p(src, dst);
 collection intensional bad@p(node);
+collection intensional via@p(src, dst);
 rule tc@p($x, $y) :- link@p($x, $y);
 rule tc@p($x, $z) :- link@p($x, $y), tc@p($y, $z);
 rule ok@p($x, $y) :- tc@p($x, $y), not blocked@p($x);
 rule bad@p($n) :- blocked@p($n), link@p($n, $y);
+rule via@p($x, $z) :- link@p($x, $y), hop@q($y, $w), link@p($w, $z);
 """
+
+HOP_PROGRAM = "collection extensional persistent hop@q(src, dst);"
 
 VIEW_PROGRAM = """
 collection extensional persistent link@p(src, dst);
 collection extensional persistent mark@p(node);
 """
 
-#: Bound-head recursive query: multi-clause, so magic mode rewrites it.
+#: Bound-head recursive query: multi-clause, so compiling it applies the
+#: magic-set rewrite.
 VIEW_QUERY = (
     "reach($x, $y) :- link@p($x, $y); "
     "reach($x, $z) :- reach($x, $y), link@p($y, $z); "
     "ans($y) :- reach(0, $y), not mark@p($y)"
 )
+
+#: ``VIEW_QUERY``'s clauses as ordinary rules: the view's reference.
+VIEW_RULES = """
+collection intensional reach@p(src, dst);
+collection intensional ans@p(node);
+rule reach@p($x, $y) :- link@p($x, $y);
+rule reach@p($x, $z) :- reach@p($x, $y), link@p($y, $z);
+rule ans@p($y) :- reach@p(0, $y), not mark@p($y);
+"""
 
 operations = st.lists(
     st.tuples(st.sampled_from(["link+", "link-", "block+", "block-"]),
@@ -63,111 +84,126 @@ def _apply(engine: WebdamLogEngine, operation) -> None:
         engine.delete_fact(Fact("blocked", "p", (a,)))
 
 
+def _observed(results):
+    """What a run of stages showed: visible deltas and delegations."""
+    return [(sorted(map(str, r.visible_delta.inserted)),
+             sorted(map(str, r.visible_delta.deleted)),
+             sorted(map(str, r.delegations_to_install)),
+             sorted(map(str, r.delegations_to_retract)))
+            for r in results]
+
+
 class TestEngineDifferential:
     @given(operations)
     @settings(max_examples=25, deadline=None)
-    def test_churn_stream_matches_planner_off(self, stream):
-        """Snapshots and visible deltas agree at every quiescence point."""
-        off = WebdamLogEngine("p", planner="off")
-        on = WebdamLogEngine("p", planner="order")
-        off.load_program(CHURN_PROGRAM)
-        on.load_program(CHURN_PROGRAM)
-        off.run_to_quiescence()
-        on.run_to_quiescence()
+    def test_churn_stream_matches_written_order(self, stream):
+        """Snapshots, visible deltas and delegations agree at every
+        quiescence point."""
+        written = written_order(WebdamLogEngine("p"))
+        planned = WebdamLogEngine("p")
+        for engine in (written, planned):
+            engine.load_program(CHURN_PROGRAM)
+        expected = _observed(written.run_to_quiescence())
+        assert _observed(planned.run_to_quiescence()) == expected
         for operation in stream:
-            _apply(off, operation)
-            _apply(on, operation)
-            off_deltas = [r.visible_delta for r in
-                          off.run_to_quiescence(max_stages=30)]
-            on_deltas = [r.visible_delta for r in
-                         on.run_to_quiescence(max_stages=30)]
-            assert off.snapshot() == on.snapshot()
-            assert [sorted(map(str, d.inserted)) for d in off_deltas] == \
-                   [sorted(map(str, d.inserted)) for d in on_deltas]
-            assert [sorted(map(str, d.deleted)) for d in off_deltas] == \
-                   [sorted(map(str, d.deleted)) for d in on_deltas]
+            _apply(written, operation)
+            _apply(planned, operation)
+            expected = _observed(written.run_to_quiescence(max_stages=30))
+            assert _observed(planned.run_to_quiescence(max_stages=30)) == expected
+            assert planned.snapshot() == written.snapshot()
         # The equivalence must be between different strategies.
-        assert off.eval_counters.get("plans_computed", 0) == 0
+        assert written.eval_counters.get("plans_computed", 0) == 0
         if any(kind == "link+" for kind, _, _ in stream):
-            assert on.eval_counters["plans_computed"] > 0
+            assert planned.eval_counters["plans_computed"] > 0
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    min_size=1, max_size=15))
+    @settings(max_examples=10, deadline=None)
+    def test_full_evaluation_ships_the_written_remainder(self, links):
+        """A program's first stage over facts already loaded evaluates every
+        rule in full: ``via`` delegates exactly what written order does."""
+        written = written_order(WebdamLogEngine("p"))
+        planned = WebdamLogEngine("p")
+        for engine in (written, planned):
+            engine.load_program(CHURN_PROGRAM)
+            engine.insert_facts([Fact("link", "p", link) for link in links])
+        expected = _observed(written.run_to_quiescence())
+        assert _observed(planned.run_to_quiescence()) == expected
+        assert planned.snapshot() == written.snapshot()
 
 
-def _view_deployment(planner: str):
-    deployment = (system().planner(planner)
-                  .peer("p").program(VIEW_PROGRAM)
-                  .build())
-    view = deployment.query("p", VIEW_QUERY)
+def _view_deployment(reference: bool):
+    """The view (or, for the reference, its rules in written order)."""
+    deployment = system().peer("p").program(VIEW_PROGRAM).build()
+    if reference:
+        written_order(deployment.runtime.peer("p").engine)
+        deployment.peer("p").load_program(VIEW_RULES)
+        view = deployment.query("p", "ans")
+    else:
+        view = deployment.query("p", VIEW_QUERY)
     deployment.converge()
     return deployment, view
 
 
 def _user_snapshot(deployment):
     """Hub relations minus the view's private machinery (scoped aux
-    relations, magic/demand predicates), whose presence is exactly the
-    strategy difference under test."""
+    relations, magic/demand predicates) and the reference's rule heads,
+    whose presence is exactly the strategy difference under test."""
     snapshot = {}
     for relation, facts in deployment.peer("p").snapshot().items():
-        if relation.startswith(("_view", "_magic_", "_demand_")):
+        if relation.startswith(("_view", "_magic_", "_demand_", "reach@", "ans@")):
             continue
         snapshot[relation] = tuple(sorted(map(str, facts)))
     return snapshot
 
 
+def _churn_view(deployment, operation) -> None:
+    kind, a, b = operation
+    peer = deployment.peer("p")
+    if kind == "link+":
+        peer.insert(f"link@p({a}, {b})")
+    elif kind == "link-":
+        peer.delete(f"link@p({a}, {b})")
+    elif kind == "block+":
+        peer.insert(f"mark@p({a})")
+    else:
+        peer.delete(f"mark@p({a})")
+
+
 class TestViewDifferential:
     @given(operations)
     @settings(max_examples=10, deadline=None)
-    def test_magic_view_matches_planner_off(self, stream):
-        """A bound-head recursive view answers identically in every mode,
-        and the user-visible fixpoint is byte-identical, under churn."""
-        runs = {mode: _view_deployment(mode)
-                for mode in ("off", "order", "magic")}
+    def test_magic_view_matches_written_order_rules(self, stream):
+        """A bound-head recursive view answers what its clauses installed as
+        ordinary rules answer in written order, and the user-visible
+        fixpoint is byte-identical, under churn."""
+        reference, expected_view = _view_deployment(reference=True)
+        deployment, view = _view_deployment(reference=False)
         try:
-            baseline_deployment, baseline_view = runs["off"]
             for operation in stream:
-                kind, a, b = operation
-                if kind == "link+":
-                    fact, insert = f"link@p({a}, {b})", True
-                elif kind == "link-":
-                    fact, insert = f"link@p({a}, {b})", False
-                elif kind == "block+":
-                    fact, insert = f"mark@p({a})", True
-                else:
-                    fact, insert = f"mark@p({a})", False
-                for deployment, _ in runs.values():
-                    peer = deployment.peer("p")
-                    (peer.insert if insert else peer.delete)(fact)
-                    deployment.converge()
-                expected = sorted(baseline_view.rows())
-                for mode, (deployment, view) in runs.items():
-                    assert sorted(view.rows()) == expected, mode
-                    assert _user_snapshot(deployment) == \
-                        _user_snapshot(baseline_deployment), mode
+                for each in (reference, deployment):
+                    _churn_view(each, operation)
+                    each.converge()
+                assert sorted(view.rows()) == sorted(expected_view.rows())
+                assert _user_snapshot(deployment) == _user_snapshot(reference)
             # Strategy actually differed: magic predicates installed.
-            assert runs["magic"][1].plan()["magic_relations"]
-            assert not runs["off"][1].plan()["magic_relations"]
+            assert view.plan()["magic_relations"]
+            written = reference.runtime.peer("p").engine
+            assert written.eval_counters.get("plans_computed", 0) == 0
         finally:
-            for deployment, view in runs.values():
-                view.close()
-                deployment.close()
+            view.close()
+            deployment.close()
+            reference.close()
 
     @given(operations)
     @settings(max_examples=10, deadline=None)
     def test_close_leaves_no_planner_residue(self, stream):
         """After closing a magic-rewritten view (at any churn point), no
         scoped, magic, demand or anchor fact survives anywhere."""
-        deployment, view = _view_deployment("magic")
+        deployment, view = _view_deployment(reference=False)
         try:
             for operation in stream[:8]:
-                kind, a, b = operation
-                peer = deployment.peer("p")
-                if kind == "link+":
-                    peer.insert(f"link@p({a}, {b})")
-                elif kind == "link-":
-                    peer.delete(f"link@p({a}, {b})")
-                elif kind == "block+":
-                    peer.insert(f"mark@p({a})")
-                else:
-                    peer.delete(f"mark@p({a})")
+                _churn_view(deployment, operation)
             deployment.converge()
             view.close()
             deployment.converge()
@@ -185,20 +221,33 @@ class TestExplainDifferential:
     @settings(max_examples=10, deadline=None)
     def test_explain_lineage_identical(self, links):
         """Provenance answers are planner-invariant: the planner normalises
-        derivation support back to written body order."""
+        derivation support back to written body order, and the delegation to
+        ``q`` carries the same remainder."""
         lineages = {}
-        for mode in ("off", "order"):
-            deployment = (system().planner(mode).provenance()
+        for reference in (True, False):
+            deployment = (system().provenance()
                           .peer("p").program(CHURN_PROGRAM)
+                          .peer("q").program(HOP_PROGRAM)
                           .build())
+            if reference:
+                written_order(deployment.runtime.peer("p").engine)
+                written_order(deployment.runtime.peer("q").engine)
             peer = deployment.peer("p")
             peer.insert_many([f"link@p({a}, {b})" for a, b in links])
+            deployment.peer("q").insert_many(
+                [f"hop@q({b}, {a})" for a, b in links[::2]])
             deployment.converge()
             engine_peer = deployment.runtime.peer("p")
             lineage = []
-            for relation in ("tc", "ok", "bad"):
+            for relation in ("tc", "ok", "bad", "via"):
                 for fact in sorted(engine_peer.query(relation), key=str):
-                    lineage.append(str(peer.explain(fact)))
-            lineages[mode] = lineage
+                    # The alternatives as a set: the order in which they
+                    # arrive follows the delegations' ids, not the planner.
+                    explanation = peer.explain(fact)
+                    lineage.append((str(fact), sorted(
+                        sorted(map(str, alternative))
+                        for alternative in explanation.why),
+                        sorted(explanation.base_relations)))
+            lineages[reference] = lineage
             deployment.close()
-        assert lineages["off"] == lineages["order"]
+        assert lineages[False] == lineages[True]

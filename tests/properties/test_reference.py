@@ -1,10 +1,10 @@
 """The reference the differential suites trust is what it claims to be.
 
-``tests/reference_engine.py`` builds its two baselines from outside the
+``tests/reference_engine.py`` builds its baselines from outside the
 engine; these tests pin that it does: every stage of a reference takes the
 full clear-and-recompute path, every probe is a filtered scan that hands no
-bindings to the store, and the filtered scan answers each probe exactly as
-the hash indexes do.
+bindings to the store, the filtered scan answers each probe exactly as the
+hash indexes do, and every body is walked in written order.
 """
 
 import pytest
@@ -13,7 +13,12 @@ from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
-from tests.reference_engine import ReferenceSystem, reference_deployment, reference_engine
+from tests.reference_engine import (
+    ReferenceSystem,
+    reference_deployment,
+    reference_engine,
+    written_order,
+)
 
 PROGRAM = """
 collection extensional persistent link@p(src, dst);
@@ -37,7 +42,7 @@ def _loaded(engine):
     {}, {0: "a"}, {1: "b"}, {0: "a", 1: "b"}, {0: 1}, {0: True}, {0: "z"},
 ], ids=["unbound", "first", "second", "both", "int", "bool", "absent"])
 def test_a_scan_answers_every_probe_as_the_index_does(bindings):
-    indexed = _loaded(WebdamLogEngine("p", planner="off", storage="memory"))
+    indexed = _loaded(WebdamLogEngine("p", storage="memory"))
     scanned = _loaded(reference_engine("p"))
     for relation in ("link", "tc"):
         expected = set(indexed.state.fact_view(relation, "p", bindings))
@@ -76,6 +81,38 @@ def test_a_reference_system_runs_a_reference_at_every_peer():
         assert "run_stage" in vars(engine)
         assert "fact_view" in vars(engine.state)
 
+
+def test_written_order_walks_every_body_as_written():
+    """The engine plans ``tc``'s recursive rule; in written order the same
+    fixpoint comes with no plan computed, none executed, none cached."""
+    planned = _loaded(WebdamLogEngine("p"))
+    written = _loaded(written_order(WebdamLogEngine("p")))
+    assert written.snapshot() == planned.snapshot()
+    assert planned.eval_counters["plans_computed"] > 0
+    written.insert_fact(Fact("link", "p", ("d", "e")))
+    results = written.run_to_quiescence()
+    assert all(result.plan is None or not result.plan.rule_plans
+               for result in results)
+    assert written.eval_counters["plans_computed"] == 0
+    assert not any(written._planner._cache.values())
+
+
+def test_every_reference_runs_in_written_order():
+    """``reference_engine``, ``ReferenceSystem`` and ``reference_deployment``
+    plan nothing for a program the engine plans."""
+    deployment = reference_deployment(system().peer("p").program(PROGRAM).done())
+    runtime = ReferenceSystem()
+    runtime.add_peer("p", program=PROGRAM)
+    links = [Fact("link", "p", link) for link in LINKS]
+    deployment.peer("p").insert_many(links)
+    deployment.converge()
+    runtime.peer("p").engine.insert_facts(links)
+    runtime.converge()
+    engines = [_loaded(reference_engine("p")), deployment.runtime.peer("p").engine,
+               runtime.peer("p").engine]
+    for engine in engines:
+        assert engine.query("tc")
+        assert engine.eval_counters["plans_computed"] == 0
 
 
 def test_a_reference_deployment_runs_a_reference_at_every_peer():

@@ -11,15 +11,32 @@ engine's:
   first stage: clear every local intensional relation and derive it again;
 * **scan every probe** — each probe is answered by an unbound scan of the
   relation, filtered in Python by the bound positions, so no store index is
-  consulted.
+  consulted;
+* **written order** — the engine's planner is swapped for one that never
+  has anything to order, so every body is walked left to right as written.
 
-A reference runs with the planner off (written body order) on the memory
-store (no SQL pushdown).
+A reference runs in written order on the memory store (no SQL pushdown).
+A view's magic-set rewrite is part of compiling the query; a reference for
+a view installs the query's clauses as ordinary rules instead.
 """
 
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import fact_matches_bindings
+from repro.planner import BodyPlanner
 from repro.runtime.system import WebdamLogSystem
+
+
+class _WrittenOrderPlanner(BodyPlanner):
+    """A planner whose every answer is "nothing to order"."""
+
+    def _compute(self, rule, delta_index, initially_bound=frozenset()):
+        return None, {}
+
+
+def written_order(engine: WebdamLogEngine) -> WebdamLogEngine:
+    """Make ``engine`` evaluate every rule body in written order."""
+    engine._planner = _WrittenOrderPlanner(engine.peer, engine._planner.stats)
+    return engine
 
 
 def recompute_every_stage(engine: WebdamLogEngine) -> WebdamLogEngine:
@@ -49,20 +66,19 @@ def scan_every_probe(engine: WebdamLogEngine) -> WebdamLogEngine:
 
 
 def as_reference(engine: WebdamLogEngine) -> WebdamLogEngine:
-    return scan_every_probe(recompute_every_stage(engine))
+    return scan_every_probe(recompute_every_stage(written_order(engine)))
 
 
 def reference_engine(peer: str = "p", **options) -> WebdamLogEngine:
     """A reference engine; ``options`` go to :class:`WebdamLogEngine`."""
-    return as_reference(WebdamLogEngine(peer, planner="off", storage="memory",
-                                        **options))
+    return as_reference(WebdamLogEngine(peer, storage="memory", **options))
 
 
 class ReferenceSystem(WebdamLogSystem):
     """A :class:`WebdamLogSystem` whose every peer runs a reference engine."""
 
     def __init__(self, **options):
-        super().__init__(planner="off", storage="memory", **options)
+        super().__init__(storage="memory", **options)
 
     def add_peer(self, name, *args, **kwargs):
         peer = super().add_peer(name, *args, **kwargs)
@@ -72,7 +88,7 @@ class ReferenceSystem(WebdamLogSystem):
 
 def reference_deployment(builder):
     """Build ``builder``'s deployment with a reference engine at every peer."""
-    deployment = builder.planner("off").storage("memory").build()
+    deployment = builder.storage("memory").build()
     for peer in deployment.runtime.peers.values():
         as_reference(peer.engine)
     return deployment

@@ -6,6 +6,7 @@ from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
 from repro.replication.dots import Op
+from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
     DelegationInstallMessage,
@@ -179,7 +180,7 @@ class TestSystem:
 
     def test_latency_increases_rounds(self):
         def build(latency):
-            system = WebdamLogSystem(latency=latency)
+            system = WebdamLogSystem(transport=InMemoryTransport(latency=latency))
             alice = system.add_peer("alice")
             system.add_peer("bob")
             alice.load_program("""

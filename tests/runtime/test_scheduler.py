@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.api import system
+from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.scheduler import (
     AsyncScheduler,
     LockstepScheduler,
@@ -43,7 +44,8 @@ fact pictures@Emilien(2, "boat.jpg");
 
 
 def build_ping_pong(scheduler, latency=1, idle_peers=0):
-    sys = WebdamLogSystem(latency=latency, scheduler=scheduler)
+    sys = WebdamLogSystem(transport=InMemoryTransport(latency=latency),
+                          scheduler=scheduler)
     sys.add_peer("a", program=PING_PONG_A + "fact ping@a(1);")
     sys.add_peer("b", program=PING_PONG_B)
     for index in range(idle_peers):
