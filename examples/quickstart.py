@@ -20,11 +20,10 @@ from repro.api import system
 def main() -> None:
     deployment = (
         system()
-        # Event-driven execution (the default, named here for the example):
-        # only peers with pending work run stages.  Swap for "lockstep" to
-        # run every peer every round, or "async" to drive the deployment
-        # from asyncio.
-        .scheduler("reactive")
+        # Execution is event-driven: only peers with pending work run
+        # stages.  From asyncio, ``await deployment.aconverge()`` runs the
+        # same cycles and yields to the event loop after every stage.
+        #
         # Jules' program: one declaration block and the delegation rule
         # from the paper.
         .peer("Jules").program("""
@@ -57,8 +56,7 @@ def main() -> None:
     print("running to convergence:")
     summary = deployment.converge()
     print(f"converged in {summary.round_count} cycles "
-          f"({summary.total_stages()} peer stages, scheduler "
-          f"{summary.scheduler!r}), "
+          f"({summary.total_stages()} peer stages), "
           f"{deployment.stats.messages_sent} messages exchanged\n")
 
     print("Rule installed at Émilien by delegation:")

@@ -13,9 +13,8 @@ This package is the public facade over all of them:
 
 * :class:`System` / :class:`PeerHandle` — the built deployment:
   ``converge()`` / ``step()`` / ``await aconverge()`` (a cycle runs only
-  the peers with work; ``system().scheduler("async")`` drives the same
-  policy from asyncio and ``scheduler("lockstep")`` runs every peer every
-  cycle, the reference cadence — see :mod:`repro.runtime.scheduler`),
+  the peers with work; ``aconverge`` yields to the event loop after every
+  stage — see :mod:`repro.runtime.scheduler`),
   ``query()``, ``subscribe()``, stats and totals, per-peer operations.
 * :class:`Transport` — the protocol the runtime moves messages through, with
   :class:`InMemoryTransport` (deterministic rounds) and
@@ -39,14 +38,7 @@ own tests use it), but applications should start from :func:`system`.
 """
 
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
-from repro.runtime.scheduler import (
-    AsyncScheduler,
-    LockstepScheduler,
-    ReactiveScheduler,
-    RoundReport,
-    RunSummary,
-    Scheduler,
-)
+from repro.runtime.scheduler import RoundReport, RunSummary
 from repro.provenance.graph import Explanation
 from repro.net.events import NetEventLog, read_events
 from repro.net.gossip import GossipConfig
@@ -80,10 +72,6 @@ __all__ = [
     "GossipConfig",
     "SwimConfig",
     "NetworkStats",
-    "Scheduler",
-    "LockstepScheduler",
-    "ReactiveScheduler",
-    "AsyncScheduler",
     "RoundReport",
     "RunSummary",
     "QueryHandle",

@@ -15,7 +15,7 @@ transport — and ``build()`` turns it into a running
         .peer("bob").wrapper(FacebookUserWrapper(service, "bob"))
         .build()
     )
-    deployment.run()
+    deployment.converge()
 
 Peer-scoped calls (``trusts``, ``wrapper``, ``program``, ``rule``, ``fact``,
 ``schema``…) apply to the most recently introduced peer; ``peer(name)``
@@ -33,7 +33,6 @@ from repro.core.rules import Rule
 from repro.core.schema import RelationSchema
 from repro.replication import REPLICATION_MODES
 from repro.runtime.inmemory import InMemoryTransport
-from repro.runtime.scheduler import Scheduler, resolve_scheduler
 from repro.runtime.system import WebdamLogSystem
 from repro.runtime.transport import Transport
 from repro.api.facade import PeerHandle, System
@@ -79,7 +78,6 @@ class SystemBuilder:
         self._default_trusted: Tuple[str, ...] = ()
         self._auto_accept = True
         self._strict_stage_inputs = False
-        self._scheduler: Optional[Scheduler] = None
         self._provenance = False
         self._storage: Optional[str] = None
         self._storage_options: dict = {}
@@ -143,20 +141,6 @@ class SystemBuilder:
     def strict_stage_inputs(self, enabled: bool = True) -> "SystemBuilder":
         """Facts pushed to local intensional relations last one stage only."""
         self._strict_stage_inputs = enabled
-        return self
-
-    def scheduler(self, scheduler: Union[str, Scheduler]) -> "SystemBuilder":
-        """Choose the execution driver: ``"reactive"`` (default — a cycle runs
-        only the peers with work), ``"async"`` (the same policy from asyncio)
-        or ``"lockstep"`` (every peer every cycle: the reference for
-        round-for-round comparisons) — or pass any
-        :class:`~repro.runtime.scheduler.Scheduler` instance.  See the
-        README's *Execution model* section for how to pick.
-        """
-        try:
-            self._scheduler = resolve_scheduler(scheduler)
-        except ValueError as exc:
-            raise BuildError(str(exc)) from exc
         return self
 
     def provenance(self, enabled: bool = True) -> "SystemBuilder":
@@ -245,7 +229,6 @@ class SystemBuilder:
             auto_accept_delegations=self._auto_accept,
             strict_stage_inputs=self._strict_stage_inputs,
             transport=transport,
-            scheduler=self._scheduler,
             provenance=self._provenance,
             storage=self._storage,
             storage_options=dict(self._storage_options),

@@ -22,7 +22,7 @@ from repro.core.schema import RelationSchema, SchemaRegistry
 from repro.provenance.graph import Explanation
 from repro.runtime.inmemory import NetworkStats
 from repro.runtime.peer import Peer, PeerStageReport
-from repro.runtime.scheduler import LockstepScheduler, drive
+from repro.runtime.scheduler import drive
 from repro.runtime.system import RoundReport, RunSummary, WebdamLogSystem
 from repro.runtime.transport import Transport
 from repro.api.errors import ReproApiError
@@ -299,53 +299,35 @@ class System:
     def converge(self, max_steps: Optional[int] = None,
                  extra_rounds: int = 0,
                  quiet_period: Optional[int] = None) -> RunSummary:
-        """Drive the deployment to a fixpoint with its configured scheduler.
+        """Drive the deployment to a fixpoint.
 
-        This is the primary execution verb: under the default (reactive)
-        and the async schedulers a cycle runs stages only at the peers with
-        pending work, so the returned summary's ``peer_reports`` list only
-        those; under ``scheduler("lockstep")`` it is exactly the historical
-        round loop.  Pending ``include_existing`` subscription deliveries are
-        flushed before execution resumes.  On a networked transport the
-        fixpoint requires the transport's ``convergence_quiet_period`` of
-        consecutive quiet cycles (override per call with ``quiet_period``).
+        This is the primary execution verb: a cycle runs stages only at the
+        peers with pending work, so the returned summary's ``peer_reports``
+        list only those.  Pending ``include_existing`` subscription
+        deliveries are flushed before execution resumes.  On a networked
+        transport the fixpoint requires the transport's
+        ``convergence_quiet_period`` of consecutive quiet cycles (override
+        per call with ``quiet_period``).
         """
         self._flush_subscription_backlogs()
         return self.runtime.converge(max_steps=max_steps, extra_rounds=extra_rounds,
                                      quiet_period=quiet_period)
 
     def step(self) -> RoundReport:
-        """Execute one scheduling cycle of the configured scheduler."""
+        """Execute one scheduling cycle."""
         self._flush_subscription_backlogs()
         return self.runtime.step()
 
     async def aconverge(self, max_steps: Optional[int] = None,
                         extra_rounds: int = 0,
                         quiet_period: Optional[int] = None) -> RunSummary:
-        """Asynchronously drive the deployment to a fixpoint (asyncio driver)."""
+        """:meth:`converge` from asyncio, yielding to the event loop after
+        every stage (see :meth:`WebdamLogSystem.aconverge
+        <repro.runtime.system.WebdamLogSystem.aconverge>`)."""
         self._flush_subscription_backlogs()
         return await self.runtime.aconverge(max_steps=max_steps,
                                             extra_rounds=extra_rounds,
                                             quiet_period=quiet_period)
-
-    def run(self, max_rounds: int = 100, extra_rounds: int = 0) -> RunSummary:
-        """Alias of :meth:`converge` (historical name and signature)."""
-        return self.converge(max_steps=max_rounds, extra_rounds=extra_rounds)
-
-    def run_round(self) -> RoundReport:
-        """Execute exactly one lockstep round (every peer runs one stage).
-
-        Prefer :meth:`step`, which respects the configured scheduler and, by
-        default, runs only the peers with work; this method always drives a
-        full round of the lockstep reference driver, idle peers included,
-        matching its historical contract.
-        """
-        self._flush_subscription_backlogs()
-        return LockstepScheduler().step(self.runtime)
-
-    def run_rounds(self, count: int) -> List[RoundReport]:
-        """Execute ``count`` lockstep rounds unconditionally (see :meth:`run_round`)."""
-        return [self.run_round() for _ in range(count)]
 
     @property
     def current_round(self) -> int:
@@ -540,7 +522,7 @@ class System:
                      max_steps: Optional[int] = None) -> Iterator[Fact]:
         """Stream ``relation`` at peer ``at`` while driving the system to fixpoint.
 
-        Yields the facts already visible, then steps the configured scheduler
+        Yields the facts already visible, then runs the deployment's cycles
         and yields each fact as the stage that derived it completes, until
         the system converges (or ``max_steps`` cycles ran).  This is the
         engine behind :meth:`LiveView.iter_facts`.

@@ -301,7 +301,7 @@ class LiveView(QueryHandle):
     * **read** — :meth:`facts` / :meth:`rows` / iteration, always reflecting
       the current engine state (maintained along the delta/rederive paths,
       never by re-running the query);
-    * **stream** — :meth:`iter_facts` drives the configured scheduler and
+    * **stream** — :meth:`iter_facts` drives the deployment's cycles and
       yields answers as the deriving stages complete;
     * **observe** — :meth:`on_change` registers add/remove callbacks fed
       from each stage's :attr:`~repro.core.engine.StageResult.visible_delta`;
@@ -552,7 +552,7 @@ class LiveView(QueryHandle):
     # ------------------------------------------------------------------ #
 
     def iter_facts(self, max_steps: Optional[int] = None) -> Iterator[Fact]:
-        """Stream the answers while driving the configured scheduler.
+        """Stream the answers while driving the deployment to a fixpoint.
 
         Yields the answers already visible, then steps the system and yields
         each new answer as the deriving stage completes, until convergence.

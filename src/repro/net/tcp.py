@@ -11,14 +11,14 @@ WEPIC scenario of the paper over actual connections.
 Threading model: one background asyncio event loop runs in a daemon
 thread and owns *all* gossip-node state (servers, connections, the
 periodic SWIM/anti-entropy ticker).  The synchronous transport methods
-called by the schedulers submit coroutines to that loop and wait for the
+called by the driver submit coroutines to that loop and wait for the
 result, so no node is ever touched from two threads.
 
 Because TCP has no global "no messages in flight" oracle, a networked
 deployment cannot detect convergence from a single quiescent cycle the way
 the in-memory transport can.  The transport therefore advertises a
-``convergence_quiet_period``: the schedulers (see
-:func:`repro.runtime.scheduler.settled`) require that many *consecutive*
+``convergence_quiet_period``: the converge loop (see
+:func:`repro.runtime.scheduler.settled`) requires that many *consecutive*
 settled cycles before declaring a fixpoint, and :meth:`advance_round`
 briefly sleeps whenever every inbox is empty so those quiet cycles give the
 network time to deliver straggling frames.

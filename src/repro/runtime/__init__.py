@@ -28,15 +28,7 @@ from repro.runtime.messages import (
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
 from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
 from repro.runtime.peer import Peer
-from repro.runtime.scheduler import (
-    AsyncScheduler,
-    LockstepScheduler,
-    ReactiveScheduler,
-    RoundReport,
-    RunSummary,
-    Scheduler,
-    resolve_scheduler,
-)
+from repro.runtime.scheduler import ReactiveScheduler, RoundReport, RunSummary
 from repro.runtime.system import WebdamLogSystem
 
 __all__ = [
@@ -51,12 +43,8 @@ __all__ = [
     "Transport",
     "TransportEvent",
     "Peer",
-    "Scheduler",
-    "LockstepScheduler",
     "ReactiveScheduler",
-    "AsyncScheduler",
     "RoundReport",
     "RunSummary",
-    "resolve_scheduler",
     "WebdamLogSystem",
 ]

@@ -19,7 +19,7 @@ computation stage described in the paper:
 
 Every message can be encoded to / decoded from a JSON-compatible dictionary
 (:meth:`Message.to_wire`, :func:`message_from_wire`) so the same types flow
-over both the in-memory and the multi-process transports.
+over both the in-memory and the TCP transports.
 """
 
 from __future__ import annotations

@@ -2,33 +2,29 @@
 
 The WebdamLog model is defined over **autonomous** peers — each peer runs a
 local computation stage when inputs arrive, with no global coordination.  A
-round therefore costs who has work, not how many peers are deployed.  The
-driving policy is an injectable seam of
-:class:`~repro.runtime.system.WebdamLogSystem`:
+cycle therefore costs who has work, not how many peers are deployed.
 
-* :class:`Scheduler` — the protocol every driver implements: ``step`` runs
-  one scheduling cycle, ``converge`` cycles until the system reaches a
-  fixpoint.
-* :class:`ReactiveScheduler` — **the default**, event-driven: a cycle
-  activates only the peers that can make progress (due transport messages,
-  pending engine inputs, dirty local state, causal replication with
-  something to send this cycle, or an attached wrapper that asks for a poll
-  through ``wants_stage`` — see :mod:`repro.wrappers.base`).
-  Cycles with no eligible peer still advance the transport clock, so
-  in-flight messages with ``latency > 1`` are never forgotten: quiescence is
-  only reported when nothing is runnable *and* nothing is in flight.
-* :class:`AsyncScheduler` — an asyncio driver with one mailbox and one
-  worker task per peer, for embedding a deployment in an asynchronous
-  application (``await system.aconverge()``).  Eligibility is the reactive
-  policy; stages within a cycle are dispatched through the per-peer
-  mailboxes and interleave at await points.
-* :class:`LockstepScheduler` — every peer runs a stage every cycle, in
-  deterministic name order.  Selectable by name as the *reference*: the
-  equivalence tests and the sparse-activation benchmark compare the other
-  two against it round for round.
+:class:`ReactiveScheduler` is how every deployment runs: a cycle activates
+only the peers that can make progress (due transport messages, pending
+engine inputs, dirty local state, causal replication with something to send
+this cycle, or an attached wrapper that asks for a poll through
+``wants_stage`` — see :mod:`repro.wrappers.base`).  Cycles with no eligible
+peer still advance the transport clock, so in-flight messages with
+``latency > 1`` are never forgotten: quiescence is only reported when
+nothing is runnable *and* nothing is in flight.
 
-All three drivers reach the same fixpoints in the same number of cycles with
-the same messages: a peer whose program is unchanged, whose stores saw no
+One loop, :func:`cycles`, runs the cycles of every way a deployment is
+driven: ``converge()`` exhausts it, ``await aconverge()`` yields to the
+event loop after each of its stages, and a streaming read (:func:`drive`)
+resumes between its cycles.
+
+:class:`LockstepScheduler` runs every peer every cycle, in name order.  No
+deployment is built with it: it is the reference the differential tests
+assign to ``WebdamLogSystem.scheduler`` and compare the reactive driver
+against, cycle for cycle.
+
+Both drivers reach the same fixpoints in the same number of cycles with the
+same messages: a peer whose program is unchanged, whose stores saw no
 writes, which has no pending input and whose wrappers have nothing to poll is
 guaranteed to run a quiescent stage, so skipping it cannot lose derivations
 (see :meth:`repro.core.engine.WebdamLogEngine.needs_stage`).
@@ -36,16 +32,16 @@ guaranteed to run a quiescent stage, so skipping it cannot lose derivations
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Generator,
     Iterator,
     List,
     Optional,
     Protocol,
-    Union,
+    Sequence,
     runtime_checkable,
 )
 
@@ -54,7 +50,7 @@ from repro.runtime.peer import PeerStageReport
 if TYPE_CHECKING:
     from repro.runtime.system import WebdamLogSystem
 
-#: Default bound on scheduling cycles used by every ``converge`` driver.
+#: Default bound on scheduling cycles of one ``converge``.
 DEFAULT_MAX_STEPS = 100
 
 
@@ -62,10 +58,10 @@ DEFAULT_MAX_STEPS = 100
 class RoundReport:
     """What happened during one scheduling cycle.
 
-    Only the activated peers appear in ``peer_reports`` — under the default
-    driver possibly none, when the cycle merely advanced the transport clock
-    past in-flight latency; under the lockstep reference driver a cycle is
-    exactly one historical *round* and every peer appears.
+    Only the activated peers appear in ``peer_reports`` — possibly none,
+    when the cycle merely advanced the transport clock past in-flight
+    latency; under the lockstep reference driver a cycle is exactly one
+    historical *round* and every peer appears.
     """
 
     round_number: int
@@ -134,7 +130,7 @@ class RunSummary:
     def total_stages(self) -> int:
         """Total peer stage executions across all cycles.
 
-        The headline number of the event-driven drivers: lockstep executes
+        The headline number of the reactive driver: lockstep executes
         ``peers × cycles`` stages, a reactive run only as many as activations
         were warranted.
         """
@@ -143,9 +139,10 @@ class RunSummary:
     def total_substitutions(self) -> int:
         """Total substitutions explored across all cycles and peers.
 
-        The headline number of the incremental engine: the naive
-        clear-and-recompute fixpoint re-explores every derivation at every
-        stage, the seminaive engine only what the input deltas reach.
+        The headline number of the incremental engine: a stage explores only
+        the derivations its input deltas reach (seminaive inserts,
+        delete-and-rederive), where recomputing from scratch would explore
+        every derivation at every stage.
         """
         return sum(report.total_substitutions() for report in self.rounds)
 
@@ -154,8 +151,11 @@ class RunSummary:
 class Scheduler(Protocol):
     """What :class:`~repro.runtime.system.WebdamLogSystem` requires of a driver."""
 
-    #: Short identifier (``"lockstep"``, ``"reactive"``, ``"async"``, ...).
+    #: Short identifier (``"reactive"``, or the reference's ``"lockstep"``).
     name: str
+
+    def eligible(self, system: "WebdamLogSystem") -> Sequence[str]:
+        """The peers a cycle starting now activates, in activation order."""
 
     def step(self, system: "WebdamLogSystem") -> RoundReport:
         """Run one scheduling cycle and return its report."""
@@ -200,83 +200,8 @@ def settled(system: "WebdamLogSystem", report: RoundReport) -> bool:
             and not system.replication_unsettled())
 
 
-def drive(system: "WebdamLogSystem",
-          max_steps: Optional[int] = None,
-          quiet_period: Optional[int] = None) -> "Iterator[RoundReport]":
-    """Step the system's *configured* scheduler until it settles, yielding
-    each cycle's report.
-
-    This is the incremental-consumption counterpart of ``converge()``: a
-    caller (e.g. the streaming query machinery in :mod:`repro.api`) can react
-    between cycles — observers have already run for every stage of the
-    yielded report.  Works under any scheduler, including the asyncio driver
-    (whose ``step`` wraps one cycle in ``asyncio.run``).  Like the converge
-    drivers it honours the transport's bounded quiet period (see
-    :func:`resolve_quiet_period`).
-    """
-    limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    required_quiet = resolve_quiet_period(system, quiet_period)
-    quiet = 0
-    for _ in range(limit):
-        report = system.step()
-        yield report
-        quiet = quiet + 1 if settled(system, report) else 0
-        if quiet >= required_quiet:
-            break
-
-
-def _drive_to_fixpoint(driver: "Scheduler", system: "WebdamLogSystem",
-                       max_steps: Optional[int],
-                       extra_rounds: int,
-                       quiet_period: Optional[int] = None,
-                       is_settled=settled) -> RunSummary:
-    """The shared ``converge`` loop: step until ``is_settled`` held for the
-    required number of consecutive cycles (or the step limit is hit)."""
-    limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    required_quiet = resolve_quiet_period(system, quiet_period)
-    summary = RunSummary(scheduler=driver.name)
-    quiet = 0
-    for _ in range(limit):
-        report = driver.step(system)
-        summary.rounds.append(report)
-        quiet = quiet + 1 if is_settled(system, report) else 0
-        if quiet >= required_quiet:
-            summary.converged = True
-            break
-    for _ in range(extra_rounds):
-        summary.rounds.append(driver.step(system))
-    return summary
-
-
-def reactive_eligible(system: "WebdamLogSystem") -> List[str]:
-    """The peers a work-driven cycle must activate, in deterministic order.
-
-    One pass over the peers in name order.  A peer is eligible when
-    transport messages are due to it or when a stage there could change
-    something (:meth:`repro.runtime.peer.Peer.needs_stage`): unconsumed
-    engine input, dirty rules, store writes or housekeeping deletions since
-    the last stage, causal replication with something to send this cycle, or
-    a wrapper that asks for a poll.  A causal peer that is only waiting for
-    an ack is not eligible until its digest falls due — the cycle count
-    (:attr:`WebdamLogSystem.current_round`) is the clock the timer reads.  A
-    wrapper is *not* polled merely for being attached:
-    ``wants_stage(peer)`` says when the wrapped service may have changed, and
-    only a wrapper without that method is polled every cycle, exactly as the
-    lockstep driver polls it every round.
-
-    Transports that track latency expose an exact ``due_count``; for any
-    other the (conservative) pending count is used, which may activate a
-    peer early but never starves one.
-    """
-    transport = system.transport
-    due = getattr(transport, "due_count", None) or transport.pending_count
-    now = system.current_round
-    return [name for name, peer in system.ordered_peers()
-            if peer.needs_stage(now) or due(name)]
-
-
 def _settled_after(system: "WebdamLogSystem", report: RoundReport) -> bool:
-    """:func:`settled` for a work-driven cycle, skipping what is implied.
+    """:func:`settled`, skipping what a cycle that ran nobody implies.
 
     A peer that holds engine input is always eligible, so a cycle that
     activated *nobody* was planned from a scan that found none — and with no
@@ -291,41 +216,120 @@ def _settled_after(system: "WebdamLogSystem", report: RoundReport) -> bool:
     return settled(system, report)
 
 
+def _cycle(driver: Scheduler,
+           system: "WebdamLogSystem") -> Generator[None, None, RoundReport]:
+    """One scheduling cycle: yields after every stage, returns the report.
+
+    A peer removed while the cycle runs (by a stage observer, or by another
+    coroutine while ``aconverge`` yielded) is skipped.
+    """
+    report = system.begin_round()
+    for name in driver.eligible(system):
+        if name in system.peers:
+            system.activate_peer(name, report)
+            yield
+    return system.finish_round(report)
+
+
+def cycles(driver: Scheduler, system: "WebdamLogSystem", summary: RunSummary,
+           max_steps: Optional[int] = None, extra_rounds: int = 0,
+           quiet_period: Optional[int] = None) -> Iterator[Optional[RoundReport]]:
+    """The converge loop: run ``driver``'s cycles until the system settled for
+    the transport's quiet period (or ``max_steps`` cycles ran), then
+    ``extra_rounds`` more.
+
+    Every cycle's report is appended to ``summary``, which is marked
+    converged when the loop settles.  Yields ``None`` after every stage and
+    each report once its cycle is judged, so a caller can hand control
+    elsewhere between stages (``aconverge``) or between cycles
+    (:func:`drive`); what it does there is the next cycle's input.
+    """
+    limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    required_quiet = resolve_quiet_period(system, quiet_period)
+    quiet = 0
+    for _ in range(limit):
+        report = yield from _cycle(driver, system)
+        summary.rounds.append(report)
+        quiet = quiet + 1 if _settled_after(system, report) else 0
+        summary.converged = quiet >= required_quiet
+        yield report
+        if summary.converged:
+            break
+    for _ in range(extra_rounds):
+        report = yield from _cycle(driver, system)
+        summary.rounds.append(report)
+        yield report
+
+
+def _step(driver: Scheduler, system: "WebdamLogSystem") -> RoundReport:
+    stages = _cycle(driver, system)
+    try:
+        while True:
+            next(stages)
+    except StopIteration as cycle_end:
+        return cycle_end.value
+
+
+def _converge(driver: Scheduler, system: "WebdamLogSystem",
+              max_steps: Optional[int], extra_rounds: int,
+              quiet_period: Optional[int]) -> RunSummary:
+    summary = RunSummary(scheduler=driver.name)
+    for _ in cycles(driver, system, summary, max_steps, extra_rounds,
+                    quiet_period):
+        pass
+    return summary
+
+
+def drive(system: "WebdamLogSystem",
+          max_steps: Optional[int] = None,
+          quiet_period: Optional[int] = None) -> Iterator[RoundReport]:
+    """Run :func:`cycles` with the system's driver, yielding each cycle's
+    report.
+
+    The incremental-consumption counterpart of ``converge()``: a caller (the
+    streaming query machinery in :mod:`repro.api`) reacts between cycles —
+    observers have already run for every stage of the yielded report.
+    """
+    summary = RunSummary(scheduler=system.scheduler.name)
+    for report in cycles(system.scheduler, system, summary, max_steps,
+                         quiet_period=quiet_period):
+        if report is not None:
+            yield report
+
+
 class LockstepScheduler:
     """The reference driver: every peer runs one stage every cycle.
 
     A cycle costs one stage execution per registered peer regardless of
-    activity, which is why it is no longer the default.  It stays selectable
-    (``scheduler("lockstep")``, ``run_round()``) as the cadence the other
-    drivers are checked against: they must reach its fixpoints in its number
-    of cycles with its messages, only without its idle stages.
+    activity, which is why no deployment runs it.  The differential tests
+    assign it to ``WebdamLogSystem.scheduler`` as the cadence the reactive
+    driver is checked against: it must reach this driver's fixpoints in its
+    number of cycles with its messages, only without its idle stages.
     """
 
     name = "lockstep"
 
+    def eligible(self, system: "WebdamLogSystem") -> Sequence[str]:
+        return system.peer_names()
+
     def step(self, system: "WebdamLogSystem") -> RoundReport:
-        report = system.begin_round()
-        for name in system.peer_names():
-            system.activate_peer(name, report)
-        return system.finish_round(report)
+        return _step(self, system)
 
     def converge(self, system: "WebdamLogSystem",
                  max_steps: Optional[int] = None,
                  extra_rounds: int = 0,
                  quiet_period: Optional[int] = None) -> RunSummary:
-        return _drive_to_fixpoint(self, system, max_steps, extra_rounds,
-                                  quiet_period)
+        return _converge(self, system, max_steps, extra_rounds, quiet_period)
 
 
 class ReactiveScheduler:
-    """The default driver: activate only peers with something to do.
+    """The driver of every deployment: activate only peers with something to do.
 
-    Each cycle runs one stage per eligible peer (see
-    :func:`reactive_eligible`) and advances the transport clock.  A cycle
-    that activates nobody while messages are in flight simply lets the clock
-    tick — this is what makes quiescence detection sound for
-    ``latency > 1``: convergence is never reported while the transport still
-    holds undelivered messages.
+    Each cycle runs one stage per eligible peer (see :meth:`eligible`) and
+    advances the transport clock.  A cycle that activates nobody while
+    messages are in flight simply lets the clock tick — this is what makes
+    quiescence detection sound for ``latency > 1``: convergence is never
+    reported while the transport still holds undelivered messages.
 
     ``converge`` scans the peers once per cycle; after a cycle that ran
     nobody and left nothing in flight it only asks whether a causal peer is
@@ -335,161 +339,37 @@ class ReactiveScheduler:
 
     name = "reactive"
 
+    def eligible(self, system: "WebdamLogSystem") -> List[str]:
+        """The peers a work-driven cycle must activate, in name order.
+
+        One pass over the peers.  A peer is eligible when transport messages
+        are due to it or when a stage there could change something
+        (:meth:`repro.runtime.peer.Peer.needs_stage`): unconsumed engine
+        input, dirty rules, store writes or housekeeping deletions since the
+        last stage, causal replication with something to send this cycle, or
+        a wrapper that asks for a poll.  A causal peer that is only waiting
+        for an ack is not eligible until its digest falls due — the cycle
+        count (:attr:`WebdamLogSystem.current_round`) is the clock the timer
+        reads.  A wrapper is *not* polled merely for being attached:
+        ``wants_stage(peer)`` says when the wrapped service may have changed,
+        and only a wrapper without that method is polled every cycle, exactly
+        as the lockstep reference polls it every round.
+
+        Transports that track latency expose an exact ``due_count``; for any
+        other the (conservative) pending count is used, which may activate a
+        peer early but never starves one.
+        """
+        transport = system.transport
+        due = getattr(transport, "due_count", None) or transport.pending_count
+        now = system.current_round
+        return [name for name, peer in system.ordered_peers()
+                if peer.needs_stage(now) or due(name)]
+
     def step(self, system: "WebdamLogSystem") -> RoundReport:
-        report = system.begin_round()
-        for name in reactive_eligible(system):
-            system.activate_peer(name, report)
-        return system.finish_round(report)
+        return _step(self, system)
 
     def converge(self, system: "WebdamLogSystem",
                  max_steps: Optional[int] = None,
                  extra_rounds: int = 0,
                  quiet_period: Optional[int] = None) -> RunSummary:
-        return _drive_to_fixpoint(self, system, max_steps, extra_rounds,
-                                  quiet_period, is_settled=_settled_after)
-
-
-class AsyncScheduler:
-    """Asyncio driver: per-peer mailboxes, stages dispatched as tasks.
-
-    Every peer gets a mailbox (an :class:`asyncio.Queue`) and a long-lived
-    worker task.  Each cycle the coordinator posts an activation token to the
-    mailboxes of the eligible peers, awaits the workers draining them, then
-    advances the transport.  Stages are CPU-bound and therefore interleave
-    rather than parallelise, but the driver embeds cleanly in asynchronous
-    applications: ``await system.aconverge()`` yields to the event loop
-    between stages.
-
-    The synchronous :meth:`converge` entry point wraps :meth:`aconverge` in
-    ``asyncio.run`` so the driver also works behind the blocking facade
-    (e.g. ``system().scheduler("async").build().run()``).
-    """
-
-    name = "async"
-
-    def step(self, system: "WebdamLogSystem") -> RoundReport:
-        return asyncio.run(self.astep(system))
-
-    def converge(self, system: "WebdamLogSystem",
-                 max_steps: Optional[int] = None,
-                 extra_rounds: int = 0,
-                 quiet_period: Optional[int] = None) -> RunSummary:
-        return asyncio.run(self.aconverge(system, max_steps=max_steps,
-                                          extra_rounds=extra_rounds,
-                                          quiet_period=quiet_period))
-
-    async def astep(self, system: "WebdamLogSystem") -> RoundReport:
-        """Run one asynchronous cycle (one mailbox round-trip per eligible peer)."""
-        mailboxes = {name: asyncio.Queue() for name in system.peer_names()}
-        errors: List[BaseException] = []
-        workers = [asyncio.create_task(self._worker(system, name, box, errors))
-                   for name, box in mailboxes.items()]
-        try:
-            return await self._cycle(system, mailboxes, errors)
-        finally:
-            await self._stop_workers(mailboxes, workers)
-
-    async def aconverge(self, system: "WebdamLogSystem",
-                        max_steps: Optional[int] = None,
-                        extra_rounds: int = 0,
-                        quiet_period: Optional[int] = None) -> RunSummary:
-        """Cycle until fixpoint, keeping the per-peer workers alive throughout."""
-        limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-        required_quiet = resolve_quiet_period(system, quiet_period)
-        summary = RunSummary(scheduler=self.name)
-        mailboxes: Dict[str, asyncio.Queue] = {
-            name: asyncio.Queue() for name in system.peer_names()
-        }
-        errors: List[BaseException] = []
-        workers = [asyncio.create_task(self._worker(system, name, box, errors))
-                   for name, box in mailboxes.items()]
-        quiet = 0
-        try:
-            for _ in range(limit):
-                report = await self._cycle(system, mailboxes, errors)
-                summary.rounds.append(report)
-                quiet = quiet + 1 if _settled_after(system, report) else 0
-                if quiet >= required_quiet:
-                    summary.converged = True
-                    break
-            for _ in range(extra_rounds):
-                summary.rounds.append(await self._cycle(system, mailboxes, errors))
-        finally:
-            await self._stop_workers(mailboxes, workers)
-        return summary
-
-    async def _cycle(self, system: "WebdamLogSystem",
-                     mailboxes: Dict[str, asyncio.Queue],
-                     errors: List[BaseException]) -> RoundReport:
-        report = system.begin_round()
-        posted = []
-        for name in reactive_eligible(system):
-            box = mailboxes.get(name)
-            if box is None:  # peer added mid-run: give it a mailbox-less stage
-                system.activate_peer(name, report)
-                continue
-            box.put_nowait(report)
-            posted.append(box)
-        for box in posted:
-            await box.join()
-        report = system.finish_round(report)
-        if errors:
-            # A stage (or an observer callback it triggered) raised inside a
-            # worker.  Propagate to the caller, like the synchronous drivers.
-            raise errors[0]
-        return report
-
-    async def _worker(self, system: "WebdamLogSystem", name: str,
-                      mailbox: asyncio.Queue,
-                      errors: List[BaseException]) -> None:
-        while True:
-            token = await mailbox.get()
-            try:
-                if token is None:
-                    return
-                if name in system.peers:
-                    try:
-                        system.activate_peer(name, token)
-                    except BaseException as exc:
-                        # Keep the worker alive: a dead worker would leave
-                        # its mailbox un-joinable and deadlock the cycle.
-                        # The coordinator re-raises after the cycle joins.
-                        errors.append(exc)
-                await asyncio.sleep(0)
-            finally:
-                mailbox.task_done()
-
-    @staticmethod
-    async def _stop_workers(mailboxes: Dict[str, asyncio.Queue],
-                            workers: List["asyncio.Task"]) -> None:
-        for box in mailboxes.values():
-            box.put_nowait(None)
-        await asyncio.gather(*workers, return_exceptions=True)
-
-
-#: Scheduler names accepted by :func:`resolve_scheduler` (and the builder's
-#: ``.scheduler(...)`` call).
-SCHEDULERS = {
-    "lockstep": LockstepScheduler,
-    "reactive": ReactiveScheduler,
-    "async": AsyncScheduler,
-}
-
-
-def resolve_scheduler(spec: Union[None, str, Scheduler]) -> Scheduler:
-    """Turn a scheduler spec (name, instance or ``None``) into a driver.
-
-    ``None`` resolves to the default :class:`ReactiveScheduler`; a string is
-    looked up in :data:`SCHEDULERS`; anything else is assumed to implement
-    the :class:`Scheduler` protocol and returned as-is.
-    """
-    if spec is None:
-        return ReactiveScheduler()
-    if isinstance(spec, str):
-        factory = SCHEDULERS.get(spec)
-        if factory is None:
-            raise ValueError(
-                f"unknown scheduler {spec!r}; choose from {tuple(SCHEDULERS)}"
-            )
-        return factory()
-    return spec
+        return _converge(self, system, max_steps, extra_rounds, quiet_period)

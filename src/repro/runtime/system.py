@@ -9,18 +9,17 @@ and exposes the **primitives** an execution driver composes:
   due messages, run one computation stage, hand the outgoing messages to the
   transport — and notifies the stage observers with the stage's deltas.
 
-*Which* peers are activated, and when, is the scheduler's decision: the
-default :class:`~repro.runtime.scheduler.ReactiveScheduler` and the async
-driver activate only the peers with work, while
-:class:`~repro.runtime.scheduler.LockstepScheduler` runs every peer every
-cycle — the reference the other two are compared against (see
-:mod:`repro.runtime.scheduler`).  Drive the system with :meth:`converge` /
-:meth:`step` (or ``await`` :meth:`aconverge`).
+*Which* peers are activated, and when, is the driver's decision: every
+deployment runs :class:`~repro.runtime.scheduler.ReactiveScheduler`, which
+activates only the peers with work (see :mod:`repro.runtime.scheduler`).
+Drive the system with :meth:`converge` / :meth:`step` (or ``await``
+:meth:`aconverge`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+import asyncio
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.acl.trust import TrustStore
 from repro.core.errors import TransportError
@@ -30,11 +29,11 @@ from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import PeerJoinMessage
 from repro.runtime.peer import Peer, PeerStageReport
 from repro.runtime.scheduler import (
-    AsyncScheduler,
+    ReactiveScheduler,
     RoundReport,
     RunSummary,
     Scheduler,
-    resolve_scheduler,
+    cycles,
 )
 
 if TYPE_CHECKING:
@@ -44,7 +43,7 @@ __all__ = ["WebdamLogSystem", "RoundReport", "RunSummary"]
 
 
 class WebdamLogSystem:
-    """A set of peers connected by a transport and driven by a scheduler.
+    """A set of peers connected by a transport, run by the reactive driver.
 
     The orchestrator depends only on the
     :class:`~repro.runtime.transport.Transport` protocol; pass any conforming
@@ -64,11 +63,6 @@ class WebdamLogSystem:
         delegation for untrusted delegators.
     transport:
         An explicit :class:`~repro.runtime.transport.Transport`.
-    scheduler:
-        The execution driver: a :class:`~repro.runtime.scheduler.Scheduler`
-        instance or one of the names ``"reactive"`` (default: a cycle runs
-        only the peers with work), ``"async"`` or ``"lockstep"`` (every peer
-        every cycle, the reference for round-for-round comparisons).
     provenance:
         When ``True`` every peer gets a
         :class:`~repro.provenance.graph.ProvenanceTracker` whose graph is
@@ -81,13 +75,13 @@ class WebdamLogSystem:
                  auto_accept_delegations: bool = True,
                  strict_stage_inputs: bool = False,
                  transport: Optional["Transport"] = None,
-                 scheduler: Union[None, str, Scheduler] = None,
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
                  replication: Optional[str] = None):
         self.transport = (transport if transport is not None
                           else InMemoryTransport())
-        self.scheduler: Scheduler = resolve_scheduler(scheduler)
+        #: The execution driver: a cycle runs only the peers with work.
+        self.scheduler: Scheduler = ReactiveScheduler()
         self.peers: Dict[str, Peer] = {}
         self.default_trusted = tuple(default_trusted)
         self.auto_accept_delegations = auto_accept_delegations
@@ -313,9 +307,8 @@ class WebdamLogSystem:
     # ------------------------------------------------------------------ #
 
     def converge(self, max_steps: Optional[int] = None, extra_rounds: int = 0,
-                 scheduler: Union[None, str, Scheduler] = None,
                  quiet_period: Optional[int] = None) -> RunSummary:
-        """Drive the system to a fixpoint with the configured scheduler.
+        """Drive the system to a fixpoint.
 
         Convergence means: a cycle in which every executed stage was
         quiescent, no message remains in flight, and no engine holds pending
@@ -326,33 +319,31 @@ class WebdamLogSystem:
         consecutive quiet cycles (override per call with ``quiet_period``).
         ``max_steps`` bounds the scheduling cycles (default 100);
         ``extra_rounds`` additional cycles are run afterwards (useful when a
-        test wants to check stability).  Pass ``scheduler`` to override the
-        configured driver for this call only.
+        test wants to check stability).
         """
-        driver = self.scheduler if scheduler is None else resolve_scheduler(scheduler)
-        return driver.converge(self, max_steps=max_steps, extra_rounds=extra_rounds,
-                               quiet_period=quiet_period)
+        return self.scheduler.converge(self, max_steps=max_steps,
+                                       extra_rounds=extra_rounds,
+                                       quiet_period=quiet_period)
 
     def step(self) -> RoundReport:
-        """Execute one scheduling cycle of the configured scheduler."""
+        """Execute one scheduling cycle."""
         return self.scheduler.step(self)
 
     async def aconverge(self, max_steps: Optional[int] = None,
                         extra_rounds: int = 0,
                         quiet_period: Optional[int] = None) -> RunSummary:
-        """Asynchronously drive the system to a fixpoint.
+        """:meth:`converge` from asyncio: the same cycles, yielding to the
+        event loop after every stage and at the end of every cycle.
 
-        Uses the configured scheduler when it is an
-        :class:`~repro.runtime.scheduler.AsyncScheduler`, otherwise a fresh
-        one — so ``await system.aconverge()`` works regardless of how the
-        system was built.  ``quiet_period`` has the same bounded-quiet-period
-        semantics as :meth:`converge`.
+        Stages are synchronous, so they interleave with the application's
+        other tasks rather than run in parallel; the result is the one
+        :meth:`converge` would have returned.
         """
-        driver = (self.scheduler if isinstance(self.scheduler, AsyncScheduler)
-                  else AsyncScheduler())
-        return await driver.aconverge(self, max_steps=max_steps,
-                                      extra_rounds=extra_rounds,
-                                      quiet_period=quiet_period)
+        summary = RunSummary(scheduler=self.scheduler.name)
+        for _ in cycles(self.scheduler, self, summary, max_steps, extra_rounds,
+                        quiet_period):
+            await asyncio.sleep(0)
+        return summary
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -16,8 +16,9 @@ against.  It captures the three responsibilities of a round-based transport:
 :class:`~repro.runtime.inmemory.InMemoryTransport` is the deterministic
 reference implementation; :class:`RecordingTransport` decorates any transport
 with a structured event log (useful for debugging, tests and replay).  The
-protocol is intentionally synchronous and round-based so that asynchronous or
-multiprocess backends can adapt to it at the round boundary.
+protocol is intentionally synchronous and round-based; the asyncio TCP
+transport (:class:`~repro.net.tcp.TcpTransport`) adapts its sockets to it at
+the round boundary.
 """
 
 from __future__ import annotations

@@ -71,11 +71,11 @@ class DemoScenario:
         return tuple(sorted(self.apps))
 
     def run(self, max_rounds: int = 60) -> RunSummary:
-        """Run the system until it converges (with its configured scheduler)."""
+        """Run the system until it converges."""
         return self.api.converge(max_steps=max_rounds)
 
     def converge(self, max_steps: Optional[int] = None) -> RunSummary:
-        """Scheduler-API name for :meth:`run`."""
+        """The facade's name for :meth:`run`."""
         return self.api.converge(max_steps=max_steps)
 
     def stats(self) -> NetworkStats:
@@ -133,7 +133,6 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
                         with_facebook: bool = True,
                         seed: Optional[int] = 0,
                         transport: Optional[Transport] = None,
-                        scheduler: Optional[object] = None,
                         provenance: bool = False) -> DemoScenario:
     """Build the Figure-2 deployment through :mod:`repro.api`.
 
@@ -162,12 +161,6 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
     transport:
         An explicit :class:`repro.api.Transport`; overrides ``latency`` and
         ``seed`` (e.g. a :class:`repro.api.RecordingTransport` for tracing).
-    scheduler:
-        Execution driver of the deployment: ``"reactive"`` (default — only
-        peers with work run; the attendees' email wrappers and the SigmodFB
-        wrapper are polled when they ask, not every cycle), ``"async"``,
-        ``"lockstep"`` (every peer every cycle, the reference) or a
-        :class:`~repro.runtime.scheduler.Scheduler` instance.
     provenance:
         When ``True`` every peer tracks why-provenance incrementally;
         ``scenario.api.explain(peer, fact)`` then answers why/lineage
@@ -188,8 +181,6 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
         builder.transport(transport)
     else:
         builder.transport("inmemory", latency=latency, seed=seed)
-    if scheduler is not None:
-        builder.scheduler(scheduler)
 
     # --- the sigmod cloud peer ---------------------------------------- #
     sigmod_builder = builder.peer(SIGMOD_PEER).auto_accept_delegations(True)

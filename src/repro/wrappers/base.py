@@ -11,8 +11,8 @@ called by :class:`~repro.runtime.peer.Peer`:
 
 Both hooks are optional; subclasses override what they need.
 
-The hooks only run when the host peer runs a stage, and the work-driven
-drivers (``"reactive"``, the default, and ``"async"``) run a stage only at a
+The hooks only run when the host peer runs a stage, and the reactive driver
+(:class:`~repro.runtime.scheduler.ReactiveScheduler`) runs a stage only at a
 peer that has something to do.  A wrapper whose input lives *outside* the
 peer — an external service that can change on its own — therefore tells the
 driver when it needs one: ``wants_stage(peer)`` is asked once per scheduling

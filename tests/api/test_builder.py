@@ -32,7 +32,7 @@ class TestPeerRoundTrips:
         assert built.peer_names() == ("Emilien", "Jules")
         assert len(built.peer("Jules").rules()) == 1
         assert built.peer("Emilien").query("pictures").facts() != ()
-        built.run()
+        built.converge()
         assert sorted(built.query("Jules", "attendeePictures").rows()) == [
             (1, "sea.jpg"), (2, "boat.jpg"),
         ]
@@ -46,7 +46,7 @@ class TestPeerRoundTrips:
                  .fact(Fact("friends", "alice", ("bob",)))
                  .rule("buddies@alice($x) :- friends@alice($x)")
                  .build())
-        built.run()
+        built.converge()
         assert built.query("alice", "buddies").rows() == (("bob",),)
 
     def test_trusts_round_trip(self):
@@ -80,13 +80,13 @@ class TestPeerRoundTrips:
                  .peer("Jules").program(QUICKSTART_JULES)
                  .peer("Emilien").program(QUICKSTART_EMILIEN)
                  .build())
-        built.run()
+        built.converge()
         # Émilien has not approved Jules' delegation: the view stays empty.
         assert len(built.query("Jules", "attendeePictures")) == 0
         pending = built.peer("Emilien").pending_delegations()
         assert len(pending) == 1
         built.peer("Emilien").approve_all_delegations("Jules")
-        built.run()
+        built.converge()
         assert len(built.query("Jules", "attendeePictures")) == 2
 
 
@@ -157,7 +157,7 @@ class TestFacade:
                  .peer("Jules").program(QUICKSTART_JULES)
                  .peer("Emilien").program(QUICKSTART_EMILIEN)
                  .build())
-        summary = built.run()
+        summary = built.converge()
         assert summary.converged
         assert built.stats.messages_sent > 0
         assert built.totals()["peers"] == 2

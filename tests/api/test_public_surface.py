@@ -11,7 +11,7 @@ from repro.api import SystemBuilder
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
     "transport", "default_trusted", "auto_accept_delegations",
-    "strict_stage_inputs", "scheduler", "provenance", "storage", "replication",
+    "strict_stage_inputs", "provenance", "storage", "replication",
 }
 
 #: Builder methods that describe topology or realise it, not a mode.
@@ -30,7 +30,7 @@ def test_system_scope_builder_knobs_are_exactly_the_ledger():
 def test_every_system_knob_returns_the_builder_for_chaining():
     arguments = {
         "transport": ("inmemory",), "default_trusted": ("sigmod",),
-        "scheduler": ("reactive",), "storage": ("memory",),
+        "storage": ("memory",),
         "replication": ("causal",),
     }
     builder = SystemBuilder()
@@ -41,6 +41,18 @@ def test_every_system_knob_returns_the_builder_for_chaining():
 def test_build_returns_the_one_facade():
     deployment = repro.api.system().peer("a").build()
     assert type(deployment) is repro.api.System
+
+
+def test_the_reactive_cycle_has_one_set_of_entry_points():
+    """``converge`` / ``step`` / ``aconverge``: no lockstep round, no alias."""
+    for retired in ("run", "run_round", "run_rounds"):
+        assert not hasattr(repro.api.System, retired)
+    assert {"converge", "step", "aconverge"} <= public_methods(repro.api.System)
+
+
+def test_no_scheduler_class_is_exported():
+    for module in (repro, repro.api):
+        assert not [name for name in module.__all__ if name.endswith("Scheduler")]
 
 
 def test_every_exported_name_resolves():

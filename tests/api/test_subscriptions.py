@@ -4,6 +4,8 @@ from repro.api import system
 from repro.api.query import Subscription
 from repro.core.facts import Delta, Fact
 
+from tests.reference_engine import lockstep
+
 JULES = """
 collection extensional persistent selectedAttendee@Jules(attendee);
 collection intensional attendeePictures@Jules(id, name);
@@ -31,27 +33,27 @@ class TestExactlyOnce:
         built = build_quickstart()
         fired = []
         built.subscribe("attendeePictures", fired.append, peer="Jules")
-        built.run()
+        built.converge()
         assert sorted(f.values for f in fired) == [(1, "sea.jpg"), (2, "boat.jpg")]
 
     def test_no_refire_on_further_runs(self):
         built = build_quickstart()
         fired = []
         sub = built.subscribe("attendeePictures", fired.append, peer="Jules")
-        built.run()
+        built.converge()
         count_after_first = len(fired)
-        built.run()
-        built.run_rounds(3)
+        built.converge()
+        lockstep(built).converge(extra_rounds=3)  # every peer, four more stages
         assert len(fired) == count_after_first == sub.delivered == 2
 
     def test_incremental_facts_fire_incrementally(self):
         built = build_quickstart()
         fired = []
         built.subscribe("attendeePictures", fired.append, peer="Jules")
-        built.run()
+        built.converge()
         assert len(fired) == 2
         built.peer("Emilien").insert('pictures@Emilien(3, "poster.jpg")')
-        built.run()
+        built.converge()
         assert len(fired) == 3
         assert fired[-1].values == (3, "poster.jpg")
 
@@ -59,13 +61,13 @@ class TestExactlyOnce:
         built = build_quickstart()
         fired = []
         built.subscribe("attendeePictures", fired.append, peer="Jules")
-        built.run()
+        built.converge()
         jules = built.peer("Jules")
         jules.delete('selectedAttendee@Jules("Emilien")')
-        built.run()
+        built.converge()
         assert len(built.query("Jules", "attendeePictures")) == 0
         jules.insert('selectedAttendee@Jules("Emilien")')
-        built.run()
+        built.converge()
         # The two pictures became visible twice: once per derivation episode.
         assert len(fired) == 4
 
@@ -92,19 +94,19 @@ class TestDeltaDelivery:
 class TestScopesAndLifecycle:
     def test_existing_facts_do_not_fire_by_default(self):
         built = build_quickstart()
-        built.run()
+        built.converge()
         fired = []
         built.subscribe("attendeePictures", fired.append, peer="Jules")
-        built.run()
+        built.converge()
         assert fired == []
 
     def test_include_existing_fires_for_current_facts(self):
         built = build_quickstart()
-        built.run()
+        built.converge()
         fired = []
         built.subscribe("attendeePictures", fired.append, peer="Jules",
                         include_existing=True)
-        built.run()
+        built.converge()
         assert len(fired) == 2
 
     def test_unscoped_subscription_watches_every_peer(self):
@@ -119,7 +121,7 @@ class TestScopesAndLifecycle:
         fired = []
         built.subscribe("notes", fired.append)  # every hosting peer
         built.peer("alice").insert('notes@alice("hi")')
-        built.run()
+        built.converge()
         assert [f.peer for f in fired] == ["alice"]
 
     def test_cancel_stops_firing(self):
@@ -127,7 +129,7 @@ class TestScopesAndLifecycle:
         fired = []
         sub = built.subscribe("attendeePictures", fired.append, peer="Jules")
         sub.cancel()
-        built.run()
+        built.converge()
         assert fired == [] and sub.delivered == 0
 
     def test_unsubscribe_removes_the_subscription(self):
@@ -135,14 +137,14 @@ class TestScopesAndLifecycle:
         fired = []
         sub = built.subscribe("attendeePictures", fired.append, peer="Jules")
         built.unsubscribe(sub)
-        built.run()
+        built.converge()
         assert fired == []
 
     def test_peer_handle_subscribe_shortcut(self):
         built = build_quickstart()
         fired = []
         built.peer("Jules").subscribe("attendeePictures", fired.append)
-        built.run()
+        built.converge()
         assert len(fired) == 2
 
 
@@ -151,7 +153,7 @@ class TestQueryHandles:
         built = build_quickstart()
         view = built.query("Jules", "attendeePictures")
         assert len(view) == 0 and not view
-        built.run()
+        built.converge()
         assert len(view) == 2 and view
         assert view.first() is not None
         assert sorted(view.rows()) == [(1, "sea.jpg"), (2, "boat.jpg")]

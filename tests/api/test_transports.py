@@ -112,8 +112,8 @@ class TestTransportSwap:
     def test_recording_transport_reaches_the_same_fixpoint(self):
         plain = build_quickstart()
         recorded = build_quickstart(RecordingTransport(InMemoryTransport()))
-        summary_plain = plain.run()
-        summary_recorded = recorded.run()
+        summary_plain = plain.converge()
+        summary_recorded = recorded.converge()
         assert summary_plain.converged and summary_recorded.converged
         assert summary_plain.round_count == summary_recorded.round_count
         assert plain.snapshot() == recorded.snapshot()
@@ -122,14 +122,14 @@ class TestTransportSwap:
     def test_zero_latency_transport_reaches_the_same_fixpoint(self):
         plain = build_quickstart()
         fast = build_quickstart(ZeroLatencyTransport())
-        plain.run()
-        fast.run()
+        plain.converge()
+        fast.converge()
         assert plain.snapshot() == fast.snapshot()
 
     def test_recording_transport_logs_sends_and_deliveries(self):
         transport = RecordingTransport(InMemoryTransport())
         built = build_quickstart(transport)
-        built.run()
+        built.converge()
         sends = transport.events_of("send")
         delivers = transport.events_of("deliver")
         assert len(sends) == built.stats.messages_sent
@@ -141,7 +141,7 @@ class TestTransportSwap:
     def test_recording_transport_clear_events(self):
         transport = RecordingTransport(InMemoryTransport())
         built = build_quickstart(transport)
-        built.run()
+        built.converge()
         events = transport.clear_events()
         assert events and transport.events == []
 

@@ -4,6 +4,7 @@ These tests open real localhost sockets.  They keep peer counts small and
 rely on the bounded-quiet-period convergence mode for determinism.
 """
 
+import asyncio
 import time
 
 import pytest
@@ -181,15 +182,14 @@ def test_wepic_scenario_matches_inmemory_with_churn():
     assert run(use_tcp=False) == run(use_tcp=True)
 
 
-def test_tcp_transport_with_async_scheduler():
+def test_tcp_transport_with_aconverge():
     deployment = (system()
-                  .scheduler("async")
                   .transport("tcp", seed=5)
                   .peer("jules").program(JULES)
                   .peer("emilien").program(EMILIEN)
                   .build())
     with deployment:
-        summary = deployment.converge()
+        summary = asyncio.run(deployment.aconverge())
         assert summary.converged
         album = deployment.snapshot()["emilien"]["album@emilien"]
         assert {fact.values[0] for fact in album} == {"p1", "p2"}

@@ -5,7 +5,7 @@ of message **drop, duplication, reordering and partition** the in-memory
 transport injects, a causal deployment reaches the *byte-identical* fixpoint
 — and the identical ``explain()`` lineage — of a reliable run over a clean
 transport.  The property is pinned on both storage backends and on both the
-lockstep and the reactive scheduler, plus:
+lockstep reference and the reactive driver, plus:
 
 * hypothesis round-trips of the replication wire payloads
   (``DeltaEnvelopeMessage``, digests, pulls, acks);
@@ -35,8 +35,10 @@ from repro.runtime.messages import (
     message_from_wire,
 )
 
+from tests.reference_engine import lockstep
+
 BACKENDS = ("memory", "sqlite")
-SCHEDULERS = ("lockstep", "reactive")
+DRIVERS = ("lockstep", "reactive")
 
 PROGRAM_ALICE = '''
 collection extensional persistent src@alice(item);
@@ -61,17 +63,17 @@ SCRIPT = (
 )
 
 
-def build(transport, replication, storage, scheduler, provenance=False):
-    return (system()
-            .transport(transport)
-            .replication(replication)
-            .storage(storage)
-            .scheduler(scheduler)
-            .provenance(provenance)
-            .peer("alice").program(PROGRAM_ALICE)
-            .peer("bob").program(PROGRAM_BOB)
-            .peer("carol").program(PROGRAM_CAROL)
-            .build())
+def build(transport, replication, storage, driver, provenance=False):
+    deployment = (system()
+                  .transport(transport)
+                  .replication(replication)
+                  .storage(storage)
+                  .provenance(provenance)
+                  .peer("alice").program(PROGRAM_ALICE)
+                  .peer("bob").program(PROGRAM_BOB)
+                  .peer("carol").program(PROGRAM_CAROL)
+                  .build())
+    return lockstep(deployment) if driver == "lockstep" else deployment
 
 
 def drive(deployment, script=SCRIPT, max_steps=800):
@@ -121,15 +123,15 @@ def reference():
 
 class TestConfluence:
     @pytest.mark.parametrize("storage", BACKENDS)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("seed", [3, 11])
     def test_drop_dup_reorder_reaches_reference_fixpoint(
-            self, reference, storage, scheduler, seed):
+            self, reference, storage, driver, seed):
         transport = InMemoryTransport(loss_probability=0.3,
                                       duplicate_probability=0.3,
                                       latency_jitter=2, reorder_window=4,
                                       seed=seed)
-        deployment = drive(build(transport, "causal", storage, scheduler))
+        deployment = drive(build(transport, "causal", storage, driver))
         assert snapshot_bytes(deployment) == reference
         assert transport.stats.messages_dropped > 0
         deployment.close()

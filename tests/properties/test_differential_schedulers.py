@@ -1,13 +1,16 @@
 """Differential equivalence of the default driver and the lockstep reference.
 
-The default driver runs a stage only at the peers that can change something;
-``"lockstep"`` runs every peer every cycle.  Skipping a peer is admissible
+The reactive driver runs a stage only at the peers that can change
+something; the lockstep reference (``tests.reference_engine.lockstep``) runs
+every peer every cycle.  Skipping a peer is admissible
 only if its stage would have been a no-op, so the two must be
 indistinguishable from outside after *every* ``converge()``: the same
 snapshot at every peer, the same number of cycles, the same messages on the
 transport (a lossy one draws from one seeded stream, so the same messages are
 lost), the same state of the wrapped services and the same ``explain()``
-story — while the default driver runs no stage that found nothing to do.
+story — while the reactive driver runs no stage that found nothing to do.
+``await aconverge()`` runs the same cycles from asyncio, so it must leave
+exactly what ``converge()`` leaves, message for message.
 
 One deployment exercises every way work can reach a peer: base-fact inserts
 and deletes, rules added and removed (local, remote-extensional and
@@ -33,6 +36,7 @@ recorded before the timers left the per-peer stage count
 (:data:`STREAM_DIGESTS`).
 """
 
+import asyncio
 import hashlib
 import itertools
 import json
@@ -49,6 +53,8 @@ from repro.runtime.messages import ReplicationAckMessage, ReplicationDigestMessa
 from repro.wepic.scenario import build_demo_scenario
 from repro.wrappers.dropbox import DropboxService, DropboxWrapper
 from repro.wrappers.email import EmailService, EmailWrapper
+
+from tests.reference_engine import lockstep
 
 PROGRAMS = {
     "a": """
@@ -150,12 +156,10 @@ class AskCountingDropbox(DropboxWrapper):
 class Deployment:
     """One deployment plus the handles the operations need."""
 
-    def __init__(self, scheduler, lossy):
+    def __init__(self, reference, lossy):
         self.dropbox, self.mail = DropboxService(), EmailService()
         self.box_wrapper = AskCountingDropbox(self.dropbox, "u", peer_name="box")
         builder = system()
-        if scheduler is not None:
-            builder.scheduler(scheduler)
         if lossy:
             builder.provenance().replication("causal").transport(InMemoryTransport(
                 loss_probability=0.15, duplicate_probability=0.15,
@@ -166,13 +170,15 @@ class Deployment:
                 peer.wrapper(EmailWrapper(self.mail))
         builder.peer("box").wrapper(self.box_wrapper)
         self.api = builder.build()
+        if reference:
+            lockstep(self.api)
         self.rules = {}
         self.views = {}
         self.idle_stages = []
         self._seen = {}
         self._attempts = 0
 
-    # -- the no-idle-stage watch (default driver only) ---------------------- #
+    # -- the no-idle-stage watch (reactive driver only) --------------------- #
 
     def watch_for_idle_stages(self):
         self.api.runtime.add_stage_observer(self._on_stage)
@@ -257,8 +263,16 @@ class Deployment:
                 told.base_relations, told.peers)
 
 
-def _converge_both(reference, candidate):
-    expected, summary = reference.api.converge(), candidate.api.converge()
+def converge(deployment, asynchronous=False, **options):
+    """``deployment.converge(**options)``, or the same through ``aconverge``."""
+    if asynchronous:
+        return asyncio.run(deployment.aconverge(**options))
+    return deployment.converge(**options)
+
+
+def _converge_both(reference, candidate, asynchronous=False):
+    expected = reference.api.converge()
+    summary = converge(candidate.api, asynchronous)
     assert expected.converged and summary.converged
     assert summary.round_count == expected.round_count
     assert summary.rounds_to_convergence == expected.rounds_to_convergence
@@ -267,9 +281,28 @@ def _converge_both(reference, candidate):
     return expected, summary
 
 
+def _replay(reference, candidate, stream, asynchronous=False):
+    """Apply ``stream`` to both, converging both after every batch."""
+    candidate.watch_for_idle_stages()
+    pairs = [_converge_both(reference, candidate, asynchronous)]
+    for batch in stream:
+        for op in batch:
+            reference.apply(op)
+            candidate.apply(op)
+        pairs.append(_converge_both(reference, candidate, asynchronous))
+    # settled means settled: asking again runs nothing new
+    pairs.append(_converge_both(reference, candidate, asynchronous))
+    reference.api.close()
+    candidate.api.close()
+    return pairs
+
+
+LOSSY = pytest.mark.parametrize("lossy", [False, True],
+                                ids=["defaults", "causal-lossy-provenance"])
+
+
 class TestDefaultDriverMatchesLockstep:
-    @pytest.mark.parametrize("lossy", [False, True],
-                             ids=["defaults", "causal-lossy-provenance"])
+    @LOSSY
     def test_every_converge_agrees_with_the_reference(self, lossy):
         stages = [0, 0]
 
@@ -277,25 +310,26 @@ class TestDefaultDriverMatchesLockstep:
         @given(batches)
         @settings(max_examples=15 if not lossy else 8, deadline=None)
         def run(stream):
-            reference = Deployment("lockstep", lossy)
-            candidate = Deployment(None, lossy)
-            candidate.watch_for_idle_stages()
-            pairs = [_converge_both(reference, candidate)]
-            for batch in stream:
-                for op in batch:
-                    reference.apply(op)
-                    candidate.apply(op)
-                pairs.append(_converge_both(reference, candidate))
-            # settled means settled: asking again runs nothing new
-            pairs.append(_converge_both(reference, candidate))
+            pairs = _replay(Deployment(True, lossy), Deployment(False, lossy), stream)
             stages[0] += sum(expected.total_stages() for expected, _ in pairs)
             stages[1] += sum(summary.total_stages() for _, summary in pairs)
-            reference.api.close()
-            candidate.api.close()
 
         run()
         # ... and it is the same work, not the same waste.
         assert stages[1] * 2 < stages[0]
+
+
+class TestAconvergeMatchesConverge:
+    @LOSSY
+    def test_every_aconverge_agrees_with_converge(self, lossy):
+        @scripted
+        @given(batches)
+        @settings(max_examples=15 if not lossy else 8, deadline=None)
+        def run(stream):
+            _replay(Deployment(False, lossy), Deployment(False, lossy), stream,
+                    asynchronous=True)
+
+        run()
 
 
 # --------------------------------------------------------------------------- #
@@ -309,14 +343,15 @@ rule item@b($x) :- item@a($x);
 RECEIVER = "collection ext persistent item@b(x);"
 
 
-def causal_pair(scheduler="reactive", **storage):
+def causal_pair(reference=False, **storage):
     transport = RecordingTransport(InMemoryTransport())
-    builder = system().replication("causal").scheduler(scheduler).transport(transport)
+    builder = system().replication("causal").transport(transport)
     if storage:
         builder.storage("sqlite", **storage)
     builder.peer("a").program(SENDER)
     builder.peer("b").program(RECEIVER)
-    return builder.build(), transport
+    deployment = builder.build()
+    return lockstep(deployment) if reference else deployment, transport
 
 
 def lose_the_ack(deployment, transport):
@@ -333,6 +368,12 @@ def lose_the_ack(deployment, transport):
     assert isinstance(lost.message, ReplicationAckMessage)
     assert not transport.has_in_flight()
     transport.clear_events()
+
+
+#: The lockstep reference, and the reactive driver through either entry point.
+DRIVERS = pytest.mark.parametrize(
+    "reference,asynchronous", [(True, False), (False, False), (False, True)],
+    ids=["lockstep", "reactive", "aconverge"])
 
 
 class TestAWaitingPeerRunsNoStage:
@@ -357,24 +398,25 @@ class TestAWaitingPeerRunsNoStage:
         assert runtime.peer("a").replication.counters["digests_sent"] == 1
         assert runtime.step().peer_reports == {}
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async", "lockstep"])
-    def test_converge_does_not_settle_around_a_dropped_digest(self, scheduler):
-        deployment, transport = causal_pair(scheduler)
+    @DRIVERS
+    def test_converge_does_not_settle_around_a_dropped_digest(self, reference,
+                                                               asynchronous):
+        deployment, transport = causal_pair(reference)
         runtime = deployment.runtime
         lose_the_ack(deployment, transport)
         transport.inner.drop_probability = 1.0
-        summary = deployment.converge(max_steps=3)     # ... and the digest
+        summary = converge(deployment, asynchronous, max_steps=3)  # ... and the digest
         transport.inner.drop_probability = 0.0
         (lost,) = transport.events_of("drop")
         assert isinstance(lost.message, ReplicationDigestMessage)
         # nothing in flight, nobody with work, and still not converged: for
         # three more cycles nobody even runs, and converge() keeps saying so
         assert not summary.converged and not transport.has_in_flight()
-        waiting = deployment.converge(max_steps=3)
+        waiting = converge(deployment, asynchronous, max_steps=3)
         assert not waiting.converged
-        if scheduler != "lockstep":
+        if not reference:
             assert waiting.total_stages() == 0
-        summary = deployment.converge()
+        summary = converge(deployment, asynchronous)
         assert summary.converged
         assert not runtime.peer("a").replication.outbox("b").unacked
         assert runtime.peer("a").replication.counters["digests_sent"] == 2
@@ -421,8 +463,9 @@ CELLS = {
 #: sender, recipient, kind, canonical wire JSON)`` of a run plus its final
 #: ``snapshot()``, recorded at the commit *before* digest and pull timers
 #: moved from a per-peer stage count to the scheduler's cycle count and
-#: waiting peers stopped running stages — where ``lockstep``, ``reactive``
-#: and ``async`` already agreed on each.  A change that moves one of these
+#: waiting peers stopped running stages — where the lockstep and the
+#: reactive drivers (and an asyncio one since folded into ``aconverge``)
+#: already agreed on each.  A change that moves one of these
 #: has changed which message is sent, when, or in which order.
 STREAM_DIGESTS = {
     ("three_peers", "clean"): "d7dda56bda7eb916",
@@ -467,24 +510,28 @@ def stream_digest(transport, snapshot):
     return digest.hexdigest()[:16]
 
 
-def run_three_peers(transport, scheduler):
+def run_three_peers(transport, reference, asynchronous):
     builder = (system().transport(transport).replication("causal")
-               .scheduler(scheduler).provenance(True))
+               .provenance(True))
     for name, program in CHAIN.items():
         builder.peer(name).program(program)
     deployment = builder.build()
+    if reference:
+        lockstep(deployment)
     for action, item in CHAIN_SCRIPT:
         handle = deployment.peer("alice")
         (handle.insert if action == "insert" else handle.delete)(f'src@alice("{item}")')
-        assert deployment.converge(max_steps=800).converged
+        assert converge(deployment, asynchronous, max_steps=800).converged
     return deployment.snapshot()
 
 
-def run_wepic(transport, scheduler):
+def run_wepic(transport, reference, asynchronous):
     scenario = build_demo_scenario(
         attendees=("Emilien", "Jules", "Julia"), pictures_per_attendee=2,
-        transport=transport, scheduler=scheduler, provenance=True)
-    assert scenario.converge(max_steps=800).converged
+        transport=transport, provenance=True)
+    if reference:
+        lockstep(scenario.api)
+    assert converge(scenario.api, asynchronous, max_steps=800).converged
     jules, emilien = scenario.app("Jules"), scenario.app("Emilien")
     steps = (
         lambda: jules.select_attendee("Emilien"),
@@ -496,15 +543,15 @@ def run_wepic(transport, scheduler):
     )
     for step in steps:
         step()
-        assert scenario.converge(max_steps=800).converged
+        assert converge(scenario.api, asynchronous, max_steps=800).converged
     return scenario.api.snapshot()
 
 
 class TestSameSeedSameMessages:
-    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive", "async"])
+    @DRIVERS
     @pytest.mark.parametrize("deployment,cell", sorted(STREAM_DIGESTS))
     def test_the_recorded_stream_is_reproduced(self, monkeypatch, deployment,
-                                               cell, scheduler):
+                                               cell, reference, asynchronous):
         # Rule ids (and the delegation ids hashed over them) come from a
         # process-wide counter and travel on the wire: pin it, so the digest
         # does not depend on which tests ran before.  The Wepic scenario
@@ -513,5 +560,5 @@ class TestSameSeedSameMessages:
         monkeypatch.setenv("REPRO_REPLICATION", "causal")
         transport = RecordingTransport(InMemoryTransport(**CELLS[cell]))
         run = run_three_peers if deployment == "three_peers" else run_wepic
-        snapshot = run(transport, scheduler)
+        snapshot = run(transport, reference, asynchronous)
         assert stream_digest(transport, snapshot) == STREAM_DIGESTS[deployment, cell]

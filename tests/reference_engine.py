@@ -18,11 +18,15 @@ engine's:
 A reference runs in written order on the memory store (no SQL pushdown).
 A view's magic-set rewrite is part of compiling the query; a reference for
 a view installs the query's clauses as ordinary rules instead.
+
+The runtime's reference is a driver, not an engine: :func:`lockstep` swaps a
+deployment's reactive driver for the one that runs every peer every cycle.
 """
 
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import fact_matches_bindings
 from repro.planner import BodyPlanner
+from repro.runtime.scheduler import LockstepScheduler
 from repro.runtime.system import WebdamLogSystem
 
 
@@ -91,4 +95,11 @@ def reference_deployment(builder):
     deployment = builder.storage("memory").build()
     for peer in deployment.runtime.peers.values():
         as_reference(peer.engine)
+    return deployment
+
+
+def lockstep(deployment):
+    """Make ``deployment`` (a built ``repro.api.System`` or a
+    :class:`WebdamLogSystem`) run every peer every cycle, in name order."""
+    getattr(deployment, "runtime", deployment).scheduler = LockstepScheduler()
     return deployment

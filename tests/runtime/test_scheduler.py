@@ -1,4 +1,5 @@
-"""The scheduler seam: lockstep/reactive/async drivers, quiescence, shims."""
+"""The execution driver: reactive cycles, ``aconverge``, quiescence, and the
+lockstep reference the reactive driver is checked against."""
 
 import asyncio
 
@@ -7,15 +8,15 @@ import pytest
 from repro.api import system
 from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.scheduler import (
-    AsyncScheduler,
     LockstepScheduler,
     ReactiveScheduler,
     Scheduler,
     resolve_quiet_period,
-    resolve_scheduler,
 )
 from repro.runtime.system import WebdamLogSystem
 from repro.wepic.scenario import build_demo_scenario
+
+from tests.reference_engine import lockstep
 
 PING_PONG_A = """
 collection extensional persistent ping@a(n);
@@ -43,9 +44,8 @@ fact pictures@Emilien(2, "boat.jpg");
 """
 
 
-def build_ping_pong(scheduler, latency=1, idle_peers=0):
-    sys = WebdamLogSystem(transport=InMemoryTransport(latency=latency),
-                          scheduler=scheduler)
+def build_ping_pong(latency=1, idle_peers=0, reference=False):
+    sys = WebdamLogSystem(transport=InMemoryTransport(latency=latency))
     sys.add_peer("a", program=PING_PONG_A + "fact ping@a(1);")
     sys.add_peer("b", program=PING_PONG_B)
     for index in range(idle_peers):
@@ -54,53 +54,70 @@ def build_ping_pong(scheduler, latency=1, idle_peers=0):
             f"collection extensional persistent notes@{name}(text);\n"
             f'fact notes@{name}("quiet");\n'
         ))
-    return sys
+    return lockstep(sys) if reference else sys
 
 
-def build_delegation(scheduler):
+def build_delegation():
     return (system()
-            .scheduler(scheduler)
             .peer("Jules").program(DELEGATION_JULES)
             .peer("Emilien").program(DELEGATION_EMILIEN)
             .build())
 
 
-class TestFixpointEquivalence:
-    """The reactive and async drivers reach the lockstep fixpoints."""
+def converge(deployment, asynchronous=False, **options):
+    """``deployment.converge(**options)``, or the same through ``aconverge``."""
+    if asynchronous:
+        return asyncio.run(deployment.aconverge(**options))
+    return deployment.converge(**options)
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async"])
-    def test_ping_pong_fixpoint(self, scheduler):
-        reference = build_ping_pong("lockstep")
+
+#: The reactive driver through either entry point.
+ENTRY_POINTS = pytest.mark.parametrize("asynchronous", [False, True],
+                                       ids=["reactive", "aconverge"])
+
+#: ... and the lockstep reference besides.
+DRIVERS = pytest.mark.parametrize(
+    "reference,asynchronous", [(True, False), (False, False), (False, True)],
+    ids=["lockstep", "reactive", "aconverge"])
+
+
+class TestFixpointEquivalence:
+    """The reactive driver reaches the lockstep fixpoints."""
+
+    @ENTRY_POINTS
+    def test_ping_pong_fixpoint(self, asynchronous):
+        reference = build_ping_pong(reference=True)
         reference.converge()
-        candidate = build_ping_pong(scheduler)
-        summary = candidate.converge()
+        candidate = build_ping_pong()
+        summary = converge(candidate, asynchronous)
         assert summary.converged
         assert candidate.snapshot() == reference.snapshot()
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async"])
-    def test_delegation_fixpoint(self, scheduler):
-        reference = build_delegation("lockstep")
+    @ENTRY_POINTS
+    def test_delegation_fixpoint(self, asynchronous):
+        reference = lockstep(build_delegation())
         reference.converge()
-        candidate = build_delegation(scheduler)
-        summary = candidate.converge()
+        candidate = build_delegation()
+        summary = converge(candidate, asynchronous)
         assert summary.converged
         assert candidate.snapshot() == reference.snapshot()
         assert sorted(candidate.query("Jules", "attendeePictures").rows()) == \
             [(1, "sea.jpg"), (2, "boat.jpg")]
 
-    @pytest.mark.parametrize("scheduler", ["reactive", "async"])
-    def test_wepic_scenario_fixpoint(self, scheduler):
+    @ENTRY_POINTS
+    def test_wepic_scenario_fixpoint(self, asynchronous):
         reference = build_demo_scenario()
+        lockstep(reference.api)
         reference.run()
-        candidate = build_demo_scenario(scheduler=scheduler)
-        summary = candidate.run()
+        candidate = build_demo_scenario()
+        summary = converge(candidate.api, asynchronous, max_steps=60)
         assert summary.converged
         assert candidate.api.snapshot() == reference.api.snapshot()
 
     def test_incremental_updates_after_convergence(self):
-        reference = build_ping_pong("lockstep")
+        reference = build_ping_pong(reference=True)
         reference.converge()
-        candidate = build_ping_pong("reactive")
+        candidate = build_ping_pong()
         candidate.converge()
         for sys in (reference, candidate):
             sys.peer("a").insert_fact("ping@a(2)")
@@ -113,15 +130,15 @@ class TestSparseActivation:
     """Reactive scheduling skips idle peers (the event-driven win)."""
 
     def test_reactive_runs_at_least_3x_fewer_stages(self):
-        lockstep = build_ping_pong("lockstep", idle_peers=28)
-        reactive = build_ping_pong("reactive", idle_peers=28)
-        stages_lockstep = lockstep.converge().total_stages()
+        reference = build_ping_pong(idle_peers=28, reference=True)
+        reactive = build_ping_pong(idle_peers=28)
+        stages_lockstep = reference.converge().total_stages()
         stages_reactive = reactive.converge().total_stages()
-        assert lockstep.snapshot() == reactive.snapshot()
+        assert reference.snapshot() == reactive.snapshot()
         assert stages_lockstep >= 3 * stages_reactive
 
     def test_idle_peer_is_never_activated_after_first_stage(self):
-        reactive = build_ping_pong("reactive", idle_peers=5)
+        reactive = build_ping_pong(idle_peers=5)
         reactive.converge()
         idle = reactive.peer("idle00")
         first_run_stages = idle.engine.state.stage_counter
@@ -133,16 +150,16 @@ class TestSparseActivation:
 class TestQuiescenceWithLatency:
     """Convergence is never reported while messages ride out their latency."""
 
-    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive", "async"])
-    def test_latency_3_converges_with_all_facts(self, scheduler):
-        sys = build_ping_pong(scheduler, latency=3)
-        summary = sys.converge()
+    @DRIVERS
+    def test_latency_3_converges_with_all_facts(self, reference, asynchronous):
+        sys = build_ping_pong(latency=3, reference=reference)
+        summary = converge(sys, asynchronous)
         assert summary.converged
         assert not sys.transport.has_in_flight()
         assert len(sys.peer("a").query("ack")) == 1
 
     def test_not_converged_while_in_flight(self):
-        sys = build_ping_pong("reactive", latency=3)
+        sys = build_ping_pong(latency=3)
         report = sys.step()
         assert sys.transport.has_in_flight()
         # The cycle that produced the in-flight message must not count as
@@ -153,7 +170,7 @@ class TestQuiescenceWithLatency:
             or not report.is_quiescent()
 
     def test_idle_cycles_advance_the_clock_without_stages(self):
-        sys = build_ping_pong("reactive", latency=4, idle_peers=3)
+        sys = build_ping_pong(latency=4, idle_peers=3)
         summary = sys.converge()
         assert summary.converged
         # With latency 4 some cycles deliver nothing and activate nobody;
@@ -161,7 +178,7 @@ class TestQuiescenceWithLatency:
         assert any(report.stages_executed == 0 for report in summary.rounds)
 
     def test_due_count_respects_latency(self):
-        sys = build_ping_pong("lockstep", latency=3)
+        sys = build_ping_pong(latency=3, reference=True)
         sys.step()  # peer a sends pong@b; due 3 rounds later
         assert sys.transport.pending_count("b") == 1
         assert sys.transport.due_count("b") == 0
@@ -170,50 +187,107 @@ class TestQuiescenceWithLatency:
         assert sys.transport.due_count("b") == 1
 
 
-class TestAsyncScheduler:
-    """The asyncio driver: per-peer mailboxes behind ``await aconverge()``."""
+class TestDrivers:
+    def test_every_deployment_runs_the_reactive_driver(self):
+        assert isinstance(WebdamLogSystem().scheduler, ReactiveScheduler)
+        deployment = system().peer("a").build()
+        assert deployment.runtime.scheduler.name == "reactive"
+        assert deployment.converge().scheduler == "reactive"
 
-    def test_aconverge_awaitable(self):
-        sys = build_ping_pong("lockstep")  # aconverge works on any system
-
-        async def drive():
-            return await sys.aconverge()
-
-        summary = asyncio.run(drive())
-        assert summary.converged and summary.scheduler == "async"
-        assert len(sys.peer("a").query("ack")) == 1
-
-    def test_sync_facade_over_async_scheduler(self):
-        deployment = build_delegation("async")
-        summary = deployment.converge()
-        assert summary.converged and summary.scheduler == "async"
-        assert len(deployment.query("Jules", "attendeePictures")) == 2
-
-
-class TestSchedulerResolution:
-    def test_names_resolve(self):
-        assert isinstance(resolve_scheduler(None), ReactiveScheduler)
-        assert isinstance(resolve_scheduler("lockstep"), LockstepScheduler)
-        assert isinstance(resolve_scheduler("reactive"), ReactiveScheduler)
-        assert isinstance(resolve_scheduler("async"), AsyncScheduler)
-
-    def test_instances_pass_through(self):
-        driver = ReactiveScheduler()
-        assert resolve_scheduler(driver) is driver
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("eager")
+    def test_the_reference_helper_swaps_in_lockstep(self):
+        sys = build_ping_pong(idle_peers=2, reference=True)
+        assert isinstance(sys.scheduler, LockstepScheduler)
+        summary = sys.converge()
+        assert summary.scheduler == "lockstep"
+        assert all(report.stages_executed == 4 for report in summary.rounds)
 
     def test_drivers_satisfy_the_protocol(self):
-        for driver in (LockstepScheduler(), ReactiveScheduler(), AsyncScheduler()):
+        for driver in (LockstepScheduler(), ReactiveScheduler()):
             assert isinstance(driver, Scheduler)
 
-    def test_converge_accepts_per_call_override(self):
-        sys = build_ping_pong("lockstep", idle_peers=10)
-        summary = sys.converge(scheduler="reactive")
-        assert summary.scheduler == "reactive"
+
+class TestAconverge:
+    """``await aconverge()``: the reactive cycle, yielding after every stage."""
+
+    def test_aconverge_awaitable(self):
+        sys = build_ping_pong()
+        summary = asyncio.run(sys.aconverge())
+        assert summary.converged and summary.scheduler == "reactive"
+        assert len(sys.peer("a").query("ack")) == 1
+
+    def test_aconverge_runs_the_systems_own_driver(self):
+        reference = build_ping_pong(idle_peers=2, reference=True)
+        summary = asyncio.run(reference.aconverge())
+        assert summary.converged and summary.scheduler == "lockstep"
+        assert all(report.stages_executed == 4 for report in summary.rounds)
+        expected = build_ping_pong(idle_peers=2, reference=True)
+        assert summary.round_count == expected.converge().round_count
+        assert reference.snapshot() == expected.snapshot()
+
+    def test_a_sibling_coroutine_progresses_during_one_aconverge(self):
+        deployment = build_delegation()
+        seen = []
+
+        async def sibling(done):
+            while not done.is_set():
+                seen.append(deployment.current_round)
+                await asyncio.sleep(0)
+
+        async def main():
+            done = asyncio.Event()
+            task = asyncio.create_task(sibling(done))
+            summary = await deployment.aconverge()
+            done.set()
+            await task
+            return summary
+
+        summary = asyncio.run(main())
         assert summary.converged
+        # The sibling ran inside the run, cycle after cycle, not only after.
+        during = {cycle for cycle in seen if cycle < deployment.current_round}
+        assert len(during) >= summary.round_count - 1 >= 2
+
+    def test_a_peer_removed_by_a_sibling_is_skipped_mid_cycle(self):
+        sys = build_ping_pong(idle_peers=3)
+
+        async def remove_after_first_stage():
+            await asyncio.sleep(0)
+            sys.remove_peer("idle01")
+
+        async def main():
+            task = asyncio.create_task(remove_after_first_stage())
+            summary = await sys.aconverge()
+            await task
+            return summary
+
+        summary = asyncio.run(main())
+        assert summary.converged and "idle01" not in sys.peers
+        # The first cycle was planned with every peer; idle01 left mid-way.
+        assert "idle01" not in summary.rounds[0].peer_reports
+        assert "idle02" in summary.rounds[0].peer_reports
+
+
+class TestConvergeBounds:
+    """``max_steps`` and ``extra_rounds`` bound the one converge loop the same
+    way whichever entry point runs it."""
+
+    @ENTRY_POINTS
+    def test_max_steps_stops_an_unsettled_run(self, asynchronous):
+        sys = build_ping_pong(latency=3)
+        summary = converge(sys, asynchronous, max_steps=2)
+        assert not summary.converged
+        assert summary.round_count == 2 == sys.current_round
+        assert len(sys.peer("a").query("ack")) == 0
+
+    @ENTRY_POINTS
+    def test_extra_rounds_run_after_convergence(self, asynchronous):
+        baseline = build_ping_pong().converge()
+        sys = build_ping_pong()
+        summary = converge(sys, asynchronous, extra_rounds=2)
+        assert summary.converged
+        assert summary.round_count == baseline.round_count + 2
+        assert all(report.stages_executed == 0 for report in summary.rounds[-2:])
+        assert len(sys.peer("a").query("ack")) == 1
 
 
 class TestQuietPeriod:
@@ -222,49 +296,46 @@ class TestQuietPeriod:
     ``convergence_quiet_period``; in-memory implicitly uses 1)."""
 
     def test_inmemory_default_is_one_settled_cycle(self):
-        sys = build_ping_pong("lockstep")
+        sys = build_ping_pong()
         assert resolve_quiet_period(sys, None) == 1
 
     def test_transport_attribute_sets_the_default(self):
-        sys = build_ping_pong("lockstep")
+        sys = build_ping_pong()
         sys.transport.convergence_quiet_period = 4
         assert resolve_quiet_period(sys, None) == 4
 
     def test_explicit_argument_overrides_the_transport(self):
-        sys = build_ping_pong("lockstep")
+        sys = build_ping_pong()
         sys.transport.convergence_quiet_period = 4
         assert resolve_quiet_period(sys, 2) == 2
 
     def test_quiet_period_is_clamped_to_at_least_one(self):
-        sys = build_ping_pong("lockstep")
+        sys = build_ping_pong()
         assert resolve_quiet_period(sys, 0) == 1
         sys.transport.convergence_quiet_period = 0
         assert resolve_quiet_period(sys, None) == 1
 
-    @pytest.mark.parametrize("scheduler", ["lockstep", "reactive"])
-    def test_longer_quiet_period_adds_exactly_the_extra_cycles(self, scheduler):
-        baseline = build_ping_pong(scheduler).converge(quiet_period=1)
-        padded = build_ping_pong(scheduler).converge(quiet_period=3)
+    @DRIVERS
+    def test_longer_quiet_period_adds_exactly_the_extra_cycles(self, reference,
+                                                               asynchronous):
+        baseline = converge(build_ping_pong(reference=reference), asynchronous,
+                            quiet_period=1)
+        padded = converge(build_ping_pong(reference=reference), asynchronous,
+                          quiet_period=3)
         assert baseline.converged and padded.converged
         assert padded.round_count == baseline.round_count + 2
 
     def test_transport_advertised_period_is_honoured_by_converge(self):
-        sys = build_ping_pong("lockstep")
+        sys = build_ping_pong()
         sys.transport.convergence_quiet_period = 3
         padded = sys.converge()
-        baseline = build_ping_pong("lockstep").converge()
+        baseline = build_ping_pong().converge()
         assert padded.converged
-        assert padded.round_count == baseline.round_count + 2
-
-    def test_async_scheduler_honours_quiet_period(self):
-        baseline = build_ping_pong("async").converge(quiet_period=1)
-        padded = build_ping_pong("async").converge(quiet_period=3)
-        assert baseline.converged and padded.converged
         assert padded.round_count == baseline.round_count + 2
 
     def test_fixpoint_identical_whatever_the_quiet_period(self):
         def snapshot(quiet_period):
-            sys = build_ping_pong("lockstep")
+            sys = build_ping_pong()
             sys.converge(quiet_period=quiet_period)
             return {relation: set(sys.peers[owner].query(relation))
                     for owner, relation in (("a", "ping"), ("a", "ack"),
@@ -291,43 +362,44 @@ fact src@b(1);
 rule inbox@a($x) :- src@b($x);
 """
 
-#: ``None`` is the default driver, whatever it resolves to.
-EVERY_DRIVER = ["lockstep", "reactive", "async", None]
-
-
 class TestStageLeftovers:
     """A stage's housekeeping deletions are input of the *next* stage.
 
     The facts were visible to the stage that cleared them, so what it derived
     from them is retracted one stage later — by a stage nothing else asks for.
     Every driver must run it (``needs_stage()`` used to forget the carry-over,
-    so the work-driven drivers stopped one stage early, ``echo`` still derived).
+    so the reactive driver stopped one stage early, ``echo`` still derived).
     """
 
-    @pytest.mark.parametrize("scheduler", EVERY_DRIVER)
-    def test_scratch_relation_consequences_are_retracted(self, scheduler):
-        sys = WebdamLogSystem(scheduler=scheduler)
+    @DRIVERS
+    def test_scratch_relation_consequences_are_retracted(self, reference,
+                                                         asynchronous):
+        sys = WebdamLogSystem()
+        if reference:
+            lockstep(sys)
         peer = sys.add_peer("a", program=SCRATCH_ECHO)
-        sys.converge()
+        converge(sys, asynchronous)
         peer.insert_fact("ping@a(1)")
-        summary = sys.converge()
+        summary = converge(sys, asynchronous)
         assert summary.converged
         assert peer.query("ping") == ()
         assert peer.query("echo") == ()
         # derive, retract, detect quiescence — the lockstep reference's count
         assert summary.round_count == 3
 
-    @pytest.mark.parametrize("scheduler", EVERY_DRIVER)
-    def test_strict_provided_fact_lasts_one_stage(self, scheduler):
-        def run(driver):
-            sys = WebdamLogSystem(strict_stage_inputs=True, scheduler=driver)
+    @DRIVERS
+    def test_strict_provided_fact_lasts_one_stage(self, reference, asynchronous):
+        def run(reference, asynchronous):
+            sys = WebdamLogSystem(strict_stage_inputs=True)
+            if reference:
+                lockstep(sys)
             sys.add_peer("a", program=STRICT_ECHO_A)
             sys.add_peer("b", program=STRICT_ECHO_B)
-            return sys, sys.converge()
+            return sys, converge(sys, asynchronous)
 
-        reference, expected = run("lockstep")
-        candidate, summary = run(scheduler)
+        expected_system, expected = run(True, False)
+        candidate, summary = run(reference, asynchronous)
         assert summary.converged
         assert candidate.peer("a").query("echo") == ()
-        assert candidate.snapshot() == reference.snapshot()
+        assert candidate.snapshot() == expected_system.snapshot()
         assert summary.round_count == expected.round_count

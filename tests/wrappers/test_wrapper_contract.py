@@ -100,7 +100,7 @@ class CountingWrapper:
 
 class TestDriverSide:
     def test_wrapper_without_wants_stage_is_polled_every_cycle(self):
-        system = build_ping_pong(None)
+        system = build_ping_pong()
         bystander = system.add_peer("legacy")
         wrapper = CountingWrapper()
         bystander.attach_wrapper(wrapper)
