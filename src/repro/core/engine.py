@@ -1155,32 +1155,35 @@ class WebdamLogEngine:
                            affected_predicates: Optional[Set[str]],
                            affected_rules: Optional[Set[Rule]],
                            deleted: FrozenSet[Fact] = _NO_FACTS) -> RuleOutcome:
-        """Delete-and-rederive on predicates: clear the affected derived
-        relations and recompute their defining rules stratum by stratum.
+        """Delete-and-rederive on predicates: recompute the affected derived
+        relations with their defining rules, stratum by stratum.
 
         ``affected_* = None`` means *everything* — the seed engine's
-        clear-and-recompute.  The clear-deltas stay pending and net out
-        against the re-derivations, so the delta taken at the end of the
-        stage is still the true derived change.  ``deleted`` are the
-        stage's deleted input facts.
+        clear-and-recompute.  ``deleted`` are the stage's deleted input facts.
+        A relation whose defining rules all sit in one stratum that does not
+        feed itself is not cleared: that stratum reads nothing it derives, so
+        its rules run first and the relation is then replaced by what they
+        derived (:meth:`FactStore.replace_relation` writes only the rows that
+        differ).  Keyed relations and relations of recursive strata are
+        cleared up front and derived again.  Either way the pending delta
+        taken at the end of the stage is the true derived change.
         """
         full = affected_rules is None
         if self.provenance is not None:
             # The deleted input facts die in the graph with everything that
-            # hangs on them, and the store clears are mirrored: the cleared
-            # predicates' derivations die here and are re-recorded by the
-            # re-evaluation below, so the graph tracks exact derivability.
+            # hangs on them, and the recomputed predicates' derivations die
+            # here and are re-recorded by the re-evaluation below, so the
+            # graph tracks exact derivability.
             if deleted:
                 self.provenance.on_base_deleted(deleted)
             if full:
                 self.provenance.on_full_recompute()
             else:
                 self.provenance.on_rederive(affected_predicates)
-        for schema in list(self.state.schemas.intensional()):
-            if schema.peer != self.peer:
-                continue
-            if full or f"{schema.name}@{schema.peer}" in affected_predicates:
-                self.state.derived.clear_relation(schema.name, schema.peer)
+        cleared = {schema.qualified_name: schema
+                   for schema in self.state.schemas.intensional()
+                   if schema.peer == self.peer
+                   and (full or schema.qualified_name in affected_predicates)}
         if full:
             self._rule_memo = {}
         else:
@@ -1189,14 +1192,35 @@ class WebdamLogEngine:
         self._outcome = None
 
         local_intensional = self._local_intensional()
+        passes = []
         for stratum in analysis.strata:
             selected = stratum if full else [r for r in stratum if r in affected_rules]
             if not selected:
                 continue
             # A second pass only confirms the fixpoint unless a selected
             # rule reads what a selected rule derives.
-            changed = True
             recursive = analysis.feeds_itself(selected, local_intensional)
+            # Relations this stratum replaces instead of clearing: it must
+            # define them alone, and key displacement needs insertion order.
+            # Their rows are collected as value tuples, so a rule's facts die
+            # with its outcome.
+            replaced: Dict[str, Tuple[RelationSchema, List[Tuple]]] = {}
+            if not recursive:
+                ids = {id(rule) for rule in selected}
+                for rule in selected:
+                    for predicate in analysis.head_targets(rule, local_intensional):
+                        schema = cleared.get(predicate)
+                        if (schema is not None and not schema.key_indexes()
+                                and all(id(other) in ids
+                                        for other in analysis.defining(predicate))):
+                            replaced[predicate] = (schema, [])
+                            del cleared[predicate]
+            passes.append((selected, recursive, replaced))
+        for schema in cleared.values():
+            self.state.derived.clear_relation(schema.name, schema.peer)
+
+        for selected, recursive, replaced in passes:
+            changed = True
             while changed:
                 changed = False
                 result.fixpoint_iterations += 1
@@ -1207,9 +1231,16 @@ class WebdamLogEngine:
                     result.compiled_sql += outcome.compiled_sql
                     self._memo_merge(rule, outcome)
                     for fact in outcome.local_intensional:
-                        if self.state.derived.insert(fact):
+                        into = replaced.get(fact.qualified_relation)
+                        if into is not None:
+                            into[1].append(fact.values)
+                        elif self.state.derived.insert(fact):
                             changed = recursive
                             result.derived_intensional += 1
+            for schema, rows in replaced.values():
+                self.state.derived.replace_relation(schema.name, schema.peer, rows)
+                result.derived_intensional += self.state.derived.count(
+                    schema.name, schema.peer)
         return self._memo_outcome()
 
     def _memo_merge(self, rule: Rule, outcome: RuleOutcome) -> None:

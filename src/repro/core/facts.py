@@ -203,6 +203,14 @@ class Delta:
         return cls()
 
 
+def _fold(inserted: Set[Fact], deleted: Set[Fact], step: Delta) -> None:
+    """Net one step into running sets, as :meth:`Delta.merge` would."""
+    inserted |= step.inserted
+    inserted -= step.deleted
+    deleted |= step.deleted
+    deleted -= step.inserted
+
+
 #: Backwards-compatible alias: the hash-indexed table moved to
 #: :mod:`repro.store.memory` when the storage backend seam was introduced.
 _RelationTable = MemoryTable
@@ -312,11 +320,7 @@ class FactStore:
                 inserted |= batch
                 continue
             for fact in group:
-                step = self.insert(fact)
-                inserted |= step.inserted
-                inserted -= step.deleted
-                deleted |= step.deleted
-                deleted -= step.inserted
+                _fold(inserted, deleted, self.insert(fact))
         return Delta(frozenset(inserted), frozenset(deleted))
 
     def delete(self, fact: Fact) -> Delta:
@@ -329,19 +333,41 @@ class FactStore:
 
     def delete_many(self, facts: Iterable[Fact]) -> Delta:
         """Delete several facts; returns the merged delta."""
-        total = Delta.empty()
-        for fact in facts:
-            total = total.merge(self.delete(fact))
-        return total
+        deleted = {fact for fact in facts if self.delete(fact)}
+        return Delta.deletion(deleted)
 
     def apply(self, delta: Delta) -> Delta:
         """Apply a delta (deletions first, then insertions); returns the effective delta."""
-        effective = Delta.empty()
+        inserted: Set[Fact] = set()
+        deleted: Set[Fact] = set()
         for fact in delta.deleted:
-            effective = effective.merge(self.delete(fact))
+            _fold(inserted, deleted, self.delete(fact))
         for fact in delta.inserted:
-            effective = effective.merge(self.insert(fact))
-        return effective
+            _fold(inserted, deleted, self.insert(fact))
+        return Delta(frozenset(inserted), frozenset(deleted))
+
+    def replace_relation(self, relation: str, peer: str,
+                         rows: Iterable[Tuple[ConstantValue, ...]]) -> Delta:
+        """Make ``relation@peer`` hold exactly the value tuples ``rows``;
+        returns the delta.
+
+        Writes only the difference, in one batch each way, and builds facts
+        only for the rows that leave or arrive: the pending delta and the
+        generation see exactly those, as if the relation had been cleared
+        and ``rows`` inserted.  Only for relations without a primary key
+        (displacement makes insertion order observable).
+        """
+        rows = list(rows)
+        table = self._table(relation, peer, len(rows[0]) if rows else None)
+        if table is None:
+            return Delta.empty()
+        if table.schema.key_indexes():
+            raise SchemaError(f"cannot replace keyed relation {table.schema.qualified_name}")
+        inserted_rows, deleted_rows = table.replace(rows)
+        inserted = {Fact(relation, peer, row) for row in inserted_rows}
+        deleted = {Fact(relation, peer, row) for row in deleted_rows}
+        self._record(inserted, deleted)
+        return Delta(frozenset(inserted), frozenset(deleted))
 
     def clear_relation(self, relation: str, peer: str) -> Delta:
         """Remove every fact of ``relation@peer``."""
@@ -383,7 +409,8 @@ class FactStore:
 
         Unchanged between two calls means the relation's stored contents are
         unchanged; the converse does not hold (a clear-and-rederive that ends
-        with the same rows still counts).
+        with the same rows still counts, a :meth:`replace_relation` with the
+        same rows does not).
         """
         return self._generations.get((relation, peer), 0)
 
@@ -420,13 +447,19 @@ class FactStore:
         """Total number of facts across all relations."""
         return sum(len(table) for table in self._tables.values())
 
-    def facts(self, relation: str, peer: str,
-              bindings: Optional[Dict[int, ConstantValue]] = None) -> Iterator[Fact]:
-        """Iterate over the facts of ``relation@peer`` matching positional ``bindings``."""
+    def rows(self, relation: str, peer: str,
+             bindings: Optional[Dict[int, ConstantValue]] = None
+             ) -> Iterator[Tuple[ConstantValue, ...]]:
+        """Iterate over the value tuples of ``relation@peer`` matching ``bindings``."""
         table = self._table(relation, peer, create=False)
         if table is None:
             return iter(())
-        return (Fact(relation, peer, row) for row in table.scan(bindings))
+        return table.scan(bindings)
+
+    def facts(self, relation: str, peer: str,
+              bindings: Optional[Dict[int, ConstantValue]] = None) -> Iterator[Fact]:
+        """Iterate over the facts of ``relation@peer`` matching positional ``bindings``."""
+        return (Fact(relation, peer, row) for row in self.rows(relation, peer, bindings))
 
     def all_facts(self) -> Iterator[Fact]:
         """Iterate over every stored fact."""

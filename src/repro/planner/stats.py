@@ -4,10 +4,10 @@ The planner's cost model needs two numbers per relation: the current fact
 count (cheap — the stores maintain running counts) and, per argument
 position, an estimate of the number of distinct values (used as the
 selectivity of binding that position).  Distinct counts are computed lazily
-by one relation scan and cached; a cached entry is recomputed when the
-relation's count has drifted by more than :data:`DRIFT_FACTOR` since it was
-taken, so estimates track insert/retract churn without rescanning on every
-plan.
+— one scan of a relation counts every position — and cached; a cached entry
+is recomputed when the relation's count has drifted by more than
+:data:`DRIFT_FACTOR` since it was taken, so estimates track insert/retract
+churn without rescanning on every plan.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class StatsProvider:
 
     def __init__(self, state):
         self.state = state
-        # {(relation, peer, position): (count when computed, distinct values)}
-        self._distinct: Dict[Tuple[str, str, int], Tuple[int, int]] = {}
+        # {(relation, peer): (count when computed, distinct values per position)}
+        self._distinct: Dict[Tuple[str, str], Tuple[int, Tuple[int, ...]]] = {}
 
     def count(self, relation: str, peer: str) -> int:
         """Current number of facts visible for ``relation@peer``."""
@@ -53,22 +53,20 @@ class StatsProvider:
     def distinct(self, relation: str, peer: str, position: int) -> int:
         """Estimated distinct values at ``position`` of ``relation@peer``.
 
-        Computed by one scan (stored + derived facts; the usually-small
-        provided set is ignored) and cached until the relation count drifts.
-        Always at least 1 so it can be used as a divisor.
+        One scan of the stored and derived rows (the usually-small provided
+        set is ignored) counts every position at once; the counts are cached
+        until the relation count drifts.  Values are typed (``True``, ``1``
+        and ``1.0`` are three).  Always at least 1 so it can be used as a
+        divisor.
         """
         count = self.count(relation, peer)
-        key = (relation, peer, position)
+        key = (relation, peer)
         cached = self._distinct.get(key)
-        if cached is not None and not drifted(cached[0], count):
-            return cached[1]
-        values = set()
-        state = self.state
-        for fact in chain(state.store.facts(relation, peer),
-                          state.derived.facts(relation, peer)):
-            if position < len(fact.values):
-                value = fact.values[position]
-                values.add((type(value).__name__, value))
-        distinct = max(1, len(values))
-        self._distinct[key] = (count, distinct)
-        return distinct
+        if cached is None or drifted(cached[0], count):
+            state = self.state
+            columns = zip(*chain(state.store.rows(relation, peer),
+                                 state.derived.rows(relation, peer)))
+            cached = self._distinct[key] = (count, tuple(
+                len(set(zip(map(type, column), column))) for column in columns))
+        sizes = cached[1]  # empty for an empty relation
+        return sizes[position] if position < len(sizes) else 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.errors import WebdamLogError
 from repro.core.schema import RelationSchema
@@ -65,6 +65,15 @@ class StorageTable(Protocol):
 
     def delete(self, values: Row) -> bool:
         """Delete a tuple; return ``True`` if it was present."""
+        ...
+
+    def delete_many(self, rows: Iterable[Row]) -> None:
+        """Delete several stored tuples in one batch."""
+        ...
+
+    def replace(self, rows: Iterable[Row]) -> Tuple[List[Row], List[Row]]:
+        """Make an unkeyed table hold exactly ``rows``, writing only the
+        difference; return ``(inserted_rows, deleted_rows)``."""
         ...
 
     def clear(self) -> List[Row]:

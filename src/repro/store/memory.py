@@ -74,13 +74,9 @@ class MemoryTable:
         When the schema declares a primary key, an existing tuple with the
         same key is replaced (last-writer-wins), which yields one deletion.
         """
-        values = tuple(values)
-        if len(values) != self.schema.arity:
-            raise SchemaError(
-                f"arity mismatch inserting into {self.schema.qualified_name}: "
-                f"expected {self.schema.arity}, got {len(values)}"
-            )
-        if self._row_key(values) in self._tuples:
+        values = self._checked(values)
+        row_key = self._row_key(values)
+        if row_key in self._tuples:
             return [], []
         deleted: List[Tuple[ConstantValue, ...]] = []
         key_idx = self.schema.key_indexes()
@@ -90,7 +86,7 @@ class MemoryTable:
                 if self._row_key(tuple(row[i] for i in key_idx)) == key_value:
                     self._remove(row)
                     deleted.append(row)
-        self._add(values)
+        self._add(row_key, values)
         return [values], deleted
 
     def insert_many(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
@@ -110,15 +106,11 @@ class MemoryTable:
             return all_inserted, all_deleted
         inserted = []
         for row in rows:
-            values = tuple(row)
-            if len(values) != self.schema.arity:
-                raise SchemaError(
-                    f"arity mismatch inserting into {self.schema.qualified_name}: "
-                    f"expected {self.schema.arity}, got {len(values)}"
-                )
-            if self._row_key(values) in self._tuples:
+            values = self._checked(row)
+            row_key = self._row_key(values)
+            if row_key in self._tuples:
                 continue
-            self._add(values)
+            self._add(row_key, values)
             inserted.append(values)
         return inserted, []
 
@@ -130,8 +122,40 @@ class MemoryTable:
         self._remove(values)
         return True
 
-    def _add(self, values: Tuple[ConstantValue, ...]) -> None:
-        row_key = self._row_key(values)
+    def delete_many(self, rows) -> None:
+        """Delete several stored tuples."""
+        for row in rows:
+            self._remove(tuple(row))
+
+    def replace(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
+        """Make the table hold exactly ``rows``; return ``(inserted_rows,
+        deleted_rows)``.
+
+        For unkeyed relations.  The stored rows are read once and compared
+        by typed row key; only the rows that leave and the rows that arrive
+        are written.
+        """
+        arriving: Dict[Tuple, Tuple[ConstantValue, ...]] = {}
+        for row in rows:
+            values = self._checked(row)
+            arriving.setdefault(self._row_key(values), values)
+        leaving = [row for row_key, row in self._tuples.items()
+                   if arriving.pop(row_key, None) is None]
+        self.delete_many(leaving)
+        for row_key, values in arriving.items():
+            self._add(row_key, values)
+        return list(arriving.values()), leaving
+
+    def _checked(self, row) -> Tuple[ConstantValue, ...]:
+        values = tuple(row)
+        if len(values) != self.schema.arity:
+            raise SchemaError(
+                f"arity mismatch inserting into {self.schema.qualified_name}: "
+                f"expected {self.schema.arity}, got {len(values)}"
+            )
+        return values
+
+    def _add(self, row_key: Tuple, values: Tuple[ConstantValue, ...]) -> None:
         self._tuples[row_key] = values
         for positions, index in self._indexes.items():
             key = tuple(self._index_key(values[p]) for p in positions)

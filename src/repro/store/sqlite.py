@@ -103,7 +103,7 @@ class SqliteTable:
     """One relation stored as a SQLite table of tag/value column pairs."""
 
     __slots__ = ("backend", "schema", "table_name", "_arity", "_cols",
-                 "_col_list", "_insert_sql", "_indexed")
+                 "_col_list", "_insert_sql", "_delete_sql", "_indexed")
 
     def __init__(self, backend: "SqliteBackend", table_name: str, schema: RelationSchema):
         self.backend = backend
@@ -117,6 +117,8 @@ class SqliteTable:
         self._insert_sql = (
             f'INSERT OR IGNORE INTO "{table_name}" ({self._col_list}) VALUES ({marks})'
         )
+        self._delete_sql = (
+            f'DELETE FROM "{table_name}" WHERE {self._eq_clause(self._arity)}')
         self._indexed: Set[Tuple[int, ...]] = set()
 
     # -- encoding -------------------------------------------------------- #
@@ -157,13 +159,17 @@ class SqliteTable:
     def __iter__(self) -> Iterator[Tuple[ConstantValue, ...]]:
         return self.scan(None)
 
-    def insert(self, values: Tuple[ConstantValue, ...]) -> Tuple[List[Tuple], List[Tuple]]:
-        values = tuple(values)
+    def _checked(self, row) -> Tuple[ConstantValue, ...]:
+        values = tuple(row)
         if len(values) != self._arity:
             raise SchemaError(
                 f"arity mismatch inserting into {self.schema.qualified_name}: "
                 f"expected {self._arity}, got {len(values)}"
             )
+        return values
+
+    def insert(self, values: Tuple[ConstantValue, ...]) -> Tuple[List[Tuple], List[Tuple]]:
+        values = self._checked(values)
         key_idx = self.schema.key_indexes()
         self.backend.begin()
         if not key_idx:
@@ -205,12 +211,7 @@ class SqliteTable:
         encoded: List[Tuple] = []
         seen: Set[Tuple] = set()
         for row in rows:
-            values = tuple(row)
-            if len(values) != self._arity:
-                raise SchemaError(
-                    f"arity mismatch inserting into {self.schema.qualified_name}: "
-                    f"expected {self._arity}, got {len(values)}"
-                )
+            values = self._checked(row)
             key = self._encode_row(values)
             if key in seen:
                 continue
@@ -239,9 +240,36 @@ class SqliteTable:
         if len(values) != self._arity:
             return False
         self.backend.begin()
-        sql = f'DELETE FROM "{self.table_name}" WHERE {self._eq_clause(self._arity)}'
-        cur = self.backend.execute(sql, self._encode_row(values))
+        cur = self.backend.execute(self._delete_sql, self._encode_row(values))
         return cur.rowcount > 0
+
+    def delete_many(self, rows) -> None:
+        """Delete several stored tuples in one ``executemany``."""
+        self.backend.begin()
+        self.backend.executemany(self._delete_sql, map(self._encode_row, rows))
+
+    def replace(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
+        """Make the table hold exactly ``rows``; return ``(inserted_rows,
+        deleted_rows)``.
+
+        For unkeyed relations.  One scan reads the stored rows undecoded and
+        compares them with the encoded new rows (the tags keep the keys
+        typed); only the rows that leave are decoded, and the leavers and
+        the arrivals are written in one ``executemany`` each.
+        """
+        arriving: Dict[Tuple, Tuple[ConstantValue, ...]] = {}
+        for row in rows:
+            values = self._checked(row)
+            arriving.setdefault(self._encode_row(values), values)
+        cur = self.backend.execute(f'SELECT {self._col_list} FROM "{self.table_name}"')
+        leaving = [self._decode_row(stored) for stored in cur
+                   if arriving.pop(stored, None) is None]
+        if leaving:
+            self.delete_many(leaving)
+        if arriving:
+            self.backend.begin()
+            self.backend.executemany(self._insert_sql, list(arriving))
+        return list(arriving.values()), leaving
 
     def clear(self) -> List[Tuple[ConstantValue, ...]]:
         removed = list(self.scan(None))

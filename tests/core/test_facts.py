@@ -245,6 +245,78 @@ class TestFactStore:
         assert len(delta.deleted) == 2
         assert store.total_facts() == 3
 
+    def test_apply_nets_a_fact_both_deleted_and_inserted(self):
+        """Deletions go first: a fact in both halves of one batch ends up
+        stored, and the effective delta is what folding one
+        :meth:`Delta.merge` per step gives."""
+        present, absent, gone = (Fact("r", "p", (1,)), Fact("r", "p", (2,)),
+                                 Fact("r", "p", (3,)))
+        store = FactStore()
+        store.insert_many([present, gone])
+        store.take_delta()
+        batch = Delta(inserted=frozenset({present, absent}),
+                      deleted=frozenset({present, absent, gone}))
+        effective = store.apply(batch)
+        expected = Delta.empty()
+        for step in ([Delta.deletion([present]), Delta.deletion([gone])]
+                     + [Delta.insertion([present]), Delta.insertion([absent])]):
+            expected = expected.merge(step)
+        assert effective == expected
+        assert effective == Delta(inserted=frozenset({present, absent}),
+                                  deleted=frozenset({gone}))
+        assert store.snapshot() == frozenset({present, absent})
+        # The pending delta nets the same way: ``present`` never changed.
+        assert store.take_delta() == Delta(inserted=frozenset({absent}),
+                                           deleted=frozenset({gone}))
+
+    def test_apply_on_a_keyed_relation_reports_the_displaced_fact(self):
+        registry = SchemaRegistry([RelationSchema("profile", "p", ("user", "bio"),
+                                                  key=("user",))])
+        store = FactStore(registry)
+        old, new = Fact("profile", "p", ("al", "v1")), Fact("profile", "p", ("al", "v2"))
+        store.insert(old)
+        effective = store.apply(Delta.insertion([new]))
+        assert effective == Delta(inserted=frozenset({new}), deleted=frozenset({old}))
+
+    def test_delete_many_reports_only_what_was_there(self):
+        store = FactStore()
+        facts = [Fact("r", "p", (i,)) for i in range(3)]
+        store.insert_many(facts[:2])
+        delta = store.delete_many(facts + [facts[0]])
+        assert delta == Delta.deletion(facts[:2])
+        assert store.total_facts() == 0
+
+    def test_replace_relation_records_only_the_difference(self):
+        store = FactStore()
+        kept, leaving, arriving = (Fact("r", "p", (1,)), Fact("r", "p", (True,)),
+                                   Fact("r", "p", (1.0,)))
+        store.insert_many([kept, leaving, Fact("s", "p", (1,))])
+        store.take_delta()
+        generation = store.generation("r", "p")
+        delta = store.replace_relation("r", "p", [(1,), (1.0,), (1,)])
+        assert delta == Delta(inserted=frozenset({arriving}), deleted=frozenset({leaving}))
+        assert [type(fact.values[0]) for fact in delta.deleted] == [bool]
+        assert store.take_delta() == delta
+        assert store.relation_snapshot("r", "p") == frozenset({kept, arriving})
+        assert store.count("s", "p") == 1
+        assert store.generation("r", "p") > generation
+        # Same rows again: nothing written, nothing recorded.
+        generation = store.generation("r", "p")
+        assert not store.replace_relation("r", "p", [(1.0,), (1,)])
+        assert store.generation("r", "p") == generation
+        assert not store.peek_delta()
+        assert store.replace_relation("r", "p", []) == Delta.deletion([kept, arriving])
+        assert not store.replace_relation("absent", "p", [])
+        assert store.replace_relation("new", "p", [(1,)]) == \
+            Delta.insertion([Fact("new", "p", (1,))])
+
+    def test_replace_relation_refuses_a_keyed_relation(self):
+        registry = SchemaRegistry([RelationSchema("profile", "p", ("user", "bio"),
+                                                  key=("user",))])
+        store = FactStore(registry)
+        with pytest.raises(SchemaError):
+            store.replace_relation("profile", "p", [("al", "v1")])
+
     def test_generation_counts_recorded_changes_per_relation(self):
         store = FactStore()
         assert store.generation("r", "p") == 0

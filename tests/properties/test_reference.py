@@ -74,6 +74,32 @@ def test_every_stage_of_the_reference_recomputes_from_scratch():
     assert counters["stages_skip"] == 0
 
 
+def test_every_stage_of_the_reference_derives_into_empty_relations():
+    """The engine replaces a non-recursive relation by difference; the
+    reference empties it first, so the replacement starts from nothing."""
+    engine = reference_engine("p")
+    engine.load_program(PROGRAM + """
+    collection intensional source@p(node);
+    rule source@p($x) :- link@p($x, $y), not tc@p($y, $x);
+    """)
+    derived = engine.state.derived
+    replace_relation = derived.replace_relation
+    found = []
+
+    def recording(relation, peer, rows):
+        found.append(derived.count(relation, peer))
+        return replace_relation(relation, peer, rows)
+
+    derived.replace_relation = recording
+    for link in LINKS:
+        engine.insert_fact(Fact("link", "p", link))
+    engine.run_to_quiescence()
+    engine.delete_fact(Fact("link", "p", ("a", "d")))
+    engine.run_to_quiescence()
+    assert len(found) >= 2 and not any(found)
+    assert engine.query("source")
+
+
 def test_a_reference_system_runs_a_reference_at_every_peer():
     runtime = ReferenceSystem()
     for name in ("a", "b"):

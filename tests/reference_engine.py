@@ -6,9 +6,10 @@ literal with bound arguments is a hash-index probe.  The reference keeps
 the two textbook baselines, built from the outside with no option of the
 engine's:
 
-* **recompute every stage** — the program analysis is forgotten before each
-  stage, so the engine has nothing to diff against and takes the path of its
-  first stage: clear every local intensional relation and derive it again;
+* **recompute every stage** — every local intensional relation is emptied
+  and the program analysis forgotten before each stage, so the engine has
+  nothing to diff against and takes the path of its first stage, deriving
+  every relation again from nothing;
 * **scan every probe** — each probe is answered by an unbound scan of the
   relation, filtered in Python by the bound positions, so no store index is
   consulted;
@@ -44,11 +45,20 @@ def written_order(engine: WebdamLogEngine) -> WebdamLogEngine:
 
 
 def recompute_every_stage(engine: WebdamLogEngine) -> WebdamLogEngine:
-    """Make every stage of ``engine`` a full clear-and-recompute."""
+    """Make every stage of ``engine`` a full clear-and-recompute.
+
+    The engine's own full stage replaces a non-recursive relation by diff;
+    the reference empties every local intensional relation itself first, so
+    each stage really derives everything from nothing.
+    """
     run_stage = engine.run_stage
+    state = engine.state
 
     def recomputing_stage(*args, **kwargs):
         engine._analysis = None
+        for schema in list(state.schemas.intensional()):
+            if schema.peer == engine.peer:
+                state.derived.clear_relation(schema.name, schema.peer)
         return run_stage(*args, **kwargs)
 
     engine.run_stage = recomputing_stage

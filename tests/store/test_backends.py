@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationSchema
 from repro.store.backend import STORE_NAMESPACE, StoreError, resolve_backend
 from repro.store.memory import MemoryBackend
@@ -101,6 +102,42 @@ class TestTableSemantics:
         removed = table.clear()
         assert removed == [(2, "y")]
         assert len(table) == 0 and table.clear() == []
+
+    def test_delete_many(self, backend):
+        table = backend.table(STORE_NAMESPACE, _schema())
+        for row in [(1, "x"), (2, "y"), (3, "z")]:
+            table.insert(row)
+        table.delete_many([(1, "x"), (3, "z")])
+        assert list(table) == [(2, "y")]
+        assert list(table.scan({1: "y"})) == [(2, "y")]
+
+    def test_replace_writes_the_difference_with_typed_keys(self, backend):
+        table = backend.table(STORE_NAMESPACE, _schema(columns=("v", "w")))
+        for row in [(1, "a"), (True, "a"), (2, "b")]:
+            table.insert(row)
+        list(table.scan({1: "a"}))                   # build an index first
+        inserted, deleted = table.replace([(1, "a"), (1.0, "a"), (3, "c"), (3, "c")])
+        # 1 stays; True leaves although 1 == True; 1.0 arrives although 1 == 1.0.
+        assert sorted(inserted, key=repr) == [(1.0, "a"), (3, "c")]
+        assert sorted(deleted, key=repr) == [(2, "b"), (True, "a")]
+        assert [type(row[0]) for row in deleted if row[1] == "a"] == [bool]
+        assert sorted(table, key=repr) == [(1, "a"), (1.0, "a"), (3, "c")]
+        assert sorted(table.scan({1: "a"}), key=repr) == [(1, "a"), (1.0, "a")]
+        assert list(table.scan({0: True})) == []
+        assert table.replace([(1, "a"), (1.0, "a"), (3, "c")]) == ([], [])
+        inserted, deleted = table.replace([])
+        assert inserted == [] and sorted(deleted, key=repr) == [(1, "a"), (1.0, "a"), (3, "c")]
+        assert len(table) == 0
+
+    def test_replace_checks_arity_and_handles_zero_arity(self, backend):
+        table = backend.table(STORE_NAMESPACE, _schema())
+        with pytest.raises(SchemaError):
+            table.replace([(1,)])
+        flag = backend.table(STORE_NAMESPACE, _schema(name="flag", columns=()))
+        assert flag.replace([()]) == ([()], [])
+        assert flag.replace([()]) == ([], [])
+        assert flag.replace([]) == ([], [()])
+        assert len(flag) == 0
 
     def test_same_relation_two_namespaces(self, backend):
         """Store and derived tables of one relation are independent."""
