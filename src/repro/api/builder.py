@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 from repro.core.schema import RelationSchema
-from repro.replication import REPLICATION_MODES
 from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.system import WebdamLogSystem
 from repro.runtime.transport import Transport
@@ -77,11 +76,9 @@ class SystemBuilder:
         self._transport_options: dict = {}
         self._default_trusted: Tuple[str, ...] = ()
         self._auto_accept = True
-        self._strict_stage_inputs = False
         self._provenance = False
         self._storage: Optional[str] = None
         self._storage_options: dict = {}
-        self._replication: Optional[str] = None
         self._specs: List[_PeerSpec] = []
 
     # -- system-wide configuration ------------------------------------- #
@@ -105,6 +102,10 @@ class SystemBuilder:
 
         Named transports are constructed at ``build()`` time, so one builder
         chain can be built more than once without sharing sockets.
+
+        The transport also decides how updates travel: a fault-free
+        in-memory transport carries raw messages, any other (a fault, or
+        ``"tcp"``) causal replication — see ``docs/replication.md``.
         """
         if isinstance(transport, str):
             if transport not in TRANSPORTS:
@@ -136,11 +137,6 @@ class SystemBuilder:
         ``False`` queues delegations from untrusted peers for explicit
         approval."""
         self._auto_accept = enabled
-        return self
-
-    def strict_stage_inputs(self, enabled: bool = True) -> "SystemBuilder":
-        """Facts pushed to local intensional relations last one stage only."""
-        self._strict_stage_inputs = enabled
         return self
 
     def provenance(self, enabled: bool = True) -> "SystemBuilder":
@@ -183,30 +179,6 @@ class SystemBuilder:
         self._storage_options = dict(options)
         return self
 
-    def replication(self, mode: str) -> "SystemBuilder":
-        """Choose how peer-to-peer updates are replicated.
-
-        * ``"reliable"`` (default) — raw fact/delegation messages, assuming
-          the transport delivers each exactly once and in order (true of the
-          default in-memory transport without failure injection);
-        * ``"causal"`` — dotted delta envelopes with causal contexts and
-          anti-entropy (:mod:`repro.replication`): applying an envelope is
-          an idempotent, commutative causal join, so the deployment
-          converges to the same fixpoint under message loss, duplication
-          and reordering.
-
-        When this method is not called, the ``REPRO_REPLICATION``
-        environment variable picks the mode — that is how CI runs the whole
-        suite once per mode.  See ``docs/replication.md``.
-        """
-        if mode not in REPLICATION_MODES:
-            raise BuildError(
-                f"unknown replication mode {mode!r}; choose from "
-                f"{REPLICATION_MODES}"
-            )
-        self._replication = mode
-        return self
-
     # -- peers ----------------------------------------------------------- #
 
     def peer(self, name: str) -> "PeerBuilder":
@@ -227,12 +199,10 @@ class SystemBuilder:
         runtime = WebdamLogSystem(
             default_trusted=self._default_trusted,
             auto_accept_delegations=self._auto_accept,
-            strict_stage_inputs=self._strict_stage_inputs,
             transport=transport,
             provenance=self._provenance,
             storage=self._storage,
             storage_options=dict(self._storage_options),
-            replication=self._replication,
         )
         built = System(runtime)
         for spec in self._specs:

@@ -299,7 +299,6 @@ class WebdamLogEngine:
     """The WebdamLog engine of a single peer."""
 
     def __init__(self, peer: str, schemas: Optional[SchemaRegistry] = None,
-                 strict_stage_inputs: bool = False,
                  storage=None, storage_options: Optional[Dict] = None):
         self.peer = peer
         backend = resolve_backend(storage, peer=peer, options=storage_options)
@@ -311,11 +310,6 @@ class WebdamLogEngine:
         # retracted, programs loaded).  The planner's plan cache is keyed on
         # it, so uninstalling a view's rules can never leave a stale plan.
         self.program_version = 0
-        # Strict per-stage semantics (facts received for local intensional
-        # relations are visible for exactly one stage, as in the PODS model);
-        # the default keeps them until the sender retracts them, which is the
-        # behaviour the Wepic demo relies on.
-        self.strict_stage_inputs = strict_stage_inputs
         # Optional provenance tracker (see :mod:`repro.provenance`): when set,
         # every derivation of the fixpoint is recorded through its ``record``
         # method, which the access-control view policies build upon, and its
@@ -357,9 +351,9 @@ class WebdamLogEngine:
         # object over again and has nothing to send.
         self._outcome: Optional[RuleOutcome] = None
         self._emitted: Optional[RuleOutcome] = None
-        # Deletions performed by end-of-stage housekeeping (non-persistent
-        # relation clears, strict provided clears) that the next fixpoint
-        # must treat as part of its input delta.
+        # Deletions performed by end-of-stage housekeeping (scratch relation
+        # clears, scratch provided facts) that the next fixpoint must treat
+        # as part of its input delta.
         self._carryover_delta: Delta = Delta.empty()
         # Lifetime work counters across all stages (benchmark / test probes).
         self.eval_counters: Dict[str, int] = {
@@ -573,7 +567,7 @@ class WebdamLogEngine:
         A stage consumes: the program (rules, delegations, schemas), the
         pending inputs (:meth:`has_pending_input`), what the previous stage
         left for it (deferred extensional updates; the deletions its
-        housekeeping made in scratch relations and strict provided facts,
+        housekeeping made in scratch relations and their provided facts,
         whose consequences are still derived) and the writes the stores saw
         since.  The last are read off the stores, because wrappers and
         callers write to them directly; every other input arrives through a
@@ -616,9 +610,13 @@ class WebdamLogEngine:
         # carried over into the next fixpoint's input delta: the facts were
         # visible to *this* stage's evaluation, so their consequences must be
         # retracted by the next one.
+        # Facts provided to a scratch intensional relation live one stage (as
+        # in the PODS model); elsewhere they stay until the sender retracts
+        # them, which is the behaviour the Wepic demo relies on.
         housekeeping = Delta.empty()
-        if self.strict_stage_inputs:
-            housekeeping = housekeeping.merge(self.state.clear_provided())
+        scratch = self.state.schemas.scratch_intensional
+        if scratch:
+            housekeeping = housekeeping.merge(self.state.clear_provided(scratch))
         housekeeping = housekeeping.merge(self.state.store.clear_nonpersistent())
         self._carryover_delta = self._carryover_delta.merge(housekeeping)
         if outcome.local_extensional:

@@ -211,11 +211,6 @@ def _fold(inserted: Set[Fact], deleted: Set[Fact], step: Delta) -> None:
     deleted -= step.inserted
 
 
-#: Backwards-compatible alias: the hash-indexed table moved to
-#: :mod:`repro.store.memory` when the storage backend seam was introduced.
-_RelationTable = MemoryTable
-
-
 class FactStore:
     """Per-peer fact storage: one backend table per relation.
 

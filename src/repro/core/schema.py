@@ -7,10 +7,9 @@ WebdamLog distinguishes two kinds of relations:
 * **intensional** relations are defined by rules; their contents are
   recomputed at every stage of the engine and never stored durably.
 
-The original Ruby prototype further distinguishes *persistent* extensional
-relations (facts survive across stages) from *non-persistent* ones (facts are
-consumed by the stage that reads them, like Bud scratch collections).  Both
-flavours are supported here through :attr:`RelationSchema.persistent`.
+The original Ruby prototype further distinguishes *persistent* relations
+(facts survive across stages) from *scratch* ones (facts live one stage, like
+Bud scratch collections); see :attr:`RelationSchema.persistent`.
 
 A relation is identified by the pair ``(name, peer)`` — ``pictures@alice``
 and ``pictures@bob`` are unrelated relations that merely share a name.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import SchemaError
 
@@ -77,8 +76,9 @@ class RelationSchema:
     kind:
         :class:`RelationKind.EXTENSIONAL` or :class:`RelationKind.INTENSIONAL`.
     persistent:
-        Whether extensional facts survive across engine stages.  Ignored for
-        intensional relations (which are always recomputed).
+        ``False`` for ``collection ... scratch``: a scratch extensional
+        relation is emptied at the end of every stage, and facts remote peers
+        provide to a scratch intensional one last the stage that reads them.
     key:
         Optional tuple of column names forming a primary key; insertions that
         collide on the key replace the previous fact (last-writer-wins), which
@@ -153,6 +153,9 @@ class SchemaRegistry:
 
     def __init__(self, schemas: Optional[Iterable[RelationSchema]] = None):
         self._schemas: Dict[RelationName, RelationSchema] = {}
+        #: ``(name, peer)`` of every scratch intensional relation, kept as
+        #: declared so that a stage's end does not scan the schemas.
+        self.scratch_intensional: Set[Tuple[str, str]] = set()
         if schemas:
             for schema in schemas:
                 self.declare(schema)
@@ -198,6 +201,11 @@ class SchemaRegistry:
             # Same arity/kind but e.g. different column names: keep the first.
             return existing
         self._schemas[schema.relation_name] = schema
+        key = (schema.name, schema.peer)
+        if schema.is_intensional() and not schema.persistent:
+            self.scratch_intensional.add(key)
+        else:
+            self.scratch_intensional.discard(key)
         return schema
 
     def declare_implicit(self, name: str, peer: str, arity: int,
@@ -259,6 +267,7 @@ class SchemaRegistry:
         """Return a shallow copy of the registry (schemas are immutable)."""
         clone = SchemaRegistry()
         clone._schemas = dict(self._schemas)
+        clone.scratch_intensional = set(self.scratch_intensional)
         return clone
 
 

@@ -5,8 +5,8 @@ A peer's state consists of
 * the **schemas** it knows about,
 * its **extensional store** (base facts of relations located at the peer),
 * the **provided facts** received from remote peers for *intensional* local
-  relations — they persist until the sender retracts them (or, in strict
-  stage semantics, for a single stage),
+  relations — they persist until the sender retracts them (or, for a
+  relation declared ``scratch``, for a single stage),
 * the **derived store** of intensional facts computed by the last stage,
 * the peer's **own rules**, and
 * the **delegations** installed at the peer by remote delegators.
@@ -355,15 +355,17 @@ class PeerState:
         else:
             self._provided_deleted.add(fact)
 
-    def clear_provided(self) -> Delta:
-        """Drop every provided fact (strict per-stage input semantics).
+    def clear_provided(self, relations: Iterable[Tuple[str, str]]) -> Delta:
+        """Drop every provided fact of the ``(name, peer)`` relations given
+        (the scratch intensional relations: their inputs live one stage).
 
-        Returns the deletion delta of everything that was provided — even
-        facts that only arrived this stage, because the fixpoint may already
-        have derived from them (the incremental engine feeds this into the
-        next stage's rederive pass).
+        Returns the deletion delta of everything dropped — even facts that
+        only arrived this stage, because the fixpoint may already have
+        derived from them (the incremental engine feeds this into the next
+        stage's rederive pass).
         """
-        removed = tuple(self.provided)
+        removed = [fact for key in relations
+                   for fact in self._provided_by_relation.get(key, ())]
         for fact in removed:
             self._drop_provided(fact)
         return Delta.deletion(removed)

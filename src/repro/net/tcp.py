@@ -80,7 +80,13 @@ class TcpTransport:
         yielding to the network before the next scheduler cycle.
     seed:
         Seeds peer-local RNGs (gossip target choice) for reproducibility.
+
+    Gossip hands envelopes over in arrival order, and a frame lost to a
+    connect error or an evicted buffer is gone: no exactly-once promise, so
+    the peers replicate causally (:mod:`repro.replication`).
     """
+
+    exactly_once_in_order = False
 
     def __init__(self, *, host: str = "127.0.0.1",
                  gossip: Optional[GossipConfig] = None,

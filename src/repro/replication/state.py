@@ -158,8 +158,8 @@ class ReplicationState:
     def mark_unreachable(self, target: str) -> None:
         """Stop replicating to a target the transport cannot deliver to.
 
-        Mirrors the reliable-mode behaviour for wrapper-only pseudo-peers
-        (their messages are counted but silently undeliverable): without
+        Mirrors raw messages, which such a failure loses, for wrapper-only
+        pseudo-peers (their messages are counted but undeliverable): without
         this, an outbox to such a target would stay unacknowledged forever
         and the peer would never look quiescent.
         """

@@ -7,7 +7,8 @@ per-link counters — which the benchmark harness reads to reproduce the
 paper's qualitative claims (how much data moves, and between whom).
 
 An optional drop probability (with a seeded random generator) supports the
-failure-injection tests.
+failure-injection tests; a transport built with no fault promises
+exactly-once, in-order delivery, so its peers ship raw messages.
 
 :class:`InMemoryTransport` is the reference implementation of the
 :class:`~repro.runtime.transport.Transport` protocol.
@@ -22,6 +23,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import TransportError
 from repro.runtime.messages import Message
+
+#: The settings that break exactly-once, in-order delivery when non-zero.
+_FAULT_FIELDS = frozenset(("drop_probability", "duplicate_probability",
+                           "latency_jitter", "reorder_window"))
 
 
 @dataclass
@@ -89,7 +94,13 @@ class InMemoryTransport:
         and ``register``/``unregister`` decision is recorded, so a failure
         schedule can be replayed (and audited) from the JSONL stream.
         Timestamps are virtual (the transport round).
+
+    The delivery promise is fixed at construction: setting a fault field of
+    a transport that made it raises ``ValueError`` (its peers ship raw
+    messages, which the fault would lose).
     """
+
+    _exactly_once = False  # until the constructor decides
 
     def __init__(self, latency: int = 1, drop_probability: float = 0.0,
                  seed: Optional[int] = 0,
@@ -129,6 +140,20 @@ class InMemoryTransport:
         # recipient -> list of (deliver_at_round, message)
         self._in_flight: Dict[str, List[Tuple[int, Message]]] = defaultdict(list)
         self.stats = NetworkStats()
+        self._exactly_once = not (drop_probability or duplicate_probability
+                                  or latency_jitter or reorder_window
+                                  or shuffle_seed is not None)
+
+    @property
+    def exactly_once_in_order(self) -> bool:
+        """``True`` when built with no loss, duplication, jitter or reordering."""
+        return self._exactly_once
+
+    def __setattr__(self, name, value):
+        if value and name in _FAULT_FIELDS and self.exactly_once_in_order:
+            raise ValueError(f"this transport promised exactly-once, in-order "
+                             f"delivery; build it with {name}={value!r} instead")
+        object.__setattr__(self, name, value)
 
     def _emit(self, action: str, node: str, **fields) -> None:
         if self.event_log is not None:

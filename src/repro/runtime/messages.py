@@ -14,8 +14,9 @@ computation stage described in the paper:
 * **replication payloads** (:class:`DeltaEnvelopeMessage`,
   :class:`ReplicationDigestMessage`, :class:`ReplicationPullMessage`,
   :class:`ReplicationAckMessage`) — the dotted delta ops and anti-entropy
-  control of causal replication mode (:mod:`repro.replication`), which
-  replace raw fact/delegation messages on unreliable transports.
+  control of causal replication (:mod:`repro.replication`), which replace
+  raw fact/delegation messages on every transport that does not promise
+  exactly-once, in-order delivery.
 
 Every message can be encoded to / decoded from a JSON-compatible dictionary
 (:meth:`Message.to_wire`, :func:`message_from_wire`) so the same types flow

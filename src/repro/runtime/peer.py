@@ -29,7 +29,6 @@ from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationSchema, SchemaRegistry
 from repro.provenance.graph import Derivation as ProvenanceDerivation
 from repro.provenance.graph import Explanation, ProvenanceTracker
-from repro.replication import resolve_replication_mode
 from repro.replication.state import ReplicationState
 from repro.runtime.messages import (
     DelegationInstallMessage,
@@ -64,31 +63,27 @@ class Peer:
 
     def __init__(self, name: str, trust: Optional[TrustStore] = None,
                  auto_accept_delegations: bool = False,
-                 strict_stage_inputs: bool = False,
                  schemas: Optional[SchemaRegistry] = None,
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
-                 replication: Optional[str] = None):
+                 replication: bool = False):
         self.name = name
-        self.engine = WebdamLogEngine(name, schemas=schemas,
-                                      strict_stage_inputs=strict_stage_inputs,
-                                      storage=storage,
+        self.engine = WebdamLogEngine(name, schemas=schemas, storage=storage,
                                       storage_options=storage_options)
         if provenance:
             self.engine.provenance = ProvenanceTracker()
-        # Replication mode: ``"reliable"`` ships raw fact/delegation messages
-        # (the historical behaviour, assumes exactly-once in-order delivery);
-        # ``"causal"`` ships dotted delta envelopes with anti-entropy (see
-        # repro.replication).  ``None`` defers to REPRO_REPLICATION.
-        self.replication_mode = resolve_replication_mode(replication)
-        if self.replication_mode == "causal":
+        # ``replication=False`` ships raw fact/delegation messages, which
+        # assumes exactly-once, in-order delivery; ``True`` ships dotted delta
+        # envelopes with anti-entropy (see repro.replication).  The system
+        # decides from its transport's delivery promise.
+        if replication:
             backend = self.engine.state.backend
             # A backend that keeps nothing is never restored from, so its
             # peer journals no channel changes and persists none.
             self.replication: Optional[ReplicationState] = ReplicationState(
                 name, journal=backend.persistent)
             self.replication.restore(backend)
-            # Remote-provided facts are volatile engine state: a reliable-mode
+            # Remote-provided facts are volatile engine state: a raw-message
             # restart recovers them because the restarted *sender* re-ships
             # everything, but a causal outbox's live-set dedup suppresses that
             # re-send.  The inbox already knows exactly which facts have been
@@ -218,7 +213,7 @@ class Peer:
 
         The work-driven schedulers skip a peer that answers ``False``: it is
         guaranteed to run a quiescent stage.  Three things can ask for one.
-        In causal mode, replication attention (unsent ops, queued
+        Under causal replication, replication attention (unsent ops, queued
         anti-entropy control, a digest due this cycle) — a peer that is only
         waiting for an ack is *not* staged; that the deployment has not
         settled meanwhile is :meth:`ReplicationState.unsettled`'s answer,
@@ -263,9 +258,9 @@ class Peer:
                                 ReplicationPullMessage, ReplicationAckMessage)):
             if self.replication is None:
                 raise TypeError(
-                    f"peer {self.name!r} runs reliable replication but received "
-                    f"a {message.kind()}; every peer of a deployment must use "
-                    "the same replication mode"
+                    f"peer {self.name!r} has no causal replication but received "
+                    f"a {message.kind()}; every peer of a deployment must run "
+                    "over the same transport"
                 )
             if isinstance(message, DeltaEnvelopeMessage):
                 effects = self.replication.apply_envelope(message, now)
@@ -304,7 +299,7 @@ class Peer:
     def _apply_replication_effects(self, origin: str, effects) -> None:
         """Feed an envelope's visibility transitions to the engine.
 
-        The effects are exactly what the reliable-mode message dispatch
+        The effects are exactly what the raw-message dispatch
         would have done — fact updates through :meth:`receive_facts`,
         delegations through the controller, derivations into the tracker —
         so the engine's skip/delta/rederive input paths see no difference.
@@ -347,9 +342,9 @@ class Peer:
     def notify_send_failed(self, message: Message) -> None:
         """The transport rejected a message (unknown recipient).
 
-        In causal mode the channel to that target is marked unreachable so
-        its unacknowledged ops stop demanding attention — mirroring the
-        reliable-mode behaviour, where such messages are silently lost
+        Under causal replication the channel to that target is marked
+        unreachable so its unacknowledged ops stop demanding attention —
+        mirroring raw messages, which such a failure silently loses
         (wrapper-only pseudo-peers).
         """
         if self.replication is not None:
@@ -363,7 +358,7 @@ class Peer:
     def run_stage(self, now: int = 0) -> Tuple[StageResult, List[Message]]:
         """Run one engine stage and convert its outputs into messages.
 
-        In causal replication mode the stage's messages are absorbed into
+        Under causal replication the stage's messages are absorbed into
         channel ops and re-emitted as delta envelopes (plus the anti-entropy
         control traffic that falls due in cycle ``now``); what changed in the
         channels is persisted inside the same transaction as the engine's

@@ -62,7 +62,9 @@ class WebdamLogSystem:
         immediately; set to ``False`` to enable the pending-queue control of
         delegation for untrusted delegators.
     transport:
-        An explicit :class:`~repro.runtime.transport.Transport`.
+        An explicit :class:`~repro.runtime.transport.Transport`.  Unless it
+        promises ``exactly_once_in_order`` delivery, every peer gets causal
+        replication (:mod:`repro.replication`) instead of raw messages.
     provenance:
         When ``True`` every peer gets a
         :class:`~repro.provenance.graph.ProvenanceTracker` whose graph is
@@ -73,11 +75,9 @@ class WebdamLogSystem:
 
     def __init__(self, default_trusted: Sequence[str] = (),
                  auto_accept_delegations: bool = True,
-                 strict_stage_inputs: bool = False,
                  transport: Optional["Transport"] = None,
                  provenance: bool = False,
-                 storage=None, storage_options: Optional[Dict] = None,
-                 replication: Optional[str] = None):
+                 storage=None, storage_options: Optional[Dict] = None):
         self.transport = (transport if transport is not None
                           else InMemoryTransport())
         #: The execution driver: a cycle runs only the peers with work.
@@ -85,18 +85,12 @@ class WebdamLogSystem:
         self.peers: Dict[str, Peer] = {}
         self.default_trusted = tuple(default_trusted)
         self.auto_accept_delegations = auto_accept_delegations
-        self.strict_stage_inputs = strict_stage_inputs
         self.provenance = provenance
         # Storage backend specification applied to every peer ("memory",
         # "sqlite", or None to consult REPRO_STORE_BACKEND); each peer
         # resolves its own backend instance (one database file per peer).
         self.storage = storage
         self.storage_options = dict(storage_options or {})
-        # Replication mode applied to every peer ("reliable", "causal", or
-        # None to consult REPRO_REPLICATION / the default).  Mixed-mode
-        # deployments are not supported: a reliable peer rejects replication
-        # envelopes, so the mode is a system-level choice.
-        self.replication = replication
         self._round = 0
         # (name, peer) pairs in name order — the order every driver activates
         # in; rebuilt after add_peer/remove_peer.
@@ -148,12 +142,15 @@ class WebdamLogSystem:
                            trust_all=trust_all)
         auto = (self.auto_accept_delegations if auto_accept_delegations is None
                 else auto_accept_delegations)
+        # Raw messages are correct only where each arrives exactly once and
+        # in order; one transport, so every peer of a deployment agrees.
         peer = Peer(name, trust=trust, auto_accept_delegations=auto,
-                    strict_stage_inputs=self.strict_stage_inputs, schemas=schemas,
+                    schemas=schemas,
                     provenance=self.provenance if provenance is None else provenance,
                     storage=self.storage,
                     storage_options=dict(self.storage_options),
-                    replication=self.replication)
+                    replication=not getattr(self.transport,
+                                            "exactly_once_in_order", False))
         if peer.replication is not None:
             # Causal joins/digests/pulls land in the same event stream as the
             # transport's send/drop/dup records, so one JSONL replays it all.

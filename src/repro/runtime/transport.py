@@ -32,7 +32,13 @@ from repro.runtime.messages import Message
 
 @runtime_checkable
 class Transport(Protocol):
-    """What the system orchestrator requires from a message transport."""
+    """What the system orchestrator requires from a message transport.
+
+    Optional read-only attribute: ``exactly_once_in_order``, ``True`` when
+    every message arrives exactly once and in send order.  Peers ship raw
+    messages only over such a transport; any other, or one that does not
+    declare it, gets causal replication (:mod:`repro.replication`).
+    """
 
     #: Accumulated counters (messages sent/delivered/dropped, payload items).
     stats: NetworkStats
@@ -100,10 +106,11 @@ class RecordingTransport:
     """A decorator that logs every operation of an inner transport.
 
     The wrapped transport's semantics are unchanged — same delivery order,
-    same latency, same loss model — so a system driven through a
-    ``RecordingTransport(InMemoryTransport())`` reaches exactly the same
-    fixpoint as one driven through the bare transport.  The ``events`` list
-    holds :class:`TransportEvent` records in the order they happened.
+    same latency, same loss model, same delivery promise — so a system
+    driven through a ``RecordingTransport(InMemoryTransport())`` reaches
+    exactly the same fixpoint as one driven through the bare transport.  The
+    ``events`` list holds :class:`TransportEvent` records in the order they
+    happened.
 
     ``log_path`` additionally streams every event to a JSONL file in the
     shared network-event format of :class:`repro.net.events.NetEventLog`
@@ -175,6 +182,10 @@ class RecordingTransport:
         return self.inner.has_in_flight()
 
     # -- stats --------------------------------------------------------- #
+
+    @property
+    def exactly_once_in_order(self) -> bool:
+        return getattr(self.inner, "exactly_once_in_order", False)
 
     @property
     def stats(self) -> NetworkStats:

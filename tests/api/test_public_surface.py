@@ -11,7 +11,7 @@ from repro.api import SystemBuilder
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
     "transport", "default_trusted", "auto_accept_delegations",
-    "strict_stage_inputs", "provenance", "storage", "replication",
+    "provenance", "storage",
 }
 
 #: Builder methods that describe topology or realise it, not a mode.
@@ -31,7 +31,6 @@ def test_every_system_knob_returns_the_builder_for_chaining():
     arguments = {
         "transport": ("inmemory",), "default_trusted": ("sigmod",),
         "storage": ("memory",),
-        "replication": ("causal",),
     }
     builder = SystemBuilder()
     for knob in sorted(SYSTEM_KNOBS):

@@ -227,14 +227,16 @@ class TestRemoteInteraction:
         assert fact in result.visible_delta.deleted
         assert result.masked_deletions == frozenset()
 
-    @pytest.mark.parametrize("replication", ["reliable", "causal"])
+    @pytest.mark.parametrize("faults", [{}, {"duplicate_probability": 0.3}],
+                             ids=["raw", "causal"])
     def test_rating_gathered_from_two_selected_attendees_survives_a_deselect(
-            self, replication):
+            self, faults):
         """The Wepic ranking view: the same ``attendeeRatings(49, 4)`` derived
         at two selected attendees stays while either is still selected."""
+        from repro.runtime.inmemory import InMemoryTransport
         from repro.runtime.system import WebdamLogSystem
 
-        system = WebdamLogSystem(replication=replication)
+        system = WebdamLogSystem(transport=InMemoryTransport(seed=3, **faults))
         jules = system.add_peer("Jules")
         jules.load_program("""
         collection extensional persistent selectedAttendee@Jules(attendee);
@@ -258,15 +260,19 @@ class TestRemoteInteraction:
         assert system.converge(max_steps=60).converged
         assert jules.query("attendeeRatings") == ()
 
-    def test_strict_stage_inputs_drop_provided_facts(self):
-        engine = WebdamLogEngine("alice", strict_stage_inputs=True)
-        engine.declare(RelationSchema("view", "alice", ("x",),
-                                      kind=RelationKind.INTENSIONAL))
-        engine.receive_facts("bob", inserted=[Fact("view", "alice", (1,))])
+    def test_scratch_intensional_relation_drops_provided_facts(self):
+        engine = WebdamLogEngine("alice")
+        engine.load_program("""
+        collection intensional scratch view@alice(x);
+        collection intensional kept@alice(x);
+        """)
+        engine.receive_facts("bob", inserted=[Fact("view", "alice", (1,)),
+                                              Fact("kept", "alice", (1,))])
         engine.run_stage()
-        # With strict semantics the provided fact is visible only during the
-        # stage that consumed it.
+        # A fact provided to a scratch relation is visible only during the
+        # stage that consumed it; the persistent relation keeps its own.
         assert engine.query("view") == ()
+        assert engine.query("kept") == (Fact("kept", "alice", (1,)),)
 
     def test_misrouted_fact_ignored(self, engine):
         engine.receive_facts("bob", inserted=[Fact("pictures", "carol", (1,))])

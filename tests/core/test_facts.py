@@ -376,7 +376,7 @@ class TestRelationSnapshots:
         state.remove_provided(Fact("view", "p", (2,)), "b")
         assert [fact.values for fact in state.query("view")] == [(1,)]
         state.add_provided(Fact("view", "p", (3,)), "a")
-        state.clear_provided()
+        state.clear_provided([("view", "p")])
         assert [fact.values for fact in state.query("view")] == [(1,)]
 
     def test_remote_relations_are_never_visible_and_snapshots_can_be_dropped(self):

@@ -6,10 +6,9 @@ tests drive the same program through a lockstep baseline and through
 adversarial transports — reordered, duplicated, jittered delivery — and
 require bit-identical snapshots.
 
-Message *loss* is the one adversary that legitimately changes the
-outcome: dropped deltas are never retransmitted by the in-memory
-transport, so the result is a subset of the baseline (documented
-eventual-consistency model, see tests/integration/test_failure_injection.py).
+Message *loss* is confluent too: any fault makes the in-memory transport
+withdraw its exactly-once promise, so the peers replicate causally and
+anti-entropy repairs what was dropped.
 """
 
 import pytest
@@ -35,11 +34,8 @@ rule echo@alice($x) :- sink@carol($x);
 ITEMS = tuple(f"item{i}" for i in range(12))
 
 
-def run(transport, replication=None):
-    builder = system().transport(transport)
-    if replication is not None:
-        builder = builder.replication(replication)
-    deployment = (builder
+def run(transport):
+    deployment = (system().transport(transport)
                   .peer("alice").program(PROGRAM_ALICE)
                   .peer("bob").program(PROGRAM_BOB)
                   .peer("carol").program(PROGRAM_CAROL)
@@ -92,17 +88,7 @@ def test_all_adversaries_combined_are_confluent(baseline, seed):
 
 
 @pytest.mark.parametrize("seed", [5, 17])
-def test_lossy_delivery_diverges_only_downward(baseline, seed):
-    """Loss is NOT confluent here: under *reliable* replication the
-    in-memory transport never retransmits, so derived views may be
-    missing items — but anything that did arrive must match the baseline
-    (no wrong facts).  Causal replication removes this caveat — see
-    tests/properties/test_confluence_replication.py."""
+def test_lossy_delivery_is_confluent(baseline, seed):
     transport = InMemoryTransport(drop_probability=0.5, seed=seed)
-    snapshot = run(transport, replication="reliable")
+    assert run(transport) == baseline
     assert transport.stats.messages_dropped > 0
-    for peer, relations in snapshot.items():
-        for relation, facts in relations.items():
-            assert set(facts) <= set(baseline[peer][relation])
-    # the loss actually bit: something is missing somewhere
-    assert snapshot != baseline

@@ -2,8 +2,9 @@
 
 The tentpole property of :mod:`repro.replication`: whatever seeded schedule
 of message **drop, duplication, reordering and partition** the in-memory
-transport injects, a causal deployment reaches the *byte-identical* fixpoint
-— and the identical ``explain()`` lineage — of a reliable run over a clean
+transport injects, a deployment over it — causal, because a faulty transport
+promises no exactly-once delivery — reaches the *byte-identical* fixpoint and
+the identical ``explain()`` lineage of a raw-message run over a clean
 transport.  The property is pinned on both storage backends and on both the
 lockstep reference and the reactive driver, plus:
 
@@ -27,6 +28,7 @@ from repro.core.facts import Fact
 from repro.net.events import NetEventLog, read_events
 from repro.replication.dots import Op
 from repro.runtime.inmemory import InMemoryTransport
+from repro.runtime.transport import RecordingTransport
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
     ReplicationAckMessage,
@@ -35,6 +37,7 @@ from repro.runtime.messages import (
     message_from_wire,
 )
 
+from tests.fakes import UnpromisedTransport
 from tests.reference_engine import lockstep
 
 BACKENDS = ("memory", "sqlite")
@@ -63,10 +66,9 @@ SCRIPT = (
 )
 
 
-def build(transport, replication, storage, driver, provenance=False):
+def build(transport, storage, driver, provenance=False):
     deployment = (system()
                   .transport(transport)
-                  .replication(replication)
                   .storage(storage)
                   .provenance(provenance)
                   .peer("alice").program(PROGRAM_ALICE)
@@ -115,9 +117,8 @@ def lineage_story(deployment):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Reliable run over a clean transport: the confluence baseline."""
-    deployment = drive(build(InMemoryTransport(), "reliable", "memory",
-                             "lockstep"))
+    """Raw-message run over a clean transport: the confluence baseline."""
+    deployment = drive(build(InMemoryTransport(), "memory", "lockstep"))
     return snapshot_bytes(deployment)
 
 
@@ -131,15 +132,16 @@ class TestConfluence:
                                       duplicate_probability=0.3,
                                       latency_jitter=2, reorder_window=4,
                                       seed=seed)
-        deployment = drive(build(transport, "causal", storage, driver))
+        deployment = drive(build(transport, storage, driver))
         assert snapshot_bytes(deployment) == reference
         assert transport.stats.messages_dropped > 0
         deployment.close()
 
     @pytest.mark.parametrize("storage", BACKENDS)
     def test_partition_heals_to_reference_fixpoint(self, reference, storage):
-        transport = InMemoryTransport(seed=5)
-        deployment = build(transport, "causal", storage, "lockstep")
+        # clean at first, so it must not promise exactly-once delivery
+        transport = UnpromisedTransport(seed=5)
+        deployment = build(transport, storage, "lockstep")
         for index, (action, item) in enumerate(SCRIPT):
             # total partition during the middle third of the script
             transport.drop_probability = 1.0 if 3 <= index < 6 else 0.0
@@ -154,28 +156,28 @@ class TestConfluence:
         assert snapshot_bytes(deployment) == reference
         deployment.close()
 
-    def test_reliable_mode_diverges_under_loss_but_causal_does_not(self):
-        """The differential claim: same seed, same loss — only the causal
-        deployment reaches the reference fixpoint."""
-        reliable = drive(
-            build(InMemoryTransport(loss_probability=0.5, seed=17),
-                  "reliable", "memory", "lockstep"))
-        causal = drive(
-            build(InMemoryTransport(loss_probability=0.5, seed=17),
-                  "causal", "memory", "lockstep"))
-        clean = drive(build(InMemoryTransport(), "reliable", "memory",
-                            "lockstep"))
-        assert snapshot_bytes(causal) == snapshot_bytes(clean)
-        assert snapshot_bytes(reliable) != snapshot_bytes(clean)
+    def test_a_lossy_transport_gets_causal_replication_and_the_reference(self):
+        """Raw messages over a lossy network cannot be built: the lossy
+        transport gives every peer causal replication, and the deployment
+        reaches the clean run's fixpoint."""
+        lossy = build(InMemoryTransport(loss_probability=0.5, seed=17),
+                      "memory", "lockstep")
+        clean = build(InMemoryTransport(), "memory", "lockstep")
+        assert all(peer.replication is not None
+                   for peer in lossy.runtime.peers.values())
+        assert all(peer.replication is None
+                   for peer in clean.runtime.peers.values())
+        assert snapshot_bytes(drive(lossy)) == snapshot_bytes(drive(clean))
+        assert lossy.stats.messages_dropped > 0
 
     @pytest.mark.parametrize("seed", [7, 23])
-    def test_explain_lineage_matches_reliable_reference(self, seed):
-        clean = drive(build(InMemoryTransport(), "reliable", "memory",
-                            "lockstep", provenance=True))
+    def test_explain_lineage_matches_the_clean_reference(self, seed):
+        clean = drive(build(InMemoryTransport(), "memory", "lockstep",
+                            provenance=True))
         lossy = drive(build(
             InMemoryTransport(loss_probability=0.3, duplicate_probability=0.3,
                               reorder_window=3, seed=seed),
-            "causal", "memory", "lockstep", provenance=True))
+            "memory", "lockstep", provenance=True))
         assert lineage_story(lossy) == lineage_story(clean)
         assert snapshot_bytes(lossy) == snapshot_bytes(clean)
 
@@ -184,11 +186,14 @@ class TestDuplicatedRetraction:
     def test_twice_delivered_retraction_is_a_noop(self):
         """Regression: a duplicated delegation-retraction delivery must not
         double-decrement anything — the second copy is a strict no-op, and a
-        later re-selection re-installs and re-derives cleanly."""
-        transport = InMemoryTransport(duplicate_probability=1.0, seed=1)
+        later re-selection re-installs and re-derives cleanly.
+
+        A duplicating transport gets causal replication, which absorbs the
+        copies before the engine sees them; to reach the raw-message path
+        the test sends every delivered message a second time itself."""
+        transport = RecordingTransport(InMemoryTransport())
         deployment = (system()
                       .transport(transport)
-                      .replication("reliable")
                       .provenance()
                       .peer("jules").program('''
                           collection extensional persistent selected@jules(who);
@@ -202,14 +207,24 @@ class TestDuplicatedRetraction:
                           fact pictures@emilien(2);
                       ''')
                       .build())
+        emilien = deployment.runtime.peer("emilien")
+        assert emilien.replication is None
+
+        def converge_then_deliver_again():
+            assert deployment.converge(max_steps=100).converged
+            delivered = [event.message for event in transport.clear_events()
+                         if event.action == "deliver"]
+            assert delivered
+            transport.send_all(delivered)
+            assert deployment.converge(max_steps=100).converged
+
         deployment.peer("jules").insert('selected@jules("emilien")')
-        assert deployment.converge(max_steps=100).converged
+        converge_then_deliver_again()
         assert len(deployment.snapshot()["jules"]["wall@jules"]) == 2
 
-        # every message is duplicated — including the retraction
+        # every message is delivered twice — including the retraction
         deployment.peer("jules").delete('selected@jules("emilien")')
-        assert deployment.converge(max_steps=100).converged
-        emilien = deployment.runtime.peer("emilien")
+        converge_then_deliver_again()
         assert len(emilien.installed_delegations()) == 0
         assert deployment.snapshot()["jules"].get("wall@jules", ()) == ()
 
@@ -224,7 +239,6 @@ class TestDuplicatedRetraction:
         transport = InMemoryTransport(duplicate_probability=1.0, seed=2)
         deployment = (system()
                       .transport(transport)
-                      .replication("causal")
                       .peer("jules").program('''
                           collection extensional persistent selected@jules(who);
                           collection intensional wall@jules(id);
@@ -257,8 +271,8 @@ class TestEventLogReplay:
             transport = InMemoryTransport(loss_probability=0.4,
                                           duplicate_probability=0.4,
                                           seed=13, event_log=log)
-            deployment = drive(build(transport, "causal", "memory",
-                                     "lockstep"), script=SCRIPT[:5])
+            deployment = drive(build(transport, "memory", "lockstep"),
+                               script=SCRIPT[:5])
             log.close()
             return deployment
 
@@ -297,7 +311,6 @@ class TestCausalCrashRecovery:
                     .transport(InMemoryTransport(loss_probability=0.3,
                                                  duplicate_probability=0.3,
                                                  seed=seed))
-                    .replication("causal")
                     .storage("sqlite", path=str(tmp_path))
                     .peer("alice").program(PROGRAM_ALICE)
                     .peer("bob").program(PROGRAM_BOB)

@@ -172,16 +172,16 @@ class TestDistributedDifferential:
             assert naive.converge(max_steps=60).converged
             assert incremental.snapshot() == naive.snapshot()
 
-    def test_strict_stage_inputs_matches_naive_system(self):
-        """Strict per-stage provided semantics agree between the modes."""
+    def test_scratch_inbox_matches_naive_system(self):
+        """Provided facts of a scratch relation live one stage in both modes."""
         results = {}
         for mode, build in (("incremental", WebdamLogSystem),
                             ("naive", ReferenceSystem)):
-            system = build(strict_stage_inputs=True)
+            system = build()
             source = system.add_peer("source")
             sink = system.add_peer("sink")
             sink.load_program("""
-            collection intensional inbox@sink(id);
+            collection intensional scratch inbox@sink(id);
             collection intensional log@sink(id);
             rule log@sink($x) :- inbox@sink($x);
             """)

@@ -136,16 +136,16 @@ def _build_system(system: WebdamLogSystem) -> WebdamLogSystem:
 
 
 class TestDistributedDifferential:
-    def test_strict_stage_inputs_matches_naive_provenance(self):
-        """Housekeeping clears (strict provided semantics) retract exactly."""
+    def test_scratch_inbox_matches_naive_provenance(self):
+        """Housekeeping clears (a scratch inbox's provided facts) retract exactly."""
         results = {}
         for mode, build in (("incremental", WebdamLogSystem),
                             ("naive", ReferenceSystem)):
-            system = build(strict_stage_inputs=True, provenance=True)
+            system = build(provenance=True)
             source = system.add_peer("source")
             sink = system.add_peer("sink")
             sink.load_program("""
-            collection intensional inbox@sink(id);
+            collection intensional scratch inbox@sink(id);
             collection intensional log@sink(id);
             rule log@sink($x) :- inbox@sink($x);
             """)

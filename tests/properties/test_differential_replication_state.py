@@ -50,6 +50,8 @@ from repro.store.backend import StoreError
 from repro.store.memory import MemoryBackend
 from repro.store.sqlite import SqliteBackend
 
+from tests.fakes import UnpromisedTransport
+
 PEERS = ("alice", "bob")
 RULE = parse_rule("seen@bob($x) :- item@bob($x)")
 
@@ -526,7 +528,7 @@ class TestAStageWritesWhatChanged:
         assert store.load_meta(META_KIND) == []
 
     def test_a_peer_on_a_store_that_keeps_nothing_keeps_no_books(self):
-        deployment = (system().replication("causal").storage("memory")
+        deployment = (system().transport(UnpromisedTransport()).storage("memory")
                       .peer("a").program("collection ext persistent item@a(x);\n"
                                          "rule item@b($x) :- item@a($x);")
                       .peer("b").program("collection ext persistent item@b(x);")
@@ -572,7 +574,7 @@ class Crash(Exception):
 
 
 def durable_chain(path, seed):
-    builder = (system().replication("causal").storage("sqlite", path=str(path))
+    builder = (system().storage("sqlite", path=str(path))
                .transport(InMemoryTransport(loss_probability=0.2,
                                             duplicate_probability=0.2, seed=seed)))
     for name, program in CHAIN.items():

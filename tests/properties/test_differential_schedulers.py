@@ -54,6 +54,7 @@ from repro.wepic.scenario import build_demo_scenario
 from repro.wrappers.dropbox import DropboxService, DropboxWrapper
 from repro.wrappers.email import EmailService, EmailWrapper
 
+from tests.fakes import UnpromisedTransport
 from tests.reference_engine import lockstep
 
 PROGRAMS = {
@@ -161,7 +162,7 @@ class Deployment:
         self.box_wrapper = AskCountingDropbox(self.dropbox, "u", peer_name="box")
         builder = system()
         if lossy:
-            builder.provenance().replication("causal").transport(InMemoryTransport(
+            builder.provenance().transport(InMemoryTransport(
                 loss_probability=0.15, duplicate_probability=0.15,
                 reorder_window=3, seed=7))
         for name, program in PROGRAMS.items():
@@ -344,8 +345,9 @@ RECEIVER = "collection ext persistent item@b(x);"
 
 
 def causal_pair(reference=False, **storage):
-    transport = RecordingTransport(InMemoryTransport())
-    builder = system().replication("causal").transport(transport)
+    # clean, but promising nothing: the ack is lost by hand later
+    transport = RecordingTransport(UnpromisedTransport())
+    builder = system().transport(transport)
     if storage:
         builder.storage("sqlite", **storage)
     builder.peer("a").program(SENDER)
@@ -511,8 +513,7 @@ def stream_digest(transport, snapshot):
 
 
 def run_three_peers(transport, reference, asynchronous):
-    builder = (system().transport(transport).replication("causal")
-               .provenance(True))
+    builder = system().transport(transport).provenance(True)
     for name, program in CHAIN.items():
         builder.peer(name).program(program)
     deployment = builder.build()
@@ -554,11 +555,10 @@ class TestSameSeedSameMessages:
                                                cell, reference, asynchronous):
         # Rule ids (and the delegation ids hashed over them) come from a
         # process-wide counter and travel on the wire: pin it, so the digest
-        # does not depend on which tests ran before.  The Wepic scenario
-        # takes its replication mode from the environment.
+        # does not depend on which tests ran before.  Every cell runs causal
+        # replication, the clean one too: its transport promises nothing.
         monkeypatch.setattr(rules_module, "_rule_counter", itertools.count(10 ** 6))
-        monkeypatch.setenv("REPRO_REPLICATION", "causal")
-        transport = RecordingTransport(InMemoryTransport(**CELLS[cell]))
+        transport = RecordingTransport(UnpromisedTransport(**CELLS[cell]))
         run = run_three_peers if deployment == "three_peers" else run_wepic
         snapshot = run(transport, reference, asynchronous)
         assert stream_digest(transport, snapshot) == STREAM_DIGESTS[deployment, cell]

@@ -11,18 +11,11 @@ permutations.
 
 import itertools
 
-import pytest
-
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
 from repro.replication.channel import ChannelInbox, ChannelOutbox
 from repro.replication.dots import CausalContext, Op
-from repro.replication import (
-    DEFAULT_REPLICATION_MODE,
-    REPLICATION_MODES,
-    resolve_replication_mode,
-)
 
 F1 = Fact("r", "bob", (1,))
 F2 = Fact("r", "bob", (2,))
@@ -172,23 +165,3 @@ class TestInboxJoin:
         box.apply(Op(seq=3, kind="delete", fact=F1, removed=(2,)))
         assert box.is_complete()
 
-
-class TestModeResolution:
-    def test_default_is_reliable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLICATION", raising=False)
-        assert resolve_replication_mode(None) == DEFAULT_REPLICATION_MODE \
-            == "reliable"
-
-    def test_env_fallback_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLICATION", "causal")
-        assert resolve_replication_mode(None) == "causal"
-        assert resolve_replication_mode("reliable") == "reliable"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLICATION", raising=False)
-        with pytest.raises(ValueError):
-            resolve_replication_mode("best-effort")
-        monkeypatch.setenv("REPRO_REPLICATION", "best-effort")
-        with pytest.raises(ValueError):
-            resolve_replication_mode(None)
-        assert set(REPLICATION_MODES) == {"reliable", "causal"}

@@ -21,12 +21,9 @@ from repro.store.memory import MemoryBackend
 
 
 class TestPeerMessageDispatch:
-    @pytest.fixture(autouse=True)
-    def _reliable_mode(self, monkeypatch):
-        # These tests pin the reliable wire format (raw fact/delegation
-        # messages); under causal replication stage outputs travel as delta
-        # envelopes instead (covered by tests/replication).
-        monkeypatch.setenv("REPRO_REPLICATION", "reliable")
+    # These tests pin the raw wire format (fact/delegation messages) of a
+    # peer built without causal replication; with it stage outputs travel as
+    # delta envelopes instead (covered by tests/replication).
 
     def test_fact_message_reaches_engine(self):
         peer = Peer("alice")
@@ -104,7 +101,7 @@ class _FailingMetaBackend(MemoryBackend):
 
 
 class TestLearningADelegatedRulesSchemas:
-    """Both dispatchers (reliable message, causal envelope effect) learn the
+    """Both dispatchers (raw message, causal envelope effect) learn the
     schemas a delegated rule ships with through one helper."""
 
     RULE = "view@bob($x) :- r@alice($x)"
@@ -121,7 +118,7 @@ class TestLearningADelegatedRulesSchemas:
                 ops=(Op(seq=1, kind="delegate", delegation_id="d1", rule=rule,
                         schemas=(schema,)),)))
 
-    @pytest.mark.parametrize("replication", ["reliable", "causal"])
+    @pytest.mark.parametrize("replication", [False, True], ids=["raw", "causal"])
     def test_a_store_failure_while_persisting_a_schema_surfaces(self, replication):
         peer = Peer("alice", auto_accept_delegations=True,
                     storage=_FailingMetaBackend(), replication=replication)
@@ -129,7 +126,7 @@ class TestLearningADelegatedRulesSchemas:
         with pytest.raises(StoreError, match="cannot persist schema"):
             self._deliver_install(peer, schema)
 
-    @pytest.mark.parametrize("replication", ["reliable", "causal"])
+    @pytest.mark.parametrize("replication", [False, True], ids=["raw", "causal"])
     def test_a_conflicting_schema_is_ignored_and_the_rule_still_installs(
             self, replication):
         peer = Peer("alice", auto_accept_delegations=True, replication=replication)

@@ -350,13 +350,13 @@ collection int echo@a(x);
 rule echo@a($x) :- ping@a($x);
 """
 
-STRICT_ECHO_A = """
-collection int inbox@a(x);
+SCRATCH_INBOX_A = """
+collection int scratch inbox@a(x);
 collection int echo@a(x);
 rule echo@a($x) :- inbox@a($x);
 """
 
-STRICT_ECHO_B = """
+SCRATCH_INBOX_B = """
 collection ext persistent src@b(x);
 fact src@b(1);
 rule inbox@a($x) :- src@b($x);
@@ -388,13 +388,14 @@ class TestStageLeftovers:
         assert summary.round_count == 3
 
     @DRIVERS
-    def test_strict_provided_fact_lasts_one_stage(self, reference, asynchronous):
+    def test_provided_fact_of_a_scratch_relation_lasts_one_stage(
+            self, reference, asynchronous):
         def run(reference, asynchronous):
-            sys = WebdamLogSystem(strict_stage_inputs=True)
+            sys = WebdamLogSystem()
             if reference:
                 lockstep(sys)
-            sys.add_peer("a", program=STRICT_ECHO_A)
-            sys.add_peer("b", program=STRICT_ECHO_B)
+            sys.add_peer("a", program=SCRATCH_INBOX_A)
+            sys.add_peer("b", program=SCRATCH_INBOX_B)
             return sys, converge(sys, asynchronous)
 
         expected_system, expected = run(True, False)
