@@ -32,26 +32,26 @@ def main() -> None:
 
     # ---------------------------------------------------------------- #
     print("=== Setup: three peers + the SigmodFB group (Figure 2) ===")
-    scenario.run()
+    scenario.api.converge()
     print(f"peers: {', '.join(scenario.api.peer_names())}")
     print(f"pictures at the sigmod peer: {len(scenario.sigmod_pictures())}")
 
     # ---------------------------------------------------------------- #
     print("\n=== Interaction via Facebook ===")
     # Watch comments flowing back from the group to the sigmod peer.
-    scenario.subscribe(
+    scenario.api.subscribe(
         "comments",
         lambda fact: print(f"  [subscription] comment reached sigmod: {fact}"),
         peer=scenario.sigmod_peer.name,
     )
     picture = emilien.upload_picture(name="keynote.jpg", picture_id=100)
     emilien.authorize_facebook(picture)
-    scenario.run()
+    scenario.api.converge()
     group_photos = scenario.facebook.photos_in_group("sigmod")
     print(f"photos in the SigmodFB group: {[p.name for p in group_photos]}")
     photo = group_photos[0]
     scenario.facebook.add_comment(photo.photo_id, "Julia", "great keynote!")
-    scenario.run()
+    scenario.api.converge()
     comments = scenario.api.query(scenario.sigmod_peer.name, "comments")
     print(f"comments retrieved back to sigmod: {[f.values[2] for f in comments]}")
 
@@ -61,35 +61,35 @@ def main() -> None:
     emilien.rate_picture(pictures[0].picture_id, 5)
     emilien.rate_picture(pictures[1].picture_id, 3)
     jules.select_attendee("Emilien")
-    scenario.run()
+    scenario.api.converge()
     # With control of delegation on, Émilien must first accept Jules' delegations.
     emilien.peer.approve_all_delegations("Jules")
-    scenario.run()
+    scenario.api.converge()
     print(f"attendee pictures at Jules: {[p.name for p in jules.attendee_pictures()]}")
     jules.restrict_to_rating(5)
-    scenario.run()
+    scenario.api.converge()
     emilien.peer.approve_all_delegations("Jules")
-    scenario.run()
+    scenario.api.converge()
     print(f"after the rating-5 filter:  {[p.name for p in jules.attendee_pictures()]}")
 
     # ---------------------------------------------------------------- #
     print("\n=== Control of delegation (Figure 3) ===")
     emilien.add_rule("julesPictures@Emilien($n) :- pictures@Jules($i, $n, $o, $d)")
-    scenario.run()
+    scenario.api.converge()
     pending = jules.pending_delegations()
     print("pending at Jules:", [p.describe() for p in pending])
     for p in pending:
         jules.approve_delegation(p.delegation_id)
-    scenario.run()
+    scenario.api.converge()
     print(f"Émilien now sees {len(emilien.peer.query('julesPictures'))} of Jules' pictures")
 
     # ---------------------------------------------------------------- #
     print("\n=== Interaction via the Web: a guest peer joins ===")
     guest = scenario.add_attendee("Guest", pictures=1)
     guest.select_attendee("Emilien")
-    scenario.run()
+    scenario.api.converge()
     emilien.peer.approve_all_delegations("Guest")
-    scenario.run()
+    scenario.api.converge()
     print(f"the guest sees {len(guest.attendee_pictures())} of Émilien's pictures")
 
     # ---------------------------------------------------------------- #

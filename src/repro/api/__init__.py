@@ -17,8 +17,8 @@ This package is the public facade over all of them:
   stage — see :mod:`repro.runtime.scheduler`),
   ``query()``, ``subscribe()``, stats and totals, per-peer operations.
 * :class:`Transport` — the protocol the runtime moves messages through, with
-  :class:`InMemoryTransport` (deterministic rounds) and
-  :class:`RecordingTransport` (event-logging decorator) shipped here; pass
+  :class:`InMemoryTransport` (deterministic rounds; ``event_log=NetEventLog()``
+  records every message it sends, drops and delivers) shipped here; pass
   any implementation — or a name — to ``system().transport(...)``:
   ``transport("tcp")`` builds the asyncio TCP transport
   (:class:`TcpTransport`), where every peer runs a gossip node on a real
@@ -29,8 +29,8 @@ This package is the public facade over all of them:
   into an incrementally-maintained view relation inside the owning peer's
   engine, readable, streamable, observable (``on_change``), explainable and
   ACL-filterable through one handle (see :mod:`repro.api.views`).
-* :class:`QueryHandle` / :class:`Subscription` — read results and watch
-  derivations without touching engine internals.
+* :class:`Subscription` — watch derivations without touching engine
+  internals.
 
 Direct construction of :class:`~repro.runtime.peer.Peer` and
 :class:`~repro.runtime.system.WebdamLogSystem` keeps working (the runtime's
@@ -44,11 +44,11 @@ from repro.net.events import NetEventLog, read_events
 from repro.net.gossip import GossipConfig
 from repro.net.membership import SwimConfig
 from repro.net.tcp import TcpTransport
-from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
+from repro.runtime.transport import Transport
 from repro.api.builder import BuildError, PeerBuilder, SystemBuilder, system
 from repro.api.errors import ReproApiError
 from repro.api.facade import PeerHandle, System
-from repro.api.query import FactCallback, QueryHandle, Subscription
+from repro.api.query import FactCallback, Subscription
 from repro.api.views import CompiledView, LiveView, compile_query
 
 __all__ = [
@@ -63,9 +63,7 @@ __all__ = [
     "System",
     "PeerHandle",
     "Transport",
-    "TransportEvent",
     "InMemoryTransport",
-    "RecordingTransport",
     "TcpTransport",
     "NetEventLog",
     "read_events",
@@ -74,7 +72,6 @@ __all__ = [
     "NetworkStats",
     "RoundReport",
     "RunSummary",
-    "QueryHandle",
     "Subscription",
     "FactCallback",
     "Explanation",

@@ -97,7 +97,7 @@ class SystemBuilder:
           (:class:`~repro.net.tcp.TcpTransport`): every peer gets a gossip
           node and a real localhost socket, with SWIM failure detection and
           dynamic churn.  ``options`` are its constructor arguments
-          (``log_path``, ``quiet_period``, ``gossip``, ``swim``, ``seed``,
+          (``events``, ``quiet_period``, ``gossip``, ``swim``, ``seed``,
           ...).
 
         Named transports are constructed at ``build()`` time, so one builder

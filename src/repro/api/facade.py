@@ -87,10 +87,6 @@ class PeerHandle:
         """Delete a base fact (local) or queue a remote deletion."""
         return self._peer.delete_fact(fact)
 
-    # Historical names, so a handle is a drop-in for a raw Peer.
-    insert_fact = insert
-    delete_fact = delete
-
     # -- reading --------------------------------------------------------- #
 
     def query(self, query: QueryLike, peer: Optional[str] = None,

@@ -1,17 +1,10 @@
-"""Reading results out of a running system: query handles and subscriptions.
+"""Watching a running system: subscriptions.
 
 Scenarios, benchmarks and tests used to reach into ``peer.engine.state`` to
-see what a peer derived.  The two classes here replace that:
+see what a peer derived.  Reads now go through
+:class:`~repro.api.views.LiveView` — what ``System.query`` /
+``PeerHandle.query`` return — and watching goes through the class here:
 
-* :class:`QueryHandle` — the base of a re-runnable, lazily evaluated view
-  over one relation at one peer.  Every read reflects the current state of
-  the system, so a handle created before a run can be read after it.
-  :class:`~repro.api.views.LiveView` — what ``System.query`` /
-  ``PeerHandle.query`` return — is its one implementation: it supplies the
-  reads, a **streaming** :meth:`~repro.api.views.LiveView.iter_facts` that
-  drives the system's scheduler step by step and yields each fact as the
-  stage that derived it completes, compiled-view maintenance, ``on_change``
-  observation, ACL filtering and the ``close()`` lifecycle.
 * :class:`Subscription` — a callback fired **exactly once per fact** that
   becomes visible in a watched relation.  Subscriptions are **delta-driven**:
   the :class:`~repro.api.facade.System` facade feeds them the
@@ -24,77 +17,12 @@ see what a peer derived.  The two classes here replace that:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.facts import Delta, Fact
 
 #: Signature of a subscription callback: it receives each newly visible fact.
 FactCallback = Callable[[Fact], None]
-
-
-class QueryHandle:
-    """A lazily evaluated view over the facts of one relation.
-
-    The handle holds no data itself; every access re-reads the peer, so the
-    same handle can be consulted before and after runs.  Subclasses supply
-    :meth:`facts`.
-    """
-
-    def __init__(self, description: str):
-        self.description = description
-
-    def facts(self) -> Tuple[Fact, ...]:
-        """The facts currently visible, in the peer's storage order."""
-        raise NotImplementedError
-
-    def rows(self) -> Tuple[Tuple, ...]:
-        """The value tuples of the visible facts (relation/peer stripped)."""
-        return tuple(fact.values for fact in self.facts())
-
-    def sorted(self) -> Tuple[Fact, ...]:
-        """The visible facts in a deterministic (string) order."""
-        return tuple(sorted(self.facts(), key=str))
-
-    def first(self) -> Optional[Fact]:
-        """The first visible fact, or ``None`` when the relation is empty."""
-        facts = self.facts()
-        return facts[0] if facts else None
-
-    def plan(self) -> Optional[Dict[str, object]]:
-        """The query plan behind this handle, for observability.
-
-        Plain relation handles have no plan (the read is a direct relation
-        scan), so the base implementation returns ``None``.
-        :class:`~repro.api.views.LiveView` overrides this with the compiled
-        view's plan: the installed rules, the magic/demand relations the
-        demand transformation added, and the per-rule literal orders (with
-        estimated vs. actual cardinalities) the cost-based planner chose.
-        See ``docs/planner.md``.
-        """
-        return None
-
-    def iter_facts(self) -> Iterator[Fact]:
-        """Stream the relation: yield facts while driving the system to fixpoint.
-
-        :class:`~repro.api.views.LiveView` iterates the facts already
-        visible, then **steps the system's scheduler** and yields each new
-        fact as the stage that made it visible completes — interleaving
-        consumption with execution, the way a client tails a live feed.  The
-        base handle iterates the currently visible facts.
-        """
-        return iter(self.facts())
-
-    def __iter__(self) -> Iterator[Fact]:
-        return iter(self.facts())
-
-    def __len__(self) -> int:
-        return len(self.facts())
-
-    def __bool__(self) -> bool:
-        return bool(self.facts())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryHandle({self.description}, {len(self)} facts)"
 
 
 class Subscription:

@@ -17,8 +17,7 @@ over a running peer network.  This module is the compilation pipeline behind
    ACL-filters and finally uninstalls the view.
 
 A :class:`LiveView` is also what single-relation queries return — the
-degenerate one-literal case installs nothing and reads the relation directly,
-keeping the historical :class:`~repro.api.query.QueryHandle` behaviour.
+degenerate one-literal case installs nothing and reads the relation directly.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.core.terms import Term, Variable
 from repro.datalog.aggregation import Aggregate, compute_aggregate
 from repro.planner.magic import apply_magic
 from repro.api.errors import ReproApiError
-from repro.api.query import FactCallback, QueryHandle, Subscription
+from repro.api.query import FactCallback, Subscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.facade import System
@@ -293,14 +292,15 @@ def _typed(values: Sequence) -> Tuple:
     return tuple(zip(map(type, values), values))
 
 
-class LiveView(QueryHandle):
+class LiveView:
     """A standing, incrementally-maintained answer to a declarative query.
 
     The one handle unifying the three historical half-APIs:
 
     * **read** — :meth:`facts` / :meth:`rows` / iteration, always reflecting
       the current engine state (maintained along the delta/rederive paths,
-      never by re-running the query);
+      never by re-running the query), so a view opened before a run can be
+      read after it;
     * **stream** — :meth:`iter_facts` drives the deployment's cycles and
       yields answers as the deriving stages complete;
     * **observe** — :meth:`on_change` registers add/remove callbacks fed
@@ -350,7 +350,7 @@ class LiveView(QueryHandle):
                            else f"{relation}@{self._location} as seen by {owner}")
             if viewer is not None:
                 description += f" for viewer {viewer}"
-        super().__init__(description)
+        self.description = description
 
     # ------------------------------------------------------------------ #
     # reading
@@ -417,6 +417,24 @@ class LiveView(QueryHandle):
             kept = self._rows = (facts, tuple(map(_values_of, facts)))
         return kept[1]
 
+    def sorted(self) -> Tuple[Fact, ...]:
+        """The current answers in a deterministic (string) order."""
+        return tuple(sorted(self.facts(), key=str))
+
+    def first(self) -> Optional[Fact]:
+        """The first current answer, or ``None`` when there is none."""
+        facts = self.facts()
+        return facts[0] if facts else None
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self.facts())
+
+    def __len__(self) -> int:
+        return len(self.facts())
+
+    def __bool__(self) -> bool:
+        return bool(self.facts())
+
     def plan(self) -> Optional[Dict[str, object]]:
         """The plan behind this view: rules, magic relations, orders.
 
@@ -425,8 +443,8 @@ class LiveView(QueryHandle):
         installed rules (literal order, estimated vs. actual cardinalities);
         it is empty until a stage has evaluated the view's rules, and it
         skips a rule whose local body prefix has nothing to order.
-        Relation-scan views (no compiled query) return ``None`` like the
-        base handle.
+        Relation-scan views (no compiled query), which read the relation
+        directly, return ``None``.
         """
         if self.compiled is None:
             return None
@@ -559,7 +577,7 @@ class LiveView(QueryHandle):
         Aggregate views converge first and then yield the grouped results
         (a per-stage aggregate stream would re-report groups on every raw
         change); views over a relation located at another peer degrade to a
-        plain iteration, like the historical handle.
+        plain iteration of the answers visible now.
         """
         if self._closed:
             return iter(())

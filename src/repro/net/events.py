@@ -1,14 +1,13 @@
 """Structured JSONL event logging for the networked runtime.
 
-Every component of :mod:`repro.net` — the gossip nodes, the SWIM failure
-detector, the TCP transport — reports what it does through one
+Every transport of the runtime reports what it does through one
 :class:`NetEventLog`: an append-only stream of flat JSON objects, one per
-line, in the spirit of :class:`~repro.runtime.transport.RecordingTransport`
-but serialisable and shared across transports.  The same sink is accepted by
-``RecordingTransport(log_path=...)``, so an in-memory run and a TCP run of
-the same deployment produce event streams a single analyzer can consume
-(the ``gossip_sim`` workload of ``bench/`` reads envelope latency off the
-``send`` / ``deliver`` pairs).
+line.  The gossip nodes, the SWIM failure detector and the TCP transport of
+:mod:`repro.net` write it, and so does
+``InMemoryTransport(event_log=NetEventLog())``, so an in-memory run and a TCP
+run of the same deployment produce event streams a single analyzer can
+consume (the ``gossip_sim`` workload of ``bench/`` reads envelope latency off
+the ``send`` / ``deliver`` pairs).
 
 Event schema — every record carries at least::
 
@@ -17,8 +16,12 @@ Event schema — every record carries at least::
 with ``action`` one of ``send``, ``deliver``, ``drop``, ``forward``,
 ``join``, ``leave``, ``alive``, ``suspect``, ``dead``, ``register``,
 ``unregister``, ``digest``, ``pull`` — plus action-specific fields
-(``message_id``, ``envelope``, ``peer``, ``reason``...).  Timestamps are
-caller-provided, so simulated runs log virtual time and TCP runs log
+(``message_id``, ``envelope``, ``peer``, ``reason``...).  The in-memory
+transport's ``send`` / ``drop`` / ``deliver`` records also hold the
+:class:`~repro.runtime.messages.Message` under ``message``; the JSONL writer
+stores it as ``to_wire()``, which
+:func:`~repro.runtime.messages.message_from_wire` reads back.  Timestamps
+are caller-provided, so simulated runs log virtual time and TCP runs log
 monotonic wall clock; within one log they are mutually comparable, which is
 all the latency analysis needs.
 """
@@ -37,6 +40,8 @@ class NetEventLog:
     ``path=None`` keeps events only in memory (tests, short benchmarks);
     with a path every event is appended to the file as one JSON line the
     moment it is emitted, so a crashed run still leaves its trace behind.
+    ``keep_in_memory=False`` keeps nothing in memory: with no path either,
+    the sink records nothing at all.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None,
@@ -60,7 +65,7 @@ class NetEventLog:
                 self._events.append(record)
             if self._file is not None:
                 self._file.write(json.dumps(record, sort_keys=False,
-                                            default=str) + "\n")
+                                            default=_jsonable) + "\n")
                 self._file.flush()
         return record
 
@@ -98,6 +103,12 @@ class NetEventLog:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _jsonable(value: Any) -> Any:
+    """A message as its wire form; anything else JSON lacks as its text."""
+    to_wire = getattr(value, "to_wire", None)
+    return to_wire() if to_wire is not None else str(value)
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:

@@ -68,10 +68,12 @@ class TcpTransport:
     gossip / swim:
         Protocol tuning (:class:`~repro.net.gossip.GossipConfig`,
         :class:`~repro.net.membership.SwimConfig`); defaults suit localhost.
-    log_path:
-        Optional JSONL file receiving the structured network event log
-        (the same format :class:`~repro.net.events.NetEventLog` writes for
-        the simulator and :class:`RecordingTransport(log_path=...)`).
+    events:
+        Optional :class:`~repro.net.events.NetEventLog` receiving the
+        structured network event log — ``NetEventLog(path=...)`` streams it
+        to a JSONL file in the format the simulator and the in-memory
+        transport write.  Without one the transport records nothing, so a
+        long-lived deployment does not accumulate its history in memory.
     quiet_period:
         Consecutive settled scheduler cycles required before a networked
         deployment is considered converged (default 5).
@@ -92,7 +94,6 @@ class TcpTransport:
                  gossip: Optional[GossipConfig] = None,
                  swim: Optional[SwimConfig] = None,
                  events: Optional[NetEventLog] = None,
-                 log_path: Optional[str] = None,
                  quiet_period: int = 5,
                  poll_interval: float = 0.02,
                  tick_interval: float = 0.05,
@@ -100,10 +101,8 @@ class TcpTransport:
         self.host = host
         self.gossip = gossip or GossipConfig()
         self.swim = swim or SwimConfig()
-        if events is not None:
-            self.events = events
-        else:
-            self.events = NetEventLog(path=log_path)
+        self.events = (events if events is not None
+                       else NetEventLog(keep_in_memory=False))
         self.convergence_quiet_period = quiet_period
         self.poll_interval = poll_interval
         self.tick_interval = tick_interval

@@ -8,9 +8,11 @@ stats), with interchangeable implementations:
 
 * :class:`~repro.runtime.inmemory.InMemoryTransport` — a deterministic
   simulated network (per-round delivery, configurable latency and loss) that
-  makes rounds and message counts measurable, used by the benchmarks;
-* :class:`~repro.runtime.transport.RecordingTransport` — a decorator that
-  logs every send/deliver event of an inner transport.
+  makes rounds and message counts measurable, used by the benchmarks; built
+  with ``event_log=NetEventLog()`` it records every send, drop and deliver
+  with its message;
+* :class:`~repro.net.tcp.TcpTransport` — real localhost sockets, in
+  :mod:`repro.net`.
 
 :class:`~repro.runtime.peer.Peer` wraps a :class:`~repro.core.engine.WebdamLogEngine`
 together with its delegation controller and wrappers;
@@ -26,7 +28,7 @@ from repro.runtime.messages import (
     Message,
 )
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
-from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
+from repro.runtime.transport import Transport
 from repro.runtime.peer import Peer
 from repro.runtime.scheduler import ReactiveScheduler, RoundReport, RunSummary
 from repro.runtime.system import WebdamLogSystem
@@ -39,9 +41,7 @@ __all__ = [
     "PeerJoinMessage",
     "InMemoryTransport",
     "NetworkStats",
-    "RecordingTransport",
     "Transport",
-    "TransportEvent",
     "Peer",
     "ReactiveScheduler",
     "RoundReport",

@@ -91,9 +91,11 @@ class InMemoryTransport:
     event_log:
         An optional :class:`~repro.net.events.NetEventLog` (or anything with
         its ``emit`` signature).  Every ``send``/``drop``/``dup``/``deliver``
-        and ``register``/``unregister`` decision is recorded, so a failure
-        schedule can be replayed (and audited) from the JSONL stream.
-        Timestamps are virtual (the transport round).
+        and ``register``/``unregister`` decision is recorded; the ``send``,
+        ``drop`` and ``deliver`` records carry the :class:`Message` itself
+        (``message``, written to a JSONL file as its ``to_wire()`` form), so
+        a run can be replayed, audited or diffed against another from its
+        record.  Timestamps are virtual (the transport round).
 
     The delivery promise is fixed at construction: setting a fault field of
     a transport that made it raises ``ValueError`` (its peers ship raw
@@ -215,7 +217,8 @@ class InMemoryTransport:
         if self.drop_probability and self._random.random() < self.drop_probability:
             self.stats.messages_dropped += 1
             self._emit("drop", message.sender, message_id=message.message_id,
-                       kind=message.kind(), peer=message.recipient)
+                       kind=message.kind(), peer=message.recipient,
+                       message=message)
             return False
         copies = 1
         if (self.duplicate_probability
@@ -225,7 +228,7 @@ class InMemoryTransport:
                        kind=message.kind(), peer=message.recipient)
         self._emit("send", message.sender, message_id=message.message_id,
                    kind=message.kind(), peer=message.recipient,
-                   payload=message.payload_size())
+                   payload=message.payload_size(), message=message)
         for _ in range(copies):
             deliver_at = self._round + self.latency
             if self.latency_jitter:
@@ -259,7 +262,7 @@ class InMemoryTransport:
         self.stats.messages_delivered += len(deliverable)
         for m in deliverable:
             self._emit("deliver", peer, message_id=m.message_id,
-                       kind=m.kind(), peer_from=m.sender)
+                       kind=m.kind(), peer_from=m.sender, message=m)
         return deliverable
 
     def advance_round(self) -> int:

@@ -152,8 +152,10 @@ class WebdamLogSystem:
                     replication=not getattr(self.transport,
                                             "exactly_once_in_order", False))
         if peer.replication is not None:
-            # Causal joins/digests/pulls land in the same event stream as the
-            # transport's send/drop/dup records, so one JSONL replays it all.
+            # Causal joins/digests/pulls/acks land in the in-memory
+            # transport's event stream, stamped with the same cycle clock as
+            # its send/drop/dup records.  TcpTransport has no ``event_log``
+            # (its clock is wall time), so over TCP they are not recorded.
             peer.replication.event_log = getattr(self.transport, "event_log", None)
         self.peers[name] = peer
         self._ordered = None

@@ -1,7 +1,7 @@
 """The per-attendee Wepic application object.
 
-:class:`WepicApp` wraps one runtime :class:`~repro.runtime.peer.Peer` and
-exposes the five units of functionality listed in Section 3 of the paper:
+:class:`WepicApp` wraps one :class:`~repro.api.PeerHandle` and exposes the
+five units of functionality listed in Section 3 of the paper:
 
 1. upload a picture from a file or a URL;
 2. view pictures provided by a particular attendee;
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.api.facade import PeerHandle
 from repro.core.facts import Fact
 from repro.core.rules import Rule
-from repro.runtime.peer import Peer
 from repro.wepic.annotations import Comment, NameTag, Rating
 from repro.wepic.pictures import Picture, PictureLibrary, generate_picture
 from repro.wepic.rules import WepicRules
@@ -31,8 +31,11 @@ class WepicApp:
 
     Parameters
     ----------
-    peer:
-        The runtime peer that hosts the application.
+    handle:
+        The :class:`~repro.api.PeerHandle` of the peer that hosts the
+        application.  The app works on the underlying runtime peer
+        (``self.peer``); the handle powers the live-view pages, whose
+        declarative queries need the facade.
     rules:
         The rule factory (shared across the scenario so every app agrees on
         the names of the sigmod and Facebook-group peers).
@@ -43,18 +46,10 @@ class WepicApp:
         local picture to ``pictures@sigmod``.
     """
 
-    def __init__(self, peer: Peer, rules: Optional[WepicRules] = None,
+    def __init__(self, handle: PeerHandle, rules: Optional[WepicRules] = None,
                  install_rules: bool = True, publish_to_sigmod: bool = True):
-        # Accept either a raw runtime Peer or a repro.api PeerHandle; the app
-        # always works on the underlying peer so both construction paths
-        # behave identically.  A PeerHandle is kept around: it is what powers
-        # the live-view pages (declarative queries need the System facade).
-        self.handle = None
-        unwrap = getattr(peer, "unwrap", None)
-        if unwrap is not None:
-            self.handle = peer
-            peer = unwrap()
-        self.peer = peer
+        self.handle = handle
+        self.peer = peer = handle.unwrap()
         self._views: Dict[str, object] = {}
         self.rules = rules or WepicRules()
         self._rule_ids: Dict[str, str] = {}
@@ -288,17 +283,8 @@ class WepicApp:
         return rank_pictures(self.attendee_pictures(), rating_facts, min_rating=min_rating)
 
     # ------------------------------------------------------------------ #
-    # live-view pages (declarative query API; requires a PeerHandle)
+    # live-view pages (declarative query API)
     # ------------------------------------------------------------------ #
-
-    def _require_handle(self):
-        if self.handle is None:
-            raise RuntimeError(
-                f"WepicApp({self.name}) was built from a raw Peer; the live-"
-                "view pages need the repro.api facade — construct the app "
-                "with a PeerHandle (e.g. via build_demo_scenario)"
-            )
-        return self.handle
 
     def _standing_view(self, key: str, factory, install: bool = True):
         view = self._views.get(key)
@@ -319,8 +305,7 @@ class WepicApp:
         returns an already-open view (``None`` otherwise) — the read-only UI
         renders through that, so drawing a frame never mutates the program.
         """
-        handle = self._require_handle()
-        return self._standing_view(f"rating_summary:{viewer}", lambda: handle.query(
+        return self._standing_view(f"rating_summary:{viewer}", lambda: self.handle.query(
             f"ratingSummary($id, avg($rating), count($rating)) :- "
             f"attendeeRatings@{self.name}($id, $rating)",
             viewer=viewer,
@@ -338,7 +323,6 @@ class WepicApp:
         touching the user-visible program.  ``install=False`` only returns
         an already-open matching view (``None`` otherwise).
         """
-        handle = self._require_handle()
         me = self.name
         owner_term = f'"{owner}"' if owner is not None else "$owner"
         body = f"attendeePictures@{me}($id, $name, {owner_term}, $data)"
@@ -348,7 +332,7 @@ class WepicApp:
         query = (f"wall($id, $name{head_owner}) :- {body}")
         return self._standing_view(
             f"wall:{owner}:{rating}:{viewer}",
-            lambda: handle.query(query, viewer=viewer), install=install)
+            lambda: self.handle.query(query, viewer=viewer), install=install)
 
     def close_views(self, settle: bool = True) -> int:
         """Close every standing live view opened by this app; returns how many."""

@@ -17,21 +17,18 @@ service, and an email wrapper per attendee — and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.api import Subscription, System, Transport
+from repro.api import System, Transport
 from repro.api import system as api_system
 from repro.core.facts import Fact
-from repro.runtime.inmemory import NetworkStats
 from repro.runtime.peer import Peer
-from repro.runtime.system import RunSummary, WebdamLogSystem
 from repro.wepic.app import WepicApp
 from repro.wepic.pictures import PictureLibrary, generate_library
 from repro.wepic.rules import SIGMOD_FB_PEER, SIGMOD_PEER, WepicRules, sigmod_schemas
 from repro.wepic.ui import WepicUI
 from repro.wrappers.email import EmailService, EmailWrapper
 from repro.wrappers.facebook import FacebookGroupWrapper, FacebookService
-from repro.wrappers.registry import WrapperRegistry
 
 #: Default attendee names of the demo (ASCII spelling of Émilien to keep
 #: relation syntax simple; the engine itself accepts any identifier).
@@ -43,18 +40,17 @@ class DemoScenario:
     """Handle over a fully built Wepic demo deployment.
 
     ``api`` is the :class:`repro.api.System` facade the deployment was built
-    through (queries, subscriptions, transport stats); ``system`` is the
-    underlying runtime orchestrator, kept for existing callers.
+    through, and the one way to drive and observe it: ``converge()``,
+    queries, subscriptions, transport stats.  Each peer's ``wrappers`` list
+    names the services attached to it.
     """
 
-    system: WebdamLogSystem
     api: System
     apps: Dict[str, WepicApp]
     sigmod_peer: Peer
     group_peer: Peer
     facebook: FacebookService
     email: EmailService
-    wrappers: WrapperRegistry
     rules: WepicRules
     libraries: Dict[str, PictureLibrary] = field(default_factory=dict)
 
@@ -70,27 +66,6 @@ class DemoScenario:
         """The attendee names, sorted."""
         return tuple(sorted(self.apps))
 
-    def run(self, max_rounds: int = 60) -> RunSummary:
-        """Run the system until it converges."""
-        return self.api.converge(max_steps=max_rounds)
-
-    def converge(self, max_steps: Optional[int] = None) -> RunSummary:
-        """The facade's name for :meth:`run`."""
-        return self.api.converge(max_steps=max_steps)
-
-    def stats(self) -> NetworkStats:
-        """The transport's accumulated counters."""
-        return self.api.stats
-
-    def reset_stats(self) -> NetworkStats:
-        """Return the transport counters so far and start fresh ones."""
-        return self.api.reset_stats()
-
-    def subscribe(self, relation: str, callback: Callable[[Fact], None],
-                  peer: Optional[str] = None) -> Subscription:
-        """Watch a relation of the deployment (see :meth:`repro.api.System.subscribe`)."""
-        return self.api.subscribe(relation, callback, peer=peer)
-
     def sigmod_pictures(self) -> Tuple[Fact, ...]:
         """The pictures currently stored at the sigmod peer."""
         return self.sigmod_peer.query("pictures")
@@ -105,9 +80,7 @@ class DemoScenario:
         peer = self.api.add_peer(name, announce=announce)
         app = WepicApp(peer, rules=self.rules)
         self.apps[name] = app
-        email_wrapper = EmailWrapper(self.email)
-        peer.attach_wrapper(email_wrapper)
-        self.wrappers.register(name, email_wrapper)
+        peer.attach_wrapper(EmailWrapper(self.email))
         self.sigmod_peer.insert_fact(Fact("attendees", self.sigmod_peer.name, (name,)))
         if pictures:
             library = generate_library(name, pictures, size=picture_size,
@@ -160,7 +133,8 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
         Seed for the network's loss model (unused unless loss is configured).
     transport:
         An explicit :class:`repro.api.Transport`; overrides ``latency`` and
-        ``seed`` (e.g. a :class:`repro.api.RecordingTransport` for tracing).
+        ``seed`` (e.g. ``InMemoryTransport(event_log=NetEventLog())`` to
+        record every message).
     provenance:
         When ``True`` every peer tracks why-provenance incrementally;
         ``scenario.api.explain(peer, fact)`` then answers why/lineage
@@ -170,7 +144,6 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
     rules = WepicRules(sigmod_peer=SIGMOD_PEER, group_peer=SIGMOD_FB_PEER)
     facebook = FacebookService()
     email = EmailService()
-    registry = WrapperRegistry()
 
     builder = (api_system()
                .default_trusted(SIGMOD_PEER)
@@ -191,14 +164,11 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
         sigmod_builder.rule(rule)
 
     # --- the SigmodFB group pseudo-peer -------------------------------- #
-    group_wrapper = None
     if with_facebook:
-        group_wrapper = FacebookGroupWrapper(facebook, group="sigmod",
-                                             peer_name=SIGMOD_FB_PEER)
         (builder.peer(SIGMOD_FB_PEER)
                 .auto_accept_delegations(True)
-                .wrapper(group_wrapper))
-        registry.register(SIGMOD_FB_PEER, group_wrapper)
+                .wrapper(FacebookGroupWrapper(facebook, group="sigmod",
+                                              peer_name=SIGMOD_FB_PEER)))
 
     # --- the attendee peers (rules are installed per-app below) --------- #
     for attendee in attendees:
@@ -216,9 +186,7 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
         handle = deployment.peer(attendee)
         app = WepicApp(handle, rules=rules, publish_to_sigmod=publish_to_sigmod)
         apps[attendee] = app
-        email_wrapper = EmailWrapper(email)
-        handle.attach_wrapper(email_wrapper)
-        registry.register(attendee, email_wrapper)
+        handle.attach_wrapper(EmailWrapper(email))
         # Facebook accounts and SigmodFB membership for every attendee.
         if with_facebook:
             facebook.add_user(attendee)
@@ -234,14 +202,12 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
             app.upload_library(library)
 
     scenario = DemoScenario(
-        system=deployment.runtime,
         api=deployment,
         apps=apps,
         sigmod_peer=sigmod,
         group_peer=group_peer,
         facebook=facebook,
         email=email,
-        wrappers=registry,
         rules=rules,
         libraries=libraries,
     )

@@ -90,11 +90,9 @@ class WepicUI:
         maintenance cost was paid as deltas when the ratings arrived.
         Rendering is **read-only**: the frame shows the view the application
         opened with :meth:`~repro.wepic.app.WepicApp.rating_summary_view`
-        and renders empty when no view is open (or the app was built from a
-        raw peer, without the facade).
+        and renders empty when no view is open.
         """
-        view = (self.app.rating_summary_view(install=False)
-                if self.app.handle is not None else None)
+        view = self.app.rating_summary_view(install=False)
         if view is None:
             return WepicFrame(title="Rating summary (live view)")
         rows = sorted(view.rows(), key=lambda row: (-(row[1] or 0), row[0]))
@@ -111,8 +109,7 @@ class WepicUI:
         previously opened with :meth:`~repro.wepic.app.WepicApp.wall_view`,
         or an empty frame when none is open.
         """
-        view = (self.app.wall_view(owner=owner, install=False)
-                if self.app.handle is not None else None)
+        view = self.app.wall_view(owner=owner, install=False)
         if view is None:
             return WepicFrame(title=f"Wall of {owner} (live view)")
         return WepicFrame(

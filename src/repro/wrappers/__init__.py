@@ -29,7 +29,6 @@ from repro.wrappers.facebook import (
 )
 from repro.wrappers.email import EmailService, EmailWrapper
 from repro.wrappers.dropbox import DropboxService, DropboxWrapper
-from repro.wrappers.registry import WrapperRegistry
 
 __all__ = [
     "Wrapper",
@@ -42,5 +41,4 @@ __all__ = [
     "EmailWrapper",
     "DropboxService",
     "DropboxWrapper",
-    "WrapperRegistry",
 ]

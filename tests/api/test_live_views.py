@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.api import LiveView, QueryHandle, ReproApiError, system
+from repro.api import LiveView, ReproApiError, system
 from repro.core.parser import parse_atom, parse_rule
 
 Q_PROGRAM = """
@@ -43,7 +43,6 @@ class TestDegenerateQueries:
         seed(deployment)
         view = deployment.query("q", "a")
         assert isinstance(view, LiveView)
-        assert isinstance(view, QueryHandle)  # drop-in for the old handle
         assert sorted(view.rows()) == [(1,), (2,), (3,)]
         # Reads are live: the same handle reflects later changes.
         deployment.peer("q").insert("a@q(4)")

@@ -49,6 +49,30 @@ def test_the_reactive_cycle_has_one_set_of_entry_points():
     assert {"converge", "step", "aconverge"} <= public_methods(repro.api.System)
 
 
+def test_the_demo_scenario_is_driven_through_its_facade():
+    """``scenario.api`` is the one entry point: no pass-through beside it."""
+    from repro.wepic.scenario import DemoScenario
+
+    for retired in ("run", "converge", "stats", "reset_stats", "subscribe"):
+        assert not hasattr(DemoScenario, retired)
+    assert not {"system", "wrappers"} & set(DemoScenario.__dataclass_fields__)
+
+
+def test_a_peer_handle_is_not_a_raw_peer():
+    for retired in ("insert_fact", "delete_fact"):
+        assert not hasattr(repro.api.PeerHandle, retired)
+
+
+def test_one_event_record_and_one_read_handle_are_exported():
+    import repro.runtime
+    import repro.wrappers
+
+    retired = {"RecordingTransport", "TransportEvent", "QueryHandle",
+               "WrapperRegistry"}
+    for module in (repro, repro.api, repro.runtime, repro.wrappers):
+        assert not retired & set(module.__all__), module.__name__
+
+
 def test_no_scheduler_class_is_exported():
     for module in (repro, repro.api):
         assert not [name for name in module.__all__ if name.endswith("Scheduler")]

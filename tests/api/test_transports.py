@@ -1,13 +1,22 @@
 """Transport pluggability: the orchestrator only sees the protocol."""
 
+import pytest
+
 from repro.api import (
     InMemoryTransport,
-    RecordingTransport,
+    NetEventLog,
     Transport,
+    read_events,
     system,
 )
+from repro.runtime.messages import message_from_wire
 
 from tests.fakes import ZeroLatencyTransport
+
+#: A clean transport (raw messages) and a lossy, duplicating one (causal).
+NETWORKS = pytest.mark.parametrize("faults", [
+    {}, dict(drop_probability=0.2, duplicate_probability=0.2, seed=3),
+], ids=["clean", "lossy"])
 
 JULES = """
 collection extensional persistent selectedAttendee@Jules(attendee);
@@ -37,21 +46,11 @@ def build_quickstart(transport=None):
 class TestProtocol:
     def test_shipped_transports_satisfy_the_protocol(self):
         assert isinstance(InMemoryTransport(), Transport)
-        assert isinstance(RecordingTransport(InMemoryTransport()), Transport)
+        assert isinstance(InMemoryTransport(event_log=NetEventLog()), Transport)
         assert isinstance(ZeroLatencyTransport(), Transport)
 
 
 class TestTransportSwap:
-    def test_recording_transport_reaches_the_same_fixpoint(self):
-        plain = build_quickstart()
-        recorded = build_quickstart(RecordingTransport(InMemoryTransport()))
-        summary_plain = plain.converge()
-        summary_recorded = recorded.converge()
-        assert summary_plain.converged and summary_recorded.converged
-        assert summary_plain.round_count == summary_recorded.round_count
-        assert plain.snapshot() == recorded.snapshot()
-        assert plain.stats.messages_sent == recorded.stats.messages_sent
-
     def test_zero_latency_transport_reaches_the_same_fixpoint(self):
         plain = build_quickstart()
         fast = build_quickstart(ZeroLatencyTransport())
@@ -59,37 +58,63 @@ class TestTransportSwap:
         fast.converge()
         assert plain.snapshot() == fast.snapshot()
 
-    def test_recording_transport_logs_sends_and_deliveries(self):
-        transport = RecordingTransport(InMemoryTransport())
-        built = build_quickstart(transport)
-        built.converge()
-        sends = transport.events_of("send")
-        delivers = transport.events_of("deliver")
-        assert len(sends) == built.stats.messages_sent
-        assert len(delivers) == built.stats.messages_delivered
-        # Jules' delegation travelled to Émilien; the derived facts came back.
-        assert any(e.peer == "Emilien" for e in sends)
-        assert any(e.peer == "Jules" for e in delivers)
 
-    def test_recording_transport_clear_events(self):
-        transport = RecordingTransport(InMemoryTransport())
-        built = build_quickstart(transport)
+class TestEventLog:
+    @NETWORKS
+    def test_an_event_log_changes_neither_fixpoint_nor_rounds_nor_stats(self, faults):
+        plain = build_quickstart(InMemoryTransport(**faults))
+        logged = build_quickstart(InMemoryTransport(event_log=NetEventLog(), **faults))
+        summary_plain = plain.converge()
+        summary_logged = logged.converge()
+        assert summary_plain.converged and summary_logged.converged
+        assert summary_plain.round_count == summary_logged.round_count
+        assert plain.snapshot() == logged.snapshot()
+        assert plain.stats.as_dict() == logged.stats.as_dict()
+
+    @NETWORKS
+    def test_an_event_log_counts_what_stats_counts(self, faults):
+        log = NetEventLog()
+        built = build_quickstart(InMemoryTransport(event_log=log, **faults))
         built.converge()
-        events = transport.clear_events()
-        assert events and transport.events == []
+        sends, drops = log.events("send"), log.events("drop")
+        delivers = log.events("deliver")
+        stats = built.stats
+        assert len(sends) + len(drops) == stats.messages_sent
+        assert len(drops) == stats.messages_dropped
+        assert len(delivers) == stats.messages_delivered
+        # Jules' delegation travelled to Émilien; the derived facts came back.
+        assert any(record["peer"] == "Emilien" for record in sends)
+        assert any(record["node"] == "Jules" for record in delivers)
+        if faults:
+            assert drops
+
+    @NETWORKS
+    def test_the_jsonl_file_replays_every_message(self, tmp_path, faults):
+        path = tmp_path / "events.jsonl"
+        log = NetEventLog(path=path)
+        build_quickstart(InMemoryTransport(event_log=log, **faults)).converge()
+        log.close()
+        written = [record for record in read_events(path) if "message" in record]
+        kept = [record for record in log.events() if "message" in record]
+        assert written and len(written) == len(kept)
+        assert {record["action"] for record in kept} >= {"send", "deliver"}
+        for line, record in zip(written, kept):
+            assert line["action"] == record["action"]
+            assert message_from_wire(line["message"]) == record["message"]
 
 
 class TestScenarioTransportInjection:
     def test_demo_scenario_accepts_a_transport(self):
         from repro.wepic.scenario import build_demo_scenario
 
-        recording = RecordingTransport(InMemoryTransport())
+        log = NetEventLog()
+        transport = InMemoryTransport(event_log=log)
         scenario = build_demo_scenario(pictures_per_attendee=1,
-                                       transport=recording)
-        scenario.run()
-        assert scenario.api.transport is recording
-        assert recording.events_of("send")
+                                       transport=transport)
+        scenario.api.converge()
+        assert scenario.api.transport is transport
+        assert log.events("send")
         # Same topology over the default transport converges identically.
         baseline = build_demo_scenario(pictures_per_attendee=1)
-        baseline.run()
-        assert baseline.system.snapshot() == scenario.system.snapshot()
+        baseline.api.converge()
+        assert baseline.api.snapshot() == scenario.api.snapshot()

@@ -21,7 +21,7 @@ class TestInteractionViaFacebook:
         # Émilien uploads a photo and authorises its Facebook publication.
         picture = emilien.upload_picture(name="keynote.jpg", picture_id=1)
         emilien.authorize_facebook(picture)
-        scenario.run()
+        scenario.api.converge()
         # ... it is published to pictures@sigmod ...
         sigmod_names = {f.values[1] for f in scenario.sigmod_pictures()}
         assert "keynote.jpg" in sigmod_names
@@ -34,7 +34,7 @@ class TestInteractionViaFacebook:
         scenario = build_demo_scenario(pictures_per_attendee=0)
         emilien = scenario.app("Emilien")
         emilien.upload_picture(name="private.jpg", picture_id=2)
-        scenario.run()
+        scenario.api.converge()
         assert {f.values[1] for f in scenario.sigmod_pictures()} == {"private.jpg"}
         assert scenario.facebook.photos_in_group("sigmod") == ()
 
@@ -45,13 +45,13 @@ class TestInteractionViaFacebook:
         scenario.facebook.add_user("Gerome")
         scenario.facebook.join_group("sigmod", "Gerome")
         scenario.facebook.post_photo("Gerome", "banquet.jpg", "1100", group="sigmod")
-        scenario.run()
+        scenario.api.converge()
         # ...reaches the sigmod peer, from which any attendee can read it.
         names = {f.values[1] for f in scenario.sigmod_pictures()}
         assert "banquet.jpg" in names
         jules = scenario.app("Jules")
         jules.select_attendee("sigmod")
-        scenario.run()
+        scenario.api.converge()
         assert "banquet.jpg" in {p.name for p in jules.attendee_pictures()}
 
 
@@ -66,10 +66,10 @@ class TestCustomizingRules:
         emilien.rate_picture(pictures[0].picture_id, 5)
         emilien.rate_picture(pictures[1].picture_id, 4)
         jules.select_attendee("Emilien")
-        scenario.run()
+        scenario.api.converge()
         assert len(jules.attendee_pictures()) == 3
         jules.restrict_to_rating(5)
-        scenario.run()
+        scenario.api.converge()
         assert [p.picture_id for p in jules.attendee_pictures()] == [pictures[0].picture_id]
         ui_summary = scenario.ui("Jules").summary()
         assert ui_summary["attendee_pictures"] == 1
@@ -84,12 +84,12 @@ class TestControlOfDelegation:
         emilien = scenario.app("Emilien")
         # Let the initial setup (including the trusted sigmod peer's own
         # delegations) settle before measuring Jules' installed program.
-        scenario.run()
+        scenario.api.converge()
         rules_before = len(jules.peer.engine.state.all_rules())
         # Émilien writes a rule whose body lives at Jules' peer: evaluating it
         # requires installing a delegation at Jules.
         emilien.add_rule("julesPictureNames@Emilien($n) :- pictures@Jules($i, $n, $o, $d)")
-        scenario.run()
+        scenario.api.converge()
         # The delegation is pending, not installed; Émilien sees nothing yet.
         assert emilien.peer.query("julesPictureNames") == ()
         pending = jules.pending_delegations()
@@ -97,7 +97,7 @@ class TestControlOfDelegation:
         assert pending[0].delegator == "Emilien"
         # Jules approves: his program changes and Émilien's view fills up.
         jules.approve_delegation(pending[0].delegation_id)
-        scenario.run()
+        scenario.api.converge()
         assert len(jules.peer.engine.state.all_rules()) == rules_before + 1
         assert len(emilien.peer.query("julesPictureNames")) == 1
 
@@ -107,17 +107,17 @@ class TestInteractionViaTheWeb:
 
     def test_new_peers_join_and_use_all_features(self):
         scenario = build_demo_scenario(pictures_per_attendee=1)
-        scenario.run()
+        scenario.api.converge()
         audience = [scenario.add_attendee(f"Guest{i}", pictures=1) for i in range(3)]
-        scenario.run()
-        assert len(scenario.system.peers) == 4 + 3  # 2 attendees + sigmod + FB + guests
+        scenario.api.converge()
+        assert len(scenario.api) == 4 + 3  # 2 attendees + sigmod + FB + guests
         # Every guest is registered at the sigmod peer.
         registered = {f.values[0] for f in scenario.sigmod_peer.query("attendees")}
         assert {"Guest0", "Guest1", "Guest2"} <= registered
         # A guest selects an original attendee and sees their pictures.
         guest = audience[0]
         guest.select_attendee("Emilien")
-        scenario.run()
+        scenario.api.converge()
         assert {p.owner for p in guest.attendee_pictures()} == {"Emilien"}
         # And guests' own uploads reach the sigmod peer too.
         owners_at_sigmod = {f.values[2] for f in scenario.sigmod_pictures()}
@@ -142,7 +142,7 @@ class TestWorkloadDrivenScenario:
                 [name for name in attendees if name != attendee], 2)
             for other in selections[attendee]:
                 app.select_attendee(other)
-        summary = scenario.run(max_rounds=80)
+        summary = scenario.api.converge(max_steps=80)
         assert summary.converged
         # Every attendee's view equals the pictures of the attendees they selected.
         for attendee in attendees:
@@ -170,7 +170,7 @@ class TestQualitativeShapes:
         viewer = scenario.app(names[0])
         for other in names[1:]:
             viewer.select_attendee(other)
-        scenario.run(max_rounds=80)
+        scenario.api.converge(max_steps=80)
         assert len(viewer.attendee_pictures()) == 4 * (attendees - 1)
         # One delegation per selected attendee per Wepic rule whose body
         # reaches them: attendeePictures, attendeeRatings and the transfer rule.
@@ -188,11 +188,11 @@ class TestQualitativeShapes:
         for uploads in (1, 20):
             scenario = build_demo_scenario(pictures_per_attendee=0)
             emilien = scenario.app("Emilien")
-            scenario.run()
+            scenario.api.converge()
             for index in range(uploads):
                 emilien.authorize_facebook(
                     emilien.upload_picture(picture_id=1000 + index))
-            rounds[uploads] = scenario.run(max_rounds=100).round_count
+            rounds[uploads] = scenario.api.converge(max_steps=100).round_count
             assert len(scenario.sigmod_pictures()) == uploads
             assert len(scenario.facebook.photos_in_group("sigmod")) == uploads
         assert rounds[20] <= rounds[1] + 1
@@ -207,7 +207,7 @@ class TestQualitativeShapes:
                 if rng.random() < 0.5:
                     scenario.app(attendee).authorize_facebook(picture)
                     authorised += 1
-        scenario.run(max_rounds=100)
+        scenario.api.converge(max_steps=100)
         assert 0 < authorised < 12
         assert len(scenario.facebook.photos_in_group("sigmod")) == authorised
         assert len(scenario.sigmod_pictures()) == 12
@@ -224,7 +224,7 @@ class TestQualitativeShapes:
         jules.select_attendee("Emilien")
 
         def installed_bodies():
-            scenario.run(max_rounds=40)
+            scenario.api.converge(max_steps=40)
             return [len(d.rule.body) for d in emilien.peer.installed_delegations()
                     if d.rule.head.relation_constant() == "attendeePictures"]
 
@@ -246,7 +246,7 @@ class TestQualitativeShapes:
                 for other in names:
                     if other != name:
                         scenario.app(name).select_attendee(other)
-            rounds[peers] = scenario.run(max_rounds=120).round_count
+            rounds[peers] = scenario.api.converge(max_steps=120).round_count
             for name in names:
                 assert len(scenario.app(name).attendee_pictures()) == (peers - 1) * 2
         assert abs(rounds[2] - rounds[8]) <= 1
@@ -258,15 +258,15 @@ class TestQualitativeShapes:
         scenario, names = _peer_ring(8, pictures=4)
         viewer = scenario.app(names[0])
         viewer.select_attendee(names[1])
-        scenario.run(max_rounds=100)
+        scenario.api.converge(max_steps=100)
         delegated_view = len(viewer.attendee_pictures())
-        delegated_payload = scenario.stats().payload_items
+        delegated_payload = scenario.api.stats.payload_items
 
         scenario, names = _peer_ring(8, pictures=4, publish_to_sigmod=True)
         sigmod = scenario.sigmod_peer
         sigmod.insert_fact(Fact("selectedAttendee", "sigmod", (names[1],)))
         sigmod.add_rule("attendeeView@sigmod($id, $n, $a, $d) :- "
                         "selectedAttendee@sigmod($a), pictures@sigmod($id, $n, $a, $d)")
-        scenario.run(max_rounds=100)
+        scenario.api.converge(max_steps=100)
         assert delegated_view == len(sigmod.query("attendeeView")) == 4
-        assert delegated_payload * 2 < scenario.stats().payload_items
+        assert delegated_payload * 2 < scenario.api.stats.payload_items

@@ -98,8 +98,8 @@ class TestScenarioUnderLoss:
             scenario = build_demo_scenario(pictures_per_attendee=1,
                                            transport=transport)
             scenario.app("Jules").select_attendee("Emilien")
-            assert scenario.run(max_rounds=200).converged
-            return scenario.system.snapshot()
+            assert scenario.api.converge(max_steps=200).converged
+            return scenario.api.snapshot()
 
         lossy = InMemoryTransport(drop_probability=0.3, seed=0)
         assert run(lossy) == run(InMemoryTransport())

@@ -12,6 +12,7 @@ import pytest
 from repro.api import system
 from repro.core.errors import TransportError
 from repro.core.facts import Fact
+from repro.net.events import NetEventLog, read_events
 from repro.net.membership import ALIVE, LEFT
 from repro.net.tcp import TcpTransport
 from repro.runtime.messages import FactMessage
@@ -137,18 +138,28 @@ def test_unregister_announces_leave():
             lambda: transport.membership_view("alice").get("bob") == LEFT)
 
 
+def exchange_one_message(transport):
+    transport.register("alice")
+    transport.register("bob")
+    message = FactMessage(sender="alice", recipient="bob",
+                          inserted=frozenset({Fact("r", "bob", ("x",))}))
+    transport.send(message)
+    assert wait_for(lambda: transport.receive("bob"))
+
+
 def test_event_log_written_to_jsonl(tmp_path):
     path = tmp_path / "net.jsonl"
-    with TcpTransport(seed=1, log_path=str(path)) as transport:
-        transport.register("alice")
-        transport.register("bob")
-        message = FactMessage(sender="alice", recipient="bob",
-                              inserted=frozenset({Fact("r", "bob", ("x",))}))
-        transport.send(message)
-        assert wait_for(lambda: transport.receive("bob"))
-    from repro.net.events import read_events
+    with TcpTransport(seed=1, events=NetEventLog(path=path)) as transport:
+        exchange_one_message(transport)
     actions = {event["action"] for event in read_events(str(path))}
     assert {"register", "send", "deliver"} <= actions
+
+
+def test_a_transport_without_a_log_keeps_no_records():
+    with TcpTransport(seed=1) as transport:
+        exchange_one_message(transport)
+        assert len(transport.events) == 0
+        assert transport.events.events() == []
 
 
 def test_wepic_scenario_matches_inmemory_with_churn():

@@ -28,7 +28,6 @@ from repro.core.facts import Fact
 from repro.net.events import NetEventLog, read_events
 from repro.replication.dots import Op
 from repro.runtime.inmemory import InMemoryTransport
-from repro.runtime.transport import RecordingTransport
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
     ReplicationAckMessage,
@@ -191,7 +190,7 @@ class TestDuplicatedRetraction:
         A duplicating transport gets causal replication, which absorbs the
         copies before the engine sees them; to reach the raw-message path
         the test sends every delivered message a second time itself."""
-        transport = RecordingTransport(InMemoryTransport())
+        transport = InMemoryTransport(event_log=NetEventLog())
         deployment = (system()
                       .transport(transport)
                       .provenance()
@@ -212,8 +211,9 @@ class TestDuplicatedRetraction:
 
         def converge_then_deliver_again():
             assert deployment.converge(max_steps=100).converged
-            delivered = [event.message for event in transport.clear_events()
-                         if event.action == "deliver"]
+            delivered = [record["message"]
+                         for record in transport.event_log.clear()
+                         if record["action"] == "deliver"]
             assert delivered
             transport.send_all(delivered)
             assert deployment.converge(max_steps=100).converged

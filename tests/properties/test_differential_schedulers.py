@@ -46,7 +46,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.rules as rules_module
-from repro.api import InMemoryTransport, RecordingTransport, system
+from repro.api import InMemoryTransport, NetEventLog, system
 from repro.core import codec
 from repro.core.facts import Fact
 from repro.runtime.messages import ReplicationAckMessage, ReplicationDigestMessage
@@ -346,7 +346,7 @@ RECEIVER = "collection ext persistent item@b(x);"
 
 def causal_pair(reference=False, **storage):
     # clean, but promising nothing: the ack is lost by hand later
-    transport = RecordingTransport(UnpromisedTransport())
+    transport = UnpromisedTransport(event_log=NetEventLog())
     builder = system().transport(transport)
     if storage:
         builder.storage("sqlite", **storage)
@@ -356,20 +356,25 @@ def causal_pair(reference=False, **storage):
     return lockstep(deployment) if reference else deployment, transport
 
 
+def moved(transport, action):
+    """The messages of the event log's ``action`` records, in order."""
+    return [record["message"] for record in transport.event_log.events(action)]
+
+
 def lose_the_ack(deployment, transport):
     """One fact from ``a`` to ``b``; the ack back is lost.  Two cycles, after
     which ``a``'s digest is due in cycle ``current_round + 3``."""
     runtime = deployment.runtime
-    assert deployment.converge().converged and not transport.events_of("send")
+    assert deployment.converge().converged and not moved(transport, "send")
     deployment.peer("a").insert(Fact("item", "a", (1,)))
     assert runtime.step().peer_reports["a"].sent_messages == 1  # the envelope
-    transport.inner.drop_probability = 1.0
+    transport.drop_probability = 1.0
     assert runtime.step().peer_reports["b"].delivered_messages == 1
-    transport.inner.drop_probability = 0.0
-    (lost,) = transport.events_of("drop")
-    assert isinstance(lost.message, ReplicationAckMessage)
+    transport.drop_probability = 0.0
+    (lost,) = moved(transport, "drop")
+    assert isinstance(lost, ReplicationAckMessage)
     assert not transport.has_in_flight()
-    transport.clear_events()
+    transport.event_log.clear()
 
 
 #: The lockstep reference, and the reactive driver through either entry point.
@@ -388,12 +393,12 @@ class TestAWaitingPeerRunsNoStage:
         # the envelope left digest_interval - 1 cycles ago: two more to wait
         for _ in range(2):
             assert runtime.step().peer_reports == {}
-            assert transport.clear_events() == []
+            assert transport.event_log.clear() == []
         report = runtime.step()
         assert list(report.peer_reports) == ["a"]
         assert report.peer_reports["a"].sent_messages == 1
-        (sent,) = transport.events_of("send")
-        assert isinstance(sent.message, ReplicationDigestMessage)
+        (sent,) = moved(transport, "send")
+        assert isinstance(sent, ReplicationDigestMessage)
         assert list(runtime.step().peer_reports) == ["b"]        # the re-ack
         assert list(runtime.step().peer_reports) == ["a"]        # ... arrives
         assert not outbox.unacked and not runtime.replication_unsettled()
@@ -406,11 +411,11 @@ class TestAWaitingPeerRunsNoStage:
         deployment, transport = causal_pair(reference)
         runtime = deployment.runtime
         lose_the_ack(deployment, transport)
-        transport.inner.drop_probability = 1.0
+        transport.drop_probability = 1.0
         summary = converge(deployment, asynchronous, max_steps=3)  # ... and the digest
-        transport.inner.drop_probability = 0.0
-        (lost,) = transport.events_of("drop")
-        assert isinstance(lost.message, ReplicationDigestMessage)
+        transport.drop_probability = 0.0
+        (lost,) = moved(transport, "drop")
+        assert isinstance(lost, ReplicationDigestMessage)
         # nothing in flight, nobody with work, and still not converged: for
         # three more cycles nobody even runs, and converge() keeps saying so
         assert not summary.converged and not transport.has_in_flight()
@@ -437,7 +442,7 @@ class TestAWaitingPeerRunsNoStage:
         summary = reopened.converge()
         assert summary.converged and not state.outbox("b").unacked
         assert state.counters["digests_sent"] == 1
-        kinds = [event.message.kind() for event in transport.events_of("send")]
+        kinds = [message.kind() for message in moved(transport, "send")]
         assert kinds == ["DeltaEnvelopeMessage", "ReplicationDigestMessage",
                          "ReplicationAckMessage"]
         assert [len(report.peer_reports) for report in summary.rounds] == [
@@ -462,7 +467,8 @@ CELLS = {
 }
 
 #: sha256 (first 16 hex digits) over every ``(cycle, send | drop | deliver,
-#: sender, recipient, kind, canonical wire JSON)`` of a run plus its final
+#: sender, recipient, kind, canonical wire JSON)`` record of a run's
+#: :class:`~repro.net.events.NetEventLog` plus its final
 #: ``snapshot()``, recorded at the commit *before* digest and pull timers
 #: moved from a per-peer stage count to the scheduler's cycle count and
 #: waiting peers stopped running stages — where the lockstep and the
@@ -493,16 +499,16 @@ CHAIN_SCRIPT = (("insert", "a"), ("insert", "b"), ("insert", "c"), ("delete", "b
                 ("insert", "f"))
 
 
-def stream_digest(transport, snapshot):
+def stream_digest(log, snapshot):
     digest = hashlib.sha256()
-    for event in transport.events:
-        message = event.message
-        if message is None:
+    for record in log.events():
+        if record["action"] not in ("send", "drop", "deliver"):
             continue
+        message = record["message"]
         wire = message.to_wire()
         del wire["message_id"]  # a process-wide counter
         digest.update(json.dumps(
-            [event.round_number, event.action, message.sender,
+            [int(record["ts"]), record["action"], message.sender,
              message.recipient, message.kind(), wire],
             sort_keys=True).encode())
     encoded = {peer: {relation: [codec.encode_fact(f) for f in sorted(facts, key=str)]
@@ -558,7 +564,8 @@ class TestSameSeedSameMessages:
         # does not depend on which tests ran before.  Every cell runs causal
         # replication, the clean one too: its transport promises nothing.
         monkeypatch.setattr(rules_module, "_rule_counter", itertools.count(10 ** 6))
-        transport = RecordingTransport(UnpromisedTransport(**CELLS[cell]))
+        log = NetEventLog()
+        transport = UnpromisedTransport(event_log=log, **CELLS[cell])
         run = run_three_peers if deployment == "three_peers" else run_wepic
         snapshot = run(transport, reference, asynchronous)
-        assert stream_digest(transport, snapshot) == STREAM_DIGESTS[deployment, cell]
+        assert stream_digest(log, snapshot) == STREAM_DIGESTS[deployment, cell]

@@ -7,7 +7,7 @@ any other transport every peer replicates causally.
 
 import pytest
 
-from repro.api import InMemoryTransport, RecordingTransport, system
+from repro.api import InMemoryTransport, system
 from repro.net.tcp import TcpTransport
 from repro.replication.state import ReplicationState
 from repro.runtime.messages import DeltaEnvelopeMessage
@@ -60,15 +60,6 @@ class TestTheTransportPicksThePath:
         with TcpTransport(seed=1) as transport:
             assert not transport.exactly_once_in_order
             assert all_causal(replication_states(transport))
-
-    @pytest.mark.parametrize("faults,causal", [({}, False),
-                                               ({"reorder_window": 2}, True)])
-    def test_a_recording_transport_follows_its_inner_transport(self, faults,
-                                                               causal):
-        transport = RecordingTransport(InMemoryTransport(**faults))
-        assert transport.exactly_once_in_order is not causal
-        states = replication_states(transport)
-        assert all_causal(states) if causal else states == [None, None, None]
 
     def test_a_transport_that_declares_nothing_gets_causal_replication(self):
         assert not hasattr(ZeroLatencyTransport(), "exactly_once_in_order")

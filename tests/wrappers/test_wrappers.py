@@ -13,7 +13,6 @@ from repro.wrappers.facebook import (
     FacebookService,
     FacebookUserWrapper,
 )
-from repro.wrappers.registry import WrapperRegistry
 
 
 class TestFacebookUserWrapper:
@@ -169,18 +168,3 @@ class TestWrapperBase:
         wrapper = RelationWatchingWrapper()
         with pytest.raises(NotImplementedError):
             wrapper.handle_fact(None, Fact("r", "p", ()))
-
-
-class TestWrapperRegistry:
-    def test_register_and_lookup(self):
-        registry = WrapperRegistry()
-        email = EmailWrapper(EmailService())
-        facebook = FacebookGroupWrapper(FacebookService(), "sigmod")
-        registry.register("Jules", email)
-        registry.register("SigmodFB", facebook)
-        assert registry.wrappers_of("Jules") == (email,)
-        assert registry.first("SigmodFB", "facebook") is facebook
-        assert registry.first("Jules", "facebook") is None
-        assert registry.peers() == ("Jules", "SigmodFB")
-        assert len(registry) == 2
-        assert dict(iter(registry))  # iterable of (peer, wrapper) pairs
