@@ -101,7 +101,9 @@ class SystemBuilder:
           ...).
 
         Named transports are constructed at ``build()`` time, so one builder
-        chain can be built more than once without sharing sockets.
+        chain can be built more than once without sharing sockets (an
+        ``events`` log given here is shared: closing a deployment leaves it
+        open for the next build).
 
         The transport also decides how updates travel: a fault-free
         in-memory transport carries raw messages, any other (a fault, or

@@ -72,8 +72,12 @@ class TcpTransport:
         Optional :class:`~repro.net.events.NetEventLog` receiving the
         structured network event log — ``NetEventLog(path=...)`` streams it
         to a JSONL file in the format the simulator and the in-memory
-        transport write.  Without one the transport records nothing, so a
-        long-lived deployment does not accumulate its history in memory.
+        transport write; add ``keep_in_memory=False`` so a long-lived
+        deployment does not also hold every record in memory.  The caller
+        owns the log: closing the transport leaves it open, so one log can
+        serve several transports (one builder chain built more than once)
+        and is closed by whoever opened it.  Without one the transport
+        records nothing.
     quiet_period:
         Consecutive settled scheduler cycles required before a networked
         deployment is considered converged (default 5).
@@ -370,7 +374,6 @@ class TcpTransport:
             return
         self._closed = True
         if self._loop is None:
-            self.events.close()
             return
         if self._ticker is not None:
             self._ticker.cancel()
@@ -383,7 +386,6 @@ class TcpTransport:
             if self._thread is not None:
                 self._thread.join(CALL_TIMEOUT)
             self._loop = None
-            self.events.close()
 
     async def _close_async(self) -> None:
         for endpoint in self._endpoints.values():

@@ -111,10 +111,10 @@ class TestScenarioTransportInjection:
         transport = InMemoryTransport(event_log=log)
         scenario = build_demo_scenario(pictures_per_attendee=1,
                                        transport=transport)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert scenario.api.transport is transport
         assert log.events("send")
         # Same topology over the default transport converges identically.
         baseline = build_demo_scenario(pictures_per_attendee=1)
-        baseline.api.converge()
+        baseline.api.converge(max_steps=60)
         assert baseline.api.snapshot() == scenario.api.snapshot()

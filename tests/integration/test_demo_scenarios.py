@@ -21,7 +21,7 @@ class TestInteractionViaFacebook:
         # Émilien uploads a photo and authorises its Facebook publication.
         picture = emilien.upload_picture(name="keynote.jpg", picture_id=1)
         emilien.authorize_facebook(picture)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         # ... it is published to pictures@sigmod ...
         sigmod_names = {f.values[1] for f in scenario.sigmod_pictures()}
         assert "keynote.jpg" in sigmod_names
@@ -34,7 +34,7 @@ class TestInteractionViaFacebook:
         scenario = build_demo_scenario(pictures_per_attendee=0)
         emilien = scenario.app("Emilien")
         emilien.upload_picture(name="private.jpg", picture_id=2)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert {f.values[1] for f in scenario.sigmod_pictures()} == {"private.jpg"}
         assert scenario.facebook.photos_in_group("sigmod") == ()
 
@@ -45,13 +45,13 @@ class TestInteractionViaFacebook:
         scenario.facebook.add_user("Gerome")
         scenario.facebook.join_group("sigmod", "Gerome")
         scenario.facebook.post_photo("Gerome", "banquet.jpg", "1100", group="sigmod")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         # ...reaches the sigmod peer, from which any attendee can read it.
         names = {f.values[1] for f in scenario.sigmod_pictures()}
         assert "banquet.jpg" in names
         jules = scenario.app("Jules")
         jules.select_attendee("sigmod")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert "banquet.jpg" in {p.name for p in jules.attendee_pictures()}
 
 
@@ -66,10 +66,10 @@ class TestCustomizingRules:
         emilien.rate_picture(pictures[0].picture_id, 5)
         emilien.rate_picture(pictures[1].picture_id, 4)
         jules.select_attendee("Emilien")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert len(jules.attendee_pictures()) == 3
         jules.restrict_to_rating(5)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert [p.picture_id for p in jules.attendee_pictures()] == [pictures[0].picture_id]
         ui_summary = scenario.ui("Jules").summary()
         assert ui_summary["attendee_pictures"] == 1
@@ -84,12 +84,12 @@ class TestControlOfDelegation:
         emilien = scenario.app("Emilien")
         # Let the initial setup (including the trusted sigmod peer's own
         # delegations) settle before measuring Jules' installed program.
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         rules_before = len(jules.peer.engine.state.all_rules())
         # Émilien writes a rule whose body lives at Jules' peer: evaluating it
         # requires installing a delegation at Jules.
         emilien.add_rule("julesPictureNames@Emilien($n) :- pictures@Jules($i, $n, $o, $d)")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         # The delegation is pending, not installed; Émilien sees nothing yet.
         assert emilien.peer.query("julesPictureNames") == ()
         pending = jules.pending_delegations()
@@ -97,7 +97,7 @@ class TestControlOfDelegation:
         assert pending[0].delegator == "Emilien"
         # Jules approves: his program changes and Émilien's view fills up.
         jules.approve_delegation(pending[0].delegation_id)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert len(jules.peer.engine.state.all_rules()) == rules_before + 1
         assert len(emilien.peer.query("julesPictureNames")) == 1
 
@@ -107,9 +107,9 @@ class TestInteractionViaTheWeb:
 
     def test_new_peers_join_and_use_all_features(self):
         scenario = build_demo_scenario(pictures_per_attendee=1)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         audience = [scenario.add_attendee(f"Guest{i}", pictures=1) for i in range(3)]
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert len(scenario.api) == 4 + 3  # 2 attendees + sigmod + FB + guests
         # Every guest is registered at the sigmod peer.
         registered = {f.values[0] for f in scenario.sigmod_peer.query("attendees")}
@@ -117,7 +117,7 @@ class TestInteractionViaTheWeb:
         # A guest selects an original attendee and sees their pictures.
         guest = audience[0]
         guest.select_attendee("Emilien")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert {p.owner for p in guest.attendee_pictures()} == {"Emilien"}
         # And guests' own uploads reach the sigmod peer too.
         owners_at_sigmod = {f.values[2] for f in scenario.sigmod_pictures()}
@@ -188,7 +188,7 @@ class TestQualitativeShapes:
         for uploads in (1, 20):
             scenario = build_demo_scenario(pictures_per_attendee=0)
             emilien = scenario.app("Emilien")
-            scenario.api.converge()
+            scenario.api.converge(max_steps=60)
             for index in range(uploads):
                 emilien.authorize_facebook(
                     emilien.upload_picture(picture_id=1000 + index))

@@ -149,10 +149,26 @@ def exchange_one_message(transport):
 
 def test_event_log_written_to_jsonl(tmp_path):
     path = tmp_path / "net.jsonl"
-    with TcpTransport(seed=1, events=NetEventLog(path=path)) as transport:
-        exchange_one_message(transport)
+    with NetEventLog(path=path, keep_in_memory=False) as log:
+        with TcpTransport(seed=1, events=log) as transport:
+            exchange_one_message(transport)
+        assert len(log) == 0
     actions = {event["action"] for event in read_events(str(path))}
     assert {"register", "send", "deliver"} <= actions
+
+
+def test_one_log_serves_every_build_of_a_builder(tmp_path):
+    """Closing a deployment leaves the caller's log open, so a second
+    build of the same chain still writes to the file."""
+    path = tmp_path / "net.jsonl"
+    with NetEventLog(path=path, keep_in_memory=False) as log:
+        builder = system().transport("tcp", seed=1, events=log).peer("alice").done()
+        for _ in range(2):
+            with builder.build():
+                pass
+    registers = [event for event in read_events(str(path))
+                 if event["action"] == "register"]
+    assert [event["node"] for event in registers] == ["alice", "alice"]
 
 
 def test_a_transport_without_a_log_keeps_no_records():

@@ -108,7 +108,7 @@ class TestFixpointEquivalence:
     def test_wepic_scenario_fixpoint(self, asynchronous):
         reference = build_demo_scenario()
         lockstep(reference.api)
-        reference.api.converge()
+        reference.api.converge(max_steps=60)
         candidate = build_demo_scenario()
         summary = converge(candidate.api, asynchronous, max_steps=60)
         assert summary.converged

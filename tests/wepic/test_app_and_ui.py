@@ -22,13 +22,13 @@ class TestUploadAndView:
     def test_select_and_view_attendee_pictures(self, demo_scenario):
         jules = demo_scenario.app("Jules")
         jules.select_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         pictures = jules.attendee_pictures()
         assert pictures
         assert all(p.owner == "Emilien" for p in pictures)
         assert jules.selected_attendees() == ("Emilien",)
         jules.deselect_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert jules.attendee_pictures() == ()
 
     def test_selecting_multiple_attendees_merges_views(self):
@@ -37,7 +37,7 @@ class TestUploadAndView:
         julia = scenario.app("Julia")
         julia.select_attendee("Emilien")
         julia.select_attendee("Jules")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         owners = {p.owner for p in julia.attendee_pictures()}
         assert owners == {"Emilien", "Jules"}
 
@@ -49,7 +49,7 @@ class TestTransfer:
         emilien.set_protocol("email")
         jules.select_attendee("Emilien")
         jules.select_picture_for_transfer(jules.local_pictures()[0])
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert demo_scenario.email.sent_count >= 1
 
     def test_wepic_transfer_lands_in_wepic_relation(self, demo_scenario):
@@ -59,7 +59,7 @@ class TestTransfer:
         jules.select_attendee("Emilien")
         picture = jules.local_pictures()[0]
         jules.select_picture_for_transfer(picture)
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         received = emilien.received_transfers()
         assert any(picture.name in fact.values for fact in received)
 
@@ -76,7 +76,7 @@ class TestAnnotationsAndRanking:
         emilien = demo_scenario.app("Emilien")
         target = emilien.local_pictures()[0]
         jules.rate_picture(target.picture_id, 5, owner="Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         owner_side = [r for r in emilien.ratings() if r.picture_id == target.picture_id]
         assert owner_side and owner_side[0].value == 5
 
@@ -86,7 +86,7 @@ class TestAnnotationsAndRanking:
         target = emilien.local_pictures()[0]
         jules.comment_picture(target.picture_id, "great shot", owner="Emilien")
         jules.tag_picture(target.picture_id, "Julia", owner="Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert emilien.peer.query("comment")
         assert emilien.peer.query("tag")
 
@@ -96,7 +96,7 @@ class TestAnnotationsAndRanking:
         target = emilien.local_pictures()[0]
         emilien.rate_picture(target.picture_id, 4)
         jules.select_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         gathered = jules.gathered_ratings()
         assert Fact("attendeeRatings", "Jules", (target.picture_id, 4)) in gathered
 
@@ -107,7 +107,7 @@ class TestAnnotationsAndRanking:
         emilien.rate_picture(pictures[0].picture_id, 5)
         emilien.rate_picture(pictures[1].picture_id, 2)
         jules.select_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         ranking = jules.ranked_attendee_pictures()
         assert ranking[0].picture.picture_id == pictures[0].picture_id
         assert ranking[0].average_rating == 5.0
@@ -165,16 +165,16 @@ class TestRuleCustomisation:
         emilien.rate_picture(pictures[0].picture_id, 5)
         emilien.rate_picture(pictures[1].picture_id, 3)
         jules.select_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert len(jules.attendee_pictures()) == 2
         # Customise: only pictures rated 5 by their owner.
         jules.restrict_to_rating(5)
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         filtered = jules.attendee_pictures()
         assert [p.picture_id for p in filtered] == [pictures[0].picture_id]
         # Restore the original rule.
         jules.reset_attendee_pictures_rule()
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert len(jules.attendee_pictures()) == 2
 
     def test_owner_filter(self):
@@ -184,14 +184,14 @@ class TestRuleCustomisation:
         julia.select_attendee("Emilien")
         julia.select_attendee("Jules")
         julia.restrict_to_owner("Emilien")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         owners = {p.owner for p in julia.attendee_pictures()}
         assert owners == {"Emilien"}
 
     def test_add_custom_rule(self, demo_scenario):
         jules = demo_scenario.app("Jules")
         rule = jules.add_rule("ownerNames@Jules($o) :- pictures@Jules($i, $n, $o, $d)")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert rule in jules.installed_rules()
         assert jules.peer.query("ownerNames")
 
@@ -206,7 +206,7 @@ class TestUI:
     def test_frames_reflect_state(self, demo_scenario):
         jules = demo_scenario.app("Jules")
         jules.select_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         ui = WepicUI(jules)
         summary = ui.summary()
         assert summary["my_pictures"] == len(jules.local_pictures())
@@ -234,15 +234,15 @@ class TestLiveViewPages:
         emilien = demo_scenario.app("Emilien")
         jules.select_attendee("Emilien")
         view = jules.rating_summary_view()
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert view.rows() == ()
         emilien.rate_picture(1, 5)
         emilien.rate_picture(1, 3)
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert view.rows() == ((1, 4.0, 2),)
         # Standing: the same handle keeps tracking later churn.
         emilien.rate_picture(2, 4)
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert sorted(view.rows()) == [(1, 4.0, 2), (2, 4.0, 1)]
         # The factory caches the open view.
         assert jules.rating_summary_view() is view
@@ -250,13 +250,13 @@ class TestLiveViewPages:
     def test_wall_view_filters_by_owner_and_rating(self, demo_scenario):
         jules = demo_scenario.app("Jules")
         jules.select_attendee("Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         wall = jules.wall_view(owner="Emilien")
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert sorted(row[0] for row in wall.rows()) == [1, 2]
         rated = jules.wall_view(owner="Emilien", rating=5)
         jules.rate_picture(2, 5)
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert sorted(rated.rows()) == [(2, "keynote-2.jpg")]
 
     def test_close_views_uninstalls_everything(self, demo_scenario):
@@ -280,7 +280,7 @@ class TestLiveViewPages:
         jules.rating_summary_view()
         jules.wall_view(owner="Emilien")
         emilien.rate_picture(3, 5)
-        demo_scenario.api.converge()
+        demo_scenario.api.converge(max_steps=60)
         assert ui.rating_summary_frame().lines == \
             ["picture 3: 5.00 stars (1 ratings)"]
         assert ui.filtered_wall_frame("Emilien").lines

@@ -25,7 +25,7 @@ def stages_of(summary, peer):
 class TestServiceChangesSurface:
     def test_delegated_picture_reaches_facebook_in_the_same_converge(self):
         scenario = build_demo_scenario(pictures_per_attendee=1)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert scenario.facebook.photo_count() == 0
         app = scenario.app("Emilien")
         picture = app.upload_picture(name="beach.jpg", picture_id=77)
@@ -40,7 +40,7 @@ class TestServiceChangesSurface:
         app = scenario.app("Emilien")
         picture = app.local_pictures()[0]
         app.authorize_facebook(picture)
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert scenario.group_peer.query("comments") == ()
         # Nothing but the service changes between the two converges.
         scenario.facebook.add_comment(picture.picture_id, "Jules", "great shot")
@@ -114,7 +114,7 @@ class TestDriverSide:
                                        pictures_per_attendee=1)
         for name in ("Emilien", "Jules", "Julia"):
             scenario.app(name).set_protocol("email")
-        scenario.api.converge()
+        scenario.api.converge(max_steps=60)
         assert scenario.email.sent_count == 0
         sender = scenario.app("Jules")
         sender.select_attendee("Emilien")
