@@ -11,7 +11,7 @@ interface."  (Section 3 of the paper.)
   engine immediately (decision ``AUTO_ACCEPTED``);
 * a delegation install from an **untrusted** delegator is parked in the
   pending queue (decision ``PENDING``) and a notification is recorded — the
-  headless UI model and Figure-3 benchmark read those notifications;
+  headless UI model reads those notifications;
 * the user later calls :meth:`approve` or :meth:`reject`;
 * a retraction for a delegation that is still pending simply removes it from
   the queue; a retraction for an installed delegation is forwarded.
@@ -20,8 +20,8 @@ interface."  (Section 3 of the paper.)
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.acl.trust import TrustStore
 from repro.core.engine import WebdamLogEngine
@@ -71,19 +71,15 @@ class DelegationController:
     engine:
         The peer's engine; approved delegations are forwarded to it.
     trust:
-        The peer's :class:`~repro.acl.trust.TrustStore`.  When omitted, a
-        store trusting only the peer itself is used (everything becomes
-        pending).
-    auto_accept_all:
-        Convenience switch that bypasses the queue entirely (used by
-        benchmarks that measure the no-control baseline).
+        The peer's :class:`~repro.acl.trust.TrustStore`, the one setting that
+        decides which delegations install at once.  When omitted, a store
+        trusting only the peer itself is used (everything becomes pending);
+        ``TrustStore(owner, trust_all=True)`` bypasses the queue entirely.
     """
 
-    def __init__(self, engine: WebdamLogEngine, trust: Optional[TrustStore] = None,
-                 auto_accept_all: bool = False):
+    def __init__(self, engine: WebdamLogEngine, trust: Optional[TrustStore] = None):
         self.engine = engine
         self.trust = trust if trust is not None else TrustStore(engine.peer)
-        self.auto_accept_all = auto_accept_all
         self._pending: Dict[str, PendingDelegation] = {}
         self._log: List[DelegationEvent] = []
         self._notifications: List[str] = []
@@ -95,7 +91,7 @@ class DelegationController:
     def submit(self, delegator: str, delegation_id: str, rule: Rule,
                round_number: Optional[int] = None) -> DelegationDecision:
         """Handle an incoming delegation install."""
-        if self.auto_accept_all or self.trust.is_trusted(delegator):
+        if self.trust.is_trusted(delegator):
             self.engine.receive_delegation(delegator, delegation_id, rule)
             self._log.append(DelegationEvent(delegation_id, delegator,
                                              DelegationDecision.AUTO_ACCEPTED))
@@ -135,10 +131,6 @@ class DelegationController:
     def pending(self) -> Tuple[PendingDelegation, ...]:
         """The delegations currently awaiting approval (deterministic order)."""
         return tuple(sorted(self._pending.values(), key=lambda p: p.delegation_id))
-
-    def pending_from(self, delegator: str) -> Tuple[PendingDelegation, ...]:
-        """Pending delegations submitted by one delegator."""
-        return tuple(p for p in self.pending() if p.delegator == delegator)
 
     def approve(self, delegation_id: str) -> PendingDelegation:
         """Approve a pending delegation: the rule is installed at the engine."""
@@ -183,7 +175,7 @@ class DelegationController:
         return tuple(self._log)
 
     def counts(self) -> Dict[str, int]:
-        """Counters per decision kind (used by the Figure-3 benchmark)."""
+        """Counters per decision kind, plus ``pending_now``."""
         counters: Dict[str, int] = {decision.value: 0 for decision in DelegationDecision}
         for event in self._log:
             counters[event.decision.value] += 1

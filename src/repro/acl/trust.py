@@ -4,13 +4,13 @@ The demo's simplified model for controlling delegation needs only a binary
 notion of trust: delegations from *trusted* peers are installed immediately,
 delegations from *untrusted* peers are queued for explicit approval.  The
 paper states that "by default, all peers except the sigmod peer will be
-considered untrusted"; :meth:`TrustStore.demo_default` builds exactly that
-configuration.
+considered untrusted"; ``TrustStore(owner, trusted=["sigmod"])`` is exactly
+that configuration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Iterable, Set
 
 
 class TrustStore:
@@ -27,11 +27,6 @@ class TrustStore:
         self._trusted.add(owner)
         self.trust_all = trust_all
 
-    @classmethod
-    def demo_default(cls, owner: str, sigmod_peer: str = "sigmod") -> "TrustStore":
-        """The configuration used in the demonstration: only ``sigmod`` is trusted."""
-        return cls(owner, trusted=[sigmod_peer])
-
     def is_trusted(self, peer: str) -> bool:
         """``True`` when ``peer`` is trusted by the owner."""
         return self.trust_all or peer in self._trusted
@@ -39,15 +34,6 @@ class TrustStore:
     def trust(self, peer: str) -> None:
         """Mark ``peer`` as trusted."""
         self._trusted.add(peer)
-
-    def untrust(self, peer: str) -> None:
-        """Remove ``peer`` from the trusted set (the owner itself cannot be untrusted)."""
-        if peer != self.owner:
-            self._trusted.discard(peer)
-
-    def trusted_peers(self) -> FrozenSet[str]:
-        """The current trusted set (including the owner)."""
-        return frozenset(self._trusted)
 
     def __contains__(self, peer: str) -> bool:
         return self.is_trusted(peer)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.facts import Fact
 from repro.core.rules import Rule
@@ -56,8 +56,6 @@ class _PeerSpec:
     name: str
     trusted: List[str] = field(default_factory=list)
     trust_all: bool = False
-    auto_accept: Optional[bool] = None
-    announce: bool = False
     schemas: List[RelationSchema] = field(default_factory=list)
     programs: List[str] = field(default_factory=list)
     rules: List[Union[str, Rule]] = field(default_factory=list)
@@ -135,9 +133,12 @@ class SystemBuilder:
         return self
 
     def auto_accept_delegations(self, enabled: bool = True) -> "SystemBuilder":
-        """Install every incoming delegation immediately (the default);
-        ``False`` queues delegations from untrusted peers for explicit
-        approval."""
+        """Make every peer trust every delegator (the default).
+
+        ``False`` leaves each peer trusting only the peers it names
+        (``trusts``, ``trust_all``, ``default_trusted``); a delegation from
+        any other peer waits in its pending queue for explicit approval.
+        """
         self._auto_accept = enabled
         return self
 
@@ -211,8 +212,6 @@ class SystemBuilder:
             handle = built.add_peer(
                 spec.name, trusted=tuple(spec.trusted),
                 trust_all=spec.trust_all,
-                auto_accept_delegations=spec.auto_accept,
-                announce=spec.announce,
             )
             self._populate(handle, spec)
         return built
@@ -315,16 +314,6 @@ class PeerBuilder:
     def declassify(self, view_relation: str, grantee: str = "*") -> "PeerBuilder":
         """Declassify a derived relation (view) of this peer for ``grantee``."""
         self._spec.declassifications.append((view_relation, grantee))
-        return self
-
-    def auto_accept_delegations(self, enabled: bool = True) -> "PeerBuilder":
-        """Override the system-wide delegation-acceptance policy for this peer."""
-        self._spec.auto_accept = enabled
-        return self
-
-    def announce(self, enabled: bool = True) -> "PeerBuilder":
-        """Send a join message to the peers declared before this one."""
-        self._spec.announce = enabled
         return self
 
     # -- chain continuation -------------------------------------------------- #

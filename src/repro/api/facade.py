@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.acl.policies import AccessControlPolicy, PolicyEngine, PolicySet, Privilege
+from repro.acl.policies import AccessControlPolicy, PolicySet, Privilege
 from repro.core.errors import SchemaError
 from repro.core.facts import Fact
 from repro.core.parser import parse_fact
 from repro.core.rules import Rule
-from repro.core.schema import RelationSchema, SchemaRegistry
+from repro.core.schema import RelationSchema
 from repro.provenance.graph import Explanation
 from repro.runtime.inmemory import NetworkStats
 from repro.runtime.peer import Peer, PeerStageReport
@@ -238,16 +238,10 @@ class System:
     # -- topology --------------------------------------------------------- #
 
     def add_peer(self, name: str, program: Optional[str] = None,
-                 trusted: Sequence[str] = (), trust_all: bool = False,
-                 auto_accept_delegations: Optional[bool] = None,
-                 announce: bool = False,
-                 schemas: Optional[SchemaRegistry] = None) -> PeerHandle:
+                 trusted: Sequence[str] = (), trust_all: bool = False) -> PeerHandle:
         """Create and register a new peer at run time; returns its handle."""
-        peer = self.runtime.add_peer(
-            name, program=program, trusted=trusted, trust_all=trust_all,
-            auto_accept_delegations=auto_accept_delegations, announce=announce,
-            schemas=schemas,
-        )
+        peer = self.runtime.add_peer(name, program=program, trusted=trusted,
+                                     trust_all=trust_all)
         handle = PeerHandle(self, peer)
         self._handles[name] = handle
         return handle
@@ -256,7 +250,8 @@ class System:
         """Remove a peer, detaching everything the facade attached to it.
 
         Beyond dropping the runtime peer and its transport registration
-        (undelivered messages to it are dropped), removal closes the live
+        (undelivered messages to it are dropped) and closing its storage
+        backend (a durable peer keeps its writes), removal closes the live
         views hosted at the peer (uninstalling their compiled rules while
         the engine still exists), cancels the subscriptions scoped to it,
         and forgets its handle — so a departed peer leaves no observer or
@@ -426,10 +421,6 @@ class System:
     def access_policy(self, owner: str) -> AccessControlPolicy:
         """The access-control policy governing relations owned by ``owner``."""
         return self.policies.policy(owner)
-
-    def policy_engine(self, owner: str) -> PolicyEngine:
-        """The cached decision engine over ``owner``'s policy and provenance."""
-        return self.policies.engine(owner)
 
     def subscribe(self, relation: str, callback: FactCallback,
                   peer: Optional[str] = None,

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import DelegationError
-from repro.core.rules import Atom, Rule
+from repro.core.rules import Rule
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,6 @@ class DelegationTracker:
         for delegation in diff.to_install:
             self._outstanding[delegation.delegation_id] = delegation
 
-    def forget_target(self, target: str) -> List[Delegation]:
-        """Drop every outstanding delegation towards ``target`` (e.g. peer left)."""
-        dropped = [d for d in self._outstanding.values() if d.target == target]
-        for delegation in dropped:
-            self._outstanding.pop(delegation.delegation_id, None)
-        return dropped
-
 
 class DelegationStore:
     """Delegations installed *at* this peer by remote delegators."""
@@ -194,14 +187,6 @@ class DelegationStore:
         self._ordered = None
         return self._installed.pop(delegation_id, None)
 
-    def retract_from(self, delegator: str) -> List[InstalledDelegation]:
-        """Remove every delegation received from ``delegator``."""
-        removed = [d for d in self._installed.values() if d.delegator == delegator]
-        for delegation in removed:
-            self._installed.pop(delegation.delegation_id, None)
-        self._ordered = None
-        return removed
-
     def rules(self) -> Tuple[Rule, ...]:
         """The delegated rules, in a deterministic order."""
         return self._ordering()[1]
@@ -216,10 +201,3 @@ class DelegationStore:
                                    key=lambda d: d.delegation_id))
             self._ordered = (ordered, tuple(d.rule for d in ordered))
         return self._ordered
-
-    def by_delegator(self) -> Dict[str, List[InstalledDelegation]]:
-        """Installed delegations grouped by delegator."""
-        grouped: Dict[str, List[InstalledDelegation]] = {}
-        for delegation in self._installed.values():
-            grouped.setdefault(delegation.delegator, []).append(delegation)
-        return grouped

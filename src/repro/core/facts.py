@@ -20,8 +20,8 @@ from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import SchemaError
-from repro.core.schema import RelationKind, RelationName, RelationSchema, SchemaRegistry
-from repro.core.terms import Constant, ConstantValue, Term, render_constant
+from repro.core.schema import RelationKind, RelationName, SchemaRegistry
+from repro.core.terms import Constant, ConstantValue, render_constant
 from repro.store.memory import MemoryBackend, MemoryTable
 
 
@@ -104,18 +104,6 @@ class Fact:
     def terms(self) -> Tuple[Constant, ...]:
         """The values of the fact wrapped as :class:`Constant` terms."""
         return tuple(Constant(v) for v in self.values)
-
-    def at_peer(self, peer: str) -> "Fact":
-        """Return a copy of this fact relocated to ``peer``.
-
-        Used when a rule head names a remote peer: the derived tuple becomes a
-        fact of the remote relation.
-        """
-        return Fact(self.relation, peer, self.values)
-
-    def rename(self, relation: str) -> "Fact":
-        """Return a copy of this fact with a different relation name."""
-        return Fact(relation, self.peer, self.values)
 
     def __str__(self) -> str:
         rendered = self._str
@@ -272,10 +260,6 @@ class FactStore:
     def relations(self) -> Tuple[RelationName, ...]:
         """Identifiers of every relation that has a table (possibly empty)."""
         return tuple(sorted(self._tables, key=str))
-
-    def schema_of(self, relation: str, peer: str) -> Optional[RelationSchema]:
-        """Schema of ``relation@peer`` or ``None``."""
-        return self.schemas.get(relation, peer)
 
     # ------------------------------------------------------------------ #
     # updates
@@ -469,16 +453,3 @@ class FactStore:
     def snapshot(self) -> FrozenSet[Fact]:
         """Frozen snapshot of the whole store."""
         return frozenset(self.all_facts())
-
-    def copy(self) -> "FactStore":
-        """Deep copy of the store (used by the deterministic simulator for checkpoints).
-
-        The copy always lives in a fresh private in-memory backend, whatever
-        backend the source uses — checkpoints must not share (or write to)
-        the original's storage.
-        """
-        clone = FactStore(self.schemas.copy(), owner=self.owner)
-        for fact in self.all_facts():
-            clone.insert(fact)
-        clone.take_delta()
-        return clone

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import SafetyError, SchemaError
 from repro.core.terms import Constant, Term, Variable, make_term
@@ -77,14 +77,6 @@ class Atom:
         return cls(make_term(relation), make_term(peer), tuple(make_term(a) for a in args),
                    negated=negated)
 
-    @classmethod
-    def parse_head(cls, qualified: str, *args) -> "Atom":
-        """Build an atom from ``"rel@peer"`` plus arguments."""
-        name, _, peer = qualified.partition("@")
-        if not peer:
-            raise SchemaError(f"atom identifier {qualified!r} must contain '@'")
-        return cls.of(name, peer, *args)
-
     # -- inspection ------------------------------------------------------ #
 
     @property
@@ -133,10 +125,6 @@ class Atom:
         return tuple(seen)
 
     # -- transformation -------------------------------------------------- #
-
-    def negate(self) -> "Atom":
-        """Return the negated version of this atom."""
-        return replace(self, negated=True)
 
     def positive(self) -> "Atom":
         """Return the positive (non-negated) version of this atom."""
@@ -224,14 +212,6 @@ class Rule:
                     seen.append(var)
         return tuple(seen)
 
-    def is_local(self, peer: str) -> bool:
-        """``True`` when every body atom is (syntactically) located at ``peer``."""
-        return all(atom.peer_constant() == peer for atom in self.body)
-
-    def body_peers(self) -> Set[str]:
-        """The set of constant peer names mentioned in the body."""
-        return {p for atom in self.body if (p := atom.peer_constant()) is not None}
-
     def check_safety(self) -> None:
         """Validate the left-to-right safety conditions of WebdamLog.
 
@@ -270,14 +250,6 @@ class Rule:
                     f"rule {self.rule_id}: head variable ${var.name} is not bound by the body"
                 )
 
-    def is_safe(self) -> bool:
-        """Return ``True`` when :meth:`check_safety` succeeds."""
-        try:
-            self.check_safety()
-        except SafetyError:
-            return False
-        return True
-
     # -- transformation -------------------------------------------------- #
 
     def substitute(self, substitution: Dict[Variable, Term]) -> "Rule":
@@ -285,31 +257,6 @@ class Rule:
         return Rule(
             head=self.head.substitute(substitution),
             body=tuple(atom.substitute(substitution) for atom in self.body),
-            author=self.author,
-            origin=self.origin,
-            rule_id=self.rule_id,
-        )
-
-    def with_body(self, body: Sequence[Atom], rule_id: Optional[str] = None,
-                  origin: Optional[str] = None, author: Optional[str] = None) -> "Rule":
-        """Return a copy of the rule with a different body (used by delegation)."""
-        return Rule(
-            head=self.head,
-            body=tuple(body),
-            author=author if author is not None else self.author,
-            origin=origin if origin is not None else (self.origin or self.rule_id),
-            rule_id=rule_id if rule_id is not None else f"{self.rule_id}-d{next(_rule_counter)}",
-        )
-
-    def rename_apart(self, suffix: str) -> "Rule":
-        """Rename every variable by appending ``suffix`` (used to avoid capture)."""
-        mapping: Dict[Variable, Term] = {
-            var: Variable(f"{var.name}{suffix}") for var in self.variables()
-        }
-        renamed = self.substitute(mapping)
-        return Rule(
-            head=renamed.head,
-            body=renamed.body,
             author=self.author,
             origin=self.origin,
             rule_id=self.rule_id,

@@ -240,11 +240,6 @@ class SchemaRegistry:
             raise SchemaError(f"unknown relation {rel}")
         return schema
 
-    def relations_of_peer(self, peer: str) -> Tuple[RelationSchema, ...]:
-        """All schemas managed by ``peer``, sorted by relation name."""
-        found = [s for s in self._schemas.values() if s.peer == peer]
-        return tuple(sorted(found, key=lambda s: s.name))
-
     def extensional(self) -> Tuple[RelationSchema, ...]:
         """All extensional schemas, sorted by qualified name."""
         found = [s for s in self._schemas.values() if s.is_extensional()]
@@ -254,21 +249,6 @@ class SchemaRegistry:
         """All intensional schemas, sorted by qualified name."""
         found = [s for s in self._schemas.values() if s.is_intensional()]
         return tuple(sorted(found, key=lambda s: s.qualified_name))
-
-    def check_arity(self, name: str, peer: str, arity: int) -> None:
-        """Raise :class:`SchemaError` if ``name@peer`` is declared with a different arity."""
-        schema = self.get(name, peer)
-        if schema is not None and schema.arity != arity:
-            raise SchemaError(
-                f"relation {name}@{peer} has arity {schema.arity}, got {arity} arguments"
-            )
-
-    def copy(self) -> "SchemaRegistry":
-        """Return a shallow copy of the registry (schemas are immutable)."""
-        clone = SchemaRegistry()
-        clone._schemas = dict(self._schemas)
-        clone.scratch_intensional = set(self.scratch_intensional)
-        return clone
 
 
 def declare(qualified: str, columns: Sequence[str], kind: str = "extensional",

@@ -224,10 +224,6 @@ class PeerState:
         """Own rules followed by installed delegated rules (deterministic order)."""
         return tuple(self.own_rules) + self.delegations_in.rules()
 
-    def find_rules(self, head_relation: str) -> List[Rule]:
-        """Own rules whose head relation name equals ``head_relation``."""
-        return [r for r in self.own_rules if r.head.relation_constant() == head_relation]
-
     # ------------------------------------------------------------------ #
     # installed delegations (persisted on durable backends)
     # ------------------------------------------------------------------ #

@@ -30,14 +30,6 @@ class Term:
 
     __slots__ = ()
 
-    def is_constant(self) -> bool:
-        """Return ``True`` if this term is a :class:`Constant`."""
-        return isinstance(self, Constant)
-
-    def is_variable(self) -> bool:
-        """Return ``True`` if this term is a :class:`Variable`."""
-        return isinstance(self, Variable)
-
 
 def render_constant(value: ConstantValue) -> str:
     """The surface syntax of a ground value — ``str(Constant(value))``
@@ -140,18 +132,3 @@ def make_term(value) -> Term:
     if isinstance(value, str) and value.startswith("$"):
         return Variable(value)
     return Constant(value)
-
-
-def term_sort_key(term: Term):
-    """A total order over terms, used to produce deterministic output.
-
-    Variables sort before constants; constants sort by type name then value
-    (``bytes`` and ``None`` are compared through their ``repr``).
-    """
-    if isinstance(term, Variable):
-        return (0, "", term.name)
-    value = term.value
-    type_name = type(value).__name__
-    if isinstance(value, (bytes, type(None), bool)):
-        return (1, type_name, repr(value))
-    return (1, type_name, value)

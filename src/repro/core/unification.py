@@ -1,14 +1,13 @@
 """Substitutions and matching.
 
 WebdamLog evaluation only ever needs *matching* (one-way unification of an
-atom containing variables against a ground fact), not full unification of two
-non-ground terms, but a general :func:`unify_terms` is provided because the
-delegation machinery and the tests use it to compare rules.
+atom containing variables against a ground fact), never full unification of
+two non-ground terms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.facts import Fact
 from repro.core.rules import Atom
@@ -16,28 +15,6 @@ from repro.core.terms import Constant, Term, Variable
 
 #: A substitution maps variables to terms (constants during evaluation).
 Substitution = Dict[Variable, Term]
-
-
-def empty_substitution() -> Substitution:
-    """Return a new empty substitution."""
-    return {}
-
-
-def apply_term(term: Term, substitution: Mapping[Variable, Term]) -> Term:
-    """Apply ``substitution`` to a single term."""
-    if isinstance(term, Variable):
-        return substitution.get(term, term)
-    return term
-
-
-def compose(first: Mapping[Variable, Term], second: Mapping[Variable, Term]) -> Substitution:
-    """Compose two substitutions: applying the result equals applying ``first`` then ``second``."""
-    composed: Substitution = {}
-    for var, term in first.items():
-        composed[var] = apply_term(term, second)
-    for var, term in second.items():
-        composed.setdefault(var, term)
-    return composed
 
 
 def match_term(pattern: Term, value: Constant,
@@ -87,48 +64,3 @@ def match_atom_fact(atom: Atom, fact: Fact,
         if result is None:
             return None
     return result
-
-
-def unify_terms(left: Term, right: Term,
-                substitution: Optional[Substitution] = None) -> Optional[Substitution]:
-    """General (two-way) unification of two terms under an existing substitution."""
-    current: Substitution = dict(substitution) if substitution else {}
-    left = apply_term(left, current)
-    right = apply_term(right, current)
-    if isinstance(left, Constant) and isinstance(right, Constant):
-        return current if left == right else None
-    if isinstance(left, Variable):
-        current[left] = right
-        return current
-    if isinstance(right, Variable):
-        current[right] = left
-        return current
-    return None
-
-
-def unify_atoms(left: Atom, right: Atom,
-                substitution: Optional[Substitution] = None) -> Optional[Substitution]:
-    """Unify two atoms position-wise (negation flags must agree)."""
-    if left.negated != right.negated or left.arity != right.arity:
-        return None
-    current: Optional[Substitution] = dict(substitution) if substitution else {}
-    pairs: Iterable[Tuple[Term, Term]] = (
-        (left.relation, right.relation),
-        (left.peer, right.peer),
-        *zip(left.args, right.args),
-    )
-    for l, r in pairs:
-        current = unify_terms(l, r, current)
-        if current is None:
-            return None
-    return current
-
-
-def ground_atom(atom: Atom, substitution: Mapping[Variable, Term]) -> Atom:
-    """Apply a substitution and return the (hopefully ground) result."""
-    return atom.substitute(dict(substitution))
-
-
-def is_ground_substituted(atom: Atom, substitution: Mapping[Variable, Term]) -> bool:
-    """``True`` when applying ``substitution`` to ``atom`` leaves no variables."""
-    return atom.substitute(dict(substitution)).is_ground()

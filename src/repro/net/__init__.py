@@ -35,7 +35,6 @@ from repro.net.frames import (
 )
 from repro.net.framing import (
     MAX_FRAME_BYTES,
-    FrameDecoder,
     FrameError,
     decode_body,
     encode_frame,
@@ -70,7 +69,6 @@ __all__ = [
     "PullFrame",
     "frame_from_wire",
     "FrameError",
-    "FrameDecoder",
     "MAX_FRAME_BYTES",
     "encode_frame",
     "decode_body",

@@ -6,15 +6,11 @@ runtime already produces through :mod:`repro.runtime.wire` and
 :meth:`~repro.runtime.messages.Message.to_wire`, so facts, delegations,
 derivation closures and grants ride the network without a second encoder.
 
-Two consumption styles are provided:
+:func:`read_frame` awaits exactly one frame from an
+:class:`~asyncio.StreamReader` (``None`` at clean EOF); the reader buffers
+partial input, so frames may arrive split across any byte boundary.
 
-* :func:`read_frame` — the asyncio path, awaiting exactly one frame from a
-  :class:`~asyncio.StreamReader` (``None`` at clean EOF);
-* :class:`FrameDecoder` — a sans-io incremental decoder (feed bytes, take
-  complete frames) used by tests and by anything that wants to parse a
-  captured byte stream without an event loop.
-
-Frames larger than :data:`MAX_FRAME_BYTES` are rejected on both paths: the
+Frames larger than :data:`MAX_FRAME_BYTES` are rejected at both ends: the
 limit bounds the memory an adversarial or corrupted peer can make us
 allocate from a single length prefix.
 """
@@ -24,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 #: Upper bound on one frame's JSON body (4 MiB — a FactMessage carrying
 #: hex-encoded picture bytes fits comfortably; a corrupt length prefix does
@@ -93,42 +89,3 @@ async def write_frame(writer: "asyncio.StreamWriter",
     """Write one frame and drain the writer."""
     writer.write(encode_frame(payload))
     await writer.drain()
-
-
-class FrameDecoder:
-    """Incremental sans-io frame parser: ``feed`` bytes, collect frames.
-
-    The decoder buffers partial input, so frames may arrive split across any
-    byte boundary (as TCP is free to do)::
-
-        decoder = FrameDecoder()
-        frames = decoder.feed(chunk)        # zero or more complete frames
-    """
-
-    def __init__(self):
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Add bytes to the buffer; return every frame completed by them."""
-        self._buffer.extend(data)
-        frames: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                break
-            (length,) = _LENGTH.unpack(bytes(self._buffer[:_LENGTH.size]))
-            if length > MAX_FRAME_BYTES:
-                raise FrameError(
-                    f"incoming frame of {length} bytes exceeds "
-                    f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-                )
-            if len(self._buffer) < _LENGTH.size + length:
-                break
-            body = bytes(self._buffer[_LENGTH.size:_LENGTH.size + length])
-            del self._buffer[:_LENGTH.size + length]
-            frames.append(decode_body(body))
-        return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered that do not yet form a complete frame."""
-        return len(self._buffer)

@@ -84,10 +84,6 @@ class StagePlan:
     rule_plans: Tuple[RulePlan, ...] = ()
     magic_relations: Tuple[str, ...] = field(default_factory=tuple)
 
-    def reordered_count(self) -> int:
-        """Number of executed plans that deviate from written order."""
-        return sum(1 for plan in self.rule_plans if plan.reordered)
-
     def as_dict(self) -> Dict:
         """Plain-data form (used by benchmarks and debugging dumps)."""
         return {

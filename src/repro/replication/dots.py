@@ -21,7 +21,7 @@ so the wire codec and the message layer can import it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.facts import Fact
 from repro.core.rules import Rule
@@ -111,10 +111,6 @@ class CausalContext:
     def is_complete(self, upto: int) -> bool:
         """``True`` when every sequence number in ``1..upto`` is contained."""
         return self.base >= upto or not self.missing(upto)
-
-    def max_seen(self) -> int:
-        """The highest sequence number contained (0 when empty)."""
-        return max(self.extras) if self.extras else self.base
 
     def encode(self) -> Dict[str, object]:
         """JSON-compatible representation (see :func:`CausalContext.decode`)."""

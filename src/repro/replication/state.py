@@ -47,7 +47,6 @@ from repro.replication.dots import CausalContext
 from repro.runtime import wire
 from repro.runtime.messages import (
     DelegationInstallMessage,
-    DelegationRetractMessage,
     DeltaEnvelopeMessage,
     FactMessage,
     Message,
@@ -173,18 +172,15 @@ class ReplicationState:
     # outbound: stage outputs -> ops -> envelopes
     # ------------------------------------------------------------------ #
 
-    def encode_outgoing(self, messages: Iterable[Message]) -> List[Message]:
+    def encode_outgoing(self, messages: Iterable[Message]) -> None:
         """Absorb a stage's messages into channel ops.
 
         Fact updates, delegation installs and retractions become dotted ops
-        on the target's outbox (shipped by the next :meth:`flush`); message
-        kinds replication does not manage (e.g. peer-join announcements) are
-        returned for direct transmission.
+        on the target's outbox, shipped by the next :meth:`flush`.
         """
-        passthrough: List[Message] = []
         for message in messages:
+            box = self.outbox(message.recipient)
             if isinstance(message, FactMessage):
-                box = self.outbox(message.recipient)
                 for fact in sorted(message.inserted, key=str):
                     box.insert(fact)
                 for fact in sorted(message.deleted, key=str):
@@ -193,16 +189,10 @@ class ReplicationState:
                     box.derivation(derivation,
                                    anchor=derivation.fact in message.inserted)
             elif isinstance(message, DelegationInstallMessage):
-                box = self.outbox(message.recipient)
                 box.delegate(message.delegation_id, message.rule, message.schemas)
-            elif isinstance(message, DelegationRetractMessage):
-                box = self.outbox(message.recipient)
-                box.undelegate(message.delegation_id)
             else:
-                passthrough.append(message)
-                continue
+                box.undelegate(message.delegation_id)
             self._refile_outbox(box)
-        return passthrough
 
     def flush(self, now: int) -> List[Message]:
         """What this peer sends in cycle ``now``: envelopes for new ops,

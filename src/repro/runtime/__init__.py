@@ -24,7 +24,6 @@ from repro.runtime.messages import (
     FactMessage,
     DelegationInstallMessage,
     DelegationRetractMessage,
-    PeerJoinMessage,
     Message,
 )
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
@@ -38,7 +37,6 @@ __all__ = [
     "FactMessage",
     "DelegationInstallMessage",
     "DelegationRetractMessage",
-    "PeerJoinMessage",
     "InMemoryTransport",
     "NetworkStats",
     "Transport",

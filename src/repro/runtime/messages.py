@@ -1,6 +1,6 @@
 """Messages exchanged between WebdamLog peers.
 
-Four kinds of payload travel on the network, mirroring step 3 of the
+Three kinds of payload travel on the network, mirroring step 3 of the
 computation stage described in the paper:
 
 * **fact updates** (:class:`FactMessage`) — insertions and deletions for
@@ -8,9 +8,6 @@ computation stage described in the paper:
 * **delegations** (:class:`DelegationInstallMessage`,
   :class:`DelegationRetractMessage`) — rules installed at or retracted from
   the recipient by a remote delegator;
-* **control messages** (:class:`PeerJoinMessage`) — used by the "Interaction
-  via the Web" scenario where new peers join the system and subscribe to the
-  ``sigmod`` peer;
 * **replication payloads** (:class:`DeltaEnvelopeMessage`,
   :class:`ReplicationDigestMessage`, :class:`ReplicationPullMessage`,
   :class:`ReplicationAckMessage`) — the dotted delta ops and anti-entropy
@@ -27,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.core import codec
 from repro.core.facts import Fact
@@ -135,20 +132,6 @@ class DelegationRetractMessage(Message):
 
 
 @dataclass(frozen=True)
-class PeerJoinMessage(Message):
-    """Announce a new peer (name and address) to the recipient."""
-
-    peer_name: str = ""
-    address: str = ""
-
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["peer_name"] = self.peer_name
-        encoded["address"] = self.address
-        return encoded
-
-
-@dataclass(frozen=True)
 class DeltaEnvelopeMessage(Message):
     """A batch of dotted delta ops on one replication channel.
 
@@ -241,11 +224,6 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
         return DelegationRetractMessage(
             delegation_id=encoded.get("delegation_id", ""), **common
         )
-    if kind == "PeerJoinMessage":
-        return PeerJoinMessage(
-            peer_name=encoded.get("peer_name", ""), address=encoded.get("address", ""),
-            **common,
-        )
     if kind == "DeltaEnvelopeMessage":
         return DeltaEnvelopeMessage(
             ops=tuple(wire.decode_op(op) for op in encoded.get("ops", [])),
@@ -261,8 +239,3 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
     if kind == "ReplicationAckMessage":
         return ReplicationAckMessage(acked=encoded.get("acked", 0), **common)
     raise ValueError(f"unknown message kind {kind!r}")
-
-
-def batch_payload_size(messages: Iterable[Message]) -> int:
-    """Total payload size of a batch of messages."""
-    return sum(message.payload_size() for message in messages)

@@ -16,17 +16,17 @@ it to the rest of the system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.acl.delegation_control import DelegationController, DelegationDecision
+from repro.acl.delegation_control import DelegationController
 from repro.acl.trust import TrustStore
 from repro.core.delegation import Delegation
 from repro.core.engine import StageResult, WebdamLogEngine
 from repro.core.errors import SchemaError
 from repro.core.facts import Delta, Fact
 from repro.core.rules import Atom, Rule
-from repro.core.schema import RelationSchema, SchemaRegistry
+from repro.core.schema import RelationSchema
 from repro.provenance.graph import Derivation as ProvenanceDerivation
 from repro.provenance.graph import Explanation, ProvenanceTracker
 from repro.replication.state import ReplicationState
@@ -36,7 +36,6 @@ from repro.runtime.messages import (
     DeltaEnvelopeMessage,
     FactMessage,
     Message,
-    PeerJoinMessage,
     ReplicationAckMessage,
     ReplicationDigestMessage,
     ReplicationPullMessage,
@@ -62,13 +61,11 @@ class Peer:
     """One WebdamLog peer as seen by the runtime."""
 
     def __init__(self, name: str, trust: Optional[TrustStore] = None,
-                 auto_accept_delegations: bool = False,
-                 schemas: Optional[SchemaRegistry] = None,
                  provenance: bool = False,
                  storage=None, storage_options: Optional[Dict] = None,
                  replication: bool = False):
         self.name = name
-        self.engine = WebdamLogEngine(name, schemas=schemas, storage=storage,
+        self.engine = WebdamLogEngine(name, storage=storage,
                                       storage_options=storage_options)
         if provenance:
             self.engine.provenance = ProvenanceTracker()
@@ -94,13 +91,8 @@ class Peer:
                         origin, inserted=tuple(sorted(box.visible, key=str)))
         else:
             self.replication = None
-        self.controller = DelegationController(
-            self.engine,
-            trust=trust if trust is not None else TrustStore(name),
-            auto_accept_all=auto_accept_delegations,
-        )
+        self.controller = DelegationController(self.engine, trust=trust)
         self.wrappers: List = []
-        self.known_peers: Dict[str, str] = {name: name}
         # Derivations already shipped to each target (keyed like the
         # tracker's remote memory), so updates carry each one only once —
         # plus the facts appearing in that shipped lineage, so *alternative*
@@ -283,8 +275,6 @@ class Peer:
                                     message.rule, message.schemas)
         elif isinstance(message, DelegationRetractMessage):
             self.controller.submit_retraction(message.sender, message.delegation_id)
-        elif isinstance(message, PeerJoinMessage):
-            self.known_peers[message.peer_name] = message.address or message.peer_name
         else:  # pragma: no cover - defensive
             raise TypeError(f"peer {self.name} cannot handle message {message!r}")
 
@@ -374,8 +364,8 @@ class Peer:
             outgoing = self._messages_from(result)
         else:
             result = self.engine.run_stage(commit=False)
-            outgoing = self.replication.encode_outgoing(self._messages_from(result))
-            outgoing.extend(self.replication.flush(now))
+            self.replication.encode_outgoing(self._messages_from(result))
+            outgoing = self.replication.flush(now)
             self.replication.persist(self.engine.state.backend)
             self.engine.state.commit()
         for wrapper in self.wrappers:

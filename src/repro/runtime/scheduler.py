@@ -82,11 +82,6 @@ class RoundReport:
         """Total intensional facts derived across peers this cycle."""
         return sum(r.stage_result.derived_intensional for r in self.peer_reports.values())
 
-    def total_delegations_installed(self) -> int:
-        """Total delegation-install messages emitted this cycle."""
-        return sum(len(r.stage_result.delegations_to_install)
-                   for r in self.peer_reports.values())
-
     def total_substitutions(self) -> int:
         """Total substitutions explored by the fixpoints run this cycle."""
         return sum(r.stage_result.substitutions_explored

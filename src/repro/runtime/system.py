@@ -24,9 +24,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.acl.trust import TrustStore
 from repro.core.errors import TransportError
 from repro.core.facts import Fact
-from repro.core.schema import SchemaRegistry
 from repro.runtime.inmemory import InMemoryTransport
-from repro.runtime.messages import PeerJoinMessage
 from repro.runtime.peer import Peer, PeerStageReport
 from repro.runtime.scheduler import (
     ReactiveScheduler,
@@ -58,9 +56,10 @@ class WebdamLogSystem:
         configuration trusts only the ``sigmod`` peer; pass
         ``default_trusted=("sigmod",)`` to reproduce it.
     auto_accept_delegations:
-        When ``True`` (default) peers install any incoming delegation
-        immediately; set to ``False`` to enable the pending-queue control of
-        delegation for untrusted delegators.
+        When ``True`` (default) every new peer trusts every delegator, so any
+        incoming delegation installs immediately; set to ``False`` to enable
+        the pending-queue control of delegation for the delegators a peer
+        does not trust.
     transport:
         An explicit :class:`~repro.runtime.transport.Transport`.  Unless it
         promises ``exactly_once_in_order`` delivery, every peer gets causal
@@ -124,29 +123,23 @@ class WebdamLogSystem:
     # ------------------------------------------------------------------ #
 
     def add_peer(self, name: str, program: Optional[str] = None,
-                 trusted: Sequence[str] = (), trust_all: bool = False,
-                 auto_accept_delegations: Optional[bool] = None,
-                 announce: bool = False,
-                 schemas: Optional[SchemaRegistry] = None,
-                 provenance: Optional[bool] = None) -> Peer:
+                 trusted: Sequence[str] = (), trust_all: bool = False) -> Peer:
         """Create and register a new peer.
 
         ``program`` is an optional WebdamLog program text loaded immediately.
-        ``announce=True`` sends a :class:`PeerJoinMessage` to every existing
-        peer (the "Interaction via the Web" scenario, where audience members
-        launch their own peers).
+        The peer trusts ``trusted`` plus the system's ``default_trusted``;
+        it trusts every delegator when ``trust_all`` is set or the system
+        auto-accepts delegations.  A delegation from a peer it does not
+        trust waits in its controller's pending queue.
         """
         if name in self.peers:
             raise ValueError(f"peer {name!r} already exists")
         trust = TrustStore(name, trusted=tuple(trusted) + self.default_trusted,
-                           trust_all=trust_all)
-        auto = (self.auto_accept_delegations if auto_accept_delegations is None
-                else auto_accept_delegations)
+                           trust_all=trust_all or self.auto_accept_delegations)
         # Raw messages are correct only where each arrives exactly once and
         # in order; one transport, so every peer of a deployment agrees.
-        peer = Peer(name, trust=trust, auto_accept_delegations=auto,
-                    schemas=schemas,
-                    provenance=self.provenance if provenance is None else provenance,
+        peer = Peer(name, trust=trust,
+                    provenance=self.provenance,
                     storage=self.storage,
                     storage_options=dict(self.storage_options),
                     replication=not getattr(self.transport,
@@ -162,17 +155,14 @@ class WebdamLogSystem:
         self.transport.register(name)
         if program:
             peer.load_program(program)
-        if announce:
-            for other in self.peers.values():
-                if other.name != name:
-                    self.transport.send(PeerJoinMessage(
-                        sender=name, recipient=other.name,
-                        peer_name=name, address=name,
-                    ))
         return peer
 
     def remove_peer(self, name: str) -> Optional[Peer]:
-        """Remove a peer from the system (its undelivered messages are dropped)."""
+        """Remove a peer from the system and close it.
+
+        Its undelivered messages are dropped; its backend is committed and
+        released here, since :meth:`close` only reaches registered peers.
+        """
         peer = self.peers.pop(name, None)
         if peer is not None:
             self._ordered = None
@@ -181,6 +171,7 @@ class WebdamLogSystem:
                 # Causal-mode peers would otherwise retransmit to the dead
                 # peer forever (its channel can never be acknowledged).
                 other.drop_replication_channel(name)
+            peer.close()
         return peer
 
     def close(self) -> None:

@@ -10,10 +10,9 @@ average rating (ties broken by number of ratings, then by id).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.facts import Fact
-from repro.datalog.aggregation import Aggregate, aggregate_relation
 from repro.wepic.pictures import Picture
 
 
@@ -79,33 +78,3 @@ def rank_pictures(pictures: Sequence[Picture], rating_facts: Iterable[Fact],
     ranked.sort(key=lambda r: (-r.average_rating, -r.rating_count,
                                r.picture.owner, r.picture.picture_id))
     return tuple(ranked)
-
-
-def rating_summary(rating_facts: Iterable[Fact]) -> Tuple[Tuple[int, float, int], ...]:
-    """Per-picture rating summary ``(picture_id, average, count)``.
-
-    Implemented with :func:`~repro.datalog.aggregation.aggregate_relation`,
-    whose aggregate functions the live views share.
-    """
-    rows = []
-    for fact in rating_facts:
-        if len(fact.values) >= 2:
-            try:
-                rows.append((int(fact.values[0]), int(fact.values[1])))
-            except (TypeError, ValueError):
-                continue
-    aggregated = aggregate_relation(
-        rows, group_by=[0],
-        aggregates=[(1, Aggregate.AVG), (1, Aggregate.COUNT)],
-    )
-    summary = tuple(sorted(
-        (int(picture_id), float(average), int(count))
-        for picture_id, average, count in aggregated
-    ))
-    return summary
-
-
-def top_pictures(pictures: Sequence[Picture], rating_facts: Iterable[Fact],
-                 count: int = 5) -> Tuple[PictureRanking, ...]:
-    """The ``count`` best-rated pictures."""
-    return rank_pictures(pictures, rating_facts)[:count]

@@ -74,10 +74,10 @@ class DemoScenario:
         """The pictures currently visible in the SigmodFB group relations."""
         return self.group_peer.query("pictures")
 
-    def add_attendee(self, name: str, pictures: int = 0, picture_size: int = 64,
-                     announce: bool = True) -> WepicApp:
+    def add_attendee(self, name: str, pictures: int = 0,
+                     picture_size: int = 64) -> WepicApp:
         """Add a new attendee peer at run time (the "Interaction via the Web" scenario)."""
-        peer = self.api.add_peer(name, announce=announce)
+        peer = self.api.add_peer(name)
         app = WepicApp(peer, rules=self.rules)
         self.apps[name] = app
         peer.attach_wrapper(EmailWrapper(self.email))
@@ -156,7 +156,7 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
         builder.transport("inmemory", latency=latency, seed=seed)
 
     # --- the sigmod cloud peer ---------------------------------------- #
-    sigmod_builder = builder.peer(SIGMOD_PEER).auto_accept_delegations(True)
+    sigmod_builder = builder.peer(SIGMOD_PEER).trust_all()
     for schema in sigmod_schemas(SIGMOD_PEER, SIGMOD_FB_PEER):
         sigmod_builder.schema(schema)
     for rule in rules.sigmod_rules(publish_to_facebook=with_facebook,
@@ -166,7 +166,7 @@ def build_demo_scenario(attendees: Sequence[str] = DEFAULT_ATTENDEES,
     # --- the SigmodFB group pseudo-peer -------------------------------- #
     if with_facebook:
         (builder.peer(SIGMOD_FB_PEER)
-                .auto_accept_delegations(True)
+                .trust_all()
                 .wrapper(FacebookGroupWrapper(facebook, group="sigmod",
                                               peer_name=SIGMOD_FB_PEER)))
 

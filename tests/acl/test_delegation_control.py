@@ -10,10 +10,10 @@ from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 
 
-def make_controller(trusted=(), auto_accept=False):
+def make_controller(trusted=(), trust_all=False):
     engine = WebdamLogEngine("Jules")
-    trust = TrustStore("Jules", trusted=trusted)
-    return engine, DelegationController(engine, trust=trust, auto_accept_all=auto_accept)
+    trust = TrustStore("Jules", trusted=trusted, trust_all=trust_all)
+    return engine, DelegationController(engine, trust=trust)
 
 
 def delegated_rule(author="Julia"):
@@ -36,10 +36,11 @@ class TestSubmission:
         engine.run_stage()
         assert len(engine.installed_delegations()) == 0
         assert len(controller.pending()) == 1
-        assert controller.pending_from("Julia")[0].delegation_id == "d1"
+        (pending,) = controller.pending()
+        assert (pending.delegator, pending.delegation_id) == ("Julia", "d1")
 
-    def test_auto_accept_all_bypasses_queue(self):
-        engine, controller = make_controller(auto_accept=True)
+    def test_trust_all_bypasses_queue(self):
+        engine, controller = make_controller(trust_all=True)
         decision = controller.submit("Julia", "d1", delegated_rule())
         assert decision is DelegationDecision.AUTO_ACCEPTED
 

@@ -7,28 +7,25 @@ class TestTrustStore:
     def test_owner_always_trusted(self):
         trust = TrustStore("alice")
         assert trust.is_trusted("alice")
-        trust.untrust("alice")
-        assert trust.is_trusted("alice")
 
-    def test_trust_and_untrust(self):
+    def test_trust(self):
         trust = TrustStore("alice")
         assert not trust.is_trusted("bob")
         trust.trust("bob")
         assert trust.is_trusted("bob")
         assert "bob" in trust
-        trust.untrust("bob")
-        assert not trust.is_trusted("bob")
 
     def test_initial_trusted_set(self):
         trust = TrustStore("alice", trusted=["sigmod", "bob"])
-        assert trust.trusted_peers() == frozenset({"alice", "sigmod", "bob"})
+        assert all(trust.is_trusted(peer) for peer in ("alice", "sigmod", "bob"))
+        assert not trust.is_trusted("carol")
 
     def test_trust_all(self):
         trust = TrustStore("alice", trust_all=True)
         assert trust.is_trusted("anyone")
 
-    def test_demo_default_trusts_only_sigmod(self):
-        trust = TrustStore.demo_default("Jules")
+    def test_demo_configuration_trusts_only_sigmod(self):
+        trust = TrustStore("Jules", trusted=["sigmod"])
         assert trust.is_trusted("sigmod")
         assert trust.is_trusted("Jules")
         assert not trust.is_trusted("Emilien")

@@ -90,6 +90,40 @@ class TestPeerRoundTrips:
         assert len(built.query("Jules", "attendeePictures")) == 2
 
 
+class TestTrustDecidesWhoInstallsADelegation:
+    """Trust is the one delegation-acceptance setting: Jules' view rule
+    delegates to Emilien, and Emilien's trust store alone decides."""
+
+    @staticmethod
+    def deploy(builder, configure_emilien):
+        builder.peer("Jules").program(QUICKSTART_JULES)
+        configure_emilien(builder.peer("Emilien").program(QUICKSTART_EMILIEN))
+        built = builder.build()
+        built.converge()
+        return built
+
+    def test_by_default_a_delegation_from_any_peer_installs(self):
+        built = self.deploy(system(), lambda emilien: emilien)
+        assert len(built.peer("Emilien").installed_delegations()) == 1
+        assert built.peer("Emilien").pending_delegations() == ()
+        assert len(built.query("Jules", "attendeePictures")) == 2
+
+    def test_a_trust_all_peer_installs_at_once_under_control(self):
+        built = self.deploy(system().auto_accept_delegations(False),
+                            lambda emilien: emilien.trust_all())
+        assert len(built.peer("Emilien").installed_delegations()) == 1
+        assert built.peer("Emilien").pending_delegations() == ()
+        assert len(built.query("Jules", "attendeePictures")) == 2
+
+    def test_a_peer_trusting_someone_else_queues_the_delegation(self):
+        built = self.deploy(system().auto_accept_delegations(False),
+                            lambda emilien: emilien.trusts("sigmod"))
+        assert built.peer("Emilien").installed_delegations() == ()
+        (pending,) = built.peer("Emilien").pending_delegations()
+        assert pending.delegator == "Jules"
+        assert len(built.query("Jules", "attendeePictures")) == 0
+
+
 class TestChainErgonomics:
     def test_done_returns_the_system_builder(self):
         builder = system()

@@ -2,16 +2,26 @@
 deprecation shim has to edit this file."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import repro
 import repro.api
 from repro.api import SystemBuilder
+from repro.api.builder import PeerBuilder
 
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
     "transport", "default_trusted", "auto_accept_delegations",
     "provenance", "storage",
+}
+
+#: Every peer-scope call: whom the peer trusts, and what it runs and holds.
+#: Trust is the one delegation-acceptance setting at peer scope.
+PEER_KNOBS = {
+    "trusts", "trust_all", "wrapper", "program", "rule", "fact", "schema",
+    "grant", "declassify",
 }
 
 #: Builder methods that describe topology or realise it, not a mode.
@@ -25,6 +35,10 @@ def public_methods(cls):
 
 def test_system_scope_builder_knobs_are_exactly_the_ledger():
     assert public_methods(SystemBuilder) - CHAIN_VERBS == SYSTEM_KNOBS
+
+
+def test_peer_scope_builder_knobs_are_exactly_the_ledger():
+    assert public_methods(PeerBuilder) - CHAIN_VERBS - {"done"} == PEER_KNOBS
 
 
 def test_every_system_knob_returns_the_builder_for_chaining():
@@ -71,6 +85,15 @@ def test_one_event_record_and_one_read_handle_are_exported():
                "WrapperRegistry"}
     for module in (repro, repro.api, repro.runtime, repro.wrappers):
         assert not retired & set(module.__all__), module.__name__
+
+
+def test_retired_protocol_and_helpers_are_defined_nowhere():
+    """The peer-join message, the sans-io frame decoder and the plain-tuple
+    group-by are gone from every module, not only from ``__all__``."""
+    retired = {"PeerJoinMessage", "FrameDecoder", "aggregate_relation"}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        assert not retired & set(vars(module)), info.name
 
 
 def test_no_scheduler_class_is_exported():

@@ -82,15 +82,6 @@ class TestDelegationTracker:
         with pytest.raises(DelegationError):
             tracker.diff([foreign])
 
-    def test_forget_target(self):
-        tracker = DelegationTracker("Jules")
-        emilien = make_delegation(target="Emilien")
-        julia = make_delegation(target="Julia", body_peer="Julia")
-        tracker.commit(tracker.diff([emilien, julia]))
-        dropped = tracker.forget_target("Emilien")
-        assert [d.target for d in dropped] == ["Emilien"]
-        assert {d.target for d in tracker.outstanding()} == {"Julia"}
-
 
 class TestDelegationStore:
     def test_install_and_rules(self):
@@ -118,17 +109,6 @@ class TestDelegationStore:
         assert removed is not None and removed.delegator == "Jules"
         assert store.retract(delegation.delegation_id) is None
         assert len(store) == 0
-
-    def test_retract_from_delegator(self):
-        store = DelegationStore("Emilien")
-        a = make_delegation(delegator="Jules")
-        b = make_delegation(delegator="Julia", head="julias")
-        store.install(a.delegation_id, "Jules", a.rule)
-        store.install(b.delegation_id, "Julia", b.rule)
-        removed = store.retract_from("Jules")
-        assert len(removed) == 1
-        assert len(store) == 1
-        assert store.by_delegator() == {"Julia": list(store.all())}
 
     def test_all_ordering_is_deterministic(self):
         store = DelegationStore("Emilien")

@@ -117,15 +117,6 @@ class TestSchemaRegistry:
         with pytest.raises(SchemaError):
             registry.lookup("nope@p")
 
-    def test_relations_of_peer_sorted(self):
-        registry = SchemaRegistry([
-            RelationSchema("z", "p", ("a",)),
-            RelationSchema("a", "p", ("a",)),
-            RelationSchema("m", "q", ("a",)),
-        ])
-        names = [s.name for s in registry.relations_of_peer("p")]
-        assert names == ["a", "z"]
-
     def test_extensional_and_intensional_partitions(self):
         registry = SchemaRegistry([
             RelationSchema("base", "p", ("a",)),
@@ -133,18 +124,3 @@ class TestSchemaRegistry:
         ])
         assert [s.name for s in registry.extensional()] == ["base"]
         assert [s.name for s in registry.intensional()] == ["view"]
-
-    def test_check_arity(self):
-        registry = SchemaRegistry([RelationSchema("r", "p", ("a", "b"))])
-        registry.check_arity("r", "p", 2)
-        with pytest.raises(SchemaError):
-            registry.check_arity("r", "p", 3)
-        # Unknown relations are not checked.
-        registry.check_arity("unknown", "p", 7)
-
-    def test_copy_is_independent(self):
-        registry = SchemaRegistry([RelationSchema("r", "p", ("a",))])
-        clone = registry.copy()
-        clone.declare(RelationSchema("s", "p", ("a",)))
-        assert registry.get("s", "p") is None
-        assert clone.get("s", "p") is not None

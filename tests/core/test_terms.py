@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.terms import Constant, Variable, make_term, term_sort_key
+from repro.core.terms import Constant, Variable, make_term
 
 
 class TestConstant:
@@ -36,11 +36,6 @@ class TestConstant:
 
     def test_string_rendering_escapes_quotes(self):
         assert str(Constant('he said "hi"')) == '"he said \\"hi\\""'
-
-    def test_is_constant_and_is_variable(self):
-        constant = Constant("x")
-        assert constant.is_constant()
-        assert not constant.is_variable()
 
 
 class TestVariable:
@@ -88,21 +83,3 @@ class TestMakeTerm:
         assert make_term("alice") == Constant("alice")
         assert make_term(5) == Constant(5)
         assert make_term(None) == Constant(None)
-
-
-class TestSortKey:
-    def test_variables_sort_before_constants(self):
-        key_var = term_sort_key(Variable("z"))
-        key_const = term_sort_key(Constant("a"))
-        assert key_var < key_const
-
-    def test_constants_sort_by_type_then_value(self):
-        values = [Constant(3), Constant(1), Constant("b"), Constant("a")]
-        ordered = sorted(values, key=term_sort_key)
-        assert ordered == [Constant(1), Constant(3), Constant("a"), Constant("b")]
-
-    def test_sort_key_handles_none_bytes_bool(self):
-        keys = [term_sort_key(Constant(None)), term_sort_key(Constant(b"x")),
-                term_sort_key(Constant(True))]
-        assert len(keys) == 3  # no exception raised, all comparable tuples
-        assert all(isinstance(k, tuple) for k in keys)

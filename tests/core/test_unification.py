@@ -1,21 +1,11 @@
-"""Tests of matching and unification."""
+"""Tests of matching (one-way unification against ground facts)."""
 
 import pytest
 
 from repro.core.facts import Fact
 from repro.core.rules import Atom
 from repro.core.terms import Constant, Variable
-from repro.core.unification import (
-    apply_term,
-    compose,
-    empty_substitution,
-    ground_atom,
-    is_ground_substituted,
-    match_atom_fact,
-    match_term,
-    unify_atoms,
-    unify_terms,
-)
+from repro.core.unification import match_atom_fact, match_term
 
 
 class TestMatchTerm:
@@ -84,62 +74,3 @@ class TestMatchAtomFact:
         atom = Atom.of("r", "p", "$x", negated=True)
         with pytest.raises(ValueError):
             match_atom_fact(atom, Fact("r", "p", (1,)))
-
-
-class TestUnify:
-    def test_unify_terms_variable_constant(self):
-        result = unify_terms(Variable("x"), Constant(1))
-        assert result == {Variable("x"): Constant(1)}
-        result = unify_terms(Constant(1), Variable("x"))
-        assert result == {Variable("x"): Constant(1)}
-
-    def test_unify_terms_variable_variable(self):
-        result = unify_terms(Variable("x"), Variable("y"))
-        assert Variable("x") in result or Variable("y") in result
-
-    def test_unify_terms_respects_existing_bindings(self):
-        existing = {Variable("x"): Constant(1)}
-        assert unify_terms(Variable("x"), Constant(1), existing) is not None
-        assert unify_terms(Variable("x"), Constant(2), existing) is None
-
-    def test_unify_atoms(self):
-        left = Atom.of("r", "p", "$x", 2)
-        right = Atom.of("r", "p", 1, "$y")
-        result = unify_atoms(left, right)
-        assert result[Variable("x")] == Constant(1)
-        assert result[Variable("y")] == Constant(2)
-
-    def test_unify_atoms_negation_must_agree(self):
-        left = Atom.of("r", "p", "$x", negated=True)
-        right = Atom.of("r", "p", 1)
-        assert unify_atoms(left, right) is None
-
-    def test_unify_atoms_different_relations_fail(self):
-        assert unify_atoms(Atom.of("r", "p", "$x"), Atom.of("s", "p", 1)) is None
-
-
-class TestHelpers:
-    def test_compose_substitutions(self):
-        first = {Variable("x"): Variable("y")}
-        second = {Variable("y"): Constant(3)}
-        composed = compose(first, second)
-        assert composed[Variable("x")] == Constant(3)
-        assert composed[Variable("y")] == Constant(3)
-
-    def test_apply_term(self):
-        binding = {Variable("x"): Constant(1)}
-        assert apply_term(Variable("x"), binding) == Constant(1)
-        assert apply_term(Variable("z"), binding) == Variable("z")
-        assert apply_term(Constant("a"), binding) == Constant("a")
-
-    def test_ground_atom_and_is_ground(self):
-        atom = Atom.of("r", "p", "$x")
-        binding = {Variable("x"): Constant(1)}
-        assert ground_atom(atom, binding).is_ground()
-        assert is_ground_substituted(atom, binding)
-        assert not is_ground_substituted(atom, {})
-
-    def test_empty_substitution_fresh_each_call(self):
-        first = empty_substitution()
-        first[Variable("x")] = Constant(1)
-        assert empty_substitution() == {}

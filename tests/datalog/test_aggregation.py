@@ -1,8 +1,8 @@
-"""Tests of group-by aggregation."""
+"""Tests of the aggregate functions."""
 
 import pytest
 
-from repro.datalog.aggregation import Aggregate, aggregate_relation
+from repro.datalog.aggregation import Aggregate, compute_aggregate
 
 
 class TestAggregateEnum:
@@ -13,34 +13,26 @@ class TestAggregateEnum:
             Aggregate.from_name("median")
 
 
-class TestAggregateRelation:
-    ROWS = [
-        ("alice", 1, 5), ("alice", 2, 3), ("bob", 3, 4), ("bob", 4, 4), ("bob", 5, 2),
-    ]
+class TestComputeAggregate:
+    #: The stars of two groups, as an aggregate view groups them on read.
+    ALICE, BOB = [5, 3], [4, 4, 2]
 
-    def test_count_per_group(self):
-        result = aggregate_relation(self.ROWS, group_by=[0],
-                                    aggregates=[(1, Aggregate.COUNT)])
-        assert set(result) == {("alice", 2), ("bob", 3)}
+    def test_count(self):
+        assert compute_aggregate(Aggregate.COUNT, self.ALICE) == 2
+        assert compute_aggregate(Aggregate.COUNT, self.BOB) == 3
 
-    def test_multiple_aggregates(self):
-        result = aggregate_relation(self.ROWS, group_by=[0],
-                                    aggregates=[(2, Aggregate.AVG), (2, Aggregate.MAX),
-                                                (2, Aggregate.MIN)])
-        as_dict = {row[0]: row[1:] for row in result}
-        assert as_dict["alice"] == (4.0, 5, 3)
-        assert as_dict["bob"] == (pytest.approx(10 / 3), 4, 2)
+    def test_avg_max_min(self):
+        assert [compute_aggregate(f, self.ALICE)
+                for f in (Aggregate.AVG, Aggregate.MAX, Aggregate.MIN)] == [4.0, 5, 3]
+        assert [compute_aggregate(f, self.BOB)
+                for f in (Aggregate.AVG, Aggregate.MAX, Aggregate.MIN)] == [
+            pytest.approx(10 / 3), 4, 2]
 
     def test_sum(self):
-        result = aggregate_relation(self.ROWS, group_by=[0],
-                                    aggregates=[(2, Aggregate.SUM)])
-        assert set(result) == {("alice", 8), ("bob", 10)}
+        assert compute_aggregate(Aggregate.SUM, self.ALICE) == 8
+        assert compute_aggregate(Aggregate.SUM, self.BOB) == 10
 
     def test_empty_input(self):
-        assert aggregate_relation([], group_by=[0], aggregates=[(1, Aggregate.COUNT)]) == []
-
-    def test_group_by_multiple_columns(self):
-        rows = [(1, "a", 10), (1, "a", 20), (1, "b", 5)]
-        result = aggregate_relation(rows, group_by=[0, 1],
-                                    aggregates=[(2, Aggregate.SUM)])
-        assert set(result) == {(1, "a", 30), (1, "b", 5)}
+        assert compute_aggregate(Aggregate.COUNT, []) == 0
+        for function in (Aggregate.SUM, Aggregate.MIN, Aggregate.MAX, Aggregate.AVG):
+            assert compute_aggregate(function, []) is None

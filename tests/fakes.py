@@ -1,9 +1,11 @@
 """Test-side stand-ins for pieces of a deployment."""
 
+import asyncio
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import TransportError
+from repro.net.framing import read_frame
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
 from repro.runtime.messages import Message
 
@@ -80,3 +82,25 @@ class ZeroLatencyTransport:
         stats = self.stats
         self.stats = NetworkStats()
         return stats
+
+
+async def read_frames_in_chunks(stream: bytes, chunk_size: int) -> List[dict]:
+    """Every frame :func:`read_frame` takes from ``stream`` delivered
+    ``chunk_size`` bytes at a time, as a TCP connection may split it; the
+    reader runs between chunks, so it sees every partial prefix and body."""
+    reader = asyncio.StreamReader()
+
+    async def feed():
+        for offset in range(0, len(stream), chunk_size):
+            reader.feed_data(stream[offset:offset + chunk_size])
+            await asyncio.sleep(0)
+        reader.feed_eof()
+
+    feeder = asyncio.ensure_future(feed())
+    try:
+        frames = []
+        while (frame := await read_frame(reader)) is not None:
+            frames.append(frame)
+        return frames
+    finally:
+        await feeder

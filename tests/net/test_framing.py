@@ -7,12 +7,12 @@ import pytest
 
 from repro.net.framing import (
     MAX_FRAME_BYTES,
-    FrameDecoder,
     FrameError,
     decode_body,
     encode_frame,
     read_frame,
 )
+from tests.fakes import read_frames_in_chunks
 
 
 def test_encode_decode_round_trip():
@@ -35,30 +35,31 @@ def test_decode_rejects_non_object_body():
         decode_body(b"not json at all")
 
 
-def test_decoder_handles_arbitrary_chunk_boundaries():
+def test_read_frame_handles_arbitrary_chunk_boundaries():
     payloads = [{"i": i, "pad": "x" * i} for i in range(20)]
     stream = b"".join(encode_frame(p) for p in payloads)
     for chunk_size in (1, 3, 7, 100, len(stream)):
-        decoder = FrameDecoder()
-        received = []
-        for offset in range(0, len(stream), chunk_size):
-            received.extend(decoder.feed(stream[offset:offset + chunk_size]))
-        assert received == payloads
-        assert decoder.pending_bytes == 0
+        assert _run(read_frames_in_chunks(stream, chunk_size)) == payloads
 
 
-def test_decoder_rejects_oversized_length_prefix():
-    decoder = FrameDecoder()
+def test_read_frame_rejects_oversized_length_prefix():
     with pytest.raises(FrameError):
-        decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x")
+        _run(read_frames_in_chunks(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x", 5))
 
 
-def test_decoder_keeps_partial_frame_buffered():
+def test_read_frame_holds_a_partial_frame_back():
     frame = encode_frame({"a": 1})
-    decoder = FrameDecoder()
-    assert decoder.feed(frame[:5]) == []
-    assert decoder.pending_bytes == 5
-    assert decoder.feed(frame[5:]) == [{"a": 1}]
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        pending = asyncio.ensure_future(read_frame(reader))
+        reader.feed_data(frame[:5])
+        await asyncio.sleep(0)
+        held_back = not pending.done()
+        reader.feed_data(frame[5:])
+        return held_back, await pending
+
+    assert _run(scenario()) == (True, {"a": 1})
 
 
 def _run(coroutine):

@@ -51,7 +51,7 @@ class TestCleanPath:
     def test_envelope_then_ack_reaches_quiescence(self):
         alice = ReplicationState("alice")
         bob = ReplicationState("bob")
-        assert alice.encode_outgoing([fact_message(F1, F2)]) == []
+        alice.encode_outgoing([fact_message(F1, F2)])
         out = alice.flush(1)
         assert len(out) == 1 and isinstance(out[0], DeltaEnvelopeMessage)
         effects = exchange(alice, bob, out, now=2)
@@ -62,12 +62,6 @@ class TestCleanPath:
         assert not alice.unsettled() and not alice.needs_attention(3)
         assert not bob.unsettled() and not bob.needs_attention(3)
         assert alice.outbox("bob").log == {}
-
-    def test_passthrough_for_unmanaged_messages(self):
-        from repro.runtime.messages import PeerJoinMessage
-        alice = ReplicationState("alice")
-        join = PeerJoinMessage(sender="alice", recipient="bob", peer_name="x")
-        assert alice.encode_outgoing([join]) == [join]
 
 
 class TestLossRepair:

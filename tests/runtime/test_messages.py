@@ -12,8 +12,6 @@ from repro.runtime.messages import (
     DelegationRetractMessage,
     FactMessage,
     Message,
-    PeerJoinMessage,
-    batch_payload_size,
     message_from_wire,
 )
 
@@ -67,28 +65,12 @@ class TestDelegationMessages:
 
 
 class TestControlMessages:
-    def test_peer_join_roundtrip(self):
-        message = PeerJoinMessage(sender="newbie", recipient="sigmod",
-                                  peer_name="newbie", address="host:1234")
-        decoded = message_from_wire(message.to_wire())
-        assert isinstance(decoded, PeerJoinMessage)
-        assert decoded.peer_name == "newbie"
-        assert decoded.address == "host:1234"
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             message_from_wire({"kind": "Bogus", "sender": "a", "recipient": "b"})
 
 
 class TestBatching:
-    def test_batch_payload_size(self):
-        messages = [
-            FactMessage(sender="a", recipient="b",
-                        inserted=frozenset({Fact("r", "b", (i,))}))
-            for i in range(4)
-        ]
-        assert batch_payload_size(messages) == 4
-
     def test_message_ids_unique(self):
         first = FactMessage(sender="a", recipient="b")
         second = FactMessage(sender="a", recipient="b")

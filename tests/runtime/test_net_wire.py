@@ -5,6 +5,8 @@ exactly, including through the length-prefixed byte framing used on the
 TCP transport.
 """
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,10 @@ from repro.net.frames import (
     PullFrame,
     frame_from_wire,
 )
-from repro.net.framing import FrameDecoder, decode_body, encode_frame
+from repro.net.framing import decode_body, encode_frame
 from repro.net.membership import ALIVE, DEAD, LEFT, SUSPECT
 from repro.runtime.messages import FactMessage, message_from_wire
+from tests.fakes import read_frames_in_chunks
 
 names = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu"), max_codepoint=127),
@@ -94,15 +97,14 @@ def test_frame_survives_byte_framing(frame):
     assert frame_from_wire(decode_body(encoded[4:])) == frame
 
 
+# No deadline: the stream goes through an event loop one chunk per
+# iteration, a few thousand iterations at one byte per chunk.
 @given(st.lists(frames, min_size=1, max_size=5),
        st.integers(min_value=1, max_value=7))
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_frame_stream_reassembles_from_arbitrary_chunks(batch, chunk_size):
     stream = b"".join(encode_frame(f.to_wire()) for f in batch)
-    decoder = FrameDecoder()
-    decoded = []
-    for offset in range(0, len(stream), chunk_size):
-        decoded.extend(decoder.feed(stream[offset:offset + chunk_size]))
+    decoded = asyncio.run(read_frames_in_chunks(stream, chunk_size))
     assert [frame_from_wire(w) for w in decoded] == batch
 
 

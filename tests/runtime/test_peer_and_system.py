@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.acl.trust import TrustStore
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
@@ -12,7 +13,6 @@ from repro.runtime.messages import (
     DelegationInstallMessage,
     DelegationRetractMessage,
     FactMessage,
-    PeerJoinMessage,
 )
 from repro.runtime.peer import Peer
 from repro.runtime.system import WebdamLogSystem
@@ -33,7 +33,7 @@ class TestPeerMessageDispatch:
         assert peer.query("r") == (Fact("r", "alice", (1,)),)
 
     def test_delegation_install_auto_accept(self):
-        peer = Peer("alice", auto_accept_delegations=True)
+        peer = Peer("alice", trust=TrustStore("alice", trust_all=True))
         rule = parse_rule("v@bob($x) :- r@alice($x)", author="bob")
         peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
                                               delegation_id="d1", rule=rule))
@@ -41,7 +41,7 @@ class TestPeerMessageDispatch:
         assert len(peer.installed_delegations()) == 1
 
     def test_delegation_install_pending_for_untrusted(self):
-        peer = Peer("alice", auto_accept_delegations=False)
+        peer = Peer("alice")
         rule = parse_rule("v@bob($x) :- r@alice($x)", author="bob")
         peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
                                               delegation_id="d1", rule=rule))
@@ -53,7 +53,7 @@ class TestPeerMessageDispatch:
         assert len(peer.installed_delegations()) == 1
 
     def test_delegation_schemas_declared_on_install(self):
-        peer = Peer("alice", auto_accept_delegations=True)
+        peer = Peer("alice", trust=TrustStore("alice", trust_all=True))
         rule = parse_rule("view@bob($x) :- r@alice($x)", author="bob")
         schema = RelationSchema("view", "bob", ("x",), kind=RelationKind.INTENSIONAL)
         peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
@@ -62,7 +62,7 @@ class TestPeerMessageDispatch:
         assert peer.engine.state.schemas.get("view", "bob") is not None
 
     def test_delegation_retract_message(self):
-        peer = Peer("alice", auto_accept_delegations=True)
+        peer = Peer("alice", trust=TrustStore("alice", trust_all=True))
         rule = parse_rule("v@bob($x) :- r@alice($x)", author="bob")
         peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
                                               delegation_id="d1", rule=rule))
@@ -71,12 +71,6 @@ class TestPeerMessageDispatch:
                                               delegation_id="d1"))
         peer.run_stage()
         assert len(peer.installed_delegations()) == 0
-
-    def test_peer_join_message_recorded(self):
-        peer = Peer("alice")
-        peer.deliver(PeerJoinMessage(sender="carol", recipient="alice",
-                                     peer_name="carol", address="host:9"))
-        assert peer.known_peers["carol"] == "host:9"
 
     def test_outgoing_delegation_messages_carry_schemas(self):
         peer = Peer("Jules")
@@ -120,7 +114,7 @@ class TestLearningADelegatedRulesSchemas:
 
     @pytest.mark.parametrize("replication", [False, True], ids=["raw", "causal"])
     def test_a_store_failure_while_persisting_a_schema_surfaces(self, replication):
-        peer = Peer("alice", auto_accept_delegations=True,
+        peer = Peer("alice", trust=TrustStore("alice", trust_all=True),
                     storage=_FailingMetaBackend(), replication=replication)
         schema = RelationSchema("view", "bob", ("x",), kind=RelationKind.INTENSIONAL)
         with pytest.raises(StoreError, match="cannot persist schema"):
@@ -129,7 +123,8 @@ class TestLearningADelegatedRulesSchemas:
     @pytest.mark.parametrize("replication", [False, True], ids=["raw", "causal"])
     def test_a_conflicting_schema_is_ignored_and_the_rule_still_installs(
             self, replication):
-        peer = Peer("alice", auto_accept_delegations=True, replication=replication)
+        peer = Peer("alice", trust=TrustStore("alice", trust_all=True),
+                    replication=replication)
         local = peer.declare(RelationSchema("view", "bob", ("x",),
                                             kind=RelationKind.INTENSIONAL))
         conflicting = RelationSchema("view", "bob", ("x", "y"),
@@ -209,13 +204,6 @@ class TestSystem:
         assert removed is not None
         assert "bob" not in two_peer_system
         assert two_peer_system.remove_peer("bob") is None
-
-    def test_announce_sends_join_messages(self):
-        system = WebdamLogSystem()
-        system.add_peer("sigmod")
-        system.add_peer("newbie", announce=True)
-        system.converge()
-        assert system.peer("sigmod").known_peers.get("newbie") == "newbie"
 
     def test_message_to_unknown_peer_does_not_crash_round(self):
         system = WebdamLogSystem()

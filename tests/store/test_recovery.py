@@ -151,6 +151,21 @@ class TestReopen:
             assert installed(reopened) == first
             reopened.close()
 
+    def test_a_removed_peer_is_closed_and_keeps_its_unstaged_writes(self, tmp_path):
+        """``close()`` only reaches registered peers, so ``remove_peer``
+        commits and releases the removed peer's backend itself."""
+        deployment = (system().storage("sqlite", path=str(tmp_path))
+                      .peer("a").peer("b").build())
+        deployment.converge()
+        deployment.peer("b").insert(Fact("note", "b", (1,)))
+        removed = deployment.remove_peer("b")
+        deployment.close()
+        assert removed.engine.state.backend.closed
+
+        reopened = build(tmp_path, peers=("b",), programs=False)
+        assert reopened.peer("b").query("note").facts() == (Fact("note", "b", (1,)),)
+        reopened.close()
+
 
 class TestCrash:
     def test_uncommitted_inserts_roll_back(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.facts import Fact
 from repro.wepic.pictures import generate_picture
-from repro.wepic.ranking import collect_ratings, rank_pictures, rating_summary, top_pictures
+from repro.wepic.ranking import collect_ratings, rank_pictures
 from repro.wepic.scenario import build_demo_scenario
 from repro.wepic.ui import WepicUI
 
@@ -142,16 +142,10 @@ class TestRankingHelpers:
         ranking = rank_pictures(pictures, facts, min_rating=4.0)
         assert [r.picture.picture_id for r in ranking] == [2]
 
-    def test_rating_summary_aggregates(self):
-        facts = [Fact("rate", "p", (1, 5)), Fact("rate", "q", (1, 3)), Fact("rate", "p", (2, 4))]
-        summary = rating_summary(facts)
-        assert (1, 4.0, 2) in summary
-        assert (2, 4.0, 1) in summary
-
     def test_top_pictures(self):
         pictures = self.make_pictures()
         facts = [Fact("rate", "p", (i, i + 2)) for i in (1, 2, 3)]
-        top = top_pictures(pictures, facts, count=2)
+        top = rank_pictures(pictures, facts)[:2]
         assert len(top) == 2
         assert top[0].picture.picture_id == 3
 
