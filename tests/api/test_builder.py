@@ -123,6 +123,42 @@ class TestTrustDecidesWhoInstallsADelegation:
         assert pending.delegator == "Jules"
         assert len(built.query("Jules", "attendeePictures")) == 0
 
+    def test_the_system_default_trusts_past_a_peers_own_list(self):
+        built = self.deploy(system(), lambda emilien: emilien.trusts("sigmod"))
+        assert len(built.peer("Emilien").installed_delegations()) == 1
+        assert built.peer("Emilien").pending_delegations() == ()
+
+    def test_a_peer_trusting_the_delegator_installs_at_once_under_control(self):
+        built = self.deploy(system().auto_accept_delegations(False),
+                            lambda emilien: emilien.trusts("Jules"))
+        assert len(built.peer("Emilien").installed_delegations()) == 1
+        assert len(built.query("Jules", "attendeePictures")) == 2
+
+    def test_a_system_wide_trusted_delegator_installs_under_control(self):
+        built = self.deploy(
+            system().auto_accept_delegations(False).default_trusted("Jules"),
+            lambda emilien: emilien)
+        assert len(built.peer("Emilien").installed_delegations()) == 1
+        assert len(built.query("Jules", "attendeePictures")) == 2
+
+    def test_a_peer_trusting_no_one_queues_under_control(self):
+        built = self.deploy(system().auto_accept_delegations(False),
+                            lambda emilien: emilien)
+        assert built.peer("Emilien").installed_delegations() == ()
+        (pending,) = built.peer("Emilien").pending_delegations()
+        assert pending.delegator == "Jules"
+
+    def test_an_approved_delegation_installs_and_feeds_the_view(self):
+        built = self.deploy(system().auto_accept_delegations(False),
+                            lambda emilien: emilien)
+        emilien = built.peer("Emilien")
+        (pending,) = emilien.pending_delegations()
+        emilien.approve_delegation(pending.delegation_id)
+        built.converge()
+        assert emilien.pending_delegations() == ()
+        assert len(emilien.installed_delegations()) == 1
+        assert len(built.query("Jules", "attendeePictures")) == 2
+
 
 class TestChainErgonomics:
     def test_done_returns_the_system_builder(self):

@@ -283,6 +283,22 @@ class TestAggregates:
         deployment.converge()
         assert view.rows() == ((10, 30, 51),)
 
+    def test_group_by_multiple_columns(self):
+        deployment = build_pair()
+        q = deployment.peer("q")
+        for row in (("eu", 2012, 5), ("eu", 2012, 7), ("eu", 2013, 1),
+                    ("us", 2012, 4)):
+            q.insert(f"sale@q{row}".replace("'", '"'))
+        view = deployment.query(
+            "q", "sales($r, $y, sum($v), count($v)) :- sale@q($r, $y, $v)")
+        deployment.converge()
+        assert sorted(view.rows()) == [("eu", 2012, 12, 2), ("eu", 2013, 1, 1),
+                                       ("us", 2012, 4, 1)]
+        q.delete('sale@q("eu", 2013, 1)')
+        q.insert('sale@q("us", 2012, 6)')
+        deployment.converge()
+        assert sorted(view.rows()) == [("eu", 2012, 12, 2), ("us", 2012, 10, 2)]
+
 
 class TestOnChange:
     def test_add_and_remove_callbacks(self):

@@ -3,13 +3,19 @@ deprecation shim has to edit this file."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
+import pytest
+
 import repro
 import repro.api
+from repro.acl.delegation_control import DelegationController
 from repro.api import SystemBuilder
 from repro.api.builder import PeerBuilder
+from repro.runtime.peer import Peer
+from repro.runtime.system import WebdamLogSystem
 
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
@@ -39,6 +45,27 @@ def test_system_scope_builder_knobs_are_exactly_the_ledger():
 
 def test_peer_scope_builder_knobs_are_exactly_the_ledger():
     assert public_methods(PeerBuilder) - CHAIN_VERBS - {"done"} == PEER_KNOBS
+
+
+#: What a peer is created with at run time.  Acceptance of a delegation
+#: is the peer's trust alone: no per-peer switch, no join announcement,
+#: no schemas or provenance a call site never passes.
+CONSTRUCTOR_PARAMETERS = {
+    "System.add_peer": (repro.api.System.add_peer,
+                        ("self", "name", "program", "trusted", "trust_all")),
+    "WebdamLogSystem.add_peer": (WebdamLogSystem.add_peer,
+                                 ("self", "name", "program", "trusted", "trust_all")),
+    "Peer": (Peer.__init__, ("self", "name", "trust", "provenance", "storage",
+                             "storage_options", "replication")),
+    "DelegationController": (DelegationController.__init__,
+                             ("self", "engine", "trust")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_PARAMETERS))
+def test_peer_constructors_take_exactly_the_ledger(name):
+    function, parameters = CONSTRUCTOR_PARAMETERS[name]
+    assert tuple(inspect.signature(function).parameters) == parameters
 
 
 def test_every_system_knob_returns_the_builder_for_chaining():

@@ -74,3 +74,34 @@ class TestMatchAtomFact:
         atom = Atom.of("r", "p", "$x", negated=True)
         with pytest.raises(ValueError):
             match_atom_fact(atom, Fact("r", "p", (1,)))
+
+    def test_peer_constant_must_equal_fact_peer(self):
+        atom = Atom.of("pictures", "alice", "$id")
+        assert match_atom_fact(atom, Fact("pictures", "bob", (7,))) is None
+
+    def test_constant_argument_selects_by_value_and_type(self):
+        atom = Atom.of("rate", "alice", 1, "$score")
+        assert match_atom_fact(atom, Fact("rate", "alice", (1, 5))) == {
+            Variable("score"): Constant(5)}
+        assert match_atom_fact(atom, Fact("rate", "alice", (2, 5))) is None
+        assert match_atom_fact(atom, Fact("rate", "alice", (True, 5))) is None
+
+    def test_agreeing_substitution_is_extended_not_replaced(self):
+        atom = Atom.of("pictures", "$a", "$id")
+        fact = Fact("pictures", "Emilien", (7,))
+        given = {Variable("a"): Constant("Emilien"), Variable("other"): Constant(0)}
+        assert match_atom_fact(atom, fact, given) == {
+            Variable("a"): Constant("Emilien"), Variable("other"): Constant(0),
+            Variable("id"): Constant(7)}
+
+    def test_given_substitution_is_not_mutated(self):
+        given = {Variable("a"): Constant("Emilien")}
+        match_atom_fact(Atom.of("pictures", "$a", "$id"),
+                        Fact("pictures", "Emilien", (7,)), given)
+        assert given == {Variable("a"): Constant("Emilien")}
+
+    def test_variable_shared_by_peer_and_argument(self):
+        atom = Atom.of("owner", "$p", "$p")
+        assert match_atom_fact(atom, Fact("owner", "alice", ("alice",))) == {
+            Variable("p"): Constant("alice")}
+        assert match_atom_fact(atom, Fact("owner", "alice", ("bob",))) is None

@@ -7,11 +7,16 @@ import pytest
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
+from repro.replication.dots import Op
 from repro.runtime.messages import (
     DelegationInstallMessage,
     DelegationRetractMessage,
+    DeltaEnvelopeMessage,
     FactMessage,
     Message,
+    ReplicationAckMessage,
+    ReplicationDigestMessage,
+    ReplicationPullMessage,
     message_from_wire,
 )
 
@@ -68,6 +73,38 @@ class TestControlMessages:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             message_from_wire({"kind": "Bogus", "sender": "a", "recipient": "b"})
+
+    def test_every_message_kind_has_a_wire_branch(self):
+        for cls in Message.__subclasses__():
+            message = cls(sender="a", recipient="b")
+            decoded = message_from_wire(json.loads(json.dumps(message.to_wire())))
+            assert type(decoded) is cls
+            assert decoded == message
+
+
+REPLICATION_MESSAGES = {
+    "envelope": DeltaEnvelopeMessage(
+        sender="alice", recipient="bob", frontier=3,
+        ops=(Op(seq=2, kind="insert", fact=Fact("pictures", "bob", (1, "sea.jpg"))),
+             Op(seq=3, kind="delete", fact=Fact("pictures", "bob", (0, "old.jpg")),
+                removed=(1,)),
+             Op(seq=4, kind="delegate", delegation_id="d1",
+                rule=parse_rule("v@alice($x) :- r@bob($x)", author="alice")),
+             Op(seq=5, kind="undelegate", delegation_id="d0"))),
+    "digest": ReplicationDigestMessage(sender="alice", recipient="bob", frontier=9),
+    "pull": ReplicationPullMessage(sender="bob", recipient="alice", want=(4, 7)),
+    "ack": ReplicationAckMessage(sender="bob", recipient="alice", acked=6),
+}
+
+
+class TestReplicationMessages:
+    @pytest.mark.parametrize("name", sorted(REPLICATION_MESSAGES))
+    def test_wire_roundtrip(self, name):
+        message = REPLICATION_MESSAGES[name]
+        decoded = message_from_wire(json.loads(json.dumps(message.to_wire())))
+        assert decoded == message
+        assert decoded.kind() == type(message).__name__
+        assert decoded.payload_size() == message.payload_size()
 
 
 class TestBatching:

@@ -205,6 +205,16 @@ class TestSystem:
         assert "bob" not in two_peer_system
         assert two_peer_system.remove_peer("bob") is None
 
+    def test_remove_peer_closes_its_backend(self):
+        system = WebdamLogSystem(storage="sqlite")
+        alice = system.add_peer("alice")
+        bob = system.add_peer("bob")
+        assert not bob.engine.state.backend.closed
+        assert system.remove_peer("bob") is bob
+        assert bob.engine.state.backend.closed
+        assert not alice.engine.state.backend.closed
+        system.close()
+
     def test_message_to_unknown_peer_does_not_crash_round(self):
         system = WebdamLogSystem()
         alice = system.add_peer("alice")
