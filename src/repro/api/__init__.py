@@ -21,8 +21,8 @@ This package is the public facade over all of them:
   records every message it sends, drops and delivers) shipped here; pass
   any implementation — or a name — to ``system().transport(...)``:
   ``transport("tcp")`` builds the asyncio TCP transport
-  (:class:`TcpTransport`), where every peer runs a gossip node on a real
-  localhost socket with SWIM membership and failure detection (see
+  (:class:`TcpTransport`), where every peer listens on a real socket and
+  each message is one frame on a connection to its recipient (see
   :mod:`repro.net` and ``docs/net-protocol.md``).
 * :class:`LiveView` — the answer to a declarative query
   (``deployment.query(at, "p@alice($x,$y), not q@alice($x)")``): compiled
@@ -41,8 +41,6 @@ from repro.runtime.inmemory import InMemoryTransport, NetworkStats
 from repro.runtime.scheduler import RoundReport, RunSummary
 from repro.provenance.graph import Explanation
 from repro.net.events import NetEventLog, read_events
-from repro.net.gossip import GossipConfig
-from repro.net.membership import SwimConfig
 from repro.net.tcp import TcpTransport
 from repro.runtime.transport import Transport
 from repro.api.builder import BuildError, PeerBuilder, SystemBuilder, system
@@ -67,8 +65,6 @@ __all__ = [
     "TcpTransport",
     "NetEventLog",
     "read_events",
-    "GossipConfig",
-    "SwimConfig",
     "NetworkStats",
     "RoundReport",
     "RunSummary",

@@ -92,15 +92,14 @@ class SystemBuilder:
           default); ``options`` are its constructor arguments (``latency``,
           ``drop_probability``, ``seed``, ``shuffle_seed``, ...);
         * ``"tcp"`` — the asyncio TCP transport
-          (:class:`~repro.net.tcp.TcpTransport`): every peer gets a gossip
-          node and a real localhost socket, with SWIM failure detection and
-          dynamic churn.  ``options`` are its constructor arguments
-          (``events``, ``quiet_period``, ``gossip``, ``swim``, ``seed``,
-          ...).
+          (:class:`~repro.net.tcp.TcpTransport`): every peer listens on a
+          real socket, and each message is one frame on a connection to its
+          recipient.  ``options`` are its constructor arguments (``host``,
+          ``event_log``).
 
         Named transports are constructed at ``build()`` time, so one builder
         chain can be built more than once without sharing sockets (an
-        ``events`` log given here is shared: closing a deployment leaves it
+        ``event_log`` given here is shared: closing a deployment leaves it
         open for the next build).
 
         The transport also decides how updates travel: a fault-free
@@ -218,8 +217,8 @@ class SystemBuilder:
 
     def _make_named_transport(self) -> Transport:
         if self._transport_name == "tcp":
-            # Imported lazily: the net subsystem (asyncio servers, gossip,
-            # SWIM) is only paid for by deployments that ask for it.
+            # Imported lazily: the asyncio servers are only paid for by
+            # deployments that ask for them.
             from repro.net.tcp import TcpTransport
             factory = TcpTransport
         else:

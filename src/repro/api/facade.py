@@ -288,21 +288,16 @@ class System:
     # -- execution --------------------------------------------------------- #
 
     def converge(self, max_steps: Optional[int] = None,
-                 extra_rounds: int = 0,
-                 quiet_period: Optional[int] = None) -> RunSummary:
+                 extra_rounds: int = 0) -> RunSummary:
         """Drive the deployment to a fixpoint.
 
         This is the primary execution verb: a cycle runs stages only at the
         peers with pending work, so the returned summary's ``peer_reports``
         list only those.  Pending ``include_existing`` subscription
-        deliveries are flushed before execution resumes.  On a networked
-        transport the fixpoint requires the transport's
-        ``convergence_quiet_period`` of consecutive quiet cycles (override
-        per call with ``quiet_period``).
+        deliveries are flushed before execution resumes.
         """
         self._flush_subscription_backlogs()
-        return self.runtime.converge(max_steps=max_steps, extra_rounds=extra_rounds,
-                                     quiet_period=quiet_period)
+        return self.runtime.converge(max_steps=max_steps, extra_rounds=extra_rounds)
 
     def step(self) -> RoundReport:
         """Execute one scheduling cycle."""
@@ -310,15 +305,13 @@ class System:
         return self.runtime.step()
 
     async def aconverge(self, max_steps: Optional[int] = None,
-                        extra_rounds: int = 0,
-                        quiet_period: Optional[int] = None) -> RunSummary:
+                        extra_rounds: int = 0) -> RunSummary:
         """:meth:`converge` from asyncio, yielding to the event loop after
         every stage (see :meth:`WebdamLogSystem.aconverge
         <repro.runtime.system.WebdamLogSystem.aconverge>`)."""
         self._flush_subscription_backlogs()
         return await self.runtime.aconverge(max_steps=max_steps,
-                                            extra_rounds=extra_rounds,
-                                            quiet_period=quiet_period)
+                                            extra_rounds=extra_rounds)
 
     @property
     def current_round(self) -> int:

@@ -1,21 +1,26 @@
-"""repro.net — networked transport: TCP framing, gossip, SWIM membership.
+"""repro.net — the TCP transport, and the gossip overlay's simulator.
 
-The package layers bottom-up:
+Two things live here.  The deployment path:
 
 * :mod:`repro.net.framing` — length-prefixed JSON frames on a byte stream;
-* :mod:`repro.net.frames` — the protocol vocabulary (join/leave, ping/ack,
+* :mod:`repro.net.tcp` — the asyncio TCP
+  :class:`~repro.runtime.transport.Transport` used by
+  ``system().transport("tcp")``: each message is one frame, its
+  ``to_wire()`` form, on a connection to its recipient;
+* :mod:`repro.net.events` — the structured JSONL event log every transport
+  (and the simulator) writes.
+
+And a push-gossip overlay with SWIM membership, which only the
+virtual-clock simulator runs (the ``gossip_sim`` benchmark workload):
+
+* :mod:`repro.net.frames` — the overlay's vocabulary (join/leave, ping/ack,
   envelope, digest/pull) with exact wire round-trips;
 * :mod:`repro.net.membership` — SWIM-style membership with incarnation
   numbers and the suspect → dead state machine;
 * :mod:`repro.net.gossip` — push-gossip envelope buffer and anti-entropy
   digests;
 * :mod:`repro.net.node` — the sans-io node composing the two protocols;
-* :mod:`repro.net.sim` — a virtual-clock many-node harness (benchmarks);
-* :mod:`repro.net.tcp` — the asyncio TCP
-  :class:`~repro.runtime.transport.Transport` used by
-  ``system().transport("tcp")``;
-* :mod:`repro.net.events` — the structured JSONL event log shared by all of
-  the above.
+* :mod:`repro.net.sim` — the virtual-clock many-node harness.
 
 See ``docs/net-protocol.md`` for the protocol specification.
 """

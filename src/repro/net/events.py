@@ -2,12 +2,12 @@
 
 Every transport of the runtime reports what it does through one
 :class:`NetEventLog`: an append-only stream of flat JSON objects, one per
-line.  The gossip nodes, the SWIM failure detector and the TCP transport of
-:mod:`repro.net` write it, and so does
-``InMemoryTransport(event_log=NetEventLog())``, so an in-memory run and a TCP
-run of the same deployment produce event streams a single analyzer can
-consume (the ``gossip_sim`` workload of ``bench/`` reads envelope latency off
-the ``send`` / ``deliver`` pairs).
+line.  ``InMemoryTransport(event_log=...)`` and ``TcpTransport(event_log=...)``
+write it, and so do the causal replication state of their peers and the
+gossip nodes and SWIM failure detector of the simulator (the ``gossip_sim``
+workload of ``bench/`` reads envelope latency off the ``send`` / ``deliver``
+pairs), so an in-memory run and a TCP run of the same deployment produce
+event streams a single analyzer can consume.
 
 Event schema — every record carries at least::
 
@@ -15,15 +15,15 @@ Event schema — every record carries at least::
 
 with ``action`` one of ``send``, ``deliver``, ``drop``, ``forward``,
 ``join``, ``leave``, ``alive``, ``suspect``, ``dead``, ``register``,
-``unregister``, ``digest``, ``pull`` — plus action-specific fields
-(``message_id``, ``envelope``, ``peer``, ``reason``...).  The in-memory
-transport's ``send`` / ``drop`` / ``deliver`` records also hold the
+``unregister``, ``digest``, ``pull``, ``ack`` — plus action-specific fields
+(``message_id``, ``envelope``, ``peer``, ``reason``...).  A transport's
+``send`` / ``drop`` / ``deliver`` records also hold the
 :class:`~repro.runtime.messages.Message` under ``message``; the JSONL writer
 stores it as ``to_wire()``, which
 :func:`~repro.runtime.messages.message_from_wire` reads back.  Timestamps
-are caller-provided, so simulated runs log virtual time and TCP runs log
-monotonic wall clock; within one log they are mutually comparable, which is
-all the latency analysis needs.
+are caller-provided: the transports stamp their round, the simulator its
+virtual time; within one log they are mutually comparable, which is all the
+latency analysis needs.
 """
 
 from __future__ import annotations

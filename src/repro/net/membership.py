@@ -16,8 +16,8 @@ The state machine per member::
       +--(alive @ higher inc)-----+          leave  -> left (graceful)
 
 Everything here is pure state + virtual time: ``now`` is always passed in,
-so the table runs identically under the TCP transport (monotonic clock),
-the simulator (virtual clock) and direct unit tests.
+so the table runs identically under the simulator (virtual clock) and
+direct unit tests.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ _PRECEDENCE = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 2}
 class SwimConfig:
     """Timing and fanout constants of the SWIM protocol.
 
-    The defaults suit localhost TCP and the virtual-clock simulator alike
-    (all values in seconds); see ``docs/net-protocol.md`` for the tuning
+    The defaults suit the virtual-clock simulator (all values in seconds); see ``docs/net-protocol.md`` for the tuning
     rationale.
     """
 

@@ -1,10 +1,10 @@
 """The sans-io gossip/membership node.
 
-:class:`GossipNode` is the protocol brain shared by every I/O backend: the
-asyncio TCP transport (:mod:`repro.net.tcp`) and the virtual-clock
-simulator (:mod:`repro.net.sim`) both drive the *same* code, which is what
-makes the large-scale benchmark results transferable to the socket path and
-the protocol unit-testable without ever opening a socket.
+:class:`GossipNode` is the protocol brain of the push-gossip overlay.  The
+virtual-clock simulator (:mod:`repro.net.sim`) drives it; a deployment does
+not (``transport("tcp")`` sends each message straight to its recipient, see
+:mod:`repro.net.tcp`).  Being sans-io, the protocol is unit-testable without
+ever opening a socket.
 
 The node never performs I/O.  Every entry point takes the current time and
 returns the frames to transmit as ``(peer_name, address, wire_dict)``

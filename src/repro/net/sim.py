@@ -3,9 +3,10 @@
 The simulator is how the gossip/membership protocol is exercised at scales
 no laptop wants to open sockets for: hundreds of nodes, configurable link
 latency and loss, deterministic seeds, and a clock that advances only when
-told to.  Because :class:`~repro.net.node.GossipNode` is sans-io, the exact
-same protocol code runs here and under the real TCP transport — the
+told to.  :class:`~repro.net.node.GossipNode` is sans-io, so the
 benchmark's propagation numbers describe the protocol, not the harness.
+The simulator is the only driver of the overlay: the TCP transport of a
+deployment sends each message straight to its recipient.
 
 Typical use (``bench/workloads/gossip.py``, the ``gossip_sim`` workload,
 drives it the same way)::

@@ -1,46 +1,42 @@
-"""The asyncio TCP transport: real sockets under the round-based runtime.
+"""The asyncio TCP transport: each message on a socket to its recipient.
 
 :class:`TcpTransport` implements the synchronous
-:class:`~repro.runtime.transport.Transport` protocol over localhost TCP.
-Each registered peer gets its own :class:`~repro.net.node.GossipNode` and
-its own listening socket; frames travel length-prefixed
-(:mod:`repro.net.framing`) between ephemeral ports, so two peers of the
-same deployment genuinely talk through the kernel's network stack — the
-WEPIC scenario of the paper over actual connections.
+:class:`~repro.runtime.transport.Transport` protocol over TCP.  Every
+registered peer listens on its own socket.  :meth:`~TcpTransport.send`
+writes the message's ``to_wire()`` form as one length-prefixed frame
+(:mod:`repro.net.framing`) on a cached connection to the recipient's port,
+and the recipient's server decodes it into that peer's inbox.  A connection
+opens with one hello frame, ``{"connection": <id>}``; every later frame on
+it is one message.
 
-Threading model: one background asyncio event loop runs in a daemon
-thread and owns *all* gossip-node state (servers, connections, the
-periodic SWIM/anti-entropy ticker).  The synchronous transport methods
-called by the driver submit coroutines to that loop and wait for the
-result, so no node is ever touched from two threads.
+Threading model: one background asyncio event loop runs in a daemon thread
+and owns every server, connection and inbox.  The synchronous transport
+methods called by the driver submit coroutines to that loop and wait for
+the result, so no socket is touched from two threads.
 
-Because TCP has no global "no messages in flight" oracle, a networked
-deployment cannot detect convergence from a single quiescent cycle the way
-the in-memory transport can.  The transport therefore advertises a
-``convergence_quiet_period``: the converge loop (see
-:func:`repro.runtime.scheduler.settled`) requires that many *consecutive*
-settled cycles before declaring a fixpoint, and :meth:`advance_round`
-briefly sleeps whenever every inbox is empty so those quiet cycles give the
-network time to deliver straggling frames.
+The transport owns both ends of every connection, so it counts frames
+exactly.  A frame is in flight from its write until the recipient's server
+reads it, or until the connection it rode is known to have lost it: the
+hello frame names the connection, and when its reader sees the end of the
+stream (EOF or a reset) the frames written on it but never read are counted
+in ``stats.messages_dropped``.  :meth:`~TcpTransport.has_in_flight` is
+therefore as exact as the in-memory transport's, and
+:meth:`~TcpTransport.advance_round` waits for the frames in flight to land.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
+import itertools
 import threading
-import time
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import TransportError
-from repro.net.events import NetEventLog
 from repro.net.framing import FrameError, read_frame, write_frame
-from repro.net.gossip import GossipConfig
-from repro.net.membership import SwimConfig
-from repro.net.node import GossipNode
 from repro.runtime.inmemory import NetworkStats
-from repro.runtime.messages import Message
+from repro.runtime.messages import Message, message_from_wire
 
 #: Outbound connections kept open; the least recently used one is closed
 #: when the cache outgrows this (bounds file descriptors at large scale).
@@ -50,83 +46,80 @@ MAX_CACHED_CONNECTIONS = 256
 CALL_TIMEOUT = 30.0
 
 
+@dataclass(eq=False)
 class _Endpoint:
-    """One registered peer's node plus its listening server."""
+    """One registered peer: its server, its inbox and the connections it reads."""
 
-    def __init__(self, node: GossipNode, server: "asyncio.base_events.Server"):
-        self.node = node
-        self.server = server
+    address: str
+    server: asyncio.AbstractServer
+    inbox: List[Message] = field(default_factory=list)
+    #: The task reading each accepted connection, with its writer.
+    connections: Dict[asyncio.Task, asyncio.StreamWriter] = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class _Link:
+    """One outbound connection and the messages written on it but not read."""
+
+    id: int
+    recipient: str
+    writer: asyncio.StreamWriter
+    unread: Deque[Message] = field(default_factory=deque)
 
 
 class TcpTransport:
-    """Localhost TCP transport with gossip dissemination and SWIM liveness.
+    """TCP transport: every message is one frame to its recipient.
 
     Parameters
     ----------
     host:
         Interface to bind the per-peer servers on (default ``127.0.0.1``).
-    gossip / swim:
-        Protocol tuning (:class:`~repro.net.gossip.GossipConfig`,
-        :class:`~repro.net.membership.SwimConfig`); defaults suit localhost.
-    events:
-        Optional :class:`~repro.net.events.NetEventLog` receiving the
-        structured network event log — ``NetEventLog(path=...)`` streams it
-        to a JSONL file in the format the simulator and the in-memory
-        transport write; add ``keep_in_memory=False`` so a long-lived
-        deployment does not also hold every record in memory.  The caller
-        owns the log: closing the transport leaves it open, so one log can
-        serve several transports (one builder chain built more than once)
-        and is closed by whoever opened it.  Without one the transport
-        records nothing.
-    quiet_period:
-        Consecutive settled scheduler cycles required before a networked
-        deployment is considered converged (default 5).
-    poll_interval:
-        How long :meth:`advance_round` sleeps when no inbox holds messages,
-        yielding to the network before the next scheduler cycle.
-    seed:
-        Seeds peer-local RNGs (gossip target choice) for reproducibility.
+    event_log:
+        An optional :class:`~repro.net.events.NetEventLog`, as for
+        :class:`~repro.runtime.inmemory.InMemoryTransport`: every
+        ``send`` / ``deliver`` / ``drop`` and ``register`` / ``unregister``
+        is recorded, stamped with the transport round, and the ``send``,
+        ``deliver`` and ``drop`` records carry the message (its
+        ``to_wire()`` form in a JSONL file).  The caller owns the log:
+        closing the transport leaves it open, so one log can serve several
+        transports.  Without one the transport records nothing.
 
-    Gossip hands envelopes over in arrival order, and a frame lost to a
-    connect error or an evicted buffer is gone: no exactly-once promise, so
-    the peers replicate causally (:mod:`repro.replication`).
+    A frame that a reset connection lost is gone: no exactly-once promise,
+    so the peers replicate causally (:mod:`repro.replication`).
     """
 
     exactly_once_in_order = False
 
-    def __init__(self, *, host: str = "127.0.0.1",
-                 gossip: Optional[GossipConfig] = None,
-                 swim: Optional[SwimConfig] = None,
-                 events: Optional[NetEventLog] = None,
-                 quiet_period: int = 5,
-                 poll_interval: float = 0.02,
-                 tick_interval: float = 0.05,
-                 seed: Optional[int] = None):
+    def __init__(self, *, host: str = "127.0.0.1", event_log=None):
         self.host = host
-        self.gossip = gossip or GossipConfig()
-        self.swim = swim or SwimConfig()
-        self.events = (events if events is not None
-                       else NetEventLog(keep_in_memory=False))
-        self.convergence_quiet_period = quiet_period
-        self.poll_interval = poll_interval
-        self.tick_interval = tick_interval
+        self.event_log = event_log
         self.stats = NetworkStats()
-        self._rng = random.Random(seed)
         self._round = 0
         self._endpoints: Dict[str, _Endpoint] = {}
-        self._connections: "OrderedDict[str, Tuple[asyncio.StreamWriter, asyncio.Lock]]" = OrderedDict()
+        #: Every connection whose reader has not yet settled it, by id.
+        self._links: Dict[int, _Link] = {}
+        #: The cached connection to each recipient, least recently used first.
+        self._outbound: "OrderedDict[str, _Link]" = OrderedDict()
+        self._link_ids = itertools.count(1)
+        #: Set whenever a frame lands or a connection is settled.
+        self._progress = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._ticker: Optional[asyncio.Task] = None
-        self._t0 = time.monotonic()
         self._closed = False
+
+    def _emit(self, action: str, node: str, **fields) -> None:
+        if self.event_log is not None:
+            self.event_log.emit(action, node, float(self._round), **fields)
+
+    def _drop(self, message: Message, reason: str, **fields) -> None:
+        self.stats.messages_dropped += 1
+        self._emit("drop", message.sender, message_id=message.message_id,
+                   kind=message.kind(), peer=message.recipient,
+                   reason=reason, message=message, **fields)
 
     # ------------------------------------------------------------------ #
     # event loop plumbing
     # ------------------------------------------------------------------ #
-
-    def _now(self) -> float:
-        return time.monotonic() - self._t0
 
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is not None:
@@ -141,7 +134,6 @@ class TcpTransport:
             self._loop = loop
             started.set()
             loop.run_forever()
-            # drain callbacks scheduled during shutdown, then free the loop
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
@@ -149,78 +141,62 @@ class TcpTransport:
                                         daemon=True)
         self._thread.start()
         started.wait(CALL_TIMEOUT)
-        self._ticker = asyncio.run_coroutine_threadsafe(
-            self._tick_forever(), self._loop)
         return self._loop
 
-    def _call(self, coroutine):
-        """Run ``coroutine`` on the loop thread and wait for its result."""
+    def _call(self, function, *args):
+        """Run ``function(*args)`` on the loop thread and wait for its result."""
         loop = self._ensure_loop()
-        future = asyncio.run_coroutine_threadsafe(coroutine, loop)
+        future = asyncio.run_coroutine_threadsafe(function(*args), loop)
         return future.result(CALL_TIMEOUT)
-
-    async def _tick_forever(self) -> None:
-        while True:
-            await asyncio.sleep(self.tick_interval)
-            now = self._now()
-            for endpoint in list(self._endpoints.values()):
-                await self._transmit(endpoint.node.tick(now))
 
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
 
     def register(self, peer: str, address: Optional[str] = None) -> None:
-        """Start a gossip node + listening socket for ``peer`` and join it
-        to the deployment's existing members."""
-        if peer in self._endpoints:
-            return
-        self._call(self._register_async(peer))
+        """Start a listening socket for ``peer`` on an ephemeral port."""
+        if peer not in self._endpoints:
+            self._call(self._listen, peer)
 
-    async def _register_async(self, peer: str) -> None:
-        existing = sorted(self._endpoints)
-        seed_names = (self._rng.sample(existing, min(3, len(existing)))
-                      if existing else [])
-        seeds = [(name, self._endpoints[name].node.address)
-                 for name in seed_names]
-
+    async def _listen(self, peer: str) -> None:
         async def handle(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
-            await self._serve_connection(node, reader, writer)
+            await self._serve(peer, endpoint, reader, writer)
 
-        # The node is built once the server's port is known, so its table
-        # is born with its address; no connection is served before then
-        # (nothing awaits between the two statements).
+        # Nobody connects before the port is known, so the endpoint exists
+        # before the first connection is served.
         server = await asyncio.start_server(handle, self.host, 0)
         port = server.sockets[0].getsockname()[1]
-        address = f"{self.host}:{port}"
-        node = GossipNode(
-            peer, address, gossip=self.gossip, swim=self.swim, seeds=seeds,
-            events=self.events, rng_seed=self._rng.randrange(2 ** 32),
-            now=self._now(),
-        )
-        self.events.emit("register", peer, self._now(), address=address)
-        self._endpoints[peer] = _Endpoint(node, server)
-        await self._transmit(node.start(self._now()))
+        endpoint = _Endpoint(f"{self.host}:{port}", server)
+        self._endpoints[peer] = endpoint
+        self._emit("register", peer, address=endpoint.address)
 
     def unregister(self, peer: str) -> None:
-        """Announce the peer's departure, stop its server, drop its inbox."""
-        endpoint = self._endpoints.get(peer)
-        if endpoint is None:
-            return
-        self._call(self._unregister_async(peer))
+        """Close the peer's server, its connections and the cached
+        connection to it; what was still undelivered to it is dropped."""
+        if peer in self._endpoints:
+            self._call(self._unregister, peer)
 
-    async def _unregister_async(self, peer: str) -> None:
-        endpoint = self._endpoints.pop(peer, None)
-        if endpoint is None:
-            return
-        now = self._now()
-        await self._transmit(endpoint.node.leave(now))
-        self.stats.messages_dropped += endpoint.node.inbox_size()
-        endpoint.node.drain_inbox()
+    async def _unregister(self, peer: str) -> None:
+        endpoint = self._endpoints.pop(peer)
+        links = [link for link in self._links.values() if link.recipient == peer]
+        undelivered = len(endpoint.inbox) + sum(len(l.unread) for l in links)
+        for link in links:
+            self._settle(link, "unregistered")
+        for message in endpoint.inbox:
+            self._drop(message, "unregistered")
+        endpoint.inbox.clear()
+        await self._stop(endpoint)
+        await _closed(link.writer for link in links)
+        self._emit("unregister", peer, undelivered=undelivered)
+
+    async def _stop(self, endpoint: _Endpoint) -> None:
+        """Close ``endpoint``'s server and every connection it accepted."""
         endpoint.server.close()
+        for writer in endpoint.connections.values():
+            writer.close()
+        await asyncio.gather(*endpoint.connections, return_exceptions=True)
         await endpoint.server.wait_closed()
-        self.events.emit("unregister", peer, now)
 
     def peers(self) -> Tuple[str, ...]:
         return tuple(sorted(self._endpoints))
@@ -230,72 +206,115 @@ class TcpTransport:
 
     def address_of(self, peer: str) -> Optional[str]:
         endpoint = self._endpoints.get(peer)
-        return endpoint.node.address if endpoint is not None else None
+        return endpoint.address if endpoint is not None else None
 
     # ------------------------------------------------------------------ #
-    # connection handling (loop thread only)
+    # both ends of a connection (loop thread only)
     # ------------------------------------------------------------------ #
 
-    async def _serve_connection(self, node: GossipNode,
-                                reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, peer: str, endpoint: _Endpoint,
+                     reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        """Read one accepted connection into ``peer``'s inbox."""
+        task = asyncio.current_task()
+        endpoint.connections[task] = writer
+        link = None
         try:
+            hello = await read_frame(reader)
+            if hello is None or "connection" not in hello:
+                self._emit("drop", peer, reason="malformed",
+                           error="a connection must open with a hello frame")
+                return
+            # An unknown id is a connection settled before its hello was read.
+            link = self._links.get(hello["connection"])
+            if link is None:
+                return
             while True:
                 frame = await read_frame(reader)
-                if frame is None:
-                    break
+                if frame is None or link.id not in self._links:
+                    break  # EOF, or settled while this frame was buffered
+                link.unread.popleft()
                 try:
-                    outputs = node.handle_frame(frame, self._now())
-                except (ValueError, KeyError) as exc:
-                    self.events.emit("drop", node.name, self._now(),
-                                     reason="malformed", error=str(exc))
-                    continue
-                await self._transmit(outputs)
+                    endpoint.inbox.append(message_from_wire(frame))
+                except (ValueError, KeyError, TypeError) as exc:
+                    self._emit("drop", peer, reason="malformed", error=str(exc))
+                self._progress.set()
         except (FrameError, ConnectionError):
-            pass  # peer died mid-frame; SWIM will notice
+            pass
         finally:
+            # Whatever was written on the connection but not read is lost.
+            if link is not None:
+                self._settle(link, "lost")
+            del endpoint.connections[task]
             writer.close()
+            await _closed([writer])
 
-    async def _transmit(self, outputs) -> None:
-        for dest, address, frame in outputs:
-            if not address:
-                continue
-            try:
-                writer, lock = await self._connect(address)
-                async with lock:
-                    await write_frame(writer, frame)
-            except (OSError, FrameError, asyncio.TimeoutError) as exc:
-                self._connections.pop(address, None)
-                self.events.emit("drop", dest, self._now(),
-                                 reason="connect", address=address,
-                                 error=type(exc).__name__)
+    def _settle(self, link: _Link, reason: str) -> None:
+        """Retire ``link``: its unread frames are dropped, its writer closed."""
+        if self._links.pop(link.id, None) is None:
+            return
+        if self._outbound.get(link.recipient) is link:
+            del self._outbound[link.recipient]
+        link.writer.close()
+        for message in link.unread:
+            self._drop(message, reason)
+        link.unread.clear()
+        self._progress.set()
 
-    async def _connect(self, address: str):
-        cached = self._connections.get(address)
-        if cached is not None and not cached[0].is_closing():
-            self._connections.move_to_end(address)
-            return cached
-        host, _, port = address.rpartition(":")
+    async def _link_to(self, recipient: str) -> _Link:
+        """The cached connection to ``recipient``, opened when there is none."""
+        link = self._outbound.get(recipient)
+        if link is not None and not link.writer.is_closing():
+            self._outbound.move_to_end(recipient)
+            return link
+        host, _, port = self._endpoints[recipient].address.rpartition(":")
         _reader, writer = await asyncio.open_connection(host, int(port))
-        entry = (writer, asyncio.Lock())
-        self._connections[address] = entry
-        while len(self._connections) > MAX_CACHED_CONNECTIONS:
-            _, (old_writer, _) = self._connections.popitem(last=False)
-            old_writer.close()
-        return entry
+        link = _Link(next(self._link_ids), recipient, writer)
+        self._links[link.id] = link
+        self._outbound[recipient] = link
+        await write_frame(writer, {"connection": link.id})
+        while len(self._outbound) > MAX_CACHED_CONNECTIONS:
+            _, evicted = self._outbound.popitem(last=False)
+            # Its reader still reads what was written, then sees EOF.
+            evicted.writer.close()
+        return link
+
+    async def _write(self, message: Message) -> bool:
+        """Put ``message`` on the connection to its recipient."""
+        try:
+            link = await self._link_to(message.recipient)
+        except OSError as exc:
+            self._drop(message, "connect", error=type(exc).__name__)
+            return False
+        link.unread.append(message)
+        try:
+            await write_frame(link.writer, message.to_wire())
+        except FrameError as exc:  # too large: nothing was written
+            link.unread.pop()
+            self._drop(message, "oversized", error=str(exc))
+            return False
+        except ConnectionError:
+            # The frame's reader counts it lost when it sees the reset.
+            link.writer.close()
+        return True
+
+    async def _land(self) -> None:
+        """Wait until every frame written was read or counted lost."""
+        while any(link.unread for link in self._links.values()):
+            self._progress.clear()
+            await self._progress.wait()
 
     # ------------------------------------------------------------------ #
     # Transport protocol: deliver / collect
     # ------------------------------------------------------------------ #
 
     def send(self, message: Message) -> bool:
-        """Submit a runtime message into the gossip mesh at its sender."""
-        endpoint = self._endpoints.get(message.sender)
-        if endpoint is None:
+        """Write ``message`` to its recipient; ``False`` when the frame
+        could not be put on a connection."""
+        if message.sender not in self._endpoints:
             raise TransportError(
                 f"cannot send from unregistered peer {message.sender!r}")
-        if (message.recipient not in self._endpoints
-                and not endpoint.node.membership.knows(message.recipient)):
+        if message.recipient not in self._endpoints:
             raise TransportError(
                 f"cannot deliver message from {message.sender}: unknown peer "
                 f"{message.recipient!r}"
@@ -304,53 +323,56 @@ class TcpTransport:
         self.stats.by_kind[message.kind()] += 1
         self.stats.by_link[(message.sender, message.recipient)] += 1
         self.stats.payload_items += message.payload_size()
-        self._call(self._submit_async(message))
-        return True
-
-    async def _submit_async(self, message: Message) -> None:
-        endpoint = self._endpoints.get(message.sender)
-        if endpoint is not None:
-            await self._transmit(endpoint.node.submit(message, self._now()))
+        self._emit("send", message.sender, message_id=message.message_id,
+                   kind=message.kind(), peer=message.recipient,
+                   payload=message.payload_size(), message=message)
+        return self._call(self._write, message)
 
     def send_all(self, messages: Iterable[Message]) -> int:
         return sum(1 for message in messages if self.send(message))
 
     def receive(self, peer: str) -> List[Message]:
-        endpoint = self._endpoints.get(peer)
-        if endpoint is None:
+        """The messages that landed in ``peer``'s inbox, in arrival order."""
+        if peer not in self._endpoints:
             return []
-        delivered = self._call(self._drain_async(peer))
+        delivered = self._call(self._drain, peer)
         self.stats.messages_delivered += len(delivered)
+        for m in delivered:
+            self._emit("deliver", peer, message_id=m.message_id,
+                       kind=m.kind(), peer_from=m.sender, message=m)
         return delivered
 
-    async def _drain_async(self, peer: str) -> List[Message]:
-        endpoint = self._endpoints.get(peer)
-        return endpoint.node.drain_inbox() if endpoint is not None else []
+    async def _drain(self, peer: str) -> List[Message]:
+        endpoint = self._endpoints[peer]
+        delivered, endpoint.inbox = endpoint.inbox, []
+        return delivered
 
     def advance_round(self) -> int:
-        """Mark a round boundary; when nothing is deliverable, yield to the
-        network briefly so gossip frames in flight can land."""
+        """Mark a round boundary once every frame in flight has landed."""
         self._round += 1
-        if not self.has_in_flight():
-            time.sleep(self.poll_interval)
+        if self._loop is not None:
+            self._call(self._land)
         return self._round
 
     def pending_count(self, peer: Optional[str] = None) -> int:
-        if peer is not None:
-            endpoint = self._endpoints.get(peer)
-            return endpoint.node.inbox_size() if endpoint is not None else 0
-        return sum(e.node.inbox_size() for e in self._endpoints.values())
+        """Messages on a connection or in an inbox (optionally to one peer)."""
+        names = self.peers() if peer is None else (peer,)
+        return sum(map(self.due_count, names)) + sum(
+            len(link.unread) for link in list(self._links.values())
+            if peer in (None, link.recipient))
 
     def due_count(self, peer: str) -> int:
-        return self.pending_count(peer)
+        """Messages that landed in ``peer``'s inbox."""
+        endpoint = self._endpoints.get(peer)
+        return len(endpoint.inbox) if endpoint is not None else 0
 
     def has_in_flight(self) -> bool:
-        """``True`` when a delivered-but-undrained message is observable.
+        """``True`` while a frame is on a connection or in an inbox."""
+        return self._loop is not None and self._call(self._in_flight)
 
-        Frames inside the kernel's socket buffers are *not* observable —
-        that blind spot is exactly why ``convergence_quiet_period > 1``.
-        """
-        return any(e.node.inbox_size() for e in self._endpoints.values())
+    async def _in_flight(self) -> bool:
+        return (any(link.unread for link in self._links.values())
+                or any(e.inbox for e in self._endpoints.values()))
 
     def reset_stats(self) -> NetworkStats:
         stats = self.stats
@@ -358,45 +380,43 @@ class TcpTransport:
         return stats
 
     # ------------------------------------------------------------------ #
-    # inspection / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------ #
 
-    def membership_view(self, peer: str) -> Dict[str, str]:
-        """``other_peer -> status`` as seen by ``peer``'s gossip node."""
-        endpoint = self._endpoints.get(peer)
-        if endpoint is None:
-            return {}
-        return endpoint.node.membership.peer_statuses()
-
     def close(self) -> None:
-        """Stop the ticker, close every server, connection and the loop."""
+        """Close every server, connection and task, then stop the loop."""
         if self._closed:
             return
         self._closed = True
         if self._loop is None:
             return
-        if self._ticker is not None:
-            self._ticker.cancel()
-        future = asyncio.run_coroutine_threadsafe(self._close_async(),
-                                                  self._loop)
         try:
-            future.result(CALL_TIMEOUT)
+            self._call(self._shutdown)
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             if self._thread is not None:
                 self._thread.join(CALL_TIMEOUT)
             self._loop = None
 
-    async def _close_async(self) -> None:
+    async def _shutdown(self) -> None:
+        writers = [link.writer for link in self._links.values()]
         for endpoint in self._endpoints.values():
-            endpoint.server.close()
-        for writer, _ in self._connections.values():
-            writer.close()
-        self._connections.clear()
+            await self._stop(endpoint)
         self._endpoints.clear()
+        for writer in writers:
+            writer.close()
+        await _closed(writers)
+        self._links.clear()
+        self._outbound.clear()
 
     def __enter__(self) -> "TcpTransport":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+async def _closed(writers: Iterable[asyncio.StreamWriter]) -> None:
+    """Wait until each (already closing) writer's socket is closed."""
+    await asyncio.gather(*(writer.wait_closed() for writer in writers),
+                         return_exceptions=True)

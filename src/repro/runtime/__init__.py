@@ -11,8 +11,9 @@ stats), with interchangeable implementations:
   makes rounds and message counts measurable, used by the benchmarks; built
   with ``event_log=NetEventLog()`` it records every send, drop and deliver
   with its message;
-* :class:`~repro.net.tcp.TcpTransport` — real localhost sockets, in
-  :mod:`repro.net`.
+* :class:`~repro.net.tcp.TcpTransport` — real sockets, in :mod:`repro.net`:
+  each message is one frame on a connection to its recipient, counted in
+  flight as exactly as the in-memory transport counts its queue.
 
 :class:`~repro.runtime.peer.Peer` wraps a :class:`~repro.core.engine.WebdamLogEngine`
 together with its delegation controller and wrappers;

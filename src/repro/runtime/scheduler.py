@@ -157,26 +157,8 @@ class Scheduler(Protocol):
 
     def converge(self, system: "WebdamLogSystem",
                  max_steps: Optional[int] = None,
-                 extra_rounds: int = 0,
-                 quiet_period: Optional[int] = None) -> RunSummary:
+                 extra_rounds: int = 0) -> RunSummary:
         """Cycle until the system reaches a fixpoint (or ``max_steps`` is hit)."""
-
-
-def resolve_quiet_period(system: "WebdamLogSystem",
-                         quiet_period: Optional[int]) -> int:
-    """How many *consecutive* settled cycles convergence requires.
-
-    ``1`` (the in-memory default) preserves the historical behaviour: one
-    settled cycle proves the fixpoint, because the in-memory transport has a
-    perfect in-flight oracle.  Networked transports have a blind spot —
-    frames inside socket buffers are invisible to :func:`settled` — so they
-    advertise a larger ``convergence_quiet_period`` and the drivers demand
-    that many quiet cycles in a row before declaring convergence.  An
-    explicit ``quiet_period`` argument overrides the transport's default.
-    """
-    if quiet_period is not None:
-        return max(1, int(quiet_period))
-    return max(1, int(getattr(system.transport, "convergence_quiet_period", 1)))
 
 
 def settled(system: "WebdamLogSystem", report: RoundReport) -> bool:
@@ -227,11 +209,10 @@ def _cycle(driver: Scheduler,
 
 
 def cycles(driver: Scheduler, system: "WebdamLogSystem", summary: RunSummary,
-           max_steps: Optional[int] = None, extra_rounds: int = 0,
-           quiet_period: Optional[int] = None) -> Iterator[Optional[RoundReport]]:
-    """The converge loop: run ``driver``'s cycles until the system settled for
-    the transport's quiet period (or ``max_steps`` cycles ran), then
-    ``extra_rounds`` more.
+           max_steps: Optional[int] = None,
+           extra_rounds: int = 0) -> Iterator[Optional[RoundReport]]:
+    """The converge loop: run ``driver``'s cycles until one settles (or
+    ``max_steps`` cycles ran), then ``extra_rounds`` more.
 
     Every cycle's report is appended to ``summary``, which is marked
     converged when the loop settles.  Yields ``None`` after every stage and
@@ -240,13 +221,10 @@ def cycles(driver: Scheduler, system: "WebdamLogSystem", summary: RunSummary,
     (:func:`drive`); what it does there is the next cycle's input.
     """
     limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    required_quiet = resolve_quiet_period(system, quiet_period)
-    quiet = 0
     for _ in range(limit):
         report = yield from _cycle(driver, system)
         summary.rounds.append(report)
-        quiet = quiet + 1 if _settled_after(system, report) else 0
-        summary.converged = quiet >= required_quiet
+        summary.converged = _settled_after(system, report)
         yield report
         if summary.converged:
             break
@@ -266,18 +244,15 @@ def _step(driver: Scheduler, system: "WebdamLogSystem") -> RoundReport:
 
 
 def _converge(driver: Scheduler, system: "WebdamLogSystem",
-              max_steps: Optional[int], extra_rounds: int,
-              quiet_period: Optional[int]) -> RunSummary:
+              max_steps: Optional[int], extra_rounds: int) -> RunSummary:
     summary = RunSummary(scheduler=driver.name)
-    for _ in cycles(driver, system, summary, max_steps, extra_rounds,
-                    quiet_period):
+    for _ in cycles(driver, system, summary, max_steps, extra_rounds):
         pass
     return summary
 
 
 def drive(system: "WebdamLogSystem",
-          max_steps: Optional[int] = None,
-          quiet_period: Optional[int] = None) -> Iterator[RoundReport]:
+          max_steps: Optional[int] = None) -> Iterator[RoundReport]:
     """Run :func:`cycles` with the system's driver, yielding each cycle's
     report.
 
@@ -286,8 +261,7 @@ def drive(system: "WebdamLogSystem",
     observers have already run for every stage of the yielded report.
     """
     summary = RunSummary(scheduler=system.scheduler.name)
-    for report in cycles(system.scheduler, system, summary, max_steps,
-                         quiet_period=quiet_period):
+    for report in cycles(system.scheduler, system, summary, max_steps):
         if report is not None:
             yield report
 
@@ -312,9 +286,8 @@ class LockstepScheduler:
 
     def converge(self, system: "WebdamLogSystem",
                  max_steps: Optional[int] = None,
-                 extra_rounds: int = 0,
-                 quiet_period: Optional[int] = None) -> RunSummary:
-        return _converge(self, system, max_steps, extra_rounds, quiet_period)
+                 extra_rounds: int = 0) -> RunSummary:
+        return _converge(self, system, max_steps, extra_rounds)
 
 
 class ReactiveScheduler:
@@ -365,6 +338,5 @@ class ReactiveScheduler:
 
     def converge(self, system: "WebdamLogSystem",
                  max_steps: Optional[int] = None,
-                 extra_rounds: int = 0,
-                 quiet_period: Optional[int] = None) -> RunSummary:
-        return _converge(self, system, max_steps, extra_rounds, quiet_period)
+                 extra_rounds: int = 0) -> RunSummary:
+        return _converge(self, system, max_steps, extra_rounds)

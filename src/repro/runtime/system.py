@@ -145,10 +145,9 @@ class WebdamLogSystem:
                     replication=not getattr(self.transport,
                                             "exactly_once_in_order", False))
         if peer.replication is not None:
-            # Causal joins/digests/pulls/acks land in the in-memory
-            # transport's event stream, stamped with the same cycle clock as
-            # its send/drop/dup records.  TcpTransport has no ``event_log``
-            # (its clock is wall time), so over TCP they are not recorded.
+            # Causal joins/digests/pulls/acks land in the transport's event
+            # stream, stamped with the same cycle clock as its send/drop
+            # records.
             peer.replication.event_log = getattr(self.transport, "event_log", None)
         self.peers[name] = peer
         self._ordered = None
@@ -296,32 +295,26 @@ class WebdamLogSystem:
     # execution
     # ------------------------------------------------------------------ #
 
-    def converge(self, max_steps: Optional[int] = None, extra_rounds: int = 0,
-                 quiet_period: Optional[int] = None) -> RunSummary:
+    def converge(self, max_steps: Optional[int] = None,
+                 extra_rounds: int = 0) -> RunSummary:
         """Drive the system to a fixpoint.
 
         Convergence means: a cycle in which every executed stage was
-        quiescent, no message remains in flight, and no engine holds pending
-        input — sustained for the transport's quiet period.  In-memory
-        transports settle in one quiet cycle; networked transports (whose
-        in-flight frames are invisible) advertise a
-        ``convergence_quiet_period`` and convergence requires that many
-        consecutive quiet cycles (override per call with ``quiet_period``).
+        quiescent, no message remains in flight, no engine holds pending
+        input and no causal channel is short of its frontier.
         ``max_steps`` bounds the scheduling cycles (default 100);
         ``extra_rounds`` additional cycles are run afterwards (useful when a
         test wants to check stability).
         """
         return self.scheduler.converge(self, max_steps=max_steps,
-                                       extra_rounds=extra_rounds,
-                                       quiet_period=quiet_period)
+                                       extra_rounds=extra_rounds)
 
     def step(self) -> RoundReport:
         """Execute one scheduling cycle."""
         return self.scheduler.step(self)
 
     async def aconverge(self, max_steps: Optional[int] = None,
-                        extra_rounds: int = 0,
-                        quiet_period: Optional[int] = None) -> RunSummary:
+                        extra_rounds: int = 0) -> RunSummary:
         """:meth:`converge` from asyncio: the same cycles, yielding to the
         event loop after every stage and at the end of every cycle.
 
@@ -330,8 +323,7 @@ class WebdamLogSystem:
         :meth:`converge` would have returned.
         """
         summary = RunSummary(scheduler=self.scheduler.name)
-        for _ in cycles(self.scheduler, self, summary, max_steps, extra_rounds,
-                        quiet_period):
+        for _ in cycles(self.scheduler, self, summary, max_steps, extra_rounds):
             await asyncio.sleep(0)
         return summary
 

@@ -14,6 +14,8 @@ import repro.api
 from repro.acl.delegation_control import DelegationController
 from repro.api import SystemBuilder
 from repro.api.builder import PeerBuilder
+from repro.net import tcp
+from repro.net.tcp import TcpTransport
 from repro.runtime.peer import Peer
 from repro.runtime.system import WebdamLogSystem
 
@@ -68,6 +70,50 @@ def test_peer_constructors_take_exactly_the_ledger(name):
     assert tuple(inspect.signature(function).parameters) == parameters
 
 
+#: What a TCP deployment is tuned with, and what converging takes: where
+#: the peers listen and the event record; a bound and a tail.  No gossip,
+#: SWIM, seed or quiet period.
+TCP_KNOBS = {
+    "TcpTransport": (TcpTransport.__init__, ("self", "host", "event_log")),
+    "System.converge": (repro.api.System.converge,
+                        ("self", "max_steps", "extra_rounds")),
+    "System.aconverge": (repro.api.System.aconverge,
+                         ("self", "max_steps", "extra_rounds")),
+    "WebdamLogSystem.converge": (WebdamLogSystem.converge,
+                                 ("self", "max_steps", "extra_rounds")),
+    "WebdamLogSystem.aconverge": (WebdamLogSystem.aconverge,
+                                  ("self", "max_steps", "extra_rounds")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TCP_KNOBS))
+def test_tcp_and_converge_take_exactly_the_ledger(name):
+    function, parameters = TCP_KNOBS[name]
+    assert tuple(inspect.signature(function).parameters) == parameters
+
+
+def test_no_overlay_tuning_is_exported():
+    for module in (repro, repro.api):
+        assert not {"GossipConfig", "SwimConfig"} & set(module.__all__)
+
+
+def test_the_tcp_transport_imports_no_overlay_module():
+    """A deployment's TCP path sends each message to its recipient: it
+    builds on no gossip, SWIM or overlay frame module."""
+    overlay = {"repro.net.node", "repro.net.gossip", "repro.net.membership",
+               "repro.net.frames"}
+    tree = ast.parse(pathlib.Path(tcp.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported & overlay == set()
+    assert "repro.net.framing" in imported
+
+
 def test_every_system_knob_returns_the_builder_for_chaining():
     arguments = {
         "transport": ("inmemory",), "default_trusted": ("sigmod",),
@@ -115,9 +161,11 @@ def test_one_event_record_and_one_read_handle_are_exported():
 
 
 def test_retired_protocol_and_helpers_are_defined_nowhere():
-    """The peer-join message, the sans-io frame decoder and the plain-tuple
-    group-by are gone from every module, not only from ``__all__``."""
-    retired = {"PeerJoinMessage", "FrameDecoder", "aggregate_relation"}
+    """The peer-join message, the sans-io frame decoder, the plain-tuple
+    group-by and the quiet-period resolver are gone from every module, not
+    only from ``__all__``."""
+    retired = {"PeerJoinMessage", "FrameDecoder", "aggregate_relation",
+               "resolve_quiet_period"}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
         assert not retired & set(vars(module)), info.name

@@ -1,21 +1,30 @@
 """The asyncio TCP transport behind ``system().transport("tcp")``.
 
-These tests open real localhost sockets.  They keep peer counts small and
-rely on the bounded-quiet-period convergence mode for determinism.
+These tests open real localhost sockets and keep peer counts small.  Every
+message is one frame on a connection to its recipient, and the transport
+counts the frames in flight exactly, so a deployment settles on its first
+quiet cycle, as an in-memory one does.
 """
 
 import asyncio
+import socket
 import time
 
 import pytest
 
-from repro.api import system
+import repro.net.tcp as tcp
+import repro.runtime.scheduler as scheduler
+from repro.api import BuildError, system
 from repro.core.errors import TransportError
 from repro.core.facts import Fact
 from repro.net.events import NetEventLog, read_events
-from repro.net.membership import ALIVE, LEFT
+from repro.net.framing import write_frame
 from repro.net.tcp import TcpTransport
-from repro.runtime.messages import FactMessage
+from repro.runtime.messages import (
+    DeltaEnvelopeMessage,
+    FactMessage,
+    message_from_wire,
+)
 
 JULES = '''
 collection extensional persistent pictures@jules(pic);
@@ -40,121 +49,363 @@ def wait_for(predicate, timeout=8.0, interval=0.05):
     return predicate()
 
 
+def fact_message(sender="alice", recipient="bob", value="x"):
+    return FactMessage(sender=sender, recipient=recipient,
+                       inserted=frozenset({Fact("r", recipient, (value,))}))
+
+
+def exchange_one_message(transport):
+    """alice sends bob one message, which lands within the round."""
+    message = fact_message()
+    transport.send(message)
+    transport.advance_round()
+    assert [m.message_id for m in transport.receive("bob")] == [
+        message.message_id]
+
+
+def two_peer_builder(transport="tcp", **options):
+    builder = (system()
+               .peer("jules").program(JULES)
+               .peer("emilien").program(EMILIEN)
+               .done())
+    return builder.transport(transport, **options) if transport else builder
+
+
+def album(deployment):
+    return {fact.values[0]
+            for fact in deployment.snapshot()["emilien"]["album@emilien"]}
+
+
+@pytest.fixture
+def frames_written(monkeypatch):
+    """Every ``(host:port, frame)`` a TCP transport puts on a socket,
+    recorded at its one write path."""
+    written = []
+
+    async def recording(writer, frame):
+        host, port = writer.get_extra_info("peername")[:2]
+        written.append((f"{host}:{port}", frame))
+        await write_frame(writer, frame)
+
+    monkeypatch.setattr(tcp, "write_frame", recording)
+    return written
+
+
+@pytest.fixture
+def settled_flags(monkeypatch):
+    """Whether each cycle the converge loop judged had settled, in order."""
+    flags = []
+    judge = scheduler._settled_after
+
+    def recording(system, report):
+        flags.append(judge(system, report))
+        return flags[-1]
+
+    monkeypatch.setattr(scheduler, "_settled_after", recording)
+    return flags
+
+
 def test_register_assigns_real_addresses():
-    with TcpTransport(seed=1) as transport:
+    with TcpTransport() as transport:
         transport.register("alice")
         transport.register("bob")
         assert transport.peers() == ("alice", "bob")
         address = transport.address_of("alice")
         host, _, port = address.rpartition(":")
         assert host == "127.0.0.1" and int(port) > 0
+        assert address != transport.address_of("bob")
         assert transport.is_registered("alice")
         assert not transport.is_registered("carol")
 
 
-class SentFrames(TcpTransport):
-    """Keeps every ``(dest, address, frame)`` the transport puts on a socket."""
+class TestTrafficShape:
+    """One message is one frame to its recipient; an idle deployment is
+    silent."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.sent = []
+    def test_one_send_puts_one_frame_on_a_socket(self, frames_written):
+        with TcpTransport() as transport:
+            for index in range(6):
+                transport.register(f"p{index}")
+            recipient_at = transport.address_of("p3")
+            messages = [fact_message("p0", "p3", value) for value in "ab"]
+            sent = []
+            for message in messages:
+                frames_written.clear()
+                transport.send(message)
+                transport.advance_round()
+                sent.append(list(frames_written))
+            # a new connection opens with its hello frame, then one frame
+            # per message; the other four peers see nothing
+            (hello_at, hello), first = sent[0]
+            assert hello_at == recipient_at and set(hello) == {"connection"}
+            assert first == (recipient_at, messages[0].to_wire())
+            assert sent[1] == [(recipient_at, messages[1].to_wire())]
+            assert [m.message_id for m in transport.receive("p3")] == [
+                m.message_id for m in messages]
 
-    async def _transmit(self, outputs):
-        self.sent.extend(outputs)
-        await super()._transmit(outputs)
-
-
-def test_registered_node_knows_its_own_address_from_the_start():
-    """A node's table is born with the server's ``host:port`` — nobody sets
-    it behind the table's back — so the first peer's view hands it on."""
-    with SentFrames(seed=1) as transport:
-        transport.register("alice")
-        transport.register("bob")
-        alice_at = transport.address_of("alice")
-        bob_at = transport.address_of("bob")
-        alice = transport._endpoints["alice"].node
-        bob = transport._endpoints["bob"].node
-        assert alice.membership.self_address == alice_at == alice.address
-        assert bob.membership.self_address == bob_at == bob.address
-
-        def welcomes():
-            return [wire for dest, _, wire in list(transport.sent)
-                    if dest == "bob" and wire["type"] == "digest"]
-        assert wait_for(welcomes)
-        # alice's welcome digest tells bob where alice and bob listen
-        told = {u["peer"]: u["address"] for u in welcomes()[0]["updates"]}
-        assert told == {"alice": alice_at, "bob": bob_at}
-        # ... and each ends up in the other's routable index, by that address
-        assert wait_for(lambda: alice.membership.routable_peers() == ["bob"]
-                        and bob.membership.routable_peers() == ["alice"])
-        for view in (bob.membership.wire_view(),
-                     [u.to_wire() for u in bob.membership.full_view()]):
-            assert {u["peer"]: u["address"] for u in view} == told
-
-
-def test_membership_converges_between_peers():
-    with TcpTransport(seed=1) as transport:
-        for name in ("alice", "bob", "carol"):
-            transport.register(name)
-        assert wait_for(lambda: all(
-            transport.membership_view(name).get(other) == ALIVE
-            for name in ("alice", "bob", "carol")
-            for other in ("alice", "bob", "carol") if other != name))
+    def test_an_idle_deployment_puts_no_frame(self, frames_written):
+        with TcpTransport() as transport:
+            for index in range(6):
+                transport.register(f"p{index}")
+            time.sleep(0.3)
+            assert frames_written == []
 
 
 def test_message_travels_over_real_sockets():
-    with TcpTransport(seed=1) as transport:
+    with TcpTransport() as transport:
         transport.register("alice")
         transport.register("bob")
-        message = FactMessage(sender="alice", recipient="bob",
-                              inserted=frozenset({Fact("r", "bob", ("x",))}))
+        message = fact_message()
         assert transport.send(message) is True
         assert transport.stats.messages_sent == 1
-        received = []
-        assert wait_for(lambda: received.extend(transport.receive("bob"))
-                        or received)
-        assert received[0].message_id == message.message_id
+        transport.advance_round()
+        received = transport.receive("bob")
+        assert [m.message_id for m in received] == [message.message_id]
+        assert received[0] == message
         assert transport.stats.messages_delivered == 1
 
 
+def test_messages_arrive_in_send_order():
+    with TcpTransport() as transport:
+        transport.register("alice")
+        transport.register("bob")
+        messages = [fact_message(value=str(index)) for index in range(20)]
+        assert transport.send_all(messages) == 20
+        transport.advance_round()
+        assert transport.receive("bob") == messages
+
+
+def test_in_flight_is_counted_exactly():
+    """Written-but-unread frames and undrained inboxes are in flight; once
+    ``advance_round`` returns every frame has landed in an inbox."""
+    with TcpTransport() as transport:
+        assert not transport.has_in_flight()
+        for name in ("alice", "bob", "carol"):
+            transport.register(name)
+        assert not transport.has_in_flight()
+        transport.send(fact_message("alice", "bob"))
+        transport.send(fact_message("carol", "bob"))
+        assert transport.has_in_flight()
+        transport.advance_round()
+        assert transport.due_count("bob") == 2
+        assert transport.pending_count("bob") == 2
+        assert transport.pending_count() == 2
+        assert transport.pending_count("alice") == 0
+        assert transport.has_in_flight()
+        assert len(transport.receive("bob")) == 2
+        assert not transport.has_in_flight()
+        assert transport.pending_count() == 0
+
+
 def test_unknown_recipient_raises_transport_error():
-    with TcpTransport(seed=1) as transport:
+    with TcpTransport() as transport:
         transport.register("alice")
         with pytest.raises(TransportError):
             transport.send(FactMessage(sender="alice", recipient="facebook"))
         with pytest.raises(TransportError):
             transport.send(FactMessage(sender="ghost", recipient="alice"))
+        assert transport.stats.messages_sent == 0
 
 
-def test_unregister_announces_leave():
-    with TcpTransport(seed=1) as transport:
+def test_unregister_closes_the_socket_and_a_send_to_it_raises():
+    with TcpTransport() as transport:
         transport.register("alice")
         transport.register("bob")
-        assert wait_for(
-            lambda: transport.membership_view("alice").get("bob") == ALIVE)
+        exchange_one_message(transport)
+        host, _, port = transport.address_of("bob").rpartition(":")
         transport.unregister("bob")
         assert transport.peers() == ("alice",)
-        assert wait_for(
-            lambda: transport.membership_view("alice").get("bob") == LEFT)
+        assert transport.address_of("bob") is None
+        with pytest.raises(TransportError):
+            transport.send(fact_message("alice", "bob"))
+        with pytest.raises(OSError):
+            socket.create_connection((host, int(port)), timeout=2).close()
+        assert not transport.has_in_flight()
 
 
-def exchange_one_message(transport):
+def test_unregister_drops_what_was_undelivered():
+    log = NetEventLog()
+    with TcpTransport(event_log=log) as transport:
+        transport.register("alice")
+        transport.register("bob")
+        transport.send(fact_message(value="landed"))
+        transport.advance_round()
+        transport.send(fact_message(value="written"))
+        transport.unregister("bob")
+        assert transport.stats.messages_dropped == 2
+        assert not transport.has_in_flight()
+        assert log.events("unregister")[0]["undelivered"] == 2
+        drops = log.events("drop")
+        assert [event["reason"] for event in drops] == ["unregistered"] * 2
+        # the peer can come back, on a new socket
+        transport.register("bob")
+        exchange_one_message(transport)
+
+
+class TestLoss:
+    """The exact count survives frames lost before or on a connection."""
+
+    def test_a_reset_connection_counts_its_unread_frames_lost(self):
+        with TcpTransport() as transport:
+            transport.register("alice")
+            transport.register("bob")
+            exchange_one_message(transport)   # the connection's reader is up
+            lost = [fact_message(value=str(index)) for index in range(3)]
+
+            async def write_then_reset():
+                # No await yields between the writes and the abort, so the
+                # frames are still in bob's socket buffer when it resets.
+                for message in lost:
+                    assert await transport._write(message)
+                for writer in transport._endpoints["bob"].connections.values():
+                    writer.transport.abort()
+
+            transport._call(write_then_reset)
+            assert wait_for(lambda: not transport.has_in_flight())
+            assert transport.stats.messages_dropped == 3
+            assert transport.receive("bob") == []
+            # the next send opens a new connection
+            exchange_one_message(transport)
+
+    def test_converge_settles_after_a_reset(self):
+        class ResetsUnderTheFirstEnvelope(TcpTransport):
+            armed = False
+
+            async def _write(self, message):
+                written = await super()._write(message)
+                if self.armed and isinstance(message, DeltaEnvelopeMessage):
+                    self.armed = False
+                    for writer in self._endpoints[message.recipient].connections.values():
+                        writer.transport.abort()
+                return written
+
+        transport = ResetsUnderTheFirstEnvelope()
+        with two_peer_builder(transport).build() as deployment:
+            assert deployment.converge().converged
+            transport.armed = True
+            deployment.peer("jules").insert('pictures@jules("p3")')
+            summary = deployment.converge(max_steps=60)
+            assert summary.converged
+            assert not transport.armed
+            assert transport.stats.messages_dropped == 1
+            assert album(deployment) == {"p1", "p2", "p3"}
+
+    def test_a_lost_envelope_is_repaired_by_replication(self):
+        class DropsTheFirstEnvelope(TcpTransport):
+            dropped = None
+
+            async def _write(self, message):
+                if self.dropped is None and isinstance(message, DeltaEnvelopeMessage):
+                    self.dropped = message
+                    return False
+                return await super()._write(message)
+
+        with two_peer_builder(None).build() as reference:
+            reference.converge()
+            expected = reference.snapshot()
+        transport = DropsTheFirstEnvelope()
+        with two_peer_builder(transport).build() as deployment:
+            assert deployment.converge().converged
+            assert transport.dropped is not None
+            assert transport.stats.by_kind["ReplicationPullMessage"] >= 1
+            assert deployment.snapshot() == expected
+
+    def test_an_oversized_message_is_dropped_at_the_sender(self, monkeypatch):
+        monkeypatch.setattr("repro.net.framing.MAX_FRAME_BYTES", 64)
+        log = NetEventLog()
+        with TcpTransport(event_log=log) as transport:
+            transport.register("alice")
+            transport.register("bob")
+            assert transport.send(fact_message(value="x" * 100)) is False
+            assert transport.stats.messages_dropped == 1
+            assert not transport.has_in_flight()
+            assert log.events("drop")[0]["reason"] == "oversized"
+
+
+def test_a_connection_without_hello_is_dropped_as_malformed():
+    log = NetEventLog()
+    with TcpTransport(event_log=log) as transport:
+        transport.register("alice")
+        transport.register("bob")
+        host, _, port = transport.address_of("bob").rpartition(":")
+
+        async def stranger():
+            reader, writer = await asyncio.open_connection(host, int(port))
+            await write_frame(writer, fact_message().to_wire())
+            assert await reader.read() == b""   # the server hangs up
+            writer.close()
+            await writer.wait_closed()
+
+        transport._call(stranger)
+        assert [event["reason"] for event in log.events("drop")] == ["malformed"]
+        assert transport.receive("bob") == []
+        exchange_one_message(transport)
+
+
+def test_the_connection_cache_is_bounded(monkeypatch):
+    """An evicted connection closes after its frames are read: none lost."""
+    monkeypatch.setattr(tcp, "MAX_CACHED_CONNECTIONS", 1)
+    with TcpTransport() as transport:
+        for name in ("alice", "bob", "carol"):
+            transport.register(name)
+        for round_number in range(3):
+            transport.send(fact_message("alice", "bob", str(round_number)))
+            transport.send(fact_message("alice", "carol", str(round_number)))
+            assert len(transport._outbound) == 1
+        transport.advance_round()
+        assert len(transport.receive("bob")) == 3
+        assert len(transport.receive("carol")) == 3
+        assert transport.stats.messages_dropped == 0
+        assert not transport.has_in_flight()
+
+
+def test_close_releases_the_loop_and_every_socket():
+    transport = TcpTransport()
     transport.register("alice")
     transport.register("bob")
-    message = FactMessage(sender="alice", recipient="bob",
-                          inserted=frozenset({Fact("r", "bob", ("x",))}))
-    transport.send(message)
-    assert wait_for(lambda: transport.receive("bob"))
+    exchange_one_message(transport)
+    thread = transport._thread
+    host, _, port = transport.address_of("bob").rpartition(":")
+    transport.close()
+    assert not thread.is_alive()
+    with pytest.raises(OSError):
+        socket.create_connection((host, int(port)), timeout=2).close()
+    with pytest.raises(TransportError):
+        transport.register("carol")
+    transport.close()   # idempotent
 
 
 def test_event_log_written_to_jsonl(tmp_path):
     path = tmp_path / "net.jsonl"
     with NetEventLog(path=path, keep_in_memory=False) as log:
-        with TcpTransport(seed=1, events=log) as transport:
+        with TcpTransport(event_log=log) as transport:
+            transport.register("alice")
+            transport.register("bob")
             exchange_one_message(transport)
         assert len(log) == 0
-    actions = {event["action"] for event in read_events(str(path))}
-    assert {"register", "send", "deliver"} <= actions
+    records = read_events(str(path))
+    assert [record["action"] for record in records] == [
+        "register", "register", "send", "deliver"]
+    # stamped with the transport round, as the in-memory transport stamps
+    assert [record["ts"] for record in records] == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_a_deployment_record_replays_and_holds_replication_events(tmp_path):
+    """Over TCP the JSONL holds each message's wire form and the causal
+    replication events of its peers."""
+    path = tmp_path / "net.jsonl"
+    with NetEventLog(path=path, keep_in_memory=False) as log:
+        with two_peer_builder(event_log=log).build() as deployment:
+            assert deployment.converge().converged
+    records = read_events(str(path))
+    carried = [record for record in records if "message" in record]
+    assert {record["action"] for record in carried} == {"send", "deliver"}
+    for record in carried:
+        message = message_from_wire(record["message"])
+        assert message.to_wire() == record["message"]
+        assert message.message_id == record["message_id"]
+    actions = {record["action"] for record in records}
+    assert {"join", "ack"} <= actions
 
 
 def test_one_log_serves_every_build_of_a_builder(tmp_path):
@@ -162,7 +413,7 @@ def test_one_log_serves_every_build_of_a_builder(tmp_path):
     build of the same chain still writes to the file."""
     path = tmp_path / "net.jsonl"
     with NetEventLog(path=path, keep_in_memory=False) as log:
-        builder = system().transport("tcp", seed=1, events=log).peer("alice").done()
+        builder = system().transport("tcp", event_log=log).peer("alice").done()
         for _ in range(2):
             with builder.build():
                 pass
@@ -172,63 +423,73 @@ def test_one_log_serves_every_build_of_a_builder(tmp_path):
 
 
 def test_a_transport_without_a_log_keeps_no_records():
-    with TcpTransport(seed=1) as transport:
+    with TcpTransport() as transport:
+        transport.register("alice")
+        transport.register("bob")
         exchange_one_message(transport)
-        assert len(transport.events) == 0
-        assert transport.events.events() == []
+        assert transport.event_log is None
 
 
-def test_wepic_scenario_matches_inmemory_with_churn():
+def test_wepic_scenario_matches_inmemory_with_churn(settled_flags):
     """The acceptance scenario: 3 peers over real TCP, same snapshots as
-    in-memory, with a peer joining and leaving mid-run."""
+    in-memory, with a peer joining and leaving mid-run; every converge ends
+    on its first settled cycle."""
 
-    def run(use_tcp):
-        builder = (system()
-                   .peer("jules").program(JULES)
-                   .peer("emilien").program(EMILIEN)
-                   .done())
-        if use_tcp:
-            builder = builder.transport("tcp", seed=3)
-        deployment = builder.build()
-        with deployment:
-            summary = deployment.converge()
-            assert summary.converged
+    def converge(deployment):
+        settled_flags.clear()
+        summary = deployment.converge()
+        assert summary.converged
+        assert len(settled_flags) == summary.round_count
+        assert settled_flags[-1] and not settled_flags[-2]
+
+    def run(transport):
+        with two_peer_builder(transport).build() as deployment:
+            converge(deployment)
             # mid-run join: a third peer subscribes to jules's pictures
             deployment.add_peer("patrick", program=(
                 'collection extensional persistent album@patrick(pic);'))
             deployment.peer("jules").add_rule(
                 'rule album@patrick($p) :- pictures@jules($p);')
-            assert deployment.converge().converged
+            converge(deployment)
             assert deployment.snapshot()["patrick"]
             # mid-run leave, then more traffic
             deployment.remove_peer("patrick")
             deployment.peer("jules").insert('pictures@jules("p3")')
-            assert deployment.converge().converged
+            converge(deployment)
             return deployment.snapshot()
 
-    assert run(use_tcp=False) == run(use_tcp=True)
+    assert run(None) == run("tcp")
+
+
+def test_tcp_deployment_delivers_in_the_next_cycle_like_inmemory():
+    """A frame lands before its cycle ends, so a TCP deployment runs the
+    cycles and messages of a causal in-memory one."""
+    summaries = []
+    for transport, options in (("tcp", {}), ("inmemory", {"reorder_window": 1})):
+        with two_peer_builder(transport, **options).build() as deployment:
+            summaries.append(deployment.converge())
+    tcp_run, inmemory_run = summaries
+    assert tcp_run.round_count == inmemory_run.round_count
+    assert tcp_run.total_messages() == inmemory_run.total_messages()
 
 
 def test_tcp_transport_with_aconverge():
-    deployment = (system()
-                  .transport("tcp", seed=5)
-                  .peer("jules").program(JULES)
-                  .peer("emilien").program(EMILIEN)
-                  .build())
-    with deployment:
+    with two_peer_builder().build() as deployment:
         summary = asyncio.run(deployment.aconverge())
         assert summary.converged
-        album = deployment.snapshot()["emilien"]["album@emilien"]
-        assert {fact.values[0] for fact in album} == {"p1", "p2"}
+        assert album(deployment) == {"p1", "p2"}
 
 
-def test_builder_rejects_inmemory_knobs_with_tcp():
-    from repro.api import BuildError
+@pytest.mark.parametrize("option", [
+    "latency",                                   # an in-memory knob
+    "seed", "quiet_period", "gossip", "swim",    # retired with the overlay
+    "events", "poll_interval", "tick_interval",
+])
+def test_builder_rejects_options_tcp_does_not_take(option):
     with pytest.raises(BuildError):
-        system().transport("tcp", latency=2).build()
+        system().transport("tcp", **{option: 2}).build()
 
 
 def test_builder_rejects_unknown_transport_name():
-    from repro.api import BuildError
     with pytest.raises(BuildError):
         system().transport("carrier-pigeon")

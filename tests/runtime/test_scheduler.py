@@ -5,14 +5,10 @@ import asyncio
 
 import pytest
 
+import repro.runtime.scheduler as scheduler
 from repro.api import system
 from repro.runtime.inmemory import InMemoryTransport
-from repro.runtime.scheduler import (
-    LockstepScheduler,
-    ReactiveScheduler,
-    Scheduler,
-    resolve_quiet_period,
-)
+from repro.runtime.scheduler import LockstepScheduler, ReactiveScheduler, Scheduler
 from repro.runtime.system import WebdamLogSystem
 from repro.wepic.scenario import build_demo_scenario
 
@@ -290,58 +286,30 @@ class TestConvergeBounds:
         assert len(sys.peer("a").query("ack")) == 1
 
 
-class TestQuietPeriod:
-    """Bounded-quiet-period termination for transports without a perfect
-    in-flight oracle (the TCP transport advertises
-    ``convergence_quiet_period``; in-memory implicitly uses 1)."""
-
-    def test_inmemory_default_is_one_settled_cycle(self):
-        sys = build_ping_pong()
-        assert resolve_quiet_period(sys, None) == 1
-
-    def test_transport_attribute_sets_the_default(self):
-        sys = build_ping_pong()
-        sys.transport.convergence_quiet_period = 4
-        assert resolve_quiet_period(sys, None) == 4
-
-    def test_explicit_argument_overrides_the_transport(self):
-        sys = build_ping_pong()
-        sys.transport.convergence_quiet_period = 4
-        assert resolve_quiet_period(sys, 2) == 2
-
-    def test_quiet_period_is_clamped_to_at_least_one(self):
-        sys = build_ping_pong()
-        assert resolve_quiet_period(sys, 0) == 1
-        sys.transport.convergence_quiet_period = 0
-        assert resolve_quiet_period(sys, None) == 1
+class TestConvergenceIsTheFirstSettledCycle:
+    """``converge`` stops on the first cycle that settled: no transport pads
+    it with quiet cycles."""
 
     @DRIVERS
-    def test_longer_quiet_period_adds_exactly_the_extra_cycles(self, reference,
-                                                               asynchronous):
-        baseline = converge(build_ping_pong(reference=reference), asynchronous,
-                            quiet_period=1)
-        padded = converge(build_ping_pong(reference=reference), asynchronous,
-                          quiet_period=3)
-        assert baseline.converged and padded.converged
-        assert padded.round_count == baseline.round_count + 2
+    def test_converge_stops_at_the_first_settled_cycle(self, reference,
+                                                       asynchronous,
+                                                       monkeypatch):
+        flags = []
+        judge = scheduler._settled_after
 
-    def test_transport_advertised_period_is_honoured_by_converge(self):
+        def recording(system, report):
+            flags.append(judge(system, report))
+            return flags[-1]
+
+        monkeypatch.setattr(scheduler, "_settled_after", recording)
+        summary = converge(build_ping_pong(reference=reference), asynchronous)
+        assert summary.converged
+        assert flags == [False] * (summary.round_count - 1) + [True]
+
+    def test_a_transport_attribute_does_not_pad_convergence(self):
         sys = build_ping_pong()
         sys.transport.convergence_quiet_period = 3
-        padded = sys.converge()
-        baseline = build_ping_pong().converge()
-        assert padded.converged
-        assert padded.round_count == baseline.round_count + 2
-
-    def test_fixpoint_identical_whatever_the_quiet_period(self):
-        def snapshot(quiet_period):
-            sys = build_ping_pong()
-            sys.converge(quiet_period=quiet_period)
-            return {relation: set(sys.peers[owner].query(relation))
-                    for owner, relation in (("a", "ping"), ("a", "ack"),
-                                            ("b", "pong"))}
-
-        assert snapshot(1) == snapshot(4)
+        assert sys.converge().round_count == build_ping_pong().converge().round_count
 
 
 SCRATCH_ECHO = """

@@ -57,7 +57,7 @@ class TestTheTransportPicksThePath:
                           for peer in deployment.runtime.peers.values())
 
     def test_tcp_gives_causal_replication(self):
-        with TcpTransport(seed=1) as transport:
+        with TcpTransport() as transport:
             assert not transport.exactly_once_in_order
             assert all_causal(replication_states(transport))
 
