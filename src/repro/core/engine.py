@@ -27,7 +27,7 @@ from repro.core.evaluation import (LocationPattern, RuleEvaluator, RuleOutcome,
                                    head_targets, location_pattern, pattern_matches)
 from repro.core.facts import Delta, Fact, fact_matches_bindings
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
-from repro.core.rules import Atom, Rule
+from repro.core.rules import Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.core.state import PeerState
 # The module, not the function: stratification imports repro.core in turn.
@@ -38,62 +38,88 @@ from repro.provenance.graph import ProvenanceTracker
 from repro.store.backend import resolve_backend
 
 
-def _split(atoms: Iterable[Atom]) -> Tuple[FrozenSet[str], Tuple[LocationPattern, ...]]:
-    """The predicates ``atoms`` name outright, and the patterns of the rest."""
-    exact: Set[str] = set()
-    open_: Set[LocationPattern] = set()
-    for atom in atoms:
-        pattern = location_pattern(atom)
-        if None in pattern:
-            open_.add(pattern)
-        else:
-            exact.add("%s@%s" % pattern)
-    return frozenset(exact), tuple(open_)
-
-
-def _reads(body: Tuple[FrozenSet[str], Tuple[LocationPattern, ...]],
-           predicates: Set[str]) -> bool:
-    exact, open_ = body
-    return (not predicates.isdisjoint(exact)
-            or any(pattern_matches(pattern, predicate)
-                   for pattern in open_ for predicate in predicates))
+def _patterns_of(predicate: str) -> Tuple[LocationPattern, ...]:
+    """The four location patterns that agree with ``"rel@peer"``."""
+    name, _, owner = predicate.partition("@")
+    return (name, owner), (name, None), (None, owner), (None, None)
 
 
 class _ProgramAnalysis:
-    """Precomputed dependency structure of a peer's current program.
+    """What a stage needs to know about a peer's current program, computed
+    once per program: the strata, each rule's shape (body and head patterns)
+    and head targets, the magic relations the heads name, and the *reader
+    index* from each body pattern to the rules reading it.
 
     Cached on the engine and rebuilt whenever the rule set changes (own
-    rules added/removed/replaced, delegations installed or retracted) — the
-    cache is validated by object identity against ``state.all_rules()``, so
-    any mutation path is seen, including ones that bypass the engine API
-    (e.g. the delegation controller installing an approved rule).  The
-    superseded analysis is what the rule set is diffed against: a program
-    change reaches the fixpoint as the rules added and the rules removed.
+    rules added/removed/replaced, delegations installed or retracted) or the
+    peer's intensional relations do — the cache is validated by object
+    identity against ``state.all_rules()``, so any mutation path is seen,
+    including ones that bypass the engine API (e.g. the delegation
+    controller installing an approved rule).  The superseded analysis is
+    what the rule set is diffed against: a program change reaches the
+    fixpoint as the rules added and the rules removed.  A rebuild reuses the
+    shape of every rule that survives it, matched by identity.
 
     Dependencies are position-wise.  An atom whose relation or peer is a
     variable is kept as the pattern of its constant position, so
     ``communicate@$attendee`` is re-fired by ``communicate@*`` alone, and the
     closure of a head with a variable position is the finite set
     :func:`~repro.core.evaluation.head_targets` gives: no delta ever asks for
-    a full recompute.  The strata depend on that set too, so the analysis is
-    also rebuilt when a local relation becomes intensional.
+    a full recompute.  A predicate ``rel@peer`` is read exactly by the rules
+    filed under one of its four patterns (:func:`_patterns_of`), so
+    :meth:`reading` — which the seminaive loop, DRed's over-delete waves and
+    the closures below all ask — costs what the delta names, not what the
+    program holds.
     """
 
-    __slots__ = ("rules", "strata", "body", "head", "negated", "_defining")
+    __slots__ = ("rules", "local_intensional", "strata", "shape", "targets",
+                 "magic", "_by_head", "_negated", "_readers", "_stratum_of",
+                 "_by_predicate", "_defining")
 
-    def __init__(self, rules: Tuple[Rule, ...], local_intensional: FrozenSet[str]):
+    def __init__(self, rules: Tuple[Rule, ...], local_intensional: FrozenSet[str],
+                 previous: Optional["_ProgramAnalysis"] = None):
         self.rules = rules
+        self.local_intensional = local_intensional
         self.strata = stratification.stratify(rules, local_intensional)
-        # Both keyed by id(rule): the analysis keeps its rules alive, and the
-        # seminaive loop asks per rule and iteration — hashing a Rule walks
-        # every term of it.
-        self.body: Dict[int, Tuple[FrozenSet[str], Tuple[LocationPattern, ...]]] = {}
-        self.head: Dict[int, LocationPattern] = {}
-        for rule in rules:
-            self.body[id(rule)] = _split(rule.body)
-            self.head[id(rule)] = location_pattern(rule.head)
-        self.negated = _split(atom for rule in rules for atom in rule.body
-                              if atom.negated)
+        # Keyed by id(rule): the analysis keeps its rules alive, and a stage
+        # asks per rule — hashing a Rule walks every term of it.  ``shape``
+        # is (distinct body patterns, head pattern, negated body patterns);
+        # the targets of one head pattern are one set, shared by its rules.
+        self.shape: Dict[int, Tuple[Tuple[LocationPattern, ...], LocationPattern,
+                                    Tuple[LocationPattern, ...]]] = {}
+        self.targets: Dict[int, FrozenSet[str]] = {}
+        shapes = previous.shape if previous is not None else {}
+        known = (previous._by_head if previous is not None
+                 and previous.local_intensional is local_intensional else {})
+        self._by_head: Dict[LocationPattern, FrozenSet[str]] = {}
+        self._readers: Dict[LocationPattern, List[int]] = {}
+        negated: Set[LocationPattern] = set()
+        for position, rule in enumerate(rules):
+            key = id(rule)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = (tuple(dict.fromkeys(map(location_pattern, rule.body))),
+                         location_pattern(rule.head),
+                         tuple(location_pattern(atom) for atom in rule.body
+                               if atom.negated))
+            self.shape[key] = shape
+            head = shape[1]
+            if head not in self._by_head:
+                self._by_head[head] = known.get(head) or frozenset(
+                    head_targets(head, local_intensional))
+            self.targets[key] = self._by_head[head]
+            for pattern in shape[0]:
+                self._readers.setdefault(pattern, []).append(position)
+            negated.update(shape[2])
+        self._negated = frozenset(negated)
+        self.magic = tuple(sorted({
+            relation for _, (relation, _), _ in self.shape.values()
+            if relation is not None and relation.startswith(MAGIC_PREFIX)}))
+        self._stratum_of: Dict[int, int] = {
+            id(rule): number for number, stratum in enumerate(self.strata)
+            for rule in stratum} if len(self.strata) > 1 else {}
+        # predicate -> positions of its readers, filled as stages ask.
+        self._by_predicate: Dict[str, Tuple[int, ...]] = {}
         self._defining: Dict[str, List[Rule]] = {}
 
     def matches(self, rules: Tuple[Rule, ...]) -> bool:
@@ -104,16 +130,29 @@ class _ProgramAnalysis:
     def changes(self, rules: Tuple[Rule, ...]) -> Tuple[List[Rule], List[Rule]]:
         """``(added, removed)``: ``rules`` against the analysed ones, by identity."""
         current = {id(rule) for rule in rules}
-        return ([rule for rule in rules if id(rule) not in self.head],
+        return ([rule for rule in rules if id(rule) not in self.shape],
                 [rule for rule in self.rules if id(rule) not in current])
 
-    def triggered(self, rule: Rule, delta_predicates: Set[str]) -> bool:
-        """``True`` when a delta over these predicates can re-fire ``rule``."""
-        return _reads(self.body[id(rule)], delta_predicates)
+    def _readers_of(self, predicate: str) -> Tuple[int, ...]:
+        positions = self._by_predicate.get(predicate)
+        if positions is None:
+            found: Set[int] = set()
+            for pattern in _patterns_of(predicate):
+                found.update(self._readers.get(pattern, ()))
+            positions = self._by_predicate[predicate] = tuple(sorted(found))
+        return positions
 
-    def head_targets(self, rule: Rule, local_intensional: FrozenSet[str]) -> Set[str]:
-        """The predicates ``rule`` can derive into during a local fixpoint."""
-        return head_targets(self.head[id(rule)], local_intensional)
+    def reading(self, predicates: Iterable[str],
+                stratum: Optional[int] = None) -> List[Rule]:
+        """The rules whose body reads one of ``predicates``, in written order
+        (only the rules of stratum number ``stratum`` when given)."""
+        found: Set[int] = set()
+        for predicate in predicates:
+            found.update(self._readers_of(predicate))
+        rules = [self.rules[position] for position in sorted(found)]
+        if stratum is not None and self._stratum_of:
+            rules = [rule for rule in rules if self._stratum_of[id(rule)] == stratum]
+        return rules
 
     def defining(self, predicate: str) -> List[Rule]:
         """The rules whose head agrees with ``predicate`` (kept per predicate)."""
@@ -121,20 +160,19 @@ class _ProgramAnalysis:
         if rules is None:
             rules = self._defining[predicate] = [
                 rule for rule in self.rules
-                if pattern_matches(self.head[id(rule)], predicate)]
+                if pattern_matches(self.shape[id(rule)][1], predicate)]
         return rules
 
-    def feeds_itself(self, rules: List[Rule],
-                     local_intensional: FrozenSet[str]) -> bool:
+    def feeds_itself(self, rules: List[Rule]) -> bool:
         """``True`` when one of ``rules`` reads a predicate one of them
         derives into: only then can a second pass over them find more."""
         targets: Set[str] = set()
         for rule in rules:
-            targets |= self.head_targets(rule, local_intensional)
-        return any(self.triggered(rule, targets) for rule in rules)
+            targets |= self.targets[id(rule)]
+        ids = {id(rule) for rule in rules}
+        return any(id(rule) in ids for rule in self.reading(targets))
 
-    def reaches_negation(self, seed_predicates: Set[str],
-                         local_intensional: FrozenSet[str]) -> bool:
+    def reaches_negation(self, seed_predicates: Set[str]) -> bool:
         """``True`` when facts new in the seed predicates can reach a negated
         body occurrence — directly, or through the heads they derive into.
 
@@ -143,28 +181,21 @@ class _ProgramAnalysis:
         reached heads — it answers "what can this delta change", not "what
         must be recomputed").
         """
-        if not any(self.negated):
+        if not self._negated:
             return False
         reachable = set(seed_predicates)
-        pending = list(self.rules)
-        grown = True
-        while grown:
-            grown = False
-            waiting = []
-            for rule in pending:
-                if self.triggered(rule, reachable):
-                    targets = self.head_targets(rule, local_intensional)
-                    if not targets <= reachable:
-                        reachable |= targets
-                        grown = True
-                else:
-                    waiting.append(rule)
-            pending = waiting
-        return _reads(self.negated, reachable)
+        frontier = reachable
+        while frontier:
+            grown: Set[str] = set()
+            for rule in self.reading(frontier):
+                grown |= self.targets[id(rule)]
+            frontier = grown - reachable
+            reachable |= frontier
+        return any(pattern in self._negated
+                   for predicate in reachable for pattern in _patterns_of(predicate))
 
     def affected_closure(self, seed_predicates: Set[str],
                          seed_rules: List[Rule],
-                         local_intensional: FrozenSet[str],
                          shipped: Callable[[Rule], Set[str]]
                          ) -> Tuple[Set[str], Set[Rule]]:
         """Predicates and rules transitively reachable from a delta.
@@ -177,30 +208,36 @@ class _ProgramAnalysis:
         ``shipped(rule)``, the predicates of what it has sent or deferred so
         far (their recorded derivations die with the rule's memo).
         """
-        affected = set(seed_predicates)
+        closed = {id(rule) for rule in seed_rules}
         affected_rules: Set[Rule] = set(seed_rules)
-        seeded = {id(rule) for rule in seed_rules}
-        pending = []
+        targets: Dict[int, FrozenSet[str]] = {}
+        deriving: Dict[str, List[Rule]] = {}
+        fresh = set(seed_predicates)
         for rule in self.rules:
-            targets = self.head_targets(rule, local_intensional)
-            if None in self.head[id(rule)]:
-                targets |= shipped(rule)
-            if id(rule) in seeded:
-                affected |= targets
+            key = id(rule)
+            into = self.targets[key]
+            if None in self.shape[key][1]:
+                into = into | shipped(rule)
+            targets[key] = into
+            if key in closed:
+                fresh |= into
             else:
-                pending.append((rule, targets))
-        grown = True
-        while grown:
-            grown = False
-            waiting = []
-            for rule, targets in pending:
-                if self.triggered(rule, affected) or not targets.isdisjoint(affected):
+                for predicate in into:
+                    deriving.setdefault(predicate, []).append(rule)
+        affected = set(fresh)
+        while fresh:
+            candidates = self.reading(fresh)
+            for predicate in fresh:
+                candidates.extend(deriving.get(predicate, ()))
+            fresh = set()
+            for rule in candidates:
+                key = id(rule)
+                if key not in closed:
+                    closed.add(key)
                     affected_rules.add(rule)
-                    affected |= targets
-                    grown = True
-                else:
-                    waiting.append((rule, targets))
-            pending = waiting
+                    fresh |= targets[key]
+            fresh -= affected
+            affected |= fresh
         return affected, affected_rules
 
 
@@ -822,16 +859,24 @@ class WebdamLogEngine:
         union of the per-rule memo, so remote updates, delegations and
         deferred extensional writes diff against complete sets — exactly what
         a full recompute would have produced.
+
+        What depends only on the program — strata, head targets, which rules
+        read which predicates, the magic relations — comes from the cached
+        :class:`_ProgramAnalysis`, rebuilt only when the rule set or the
+        peer's intensional relations (kept by the schema registry) change.
+        The rest of a stage is work on its delta: the rules it re-fires are
+        looked up by the delta's predicates, not found by testing each rule.
         """
         rules = self.state.all_rules()
         previous = self._analysis
         added: List[Rule] = []
         removed: List[Rule] = []
         reclassified, self._newly_intensional = self._newly_intensional, set()
+        local_intensional = self.state.schemas.intensional_at(self.peer)
         rules_changed = previous is None or not previous.matches(rules)
-        if rules_changed or reclassified:
+        if rules_changed or previous.local_intensional is not local_intensional:
             analysis = self._analysis = _ProgramAnalysis(
-                rules, self._local_intensional())
+                rules, local_intensional, previous)
         else:
             analysis = previous
         if rules_changed:
@@ -863,7 +908,6 @@ class WebdamLogEngine:
             self._record_stage_plan(evaluator, analysis, result)
             return outcome
 
-        local_intensional = self._local_intensional()
         # A removed rule loses its memo, which retracts what it had sent.
         # What it derived into local intensional relations is only found by
         # rederiving those; under a provenance tracker so are the derivations
@@ -872,7 +916,7 @@ class WebdamLogEngine:
         for rule in removed:
             if rule in rules:
                 continue  # replaced by an equal rule: nothing was removed
-            head = location_pattern(rule.head)
+            head = previous.shape[id(rule)][1]
             if self.provenance is None:
                 orphaned |= head_targets(head, local_intensional) & local_intensional
             else:
@@ -887,13 +931,12 @@ class WebdamLogEngine:
         # intermediates.
         fresh = set(delta_predicates)
         for rule in added:
-            fresh |= analysis.head_targets(rule, local_intensional)
-        if (orphaned or reclassified
-                or analysis.reaches_negation(fresh, local_intensional)):
+            fresh |= analysis.targets[id(rule)]
+        if orphaned or reclassified or analysis.reaches_negation(fresh):
             result.evaluation_path = "rederive"
             affected_predicates, affected_rules = analysis.affected_closure(
                 delta_predicates | orphaned | reclassified, added,
-                local_intensional, self._shipped_predicates)
+                self._shipped_predicates)
             outcome = self._fixpoint_rederive(analysis, evaluator, result,
                                               affected_predicates, affected_rules,
                                               input_delta.deleted)
@@ -910,12 +953,6 @@ class WebdamLogEngine:
             return self._memo_outcome()
         self._record_stage_plan(evaluator, analysis, result)
         return outcome
-
-    def _local_intensional(self) -> FrozenSet[str]:
-        """The qualified names of this peer's intensional relations."""
-        return frozenset(
-            schema.qualified_name for schema in self.state.schemas
-            if schema.peer == self.peer and schema.is_intensional())
 
     def _evaluator(self, fact_source=None) -> RuleEvaluator:
         """The rule evaluator of one stage (it collects that stage's plans).
@@ -950,13 +987,9 @@ class WebdamLogEngine:
                            analysis: _ProgramAnalysis,
                            result: StageResult) -> None:
         """Surface the executed plans (and planner counters) on the stage."""
-        magic = tuple(sorted({
-            head for rule in analysis.rules
-            if (head := rule.head.relation_constant()) is not None
-            and head.startswith(MAGIC_PREFIX)}))
         plans = tuple(evaluator.plans_used.values())
-        if plans or magic:
-            result.plan = StagePlan(rule_plans=plans, magic_relations=magic)
+        if plans or analysis.magic:
+            result.plan = StagePlan(rule_plans=plans, magic_relations=analysis.magic)
         # Planner counters are lifetime totals, like the other eval counters.
         for key, value in self._planner.counters.items():
             self.eval_counters[key] = value
@@ -1007,16 +1040,13 @@ class WebdamLogEngine:
         for fact in derived_by_added:
             accumulated.setdefault(fact.qualified_relation, set()).add(fact)
 
-        for stratum in analysis.strata:
+        for stratum in range(len(analysis.strata)):
             delta = {predicate: set(facts)
                      for predicate, facts in accumulated.items()}
             while delta:
                 result.fixpoint_iterations += 1
-                delta_predicates = set(delta)
                 new_facts: Set[Fact] = set()
-                for rule in stratum:
-                    if not analysis.triggered(rule, delta_predicates):
-                        continue
+                for rule in analysis.reading(delta, stratum):
                     if not absorb(rule, evaluator.evaluate_rule_delta(rule, delta),
                                   new_facts):
                         return recompute()
@@ -1082,11 +1112,8 @@ class WebdamLogEngine:
             delta: Dict[str, Set[Fact]] = {}
             for fact in wave:
                 delta.setdefault(fact.qualified_relation, set()).add(fact)
-            delta_predicates = set(delta)
             wave = set()
-            for rule in analysis.rules:
-                if not analysis.triggered(rule, delta_predicates):
-                    continue
+            for rule in analysis.reading(delta):
                 outcome = looker.evaluate_rule_delta(rule, delta)
                 result.rules_evaluated += 1
                 result.substitutions_explored += outcome.substitutions_explored
@@ -1178,10 +1205,10 @@ class WebdamLogEngine:
                 self.provenance.on_full_recompute()
             else:
                 self.provenance.on_rederive(affected_predicates)
-        cleared = {schema.qualified_name: schema
-                   for schema in self.state.schemas.intensional()
-                   if schema.peer == self.peer
-                   and (full or schema.qualified_name in affected_predicates)}
+        local_intensional = analysis.local_intensional
+        cleared = {name: self.state.schemas.lookup(name)
+                   for name in sorted(local_intensional)
+                   if full or name in affected_predicates}
         if full:
             self._rule_memo = {}
         else:
@@ -1189,7 +1216,6 @@ class WebdamLogEngine:
                 self._rule_memo.pop(rule, None)
         self._outcome = None
 
-        local_intensional = self._local_intensional()
         passes = []
         for stratum in analysis.strata:
             selected = stratum if full else [r for r in stratum if r in affected_rules]
@@ -1197,7 +1223,7 @@ class WebdamLogEngine:
                 continue
             # A second pass only confirms the fixpoint unless a selected
             # rule reads what a selected rule derives.
-            recursive = analysis.feeds_itself(selected, local_intensional)
+            recursive = analysis.feeds_itself(selected)
             # Relations this stratum replaces instead of clearing: it must
             # define them alone, and key displacement needs insertion order.
             # Their rows are collected as value tuples, so a rule's facts die
@@ -1206,7 +1232,7 @@ class WebdamLogEngine:
             if not recursive:
                 ids = {id(rule) for rule in selected}
                 for rule in selected:
-                    for predicate in analysis.head_targets(rule, local_intensional):
+                    for predicate in analysis.targets[id(rule)]:
                         schema = cleared.get(predicate)
                         if (schema is not None and not schema.key_indexes()
                                 and all(id(other) in ids

@@ -358,12 +358,13 @@ class FactStore:
         return Delta.deletion(removed)
 
     def clear_nonpersistent(self) -> Delta:
-        """Remove facts of non-persistent extensional relations (end-of-stage semantics)."""
+        """Remove facts of non-persistent extensional relations (end-of-stage
+        semantics): the registry's scratch set names them, no table scan."""
         total = Delta.empty()
-        for key, table in self._tables.items():
-            schema = table.schema
-            if schema.is_extensional() and not schema.persistent and len(table):
-                total = total.merge(self.clear_relation(key.name, key.peer))
+        for name, peer in self.schemas.scratch_extensional:
+            table = self._tables.get(RelationName(name, peer))
+            if table is not None and len(table):
+                total = total.merge(self.clear_relation(name, peer))
         return total
 
     def _record(self, inserted: Set[Fact], deleted: Set[Fact]) -> None:

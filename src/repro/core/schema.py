@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import SchemaError
 
@@ -141,6 +141,9 @@ class RelationSchema:
         return f"collection {kind}{persistence} {self.qualified_name}({cols})"
 
 
+_NO_NAMES: FrozenSet[str] = frozenset()
+
+
 class SchemaRegistry:
     """Registry of the relation schemas known to one peer.
 
@@ -156,6 +159,13 @@ class SchemaRegistry:
         #: ``(name, peer)`` of every scratch intensional relation, kept as
         #: declared so that a stage's end does not scan the schemas.
         self.scratch_intensional: Set[Tuple[str, str]] = set()
+        #: ``(name, peer)`` of every scratch extensional relation, kept the
+        #: same way: the end of a stage empties exactly these.
+        self.scratch_extensional: Set[Tuple[str, str]] = set()
+        # Qualified names of each peer's intensional relations.  A peer's
+        # frozenset is replaced only when its membership changes, so a
+        # reader may compare it by identity.
+        self._intensional: Dict[str, FrozenSet[str]] = {}
         if schemas:
             for schema in schemas:
                 self.declare(schema)
@@ -202,10 +212,18 @@ class SchemaRegistry:
             return existing
         self._schemas[schema.relation_name] = schema
         key = (schema.name, schema.peer)
-        if schema.is_intensional() and not schema.persistent:
-            self.scratch_intensional.add(key)
-        else:
-            self.scratch_intensional.discard(key)
+        intensional = schema.is_intensional()
+        self.scratch_intensional.discard(key)
+        self.scratch_extensional.discard(key)
+        if not schema.persistent:
+            (self.scratch_intensional if intensional
+             else self.scratch_extensional).add(key)
+        names = self._intensional.get(schema.peer, _NO_NAMES)
+        qualified = schema.qualified_name
+        if intensional and qualified not in names:
+            self._intensional[schema.peer] = names | {qualified}
+        elif not intensional and qualified in names:
+            self._intensional[schema.peer] = names - {qualified}
         return schema
 
     def declare_implicit(self, name: str, peer: str, arity: int,
@@ -240,15 +258,10 @@ class SchemaRegistry:
             raise SchemaError(f"unknown relation {rel}")
         return schema
 
-    def extensional(self) -> Tuple[RelationSchema, ...]:
-        """All extensional schemas, sorted by qualified name."""
-        found = [s for s in self._schemas.values() if s.is_extensional()]
-        return tuple(sorted(found, key=lambda s: s.qualified_name))
-
-    def intensional(self) -> Tuple[RelationSchema, ...]:
-        """All intensional schemas, sorted by qualified name."""
-        found = [s for s in self._schemas.values() if s.is_intensional()]
-        return tuple(sorted(found, key=lambda s: s.qualified_name))
+    def intensional_at(self, peer: str) -> FrozenSet[str]:
+        """The qualified names of ``peer``'s intensional relations (the same
+        object until one is declared or re-declared with another kind)."""
+        return self._intensional.get(peer, _NO_NAMES)
 
 
 def declare(qualified: str, columns: Sequence[str], kind: str = "extensional",

@@ -121,6 +121,8 @@ class TestSchemaRegistry:
         registry = SchemaRegistry([
             RelationSchema("base", "p", ("a",)),
             RelationSchema("view", "p", ("a",), kind=RelationKind.INTENSIONAL),
+            RelationSchema("view", "q", ("a",), kind=RelationKind.INTENSIONAL),
         ])
-        assert [s.name for s in registry.extensional()] == ["base"]
-        assert [s.name for s in registry.intensional()] == ["view"]
+        assert registry.intensional_at("p") == {"view@p"}
+        assert registry.intensional_at("q") == {"view@q"}
+        assert registry.intensional_at("r") == frozenset()

@@ -56,8 +56,8 @@ def recompute_every_stage(engine: WebdamLogEngine) -> WebdamLogEngine:
 
     def recomputing_stage(*args, **kwargs):
         engine._analysis = None
-        for schema in list(state.schemas.intensional()):
-            if schema.peer == engine.peer:
+        for schema in list(state.schemas):
+            if schema.peer == engine.peer and schema.is_intensional():
                 state.derived.clear_relation(schema.name, schema.peer)
         return run_stage(*args, **kwargs)
 
