@@ -29,8 +29,6 @@ from repro.core.errors import AccessControlError
 from repro.core.facts import Fact, fact_identity
 from repro.provenance.graph import ProvenanceGraph
 
-_values_of = operator.attrgetter("values")
-
 
 class Privilege(enum.Enum):
     """Privileges that can be granted on a relation."""
@@ -223,13 +221,12 @@ class _Answer:
     ``facts`` are the last input and its answer, valid while no exception
     moves.
 
-    ``rows`` maps the ``id`` of a fact's ``values`` tuple to whether that
-    fact is an exception (``held`` keeps the tuples alive, so an id stays
-    its row's).  The memory backend hands the same row tuple to every
-    snapshot of a relation, so a later pass decides the rows it met without
-    hashing or comparing a fact.  Facts of one relation that share a
-    ``values`` tuple are one fact, so this is exact; ``row_hashes`` tells
-    when an exception that moved may have a remembered row.
+    ``rows`` maps the ``id`` of a fact to whether it is an exception
+    (``held`` keeps the facts alive, so an id stays its fact's).  The memory
+    backend stores fact objects and hands the same ones to every snapshot
+    of a relation, so a later pass decides the facts it met without hashing
+    or comparing one; ``row_hashes`` tells when an exception that moved may
+    have a remembered fact.
     """
 
     __slots__ = ("graph", "cursor", "default", "exceptions", "raw", "facts",
@@ -243,7 +240,7 @@ class _Answer:
         self.raw: Optional[Tuple[Fact, ...]] = None
         self.facts: Tuple[Fact, ...] = ()
         self.rows: Dict[int, bool] = {}
-        self.held: List[Tuple] = []
+        self.held: List[Fact] = []
         self.row_hashes: Set[int] = set()
 
     def forget_rows(self) -> None:
@@ -253,11 +250,11 @@ class _Answer:
 
     def select(self, facts: Tuple[Fact, ...]) -> Tuple[Fact, ...]:
         """The facts ``default`` and ``exceptions`` say the viewer may read,
-        in their order: one pass over the row identities."""
+        in their order: one pass over the fact identities."""
         rows = self.rows
         if len(rows) > 2 * len(facts) + 64:
-            self.forget_rows()                     # rows long deleted
-        ids = list(map(id, map(_values_of, facts)))
+            self.forget_rows()                     # facts long deleted
+        ids = list(map(id, facts))
         excepted = list(map(rows.get, ids))
         if None in excepted:
             positions = list(compress(count(), map(operator.is_, excepted,
@@ -266,7 +263,7 @@ class _Answer:
             keys = list(map(fact_identity, fresh))
             marks = list(map(self.exceptions.__contains__, keys))
             rows.update(zip(map(ids.__getitem__, positions), marks))
-            self.held.extend(map(_values_of, fresh))
+            self.held.extend(fresh)
             self.row_hashes.update(map(hash, keys))
             for position, mark in zip(positions, marks):
                 excepted[position] = mark

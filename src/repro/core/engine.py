@@ -1226,9 +1226,9 @@ class WebdamLogEngine:
             recursive = analysis.feeds_itself(selected)
             # Relations this stratum replaces instead of clearing: it must
             # define them alone, and key displacement needs insertion order.
-            # Their rows are collected as value tuples, so a rule's facts die
-            # with its outcome.
-            replaced: Dict[str, Tuple[RelationSchema, List[Tuple]]] = {}
+            # The derived facts are handed over as they are; a stored fact
+            # equal to one of them stays stored.
+            replaced: Dict[str, Tuple[RelationSchema, List[Fact]]] = {}
             if not recursive:
                 ids = {id(rule) for rule in selected}
                 for rule in selected:
@@ -1257,12 +1257,12 @@ class WebdamLogEngine:
                     for fact in outcome.local_intensional:
                         into = replaced.get(fact.qualified_relation)
                         if into is not None:
-                            into[1].append(fact.values)
+                            into[1].append(fact)
                         elif self.state.derived.insert(fact):
                             changed = recursive
                             result.derived_intensional += 1
-            for schema, rows in replaced.values():
-                self.state.derived.replace_relation(schema.name, schema.peer, rows)
+            for schema, facts in replaced.values():
+                self.state.derived.replace_relation(schema.name, schema.peer, facts)
                 result.derived_intensional += self.state.derived.count(
                     schema.name, schema.peer)
         return self._memo_outcome()

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, SchemaRegistry
 from repro.core.terms import Constant, ConstantValue, render_constant
-from repro.store.memory import MemoryBackend, MemoryTable
+
+if TYPE_CHECKING:
+    from repro.store.backend import StorageTable
 
 
 class Fact:
@@ -213,15 +216,23 @@ class FactStore:
     On a durable backend that already holds tables for this namespace (a
     reopened peer), the tables are re-attached — and their facts become
     visible — before any new write happens.
+
+    The store wraps nothing: its tables take and hand back :class:`Fact`
+    objects, so what a delta, a scan or a snapshot holds is what the table
+    holds (on the memory backend, the very objects that were inserted).
     """
 
     def __init__(self, schemas: Optional[SchemaRegistry] = None, owner: Optional[str] = None,
                  backend=None, namespace: str = "store"):
         self.schemas = schemas if schemas is not None else SchemaRegistry()
         self.owner = owner
-        self.backend = backend if backend is not None else MemoryBackend()
+        if backend is None:
+            # Imported here: the storage backends import Fact from this module.
+            from repro.store.memory import MemoryBackend
+            backend = MemoryBackend()
+        self.backend = backend
         self.namespace = namespace
-        self._tables: Dict[RelationName, MemoryTable] = {}
+        self._tables: Dict[Tuple[str, str], StorageTable] = {}
         self._pending_inserted: Set[Fact] = set()
         self._pending_deleted: Set[Fact] = set()
         # Bumped per recorded change of a relation; readers that cache a
@@ -235,7 +246,7 @@ class FactStore:
             if schema is None:
                 schema = self.schemas.declare_implicit(relation, peer, arity,
                                                        kind=default_kind)
-            self._tables[RelationName(relation, peer)] = self.backend.table(
+            self._tables[(relation, peer)] = self.backend.table(
                 namespace, schema)
 
     # ------------------------------------------------------------------ #
@@ -244,7 +255,7 @@ class FactStore:
 
     def _table(self, relation: str, peer: str, arity: Optional[int] = None,
                create: bool = True):
-        key = RelationName(relation, peer)
+        key = (relation, peer)
         table = self._tables.get(key)
         if table is not None:
             return table
@@ -259,7 +270,8 @@ class FactStore:
 
     def relations(self) -> Tuple[RelationName, ...]:
         """Identifiers of every relation that has a table (possibly empty)."""
-        return tuple(sorted(self._tables, key=str))
+        return tuple(sorted((RelationName(name, peer) for name, peer in self._tables),
+                            key=str))
 
     # ------------------------------------------------------------------ #
     # updates
@@ -268,11 +280,9 @@ class FactStore:
     def insert(self, fact: Fact) -> Delta:
         """Insert ``fact``; returns the resulting delta (empty if already present)."""
         table = self._table(fact.relation, fact.peer, fact.arity)
-        inserted_rows, deleted_rows = table.insert(fact.values)
-        delta_inserted = {Fact(fact.relation, fact.peer, row) for row in inserted_rows}
-        delta_deleted = {Fact(fact.relation, fact.peer, row) for row in deleted_rows}
-        self._record(delta_inserted, delta_deleted)
-        return Delta(frozenset(delta_inserted), frozenset(delta_deleted))
+        inserted, deleted = table.insert(fact)
+        self._record(inserted, deleted)
+        return Delta(frozenset(inserted), frozenset(deleted))
 
     def insert_many(self, facts: Iterable[Fact]) -> Delta:
         """Insert several facts; returns the merged delta.
@@ -287,16 +297,15 @@ class FactStore:
         """
         inserted: Set[Fact] = set()
         deleted: Set[Fact] = set()
-        grouped: Dict[RelationName, List[Fact]] = {}
+        grouped: Dict[Tuple[str, str], List[Fact]] = {}
         for fact in facts:
-            grouped.setdefault(fact.relation_name, []).append(fact)
-        for key, group in grouped.items():
-            table = self._table(key.name, key.peer, group[0].arity)
-            if not table.schema.key_indexes() and hasattr(table, "insert_many"):
-                rows, _ = table.insert_many([fact.values for fact in group])
-                batch = {Fact(key.name, key.peer, row) for row in rows}
-                self._record(batch, set())
-                inserted |= batch
+            grouped.setdefault((fact.relation, fact.peer), []).append(fact)
+        for (relation, peer), group in grouped.items():
+            table = self._table(relation, peer, group[0].arity)
+            if not table.schema.key_indexes():
+                batch, _ = table.insert_many(group)
+                self._record(batch, ())
+                inserted.update(batch)
                 continue
             for fact in group:
                 _fold(inserted, deleted, self.insert(fact))
@@ -305,10 +314,11 @@ class FactStore:
     def delete(self, fact: Fact) -> Delta:
         """Delete ``fact``; returns the resulting delta (empty if absent)."""
         table = self._table(fact.relation, fact.peer, fact.arity, create=False)
-        if table is None or not table.delete(fact.values):
+        removed = None if table is None else table.delete(fact)
+        if removed is None:
             return Delta.empty()
-        self._record(set(), {fact})
-        return Delta.deletion([fact])
+        self._record((), (removed,))
+        return Delta.deletion((removed,))
 
     def delete_many(self, facts: Iterable[Fact]) -> Delta:
         """Delete several facts; returns the merged delta."""
@@ -325,26 +335,22 @@ class FactStore:
             _fold(inserted, deleted, self.insert(fact))
         return Delta(frozenset(inserted), frozenset(deleted))
 
-    def replace_relation(self, relation: str, peer: str,
-                         rows: Iterable[Tuple[ConstantValue, ...]]) -> Delta:
-        """Make ``relation@peer`` hold exactly the value tuples ``rows``;
-        returns the delta.
+    def replace_relation(self, relation: str, peer: str, facts: Iterable[Fact]) -> Delta:
+        """Make ``relation@peer`` hold exactly ``facts``; returns the delta.
 
-        Writes only the difference, in one batch each way, and builds facts
-        only for the rows that leave or arrive: the pending delta and the
-        generation see exactly those, as if the relation had been cleared
-        and ``rows`` inserted.  Only for relations without a primary key
-        (displacement makes insertion order observable).
+        Writes only the difference, in one batch each way: the pending delta
+        and the generation see exactly the facts that leave or arrive, as if
+        the relation had been cleared and ``facts`` inserted.  A stored fact
+        equal to an arriving one stays stored.  Only for relations without a
+        primary key (displacement makes insertion order observable).
         """
-        rows = list(rows)
-        table = self._table(relation, peer, len(rows[0]) if rows else None)
+        facts = list(facts)
+        table = self._table(relation, peer, facts[0].arity if facts else None)
         if table is None:
             return Delta.empty()
         if table.schema.key_indexes():
             raise SchemaError(f"cannot replace keyed relation {table.schema.qualified_name}")
-        inserted_rows, deleted_rows = table.replace(rows)
-        inserted = {Fact(relation, peer, row) for row in inserted_rows}
-        deleted = {Fact(relation, peer, row) for row in deleted_rows}
+        inserted, deleted = table.replace(facts)
         self._record(inserted, deleted)
         return Delta(frozenset(inserted), frozenset(deleted))
 
@@ -353,8 +359,8 @@ class FactStore:
         table = self._table(relation, peer, create=False)
         if table is None:
             return Delta.empty()
-        removed = {Fact(relation, peer, row) for row in table.clear()}
-        self._record(set(), removed)
+        removed = table.clear()
+        self._record((), removed)
         return Delta.deletion(removed)
 
     def clear_nonpersistent(self) -> Delta:
@@ -362,12 +368,12 @@ class FactStore:
         semantics): the registry's scratch set names them, no table scan."""
         total = Delta.empty()
         for name, peer in self.schemas.scratch_extensional:
-            table = self._tables.get(RelationName(name, peer))
+            table = self._tables.get((name, peer))
             if table is not None and len(table):
                 total = total.merge(self.clear_relation(name, peer))
         return total
 
-    def _record(self, inserted: Set[Fact], deleted: Set[Fact]) -> None:
+    def _record(self, inserted: Iterable[Fact], deleted: Iterable[Fact]) -> None:
         generations = self._generations
         for fact in deleted:
             key = (fact.relation, fact.peer)
@@ -416,7 +422,7 @@ class FactStore:
     def contains(self, fact: Fact) -> bool:
         """Return ``True`` if ``fact`` is currently stored."""
         table = self._table(fact.relation, fact.peer, create=False)
-        return table is not None and fact.values in table
+        return table is not None and fact in table
 
     def count(self, relation: str, peer: str) -> int:
         """Number of facts currently stored in ``relation@peer``."""
@@ -427,25 +433,19 @@ class FactStore:
         """Total number of facts across all relations."""
         return sum(len(table) for table in self._tables.values())
 
-    def rows(self, relation: str, peer: str,
-             bindings: Optional[Dict[int, ConstantValue]] = None
-             ) -> Iterator[Tuple[ConstantValue, ...]]:
-        """Iterate over the value tuples of ``relation@peer`` matching ``bindings``."""
+    def facts(self, relation: str, peer: str,
+              bindings: Optional[Dict[int, ConstantValue]] = None) -> Iterator[Fact]:
+        """Iterate over the stored facts of ``relation@peer`` matching
+        positional ``bindings``."""
         table = self._table(relation, peer, create=False)
         if table is None:
             return iter(())
         return table.scan(bindings)
 
-    def facts(self, relation: str, peer: str,
-              bindings: Optional[Dict[int, ConstantValue]] = None) -> Iterator[Fact]:
-        """Iterate over the facts of ``relation@peer`` matching positional ``bindings``."""
-        return (Fact(relation, peer, row) for row in self.rows(relation, peer, bindings))
-
     def all_facts(self) -> Iterator[Fact]:
         """Iterate over every stored fact."""
-        for key, table in self._tables.items():
-            for row in table:
-                yield Fact(key.name, key.peer, row)
+        for table in self._tables.values():
+            yield from table
 
     def relation_snapshot(self, relation: str, peer: str) -> FrozenSet[Fact]:
         """Frozen snapshot of ``relation@peer``."""

@@ -113,11 +113,6 @@ class RelationSchema:
         return len(self.columns)
 
     @property
-    def relation_name(self) -> RelationName:
-        """Fully-qualified ``name@peer`` identifier."""
-        return RelationName(self.name, self.peer)
-
-    @property
     def qualified_name(self) -> str:
         """The string ``"name@peer"``."""
         return f"{self.name}@{self.peer}"
@@ -155,7 +150,9 @@ class SchemaRegistry:
     """
 
     def __init__(self, schemas: Optional[Iterable[RelationSchema]] = None):
-        self._schemas: Dict[RelationName, RelationSchema] = {}
+        # Keyed by the plain ``(name, peer)`` pair: a lookup builds no
+        # validated RelationName.
+        self._schemas: Dict[Tuple[str, str], RelationSchema] = {}
         #: ``(name, peer)`` of every scratch intensional relation, kept as
         #: declared so that a stage's end does not scan the schemas.
         self.scratch_intensional: Set[Tuple[str, str]] = set()
@@ -180,15 +177,13 @@ class SchemaRegistry:
         return self._coerce_key(key) in self._schemas
 
     @staticmethod
-    def _coerce_key(key) -> RelationName:
-        if isinstance(key, RelationName):
-            return key
-        if isinstance(key, RelationSchema):
-            return key.relation_name
+    def _coerce_key(key) -> Tuple[str, str]:
         if isinstance(key, str):
-            return RelationName.parse(key)
-        if isinstance(key, tuple) and len(key) == 2:
-            return RelationName(key[0], key[1])
+            key = RelationName.parse(key)
+        elif isinstance(key, tuple) and len(key) == 2:
+            key = RelationName(key[0], key[1])
+        if isinstance(key, (RelationName, RelationSchema)):
+            return key.name, key.peer
         raise SchemaError(f"cannot interpret {key!r} as a relation identifier")
 
     def declare(self, schema: RelationSchema, replace: bool = False) -> RelationSchema:
@@ -198,7 +193,8 @@ class SchemaRegistry:
         different arity or kind raises :class:`SchemaError` unless
         ``replace=True`` is passed.
         """
-        existing = self._schemas.get(schema.relation_name)
+        key = (schema.name, schema.peer)
+        existing = self._schemas.get(key)
         if existing is not None and not replace:
             if existing == schema:
                 return existing
@@ -210,8 +206,7 @@ class SchemaRegistry:
                 )
             # Same arity/kind but e.g. different column names: keep the first.
             return existing
-        self._schemas[schema.relation_name] = schema
-        key = (schema.name, schema.peer)
+        self._schemas[key] = schema
         intensional = schema.is_intensional()
         self.scratch_intensional.discard(key)
         self.scratch_extensional.discard(key)
@@ -248,14 +243,14 @@ class SchemaRegistry:
 
     def get(self, name: str, peer: str) -> Optional[RelationSchema]:
         """Return the schema of ``name@peer`` or ``None`` if unknown."""
-        return self._schemas.get(RelationName(name, peer))
+        return self._schemas.get((name, peer))
 
     def lookup(self, key) -> RelationSchema:
         """Return the schema for ``key`` (string, tuple or RelationName); raise if unknown."""
-        rel = self._coerce_key(key)
-        schema = self._schemas.get(rel)
+        name, peer = self._coerce_key(key)
+        schema = self._schemas.get((name, peer))
         if schema is None:
-            raise SchemaError(f"unknown relation {rel}")
+            raise SchemaError(f"unknown relation {name}@{peer}")
         return schema
 
     def intensional_at(self, peer: str) -> FrozenSet[str]:

@@ -439,7 +439,9 @@ class PeerState:
         sources records a change of that relation, so a page that polls an
         unchanged relation neither rebuilds nor re-sorts its facts.  The
         stores invalidate it at the write itself, not at the stage boundary:
-        a fact inserted between two stages is visible to the next read.
+        a fact inserted between two stages is visible to the next read.  On
+        the memory backend the stores hand out their own facts, so a rebuild
+        re-sorts objects that already carry their renderings.
         """
         target_peer = peer or self.peer
         if target_peer != self.peer:

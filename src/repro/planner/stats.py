@@ -13,7 +13,10 @@ churn without rescanning on every plan.
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, Tuple
+
+_values_of = attrgetter("values")
 
 #: A cached distinct-count (and a cached plan, see
 #: :class:`~repro.planner.ordering.BodyPlanner`) is considered stale when the
@@ -64,8 +67,8 @@ class StatsProvider:
         cached = self._distinct.get(key)
         if cached is None or drifted(cached[0], count):
             state = self.state
-            columns = zip(*chain(state.store.rows(relation, peer),
-                                 state.derived.rows(relation, peer)))
+            columns = zip(*map(_values_of, chain(state.store.facts(relation, peer),
+                                                 state.derived.facts(relation, peer))))
             cached = self._distinct[key] = (count, tuple(
                 len(set(zip(map(type, column), column))) for column in columns))
         sizes = cached[1]  # empty for an empty relation

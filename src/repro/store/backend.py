@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Protocol, Tuple,
+                    runtime_checkable)
 
 from repro.core.errors import WebdamLogError
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
+
+if TYPE_CHECKING:
+    from repro.core.facts import Fact
 
 #: Environment variable naming the default backend (``memory`` or ``sqlite``).
 DEFAULT_BACKEND_ENV = "REPRO_STORE_BACKEND"
@@ -38,50 +42,54 @@ class StoreError(WebdamLogError):
     """Raised for storage-backend failures (unknown backend, catalog mismatch)."""
 
 
-Row = Tuple[ConstantValue, ...]
-
-
 @runtime_checkable
 class StorageTable(Protocol):
-    """Storage for the tuples of one relation.
+    """Storage for the facts of one relation.
 
-    The contract mirrors the historical in-memory relation table exactly:
-    type-strict matching (``True`` is distinct from ``1``), primary-key
-    last-writer-wins replacement when the schema declares a key, and
-    :meth:`scan` with positional bindings never post-filters.
+    A table takes and returns :class:`~repro.core.facts.Fact` objects of its
+    relation.  The contract: type-strict matching (``True`` is distinct from
+    ``1``), primary-key last-writer-wins replacement when the schema
+    declares a key, and :meth:`scan` with positional bindings never
+    post-filters.  A table that keeps objects (the memory backend) stores
+    the fact it is handed and yields that object from every scan; one that
+    keeps rows (SQLite) builds a fact per scanned row.
     """
 
     schema: RelationSchema
 
     def __len__(self) -> int: ...
 
-    def __contains__(self, values: Row) -> bool: ...
+    def __contains__(self, fact: Fact) -> bool: ...
 
-    def __iter__(self) -> Iterator[Row]: ...
+    def __iter__(self) -> Iterator[Fact]: ...
 
-    def insert(self, values: Row) -> Tuple[List[Row], List[Row]]:
-        """Insert a tuple; return ``(inserted_rows, deleted_rows)``."""
+    def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
+        """Insert a fact; return ``(inserted, displaced)`` facts."""
         ...
 
-    def delete(self, values: Row) -> bool:
-        """Delete a tuple; return ``True`` if it was present."""
+    def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
+        """Insert several facts; return ``(inserted, displaced)`` facts."""
         ...
 
-    def delete_many(self, rows: Iterable[Row]) -> None:
-        """Delete several stored tuples in one batch."""
+    def delete(self, fact: Fact) -> Optional[Fact]:
+        """Delete a fact; return the stored fact removed, or ``None``."""
         ...
 
-    def replace(self, rows: Iterable[Row]) -> Tuple[List[Row], List[Row]]:
-        """Make an unkeyed table hold exactly ``rows``, writing only the
-        difference; return ``(inserted_rows, deleted_rows)``."""
+    def delete_many(self, facts: Iterable[Fact]) -> None:
+        """Delete several stored facts in one batch."""
         ...
 
-    def clear(self) -> List[Row]:
-        """Remove every tuple; return the removed rows."""
+    def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
+        """Make an unkeyed table hold exactly ``facts``, writing only the
+        difference; return ``(inserted, removed)`` facts."""
         ...
 
-    def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None) -> Iterator[Row]:
-        """Iterate over tuples matching ``{position: value}`` bindings exactly."""
+    def clear(self) -> List[Fact]:
+        """Remove every fact; return the removed facts."""
+        ...
+
+    def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None) -> Iterator[Fact]:
+        """Iterate over facts matching ``{position: value}`` bindings exactly."""
         ...
 
 

@@ -1,206 +1,199 @@
-"""The in-memory storage backend: hash-indexed Python sets.
+"""The in-memory storage backend: hash-indexed Python dicts of facts.
 
-This is the storage engine the reproduction always had — it used to live as a
-private class inside :mod:`repro.core.facts` and was extracted verbatim when
-the backend seam was introduced.  It is the default backend: fastest for
-anything that fits in RAM, with zero durability.
+A table stores the fact objects it is handed and hands the same objects back
+on every scan.  It is the default backend: fastest for anything that fits in
+RAM, with zero durability.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
 
+if TYPE_CHECKING:
+    from repro.core.facts import Fact
+
 
 class MemoryTable:
-    """Hash-indexed storage for one relation.
+    """Hash-indexed storage for the facts of one relation.
 
-    Tuples are stored keyed by a *typed* row key — ``bool`` is a subclass of
-    ``int`` and ``1 == 1.0`` in Python, but :class:`~repro.core.terms.Constant`
-    equality (and the SQLite backend's tag columns) keep ``True``, ``1`` and
-    ``1.0`` distinct, so row identity must too.  Secondary hash indexes keyed
-    by *subsets of columns* are built lazily the first time a lookup with that
-    bound-column set is issued, and maintained incrementally on every
-    insert/delete afterwards — an indexed lookup never rescans the relation
-    and never post-filters, it is an exact hash probe.
+    A table keeps the :class:`~repro.core.facts.Fact` objects it is handed:
+    a scan yields them, so a stored fact keeps its identity, its hash and
+    its cached rendering for as long as it stays stored, and a reader that
+    snapshots a relation builds no fact.  Facts are keyed by their own
+    *typed* values key (the third part of ``Fact._key``) — ``bool`` is a
+    subclass of ``int`` and ``1 == 1.0`` in Python, but
+    :class:`~repro.core.terms.Constant` equality (and the SQLite backend's
+    tag columns) keep ``True``, ``1`` and ``1.0`` distinct, so fact identity
+    must too.  Secondary hash indexes keyed by *subsets of columns* are built
+    lazily the first time a lookup with that bound-column set is issued, and
+    maintained incrementally on every insert/delete afterwards — an indexed
+    lookup never rescans the relation and never post-filters, it is an exact
+    hash probe.  Their buckets hold the same fact objects.
     """
 
-    __slots__ = ("schema", "_tuples", "_indexes")
+    __slots__ = ("schema", "_arity", "_key_positions", "_facts", "_indexes")
 
     def __init__(self, schema: RelationSchema):
         self.schema = schema
-        self._tuples: Dict[Tuple, Tuple[ConstantValue, ...]] = {}
-        # {(col, col, ...): {key-tuple: {row-key: row}}} — one hash index per
-        # bound-column subset.
-        self._indexes: Dict[Tuple[int, ...],
-                            Dict[Tuple, Dict[Tuple, Tuple[ConstantValue, ...]]]] = {}
+        self._arity = schema.arity
+        self._key_positions = schema.key_indexes()
+        self._facts: Dict[Tuple, Fact] = {}
+        # {(col, col, ...): {key-tuple: {typed values key: fact}}} — one hash
+        # index per bound-column subset.
+        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, Dict[Tuple, Fact]]] = {}
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._facts)
 
-    def __contains__(self, values: Tuple[ConstantValue, ...]) -> bool:
-        return self._row_key(tuple(values)) in self._tuples
+    def __contains__(self, fact: Fact) -> bool:
+        return fact._key[2] in self._facts
 
-    def __iter__(self) -> Iterator[Tuple[ConstantValue, ...]]:
-        return iter(self._tuples.values())
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._facts.values())
 
     def _index_for(self, positions: Tuple[int, ...]
-                   ) -> Dict[Tuple, Dict[Tuple, Tuple[ConstantValue, ...]]]:
+                   ) -> Dict[Tuple, Dict[Tuple, Fact]]:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
-            for row_key, row in self._tuples.items():
-                key = tuple(self._index_key(row[p]) for p in positions)
-                index.setdefault(key, {})[row_key] = row
+            for key, fact in self._facts.items():
+                index.setdefault(tuple([key[p] for p in positions]), {})[key] = fact
             self._indexes[positions] = index
         return index
 
-    @staticmethod
-    def _index_key(value: ConstantValue):
-        # bool is a subclass of int; keep True distinct from 1 in indexes,
-        # matching Constant equality semantics.
-        return (type(value).__name__, value)
+    def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
+        """Store ``fact``.  Returns ``(inserted, displaced)`` facts.
 
-    @classmethod
-    def _row_key(cls, values: Tuple[ConstantValue, ...]) -> Tuple:
-        return tuple(cls._index_key(v) for v in values)
-
-    def insert(self, values: Tuple[ConstantValue, ...]) -> Tuple[List[Tuple], List[Tuple]]:
-        """Insert a tuple.  Returns ``(inserted_rows, deleted_rows)``.
-
-        When the schema declares a primary key, an existing tuple with the
-        same key is replaced (last-writer-wins), which yields one deletion.
+        When the schema declares a primary key, a stored fact with the same
+        key is displaced (last-writer-wins): one probe of the key columns'
+        index finds it.
         """
-        values = self._checked(values)
-        row_key = self._row_key(values)
-        if row_key in self._tuples:
+        key = self._checked(fact)
+        if key in self._facts:
             return [], []
-        deleted: List[Tuple[ConstantValue, ...]] = []
-        key_idx = self.schema.key_indexes()
-        if key_idx:
-            key_value = self._row_key(tuple(values[i] for i in key_idx))
-            for row in list(self._tuples.values()):
-                if self._row_key(tuple(row[i] for i in key_idx)) == key_value:
-                    self._remove(row)
-                    deleted.append(row)
-        self._add(row_key, values)
-        return [values], deleted
+        displaced: List[Fact] = []
+        positions = self._key_positions
+        if positions:
+            bucket = self._index_for(positions).get(tuple([key[p] for p in positions]))
+            if bucket:
+                displaced = list(bucket.values())
+                for old in displaced:
+                    self._remove(old._key[2])
+        self._add(key, fact)
+        return [fact], displaced
 
-    def insert_many(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
-        """Batched insert.  Returns ``(inserted_rows, deleted_rows)``.
+    def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
+        """Batched insert.  Returns ``(inserted, displaced)`` facts.
 
-        Keyed relations fall back to per-row :meth:`insert` (replacement
+        Keyed relations fall back to per-fact :meth:`insert` (replacement
         semantics make intra-batch order observable); unkeyed relations skip
-        duplicates in one pass and never delete.
+        duplicates in one pass and never displace.
         """
-        if self.schema.key_indexes():
-            all_inserted: List[Tuple[ConstantValue, ...]] = []
-            all_deleted: List[Tuple[ConstantValue, ...]] = []
-            for row in rows:
-                inserted, deleted = self.insert(row)
+        if self._key_positions:
+            all_inserted: List[Fact] = []
+            all_displaced: List[Fact] = []
+            for fact in facts:
+                inserted, displaced = self.insert(fact)
                 all_inserted.extend(inserted)
-                all_deleted.extend(deleted)
-            return all_inserted, all_deleted
+                all_displaced.extend(displaced)
+            return all_inserted, all_displaced
         inserted = []
-        for row in rows:
-            values = self._checked(row)
-            row_key = self._row_key(values)
-            if row_key in self._tuples:
+        stored = self._facts
+        for fact in facts:
+            key = self._checked(fact)
+            if key in stored:
                 continue
-            self._add(row_key, values)
-            inserted.append(values)
+            self._add(key, fact)
+            inserted.append(fact)
         return inserted, []
 
-    def delete(self, values: Tuple[ConstantValue, ...]) -> bool:
-        """Delete a tuple; return ``True`` if it was present."""
-        values = tuple(values)
-        if self._row_key(values) not in self._tuples:
-            return False
-        self._remove(values)
-        return True
+    def delete(self, fact: Fact) -> Optional[Fact]:
+        """Delete ``fact``; return the stored fact it removed, or ``None``."""
+        return self._remove(fact._key[2])
 
-    def delete_many(self, rows) -> None:
-        """Delete several stored tuples."""
-        for row in rows:
-            self._remove(tuple(row))
+    def delete_many(self, facts: Iterable[Fact]) -> None:
+        """Delete several stored facts."""
+        for fact in facts:
+            self._remove(fact._key[2])
 
-    def replace(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
-        """Make the table hold exactly ``rows``; return ``(inserted_rows,
-        deleted_rows)``.
+    def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
+        """Make the table hold exactly ``facts``; return ``(inserted,
+        removed)`` facts.
 
-        For unkeyed relations.  The stored rows are read once and compared
-        by typed row key; only the rows that leave and the rows that arrive
-        are written.
+        For unkeyed relations.  The stored facts are read once and compared
+        by typed values key; only the facts that leave and the facts that
+        arrive are written, and a stored fact equal to an arriving one stays
+        (the arriving object is dropped).
         """
-        arriving: Dict[Tuple, Tuple[ConstantValue, ...]] = {}
-        for row in rows:
-            values = self._checked(row)
-            arriving.setdefault(self._row_key(values), values)
-        leaving = [row for row_key, row in self._tuples.items()
-                   if arriving.pop(row_key, None) is None]
+        arriving: Dict[Tuple, Fact] = {}
+        for fact in facts:
+            arriving.setdefault(self._checked(fact), fact)
+        leaving = [fact for key, fact in self._facts.items()
+                   if arriving.pop(key, None) is None]
         self.delete_many(leaving)
-        for row_key, values in arriving.items():
-            self._add(row_key, values)
+        for key, fact in arriving.items():
+            self._add(key, fact)
         return list(arriving.values()), leaving
 
-    def _checked(self, row) -> Tuple[ConstantValue, ...]:
-        values = tuple(row)
-        if len(values) != self.schema.arity:
+    def _checked(self, fact: Fact) -> Tuple:
+        key = fact._key[2]
+        if len(key) != self._arity:
             raise SchemaError(
                 f"arity mismatch inserting into {self.schema.qualified_name}: "
-                f"expected {self.schema.arity}, got {len(values)}"
+                f"expected {self._arity}, got {len(key)}"
             )
-        return values
+        return key
 
-    def _add(self, row_key: Tuple, values: Tuple[ConstantValue, ...]) -> None:
-        self._tuples[row_key] = values
+    def _add(self, key: Tuple, fact: Fact) -> None:
+        self._facts[key] = fact
         for positions, index in self._indexes.items():
-            key = tuple(self._index_key(values[p]) for p in positions)
-            index.setdefault(key, {})[row_key] = values
+            index.setdefault(tuple([key[p] for p in positions]), {})[key] = fact
 
-    def _remove(self, values: Tuple[ConstantValue, ...]) -> None:
-        row_key = self._row_key(values)
-        self._tuples.pop(row_key, None)
+    def _remove(self, key: Tuple) -> Optional[Fact]:
+        fact = self._facts.pop(key, None)
+        if fact is None:
+            return None
         for positions, index in self._indexes.items():
-            key = tuple(self._index_key(values[p]) for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.pop(row_key, None)
-                if not bucket:
-                    del index[key]
+            probe = tuple([key[p] for p in positions])
+            bucket = index[probe]
+            del bucket[key]
+            if not bucket:
+                del index[probe]
+        return fact
 
-    def clear(self) -> List[Tuple[ConstantValue, ...]]:
-        """Remove every tuple; return the removed rows."""
-        removed = list(self._tuples.values())
-        self._tuples.clear()
+    def clear(self) -> List[Fact]:
+        """Remove every fact; return the removed facts."""
+        removed = list(self._facts.values())
+        self._facts.clear()
         self._indexes.clear()
         return removed
 
     def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None
-             ) -> Iterator[Tuple[ConstantValue, ...]]:
-        """Iterate over tuples matching the given ``{column: value}`` bindings.
+             ) -> Iterator[Fact]:
+        """Iterate over the stored facts matching ``{column: value}`` bindings.
 
         With no bindings this is a full scan.  With bindings, the hash index
-        on exactly that column subset is probed — every returned row matches
+        on exactly that column subset is probed — every returned fact matches
         all bindings, no post-filtering happens.
         """
         if not bindings:
-            yield from self._tuples.values()
+            yield from self._facts.values()
             return
         positions = tuple(sorted(bindings))
-        if positions[-1] >= self.schema.arity:
+        if positions[-1] >= self._arity:
             # A bound position beyond the relation's arity can never match.
             return
-        key = tuple(self._index_key(bindings[p]) for p in positions)
-        if len(positions) == self.schema.arity:
-            # Every column bound: the rows are already keyed by exactly this,
-            # a "does this tuple exist" probe needs no index of its own.
-            row = self._tuples.get(key)
-            if row is not None:
-                yield row
+        key = tuple([(type(bindings[p]), bindings[p]) for p in positions])
+        if len(positions) == self._arity:
+            # Every column bound: the facts are already keyed by exactly
+            # this, a "does this fact exist" probe needs no index of its own.
+            fact = self._facts.get(key)
+            if fact is not None:
+                yield fact
             return
         yield from self._index_for(positions).get(key, {}).values()
 

@@ -32,9 +32,10 @@ crash/recovery suite uses.
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import SchemaError
+from repro.core.facts import Fact
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
 from repro.store.backend import StoreError
@@ -100,7 +101,12 @@ def _pair_columns(arity: int) -> List[str]:
 
 
 class SqliteTable:
-    """One relation stored as a SQLite table of tag/value column pairs."""
+    """One relation stored as a SQLite table of tag/value column pairs.
+
+    The table speaks facts like every table: it stores the values of the
+    facts it is handed, and a scan decodes each row into a new
+    :class:`~repro.core.facts.Fact` (the rows live on disk, not the objects).
+    """
 
     __slots__ = ("backend", "schema", "table_name", "_arity", "_cols",
                  "_col_list", "_insert_sql", "_delete_sql", "_indexed")
@@ -133,10 +139,10 @@ class SqliteTable:
             params.append(stored)
         return tuple(params)
 
-    def _decode_row(self, row) -> Tuple[ConstantValue, ...]:
-        if not self._arity:
-            return ()
-        return tuple(decode_column(row[2 * i], row[2 * i + 1]) for i in range(self._arity))
+    def _decode_fact(self, row) -> Fact:
+        values = tuple(decode_column(row[2 * i], row[2 * i + 1])
+                       for i in range(self._arity))
+        return Fact(self.schema.name, self.schema.peer, values)
 
     def _eq_clause(self, count: int) -> str:
         if not count:
@@ -149,18 +155,18 @@ class SqliteTable:
         cur = self.backend.execute(f'SELECT COUNT(*) FROM "{self.table_name}"')
         return cur.fetchone()[0]
 
-    def __contains__(self, values: Tuple[ConstantValue, ...]) -> bool:
-        values = tuple(values)
+    def __contains__(self, fact: Fact) -> bool:
+        values = fact.values
         if len(values) != self._arity:
             return False
         sql = f'SELECT 1 FROM "{self.table_name}" WHERE {self._eq_clause(self._arity)} LIMIT 1'
         return self.backend.execute(sql, self._encode_row(values)).fetchone() is not None
 
-    def __iter__(self) -> Iterator[Tuple[ConstantValue, ...]]:
+    def __iter__(self) -> Iterator[Fact]:
         return self.scan(None)
 
-    def _checked(self, row) -> Tuple[ConstantValue, ...]:
-        values = tuple(row)
+    def _checked(self, fact: Fact) -> Tuple[ConstantValue, ...]:
+        values = fact.values
         if len(values) != self._arity:
             raise SchemaError(
                 f"arity mismatch inserting into {self.schema.qualified_name}: "
@@ -168,101 +174,90 @@ class SqliteTable:
             )
         return values
 
-    def insert(self, values: Tuple[ConstantValue, ...]) -> Tuple[List[Tuple], List[Tuple]]:
-        values = self._checked(values)
+    def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
+        values = self._checked(fact)
         key_idx = self.schema.key_indexes()
         self.backend.begin()
         if not key_idx:
             cur = self.backend.execute(self._insert_sql, self._encode_row(values))
             if cur.rowcount == 0:
                 return [], []
-            return [values], []
+            return [fact], []
         # Primary-key replacement: an exact duplicate is a no-op; otherwise
         # rows sharing the key are displaced (last-writer-wins).
-        if values in self:
+        if fact in self:
             return [], []
-        deleted: List[Tuple[ConstantValue, ...]] = []
+        displaced: List[Fact] = []
         bindings = {i: values[i] for i in key_idx}
-        for row in list(self.scan(bindings)):
-            self.delete(row)
-            deleted.append(row)
+        for old in list(self.scan(bindings)):
+            self.delete(old)
+            displaced.append(old)
         self.backend.execute(self._insert_sql, self._encode_row(values))
-        return [values], deleted
+        return [fact], displaced
 
-    def insert_many(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
+    def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
         """Batched insert: one ``executemany`` instead of a statement per row.
 
-        Returns ``(inserted_rows, deleted_rows)``.  Keyed relations fall back
-        to per-row :meth:`insert` (replacement needs a key probe per row).
-        For unkeyed relations the rows are deduplicated in Python — against
+        Returns ``(inserted, displaced)`` facts.  Keyed relations fall back
+        to per-fact :meth:`insert` (replacement needs a key probe per row).
+        For unkeyed relations the facts are deduplicated in Python — against
         each other and against one scan of the existing table — because
         ``executemany`` cannot report *which* rows ``INSERT OR IGNORE``
         skipped; only genuinely-new rows hit the database.
         """
         if self.schema.key_indexes():
-            all_inserted: List[Tuple[ConstantValue, ...]] = []
-            all_deleted: List[Tuple[ConstantValue, ...]] = []
-            for row in rows:
-                inserted, deleted = self.insert(row)
+            all_inserted: List[Fact] = []
+            all_displaced: List[Fact] = []
+            for fact in facts:
+                inserted, displaced = self.insert(fact)
                 all_inserted.extend(inserted)
-                all_deleted.extend(deleted)
-            return all_inserted, all_deleted
-        staged: List[Tuple[ConstantValue, ...]] = []
-        encoded: List[Tuple] = []
-        seen: Set[Tuple] = set()
-        for row in rows:
-            values = self._checked(row)
-            key = self._encode_row(values)
-            if key in seen:
-                continue
-            seen.add(key)
-            staged.append(values)
-            encoded.append(key)
+                all_displaced.extend(displaced)
+            return all_inserted, all_displaced
+        staged: Dict[Tuple, Fact] = {}
+        for fact in facts:
+            staged.setdefault(self._encode_row(self._checked(fact)), fact)
         if not staged:
             return [], []
-        existing: Set[Tuple] = set()
         if len(self):
             cur = self.backend.execute(
                 f'SELECT {self._col_list} FROM "{self.table_name}"')
-            existing = {tuple(row) for row in cur}
-        new_rows = [(values, params)
-                    for values, params in zip(staged, encoded)
-                    if params not in existing]
-        if not new_rows:
+            for row in cur:
+                staged.pop(tuple(row), None)
+        if not staged:
             return [], []
         self.backend.begin()
-        self.backend.executemany(
-            self._insert_sql, [params for _, params in new_rows])
-        return [values for values, _ in new_rows], []
+        self.backend.executemany(self._insert_sql, list(staged))
+        return list(staged.values()), []
 
-    def delete(self, values: Tuple[ConstantValue, ...]) -> bool:
-        values = tuple(values)
+    def delete(self, fact: Fact) -> Optional[Fact]:
+        """Delete ``fact``; return it when a row was removed, else ``None``."""
+        values = fact.values
         if len(values) != self._arity:
-            return False
+            return None
         self.backend.begin()
         cur = self.backend.execute(self._delete_sql, self._encode_row(values))
-        return cur.rowcount > 0
+        return fact if cur.rowcount > 0 else None
 
-    def delete_many(self, rows) -> None:
-        """Delete several stored tuples in one ``executemany``."""
+    def delete_many(self, facts: Iterable[Fact]) -> None:
+        """Delete several stored facts in one ``executemany``."""
         self.backend.begin()
-        self.backend.executemany(self._delete_sql, map(self._encode_row, rows))
+        self.backend.executemany(
+            self._delete_sql, [self._encode_row(fact.values) for fact in facts])
 
-    def replace(self, rows) -> Tuple[List[Tuple], List[Tuple]]:
-        """Make the table hold exactly ``rows``; return ``(inserted_rows,
-        deleted_rows)``.
+    def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
+        """Make the table hold exactly ``facts``; return ``(inserted,
+        removed)`` facts.
 
         For unkeyed relations.  One scan reads the stored rows undecoded and
-        compares them with the encoded new rows (the tags keep the keys
+        compares them with the encoded new facts (the tags keep the keys
         typed); only the rows that leave are decoded, and the leavers and
         the arrivals are written in one ``executemany`` each.
         """
-        arriving: Dict[Tuple, Tuple[ConstantValue, ...]] = {}
-        for row in rows:
-            values = self._checked(row)
-            arriving.setdefault(self._encode_row(values), values)
+        arriving: Dict[Tuple, Fact] = {}
+        for fact in facts:
+            arriving.setdefault(self._encode_row(self._checked(fact)), fact)
         cur = self.backend.execute(f'SELECT {self._col_list} FROM "{self.table_name}"')
-        leaving = [self._decode_row(stored) for stored in cur
+        leaving = [self._decode_fact(stored) for stored in cur
                    if arriving.pop(stored, None) is None]
         if leaving:
             self.delete_many(leaving)
@@ -271,7 +266,7 @@ class SqliteTable:
             self.backend.executemany(self._insert_sql, list(arriving))
         return list(arriving.values()), leaving
 
-    def clear(self) -> List[Tuple[ConstantValue, ...]]:
+    def clear(self) -> List[Fact]:
         removed = list(self.scan(None))
         if removed:
             self.backend.begin()
@@ -279,12 +274,12 @@ class SqliteTable:
         return removed
 
     def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None
-             ) -> Iterator[Tuple[ConstantValue, ...]]:
+             ) -> Iterator[Fact]:
         if not bindings:
             cur = self.backend.execute(
                 f'SELECT {self._col_list} FROM "{self.table_name}"')
             for row in cur:
-                yield self._decode_row(row)
+                yield self._decode_fact(row)
             return
         positions = tuple(sorted(bindings))
         if positions[-1] >= self._arity:
@@ -299,7 +294,7 @@ class SqliteTable:
         cur = self.backend.execute(
             f'SELECT {self._col_list} FROM "{self.table_name}" WHERE {clause}', params)
         for row in cur:
-            yield self._decode_row(row)
+            yield self._decode_fact(row)
 
     def _ensure_index(self, positions: Tuple[int, ...]) -> None:
         """Lazily create a composite index on a bound-column subset."""

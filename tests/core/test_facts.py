@@ -284,21 +284,25 @@ class TestFactStore:
         store.insert_many([kept, leaving, Fact("s", "p", (1,))])
         store.take_delta()
         generation = store.generation("r", "p")
-        delta = store.replace_relation("r", "p", [(1,), (1.0,), (1,)])
+        delta = store.replace_relation("r", "p", [Fact("r", "p", (1,)), arriving,
+                                                   Fact("r", "p", (1,))])
         assert delta == Delta(inserted=frozenset({arriving}), deleted=frozenset({leaving}))
         assert [type(fact.values[0]) for fact in delta.deleted] == [bool]
         assert store.take_delta() == delta
         assert store.relation_snapshot("r", "p") == frozenset({kept, arriving})
+        # The stored fact equal to an arriving one stayed; the arrival is stored.
+        assert {id(fact) for fact in store.facts("r", "p")} == {id(kept), id(arriving)}
         assert store.count("s", "p") == 1
         assert store.generation("r", "p") > generation
-        # Same rows again: nothing written, nothing recorded.
+        # Same facts again: nothing written, nothing recorded.
         generation = store.generation("r", "p")
-        assert not store.replace_relation("r", "p", [(1.0,), (1,)])
+        assert not store.replace_relation("r", "p", [Fact("r", "p", (1.0,)),
+                                                     Fact("r", "p", (1,))])
         assert store.generation("r", "p") == generation
         assert not store.peek_delta()
         assert store.replace_relation("r", "p", []) == Delta.deletion([kept, arriving])
         assert not store.replace_relation("absent", "p", [])
-        assert store.replace_relation("new", "p", [(1,)]) == \
+        assert store.replace_relation("new", "p", [Fact("new", "p", (1,))]) == \
             Delta.insertion([Fact("new", "p", (1,))])
 
     def test_replace_relation_refuses_a_keyed_relation(self):
@@ -306,7 +310,7 @@ class TestFactStore:
                                                   key=("user",))])
         store = FactStore(registry)
         with pytest.raises(SchemaError):
-            store.replace_relation("profile", "p", [("al", "v1")])
+            store.replace_relation("profile", "p", [Fact("profile", "p", ("al", "v1"))])
 
     def test_generation_counts_recorded_changes_per_relation(self):
         store = FactStore()

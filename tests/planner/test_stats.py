@@ -25,17 +25,17 @@ def scanned_per_position(state, relation, peer, position):
 
 
 def counting_scans(state):
-    """Count the row scans each namespace answers."""
+    """Count the relation scans each namespace answers."""
     scans = {"store": 0, "derived": 0}
     for namespace in scans:
         store = getattr(state, namespace)
-        rows = store.rows
+        facts = store.facts
 
-        def counted(relation, peer, bindings=None, _rows=rows, _namespace=namespace):
+        def counted(relation, peer, bindings=None, _facts=facts, _namespace=namespace):
             scans[_namespace] += 1
-            return _rows(relation, peer, bindings)
+            return _facts(relation, peer, bindings)
 
-        store.rows = counted
+        store.facts = counted
     return scans
 
 
