@@ -616,7 +616,7 @@ class WebdamLogEngine:
         """
         return (self._dirty
                 or self.state.store.has_pending_changes()
-                or self.state.has_provided_changes())
+                or self.state.provided.has_pending_changes())
 
     # ------------------------------------------------------------------ #
     # the computation stage
@@ -679,7 +679,7 @@ class WebdamLogEngine:
         # exactly "what changed in the derived relations this stage".
         store_delta = self.state.store.take_delta()
         derived_delta = self.state.derived.take_delta()
-        provided_delta = self.state.take_provided_delta()
+        provided_delta = self.state.provided.take_delta()
         result.derived_changed = bool(derived_delta)
         result.visible_delta, result.masked_deletions = self._visible_delta(
             store_delta, derived_delta, provided_delta)
@@ -709,7 +709,7 @@ class WebdamLogEngine:
             return combined, _NO_FACTS
         still_visible = {
             fact for fact in combined.deleted
-            if fact in self.state.provided
+            if self.state.provided.contains(fact)
             or self.state.derived.contains(fact)
             or self.state.store.contains(fact)
         }
@@ -781,10 +781,11 @@ class WebdamLogEngine:
             if fact.peer != self.peer:
                 # Mis-routed fact; ignore (the runtime should not let this happen).
                 continue
-            if self.state.is_local_intensional(fact):
-                self.state.add_provided(fact, sender)
-            else:
+            if not self.state.is_local_intensional(fact):
                 self.state.store.insert(fact)
+            elif fact.arity == self.state.schemas.get(fact.relation, fact.peer).arity:
+                self.state.add_provided(fact, sender)
+            # else: malformed (not the declared arity); ignored as well.
         for sender, fact in pending.deleted_facts:
             consumed += 1
             if fact.peer != self.peer:
@@ -889,7 +890,7 @@ class WebdamLogEngine:
 
         input_delta = (self._carryover_delta
                        .merge(self.state.store.peek_delta())
-                       .merge(self.state.peek_provided_delta()))
+                       .merge(self.state.provided.peek_delta()))
         self._carryover_delta = Delta.empty()
 
         force_full = previous is None
@@ -1089,7 +1090,7 @@ class WebdamLogEngine:
         state = self.state
         derived = state.derived
         dead = {fact for fact in input_delta.deleted
-                if fact not in state.provided and not state.store.contains(fact)}
+                if not state.provided.contains(fact) and not state.store.contains(fact)}
         overdeleted = {fact for fact in dead if derived.contains(fact)}
 
         # -- 1. over-delete ------------------------------------------------ #
@@ -1172,7 +1173,7 @@ class WebdamLogEngine:
         if self.provenance is not None:
             self.provenance.on_tuples_deleted(dead, {
                 fact for fact in dead | overdeleted
-                if fact not in state.provided and not derived.contains(fact)})
+                if not state.provided.contains(fact) and not derived.contains(fact)})
         return outcome
 
     def _fixpoint_rederive(self, analysis: _ProgramAnalysis,

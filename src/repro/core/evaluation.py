@@ -143,23 +143,16 @@ class RuleEvaluator:
         relations in head position default to extensional (the engine
         declares them implicitly), matching the run-time relation discovery
         described in the paper.
-    allow_delegation:
-        When ``False`` (used to evaluate *delegated* rules whose remainder
-        must not be re-delegated in a loop, or to emulate a purely local
-        engine), a remote body literal simply produces no results instead of
-        a delegation.
     """
 
     def __init__(self, peer: str, fact_source: FactSource,
                  kind_resolver: Optional[KindResolver] = None,
-                 allow_delegation: bool = True,
                  on_derivation: Optional[Callable[[Fact, Rule, Tuple[Fact, ...]], None]] = None,
                  pushdown=None,
                  planner=None):
         self.peer = peer
         self.fact_source = fact_source
         self.kind_resolver = kind_resolver or (lambda relation, peer_name: None)
-        self.allow_delegation = allow_delegation
         # Optional provenance hook: called with (derived fact, rule, supporting facts)
         # for every head emitted locally or for a remote peer.
         self.on_derivation = on_derivation
@@ -303,8 +296,6 @@ class RuleEvaluator:
 
         if peer_name != self.peer:
             # Remote literal: delegate the remainder of the rule.
-            if not self.allow_delegation:
-                return
             if restrict is not None and all(
                     walked != restrict[0] for walked, _ in support):
                 # The delta literal was not walked yet, so this delegation

@@ -145,8 +145,8 @@ def fact_matches_bindings(fact: Fact, bindings: Dict[int, ConstantValue]) -> boo
     Type-strict, mirroring :class:`~repro.core.terms.Constant` equality and
     the hash-index keys (``True`` stays distinct from ``1``); a bound
     position beyond the fact's arity never matches.  This is the one
-    definition of positional matching shared by the indexed stores and the
-    provided-fact filter.
+    definition of positional matching: an indexed store's probe answers
+    exactly the facts it accepts.
     """
     values = fact.values
     return all(position < len(values)

@@ -4,15 +4,16 @@ A peer's state consists of
 
 * the **schemas** it knows about,
 * its **extensional store** (base facts of relations located at the peer),
-* the **provided facts** received from remote peers for *intensional* local
-  relations — they persist until the sender retracts them (or, for a
-  relation declared ``scratch``, for a single stage),
 * the **derived store** of intensional facts computed by the last stage,
+* the **provided facts** received from remote peers for *intensional* local
+  relations — a volatile third :class:`FactStore` on a private memory
+  backend: they persist until the sender retracts them (or, for a relation
+  declared ``scratch``, for a single stage) but never outlive the process,
 * the peer's **own rules**, and
 * the **delegations** installed at the peer by remote delegators.
 
 The state also exposes the *fact view* used by the evaluator: the union of
-extensional, ephemeral and derived facts.
+the three stores.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import codec
 from repro.core.delegation import DelegationStore, DelegationTracker, InstalledDelegation
 from repro.core.errors import SchemaError
-from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
+from repro.core.facts import Delta, Fact, FactStore
 from repro.core.rules import Rule, ensure_rule_counter_above
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
@@ -87,16 +88,15 @@ class PeerState:
                                namespace=STORE_NAMESPACE)
         self.derived = FactStore(self.schemas, owner=peer, backend=self.backend,
                                  namespace=DERIVED_NAMESPACE)
-        # Who currently provides each provided fact: a fact is visible while
-        # at least one sender still derives it.
+        # Facts remote peers derive for local intensional relations: a third
+        # store on private schemas and a private memory backend, so never
+        # persisted, never seen by SQL pushdown and unkeyed (two senders'
+        # key-colliding facts never displace each other).  Beside it, who
+        # provides each: a fact is visible while one sender still derives it.
+        self.provided = FactStore(owner=peer)
         self._provided_senders: Dict[Fact, Set[str]] = {}
-        self._provided_by_relation: Dict[Tuple[str, str], Set[Fact]] = {}
-        self._provided_inserted: Set[Fact] = set()
-        self._provided_deleted: Set[Fact] = set()
-        # Per-relation change count of the provided set (see FactStore.generation)
-        # and the relation snapshots :meth:`query` answers from while the
-        # three generations of a relation stand still.
-        self._provided_generations: Dict[Tuple[str, str], int] = {}
+        # The relation snapshots :meth:`query` answers from while the three
+        # stores' generations of a relation stand still.
         self._snapshots: Dict[Tuple[str, str],
                               Tuple[Tuple[int, int, int], Tuple[Fact, ...]]] = {}
         self.own_rules: List[Rule] = []
@@ -303,11 +303,6 @@ class PeerState:
             )
         return self.store.delete(fact)
 
-    @property
-    def provided(self) -> KeysView[Fact]:
-        """The facts remote peers currently provide for local intensional relations."""
-        return self._provided_senders.keys()
-
     def add_provided(self, fact: Fact, sender: str) -> None:
         """Record a fact ``sender`` derives for a local intensional relation.
 
@@ -316,17 +311,10 @@ class PeerState:
         last of them retracts it.
         """
         senders = self._provided_senders.get(fact)
-        if senders is not None:
-            senders.add(sender)
-            return
-        self._provided_senders[fact] = {sender}
-        key = (fact.relation, fact.peer)
-        self._provided_by_relation.setdefault(key, set()).add(fact)
-        self._provided_generations[key] = self._provided_generations.get(key, 0) + 1
-        if fact in self._provided_deleted:
-            self._provided_deleted.discard(fact)
-        else:
-            self._provided_inserted.add(fact)
+        if senders is None:
+            self.provided.insert(fact)
+            senders = self._provided_senders[fact] = set()
+        senders.add(sender)
 
     def remove_provided(self, fact: Fact, sender: str) -> None:
         """``sender`` no longer derives ``fact``; it vanishes with its last sender."""
@@ -335,21 +323,8 @@ class PeerState:
             return
         senders.discard(sender)
         if not senders:
-            self._drop_provided(fact)
-
-    def _drop_provided(self, fact: Fact) -> None:
-        del self._provided_senders[fact]
-        key = (fact.relation, fact.peer)
-        self._provided_generations[key] = self._provided_generations.get(key, 0) + 1
-        bucket = self._provided_by_relation.get(key)
-        if bucket is not None:
-            bucket.discard(fact)
-            if not bucket:
-                del self._provided_by_relation[key]
-        if fact in self._provided_inserted:
-            self._provided_inserted.discard(fact)
-        else:
-            self._provided_deleted.add(fact)
+            del self._provided_senders[fact]
+            self.provided.delete(fact)
 
     def clear_provided(self, relations: Iterable[Tuple[str, str]]) -> Delta:
         """Drop every provided fact of the ``(name, peer)`` relations given
@@ -360,35 +335,12 @@ class PeerState:
         derived from them (the incremental engine feeds this into the next
         stage's rederive pass).
         """
-        removed = [fact for key in relations
-                   for fact in self._provided_by_relation.get(key, ())]
-        for fact in removed:
-            self._drop_provided(fact)
-        return Delta.deletion(removed)
-
-    def provided_count(self, relation: str, peer: str) -> int:
-        """Number of provided facts currently held for ``relation@peer``.
-
-        The SQL body compiler uses this to detect ephemeral facts that live
-        outside the store tables (and therefore force a fallback).
-        """
-        bucket = self._provided_by_relation.get((relation, peer))
-        return len(bucket) if bucket else 0
-
-    def has_provided_changes(self) -> bool:
-        """``True`` when the provided set changed since :meth:`take_provided_delta`."""
-        return bool(self._provided_inserted or self._provided_deleted)
-
-    def take_provided_delta(self) -> Delta:
-        """Return and reset the net change of the provided set since the last call."""
-        delta = Delta(frozenset(self._provided_inserted), frozenset(self._provided_deleted))
-        self._provided_inserted = set()
-        self._provided_deleted = set()
-        return delta
-
-    def peek_provided_delta(self) -> Delta:
-        """The accumulated provided-set delta, without resetting it."""
-        return Delta(frozenset(self._provided_inserted), frozenset(self._provided_deleted))
+        removed = Delta.empty()
+        for name, peer in relations:
+            removed = removed.merge(self.provided.clear_relation(name, peer))
+        for fact in removed.deleted:
+            del self._provided_senders[fact]
+        return removed
 
     # ------------------------------------------------------------------ #
     # the fact view used by the evaluator
@@ -398,26 +350,19 @@ class PeerState:
                   bindings: Optional[Dict[int, object]] = None) -> Iterator[Fact]:
         """Facts visible to rule evaluation for ``relation@peer``.
 
-        The view is the union of the extensional store, the provided facts
-        and the intensional facts derived so far in the current stage.  Facts
+        The view is the union of the extensional store, the intensional
+        facts derived so far in the current stage and the provided facts.  Facts
         of relations located at remote peers are never visible locally (they
         can only be reached through delegation).  ``bindings`` (a
         ``{position: value}`` map of argument positions already bound by the
-        evaluator) routes the stored and derived facts through the incremental
-        hash indexes instead of a relation scan.
+        evaluator) routes every source through its incremental hash indexes
+        instead of a relation scan.
         """
         if peer != self.peer:
             return
         yield from self.store.facts(relation, peer, bindings)
         yield from self.derived.facts(relation, peer, bindings)
-        provided = self._provided_by_relation.get((relation, peer))
-        if provided:
-            if not bindings:
-                yield from provided
-            else:
-                for fact in provided:
-                    if fact_matches_bindings(fact, bindings):
-                        yield fact
+        yield from self.provided.facts(relation, peer, bindings)
 
     def aggregate_view(self, relation: str, peer: str, width: int,
                        group_positions, specs) -> Optional[List[Tuple]]:
@@ -449,7 +394,7 @@ class PeerState:
         key = (relation, target_peer)
         generations = (self.store.generation(relation, target_peer),
                        self.derived.generation(relation, target_peer),
-                       self._provided_generations.get(key, 0))
+                       self.provided.generation(relation, target_peer))
         snapshot = self._snapshots.get(key)
         if snapshot is not None and snapshot[0] == generations:
             return snapshot[1]
@@ -465,12 +410,9 @@ class PeerState:
     def snapshot(self) -> Dict[str, Tuple[Fact, ...]]:
         """Snapshot of every non-empty relation, keyed by qualified name."""
         result: Dict[str, List[Fact]] = {}
-        for fact in self.store.all_facts():
-            result.setdefault(fact.qualified_relation, []).append(fact)
-        for fact in self.derived.all_facts():
-            result.setdefault(fact.qualified_relation, []).append(fact)
-        for fact in self.provided:
-            result.setdefault(fact.qualified_relation, []).append(fact)
+        for source in (self.store, self.derived, self.provided):
+            for fact in source.all_facts():
+                result.setdefault(fact.qualified_relation, []).append(fact)
         return {name: tuple(sorted(facts, key=str)) for name, facts in sorted(result.items())}
 
     # ------------------------------------------------------------------ #
@@ -482,7 +424,7 @@ class PeerState:
         return {
             "extensional_facts": self.store.total_facts(),
             "derived_facts": self.derived.total_facts(),
-            "provided_facts": len(self.provided),
+            "provided_facts": self.provided.total_facts(),
             "own_rules": len(self.own_rules),
             "installed_delegations": len(self.delegations_in),
             "outstanding_delegations": len(self.delegation_tracker.outstanding()),

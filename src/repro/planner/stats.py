@@ -51,7 +51,7 @@ class StatsProvider:
         state = self.state
         return (state.store.count(relation, peer)
                 + state.derived.count(relation, peer)
-                + state.provided_count(relation, peer))
+                + state.provided.count(relation, peer))
 
     def distinct(self, relation: str, peer: str, position: int) -> int:
         """Estimated distinct values at ``position`` of ``relation@peer``.

@@ -161,12 +161,11 @@ def resolve_backend(spec=None, peer: Optional[str] = None,
         spec = os.environ.get(DEFAULT_BACKEND_ENV) or "memory"
     if not isinstance(spec, str):
         return spec
-    name = spec.lower()
-    if name in ("memory", "dict", "inmemory"):
+    if spec == "memory":
         from repro.store.memory import MemoryBackend
 
         return MemoryBackend()
-    if name == "sqlite":
+    if spec == "sqlite":
         from repro.store.sqlite import SqliteBackend
 
         path = options.pop("path", None)

@@ -109,7 +109,7 @@ class BodyPushdown:
             peer = atom.peer_constant()
             if relation is None or peer is None or peer != local_peer:
                 return None
-            if self.state.provided_count(relation, peer):
+            if self.state.provided.count(relation, peer):
                 # Provided facts live outside the store tables; mixing them
                 # in would need a per-stage temp table — fall back instead.
                 return None
@@ -246,7 +246,7 @@ class BodyPushdown:
         """
         if peer != self.state.peer:
             return None
-        if self.state.provided_count(relation, peer):
+        if self.state.provided.count(relation, peer):
             return None
         schema = self.state.schemas.get(relation, peer)
         if schema is None:

@@ -317,12 +317,12 @@ class SqliteBackend:
     name = "sqlite"
     SUPPORTS_SQL = True
 
-    def __init__(self, path: Optional[str] = None, wal: bool = True):
+    def __init__(self, path: Optional[str] = None):
         self.path = path
         self.persistent = path is not None
         self._conn = sqlite3.connect(path if path is not None else ":memory:",
                                      isolation_level=None, check_same_thread=False)
-        if self.persistent and wal:
+        if self.persistent:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._in_txn = False

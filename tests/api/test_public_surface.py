@@ -14,10 +14,14 @@ import repro.api
 from repro.acl.delegation_control import DelegationController
 from repro.api import SystemBuilder
 from repro.api.builder import PeerBuilder
+from repro.core.evaluation import RuleEvaluator
 from repro.net import tcp
 from repro.net.tcp import TcpTransport
 from repro.runtime.peer import Peer
 from repro.runtime.system import WebdamLogSystem
+from repro.store.backend import StoreError, resolve_backend
+from repro.store.memory import MemoryBackend
+from repro.store.sqlite import SqliteBackend
 
 #: Every system-scope switch a deployment can be built with.
 SYSTEM_KNOBS = {
@@ -90,6 +94,37 @@ TCP_KNOBS = {
 def test_tcp_and_converge_take_exactly_the_ledger(name):
     function, parameters = TCP_KNOBS[name]
     assert tuple(inspect.signature(function).parameters) == parameters
+
+
+#: What a store and an evaluator are built with: a SQLite database is a
+#: path (write-ahead log on for every file), an evaluator its peer, its
+#: facts and the engine's hooks — no switch that turns delegation off.
+ENGINE_KNOBS = {
+    "SqliteBackend": (SqliteBackend.__init__, ("self", "path")),
+    "RuleEvaluator": (RuleEvaluator.__init__,
+                      ("self", "peer", "fact_source", "kind_resolver",
+                       "on_derivation", "pushdown", "planner")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_KNOBS))
+def test_store_and_evaluator_take_exactly_the_ledger(name):
+    function, parameters = ENGINE_KNOBS[name]
+    assert tuple(inspect.signature(function).parameters) == parameters
+
+
+#: The storage backends by name: one name each, spelled as documented.
+BACKEND_NAMES = {"memory": MemoryBackend, "sqlite": SqliteBackend}
+
+
+def test_resolve_backend_accepts_exactly_the_ledger_names():
+    for name, backend_class in BACKEND_NAMES.items():
+        backend = resolve_backend(name, peer="p")
+        assert type(backend) is backend_class
+        backend.close()
+    for retired in ("dict", "inmemory", "Memory", "SQLITE"):
+        with pytest.raises(StoreError):
+            resolve_backend(retired, peer="p")
 
 
 def test_no_overlay_tuning_is_exported():

@@ -279,6 +279,16 @@ class TestRemoteInteraction:
         engine.run_stage()
         assert engine.state.store.total_facts() == 0
 
+    def test_provided_fact_of_the_wrong_arity_is_ignored(self, engine):
+        engine.load_program("collection intensional view@alice(x, y);")
+        good = Fact("view", "alice", (1, 2))
+        engine.receive_facts("bob", inserted=[Fact("view", "alice", (1,)), good])
+        engine.run_stage()
+        assert engine.query("view") == (good,)
+        engine.receive_facts("bob", deleted=[Fact("view", "alice", (1,))])
+        engine.run_stage()
+        assert engine.query("view") == (good,)
+
     def test_remote_derived_facts_not_resent(self, engine):
         engine.load_program("""
         collection extensional persistent pictures@alice(id);

@@ -147,15 +147,6 @@ class TestDelegationEmission:
         assert not outcome.delegations
         assert Fact("attendeePictures", "Jules", (9,)) in outcome.local_extensional
 
-    def test_delegation_disabled(self):
-        facts = [Fact("selectedAttendee", "Jules", ("Emilien",))]
-        evaluator = RuleEvaluator("Jules", make_source(facts), allow_delegation=False)
-        rule = parse_rule(
-            "attendeePictures@Jules($id) :- selectedAttendee@Jules($a), pictures@$a($id)"
-        )
-        outcome = evaluator.evaluate_rule(rule)
-        assert outcome.is_empty()
-
     def test_delegation_carries_remaining_body(self):
         facts = [Fact("selectedAttendee", "Jules", ("Emilien",)),
                  Fact("communicate", "Jules", ("email",))]

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.core.errors import SchemaError
-from repro.core.facts import Delta, Fact, FactStore
+from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.core.terms import Constant
 
@@ -373,6 +373,44 @@ class TestRelationSnapshots:
         state.add_provided(Fact("view", "p", (3,)), "a")
         state.clear_provided([("view", "p")])
         assert [fact.values for fact in state.query("view")] == [(1,)]
+
+    def test_provided_facts_answer_probes_keep_every_sender_and_live_one_scratch_stage(self):
+        from repro.core.engine import WebdamLogEngine
+
+        state = self._state()
+        state.declare(RelationSchema(name="pair", peer="p", columns=("k", "v"),
+                                     kind=RelationKind.INTENSIONAL))
+        for values in ((1, "a"), (1, True), (1.0, "b"), (2, "a"), (2, 1)):
+            state.add_provided(Fact("pair", "p", values), "s")
+        scanned = list(state.fact_view("pair", "p"))
+        for bindings in ({0: 1}, {1: "a"}, {0: 1, 1: True}, {1: 1}, {0: 1.0}, {0: 3}):
+            probed = list(state.fact_view("pair", "p", bindings))
+            assert sorted(probed, key=str) == sorted(
+                (fact for fact in scanned if fact_matches_bindings(fact, bindings)),
+                key=str), bindings
+
+        # Provided facts never displace each other, whatever the key says.
+        state.declare(RelationSchema(name="rating", peer="p", columns=("pic", "score"),
+                                     kind=RelationKind.INTENSIONAL, key=("pic",)))
+        state.add_provided(Fact("rating", "p", (7, 4)), "a")
+        state.add_provided(Fact("rating", "p", (7, 5)), "b")
+        assert [fact.values for fact in state.query("rating")] == [(7, 4), (7, 5)]
+
+        # A scratch relation's clear drops its senders too: the same fact
+        # provided again is a new input, whose consequence comes back.
+        engine = WebdamLogEngine("p")
+        engine.load_program("""
+        collection intensional scratch inbox@p(x);
+        collection intensional kept@p(x);
+        rule kept@p($x) :- inbox@p($x);
+        """)
+        kept = Fact("kept", "p", (1,))
+        engine.receive_facts("a", inserted=[Fact("inbox", "p", (1,))])
+        assert kept in engine.run_stage().visible_delta.inserted
+        assert kept in engine.run_stage().visible_delta.deleted
+        engine.receive_facts("a", inserted=[Fact("inbox", "p", (1,))])
+        assert kept in engine.run_stage().visible_delta.inserted
+        assert engine.state.counts()["provided_facts"] == 0
 
     def test_remote_relations_are_never_visible_and_snapshots_can_be_dropped(self):
         state = self._state()

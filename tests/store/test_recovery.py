@@ -6,10 +6,14 @@ remainders are durable; in-flight stage work is rolled back whole."""
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.api import system
+from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
+from repro.store.memory import MemoryBackend
 
 PROGRAM_HUB = """
 collection extensional persistent follows@hub(who);
@@ -164,6 +168,33 @@ class TestReopen:
 
         reopened = build(tmp_path, peers=("b",), programs=False)
         assert reopened.peer("b").query("note").facts() == (Fact("note", "b", (1,)),)
+        reopened.close()
+
+    def test_provided_facts_stay_out_of_the_database(self, tmp_path):
+        """Facts remote peers provide are volatile: no table of the peer's
+        file holds them, and a reopened peer starts without them."""
+        def open_hub():
+            return WebdamLogEngine("hub", storage="sqlite",
+                                   storage_options={"path": str(tmp_path)})
+
+        engine = open_hub()
+        engine.load_program("collection intensional inbox@hub(x);")
+        engine.receive_facts("left", inserted=[Fact("inbox", "hub", (1,))])
+        engine.run_stage()
+        assert engine.query("inbox") == (Fact("inbox", "hub", (1,)),)
+        assert type(engine.state.provided.backend) is MemoryBackend
+        engine.close()
+        database = sqlite3.connect(tmp_path / "hub.db")
+        try:
+            tables = database.execute(
+                "SELECT namespace, table_name FROM _repro_catalog").fetchall()
+            assert {namespace for namespace, _ in tables} <= {"store", "derived"}
+            assert [database.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+                    for _, name in tables] == [0] * len(tables)
+        finally:
+            database.close()
+        reopened = open_hub()
+        assert reopened.state.restored and reopened.query("inbox") == ()
         reopened.close()
 
 
