@@ -10,8 +10,8 @@ interface."  (Section 3 of the paper.)
 * a delegation install from a **trusted** delegator is forwarded to the
   engine immediately (decision ``AUTO_ACCEPTED``);
 * a delegation install from an **untrusted** delegator is parked in the
-  pending queue (decision ``PENDING``) and a notification is recorded — the
-  headless UI model reads those notifications;
+  pending queue (decision ``PENDING``), which the headless UI model lists
+  through :meth:`DelegationController.pending`;
 * the user later calls :meth:`approve` or :meth:`reject`;
 * a retraction for a delegation that is still pending simply removes it from
   the queue; a retraction for an installed delegation is forwarded.
@@ -34,8 +34,6 @@ class DelegationDecision(enum.Enum):
 
     AUTO_ACCEPTED = "auto-accepted"
     PENDING = "pending"
-    APPROVED = "approved"
-    REJECTED = "rejected"
     RETRACTED = "retracted"
 
 
@@ -46,21 +44,10 @@ class PendingDelegation:
     delegation_id: str
     delegator: str
     rule: Rule
-    received_at_round: Optional[int] = None
 
     def describe(self) -> str:
         """One-line description shown in the pending-delegations frame of the UI."""
         return f"{self.delegator} wants to install: {self.rule}"
-
-
-@dataclass
-class DelegationEvent:
-    """An entry of the controller's audit log."""
-
-    delegation_id: str
-    delegator: str
-    decision: DelegationDecision
-    detail: str = ""
 
 
 class DelegationController:
@@ -81,27 +68,19 @@ class DelegationController:
         self.engine = engine
         self.trust = trust if trust is not None else TrustStore(engine.peer)
         self._pending: Dict[str, PendingDelegation] = {}
-        self._log: List[DelegationEvent] = []
-        self._notifications: List[str] = []
 
     # ------------------------------------------------------------------ #
     # incoming messages
     # ------------------------------------------------------------------ #
 
-    def submit(self, delegator: str, delegation_id: str, rule: Rule,
-               round_number: Optional[int] = None) -> DelegationDecision:
+    def submit(self, delegator: str, delegation_id: str, rule: Rule
+               ) -> DelegationDecision:
         """Handle an incoming delegation install."""
         if self.trust.is_trusted(delegator):
             self.engine.receive_delegation(delegator, delegation_id, rule)
-            self._log.append(DelegationEvent(delegation_id, delegator,
-                                             DelegationDecision.AUTO_ACCEPTED))
             return DelegationDecision.AUTO_ACCEPTED
-        pending = PendingDelegation(delegation_id=delegation_id, delegator=delegator,
-                                    rule=rule, received_at_round=round_number)
-        self._pending[delegation_id] = pending
-        self._log.append(DelegationEvent(delegation_id, delegator,
-                                         DelegationDecision.PENDING))
-        self._notifications.append(pending.describe())
+        self._pending[delegation_id] = PendingDelegation(
+            delegation_id=delegation_id, delegator=delegator, rule=rule)
         return DelegationDecision.PENDING
 
     def submit_retraction(self, delegator: str, delegation_id: str) -> DelegationDecision:
@@ -115,13 +94,8 @@ class DelegationController:
                     f"peer {delegator} cannot retract a delegation submitted by "
                     f"{pending.delegator}"
                 )
-            self._log.append(DelegationEvent(delegation_id, delegator,
-                                             DelegationDecision.RETRACTED,
-                                             "retracted while pending"))
             return DelegationDecision.RETRACTED
         self.engine.receive_delegation_retraction(delegator, delegation_id)
-        self._log.append(DelegationEvent(delegation_id, delegator,
-                                         DelegationDecision.RETRACTED))
         return DelegationDecision.RETRACTED
 
     # ------------------------------------------------------------------ #
@@ -138,8 +112,6 @@ class DelegationController:
         if pending is None:
             raise AccessControlError(f"no pending delegation with id {delegation_id!r}")
         self.engine.receive_delegation(pending.delegator, pending.delegation_id, pending.rule)
-        self._log.append(DelegationEvent(delegation_id, pending.delegator,
-                                         DelegationDecision.APPROVED))
         return pending
 
     def approve_all(self, delegator: Optional[str] = None) -> List[PendingDelegation]:
@@ -155,29 +127,4 @@ class DelegationController:
         pending = self._pending.pop(delegation_id, None)
         if pending is None:
             raise AccessControlError(f"no pending delegation with id {delegation_id!r}")
-        self._log.append(DelegationEvent(delegation_id, pending.delegator,
-                                         DelegationDecision.REJECTED))
         return pending
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-
-    def notifications(self, clear: bool = False) -> Tuple[str, ...]:
-        """Human-readable notifications of pending delegations (Figure 3's banner)."""
-        notes = tuple(self._notifications)
-        if clear:
-            self._notifications.clear()
-        return notes
-
-    def log(self) -> Tuple[DelegationEvent, ...]:
-        """The full audit log of decisions taken by this controller."""
-        return tuple(self._log)
-
-    def counts(self) -> Dict[str, int]:
-        """Counters per decision kind, plus ``pending_now``."""
-        counters: Dict[str, int] = {decision.value: 0 for decision in DelegationDecision}
-        for event in self._log:
-            counters[event.decision.value] += 1
-        counters["pending_now"] = len(self._pending)
-        return counters

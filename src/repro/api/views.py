@@ -438,11 +438,12 @@ class LiveView:
     def plan(self) -> Optional[Dict[str, object]]:
         """The plan behind this view: rules, magic relations, orders.
 
-        ``rule_plans`` holds the cost-based planner's cached
-        :class:`~repro.planner.plans.RulePlan` for each of the view's
-        installed rules (literal order, estimated vs. actual cardinalities);
-        it is empty until a stage has evaluated the view's rules, and it
-        skips a rule whose local body prefix has nothing to order.
+        ``rule_plans`` holds :meth:`~repro.planner.plans.RulePlan.as_dict` of
+        the cost-based planner's cached plans for the view's installed rules
+        (rule id, literal order, whether it was reordered, delta position
+        and bound variables); it is empty until a stage has evaluated the
+        view's rules, and it skips a rule whose local body prefix has nothing
+        to order.
         Relation-scan views (no compiled query), which read the relation
         directly, return ``None``.
         """

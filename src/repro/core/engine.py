@@ -32,8 +32,7 @@ from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.core.state import PeerState
 # The module, not the function: stratification imports repro.core in turn.
 from repro.datalog import stratification
-from repro.planner import BodyPlanner, StagePlan, StatsProvider
-from repro.planner.magic import MAGIC_PREFIX
+from repro.planner import BodyPlanner, StatsProvider
 from repro.provenance.graph import ProvenanceTracker
 from repro.store.backend import resolve_backend
 
@@ -47,8 +46,8 @@ def _patterns_of(predicate: str) -> Tuple[LocationPattern, ...]:
 class _ProgramAnalysis:
     """What a stage needs to know about a peer's current program, computed
     once per program: the strata, each rule's shape (body and head patterns)
-    and head targets, the magic relations the heads name, and the *reader
-    index* from each body pattern to the rules reading it.
+    and head targets, and the *reader index* from each body pattern to the
+    rules reading it.
 
     Cached on the engine and rebuilt whenever the rule set changes (own
     rules added/removed/replaced, delegations installed or retracted) or the
@@ -73,7 +72,7 @@ class _ProgramAnalysis:
     """
 
     __slots__ = ("rules", "local_intensional", "strata", "shape", "targets",
-                 "magic", "_by_head", "_negated", "_readers", "_stratum_of",
+                 "_by_head", "_negated", "_readers", "_stratum_of",
                  "_by_predicate", "_defining")
 
     def __init__(self, rules: Tuple[Rule, ...], local_intensional: FrozenSet[str],
@@ -112,9 +111,6 @@ class _ProgramAnalysis:
                 self._readers.setdefault(pattern, []).append(position)
             negated.update(shape[2])
         self._negated = frozenset(negated)
-        self.magic = tuple(sorted({
-            relation for _, (relation, _), _ in self.shape.values()
-            if relation is not None and relation.startswith(MAGIC_PREFIX)}))
         self._stratum_of: Dict[int, int] = {
             id(rule): number for number, stratum in enumerate(self.strata)
             for rule in stratum} if len(self.strata) > 1 else {}
@@ -300,11 +296,6 @@ class StageResult:
     #: per source holding it, so a reader that counts rows (an aggregate
     #: live view) must learn of these too.  Almost always empty.
     masked_deletions: FrozenSet[Fact] = _NO_FACTS
-    #: The plans the stage's fixpoint executed (literal orders, estimated vs.
-    #: actual cardinalities) plus the magic predicates active in the program.
-    #: ``None`` when the stage executed no plan and no magic predicate is
-    #: active.
-    plan: Optional[StagePlan] = None
 
     def outgoing_fact_count(self) -> int:
         """Total number of facts shipped to remote peers this stage."""
@@ -671,6 +662,7 @@ class WebdamLogEngine:
         counters["rules_evaluated"] += result.rules_evaluated
         counters["compiled_sql"] += result.compiled_sql
         counters[f"stages_{result.evaluation_path}"] += 1
+        counters.update(self._planner.counters)
 
         # Delta accounting: the stores accumulated every change since the end
         # of the previous stage (including user updates made between stages).
@@ -862,7 +854,7 @@ class WebdamLogEngine:
         a full recompute would have produced.
 
         What depends only on the program — strata, head targets, which rules
-        read which predicates, the magic relations — comes from the cached
+        read which predicates — comes from the cached
         :class:`_ProgramAnalysis`, rebuilt only when the rule set or the
         peer's intensional relations (kept by the schema registry) change.
         The rest of a stage is work on its delta: the rules it re-fires are
@@ -904,10 +896,8 @@ class WebdamLogEngine:
         evaluator = self._evaluator()
         if force_full:
             result.evaluation_path = "full"
-            outcome = self._fixpoint_rederive(analysis, evaluator, result,
-                                              None, None, input_delta.deleted)
-            self._record_stage_plan(evaluator, analysis, result)
-            return outcome
+            return self._fixpoint_rederive(analysis, evaluator, result,
+                                           None, None, input_delta.deleted)
 
         # A removed rule loses its memo, which retracts what it had sent.
         # What it derived into local intensional relations is only found by
@@ -952,11 +942,10 @@ class WebdamLogEngine:
         else:
             result.evaluation_path = "skip"
             return self._memo_outcome()
-        self._record_stage_plan(evaluator, analysis, result)
         return outcome
 
     def _evaluator(self, fact_source=None) -> RuleEvaluator:
-        """The rule evaluator of one stage (it collects that stage's plans).
+        """The rule evaluator of one stage.
 
         With a ``fact_source`` of its own, an evaluator that only looks:
         it reads that source, records no derivation and pushes nothing down.
@@ -983,17 +972,6 @@ class WebdamLogEngine:
             return set()
         return ({fact.qualified_relation for fact in entry.remote_facts}
                 | {fact.qualified_relation for fact in entry.local_extensional})
-
-    def _record_stage_plan(self, evaluator: RuleEvaluator,
-                           analysis: _ProgramAnalysis,
-                           result: StageResult) -> None:
-        """Surface the executed plans (and planner counters) on the stage."""
-        plans = tuple(evaluator.plans_used.values())
-        if plans or analysis.magic:
-            result.plan = StagePlan(rule_plans=plans, magic_relations=analysis.magic)
-        # Planner counters are lifetime totals, like the other eval counters.
-        for key, value in self._planner.counters.items():
-            self.eval_counters[key] = value
 
     def _fixpoint_seminaive(self, analysis: _ProgramAnalysis,
                             evaluator: RuleEvaluator, result: StageResult,
@@ -1105,7 +1083,6 @@ class WebdamLogEngine:
                     yield fact
 
         looker = self._evaluator(before)
-        looker.plans_used = evaluator.plans_used
         lost: Dict[Rule, RuleOutcome] = {}
         wave = dead
         while wave:
@@ -1143,7 +1120,6 @@ class WebdamLogEngine:
 
         # -- 3. re-derive ---------------------------------------------------- #
         prober = self._evaluator(state.fact_view)
-        prober.plans_used = evaluator.plans_used
 
         def survives(rule: Rule, wanted: Union[Fact, Delegation]) -> bool:
             found, explored = prober.derives(rule, wanted)

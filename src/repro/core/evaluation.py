@@ -167,8 +167,6 @@ class RuleEvaluator:
         # delegation and negation semantics are order-identical; provenance
         # support tuples are normalised back to written order on emission.
         self.planner = planner
-        # Plans executed since construction, for StagePlan observability.
-        self.plans_used: Dict[Tuple, object] = {}
         # What a running :meth:`derives` probe is looking for.
         self._wanted: Union[Fact, Delegation, None] = None
 
@@ -177,14 +175,10 @@ class RuleEvaluator:
         if self.planner is None:
             return None
         if bound is not None:
-            plan = self.planner.plan_rule_bound(rule, frozenset(bound))
-        elif delta_index is None:
-            plan = self.planner.plan_rule(rule)
-        else:
-            plan = self.planner.plan_rule_delta(rule, delta_index)
-        if plan is not None:
-            self.plans_used[plan.key()] = plan
-        return plan
+            return self.planner.plan_rule_bound(rule, frozenset(bound))
+        if delta_index is None:
+            return self.planner.plan_rule(rule)
+        return self.planner.plan_rule_delta(rule, delta_index)
 
     # ------------------------------------------------------------------ #
 
@@ -323,12 +317,9 @@ class RuleEvaluator:
         else:
             candidates = self.fact_source(relation_name, peer_name,
                                           self._bindings_of(positive))
-        track = plan.steps[step] if plan is not None else None
         for fact in candidates:
             extended = match_atom_fact(positive, fact, substitution)
             if extended is not None:
-                if track is not None:
-                    track.actual += 1
                 self._evaluate_from(rule, step + 1, extended, outcome,
                                     support + ((index, fact),), restrict, plan)
 

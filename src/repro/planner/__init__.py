@@ -12,20 +12,18 @@ The planner sits between the program and the tuple-at-a-time evaluator:
 * :mod:`repro.planner.magic` applies a magic-set / demand transformation to
   multi-clause live-view programs, so only demand-reachable facts of the
   view's auxiliary relations are derived;
-* :class:`~repro.planner.plans.RulePlan` / :class:`StagePlan` record the
-  chosen literal order with estimated vs. actual cardinalities, surfaced on
-  :attr:`repro.core.engine.StageResult.plan`.
+* :class:`~repro.planner.plans.RulePlan` is the chosen literal order of one
+  rule body, cached by the planner and listed by
+  :meth:`repro.api.views.LiveView.plan`.
 """
 
-from repro.planner.plans import LiteralStep, RulePlan, StagePlan
+from repro.planner.plans import RulePlan
 from repro.planner.stats import StatsProvider
 from repro.planner.ordering import BodyPlanner
 from repro.planner.magic import MagicRewrite, apply_magic
 
 __all__ = [
-    "LiteralStep",
     "RulePlan",
-    "StagePlan",
     "StatsProvider",
     "BodyPlanner",
     "MagicRewrite",

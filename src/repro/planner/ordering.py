@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
-from repro.planner.plans import LiteralStep, RulePlan
+from repro.planner.plans import RulePlan
 from repro.planner.stats import StatsProvider, drifted
 
 
@@ -110,7 +110,6 @@ class BodyPlanner:
             if not any(drifted(baseline, self.stats.count(relation, peer))
                        for (relation, peer), baseline in snapshot.items()):
                 self.counters["plans_cached"] += 1
-                plan.cached = True
                 return plan
         plan, snapshot = self._compute(rule, delta_index, bound)
         self._cache[key] = None if plan is None else (plan, snapshot)
@@ -143,19 +142,17 @@ class BodyPlanner:
 
         bound: Set[Variable] = set(initially_bound)
         order: List[int] = []
-        estimates: Dict[int, Optional[float]] = {}
         remaining = set(range(prefix))
 
-        def place(index: int, estimate: Optional[float]) -> None:
+        def place(index: int) -> None:
             order.append(index)
             remaining.discard(index)
-            estimates[index] = estimate
             atom = rule.body[index]
             if not atom.negated:
                 bound.update(atom.argument_variables())
 
         if delta_index is not None:
-            place(delta_index, None)
+            place(delta_index)
 
         while remaining:
             placeable_negations = [
@@ -167,7 +164,7 @@ class BodyPlanner:
             if placeable_negations:
                 # A bound negation is a pure filter: apply it as early as
                 # possible so it prunes before the next join fans out.
-                place(placeable_negations[0], None)
+                place(placeable_negations[0])
                 continue
             positives = [index for index in sorted(remaining)
                          if not rule.body[index].negated]
@@ -181,23 +178,16 @@ class BodyPlanner:
                 cost = self._estimate(rule.body[index], bound)
                 if best_cost is None or cost < best_cost:
                     best_index, best_cost = index, cost
-            place(best_index, best_cost)
+            place(best_index)
 
         order.extend(range(prefix, len(rule.body)))
-        order_tuple = tuple(order)
-        reordered = order_tuple != tuple(range(len(rule.body)))
-        steps = tuple(
-            LiteralStep(index=index, literal=str(rule.body[index]),
-                        estimate=estimates.get(index))
-            for index in order_tuple
-        )
         snapshot: Dict[Tuple[str, str], int] = {}
         for index in range(prefix):
             atom = rule.body[index]
             relation, peer = atom.relation_constant(), atom.peer_constant()
             snapshot[(relation, peer)] = self.stats.count(relation, peer)
-        plan = RulePlan(rule_id=rule.rule_id, order=order_tuple, steps=steps,
-                        reordered=reordered, delta_index=delta_index,
+        plan = RulePlan(rule_id=rule.rule_id, order=tuple(order),
+                        delta_index=delta_index,
                         bound=tuple(sorted(v.name for v in initially_bound)))
         return plan, snapshot
 

@@ -50,7 +50,6 @@ class PeerStageReport:
     stage_result: StageResult
     delivered_messages: int = 0
     sent_messages: int = 0
-    pending_delegations: int = 0
 
     def is_quiescent(self) -> bool:
         """``True`` when the peer neither received nor produced anything."""
@@ -100,7 +99,6 @@ class Peer:
         # routed to the targets that care.
         self._sent_derivations: Dict[str, set] = {}
         self._sent_lineage_facts: Dict[str, set] = {}
-        self._round = 0
 
     # ------------------------------------------------------------------ #
     # user-facing conveniences (thin wrappers over the engine)
@@ -319,8 +317,7 @@ class Peer:
                 # Conflicting schema knowledge: keep the local declaration.
                 pass
         if rule is not None:
-            self.controller.submit(sender, delegation_id, rule,
-                                   round_number=self._round)
+            self.controller.submit(sender, delegation_id, rule)
 
     def _record_shipped(self, derivation: ProvenanceDerivation,
                         anchor: bool) -> None:
@@ -354,7 +351,6 @@ class Peer:
         channels is persisted inside the same transaction as the engine's
         stage commit, so recovery replays to the same causal join.
         """
-        self._round += 1
         for wrapper in self.wrappers:
             before = getattr(wrapper, "before_stage", None)
             if before is not None:

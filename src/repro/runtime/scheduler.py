@@ -78,15 +78,6 @@ class RoundReport:
         """``True`` when every activated peer was quiescent this cycle."""
         return all(report.is_quiescent() for report in self.peer_reports.values())
 
-    def total_derived(self) -> int:
-        """Total intensional facts derived across peers this cycle."""
-        return sum(r.stage_result.derived_intensional for r in self.peer_reports.values())
-
-    def total_substitutions(self) -> int:
-        """Total substitutions explored by the fixpoints run this cycle."""
-        return sum(r.stage_result.substitutions_explored
-                   for r in self.peer_reports.values())
-
 
 @dataclass
 class RunSummary:
@@ -118,10 +109,6 @@ class RunSummary:
         """Total messages sent across all cycles."""
         return sum(report.messages_sent for report in self.rounds)
 
-    def total_derived(self) -> int:
-        """Total intensional derivations across all cycles and peers."""
-        return sum(report.total_derived() for report in self.rounds)
-
     def total_stages(self) -> int:
         """Total peer stage executions across all cycles.
 
@@ -130,16 +117,6 @@ class RunSummary:
         were warranted.
         """
         return sum(report.stages_executed for report in self.rounds)
-
-    def total_substitutions(self) -> int:
-        """Total substitutions explored across all cycles and peers.
-
-        The headline number of the incremental engine: a stage explores only
-        the derivations its input deltas reach (seminaive inserts,
-        delete-and-rederive), where recomputing from scratch would explore
-        every derivation at every stage.
-        """
-        return sum(report.total_substitutions() for report in self.rounds)
 
 
 @runtime_checkable

@@ -256,7 +256,6 @@ class WebdamLogSystem:
             stage_result=stage_result,
             delivered_messages=delivered,
             sent_messages=sent,
-            pending_delegations=len(peer.pending_delegations()),
         )
         if report is not None:
             report.peer_reports[name] = stage_report

@@ -44,15 +44,6 @@ class TestSubmission:
         decision = controller.submit("Julia", "d1", delegated_rule())
         assert decision is DelegationDecision.AUTO_ACCEPTED
 
-    def test_notification_recorded(self):
-        _engine, controller = make_controller()
-        controller.submit("Julia", "d1", delegated_rule())
-        notes = controller.notifications()
-        assert len(notes) == 1
-        assert "Julia" in notes[0]
-        controller.notifications(clear=True)
-        assert controller.notifications() == ()
-
 
 class TestDecisions:
     def test_approve_installs_rule(self):
@@ -113,20 +104,3 @@ class TestRetraction:
         controller.submit_retraction("sigmod", "d1")
         engine.run_stage()
         assert len(engine.installed_delegations()) == 0
-
-
-class TestAuditLog:
-    def test_log_and_counts(self):
-        engine, controller = make_controller(trusted=["sigmod"])
-        controller.submit("sigmod", "d0", delegated_rule("sigmod"))
-        controller.submit("Julia", "d1", delegated_rule())
-        controller.submit("Emilien", "d2", delegated_rule("Emilien"))
-        controller.approve("d1")
-        controller.reject("d2")
-        counts = controller.counts()
-        assert counts["auto-accepted"] == 1
-        assert counts["pending"] == 2
-        assert counts["approved"] == 1
-        assert counts["rejected"] == 1
-        assert counts["pending_now"] == 0
-        assert len(controller.log()) == 5

@@ -65,6 +65,8 @@ CONSTRUCTOR_PARAMETERS = {
                              "storage_options", "replication")),
     "DelegationController": (DelegationController.__init__,
                              ("self", "engine", "trust")),
+    "DelegationController.submit": (DelegationController.submit,
+                                    ("self", "delegator", "delegation_id", "rule")),
 }
 
 

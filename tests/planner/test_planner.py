@@ -4,6 +4,7 @@ soundness bail-outs, and the work both save against written order."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -92,16 +93,27 @@ class TestBodyOrdering:
         first = planner.plan_rule(rule)
         assert planner.counters["plans_computed"] == computed + 1
         second = planner.plan_rule(rule)
-        assert second.cached
+        assert second is first
         assert planner.counters["plans_computed"] == computed + 1
         # 10x churn on a prefix relation invalidates the cached plan.
         for index in range(1000):
             engine.insert_fact(Fact("sel", "p", (1000 + index,)))
         engine.run_to_quiescence()
         replanned = planner.plan_rule(rule)
-        assert not replanned.cached
+        assert replanned is not first
         assert planner.counters["plans_computed"] == computed + 2
         assert first.order == second.order
+
+    def test_cached_plan_is_immutable(self):
+        """Every cache hit hands out the same plan object (see above), so no
+        evaluation may write to it."""
+        engine = make_engine()
+        rule = parse_rule(
+            "rule out@p($x, $y) :- big@p($x, $y), sel@p($x);",
+            default_peer="p")
+        plan = engine._planner.plan_rule(rule)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.order = (0, 1)
 
     def test_program_change_bumps_version_and_clears_cache(self):
         engine = make_engine()
@@ -185,19 +197,31 @@ class TestMagicBailouts:
 
 
 class TestViewPlan:
-    def test_plan_names_rules_magic_relations_and_cached_orders(self):
-        """A compiled view's plan: its rules, no magic for a single clause,
-        and the cost-ordered plan that probes ``big`` from ``sel``."""
+    @staticmethod
+    def selective_join_view():
         deployment = system().peer("p").program(PROGRAM).done().build()
         deployment.peer("p").insert_many(
             [f"big@p({index}, {index + 1})" for index in range(100)] + ["sel@p(7)"])
         view = deployment.query("p", "ans($x, $y) :- big@p($x, $y), sel@p($x)")
         deployment.converge()
+        return view
+
+    def test_plan_names_rules_magic_relations_and_cached_orders(self):
+        """A compiled view's plan: its rules, no magic for a single clause,
+        and the cost-ordered plan that probes ``big`` from ``sel``."""
+        view = self.selective_join_view()
         assert sorted(view.rows()) == [(7, 8)]
         plan = view.plan()
         assert set(plan) == {"rules", "magic_relations", "rule_plans"}
         assert len(plan["rules"]) == 1 and plan["magic_relations"] == ()
         assert [1, 0] in [rule_plan["order"] for rule_plan in plan["rule_plans"]]
+
+    def test_rule_plans_list_order_delta_position_and_bound_only(self):
+        rule_plans = self.selective_join_view().plan()["rule_plans"]
+        assert rule_plans
+        for rule_plan in rule_plans:
+            assert set(rule_plan) == {"rule_id", "order", "reordered",
+                                      "delta_index", "bound"}
 
 
 class TestWorkReduction:

@@ -116,9 +116,7 @@ def test_written_order_walks_every_body_as_written():
     assert written.snapshot() == planned.snapshot()
     assert planned.eval_counters["plans_computed"] > 0
     written.insert_fact(Fact("link", "p", ("d", "e")))
-    results = written.run_to_quiescence()
-    assert all(result.plan is None or not result.plan.rule_plans
-               for result in results)
+    written.run_to_quiescence()
     assert written.eval_counters["plans_computed"] == 0
     assert not any(written._planner._cache.values())
 
