@@ -25,7 +25,7 @@ from repro.core.delegation import Delegation, DelegationDiff
 from repro.core.errors import EvaluationError, SchemaError
 from repro.core.evaluation import (LocationPattern, RuleEvaluator, RuleOutcome,
                                    head_targets, location_pattern, pattern_matches)
-from repro.core.facts import Delta, Fact, fact_matches_bindings
+from repro.core.facts import Delta, Fact, InStoreQuery, fact_matches_bindings
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
@@ -1221,11 +1221,25 @@ class WebdamLogEngine:
             self.state.derived.clear_relation(schema.name, schema.peer)
 
         for selected, recursive, replaced in passes:
+            # A replaced relation whose rules all compile is recomputed
+            # inside a SQL store: staged and diffed there, never decoded
+            # into facts.  Asked here, once the strata below have written.
+            queries: Dict[str, InStoreQuery] = {}
+            if evaluator.pushdown is not None:
+                for predicate in replaced:
+                    query = evaluator.pushdown.relation_query(
+                        analysis.defining(predicate), self._planner.plan_rule)
+                    if query is not None:
+                        queries[predicate] = query
+            in_store = {id(rule) for predicate in queries
+                        for rule in analysis.defining(predicate)}
             changed = True
             while changed:
                 changed = False
                 result.fixpoint_iterations += 1
                 for rule in selected:
+                    if id(rule) in in_store:
+                        continue
                     result.rules_evaluated += 1
                     outcome = evaluator.evaluate_rule(rule)
                     result.substitutions_explored += outcome.substitutions_explored
@@ -1238,8 +1252,19 @@ class WebdamLogEngine:
                         elif self.state.derived.insert(fact):
                             changed = recursive
                             result.derived_intensional += 1
-            for schema, facts in replaced.values():
-                self.state.derived.replace_relation(schema.name, schema.peer, facts)
+            for predicate, (schema, facts) in replaced.items():
+                query = queries.get(predicate)
+                self.state.derived.replace_relation(
+                    schema.name, schema.peer, facts if query is None else query)
+                if query is not None:
+                    # Counted as the rules' Python evaluation would count:
+                    # one compiled evaluation per rule, one substitution per
+                    # distinct staged row; their memo entries hold nothing.
+                    for rule in analysis.defining(predicate):
+                        result.rules_evaluated += 1
+                        result.compiled_sql += 1
+                        self._memo_merge(rule, RuleOutcome())
+                    result.substitutions_explored += query.substitutions
                 result.derived_intensional += self.state.derived.count(
                     schema.name, schema.peer)
         return self._memo_outcome()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+                    Set, Tuple, Union)
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, SchemaRegistry
@@ -194,6 +194,21 @@ class Delta:
         return cls()
 
 
+@dataclass
+class InStoreQuery:
+    """The rows of one relation, computed by the SQL store that holds it.
+
+    One ``(sql, params)`` ``SELECT`` per defining rule, each yielding the
+    relation's stored columns.  The table that runs them
+    (:meth:`repro.store.sqlite.SqliteTable.replace`) adds to
+    ``substitutions`` the distinct rows each produced: the substitutions the
+    rules' Python evaluation would have explored.
+    """
+
+    selects: List[Tuple[str, Tuple]]
+    substitutions: int = 0
+
+
 def _fold(inserted: Set[Fact], deleted: Set[Fact], step: Delta) -> None:
     """Net one step into running sets, as :meth:`Delta.merge` would."""
     inserted |= step.inserted
@@ -335,22 +350,28 @@ class FactStore:
             _fold(inserted, deleted, self.insert(fact))
         return Delta(frozenset(inserted), frozenset(deleted))
 
-    def replace_relation(self, relation: str, peer: str, facts: Iterable[Fact]) -> Delta:
-        """Make ``relation@peer`` hold exactly ``facts``; returns the delta.
+    def replace_relation(self, relation: str, peer: str,
+                         rows: Union[Iterable[Fact], InStoreQuery]) -> Delta:
+        """Make ``relation@peer`` hold exactly ``rows``; returns the delta.
 
-        Writes only the difference, in one batch each way: the pending delta
-        and the generation see exactly the facts that leave or arrive, as if
-        the relation had been cleared and ``facts`` inserted.  A stored fact
+        ``rows`` are facts or, on a SQL backend and for a declared relation,
+        an :class:`InStoreQuery` the table runs itself.  Writes only the
+        difference, in one batch each way: the pending delta and the
+        generation see exactly the facts that leave or arrive, as if the
+        relation had been cleared and ``rows`` inserted.  A stored fact
         equal to an arriving one stays stored.  Only for relations without a
         primary key (displacement makes insertion order observable).
         """
-        facts = list(facts)
-        table = self._table(relation, peer, facts[0].arity if facts else None)
+        arity = None
+        if not isinstance(rows, InStoreQuery):
+            rows = list(rows)
+            arity = rows[0].arity if rows else None
+        table = self._table(relation, peer, arity)
         if table is None:
             return Delta.empty()
         if table.schema.key_indexes():
             raise SchemaError(f"cannot replace keyed relation {table.schema.qualified_name}")
-        inserted, deleted = table.replace(facts)
+        inserted, deleted = table.replace(rows)
         self._record(inserted, deleted)
         return Delta(frozenset(inserted), frozenset(deleted))
 

@@ -81,7 +81,8 @@ class StorageTable(Protocol):
 
     def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
         """Make an unkeyed table hold exactly ``facts``, writing only the
-        difference; return ``(inserted, removed)`` facts."""
+        difference; return ``(inserted, removed)`` facts.  A SQL table also
+        takes an :class:`~repro.core.facts.InStoreQuery` in place of facts."""
         ...
 
     def clear(self) -> List[Fact]:

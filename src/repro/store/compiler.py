@@ -17,31 +17,45 @@ is compiled into **one** ``SELECT`` executed inside the store:
 * the ``SELECT DISTINCT`` output columns are the (tag, value) pairs of the
   head variables, decoded back into one substitution per row.
 
+A relation a stage recomputes whole can stay in the store altogether:
+:meth:`BodyPushdown.relation_query` turns the rules defining it into one
+``SELECT`` per rule whose columns are the head's own — a head constant is
+a tag/value parameter pair, a head variable the columns that bind it — and
+the table stages their rows in a TEMP table and diffs them against the
+stored rows in SQL, decoding only the rows that change
+(:meth:`repro.store.sqlite.SqliteTable.replace`).
+
 The compiler is deliberately conservative: anything it cannot prove
 equivalent to the tuple-at-a-time Python evaluation (variable relation/peer
 positions, remote literals, provided facts, provenance recording) returns
 ``None`` and the evaluator falls back literal by literal.  The aggregate
 entry point plays the same role for the live-view read path: ``GROUP BY``
 pushdown of ``count/sum/min/max/avg`` with exactness guards (integer-only
-SUM/AVG, single-typed MIN/MAX) so pushed-down answers are bit-identical to
+SUM/AVG that fall back on a 64-bit overflow, the average divided in
+Python, single-typed MIN/MAX) so pushed-down answers are bit-identical to
 :func:`repro.datalog.aggregation.compute_aggregate`.
 """
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.facts import InStoreQuery
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
 from repro.datalog.aggregation import Aggregate
-from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
+from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE, StoreError
 from repro.store.sqlite import (
     EXACT_SUM_TAGS,
     NUMERIC_TAGS,
     decode_column,
     encode_column,
 )
+
+if TYPE_CHECKING:
+    from repro.planner.plans import RulePlan
 
 #: Sentinel for a body that is *provably empty* (a positive literal reads a
 #: relation with no facts at all) — compiled, but no statement needs to run.
@@ -61,6 +75,18 @@ class CompiledBody:
             var: Constant(decode_column(row[2 * i], row[2 * i + 1]))
             for i, var in enumerate(self.head_vars)
         }
+
+
+def _storable(term) -> bool:
+    """``False`` for a constant no SQLite column can hold (an int beyond
+    64 bits): no stored row matches it, and no head row can carry it."""
+    if not isinstance(term, Constant):
+        return True
+    try:
+        encode_column(term.value)
+    except StoreError:
+        return False
+    return True
 
 
 class BodyPushdown:
@@ -103,6 +129,80 @@ class BodyPushdown:
 
     def compile(self, rule: Rule, order: Optional[Sequence[int]] = None):
         """Compile the body of ``rule``; ``None`` means "not compilable"."""
+        body = self._body(rule, order)
+        if body is None or body is _EMPTY:
+            return body
+        head_vars = rule.head.variables()
+        select = self._select(head_vars, body)
+        if select is None:
+            return None  # unsafe rule: let the Python evaluator raise.
+        return CompiledBody(*select, head_vars=head_vars)
+
+    def relation_query(self, rules: Sequence[Rule],
+                       plan_rule: Callable[[Rule], Optional[RulePlan]]
+                       ) -> Optional[InStoreQuery]:
+        """The rows ``rules`` derive, as a query the store runs itself.
+
+        One ``SELECT`` of the head's stored columns per rule whose body is
+        not provably empty; its distinct rows are exactly the substitutions
+        :meth:`run` would return.  ``None`` when a rule's head is not a
+        constant local relation of its declared arity holding storable
+        constants, or its body does not compile: the caller evaluates the
+        rules in Python instead, and ``plan_rule`` is not asked.  Otherwise
+        each rule's plan gives the ``FROM`` order, as in :meth:`run`.
+        """
+        local_peer = self.state.peer
+        for rule in rules:
+            head = rule.head
+            relation, peer = head.relation_constant(), head.peer_constant()
+            schema = (self.state.schemas.get(relation, peer)
+                      if relation is not None and peer == local_peer else None)
+            if (schema is None or schema.arity != head.arity
+                    or not all(map(_storable, head.args))):
+                return None
+            body = self._body(rule)
+            if body is None or (body is not _EMPTY and any(
+                    var not in body[2] for var in head.variables())):
+                return None
+        selects: List[Tuple[str, Tuple]] = []
+        for rule in rules:
+            plan = plan_rule(rule)
+            body = self._body(rule, plan.order if plan is not None else None)
+            if body is not _EMPTY:
+                selects.append(self._select(rule.head.args, body))
+        return InStoreQuery(selects)
+
+    @staticmethod
+    def _select(terms, body) -> Optional[Tuple[str, Tuple]]:
+        """``(sql, params)`` selecting ``terms`` over a compiled ``body``.
+
+        A constant is a tag/value parameter pair, a variable the tag/value
+        columns that first bind it (``None`` when none does).  ``DISTINCT``
+        rows, or existence (``LIMIT 1``) when no variable is selected.
+        """
+        from_where, params, var_first = body
+        columns: List[str] = []
+        selected: List[object] = []
+        for term in terms:
+            if isinstance(term, Constant):
+                selected.extend(encode_column(term.value))
+                columns.append("?, ?")
+                continue
+            first = var_first.get(term)
+            if first is None:
+                return None
+            alias, position = first
+            columns.append(f"{alias}.t{position}, {alias}.v{position}")
+        if any(isinstance(term, Variable) for term in terms):
+            sql = f"SELECT DISTINCT {', '.join(columns)}{from_where}"
+        else:
+            sql = f"SELECT {', '.join(columns) or '0'}{from_where} LIMIT 1"
+        return sql, tuple(selected) + tuple(params)
+
+    def _body(self, rule: Rule, order: Optional[Sequence[int]] = None):
+        """``(FROM/WHERE clause, its parameters, first binding position of
+        each positively bound variable)`` of ``rule``'s body, ``_EMPTY`` for
+        a provably empty body, ``None`` when the body is not compilable."""
         local_peer = self.state.peer
         for atom in rule.body:
             relation = atom.relation_constant()
@@ -113,6 +213,8 @@ class BodyPushdown:
                 # Provided facts live outside the store tables; mixing them
                 # in would need a per-stage temp table — fall back instead.
                 return None
+            if not all(map(_storable, atom.args)):
+                return None  # the Python path finds no row holding it
 
         params: List[object] = []
         from_items: List[str] = []
@@ -152,29 +254,12 @@ class BodyPushdown:
                 subquery += f" WHERE {' AND '.join(inner_conds)}"
             conds.append(f"NOT EXISTS ({subquery})")
 
-        head_vars = rule.head.variables()
-        select_cols: List[str] = []
-        for var in head_vars:
-            first = var_first.get(var)
-            if first is None:
-                return None  # unsafe rule: let the Python evaluator raise.
-            alias, position = first
-            select_cols.append(f"{alias}.t{position}")
-            select_cols.append(f"{alias}.v{position}")
-
-        if select_cols:
-            select = f"SELECT DISTINCT {', '.join(select_cols)}"
-        else:
-            # Ground head: existence is all that matters.
-            select = "SELECT 1"
-        sql = select
+        from_where = ""
         if from_items:
-            sql += f" FROM {', '.join(from_items)}"
+            from_where += f" FROM {', '.join(from_items)}"
         if conds:
-            sql += f" WHERE {' AND '.join(conds)}"
-        if not select_cols:
-            sql += " LIMIT 1"
-        return CompiledBody(sql=sql, params=tuple(params), head_vars=head_vars)
+            from_where += f" WHERE {' AND '.join(conds)}"
+        return from_where, params, var_first
 
     def _source_ref(self, atom: Atom) -> Optional[str]:
         """SQL table expression for a literal's relation, or ``None`` if the
@@ -301,16 +386,24 @@ class BodyPushdown:
             elif function is Aggregate.SUM:
                 select.append(f"SUM(v{p})")
             elif function is Aggregate.AVG:
-                select.append(f"SUM(v{p}) * 1.0 / COUNT(*)")
+                # Divided in Python below: an int/int quotient is rounded
+                # once, SQLite's would round the sum to a double first.
+                select.append(f"SUM(v{p})")
             elif function is Aggregate.MIN:
                 select.append(f"MIN(v{p})")
             else:
                 select.append(f"MAX(v{p})")
+        select.append("COUNT(*)")
         sql = f'SELECT {", ".join(select)} FROM "{table}"'
         if group_positions:
             group_cols = ", ".join(f"t{g}, v{g}" for g in group_positions)
             sql += f" GROUP BY {group_cols}"
-        rows = self.backend.execute(sql).fetchall()
+        try:
+            rows = self.backend.execute(sql).fetchall()
+        except sqlite3.OperationalError as error:
+            if "integer overflow" in str(error):
+                return None  # Python's integers do not overflow
+            raise
         self.backend.counters["aggregate_pushdowns"] += 1
 
         results: List[Tuple] = []
@@ -325,7 +418,7 @@ class BodyPushdown:
                 if function is Aggregate.COUNT:
                     output[p] = int(raw)
                 elif function is Aggregate.AVG:
-                    output[p] = float(raw)
+                    output[p] = int(raw) / row[-1]
                 elif function in (Aggregate.MIN, Aggregate.MAX):
                     output[p] = decode_column(min_max_tags[p], raw)
                 else:  # SUM over EXACT_SUM_TAGS: SQLite returns the exact int.

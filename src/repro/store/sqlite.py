@@ -32,10 +32,10 @@ crash/recovery suite uses.
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.errors import SchemaError
-from repro.core.facts import Fact
+from repro.core.facts import Fact, InStoreQuery
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
 from repro.store.backend import StoreError
@@ -57,6 +57,10 @@ NUMERIC_TAGS = frozenset({_TAG_BOOL, _TAG_INT, _TAG_FLOAT})
 #: is associative, float accumulation order is not.
 EXACT_SUM_TAGS = frozenset({_TAG_BOOL, _TAG_INT})
 
+#: The integers a SQLite column holds: signed 64-bit.
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
+
 
 def encode_column(value: ConstantValue) -> Tuple[str, object]:
     """Encode one constant payload as a ``(tag, storable)`` pair."""
@@ -65,6 +69,8 @@ def encode_column(value: ConstantValue) -> Tuple[str, object]:
     if isinstance(value, bool):
         return _TAG_BOOL, int(value)
     if isinstance(value, int):
+        if not _INT_MIN <= value <= _INT_MAX:
+            raise StoreError(f"integer {value} does not fit in a 64-bit SQLite column")
         return _TAG_INT, value
     if isinstance(value, float):
         return _TAG_FLOAT, value
@@ -109,7 +115,7 @@ class SqliteTable:
     """
 
     __slots__ = ("backend", "schema", "table_name", "_arity", "_cols",
-                 "_col_list", "_insert_sql", "_delete_sql", "_indexed")
+                 "_col_list", "_insert_sql", "_delete_sql", "_indexed", "_stage")
 
     def __init__(self, backend: "SqliteBackend", table_name: str, schema: RelationSchema):
         self.backend = backend
@@ -126,6 +132,8 @@ class SqliteTable:
         self._delete_sql = (
             f'DELETE FROM "{table_name}" WHERE {self._eq_clause(self._arity)}')
         self._indexed: Set[Tuple[int, ...]] = set()
+        # The TEMP table :meth:`replace` stages new rows in, once created.
+        self._stage: Optional[str] = None
 
     # -- encoding -------------------------------------------------------- #
 
@@ -134,7 +142,12 @@ class SqliteTable:
             return (0,)
         params: List[object] = []
         for value in values:
-            tag, stored = encode_column(value)
+            try:
+                tag, stored = encode_column(value)
+            except StoreError as error:
+                raise StoreError(
+                    f"cannot store {value!r} in {self.schema.qualified_name}: {error}"
+                ) from None
             params.append(tag)
             params.append(stored)
         return tuple(params)
@@ -159,8 +172,12 @@ class SqliteTable:
         values = fact.values
         if len(values) != self._arity:
             return False
+        try:
+            row = self._encode_row(values)
+        except StoreError:
+            return False  # no stored row can hold the value
         sql = f'SELECT 1 FROM "{self.table_name}" WHERE {self._eq_clause(self._arity)} LIMIT 1'
-        return self.backend.execute(sql, self._encode_row(values)).fetchone() is not None
+        return self.backend.execute(sql, row).fetchone() is not None
 
     def __iter__(self) -> Iterator[Fact]:
         return self.scan(None)
@@ -175,11 +192,15 @@ class SqliteTable:
         return values
 
     def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
-        values = self._checked(fact)
+        return self._insert_row(fact, self._encode_row(self._checked(fact)))
+
+    def _insert_row(self, fact: Fact, row: Tuple) -> Tuple[List[Fact], List[Fact]]:
+        """:meth:`insert` of ``fact``, already checked and encoded as ``row``."""
+        values = fact.values
         key_idx = self.schema.key_indexes()
         self.backend.begin()
         if not key_idx:
-            cur = self.backend.execute(self._insert_sql, self._encode_row(values))
+            cur = self.backend.execute(self._insert_sql, row)
             if cur.rowcount == 0:
                 return [], []
             return [fact], []
@@ -192,7 +213,7 @@ class SqliteTable:
         for old in list(self.scan(bindings)):
             self.delete(old)
             displaced.append(old)
-        self.backend.execute(self._insert_sql, self._encode_row(values))
+        self.backend.execute(self._insert_sql, row)
         return [fact], displaced
 
     def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
@@ -206,10 +227,12 @@ class SqliteTable:
         skipped; only genuinely-new rows hit the database.
         """
         if self.schema.key_indexes():
+            # Encoded first: a batch is refused before any of it is written.
+            rows = [(fact, self._encode_row(self._checked(fact))) for fact in facts]
             all_inserted: List[Fact] = []
             all_displaced: List[Fact] = []
-            for fact in facts:
-                inserted, displaced = self.insert(fact)
+            for fact, row in rows:
+                inserted, displaced = self._insert_row(fact, row)
                 all_inserted.extend(inserted)
                 all_displaced.extend(displaced)
             return all_inserted, all_displaced
@@ -234,37 +257,72 @@ class SqliteTable:
         values = fact.values
         if len(values) != self._arity:
             return None
+        try:
+            row = self._encode_row(values)
+        except StoreError:
+            return None
         self.backend.begin()
-        cur = self.backend.execute(self._delete_sql, self._encode_row(values))
+        cur = self.backend.execute(self._delete_sql, row)
         return fact if cur.rowcount > 0 else None
 
     def delete_many(self, facts: Iterable[Fact]) -> None:
         """Delete several stored facts in one ``executemany``."""
+        rows: List[Tuple] = []
+        for fact in facts:
+            try:
+                rows.append(self._encode_row(fact.values))
+            except StoreError:
+                pass  # no stored row can hold the value
         self.backend.begin()
-        self.backend.executemany(
-            self._delete_sql, [self._encode_row(fact.values) for fact in facts])
+        self.backend.executemany(self._delete_sql, rows)
 
-    def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
-        """Make the table hold exactly ``facts``; return ``(inserted,
+    def replace(self, rows: Union[Iterable[Fact], InStoreQuery]
+                ) -> Tuple[List[Fact], List[Fact]]:
+        """Make the table hold exactly ``rows`` — facts, or an in-store
+        query whose ``SELECT`` statements compute them; return ``(inserted,
         removed)`` facts.
 
-        For unkeyed relations.  One scan reads the stored rows undecoded and
-        compares them with the encoded new facts (the tags keep the keys
-        typed); only the rows that leave are decoded, and the leavers and
-        the arrivals are written in one ``executemany`` each.
+        For unkeyed relations.  The new rows are staged in a TEMP table:
+        facts by one ``executemany``, a query by one ``INSERT … SELECT`` per
+        statement (the rows staged are added to its ``substitutions``).
+        Two ``EXCEPT`` statements against the stored rows then find the
+        rows that leave and the rows that arrive — compared undecoded, the
+        tags keep them typed — and only those are decoded, and written with
+        one ``executemany`` each, all in the stage's transaction.  The
+        staging table lives in the connection's temporary database, never
+        in the file, and is emptied before use.
         """
-        arriving: Dict[Tuple, Fact] = {}
-        for fact in facts:
-            arriving.setdefault(self._encode_row(self._checked(fact)), fact)
-        cur = self.backend.execute(f'SELECT {self._col_list} FROM "{self.table_name}"')
-        leaving = [self._decode_fact(stored) for stored in cur
-                   if arriving.pop(stored, None) is None]
+        backend = self.backend
+        backend.begin()
+        insert = f"INSERT INTO {self._staging()} ({self._col_list}) "
+        if isinstance(rows, InStoreQuery):
+            for sql, params in rows.selects:
+                rows.substitutions += backend.execute(insert + sql, params).rowcount
+                backend.counters["compiled_statements"] += 1
+        else:
+            backend.executemany(
+                insert + f"VALUES ({', '.join('?' for _ in self._cols)})",
+                [self._encode_row(self._checked(fact)) for fact in rows])
+        stored = f'SELECT {self._col_list} FROM "{self.table_name}"'
+        staged = f"SELECT {self._col_list} FROM {self._stage}"
+        leaving = backend.execute(f"{stored} EXCEPT {staged}").fetchall()
+        arriving = backend.execute(f"{staged} EXCEPT {stored}").fetchall()
         if leaving:
-            self.delete_many(leaving)
+            backend.executemany(self._delete_sql, leaving)
         if arriving:
-            self.backend.begin()
-            self.backend.executemany(self._insert_sql, list(arriving))
-        return list(arriving.values()), leaving
+            backend.executemany(self._insert_sql, arriving)
+        return ([self._decode_fact(row) for row in arriving],
+                [self._decode_fact(row) for row in leaving])
+
+    def _staging(self) -> str:
+        """The empty TEMP table :meth:`replace` stages rows in."""
+        if self._stage is None:
+            self._stage = f'temp."{self.table_name}__stage"'
+            self.backend.execute(f"CREATE TEMP TABLE {self._stage} "
+                                 f"({self._col_list})")
+        else:
+            self.backend.execute(f"DELETE FROM {self._stage}")
+        return self._stage
 
     def clear(self) -> List[Fact]:
         removed = list(self.scan(None))
@@ -284,13 +342,16 @@ class SqliteTable:
         positions = tuple(sorted(bindings))
         if positions[-1] >= self._arity:
             return
-        self._ensure_index(positions)
-        clause = " AND ".join(f"t{p} = ? AND v{p} = ?" for p in positions)
         params: List[object] = []
         for p in positions:
-            tag, stored = encode_column(bindings[p])
+            try:
+                tag, stored = encode_column(bindings[p])
+            except StoreError:
+                return  # no stored row can hold the value
             params.append(tag)
             params.append(stored)
+        self._ensure_index(positions)
+        clause = " AND ".join(f"t{p} = ? AND v{p} = ?" for p in positions)
         cur = self.backend.execute(
             f'SELECT {self._col_list} FROM "{self.table_name}" WHERE {clause}', params)
         for row in cur:

@@ -186,6 +186,32 @@ class TestTableSemantics:
         assert flag.replace([]) == ([], [unit])
         assert len(flag) == 0
 
+    def test_integers_beyond_64_bits(self, backend):
+        """The memory backend stores any int.  A SQLite column holds 64
+        bits: a larger int is refused with a ``StoreError`` naming the
+        relation and the value, before any row is written — a keyed row it
+        would displace stays — and it is never found."""
+        keyed = backend.table(STORE_NAMESPACE, _schema(columns=("k", "v"), key=("k",)))
+        plain = backend.table(STORE_NAMESPACE, _schema(name="s", columns=("k", "v")))
+        edges = [_f(1, 2 ** 63 - 1), _f(2, -2 ** 63)]
+        keyed.insert_many(edges)
+        big = _f(1, 2 ** 70)
+        if backend.name == "memory":
+            assert keyed.insert(big) == ([big], [edges[0]])
+            assert big in keyed and _rows(keyed.scan({1: 2 ** 70})) == [(1, 2 ** 70)]
+            assert plain.replace([_f(3, 2 ** 70, name="s")])[0] == [_f(3, 2 ** 70, name="s")]
+            return
+        writes = [lambda: keyed.insert(big),
+                  lambda: keyed.insert_many([_f(3, 0), big]),
+                  lambda: plain.insert_many([_f(3, 0, name="s"), _f(1, 2 ** 70, name="s")]),
+                  lambda: plain.replace([_f(3, 0, name="s"), _f(1, 2 ** 70, name="s")])]
+        for write in writes:
+            with pytest.raises(StoreError, match=r"@p.*1180591620717411303424"):
+                write()
+        assert sorted(_rows(keyed)) == sorted(_rows(edges)) and len(plain) == 0
+        assert big not in keyed and list(keyed.scan({1: 2 ** 70})) == []
+        assert keyed.delete(big) is None
+
     def test_same_relation_two_namespaces(self, backend):
         """Store and derived tables of one relation are independent."""
         schema = _schema(name="dual", columns=("x",))

@@ -171,6 +171,22 @@ class TestFallbacks:
         assert sql.snapshot() == mem.snapshot()
         assert len(sql.snapshot()["twice@p"]) == 4
 
+    def test_a_constant_beyond_64_bits_falls_back(self):
+        """No SQLite column holds the constant: the body is not compiled,
+        and the Python path finds no row holding it, like the memory
+        backend."""
+        program = """
+        collection extensional persistent pair@p(a, b);
+        collection intensional odd@p(a);
+        collection intensional even@p(a);
+        rule odd@p($x) :- pair@p($x, 1180591620717411303424);
+        rule even@p($x) :- pair@p($x, $y), not pair@p($x, 1180591620717411303424);
+        """
+        sql, mem = converge_pair(program, [Fact("pair", "p", (1, 2))])
+        assert sql.snapshot() == mem.snapshot()
+        assert sql.snapshot()["even@p"] == (Fact("even", "p", (1,)),)
+        assert all(sql.state.pushdown.compile(rule) is None for rule in sql.state.own_rules)
+
     def test_provenance_disables_pushdown(self):
         """Provenance recording needs per-derivation support tuples, which a
         set-at-a-time SQL result cannot carry — the engine must keep the
@@ -256,3 +272,38 @@ class TestAggregatePushdown:
             answers[backend] = sorted(view.rows())
             deployment.close()
         assert answers["memory"] == answers["sqlite"]
+
+    def test_integer_overflow_and_large_averages_match_memory(self):
+        """SQLite's integer SUM overflows where Python's does not, and its
+        average would round the sum to a double before dividing: the
+        pushdown answers neither, both backends give Python's answers."""
+        big = [1094326513867019457, 1043778702358056735, 39771454358884755]
+        rows = [("eu", 2 ** 62), ("eu", 2 ** 62 + 1)] + [("us", amount) for amount in big]
+        answers = {}
+        for backend in ("memory", "sqlite"):
+            deployment = (system().storage(backend)
+                          .peer("hub").program("""
+                          collection extensional persistent sales@hub(region, amount);
+                          """).done().build())
+            deployment.peer("hub").insert_many(
+                [Fact("sales", "hub", row) for row in rows])
+            deployment.converge()
+            views = [deployment.query("hub", f"{name}($r, {name}($a)) :- sales@hub($r, $a)")
+                     for name in ("sum", "avg")]
+            deployment.converge()
+            answers[backend] = [sorted(view.rows()) for view in views]
+            deployment.close()
+        assert answers["sqlite"] == answers["memory"] == [
+            [("eu", 9223372036854775809), ("us", sum(big))],
+            [("eu", 9223372036854775809 / 2), ("us", sum(big) / 3)]]
+        # Rounding the sum first gives another double.
+        assert float(sum(big)) / 3 != sum(big) / 3
+
+    def test_a_sum_that_fits_is_pushed_down(self):
+        deployment = self._deployment([("eu", 2 ** 62), ("eu", 2 ** 62 - 1)])
+        view = deployment.query(
+            "hub", "totals($r, sum($a), avg($a)) :- sales@hub($r, $a)")
+        deployment.converge()
+        assert sorted(view.rows()) == [("eu", 2 ** 63 - 1, (2 ** 63 - 1) / 2)]
+        assert self._counters(deployment)["aggregate_pushdowns"] == 1
+        deployment.close()

@@ -7,6 +7,7 @@ remainders are durable; in-flight stage work is rolled back whole."""
 from __future__ import annotations
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -378,3 +379,84 @@ class TestRecoveryWritesOnlyTheDifference:
         assert [sql.split()[0] for sql in writes] == ["DELETE", "INSERT"]
         assert {name: sorted(view.rows()) for name, view in views.items()} == answers
         reopened.close()
+
+
+class Crash(Exception):
+    """Process death, raised right after the statement it interrupts."""
+
+
+def crash_after(deployment, step):
+    """Abort the hub's backend right after the first statement ``step``
+    names: ``staged`` (rows staged in a TEMP table), ``deleted`` or
+    ``inserted`` (a write to a derived table)."""
+    backend = deployment.runtime.peer("hub").engine.state.backend
+    derived = {f'"{table}"' for (namespace, _, _), (table, _)
+               in backend._physical.items() if namespace == "derived"}
+    prefixes = {"staged": ("INSERT INTO temp.",),
+                "deleted": tuple(f"DELETE FROM {table} WHERE" for table in derived),
+                "inserted": tuple(f"INSERT OR IGNORE INTO {table}" for table in derived)}
+    execute, executemany = backend.execute, backend.executemany
+
+    def after(run):
+        def running(sql, params=()):
+            cursor = run(sql, params)
+            if sql.startswith(prefixes[step]):
+                backend.abort()
+                raise Crash(sql)
+            return cursor
+        return running
+
+    backend.execute, backend.executemany = after(execute), after(executemany)
+
+
+def dump(path):
+    """The SQL text of everything the database file holds."""
+    with closing(sqlite3.connect(str(path))) as connection:
+        return list(connection.iterdump())
+
+
+class TestCrashInsideAnInStoreReplace:
+    """A reopened peer's first stage recomputes its views inside the store:
+    staged in a TEMP table, diffed, the difference deleted and inserted.
+    Death after any of those steps leaves the last committed state; the next
+    reopen reaches the answers of a run that never died, and the database
+    file never holds a staging table."""
+
+    def reopen(self, path):
+        reopened = build(path, peers=("hub",), programs=False)
+        hub = reopened.peer("hub")
+        hub.unwrap().remove_rules([rule.rule_id for rule in hub.rules()])
+        return reopened, open_board(reopened)
+
+    @pytest.mark.parametrize("step", ["staged", "deleted", "inserted"])
+    def test_death_after_each_step(self, tmp_path, step):
+        deployment = system().storage("sqlite", path=str(tmp_path)).peer("hub") \
+            .program(PROGRAM_BOARD).build()
+        deployment.peer("hub").insert_many(
+            [Fact("rate", "hub", (f"u{i % 5}", i % 7, 1 + i % 3)) for i in range(40)])
+        deployment.peer("hub").insert(Fact("hidden", "hub", (3,)))
+        deployment.converge()
+        views = open_board(deployment)
+        deployment.converge()
+        answers = {name: sorted(view.rows()) for name, view in views.items()}
+        # Stale view rows, so the first stage after a reopen writes both ways.
+        derived = deployment.runtime.peer("hub").engine.state.derived
+        derived.insert(Fact("page_wall", "hub", (1000, 1)))
+        derived.delete(Fact("page_wall", "hub", answers["page_wall"][0]))
+        deployment.runtime.peer("hub").engine.state.commit()
+        crash(deployment)
+
+        committed = dump(tmp_path / "hub.db")
+        # The views' rules come back with the store: the first stage
+        # replaces their relations before anything else is written.
+        victim = build(tmp_path, peers=("hub",), programs=False)
+        crash_after(victim, step)
+        with pytest.raises(Crash):
+            victim.converge()
+        after = dump(tmp_path / "hub.db")
+        assert after == committed and not any("stage" in line for line in after)
+
+        survivor, views = self.reopen(tmp_path)
+        survivor.converge()
+        assert {name: sorted(view.rows()) for name, view in views.items()} == answers
+        survivor.close()
