@@ -24,6 +24,10 @@ Run with::
 
 from repro.wepic import build_demo_scenario
 
+#: The deployment totals the demo's screens show.
+SHOWN_TOTALS = ("rounds", "messages_sent", "messages_delivered", "extensional_facts",
+                "derived_facts", "installed_delegations", "pending_delegations")
+
 
 def main() -> None:
     scenario = build_demo_scenario(pictures_per_attendee=3, control_delegation=True)
@@ -96,8 +100,11 @@ def main() -> None:
     print("\n=== Final screen of Jules (headless UI) ===")
     print(scenario.ui("Jules").render())
 
+    # The evaluator's work counters are left out: the SQL and the Python
+    # evaluator count their work differently, and this output is the same
+    # on every storage backend.
     totals = scenario.api.totals()
-    print("\nsystem totals:", totals)
+    print("\nsystem totals:", {name: totals[name] for name in SHOWN_TOTALS})
 
 
 if __name__ == "__main__":

@@ -107,15 +107,24 @@ class DelegationController:
         return tuple(sorted(self._pending.values(), key=lambda p: p.delegation_id))
 
     def approve(self, delegation_id: str) -> PendingDelegation:
-        """Approve a pending delegation: the rule is installed at the engine."""
-        pending = self._pending.pop(delegation_id, None)
+        """Approve a pending delegation: the rule is installed at the engine.
+
+        A rule that would close a cycle through negation raises
+        :class:`~repro.core.errors.StratificationError` and stays pending.
+        """
+        pending = self._pending.get(delegation_id)
         if pending is None:
             raise AccessControlError(f"no pending delegation with id {delegation_id!r}")
         self.engine.receive_delegation(pending.delegator, pending.delegation_id, pending.rule)
+        del self._pending[delegation_id]
         return pending
 
     def approve_all(self, delegator: Optional[str] = None) -> List[PendingDelegation]:
-        """Approve every pending delegation (optionally restricted to one delegator)."""
+        """Approve every pending delegation (optionally restricted to one delegator).
+
+        Stops at the first refused one (see :meth:`approve`): it and the
+        ones after it stay pending.
+        """
         approved = []
         for pending in list(self.pending()):
             if delegator is None or pending.delegator == delegator:

@@ -30,7 +30,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from repro.core.errors import ParseError, SafetyError
-from repro.core.facts import Fact
+from repro.core.facts import Fact, typed_values
 from repro.core.parser import (
     ParsedQuery,
     ParsedQueryProgram,
@@ -286,12 +286,6 @@ def _noop_callback(fact: Fact) -> None:
 _values_of = attrgetter("values")
 
 
-def _typed(values: Sequence) -> Tuple:
-    """A group key under the stores' type-strict equality (``1`` is not
-    ``True`` is not ``1.0``), usable as a dict key."""
-    return tuple(zip(map(type, values), values))
-
-
 class LiveView:
     """A standing, incrementally-maintained answer to a declarative query.
 
@@ -334,12 +328,12 @@ class LiveView:
         # -- read-path state (docs/storage.md, "Read path") ---------------- #
         # Aggregate view without a viewer: typed group key -> answer fact,
         # the same facts in rendering order, the tuple handed to readers and
-        # the groups a stage touched since.  ``None`` until the first read
-        # primes it.
+        # the groups a stage touched since (typed group key -> the group's
+        # values).  ``None`` until the first read primes it.
         self._groups: Optional[Dict[Tuple, Fact]] = None
         self._ordered: List[Fact] = []
         self._answer: Tuple[Fact, ...] = ()
-        self._dirty: Set[Tuple] = set()
+        self._dirty: Dict[Tuple, Tuple] = {}
         # Aggregate view with a viewer: (filtered raw facts, their groups).
         self._viewer_answer: Optional[
             Tuple[Tuple[Fact, ...], Tuple[Fact, ...]]] = None
@@ -488,7 +482,7 @@ class LiveView:
                 self._owner_state().fact_view(self.relation, self._owner),
                 key=str))
         positions = self._positions
-        self._groups = {_typed([fact.values[i] for i in positions]): fact
+        self._groups = {typed_values([fact.values[i] for i in positions]): fact
                         for fact in answer}
         self._ordered = list(answer)
         self._answer = answer
@@ -504,7 +498,8 @@ class LiveView:
             for fact in changed:
                 if fact.relation == relation and fact.peer == owner:
                     values = fact.values
-                    dirty.add(_typed([values[i] for i in positions]))
+                    group = tuple([values[i] for i in positions])
+                    dirty.setdefault(typed_values(group), group)
 
     def _refresh(self) -> None:
         """Recompute the dirty groups, each from one bound index probe.
@@ -516,14 +511,13 @@ class LiveView:
         state = self._owner_state()
         relation, owner, positions = self.relation, self._owner, self._positions
         groups, ordered = self._groups, self._ordered
-        for key in self._dirty:
+        for key, values in self._dirty.items():
             stale = groups.pop(key, None)
             if stale is not None:
                 index = bisect_left(ordered, str(stale), key=str)
                 while ordered[index] is not stale:
                     index += 1
                 del ordered[index]
-            values = [value for _, value in key]
             rows = [fact.values for fact in sorted(
                 state.fact_view(relation, owner, dict(zip(positions, values))),
                 key=str)]
@@ -560,10 +554,10 @@ class LiveView:
         groups: Dict[Tuple, List[Tuple]] = {}
         for fact in raw:
             row = fact.values
-            groups.setdefault(_typed([row[i] for i in positions]), []).append(row)
+            groups.setdefault(typed_values([row[i] for i in positions]), []).append(row)
         return tuple(sorted(
-            (self._group_fact([value for _, value in key], rows)
-             for key, rows in groups.items()),
+            (self._group_fact([rows[0][i] for i in positions], rows)
+             for rows in groups.values()),
             key=str))
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.core.delegation import Delegation, DelegationDiff
 from repro.core.errors import EvaluationError, SchemaError
@@ -407,12 +408,16 @@ class WebdamLogEngine:
 
         Schema declarations are registered, facts of local relations are
         inserted, facts of remote relations are queued to be pushed at the
-        next stage, and rules are added to the peer's own program.
+        next stage, and rules are added to the peer's own program.  Raises
+        :class:`~repro.core.errors.StratificationError` before any of that
+        when its rules and declarations would close a cycle through
+        negation.
         """
         if isinstance(program, str):
             program = parse_program(program, default_peer=self.peer, author=self.peer)
+        self._check_stratifiable(program.rules, program.schemas)
         for schema in program.schemas:
-            self.declare(schema)
+            self._declare(schema)
         for fact in program.facts:
             if fact.peer == self.peer:
                 self.state.insert_fact(fact)
@@ -429,8 +434,18 @@ class WebdamLogEngine:
 
         Only a relation that *becomes* intensional changes what the engine
         computed so far; re-declaring a known relation (every delegation
-        install carries its schemas) changes nothing.
+        install carries its schemas) changes nothing.  A local relation
+        that becomes intensional widens what a head with a variable
+        relation derives into: it is refused, like a rule, when that would
+        close a cycle through negation.
         """
+        if (schema.is_intensional() and schema.peer == self.peer
+                and self.state.schemas.get(schema.name, schema.peer) is None):
+            self._check_stratifiable((), (schema,))
+        return self._declare(schema)
+
+    def _declare(self, schema: RelationSchema) -> RelationSchema:
+        """:meth:`declare` without the stratification check."""
         new = self.state.schemas.get(schema.name, schema.peer) is None
         declared = self.state.declare(schema)
         if new and declared.is_intensional():
@@ -444,9 +459,15 @@ class WebdamLogEngine:
         return declared
 
     def add_rule(self, rule: Union[str, Rule]) -> Rule:
-        """Add a rule to the peer's own program (parsed if given as text)."""
+        """Add a rule to the peer's own program (parsed if given as text).
+
+        Raises :class:`~repro.core.errors.StratificationError`, and leaves
+        the program unchanged, when the rule would close a cycle through
+        negation.
+        """
         if isinstance(rule, str):
             rule = parse_rule(rule, default_peer=self.peer, author=self.peer)
+        self._check_stratifiable((rule,))
         self._invalidate_program_cache()
         self.mark_dirty()
         return self.state.add_rule(rule)
@@ -476,9 +497,14 @@ class WebdamLogEngine:
         return removed
 
     def replace_rule(self, rule_id: str, new_rule: Union[str, Rule]) -> Rule:
-        """Replace an own rule (the Wepic *customize rules* operation)."""
+        """Replace an own rule (the Wepic *customize rules* operation).
+
+        Refused like :meth:`add_rule` when the new rule would close a cycle
+        through negation.
+        """
         if isinstance(new_rule, str):
             new_rule = parse_rule(new_rule, default_peer=self.peer, author=self.peer)
+        self._check_stratifiable((new_rule,), replacing=rule_id)
         self._invalidate_program_cache()
         self.mark_dirty()
         return self.state.replace_rule(rule_id, new_rule)
@@ -562,9 +588,34 @@ class WebdamLogEngine:
         self.mark_dirty()
 
     def receive_delegation(self, sender: str, delegation_id: str, rule: Rule) -> None:
-        """Record a delegation install received from ``sender`` for the next stage."""
+        """Record a delegation install received from ``sender`` for the next stage.
+
+        A delegated rule can close a cycle through negation that neither
+        peer's own program shows: such a delegation is refused with
+        :class:`~repro.core.errors.StratificationError`, and nothing is
+        recorded.
+        """
+        self._check_stratifiable((rule,))
         self.state.pending.delegations_to_install.append((sender, delegation_id, rule))
         self.mark_dirty()
+
+    def _check_stratifiable(self, added: Sequence[Rule],
+                            declared: Iterable[RelationSchema] = (),
+                            replacing: Optional[str] = None) -> None:
+        """Raise :class:`~repro.core.errors.StratificationError` when the
+        program with the ``added`` rules and the ``declared`` schemas (and
+        without the own rule ``replacing``) has a cycle through negation.
+
+        The delegations waiting to be installed at the next stage count as
+        part of the program, so no later change can close a cycle with one
+        of them that the stage would then find."""
+        rules = [rule for rule in self.state.all_rules() if rule.rule_id != replacing]
+        rules.extend(queued for _, _, queued in self.state.pending.delegations_to_install)
+        rules.extend(added)
+        intensional = self.state.schemas.intensional_at(self.peer).union(
+            schema.qualified_name for schema in declared
+            if schema.peer == self.peer and schema.is_intensional())
+        stratification.stratify(rules, intensional)
 
     def receive_delegation_retraction(self, sender: str, delegation_id: str) -> None:
         """Record a delegation retraction received from ``sender`` for the next stage."""

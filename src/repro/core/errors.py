@@ -46,6 +46,32 @@ class SafetyError(WebdamLogError):
     """
 
 
+class StratificationError(WebdamLogError):
+    """Raised when a program has a cycle through negation.
+
+    No stratification exists for such a program, so negation-as-failure
+    would let the written order of the rules pick the answer.  The program
+    is refused instead.
+
+    Attributes
+    ----------
+    cycle:
+        The heads of the rules on the cycle (``"rel@peer"``, variables
+        kept), the first repeated at the end: each rule reads the next, the
+        first under negation.
+    rules:
+        The text of each rule on the cycle, in the same order.
+    """
+
+    def __init__(self, cycle, rules):
+        self.cycle = tuple(cycle)
+        self.rules = tuple(rules)
+        super().__init__(
+            "cycle through negation (each rule reads the next, the first "
+            "under negation): " + " -> ".join(self.cycle) + "; rules: "
+            + "; ".join(f"[{rule}]" for rule in self.rules))
+
+
 class EvaluationError(WebdamLogError):
     """Raised when rule evaluation fails (e.g. unbound peer at delegation time)."""
 

@@ -28,6 +28,36 @@ if TYPE_CHECKING:
     from repro.store.backend import StorageTable
 
 
+#: The payload types that compare equal to another type's values: ``True ==
+#: 1`` and ``1.0 == 1``.  ``None``, ``int``, ``str`` and ``bytes`` values
+#: never equal a value of another type, so they need no tag.
+_TAGGED = frozenset({bool, float})
+
+
+def typed_value(value: ConstantValue):
+    """``value`` under type-strict equality, usable as a dict key.
+
+    A ``bool`` or a ``float`` becomes a ``(type, value)`` pair, anything else
+    stays itself: ``typed_value(1)``, ``typed_value(True)`` and
+    ``typed_value(1.0)`` are three different keys, as are ``"1"`` and
+    ``b"1"``.  The one definition of type-strict identity: fact equality, the
+    memory tables' keys and probes, and every group or distinct count keyed
+    by values use it.
+    """
+    cls = value.__class__
+    return (cls, value) if cls in _TAGGED else value
+
+
+def typed_values(values: Iterable[ConstantValue]) -> Tuple:
+    """:func:`typed_value` of each of ``values``, as a tuple (the tuple
+    itself when none is tagged)."""
+    if values.__class__ is not tuple:
+        values = tuple(values)
+    if _TAGGED.isdisjoint(map(type, values)):
+        return values
+    return tuple(map(typed_value, values))
+
+
 class Fact:
     """A ground fact ``relation@peer(values...)``.
 
@@ -39,14 +69,17 @@ class Fact:
     Equality is *type-strict*, matching :class:`Constant` and the storage
     row keys: ``r@p(1)``, ``r@p(True)`` and ``r@p(1.0)`` are three different
     facts even though the payloads compare ``==`` in Python — otherwise they
-    would collide in delta sets while the stores keep them distinct.  The
-    hash leaves the types out: a type object hashes by its address, so
-    hashing them would order every set of facts differently in every
-    process, whatever ``PYTHONHASHSEED`` says.
+    would collide in delta sets while the stores keep them distinct.  What
+    equality compares besides the relation and the peer is ``_key``, the
+    :func:`typed_values` of the payload: the values themselves unless one
+    of them is a ``bool`` or a ``float``.  The hash leaves the types out: a
+    type object hashes by its address, so hashing them would order every
+    set of facts differently in every process, whatever ``PYTHONHASHSEED``
+    says.
 
     Facts are immutable (assignment raises).  The class is slotted and keeps
-    its hash, so the set algebra every stage runs never re-hashes the nested
-    key, and its rendering, so sorting a relation by ``str`` renders each
+    its hash, so the set algebra every stage runs never re-hashes the
+    values, and its rendering, so sorting a relation by ``str`` renders each
     stored fact once.
     """
 
@@ -58,11 +91,12 @@ class Fact:
             raise SchemaError("fact must name a relation and a peer")
         if values.__class__ is not tuple:
             values = tuple(values)
-        key = (relation, peer, tuple(zip(map(type, values), values)))
         _set_relation(self, relation)
         _set_peer(self, peer)
         _set_values(self, values)
-        _set_key(self, key)
+        # typed_values(values), inlined: a call costs a twentieth of a build.
+        _set_key(self, values if _TAGGED.isdisjoint(map(type, values))
+                 else tuple(map(typed_value, values)))
         _set_hash(self, hash((relation, peer, values)))
         _set_str(self, None)
 
@@ -78,9 +112,10 @@ class Fact:
         return (Fact, (self.relation, self.peer, self.values))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Fact):
+        if other.__class__ is not Fact:
             return NotImplemented
-        return self._key == other._key
+        return (self._key == other._key and self.relation == other.relation
+                and self.peer == other.peer)
 
     def __hash__(self) -> int:
         return self._hash
@@ -136,7 +171,7 @@ _set_str = Fact._str.__set__
 #: What ``Fact`` equality compares, read without a Python-level call: a set
 #: of these answers a membership probe without ``Fact.__hash__`` /
 #: ``Fact.__eq__`` frames, for passes over a whole relation.
-fact_identity = attrgetter("_key")
+fact_identity = attrgetter("relation", "peer", "_key")
 
 
 def fact_matches_bindings(fact: Fact, bindings: Dict[int, ConstantValue]) -> bool:

@@ -21,16 +21,19 @@ in increasing order, each to its fixpoint, with negation-as-failure against
 the completed lower strata yields the perfect model.
 
 A negative read inside one component is a cycle through negation, which no
-stratification satisfies.  The rules are then returned as a single stratum:
-the engine still evaluates them, but negation-as-failure is only a
-best-effort semantics there, mirroring the original system where negation
-was not supported at all.
+stratification satisfies: the written order of the rules would pick the
+answer.  :func:`stratify` raises a
+:class:`~repro.core.errors.StratificationError` naming one such cycle, and
+the engine runs the same check before a rule or a delegation joins the
+program, which it then leaves unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from collections import deque
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
+from repro.core.errors import StratificationError
 from repro.core.evaluation import head_targets, location_pattern, pattern_matches
 from repro.core.rules import Rule
 
@@ -109,8 +112,8 @@ def stratify(rules: Sequence[Rule],
     """Partition ``rules`` into strata, lowest first, in written order within each.
 
     ``local_intensional`` are the qualified names (``"rel@peer"``) of the
-    peer's intensional relations.  Without negation, or with a cycle through
-    it, the result is one stratum.
+    peer's intensional relations.  Without negation the result is one
+    stratum; with a cycle through it, :class:`StratificationError`.
     """
     rules = list(rules)
     if not any(atom.negated for rule in rules for atom in rule.body):
@@ -126,10 +129,32 @@ def stratify(rules: Sequence[Rule],
                 if definer not in members:
                     stratum = max(stratum, stratum_of[definer] + negated)
                 elif negated:
-                    return [rules]  # a cycle through negation
+                    raise _cycle_error(rules, reads, members, reader, definer)
         for reader in component:
             stratum_of[reader] = stratum
     strata: List[List[Rule]] = [[] for _ in range(max(stratum_of) + 1)]
     for rule, stratum in zip(rules, stratum_of):
         strata[stratum].append(rule)
     return strata
+
+
+def _cycle_error(rules: List[Rule], reads: Reads, members: Set[int],
+                 reader: int, definer: int) -> StratificationError:
+    """The error naming the cycle closed by ``reader``'s negated read of
+    ``definer``: that read, then the shortest path of reads inside the
+    component from ``definer`` back to ``reader``."""
+    came_from: Dict[int, int] = {definer: definer}
+    queue = deque([definer])
+    while reader not in came_from:
+        node = queue.popleft()
+        for read, _ in reads[node]:
+            if read in members and read not in came_from:
+                came_from[read] = node
+                queue.append(read)
+    back = [reader]
+    while back[-1] != definer:
+        back.append(came_from[back[-1]])
+    cycle = [reader] + back[::-1]
+    return StratificationError(
+        [str(rules[position].head).split("(", 1)[0] for position in cycle],
+        [str(rules[position]) for position in cycle[:-1]])

@@ -16,6 +16,8 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, Tuple
 
+from repro.core.facts import typed_value
+
 _values_of = attrgetter("values")
 
 #: A cached distinct-count (and a cached plan, see
@@ -70,6 +72,6 @@ class StatsProvider:
             columns = zip(*map(_values_of, chain(state.store.facts(relation, peer),
                                                  state.derived.facts(relation, peer))))
             cached = self._distinct[key] = (count, tuple(
-                len(set(zip(map(type, column), column))) for column in columns))
+                len(set(map(typed_value, column))) for column in columns))
         sizes = cached[1]  # empty for an empty relation
         return sizes[position] if position < len(sizes) else 1

@@ -23,7 +23,7 @@ from repro.acl.delegation_control import DelegationController
 from repro.acl.trust import TrustStore
 from repro.core.delegation import Delegation
 from repro.core.engine import StageResult, WebdamLogEngine
-from repro.core.errors import SchemaError
+from repro.core.errors import SchemaError, StratificationError
 from repro.core.facts import Delta, Fact
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationSchema
@@ -92,6 +92,8 @@ class Peer:
             self.replication = None
         self.controller = DelegationController(self.engine, trust=trust)
         self.wrappers: List = []
+        # Delegation installs refused while delivering the current batch.
+        self._refused: List[StratificationError] = []
         # Derivations already shipped to each target (keyed like the
         # tracker's remote memory), so updates carry each one only once —
         # plus the facts appearing in that shipped lineage, so *alternative*
@@ -242,8 +244,13 @@ class Peer:
 
         ``now`` is the scheduler cycle of the delivery
         (:attr:`WebdamLogSystem.current_round`); only causal replication's
-        timers read it, so a peer driven by hand may leave it out.
+        timers read it, so a peer driven by hand may leave it out.  A
+        refused delegation install raises as in :meth:`deliver_all`.
         """
+        self.deliver_all((message,), now)
+
+    def _dispatch(self, message: Message, now: int) -> None:
+        """Hand one message to the engine / controller (see :meth:`deliver`)."""
         if isinstance(message, (DeltaEnvelopeMessage, ReplicationDigestMessage,
                                 ReplicationPullMessage, ReplicationAckMessage)):
             if self.replication is None:
@@ -277,11 +284,21 @@ class Peer:
             raise TypeError(f"peer {self.name} cannot handle message {message!r}")
 
     def deliver_all(self, messages: Iterable[Message], now: int = 0) -> int:
-        """Deliver a batch of messages; returns how many were processed."""
+        """Deliver a batch of messages; returns how many were processed.
+
+        A delegation install that would close a cycle through negation is
+        refused alone: every other message of the batch, and every other
+        effect of a replication envelope, is still delivered, and the first
+        :class:`~repro.core.errors.StratificationError` is raised after the
+        batch.
+        """
+        self._refused.clear()
         count = 0
         for message in messages:
-            self.deliver(message, now)
+            self._dispatch(message, now)
             count += 1
+        if self._refused:
+            raise self._refused[0]
         return count
 
     def _apply_replication_effects(self, origin: str, effects) -> None:
@@ -309,15 +326,23 @@ class Peer:
     def _submit_delegation(self, sender: str, delegation_id: str,
                            rule: Optional[Rule],
                            schemas: Iterable[RelationSchema]) -> None:
-        """Learn a delegated rule's schemas, then hand it to the controller."""
-        for schema in schemas:
-            try:
-                self.engine.declare(schema)
-            except SchemaError:
-                # Conflicting schema knowledge: keep the local declaration.
-                pass
-        if rule is not None:
-            self.controller.submit(sender, delegation_id, rule)
+        """Learn a delegated rule's schemas, then hand it to the controller.
+
+        An install refused with a
+        :class:`~repro.core.errors.StratificationError` (by a schema or by
+        the rule) is noted for :meth:`deliver_all` to raise.
+        """
+        try:
+            for schema in schemas:
+                try:
+                    self.engine.declare(schema)
+                except SchemaError:
+                    # Conflicting schema knowledge: keep the local declaration.
+                    pass
+            if rule is not None:
+                self.controller.submit(sender, delegation_id, rule)
+        except StratificationError as refused:
+            self._refused.append(refused)
 
     def _record_shipped(self, derivation: ProvenanceDerivation,
                         anchor: bool) -> None:

@@ -39,6 +39,7 @@ from repro.core.facts import Fact, InStoreQuery
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
 from repro.store.backend import StoreError
+from repro.store.memory import MemoryTable
 
 # Type tags stored alongside every value.  bool must be checked before int
 # (bool subclasses int).
@@ -110,12 +111,22 @@ class SqliteTable:
     """One relation stored as a SQLite table of tag/value column pairs.
 
     The table speaks facts like every table: it stores the values of the
-    facts it is handed, and a scan decodes each row into a new
-    :class:`~repro.core.facts.Fact` (the rows live on disk, not the objects).
+    facts it is handed.  Until the table is first read whole, a read goes to
+    SQL — a scan decodes each row into a new
+    :class:`~repro.core.facts.Fact`, a bound scan is one indexed ``SELECT``,
+    ``len`` a ``COUNT``.  A read of the whole table (a full scan or
+    iteration, :meth:`clear`, :meth:`insert_many`'s dedupe pass) decodes
+    every row anyway: from then on the table *keeps* those facts in a
+    :class:`~repro.store.memory.MemoryTable`, which answers every read
+    without SQL, and every write goes to both.  A removed fact is then the
+    kept object, and a scan hands out the same objects every time.  The
+    rows stay the durable truth: :meth:`SqliteBackend.abort` drops the kept
+    facts, and a table nobody reads whole never holds its facts in memory.
     """
 
     __slots__ = ("backend", "schema", "table_name", "_arity", "_cols",
-                 "_col_list", "_insert_sql", "_delete_sql", "_indexed", "_stage")
+                 "_col_list", "_insert_sql", "_delete_sql", "_indexed", "_stage",
+                 "_kept")
 
     def __init__(self, backend: "SqliteBackend", table_name: str, schema: RelationSchema):
         self.backend = backend
@@ -134,6 +145,8 @@ class SqliteTable:
         self._indexed: Set[Tuple[int, ...]] = set()
         # The TEMP table :meth:`replace` stages new rows in, once created.
         self._stage: Optional[str] = None
+        # Every stored fact, once the table was read whole (see _keep).
+        self._kept: Optional[MemoryTable] = None
 
     # -- encoding -------------------------------------------------------- #
 
@@ -162,13 +175,29 @@ class SqliteTable:
             return "u = ?"
         return " AND ".join(f"t{i} = ? AND v{i} = ?" for i in range(count))
 
+    def _keep(self) -> MemoryTable:
+        """The kept facts: every row, decoded on the first call."""
+        kept = self._kept
+        if kept is None:
+            kept = MemoryTable(self.schema)
+            for row in self.backend.execute(
+                    f'SELECT {self._col_list} FROM "{self.table_name}"'):
+                fact = self._decode_fact(row)
+                kept.add(fact._key, fact)
+            self._kept = kept
+        return kept
+
     # -- StorageTable protocol ------------------------------------------- #
 
     def __len__(self) -> int:
+        if self._kept is not None:
+            return len(self._kept)
         cur = self.backend.execute(f'SELECT COUNT(*) FROM "{self.table_name}"')
         return cur.fetchone()[0]
 
     def __contains__(self, fact: Fact) -> bool:
+        if self._kept is not None:
+            return fact in self._kept
         values = fact.values
         if len(values) != self._arity:
             return False
@@ -196,24 +225,26 @@ class SqliteTable:
 
     def _insert_row(self, fact: Fact, row: Tuple) -> Tuple[List[Fact], List[Fact]]:
         """:meth:`insert` of ``fact``, already checked and encoded as ``row``."""
-        values = fact.values
+        kept = self._kept
+        if kept is not None and fact in kept:
+            return [], []
         key_idx = self.schema.key_indexes()
         self.backend.begin()
-        if not key_idx:
-            cur = self.backend.execute(self._insert_sql, row)
-            if cur.rowcount == 0:
-                return [], []
-            return [fact], []
-        # Primary-key replacement: an exact duplicate is a no-op; otherwise
-        # rows sharing the key are displaced (last-writer-wins).
-        if fact in self:
-            return [], []
         displaced: List[Fact] = []
-        bindings = {i: values[i] for i in key_idx}
-        for old in list(self.scan(bindings)):
-            self.delete(old)
-            displaced.append(old)
-        self.backend.execute(self._insert_sql, row)
+        if not key_idx:
+            if self.backend.execute(self._insert_sql, row).rowcount == 0:
+                return [], []
+        else:
+            # Primary-key replacement: an exact duplicate is a no-op;
+            # otherwise rows sharing the key are displaced (last-writer-wins).
+            if kept is None and fact in self:
+                return [], []
+            values = fact.values
+            for old in list(self.scan({i: values[i] for i in key_idx})):
+                displaced.append(self.delete(old))
+            self.backend.execute(self._insert_sql, row)
+        if kept is not None:
+            kept.add(fact._key, fact)
         return [fact], displaced
 
     def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
@@ -222,9 +253,10 @@ class SqliteTable:
         Returns ``(inserted, displaced)`` facts.  Keyed relations fall back
         to per-fact :meth:`insert` (replacement needs a key probe per row).
         For unkeyed relations the facts are deduplicated in Python — against
-        each other and against one scan of the existing table — because
-        ``executemany`` cannot report *which* rows ``INSERT OR IGNORE``
-        skipped; only genuinely-new rows hit the database.
+        each other and against the stored facts, kept by this pass if the
+        table holds any — because ``executemany`` cannot report *which* rows
+        ``INSERT OR IGNORE`` skipped; only genuinely-new rows hit the
+        database.
         """
         if self.schema.key_indexes():
             # Encoded first: a batch is refused before any of it is written.
@@ -241,21 +273,29 @@ class SqliteTable:
             staged.setdefault(self._encode_row(self._checked(fact)), fact)
         if not staged:
             return [], []
-        if len(self):
-            cur = self.backend.execute(
-                f'SELECT {self._col_list} FROM "{self.table_name}"')
-            for row in cur:
-                staged.pop(tuple(row), None)
+        kept = self._kept
+        if kept is None and len(self):
+            kept = self._keep()
+        if kept is not None:
+            staged = {row: fact for row, fact in staged.items() if fact not in kept}
         if not staged:
             return [], []
         self.backend.begin()
         self.backend.executemany(self._insert_sql, list(staged))
-        return list(staged.values()), []
+        inserted = list(staged.values())
+        if kept is not None:
+            for fact in inserted:
+                kept.add(fact._key, fact)
+        return inserted, []
 
     def delete(self, fact: Fact) -> Optional[Fact]:
-        """Delete ``fact``; return it when a row was removed, else ``None``."""
+        """Delete ``fact``; return the stored fact when a row was removed
+        (the kept object, once kept), else ``None``."""
         values = fact.values
         if len(values) != self._arity:
+            return None
+        kept = self._kept
+        if kept is not None and fact not in kept:
             return None
         try:
             row = self._encode_row(values)
@@ -263,12 +303,17 @@ class SqliteTable:
             return None
         self.backend.begin()
         cur = self.backend.execute(self._delete_sql, row)
+        if kept is not None:
+            return kept.remove(fact._key)
         return fact if cur.rowcount > 0 else None
 
     def delete_many(self, facts: Iterable[Fact]) -> None:
         """Delete several stored facts in one ``executemany``."""
+        kept = self._kept
         rows: List[Tuple] = []
         for fact in facts:
+            if kept is not None and kept.remove(fact._key) is None:
+                continue
             try:
                 rows.append(self._encode_row(fact.values))
             except StoreError:
@@ -287,10 +332,11 @@ class SqliteTable:
         statement (the rows staged are added to its ``substitutions``).
         Two ``EXCEPT`` statements against the stored rows then find the
         rows that leave and the rows that arrive — compared undecoded, the
-        tags keep them typed — and only those are decoded, and written with
-        one ``executemany`` each, all in the stage's transaction.  The
-        staging table lives in the connection's temporary database, never
-        in the file, and is emptied before use.
+        tags keep them typed — and only those are decoded, written with one
+        ``executemany`` each, all in the stage's transaction, and applied to
+        the kept facts (a removed fact is the kept object).  The staging
+        table lives in the connection's temporary database, never in the
+        file, and is emptied before use.
         """
         backend = self.backend
         backend.begin()
@@ -311,8 +357,14 @@ class SqliteTable:
             backend.executemany(self._delete_sql, leaving)
         if arriving:
             backend.executemany(self._insert_sql, arriving)
-        return ([self._decode_fact(row) for row in arriving],
-                [self._decode_fact(row) for row in leaving])
+        inserted = [self._decode_fact(row) for row in arriving]
+        removed = [self._decode_fact(row) for row in leaving]
+        kept = self._kept
+        if kept is not None:
+            removed = [kept.remove(fact._key) for fact in removed]
+            for fact in inserted:
+                kept.add(fact._key, fact)
+        return inserted, removed
 
     def _staging(self) -> str:
         """The empty TEMP table :meth:`replace` stages rows in."""
@@ -329,16 +381,21 @@ class SqliteTable:
         if removed:
             self.backend.begin()
             self.backend.execute(f'DELETE FROM "{self.table_name}"')
+            self._kept = MemoryTable(self.schema)
         return removed
 
     def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None
              ) -> Iterator[Fact]:
-        if not bindings:
-            cur = self.backend.execute(
-                f'SELECT {self._col_list} FROM "{self.table_name}"')
-            for row in cur:
-                yield self._decode_fact(row)
-            return
+        kept = self._kept
+        if kept is None:
+            if bindings:
+                yield from self._probe(bindings)
+                return
+            kept = self._keep()
+        yield from kept.select(bindings)
+
+    def _probe(self, bindings: Dict[int, ConstantValue]) -> Iterator[Fact]:
+        """The rows matching ``bindings``, by one indexed ``SELECT``."""
         positions = tuple(sorted(bindings))
         if positions[-1] >= self._arity:
             return
@@ -448,6 +505,8 @@ class SqliteBackend:
             self._in_txn = False
         self._conn.close()
         self._closed = True
+        for table in self._tables.values():
+            table._kept = None
 
     @property
     def closed(self) -> bool:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.delegation import Delegation
-from repro.core.errors import EvaluationError
+from repro.core.errors import EvaluationError, StratificationError
 from repro.core.engine import WebdamLogEngine
 from repro.core.evaluation import RuleEvaluator, RuleOutcome
 from repro.core.facts import Fact, fact_matches_bindings
@@ -226,14 +226,14 @@ class TestStratifyLocalRules:
         strata = stratify(rules, frozenset())
         assert sum(len(s) for s in strata) == 2
 
-    def test_unstratifiable_falls_back_to_single_stratum(self):
+    def test_unstratifiable_is_refused(self):
         rules = [
             parse_rule("a@p($x) :- base@p($x), not b@p($x)"),
             parse_rule("b@p($x) :- base@p($x), not a@p($x)"),
         ]
-        strata = stratify(rules, frozenset())
-        assert len(strata) == 1
-        assert len(strata[0]) == 2
+        with pytest.raises(StratificationError) as refused:
+            stratify(rules, frozenset())
+        assert sorted(refused.value.rules) == sorted(map(str, rules))
 
     def test_empty_rule_list(self):
         assert stratify([], frozenset()) in ([], [[]])

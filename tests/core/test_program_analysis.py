@@ -15,7 +15,8 @@ from repro.core.rules import Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 
 from tests.datalog.test_stratification import (LOCAL_INTENSIONAL, PEERS, RELATIONS,
-                                               overlaps, programs, targets)
+                                               overlaps, targets)
+from tests.datalog.test_stratification import stratifiable_programs as programs
 
 PREDICATES = sorted(f"{relation}@{peer}" for relation in RELATIONS + ("z",)
                     for peer in PEERS)

@@ -1,8 +1,10 @@
 """Tests of the stratification of a peer's rules."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import StratificationError
 from repro.core.parser import parse_rule
 from repro.core.rules import Atom, Rule
 from repro.datalog.stratification import stratify
@@ -123,6 +125,27 @@ def reaches(edges, count):
     return reach
 
 
+def has_cycle_through_negation(rules):
+    edges = read_edges(rules)
+    reach = reaches(edges, len(rules))
+    return any(negated and (reader == definer or reader in reach[definer])
+               for reader, definer, negated in edges)
+
+
+def without_cycles_through_negation(rules):
+    """The rules, in order, that join the program without closing a cycle
+    through negation (what the engine lets a program hold)."""
+    kept = []
+    for rule in rules:
+        if not has_cycle_through_negation(kept + [rule]):
+            kept.append(rule)
+    return kept
+
+
+#: Programs the engine accepts (at least one rule).
+stratifiable_programs = programs.map(without_cycles_through_negation).filter(bool)
+
+
 def least_strata(edges, count):
     stratum = [0] * count
     raised = True
@@ -138,6 +161,12 @@ class TestStratifyProperties:
     @given(programs)
     @settings(max_examples=300, deadline=None)
     def test_least_stratification_in_written_order(self, rules):
+        edges = read_edges(rules)
+        if has_cycle_through_negation(rules):
+            with pytest.raises(StratificationError) as refused:
+                stratify(rules, LOCAL_INTENSIONAL)
+            assert_is_a_cycle_through_negation(rules, edges, refused.value)
+            return
         strata = stratify(rules, LOCAL_INTENSIONAL)
         position = {id(rule): index for index, rule in enumerate(rules)}
         # Every rule once, in written order within its stratum.
@@ -147,12 +176,6 @@ class TestStratifyProperties:
             order = [position[id(rule)] for rule in stratum]
             assert order == sorted(order)
 
-        edges = read_edges(rules)
-        reach = reaches(edges, len(rules))
-        if any(negated and (reader == definer or reader in reach[definer])
-               for reader, definer, negated in edges):
-            assert len(strata) == 1  # a cycle through negation
-            return
         stratum_of = {position[id(rule)]: number
                       for number, stratum in enumerate(strata) for rule in stratum}
         for reader, definer, negated in edges:
@@ -163,3 +186,17 @@ class TestStratifyProperties:
         # Minimal: each rule sits exactly as high as its reads force it.
         assert [stratum_of[index] for index in range(len(rules))] \
             == least_strata(edges, len(rules))
+
+
+def assert_is_a_cycle_through_negation(rules, edges, error):
+    """Each rule the error names reads the next (the last the first), the
+    first under negation — found among the rules with those texts."""
+    named = [[index for index, rule in enumerate(rules) if str(rule) == text]
+             for text in error.rules]
+    assert all(named)
+    assert len(error.cycle) == len(error.rules) + 1
+    assert error.cycle[0] == error.cycle[-1]
+    for step, (readers, definers) in enumerate(zip(named, named[1:] + named[:1])):
+        assert any((reader, definer, True) in edges or
+                   (step and (reader, definer, False) in edges)
+                   for reader in readers for definer in definers)
