@@ -2,8 +2,7 @@
 
 The sub-modules are layered roughly as follows::
 
-    terms  ->  schema  ->  facts  ->  rules  ->  parser
-                                  \\->  unification
+    terms  ->  schema  ->  facts  ->  unification  ->  rules  ->  parser
     evaluation  ->  delegation  ->  state  ->  engine
 
 ``engine.WebdamLogEngine`` is the public entry point used by the runtime; the

@@ -595,22 +595,35 @@ class WebdamLogEngine:
         :class:`~repro.core.errors.StratificationError`, and nothing is
         recorded.
         """
-        self._check_stratifiable((rule,))
-        self.state.pending.delegations_to_install.append((sender, delegation_id, rule))
+        install = (sender, delegation_id, rule)
+        self._check_stratifiable((), installing=(install,))
+        self.state.pending.delegations_to_install.append(install)
         self.mark_dirty()
 
     def _check_stratifiable(self, added: Sequence[Rule],
                             declared: Iterable[RelationSchema] = (),
-                            replacing: Optional[str] = None) -> None:
+                            replacing: Optional[str] = None,
+                            installing: Sequence[Tuple[str, str, Rule]] = ()) -> None:
         """Raise :class:`~repro.core.errors.StratificationError` when the
-        program with the ``added`` rules and the ``declared`` schemas (and
-        without the own rule ``replacing``) has a cycle through negation.
-
-        The delegations waiting to be installed at the next stage count as
-        part of the program, so no later change can close a cycle with one
-        of them that the stage would then find."""
-        rules = [rule for rule in self.state.all_rules() if rule.rule_id != replacing]
-        rules.extend(queued for _, _, queued in self.state.pending.delegations_to_install)
+        program the next stage will run has a cycle through negation: the
+        own rules (without ``replacing``), the ``added`` rules, the
+        ``declared`` schemas, and the delegations as :meth:`_consume_inputs`
+        will leave them — the waiting installs (and ``installing``, the
+        ``(sender, delegation_id, rule)`` about to wait) applied in order,
+        then the waiting retractions their delegator sent.  So no later
+        change can close a cycle with a waiting install that the stage would
+        then find, and a delegation already on its way out blocks nothing."""
+        delegated = {installed.delegation_id: (installed.delegator, installed.rule)
+                     for installed in self.state.delegations_in.all()}
+        pending = self.state.pending
+        for sender, delegation_id, rule in (*pending.delegations_to_install, *installing):
+            delegated[delegation_id] = (sender, rule)
+        for sender, delegation_id in pending.delegations_to_retract:
+            installed = delegated.get(delegation_id)
+            if installed is not None and installed[0] == sender:
+                del delegated[delegation_id]
+        rules = [rule for rule in self.state.own_rules if rule.rule_id != replacing]
+        rules.extend(rule for _, rule in delegated.values())
         rules.extend(added)
         intensional = self.state.schemas.intensional_at(self.peer).union(
             schema.qualified_name for schema in declared

@@ -27,8 +27,8 @@ from repro.core.errors import EvaluationError
 from repro.core.facts import Fact
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind
-from repro.core.terms import Constant, Term, Variable
-from repro.core.unification import Substitution, match_atom_fact
+from repro.core.terms import Constant, Variable
+from repro.core.unification import CompiledAtom, Substitution
 
 #: Callable giving the evaluator access to local facts:
 #: ``fact_source(relation_name, peer_name, bindings)`` returns an iterable of
@@ -251,7 +251,7 @@ class RuleEvaluator:
         if isinstance(wanted, Delegation):
             substitution = delegation_bindings(rule, wanted)
         else:
-            substitution = match_atom_fact(rule.head, wanted)
+            substitution = rule.compiled.head.match(wanted, {})
             if substitution is None:
                 return False, 0  # the head cannot produce this fact
         outcome = RuleOutcome()
@@ -274,7 +274,8 @@ class RuleEvaluator:
                        restrict: Optional[Tuple[int, Set[Fact]]] = None,
                        plan=None) -> None:
         outcome.substitutions_explored += 1
-        if step == len(rule.body):
+        body = rule.compiled.body
+        if step == len(body):
             self._emit_head(rule, substitution, outcome, support)
             return
 
@@ -284,9 +285,14 @@ class RuleEvaluator:
         # so when a remote literal is reached every earlier original position
         # is already consumed and ``rule.body[index:]`` is a valid remainder.
         index = plan.order[step] if plan is not None else step
-        literal = rule.body[index].substitute(substitution)
-        peer_name = self._resolve_peer(literal, rule)
-        relation_name = literal.relation_constant()
+        literal = body[index]
+        relation_name, peer_name = literal.locate(substitution)
+        if peer_name is None:
+            raise EvaluationError(
+                f"rule {rule.rule_id}: peer position of literal "
+                f"{rule.body[index].substitute(substitution)} is unbound "
+                "at evaluation time (unsafe rule?)"
+            )
 
         if peer_name != self.peer:
             # Remote literal: delegate the remainder of the rule.
@@ -306,56 +312,41 @@ class RuleEvaluator:
             )
 
         if literal.negated:
-            if not self._has_match(literal):
+            if not self._has_match(literal, relation_name, peer_name, substitution):
                 self._evaluate_from(rule, step + 1, substitution, outcome, support,
                                     restrict, plan)
             return
 
-        positive = literal.positive()
         if restrict is not None and index == restrict[0]:
             candidates: Iterable[Fact] = restrict[1]
+            if (literal.relation.__class__ is Variable
+                    or literal.peer.__class__ is Variable):
+                # The restriction holds the delta of every predicate the open
+                # position could match; only the one it is bound to joins.
+                candidates = [fact for fact in candidates
+                              if fact.relation == relation_name
+                              and fact.peer == peer_name]
         else:
             candidates = self.fact_source(relation_name, peer_name,
-                                          self._bindings_of(positive))
+                                          literal.bindings(substitution))
+        extend = literal.extend
         for fact in candidates:
-            extended = match_atom_fact(positive, fact, substitution)
+            extended = extend(fact.values, substitution)
             if extended is not None:
                 self._evaluate_from(rule, step + 1, extended, outcome,
                                     support + ((index, fact),), restrict, plan)
 
-    def _bindings_of(self, literal: Atom) -> Optional[Dict[int, object]]:
-        """Bound argument positions of an already-substituted literal."""
-        bindings: Optional[Dict[int, object]] = None
-        for position, term in enumerate(literal.args):
-            if isinstance(term, Constant):
-                if bindings is None:
-                    bindings = {}
-                bindings[position] = term.value
-        return bindings
-
-    def _resolve_peer(self, literal: Atom, rule: Rule) -> str:
-        peer_name = literal.peer_constant()
-        if peer_name is None:
-            raise EvaluationError(
-                f"rule {rule.rule_id}: peer position of literal {literal} is unbound "
-                "at evaluation time (unsafe rule?)"
-            )
-        return peer_name
-
-    def _has_match(self, literal: Atom) -> bool:
-        relation_name = literal.relation_constant()
-        peer_name = literal.peer_constant()
-        assert relation_name is not None and peer_name is not None
-        positive = literal.positive()
-        bindings = self._bindings_of(positive)
+    def _has_match(self, literal: CompiledAtom, relation_name: str, peer_name: str,
+                   substitution: Substitution) -> bool:
+        bindings = literal.bindings(substitution)
         candidates = self.fact_source(relation_name, peer_name, bindings)
-        if bindings is not None and len(bindings) == positive.arity:
+        if bindings is not None and len(bindings) == literal.arity:
             # Fully ground literal: every candidate from the indexed source
             # already matches all argument positions, so existence reduces to
             # a non-empty probe with an arity check — no substitution is built.
-            return any(fact.arity == positive.arity for fact in candidates)
+            return any(fact.arity == literal.arity for fact in candidates)
         for fact in candidates:
-            if match_atom_fact(positive, fact, {}) is not None:
+            if literal.extend(fact.values, substitution) is not None:
                 return True
         return False
 
@@ -387,12 +378,12 @@ class RuleEvaluator:
     def _emit_head(self, rule: Rule, substitution: Substitution,
                    outcome: RuleOutcome,
                    support: Tuple[Tuple[int, Fact], ...]) -> None:
-        head = rule.head.substitute(substitution)
-        if not head.is_ground():
+        fact = rule.compiled.head.ground(substitution)
+        if fact is None:
             raise EvaluationError(
-                f"rule {rule.rule_id}: head {head} is not ground after evaluating the body"
+                f"rule {rule.rule_id}: head {rule.head.substitute(substitution)} "
+                "is not ground after evaluating the body"
             )
-        fact = head.to_fact()
         if self._wanted is not None:
             if fact == self._wanted:
                 raise _Derived
@@ -400,10 +391,10 @@ class RuleEvaluator:
         if self.on_derivation is not None:
             # Support facts are tagged with their original body position and
             # sorted back to written order, so provenance (and explain())
-            # records identical derivations whatever order the planner chose.
+            # records identical derivations whatever order the planner chose
+            # (the positions are distinct: no two facts are ever compared).
             self.on_derivation(
-                fact, rule,
-                tuple(entry[1] for entry in sorted(support, key=lambda e: e[0])))
+                fact, rule, tuple(supporting for _, supporting in sorted(support)))
         if fact.peer != self.peer:
             outcome.remote_facts.add(fact)
             return

@@ -22,7 +22,7 @@ from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Op
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, SchemaRegistry
-from repro.core.terms import Constant, ConstantValue, render_constant
+from repro.core.terms import ConstantValue, render_constant
 
 if TYPE_CHECKING:
     from repro.store.backend import StorageTable
@@ -63,8 +63,8 @@ class Fact:
 
     ``values`` holds plain Python values (not :class:`Constant` wrappers) so
     that facts are cheap to build from wrappers, workload generators and the
-    storage layer.  Use :meth:`terms` to obtain the :class:`Constant` view
-    needed by unification.
+    storage layer; matching compares them as they are
+    (:class:`repro.core.unification.CompiledAtom`).
 
     Equality is *type-strict*, matching :class:`Constant` and the storage
     row keys: ``r@p(1)``, ``r@p(True)`` and ``r@p(1.0)`` are three different
@@ -138,10 +138,6 @@ class Fact:
     def qualified_relation(self) -> str:
         """The string ``"relation@peer"``."""
         return f"{self.relation}@{self.peer}"
-
-    def terms(self) -> Tuple[Constant, ...]:
-        """The values of the fact wrapped as :class:`Constant` terms."""
-        return tuple(Constant(v) for v in self.values)
 
     def __str__(self) -> str:
         rendered = self._str

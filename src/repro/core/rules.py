@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import SafetyError, SchemaError
 from repro.core.terms import Constant, Term, Variable, make_term
+from repro.core.unification import CompiledRule, location_error
 
 
 _rule_counter = itertools.count(1)
@@ -59,10 +61,7 @@ class Atom:
         object.__setattr__(self, "args", coerced)
         for term, position in ((self.relation, "relation"), (self.peer, "peer")):
             if isinstance(term, Constant) and not isinstance(term.value, str):
-                raise SchemaError(
-                    f"{position} position of an atom must be a string constant or a "
-                    f"variable, got {term!r}"
-                )
+                raise location_error(position, term)
 
     # -- constructors ---------------------------------------------------- #
 
@@ -249,6 +248,11 @@ class Rule:
                 raise SafetyError(
                     f"rule {self.rule_id}: head variable ${var.name} is not bound by the body"
                 )
+
+    @cached_property
+    def compiled(self) -> CompiledRule:
+        """The head and body as the evaluator walks them, built on first use."""
+        return CompiledRule.of(self)
 
     # -- transformation -------------------------------------------------- #
 

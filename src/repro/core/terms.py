@@ -87,7 +87,7 @@ class Variable(Term):
     analysis, which is handled by the parser assigning fresh names.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not isinstance(name, str) or not name:
@@ -97,6 +97,12 @@ class Variable(Term):
         if not name:
             raise ValueError("variable name must not be just '$'")
         self.name = name
+        # Kept: every substitution lookup hashes its variable.
+        self._hash = hash((Variable, name))
+
+    def __reduce__(self):
+        # Rebuild from the name: the kept hash is this process's.
+        return (Variable, (self.name,))
 
     def is_anonymous(self) -> bool:
         """Return ``True`` for the anonymous variable ``$_`` (or parser-generated ``$_N``)."""
@@ -108,7 +114,7 @@ class Variable(Term):
         return self.name == other.name
 
     def __hash__(self) -> int:
-        return hash((Variable, self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.delegation import Delegation
-from repro.core.errors import EvaluationError, StratificationError
+from repro.core.errors import EvaluationError, SchemaError, StratificationError
 from repro.core.engine import WebdamLogEngine
 from repro.core.evaluation import RuleEvaluator, RuleOutcome
 from repro.core.facts import Fact, fact_matches_bindings
@@ -101,6 +101,69 @@ class TestLocalEvaluation:
                     body=(Atom.of("base", "$somewhere", "$x"),))
         with pytest.raises(EvaluationError):
             evaluator.evaluate_rule(rule)
+
+
+class TestWalkEdges:
+    """What the body walk does at the edges a safe program never reaches."""
+
+    def test_peer_variable_unbound_when_its_literal_is_reached(self):
+        evaluator = RuleEvaluator("alice", make_source([Fact("base", "alice", (1,))]))
+        rule = Rule(head=Atom.of("view", "alice", "$x"),
+                    body=(Atom.of("base", "alice", "$x"), Atom.of("other", "$P", "$x")))
+        with pytest.raises(EvaluationError,
+                           match=r"peer position of literal other@\$P\(1\) is unbound"):
+            evaluator.evaluate_rule(rule)
+
+    def test_relation_variable_unbound_at_a_local_literal(self):
+        evaluator = RuleEvaluator("alice", make_source([Fact("base", "alice", (1,))]))
+        rule = Rule(head=Atom.of("view", "alice", "$x"),
+                    body=(Atom.of("base", "alice", "$x"), Atom.of("$R", "alice", "$x")))
+        with pytest.raises(EvaluationError,
+                           match=r"literal #2 \(\$R@alice\(\$x\)\) is still a variable"):
+            evaluator.evaluate_rule(rule)
+
+    @pytest.mark.parametrize("value", [1, 1.5, None])
+    def test_relation_variable_bound_to_a_non_string(self, value):
+        evaluator = RuleEvaluator("alice", make_source([Fact("names", "alice", (value, 2))]))
+        rule = Rule(head=Atom.of("found", "alice", "$x"),
+                    body=(Atom.of("names", "alice", "$R", "$x"), Atom.of("$R", "alice", "$x")))
+        with pytest.raises(SchemaError, match=r"relation position of an atom must be a "
+                           r"string constant or a variable, got Constant\("):
+            evaluator.evaluate_rule(rule)
+
+    @pytest.mark.parametrize("value", [7, True, b"bob", None])
+    def test_peer_variable_bound_to_a_non_string(self, value):
+        evaluator = RuleEvaluator("alice", make_source([Fact("owners", "alice", (value,))]))
+        rule = Rule(head=Atom.of("found", "alice", "$x"),
+                    body=(Atom.of("owners", "alice", "$P"), Atom.of("r", "$P", "$x")))
+        with pytest.raises(SchemaError, match=r"peer position of an atom must be a "
+                           r"string constant or a variable, got Constant\("):
+            evaluator.evaluate_rule(rule)
+
+    def test_head_peer_bound_to_a_non_string(self):
+        evaluator = RuleEvaluator("alice", make_source([Fact("owners", "alice", (7, 1))]))
+        rule = Rule(head=Atom.of("r", "$P", "$x"),
+                    body=(Atom.of("owners", "alice", "$P", "$x"),))
+        with pytest.raises(SchemaError, match=r"got Constant\(7\)"):
+            evaluator.evaluate_rule(rule)
+
+    def test_head_left_non_ground_names_the_substituted_head(self):
+        evaluator = RuleEvaluator("alice", make_source([Fact("base", "alice", (1,))]))
+        rule = Rule(head=Atom.of("view", "alice", "$x", "$unbound"),
+                    body=(Atom.of("base", "alice", "$x"),))
+        with pytest.raises(EvaluationError,
+                           match=r"head view@alice\(1, \$unbound\) is not ground"):
+            evaluator.evaluate_rule(rule)
+
+    def test_delta_of_several_relations_joins_only_the_bound_relation(self):
+        facts = [Fact("rels", "p", ("a",)), Fact("a", "p", (1,)), Fact("b", "p", (2,)),
+                 Fact("c", "p", (3, 4)), Fact("a", "q", (5,))]
+        evaluator = RuleEvaluator("p", make_source(facts))
+        rule = parse_rule("out@p($R, $x) :- rels@p($R), $R@p($x)")
+        delta = {"a@p": {facts[1]}, "b@p": {facts[2]}, "c@p": {facts[3]},
+                 "a@q": {facts[4]}}
+        outcome = evaluator.evaluate_rule_delta(rule, delta)
+        assert outcome.local_extensional == {Fact("out", "p", ("a", 1))}
 
 
 class TestDelegationEmission:

@@ -12,7 +12,6 @@ import repro
 from repro.core.errors import SchemaError
 from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
-from repro.core.terms import Constant
 
 
 class TestFact:
@@ -28,9 +27,6 @@ class TestFact:
         assert fact.peer == "alice"
         assert fact.values == ("bob",)
 
-    def test_terms_wraps_constants(self):
-        fact = Fact("r", "p", (1, "x"))
-        assert fact.terms() == (Constant(1), Constant("x"))
 
     def test_values_coerced_to_tuple(self):
         fact = Fact("r", "p", [1, 2])

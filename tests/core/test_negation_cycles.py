@@ -123,6 +123,37 @@ class TestDelegationClosingACycle:
         assert [d.delegation_id for d in engine.installed_delegations()] == ["deleg-1"]
         assert answer(engine) == {"a": {(1,)}, "b": set()}
 
+    def test_a_waiting_retraction_no_longer_blocks_a_rule(self):
+        engine = engine_with_base()
+        engine.receive_delegation("q", "deleg-1", parse_rule(A_RULE, author="q"))
+        engine.run_stage()
+        engine.receive_delegation_retraction("q", "deleg-1")
+        kept = engine.add_rule(B_RULE)
+        engine.run_stage()
+        assert engine.installed_delegations() == ()
+        assert engine.state.all_rules() == (kept,)
+        assert answer(engine) == {"a": set(), "b": {(1,)}}
+
+    def test_a_retraction_from_a_non_delegator_leaves_the_rule_refused(self):
+        engine = engine_with_base()
+        engine.receive_delegation("q", "deleg-1", parse_rule(A_RULE, author="q"))
+        engine.run_stage()
+        engine.receive_delegation_retraction("mallory", "deleg-1")
+        with pytest.raises(StratificationError):
+            engine.add_rule(B_RULE)
+        engine.run_stage()
+        assert [d.delegation_id for d in engine.installed_delegations()] == ["deleg-1"]
+        assert answer(engine) == {"a": {(1,)}, "b": set()}
+
+    def test_an_install_and_its_retraction_both_waiting_block_nothing(self):
+        engine = engine_with_base()
+        engine.receive_delegation("q", "deleg-1", parse_rule(A_RULE, author="q"))
+        engine.receive_delegation_retraction("q", "deleg-1")
+        engine.receive_delegation("q", "deleg-2", parse_rule(B_RULE, author="q"))
+        engine.run_stage()
+        assert [d.delegation_id for d in engine.installed_delegations()] == ["deleg-2"]
+        assert answer(engine) == {"a": set(), "b": {(1,)}}
+
     def test_an_approved_delegation_that_is_refused_stays_pending(self):
         peer = Peer("p")
         peer.engine.load_program(SCHEMAS + "fact base@p(1);\n" + f"rule {A_RULE};")

@@ -1,5 +1,8 @@
 """Tests of the term model (constants, variables, coercion)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.terms import Constant, Variable, make_term
@@ -56,6 +59,14 @@ class TestVariable:
 
     def test_str_renders_with_dollar(self):
         assert str(Variable("attendee")) == "$attendee"
+
+    def test_copies_rebuild_from_the_name(self):
+        # A variable keeps its hash: a copy (or a pickle read in another
+        # process) must hash as a variable of that name built there.
+        for clone in (pickle.loads(pickle.dumps(Variable("x"))),
+                      copy.deepcopy(Variable("x")), copy.copy(Variable("x"))):
+            assert clone == Variable("x") and hash(clone) == hash(Variable("x"))
+            assert {clone: 1}[Variable("x")] == 1
 
     def test_anonymous_detection(self):
         assert Variable("_").is_anonymous()

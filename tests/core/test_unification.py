@@ -5,30 +5,40 @@ import pytest
 from repro.core.facts import Fact
 from repro.core.rules import Atom
 from repro.core.terms import Constant, Variable
-from repro.core.unification import match_atom_fact, match_term
+from repro.core.unification import match_atom_fact
 
 
-class TestMatchTerm:
+class TestArgumentMatching:
+    """One argument position at a time, through the one matcher."""
+
     def test_constant_matches_equal_constant(self):
-        result = match_term(Constant(3), Constant(3), {})
-        assert result == {}
-        assert match_term(Constant(3), Constant(4), {}) is None
+        atom = Atom.of("r", "p", 3)
+        assert match_atom_fact(atom, Fact("r", "p", (3,))) == {}
+        assert match_atom_fact(atom, Fact("r", "p", (4,))) is None
 
     def test_type_sensitivity(self):
-        assert match_term(Constant(1), Constant(True), {}) is None
+        for pattern, value in ((1, True), (True, 1), (1, 1.0), (1.0, 1),
+                               ("1", b"1"), (0, None), (None, 0)):
+            atom = Atom(Constant("r"), Constant("p"), (Constant(pattern),))
+            assert match_atom_fact(atom, Fact("r", "p", (value,))) is None
+            assert match_atom_fact(atom, Fact("r", "p", (pattern,))) == {}
 
     def test_variable_binds(self):
-        result = match_term(Variable("x"), Constant("a"), {})
+        result = match_atom_fact(Atom.of("r", "p", "$x"), Fact("r", "p", ("a",)))
         assert result == {Variable("x"): Constant("a")}
 
-    def test_bound_variable_must_agree(self):
+    def test_rebound_variable_must_agree_by_value_and_type(self):
+        atom = Atom.of("r", "p", "$x")
         binding = {Variable("x"): Constant("a")}
-        assert match_term(Variable("x"), Constant("a"), binding) == binding
-        assert match_term(Variable("x"), Constant("b"), binding) is None
+        assert match_atom_fact(atom, Fact("r", "p", ("a",)), binding) == binding
+        assert match_atom_fact(atom, Fact("r", "p", ("b",)), binding) is None
+        assert match_atom_fact(atom, Fact("r", "p", (True,)),
+                               {Variable("x"): Constant(1)}) is None
 
-    def test_input_substitution_not_mutated(self):
+    def test_input_substitution_not_mutated_by_a_failed_match(self):
         binding = {}
-        match_term(Variable("x"), Constant(1), binding)
+        assert match_atom_fact(Atom.of("r", "p", "$x", 2),
+                               Fact("r", "p", (1, 3)), binding) is None
         assert binding == {}
 
 

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import codec
-from repro.core.facts import Delta, Fact, FactStore
+from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
-from repro.core.unification import match_atom_fact
+from repro.core.unification import CompiledAtom, match_atom_fact
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -133,6 +133,69 @@ class TestDeltaProperties:
 # ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------
+
+#: Values that compare ``==`` across types in Python but are six different
+#: constants here, plus the strings the location positions hold.
+MATCH_VALUES = (1, True, 1.0, "1", b"1", None, 0, "r", "p")
+MATCH_VARIABLES = tuple(Variable(name) for name in ("x", "y", "R", "P"))
+
+match_slots = st.one_of(st.sampled_from(MATCH_VALUES).map(Constant),
+                        st.sampled_from(MATCH_VARIABLES))
+
+
+@st.composite
+def atoms_facts_substitutions(draw):
+    """An atom with constants, repeated variables and location variables;
+    a fact whose arity may differ; a substitution binding some variables."""
+    relation = draw(st.one_of(st.sampled_from(("r", "s")).map(Constant),
+                              st.sampled_from(MATCH_VARIABLES)))
+    peer = draw(st.one_of(st.sampled_from(("p", "q")).map(Constant),
+                          st.sampled_from(MATCH_VARIABLES)))
+    atom = Atom(relation, peer, tuple(draw(st.lists(match_slots, max_size=3))))
+    fact = Fact(draw(st.sampled_from(("r", "s"))), draw(st.sampled_from(("p", "q"))),
+                tuple(draw(st.lists(st.sampled_from(MATCH_VALUES), max_size=3))))
+    substitution = draw(st.dictionaries(st.sampled_from(MATCH_VARIABLES),
+                                        st.sampled_from(MATCH_VALUES).map(Constant)))
+    return atom, fact, substitution
+
+
+def naive_match(atom, fact, substitution):
+    """Term-by-term matching: every value wrapped, compared as a Constant."""
+    if len(atom.args) != len(fact.values):
+        return None
+    result = dict(substitution)
+    for pattern, value in zip((atom.relation, atom.peer, *atom.args),
+                              (fact.relation, fact.peer, *fact.values)):
+        value = Constant(value)
+        if isinstance(pattern, Variable):
+            if result.setdefault(pattern, value) != value:
+                return None
+        elif pattern != value:
+            return None
+    return result
+
+
+class TestCompiledMatcherAgainstNaiveMatcher:
+    @given(atoms_facts_substitutions())
+    @example((Atom.of("r", "p", 1), Fact("r", "p", (True,)), {}))
+    @example((Atom.of("r", "p", "$x", "$x"), Fact("r", "p", (1, 1.0)), {}))
+    @example((Atom.of("r", "$x", "$x"), Fact("r", "p", ("p",)), {}))
+    @example((Atom.of("$R", "p", "$x"), Fact("r", "p", (1,)),
+              {Variable("R"): Constant(None)}))
+    @example((Atom.of("r", "p", "$x"), Fact("r", "p", (1, 2)), {}))
+    @settings(max_examples=400)
+    def test_same_answer_as_term_by_term_matching(self, case):
+        atom, fact, substitution = case
+        given_before = dict(substitution)
+        expected = naive_match(atom, fact, substitution)
+        assert match_atom_fact(atom, fact, substitution) == expected
+        assert substitution == given_before
+        if expected is not None:
+            # Every position the substitution fixes agrees with the fact:
+            # what an indexed fact source is probed with.
+            bindings = CompiledAtom(atom).bindings(substitution) or {}
+            assert fact_matches_bindings(fact, bindings)
+
 
 class TestMatchingProperties:
     @given(facts(max_arity=3))
