@@ -50,9 +50,9 @@ class StorageTable(Protocol):
     relation.  The contract: type-strict matching (``True`` is distinct from
     ``1``), primary-key last-writer-wins replacement when the schema
     declares a key, and :meth:`scan` with positional bindings never
-    post-filters.  A table that keeps objects (the memory backend) stores
-    the fact it is handed and yields that object from every scan; one that
-    keeps rows (SQLite) builds a fact per scanned row.
+    post-filters.  A table stores the fact it is handed and yields that
+    object from every scan; a durable one (SQLite) also writes it as a row,
+    and builds each fact once, from the rows, when it is attached.
     """
 
     schema: RelationSchema

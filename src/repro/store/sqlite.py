@@ -1,4 +1,4 @@
-"""The SQLite storage backend: durable relations, WAL journaling, SQL probes.
+"""The SQLite storage backend: durable relations, WAL journaling, reads from memory.
 
 Layout
 ------
@@ -8,15 +8,24 @@ columns* ``(t0, v0, t1, v1, ...)`` — a type tag plus the value — so that the
 type-strict semantics of :class:`~repro.core.terms.Constant` survive SQLite's
 numeric affinity: ``True`` is stored as ``('bool', 1)`` and stays distinct
 from ``('int', 1)``, and ``1`` stays distinct from ``1.0``.  A full-row
-UNIQUE index gives set semantics via ``INSERT OR IGNORE``; additional
-composite indexes are created lazily per bound-column subset, mirroring the
-hash indexes of the memory backend.
+UNIQUE index gives set semantics via ``INSERT OR IGNORE``; it is the only
+index on a relation table.
 
 Physical table names are sequential (``r0``, ``r1``, ...) and mapped from
 ``(namespace, relation, peer)`` through the ``_repro_catalog`` table, so
 arbitrary relation names never need escaping into identifiers.  Metadata
 (schemas, rules, delegations) lives in ``_repro_meta`` keyed by
 ``(kind, key)`` with an insertion sequence number preserving order.
+
+Reads
+-----
+No read runs SQL.  Each :class:`SqliteTable` keeps every fact it stores
+in a :class:`~repro.store.memory.MemoryTable`, decoded once when the table
+is attached, so a durable peer's working set lives in memory exactly as on
+the memory backend, and a store larger than RAM is not served.  SQLite
+provides durability and set-at-a-time work: the stage transaction,
+recovery, the rule bodies :mod:`repro.store.compiler` pushes down, and the
+in-store recompute of :meth:`SqliteTable.replace`.
 
 Transactions
 ------------
@@ -32,7 +41,8 @@ crash/recovery suite uses.
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+import sys
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import SchemaError
 from repro.core.facts import Fact, InStoreQuery
@@ -93,7 +103,7 @@ def decode_column(tag: str, stored) -> ConstantValue:
     if tag == _TAG_FLOAT:
         return float(stored)
     if tag == _TAG_STR:
-        return stored
+        return sys.intern(stored)  # one object per string, however many rows hold it
     if tag == _TAG_BYTES:
         return bytes(stored)
     raise StoreError(f"unknown value tag {tag!r}")
@@ -110,25 +120,26 @@ def _pair_columns(arity: int) -> List[str]:
 class SqliteTable:
     """One relation stored as a SQLite table of tag/value column pairs.
 
-    The table speaks facts like every table: it stores the values of the
-    facts it is handed.  Until the table is first read whole, a read goes to
-    SQL — a scan decodes each row into a new
-    :class:`~repro.core.facts.Fact`, a bound scan is one indexed ``SELECT``,
-    ``len`` a ``COUNT``.  A read of the whole table (a full scan or
-    iteration, :meth:`clear`, :meth:`insert_many`'s dedupe pass) decodes
-    every row anyway: from then on the table *keeps* those facts in a
-    :class:`~repro.store.memory.MemoryTable`, which answers every read
-    without SQL, and every write goes to both.  A removed fact is then the
-    kept object, and a scan hands out the same objects every time.  The
-    rows stay the durable truth: :meth:`SqliteBackend.abort` drops the kept
-    facts, and a table nobody reads whole never holds its facts in memory.
+    The table speaks facts like every table, and it keeps every fact it
+    stores in a :class:`~repro.store.memory.MemoryTable`: a table built over
+    stored rows decodes them once, a new table starts empty.  Every read —
+    :meth:`scan`, bound or not, ``len``, ``in`` and iteration — is answered
+    from the kept facts without SQL, and a scan hands out the same objects
+    every time.  Every write asks the kept facts first (is the fact there,
+    which stored facts its key displaces, what leaves and what arrives on a
+    :meth:`replace`), updates them, and writes only the rows that changed,
+    in the stage's transaction; a removed fact is the kept object.  SQL does
+    what needs the rows: commit and recovery, the in-store :meth:`replace`
+    and the rule bodies :mod:`repro.store.compiler` runs.  The rows stay the
+    durable truth: after :meth:`SqliteBackend.abort` the table refuses every
+    read and write, and a reopen decodes what the file holds.
     """
 
     __slots__ = ("backend", "schema", "table_name", "_arity", "_cols",
-                 "_col_list", "_insert_sql", "_delete_sql", "_indexed", "_stage",
-                 "_kept")
+                 "_col_list", "_insert_sql", "_delete_sql", "_stage", "_kept")
 
-    def __init__(self, backend: "SqliteBackend", table_name: str, schema: RelationSchema):
+    def __init__(self, backend: "SqliteBackend", table_name: str,
+                 schema: RelationSchema, stored: bool):
         self.backend = backend
         self.schema = schema
         self.table_name = table_name
@@ -142,11 +153,15 @@ class SqliteTable:
         )
         self._delete_sql = (
             f'DELETE FROM "{table_name}" WHERE {self._eq_clause(self._arity)}')
-        self._indexed: Set[Tuple[int, ...]] = set()
         # The TEMP table :meth:`replace` stages new rows in, once created.
         self._stage: Optional[str] = None
-        # Every stored fact, once the table was read whole (see _keep).
-        self._kept: Optional[MemoryTable] = None
+        # Every stored fact, decoded from the rows of a stored table.
+        self._kept: Union[MemoryTable, _Aborted] = MemoryTable(schema)
+        if stored:
+            add = self._kept.add
+            for row in backend.execute(f'SELECT {self._col_list} FROM "{table_name}"'):
+                fact = self._decode_fact(row)
+                add(fact._key, fact)
 
     # -- encoding -------------------------------------------------------- #
 
@@ -175,38 +190,13 @@ class SqliteTable:
             return "u = ?"
         return " AND ".join(f"t{i} = ? AND v{i} = ?" for i in range(count))
 
-    def _keep(self) -> MemoryTable:
-        """The kept facts: every row, decoded on the first call."""
-        kept = self._kept
-        if kept is None:
-            kept = MemoryTable(self.schema)
-            for row in self.backend.execute(
-                    f'SELECT {self._col_list} FROM "{self.table_name}"'):
-                fact = self._decode_fact(row)
-                kept.add(fact._key, fact)
-            self._kept = kept
-        return kept
-
     # -- StorageTable protocol ------------------------------------------- #
 
     def __len__(self) -> int:
-        if self._kept is not None:
-            return len(self._kept)
-        cur = self.backend.execute(f'SELECT COUNT(*) FROM "{self.table_name}"')
-        return cur.fetchone()[0]
+        return len(self._kept)
 
     def __contains__(self, fact: Fact) -> bool:
-        if self._kept is not None:
-            return fact in self._kept
-        values = fact.values
-        if len(values) != self._arity:
-            return False
-        try:
-            row = self._encode_row(values)
-        except StoreError:
-            return False  # no stored row can hold the value
-        sql = f'SELECT 1 FROM "{self.table_name}" WHERE {self._eq_clause(self._arity)} LIMIT 1'
-        return self.backend.execute(sql, row).fetchone() is not None
+        return fact in self._kept
 
     def __iter__(self) -> Iterator[Fact]:
         return self.scan(None)
@@ -224,42 +214,39 @@ class SqliteTable:
         return self._insert_row(fact, self._encode_row(self._checked(fact)))
 
     def _insert_row(self, fact: Fact, row: Tuple) -> Tuple[List[Fact], List[Fact]]:
-        """:meth:`insert` of ``fact``, already checked and encoded as ``row``."""
+        """:meth:`insert` of ``fact``, already checked and encoded as ``row``.
+
+        The kept facts decide: an exact duplicate is a no-op, and on a keyed
+        relation the facts sharing the key are displaced (last-writer-wins).
+        """
         kept = self._kept
-        if kept is not None and fact in kept:
+        if fact in kept:
             return [], []
-        key_idx = self.schema.key_indexes()
-        self.backend.begin()
+        backend = self.backend
+        backend.begin()
         displaced: List[Fact] = []
-        if not key_idx:
-            if self.backend.execute(self._insert_sql, row).rowcount == 0:
-                return [], []
-        else:
-            # Primary-key replacement: an exact duplicate is a no-op;
-            # otherwise rows sharing the key are displaced (last-writer-wins).
-            if kept is None and fact in self:
-                return [], []
+        key_idx = self.schema.key_indexes()
+        if key_idx:
             values = fact.values
-            for old in list(self.scan({i: values[i] for i in key_idx})):
-                displaced.append(self.delete(old))
-            self.backend.execute(self._insert_sql, row)
-        if kept is not None:
-            kept.add(fact._key, fact)
+            displaced = list(kept.select({i: values[i] for i in key_idx}))
+            for old in displaced:
+                kept.remove(old._key)
+                backend.execute(self._delete_sql, self._encode_row(old.values))
+        backend.execute(self._insert_sql, row)
+        kept.add(fact._key, fact)
         return [fact], displaced
 
     def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
         """Batched insert: one ``executemany`` instead of a statement per row.
 
-        Returns ``(inserted, displaced)`` facts.  Keyed relations fall back
-        to per-fact :meth:`insert` (replacement needs a key probe per row).
-        For unkeyed relations the facts are deduplicated in Python — against
-        each other and against the stored facts, kept by this pass if the
-        table holds any — because ``executemany`` cannot report *which* rows
-        ``INSERT OR IGNORE`` skipped; only genuinely-new rows hit the
-        database.
+        Returns ``(inserted, displaced)`` facts.  Every fact is checked and
+        encoded before any is written, so a batch is refused whole.  Keyed
+        relations fall back to per-fact :meth:`insert` (replacement makes
+        the order within the batch observable); for unkeyed ones the facts
+        the kept table lacks are deduplicated against each other and only
+        those rows hit the database.
         """
         if self.schema.key_indexes():
-            # Encoded first: a batch is refused before any of it is written.
             rows = [(fact, self._encode_row(self._checked(fact))) for fact in facts]
             all_inserted: List[Fact] = []
             all_displaced: List[Fact] = []
@@ -268,58 +255,40 @@ class SqliteTable:
                 all_inserted.extend(inserted)
                 all_displaced.extend(displaced)
             return all_inserted, all_displaced
+        kept = self._kept
         staged: Dict[Tuple, Fact] = {}
         for fact in facts:
-            staged.setdefault(self._encode_row(self._checked(fact)), fact)
+            self._checked(fact)
+            if fact not in kept:
+                staged.setdefault(fact._key, fact)
         if not staged:
             return [], []
-        kept = self._kept
-        if kept is None and len(self):
-            kept = self._keep()
-        if kept is not None:
-            staged = {row: fact for row, fact in staged.items() if fact not in kept}
-        if not staged:
-            return [], []
+        rows = [self._encode_row(fact.values) for fact in staged.values()]
         self.backend.begin()
-        self.backend.executemany(self._insert_sql, list(staged))
-        inserted = list(staged.values())
-        if kept is not None:
-            for fact in inserted:
-                kept.add(fact._key, fact)
-        return inserted, []
+        self.backend.executemany(self._insert_sql, rows)
+        for key, fact in staged.items():
+            kept.add(key, fact)
+        return list(staged.values()), []
 
     def delete(self, fact: Fact) -> Optional[Fact]:
-        """Delete ``fact``; return the stored fact when a row was removed
-        (the kept object, once kept), else ``None``."""
-        values = fact.values
-        if len(values) != self._arity:
-            return None
-        kept = self._kept
-        if kept is not None and fact not in kept:
-            return None
-        try:
-            row = self._encode_row(values)
-        except StoreError:
-            return None
-        self.backend.begin()
-        cur = self.backend.execute(self._delete_sql, row)
-        if kept is not None:
-            return kept.remove(fact._key)
-        return fact if cur.rowcount > 0 else None
+        """Delete ``fact``; return the kept fact it removed, or ``None``."""
+        removed = self._kept.remove(fact._key)
+        if removed is not None:
+            self.backend.begin()
+            self.backend.execute(self._delete_sql, self._encode_row(removed.values))
+        return removed
 
     def delete_many(self, facts: Iterable[Fact]) -> None:
         """Delete several stored facts in one ``executemany``."""
-        kept = self._kept
+        remove = self._kept.remove
         rows: List[Tuple] = []
         for fact in facts:
-            if kept is not None and kept.remove(fact._key) is None:
-                continue
-            try:
-                rows.append(self._encode_row(fact.values))
-            except StoreError:
-                pass  # no stored row can hold the value
-        self.backend.begin()
-        self.backend.executemany(self._delete_sql, rows)
+            removed = remove(fact._key)
+            if removed is not None:
+                rows.append(self._encode_row(removed.values))
+        if rows:
+            self.backend.begin()
+            self.backend.executemany(self._delete_sql, rows)
 
     def replace(self, rows: Union[Iterable[Fact], InStoreQuery]
                 ) -> Tuple[List[Fact], List[Fact]]:
@@ -327,28 +296,41 @@ class SqliteTable:
         query whose ``SELECT`` statements compute them; return ``(inserted,
         removed)`` facts.
 
-        For unkeyed relations.  The new rows are staged in a TEMP table:
-        facts by one ``executemany``, a query by one ``INSERT … SELECT`` per
-        statement (the rows staged are added to its ``substitutions``).
-        Two ``EXCEPT`` statements against the stored rows then find the
-        rows that leave and the rows that arrive — compared undecoded, the
-        tags keep them typed — and only those are decoded, written with one
-        ``executemany`` each, all in the stage's transaction, and applied to
-        the kept facts (a removed fact is the kept object).  The staging
-        table lives in the connection's temporary database, never in the
-        file, and is emptied before use.
+        For unkeyed relations.  Facts are compared with the kept ones
+        (:meth:`MemoryTable.replace <repro.store.memory.MemoryTable.replace>`),
+        and the rows that leave and arrive are written with one
+        ``executemany`` each.  A query's rows are staged in a TEMP table by
+        one ``INSERT … SELECT`` per statement (the rows staged are added to
+        its ``substitutions``); two ``EXCEPT`` statements against the stored
+        rows then find the rows that leave and the rows that arrive —
+        compared undecoded, the tags keep them typed — and only those are
+        decoded, written and applied to the kept facts.  Either way the
+        writes join the stage's transaction.  The staging table lives in the
+        connection's temporary database, never in the file, and is emptied
+        before use.
         """
+        kept = self._kept
         backend = self.backend
+        if not isinstance(rows, InStoreQuery):
+            facts = list(rows)
+            # Encoded before the kept facts change: a refused value writes nothing.
+            arriving = {fact._key: self._encode_row(self._checked(fact))
+                        for fact in facts if fact not in kept}
+            inserted, removed = kept.replace(facts)
+            if inserted or removed:
+                backend.begin()
+                backend.executemany(self._delete_sql,
+                                    [self._encode_row(fact.values) for fact in removed])
+                backend.executemany(self._insert_sql,
+                                    [arriving[fact._key] for fact in inserted])
+            return inserted, removed
+        # Looked up before any SQL: an aborted table refuses here.
+        remove, add = kept.remove, kept.add
         backend.begin()
         insert = f"INSERT INTO {self._staging()} ({self._col_list}) "
-        if isinstance(rows, InStoreQuery):
-            for sql, params in rows.selects:
-                rows.substitutions += backend.execute(insert + sql, params).rowcount
-                backend.counters["compiled_statements"] += 1
-        else:
-            backend.executemany(
-                insert + f"VALUES ({', '.join('?' for _ in self._cols)})",
-                [self._encode_row(self._checked(fact)) for fact in rows])
+        for sql, params in rows.selects:
+            rows.substitutions += backend.execute(insert + sql, params).rowcount
+            backend.counters["compiled_statements"] += 1
         stored = f'SELECT {self._col_list} FROM "{self.table_name}"'
         staged = f"SELECT {self._col_list} FROM {self._stage}"
         leaving = backend.execute(f"{stored} EXCEPT {staged}").fetchall()
@@ -358,12 +340,9 @@ class SqliteTable:
         if arriving:
             backend.executemany(self._insert_sql, arriving)
         inserted = [self._decode_fact(row) for row in arriving]
-        removed = [self._decode_fact(row) for row in leaving]
-        kept = self._kept
-        if kept is not None:
-            removed = [kept.remove(fact._key) for fact in removed]
-            for fact in inserted:
-                kept.add(fact._key, fact)
+        removed = [remove(self._decode_fact(row)._key) for row in leaving]
+        for fact in inserted:
+            add(fact._key, fact)
         return inserted, removed
 
     def _staging(self) -> str:
@@ -377,7 +356,7 @@ class SqliteTable:
         return self._stage
 
     def clear(self) -> List[Fact]:
-        removed = list(self.scan(None))
+        removed = list(self._kept)
         if removed:
             self.backend.begin()
             self.backend.execute(f'DELETE FROM "{self.table_name}"')
@@ -386,47 +365,26 @@ class SqliteTable:
 
     def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None
              ) -> Iterator[Fact]:
-        kept = self._kept
-        if kept is None:
-            if bindings:
-                yield from self._probe(bindings)
-                return
-            kept = self._keep()
-        yield from kept.select(bindings)
+        return self._kept.select(bindings)
 
-    def _probe(self, bindings: Dict[int, ConstantValue]) -> Iterator[Fact]:
-        """The rows matching ``bindings``, by one indexed ``SELECT``."""
-        positions = tuple(sorted(bindings))
-        if positions[-1] >= self._arity:
-            return
-        params: List[object] = []
-        for p in positions:
-            try:
-                tag, stored = encode_column(bindings[p])
-            except StoreError:
-                return  # no stored row can hold the value
-            params.append(tag)
-            params.append(stored)
-        self._ensure_index(positions)
-        clause = " AND ".join(f"t{p} = ? AND v{p} = ?" for p in positions)
-        cur = self.backend.execute(
-            f'SELECT {self._col_list} FROM "{self.table_name}" WHERE {clause}', params)
-        for row in cur:
-            yield self._decode_fact(row)
 
-    def _ensure_index(self, positions: Tuple[int, ...]) -> None:
-        """Lazily create a composite index on a bound-column subset."""
-        if positions in self._indexed or tuple(range(self._arity)) == positions:
-            # The full-row UNIQUE index already covers all-columns probes.
-            self._indexed.add(positions)
-            return
-        suffix = "_".join(str(p) for p in positions)
-        cols = ", ".join(f"t{p}, v{p}" for p in positions)
-        self.backend.begin()
-        self.backend.execute(
-            f'CREATE INDEX IF NOT EXISTS "{self.table_name}__ix_{suffix}" '
-            f'ON "{self.table_name}" ({cols})')
-        self._indexed.add(positions)
+class _Aborted:
+    """What an aborted backend's tables keep: nothing.  Every read or write
+    raises a :class:`StoreError` naming the relation, so a table never
+    serves a fact its aborted stage wrote."""
+
+    __slots__ = ("relation",)
+
+    def __init__(self, schema: RelationSchema):
+        self.relation = schema.qualified_name
+
+    def _refuse(self, *args):
+        raise StoreError(f"{self.relation}: its store was aborted; reopen it to read it")
+
+    __len__ = __contains__ = __iter__ = _refuse
+
+    def __getattr__(self, name: str):
+        self._refuse()
 
 
 class SqliteBackend:
@@ -506,7 +464,7 @@ class SqliteBackend:
         self._conn.close()
         self._closed = True
         for table in self._tables.values():
-            table._kept = None
+            table._kept = _Aborted(table.schema)
 
     @property
     def closed(self) -> bool:
@@ -541,7 +499,7 @@ class SqliteBackend:
                 raise StoreError(
                     f"stored table for {schema.qualified_name} has arity {arity}, "
                     f"schema says {schema.arity}")
-        table = SqliteTable(self, table_name, schema)
+        table = SqliteTable(self, table_name, schema, stored=physical is not None)
         self._tables[key] = table
         return table
 

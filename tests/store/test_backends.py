@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import SchemaError
-from repro.core.facts import Fact
+from repro.core.facts import Fact, InStoreQuery
 from repro.core.schema import RelationKind, RelationSchema
 from repro.store.backend import STORE_NAMESPACE, StoreError, resolve_backend
 from repro.store.memory import MemoryBackend
@@ -296,6 +296,39 @@ class TestSqliteSpecifics:
         table = reopened.table(STORE_NAMESPACE, _schema(name="t", columns=("x",)))
         assert _rows(table) == [(1,)]
         assert reopened.load_meta("rule") == []
+        reopened.close()
+
+    def test_an_aborted_store_refuses_every_read_and_write(self, tmp_path):
+        """After ``abort()`` a table serves nothing — not the fact of the
+        aborted stage, not the committed one — and takes nothing: each use
+        raises a ``StoreError`` naming the relation."""
+        backend = SqliteBackend(str(tmp_path / "aborted.db"))
+        table = backend.table(STORE_NAMESPACE, _schema(name="t", columns=("x",)))
+        table.insert(_f(1, name="t"))
+        backend.commit()
+        table.insert(_f(2, name="t"))
+        backend.abort()
+        uses = {
+            "scan": lambda: table.scan(),
+            "bound scan": lambda: table.scan({0: 2}),
+            "iteration": lambda: list(table),
+            "len": lambda: len(table),
+            "in": lambda: _f(2, name="t") in table,
+            "insert": lambda: table.insert(_f(3, name="t")),
+            "insert_many": lambda: table.insert_many([_f(3, name="t")]),
+            "delete": lambda: table.delete(_f(1, name="t")),
+            "delete_many": lambda: table.delete_many([_f(1, name="t")]),
+            "replace": lambda: table.replace([_f(3, name="t")]),
+            "in-store replace": lambda: table.replace(InStoreQuery([])),
+            "clear": lambda: table.clear(),
+        }
+        for use, call in uses.items():
+            with pytest.raises(StoreError, match=r"t@p"):
+                call()
+                pytest.fail(f"{use} answered after abort()")
+        reopened = SqliteBackend(str(tmp_path / "aborted.db"))
+        assert _rows(reopened.table(STORE_NAMESPACE, _schema(name="t", columns=("x",)))
+                     ) == [(1,)]
         reopened.close()
 
     def test_resolve_backend_env(self, tmp_path, monkeypatch):

@@ -1,18 +1,17 @@
-"""A SQLite table read whole keeps its facts: differential tests.
+"""A SQLite table keeps every fact it stores: differential tests.
 
-Once a :class:`~repro.store.sqlite.SqliteTable` has been read whole it
-answers reads from the facts it keeps in memory, and every write goes to the
-rows and to the kept facts.  Random sequences of writes, commits and
-``abort()`` in the middle of a stage run through three stores that must
-agree after every step:
+A :class:`~repro.store.sqlite.SqliteTable` decodes its stored rows when it
+is attached, answers every read from the facts it keeps in memory, and
+sends every write to the kept facts and then to the rows.  Random sequences
+of writes, commits and ``abort()`` in the middle of a stage run through
+three stores that must agree after every step:
 
 * the memory backend (the model, rolled back to the last commit on abort);
-* SQLite with kept tables (read whole up front, and again after a reopen);
-* the same SQLite file opened afresh, whose tables are never read whole —
-  what a commit made durable.
+* SQLite, as attached at the start and again after each abort;
+* the same SQLite file opened afresh — what a commit made durable.
 
-A table that was never read whole still answers a bound scan by one indexed
-``SELECT`` and keeps nothing.
+No read of an attached table runs SQL, and a table of an aborted store
+refuses every read.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.facts import Fact, InStoreQuery
 from repro.core.schema import RelationKind, RelationSchema
-from repro.store.backend import STORE_NAMESPACE
+from repro.store.backend import STORE_NAMESPACE, StoreError
 from repro.store.memory import MemoryTable
 from repro.store.sqlite import SqliteBackend, encode_column
 
@@ -115,7 +114,7 @@ def same_answer(got, want):
 
 
 class Stores:
-    """The model, the kept SQLite tables and the path they live at."""
+    """The model, the SQLite tables and the path they live at."""
 
     def __init__(self, path):
         self.path = path
@@ -130,9 +129,6 @@ class Stores:
         self.sqlite = SqliteBackend(self.path)
         self.tables = {name: self.sqlite.table(STORE_NAMESPACE, schema)
                        for name, schema in SCHEMAS.items()}
-        for table in self.tables.values():
-            list(table)                       # read whole: kept from here on
-            assert table._kept is not None
 
     def commit(self):
         self.sqlite.commit()
@@ -140,7 +136,9 @@ class Stores:
 
     def abort(self):
         self.sqlite.abort()
-        assert all(table._kept is None for table in self.tables.values())
+        for table in self.tables.values():
+            with pytest.raises(StoreError):
+                len(table)
         self.model = {name: MemoryTable(SCHEMAS[name]) for name in SCHEMAS}
         for name, facts in self.committed.items():
             self.model[name].insert_many(facts)
@@ -205,36 +203,52 @@ class TestKeptObjects:
         assert typed(table) == [(("int", 1), ("str", "new"))]
 
 
-class TestNeverReadWhole:
-    def statements(self, backend):
-        seen = []
-        backend._conn.set_trace_callback(seen.append)
-        return seen
+FLAG = RelationSchema(name="flag", peer="p", columns=(),
+                      kind=RelationKind.EXTENSIONAL)
 
-    def test_a_bound_probe_goes_to_sql_and_keeps_nothing(self, backend):
-        table = backend.table(STORE_NAMESPACE, PLAIN)
-        table.insert_many([Fact("plain", "p", (i, i % 3)) for i in range(30)])
-        seen = self.statements(backend)
-        assert typed(table.scan({1: 2})) == typed(
-            Fact("plain", "p", (i, 2)) for i in range(2, 30, 3))
-        assert len(table) == 30 and Fact("plain", "p", (4, 1)) in table
-        assert table._kept is None
-        assert any("WHERE t1 = 'int' AND v1 = 2" in sql for sql in seen)
-        assert any("COUNT(*)" in sql for sql in seen)
 
+def statements(backend):
+    """The SQL ``backend`` runs from here on."""
+    seen = []
+    backend._conn.set_trace_callback(seen.append)
+    return seen
+
+
+class TestReadsRunNoSql:
     def test_a_kept_table_answers_without_sql(self, backend):
         table = backend.table(STORE_NAMESPACE, PLAIN)
         table.insert_many([Fact("plain", "p", (i, i % 3)) for i in range(30)])
-        list(table)
-        seen = self.statements(backend)
+        seen = statements(backend)
         assert len(list(table.scan({1: 2}))) == 10
         assert len(table) == 30 and Fact("plain", "p", (4, 1)) in table
         assert Fact("plain", "p", (4, 2)) not in table
         assert seen == []
 
-    def test_a_first_batch_keeps_nothing_a_second_reads_whole(self, backend):
-        table = backend.table(STORE_NAMESPACE, PLAIN)
-        table.insert_many([Fact("plain", "p", (i, 0)) for i in range(5)])
-        assert table._kept is None
-        table.insert_many([Fact("plain", "p", (9, 0))])  # the dedupe pass
-        assert table._kept is not None and len(table) == 6
+    def test_a_reopened_store_answers_without_sql(self, tmp_path):
+        path = str(tmp_path / "reopen.db")
+        first = SqliteBackend(path)
+        first.table(STORE_NAMESPACE, PLAIN).insert_many(
+            [Fact("plain", "p", (i, i % 3)) for i in range(30)])
+        keyed = first.table(STORE_NAMESPACE, KEYED)
+        keyed.insert(Fact("keyed", "p", (1, "old")))
+        keyed.insert(Fact("keyed", "p", (1, True)))    # displaces the row of "old"
+        first.table(STORE_NAMESPACE, FLAG).insert(Fact("flag", "p", ()))
+        first.close()
+        reopened = SqliteBackend(path)
+        try:
+            plain, keyed, flag = (reopened.table(STORE_NAMESPACE, schema)
+                                  for schema in (PLAIN, KEYED, FLAG))
+            seen = statements(reopened)
+            assert typed(plain.scan({1: 2})) == typed(
+                Fact("plain", "p", (i, 2)) for i in range(2, 30, 3))
+            assert len(list(plain.scan())) == 30 and len(plain) == 30
+            assert Fact("plain", "p", (4, 1)) in plain
+            assert Fact("plain", "p", (4, 1.0)) not in plain
+            assert typed(keyed.scan({0: 1})) == [(("int", 1), ("bool", True))]
+            assert Fact("keyed", "p", (1, 1)) not in keyed
+            assert list(flag.scan()) == [Fact("flag", "p", ())]
+            assert list(flag.scan({})) == [Fact("flag", "p", ())]
+            assert len(flag) == 1 and Fact("flag", "p", ()) in flag
+            assert seen == []
+        finally:
+            reopened.close()

@@ -3,8 +3,8 @@
 ``1``, ``True``, ``1.0``, ``"1"``, ``b"1"`` and ``None`` are six values, and
 the facts holding them six facts — for :class:`Fact` equality and hashing,
 for the memory table's keys, indexes and probes (a bucket going from one
-fact to two and back to one included), and for a SQLite table, both before
-it keeps its facts and after.
+fact to two and back to one included), and for a SQLite table, both new and
+attached again to the stored table of a file.
 """
 
 from __future__ import annotations
@@ -62,14 +62,19 @@ class TestFactIdentity:
         assert len({typed_values((value,)) for value in VALUES}) == 6
 
 
-@pytest.fixture(params=["memory", "sqlite-unkept", "sqlite-kept"])
-def table(request):
-    backend = MemoryBackend() if request.param == "memory" else SqliteBackend()
-    made = backend.table(STORE_NAMESPACE, PAIR)
-    if request.param == "sqlite-kept":
-        list(made)                                  # read whole: kept from here on
-        assert made._kept is not None
-    yield made
+@pytest.fixture(params=["memory", "sqlite", "sqlite-reopened"])
+def table(request, tmp_path):
+    if request.param == "memory":
+        backend = MemoryBackend()
+    elif request.param == "sqlite":
+        backend = SqliteBackend()
+    else:
+        path = str(tmp_path / "pair.db")
+        first = SqliteBackend(path)
+        first.table(STORE_NAMESPACE, PAIR)
+        first.close()
+        backend = SqliteBackend(path)
+    yield backend.table(STORE_NAMESPACE, PAIR)
     backend.close()
 
 
