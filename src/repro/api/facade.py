@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.acl.policies import AccessControlPolicy, PolicySet, Privilege
@@ -27,7 +28,8 @@ from repro.runtime.system import RoundReport, RunSummary, WebdamLogSystem
 from repro.runtime.transport import Transport
 from repro.api.errors import ReproApiError
 from repro.api.query import FactCallback, Subscription
-from repro.api.views import LiveView, QueryLike, compile_query, is_declarative
+from repro.api.views import (CompiledView, LiveView, QueryLike, compile_query,
+                             is_declarative)
 
 
 class PeerHandle:
@@ -384,14 +386,32 @@ class System:
             raise ReproApiError(
                 f"cannot install view {compiled.view_name!r} at {owner}: {exc}"
             ) from exc
-        for rule in compiled.rules:
-            peer.add_rule(rule)
+        compiled = replace(compiled, rules=self._view_rules(peer, compiled))
         for fact in compiled.anchor_facts:
             peer.insert_fact(fact)
         view = LiveView(self, owner, compiled.view_name, compiled=compiled,
                         viewer=viewer)
         self._views.append(view)
         return view
+
+    def _view_rules(self, peer: Peer, compiled: CompiledView) -> Tuple[Rule, ...]:
+        """Install ``compiled``'s rules at ``peer``; return the installed ones.
+
+        A durable owner reopened while a view was open restores that view's
+        rules with its program: an own rule equal to a compiled one up to
+        variable names (:meth:`~repro.core.rules.Rule.canonical_key`) that no
+        open view holds is adopted instead of installed twice, so closing
+        the view asked again removes it.
+        """
+        held = {rule_id for view in self._views for rule_id in view.compiled.rule_ids()}
+        heads = {rule.head.relation for rule in compiled.rules}
+        restored = {rule.canonical_key(): rule for rule in peer.rules()
+                    if rule.head.relation in heads and rule.rule_id not in held}
+        installed = []
+        for rule in compiled.rules:
+            adopted = restored.pop(rule.canonical_key(), None) if restored else None
+            installed.append(adopted if adopted is not None else peer.add_rule(rule))
+        return tuple(installed)
 
     def _forget_view(self, view: LiveView) -> None:
         self._relation_views.discard(view)

@@ -200,7 +200,12 @@ class Delta:
         return len(self.inserted) + len(self.deleted)
 
     def merge(self, other: "Delta") -> "Delta":
-        """Combine two deltas; an insert followed by a delete of the same fact cancels out."""
+        """Combine two deltas, ``other`` after ``self``.
+
+        The later delta wins for a fact both name: inserted then deleted
+        comes out deleted, deleted then inserted comes out inserted.  Nothing
+        cancels out.
+        """
         if not other:
             return self
         if not self:
@@ -241,7 +246,8 @@ class InStoreQuery:
 
 
 def _fold(inserted: Set[Fact], deleted: Set[Fact], step: Delta) -> None:
-    """Net one step into running sets, as :meth:`Delta.merge` would."""
+    """Fold one step into running sets, as :meth:`Delta.merge` would: for a
+    fact the sets already name, the step's insert or delete wins."""
     inserted |= step.inserted
     inserted -= step.deleted
     deleted |= step.deleted

@@ -51,8 +51,10 @@ class StorageTable(Protocol):
     ``1``), primary-key last-writer-wins replacement when the schema
     declares a key, and :meth:`scan` with positional bindings never
     post-filters.  A table stores the fact it is handed and yields that
-    object from every scan; a durable one (SQLite) also writes it as a row,
-    and builds each fact once, from the rows, when it is attached.
+    object from every scan; a durable one (SQLite) keeps its facts in a
+    memory table, which decides every write, writes the facts that write
+    stored and removed as rows, and builds each fact once, from the rows,
+    when it is attached.
     """
 
     schema: RelationSchema
@@ -73,10 +75,6 @@ class StorageTable(Protocol):
 
     def delete(self, fact: Fact) -> Optional[Fact]:
         """Delete a fact; return the stored fact removed, or ``None``."""
-        ...
-
-    def delete_many(self, facts: Iterable[Fact]) -> None:
-        """Delete several stored facts in one batch."""
         ...
 
     def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:

@@ -40,11 +40,13 @@ class MemoryTable:
 
     __slots__ = ("schema", "_arity", "_key_positions", "_facts", "_indexes")
 
-    def __init__(self, schema: RelationSchema):
+    def __init__(self, schema: RelationSchema, facts: Iterable[Fact] = ()):
+        """A table of ``schema`` holding ``facts`` — a set of facts of its
+        relation, taken unchecked (another store's rows, decoded)."""
         self.schema = schema
         self._arity = schema.arity
         self._key_positions = schema.key_indexes()
-        self._facts: Dict[Tuple, Fact] = {}
+        self._facts: Dict[Tuple, Fact] = {fact._key: fact for fact in facts}
         # {(col, col, ...): {probe key: bucket}} — one hash index per
         # bound-column subset.
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple, Bucket]] = {}
@@ -85,8 +87,8 @@ class MemoryTable:
                 displaced = (list(bucket.values()) if bucket.__class__ is dict
                              else [bucket])
                 for old in displaced:
-                    self.remove(old._key)
-        self.add(key, fact)
+                    self._remove(old._key)
+        self._add(key, fact)
         return [fact], displaced
 
     def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
@@ -100,7 +102,7 @@ class MemoryTable:
             all_inserted: List[Fact] = []
             all_displaced: List[Fact] = []
             for fact in facts:
-                inserted, displaced = self.insert(fact)
+                inserted, displaced = self.put(fact)
                 all_inserted.extend(inserted)
                 all_displaced.extend(displaced)
             return all_inserted, all_displaced
@@ -110,18 +112,13 @@ class MemoryTable:
             key = self._checked(fact)
             if key in stored:
                 continue
-            self.add(key, fact)
+            self._add(key, fact)
             inserted.append(fact)
         return inserted, []
 
     def delete(self, fact: Fact) -> Optional[Fact]:
         """Delete ``fact``; return the stored fact it removed, or ``None``."""
-        return self.remove(fact._key)
-
-    def delete_many(self, facts: Iterable[Fact]) -> None:
-        """Delete several stored facts."""
-        for fact in facts:
-            self.remove(fact._key)
+        return self._remove(fact._key)
 
     def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
         """Make the table hold exactly ``facts``; return ``(inserted,
@@ -137,9 +134,10 @@ class MemoryTable:
             arriving.setdefault(self._checked(fact), fact)
         leaving = [fact for key, fact in self._facts.items()
                    if arriving.pop(key, None) is None]
-        self.delete_many(leaving)
+        for fact in leaving:
+            self._remove(fact._key)
         for key, fact in arriving.items():
-            self.add(key, fact)
+            self._add(key, fact)
         return list(arriving.values()), leaving
 
     def _checked(self, fact: Fact) -> Tuple:
@@ -151,18 +149,13 @@ class MemoryTable:
             )
         return key
 
-    def add(self, key: Tuple, fact: Fact) -> None:
-        """File ``fact``, absent so far, under its typed values ``key``.
-
-        The bare write — no arity check, no key displacement — for a table
-        that keeps another store's facts
-        (:class:`~repro.store.sqlite.SqliteTable`), already checked there.
-        """
+    def _add(self, key: Tuple, fact: Fact) -> None:
+        """File ``fact``, absent so far, under its typed values ``key``."""
         self._facts[key] = fact
         for positions, index in self._indexes.items():
             _file(index, tuple([key[p] for p in positions]), key, fact)
 
-    def remove(self, key: Tuple) -> Optional[Fact]:
+    def _remove(self, key: Tuple) -> Optional[Fact]:
         """Unfile the fact stored under ``key``; return it, or ``None``."""
         fact = self._facts.pop(key, None)
         if fact is None:
@@ -214,10 +207,12 @@ class MemoryTable:
         elif bucket is not None:
             yield bucket
 
-    #: :meth:`scan` under a second name, for a table that answers its own
-    #: scans from this one: a benchmark that times and counts ``scan``
-    #: counts such a read once, as the outer table's.
-    select = scan
+    #: :meth:`scan`, :meth:`insert`, :meth:`insert_many`, :meth:`delete` and
+    #: :meth:`clear` under second names, for a table that keeps its facts in
+    #: this one (:class:`~repro.store.sqlite.SqliteTable`) and calls it
+    #: through them: a benchmark that times and counts the first names
+    #: counts such a read or write once, as the outer table's.
+    select, put, put_many, pop, pop_all = scan, insert, insert_many, delete, clear
 
 
 def _file(index: Dict[Tuple, Bucket], probe: Tuple, key: Tuple, fact: Fact) -> None:

@@ -17,13 +17,15 @@ arbitrary relation names never need escaping into identifiers.  Metadata
 (schemas, rules, delegations) lives in ``_repro_meta`` keyed by
 ``(kind, key)`` with an insertion sequence number preserving order.
 
-Reads
------
+Reads and writes
+----------------
 No read runs SQL.  Each :class:`SqliteTable` keeps every fact it stores
 in a :class:`~repro.store.memory.MemoryTable`, decoded once when the table
 is attached, so a durable peer's working set lives in memory exactly as on
-the memory backend, and a store larger than RAM is not served.  SQLite
-provides durability and set-at-a-time work: the stage transaction,
+the memory backend, and a store larger than RAM is not served.  The kept
+table also decides every write, with the memory backend's own code; the
+SQLite table only mirrors the facts it stored and removed as rows.
+SQLite provides durability and set-at-a-time work: the stage transaction,
 recovery, the rule bodies :mod:`repro.store.compiler` pushes down, and the
 in-store recompute of :meth:`SqliteTable.replace`.
 
@@ -44,7 +46,6 @@ import sqlite3
 import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.errors import SchemaError
 from repro.core.facts import Fact, InStoreQuery
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
@@ -125,12 +126,15 @@ class SqliteTable:
     stored rows decodes them once, a new table starts empty.  Every read —
     :meth:`scan`, bound or not, ``len``, ``in`` and iteration — is answered
     from the kept facts without SQL, and a scan hands out the same objects
-    every time.  Every write asks the kept facts first (is the fact there,
-    which stored facts its key displaces, what leaves and what arrives on a
-    :meth:`replace`), updates them, and writes only the rows that changed,
-    in the stage's transaction; a removed fact is the kept object.  SQL does
-    what needs the rows: commit and recovery, the in-store :meth:`replace`
-    and the rule bodies :mod:`repro.store.compiler` runs.  The rows stay the
+    every time.  Every write is the kept table's: the arriving facts are
+    encoded first, the kept table's write decides (duplicates, key
+    displacement, what a :meth:`replace` removes and adds), and the facts
+    it reports are written as rows in the stage's transaction — only the
+    rows that changed; a removed fact is the kept object.  The kept table is
+    called through its second names (``select``, ``put``, ``pop`` …), which
+    a benchmark that wraps the table methods leaves alone.  SQL does what
+    needs the rows: commit and recovery, the in-store :meth:`replace` and
+    the rule bodies :mod:`repro.store.compiler` runs.  The rows stay the
     durable truth: after :meth:`SqliteBackend.abort` the table refuses every
     read and write, and a reopen decodes what the file holds.
     """
@@ -156,12 +160,10 @@ class SqliteTable:
         # The TEMP table :meth:`replace` stages new rows in, once created.
         self._stage: Optional[str] = None
         # Every stored fact, decoded from the rows of a stored table.
-        self._kept: Union[MemoryTable, _Aborted] = MemoryTable(schema)
-        if stored:
-            add = self._kept.add
-            for row in backend.execute(f'SELECT {self._col_list} FROM "{table_name}"'):
-                fact = self._decode_fact(row)
-                add(fact._key, fact)
+        rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}"')
+                if stored else ())
+        self._kept: Union[MemoryTable, _Aborted] = MemoryTable(
+            schema, map(self._decode_fact, rows))
 
     # -- encoding -------------------------------------------------------- #
 
@@ -201,94 +203,66 @@ class SqliteTable:
     def __iter__(self) -> Iterator[Fact]:
         return self.scan(None)
 
-    def _checked(self, fact: Fact) -> Tuple[ConstantValue, ...]:
-        values = fact.values
-        if len(values) != self._arity:
-            raise SchemaError(
-                f"arity mismatch inserting into {self.schema.qualified_name}: "
-                f"expected {self._arity}, got {len(values)}"
-            )
-        return values
+    def _rows(self, facts: Iterable[Fact]) -> Dict[Tuple, Tuple]:
+        """The rows of the ``facts`` not stored yet, by typed values key.
 
-    def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
-        return self._insert_row(fact, self._encode_row(self._checked(fact)))
-
-    def _insert_row(self, fact: Fact, row: Tuple) -> Tuple[List[Fact], List[Fact]]:
-        """:meth:`insert` of ``fact``, already checked and encoded as ``row``.
-
-        The kept facts decide: an exact duplicate is a no-op, and on a keyed
-        relation the facts sharing the key are displaced (last-writer-wins).
+        Encoded before the kept facts change: a refused value changes
+        nothing.
         """
         kept = self._kept
-        if fact in kept:
-            return [], []
+        return {fact._key: self._encode_row(fact.values)
+                for fact in facts if fact not in kept}
+
+    def _write(self, rows: Dict[Tuple, Tuple], inserted: List[Fact],
+               removed: List[Fact]) -> None:
+        """Mirror a change of the kept facts in the stage's transaction:
+        one ``executemany`` ``DELETE`` of the ``removed`` facts' rows and
+        one ``INSERT`` of the ``inserted`` facts', taken from ``rows``
+        (:meth:`_rows` of the facts written, read before the change).
+
+        A keyed batch can store a fact that a later one displaces, or
+        displace a stored fact that a later one brings back: a row is
+        written only where its fact is stored now and was not before, or
+        the other way round.
+        """
+        if inserted and removed:
+            kept = self._kept
+            removed = list({fact._key: fact for fact in removed
+                            if fact._key not in rows and fact not in kept}.values())
+            inserted = list({fact._key: fact for fact in inserted
+                             if fact._key in rows and fact in kept}.values())
+        if not (inserted or removed):
+            return
         backend = self.backend
         backend.begin()
-        displaced: List[Fact] = []
-        key_idx = self.schema.key_indexes()
-        if key_idx:
-            values = fact.values
-            displaced = list(kept.select({i: values[i] for i in key_idx}))
-            for old in displaced:
-                kept.remove(old._key)
-                backend.execute(self._delete_sql, self._encode_row(old.values))
-        backend.execute(self._insert_sql, row)
-        kept.add(fact._key, fact)
-        return [fact], displaced
+        if removed:
+            backend.executemany(self._delete_sql,
+                                [self._encode_row(fact.values) for fact in removed])
+        if inserted:
+            backend.executemany(self._insert_sql, [rows[fact._key] for fact in inserted])
+
+    def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
+        rows = self._rows((fact,))
+        inserted, displaced = self._kept.put(fact)
+        self._write(rows, inserted, displaced)
+        return inserted, displaced
 
     def insert_many(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
-        """Batched insert: one ``executemany`` instead of a statement per row.
-
-        Returns ``(inserted, displaced)`` facts.  Every fact is checked and
-        encoded before any is written, so a batch is refused whole.  Keyed
-        relations fall back to per-fact :meth:`insert` (replacement makes
-        the order within the batch observable); for unkeyed ones the facts
-        the kept table lacks are deduplicated against each other and only
-        those rows hit the database.
-        """
-        if self.schema.key_indexes():
-            rows = [(fact, self._encode_row(self._checked(fact))) for fact in facts]
-            all_inserted: List[Fact] = []
-            all_displaced: List[Fact] = []
-            for fact, row in rows:
-                inserted, displaced = self._insert_row(fact, row)
-                all_inserted.extend(inserted)
-                all_displaced.extend(displaced)
-            return all_inserted, all_displaced
-        kept = self._kept
-        staged: Dict[Tuple, Fact] = {}
-        for fact in facts:
-            self._checked(fact)
-            if fact not in kept:
-                staged.setdefault(fact._key, fact)
-        if not staged:
-            return [], []
-        rows = [self._encode_row(fact.values) for fact in staged.values()]
-        self.backend.begin()
-        self.backend.executemany(self._insert_sql, rows)
-        for key, fact in staged.items():
-            kept.add(key, fact)
-        return list(staged.values()), []
+        """Batched insert: the rows that changed are written with one
+        ``executemany`` each way.  Every fact is encoded before any is
+        stored, so a batch is refused whole."""
+        facts = list(facts)
+        rows = self._rows(facts)
+        inserted, displaced = self._kept.put_many(facts)
+        self._write(rows, inserted, displaced)
+        return inserted, displaced
 
     def delete(self, fact: Fact) -> Optional[Fact]:
         """Delete ``fact``; return the kept fact it removed, or ``None``."""
-        removed = self._kept.remove(fact._key)
+        removed = self._kept.pop(fact)
         if removed is not None:
-            self.backend.begin()
-            self.backend.execute(self._delete_sql, self._encode_row(removed.values))
+            self._write({}, [], [removed])
         return removed
-
-    def delete_many(self, facts: Iterable[Fact]) -> None:
-        """Delete several stored facts in one ``executemany``."""
-        remove = self._kept.remove
-        rows: List[Tuple] = []
-        for fact in facts:
-            removed = remove(fact._key)
-            if removed is not None:
-                rows.append(self._encode_row(removed.values))
-        if rows:
-            self.backend.begin()
-            self.backend.executemany(self._delete_sql, rows)
 
     def replace(self, rows: Union[Iterable[Fact], InStoreQuery]
                 ) -> Tuple[List[Fact], List[Fact]]:
@@ -296,8 +270,8 @@ class SqliteTable:
         query whose ``SELECT`` statements compute them; return ``(inserted,
         removed)`` facts.
 
-        For unkeyed relations.  Facts are compared with the kept ones
-        (:meth:`MemoryTable.replace <repro.store.memory.MemoryTable.replace>`),
+        For unkeyed relations.  Facts go to
+        :meth:`MemoryTable.replace <repro.store.memory.MemoryTable.replace>`,
         and the rows that leave and arrive are written with one
         ``executemany`` each.  A query's rows are staged in a TEMP table by
         one ``INSERT … SELECT`` per statement (the rows staged are added to
@@ -310,22 +284,15 @@ class SqliteTable:
         before use.
         """
         kept = self._kept
-        backend = self.backend
         if not isinstance(rows, InStoreQuery):
             facts = list(rows)
-            # Encoded before the kept facts change: a refused value writes nothing.
-            arriving = {fact._key: self._encode_row(self._checked(fact))
-                        for fact in facts if fact not in kept}
+            arriving = self._rows(facts)
             inserted, removed = kept.replace(facts)
-            if inserted or removed:
-                backend.begin()
-                backend.executemany(self._delete_sql,
-                                    [self._encode_row(fact.values) for fact in removed])
-                backend.executemany(self._insert_sql,
-                                    [arriving[fact._key] for fact in inserted])
+            self._write(arriving, inserted, removed)
             return inserted, removed
         # Looked up before any SQL: an aborted table refuses here.
-        remove, add = kept.remove, kept.add
+        pop, put_many = kept.pop, kept.put_many
+        backend = self.backend
         backend.begin()
         insert = f"INSERT INTO {self._staging()} ({self._col_list}) "
         for sql, params in rows.selects:
@@ -339,10 +306,8 @@ class SqliteTable:
             backend.executemany(self._delete_sql, leaving)
         if arriving:
             backend.executemany(self._insert_sql, arriving)
-        inserted = [self._decode_fact(row) for row in arriving]
-        removed = [remove(self._decode_fact(row)._key) for row in leaving]
-        for fact in inserted:
-            add(fact._key, fact)
+        removed = [pop(self._decode_fact(row)) for row in leaving]
+        inserted, _ = put_many(map(self._decode_fact, arriving))
         return inserted, removed
 
     def _staging(self) -> str:
@@ -356,11 +321,10 @@ class SqliteTable:
         return self._stage
 
     def clear(self) -> List[Fact]:
-        removed = list(self._kept)
+        removed = self._kept.pop_all()
         if removed:
             self.backend.begin()
             self.backend.execute(f'DELETE FROM "{self.table_name}"')
-            self._kept = MemoryTable(self.schema)
         return removed
 
     def scan(self, bindings: Optional[Dict[int, ConstantValue]] = None

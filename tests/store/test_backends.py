@@ -147,14 +147,6 @@ class TestTableSemantics:
         assert removed == [_f(2, "y")]
         assert len(table) == 0 and table.clear() == []
 
-    def test_delete_many(self, backend):
-        table = backend.table(STORE_NAMESPACE, _schema())
-        for row in [(1, "x"), (2, "y"), (3, "z")]:
-            table.insert(_f(*row))
-        table.delete_many([_f(1, "x"), _f(3, "z")])
-        assert _rows(table) == [(2, "y")]
-        assert _rows(table.scan({1: "y"})) == [(2, "y")]
-
     def test_replace_writes_the_difference_with_typed_keys(self, backend):
         table = backend.table(STORE_NAMESPACE, _schema(columns=("v", "w")))
         for row in [(1, "a"), (True, "a"), (2, "b")]:
@@ -317,7 +309,6 @@ class TestSqliteSpecifics:
             "insert": lambda: table.insert(_f(3, name="t")),
             "insert_many": lambda: table.insert_many([_f(3, name="t")]),
             "delete": lambda: table.delete(_f(1, name="t")),
-            "delete_many": lambda: table.delete_many([_f(1, name="t")]),
             "replace": lambda: table.replace([_f(3, name="t")]),
             "in-store replace": lambda: table.replace(InStoreQuery([])),
             "clear": lambda: table.clear(),

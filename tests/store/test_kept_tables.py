@@ -73,7 +73,6 @@ steps = st.one_of(
     st.tuples(st.just("insert"), relations, pairs),
     st.tuples(st.just("insert_many"), relations, st.lists(pairs, max_size=4)),
     st.tuples(st.just("delete"), relations, pairs),
-    st.tuples(st.just("delete_many"), relations, st.lists(pairs, max_size=4)),
     st.tuples(st.just("replace"), st.just("plain"), st.lists(pairs, max_size=5)),
     st.tuples(st.just("replace_in_store"), st.just("plain"), st.lists(pairs, max_size=5)),
     st.tuples(st.just("clear"), relations, st.just(())),
@@ -94,8 +93,6 @@ def apply(step, table, model):
     facts = [Fact(name, "p", pair) for pair in values]
     if kind == "insert_many":
         return table.insert_many(facts), model.insert_many(facts)
-    if kind == "delete_many":
-        return table.delete_many(facts), model.delete_many(facts)
     if kind == "replace":
         return table.replace(facts), model.replace(facts)
     if kind == "replace_in_store":
@@ -252,3 +249,59 @@ class TestReadsRunNoSql:
             assert seen == []
         finally:
             reopened.close()
+
+
+def writes(seen):
+    """The row writes among the statements ``seen``, by verb."""
+    return [sql.split()[0] for sql in seen if sql.startswith(("INSERT", "DELETE"))]
+
+
+class TestWritesRunOnlyTheRowsThatChanged:
+    """A write runs SQL for the rows whose facts it stores or removes, and
+    for no other: the kept facts decide, the rows follow."""
+
+    def test_a_fact_already_stored_runs_no_sql(self, backend):
+        plain, keyed = (backend.table(STORE_NAMESPACE, schema) for schema in (PLAIN, KEYED))
+        plain.insert(Fact("plain", "p", (1, "x")))
+        keyed.insert(Fact("keyed", "p", (1, "x")))
+        backend.commit()
+        seen = statements(backend)
+        assert plain.insert(Fact("plain", "p", (1, "x"))) == ([], [])
+        assert keyed.insert(Fact("keyed", "p", (1, "x"))) == ([], [])
+        assert plain.insert_many([Fact("plain", "p", (1, "x"))] * 2) == ([], [])
+        assert plain.delete(Fact("plain", "p", (1, True))) is None
+        assert seen == []
+
+    def test_a_keyed_displacement_runs_one_delete_and_one_insert(self, backend):
+        keyed = backend.table(STORE_NAMESPACE, KEYED)
+        keyed.insert(Fact("keyed", "p", (1, "old")))
+        seen = statements(backend)
+        inserted, displaced = keyed.insert(Fact("keyed", "p", (1, "new")))
+        assert typed(inserted) == [(("int", 1), ("str", "new"))]
+        assert typed(displaced) == [(("int", 1), ("str", "old"))]
+        assert writes(seen) == ["DELETE", "INSERT"]
+
+    def test_a_fact_its_own_batch_displaces_never_reaches_sql(self, tmp_path):
+        path = str(tmp_path / "batch.db")
+        backend = SqliteBackend(path)
+        keyed = backend.table(STORE_NAMESPACE, KEYED)
+        seen = statements(backend)
+        first, survivor = Fact("keyed", "p", (1, "first")), Fact("keyed", "p", (1, "second"))
+        inserted, displaced = keyed.insert_many([first, survivor])
+        assert typed(inserted) == typed([first, survivor]) and typed(displaced) == typed([first])
+        assert writes(seen) == ["INSERT"] and "second" in seen[-1]
+        backend.close()
+        reopened = SqliteBackend(path)
+        assert typed(reopened.table(STORE_NAMESPACE, KEYED)) == typed([survivor])
+        reopened.close()
+
+    def test_a_stored_fact_its_batch_brings_back_runs_no_sql(self, backend):
+        keyed = backend.table(STORE_NAMESPACE, KEYED)
+        stored = Fact("keyed", "p", (1, "stored"))
+        keyed.insert(stored)
+        seen = statements(backend)
+        inserted, displaced = keyed.insert_many(
+            [Fact("keyed", "p", (1, "passing")), Fact("keyed", "p", (1, "stored"))])
+        assert len(inserted) == 2 and len(displaced) == 2
+        assert typed(keyed) == typed([stored])
+        assert writes(seen) == []

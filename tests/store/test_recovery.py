@@ -27,6 +27,8 @@ rule big@hub($id) :- wall@hub($id), not small@hub($id);
 collection extensional persistent small@hub(id);
 """
 
+PROGRAM_HUB_RULES = [line for line in PROGRAM_HUB.splitlines() if line.startswith("rule ")]
+
 PROGRAM_LEAF = "collection extensional persistent posts@{name}(id);"
 
 
@@ -136,6 +138,58 @@ class TestReopen:
         assert again.name != view.name
         reopened.converge()
         assert again.rows() == ((1,),)
+        reopened.close()
+
+    def test_a_named_view_asked_again_after_a_crash_adopts_its_rules(self, tmp_path):
+        """A crash leaves a named view's rules in the store, restored with
+        the program but held by no view: asking the query again takes them
+        over instead of installing a second copy, and closing it leaves no
+        rule behind."""
+        deployment = build(tmp_path, peers=("hub",))
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        deployment.query("hub", "ans($id) :- local@hub($id)", name="items")
+        deployment.converge()
+        crash(deployment)
+
+        reopened = build(tmp_path, peers=("hub",), programs=False)
+        reopened.converge()
+        hub = reopened.runtime.peer("hub")
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES) + 1
+        view = reopened.query("hub", "ans($id) :- local@hub($id)", name="items")
+        reopened.converge()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES) + 1
+        assert view.rows() == ((1,),)
+        reopened.peer("hub").insert(Fact("local", "hub", (2,)))
+        reopened.converge()
+        assert sorted(view.rows()) == [(1,), (2,)]
+        view.close()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES)
+        assert reopened.peer("hub").query("items").facts() == ()
+        reopened.close()
+
+    def test_two_open_views_of_one_name_keep_a_rule_each(self, tmp_path):
+        """Adoption takes only rules no open view holds: the first view
+        asked after a crash adopts the restored rule, a second view of the
+        same name installs its own, and closing either leaves the other
+        answering."""
+        deployment = build(tmp_path, peers=("hub",))
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        deployment.query("hub", "ans($id) :- local@hub($id)", name="items")
+        deployment.converge()
+        crash(deployment)
+
+        reopened = build(tmp_path, peers=("hub",), programs=False)
+        hub = reopened.runtime.peer("hub")
+        first = reopened.query("hub", "ans($id) :- local@hub($id)", name="items")
+        second = reopened.query("hub", "ans($id) :- local@hub($id)", name="items")
+        reopened.converge()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES) + 2
+        assert set(first.compiled.rule_ids()).isdisjoint(second.compiled.rule_ids())
+        first.close()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES) + 1
+        assert second.rows() == ((1,),)
+        second.close()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES)
         reopened.close()
 
     def test_delegation_reinstall_is_idempotent(self, tmp_path):
