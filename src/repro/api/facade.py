@@ -9,6 +9,7 @@ is the per-peer slice of that surface.
 
 from __future__ import annotations
 
+import re
 import weakref
 from collections import deque
 from dataclasses import replace
@@ -30,6 +31,12 @@ from repro.api.errors import ReproApiError
 from repro.api.query import FactCallback, Subscription
 from repro.api.views import (CompiledView, LiveView, QueryLike, compile_query,
                              is_declarative)
+
+#: The relations of an auto-named view (:meth:`System._next_view_name`): its
+#: answer ``_viewN``, an auxiliary ``_viewN_<name>``, a magic
+#: ``_magic__viewN_<name>``; and its demand anchor ``_demand__viewN``.
+_AUTO_VIEW_HEAD = re.compile(r"(?:_magic_)?_view\d+(?:_.*)?")
+_AUTO_VIEW_ANCHOR = re.compile(r"_demand__view\d+")
 
 
 class PeerHandle:
@@ -242,8 +249,11 @@ class System:
     def add_peer(self, name: str, program: Optional[str] = None,
                  trusted: Sequence[str] = (), trust_all: bool = False) -> PeerHandle:
         """Create and register a new peer at run time; returns its handle."""
-        peer = self.runtime.add_peer(name, program=program, trusted=trusted,
-                                     trust_all=trust_all)
+        peer = self.runtime.add_peer(name, trusted=trusted, trust_all=trust_all)
+        if peer.engine.state.restored:
+            self._drop_orphaned_views(peer)
+        if program:
+            peer.load_program(program)
         handle = PeerHandle(self, peer)
         self._handles[name] = handle
         return handle
@@ -356,6 +366,19 @@ class System:
             name = f"_view{self._view_counter}"
             if schemas.get(name, owner) is None:
                 return name
+
+    def _drop_orphaned_views(self, peer: Peer) -> None:
+        """Drop the rules and demand anchors that the auto-named views open
+        when a durable ``peer`` last ran left in its store.  A view handle
+        never outlives its ``System``, so nothing reaches them any more (a
+        named view's rules are adopted again by :meth:`_view_rules`).  Their
+        schemas stay, so :meth:`_next_view_name` still skips those names."""
+        peer.remove_rules([rule.rule_id for rule in peer.rules()
+                           if _AUTO_VIEW_HEAD.fullmatch(rule.head.relation_constant() or "")])
+        for schema in peer.engine.state.schemas:
+            if schema.peer == peer.name and _AUTO_VIEW_ANCHOR.fullmatch(schema.name):
+                for fact in peer.query(schema.name):
+                    peer.delete_fact(fact)
 
     def _degenerate_view(self, handle: PeerHandle, relation: str,
                          location: Optional[str],

@@ -274,8 +274,8 @@ class StageResult:
     derived_intensional: int = 0
     derived_changed: bool = False
     deferred_local_updates: int = 0
-    #: Which fixpoint strategy the stage used: ``"full"`` (clear everything
-    #: and recompute — an engine's first stage), ``"delta"``
+    #: Which fixpoint strategy the stage used: ``"full"`` (recompute every
+    #: derived relation — an engine's first stage), ``"delta"``
     #: (seminaive over the inserted facts and the added rules),
     #: ``"rederive"`` (delete-and-rederive: on the deleted tuples'
     #: consequences for a fact deletion; on the affected predicate closure
@@ -885,17 +885,16 @@ class WebdamLogEngine:
         the input delta, the rules added and removed since the last fixpoint,
         and the local relations that became intensional.
 
-        * **full** — clear every local intensional relation and recompute
-          (the seed engine's behaviour).  Only the first stage of an engine
-          and primary-key displacement take it.
+        * **full** — recompute every local intensional relation, stratum by
+          stratum, a recursive one draining deltas as ``delta`` does.  Only
+          the first stage of an engine and primary-key displacement take it.
         * **skip** — nothing changed that a local rule reads: the memoised
           outcome is returned without evaluating anything.  Removed rules
           with remote heads need no more than this — dropping their memo
           makes :meth:`_emit_outputs` retract what they had shipped.
         * **delta** — facts were only inserted, rules only added, and neither
           reaches a negated literal: added rules are evaluated once in full,
-          then seminaive evaluation seeds from the inserted and the newly
-          derived facts and re-fires only the rules whose body reads them.
+          then each stratum drains the delta of the facts new this stage.
         * **rederive** — the delta contains deletions.  Delete-and-rederive
           on *tuples* (:meth:`_fixpoint_dred`): the consequences of the
           deleted facts are over-deleted along the delta rules, each is
@@ -1045,59 +1044,73 @@ class WebdamLogEngine:
 
         The derived store is *not* cleared: previous derivations stay valid
         under insertions (negation is excluded by the caller).  Added rules
-        are evaluated once in full — what they derive joins the facts new
-        this stage.  Each stratum then drains a delta of those facts; rules
-        re-fire only when their body reads a delta predicate, restricted to
-        the delta facts.
+        are evaluated once in full, and each stratum drains the delta of the
+        facts new this stage (:meth:`_drain`).
         """
-        accumulated: Dict[str, Set[Fact]] = {}
+        fresh: Dict[str, Set[Fact]] = {}
         for fact in inserted:
-            accumulated.setdefault(fact.qualified_relation, set()).add(fact)
+            fresh.setdefault(fact.qualified_relation, set()).add(fact)
+        if all(self._drain(analysis, evaluator, result, fresh, stratum,
+                           added if stratum == 0 else ())
+               for stratum in range(len(analysis.strata))):
+            return self._memo_outcome()
+        # An insertion displaced a derived fact by primary key, which is not
+        # monotone: recompute this stage in full.
+        result.evaluation_path = "full"
+        return self._fixpoint_rederive(analysis, evaluator, result, None, None)
 
-        def absorb(rule: Rule, outcome: RuleOutcome, new_facts: Set[Fact]) -> bool:
-            """Fold one evaluation in; ``False`` on primary-key displacement."""
-            result.rules_evaluated += 1
-            result.substitutions_explored += outcome.substitutions_explored
-            result.compiled_sql += outcome.compiled_sql
-            self._memo_merge(rule, outcome)
-            for fact in outcome.local_intensional:
-                insert_delta = self.state.derived.insert(fact)
-                if insert_delta.deleted:
-                    return False
-                if insert_delta:
-                    result.derived_intensional += 1
+    def _absorb(self, rule: Rule, outcome: RuleOutcome, result: StageResult,
+                new_facts: Optional[Set[Fact]], replaced: Optional[Dict] = None,
+                displacing: bool = False) -> bool:
+        """Fold one evaluation of ``rule`` in: count it, merge its memo, collect
+        the facts of a ``replaced`` relation and insert the other local
+        intensional ones, the new ones into ``new_facts``.  ``False``, at
+        once, on a primary-key displacement unless ``displacing``."""
+        result.rules_evaluated += 1
+        result.substitutions_explored += outcome.substitutions_explored
+        result.compiled_sql += outcome.compiled_sql
+        self._memo_merge(rule, outcome)
+        for fact in outcome.local_intensional:
+            if replaced and (into := replaced.get(fact.qualified_relation)):
+                into[1].append(fact)
+                continue
+            insert_delta = self.state.derived.insert(fact)
+            if insert_delta.deleted and not displacing:
+                return False
+            if insert_delta:
+                result.derived_intensional += 1
+                if new_facts is not None:
                     new_facts.add(fact)
-            return True
+        return True
 
-        def recompute() -> RuleOutcome:
-            # Primary-key replacement on a derived relation: the insertion
-            # displaced an existing fact, which is no longer monotone — fall
-            # back to a full recompute for this stage.
-            result.evaluation_path = "full"
-            return self._fixpoint_rederive(analysis, evaluator, result, None, None)
-
-        derived_by_added: Set[Fact] = set()
-        for rule in added:
-            if not absorb(rule, evaluator.evaluate_rule(rule), derived_by_added):
-                return recompute()
-        for fact in derived_by_added:
-            accumulated.setdefault(fact.qualified_relation, set()).add(fact)
-
-        for stratum in range(len(analysis.strata)):
-            delta = {predicate: set(facts)
-                     for predicate, facts in accumulated.items()}
-            while delta:
-                result.fixpoint_iterations += 1
-                new_facts: Set[Fact] = set()
-                for rule in analysis.reading(delta, stratum):
-                    if not absorb(rule, evaluator.evaluate_rule_delta(rule, delta),
-                                  new_facts):
-                        return recompute()
-                delta = {}
-                for fact in new_facts:
-                    delta.setdefault(fact.qualified_relation, set()).add(fact)
-                    accumulated.setdefault(fact.qualified_relation, set()).add(fact)
-        return self._memo_outcome()
+    def _drain(self, analysis: _ProgramAnalysis, evaluator: RuleEvaluator,
+               result: StageResult, fresh: Dict[str, Set[Fact]], stratum: int,
+               first: Sequence[Rule] = (), displacing: bool = False) -> bool:
+        """Drain stratum number ``stratum``: evaluate the ``first`` rules in
+        full, then re-fire the stratum's readers of the delta, restricted to
+        it — first ``fresh`` and what ``first`` inserted, then what the last
+        round inserted — until a round inserts nothing.  ``fresh`` gathers
+        every delta by predicate; ``False`` as :meth:`_absorb` says."""
+        delta = {predicate: set(facts) for predicate, facts in fresh.items()}
+        new_facts: Set[Fact] = set()
+        for rule in first:
+            if not self._absorb(rule, evaluator.evaluate_rule(rule), result,
+                                new_facts, displacing=displacing):
+                return False
+        while True:
+            for fact in new_facts:
+                predicate = fact.qualified_relation
+                delta.setdefault(predicate, set()).add(fact)
+                fresh.setdefault(predicate, set()).add(fact)
+            if not delta:
+                return True
+            result.fixpoint_iterations += 1
+            new_facts = set()
+            for rule in analysis.reading(delta, stratum):
+                if not self._absorb(rule, evaluator.evaluate_rule_delta(rule, delta),
+                                    result, new_facts, displacing=displacing):
+                    return False
+            delta = {}
 
     def _fixpoint_dred(self, analysis: _ProgramAnalysis,
                        evaluator: RuleEvaluator, result: StageResult,
@@ -1224,15 +1237,14 @@ class WebdamLogEngine:
         """Delete-and-rederive on predicates: recompute the affected derived
         relations with their defining rules, stratum by stratum.
 
-        ``affected_* = None`` means *everything* — the seed engine's
-        clear-and-recompute.  ``deleted`` are the stage's deleted input facts.
-        A relation whose defining rules all sit in one stratum that does not
-        feed itself is not cleared: that stratum reads nothing it derives, so
-        its rules run first and the relation is then replaced by what they
-        derived (:meth:`FactStore.replace_relation` writes only the rows that
-        differ).  Keyed relations and relations of recursive strata are
-        cleared up front and derived again.  Either way the pending delta
-        taken at the end of the stage is the true derived change.
+        ``affected_* = None`` means *everything* (the ``full`` path);
+        ``deleted`` are the stage's deleted input facts.  A stratum that
+        feeds itself runs its rules once in full, then drains deltas
+        (:meth:`_drain`).  One that does not runs once and replaces each
+        unkeyed relation only it defines by what its rules derived
+        (:meth:`FactStore.replace_relation` writes only the rows that
+        differ); other relations are cleared up front.  Either way the
+        pending delta taken at the end of the stage is the true change.
         """
         full = affected_rules is None
         if self.provenance is not None:
@@ -1258,12 +1270,11 @@ class WebdamLogEngine:
         self._outcome = None
 
         passes = []
-        for stratum in analysis.strata:
+        for number, stratum in enumerate(analysis.strata):
             selected = stratum if full else [r for r in stratum if r in affected_rules]
             if not selected:
                 continue
-            # A second pass only confirms the fixpoint unless a selected
-            # rule reads what a selected rule derives.
+            # More than one round only for rules that read what they derive.
             recursive = analysis.feeds_itself(selected)
             # Relations this stratum replaces instead of clearing: it must
             # define them alone, and key displacement needs insertion order.
@@ -1280,11 +1291,15 @@ class WebdamLogEngine:
                                         for other in analysis.defining(predicate))):
                             replaced[predicate] = (schema, [])
                             del cleared[predicate]
-            passes.append((selected, recursive, replaced))
+            passes.append((number, selected, recursive, replaced))
         for schema in cleared.values():
             self.state.derived.clear_relation(schema.name, schema.peer)
 
-        for selected, recursive, replaced in passes:
+        for number, selected, recursive, replaced in passes:
+            result.fixpoint_iterations += 1
+            if recursive:
+                self._drain(analysis, evaluator, result, {}, number, selected, True)
+                continue
             # A replaced relation whose rules all compile is recomputed
             # inside a SQL store: staged and diffed there, never decoded
             # into facts.  Asked here, once the strata below have written.
@@ -1297,25 +1312,10 @@ class WebdamLogEngine:
                         queries[predicate] = query
             in_store = {id(rule) for predicate in queries
                         for rule in analysis.defining(predicate)}
-            changed = True
-            while changed:
-                changed = False
-                result.fixpoint_iterations += 1
-                for rule in selected:
-                    if id(rule) in in_store:
-                        continue
-                    result.rules_evaluated += 1
-                    outcome = evaluator.evaluate_rule(rule)
-                    result.substitutions_explored += outcome.substitutions_explored
-                    result.compiled_sql += outcome.compiled_sql
-                    self._memo_merge(rule, outcome)
-                    for fact in outcome.local_intensional:
-                        into = replaced.get(fact.qualified_relation)
-                        if into is not None:
-                            into[1].append(fact)
-                        elif self.state.derived.insert(fact):
-                            changed = recursive
-                            result.derived_intensional += 1
+            for rule in selected:
+                if id(rule) not in in_store:
+                    self._absorb(rule, evaluator.evaluate_rule(rule), result, None,
+                                 replaced, displacing=True)
             for predicate, (schema, facts) in replaced.items():
                 query = queries.get(predicate)
                 self.state.derived.replace_relation(

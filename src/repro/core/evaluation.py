@@ -198,13 +198,6 @@ class RuleEvaluator:
         self._evaluate_from(rule, 0, {}, outcome, (), plan=plan)
         return outcome
 
-    def evaluate_rules(self, rules: Iterable[Rule]) -> RuleOutcome:
-        """Evaluate several rules, merging their outcomes."""
-        outcome = RuleOutcome()
-        for rule in rules:
-            outcome.merge(self.evaluate_rule(rule))
-        return outcome
-
     def evaluate_rule_delta(self, rule: Rule,
                             delta: Mapping[str, Set[Fact]]) -> RuleOutcome:
         """Seminaive evaluation of one rule against a delta.

@@ -455,7 +455,7 @@ class TestEvaluatorSources:
 
         evaluator = RuleEvaluator("p", source)
         rule = parse_rule("out@p($x) :- s@p($x), not r@p($x)")
-        outcome = evaluator.evaluate_rules([rule])
+        outcome = evaluator.evaluate_rule(rule)
         assert {f.values for f in outcome.local_extensional} == {(2,)}
         # The negated probes arrived with the argument fully bound.
         negated_probes = [b for rel, b in calls if rel == "r"]

@@ -2,7 +2,9 @@
 
 ``tests/reference_engine.py`` builds its baselines from outside the
 engine; these tests pin that it does: every stage of a reference takes the
-full clear-and-recompute path, every probe is a filtered scan that hands no
+``full`` path from emptied relations (a path that drains a recursive
+stratum's deltas, see ``tests/core/test_recursive_passes.py`` for its
+independent check), every probe is a filtered scan that hands no
 bindings to the store, the filtered scan answers each probe exactly as the
 hash indexes do, and every body is walked in written order.
 """

@@ -9,7 +9,11 @@ engine's:
 * **recompute every stage** — every local intensional relation is emptied
   and the program analysis forgotten before each stage, so the engine has
   nothing to diff against and takes the path of its first stage, deriving
-  every relation again from nothing;
+  every relation again from nothing.  That ``full`` path drains a recursive
+  stratum's deltas as the ``delta`` path does, so against it a differential
+  suite checks what a stage *changed*, not how a recursion is evaluated;
+  ``tests/core/test_recursive_passes.py`` checks that against an
+  enumerator of its own;
 * **scan every probe** — each probe is answered by an unbound scan of the
   relation, filtered in Python by the bound positions, so no store index is
   consulted;
@@ -45,11 +49,12 @@ def written_order(engine: WebdamLogEngine) -> WebdamLogEngine:
 
 
 def recompute_every_stage(engine: WebdamLogEngine) -> WebdamLogEngine:
-    """Make every stage of ``engine`` a full clear-and-recompute.
+    """Make every stage of ``engine`` a full recompute from nothing.
 
-    The engine's own full stage replaces a non-recursive relation by diff;
-    the reference empties every local intensional relation itself first, so
-    each stage really derives everything from nothing.
+    The engine's own full stage replaces a non-recursive relation by diff
+    and drains a recursive stratum's deltas; the reference empties every
+    local intensional relation itself first, so each stage really derives
+    everything from nothing.
     """
     run_stage = engine.run_stage
     state = engine.state

@@ -167,6 +167,38 @@ class TestReopen:
         assert reopened.peer("hub").query("items").facts() == ()
         reopened.close()
 
+    def test_an_auto_named_view_open_at_a_crash_leaves_nothing_deriving(self, tmp_path):
+        """A crash leaves an auto-named view's rules and demand anchor in the
+        store, and no handle can reach them: the reopened deployment drops
+        them, so the query asked again installs one copy of its rules and
+        closing it leaves no rule behind."""
+        deployment = build(tmp_path, peers=("hub",))
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        for edge in ((1, 2), (2, 3)):
+            deployment.peer("hub").insert(Fact("link", "hub", edge))
+        deployment.query("hub", "ans($id) :- local@hub($id)")
+        magic = deployment.query(
+            "hub", "reach($x, $y) :- link@hub($x, $y); "
+                   "reach($x, $z) :- reach($x, $y), link@hub($y, $z); "
+                   "ans($y) :- reach(1, $y)")
+        deployment.converge()
+        assert magic.plan()["magic_relations"], "magic rewrite did not fire"
+        crash(deployment)
+
+        reopened = build(tmp_path, peers=("hub",), programs=False)
+        hub = reopened.runtime.peer("hub")
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES)
+        reopened.converge()
+        assert not any(relation.startswith(("_view", "_magic_", "_demand_")) and facts
+                       for relation, facts in reopened.peer("hub").snapshot().items())
+        view = reopened.query("hub", "ans($id) :- local@hub($id)")
+        reopened.converge()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES) + 1
+        assert view.rows() == ((1,),)
+        view.close()
+        assert len(hub.rules()) == len(PROGRAM_HUB_RULES)
+        reopened.close()
+
     def test_two_open_views_of_one_name_keep_a_rule_each(self, tmp_path):
         """Adoption takes only rules no open view holds: the first view
         asked after a crash adopts the restored rule, a second view of the
