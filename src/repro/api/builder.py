@@ -157,14 +157,14 @@ class SystemBuilder:
         """Choose the storage backend every peer's fact store runs on.
 
         * ``"memory"`` — plain Python dicts with hash indexes (the default);
-        * ``"sqlite"`` — each peer keeps its relations in a SQLite database
-          and rule bodies compile to single SQL statements executed in-store.
-          Pass ``path="some/dir"`` to make the deployment **durable**: each
-          peer gets its own database file ``<path>/<peer>.db``, facts, rules
-          and delegations survive :meth:`~repro.api.facade.System.close` (or
+        * ``"sqlite"`` — each peer also writes its relations to a SQLite
+          database; rules run exactly as on ``"memory"``.  Pass
+          ``path="some/dir"`` to make the deployment **durable**: each peer
+          gets its own database file ``<path>/<peer>.db``, facts, rules and
+          delegations survive :meth:`~repro.api.facade.System.close` (or
           process death), and rebuilding the deployment over the same path
           restores and re-converges it.  Without a path SQLite runs on a
-          private in-memory database (same SQL engine, no durability).
+          private in-memory database (the same rows, no durability).
 
         When this method is not called, the ``REPRO_STORE_BACKEND``
         environment variable picks the backend (defaulting to ``memory``) —

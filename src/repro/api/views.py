@@ -470,17 +470,10 @@ class LiveView:
         return self._answer
 
     def _prime(self) -> None:
-        """First read (or first after a reopen): aggregate the whole relation.
-
-        SQL-capable backends group in-store (``GROUP BY``); ``None`` means the
-        backend could not guarantee bit-identical results, and one scan in
-        rendering order feeds the Python aggregation instead.
-        """
-        answer = self._aggregate_pushdown()
-        if answer is None:
-            answer = self._aggregate(sorted(
-                self._owner_state().fact_view(self.relation, self._owner),
-                key=str))
+        """First read (or first after a reopen): aggregate the whole relation,
+        one scan in rendering order, whatever the backend."""
+        answer = self._aggregate(sorted(
+            self._owner_state().fact_view(self.relation, self._owner), key=str))
         positions = self._positions
         self._groups = {typed_values([fact.values[i] for i in positions]): fact
                         for fact in answer}
@@ -526,17 +519,6 @@ class LiveView:
                 insort(ordered, fresh, key=str)
         self._dirty.clear()
         self._answer = tuple(ordered)
-
-    def _aggregate_pushdown(self) -> Optional[Tuple[Fact, ...]]:
-        """Grouped aggregation executed inside the owner's storage backend."""
-        rows = self._owner_state().aggregate_view(
-            self.relation, self._location, len(self.compiled.head_args),
-            list(self._positions), self._specs)
-        if rows is None:
-            return None
-        return tuple(sorted(
-            (Fact(self.relation, self._owner, tuple(values)) for values in rows),
-            key=str))
 
     def _group_fact(self, key: Sequence, rows: Sequence[Tuple]) -> Fact:
         """The answer fact of one group: its key values and its aggregates."""

@@ -26,7 +26,7 @@ from repro.core.delegation import Delegation, DelegationDiff
 from repro.core.errors import EvaluationError, SchemaError
 from repro.core.evaluation import (LocationPattern, RuleEvaluator, RuleOutcome,
                                    head_targets, location_pattern, pattern_matches)
-from repro.core.facts import Delta, Fact, InStoreQuery, fact_matches_bindings
+from repro.core.facts import Delta, Fact, fact_matches_bindings
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
@@ -268,9 +268,6 @@ class StageResult:
     fixpoint_iterations: int = 0
     rules_evaluated: int = 0
     substitutions_explored: int = 0
-    #: Number of rule bodies this stage that ran as a single compiled SQL
-    #: statement inside the storage backend instead of tuple-at-a-time.
-    compiled_sql: int = 0
     derived_intensional: int = 0
     derived_changed: bool = False
     deferred_local_updates: int = 0
@@ -389,7 +386,6 @@ class WebdamLogEngine:
             "substitutions_explored": 0,
             "fixpoint_iterations": 0,
             "rules_evaluated": 0,
-            "compiled_sql": 0,
             "stages_full": 0,
             "stages_delta": 0,
             "stages_rederive": 0,
@@ -724,7 +720,6 @@ class WebdamLogEngine:
         counters["substitutions_explored"] += result.substitutions_explored
         counters["fixpoint_iterations"] += result.fixpoint_iterations
         counters["rules_evaluated"] += result.rules_evaluated
-        counters["compiled_sql"] += result.compiled_sql
         counters[f"stages_{result.evaluation_path}"] += 1
         counters.update(self._planner.counters)
 
@@ -1011,7 +1006,7 @@ class WebdamLogEngine:
         """The rule evaluator of one stage.
 
         With a ``fact_source`` of its own, an evaluator that only looks:
-        it reads that source, records no derivation and pushes nothing down.
+        it reads that source and records no derivation.
         """
         looks = fact_source is not None
         return RuleEvaluator(
@@ -1020,11 +1015,6 @@ class WebdamLogEngine:
             kind_resolver=self.state.kind_of,
             on_derivation=(self.provenance.record
                            if self.provenance is not None and not looks else None),
-            # Whole-body SQL pushdown: only meaningful on SQL-capable
-            # backends, and only when no provenance hook needs per-derivation
-            # support tuples.
-            pushdown=(self.state.pushdown
-                      if self.provenance is None and not looks else None),
             planner=self._planner,
         )
 
@@ -1061,22 +1051,34 @@ class WebdamLogEngine:
 
     def _absorb(self, rule: Rule, outcome: RuleOutcome, result: StageResult,
                 new_facts: Optional[Set[Fact]], replaced: Optional[Dict] = None,
-                displacing: bool = False) -> bool:
+                displaced: Optional[Set[Fact]] = None) -> bool:
         """Fold one evaluation of ``rule`` in: count it, merge its memo, collect
         the facts of a ``replaced`` relation and insert the other local
         intensional ones, the new ones into ``new_facts``.  ``False``, at
-        once, on a primary-key displacement unless ``displacing``."""
+        once, on a primary-key displacement, unless ``displaced`` gathers
+        the facts displaced so far: a displaced fact then leaves
+        ``new_facts``, and a second displacement of one raises
+        :class:`EvaluationError`, as its key's value has cycled."""
         result.rules_evaluated += 1
         result.substitutions_explored += outcome.substitutions_explored
-        result.compiled_sql += outcome.compiled_sql
         self._memo_merge(rule, outcome)
         for fact in outcome.local_intensional:
             if replaced and (into := replaced.get(fact.qualified_relation)):
                 into[1].append(fact)
                 continue
             insert_delta = self.state.derived.insert(fact)
-            if insert_delta.deleted and not displacing:
-                return False
+            if insert_delta.deleted:
+                if displaced is None:
+                    return False
+                for old in insert_delta.deleted:
+                    if old in displaced:
+                        raise EvaluationError(
+                            f"rule {rule.rule_id} ({rule}) displaces {old} from "
+                            f"{old.qualified_relation} a second time in one stage: "
+                            "the key's value cycles, so the program has no fixpoint")
+                    displaced.add(old)
+                    if new_facts is not None:
+                        new_facts.discard(old)
             if insert_delta:
                 result.derived_intensional += 1
                 if new_facts is not None:
@@ -1090,12 +1092,14 @@ class WebdamLogEngine:
         full, then re-fire the stratum's readers of the delta, restricted to
         it — first ``fresh`` and what ``first`` inserted, then what the last
         round inserted — until a round inserts nothing.  ``fresh`` gathers
-        every delta by predicate; ``False`` as :meth:`_absorb` says."""
+        every delta by predicate; ``False`` as :meth:`_absorb` says, unless
+        ``displacing``."""
         delta = {predicate: set(facts) for predicate, facts in fresh.items()}
         new_facts: Set[Fact] = set()
+        displaced: Optional[Set[Fact]] = set() if displacing else None
         for rule in first:
             if not self._absorb(rule, evaluator.evaluate_rule(rule), result,
-                                new_facts, displacing=displacing):
+                                new_facts, displaced=displaced):
                 return False
         while True:
             for fact in new_facts:
@@ -1108,7 +1112,7 @@ class WebdamLogEngine:
             new_facts = set()
             for rule in analysis.reading(delta, stratum):
                 if not self._absorb(rule, evaluator.evaluate_rule_delta(rule, delta),
-                                    result, new_facts, displacing=displacing):
+                                    result, new_facts, displaced=displaced):
                     return False
             delta = {}
 
@@ -1300,35 +1304,12 @@ class WebdamLogEngine:
             if recursive:
                 self._drain(analysis, evaluator, result, {}, number, selected, True)
                 continue
-            # A replaced relation whose rules all compile is recomputed
-            # inside a SQL store: staged and diffed there, never decoded
-            # into facts.  Asked here, once the strata below have written.
-            queries: Dict[str, InStoreQuery] = {}
-            if evaluator.pushdown is not None:
-                for predicate in replaced:
-                    query = evaluator.pushdown.relation_query(
-                        analysis.defining(predicate), self._planner.plan_rule)
-                    if query is not None:
-                        queries[predicate] = query
-            in_store = {id(rule) for predicate in queries
-                        for rule in analysis.defining(predicate)}
+            displaced: Set[Fact] = set()
             for rule in selected:
-                if id(rule) not in in_store:
-                    self._absorb(rule, evaluator.evaluate_rule(rule), result, None,
-                                 replaced, displacing=True)
+                self._absorb(rule, evaluator.evaluate_rule(rule), result, None,
+                             replaced, displaced)
             for predicate, (schema, facts) in replaced.items():
-                query = queries.get(predicate)
-                self.state.derived.replace_relation(
-                    schema.name, schema.peer, facts if query is None else query)
-                if query is not None:
-                    # Counted as the rules' Python evaluation would count:
-                    # one compiled evaluation per rule, one substitution per
-                    # distinct staged row; their memo entries hold nothing.
-                    for rule in analysis.defining(predicate):
-                        result.rules_evaluated += 1
-                        result.compiled_sql += 1
-                        self._memo_merge(rule, RuleOutcome())
-                    result.substitutions_explored += query.substitutions
+                self.state.derived.replace_relation(schema.name, schema.peer, facts)
                 result.derived_intensional += self.state.derived.count(
                     schema.name, schema.peer)
         return self._memo_outcome()

@@ -82,7 +82,6 @@ class RuleOutcome:
     remote_facts: Set[Fact] = field(default_factory=set)
     delegations: Set[Delegation] = field(default_factory=set)
     substitutions_explored: int = 0
-    compiled_sql: int = 0
 
     def merge(self, other: "RuleOutcome") -> "RuleOutcome":
         """Accumulate another outcome into this one."""
@@ -91,7 +90,6 @@ class RuleOutcome:
         self.remote_facts |= other.remote_facts
         self.delegations |= other.delegations
         self.substitutions_explored += other.substitutions_explored
-        self.compiled_sql += other.compiled_sql
         return self
 
     def is_empty(self) -> bool:
@@ -148,7 +146,6 @@ class RuleEvaluator:
     def __init__(self, peer: str, fact_source: FactSource,
                  kind_resolver: Optional[KindResolver] = None,
                  on_derivation: Optional[Callable[[Fact, Rule, Tuple[Fact, ...]], None]] = None,
-                 pushdown=None,
                  planner=None):
         self.peer = peer
         self.fact_source = fact_source
@@ -156,11 +153,6 @@ class RuleEvaluator:
         # Optional provenance hook: called with (derived fact, rule, supporting facts)
         # for every head emitted locally or for a remote peer.
         self.on_derivation = on_derivation
-        # Optional whole-body SQL fast path (repro.store.compiler.BodyPushdown).
-        # Provenance needs per-derivation support tuples, which the set-at-a-
-        # time SQL path cannot produce — the engine only wires the pushdown in
-        # when no derivation hook is attached.
-        self.pushdown = pushdown
         # Optional cost-based body planner (repro.planner.BodyPlanner): rules
         # are then walked in the planned literal order instead of the written
         # one.  Only the local prefix of a body is ever permuted, so the
@@ -185,17 +177,7 @@ class RuleEvaluator:
     def evaluate_rule(self, rule: Rule) -> RuleOutcome:
         """Evaluate one rule and return everything it produces."""
         outcome = RuleOutcome()
-        plan = self._plan_of(rule)
-        if self.pushdown is not None and self.on_derivation is None:
-            substitutions = self.pushdown.run(
-                rule, order=plan.order if plan is not None else None)
-            if substitutions is not None:
-                outcome.compiled_sql += 1
-                outcome.substitutions_explored += len(substitutions)
-                for substitution in substitutions:
-                    self._emit_head(rule, substitution, outcome, ())
-                return outcome
-        self._evaluate_from(rule, 0, {}, outcome, (), plan=plan)
+        self._evaluate_from(rule, 0, {}, outcome, (), plan=self._plan_of(rule))
         return outcome
 
     def evaluate_rule_delta(self, rule: Rule,

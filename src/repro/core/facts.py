@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple, Union)
+                    Set, Tuple)
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, SchemaRegistry
@@ -230,21 +230,6 @@ class Delta:
         return cls()
 
 
-@dataclass
-class InStoreQuery:
-    """The rows of one relation, computed by the SQL store that holds it.
-
-    One ``(sql, params)`` ``SELECT`` per defining rule, each yielding the
-    relation's stored columns.  The table that runs them
-    (:meth:`repro.store.sqlite.SqliteTable.replace`) adds to
-    ``substitutions`` the distinct rows each produced: the substitutions the
-    rules' Python evaluation would have explored.
-    """
-
-    selects: List[Tuple[str, Tuple]]
-    substitutions: int = 0
-
-
 def _fold(inserted: Set[Fact], deleted: Set[Fact], step: Delta) -> None:
     """Fold one step into running sets, as :meth:`Delta.merge` would: for a
     fact the sets already name, the step's insert or delete wins."""
@@ -387,23 +372,18 @@ class FactStore:
             _fold(inserted, deleted, self.insert(fact))
         return Delta(frozenset(inserted), frozenset(deleted))
 
-    def replace_relation(self, relation: str, peer: str,
-                         rows: Union[Iterable[Fact], InStoreQuery]) -> Delta:
+    def replace_relation(self, relation: str, peer: str, rows: Iterable[Fact]) -> Delta:
         """Make ``relation@peer`` hold exactly ``rows``; returns the delta.
 
-        ``rows`` are facts or, on a SQL backend and for a declared relation,
-        an :class:`InStoreQuery` the table runs itself.  Writes only the
-        difference, in one batch each way: the pending delta and the
-        generation see exactly the facts that leave or arrive, as if the
-        relation had been cleared and ``rows`` inserted.  A stored fact
-        equal to an arriving one stays stored.  Only for relations without a
-        primary key (displacement makes insertion order observable).
+        Writes only the difference, in one batch each way: the pending
+        delta and the generation see exactly the facts that leave or
+        arrive, as if the relation had been cleared and ``rows`` inserted.
+        A stored fact equal to an arriving one stays stored.  Only for
+        relations without a primary key (displacement makes insertion order
+        observable).
         """
-        arity = None
-        if not isinstance(rows, InStoreQuery):
-            rows = list(rows)
-            arity = rows[0].arity if rows else None
-        table = self._table(relation, peer, arity)
+        rows = list(rows)
+        table = self._table(relation, peer, rows[0].arity if rows else None)
         if table is None:
             return Delta.empty()
         if table.schema.key_indexes():

@@ -90,9 +90,9 @@ class PeerState:
                                  namespace=DERIVED_NAMESPACE)
         # Facts remote peers derive for local intensional relations: a third
         # store on private schemas and a private memory backend, so never
-        # persisted, never seen by SQL pushdown and unkeyed (two senders'
-        # key-colliding facts never displace each other).  Beside it, who
-        # provides each: a fact is visible while one sender still derives it.
+        # persisted and unkeyed (two senders' key-colliding facts never
+        # displace each other).  Beside it, who provides each: a fact is
+        # visible while one sender still derives it.
         self.provided = FactStore(owner=peer)
         self._provided_senders: Dict[Fact, Set[str]] = {}
         # The relation snapshots :meth:`query` answers from while the three
@@ -118,14 +118,6 @@ class PeerState:
         self.pending = PendingInput()
         self.deferred_updates: Delta = Delta.empty()
         self.stage_counter = 0
-        # SQL-capable backends get a rule-body compiler; the engine hands it
-        # to the evaluator as the whole-body fast path.
-        if getattr(self.backend, "SUPPORTS_SQL", False):
-            from repro.store.compiler import BodyPushdown
-
-            self.pushdown = BodyPushdown(self)
-        else:
-            self.pushdown = None
 
     def _advance_rule_counter(self) -> None:
         """Keep fresh rule ids from colliding with restored ones.
@@ -363,18 +355,6 @@ class PeerState:
         yield from self.store.facts(relation, peer, bindings)
         yield from self.derived.facts(relation, peer, bindings)
         yield from self.provided.facts(relation, peer, bindings)
-
-    def aggregate_view(self, relation: str, peer: str, width: int,
-                       group_positions, specs) -> Optional[List[Tuple]]:
-        """Push a grouped aggregate down into a SQL-capable backend.
-
-        Returns output tuples of ``width`` values, or ``None`` when the
-        backend cannot prove the pushdown bit-identical to the Python
-        aggregation path (or is not SQL-capable at all).
-        """
-        if self.pushdown is None:
-            return None
-        return self.pushdown.aggregate(relation, peer, width, group_positions, specs)
 
     def query(self, relation: str, peer: Optional[str] = None) -> Tuple[Fact, ...]:
         """Facts of ``relation`` visible at this peer (stored, derived or provided).

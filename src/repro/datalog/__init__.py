@@ -3,7 +3,7 @@
 * :mod:`repro.datalog.stratification` — :func:`stratify` groups a peer's
   rules into strata for stratified negation;
 * :mod:`repro.datalog.aggregation` — the group-by aggregate functions shared
-  by aggregate views and the SQL compiler.
+  by aggregate views.
 
 Rules are evaluated by :mod:`repro.core.evaluation` alone.
 """

@@ -6,8 +6,7 @@ An aggregate view such as::
 
 keeps its raw tuples as rule output and groups them on read, on the
 non-aggregated positions, through :func:`compute_aggregate`
-(:class:`repro.api.views.LiveView`).  The SQL compiler's ``GROUP BY``
-pushdown only runs where its answers are bit-identical to that function's.
+(:class:`repro.api.views.LiveView`), in Python on every backend.
 
 The Wepic application's ``ratingSummary`` view is one (average rating and
 rating count per picture).

@@ -10,10 +10,8 @@
   live inside :mod:`repro.core.facts` (the default backend);
 * :mod:`repro.store.sqlite` — a durable SQLite backend (WAL mode) where each
   relation is a table and facts survive process death;
-* :mod:`repro.store.compiler` — compiles whole rule bodies (joins, bound
-  arguments, stratified negation, ``GROUP BY`` aggregates) into single SQL
-  statements executed inside the store instead of tuple-at-a-time Python
-  unification.
+* :mod:`repro.store.compiler` — compiles whole rule bodies and ``GROUP BY``
+  aggregates into single SQL statements; nothing in the program calls it.
 
 Select a backend per deployment with ``system().storage("sqlite", path=...)``
 or globally with the ``REPRO_STORE_BACKEND`` environment variable.

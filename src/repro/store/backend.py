@@ -79,8 +79,7 @@ class StorageTable(Protocol):
 
     def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
         """Make an unkeyed table hold exactly ``facts``, writing only the
-        difference; return ``(inserted, removed)`` facts.  A SQL table also
-        takes an :class:`~repro.core.facts.InStoreQuery` in place of facts."""
+        difference; return ``(inserted, removed)`` facts."""
         ...
 
     def clear(self) -> List[Fact]:
@@ -100,8 +99,6 @@ class StorageBackend(Protocol):
     name: str
     #: Whether data written through this backend survives process death.
     persistent: bool
-    #: Whether the SQL rule-body compiler can target this backend.
-    SUPPORTS_SQL: bool
 
     def table(self, namespace: str, schema: RelationSchema) -> StorageTable:
         """Create-or-get the table for ``schema`` in ``namespace``."""
@@ -151,7 +148,7 @@ def resolve_backend(spec=None, peer: Optional[str] = None,
     (returned unchanged — useful in tests).  For the ``sqlite`` backend, a
     ``path`` option names a *directory*; each peer gets its own database file
     ``<path>/<peer>.db`` inside it.  Without a path the SQLite backend runs on
-    a private in-memory database — same engine and SQL compilation, no
+    a private in-memory database — the same rows and transactions, no
     durability — which is what the environment-variable override uses so the
     entire test suite can run against SQLite without touching disk.
     """

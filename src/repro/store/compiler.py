@@ -1,6 +1,12 @@
 """Compilation of rule bodies into single SQL statements.
 
-When a peer's backend is SQL-capable, a rule body whose literals are all
+Nothing in the program calls this module: rule bodies and aggregates are
+evaluated by :class:`~repro.core.evaluation.RuleEvaluator` and
+:class:`~repro.api.views.LiveView` on every backend.  It stays, tested on
+its own, while the benchmark's tracer names :meth:`BodyPushdown.run` and
+:meth:`BodyPushdown.aggregate` (ROADMAP item 8 deletes it with them).
+
+On a SQLite backend, a rule body whose literals are all
 *store-resident* — constant relation/peer positions, located at the local
 peer, with no ephemeral provided facts mixed into any referenced relation —
 is compiled into **one** ``SELECT`` executed inside the store:
@@ -17,19 +23,10 @@ is compiled into **one** ``SELECT`` executed inside the store:
 * the ``SELECT DISTINCT`` output columns are the (tag, value) pairs of the
   head variables, decoded back into one substitution per row.
 
-A relation a stage recomputes whole can stay in the store altogether:
-:meth:`BodyPushdown.relation_query` turns the rules defining it into one
-``SELECT`` per rule whose columns are the head's own — a head constant is
-a tag/value parameter pair, a head variable the columns that bind it — and
-the table stages their rows in a TEMP table and diffs them against the
-stored rows in SQL, decoding only the rows that change
-(:meth:`repro.store.sqlite.SqliteTable.replace`).
-
 The compiler is deliberately conservative: anything it cannot prove
 equivalent to the tuple-at-a-time Python evaluation (variable relation/peer
-positions, remote literals, provided facts, provenance recording) returns
-``None`` and the evaluator falls back literal by literal.  The aggregate
-entry point plays the same role for the live-view read path: ``GROUP BY``
+positions, remote literals, provided facts) returns ``None``.  The
+aggregate entry point does the same for an aggregate view: ``GROUP BY``
 pushdown of ``count/sum/min/max/avg`` with exactness guards (integer-only
 SUM/AVG that fall back on a 64-bit overflow, the average divided in
 Python, single-typed MIN/MAX) so pushed-down answers are bit-identical to
@@ -40,9 +37,8 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.facts import InStoreQuery
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
 from repro.datalog.aggregation import Aggregate
@@ -53,9 +49,6 @@ from repro.store.sqlite import (
     decode_column,
     encode_column,
 )
-
-if TYPE_CHECKING:
-    from repro.planner.plans import RulePlan
 
 #: Sentinel for a body that is *provably empty* (a positive literal reads a
 #: relation with no facts at all) — compiled, but no statement needs to run.
@@ -92,10 +85,8 @@ def _storable(term) -> bool:
 class BodyPushdown:
     """Compiles and executes whole rule bodies against a SQL backend.
 
-    Bound to one :class:`~repro.core.state.PeerState`; the engine hands an
-    instance to the :class:`~repro.core.evaluation.RuleEvaluator`, whose
-    ``evaluate_rule`` tries :meth:`run` first and falls back to per-literal
-    evaluation when it returns ``None``.
+    Bound to one :class:`~repro.core.state.PeerState` on a SQLite backend:
+    ``BodyPushdown(engine.state)``.
     """
 
     def __init__(self, state):
@@ -137,40 +128,6 @@ class BodyPushdown:
         if select is None:
             return None  # unsafe rule: let the Python evaluator raise.
         return CompiledBody(*select, head_vars=head_vars)
-
-    def relation_query(self, rules: Sequence[Rule],
-                       plan_rule: Callable[[Rule], Optional[RulePlan]]
-                       ) -> Optional[InStoreQuery]:
-        """The rows ``rules`` derive, as a query the store runs itself.
-
-        One ``SELECT`` of the head's stored columns per rule whose body is
-        not provably empty; its distinct rows are exactly the substitutions
-        :meth:`run` would return.  ``None`` when a rule's head is not a
-        constant local relation of its declared arity holding storable
-        constants, or its body does not compile: the caller evaluates the
-        rules in Python instead, and ``plan_rule`` is not asked.  Otherwise
-        each rule's plan gives the ``FROM`` order, as in :meth:`run`.
-        """
-        local_peer = self.state.peer
-        for rule in rules:
-            head = rule.head
-            relation, peer = head.relation_constant(), head.peer_constant()
-            schema = (self.state.schemas.get(relation, peer)
-                      if relation is not None and peer == local_peer else None)
-            if (schema is None or schema.arity != head.arity
-                    or not all(map(_storable, head.args))):
-                return None
-            body = self._body(rule)
-            if body is None or (body is not _EMPTY and any(
-                    var not in body[2] for var in head.variables())):
-                return None
-        selects: List[Tuple[str, Tuple]] = []
-        for rule in rules:
-            plan = plan_rule(rule)
-            body = self._body(rule, plan.order if plan is not None else None)
-            if body is not _EMPTY:
-                selects.append(self._select(rule.head.args, body))
-        return InStoreQuery(selects)
 
     @staticmethod
     def _select(terms, body) -> Optional[Tuple[str, Tuple]]:
@@ -404,7 +361,7 @@ class BodyPushdown:
             if "integer overflow" in str(error):
                 return None  # Python's integers do not overflow
             raise
-        self.backend.counters["aggregate_pushdowns"] += 1
+        self.backend.counters["aggregate_statements"] += 1
 
         results: List[Tuple] = []
         base = 2 * len(group_positions)

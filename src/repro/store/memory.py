@@ -237,7 +237,6 @@ class MemoryBackend:
 
     name = "memory"
     persistent = False
-    SUPPORTS_SQL = False
 
     def __init__(self):
         self._tables: Dict[Tuple[str, str, str], MemoryTable] = {}

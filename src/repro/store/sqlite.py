@@ -25,9 +25,9 @@ is attached, so a durable peer's working set lives in memory exactly as on
 the memory backend, and a store larger than RAM is not served.  The kept
 table also decides every write, with the memory backend's own code; the
 SQLite table only mirrors the facts it stored and removed as rows.
-SQLite provides durability and set-at-a-time work: the stage transaction,
-recovery, the rule bodies :mod:`repro.store.compiler` pushes down, and the
-in-store recompute of :meth:`SqliteTable.replace`.
+SQLite provides durability and nothing else: the stage transaction, abort
+and recovery.  Rules are evaluated over the kept facts exactly as on the
+memory backend.
 
 Transactions
 ------------
@@ -46,7 +46,7 @@ import sqlite3
 import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.facts import Fact, InStoreQuery
+from repro.core.facts import Fact
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
 from repro.store.backend import StoreError
@@ -65,7 +65,7 @@ _TAG_BYTES = "bytes"
 #: arithmetic over the decoded values (bool is stored as 0/1, matching
 #: ``True + True == 2``).
 NUMERIC_TAGS = frozenset({_TAG_BOOL, _TAG_INT, _TAG_FLOAT})
-#: Tags safe for exact (bit-identical) SUM/AVG pushdown: integer arithmetic
+#: Tags safe for exact (bit-identical) SUM/AVG in SQL: integer arithmetic
 #: is associative, float accumulation order is not.
 EXACT_SUM_TAGS = frozenset({_TAG_BOOL, _TAG_INT})
 
@@ -133,14 +133,13 @@ class SqliteTable:
     rows that changed; a removed fact is the kept object.  The kept table is
     called through its second names (``select``, ``put``, ``pop`` …), which
     a benchmark that wraps the table methods leaves alone.  SQL does what
-    needs the rows: commit and recovery, the in-store :meth:`replace` and
-    the rule bodies :mod:`repro.store.compiler` runs.  The rows stay the
+    needs the rows: commit and recovery.  The rows stay the
     durable truth: after :meth:`SqliteBackend.abort` the table refuses every
     read and write, and a reopen decodes what the file holds.
     """
 
     __slots__ = ("backend", "schema", "table_name", "_arity", "_cols",
-                 "_col_list", "_insert_sql", "_delete_sql", "_stage", "_kept")
+                 "_col_list", "_insert_sql", "_delete_sql", "_kept")
 
     def __init__(self, backend: "SqliteBackend", table_name: str,
                  schema: RelationSchema, stored: bool):
@@ -157,10 +156,12 @@ class SqliteTable:
         )
         self._delete_sql = (
             f'DELETE FROM "{table_name}" WHERE {self._eq_clause(self._arity)}')
-        # The TEMP table :meth:`replace` stages new rows in, once created.
-        self._stage: Optional[str] = None
-        # Every stored fact, decoded from the rows of a stored table.
-        rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}"')
+        # Every stored fact, decoded from the rows of a stored table in the
+        # order of its full-row index (a covering scan, no sort step): the
+        # values' order is nearly the rendering order reads sort facts into,
+        # and a sort of nearly sorted facts is fast.
+        rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}" '
+                                f'ORDER BY {self._col_list}')
                 if stored else ())
         self._kept: Union[MemoryTable, _Aborted] = MemoryTable(
             schema, map(self._decode_fact, rows))
@@ -264,61 +265,17 @@ class SqliteTable:
             self._write({}, [], [removed])
         return removed
 
-    def replace(self, rows: Union[Iterable[Fact], InStoreQuery]
-                ) -> Tuple[List[Fact], List[Fact]]:
-        """Make the table hold exactly ``rows`` — facts, or an in-store
-        query whose ``SELECT`` statements compute them; return ``(inserted,
-        removed)`` facts.
-
-        For unkeyed relations.  Facts go to
-        :meth:`MemoryTable.replace <repro.store.memory.MemoryTable.replace>`,
-        and the rows that leave and arrive are written with one
-        ``executemany`` each.  A query's rows are staged in a TEMP table by
-        one ``INSERT … SELECT`` per statement (the rows staged are added to
-        its ``substitutions``); two ``EXCEPT`` statements against the stored
-        rows then find the rows that leave and the rows that arrive —
-        compared undecoded, the tags keep them typed — and only those are
-        decoded, written and applied to the kept facts.  Either way the
-        writes join the stage's transaction.  The staging table lives in the
-        connection's temporary database, never in the file, and is emptied
-        before use.
-        """
-        kept = self._kept
-        if not isinstance(rows, InStoreQuery):
-            facts = list(rows)
-            arriving = self._rows(facts)
-            inserted, removed = kept.replace(facts)
-            self._write(arriving, inserted, removed)
-            return inserted, removed
-        # Looked up before any SQL: an aborted table refuses here.
-        pop, put_many = kept.pop, kept.put_many
-        backend = self.backend
-        backend.begin()
-        insert = f"INSERT INTO {self._staging()} ({self._col_list}) "
-        for sql, params in rows.selects:
-            rows.substitutions += backend.execute(insert + sql, params).rowcount
-            backend.counters["compiled_statements"] += 1
-        stored = f'SELECT {self._col_list} FROM "{self.table_name}"'
-        staged = f"SELECT {self._col_list} FROM {self._stage}"
-        leaving = backend.execute(f"{stored} EXCEPT {staged}").fetchall()
-        arriving = backend.execute(f"{staged} EXCEPT {stored}").fetchall()
-        if leaving:
-            backend.executemany(self._delete_sql, leaving)
-        if arriving:
-            backend.executemany(self._insert_sql, arriving)
-        removed = [pop(self._decode_fact(row)) for row in leaving]
-        inserted, _ = put_many(map(self._decode_fact, arriving))
+    def replace(self, facts: Iterable[Fact]) -> Tuple[List[Fact], List[Fact]]:
+        """Make the table hold exactly ``facts``; return ``(inserted,
+        removed)`` facts.  For unkeyed relations:
+        :meth:`MemoryTable.replace <repro.store.memory.MemoryTable.replace>`
+        decides, and the rows that leave and arrive are written with one
+        ``executemany`` each in the stage's transaction."""
+        facts = list(facts)
+        arriving = self._rows(facts)
+        inserted, removed = self._kept.replace(facts)
+        self._write(arriving, inserted, removed)
         return inserted, removed
-
-    def _staging(self) -> str:
-        """The empty TEMP table :meth:`replace` stages rows in."""
-        if self._stage is None:
-            self._stage = f'temp."{self.table_name}__stage"'
-            self.backend.execute(f"CREATE TEMP TABLE {self._stage} "
-                                 f"({self._col_list})")
-        else:
-            self.backend.execute(f"DELETE FROM {self._stage}")
-        return self._stage
 
     def clear(self) -> List[Fact]:
         removed = self._kept.pop_all()
@@ -355,7 +312,6 @@ class SqliteBackend:
     """Durable storage backend over a single SQLite database."""
 
     name = "sqlite"
-    SUPPORTS_SQL = True
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
@@ -369,7 +325,7 @@ class SqliteBackend:
         self._closed = False
         self._tables: Dict[Tuple[str, str, str], SqliteTable] = {}
         #: Observability: statements executed on behalf of the rule compiler.
-        self.counters: Dict[str, int] = {"compiled_statements": 0, "aggregate_pushdowns": 0}
+        self.counters: Dict[str, int] = {"compiled_statements": 0, "aggregate_statements": 0}
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS _repro_catalog ("
             " namespace TEXT NOT NULL, relation TEXT NOT NULL, peer TEXT NOT NULL,"

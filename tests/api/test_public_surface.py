@@ -105,7 +105,7 @@ ENGINE_KNOBS = {
     "SqliteBackend": (SqliteBackend.__init__, ("self", "path")),
     "RuleEvaluator": (RuleEvaluator.__init__,
                       ("self", "peer", "fact_source", "kind_resolver",
-                       "on_derivation", "pushdown", "planner")),
+                       "on_derivation", "planner")),
 }
 
 

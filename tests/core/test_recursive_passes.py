@@ -10,8 +10,13 @@ after the first stage and after every change: a derivation the drain
 missed, or one recorded against a support that is gone, shows here.
 """
 
+import signal
+
+import pytest
+
 from repro.api import system
 from repro.core.engine import WebdamLogEngine
+from repro.core.errors import EvaluationError
 from repro.core.facts import Fact
 from repro.core.terms import Variable
 from repro.provenance.graph import ProvenanceTracker
@@ -245,3 +250,47 @@ def test_a_chain_s_first_stage_explores_each_join_once():
     assert result.evaluation_path == "full"
     assert len(engine.query("tc")) == 30 * 31 // 2
     assert result.substitutions_explored < 1500
+
+
+KEYED_WALK = """
+collection extensional persistent s@p(x, y);
+collection extensional persistent e@p(v, w);
+collection intensional k@p(x*, w);
+rule k@p($x, $y) :- s@p($x, $y);
+rule k@p($x, $w) :- k@p($x, $v), e@p($v, $w);
+"""
+
+
+def _keyed_walk(edges):
+    deployment = system().peer(PEER).program(KEYED_WALK).build()
+    deployment.peer(PEER).insert_many(
+        [Fact("s", PEER, (0, 1))] + [Fact("e", PEER, edge) for edge in edges])
+    return deployment
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("converge() did not return within 5 s")
+
+
+class TestKeyedDisplacementInARecursiveStratum:
+    """A keyed relation keeps one value per key, the last one derived.  A
+    walk along ``e`` moves ``k(0, ·)`` from value to value; a walk that
+    comes back to a value it left has no fixpoint."""
+
+    def test_a_displacement_chain_converges_to_its_last_value(self):
+        deployment = _keyed_walk([(1, 2), (2, 3)])
+        deployment.converge()
+        assert deployment.peer(PEER).unwrap().engine.query("k") == (Fact("k", PEER, (0, 3)),)
+
+    def test_a_key_whose_value_cycles_raises_naming_its_rule(self):
+        deployment = _keyed_walk([(1, 2), (2, 1)])
+        rule = next(rule for rule in deployment.peer(PEER).rules() if len(rule.body) == 2)
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(5)
+        try:
+            with pytest.raises(EvaluationError, match=rule.rule_id) as raised:
+                deployment.converge()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "k@p" in str(raised.value) and "cycles" in str(raised.value)

@@ -20,7 +20,7 @@ engine's:
 * **written order** — the engine's planner is swapped for one that never
   has anything to order, so every body is walked left to right as written.
 
-A reference runs in written order on the memory store (no SQL pushdown).
+A reference runs in written order on the memory store.
 A view's magic-set rewrite is part of compiling the query; a reference for
 a view installs the query's clauses as ordinary rules instead.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import SchemaError
-from repro.core.facts import Fact, InStoreQuery
+from repro.core.facts import Fact
 from repro.core.schema import RelationKind, RelationSchema
 from repro.store.backend import STORE_NAMESPACE, StoreError, resolve_backend
 from repro.store.memory import MemoryBackend
@@ -310,7 +310,6 @@ class TestSqliteSpecifics:
             "insert_many": lambda: table.insert_many([_f(3, name="t")]),
             "delete": lambda: table.delete(_f(1, name="t")),
             "replace": lambda: table.replace([_f(3, name="t")]),
-            "in-store replace": lambda: table.replace(InStoreQuery([])),
             "clear": lambda: table.clear(),
         }
         for use, call in uses.items():

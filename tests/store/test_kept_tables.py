@@ -23,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.facts import Fact, InStoreQuery
+from repro.core.facts import Fact
 from repro.core.schema import RelationKind, RelationSchema
 from repro.store.backend import STORE_NAMESPACE, StoreError
 from repro.store.memory import MemoryTable
-from repro.store.sqlite import SqliteBackend, encode_column
+from repro.store.sqlite import SqliteBackend
 
 #: Values that compare equal in Python but are six different facts.
 VALUES = (1, True, 1.0, "1", b"1", None)
@@ -58,15 +58,6 @@ def observe(table):
              for a in VALUES for b in VALUES])
 
 
-def in_store_query(facts):
-    """An :class:`InStoreQuery` whose ``SELECT`` statements yield ``facts``."""
-    selects = []
-    for fact in facts:
-        params = [part for value in fact.values for part in encode_column(value)]
-        selects.append(("SELECT " + ", ".join("?" for _ in params), tuple(params)))
-    return InStoreQuery(selects)
-
-
 pairs = st.tuples(st.sampled_from(VALUES), st.sampled_from(VALUES))
 relations = st.sampled_from(sorted(SCHEMAS))
 steps = st.one_of(
@@ -74,7 +65,6 @@ steps = st.one_of(
     st.tuples(st.just("insert_many"), relations, st.lists(pairs, max_size=4)),
     st.tuples(st.just("delete"), relations, pairs),
     st.tuples(st.just("replace"), st.just("plain"), st.lists(pairs, max_size=5)),
-    st.tuples(st.just("replace_in_store"), st.just("plain"), st.lists(pairs, max_size=5)),
     st.tuples(st.just("clear"), relations, st.just(())),
     st.tuples(st.just("commit"), st.just(""), st.just(())),
     st.tuples(st.just("abort"), st.just(""), st.just(())),
@@ -95,8 +85,6 @@ def apply(step, table, model):
         return table.insert_many(facts), model.insert_many(facts)
     if kind == "replace":
         return table.replace(facts), model.replace(facts)
-    if kind == "replace_in_store":
-        return table.replace(in_store_query(facts)), model.replace(facts)
     return table.clear(), model.clear()
 
 

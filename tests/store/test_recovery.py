@@ -6,6 +6,7 @@ remainders are durable; in-flight stage work is rolled back whole."""
 
 from __future__ import annotations
 
+import shutil
 import sqlite3
 from contextlib import closing
 
@@ -471,28 +472,72 @@ class Crash(Exception):
     """Process death, raised right after the statement it interrupts."""
 
 
-def crash_after(deployment, step):
-    """Abort the hub's backend right after the first statement ``step``
-    names: ``staged`` (rows staged in a TEMP table), ``deleted`` or
-    ``inserted`` (a write to a derived table)."""
+def written(backend, sql):
+    """What a statement on ``backend``'s connection writes: ``fact`` or
+    ``derived`` rows of a relation table, ``meta`` rows, or ``catalog`` (a
+    new table, its index and its catalog row); ``None`` when it writes no
+    row (``BEGIN``, ``COMMIT``, a ``SELECT``)."""
+    words = sql.split()
+    if words[0] == "CREATE" or "_repro_catalog" in words[:4]:
+        return "catalog"
+    if words[0] == "INSERT":
+        target = words[words.index("INTO") + 1]
+    elif words[0] == "DELETE":
+        target = words[2]
+    else:
+        return None
+    if target == "_repro_meta":
+        return "meta"
+    namespaces = {f'"{table}"': namespace for (namespace, _, _), (table, _)
+                  in backend._physical.items()}
+    return {"store": "fact", "derived": "derived"}[namespaces[target]]
+
+
+class _Watched:
+    """A connection that shows ``after`` each statement it has run."""
+
+    def __init__(self, connection, after):
+        self._connection, self._after = connection, after
+
+    def execute(self, sql, params=()):
+        cursor = self._connection.execute(sql, params)
+        self._after(sql)
+        return cursor
+
+    def executemany(self, sql, rows):
+        cursor = self._connection.executemany(sql, rows)
+        self._after(sql)
+        return cursor
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def crash_after(deployment, point=None):
+    """Watch the hub's write statements up to its next ``COMMIT``; return
+    the list they are recorded in, as ``(kind, sql)`` (:func:`written`).
+
+    With ``point = (kind, n)`` the hub's backend is aborted right after
+    the ``n``-th write (from 0) of that kind, and :class:`Crash` raised."""
     backend = deployment.runtime.peer("hub").engine.state.backend
-    derived = {f'"{table}"' for (namespace, _, _), (table, _)
-               in backend._physical.items() if namespace == "derived"}
-    prefixes = {"staged": ("INSERT INTO temp.",),
-                "deleted": tuple(f"DELETE FROM {table} WHERE" for table in derived),
-                "inserted": tuple(f"INSERT OR IGNORE INTO {table}" for table in derived)}
-    execute, executemany = backend.execute, backend.executemany
+    writes, committed = [], []
 
-    def after(run):
-        def running(sql, params=()):
-            cursor = run(sql, params)
-            if sql.startswith(prefixes[step]):
-                backend.abort()
-                raise Crash(sql)
-            return cursor
-        return running
+    def after(sql):
+        if committed:
+            return
+        if sql == "COMMIT":
+            committed.append(sql)
+            return
+        kind = written(backend, sql)
+        if kind is None:
+            return
+        writes.append((kind, sql))
+        if point is not None and [k for k, _ in writes].count(point[0]) == point[1] + 1:
+            backend.abort()
+            raise Crash(sql)
 
-    backend.execute, backend.executemany = after(execute), after(executemany)
+    backend._conn = _Watched(backend._conn, after)
+    return writes
 
 
 def dump(path):
@@ -501,48 +546,117 @@ def dump(path):
         return list(connection.iterdump())
 
 
-class TestCrashInsideAnInStoreReplace:
-    """A reopened peer's first stage recomputes its views inside the store:
-    staged in a TEMP table, diffed, the difference deleted and inserted.
-    Death after any of those steps leaves the last committed state; the next
-    reopen reaches the answers of a run that never died, and the database
-    file never holds a staging table."""
+def stale_board(path):
+    """A committed board deployment at ``path`` with its views open, and
+    stale view rows so that the first stage after a reopen writes both
+    ways; crashed.  Returns the views' answers."""
+    deployment = system().storage("sqlite", path=str(path)).peer("hub") \
+        .program(PROGRAM_BOARD).build()
+    deployment.peer("hub").insert_many(
+        [Fact("rate", "hub", (f"u{i % 5}", i % 7, 1 + i % 3)) for i in range(40)])
+    deployment.peer("hub").insert(Fact("hidden", "hub", (3,)))
+    deployment.converge()
+    views = open_board(deployment)
+    deployment.converge()
+    answers = {name: sorted(view.rows()) for name, view in views.items()}
+    derived = deployment.runtime.peer("hub").engine.state.derived
+    derived.insert(Fact("page_wall", "hub", (1000, 1)))
+    derived.delete(Fact("page_wall", "hub", answers["page_wall"][0]))
+    deployment.runtime.peer("hub").engine.state.commit()
+    crash(deployment)
+    return answers
 
-    def reopen(self, path):
-        reopened = build(path, peers=("hub",), programs=False)
-        hub = reopened.peer("hub")
-        hub.unwrap().remove_rules([rule.rule_id for rule in hub.rules()])
-        return reopened, open_board(reopened)
 
-    @pytest.mark.parametrize("step", ["staged", "deleted", "inserted"])
+class TestCrashInsideAReplace:
+    """A reopened peer's first stage replaces its views' relations by
+    difference: the stale rows deleted, the missing ones inserted.  Death
+    after either leaves the last committed state, and the next reopen
+    reaches the answers of a run that never died."""
+
+    @pytest.mark.parametrize("step", ["deleted", "inserted"])
     def test_death_after_each_step(self, tmp_path, step):
-        deployment = system().storage("sqlite", path=str(tmp_path)).peer("hub") \
-            .program(PROGRAM_BOARD).build()
-        deployment.peer("hub").insert_many(
-            [Fact("rate", "hub", (f"u{i % 5}", i % 7, 1 + i % 3)) for i in range(40)])
-        deployment.peer("hub").insert(Fact("hidden", "hub", (3,)))
-        deployment.converge()
-        views = open_board(deployment)
-        deployment.converge()
-        answers = {name: sorted(view.rows()) for name, view in views.items()}
-        # Stale view rows, so the first stage after a reopen writes both ways.
-        derived = deployment.runtime.peer("hub").engine.state.derived
-        derived.insert(Fact("page_wall", "hub", (1000, 1)))
-        derived.delete(Fact("page_wall", "hub", answers["page_wall"][0]))
-        deployment.runtime.peer("hub").engine.state.commit()
-        crash(deployment)
-
+        answers = stale_board(tmp_path)
         committed = dump(tmp_path / "hub.db")
         # The views' rules come back with the store: the first stage
         # replaces their relations before anything else is written.
         victim = build(tmp_path, peers=("hub",), programs=False)
-        crash_after(victim, step)
-        with pytest.raises(Crash):
+        crash_after(victim, ("derived", ["deleted", "inserted"].index(step)))
+        with pytest.raises(Crash, match="^INSERT" if step == "inserted" else "^DELETE"):
             victim.converge()
-        after = dump(tmp_path / "hub.db")
-        assert after == committed and not any("stage" in line for line in after)
+        assert dump(tmp_path / "hub.db") == committed
 
-        survivor, views = self.reopen(tmp_path)
+        survivor = build(tmp_path, peers=("hub",), programs=False)
+        views = open_board(survivor)
         survivor.converge()
         assert {name: sorted(view.rows()) for name, view in views.items()} == answers
         survivor.close()
+
+
+def reopened_first_stage(deployment, views):
+    """A reopened peer's first stage: a new rating, a new named view (its
+    schema, rule and tables) and the recompute of every view."""
+    deployment.peer("hub").insert(Fact("rate", "hub", ("u1", 99, 3)))
+    views["page_top"] = deployment.peer("hub").query(
+        "top($id) :- rate@hub($user, $id, 3)", name="page_top")
+    deployment.converge()
+
+
+def churn_stage(deployment, views):
+    """An ordinary stage: ratings in and out, a hidden id, and a view
+    closed (its rules' meta rows deleted)."""
+    hub = deployment.peer("hub")
+    hub.insert(Fact("rate", "hub", ("u0", 98, 1)))
+    hub.delete(Fact("rate", "hub", ("u0", 0, 1)))
+    hub.insert(Fact("hidden", "hub", (5,)))
+    views.pop("page_agree").close(settle=False)
+    deployment.converge()
+
+
+class TestCrashAtEveryWriteOfAStage:
+    """Death right after any one write statement of a stage's transaction
+    — a fact row, a derived row, a meta row, a new table — leaves the
+    database file byte for byte as the last commit left it, and a reopen
+    that does the same work again reaches the answers and the state of a
+    run that never died.  Swept over every statement of the reopened
+    peer's first stage and of an ordinary churn stage."""
+
+    STAGES = {"first after reopen": reopened_first_stage, "churn": churn_stage}
+
+    def run(self, path, stage, point=None):
+        """Reopen at ``path`` and run ``stage`` (a churn stage after the
+        reopen's first); return ``(the file before the stage's
+        transaction, its writes, the answers, the hub's snapshot)`` — or
+        raise :class:`Crash` at ``point``, the file before the transaction
+        in ``self.before``."""
+        deployment = build(path, peers=("hub",), programs=False)
+        views = open_board(deployment)
+        if stage == "churn":
+            deployment.converge()
+        self.before = dump(path / "hub.db")
+        writes = crash_after(deployment, point)
+        self.STAGES[stage](deployment, views)
+        result = (self.before, writes,
+                  {name: sorted(view.rows()) for name, view in views.items()},
+                  deployment.snapshot())
+        deployment.close()
+        return result
+
+    @pytest.mark.parametrize("stage, kind", [
+        ("first after reopen", "fact"), ("first after reopen", "derived"),
+        ("first after reopen", "meta"), ("first after reopen", "catalog"),
+        ("churn", "fact"), ("churn", "derived"), ("churn", "meta")])
+    def test_death_after_every_write(self, tmp_path, stage, kind):
+        base = tmp_path / "base"
+        stale_board(base)
+        shutil.copytree(base, tmp_path / "never_died")
+        _, writes, answers, snapshot = self.run(tmp_path / "never_died", stage)
+        points = [sql for written_kind, sql in writes if written_kind == kind]
+        assert points, writes
+        for n, sql in enumerate(points):
+            path = tmp_path / f"died_{n}"
+            shutil.copytree(base, path)
+            with pytest.raises(Crash) as died:
+                self.run(path, stage, (kind, n))
+            assert str(died.value) == sql
+            assert dump(path / "hub.db") == self.before, sql
+            assert self.run(path, stage)[2:] == (answers, snapshot), sql
