@@ -1051,14 +1051,16 @@ class WebdamLogEngine:
 
     def _absorb(self, rule: Rule, outcome: RuleOutcome, result: StageResult,
                 new_facts: Optional[Set[Fact]], replaced: Optional[Dict] = None,
-                displaced: Optional[Set[Fact]] = None) -> bool:
+                displacing: bool = False,
+                entered: Optional[Set[Fact]] = None) -> bool:
         """Fold one evaluation of ``rule`` in: count it, merge its memo, collect
         the facts of a ``replaced`` relation and insert the other local
         intensional ones, the new ones into ``new_facts``.  ``False``, at
-        once, on a primary-key displacement, unless ``displaced`` gathers
-        the facts displaced so far: a displaced fact then leaves
-        ``new_facts``, and a second displacement of one raises
-        :class:`EvaluationError`, as its key's value has cycled."""
+        once, on a primary-key displacement unless ``displacing``; a
+        displaced fact then leaves ``new_facts``.  A fact of ``entered``
+        (the facts a drain's deltas took in so far) that comes back, after a
+        displacement took it out, raises :class:`EvaluationError`: its key's
+        value has cycled, and the drain would repeat it for ever."""
         result.rules_evaluated += 1
         result.substitutions_explored += outcome.substitutions_explored
         self._memo_merge(rule, outcome)
@@ -1067,22 +1069,21 @@ class WebdamLogEngine:
                 into[1].append(fact)
                 continue
             insert_delta = self.state.derived.insert(fact)
+            if not insert_delta:
+                continue
             if insert_delta.deleted:
-                if displaced is None:
+                if not displacing:
                     return False
-                for old in insert_delta.deleted:
-                    if old in displaced:
-                        raise EvaluationError(
-                            f"rule {rule.rule_id} ({rule}) displaces {old} from "
-                            f"{old.qualified_relation} a second time in one stage: "
-                            "the key's value cycles, so the program has no fixpoint")
-                    displaced.add(old)
-                    if new_facts is not None:
-                        new_facts.discard(old)
-            if insert_delta:
-                result.derived_intensional += 1
                 if new_facts is not None:
-                    new_facts.add(fact)
+                    new_facts.difference_update(insert_delta.deleted)
+            if entered is not None and fact in entered:
+                raise EvaluationError(
+                    f"rule {rule.rule_id} ({rule}) derives {fact} into "
+                    f"{fact.qualified_relation} again after a displacement took "
+                    "it out: the key's value cycles, so the program has no fixpoint")
+            result.derived_intensional += 1
+            if new_facts is not None:
+                new_facts.add(fact)
         return True
 
     def _drain(self, analysis: _ProgramAnalysis, evaluator: RuleEvaluator,
@@ -1096,12 +1097,14 @@ class WebdamLogEngine:
         ``displacing``."""
         delta = {predicate: set(facts) for predicate, facts in fresh.items()}
         new_facts: Set[Fact] = set()
-        displaced: Optional[Set[Fact]] = set() if displacing else None
+        entered: Optional[Set[Fact]] = set() if displacing else None
         for rule in first:
             if not self._absorb(rule, evaluator.evaluate_rule(rule), result,
-                                new_facts, displaced=displaced):
+                                new_facts, displacing=displacing, entered=entered):
                 return False
         while True:
+            if entered is not None:
+                entered |= new_facts
             for fact in new_facts:
                 predicate = fact.qualified_relation
                 delta.setdefault(predicate, set()).add(fact)
@@ -1112,7 +1115,8 @@ class WebdamLogEngine:
             new_facts = set()
             for rule in analysis.reading(delta, stratum):
                 if not self._absorb(rule, evaluator.evaluate_rule_delta(rule, delta),
-                                    result, new_facts, displaced=displaced):
+                                    result, new_facts, displacing=displacing,
+                                    entered=entered):
                     return False
             delta = {}
 
@@ -1304,10 +1308,9 @@ class WebdamLogEngine:
             if recursive:
                 self._drain(analysis, evaluator, result, {}, number, selected, True)
                 continue
-            displaced: Set[Fact] = set()
             for rule in selected:
                 self._absorb(rule, evaluator.evaluate_rule(rule), result, None,
-                             replaced, displaced)
+                             replaced, displacing=True)
             for predicate, (schema, facts) in replaced.items():
                 self.state.derived.replace_relation(schema.name, schema.peer, facts)
                 result.derived_intensional += self.state.derived.count(

@@ -294,11 +294,13 @@ class FactStore:
                create: bool = True):
         key = (relation, peer)
         table = self._tables.get(key)
-        if table is not None:
+        if table is not None or not create:
+            # A read never makes a table: every stored one was attached
+            # when the store opened.
             return table
         schema = self.schemas.get(relation, peer)
         if schema is None:
-            if not create or arity is None:
+            if arity is None:
                 return None
             schema = self.schemas.declare_implicit(relation, peer, arity)
         table = self.backend.table(self.namespace, schema)

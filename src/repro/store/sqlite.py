@@ -159,7 +159,9 @@ class SqliteTable:
         # Every stored fact, decoded from the rows of a stored table in the
         # order of its full-row index (a covering scan, no sort step): the
         # values' order is nearly the rendering order reads sort facts into,
-        # and a sort of nearly sorted facts is fast.
+        # and a sort of nearly sorted facts is fast.  Temporary: it goes
+        # once PeerState.query merges a relation's changed facts into its
+        # snapshot instead of re-sorting all of it (ROADMAP item 2).
         rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}" '
                                 f'ORDER BY {self._col_list}')
                 if stored else ())

@@ -10,6 +10,7 @@ after the first stage and after every change: a derivation the drain
 missed, or one recorded against a support that is gone, shows here.
 """
 
+import dataclasses
 import signal
 
 import pytest
@@ -294,3 +295,46 @@ class TestKeyedDisplacementInARecursiveStratum:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert "k@p" in str(raised.value) and "cycles" in str(raised.value)
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_a_walk_over_a_dag_converges_whatever_order_a_round_inserts_in(
+            self, monkeypatch, descending):
+        """``k(0, 1)`` steps to both 2 and 3 in one round, and 2 steps to 3
+        again: ``k(0, 3)`` is displaced, derived anew and displaced once
+        more on the way to 5.  A value that only comes back along a DAG is
+        no cycle, in whichever order the round inserts its facts."""
+        absorb = WebdamLogEngine._absorb
+
+        def ordered(engine, rule, outcome, *args, **kwargs):
+            facts = sorted(outcome.local_intensional, key=str, reverse=descending)
+            return absorb(engine, rule, dataclasses.replace(outcome, local_intensional=facts),
+                          *args, **kwargs)
+
+        monkeypatch.setattr(WebdamLogEngine, "_absorb", ordered)
+        deployment = _keyed_walk([(1, 2), (1, 3), (2, 3), (3, 5)])
+        deployment.converge()
+        assert deployment.peer(PEER).unwrap().engine.query("k") == (Fact("k", PEER, (0, 5)),)
+
+
+@pytest.mark.parametrize("storage", ["memory", "sqlite"])
+def test_two_rules_writing_one_key_keep_the_last_value_and_settle(storage):
+    """Rules that are not recursive run once each per stage, so a key they
+    both write moves back and forth without any cycle: the last value
+    written stays, and later stages still run."""
+    engine = WebdamLogEngine(PEER, storage=storage)
+    engine.load_program("""
+    collection extensional persistent a@p(x, y);
+    collection extensional persistent b@p(x, y);
+    collection intensional k@p(x*, y);
+    rule k@p($x, $y) :- a@p($x, $y);
+    rule k@p($x, $y) :- b@p($x, $y);
+    """)
+    for relation in ("a", "b"):
+        for value in (1, 2):
+            engine.insert_fact(Fact(relation, PEER, (0, value)))
+    engine.run_to_quiescence()
+    [kept] = engine.query("k")
+    assert kept in {Fact("k", PEER, (0, 1)), Fact("k", PEER, (0, 2))}
+    engine.insert_fact(Fact("a", PEER, (1, 3)))
+    engine.run_to_quiescence()
+    assert set(engine.query("k")) == {kept, Fact("k", PEER, (1, 3))}

@@ -132,10 +132,8 @@ class TestCompiledShapes:
 
     def test_empty_relation_compiles_to_no_statement(self):
         """A body reading a relation with no stored facts is provably empty:
-        the pushdown answers without running any SQL.  Asked before the
-        engine's first stage, which reads it and so gives it tables."""
-        engine = WebdamLogEngine("p", storage="sqlite")
-        engine.load_program("""
+        the pushdown answers without running any SQL."""
+        engine = sqlite_engine("""
         collection extensional persistent ghost@p(x);
         collection intensional echo@p(x);
         rule echo@p($x) :- ghost@p($x);
@@ -145,6 +143,18 @@ class TestCompiledShapes:
         assert pushdown.compile(rule) is _EMPTY
         assert pushdown.run(rule) == []
         assert engine.state.backend.counters["compiled_statements"] == 0
+
+    def test_a_stage_reading_an_empty_relation_gives_it_no_table(self):
+        """Reading a declared relation that holds nothing writes no table,
+        index or catalog row for it, in either namespace."""
+        engine = sqlite_engine("""
+        collection extensional persistent ghost@p(x);
+        collection intensional echo@p(x);
+        rule echo@p($x) :- ghost@p($x);
+        """)
+        backend = engine.state.backend
+        assert backend.table_ref("store", "ghost", "p") is None
+        assert backend.table_ref("derived", "ghost", "p") is None
 
 
 class TestFallbacks:
