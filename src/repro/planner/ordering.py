@@ -67,10 +67,6 @@ class BodyPlanner:
             self._version = program_version
             self._cache.clear()
 
-    def invalidate(self) -> None:
-        """Drop every cached plan unconditionally."""
-        self._cache.clear()
-
     # ------------------------------------------------------------------ #
     # planning entry points
     # ------------------------------------------------------------------ #

@@ -8,7 +8,8 @@ the per-rule scan it replaced as the reference.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import WebdamLogEngine, _ProgramAnalysis
+from repro.core.analysis import ProgramAnalysis
+from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.rules import Rule
@@ -37,7 +38,7 @@ class TestReaderIndexAgainstTheScan:
     @given(programs, predicate_sets)
     @settings(max_examples=300, deadline=None)
     def test_reading_fires_exactly_the_scanned_rules(self, rules, predicates):
-        analysis = _ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
+        analysis = ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
         assert ids(analysis.reading(predicates)) \
             == ids(rule for rule in rules if scan_reads(rule, predicates))
         for number, stratum in enumerate(analysis.strata):
@@ -47,7 +48,7 @@ class TestReaderIndexAgainstTheScan:
     @given(programs, predicate_sets)
     @settings(max_examples=300, deadline=None)
     def test_reaches_negation_follows_the_scanned_closure(self, rules, seeds):
-        analysis = _ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
+        analysis = ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
         reachable = set(seeds)
         grown = True
         while grown:
@@ -65,7 +66,7 @@ class TestReaderIndexAgainstTheScan:
     @given(programs)
     @settings(max_examples=200, deadline=None)
     def test_feeds_itself_matches_the_scan(self, rules):
-        analysis = _ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
+        analysis = ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
         for stratum in analysis.strata:
             derived = set().union(*(targets(rule.head) for rule in stratum))
             assert analysis.feeds_itself(stratum) \
@@ -102,7 +103,7 @@ class TestReaderIndexAgainstTheScan:
                     affected |= into(rule)
                     grown = True
 
-        analysis = _ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
+        analysis = ProgramAnalysis(tuple(rules), LOCAL_INTENSIONAL)
         predicates, affected_rules = analysis.affected_closure(
             set(seeds), seed_rules, shipped)
         assert predicates == affected
@@ -235,13 +236,13 @@ class TestKeptRelationSets:
         engine.insert_facts(facts)
         engine.run_stage()
         assert engine.query("kept") == (Fact("kept", "alice", (1,)),)
-        analysis = engine._analysis
+        analysis = engine._maintenance._analysis
         engine.declare(shadow)
         engine.insert_fact(Fact("src", "alice", (1,)))
         result = engine.run_stage()
         assert result.evaluation_path == "rederive"
-        assert engine._analysis is not analysis
-        assert "shadow@alice" in engine._analysis.local_intensional
+        assert engine._maintenance._analysis is not analysis
+        assert "shadow@alice" in engine._maintenance._analysis.local_intensional
         assert engine.query("shadow") == (Fact("shadow", "alice", (1,)),)
         assert engine.query("kept") == ()
 
@@ -270,12 +271,12 @@ class TestRebuildReusesSurvivingRules:
         engine.insert_facts(facts)
         own = engine.rules()[0]
         engine.run_stage()
-        first = engine._analysis
+        first = engine._maintenance._analysis
         engine.receive_delegation("bob", "d1", delegated)
         engine.run_stage()
         assert len(engine.query("both")) == 2
         # The surviving rule keeps its shape object; the new one gets its own.
-        assert engine._analysis.shape[id(own)] is first.shape[id(own)]
+        assert engine._maintenance._analysis.shape[id(own)] is first.shape[id(own)]
         engine.receive_delegation_retraction("bob", "d1")
         engine.run_stage()
         assert engine.query("view") == engine.query("both") == ()
@@ -284,9 +285,9 @@ class TestRebuildReusesSurvivingRules:
         assert equal == delegated and equal is not delegated
         engine.receive_delegation("bob", "d1", equal)
         engine.run_stage()
-        assert engine._analysis.shape[id(own)] is first.shape[id(own)]
-        assert id(equal) in engine._analysis.shape
-        assert id(delegated) not in engine._analysis.shape
+        assert engine._maintenance._analysis.shape[id(own)] is first.shape[id(own)]
+        assert id(equal) in engine._maintenance._analysis.shape
+        assert id(delegated) not in engine._maintenance._analysis.shape
 
         fresh = WebdamLogEngine("alice", storage="memory")
         fresh.load_program(program)

@@ -19,6 +19,7 @@ from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.errors import EvaluationError
 from repro.core.facts import Fact
+from repro.core.maintenance import Maintenance
 from repro.core.terms import Variable
 from repro.provenance.graph import ProvenanceTracker
 
@@ -303,14 +304,14 @@ class TestKeyedDisplacementInARecursiveStratum:
         again: ``k(0, 3)`` is displaced, derived anew and displaced once
         more on the way to 5.  A value that only comes back along a DAG is
         no cycle, in whichever order the round inserts its facts."""
-        absorb = WebdamLogEngine._absorb
+        absorb = Maintenance._absorb
 
-        def ordered(engine, rule, outcome, *args, **kwargs):
+        def ordered(maintenance, rule, outcome, *args, **kwargs):
             facts = sorted(outcome.local_intensional, key=str, reverse=descending)
-            return absorb(engine, rule, dataclasses.replace(outcome, local_intensional=facts),
+            return absorb(maintenance, rule, dataclasses.replace(outcome, local_intensional=facts),
                           *args, **kwargs)
 
-        monkeypatch.setattr(WebdamLogEngine, "_absorb", ordered)
+        monkeypatch.setattr(Maintenance, "_absorb", ordered)
         deployment = _keyed_walk([(1, 2), (1, 3), (2, 3), (3, 5)])
         deployment.converge()
         assert deployment.peer(PEER).unwrap().engine.query("k") == (Fact("k", PEER, (0, 5)),)

@@ -116,22 +116,31 @@ class TestBodyOrdering:
             plan.order = (0, 1)
 
     def test_program_change_bumps_version_and_clears_cache(self):
+        """A program change is found by the next stage, not by the method
+        that made it: only then does the version move and the plans of the
+        old program drop."""
         engine = make_engine()
         rule = parse_rule(
             "rule out@p($x, $y) :- big@p($x, $y), sel@p($x);",
             default_peer="p")
+        key = (rule.rule_id, None, frozenset())
         engine._planner.plan_rule(rule)
-        assert engine._planner._cache
         version = engine.program_version
         added = engine.add_rule(
             "rule out@p($x, $x) :- sel@p($x);")
+        assert engine.program_version == version
+        assert key in engine._planner._cache
+        engine.run_stage()
         assert engine.program_version > version
+        assert key not in engine._planner._cache
+        engine._planner.plan_rule(rule)
         version = engine.program_version
         engine.remove_rules([added.rule_id])
+        assert engine.program_version == version
+        assert key in engine._planner._cache
+        engine.run_stage()
         assert engine.program_version > version
-        engine.run_to_quiescence()
-        engine._planner.sync(engine.program_version)
-        assert not engine._planner._cache
+        assert key not in engine._planner._cache
 
 
 class TestQueryProgramParsing:

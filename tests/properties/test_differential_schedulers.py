@@ -40,6 +40,7 @@ import asyncio
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +135,8 @@ SCRIPTED = (
     # negation in a view at a peer that is otherwise only written to
     [[("view", True, 1), ("item", True, "b", 2)], [("item", True, "c", 2)],
      [("view", False, 1)]],
+    # a rule added and removed before a stage: the program is unchanged
+    [[("rule", True, 0), ("rule", False, 0)]],
 )
 
 
@@ -175,6 +178,9 @@ class Deployment:
             lockstep(self.api)
         self.rules = {}
         self.views = {}
+        # Program edits made through the API, per peer: one undone before
+        # the next stage moves no program version, but is still its work.
+        self.edits = Counter()
         self.idle_stages = []
         self._seen = {}
         self._attempts = 0
@@ -186,8 +192,9 @@ class Deployment:
 
     def _on_stage(self, name, report):
         peer = self.api.runtime.peers[name]
-        # A program change and a poll the wrapper asked for are work too.
-        stamp = (peer.engine.program_version,
+        # A program change or edit and a poll the wrapper asked for are
+        # work too.
+        stamp = (peer.engine.program_version, self.edits[name],
                  self.box_wrapper.asked if name == "box" else 0)
         unchanged = self._seen.get(name) == stamp
         self._seen[name] = stamp
@@ -222,15 +229,19 @@ class Deployment:
             peer = self.api.peer(owner).unwrap()
             if add and index not in self.rules:
                 self.rules[index] = peer.add_rule(text).rule_id
+                self.edits[owner] += 1
             elif not add and index in self.rules:
                 peer.remove_rule(self.rules.pop(index))
+                self.edits[owner] += 1
         elif kind == "view":
             _, open_, index = op
             owner, query = VIEWS[index]
             if open_ and index not in self.views:
                 self.views[index] = self.api.query(owner, query)
+                self.edits[owner] += 1
             elif not open_ and index in self.views:
                 self.views.pop(index).close(settle=False)
+                self.edits[owner] += 1
         elif kind == "push":
             # written at ``a``, stored at ``box``, uploaded by its wrapper
             self.api.peer("a").insert(Fact("files", "box", (f"/in{op[1]}", "in", op[1])))

@@ -60,7 +60,7 @@ def recompute_every_stage(engine: WebdamLogEngine) -> WebdamLogEngine:
     state = engine.state
 
     def recomputing_stage(*args, **kwargs):
-        engine._analysis = None
+        engine._maintenance._analysis = None
         for schema in list(state.schemas):
             if schema.peer == engine.peer and schema.is_intensional():
                 state.derived.clear_relation(schema.name, schema.peer)

@@ -15,7 +15,11 @@ import pytest
 from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
+from repro.replication.state import META_KIND
 from repro.store.memory import MemoryBackend
+
+from tests.properties.test_differential_replication_state import (CHAIN, channel_fields,
+                                                                  durable_chain)
 
 PROGRAM_HUB = """
 collection extensional persistent follows@hub(who);
@@ -494,19 +498,20 @@ def written(backend, sql):
 
 
 class _Watched:
-    """A connection that shows ``after`` each statement it has run."""
+    """A connection that shows ``after`` each statement it has run, with
+    its parameters."""
 
     def __init__(self, connection, after):
         self._connection, self._after = connection, after
 
     def execute(self, sql, params=()):
         cursor = self._connection.execute(sql, params)
-        self._after(sql)
+        self._after(sql, params)
         return cursor
 
     def executemany(self, sql, rows):
         cursor = self._connection.executemany(sql, rows)
-        self._after(sql)
+        self._after(sql, rows)
         return cursor
 
     def __getattr__(self, name):
@@ -522,7 +527,7 @@ def crash_after(deployment, point=None):
     backend = deployment.runtime.peer("hub").engine.state.backend
     writes, committed = [], []
 
-    def after(sql):
+    def after(sql, _params):
         if committed:
             return
         if sql == "COMMIT":
@@ -660,3 +665,94 @@ class TestCrashAtEveryWriteOfAStage:
             assert str(died.value) == sql
             assert dump(path / "hub.db") == self.before, sql
             assert self.run(path, stage)[2:] == (answers, snapshot), sql
+
+
+def channel_row(sql, params):
+    """The key of the replication channel row a statement writes or
+    deletes (``out:``/``in:`` headers, ``op:``, ``live:``, ``vis:`` ...
+    rows), or ``None``."""
+    words = sql.split()
+    if words[0] in ("INSERT", "DELETE") and words[2] == "_repro_meta" \
+            and params[0] == META_KIND:
+        return params[1]
+    return None
+
+
+class TestCrashAtEveryWriteOfAChannelStage:
+    """The same sweep over the stages that persist replication channel
+    rows, on a durable chain over a lossy, duplicating transport: death
+    right after any one write statement of such a stage — a fact row, a
+    channel header, an op, live or visible dot, the delete an ack makes —
+    leaves the peer's file as its last commit left it, the reopened peer
+    restores the channels it had committed, and the deployment converges
+    to the fixpoint of a run that never died."""
+
+    def run(self, path, peer, point=None):
+        """Reopen the chain at ``path``, change alice's facts and converge,
+        watching ``peer``'s statements.  Return ``(the writes of each of
+        its transactions, the snapshot)``, a write as ``(row kind, key)``
+        for a channel row and ``(None, sql)`` for any other — or raise :class:`Crash` after
+        write ``n`` of transaction ``k`` at ``point = (k, n)``, the file and
+        the channels of the last commit before it in ``self.committed``.
+        The channels ``peer`` reopened with are in ``self.restored``."""
+        deployment = self.deployment = durable_chain(path, seed=6)
+        watched = deployment.runtime.peer(peer)
+        backend = watched.engine.state.backend
+        transactions = [[]]
+        self.restored = channel_fields(watched.replication)
+
+        def committed():
+            self.committed = (dump(path / f"{peer}.db"),
+                              channel_fields(watched.replication))
+
+        def after(sql, params):
+            if sql == "COMMIT":
+                transactions.append([])
+                committed()
+            elif sql.split()[0] in ("INSERT", "DELETE", "CREATE", "UPDATE"):
+                key = channel_row(sql, params)
+                transactions[-1].append((key and key.partition(":")[0], key or sql))
+                if point == (len(transactions) - 1, len(transactions[-1]) - 1):
+                    backend.abort()
+                    raise Crash(key or sql)
+
+        committed()
+        backend._conn = _Watched(backend._conn, after)
+        deployment.peer("alice").delete('src@alice("b")')
+        deployment.peer("alice").insert('src@alice("d")')
+        assert deployment.converge(max_steps=400).converged
+        snapshot = deployment.snapshot()
+        deployment.close()
+        return transactions, snapshot
+
+    @pytest.mark.parametrize("peer, rows", [
+        ("alice", {"out", "op", "live"}),
+        ("bob", {"in", "vis", "out", "op", "live"}),
+        ("carol", {"in", "vis"})])
+    def test_death_after_every_write(self, tmp_path, peer, rows):
+        base = tmp_path / "base"
+        deployment = durable_chain(base, seed=5)
+        for item in "abc":
+            deployment.peer("alice").insert(f'src@alice("{item}")')
+            assert deployment.converge(max_steps=400).converged
+        deployment.close()
+        shutil.copytree(base, tmp_path / "never_died")
+        transactions, uninterrupted = self.run(tmp_path / "never_died", peer)
+        staged = [(k, writes) for k, writes in enumerate(transactions)
+                  if any(kind for kind, _ in writes)]
+        assert {kind for _, writes in staged for kind, _ in writes} - {None} \
+            == rows, transactions
+        for k, writes in staged:
+            for n, (_, write) in enumerate(writes):
+                path = tmp_path / f"died_{k}_{n}"
+                shutil.copytree(base, path)
+                with pytest.raises(Crash) as died:
+                    self.run(path, peer, (k, n))
+                assert str(died.value) == write
+                file, channels = self.committed
+                assert dump(path / f"{peer}.db") == file, write
+                for name in CHAIN:
+                    if name != peer:
+                        self.deployment.runtime.peer(name).close()
+                assert self.run(path, peer)[1] == uninterrupted, write
+                assert self.restored == channels, write
