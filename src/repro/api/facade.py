@@ -517,20 +517,10 @@ class System:
             pass
 
     def _on_stage(self, name: str, report: PeerStageReport) -> None:
-        """Stage observer: tell the open views what the stage changed (they
-        mark what they must recompute), then push its visible delta to the
-        subscriptions (whose callbacks may read those views).
-
-        Views also get the deletions the visible delta leaves out: a tuple
-        that one source dropped while another still holds it did not change
-        visibility, but the group it is counted in did.
-        """
-        result = report.stage_result
-        delta, masked = result.visible_delta, result.masked_deletions
-        if delta or masked:
-            for view in self._views:
-                if view.owner == name:
-                    view._note_changes(delta.inserted, delta.deleted, masked)
+        """Stage observer: push the stage's visible delta to the
+        subscriptions.  Views need no push: the stores feed what they keep
+        at the write (:class:`~repro.core.facts.ChangeFeed`)."""
+        delta = report.stage_result.visible_delta
         for subscription in tuple(self._subscriptions):
             if not subscription.active:
                 self._drop_subscription(subscription)

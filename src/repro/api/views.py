@@ -23,14 +23,14 @@ degenerate one-literal case installs nothing and reads the relation directly.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from repro.core.errors import ParseError, SafetyError
-from repro.core.facts import Fact, typed_values
+from repro.core.facts import ChangeFeed, Fact, patch_sorted, typed_values
 from repro.core.parser import (
     ParsedQuery,
     ParsedQueryProgram,
@@ -326,14 +326,19 @@ class LiveView:
         self._specs = compiled.aggregate_specs() if aggregate else {}
         self._positions = compiled.group_positions() if aggregate else ()
         # -- read-path state (docs/storage.md, "Read path") ---------------- #
-        # Aggregate view without a viewer: typed group key -> answer fact,
-        # the same facts in rendering order, the tuple handed to readers and
-        # the groups a stage touched since (typed group key -> the group's
-        # values).  ``None`` until the first read primes it.
+        # Aggregate view without a viewer: the change feed of the raw
+        # relation (``None`` until the first read primes the view), each
+        # group's raw rows in rendering order — a row once per source that
+        # holds it — keyed by typed group key, the group's answer fact, the
+        # answer facts in rendering order with their value tuples beside
+        # them, and the two tuples handed to readers.
+        self._feed: Optional[ChangeFeed] = None
+        self._group_rows: Dict[Tuple, List[Fact]] = {}
         self._groups: Optional[Dict[Tuple, Fact]] = None
         self._ordered: List[Fact] = []
+        self._values: List[Tuple] = []
         self._answer: Tuple[Fact, ...] = ()
-        self._dirty: Dict[Tuple, Tuple] = {}
+        self._answer_rows: Tuple[Tuple, ...] = ()
         # Aggregate view with a viewer: (filtered raw facts, their groups).
         self._viewer_answer: Optional[
             Tuple[Tuple[Fact, ...], Tuple[Fact, ...]]] = None
@@ -406,14 +411,19 @@ class LiveView:
     def rows(self) -> Tuple[Tuple, ...]:
         """The value tuples of :meth:`facts` (relation/peer stripped)."""
         facts = self._read()
+        if facts is self._answer:
+            # A maintained aggregate keeps its value tuples with its facts.
+            return self._answer_rows
         kept = self._rows
         if kept is None or kept[0] is not facts:
             kept = self._rows = (facts, tuple(map(_values_of, facts)))
         return kept[1]
 
     def sorted(self) -> Tuple[Fact, ...]:
-        """The current answers in a deterministic (string) order."""
-        return tuple(sorted(self.facts(), key=str))
+        """The current answers in a deterministic (string) order: every
+        answer already is — a relation's snapshot is kept sorted, a viewer's
+        filter keeps its order and groups are kept sorted."""
+        return self.facts()
 
     def first(self) -> Optional[Fact]:
         """The first current answer, or ``None`` when there is none."""
@@ -456,91 +466,104 @@ class LiveView:
             "rule_plans": tuple(rule_plans),
         }
 
-    # -- aggregate views: groups maintained from the stage deltas -------- #
+    # -- aggregate views: groups kept and patched from the change feed ---- #
 
     def _owner_state(self):
         return self._system.runtime.peer(self._owner).engine.state
 
     def _maintained(self) -> Tuple[Fact, ...]:
-        """The grouped answer, recomputing only the groups a stage touched."""
-        if self._groups is None:
+        """The grouped answer, recomputing only the groups whose rows changed."""
+        feed = self._feed
+        if feed is None or None in feed:
             self._prime()
-        elif self._dirty:
-            self._refresh()
+        elif feed:
+            self._refresh(feed)
         return self._answer
 
     def _prime(self) -> None:
-        """First read (or first after a reopen): aggregate the whole relation,
-        one scan in rendering order, whatever the backend."""
-        answer = self._aggregate(sorted(
-            self._owner_state().fact_view(self.relation, self._owner), key=str))
-        positions = self._positions
-        self._groups = {typed_values([fact.values[i] for i in positions]): fact
-                        for fact in answer}
-        self._ordered = list(answer)
-        self._answer = answer
-        self._dirty.clear()
-
-    def _note_changes(self, *changes: Iterable[Fact]) -> None:
-        """Stage observer: mark the groups of the raw tuples that changed."""
-        if self._groups is None:
-            return
-        relation, owner, positions = self.relation, self._owner, self._positions
-        dirty = self._dirty
-        for changed in changes:
-            for fact in changed:
-                if fact.relation == relation and fact.peer == owner:
-                    values = fact.values
-                    group = tuple([values[i] for i in positions])
-                    dirty.setdefault(typed_values(group), group)
-
-    def _refresh(self) -> None:
-        """Recompute the dirty groups, each from one bound index probe.
-
-        A group's rows are aggregated in rendering order, which is the order
-        a sorted scan of the whole relation would have grouped them in — so
-        float sums and averages keep their bits.
-        """
+        """First read (or first after a reopen, or after a feed overflowed):
+        group the whole relation, one scan in rendering order, whatever the
+        backend, and watch it from then on."""
         state = self._owner_state()
-        relation, owner, positions = self.relation, self._owner, self._positions
-        groups, ordered = self._groups, self._ordered
-        for key, values in self._dirty.items():
+        self._group_rows = self._grouped(sorted(
+            state.fact_view(self.relation, self._owner), key=str))
+        self._groups = {key: self._group_fact(rows)
+                        for key, rows in self._group_rows.items()}
+        self._ordered = sorted(self._groups.values(), key=str)
+        self._values = list(map(_values_of, self._ordered))
+        self._publish()
+        if self._feed is None:
+            self._feed = state.watch(self.relation, self._owner, self._forget_groups)
+        else:
+            self._feed.clear()
+
+    def _refresh(self, feed: ChangeFeed) -> None:
+        """Patch the kept rows of each group the feed names and recompute
+        those groups.
+
+        A group's rows stay in rendering order, which is the order a sorted
+        scan of the whole relation would have grouped them in — so float sums
+        and averages keep their bits; a row's copies are counted from the
+        sources that hold it, so a row dropped by one of two sources counts
+        once.
+        """
+        touched = self._grouped(feed)
+        feed.clear()
+        copies = self._owner_state().copies
+        rows_of, groups = self._group_rows, self._groups
+        ordered, values = self._ordered, self._values
+        for key, changed in touched.items():
             stale = groups.pop(key, None)
             if stale is not None:
                 index = bisect_left(ordered, str(stale), key=str)
                 while ordered[index] is not stale:
                     index += 1
-                del ordered[index]
-            rows = [fact.values for fact in sorted(
-                state.fact_view(relation, owner, dict(zip(positions, values))),
-                key=str)]
-            if rows:
-                fresh = groups[key] = self._group_fact(values, rows)
-                insort(ordered, fresh, key=str)
-        self._dirty.clear()
-        self._answer = tuple(ordered)
+                del ordered[index], values[index]
+            rows = patch_sorted(rows_of.get(key, ()), changed, copies)
+            if not rows:
+                rows_of.pop(key, None)
+                continue
+            rows_of[key] = rows
+            fresh = groups[key] = self._group_fact(rows)
+            index = bisect_right(ordered, str(fresh), key=str)
+            ordered.insert(index, fresh)
+            values.insert(index, fresh.values)
+        self._publish()
 
-    def _group_fact(self, key: Sequence, rows: Sequence[Tuple]) -> Fact:
+    def _publish(self) -> None:
+        self._answer, self._answer_rows = tuple(self._ordered), tuple(self._values)
+
+    def _forget_groups(self) -> None:
+        """Drop the kept groups; the next read primes them again."""
+        self._feed = self._groups = None
+        self._group_rows, self._ordered, self._values = {}, [], []
+        self._answer, self._answer_rows = (), ()
+
+    def _grouped(self, raw: Iterable[Fact]) -> Dict[Tuple, List[Fact]]:
+        """``raw`` by typed group key, each group in the order of ``raw``."""
+        positions = self._positions
+        groups: Dict[Tuple, List[Fact]] = {}
+        for fact in raw:
+            values = fact.values
+            groups.setdefault(typed_values([values[i] for i in positions]),
+                              []).append(fact)
+        return groups
+
+    def _group_fact(self, rows: Sequence[Fact]) -> Fact:
         """The answer fact of one group: its key values and its aggregates."""
+        first = rows[0].values
         values: List[object] = [None] * len(self.compiled.head_args)
-        for position, value in zip(self._positions, key):
-            values[position] = value
+        for position in self._positions:
+            values[position] = first[position]
         for position, function in self._specs.items():
             values[position] = compute_aggregate(
-                function, [row[position] for row in rows])
+                function, [row.values[position] for row in rows])
         return Fact(self.relation, self._owner, tuple(values))
 
     def _aggregate(self, raw: Sequence[Fact]) -> Tuple[Fact, ...]:
         """Group-and-aggregate ``raw`` from scratch, keys compared type-strictly."""
-        positions = self._positions
-        groups: Dict[Tuple, List[Tuple]] = {}
-        for fact in raw:
-            row = fact.values
-            groups.setdefault(typed_values([row[i] for i in positions]), []).append(row)
-        return tuple(sorted(
-            (self._group_fact([rows[0][i] for i in positions], rows)
-             for rows in groups.values()),
-            key=str))
+        return tuple(sorted(map(self._group_fact, self._grouped(raw).values()),
+                            key=str))
 
     # ------------------------------------------------------------------ #
     # streaming
@@ -664,12 +687,15 @@ class LiveView:
 
     def _drop_read_state(self) -> None:
         """Release everything the read path kept for this view."""
-        self._groups, self._ordered, self._answer = None, [], ()
-        self._dirty.clear()
+        feed = self._feed
+        self._forget_groups()
         self._viewer_answer = self._rows = None
         peer = self._system.runtime.peers.get(self._owner)
         if peer is not None and self.compiled is not None:
-            peer.engine.state.forget_snapshot(self.relation, self._location)
+            state = peer.engine.state
+            if feed is not None:
+                state.unwatch(self.relation, self._owner, feed)
+            state.forget_snapshot(self.relation, self._location)
 
     def __enter__(self) -> "LiveView":
         return self

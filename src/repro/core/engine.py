@@ -90,8 +90,9 @@ class StageResult:
     visible_delta: Delta = field(default_factory=Delta.empty)
     #: The deletions filtered out of ``visible_delta``: one source dropped
     #: the fact, another still holds it.  ``fact_view`` yields a fact once
-    #: per source holding it, so a reader that counts rows (an aggregate
-    #: live view) must learn of these too.  Almost always empty.
+    #: per source holding it, so a reader that counts rows from stage
+    #: results must learn of these too (live views count from the stores'
+    #: change feeds instead).  Almost always empty.
     masked_deletions: FrozenSet[Fact] = _NO_FACTS
 
     def outgoing_fact_count(self) -> int:

@@ -15,10 +15,11 @@ default (:mod:`repro.store.memory`), or durable SQLite tables
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, SchemaRegistry
@@ -230,6 +231,58 @@ class Delta:
         return cls()
 
 
+#: How many facts a feed nobody drains holds before it gives up (see
+#: :class:`ChangeFeed`).
+FEED_BOUND = 4096
+
+
+class ChangeFeed(set):
+    """The facts of one relation that the stores wrote since its reader
+    last drained the feed: each insert and each removal adds its fact, at
+    the write (:meth:`FactStore._record`), whichever of a peer's stores made
+    it — so a read between ``insert()`` and the next stage sees the change.
+
+    A reader keeps what it read of the relation (a sorted snapshot, an
+    aggregate view's group rows) and patches it with these facts
+    (:func:`patch_sorted`).  A feed holds at most :data:`FEED_BOUND` facts:
+    past that it holds ``None`` as well, and its reader reads the relation
+    again, so a reader that stopped reading pins no more than that.
+    ``forget``, when set, drops what the reader keeps; the peer calls it
+    when its process dies (:meth:`repro.core.state.PeerState.forget_reads`).
+    """
+
+    __slots__ = ("forget",)
+
+    def __init__(self, forget: Optional[Callable[[], None]] = None):
+        super().__init__()
+        self.forget = forget
+
+
+def patch_sorted(ordered: Sequence[Fact], changed: Iterable[Fact],
+                 copies: Callable[[Fact], int]) -> List[Fact]:
+    """``ordered`` with each of the ``changed`` facts held ``copies(fact)``
+    times, in the same order.
+
+    ``ordered`` is sorted by rendering and holds a fact once per source that
+    holds it, as ``sorted(fact_view, key=str)`` does.  Each changed fact's
+    run of copies is found by bisection and replaced; the runs between are
+    copied whole, so a patch costs a copy of the list plus a bisection per
+    changed fact, whatever order the stores keep their facts in.
+    """
+    patched: List[Fact] = []
+    at, end = 0, len(ordered)
+    for fact in sorted(changed, key=str):
+        rendering = str(fact)
+        start = stop = bisect_left(ordered, rendering, at, key=str)
+        while stop < end and str(ordered[stop]) == rendering:
+            stop += 1
+        patched += ordered[at:start]
+        patched += [fact] * copies(fact)
+        at = stop
+    patched += ordered[at:]
+    return patched
+
+
 def _fold(inserted: Set[Fact], deleted: Set[Fact], step: Delta) -> None:
     """Fold one step into running sets, as :meth:`Delta.merge` would: for a
     fact the sets already name, the step's insert or delete wins."""
@@ -257,10 +310,16 @@ class FactStore:
     The store wraps nothing: its tables take and hand back :class:`Fact`
     objects, so what a delta, a scan or a snapshot holds is what the table
     holds (on the memory backend, the very objects that were inserted).
+
+    ``feeds`` maps ``(relation, peer)`` to the change feeds
+    (:class:`ChangeFeed`) of that relation's readers; every recorded change
+    of it is added to each.
+    A peer's three stores share one such map.
     """
 
     def __init__(self, schemas: Optional[SchemaRegistry] = None, owner: Optional[str] = None,
-                 backend=None, namespace: str = "store"):
+                 backend=None, namespace: str = "store",
+                 feeds: Optional[Dict[Tuple[str, str], List[ChangeFeed]]] = None):
         self.schemas = schemas if schemas is not None else SchemaRegistry()
         self.owner = owner
         if backend is None:
@@ -272,10 +331,11 @@ class FactStore:
         self._tables: Dict[Tuple[str, str], StorageTable] = {}
         self._pending_inserted: Set[Fact] = set()
         self._pending_deleted: Set[Fact] = set()
-        # Bumped per recorded change of a relation; readers that cache a
-        # relation's contents (PeerState.query) compare it instead of
-        # re-reading the table.
+        # Bumped per recorded change of a relation; a reader that only needs
+        # to know whether a relation moved (a wrapper's reconcile) compares
+        # it instead of re-reading the table.
         self._generations: Dict[Tuple[str, str], int] = {}
+        self._feeds = feeds if feeds is not None else {}
         default_kind = (RelationKind.INTENSIONAL if namespace == "derived"
                         else RelationKind.EXTENSIONAL)
         for relation, peer, arity in self.backend.stored_relations(namespace):
@@ -414,10 +474,14 @@ class FactStore:
         return total
 
     def _record(self, inserted: Iterable[Fact], deleted: Iterable[Fact]) -> None:
-        generations = self._generations
+        generations, feeds = self._generations, self._feeds
         for fact in deleted:
             key = (fact.relation, fact.peer)
             generations[key] = generations.get(key, 0) + 1
+            readers = feeds.get(key)
+            if readers is not None:
+                for feed in readers:
+                    feed.add(fact if len(feed) < FEED_BOUND else None)
             if fact in self._pending_inserted:
                 self._pending_inserted.discard(fact)
             else:
@@ -425,6 +489,10 @@ class FactStore:
         for fact in inserted:
             key = (fact.relation, fact.peer)
             generations[key] = generations.get(key, 0) + 1
+            readers = feeds.get(key)
+            if readers is not None:
+                for feed in readers:
+                    feed.add(fact if len(feed) < FEED_BOUND else None)
             if fact in self._pending_deleted:
                 self._pending_deleted.discard(fact)
             else:

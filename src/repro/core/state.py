@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import codec
 from repro.core.delegation import DelegationStore, DelegationTracker, InstalledDelegation
 from repro.core.errors import SchemaError
-from repro.core.facts import Delta, Fact, FactStore
+from repro.core.facts import ChangeFeed, Delta, Fact, FactStore, patch_sorted
 from repro.core.rules import Rule, ensure_rule_counter_above
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
@@ -84,21 +84,30 @@ class PeerState:
         persisted_schemas = self.backend.load_meta("schema")
         for _key, payload in persisted_schemas:
             self.schemas.declare(codec.decode_schema(json.loads(payload)))
+        # The change feeds of the relations somebody keeps a read of, shared
+        # by the three stores: each write adds its facts to them.
+        self._feeds: Dict[Tuple[str, str], List[ChangeFeed]] = {}
         self.store = FactStore(self.schemas, owner=peer, backend=self.backend,
-                               namespace=STORE_NAMESPACE)
+                               namespace=STORE_NAMESPACE, feeds=self._feeds)
         self.derived = FactStore(self.schemas, owner=peer, backend=self.backend,
-                                 namespace=DERIVED_NAMESPACE)
+                                 namespace=DERIVED_NAMESPACE, feeds=self._feeds)
         # Facts remote peers derive for local intensional relations: a third
         # store on private schemas and a private memory backend, so never
         # persisted and unkeyed (two senders' key-colliding facts never
         # displace each other).  Beside it, who provides each: a fact is
         # visible while one sender still derives it.
-        self.provided = FactStore(owner=peer)
+        self.provided = FactStore(owner=peer, feeds=self._feeds)
         self._provided_senders: Dict[Fact, Set[str]] = {}
-        # The relation snapshots :meth:`query` answers from while the three
-        # stores' generations of a relation stand still.
+        # The relation snapshots :meth:`query` answers from, each with the
+        # feed it is patched from.
         self._snapshots: Dict[Tuple[str, str],
-                              Tuple[Tuple[int, int, int], Tuple[Fact, ...]]] = {}
+                              Tuple[ChangeFeed, Tuple[Fact, ...]]] = {}
+        # A process that dies frees what it kept for its readers: an aborted
+        # backend (simulated process death) must not leave those facts alive
+        # until a garbage collection finds this state.
+        on_abort = getattr(self.backend, "on_abort", None)
+        if on_abort is not None:
+            on_abort(self.forget_reads)
         self.own_rules: List[Rule] = []
         self.delegations_in = DelegationStore(peer)
         persisted_rules = self.backend.load_meta("rule")
@@ -359,33 +368,76 @@ class PeerState:
     def query(self, relation: str, peer: Optional[str] = None) -> Tuple[Fact, ...]:
         """Facts of ``relation`` visible at this peer (stored, derived or provided).
 
-        Sorted by rendering.  The answer is kept per queried relation and
-        handed out again — the same tuple object — until one of the three
-        sources records a change of that relation, so a page that polls an
-        unchanged relation neither rebuilds nor re-sorts its facts.  The
-        stores invalidate it at the write itself, not at the stage boundary:
-        a fact inserted between two stages is visible to the next read.  On
-        the memory backend the stores hand out their own facts, so a rebuild
-        re-sorts objects that already carry their renderings.
+        Sorted by rendering, a fact once per source that holds it.  The
+        answer is kept per queried relation and handed out again — the same
+        tuple object — while its change feed is empty; the stores fill the
+        feed at the write itself, not at the stage boundary, so a fact
+        inserted between two stages is visible to the next read.  A changed
+        relation is not sorted again: the kept answer is patched with the
+        facts of the feed (:func:`~repro.core.facts.patch_sorted`), at the
+        cost of what changed plus a copy.  The answer holds the stores' own
+        facts, so it renders nothing it rendered before.
         """
         target_peer = peer or self.peer
         if target_peer != self.peer:
             return ()
         key = (relation, target_peer)
-        generations = (self.store.generation(relation, target_peer),
-                       self.derived.generation(relation, target_peer),
-                       self.provided.generation(relation, target_peer))
-        snapshot = self._snapshots.get(key)
-        if snapshot is not None and snapshot[0] == generations:
-            return snapshot[1]
-        facts = tuple(sorted(self.fact_view(relation, target_peer), key=str))
-        self._snapshots[key] = (generations, facts)
+        kept = self._snapshots.get(key)
+        if kept is None or None in kept[0]:
+            facts = tuple(sorted(self.fact_view(relation, target_peer), key=str))
+            feed = self.watch(relation, target_peer) if kept is None else kept[0]
+        else:
+            feed, facts = kept
+            if not feed:
+                return facts
+            facts = tuple(patch_sorted(facts, feed, self.copies))
+        feed.clear()
+        self._snapshots[key] = (feed, facts)
         return facts
+
+    def copies(self, fact: Fact) -> int:
+        """How many of the three sources hold ``fact``: how often
+        :meth:`fact_view` yields it."""
+        return (self.store.contains(fact) + self.derived.contains(fact)
+                + self.provided.contains(fact))
+
+    def watch(self, relation: str, peer: str,
+              forget: Optional[Callable[[], None]] = None) -> ChangeFeed:
+        """A new change feed of ``relation@peer``: from now on every fact of
+        it that one of the three stores inserts or removes is added to it.
+        ``forget`` drops what its reader keeps (see :meth:`forget_reads`)."""
+        feed = ChangeFeed(forget)
+        self._feeds.setdefault((relation, peer), []).append(feed)
+        return feed
+
+    def unwatch(self, relation: str, peer: str, feed: ChangeFeed) -> None:
+        """Stop filling ``feed``, a feed :meth:`watch` returned."""
+        key = (relation, peer)
+        kept = [other for other in self._feeds.get(key, ()) if other is not feed]
+        if kept:
+            self._feeds[key] = kept
+        else:
+            self._feeds.pop(key, None)
 
     def forget_snapshot(self, relation: str, peer: Optional[str] = None) -> None:
         """Release the kept answer of :meth:`query` for a relation nobody
         will read again (a closed live view's answer relation)."""
-        self._snapshots.pop((relation, peer or self.peer), None)
+        key = (relation, peer or self.peer)
+        kept = self._snapshots.pop(key, None)
+        if kept is not None:
+            self.unwatch(*key, kept[0])
+
+    def forget_reads(self) -> None:
+        """Drop every kept read — the snapshots, and through their feeds'
+        ``forget`` what other readers keep — and every feed.  Run when the
+        backend is aborted: the process the peer simulates died, and with it
+        everything it kept; what the file holds is read again on reopen."""
+        forgets = [feed.forget for feeds in self._feeds.values() for feed in feeds
+                   if feed.forget is not None]
+        self._feeds.clear()
+        self._snapshots.clear()
+        for forget in forgets:
+            forget()
 
     def snapshot(self) -> Dict[str, Tuple[Fact, ...]]:
         """Snapshot of every non-empty relation, keyed by qualified name."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import sqlite3
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.facts import Fact
 from repro.core.schema import RelationSchema
@@ -156,14 +156,8 @@ class SqliteTable:
         )
         self._delete_sql = (
             f'DELETE FROM "{table_name}" WHERE {self._eq_clause(self._arity)}')
-        # Every stored fact, decoded from the rows of a stored table in the
-        # order of its full-row index (a covering scan, no sort step): the
-        # values' order is nearly the rendering order reads sort facts into,
-        # and a sort of nearly sorted facts is fast.  Temporary: it goes
-        # once PeerState.query merges a relation's changed facts into its
-        # snapshot instead of re-sorting all of it (ROADMAP item 2).
-        rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}" '
-                                f'ORDER BY {self._col_list}')
+        # Every stored fact, decoded from the rows of a stored table.
+        rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}"')
                 if stored else ())
         self._kept: Union[MemoryTable, _Aborted] = MemoryTable(
             schema, map(self._decode_fact, rows))
@@ -326,6 +320,7 @@ class SqliteBackend:
         self._in_txn = False
         self._closed = False
         self._tables: Dict[Tuple[str, str, str], SqliteTable] = {}
+        self._on_abort: List[Callable[[], None]] = []
         #: Observability: statements executed on behalf of the rule compiler.
         self.counters: Dict[str, int] = {"compiled_statements": 0, "aggregate_statements": 0}
         self._conn.execute(
@@ -387,6 +382,14 @@ class SqliteBackend:
         self._closed = True
         for table in self._tables.values():
             table._kept = _Aborted(table.schema)
+        for release in self._on_abort:
+            release()
+        self._on_abort.clear()
+
+    def on_abort(self, release: Callable[[], None]) -> None:
+        """Call ``release`` when :meth:`abort` runs: what a reader kept of the
+        tables dies with the process, as the tables' kept facts do."""
+        self._on_abort.append(release)
 
     @property
     def closed(self) -> bool:

@@ -246,13 +246,51 @@ class TestAggregates:
         deployment.converge()
         assert plain.rows() == ((1,), (3,)) and grouped.rows() == ((3,),)
         assert (plain.relation, "q") in state._snapshots
-        # An aggregate is primed from a scan of its own: no second copy of
-        # its raw tuples is kept for it.
+        # An aggregate is primed from a scan of its own and keeps its raw
+        # tuples as group rows: no snapshot of them is kept beside.
         assert (grouped.relation, "q") not in state._snapshots
+        assert set(state._feeds) == {(plain.relation, "q"), (grouped.relation, "q")}
         plain.close()
         grouped.close()
         assert (plain.relation, "q") not in state._snapshots
         assert grouped._groups is None and grouped._answer == ()
+        assert grouped._group_rows == {} and state._feeds == {}
+
+    def test_process_death_releases_what_the_read_path_kept(self, tmp_path):
+        """An aborted durable peer keeps no read of its facts: they would
+        otherwise live on until a garbage collection found the dead
+        deployment's cycles."""
+        deployment = (system().storage("sqlite", path=str(tmp_path))
+                      .peer("q").program(Q_PROGRAM).build())
+        q = deployment.peer("q")
+        for row in ((1, 7), (1, 8), (2, 7)):
+            q.insert(f"score@q{row}")
+        grouped = deployment.query("q", "n($x, count($p)) :- score@q($x, $p)")
+        plain = deployment.query("q", "score")
+        deployment.converge()
+        assert grouped.rows() == ((1, 2), (2, 1)) and len(plain.rows()) == 3
+        state = deployment.runtime.peer("q").engine.state
+        assert state._snapshots and grouped._group_rows
+        state.backend.abort()
+        assert state._snapshots == {} and state._feeds == {}
+        assert grouped._groups is None and grouped._group_rows == {}
+        assert grouped._answer == () and grouped._answer_rows == ()
+
+    def test_a_feed_nobody_drains_stays_bounded(self, monkeypatch):
+        """A snapshot read once and never again pins a bounded number of
+        facts; its next read sorts the relation again."""
+        from repro.core import facts
+        monkeypatch.setattr(facts, "FEED_BOUND", 3)
+        deployment = build_pair()
+        q = deployment.peer("q")
+        view = deployment.query("q", "a")
+        assert view.rows() == ()
+        for value in range(10):
+            q.insert(f"a@q({value})")
+        feed, = deployment.runtime.peer("q").engine.state._feeds[("a", "q")]
+        assert len(feed) == 4 and None in feed
+        assert view.rows() == tuple((value,) for value in sorted(range(10), key=str))
+        assert not feed
 
     def test_aggregate_support_columns_preserve_multiplicity(self):
         # Two score facts with the same value for the same x must both count:
@@ -298,6 +336,53 @@ class TestAggregates:
         q.insert('sale@q("us", 2012, 6)')
         deployment.converge()
         assert sorted(view.rows()) == [("eu", 2012, 12, 2), ("us", 2012, 10, 2)]
+
+
+class TestAnswersAreInRenderingOrder:
+    """``sorted()`` sorts nothing: every kind of answer is kept in
+    rendering order — a relation's snapshot patched in order, a viewer's
+    filter keeping its input's order, groups inserted in order."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_sorted_is_the_answer_as_it_is(self, backend):
+        deployment = (system().storage(backend).provenance()
+                      .peer("q").program(Q_PROGRAM)
+                      .peer("r").program(R_PROGRAM)
+                      .build())
+        q, r = deployment.peer("q"), deployment.peer("r")
+        q.grant("score", "guest")
+        views = {
+            "plain": deployment.query("q", "ans($x, $p) :- score@q($x, $p), not c@q($x)"),
+            "aggregate": deployment.query(
+                "q", "stats($x, count($p), sum($p)) :- score@q($x, $p)"),
+            "viewer": deployment.query(
+                "q", "mine($x, $p) :- score@q($x, $p)", viewer="guest"),
+            "relation": deployment.query("q", "score"),
+            "viewer relation": deployment.query("q", "score", viewer="guest"),
+            "remote": deployment.query("q", "ans($x, $y) :- a@q($x), b@r($x, $y)"),
+        }
+        # Numbers whose rendering order is not their numeric order, written
+        # in neither order.
+        values = (100, 9, 10, 2, 21, 3, 1000, -5, 0.5, "x", 11)
+        for step, value in enumerate(values):
+            q.insert(f"score@q({value!r}, {step})" if not isinstance(value, str)
+                     else f'score@q("{value}", {step})')
+            q.insert(f"a@q({step})")
+            r.insert(f"b@r({step}, {values[-1 - step]!r})"
+                     if not isinstance(values[-1 - step], str)
+                     else f'b@r({step}, "{values[-1 - step]}")')
+            if step % 3 == 0:
+                deployment.converge()
+            for name, view in views.items():
+                assert view.sorted() == tuple(sorted(view.facts(), key=str)), name
+        q.insert("c@q(9)")
+        q.delete("score@q(100, 0)")
+        q.delete("a@q(3)")
+        deployment.converge()
+        for name, view in views.items():
+            assert view.facts(), name
+            assert view.sorted() == tuple(sorted(view.facts(), key=str)), name
+        deployment.close()
 
 
 class TestOnChange:
