@@ -329,11 +329,13 @@ class LiveView:
         # Aggregate view without a viewer: the change feed of the raw
         # relation (``None`` until the first read primes the view), each
         # group's raw rows in rendering order — a row once per source that
-        # holds it — keyed by typed group key, the group's answer fact, the
+        # holds it — keyed by typed group key, and how many rows they hold in
+        # all (the feed's bound), the group's answer fact, the
         # answer facts in rendering order with their value tuples beside
         # them, and the two tuples handed to readers.
         self._feed: Optional[ChangeFeed] = None
         self._group_rows: Dict[Tuple, List[Fact]] = {}
+        self._row_count = 0
         self._groups: Optional[Dict[Tuple, Fact]] = None
         self._ordered: List[Fact] = []
         self._values: List[Tuple] = []
@@ -485,8 +487,8 @@ class LiveView:
         group the whole relation, one scan in rendering order, whatever the
         backend, and watch it from then on."""
         state = self._owner_state()
-        self._group_rows = self._grouped(sorted(
-            state.fact_view(self.relation, self._owner), key=str))
+        raw = sorted(state.fact_view(self.relation, self._owner), key=str)
+        self._group_rows, self._row_count = self._grouped(raw), len(raw)
         self._groups = {key: self._group_fact(rows)
                         for key, rows in self._group_rows.items()}
         self._ordered = sorted(self._groups.values(), key=str)
@@ -494,8 +496,7 @@ class LiveView:
         self._publish()
         if self._feed is None:
             self._feed = state.watch(self.relation, self._owner, self._forget_groups)
-        else:
-            self._feed.clear()
+        self._feed.drain(self._row_count)
 
     def _refresh(self, feed: ChangeFeed) -> None:
         """Patch the kept rows of each group the feed names and recompute
@@ -503,13 +504,11 @@ class LiveView:
 
         A group's rows stay in rendering order, which is the order a sorted
         scan of the whole relation would have grouped them in — so float sums
-        and averages keep their bits; a row's copies are counted from the
-        sources that hold it, so a row dropped by one of two sources counts
-        once.
+        and averages keep their bits; a row is kept once per source that
+        holds it, so a row dropped by one of two sources counts once.
         """
         touched = self._grouped(feed)
-        feed.clear()
-        copies = self._owner_state().copies
+        held = self._owner_state().held
         rows_of, groups = self._group_rows, self._groups
         ordered, values = self._ordered, self._values
         for key, changed in touched.items():
@@ -519,7 +518,9 @@ class LiveView:
                 while ordered[index] is not stale:
                     index += 1
                 del ordered[index], values[index]
-            rows = patch_sorted(rows_of.get(key, ()), changed, copies)
+            before = rows_of.get(key, ())
+            rows = patch_sorted(before, changed, held)
+            self._row_count += len(rows) - len(before)
             if not rows:
                 rows_of.pop(key, None)
                 continue
@@ -528,6 +529,7 @@ class LiveView:
             index = bisect_right(ordered, str(fresh), key=str)
             ordered.insert(index, fresh)
             values.insert(index, fresh.values)
+        feed.drain(self._row_count)
         self._publish()
 
     def _publish(self) -> None:
@@ -537,6 +539,7 @@ class LiveView:
         """Drop the kept groups; the next read primes them again."""
         self._feed = self._groups = None
         self._group_rows, self._ordered, self._values = {}, [], []
+        self._row_count = 0
         self._answer, self._answer_rows = (), ()
 
     def _grouped(self, raw: Iterable[Fact]) -> Dict[Tuple, List[Fact]]:

@@ -52,11 +52,6 @@ class OutgoingUpdate:
         return bool(self.inserted) or bool(self.deleted)
 
 
-#: The one empty set every stage without masked deletions shares
-#: (``frozenset()`` allocates a new object per call).
-_NO_FACTS: FrozenSet[Fact] = frozenset()
-
-
 @dataclass
 class StageResult:
     """Everything produced by one computation stage of a peer."""
@@ -88,12 +83,6 @@ class StageResult:
     #: the :mod:`repro.api` subscription machinery consumes, so observers are
     #: fed from deltas as stages complete instead of re-scanning relations.
     visible_delta: Delta = field(default_factory=Delta.empty)
-    #: The deletions filtered out of ``visible_delta``: one source dropped
-    #: the fact, another still holds it.  ``fact_view`` yields a fact once
-    #: per source holding it, so a reader that counts rows from stage
-    #: results must learn of these too (live views count from the stores'
-    #: change feeds instead).  Almost always empty.
-    masked_deletions: FrozenSet[Fact] = _NO_FACTS
 
     def outgoing_fact_count(self) -> int:
         """Total number of facts shipped to remote peers this stage."""
@@ -504,7 +493,7 @@ class WebdamLogEngine:
         derived_delta = self.state.derived.take_delta()
         provided_delta = self.state.provided.take_delta()
         result.derived_changed = bool(derived_delta)
-        result.visible_delta, result.masked_deletions = self._visible_delta(
+        result.visible_delta = self._visible_delta(
             store_delta, derived_delta, provided_delta)
         # Stage boundary: everything this stage wrote — facts, schemas, rules,
         # delegations — becomes durable in one transaction.  This is the
@@ -519,17 +508,17 @@ class WebdamLogEngine:
         return result
 
     def _visible_delta(self, store_delta: Delta, derived_delta: Delta,
-                       provided_delta: Delta) -> Tuple[Delta, FrozenSet[Fact]]:
+                       provided_delta: Delta) -> Delta:
         """Combine the per-source deltas into one delta of *visible* facts.
 
         A fact reported deleted by one source may still be visible through
         another (e.g. a derivation that vanished while the same fact is still
         provided by a remote sender); such deletions are dropped so the delta
-        describes actual visibility transitions, and returned beside it.
+        describes actual visibility transitions.
         """
         combined = store_delta.merge(derived_delta).merge(provided_delta)
         if not combined.deleted:
-            return combined, _NO_FACTS
+            return combined
         still_visible = {
             fact for fact in combined.deleted
             if self.state.provided.contains(fact)
@@ -537,9 +526,8 @@ class WebdamLogEngine:
             or self.state.store.contains(fact)
         }
         if not still_visible:
-            return combined, _NO_FACTS
-        return (Delta(combined.inserted, combined.deleted - still_visible),
-                frozenset(still_visible))
+            return combined
+        return Delta(combined.inserted, combined.deleted - still_visible)
 
     def run_to_quiescence(self, max_stages: int = 50) -> List[StageResult]:
         """Run stages until the peer is locally quiescent (single-peer helper).

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
@@ -231,9 +232,9 @@ class Delta:
         return cls()
 
 
-#: How many facts a feed nobody drains holds before it gives up (see
+#: The least number of facts a change feed holds before it gives up (see
 #: :class:`ChangeFeed`).
-FEED_BOUND = 4096
+FEED_FLOOR = 64
 
 
 class ChangeFeed(set):
@@ -244,40 +245,79 @@ class ChangeFeed(set):
 
     A reader keeps what it read of the relation (a sorted snapshot, an
     aggregate view's group rows) and patches it with these facts
-    (:func:`patch_sorted`).  A feed holds at most :data:`FEED_BOUND` facts:
-    past that it holds ``None`` as well, and its reader reads the relation
-    again, so a reader that stopped reading pins no more than that.
+    (:func:`patch_sorted`).  A patch beats reading the relation again only
+    while the feed is small next to what the reader keeps, so the feed holds
+    at most ``bound`` facts — as many as the reader kept when it last
+    drained it (:meth:`drain`), :data:`FEED_FLOOR` at least.  Past that it
+    holds ``None`` as well and its reader reads the relation again; a reader
+    that stopped reading pins no more facts than it already keeps.
     ``forget``, when set, drops what the reader keeps; the peer calls it
     when its process dies (:meth:`repro.core.state.PeerState.forget_reads`).
     """
 
-    __slots__ = ("forget",)
+    __slots__ = ("forget", "bound")
 
     def __init__(self, forget: Optional[Callable[[], None]] = None):
         super().__init__()
         self.forget = forget
+        self.bound = FEED_FLOOR
+
+    def drain(self, kept: int) -> None:
+        """Empty the feed: its reader is up to date and keeps ``kept`` facts."""
+        self.clear()
+        self.bound = max(FEED_FLOOR, kept)
+
+
+def _renderings(fact: Fact) -> Tuple[str, ...]:
+    """The renderings of the facts equal to ``fact``.
+
+    Equal values render alike but for one pair: ``0.0 == -0.0``, which render
+    apart.  So a fact with float zeros has one rendering per choice of their
+    signs, its own among them.
+    """
+    values = fact.values
+    if 0.0 not in values:
+        return (str(fact),)
+    zeros = [position for position, value in enumerate(values)
+             if value.__class__ is float and value == 0.0]
+    renderings = []
+    for signs in product((0.0, -0.0), repeat=len(zeros)):
+        variant = list(values)
+        for position, sign in zip(zeros, signs):
+            variant[position] = sign
+        renderings.append(str(Fact(fact.relation, fact.peer, variant)))
+    return tuple(renderings)
 
 
 def patch_sorted(ordered: Sequence[Fact], changed: Iterable[Fact],
-                 copies: Callable[[Fact], int]) -> List[Fact]:
-    """``ordered`` with each of the ``changed`` facts held ``copies(fact)``
-    times, in the same order.
+                 held: Callable[[Fact], Iterable[Fact]]) -> List[Fact]:
+    """``ordered`` with its entries equal to each of the ``changed`` facts
+    replaced by ``held(fact)``, in the same order.
 
     ``ordered`` is sorted by rendering and holds a fact once per source that
-    holds it, as ``sorted(fact_view, key=str)`` does.  Each changed fact's
-    run of copies is found by bisection and replaced; the runs between are
-    copied whole, so a patch costs a copy of the list plus a bisection per
-    changed fact, whatever order the stores keep their facts in.
+    holds it, as ``sorted(fact_view, key=str)`` does; ``held(fact)`` is each
+    source's own object equal to ``fact``.  The objects of one fact need not
+    render alike (a ``-0.0`` beside a ``0.0``), so each goes where its own
+    rendering sorts, and the entries dropped are those equal to a changed
+    fact under any of its renderings.  Each rendering's run is found by
+    bisection; the runs between are copied whole, so a patch costs a copy of
+    the list plus a bisection per rendering, whatever order the stores keep
+    their facts in.
     """
+    runs: Dict[str, List[Fact]] = {}
+    for fact in changed:
+        for rendering in _renderings(fact):
+            runs.setdefault(rendering, [])
+        for kept in held(fact):
+            runs[str(kept)].append(kept)
     patched: List[Fact] = []
     at, end = 0, len(ordered)
-    for fact in sorted(changed, key=str):
-        rendering = str(fact)
+    for rendering in sorted(runs):
         start = stop = bisect_left(ordered, rendering, at, key=str)
         while stop < end and str(ordered[stop]) == rendering:
             stop += 1
         patched += ordered[at:start]
-        patched += [fact] * copies(fact)
+        patched += runs[rendering]
         at = stop
     patched += ordered[at:]
     return patched
@@ -331,10 +371,6 @@ class FactStore:
         self._tables: Dict[Tuple[str, str], StorageTable] = {}
         self._pending_inserted: Set[Fact] = set()
         self._pending_deleted: Set[Fact] = set()
-        # Bumped per recorded change of a relation; a reader that only needs
-        # to know whether a relation moved (a wrapper's reconcile) compares
-        # it instead of re-reading the table.
-        self._generations: Dict[Tuple[str, str], int] = {}
         self._feeds = feeds if feeds is not None else {}
         default_kind = (RelationKind.INTENSIONAL if namespace == "derived"
                         else RelationKind.EXTENSIONAL)
@@ -438,7 +474,7 @@ class FactStore:
         """Make ``relation@peer`` hold exactly ``rows``; returns the delta.
 
         Writes only the difference, in one batch each way: the pending
-        delta and the generation see exactly the facts that leave or
+        delta and the change feeds see exactly the facts that leave or
         arrive, as if the relation had been cleared and ``rows`` inserted.
         A stored fact equal to an arriving one stays stored.  Only for
         relations without a primary key (displacement makes insertion order
@@ -474,39 +510,25 @@ class FactStore:
         return total
 
     def _record(self, inserted: Iterable[Fact], deleted: Iterable[Fact]) -> None:
-        generations, feeds = self._generations, self._feeds
+        feeds = self._feeds
         for fact in deleted:
-            key = (fact.relation, fact.peer)
-            generations[key] = generations.get(key, 0) + 1
-            readers = feeds.get(key)
+            readers = feeds.get((fact.relation, fact.peer))
             if readers is not None:
                 for feed in readers:
-                    feed.add(fact if len(feed) < FEED_BOUND else None)
+                    feed.add(fact if len(feed) < feed.bound else None)
             if fact in self._pending_inserted:
                 self._pending_inserted.discard(fact)
             else:
                 self._pending_deleted.add(fact)
         for fact in inserted:
-            key = (fact.relation, fact.peer)
-            generations[key] = generations.get(key, 0) + 1
-            readers = feeds.get(key)
+            readers = feeds.get((fact.relation, fact.peer))
             if readers is not None:
                 for feed in readers:
-                    feed.add(fact if len(feed) < FEED_BOUND else None)
+                    feed.add(fact if len(feed) < feed.bound else None)
             if fact in self._pending_deleted:
                 self._pending_deleted.discard(fact)
             else:
                 self._pending_inserted.add(fact)
-
-    def generation(self, relation: str, peer: str) -> int:
-        """How many changes of ``relation@peer`` were recorded so far.
-
-        Unchanged between two calls means the relation's stored contents are
-        unchanged; the converse does not hold (a clear-and-rederive that ends
-        with the same rows still counts, a :meth:`replace_relation` with the
-        same rows does not).
-        """
-        return self._generations.get((relation, peer), 0)
 
     def take_delta(self) -> Delta:
         """Return and reset the delta accumulated since the previous call."""
@@ -531,6 +553,12 @@ class FactStore:
         """Return ``True`` if ``fact`` is currently stored."""
         table = self._table(fact.relation, fact.peer, create=False)
         return table is not None and fact in table
+
+    def get(self, fact: Fact) -> Optional[Fact]:
+        """The stored fact equal to ``fact``, or ``None``: the object a scan
+        yields, which may render differently (``-0.0`` for ``0.0``)."""
+        table = self._table(fact.relation, fact.peer, create=False)
+        return None if table is None else table.get(fact)
 
     def count(self, relation: str, peer: str) -> int:
         """Number of facts currently stored in ``relation@peer``."""

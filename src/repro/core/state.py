@@ -390,16 +390,18 @@ class PeerState:
             feed, facts = kept
             if not feed:
                 return facts
-            facts = tuple(patch_sorted(facts, feed, self.copies))
-        feed.clear()
+            facts = tuple(patch_sorted(facts, feed, self.held))
+        feed.drain(len(facts))
         self._snapshots[key] = (feed, facts)
         return facts
 
-    def copies(self, fact: Fact) -> int:
-        """How many of the three sources hold ``fact``: how often
-        :meth:`fact_view` yields it."""
-        return (self.store.contains(fact) + self.derived.contains(fact)
-                + self.provided.contains(fact))
+    def held(self, fact: Fact) -> List[Fact]:
+        """Each source's own fact equal to ``fact``, in source order: what
+        :meth:`fact_view` yields of it (a source may hold ``-0.0`` where
+        another holds ``0.0``)."""
+        return [kept for kept in (self.store.get(fact), self.derived.get(fact),
+                                  self.provided.get(fact))
+                if kept is not None]
 
     def watch(self, relation: str, peer: str,
               forget: Optional[Callable[[], None]] = None) -> ChangeFeed:

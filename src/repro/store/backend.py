@@ -65,6 +65,10 @@ class StorageTable(Protocol):
 
     def __iter__(self) -> Iterator[Fact]: ...
 
+    def get(self, fact: Fact) -> Optional[Fact]:
+        """The stored fact equal to ``fact``, or ``None``."""
+        ...
+
     def insert(self, fact: Fact) -> Tuple[List[Fact], List[Fact]]:
         """Insert a fact; return ``(inserted, displaced)`` facts."""
         ...

@@ -57,6 +57,10 @@ class MemoryTable:
     def __contains__(self, fact: Fact) -> bool:
         return fact._key in self._facts
 
+    def get(self, fact: Fact) -> Optional[Fact]:
+        """The stored fact equal to ``fact``, or ``None``."""
+        return self._facts.get(fact._key)
+
     def __iter__(self) -> Iterator[Fact]:
         return iter(self._facts.values())
 

@@ -197,6 +197,9 @@ class SqliteTable:
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._kept
 
+    def get(self, fact: Fact) -> Optional[Fact]:
+        return self._kept.get(fact)
+
     def __iter__(self) -> Iterator[Fact]:
         return self.scan(None)
 

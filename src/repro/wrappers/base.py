@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.core.engine import StageResult
 from repro.core.errors import WrapperError
-from repro.core.facts import Fact
+from repro.core.facts import ChangeFeed, Fact
 from repro.core.schema import RelationSchema
 
 
@@ -93,9 +93,10 @@ class PseudoPeerWrapper(Wrapper):
     def __init__(self):
         super().__init__()
         # What the last reconciliation saw — the service's change counter
-        # when it was read, and the store generation of every relation it
-        # compared when it finished; ``None`` before the first one.
-        self._reconciled: Optional[Tuple[object, Dict[str, int]]] = None
+        # when it was read, the host's state, and a change feed of every
+        # relation it compared, drained when it finished; ``None`` before the
+        # first one (or after the host's process died).
+        self._reconciled: Optional[Tuple[object, object, Dict[str, ChangeFeed]]] = None
 
     def service_facts(self) -> Set[Fact]:
         """The current contents of the service as facts of the pseudo-peer."""
@@ -125,18 +126,17 @@ class PseudoPeerWrapper(Wrapper):
         """
         if self._reconciled is None:
             return True
-        version, generations = self._reconciled
+        version, state, feeds = self._reconciled
         if version is None or version != self.service_version():
             return True
-        generation = peer.engine.state.store.generation
-        return any(generation(relation, peer.name) != seen
-                   for relation, seen in generations.items())
+        return state is not peer.engine.state or any(feeds.values())
 
     def before_stage(self, peer) -> None:
         """Reconcile the service and the pseudo-peer's relations in both directions."""
         version = self.service_version()
         service_side = self.service_facts()
-        store = peer.engine.state.store
+        state = peer.engine.state
+        store = state.store
         local_side: Set[Fact] = set()
         relations = {f.relation for f in service_side} | set(self.writable_relations)
         for relation in relations:
@@ -154,8 +154,27 @@ class PseudoPeerWrapper(Wrapper):
                     # The service refused the write (e.g. unauthorised user);
                     # drop the fact so the rejection is observable.
                     store.delete(fact)
-        self._reconciled = (version, {relation: store.generation(relation, peer.name)
-                                      for relation in relations})
+        self._reconciled = (version, state, self._watch(state, peer.name, relations))
+
+    def _watch(self, state, host: str, relations: Set[str]) -> Dict[str, ChangeFeed]:
+        """Drained change feeds of ``relations`` at the host: the ones the
+        last reconciliation watched, new ones for relations it did not."""
+        last = self._reconciled
+        watched = dict(last[2]) if last is not None and last[1] is state else {}
+        feeds = {}
+        for relation in relations:
+            feed = watched.pop(relation, None)
+            if feed is None:
+                feed = state.watch(relation, host, self._forget)
+            feed.drain(0)
+            feeds[relation] = feed
+        for relation, feed in watched.items():
+            state.unwatch(relation, host, feed)
+        return feeds
+
+    def _forget(self) -> None:
+        """The host's process died: the next cycle reconciles again."""
+        self._reconciled = None
 
 
 class RelationWatchingWrapper(Wrapper):

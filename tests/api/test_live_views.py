@@ -277,10 +277,10 @@ class TestAggregates:
         assert grouped._answer == () and grouped._answer_rows == ()
 
     def test_a_feed_nobody_drains_stays_bounded(self, monkeypatch):
-        """A snapshot read once and never again pins a bounded number of
-        facts; its next read sorts the relation again."""
+        """A snapshot read once and never again pins no more facts than it
+        keeps (or the floor); its next read sorts the relation again."""
         from repro.core import facts
-        monkeypatch.setattr(facts, "FEED_BOUND", 3)
+        monkeypatch.setattr(facts, "FEED_FLOOR", 3)
         deployment = build_pair()
         q = deployment.peer("q")
         view = deployment.query("q", "a")
@@ -290,7 +290,13 @@ class TestAggregates:
         feed, = deployment.runtime.peer("q").engine.state._feeds[("a", "q")]
         assert len(feed) == 4 and None in feed
         assert view.rows() == tuple((value,) for value in sorted(range(10), key=str))
-        assert not feed
+        assert not feed and feed.bound == 10
+        for value in range(10, 20):
+            q.insert(f"a@q({value})")
+        assert len(feed) == 10 and None not in feed
+        q.insert("a@q(20)")
+        assert None in feed
+        assert view.rows() == tuple((value,) for value in sorted(range(21), key=str))
 
     def test_aggregate_support_columns_preserve_multiplicity(self):
         # Two score facts with the same value for the same x must both count:

@@ -10,7 +10,8 @@ import pytest
 
 import repro
 from repro.core.errors import SchemaError
-from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
+from repro.core import facts as facts_module
+from repro.core.facts import ChangeFeed, Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 
 
@@ -274,12 +275,13 @@ class TestFactStore:
         assert store.total_facts() == 0
 
     def test_replace_relation_records_only_the_difference(self):
-        store = FactStore()
+        feed = ChangeFeed()
+        store = FactStore(feeds={("r", "p"): [feed]})
         kept, leaving, arriving = (Fact("r", "p", (1,)), Fact("r", "p", (True,)),
                                    Fact("r", "p", (1.0,)))
         store.insert_many([kept, leaving, Fact("s", "p", (1,))])
         store.take_delta()
-        generation = store.generation("r", "p")
+        feed.drain(0)
         delta = store.replace_relation("r", "p", [Fact("r", "p", (1,)), arriving,
                                                    Fact("r", "p", (1,))])
         assert delta == Delta(inserted=frozenset({arriving}), deleted=frozenset({leaving}))
@@ -289,12 +291,12 @@ class TestFactStore:
         # The stored fact equal to an arriving one stayed; the arrival is stored.
         assert {id(fact) for fact in store.facts("r", "p")} == {id(kept), id(arriving)}
         assert store.count("s", "p") == 1
-        assert store.generation("r", "p") > generation
+        assert feed == {arriving, leaving}
         # Same facts again: nothing written, nothing recorded.
-        generation = store.generation("r", "p")
+        feed.drain(0)
         assert not store.replace_relation("r", "p", [Fact("r", "p", (1.0,)),
                                                      Fact("r", "p", (1,))])
-        assert store.generation("r", "p") == generation
+        assert not feed
         assert not store.peek_delta()
         assert store.replace_relation("r", "p", []) == Delta.deletion([kept, arriving])
         assert not store.replace_relation("absent", "p", [])
@@ -308,25 +310,38 @@ class TestFactStore:
         with pytest.raises(SchemaError):
             store.replace_relation("profile", "p", [Fact("profile", "p", ("al", "v1"))])
 
-    def test_generation_counts_recorded_changes_per_relation(self):
-        store = FactStore()
-        assert store.generation("r", "p") == 0
-        store.insert(Fact("r", "p", (1,)))
-        first = store.generation("r", "p")
-        assert first > 0
+    def test_feeds_note_recorded_changes_per_relation(self):
+        feed = ChangeFeed()
+        store = FactStore(feeds={("r", "p"): [feed]})
+        one = Fact("r", "p", (1,))
+        store.insert(one)
+        assert feed == {one}
+        feed.drain(0)
         store.insert(Fact("r", "p", (1,)))             # already there: no change
         store.delete(Fact("r", "p", (9,)))             # never there: no change
-        assert store.generation("r", "p") == first
         store.insert(Fact("other", "p", (1,)))         # another relation
-        assert store.generation("r", "p") == first
+        assert not feed
         store.insert_many([Fact("r", "p", (2,)), Fact("r", "p", (3,))])
-        second = store.generation("r", "p")
-        assert second > first
         store.delete(Fact("r", "p", (2,)))
-        third = store.generation("r", "p")
-        assert third > second
+        assert feed == {Fact("r", "p", (2,)), Fact("r", "p", (3,))}
+        feed.drain(0)
         store.clear_relation("r", "p")
-        assert store.generation("r", "p") > third
+        assert feed == {one, Fact("r", "p", (3,))}
+
+    def test_a_feed_holds_no_more_than_its_reader_keeps(self, monkeypatch):
+        """Past its bound a feed notes ``None``: its reader reads the
+        relation again rather than patch more than it keeps."""
+        monkeypatch.setattr(facts_module, "FEED_FLOOR", 2)
+        feed = ChangeFeed()
+        store = FactStore(feeds={("r", "p"): [feed]})
+        store.insert_many([Fact("r", "p", (value,)) for value in range(5)])
+        assert len(feed) == 3 and None in feed
+        feed.drain(4)
+        assert feed.bound == 4 and not feed
+        store.insert_many([Fact("r", "p", (value,)) for value in range(5, 9)])
+        assert None not in feed
+        store.insert(Fact("r", "p", (9,)))
+        assert None in feed
 
 
 class TestRelationSnapshots:

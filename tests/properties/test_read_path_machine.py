@@ -15,6 +15,7 @@ down to the float bits and the order.
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -23,7 +24,7 @@ from repro.core import facts as facts_module
 from repro.core.facts import Fact
 
 from tests.properties.test_differential_reads import (
-    FAR, HUB, bits, build, expected, open_view, ratings, scan)
+    FAR, HUB, bits, build, expected, open_view, pics, scan, users)
 
 #: A plain view, four aggregates (local raw tuples, a global group, tuples
 #: provided by FAR, tuples held by two sources) and a viewer's aggregate and
@@ -37,6 +38,10 @@ RELATIONS = ("rate", "ovl")
 #: reopens them.
 OPEN_AT_START = ("wall", "board", "overlap", "board_guest", "both_guest")
 
+#: Ratings as the differential suite draws them, and ``0.0`` besides: it
+#: equals ``-0.0`` but renders apart, so one raw tuple can be kept under two
+#: renderings, one per source.
+ratings = st.tuples(users, pics, st.sampled_from([5, 1, 0.1, 0.2, 1e16, -0.0, 0.0, 2.5]))
 pages = st.sampled_from(PAGES)
 readable = st.sampled_from(PAGES + RELATIONS)
 picks = st.integers(min_value=0, max_value=40)
@@ -46,8 +51,8 @@ class ReadPathMachine(RuleBasedStateMachine):
     """One deployment, HUB and FAR, with views and relation handles."""
 
     backend = "memory"
-    #: The change feeds' bound while the machine runs; ``None`` keeps it.
-    feed_bound = None
+    #: The change feeds' floor while the machine runs; ``None`` keeps it.
+    feed_floor = None
 
     def __init__(self):
         super().__init__()
@@ -60,9 +65,9 @@ class ReadPathMachine(RuleBasedStateMachine):
         self.relations = {name: self.deployment.query(HUB, name) for name in RELATIONS}
         self.unread = set()
         self.fresh = 0
-        self.saved_bound = facts_module.FEED_BOUND
-        if self.feed_bound is not None:
-            facts_module.FEED_BOUND = self.feed_bound
+        self.saved_floor = facts_module.FEED_FLOOR
+        if self.feed_floor is not None:
+            facts_module.FEED_FLOOR = self.feed_floor
 
     # -- writes ----------------------------------------------------------------- #
 
@@ -169,7 +174,7 @@ class ReadPathMachine(RuleBasedStateMachine):
         try:
             self.deployment.close()
         finally:
-            facts_module.FEED_BOUND = self.saved_bound
+            facts_module.FEED_FLOOR = self.saved_floor
             if self.directory is not None:
                 shutil.rmtree(self.directory, ignore_errors=True)
 
@@ -197,9 +202,11 @@ class DurableReadPathMachine(ReadPathMachine):
 
 
 class OverflowingReadPathMachine(ReadPathMachine):
-    """Feeds that hold two facts: a reader left unread re-reads the relation."""
+    """Feeds bounded by what their readers keep, with no floor: a reader
+    left unread while more facts change than it keeps reads the relation
+    again."""
 
-    feed_bound = 2
+    feed_floor = 1
 
 
 _SETTINGS = settings(max_examples=25, stateful_step_count=30, deadline=None)
@@ -209,3 +216,46 @@ TestDurableReadPath = DurableReadPathMachine.TestCase
 TestDurableReadPath.settings = _SETTINGS
 TestOverflowingReadPath = OverflowingReadPathMachine.TestCase
 TestOverflowingReadPath.settings = _SETTINGS
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_a_zero_held_under_both_signs_is_kept_once_per_source(backend, first, tmp_path):
+    """``rate@h(u, p, -0.0)`` derives ``ovl@h(p, -0.0, u)`` at HUB while FAR
+    provides ``ovl@h(p, 0.0, u)``: the two facts are equal, so the feed
+    notes one of them, but each source holds its own and a read yields both,
+    each where its own rendering sorts — through ``query``, ``rows()`` and a
+    count, as each source arrives and leaves."""
+    deployment = build(backend, path=str(tmp_path) if backend == "sqlite" else None)
+    hub, far = deployment.peer(HUB), deployment.peer(FAR)
+    views, state = {}, {}
+    open_view(hub, views, state, "overlap")
+    overlap, relation = views["overlap"], deployment.query(HUB, "ovl")
+    filler = [Fact("rate", HUB, ("bob", 1, value)) for value in (-1.0, 0.5)]
+    hub.insert_many(filler)
+
+    def check():
+        want = bits(scan(deployment, "ovl"))
+        assert bits(relation.facts()) == want
+        assert bits(deployment.runtime.peer(HUB).query("ovl")) == want
+        assert [tuple(map(repr, row)) for row in relation.rows()] == \
+            [values for _, _, values in want]
+        aggregate = bits(expected(deployment, overlap))
+        assert bits(overlap.facts()) == aggregate
+        assert [tuple(map(repr, row)) for row in overlap.rows()] == \
+            [values for _, _, values in aggregate]
+
+    steps = [
+        lambda: hub.insert(Fact("rate", HUB, ("ann", 1, first))),
+        lambda: far.insert(Fact("score", FAR, ("ann", 1, -first))),
+        lambda: hub.delete(Fact("rate", HUB, ("ann", 1, first))),
+        lambda: hub.insert(Fact("rate", HUB, ("ann", 1, first))),
+        lambda: far.delete(Fact("score", FAR, ("ann", 1, -first))),
+    ]
+    deployment.converge(max_steps=60)
+    check()
+    for step in steps:
+        step()
+        deployment.converge(max_steps=60)
+        check()
+    deployment.close()

@@ -160,7 +160,6 @@ class TestExactRemovalOnTheTuplePath:
         feed, shown = Fact("feed", "p", (1,)), Fact("shown", "p", (1,))
         result = self.step(engines, lambda e: e.receive_facts("q", deleted=[feed]))
         assert result.evaluation_path == "rederive"
-        assert result.masked_deletions == frozenset({feed})
         assert supports(engines[0])[feed] == {frozenset({Fact("base", "p", (1,))})}
         assert supports(engines[0])[shown] == {frozenset({feed})}
 
