@@ -115,6 +115,17 @@ class DelegationTracker:
     def __init__(self, owner: str):
         self.owner = owner
         self._outstanding: Dict[str, Delegation] = {}
+        # Set by :meth:`restore`: the next diff installs every required
+        # delegation again, since what was in flight at the last commit is lost.
+        self._resend = False
+
+    def restore(self, delegations: Iterable[Delegation]) -> None:
+        """Take back what a previous process had outstanding (a reopened
+        durable peer): the next diff retracts what is no longer required
+        and installs everything required, already outstanding or not."""
+        for delegation in delegations:
+            self._outstanding[delegation.delegation_id] = delegation
+        self._resend = True
 
     def outstanding(self) -> Tuple[Delegation, ...]:
         """Every delegation currently believed to be installed remotely."""
@@ -136,7 +147,7 @@ class DelegationTracker:
             required_by_id[delegation.delegation_id] = delegation
         diff = DelegationDiff()
         for delegation_id, delegation in required_by_id.items():
-            if delegation_id not in self._outstanding:
+            if self._resend or delegation_id not in self._outstanding:
                 diff.to_install.append(delegation)
         for delegation_id, delegation in self._outstanding.items():
             if delegation_id not in required_by_id:
@@ -147,6 +158,7 @@ class DelegationTracker:
 
     def commit(self, diff: DelegationDiff) -> None:
         """Record that the install/retract messages of ``diff`` have been sent."""
+        self._resend = False
         for delegation in diff.to_retract:
             self._outstanding.pop(delegation.delegation_id, None)
         for delegation in diff.to_install:

@@ -66,7 +66,8 @@ class StageResult:
     derived_changed: bool = False
     deferred_local_updates: int = 0
     #: Which fixpoint strategy the stage used: ``"full"`` (recompute every
-    #: derived relation — an engine's first stage), ``"delta"``
+    #: derived relation — an engine's first stage, unless it resumed from a
+    #: committed fixpoint), ``"delta"``
     #: (seminaive over the inserted facts and the added rules),
     #: ``"rederive"`` (delete-and-rederive: on the deleted tuples'
     #: consequences for a fact deletion; on the affected predicate closure
@@ -498,7 +499,9 @@ class WebdamLogEngine:
         # Stage boundary: everything this stage wrote — facts, schemas, rules,
         # delegations — becomes durable in one transaction.  This is the
         # recovery unit: a peer that dies mid-stage reopens at the previous
-        # stage boundary.
+        # stage boundary, and resumes from it when the commit marks a
+        # fixpoint (nothing carried over to the next stage).
+        self.state.end_stage(settled=not self._carryover_delta)
         if commit:
             self.state.commit()
         # Everything that raised the flag is consumed (a stage that raises
@@ -552,8 +555,12 @@ class WebdamLogEngine:
 
         On a durable backend the peer can later be rebuilt over the same
         database and will restore its facts, rules and installed delegations.
+        It resumes from the committed fixpoint when nothing was handed to
+        the engine or written to its stores since its last stage; otherwise
+        its first stage recomputes every view.
         """
-        self.state.close()
+        self.state.close(settled=not (self.needs_stage()
+                                      or self.state.derived.has_pending_changes()))
 
     # ------------------------------------------------------------------ #
     # queries
@@ -680,6 +687,6 @@ class WebdamLogEngine:
 
         # -- delegations -------------------------------------------------- #
         diff = self.state.delegation_tracker.diff(outcome.delegations)
-        self.state.delegation_tracker.commit(diff)
+        self.state.sent_delegations(diff)
         result.delegations_to_install = list(diff.to_install)
         result.delegations_to_retract = list(diff.to_retract)

@@ -16,6 +16,16 @@ if TYPE_CHECKING:
     from repro.core.engine import StageResult, WebdamLogEngine
 
 
+def _ships(analysis: ProgramAnalysis, rule: Rule, peer: str) -> bool:
+    """``True`` when ``rule`` can produce what step 3 of a stage sends or
+    defers: its head is remote, extensional or has a variable position, or
+    a body atom can leave ``peer`` (a delegation)."""
+    body, head, _ = analysis.shape[id(rule)]
+    return (None in head or head[1] != peer
+            or "%s@%s" % head not in analysis.local_intensional
+            or any(owner != peer for _, owner in body))
+
+
 def _count(result: StageResult, explored: int) -> None:
     """Count one evaluation of a rule, which explored ``explored`` substitutions."""
     result.rules_evaluated += 1
@@ -47,6 +57,13 @@ class Maintenance:
         self._rule_memo: Dict[Rule, RuleOutcome] = {}
         # That union, kept until a memo entry changes (``None`` = stale).
         self._outcome: Optional[RuleOutcome] = None
+        # A durable peer reopened over a commit that marked a fixpoint
+        # (``PeerState.resumable``): the program it restored and its
+        # intensional relations then, whose fixpoint the derived tables
+        # hold, until the first stage diffs against them (:meth:`run`).
+        self._restored: Optional[Tuple[Tuple[Rule, ...], FrozenSet[str]]] = (
+            (self._state.all_rules(), self._state.schemas.intensional_at(self._state.peer))
+            if self._state.resumable else None)
 
     def run(self, input_delta: Delta, result: StageResult) -> RuleOutcome:
         """Run the local fixpoint, choosing its path from *what changed*:
@@ -55,7 +72,13 @@ class Maintenance:
 
         * **full** — recompute every local intensional relation, stratum by
           stratum, a recursive one draining deltas as ``delta`` does.  Only
-          the first stage of an engine and primary-key displacement take it.
+          primary-key displacement and the first stage of an engine take it
+          — unless the engine was reopened over a stage commit that marked a
+          fixpoint and has no provenance tracker (whose graph is not
+          persisted).  Such a stage starts from the restored program: it
+          re-evaluates only the rules whose memo step 3 diffs
+          (:meth:`_resume`) and takes one of the paths below for whatever
+          changed since the reopen.
         * **skip** — nothing changed that a local rule reads: the memoised
           outcome is returned without evaluating anything.  Removed rules
           with remote heads need no more than this — dropping their memo
@@ -97,6 +120,12 @@ class Maintenance:
         removed: List[Rule] = []
         reclassified, self.newly_intensional = self.newly_intensional, set()
         local_intensional = self._state.schemas.intensional_at(self._state.peer)
+        resumed = False
+        if self._restored is not None:
+            restored, self._restored = self._restored, None
+            if self._engine.provenance is None:
+                previous = self._analysis = ProgramAnalysis(*restored)
+                resumed = True
         rules_changed = previous is None or not previous.matches(rules)
         if rules_changed or previous.local_intensional is not local_intensional:
             analysis = self._analysis = ProgramAnalysis(
@@ -106,12 +135,16 @@ class Maintenance:
         if rules_changed:
             if previous is not None:
                 added, removed = previous.changes(rules)
+                if added and removed and self._engine.provenance is None:
+                    added, removed = self._cancel_equal_swaps(added, removed)
             # The one place a program change is found: every mutation path
             # shows as another rule set here, and moves the program version
             # (which drops the cached plans).
             self._engine.program_version += 1
             self._engine._planner.sync(self._engine.program_version)
 
+        if resumed:
+            self._resume(analysis, added, result)
         force_full = previous is None
 
         delta_predicates = ({fact.qualified_relation for fact in input_delta.inserted}
@@ -170,6 +203,53 @@ class Maintenance:
             result.evaluation_path = "skip"
             return self._memo_outcome()
         return outcome
+
+    def _cancel_equal_swaps(self, added: List[Rule], removed: List[Rule]
+                            ) -> Tuple[List[Rule], List[Rule]]:
+        """``(added, removed)`` without each removed rule that an added one
+        equals up to variable names and ``rule_id``
+        (:meth:`~repro.core.rules.Rule.canonical_key`), nor that added rule,
+        when the removed rule's memo is empty: the facts it derived are the
+        ones its twin derives, so the pair changes nothing (views asked
+        again over the rules a reopen restored).  A removed rule that
+        shipped something is removed as usual: its delegations name its
+        ``rule_id``.  Without a provenance tracker only (the graph records
+        rule ids)."""
+        unshipped: Dict[Tuple, List[Rule]] = {}
+        for rule in removed:
+            entry = self._rule_memo.get(rule)
+            if entry is None or entry.is_empty():
+                unshipped.setdefault(rule.canonical_key(), []).append(rule)
+        if not unshipped:
+            return added, removed
+        kept: List[Rule] = []
+        swapped: Set[int] = set()
+        for rule in added:
+            twins = unshipped.get(rule.canonical_key())
+            if not twins:
+                kept.append(rule)
+                continue
+            twin = twins.pop()
+            swapped.add(id(twin))
+            self._rule_memo.pop(twin, None)     # empty: the twin's is the same
+        return kept, [rule for rule in removed if id(rule) not in swapped]
+
+    def _resume(self, analysis: ProgramAnalysis, added: List[Rule],
+                result: StageResult) -> None:
+        """The first stage of a resumed engine: the derived tables hold the
+        restored program's fixpoint, but the per-rule memos died with the
+        process.  Rebuild those step 3 diffs: evaluate in full each rule
+        that can ship (:func:`_ships`) and keep what it ships; its local
+        intensional facts are already stored.  The ``added`` rules are left
+        to the stage's path, which evaluates them in full."""
+        fresh = {id(rule) for rule in added}
+        evaluator = None
+        for rule in analysis.rules:
+            if id(rule) not in fresh and _ships(analysis, rule, self._state.peer):
+                evaluator = evaluator or self._evaluator()
+                outcome = evaluator.evaluate_rule(rule)
+                _count(result, outcome.substitutions_explored)
+                self._memo_merge(rule, outcome)
 
     def _evaluator(self, fact_source=None) -> RuleEvaluator:
         """The rule evaluator of one stage.

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import codec
-from repro.core.delegation import DelegationStore, DelegationTracker, InstalledDelegation
+from repro.core.delegation import (Delegation, DelegationDiff, DelegationStore,
+                                   DelegationTracker, InstalledDelegation)
 from repro.core.errors import SchemaError
 from repro.core.facts import ChangeFeed, Delta, Fact, FactStore, patch_sorted
 from repro.core.rules import Rule, ensure_rule_counter_above
@@ -33,9 +34,20 @@ from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
 from repro.store.memory import MemoryBackend
 
 
+#: The metadata record (kind, key) present while the file holds a fixpoint.
+_MARKER = ("stage", "fixpoint")
+
+
 def _record(encoded) -> str:
     """A metadata record as stored: the canonical JSON of its codec encoding."""
     return json.dumps(encoded, sort_keys=True)
+
+
+def _decode_delegation(record) -> Delegation:
+    """A delegation this peer had out, from its ``delegated`` meta record."""
+    return Delegation(target=record["target"], rule=codec.decode_rule(record["rule"]),
+                      delegator=record["delegator"], origin_rule_id=record["origin_rule_id"],
+                      delegation_id=record["delegation_id"])
 
 
 @dataclass
@@ -123,7 +135,21 @@ class PeerState:
                              or self.store.relations() or self.derived.relations())
         if self.restored:
             self._advance_rule_counter()
+        # The marker: the last commit closed a stage, with no provided fact
+        # and nothing left for the next stage, so the derived tables hold the
+        # fixpoint of the rest of the file.  ``resumable`` is what this open
+        # found; the marker row is written only when its value changes.
+        self._at_fixpoint = bool(self.backend.load_meta(_MARKER[0]))
+        self.resumable = self.restored and self._at_fixpoint
+        self._stage_ended = False
+        # The delegations this peer has out, persisted like the ones it
+        # holds: a reopened peer retracts those its program no longer
+        # derives, though the process that sent them died.
         self.delegation_tracker = DelegationTracker(peer)
+        persisted_out = self.backend.load_meta("delegated")
+        if persisted_out:
+            self.delegation_tracker.restore(
+                _decode_delegation(json.loads(payload)) for _key, payload in persisted_out)
         self.pending = PendingInput()
         self.deferred_updates: Delta = Delta.empty()
         self.stage_counter = 0
@@ -149,13 +175,37 @@ class PeerState:
     # durability
     # ------------------------------------------------------------------ #
 
+    def end_stage(self, settled: bool) -> None:
+        """A stage wrote all it writes: the next :meth:`commit` closes it.
+        ``settled`` says the stage left nothing for its successor; the
+        commit then marks the file as a fixpoint unless provided facts,
+        which are never persisted, fed it."""
+        self._mark(settled and not self._provided_senders)
+        self._stage_ended = True
+
     def commit(self) -> None:
-        """Make every change since the last commit durable (stage boundary)."""
+        """Make every change since the last commit durable (stage boundary).
+        A commit that closes no stage (:meth:`end_stage`) clears the marker:
+        what it makes durable need not be a fixpoint."""
+        if not self._stage_ended:
+            self._mark(False)
+        self._stage_ended = False
         self.backend.commit()
 
-    def close(self) -> None:
-        """Commit and release the backend."""
+    def close(self, settled: bool = False) -> None:
+        """Commit and release the backend.  ``settled``: nothing was written
+        since the last stage commit, so its marker stands."""
+        if not settled:
+            self._mark(False)
         self.backend.close()
+
+    def _mark(self, at_fixpoint: bool) -> None:
+        if at_fixpoint != self._at_fixpoint and not getattr(self.backend, "closed", False):
+            if at_fixpoint:
+                self.backend.save_meta(*_MARKER, "true")
+            else:
+                self.backend.delete_meta(*_MARKER)
+            self._at_fixpoint = at_fixpoint
 
     # ------------------------------------------------------------------ #
     # schema helpers
@@ -244,6 +294,22 @@ class PeerState:
             "rule": codec.encode_rule(installed.rule),
         }))
         return installed
+
+    def sent_delegations(self, diff: DelegationDiff) -> None:
+        """Record that ``diff``'s installs and retractions went out, in the
+        stage's transaction on a durable backend."""
+        self.delegation_tracker.commit(diff)
+        if self.backend.persistent:
+            for delegation in diff.to_retract:
+                self.backend.delete_meta("delegated", delegation.delegation_id)
+            for delegation in diff.to_install:
+                self.backend.save_meta("delegated", delegation.delegation_id, _record({
+                    "delegation_id": delegation.delegation_id,
+                    "target": delegation.target,
+                    "delegator": delegation.delegator,
+                    "origin_rule_id": delegation.origin_rule_id,
+                    "rule": codec.encode_rule(delegation.rule),
+                }))
 
     def retract_delegation(self, delegation_id: str) -> Optional[InstalledDelegation]:
         """Retract a delegated rule and delete its persisted record."""

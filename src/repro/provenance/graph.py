@@ -45,6 +45,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 
+#: A derivation's identity, :meth:`Derivation.key`.
+DerivationKey = Tuple[Fact, str, Tuple[Fact, ...]]
+# The bucket of a fact nobody derives or is supported by; never written.
+_NO_DERIVATIONS: Dict[DerivationKey, "Derivation"] = {}
+
 
 @dataclass(frozen=True)
 class Derivation:
@@ -55,7 +60,7 @@ class Derivation:
     support: Tuple[Fact, ...]
     author: Optional[str] = None
 
-    def key(self) -> Tuple[Fact, str, Tuple[Fact, ...]]:
+    def key(self) -> DerivationKey:
         """Dedup identity shared by the graph, the shipped-derivation memory
         and the per-target shipping memos: ``author`` is provenance metadata,
         not identity."""
@@ -108,12 +113,15 @@ class ProvenanceGraph:
     FEED_FLOOR = 1024
 
     def __init__(self):
-        # Derived fact -> its alternative derivations (the support count of a
-        # fact is the length of this list; the fact dies when it reaches 0).
-        self._derivations: Dict[Fact, List[Derivation]] = {}
-        # Supporting fact -> the derivations it participates in (reverse
-        # edges; drives remove_support cascades and index invalidation).
-        self._supported: Dict[Fact, List[Derivation]] = {}
+        # Derived fact -> its alternative derivations by key, in the order
+        # they were recorded (the support count of a fact is the size of its
+        # bucket; the fact dies when it reaches 0).
+        self._derivations: Dict[Fact, Dict[DerivationKey, Derivation]] = {}
+        # Supporting fact -> the derivations it participates in, by key
+        # (reverse edges; drives remove_support cascades and index
+        # invalidation).  Keyed buckets make adding and removing one
+        # derivation a lookup, not a scan comparing facts.
+        self._supported: Dict[Fact, Dict[DerivationKey, Derivation]] = {}
         # Qualified relation -> its derived facts, so the scoped rederive
         # clear is proportional to the cleared predicates, not the graph.
         self._by_relation: Dict[str, Set[Fact]] = {}
@@ -142,21 +150,20 @@ class ProvenanceGraph:
     def add(self, derivation: Derivation) -> bool:
         """Record one derivation; returns ``False`` for a known duplicate."""
         head = derivation.fact
-        existing = self._derivations.setdefault(head, [])
+        existing = self._derivations.setdefault(head, {})
         key = derivation.key()
-        for known in existing:
-            if known.key() == key:
-                return False
+        if key in existing:
+            return False
         # A first derivation changes what the head's set *is* (its own
         # relation becomes its lineage's), and an unindexed head has no set
         # to grow: both drop what they reach.  Otherwise the sets only grow.
         indexed = bool(existing) and head in self._bases_index
         if not indexed:
             self._invalidate([head])
-        existing.append(derivation)
+        existing[key] = derivation
         self._by_relation.setdefault(head.qualified_relation, set()).add(head)
         for supporting in set(derivation.support):
-            self._supported.setdefault(supporting, []).append(derivation)
+            self._supported.setdefault(supporting, {})[key] = derivation
         self._count += 1
         self.version += 1
         if indexed:
@@ -175,7 +182,7 @@ class ProvenanceGraph:
         frontier: List[Fact] = [fact]
         while frontier:
             dead = frontier.pop()
-            for derivation in self._supported.pop(dead, ()):  # type: ignore[arg-type]
+            for derivation in self._supported.pop(dead, _NO_DERIVATIONS).values():
                 if self._discard(derivation, skip_support=dead):
                     removed += 1
                     head = derivation.fact
@@ -196,7 +203,7 @@ class ProvenanceGraph:
         """
         self._invalidate([fact])
         removed = 0
-        for derivation in self._supported.pop(fact, ()):
+        for derivation in self._supported.pop(fact, _NO_DERIVATIONS).values():
             removed += self._discard(derivation, skip_support=fact)
         return removed
 
@@ -209,7 +216,7 @@ class ProvenanceGraph:
         """
         self._invalidate([fact])
         removed = 0
-        for derivation in list(self._derivations.get(fact, ())):
+        for derivation in list(self._derivations.get(fact, _NO_DERIVATIONS).values()):
             if self._discard(derivation):
                 removed += 1
         return removed + self.remove_support(fact)
@@ -247,7 +254,7 @@ class ProvenanceGraph:
         self._invalidate(doomed)
         removed = 0
         for fact in doomed:
-            for derivation in list(self._derivations.get(fact, ())):
+            for derivation in list(self._derivations.get(fact, _NO_DERIVATIONS).values()):
                 if self._discard(derivation):
                     removed += 1
         return removed
@@ -266,9 +273,11 @@ class ProvenanceGraph:
                  skip_support: Optional[Fact] = None) -> bool:
         """Remove one derivation from both indexes (``False`` if already gone)."""
         bucket = self._derivations.get(derivation.fact)
-        if bucket is None or derivation not in bucket:
+        key = derivation.key()
+        known = bucket.get(key) if bucket is not None else None
+        if known is None or (known is not derivation and known != derivation):
             return False
-        bucket.remove(derivation)
+        del bucket[key]
         if not bucket:
             del self._derivations[derivation.fact]
             relation = derivation.fact.qualified_relation
@@ -282,10 +291,7 @@ class ProvenanceGraph:
                 continue  # its reverse bucket is being drained by the caller
             reverse = self._supported.get(supporting)
             if reverse is not None:
-                try:
-                    reverse.remove(derivation)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
+                reverse.pop(key, None)
                 if not reverse:
                     del self._supported[supporting]
         self._count -= 1
@@ -311,7 +317,7 @@ class ProvenanceGraph:
                 continue
             seen.add(fact)
             index.pop(fact, None)
-            for derivation in self._supported.get(fact, ()):
+            for derivation in self._supported.get(fact, _NO_DERIVATIONS).values():
                 stack.append(derivation.fact)
         self._publish(seen)
 
@@ -348,7 +354,7 @@ class ProvenanceGraph:
                     continue
                 index[fact] = entry | grown
             changed.append(fact)
-            for derivation in self._supported.get(fact, ()):
+            for derivation in self._supported.get(fact, _NO_DERIVATIONS).values():
                 dependent = derivation.fact
                 if dependent not in reached:
                     reached.add(dependent)
@@ -414,7 +420,7 @@ class ProvenanceGraph:
 
     def derivations_of(self, fact: Fact) -> Tuple[Derivation, ...]:
         """Every recorded derivation of ``fact``."""
-        return tuple(self._derivations.get(fact, ()))
+        return tuple(self._derivations.get(fact, _NO_DERIVATIONS).values())
 
     def derivation_count(self, fact: Fact) -> int:
         """How many alternative derivations currently support ``fact``."""
@@ -426,7 +432,8 @@ class ProvenanceGraph:
 
     def why(self, fact: Fact) -> Tuple[FrozenSet[Fact], ...]:
         """Why-provenance: the alternative sets of immediate supporting facts."""
-        return tuple(frozenset(d.support) for d in self._derivations.get(fact, ()))
+        return tuple(frozenset(d.support)
+                     for d in self._derivations.get(fact, _NO_DERIVATIONS).values())
 
     def lineage(self, fact: Fact) -> FrozenSet[Fact]:
         """Transitive support of ``fact`` down to base facts (excludes ``fact`` itself)."""
@@ -434,7 +441,7 @@ class ProvenanceGraph:
         frontier: List[Fact] = [fact]
         while frontier:
             current = frontier.pop()
-            for derivation in self._derivations.get(current, ()):
+            for derivation in self._derivations.get(current, _NO_DERIVATIONS).values():
                 for supporting in derivation.support:
                     if supporting not in seen and supporting != fact:
                         seen.add(supporting)
@@ -478,7 +485,7 @@ class ProvenanceGraph:
         seen: Set[Fact] = {fact}
         frontier: List[Fact] = [fact]
         while frontier:
-            for derivation in derivations[frontier.pop()]:
+            for derivation in derivations[frontier.pop()].values():
                 for supporting in derivation.support:
                     if supporting in seen:
                         continue

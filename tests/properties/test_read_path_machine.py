@@ -22,9 +22,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import facts as facts_module
 from repro.core.facts import Fact
+from repro.core.parser import parse_rule
 
 from tests.properties.test_differential_reads import (
-    FAR, HUB, bits, build, expected, open_view, pics, scan, users)
+    FAR, HUB, LIKED_RULE, OVERLAP_RULE, VIEWS, bits, build, expected, open_view, pics,
+    scan, users)
 
 #: A plain view, four aggregates (local raw tuples, a global group, tuples
 #: provided by FAR, tuples held by two sources) and a viewer's aggregate and
@@ -209,6 +211,195 @@ class OverflowingReadPathMachine(ReadPathMachine):
     feed_floor = 1
 
 
+#: The views the resuming machine asks, each under a name, so that a
+#: reopened owner finds it again: page -> view relation.  ``ovl`` is also
+#: derived into by ``OVERLAP_RULE``, ``p_fans`` reads ``LIKED_RULE``'s head.
+NAMED = {"board": "p_board", "wall": "p_wall", "total": "p_total", "far": "far",
+         "overlap": "ovl", "fans": "p_fans", "board_guest": "p_gboard"}
+#: The own rules the resuming machine adds and removes; ``seen`` derives
+#: from what FAR provides to ``ovl``.
+EXTRA_RULES = {"liked": LIKED_RULE, "overlap": OVERLAP_RULE,
+               "seen": "seen@h($p) :- ovl@h($p, $s, $u)"}
+_EXTRA_KEYS = {parse_rule(text, default_peer=HUB).canonical_key(): name
+               for name, text in EXTRA_RULES.items()}
+
+
+class _World:
+    """One deployment of the resuming machine and what was asked of it."""
+
+    def __init__(self, deployment):
+        self.deployment = deployment
+        self.views = {}
+        self.hub.load_program("collection intensional seen@h(p);")
+        self.relations = {name: deployment.query(HUB, name)
+                          for name in ("rate", "ovl", "liked", "seen")}
+
+    @property
+    def hub(self):
+        return self.deployment.peer(HUB)
+
+    def ask(self, page):
+        text, viewer = VIEWS[page]
+        self.views[page] = self.hub.query(text, name=NAMED[page], viewer=viewer)
+
+    def extra_rules(self):
+        """The own rules of ``EXTRA_RULES`` the hub has, by name."""
+        return {_EXTRA_KEYS[key]: rule for rule in self.hub.rules()
+                if (key := rule.canonical_key()) in _EXTRA_KEYS}
+
+    def toggle_rule(self, which, add):
+        if add:
+            self.hub.add_rule(EXTRA_RULES[which])
+        else:
+            self.hub.unwrap().remove_rules([self.extra_rules()[which].rule_id])
+
+    def toggle_view(self, page, ask):
+        if ask:
+            self.ask(page)
+        else:
+            self.views.pop(page).close(settle=False)
+
+    def reads(self):
+        """Every read the machine compares, down to the bit and the order."""
+        for page, view in sorted(self.views.items()):
+            assert bits(view.facts()) == bits(expected(self.deployment, view)), page
+            yield page, bits(view.facts()), [tuple(map(repr, row)) for row in view.rows()]
+        for name, relation in sorted(self.relations.items()):
+            want = bits(scan(self.deployment, name))
+            assert bits(relation.facts()) == want, name
+            yield name, want
+
+
+class ResumingReadPathMachine(RuleBasedStateMachine):
+    """A durable deployment that changes its program, closes without a
+    stage, dies and reopens — resuming from its last fixpoint or
+    recomputing — against a twin on the memory backend that never went
+    down.  The twin takes each operation when the durable one commits it
+    (a stage of the peer it wrote to, or ``close()``); an operation the
+    durable one loses in a crash never reaches it.  Whenever the two hold
+    the same committed input, every read and the snapshots of both peers
+    must be equal."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="repro-resume-")
+        self.durable = _World(build("sqlite", path=self.directory))
+        self.twin = _World(build("memory"))
+        # What the durable deployment did since its last commit, in order:
+        # (the peer written to, a function of a world).
+        self.uncommitted = []
+        for page in ("board", "wall", "overlap"):
+            self.do(lambda world, page=page: world.ask(page))
+        self.converge()
+
+    def do(self, operation, peer=HUB):
+        operation(self.durable)
+        self.uncommitted.append((peer, operation))
+
+    # -- writes and program changes ------------------------------------------------ #
+
+    @rule(rating=ratings)
+    def insert(self, rating):
+        fact = Fact("rate", HUB, rating)
+        self.do(lambda world: world.hub.insert(fact))
+
+    @rule(pick=picks)
+    def delete(self, pick):
+        stored = self.durable.hub.unwrap().query("rate")
+        if stored:
+            fact = stored[pick % len(stored)]
+            self.do(lambda world: world.hub.delete(fact))
+
+    @rule(rating=ratings)
+    def far_insert(self, rating):
+        fact = Fact("score", FAR, rating)
+        self.do(lambda world: world.deployment.peer(FAR).insert(fact), FAR)
+
+    @rule(pick=picks)
+    def far_delete(self, pick):
+        stored = self.durable.deployment.peer(FAR).unwrap().query("score")
+        if stored:
+            fact = stored[pick % len(stored)]
+            self.do(lambda world: world.deployment.peer(FAR).delete(fact), FAR)
+
+    @rule(which=st.sampled_from(sorted(EXTRA_RULES)))
+    def toggle_rule(self, which):
+        add = which not in self.durable.extra_rules()
+        self.do(lambda world: world.toggle_rule(which, add))
+
+    @rule(page=st.sampled_from(sorted(NAMED)))
+    def toggle_view(self, page):
+        ask = page not in self.durable.views
+        self.do(lambda world: world.toggle_view(page, ask))
+
+    # -- commits, deaths and reopens ------------------------------------------------ #
+
+    @rule()
+    def converge(self):
+        self.durable.deployment.converge(max_steps=60)
+        self.commit()
+
+    def commit(self, peers=(HUB, FAR)):
+        """The twin takes what the durable deployment committed at
+        ``peers``; the rest is lost."""
+        for peer, operation in self.uncommitted:
+            if peer in peers:
+                operation(self.twin)
+        self.uncommitted.clear()
+        self.twin.deployment.converge(max_steps=60)
+
+    @rule(drop=st.booleans())
+    def close_without_a_stage(self, drop):
+        """``close()`` commits the writes no stage has seen."""
+        self.durable.deployment.close()
+        self.commit()
+        self.reopen(drop)
+
+    @rule(drop=st.booleans(), far_stage=st.booleans())
+    def crash(self, drop, far_stage):
+        """Process death: what no stage committed is lost.  With
+        ``far_stage``, FAR's writes are committed by a stage of its own
+        first, and what it sent HUB is lost in flight."""
+        if far_stage:
+            self.durable.deployment.runtime.peer(FAR).engine.run_stage()
+        self.durable.hub.insert(Fact("rate", HUB, ("doomed", 0, 1)))
+        for name in self.durable.deployment.peer_names():
+            self.durable.deployment.runtime.peer(name).engine.state.backend.abort()
+        self.commit((FAR,) if far_stage else ())
+        self.reopen(drop)
+
+    def reopen(self, drop):
+        """Reopen on the path and ask the open views again by name: with
+        ``drop``, after removing the view rules the store restored (an
+        equal rule under a new id); without, adopting them."""
+        self.durable = _World(build("sqlite", path=self.directory))
+        if drop:
+            extra = {id(rule) for rule in self.durable.extra_rules().values()}
+            self.durable.hub.unwrap().remove_rules(
+                [rule.rule_id for rule in self.durable.hub.rules() if id(rule) not in extra])
+        for page in sorted(self.twin.views):
+            self.durable.ask(page)
+        self.durable.deployment.converge(max_steps=60)
+
+    # -- after every step ----------------------------------------------------------- #
+
+    @invariant()
+    def the_durable_deployment_answers_as_the_twin(self):
+        durable = list(self.durable.reads())
+        if self.uncommitted:
+            return
+        assert durable == list(self.twin.reads())
+        assert self.durable.deployment.snapshot() == self.twin.deployment.snapshot()
+        assert set(self.durable.extra_rules()) == set(self.twin.extra_rules())
+
+    def teardown(self):
+        try:
+            self.durable.deployment.close()
+            self.twin.deployment.close()
+        finally:
+            shutil.rmtree(self.directory, ignore_errors=True)
+
+
 _SETTINGS = settings(max_examples=25, stateful_step_count=30, deadline=None)
 TestReadPath = ReadPathMachine.TestCase
 TestReadPath.settings = _SETTINGS
@@ -216,6 +407,9 @@ TestDurableReadPath = DurableReadPathMachine.TestCase
 TestDurableReadPath.settings = _SETTINGS
 TestOverflowingReadPath = OverflowingReadPathMachine.TestCase
 TestOverflowingReadPath.settings = _SETTINGS
+TestResumingReadPath = ResumingReadPathMachine.TestCase
+TestResumingReadPath.settings = settings(max_examples=40, stateful_step_count=30,
+                                         deadline=None)
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

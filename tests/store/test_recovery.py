@@ -411,9 +411,11 @@ def derived_writes(deployment, during):
 
 
 class TestRecoveryWritesOnlyTheDifference:
-    """A reopened peer recomputes its views from scratch, but the derived
-    tables it left behind already hold that answer: the first stage after a
-    reopen compares instead of clearing and re-inserting them."""
+    """A reopened peer whose last commit closed a stage resumes from the
+    derived tables it left behind: they hold the fixpoint, and views asked
+    again over the rules the reopen restored change no rule.  A peer
+    reopened over anything else recomputes its views, and the first stage
+    compares instead of clearing and re-inserting them."""
 
     def seeded(self, path):
         deployment = system().storage("sqlite", path=str(path)).peer("hub") \
@@ -444,7 +446,9 @@ class TestRecoveryWritesOnlyTheDifference:
         reopened, views = self.reopen(tmp_path)
         writes = derived_writes(reopened, reopened.converge)
         assert writes == []
-        assert reopened.runtime.peer("hub").engine.eval_counters["stages_full"] == 1
+        counters = reopened.runtime.peer("hub").engine.eval_counters
+        assert counters["stages_full"] == 0
+        assert counters["substitutions_explored"] == 0
         assert {name: sorted(view.rows()) for name, view in views.items()} == answers
         # The views stay live after the reopen.
         reopened.peer("hub").insert(Fact("rate", "hub", ("u0", 99, 5)))
@@ -470,6 +474,271 @@ class TestRecoveryWritesOnlyTheDifference:
         assert [sql.split()[0] for sql in writes] == ["DELETE", "INSERT"]
         assert {name: sorted(view.rows()) for name, view in views.items()} == answers
         reopened.close()
+
+
+def first_path(deployment, name="hub"):
+    """How the first stage of ``name`` in a reopened ``deployment`` ran:
+    ``"full"`` when it recomputed every view, ``"resumed"`` otherwise."""
+    counters = deployment.runtime.peer(name).engine.eval_counters
+    return "full" if counters["stages_full"] else "resumed"
+
+
+PROGRAM_SOLO = """
+collection extensional persistent local@hub(id);
+collection extensional persistent small@hub(id);
+collection intensional wall@hub(id);
+collection intensional big@hub(id);
+rule wall@hub($id) :- local@hub($id);
+rule big@hub($id) :- wall@hub($id), not small@hub($id);
+"""
+
+PROGRAM_PAIR = {
+    "alice": "collection extensional persistent src@alice(item);\n"
+             "collection intensional sink@bob(item);\n"
+             "rule sink@bob($x) :- src@alice($x);",
+    "bob": "collection intensional sink@bob(item);\n"
+           "collection intensional seen@bob(item);\n"
+           "rule seen@bob($x) :- sink@bob($x);",
+}
+
+
+def pair(path):
+    """A two-peer chain on the reliable default transport: bob holds what
+    alice derives for it as provided facts, and derives from them."""
+    builder = system().storage("sqlite", path=str(path))
+    for name, program in PROGRAM_PAIR.items():
+        builder.peer(name).program(program)
+    return builder.build()
+
+
+class TestResumeFromTheCommittedFixpoint:
+    """A reopened peer skips the recompute of its views only when its last
+    commit closed a stage that left nothing behind; every other reopen
+    recomputes, and each case reaches the answers of a deployment that
+    never went down."""
+
+    def test_a_peer_closed_at_a_fixpoint_resumes(self, tmp_path):
+        deployment = build(tmp_path)
+        seed(deployment)
+        deployment.converge()
+        expected = deployment.snapshot()
+        deployment.close()
+
+        reopened = build(tmp_path, programs=False)
+        reopened.converge()
+        # The leaves ship what they derive for the hub, so they re-evaluate
+        # their delegated rules; the hub was fed provided facts.
+        assert {name: first_path(reopened, name) for name in reopened.peer_names()} \
+            == {"hub": "full", "left": "resumed", "right": "resumed"}
+        assert reopened.snapshot() == expected
+        reopened.close()
+
+    def test_an_insert_closed_without_a_stage_is_recomputed(self, tmp_path):
+        """(a) The insert is in the file but no stage saw it: resuming
+        would never derive from it."""
+        control = build(tmp_path / "control", peers=("hub",))
+        control.peer("hub").insert(Fact("local", "hub", (1,)))
+        control.converge()
+        control.peer("hub").insert(Fact("local", "hub", (2,)))
+        control.converge()
+        expected = control.snapshot()
+        control.close()
+
+        deployment = build(tmp_path / "closed", peers=("hub",))
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        deployment.converge()
+        deployment.peer("hub").insert(Fact("local", "hub", (2,)))
+        deployment.close()
+
+        reopened = build(tmp_path / "closed", peers=("hub",), programs=False)
+        reopened.converge()
+        assert Fact("wall", "hub", (2,)) in reopened.snapshot()["hub"]["wall@hub"]
+        assert reopened.snapshot() == expected
+        assert first_path(reopened) == "full"
+        reopened.close()
+
+    def test_a_rule_added_before_close_is_recomputed(self, tmp_path):
+        deployment = build(tmp_path, peers=("hub",))
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        deployment.converge()
+        deployment.peer("hub").add_rule("rule big@hub($id) :- small@hub($id)")
+        deployment.peer("hub").insert(Fact("small", "hub", (7,)))
+        deployment.close()
+
+        reopened = build(tmp_path, peers=("hub",), programs=False)
+        reopened.converge()
+        assert Fact("big", "hub", (7,)) in reopened.snapshot()["hub"]["big@hub"]
+        assert first_path(reopened) == "full"
+        reopened.close()
+
+    def test_a_crash_after_a_stage_resumes_and_takes_the_changes_since(self, tmp_path):
+        """The uncommitted insert dies with the process; what is inserted
+        after the reopen goes down the delta path of the first stage."""
+        control = build(tmp_path / "control", peers=("hub",), programs=False)
+        control.peer("hub").load_program(PROGRAM_SOLO)
+        for item in (1, 2, 3):
+            control.peer("hub").insert(Fact("local", "hub", (item,)))
+        control.peer("hub").insert(Fact("small", "hub", (2,)))
+        control.converge()
+        control.peer("hub").insert(Fact("local", "hub", (4,)))
+        control.peer("hub").delete(Fact("small", "hub", (2,)))
+        control.converge()
+        expected = control.snapshot()
+        control.close()
+
+        path = tmp_path / "crashed"
+        deployment = build(path, peers=("hub",), programs=False)
+        deployment.peer("hub").load_program(PROGRAM_SOLO)
+        for item in (1, 2, 3):
+            deployment.peer("hub").insert(Fact("local", "hub", (item,)))
+        deployment.peer("hub").insert(Fact("small", "hub", (2,)))
+        deployment.converge()
+        deployment.peer("hub").insert(Fact("local", "hub", (99,)))
+        crash(deployment)
+
+        reopened = build(path, peers=("hub",), programs=False)
+        reopened.peer("hub").insert(Fact("local", "hub", (4,)))
+        reopened.peer("hub").delete(Fact("small", "hub", (2,)))
+        reopened.converge()
+        assert first_path(reopened) == "resumed"
+        assert reopened.snapshot() == expected
+        reopened.close()
+
+    def test_a_peer_reopened_under_provenance_explains_every_fact(self, tmp_path):
+        """(c) The provenance graph is not persisted: a tracker makes the
+        first stage recompute, which records every derivation again."""
+        def run(path, die):
+            deployment = build(path, peers=("hub",), programs=False, provenance=True)
+            deployment.peer("hub").load_program(PROGRAM_SOLO)
+            for item in (1, 2, 3):
+                deployment.peer("hub").insert(Fact("local", "hub", (item,)))
+            deployment.peer("hub").insert(Fact("small", "hub", (2,)))
+            deployment.converge()
+            if die:
+                deployment.close()
+                deployment = build(path, peers=("hub",), programs=False,
+                                   provenance=True)
+                deployment.converge()
+            return deployment
+
+        def stories(deployment):
+            return {str(fact): sorted(sorted(map(str, alternative))
+                                      for alternative in deployment.explain("hub", fact).why)
+                    for name in ("wall@hub", "big@hub")
+                    for fact in deployment.snapshot()["hub"][name]}
+
+        control = run(tmp_path / "control", die=False)
+        reopened = run(tmp_path / "reopened", die=True)
+        assert first_path(reopened) == "full"
+        expected = stories(control)
+        assert len(expected) == 5 and all(expected.values())
+        assert stories(reopened) == expected
+        control.close()
+        reopened.close()
+
+    def test_provided_facts_at_the_last_commit_are_recomputed(self, tmp_path):
+        """(d) bob's views were derived from facts alice provided, which
+        died with the process; alice's retraction of one of them was lost
+        in flight.  Resuming bob would keep the retracted fact's
+        consequence."""
+        control = pair(tmp_path / "control")
+        for item in "abc":
+            control.peer("alice").insert(f'src@alice("{item}")')
+        control.converge()
+        control.peer("alice").delete('src@alice("b")')
+        control.converge()
+        expected = control.snapshot()
+        control.close()
+
+        path = tmp_path / "crashed"
+        deployment = pair(path)
+        for item in "abc":
+            deployment.peer("alice").insert(f'src@alice("{item}")')
+        deployment.converge()
+        deployment.peer("alice").delete('src@alice("b")')
+        # alice's stage commits; its retraction never reaches bob.
+        deployment.runtime.peer("alice").engine.run_stage()
+        crash(deployment)
+
+        reopened = pair(path)
+        reopened.converge()
+        assert [fact.values for fact in reopened.snapshot()["bob"]["seen@bob"]] \
+            == [("a",), ("c",)]
+        assert reopened.snapshot() == expected
+        assert first_path(reopened, "bob") == "full"
+        assert first_path(reopened, "alice") == "resumed"
+        reopened.close()
+
+    @pytest.mark.parametrize("die", [False, True])
+    def test_a_delegating_rule_removed_and_added_again_still_reaches_its_peer(
+            self, tmp_path, die):
+        """(e) An equal rule is no change only while the removed one shipped
+        nothing: the delegation names its rule, so the swap retracts it
+        and delegates again, the posts keep reaching the hub, and an
+        unfollow retracts the delegation that replaced it.  Removed before
+        the first stage after a reopen, the rule's delegations are
+        retracted although the tracker that sent them died."""
+        def swap_and_post(deployment):
+            hub = deployment.peer("hub")
+            delegating = [rule for rule in hub.rules() if "posts" in str(rule)]
+            hub.unwrap().remove_rules([rule.rule_id for rule in delegating])
+            for rule in delegating:
+                hub.add_rule(str(rule))
+            deployment.converge()
+            deployment.peer("left").insert(Fact("posts", "left", (50,)))
+            deployment.converge()
+
+        control = build(tmp_path / "control")
+        seed(control)
+        control.converge()
+        control.peer("left").insert(Fact("posts", "left", (50,)))
+        control.converge()
+        expected = control.snapshot()
+        control.peer("hub").delete(Fact("follows", "hub", ("left",)))
+        control.converge()
+        unfollowed = control.snapshot()
+        control.close()
+
+        path = tmp_path / "swapped"
+        deployment = build(path)
+        seed(deployment)
+        deployment.converge()
+        if die:
+            crash(deployment)
+            deployment = build(path, programs=False)
+        swap_and_post(deployment)
+        assert Fact("wall", "hub", (50,)) in deployment.snapshot()["hub"]["wall@hub"]
+        assert deployment.snapshot() == expected
+        # The old delegation went, the new one came: one each.
+        assert [len(deployment.runtime.peer(name).engine.installed_delegations())
+                for name in ("left", "right")] == [1, 1]
+        deployment.peer("hub").delete(Fact("follows", "hub", ("left",)))
+        deployment.converge()
+        assert deployment.snapshot() == unfollowed
+        deployment.close()
+
+    def test_an_equal_rule_swap_is_no_program_change(self, tmp_path):
+        """Views asked again over the rules a crash restored: removing a
+        rule and adding its equal under another id evaluates nothing."""
+        deployment = build(tmp_path, peers=("hub",), programs=False)
+        deployment.peer("hub").load_program(PROGRAM_SOLO)
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        deployment.converge()
+        engine = deployment.runtime.peer("hub").engine
+        before = dict(engine.eval_counters)
+        hub = deployment.peer("hub")
+        rules = hub.rules()
+        hub.unwrap().remove_rules([rule.rule_id for rule in rules])
+        for rule in rules:
+            hub.add_rule(str(rule))
+        result = engine.run_stage()
+        assert result.evaluation_path == "skip"
+        assert engine.eval_counters["substitutions_explored"] \
+            == before["substitutions_explored"]
+        hub.insert(Fact("local", "hub", (2,)))
+        deployment.converge()
+        assert Fact("big", "hub", (2,)) in hub.snapshot()["big@hub"]
+        deployment.close()
 
 
 class Crash(Exception):
