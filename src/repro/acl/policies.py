@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import AccessControlError
-from repro.core.facts import Fact, fact_identity
+from repro.core.facts import ChangeFeed, Fact, fact_identity
 from repro.provenance.graph import ProvenanceGraph
 
 
@@ -217,7 +217,8 @@ class _Answer:
 
     ``default`` is the relation-level decision, which every fact the graph
     does not derive gets; ``exceptions`` are the derived facts whose
-    lineage decides otherwise (by :data:`fact_identity`).  ``raw`` /
+    lineage decides otherwise (by :data:`fact_identity`), kept up to date
+    from ``feed``, the graph's change feed of the relation.  ``raw`` /
     ``facts`` are the last input and its answer, valid while no exception
     moves.
 
@@ -229,12 +230,12 @@ class _Answer:
     have a remembered fact.
     """
 
-    __slots__ = ("graph", "cursor", "default", "exceptions", "raw", "facts",
+    __slots__ = ("graph", "feed", "default", "exceptions", "raw", "facts",
                  "rows", "held", "row_hashes")
 
     def __init__(self, graph: Optional[ProvenanceGraph], default: bool):
         self.graph = graph
-        self.cursor: Optional[Tuple[int, int]] = None
+        self.feed: Optional[ChangeFeed] = None
         self.default = default
         self.exceptions: Set[Tuple] = set()
         self.raw: Optional[Tuple[Fact, ...]] = None
@@ -284,14 +285,15 @@ class PolicyEngine:
     (:meth:`filter_readable` with ``relation=``) keeps one relation-level
     decision, which covers every fact the graph does not derive, and the
     derived facts that are exceptions to it; a read re-decides only the
-    facts the graph's change feed
-    (:meth:`~repro.provenance.graph.ProvenanceGraph.changes_since`) names,
-    and answers with the unfiltered tuple itself when there are no
-    exceptions, else with one membership pass over it, in its order.
+    facts the graph's change feed of the relation
+    (:meth:`~repro.provenance.graph.ProvenanceGraph.watch`) names, and
+    answers with the unfiltered tuple itself when there are no exceptions,
+    else with one membership pass over it, in its order.
 
     What is kept is rebuilt when a grant / revoke / declassify bumps
     :attr:`AccessControlPolicy.version`, when the graph is cleared or the
-    feed cannot tell, and when the engine is bound to another tracker.  The
+    feed overflowed, and when the engine is bound to another tracker; a
+    dropped answer stops its feed.  The
     :class:`ViewPolicy` cache is dropped on any graph mutation
     (:attr:`~repro.provenance.graph.ProvenanceGraph.version`).
 
@@ -327,7 +329,8 @@ class PolicyEngine:
             self._decisions.clear()
             self._relation_reads.clear()
             self._view_policies.clear()
-            self._answers.clear()
+            for key in list(self._answers):
+                self._drop(key)
         graph = self.graph
         graph_version = None if graph is None else graph.version
         if graph_version != self._graph_version:
@@ -387,14 +390,13 @@ class PolicyEngine:
         answer = self._answers.get((relation, peer))
         if answer is None or answer.graph is not graph:
             return self._prime(relation, peer, graph)
-        if graph is not None:
-            changed, answer.cursor = graph.changes_since(answer.cursor)
-            if changed is None:
+        feed = answer.feed
+        if feed:
+            if None in feed:
                 return self._prime(relation, peer, graph)
-            name, _, owner = relation.rpartition("@")
             exceptions, default = answer.exceptions, answer.default
-            moved = {fact_identity(fact): fact for fact in changed
-                     if fact.relation == name and fact.peer == owner}
+            moved = {fact_identity(fact): fact for fact in feed}
+            feed.drain(len(graph.facts_of(relation)))
             for key, fact in moved.items():
                 if (self.can_read_fact(fact, peer) != default) != (key in exceptions):
                     exceptions ^= {key}              # the decision flipped
@@ -406,14 +408,25 @@ class PolicyEngine:
     def _prime(self, relation: str, peer: str,
                graph: Optional[ProvenanceGraph]) -> _Answer:
         """Decide every derived fact of ``relation`` once, from scratch."""
+        self._drop((relation, peer))
         answer = _Answer(graph, self._can_read_relation(relation, peer))
         if graph is not None:
-            _, answer.cursor = graph.changes_since(None)
+            name, _, owner = relation.rpartition("@")
+            answer.feed = graph.watch(name, owner)
+            derived = graph.facts_of(relation)
             answer.exceptions = {
-                fact_identity(fact) for fact in graph.facts_of(relation)
+                fact_identity(fact) for fact in derived
                 if self.can_read_fact(fact, peer) != answer.default}
+            answer.feed.drain(len(derived))
         self._answers[(relation, peer)] = answer
         return answer
+
+    def _drop(self, key: Tuple[str, str]) -> None:
+        """Forget one kept answer and stop its feed."""
+        answer = self._answers.pop(key, None)
+        if answer is not None and answer.feed is not None:
+            name, _, owner = key[0].rpartition("@")
+            answer.graph.unwatch(name, owner, answer.feed)
 
     def view_policy(self, view_relation: str,
                     facts: Optional[Iterable[Fact]] = None) -> ViewPolicy:

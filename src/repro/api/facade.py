@@ -467,12 +467,13 @@ class System:
         ``peer`` restricts the watch to one hosting peer (default: every
         peer).  Facts already visible at subscription time are skipped unless
         ``include_existing=True`` — in which case they are queued and fire
-        when execution resumes.  Deliveries are **delta-driven**: the
+        when execution resumes.  Deliveries are **feed-driven**: the
         callback fires as soon as the stage that made a fact visible
-        completes, fed from that stage's
-        :attr:`~repro.core.engine.StageResult.visible_delta` — never from a
-        relation re-scan.  ``on_remove`` (optional) fires once per reported
-        fact that stops being visible.
+        completes, from the relation's change feed
+        (:class:`~repro.core.facts.ChangeFeed`) — never from a relation
+        re-scan; what a stage run behind the facade's back changed fires
+        when execution resumes.  ``on_remove`` (optional) fires once per
+        reported fact that stops being visible.
         """
         return self._attach(Subscription(relation, callback, peer=peer,
                                          on_remove=on_remove),
@@ -481,10 +482,7 @@ class System:
     def _attach(self, subscription: Subscription,
                 include_existing: bool = False) -> Subscription:
         """Start feeding a built subscription (see :meth:`subscribe`)."""
-        if include_existing:
-            subscription.enqueue_existing(self.runtime.peers)
-        else:
-            subscription.prime(self.runtime.peers)
+        subscription.prime(self.runtime.peers, include_existing)
         subscription._detach = self._drop_subscription
         self._subscriptions.append(subscription)
         return subscription
@@ -517,15 +515,13 @@ class System:
             pass
 
     def _on_stage(self, name: str, report: PeerStageReport) -> None:
-        """Stage observer: push the stage's visible delta to the
-        subscriptions.  Views need no push: the stores feed what they keep
-        at the write (:class:`~repro.core.facts.ChangeFeed`)."""
-        delta = report.stage_result.visible_delta
+        """Stage observer: let the subscriptions drain their change feeds
+        of the peer that ran the stage."""
         for subscription in tuple(self._subscriptions):
             if not subscription.active:
                 self._drop_subscription(subscription)
                 continue
-            subscription.notify_stage(name, delta)
+            subscription.notify_stage(name)
 
     def _flush_subscription_backlogs(self) -> None:
         for subscription in tuple(self._subscriptions):

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Tuple, Union)
 
 from repro.core.errors import ParseError, SafetyError
 from repro.core.facts import ChangeFeed, Fact, patch_sorted, typed_values
@@ -43,7 +43,7 @@ from repro.core.terms import Term, Variable
 from repro.datalog.aggregation import Aggregate, compute_aggregate
 from repro.planner.magic import apply_magic
 from repro.api.errors import ReproApiError
-from repro.api.query import FactCallback, Subscription
+from repro.api.query import FactCallback, Subscription, _ViewerSubscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.facade import System
@@ -298,7 +298,7 @@ class LiveView:
     * **stream** — :meth:`iter_facts` drives the deployment's cycles and
       yields answers as the deriving stages complete;
     * **observe** — :meth:`on_change` registers add/remove callbacks fed
-      from each stage's :attr:`~repro.core.engine.StageResult.visible_delta`;
+      from the relation's change feed after each stage;
     * **explain** — :meth:`explain` answers why/lineage through the
       provenance index (``system().provenance()`` deployments);
     * **access control** — a ``viewer=`` peer filters every read, stream and
@@ -611,13 +611,14 @@ class LiveView:
         """Watch the view: ``on_add(fact)`` fires once per answer that becomes
         visible, ``on_remove(fact)`` once per answer that is retracted.
 
-        Deliveries are fed from each completed stage's ``visible_delta`` —
-        O(changes), no relation re-scans.  When the view has a ``viewer=``,
+        Deliveries drain the relation's change feed after each completed
+        stage at the owner and when execution resumes — O(changes), no
+        relation re-scans.  When the view has a ``viewer=``,
         the observer holds what the viewer may read: additions are filtered
         through the owner's policy engine, a removal is reported exactly for
         a delivered fact, and a stage that moves the lineage of an answer
         without changing its visibility is followed too (see
-        :class:`_ViewerSubscription`).  The returned
+        :class:`~repro.api.query._ViewerSubscription`).  The returned
         :class:`~repro.api.query.Subscription` is cancelled automatically by
         :meth:`close`.
         """
@@ -630,7 +631,9 @@ class LiveView:
                 include_existing=include_existing, on_remove=on_remove)
         else:
             subscription = self._system._attach(
-                _ViewerSubscription(self, add, on_remove), include_existing)
+                _ViewerSubscription(self.relation, self._owner, self._system.policies,
+                                    self.viewer, add, on_remove),
+                include_existing)
         self._subscriptions.append(subscription)
         return subscription
 
@@ -709,92 +712,3 @@ class LiveView:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"{len(self)} facts"
         return f"LiveView({self.description}, {state})"
-
-
-class _ViewerSubscription(Subscription):
-    """The observer of a ``viewer=`` view: it ends every stage holding what
-    :meth:`LiveView.rows` returns.
-
-    A fact is decided when it is delivered (or primed) and the decision is
-    remembered: a retracted fact has no lineage left to check, so its
-    removal is reported exactly when it was delivered.  A stage can also
-    move the lineage of a fact whose visibility it leaves alone, so after
-    every stage at the owner the facts the provenance graph's change feed
-    names are decided again — a delivered one the viewer may no longer read
-    fires ``on_remove``, a visible undelivered one it now may read fires
-    ``on_add``.  A grant or revoke is not a stage and moves nothing here.
-    """
-
-    def __init__(self, view: LiveView, on_add: FactCallback,
-                 on_remove: Optional[FactCallback]):
-        # `_withdraw` is installed even without a user callback, so the
-        # delivered set stays in sync across retract-and-re-derive.
-        super().__init__(view.relation, self._deliver, peer=view.owner,
-                         on_remove=self._withdraw)
-        self._policies = view._system.policies
-        self._viewer = view.viewer
-        self._on_add, self._on_remove = on_add, on_remove
-        self._delivered: Set[Fact] = set()
-        # (graph, cursor) of the change feed read so far.
-        self._feed: Optional[Tuple[object, Tuple[int, int]]] = None
-        self._moved()
-
-    def _readable(self, fact: Fact) -> bool:
-        return self._policies.engine(self.peer).can_read_fact(fact, self._viewer)
-
-    def _deliver(self, fact: Fact) -> None:
-        if self._readable(fact):
-            self._delivered.add(fact)
-            self._on_add(fact)
-
-    def _withdraw(self, fact: Fact) -> None:
-        if fact in self._delivered:
-            self._delivered.discard(fact)
-            if self._on_remove is not None:
-                self._on_remove(fact)
-
-    def prime(self, peers) -> None:
-        super().prime(peers)
-        self._delivered = {fact for fact in self._seen.get(self.peer, ())
-                           if self._readable(fact)}
-
-    def notify_stage(self, host: str, delta) -> int:
-        fired = super().notify_stage(host, delta)
-        if self.active and host == self.peer:
-            fired += self._recheck()
-        return fired
-
-    def _moved(self) -> Optional[Iterable[Fact]]:
-        """What the change feed names since the last call; ``None`` when it
-        cannot say (a first read, a cleared graph, another tracker)."""
-        graph = self._policies.engine(self.peer).graph
-        if graph is None:
-            self._feed = None
-            return ()
-        feed = self._feed
-        cursor = feed[1] if feed is not None and feed[0] is graph else None
-        changed, cursor = graph.changes_since(cursor)
-        self._feed = (graph, cursor)
-        return changed
-
-    def _recheck(self) -> int:
-        seen = self._seen.get(self.peer, set())
-        changed = self._moved()
-        if changed is None:
-            candidates = seen
-        else:
-            relation, owner = self.relation, self.peer
-            candidates = {fact for fact in changed
-                          if fact.relation == relation and fact.peer == owner}
-        delivered, fired = self._delivered, 0
-        for fact in sorted(candidates, key=str):
-            if fact in delivered:
-                if not self._readable(fact):
-                    self._withdraw(fact)
-                    self.removals += 1
-            elif fact in seen and self._readable(fact):
-                delivered.add(fact)
-                self._on_add(fact)
-                fired += 1
-        self.delivered += fired
-        return fired

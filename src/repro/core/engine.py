@@ -78,12 +78,6 @@ class StageResult:
     outgoing_updates: List[OutgoingUpdate] = field(default_factory=list)
     delegations_to_install: List[Delegation] = field(default_factory=list)
     delegations_to_retract: List[Delegation] = field(default_factory=list)
-    #: Net change of the facts *visible* at the peer during this stage —
-    #: extensional, derived and provided facts combined, with deletions that
-    #: are still visible through another source filtered out.  This is what
-    #: the :mod:`repro.api` subscription machinery consumes, so observers are
-    #: fed from deltas as stages complete instead of re-scanning relations.
-    visible_delta: Delta = field(default_factory=Delta.empty)
 
     def outgoing_fact_count(self) -> int:
         """Total number of facts shipped to remote peers this stage."""
@@ -486,16 +480,13 @@ class WebdamLogEngine:
         counters.update(self._planner.counters)
 
         # Delta accounting: the stores accumulated every change since the end
-        # of the previous stage (including user updates made between stages).
-        # Taking the deltas here nets out intra-stage churn — in particular
-        # the clear-and-recompute of the derived store, whose net delta is
-        # exactly "what changed in the derived relations this stage".
-        store_delta = self.state.store.take_delta()
-        derived_delta = self.state.derived.take_delta()
-        provided_delta = self.state.provided.take_delta()
-        result.derived_changed = bool(derived_delta)
-        result.visible_delta = self._visible_delta(
-            store_delta, derived_delta, provided_delta)
+        # of the previous stage (including user updates made between stages);
+        # taking the deltas starts the next stage's.  The derived store's net
+        # delta nets out intra-stage churn: it says whether a derived relation
+        # changed.  Readers learn what changed from their change feeds.
+        self.state.store.take_delta()
+        self.state.provided.take_delta()
+        result.derived_changed = bool(self.state.derived.take_delta())
         # Stage boundary: everything this stage wrote — facts, schemas, rules,
         # delegations — becomes durable in one transaction.  This is the
         # recovery unit: a peer that dies mid-stage reopens at the previous
@@ -509,28 +500,6 @@ class WebdamLogEngine:
         # delta shows.
         self._dirty = bool(deferred or self._carryover_delta)
         return result
-
-    def _visible_delta(self, store_delta: Delta, derived_delta: Delta,
-                       provided_delta: Delta) -> Delta:
-        """Combine the per-source deltas into one delta of *visible* facts.
-
-        A fact reported deleted by one source may still be visible through
-        another (e.g. a derivation that vanished while the same fact is still
-        provided by a remote sender); such deletions are dropped so the delta
-        describes actual visibility transitions.
-        """
-        combined = store_delta.merge(derived_delta).merge(provided_delta)
-        if not combined.deleted:
-            return combined
-        still_visible = {
-            fact for fact in combined.deleted
-            if self.state.provided.contains(fact)
-            or self.state.derived.contains(fact)
-            or self.state.store.contains(fact)
-        }
-        if not still_visible:
-            return combined
-        return Delta(combined.inserted, combined.deleted - still_visible)
 
     def run_to_quiescence(self, max_stages: int = 50) -> List[StageResult]:
         """Run stages until the peer is locally quiescent (single-peer helper).

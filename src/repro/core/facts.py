@@ -19,8 +19,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable,
+                    Iterator, List, Optional, Sequence, Set, Tuple)
 
 from repro.core.errors import SchemaError
 from repro.core.schema import RelationKind, RelationName, SchemaRegistry
@@ -268,6 +268,43 @@ class ChangeFeed(set):
         self.bound = max(FEED_FLOOR, kept)
 
 
+class ChangeFeeds(dict):
+    """The change feeds of whoever reads a set of relations, by ``(relation,
+    peer)``: a peer's three stores share one (:class:`FactStore`), and a
+    provenance graph keeps one for the facts whose lineage moved."""
+
+    def watch(self, relation: str, peer: str,
+              forget: Optional[Callable[[], None]] = None) -> ChangeFeed:
+        """A new feed of ``relation@peer``: every fact of it noted from now
+        on is added to it."""
+        feed = ChangeFeed(forget)
+        self.setdefault((relation, peer), []).append(feed)
+        return feed
+
+    def unwatch(self, relation: str, peer: str, feed: ChangeFeed) -> None:
+        """Stop filling ``feed``, a feed :meth:`watch` returned."""
+        key = (relation, peer)
+        kept = [other for other in self.get(key, ()) if other is not feed]
+        if kept:
+            self[key] = kept
+        else:
+            self.pop(key, None)
+
+    def note(self, facts: Iterable[Fact]) -> None:
+        """Add each fact to the feeds of its relation."""
+        for fact in facts:
+            readers = self.get((fact.relation, fact.peer))
+            if readers is not None:
+                for feed in readers:
+                    feed.add(fact if len(feed) < feed.bound else None)
+
+    def overflow(self) -> None:
+        """Tell every reader to read again: each feed holds ``None``."""
+        for feeds in self.values():
+            for feed in feeds:
+                feed.add(None)
+
+
 def _renderings(fact: Fact) -> Tuple[str, ...]:
     """The renderings of the facts equal to ``fact``.
 
@@ -351,15 +388,14 @@ class FactStore:
     objects, so what a delta, a scan or a snapshot holds is what the table
     holds (on the memory backend, the very objects that were inserted).
 
-    ``feeds`` maps ``(relation, peer)`` to the change feeds
-    (:class:`ChangeFeed`) of that relation's readers; every recorded change
-    of it is added to each.
-    A peer's three stores share one such map.
+    ``feeds`` holds the change feeds (:class:`ChangeFeed`) of the
+    relations somebody reads; every recorded change of one is added to each
+    of its feeds.  A peer's three stores share one.
     """
 
     def __init__(self, schemas: Optional[SchemaRegistry] = None, owner: Optional[str] = None,
                  backend=None, namespace: str = "store",
-                 feeds: Optional[Dict[Tuple[str, str], List[ChangeFeed]]] = None):
+                 feeds: Optional[ChangeFeeds] = None):
         self.schemas = schemas if schemas is not None else SchemaRegistry()
         self.owner = owner
         if backend is None:
@@ -371,7 +407,7 @@ class FactStore:
         self._tables: Dict[Tuple[str, str], StorageTable] = {}
         self._pending_inserted: Set[Fact] = set()
         self._pending_deleted: Set[Fact] = set()
-        self._feeds = feeds if feeds is not None else {}
+        self._feeds = feeds if feeds is not None else ChangeFeeds()
         default_kind = (RelationKind.INTENSIONAL if namespace == "derived"
                         else RelationKind.EXTENSIONAL)
         for relation, peer, arity in self.backend.stored_relations(namespace):
@@ -509,22 +545,16 @@ class FactStore:
                 total = total.merge(self.clear_relation(name, peer))
         return total
 
-    def _record(self, inserted: Iterable[Fact], deleted: Iterable[Fact]) -> None:
-        feeds = self._feeds
+    def _record(self, inserted: Collection[Fact], deleted: Collection[Fact]) -> None:
+        if self._feeds:
+            self._feeds.note(deleted)
+            self._feeds.note(inserted)
         for fact in deleted:
-            readers = feeds.get((fact.relation, fact.peer))
-            if readers is not None:
-                for feed in readers:
-                    feed.add(fact if len(feed) < feed.bound else None)
             if fact in self._pending_inserted:
                 self._pending_inserted.discard(fact)
             else:
                 self._pending_deleted.add(fact)
         for fact in inserted:
-            readers = feeds.get((fact.relation, fact.peer))
-            if readers is not None:
-                for feed in readers:
-                    feed.add(fact if len(feed) < feed.bound else None)
             if fact in self._pending_deleted:
                 self._pending_deleted.discard(fact)
             else:

@@ -27,7 +27,7 @@ from repro.core import codec
 from repro.core.delegation import (Delegation, DelegationDiff, DelegationStore,
                                    DelegationTracker, InstalledDelegation)
 from repro.core.errors import SchemaError
-from repro.core.facts import ChangeFeed, Delta, Fact, FactStore, patch_sorted
+from repro.core.facts import ChangeFeed, ChangeFeeds, Delta, Fact, FactStore, patch_sorted
 from repro.core.rules import Rule, ensure_rule_counter_above
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
@@ -98,7 +98,7 @@ class PeerState:
             self.schemas.declare(codec.decode_schema(json.loads(payload)))
         # The change feeds of the relations somebody keeps a read of, shared
         # by the three stores: each write adds its facts to them.
-        self._feeds: Dict[Tuple[str, str], List[ChangeFeed]] = {}
+        self._feeds = ChangeFeeds()
         self.store = FactStore(self.schemas, owner=peer, backend=self.backend,
                                namespace=STORE_NAMESPACE, feeds=self._feeds)
         self.derived = FactStore(self.schemas, owner=peer, backend=self.backend,
@@ -474,18 +474,11 @@ class PeerState:
         """A new change feed of ``relation@peer``: from now on every fact of
         it that one of the three stores inserts or removes is added to it.
         ``forget`` drops what its reader keeps (see :meth:`forget_reads`)."""
-        feed = ChangeFeed(forget)
-        self._feeds.setdefault((relation, peer), []).append(feed)
-        return feed
+        return self._feeds.watch(relation, peer, forget)
 
     def unwatch(self, relation: str, peer: str, feed: ChangeFeed) -> None:
         """Stop filling ``feed``, a feed :meth:`watch` returned."""
-        key = (relation, peer)
-        kept = [other for other in self._feeds.get(key, ()) if other is not feed]
-        if kept:
-            self._feeds[key] = kept
-        else:
-            self._feeds.pop(key, None)
+        self._feeds.unwatch(relation, peer, feed)
 
     def forget_snapshot(self, relation: str, peer: Optional[str] = None) -> None:
         """Release the kept answer of :meth:`query` for a relation nobody

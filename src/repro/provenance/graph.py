@@ -30,8 +30,9 @@ in sync with the current derivability state.
   shrink a set or change its kind (a first derivation, every removal,
   :meth:`~ProvenanceGraph.clear`) drops exactly the entries it can reach.
   Repeated access-control probes are O(1) per fact instead of a walk.
-* :meth:`ProvenanceGraph.changes_since` is the graph's change feed: the
-  facts whose derived-ness or base set may have moved.
+* :meth:`ProvenanceGraph.watch` hands out change feeds
+  (:class:`~repro.core.facts.ChangeFeed`) of one relation: the facts whose
+  derived-ness or base set may have moved.
 
 Retracted or overwritten facts therefore drop out of the graph instead of
 accumulating for the lifetime of the run.
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.facts import Fact
+from repro.core.facts import ChangeFeed, ChangeFeeds, Fact
 from repro.core.rules import Rule
 
 #: A derivation's identity, :meth:`Derivation.key`.
@@ -103,14 +104,10 @@ class ProvenanceGraph:
     """Support-counted derivations, indexed by derived and supporting fact.
 
     Every mutation bumps :attr:`version`; consumers that keep an answer per
-    fact (the ACL layer's :class:`~repro.acl.policies.PolicyEngine`) read
-    :meth:`changes_since` instead, which names the facts that moved.
+    fact (the ACL layer's :class:`~repro.acl.policies.PolicyEngine`) drain
+    a change feed of their relation instead (:meth:`watch`), which names the
+    facts that moved.
     """
-
-    #: A segment of the change feed is full once it holds more entries than
-    #: this or than there are derived facts — a reader a whole segment
-    #: behind re-reads the graph for less (:meth:`changes_since`).
-    FEED_FLOOR = 1024
 
     def __init__(self):
         # Derived fact -> its alternative derivations by key, in the order
@@ -132,13 +129,9 @@ class ProvenanceGraph:
         # probe, grown by new derivations and invalidated for exactly the
         # facts a removal can reach.
         self._bases_index: Dict[Fact, FrozenSet[str]] = {}
-        # The change feed: facts whose derived-ness or base set may have
-        # moved, appended while somebody reads it (``None`` otherwise), and
-        # the full segment before it; the epoch numbers the segments.
-        self._feed: Optional[List[Fact]] = None
-        self._older: Optional[List[Fact]] = None
-        self._feed_read = False
-        self._epoch = 0
+        # The change feeds of the relations somebody keeps an answer of: the
+        # facts each invalidation walk or growth push reaches.
+        self._feeds = ChangeFeeds()
 
     def __len__(self) -> int:
         return self._count
@@ -267,7 +260,7 @@ class ProvenanceGraph:
         self._bases_index.clear()
         self._count = 0
         self.version += 1
-        self._drop_feed()
+        self._feeds.overflow()
 
     def _discard(self, derivation: Derivation,
                  skip_support: Optional[Fact] = None) -> bool:
@@ -300,13 +293,13 @@ class ProvenanceGraph:
 
     def _invalidate(self, roots: Iterable[Fact]) -> None:
         """Drop the lineage-index entries of ``roots`` and every dependent,
-        and name them all in the change feed.
+        and name them all in the change feeds.
 
         Walks the reverse (supported-by) edges transitively *before* the
         mutation happens, so every fact whose lineage could include a root is
         reached while the edges still exist.
         """
-        if not self._bases_index and self._feed is None:
+        if not self._bases_index and not self._feeds:
             return
         index = self._bases_index
         stack = list(roots)
@@ -319,7 +312,7 @@ class ProvenanceGraph:
             index.pop(fact, None)
             for derivation in self._supported.get(fact, _NO_DERIVATIONS).values():
                 stack.append(derivation.fact)
-        self._publish(seen)
+        self._feeds.note(seen)
 
     def _grow(self, head: Fact, support: Tuple[Fact, ...]) -> None:
         """A new derivation of the indexed ``head``: union what its support
@@ -359,60 +352,22 @@ class ProvenanceGraph:
                 if dependent not in reached:
                     reached.add(dependent)
                     stack.append(dependent)
-        self._publish(changed)
+        self._feeds.note(changed)
 
     # ------------------------------------------------------------------ #
-    # the change feed
+    # change feeds
     # ------------------------------------------------------------------ #
 
-    def changes_since(self, cursor: Optional[Tuple[int, int]]
-                      ) -> Tuple[Optional[List[Fact]], Tuple[int, int]]:
-        """The facts whose derived-ness or base relations may have changed
-        since ``cursor``, and the cursor to pass next time.
+    def watch(self, relation: str, peer: str) -> ChangeFeed:
+        """A new change feed of ``relation@peer``: from now on every fact of
+        it whose derived-ness or base relations may move is added to it,
+        and :meth:`clear` overflows it.  A fact may be named although its
+        answer did not move."""
+        return self._feeds.watch(relation, peer)
 
-        ``None`` instead of a list means the reader cannot be told — a first
-        read, a :meth:`clear` since, or it fell more than a segment behind —
-        and must rebuild what it keeps from the graph.  A fact may be named
-        more than once.
-
-        The first call starts the feed.  A full segment (more entries than
-        :attr:`FEED_FLOOR` or than there are derived facts) is kept while
-        the next one fills, so a reader that reads once per segment is
-        always told; a segment that fills while nobody reads stops the feed
-        until the next call, so a reader that went away costs neither
-        memory nor walks.
-        """
-        feed = self._feed
-        if feed is None:
-            feed = self._feed = []
-        self._feed_read = True
-        end = (self._epoch, len(feed))
-        if cursor is not None:
-            epoch, position = cursor
-            if epoch == self._epoch:
-                return feed[position:], end
-            if epoch == self._epoch - 1 and self._older is not None:
-                return self._older[position:] + feed, end
-        return None, end
-
-    def _publish(self, facts: Iterable[Fact]) -> None:
-        feed = self._feed
-        if feed is None:
-            return
-        feed.extend(facts)
-        if len(feed) > max(self.FEED_FLOOR, len(self._derivations)):
-            if not self._feed_read:
-                self._drop_feed()
-                return
-            self._older, self._feed = feed, []
-            self._epoch += 1
-            self._feed_read = False
-
-    def _drop_feed(self) -> None:
-        """Stop journaling; every reader's next :meth:`changes_since` says
-        ``None``, and the first such call starts a fresh feed."""
-        self._feed = self._older = None
-        self._epoch += 2
+    def unwatch(self, relation: str, peer: str, feed: ChangeFeed) -> None:
+        """Stop filling ``feed``, a feed :meth:`watch` returned."""
+        self._feeds.unwatch(relation, peer, feed)
 
     # ------------------------------------------------------------------ #
     # queries

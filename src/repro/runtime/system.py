@@ -104,10 +104,9 @@ class WebdamLogSystem:
         """Call ``observer(peer_name, report)`` after every executed peer stage.
 
         This is the hook the :mod:`repro.api` subscription machinery uses:
-        each report carries the stage's
-        :attr:`~repro.core.engine.StageResult.visible_delta`, so observers
-        see derivations as stages complete — no relation re-scanning, no
-        waiting for a round boundary.
+        after each stage it drains the change feeds the stores filled at
+        that peer, so observers see derivations as stages complete — no
+        relation re-scanning, no waiting for a round boundary.
         """
         self._stage_observers.append(observer)
 

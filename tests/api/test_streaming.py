@@ -1,4 +1,4 @@
-"""Streaming queries and delta-driven subscriptions."""
+"""Streaming queries and feed-driven subscriptions."""
 
 import pytest
 
@@ -115,16 +115,19 @@ class TestDeltaDrivenSubscriptions:
         built.converge()
         assert len(fired) == 2
 
-    def test_stage_scoped_delivery_reports_visible_deltas_only(self):
+    def test_delivery_is_scoped_to_the_stage_that_derived_the_fact(self):
         built = build_quickstart()
-        deltas = []
+        fired, stages = [], []
+        built.subscribe("attendeePictures", fired.append, peer="Jules")
+        # Added after the facade's own observer: it sees each stage's
+        # deliveries already made.
         built.runtime.add_stage_observer(
-            lambda name, report: deltas.append((name, report.stage_result.visible_delta)))
+            lambda name, report: stages.append((name, len(fired))))
         built.converge()
-        jules_inserted = [f for name, d in deltas if name == "Jules"
-                          for f in d.inserted if f.relation == "attendeePictures"]
-        assert sorted(f.values for f in jules_inserted) == \
-            [(1, "sea.jpg"), (2, "boat.jpg")]
+        grew = {name for (name, count), (_, before) in zip(stages, [("", 0)] + stages)
+                if count > before}
+        assert grew == {"Jules"}
+        assert sorted(f.values for f in fired) == [(1, "sea.jpg"), (2, "boat.jpg")]
 
 
 class TestStreamingAcrossSchedulers:

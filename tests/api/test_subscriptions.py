@@ -1,10 +1,9 @@
 """Subscriptions: exactly one callback per fact that becomes visible."""
 
 from repro.api import system
-from repro.api.query import Subscription
-from repro.core.facts import Delta, Fact
+from repro.core.facts import Fact
 
-from tests.reference_engine import lockstep
+from tests.reference_engine import lockstep, reference_deployment
 
 JULES = """
 collection extensional persistent selectedAttendee@Jules(attendee);
@@ -72,23 +71,153 @@ class TestExactlyOnce:
         assert len(fired) == 4
 
 
-class TestDeltaDelivery:
+class TestFeedDelivery:
     def test_only_the_watched_relation_is_ordered(self):
-        """A stage delta spans every relation of the peer; a subscription
-        filters on relation and peer first and renders (to sort) only its
-        own facts — in the order it always delivered them."""
+        """A subscription drains the feed of its own relation at its own
+        host: other relations' facts never reach it, so it renders (to
+        sort) only its own — in the order it always delivered them:
+        additions, then removals, each by rendering."""
+        built = system().peer("p").program(
+            "collection extensional persistent r@p(x);"
+            "collection extensional persistent other@p(x);").build()
         watched = [Fact("r", "p", (value,)) for value in (3, 1, 2)]
         others = [Fact("other", "p", (value,)) for value in range(50)]
-        elsewhere = Fact("r", "q", (0,))
         added, removed = [], []
-        subscription = Subscription("r", added.append, peer="p",
-                                    on_remove=removed.append)
-        assert subscription.on_delta(
-            "p", Delta.insertion(watched + others + [elsewhere])) == 3
+        built.subscribe("r", added.append, peer="p", on_remove=removed.append)
+        built.peer("p").insert_many(watched + others)
+        built.converge()
         assert [fact.values for fact in added] == [(1,), (2,), (3,)]
-        subscription.on_delta("p", Delta.deletion(watched + others))
+        for fact in watched + others:
+            built.peer("p").delete(fact)
+        built.converge()
         assert [fact.values for fact in removed] == [(1,), (2,), (3,)]
         assert all(fact._str is None for fact in others)
+
+    def test_a_stage_run_behind_the_facade_is_reported_at_the_next_converge(self):
+        """The stores feed every write, whoever runs the stage: a stage run
+        on the engine directly reaches no stage observer, and the next
+        ``converge()`` delivers what it derived."""
+        built = system().peer("p").program("""
+        collection extensional persistent e@p(x);
+        collection intensional q@p(x);
+        rule q@p($x) :- e@p($x);
+        """).build()
+        fired = []
+        built.subscribe("q", fired.append, peer="p")
+        view = built.query("p", "q")
+        engine = built.runtime.peer("p").engine
+        engine.insert_fact(Fact("e", "p", (1,)))
+        engine.run_to_quiescence()
+        built.converge()
+        assert view.rows() == ((1,),)
+        assert [fact.values for fact in fired] == [(1,)]
+
+    def test_a_bridge_deleted_and_reinserted_before_a_stage_changes_nothing(self):
+        """``tc_churn``'s program shape: the bridge's feed names it twice
+        over, but its visibility did not change and the stage has nothing
+        to rederive, so neither callback fires for ``bridge`` or ``reach``;
+        and the engine ends where the reference does."""
+        program = """
+        collection extensional persistent edge@p(src, dst);
+        collection extensional persistent bridge@p(src, dst);
+        collection intensional reach@p(src, dst);
+        rule reach@p($x, $y) :- edge@p($x, $y);
+        rule reach@p($x, $y) :- bridge@p($x, $y);
+        rule reach@p($x, $z) :- reach@p($x, $y), edge@p($y, $z);
+        rule reach@p($x, $z) :- reach@p($x, $y), bridge@p($y, $z);
+        """
+        edges = [Fact("edge", "p", (f"c{chain}n{i}", f"c{chain}n{i + 1}"))
+                 for chain in range(2) for i in range(4)]
+        bridge = Fact("bridge", "p", ("c0n3", "c1n1"))
+        deployments = []
+        for build in (lambda b: b.build(), reference_deployment):
+            deployment = build(system().peer("p").program(program).done())
+            deployment.peer("p").insert_many(edges + [bridge])
+            deployment.converge()
+            deployments.append(deployment)
+        built, reference = deployments
+        added, removed = [], []
+        subscriptions = [built.subscribe(relation, added.append, peer="p",
+                                         on_remove=removed.append)
+                         for relation in ("reach", "bridge")]
+        for deployment in deployments:
+            deployment.peer("p").delete(bridge)
+            deployment.peer("p").insert(bridge)
+        assert subscriptions[1]._feeds["p"][1] == {bridge}
+        built.converge()
+        reference.converge()
+        assert (added, removed) == ([], [])
+        assert built.snapshot() == reference.snapshot()
+        assert len(built.snapshot()["p"]["reach@p"]) == 36
+
+
+class TestFeedsComeAndGoWithTheirReaders:
+    @staticmethod
+    def feeds(built, relation, peer):
+        state = built.runtime.peer(peer).engine.state
+        return len(state._feeds.get((relation, peer), ()))
+
+    def test_cancel_and_close_unwatch(self):
+        built = build_quickstart()
+        built.converge()
+        view = built.query("Jules", "attendeePictures")
+        view.rows()
+        before = self.feeds(built, "attendeePictures", "Jules")
+        subscription = built.subscribe("attendeePictures", lambda fact: None,
+                                       peer="Jules")
+        observer = view.on_change(lambda fact: None)
+        assert self.feeds(built, "attendeePictures", "Jules") == before + 2
+        subscription.cancel()
+        view.close()
+        assert self.feeds(built, "attendeePictures", "Jules") == before
+        assert observer._feeds == {} and not observer.active
+
+    def test_a_viewer_observer_and_answer_let_go_of_the_graph(self):
+        built = (system().provenance()
+                 .peer("Jules").program(JULES)
+                 .peer("Emilien").program(EMILIEN)
+                 .build())
+        built.converge()
+        graph = built.runtime.peer("Jules").engine.provenance.graph
+        key = ("attendeePictures", "Jules")
+        view = built.query("Jules", "attendeePictures", viewer="Emilien")
+        view.rows()                                  # the policy engine's answer
+        observer = view.on_change(lambda fact: None)
+        assert len(graph._feeds[key]) == 2
+        built.peer("Jules").grant("selectedAttendee", "Emilien")
+        view.rows()                                  # a new policy version
+        assert len(graph._feeds[key]) == 2
+        observer.cancel()
+        assert len(graph._feeds[key]) == 1
+        built.access_policy("Jules").revoke("selectedAttendee@Jules", "Emilien")
+        view.rows()
+        assert len(graph._feeds[key]) == 1
+
+    def test_an_unscoped_subscription_follows_a_peer_readded_under_its_name(self):
+        program = "collection extensional persistent notes@{}(text);"
+        built = system().peer("alice").program(program.format("alice")).build()
+        added, removed = [], []
+        built.subscribe("notes", added.append, on_remove=removed.append)
+        built.peer("alice").insert('notes@alice("a")')
+        built.converge()
+        built.remove_peer("alice")
+        built.add_peer("alice", program=program.format("alice")
+                       + 'fact notes@alice("b");')
+        built.converge()
+        assert [str(fact) for fact in added] == ['notes@alice("a")', 'notes@alice("b")']
+        assert [str(fact) for fact in removed] == ['notes@alice("a")']
+
+    def test_a_process_death_forgets_the_feed(self, tmp_path):
+        built = (system().storage("sqlite", path=str(tmp_path))
+                 .peer("Jules").program(JULES)
+                 .peer("Emilien").program(EMILIEN)
+                 .build())
+        built.converge()
+        subscription = built.subscribe("attendeePictures", lambda fact: None,
+                                       peer="Jules")
+        assert "Jules" in subscription._feeds
+        built.runtime.peer("Jules").engine.state.backend.abort()
+        assert subscription._feeds == {}
 
 
 class TestScopesAndLifecycle:

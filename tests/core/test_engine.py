@@ -8,6 +8,8 @@ from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
 
+from tests.reference_engine import watch
+
 
 class TestProgramLoading:
     PROGRAM = """
@@ -186,42 +188,52 @@ class TestRemoteInteraction:
         engine.declare(RelationSchema("view", "alice", ("x",),
                                       kind=RelationKind.INTENSIONAL))
         fact = Fact("view", "alice", (1,))
+        subscription, added, removed = watch(engine, "view")
         engine.receive_facts("bob", inserted=[fact])
         engine.receive_facts("carol", inserted=[fact])
         engine.run_stage()
+        subscription.notify_stage("alice")
+        assert (added, removed) == ([fact], [])
         engine.receive_facts("bob", deleted=[fact])
-        result = engine.run_stage()
+        engine.run_stage()
+        subscription.notify_stage("alice")
         assert engine.query("view") == (fact,)
-        assert not result.visible_delta
+        assert removed == []
         # A retraction by someone who never provided it changes nothing.
         engine.receive_facts("dave", deleted=[fact])
         engine.run_stage()
         assert engine.query("view") == (fact,)
         engine.receive_facts("carol", deleted=[fact])
-        result = engine.run_stage()
+        engine.run_stage()
+        subscription.notify_stage("alice")
         assert engine.query("view") == ()
-        assert result.visible_delta.deleted == frozenset({fact})
+        assert (added, removed) == ([fact], [fact])
 
     def test_deletion_masked_by_another_source_is_no_visible_change(self, engine):
         """Derived locally and provided remotely: dropping either holder is
-        no visibility change, but ``fact_view`` yields one row fewer."""
+        no visibility change — a subscription fires no ``on_remove`` — but
+        ``fact_view`` yields one row fewer."""
         engine.declare(RelationSchema("base", "alice", ("x",)))
         engine.declare(RelationSchema("view", "alice", ("x",),
                                       kind=RelationKind.INTENSIONAL))
         engine.add_rule("view@alice($x) :- base@alice($x)")
         fact = Fact("view", "alice", (1,))
+        subscription, added, removed = watch(engine, "view")
         engine.insert_fact(Fact("base", "alice", (1,)))
         engine.receive_facts("bob", inserted=[fact])
-        result = engine.run_stage()
-        assert fact in result.visible_delta.inserted
+        engine.run_stage()
+        subscription.notify_stage("alice")
+        assert added == [fact]
         assert len(list(engine.state.fact_view("view", "alice"))) == 2
         engine.receive_facts("bob", deleted=[fact])
-        result = engine.run_stage()
-        assert not result.visible_delta
+        engine.run_stage()
+        assert subscription.notify_stage("alice") == 0
+        assert removed == []
         assert list(engine.state.fact_view("view", "alice")) == [fact]
         engine.delete_fact(Fact("base", "alice", (1,)))
-        result = engine.run_stage()
-        assert fact in result.visible_delta.deleted
+        engine.run_stage()
+        subscription.notify_stage("alice")
+        assert (added, removed) == ([fact], [fact])
 
     @pytest.mark.parametrize("faults", [{}, {"duplicate_probability": 0.3}],
                              ids=["raw", "causal"])

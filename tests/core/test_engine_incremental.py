@@ -8,7 +8,7 @@ from repro.core.facts import Fact, FactStore
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
 
-from tests.reference_engine import reference_engine
+from tests.reference_engine import reference_engine, watch
 
 TC_PROGRAM = """
 collection extensional persistent link@alice(src, dst);
@@ -266,12 +266,14 @@ class TestTupleLevelDeletes:
         engine.receive_facts("bob", inserted=[Fact("tc", "alice", (3, 0))])
         engine.run_to_quiescence()
         assert engine.state.derived.contains(Fact("tc", "alice", (3, 0)))
+        subscription, _, removed = watch(engine, "tc")
         engine.receive_facts("bob", deleted=[Fact("tc", "alice", (3, 0))])
         result = engine.run_stage()
+        subscription.notify_stage("alice")
         assert result.evaluation_path == "rederive"
         assert {f.values for f in engine.query("tc")} == {
             (3, 5), (5, 3), (3, 3), (5, 5)}
-        assert {f.values for f in result.visible_delta.deleted} == {(3, 0), (5, 0)}
+        assert [f.values for f in removed] == [(3, 0), (5, 0)]
 
     def test_an_output_leaves_the_memo_of_the_rule_that_lost_it(self, engine):
         """Trap (e): another rule still deriving a remote fact does not keep

@@ -11,8 +11,10 @@ import pytest
 import repro
 from repro.core.errors import SchemaError
 from repro.core import facts as facts_module
-from repro.core.facts import ChangeFeed, Delta, Fact, FactStore, fact_matches_bindings
+from repro.core.facts import ChangeFeeds, Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
+
+from tests.reference_engine import watch
 
 
 class TestFact:
@@ -275,8 +277,9 @@ class TestFactStore:
         assert store.total_facts() == 0
 
     def test_replace_relation_records_only_the_difference(self):
-        feed = ChangeFeed()
-        store = FactStore(feeds={("r", "p"): [feed]})
+        feeds = ChangeFeeds()
+        feed = feeds.watch("r", "p")
+        store = FactStore(feeds=feeds)
         kept, leaving, arriving = (Fact("r", "p", (1,)), Fact("r", "p", (True,)),
                                    Fact("r", "p", (1.0,)))
         store.insert_many([kept, leaving, Fact("s", "p", (1,))])
@@ -311,8 +314,9 @@ class TestFactStore:
             store.replace_relation("profile", "p", [Fact("profile", "p", ("al", "v1"))])
 
     def test_feeds_note_recorded_changes_per_relation(self):
-        feed = ChangeFeed()
-        store = FactStore(feeds={("r", "p"): [feed]})
+        feeds = ChangeFeeds()
+        feed = feeds.watch("r", "p")
+        store = FactStore(feeds=feeds)
         one = Fact("r", "p", (1,))
         store.insert(one)
         assert feed == {one}
@@ -332,8 +336,9 @@ class TestFactStore:
         """Past its bound a feed notes ``None``: its reader reads the
         relation again rather than patch more than it keeps."""
         monkeypatch.setattr(facts_module, "FEED_FLOOR", 2)
-        feed = ChangeFeed()
-        store = FactStore(feeds={("r", "p"): [feed]})
+        feeds = ChangeFeeds()
+        feed = feeds.watch("r", "p")
+        store = FactStore(feeds=feeds)
         store.insert_many([Fact("r", "p", (value,)) for value in range(5)])
         assert len(feed) == 3 and None in feed
         feed.drain(4)
@@ -416,11 +421,18 @@ class TestRelationSnapshots:
         rule kept@p($x) :- inbox@p($x);
         """)
         kept = Fact("kept", "p", (1,))
+        subscription, added, removed = watch(engine, "kept")
         engine.receive_facts("a", inserted=[Fact("inbox", "p", (1,))])
-        assert kept in engine.run_stage().visible_delta.inserted
-        assert kept in engine.run_stage().visible_delta.deleted
+        engine.run_stage()
+        subscription.notify_stage("p")
+        assert (added, removed) == ([kept], [])
+        engine.run_stage()
+        subscription.notify_stage("p")
+        assert (added, removed) == ([kept], [kept])
         engine.receive_facts("a", inserted=[Fact("inbox", "p", (1,))])
-        assert kept in engine.run_stage().visible_delta.inserted
+        engine.run_stage()
+        subscription.notify_stage("p")
+        assert (added, removed) == ([kept, kept], [kept])
         assert engine.state.counts()["provided_facts"] == 0
 
     def test_remote_relations_are_never_visible_and_snapshots_can_be_dropped(self):

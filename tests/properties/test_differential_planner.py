@@ -21,7 +21,7 @@ from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
-from tests.reference_engine import written_order
+from tests.reference_engine import record_changes, written_order
 
 #: ``via`` reads a relation of peer ``q`` between two local literals: only
 #: the literal before it may be reordered, and the delegation it ships
@@ -84,32 +84,35 @@ def _apply(engine: WebdamLogEngine, operation) -> None:
         engine.delete_fact(Fact("blocked", "p", (a,)))
 
 
-def _observed(results):
-    """What a run of stages showed: visible deltas and delegations."""
-    return [(sorted(map(str, r.visible_delta.inserted)),
-             sorted(map(str, r.visible_delta.deleted)),
+def _observed(results, changes):
+    """What a run of stages showed: each stage's change of ``snapshot()``
+    (the tail of ``changes``, a :func:`record_changes` list) and its
+    delegations."""
+    return [(change,
              sorted(map(str, r.delegations_to_install)),
              sorted(map(str, r.delegations_to_retract)))
-            for r in results]
+            for change, r in zip(changes[len(changes) - len(results):], results)]
 
 
 class TestEngineDifferential:
     @given(operations)
     @settings(max_examples=25, deadline=None)
     def test_churn_stream_matches_written_order(self, stream):
-        """Snapshots, visible deltas and delegations agree at every
-        quiescence point."""
+        """Snapshots, what each stage changed of them and delegations agree
+        at every quiescence point."""
         written = written_order(WebdamLogEngine("p"))
         planned = WebdamLogEngine("p")
         for engine in (written, planned):
             engine.load_program(CHURN_PROGRAM)
-        expected = _observed(written.run_to_quiescence())
-        assert _observed(planned.run_to_quiescence()) == expected
+        seen = {engine: record_changes(engine) for engine in (written, planned)}
+        expected = _observed(written.run_to_quiescence(), seen[written])
+        assert _observed(planned.run_to_quiescence(), seen[planned]) == expected
         for operation in stream:
             _apply(written, operation)
             _apply(planned, operation)
-            expected = _observed(written.run_to_quiescence(max_stages=30))
-            assert _observed(planned.run_to_quiescence(max_stages=30)) == expected
+            expected = _observed(written.run_to_quiescence(max_stages=30), seen[written])
+            assert _observed(planned.run_to_quiescence(max_stages=30),
+                             seen[planned]) == expected
             assert planned.snapshot() == written.snapshot()
         # The equivalence must be between different strategies.
         assert written.eval_counters.get("plans_computed", 0) == 0
@@ -127,8 +130,9 @@ class TestEngineDifferential:
         for engine in (written, planned):
             engine.load_program(CHURN_PROGRAM)
             engine.insert_facts([Fact("link", "p", link) for link in links])
-        expected = _observed(written.run_to_quiescence())
-        assert _observed(planned.run_to_quiescence()) == expected
+        seen = {engine: record_changes(engine) for engine in (written, planned)}
+        expected = _observed(written.run_to_quiescence(), seen[written])
+        assert _observed(planned.run_to_quiescence(), seen[planned]) == expected
         assert planned.snapshot() == written.snapshot()
 
 

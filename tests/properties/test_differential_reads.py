@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.acl.policies import AccessControlPolicy, PolicyEngine, Privilege
 from repro.api import system
+from repro.core import facts as facts_module
 from repro.core.facts import Fact
 from repro.datalog.aggregation import Aggregate, compute_aggregate
 from repro.provenance.graph import Derivation, ProvenanceGraph, ProvenanceTracker
@@ -46,7 +47,9 @@ OVERLAP_RULE = "ovl@h($p, $s, $u) :- rate@h($u, $p, $s)"
 #: name -> (query text, viewer).  Aggregates over local, over provided
 #: (cross-peer) and over doubly-held raw tuples, a global aggregate, a keyed
 #: base relation, plain
-#: views, and the ACL-filtered variants of an aggregate and of a join.
+#: views, and the ACL-filtered variants of an aggregate, of a join and of
+#: the "overlap" raw relation — whose lineage draws on ``score@r``, which
+#: the viewer may not read, exactly while ``FAR`` provides the tuple.
 VIEWS = {
     "board": ("board($p, avg($s), count($s), min($s), max($s)) :- rate@h($u, $p, $s)", None),
     "total": ("total(count($u), sum($s)) :- rate@h($u, $p, $s)", None),
@@ -57,6 +60,7 @@ VIEWS = {
     "wall": ("wall($u, $p) :- rate@h($u, $p, $s), not secret@h($p)", None),
     "board_guest": ("gboard($p, sum($s), count($s)) :- rate@h($u, $p, $s)", GUEST),
     "both_guest": ("both($u, $p) :- rate@h($u, $p, $s), pick@h($u, $p)", GUEST),
+    "seen_guest": ("gseen($p, $u) :- ovl@h($p, $s, $u)", GUEST),
 }
 
 BASE_RELATIONS = ("rate", "pick", "secret", "liked")
@@ -293,8 +297,8 @@ class TestReadsMatchAFromScratchRecompute:
         deployment.close()
 
     def test_a_tuple_held_by_two_sources_is_counted_once_per_source(self):
-        """Dropping one of the two holders changes no visibility — the stage's
-        ``visible_delta`` is empty — and still changes the group."""
+        """Dropping one of the two holders changes no visibility, and still
+        changes the group."""
         deployment = build()
         hub, far = deployment.peer(HUB), deployment.peer(FAR)
         views, state = {}, {}
@@ -632,35 +636,42 @@ class TestLineageIndexAndFeed:
     def test_entries_feed_and_answers_follow_every_mutation(self, stream, read,
                                                              answers, cramped):
         """After every step: each index entry equals a walk that consults no
-        index; when somebody reads the feed, it names every fact whose
-        derived-ness or base relations moved (or says it cannot); and the
-        maintained (relation, viewer) answers equal the uncached reference.
-        Without the answers only the probes fill the index, so it stays
-        sparse; a ``cramped`` feed is dropped after a few entries, so the
-        readers' start-over path runs too."""
-        graph = ProvenanceGraph()
+        index; when somebody watches the relations, each one's feed names
+        every fact of it whose derived-ness or base relations moved (or
+        overflowed); and the maintained (relation, viewer) answers equal the
+        uncached reference.  Without the answers only the probes fill the
+        index, so it stays sparse; ``cramped`` feeds overflow past two
+        facts, so the readers' start-over path runs too."""
+        saved_floor = facts_module.FEED_FLOOR
         if cramped:
-            graph.FEED_FLOOR = 2
+            facts_module.FEED_FLOOR = 2
+        try:
+            self._follow(stream, read, answers, cramped)
+        finally:
+            facts_module.FEED_FLOOR = saved_floor
+
+    def _follow(self, stream, read, answers, cramped):
+        graph = ProvenanceGraph()
         policy = AccessControlPolicy("p")
         policy.grant("r0@p", "v", Privilege.READ)
         engine = PolicyEngine(policy, graph)
         # The same input tuples every step, so a kept answer can be reused.
         raws = {relation: tuple(fact for fact in UNIVERSE if fact.relation == relation)
                 for relation in RELATIONS}
-        cursor = graph.changes_since(None)[1] if read else None
+        feeds = {relation: graph.watch(relation, "p") for relation in RELATIONS} if read else {}
         before = lineage_answers(graph)
         for kind, argument, extra in stream:
             mutate(graph, policy, kind, argument, extra)
             for fact, entry in list(graph._bases_index.items()):
                 assert entry == walked_bases(graph, fact), (kind, fact)
             after = lineage_answers(graph)
-            if read:
-                changed, cursor = graph.changes_since(cursor)
-                moved = {fact for fact in UNIVERSE if before[fact] != after[fact]}
-                if changed is None:
+            for relation, feed in feeds.items():
+                moved = {fact for fact in raws[relation] if before[fact] != after[fact]}
+                if None in feed:
                     assert kind == "clear" or cramped
                 else:
-                    assert moved <= set(changed), (kind, moved - set(changed))
+                    assert moved <= feed, (kind, moved - feed)
+                feed.drain(0)
             before = after
             if not answers:
                 continue
@@ -684,10 +695,10 @@ class TestLineageIndexAndFeed:
         graph.add(Derivation(top, "r", (mid,)))
         assert graph.base_relations(low) == graph.base_relations(top) == {"a@p"}
         assert mid not in graph._bases_index
-        _, cursor = graph.changes_since(None)
+        feed = graph.watch("v", "p")
         graph.add(Derivation(low, "s", (b,)))
         assert graph.base_relations(top) == {"a@p", "b@p"}
-        assert set(graph.changes_since(cursor)[0]) == {low, mid, top}
+        assert feed == {low, mid, top}
         # A support that is derived but unindexed contributes its lineage.
         other = Fact("w", "p", (0,))
         graph.add(Derivation(other, "r", (c,)))
@@ -696,25 +707,23 @@ class TestLineageIndexAndFeed:
 
     def test_an_unread_feed_stays_bounded(self):
         graph = ProvenanceGraph()
-        chain = [Fact("n", "p", (index,)) for index in range(50)]
+        chain = [Fact("n", "p", (index,)) for index in range(2 * facts_module.FEED_FLOOR)]
         links = [Derivation(head, "rule", (support,))
                  for support, head in zip(chain, chain[1:])]
         for link in links:
             graph.add(link)
-        _, cursor = graph.changes_since(None)
+        feed = graph.watch("n", "p")
         held = []
         for _ in range(30):                          # and then nobody reads
             graph.remove_derivation(links[0])        # the whole chain dies
             for link in links:
                 graph.add(link)
-            held.append(len(graph._feed or ()) + len(graph._older or ()))
-        assert 0 < max(held) <= 2 * (graph.FEED_FLOOR + len(chain))
-        assert held[-1] == 0                         # stopped, not rotating
-        changed, cursor = graph.changes_since(cursor)
-        assert changed is None                       # dropped: start over
+            held.append(len(feed))
+        assert max(held) == facts_module.FEED_FLOOR + 1     # the bound, and None
+        assert None in feed                          # overflowed: start over
+        feed.drain(len(chain))
         graph.add(Derivation(chain[0], "root", (Fact("m", "p", (0,)),)))
-        changed, _ = graph.changes_since(cursor)
-        assert set(changed) == set(chain)            # then told again
+        assert feed == set(chain)                    # then told again
 
     def test_forgotten_rows_take_their_verdicts_along(self):
         """A filter remembers rows by the identity of their ``values``
@@ -740,22 +749,6 @@ class TestLineageIndexAndFeed:
             assert engine.filter_readable(raw, "v", relation="r@p") == \
                 policy.readable_facts(raw, "v", provenance=graph), step
 
-    def test_a_reader_once_per_segment_is_always_told(self):
-        graph = ProvenanceGraph()
-        graph.FEED_FLOOR = 40
-        chain = [Fact("n", "p", (index,)) for index in range(6)]
-        links = [Derivation(head, "rule", (support,))
-                 for support, head in zip(chain, chain[1:])]
-        for link in links:
-            graph.add(link)
-        _, cursor = graph.changes_since(None)
-        for _ in range(20):                  # 15 entries a round, 40 a segment
-            graph.remove_derivation(links[0])
-            for link in links:
-                graph.add(link)
-            changed, cursor = graph.changes_since(cursor)
-            assert changed is not None and set(chain[1:]) <= set(changed)
-
     def test_a_known_lineage_grows_without_dropping_an_entry(self):
         """The case the index exists for: a recursive relation whose every
         fact already draws on both bases gains derivations, and nothing
@@ -770,18 +763,18 @@ class TestLineageIndexAndFeed:
         assert {graph.base_relations(fact) for fact in reach} == {
             frozenset({"edge@p", "bridge@p"})}
         entries = dict(graph._bases_index)
-        _, cursor = graph.changes_since(None)
+        feed = graph.watch("reach", "p")
         graph.add(Derivation(reach[0], "again", (edge, bridge)))
         graph.add(Derivation(reach[2], "again", (reach[0],)))
         assert graph._bases_index == entries
-        assert graph.changes_since(cursor)[0] == []
+        assert not feed
         # Something new in the lineage does move its dependents, up to the
         # first entry that already holds it.
         extra = Fact("extra", "p", (1,))
         graph.add(Derivation(reach[3], "extra", (extra,)))
-        assert set(graph.changes_since(cursor)[0]) == set(reach[3:])
-        _, cursor = graph.changes_since(cursor)
+        assert feed == set(reach[3:])
+        feed.drain(0)
         graph.add(Derivation(reach[1], "extra", (extra,)))
-        assert set(graph.changes_since(cursor)[0]) == {reach[1], reach[2]}
+        assert feed == {reach[1], reach[2]}
         assert {fact for fact in reach
                 if "extra@p" in graph.base_relations(fact)} == set(reach[1:])

@@ -27,7 +27,7 @@ from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 
-from tests.reference_engine import reference_deployment, reference_engine
+from tests.reference_engine import record_changes, reference_deployment, reference_engine
 
 BACKENDS = ["memory", "sqlite"]
 
@@ -106,8 +106,10 @@ def watch_replacements(engine):
     return replaced
 
 
-def settle_in_step(engine, reference):
-    """Run both engines stage by stage to quiescence, comparing every stage."""
+def settle_in_step(engine, reference, changes):
+    """Run both engines stage by stage to quiescence, comparing every stage;
+    ``changes`` are their :func:`record_changes` lists."""
+    got_changes, want_changes = changes
     for _ in range(30):
         got, want = engine.run_stage(), reference.run_stage()
         # The reference derives everything from nothing: every row counts,
@@ -115,7 +117,7 @@ def settle_in_step(engine, reference):
         assert want.derived_intensional == len(reference.state.derived.snapshot())
         if got.evaluation_path == "full":
             assert got.derived_intensional == want.derived_intensional
-        assert got.visible_delta == want.visible_delta
+        assert got_changes[-1] == want_changes[-1]
         assert got.derived_changed == want.derived_changed
         assert engine.state.derived.snapshot() == reference.state.derived.snapshot()
         assert got.is_quiescent() == want.is_quiescent()
@@ -130,12 +132,13 @@ def run_stream(backend, program, stream):
     replaced = watch_replacements(engine)
     for each in (engine, reference):
         each.load_program(program)
+    changes = record_changes(engine), record_changes(reference)
     # The first three operations land before the first (full) stage.
     for operations in (stream[:3], *([op] for op in stream[3:])):
         for insert, fact in map(operation_facts, operations):
             for each in (engine, reference):
                 (each.insert_fact if insert else each.delete_fact)(fact)
-        settle_in_step(engine, reference)
+        settle_in_step(engine, reference, changes)
     assert engine.snapshot() == reference.snapshot()
     engine.close()
     return replaced
@@ -175,19 +178,6 @@ def test_the_path_is_taken(backend):
     assert replaced.count("flag") > 1 and "mark" in replaced
 
 
-def observe(deployment, stages):
-    """Record the visible delta of every stage the peer runs."""
-    engine = deployment.runtime.peer("p").engine
-    run_stage = engine.run_stage
-
-    def recording(*args, **kwargs):
-        result = run_stage(*args, **kwargs)
-        stages.append(result.visible_delta)
-        return result
-
-    engine.run_stage = recording
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(while_open=view_operations, after_close=view_operations)
 @settings(max_examples=10, deadline=None)
@@ -200,8 +190,7 @@ def test_a_view_opened_and_closed(backend, while_open, after_close):
             replaced = watch_replacements(deployment.runtime.peer("p").engine)
         else:
             deployment = reference_deployment(builder)
-        stages, fired = [], []
-        observe(deployment, stages)
+        stages, fired = record_changes(deployment.runtime.peer("p").engine), []
         hub = deployment.peer("p")
         for fact in ("link@p(0, 1)", "link@p(1, 2)", "tag@p(2, \"l0\")"):
             hub.insert(fact)

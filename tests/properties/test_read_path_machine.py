@@ -9,7 +9,10 @@ while many stages run, and, on SQLite, process death (``abort()``) and a
 reopen on the same path.  After every step each read that is not being left
 unread must equal the uncached read of
 ``tests/properties/test_differential_reads.py`` (``expected`` / ``scan``),
-down to the float bits and the order.
+down to the float bits and the order.  A plain view and a viewer's carry an
+``on_change`` observer each: after every step that ran the deployment to
+its fixpoint, the facts an observer was told were added, minus those it was
+told were removed, are the view's ``facts()``.
 """
 
 import shutil
@@ -29,16 +32,19 @@ from tests.properties.test_differential_reads import (
     scan, users)
 
 #: A plain view, four aggregates (local raw tuples, a global group, tuples
-#: provided by FAR, tuples held by two sources) and a viewer's aggregate and
-#: join.
-PAGES = ("wall", "board", "total", "far", "overlap", "board_guest", "both_guest")
+#: provided by FAR, tuples held by two sources) and a viewer's aggregate,
+#: join and copy of a relation whose lineage moves with what FAR provides.
+PAGES = ("wall", "board", "total", "far", "overlap", "board_guest", "both_guest",
+         "seen_guest")
 #: Relations read directly: a base relation, and the raw relation of the
 #: "overlap" view (derived at HUB and provided by FAR).
 RELATIONS = ("rate", "ovl")
 
 #: Every kind of view is open from the start; ``toggle_view`` closes and
 #: reopens them.
-OPEN_AT_START = ("wall", "board", "overlap", "board_guest", "both_guest")
+OPEN_AT_START = ("wall", "board", "overlap", "board_guest", "both_guest", "seen_guest")
+#: The pages an ``on_change`` observer watches while they are open.
+OBSERVED = ("wall", "seen_guest")
 
 #: Ratings as the differential suite draws them, and ``0.0`` besides: it
 #: equals ``-0.0`` but renders apart, so one raw tuple can be kept under two
@@ -55,34 +61,59 @@ class ReadPathMachine(RuleBasedStateMachine):
     backend = "memory"
     #: The change feeds' floor while the machine runs; ``None`` keeps it.
     feed_floor = None
+    #: With provenance a viewer's decisions follow lineage, so the viewer's
+    #: observer drains the provenance graph's feeds too.
+    provenance = False
 
     def __init__(self):
         super().__init__()
-        self.directory = (tempfile.mkdtemp(prefix="repro-reads-")
-                          if self.backend == "sqlite" else None)
-        self.deployment = build(self.backend, path=self.directory)
-        self.views, self.state = {}, {}
-        for name in OPEN_AT_START:
-            open_view(self.deployment.peer(HUB), self.views, self.state, name)
-        self.relations = {name: self.deployment.query(HUB, name) for name in RELATIONS}
-        self.unread = set()
-        self.fresh = 0
         self.saved_floor = facts_module.FEED_FLOOR
         if self.feed_floor is not None:
             facts_module.FEED_FLOOR = self.feed_floor
+        self.directory = (tempfile.mkdtemp(prefix="repro-reads-")
+                          if self.backend == "sqlite" else None)
+        self.deployment = build(self.backend, provenance=self.provenance,
+                                path=self.directory)
+        self.views, self.state = {}, {}
+        # page -> (its observer, the facts it was told are there)
+        self.observers = {}
+        for name in OPEN_AT_START:
+            self.open(name)
+        self.relations = {name: self.deployment.query(HUB, name) for name in RELATIONS}
+        self.unread = set()
+        self.fresh = 0
+        # Whether the last step ran the deployment to its fixpoint.
+        self.settled = False
+
+    def open(self, name):
+        open_view(self.deployment.peer(HUB), self.views, self.state, name)
+        if name not in OBSERVED:
+            return
+        told = set()
+
+        def added(fact):
+            assert fact not in told, fact
+            told.add(fact)
+
+        self.observers[name] = (self.views[name].on_change(added, told.remove,
+                                                           include_existing=True),
+                                told)
 
     # -- writes ----------------------------------------------------------------- #
 
     @rule(rating=ratings)
     def insert(self, rating):
+        self.settled = False
         self.deployment.peer(HUB).insert(Fact("rate", HUB, rating))
 
     @rule(rows=st.lists(ratings, max_size=4))
     def insert_many(self, rows):
+        self.settled = False
         self.deployment.peer(HUB).insert_many([Fact("rate", HUB, row) for row in rows])
 
     @rule(pick=picks)
     def delete(self, pick):
+        self.settled = False
         hub = self.deployment.peer(HUB)
         stored = hub.unwrap().query("rate")
         if stored:
@@ -90,10 +121,12 @@ class ReadPathMachine(RuleBasedStateMachine):
 
     @rule(rating=ratings)
     def far_insert(self, rating):
+        self.settled = False
         self.deployment.peer(FAR).insert(Fact("score", FAR, rating))
 
     @rule(pick=picks)
     def far_delete(self, pick):
+        self.settled = False
         far = self.deployment.peer(FAR)
         stored = far.unwrap().query("score")
         if stored:
@@ -102,6 +135,7 @@ class ReadPathMachine(RuleBasedStateMachine):
     @rule(pick=picks)
     def far_mirror(self, pick):
         """The n-th rating at FAR too: one raw ``ovl`` tuple, two sources."""
+        self.settled = False
         stored = self.deployment.peer(HUB).unwrap().query("rate")
         if stored:
             self.deployment.peer(FAR).insert(
@@ -115,14 +149,20 @@ class ReadPathMachine(RuleBasedStateMachine):
         if name in self.views:
             if name == "overlap":
                 hub.unwrap().remove_rules([self.state.pop("overlap")])
+            observer = self.observers.pop(name, (None,))[0]
             self.views.pop(name).close(settle=settle)
             self.unread.discard(name)
+            self.settled = settle
+            if observer is not None:
+                assert not observer.active and observer._feeds == {}
         else:
-            open_view(hub, self.views, self.state, name)
+            self.settled = False
+            self.open(name)
 
     @rule()
     def converge(self):
         self.deployment.converge(max_steps=60)
+        self.settled = True
 
     @rule(name=readable)
     def leave_unread(self, name):
@@ -132,6 +172,7 @@ class ReadPathMachine(RuleBasedStateMachine):
     def read(self, name, settle):
         if settle:
             self.deployment.converge(max_steps=60)
+            self.settled = True
         self.unread.discard(name)
         self.check(name)
 
@@ -146,6 +187,7 @@ class ReadPathMachine(RuleBasedStateMachine):
             if mirror:
                 far.insert(Fact("score", FAR, row))
             self.deployment.converge(max_steps=60)
+        self.settled = True
 
     # -- after every step ---------------------------------------------------------- #
 
@@ -172,6 +214,13 @@ class ReadPathMachine(RuleBasedStateMachine):
             if name not in self.unread:
                 self.check(name)
 
+    @invariant()
+    def every_observer_was_told_what_its_view_reads(self):
+        if not self.settled:
+            return
+        for name, (_, told) in self.observers.items():
+            assert told == set(self.views[name].facts()), name
+
     def teardown(self):
         try:
             self.deployment.close()
@@ -182,9 +231,10 @@ class ReadPathMachine(RuleBasedStateMachine):
 
 
 class DurableReadPathMachine(ReadPathMachine):
-    """The same, on SQLite files that die and reopen."""
+    """The same, on SQLite files that die and reopen, with provenance."""
 
     backend = "sqlite"
+    provenance = True
 
     @rule()
     def crash(self):
@@ -194,21 +244,27 @@ class DurableReadPathMachine(ReadPathMachine):
         hub.insert(Fact("rate", HUB, ("doomed", 0, 1)))      # never committed
         for name in self.deployment.peer_names():
             self.deployment.runtime.peer(name).engine.state.backend.abort()
-        self.deployment = build(self.backend, path=self.directory)
+        # The process died, and with it what its observers kept watching.
+        for observer, _ in self.observers.values():
+            assert observer._feeds == {}
+        self.deployment = build(self.backend, provenance=self.provenance,
+                                path=self.directory)
         hub = self.deployment.peer(HUB)
         hub.unwrap().remove_rules([rule.rule_id for rule in hub.rules()])
-        opened, self.views, self.state = sorted(self.views), {}, {}
+        opened, self.views, self.state, self.observers = sorted(self.views), {}, {}, {}
         for name in opened:
-            open_view(hub, self.views, self.state, name)
+            self.open(name)
         self.relations = {name: self.deployment.query(HUB, name) for name in RELATIONS}
+        self.settled = False
 
 
 class OverflowingReadPathMachine(ReadPathMachine):
     """Feeds bounded by what their readers keep, with no floor: a reader
     left unread while more facts change than it keeps reads the relation
-    again."""
+    again.  With provenance, so the graph's feeds overflow too."""
 
     feed_floor = 1
+    provenance = True
 
 
 #: The views the resuming machine asks, each under a name, so that a

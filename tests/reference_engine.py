@@ -26,8 +26,16 @@ a view installs the query's clauses as ordinary rules instead.
 
 The runtime's reference is a driver, not an engine: :func:`lockstep` swaps a
 deployment's reactive driver for the one that runs every peer every cycle.
+
+What a stage changed is compared as :func:`snapshot_change`: the facts a
+stage made visible and those it hid, read off ``snapshot()`` after the
+previous stage and after it (:func:`record_changes` keeps them per stage).  :func:`watch` subscribes to a bare engine's relation, as
+``System.subscribe`` does to a deployment's.
 """
 
+from types import SimpleNamespace
+
+from repro.api.query import Subscription
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import fact_matches_bindings
 from repro.planner import BodyPlanner
@@ -118,3 +126,42 @@ def lockstep(deployment):
     :class:`WebdamLogSystem`) run every peer every cycle, in name order."""
     getattr(deployment, "runtime", deployment).scheduler = LockstepScheduler()
     return deployment
+
+
+def snapshot_change(before, after):
+    """What a stage changed, from two ``snapshot()`` dicts taken before and
+    after it: the facts visible after and not before, and those visible
+    before and not after, each as a sorted list of renderings."""
+    old = {fact for facts in before.values() for fact in facts}
+    new = {fact for facts in after.values() for fact in facts}
+    return sorted(map(str, new - old)), sorted(map(str, old - new))
+
+
+def record_changes(engine: WebdamLogEngine):
+    """Make every stage ``engine`` runs append its :func:`snapshot_change` —
+    the snapshot after the previous stage against the one after this one —
+    to the returned list."""
+    changes, last = [], [engine.snapshot()]
+    run_stage = engine.run_stage
+
+    def recording(*args, **kwargs):
+        result = run_stage(*args, **kwargs)
+        after = engine.snapshot()
+        changes.append(snapshot_change(last[0], after))
+        last[0] = after
+        return result
+
+    engine.run_stage = recording
+    return changes
+
+
+def watch(engine: WebdamLogEngine, relation: str):
+    """A subscription to ``relation`` at a bare engine, primed with what is
+    visible now, and the lists its two callbacks append to.  Call
+    ``subscription.notify_stage(engine.peer)`` after a stage, as a
+    deployment does."""
+    added, removed = [], []
+    subscription = Subscription(relation, added.append, peer=engine.peer,
+                                on_remove=removed.append)
+    subscription.prime({engine.peer: SimpleNamespace(engine=engine)})
+    return subscription, added, removed
