@@ -15,7 +15,7 @@ This package is the public facade over all of them:
   ``converge()`` / ``step()`` / ``await aconverge()`` (a cycle runs only
   the peers with work; ``aconverge`` yields to the event loop after every
   stage — see :mod:`repro.runtime.scheduler`),
-  ``query()``, ``subscribe()``, stats and totals, per-peer operations.
+  ``query()``, ``subscribe()``, stats and ``metrics()``, per-peer operations.
 * :class:`Transport` — the protocol the runtime moves messages through, with
   :class:`InMemoryTransport` (deterministic rounds; ``event_log=NetEventLog()``
   records every message it sends, drops and delivers) shipped here; pass

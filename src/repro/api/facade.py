@@ -3,7 +3,7 @@
 :class:`System` wraps a :class:`~repro.runtime.system.WebdamLogSystem` and is
 what :meth:`SystemBuilder.build() <repro.api.builder.SystemBuilder.build>`
 returns: one object through which deployments are driven (runs), inspected
-(queries, stats, totals) and observed (subscriptions).  :class:`PeerHandle`
+(queries, stats, metrics) and observed (subscriptions).  :class:`PeerHandle`
 is the per-peer slice of that surface.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -173,10 +173,6 @@ class PeerHandle:
     def snapshot(self) -> Dict[str, Tuple[Fact, ...]]:
         """Every non-empty relation visible at this peer."""
         return self._peer.engine.snapshot()
-
-    def counts(self) -> Dict[str, int]:
-        """Size counters of the peer."""
-        return self._peer.counts()
 
     # -- trust and delegation control ------------------------------------ #
 
@@ -565,9 +561,11 @@ class System:
         """Return the transport counters so far and start fresh ones."""
         return self.runtime.transport.reset_stats()
 
-    def totals(self) -> Dict[str, int]:
-        """System-wide counters: rounds, messages, facts, delegations."""
-        return self.runtime.totals()
+    def metrics(self, peer: Optional[str] = None) -> Counter:
+        """Work counts and gauges keyed ``(layer, name)``: every peer's
+        summed with the transport's, or one ``peer``'s (see
+        :meth:`WebdamLogSystem.metrics`)."""
+        return self.runtime.metrics(peer)
 
     def snapshot(self) -> Dict[str, Dict[str, Tuple[Fact, ...]]]:
         """Per-peer snapshot of every visible relation."""

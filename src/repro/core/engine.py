@@ -18,6 +18,7 @@ directly by tests), and the outputs of a stage are returned in a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -26,6 +27,7 @@ from repro.core.errors import EvaluationError, SchemaError
 from repro.core.evaluation import RuleOutcome
 from repro.core.facts import Delta, Fact
 from repro.core.maintenance import Maintenance
+from repro.core.metrics import Metrics
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
@@ -111,10 +113,14 @@ class WebdamLogEngine:
     def __init__(self, peer: str, schemas: Optional[SchemaRegistry] = None,
                  storage=None, storage_options: Optional[Dict] = None):
         self.peer = peer
+        # The peer's one registry of work counts (see repro.core.metrics):
+        # the backend, the planner and the peer's replication bump it too.
+        self.metrics: Metrics = Counter()
         backend = resolve_backend(storage, peer=peer, options=storage_options)
+        backend.metrics = self.metrics
         self.state = PeerState(peer, schemas, backend=backend)
         # Cost-based ordering of every rule body's local prefix.
-        self._planner = BodyPlanner(peer, StatsProvider(self.state))
+        self._planner = BodyPlanner(peer, StatsProvider(self.state), self.metrics)
         # Monotonically increasing program version: bumped by the first stage
         # that finds another rule set (see core/maintenance.py).  The planner's
         # plan cache is keyed on it, so uninstalling a view's rules can never
@@ -149,19 +155,6 @@ class WebdamLogEngine:
         # clears, scratch provided facts) that the next fixpoint must treat
         # as part of its input delta.
         self._carryover_delta: Delta = Delta.empty()
-        # Lifetime work counters across all stages (benchmark / test probes).
-        self.eval_counters: Dict[str, int] = {
-            "substitutions_explored": 0,
-            "fixpoint_iterations": 0,
-            "rules_evaluated": 0,
-            "stages_full": 0,
-            "stages_delta": 0,
-            "stages_rederive": 0,
-            "stages_skip": 0,
-            "plans_computed": 0,
-            "plans_cached": 0,
-            "plans_reordered": 0,
-        }
 
     # ------------------------------------------------------------------ #
     # program loading and direct updates (the "user" API)
@@ -471,13 +464,11 @@ class WebdamLogEngine:
         self.state.deferred_updates = Delta.insertion(deferred)
         result.deferred_local_updates = len(self.state.deferred_updates)
 
-        # Lifetime work accounting (benchmarks and tests read these).
-        counters = self.eval_counters
-        counters["substitutions_explored"] += result.substitutions_explored
-        counters["fixpoint_iterations"] += result.fixpoint_iterations
-        counters["rules_evaluated"] += result.rules_evaluated
-        counters[f"stages_{result.evaluation_path}"] += 1
-        counters.update(self._planner.counters)
+        metrics = self.metrics
+        metrics["core", "substitutions_explored"] += result.substitutions_explored
+        metrics["core", "fixpoint_iterations"] += result.fixpoint_iterations
+        metrics["core", "rules_evaluated"] += result.rules_evaluated
+        metrics["core", f"stages_{result.evaluation_path}"] += 1
 
         # Delta accounting: the stores accumulated every change since the end
         # of the previous stage (including user updates made between stages);
@@ -542,12 +533,6 @@ class WebdamLogEngine:
     def snapshot(self) -> Dict[str, Tuple[Fact, ...]]:
         """Snapshot of every non-empty relation visible at this peer."""
         return self.state.snapshot()
-
-    def counts(self) -> Dict[str, int]:
-        """Size counters of the peer state plus lifetime work counters."""
-        combined = self.state.counts()
-        combined.update(self.eval_counters)
-        return combined
 
     # ------------------------------------------------------------------ #
     # internals

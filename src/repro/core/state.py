@@ -507,19 +507,3 @@ class PeerState:
             for fact in source.all_facts():
                 result.setdefault(fact.qualified_relation, []).append(fact)
         return {name: tuple(sorted(facts, key=str)) for name, facts in sorted(result.items())}
-
-    # ------------------------------------------------------------------ #
-    # statistics
-    # ------------------------------------------------------------------ #
-
-    def counts(self) -> Dict[str, int]:
-        """Basic size counters of the peer state."""
-        return {
-            "extensional_facts": self.store.total_facts(),
-            "derived_facts": self.derived.total_facts(),
-            "provided_facts": self.provided.total_facts(),
-            "own_rules": len(self.own_rules),
-            "installed_delegations": len(self.delegations_in),
-            "outstanding_delegations": len(self.delegation_tracker.outstanding()),
-            "stage": self.stage_counter,
-        }

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.metrics import Metrics
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
 from repro.planner.plans import RulePlan
@@ -43,19 +44,16 @@ class BodyPlanner:
     cheapest order).
     """
 
-    def __init__(self, peer: str, stats: StatsProvider):
+    def __init__(self, peer: str, stats: StatsProvider, metrics: Metrics):
         self.peer = peer
         self.stats = stats
+        #: The owning engine's registry (see :mod:`repro.core.metrics`).
+        self.metrics = metrics
         self._version = -1
         # {(rule_id, delta_index, bound variables):
         #      (plan, {(relation, peer): count at planning})}
         self._cache: Dict[Tuple[str, Optional[int], FrozenSet[Variable]],
                           Optional[Tuple[RulePlan, Dict[Tuple[str, str], int]]]] = {}
-        self.counters: Dict[str, int] = {
-            "plans_computed": 0,
-            "plans_cached": 0,
-            "plans_reordered": 0,
-        }
 
     # ------------------------------------------------------------------ #
     # cache management
@@ -105,14 +103,14 @@ class BodyPlanner:
             plan, snapshot = entry
             if not any(drifted(baseline, self.stats.count(relation, peer))
                        for (relation, peer), baseline in snapshot.items()):
-                self.counters["plans_cached"] += 1
+                self.metrics["planner", "plans_cached"] += 1
                 return plan
         plan, snapshot = self._compute(rule, delta_index, bound)
         self._cache[key] = None if plan is None else (plan, snapshot)
         if plan is not None:
-            self.counters["plans_computed"] += 1
+            self.metrics["planner", "plans_computed"] += 1
             if plan.reordered:
-                self.counters["plans_reordered"] += 1
+                self.metrics["planner", "plans_reordered"] += 1
         return plan
 
     # ------------------------------------------------------------------ #

@@ -39,9 +39,11 @@ per channel that moved (:meth:`persist` documents the keys).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core import codec
+from repro.core.metrics import Metrics
 from repro.replication.channel import ChannelInbox, ChannelOutbox, Effect
 from repro.replication.dots import CausalContext
 from repro.runtime import wire
@@ -73,8 +75,12 @@ class ReplicationState:
     def __init__(self, peer: str,
                  digest_interval: int = DEFAULT_DIGEST_INTERVAL,
                  pull_patience: int = DEFAULT_PULL_PATIENCE,
-                 event_log=None, journal: bool = True):
+                 event_log=None, journal: bool = True,
+                 metrics: Optional[Metrics] = None):
         self.peer = peer
+        #: The registry this side counts its traffic on (see
+        #: :mod:`repro.core.metrics`): the peer hands in its engine's.
+        self.metrics: Metrics = metrics if metrics is not None else Counter()
         self.digest_interval = digest_interval
         self.pull_patience = pull_patience
         #: Optional :class:`repro.net.events.NetEventLog`-compatible sink
@@ -106,15 +112,12 @@ class ReplicationState:
                             Union[ChannelOutbox, ChannelInbox]] = {}
         #: Persisted rows to delete at the next persistence point.
         self._dropped_keys: List[str] = []
-        self.counters: Dict[str, int] = {
-            "envelopes_sent": 0,
-            "envelopes_applied": 0,
-            "ops_sent": 0,
-            "ops_applied": 0,
-            "digests_sent": 0,
-            "pulls_sent": 0,
-            "acks_sent": 0,
-        }
+
+    @property
+    def counters(self) -> Counter:
+        """This side's ``"replication"`` counts by name, read off the registry."""
+        return Counter({name: value for (layer, name), value in self.metrics.items()
+                        if layer == "replication"})
 
     # ------------------------------------------------------------------ #
     # channel accessors
@@ -211,13 +214,13 @@ class ReplicationState:
                     sender=self.peer, recipient=target,
                     ops=tuple(ops), frontier=box.frontier,
                 ))
-                self.counters["envelopes_sent"] += 1
-                self.counters["ops_sent"] += len(ops)
+                self.metrics["replication", "envelopes_sent"] += 1
+                self.metrics["replication", "ops_sent"] += len(ops)
             elif target in due:
                 outgoing.append(ReplicationDigestMessage(
                     sender=self.peer, recipient=target, frontier=box.frontier,
                 ))
-                self.counters["digests_sent"] += 1
+                self.metrics["replication", "digests_sent"] += 1
                 self._emit("digest", now, target=target, frontier=box.frontier)
             else:
                 continue
@@ -239,8 +242,8 @@ class ReplicationState:
         top = max([message.frontier] + [op.seq for op in message.ops])
         box.observe_frontier(top)
         effects = box.apply_all(message.ops)
-        self.counters["envelopes_applied"] += 1
-        self.counters["ops_applied"] += len(message.ops)
+        self.metrics["replication", "envelopes_applied"] += 1
+        self.metrics["replication", "ops_applied"] += len(message.ops)
         self._emit("join", now, origin=message.sender, ops=len(message.ops),
                    effects=len(effects))
         self._ack_or_pull(box, now, force_pull=False)
@@ -263,8 +266,8 @@ class ReplicationState:
                 sender=self.peer, recipient=requester,
                 ops=tuple(ops), frontier=box.frontier,
             ))
-            self.counters["envelopes_sent"] += 1
-            self.counters["ops_sent"] += len(ops)
+            self.metrics["replication", "envelopes_sent"] += 1
+            self.metrics["replication", "ops_sent"] += len(ops)
 
     def on_ack(self, origin: str, acked: int) -> None:
         """Record a consumer ack: the outbox prunes its log."""
@@ -285,7 +288,7 @@ class ReplicationState:
                 self._queued.append(ReplicationAckMessage(
                     sender=self.peer, recipient=origin, acked=base,
                 ))
-                self.counters["acks_sent"] += 1
+                self.metrics["replication", "acks_sent"] += 1
                 self._emit("ack", now, origin=origin, acked=base)
         elif force_pull or now >= self._pull_after.get(origin, 0):
             want = tuple(box.missing())
@@ -293,7 +296,7 @@ class ReplicationState:
                 sender=self.peer, recipient=origin, want=want,
             ))
             self._pull_after[origin] = now + self.pull_patience
-            self.counters["pulls_sent"] += 1
+            self.metrics["replication", "pulls_sent"] += 1
             self._emit("pull", now, origin=origin, want=len(want))
         self._refile_inbox(box)
 

@@ -77,7 +77,7 @@ class Peer:
             # A backend that keeps nothing is never restored from, so its
             # peer journals no channel changes and persists none.
             self.replication: Optional[ReplicationState] = ReplicationState(
-                name, journal=backend.persistent)
+                name, journal=backend.persistent, metrics=self.engine.metrics)
             self.replication.restore(backend)
             # Remote-provided facts are volatile engine state: a raw-message
             # restart recovers them because the restarted *sender* re-ships
@@ -224,12 +224,6 @@ class Peer:
             if wants is None or wants(self):
                 return True
         return False
-
-    def counts(self) -> Dict[str, int]:
-        """Combined engine and controller counters."""
-        combined = dict(self.engine.counts())
-        combined["pending_delegations"] = len(self.controller.pending())
-        return combined
 
     def close(self) -> None:
         """Commit and release the peer's storage backend."""

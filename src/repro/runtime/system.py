@@ -19,6 +19,7 @@ Drive the system with :meth:`converge` / :meth:`step` (or ``await``
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.acl.trust import TrustStore
@@ -329,36 +330,31 @@ class WebdamLogSystem:
     # reporting
     # ------------------------------------------------------------------ #
 
-    def totals(self) -> Dict[str, int]:
-        """System-wide counters: rounds, messages, facts, delegations."""
-        totals = {
-            "rounds": self._round,
-            "messages_sent": self.transport.stats.messages_sent,
-            "messages_delivered": self.transport.stats.messages_delivered,
-            "payload_items": self.transport.stats.payload_items,
-            "peers": len(self.peers),
-        }
-        totals["extensional_facts"] = sum(
-            peer.engine.state.store.total_facts() for peer in self.peers.values()
-        )
-        totals["derived_facts"] = sum(
-            peer.engine.state.derived.total_facts() for peer in self.peers.values()
-        )
-        totals["installed_delegations"] = sum(
-            len(peer.engine.state.delegations_in) for peer in self.peers.values()
-        )
-        totals["pending_delegations"] = sum(
-            len(peer.pending_delegations()) for peer in self.peers.values()
-        )
-        totals["substitutions_explored"] = sum(
-            peer.engine.eval_counters["substitutions_explored"]
-            for peer in self.peers.values()
-        )
-        totals["fixpoint_iterations"] = sum(
-            peer.engine.eval_counters["fixpoint_iterations"]
-            for peer in self.peers.values()
-        )
-        return totals
+    def metrics(self, peer: Optional[str] = None) -> Counter:
+        """Every registered peer's work counts (:mod:`repro.core.metrics`)
+        summed, or ``peer``'s alone, with their gauges (stored and derived
+        facts, installed and pending delegations) computed now; the
+        deployment-wide read adds the rounds, the peer count and the
+        transport's counters under ``"transport"``.  Keyed ``(layer, name)``.
+        """
+        peers = (self.peer(peer),) if peer is not None else tuple(self.peers.values())
+        result: Counter = Counter()
+        for one in peers:
+            state = one.engine.state
+            result.update(one.engine.metrics)
+            result.update({
+                ("store", "extensional_facts"): state.store.total_facts(),
+                ("store", "derived_facts"): state.derived.total_facts(),
+                ("core", "installed_delegations"): len(state.delegations_in),
+                ("acl", "pending_delegations"): len(one.pending_delegations()),
+            })
+        if peer is None:
+            result["runtime", "rounds"] = self._round
+            result["runtime", "peers"] = len(self.peers)
+            result.update({("transport", name): value
+                           for name, value in self.transport.stats.as_dict().items()
+                           if isinstance(value, (int, float))})
+        return result
 
     def snapshot(self) -> Dict[str, Dict[str, Tuple[Fact, ...]]]:
         """Per-peer snapshot of every visible relation."""

@@ -28,6 +28,7 @@ from repro.core.terms import ConstantValue
 
 if TYPE_CHECKING:
     from repro.core.facts import Fact
+    from repro.core.metrics import Metrics
 
 #: Environment variable naming the default backend (``memory`` or ``sqlite``).
 DEFAULT_BACKEND_ENV = "REPRO_STORE_BACKEND"
@@ -103,6 +104,9 @@ class StorageBackend(Protocol):
     name: str
     #: Whether data written through this backend survives process death.
     persistent: bool
+    #: The registry the backend counts its work on, ``("store", name)``:
+    #: the owning engine sets its own (see :mod:`repro.core.metrics`).
+    metrics: Metrics
 
     def table(self, namespace: str, schema: RelationSchema) -> StorageTable:
         """Create-or-get the table for ``schema`` in ``namespace``."""

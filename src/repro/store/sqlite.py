@@ -44,9 +44,12 @@ from __future__ import annotations
 
 import sqlite3
 import sys
+from collections import Counter
+from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.facts import Fact
+from repro.core.metrics import Metrics
 from repro.core.schema import RelationSchema
 from repro.core.terms import ConstantValue
 from repro.store.backend import StoreError
@@ -156,11 +159,16 @@ class SqliteTable:
         )
         self._delete_sql = (
             f'DELETE FROM "{table_name}" WHERE {self._eq_clause(self._arity)}')
-        # Every stored fact, decoded from the rows of a stored table.
-        rows = (backend.execute(f'SELECT {self._col_list} FROM "{table_name}"')
-                if stored else ())
-        self._kept: Union[MemoryTable, _Aborted] = MemoryTable(
-            schema, map(self._decode_fact, rows))
+        # Every stored fact, decoded from the rows of a stored table: the
+        # reopen's cost, counted on the owning engine's registry.
+        facts: List[Fact] = []
+        if stored:
+            start = perf_counter()
+            facts = [self._decode_fact(row) for row in backend.execute(
+                f'SELECT {self._col_list} FROM "{table_name}"')]
+            backend.metrics["store", "rows_decoded"] += len(facts)
+            backend.metrics["store", "attach_decode_s"] += perf_counter() - start
+        self._kept: Union[MemoryTable, _Aborted] = MemoryTable(schema, facts)
 
     # -- encoding -------------------------------------------------------- #
 
@@ -326,6 +334,9 @@ class SqliteBackend:
         self._on_abort: List[Callable[[], None]] = []
         #: Observability: statements executed on behalf of the rule compiler.
         self.counters: Dict[str, int] = {"compiled_statements": 0, "aggregate_statements": 0}
+        #: The registry a table counts its attach on; the owning engine
+        #: hands in its own (see :mod:`repro.core.metrics`).
+        self.metrics: Metrics = Counter()
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS _repro_catalog ("
             " namespace TEXT NOT NULL, relation TEXT NOT NULL, peer TEXT NOT NULL,"

@@ -230,4 +230,4 @@ class TestFacade:
         summary = built.converge()
         assert summary.converged
         assert built.stats.messages_sent > 0
-        assert built.totals()["peers"] == 2
+        assert built.metrics()["runtime", "peers"] == 2

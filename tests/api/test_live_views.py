@@ -126,7 +126,7 @@ class TestCompiledViews:
             "q", "ans($x, $y) :- a@q($x), not c@q($x), b@r($x, $y)")
         deployment.converge()  # installation settles (full stage expected)
         engine = deployment.runtime.peer("q").engine
-        full_before = engine.eval_counters["stages_full"]
+        full_before = engine.metrics["core", "stages_full"]
         deployment.peer("r").insert("b@r(1, 12)")
         deployment.converge()
         assert sorted(view.rows()) == [(1, 10), (1, 11), (1, 12), (3, 30)]
@@ -137,7 +137,7 @@ class TestCompiledViews:
         deployment.converge()
         assert sorted(view.rows()) == [(1, 11), (1, 12)]
         # The owner absorbed all churn on the delta/rederive paths.
-        assert engine.eval_counters["stages_full"] == full_before
+        assert engine.metrics["core", "stages_full"] == full_before
 
     def test_malformed_and_unsafe_queries_raise_api_errors(self):
         deployment = build_pair()
@@ -772,7 +772,7 @@ class TestStandingViewsCostWhatChanged:
 
     @staticmethod
     def work(deployment):
-        return sum(peer.engine.eval_counters["substitutions_explored"]
+        return sum(peer.engine.metrics["core", "substitutions_explored"]
                    for peer in deployment.runtime.peers.values())
 
     def test_standing_pages_answer_as_reopened_ones_for_a_fifth_of_the_work(self):

@@ -43,8 +43,7 @@ class TestBuilderProvenance:
         deployment.converge()
         deployment.peer("left").insert("posts@left(2)")
         deployment.converge()
-        counters = deployment.runtime.peer("hub").engine.eval_counters
-        assert counters["stages_delta"] > 0
+        assert deployment.metrics(peer="hub")["core", "stages_delta"] > 0
 
 
 class TestExplain:

@@ -230,3 +230,22 @@ def test_src_raises_no_deprecation_warning_of_its_own():
             if isinstance(node, ast.Name) and node.id.endswith("DeprecationWarning"):
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert offenders == []
+
+
+def test_metrics_is_the_one_counter_read():
+    """A peer's work is counted in its engine's one registry and read
+    through ``metrics``: no ``totals`` / ``counts`` chain beside it, no
+    engine copy of the planner's counts, no per-peer read on the handle."""
+    from repro.core.engine import WebdamLogEngine
+    from repro.core.state import PeerState
+
+    for cls in (repro.api.System, repro.api.PeerHandle, WebdamLogSystem, Peer,
+                WebdamLogEngine, PeerState):
+        assert not {"totals", "counts"} & set(dir(cls)), cls.__name__
+    engine = WebdamLogEngine("p")
+    assert not hasattr(engine, "eval_counters")
+    assert not hasattr(engine._planner, "counters")
+    assert engine._planner.metrics is engine.metrics is engine.state.backend.metrics
+    assert "metrics" in public_methods(repro.api.System)
+    assert "metrics" in public_methods(WebdamLogSystem)
+    assert not hasattr(repro.api.PeerHandle, "metrics")

@@ -44,11 +44,11 @@ for bridge in bridges:
 engine.run_to_quiescence()
 work = []
 for bridge in bridges:
-    before = engine.eval_counters["substitutions_explored"]
+    before = engine.metrics["core", "substitutions_explored"]
     engine.delete_fact(Fact("bridge", "hub", bridge))
     engine.run_to_quiescence()
-    work.append(engine.eval_counters["substitutions_explored"] - before)
-print(engine.eval_counters["stages_rederive"], work)
+    work.append(engine.metrics["core", "substitutions_explored"] - before)
+print(engine.metrics["core", "stages_rederive"], work)
 """
 
 

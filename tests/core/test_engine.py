@@ -149,9 +149,8 @@ class TestStageBasics:
     def test_counts_and_snapshot(self, engine):
         engine.load_program(TestProgramLoading.PROGRAM)
         engine.run_stage()
-        counts = engine.counts()
-        assert counts["extensional_facts"] == 2
-        assert counts["derived_facts"] == 2
+        assert engine.state.store.total_facts() == 2
+        assert engine.state.derived.total_facts() == 2
         snapshot = engine.snapshot()
         assert "pictures@alice" in snapshot
         assert "names@alice" in snapshot

@@ -84,11 +84,11 @@ class TestEvaluationPaths:
         engine.run_to_quiescence()
 
         def delete_and_reinsert():
-            baseline = engine.eval_counters["rules_evaluated"]
+            baseline = engine.metrics["core", "rules_evaluated"]
             engine.delete_fact(Fact("link", "alice", (1, 2)))
             result = engine.run_stage()
             assert result.evaluation_path == "rederive"
-            evaluated = engine.eval_counters["rules_evaluated"] - baseline
+            evaluated = engine.metrics["core", "rules_evaluated"] - baseline
             assert evaluated == result.rules_evaluated
             assert {f.values for f in engine.query("unrelated")} == {(9,)}
             engine.insert_fact(Fact("link", "alice", (1, 2)))
@@ -131,7 +131,7 @@ class TestEvaluationPaths:
         assert result.rules_evaluated == 0  # loop@alice has no definition left
         assert engine.query("loop") == ()
         assert engine.snapshot() == naive.snapshot()
-        assert engine.eval_counters["stages_full"] == 1  # the first stage only
+        assert engine.metrics["core", "stages_full"] == 1  # the first stage only
 
     def test_removing_a_rule_with_a_remote_head_evaluates_nothing(self, engine):
         engine.declare(RelationSchema("mirror", "bob", ("x",),

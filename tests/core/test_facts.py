@@ -433,7 +433,7 @@ class TestRelationSnapshots:
         engine.run_stage()
         subscription.notify_stage("p")
         assert (added, removed) == ([kept, kept], [kept])
-        assert engine.state.counts()["provided_facts"] == 0
+        assert engine.state.provided.total_facts() == 0
 
     def test_remote_relations_are_never_visible_and_snapshots_can_be_dropped(self):
         state = self._state()

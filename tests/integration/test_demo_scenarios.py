@@ -174,7 +174,8 @@ class TestQualitativeShapes:
         assert len(viewer.attendee_pictures()) == 4 * (attendees - 1)
         # One delegation per selected attendee per Wepic rule whose body
         # reaches them: attendeePictures, attendeeRatings and the transfer rule.
-        assert scenario.api.totals()["installed_delegations"] == 3 * (attendees - 1)
+        assert (scenario.api.metrics()["core", "installed_delegations"]
+                == 3 * (attendees - 1))
         picture_delegations = sum(
             1 for name in names
             for d in scenario.app(name).peer.installed_delegations()

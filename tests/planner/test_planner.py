@@ -89,19 +89,19 @@ class TestBodyOrdering:
             "rule out@p($x, $y) :- big@p($x, $y), sel@p($x);",
             default_peer="p")
         planner = engine._planner
-        computed = planner.counters["plans_computed"]
+        computed = engine.metrics["planner", "plans_computed"]
         first = planner.plan_rule(rule)
-        assert planner.counters["plans_computed"] == computed + 1
+        assert engine.metrics["planner", "plans_computed"] == computed + 1
         second = planner.plan_rule(rule)
         assert second is first
-        assert planner.counters["plans_computed"] == computed + 1
+        assert engine.metrics["planner", "plans_computed"] == computed + 1
         # 10x churn on a prefix relation invalidates the cached plan.
         for index in range(1000):
             engine.insert_fact(Fact("sel", "p", (1000 + index,)))
         engine.run_to_quiescence()
         replanned = planner.plan_rule(rule)
         assert replanned is not first
-        assert planner.counters["plans_computed"] == computed + 2
+        assert engine.metrics["planner", "plans_computed"] == computed + 2
         assert first.order == second.order
 
     def test_cached_plan_is_immutable(self):
@@ -250,14 +250,14 @@ class TestWorkReduction:
             written_order(engine)
         deployment.peer("hub").insert_many(rows)
         deployment.converge()
-        before = engine.eval_counters["substitutions_explored"]
+        before = engine.metrics["core", "substitutions_explored"]
         if query is None:
             deployment.peer("hub").load_program(rules)
             view = deployment.query("hub", answer)
         else:
             view = deployment.query("hub", query)
         deployment.converge()
-        work = engine.eval_counters["substitutions_explored"] - before
+        work = engine.metrics["core", "substitutions_explored"] - before
         private = ("_view", "_magic_", "_demand_") + tuple(
             f"{name}@" for name in ("reach", "ans", "picks"))
         visible = {relation: facts

@@ -205,7 +205,7 @@ class TestTupleLevelDeletesMatchNaive:
                     _apply(incremental, op)
                     _apply(naive, op)
                 _settle_in_lockstep(incremental, naive, sent, provenance, changes)
-            assert incremental.eval_counters["stages_full"] == 1
+            assert incremental.metrics["core", "stages_full"] == 1
 
         run()
 

@@ -218,7 +218,7 @@ class TestWorkReduction:
             for i in range(6):
                 engine.insert_fact(Fact("link", "p", (20 + i, i)))
                 engine.run_to_quiescence()
-            counters[mode] = engine.eval_counters["substitutions_explored"]
+            counters[mode] = engine.metrics["core", "substitutions_explored"]
             snapshots[mode] = engine.snapshot()
         assert snapshots["incremental"] == snapshots["naive"]
         assert counters["naive"] >= 5 * counters["incremental"]

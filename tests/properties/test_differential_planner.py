@@ -115,9 +115,9 @@ class TestEngineDifferential:
                              seen[planned]) == expected
             assert planned.snapshot() == written.snapshot()
         # The equivalence must be between different strategies.
-        assert written.eval_counters.get("plans_computed", 0) == 0
+        assert written.metrics["planner", "plans_computed"] == 0
         if any(kind == "link+" for kind, _, _ in stream):
-            assert planned.eval_counters["plans_computed"] > 0
+            assert planned.metrics["planner", "plans_computed"] > 0
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                     min_size=1, max_size=15))
@@ -193,7 +193,7 @@ class TestViewDifferential:
             # Strategy actually differed: magic predicates installed.
             assert view.plan()["magic_relations"]
             written = reference.runtime.peer("p").engine
-            assert written.eval_counters.get("plans_computed", 0) == 0
+            assert written.metrics["planner", "plans_computed"] == 0
         finally:
             view.close()
             deployment.close()

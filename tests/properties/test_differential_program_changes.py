@@ -123,7 +123,7 @@ class TestWildcardRulesStayIncremental:
                 (engine.insert_fact if insert else engine.delete_fact)(fact)
             settle_and_compare(incremental, naive)
         # The first stage of the engine, and nothing after it.
-        assert incremental.eval_counters["stages_full"] == 1
+        assert incremental.metrics["core", "stages_full"] == 1
 
     def test_facts_the_wildcard_rules_do_not_read_evaluate_nothing_wild(self):
         """Ratings and pictures never re-fire the transfer rule."""
@@ -162,8 +162,8 @@ class TestWildcardRulesStayIncremental:
                 assert deployment.converge(max_steps=80).converged
             assert incremental.snapshot() == naive.snapshot()
         for name in "pqr":
-            counters = incremental.peer(name).engine.eval_counters
-            assert counters["stages_full"] == 1
+            counters = incremental.peer(name).engine.metrics
+            assert counters["core", "stages_full"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -314,7 +314,7 @@ class TestProgramChangesAreDeltas:
                 for engine in (incremental, naive):
                     _apply_change(engine, operation, rules, delegations)
             settle_and_compare(incremental, naive, provenance)
-        assert incremental.eval_counters["stages_full"] == 1
+        assert incremental.metrics["core", "stages_full"] == 1
 
     def test_aggregate_views_opened_and_closed_under_churn(self):
         """Ad-hoc aggregate views are program changes too: rows agree with a
@@ -347,7 +347,7 @@ class TestProgramChangesAreDeltas:
             rows[evaluation] = seen
             if evaluation == "incremental":
                 engine = deployment.runtime.peer("q").engine
-                assert engine.eval_counters["stages_full"] == 1
+                assert engine.metrics["core", "stages_full"] == 1
         assert rows["incremental"] == rows["naive"]
 
 
@@ -445,4 +445,4 @@ class TestStrictNoOps:
             engine.insert_fact(Fact("base", "p", (1,)))
         settle_and_compare(incremental, naive)
         assert incremental.query("late") == (Fact("late", "p", (1,)),)
-        assert incremental.eval_counters["stages_full"] == 1
+        assert incremental.metrics["core", "stages_full"] == 1

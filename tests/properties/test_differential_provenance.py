@@ -115,9 +115,9 @@ class TestSinglePeerDifferential:
             naive.run_to_quiescence(max_stages=20)
         assert (provenance_story(incremental.provenance.graph)
                 == provenance_story(naive.provenance.graph))
-        assert (naive.eval_counters["substitutions_explored"]
-                >= 5 * incremental.eval_counters["substitutions_explored"])
-        assert incremental.eval_counters["stages_delta"] > 0
+        assert (naive.metrics["core", "substitutions_explored"]
+                >= 5 * incremental.metrics["core", "substitutions_explored"])
+        assert incremental.metrics["core", "stages_delta"] > 0
 
 
 def _build_system(system: WebdamLogSystem) -> WebdamLogSystem:
@@ -269,7 +269,7 @@ class TestWorkReduction:
         assert incremental.snapshot() == naive.snapshot()
         assert (provenance_story(incremental.provenance.graph)
                 == provenance_story(naive.provenance.graph))
-        counters = incremental.eval_counters
-        assert counters["stages_delta"] + counters["stages_rederive"] > 0
-        assert (naive.eval_counters["substitutions_explored"]
-                >= 5 * counters["substitutions_explored"])
+        counters = incremental.metrics
+        assert counters["core", "stages_delta"] + counters["core", "stages_rederive"] > 0
+        assert (naive.metrics["core", "substitutions_explored"]
+                >= 5 * counters["core", "substitutions_explored"])

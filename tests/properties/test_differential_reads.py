@@ -173,8 +173,8 @@ collection intensional scratch ovl@h(p, s, u);
 """
 
 
-def build(backend="memory", provenance=False, scratch=False, path=None):
-    builder = system()
+def build(backend="memory", provenance=False, scratch=False, path=None, transport=None):
+    builder = system() if transport is None else system().transport(transport)
     builder = (builder.storage(backend, path=path) if path is not None
                else builder.storage(backend))
     if provenance:

@@ -105,7 +105,7 @@ class TestChurnStaysIncremental:
         view = deployment.query("q", QUERY)
         deployment.converge()
         owner = deployment.runtime.peer("q").engine
-        full_before = owner.eval_counters["stages_full"]
+        full_before = owner.metrics["core", "stages_full"]
         rng = random.Random(7)
         for _ in range(30):
             relation = rng.choice(["a", "c", "b"])
@@ -115,10 +115,10 @@ class TestChurnStaysIncremental:
             deployment.converge()
             assert sorted(view.rows()) == \
                 sorted(deployment.query("q", "ref").rows())
-        assert owner.eval_counters["stages_full"] == full_before
+        assert owner.metrics["core", "stages_full"] == full_before
         # And churn did exercise the incremental machinery, not just skips.
-        assert (owner.eval_counters["stages_delta"]
-                + owner.eval_counters["stages_rederive"]) > 0
+        assert (owner.metrics["core", "stages_delta"]
+                + owner.metrics["core", "stages_rederive"]) > 0
 
     def test_remote_relation_churn_is_incremental_everywhere(self):
         """Churn on the delegated-to relation keeps every peer off the full
@@ -132,8 +132,8 @@ class TestChurnStaysIncremental:
         deployment.converge()
         owner = deployment.runtime.peer("q").engine
         remote = deployment.runtime.peer("r").engine
-        full_before = (owner.eval_counters["stages_full"],
-                       remote.eval_counters["stages_full"])
+        full_before = (owner.metrics["core", "stages_full"],
+                       remote.metrics["core", "stages_full"])
         rng = random.Random(11)
         for _ in range(25):
             apply_operation(deployment, ("b", rng.random() < 0.6,
@@ -141,7 +141,7 @@ class TestChurnStaysIncremental:
             deployment.converge()
             assert sorted(view.rows()) == \
                 sorted(deployment.query("q", "ref").rows())
-        assert (owner.eval_counters["stages_full"],
-                remote.eval_counters["stages_full"]) == full_before
-        assert (remote.eval_counters["stages_delta"]
-                + remote.eval_counters["stages_rederive"]) > 0
+        assert (owner.metrics["core", "stages_full"],
+                remote.metrics["core", "stages_full"]) == full_before
+        assert (remote.metrics["core", "stages_delta"]
+                + remote.metrics["core", "stages_rederive"]) > 0

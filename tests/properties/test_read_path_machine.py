@@ -12,7 +12,9 @@ unread must equal the uncached read of
 down to the float bits and the order.  A plain view and a viewer's carry an
 ``on_change`` observer each: after every step that ran the deployment to
 its fixpoint, the facts an observer was told were added, minus those it was
-told were removed, are the view's ``facts()``.
+told were removed, are the view's ``facts()``.  The same machine runs over
+a transport that drops, duplicates and reorders messages, where the hub and
+the far peer replicate causally.
 """
 
 import shutil
@@ -26,6 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core import facts as facts_module
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
+from repro.runtime.inmemory import InMemoryTransport
 
 from tests.properties.test_differential_reads import (
     FAR, HUB, LIKED_RULE, OVERLAP_RULE, VIEWS, bits, build, expected, open_view, pics,
@@ -64,6 +67,10 @@ class ReadPathMachine(RuleBasedStateMachine):
     #: With provenance a viewer's decisions follow lineage, so the viewer's
     #: observer drains the provenance graph's feeds too.
     provenance = False
+    #: The in-memory transport's loss model; ``None`` keeps it clean.
+    loss = None
+    #: Cycles a run to the fixpoint may take.
+    max_steps = 60
 
     def __init__(self):
         super().__init__()
@@ -72,8 +79,12 @@ class ReadPathMachine(RuleBasedStateMachine):
             facts_module.FEED_FLOOR = self.feed_floor
         self.directory = (tempfile.mkdtemp(prefix="repro-reads-")
                           if self.backend == "sqlite" else None)
+        transport = InMemoryTransport(seed=7, **self.loss) if self.loss else None
         self.deployment = build(self.backend, provenance=self.provenance,
-                                path=self.directory)
+                                path=self.directory, transport=transport)
+        if self.loss:
+            assert all(peer.replication is not None
+                       for peer in self.deployment.runtime.peers.values())
         self.views, self.state = {}, {}
         # page -> (its observer, the facts it was told are there)
         self.observers = {}
@@ -150,7 +161,7 @@ class ReadPathMachine(RuleBasedStateMachine):
             if name == "overlap":
                 hub.unwrap().remove_rules([self.state.pop("overlap")])
             observer = self.observers.pop(name, (None,))[0]
-            self.views.pop(name).close(settle=settle)
+            self.views.pop(name).close(settle=settle, max_steps=self.max_steps)
             self.unread.discard(name)
             self.settled = settle
             if observer is not None:
@@ -161,7 +172,11 @@ class ReadPathMachine(RuleBasedStateMachine):
 
     @rule()
     def converge(self):
-        self.deployment.converge(max_steps=60)
+        self.settle()
+
+    def settle(self):
+        """Run the deployment to its fixpoint."""
+        assert self.deployment.converge(max_steps=self.max_steps).converged
         self.settled = True
 
     @rule(name=readable)
@@ -171,8 +186,7 @@ class ReadPathMachine(RuleBasedStateMachine):
     @rule(name=readable, settle=st.booleans())
     def read(self, name, settle):
         if settle:
-            self.deployment.converge(max_steps=60)
-            self.settled = True
+            self.settle()
         self.unread.discard(name)
         self.check(name)
 
@@ -186,8 +200,7 @@ class ReadPathMachine(RuleBasedStateMachine):
             hub.insert(Fact("rate", HUB, row))
             if mirror:
                 far.insert(Fact("score", FAR, row))
-            self.deployment.converge(max_steps=60)
-        self.settled = True
+            self.settle()
 
     # -- after every step ---------------------------------------------------------- #
 
@@ -256,6 +269,15 @@ class DurableReadPathMachine(ReadPathMachine):
             self.open(name)
         self.relations = {name: self.deployment.query(HUB, name) for name in RELATIONS}
         self.settled = False
+
+
+class LossyReadPathMachine(ReadPathMachine):
+    """The same over a transport that drops, duplicates and reorders: the
+    views' owner and the far peer replicate causally, and a run to the
+    fixpoint waits for anti-entropy to repair every loss."""
+
+    loss = {"drop_probability": 0.2, "duplicate_probability": 0.2, "reorder_window": 2}
+    max_steps = 400
 
 
 class OverflowingReadPathMachine(ReadPathMachine):
@@ -461,6 +483,8 @@ TestReadPath = ReadPathMachine.TestCase
 TestReadPath.settings = _SETTINGS
 TestDurableReadPath = DurableReadPathMachine.TestCase
 TestDurableReadPath.settings = _SETTINGS
+TestLossyReadPath = LossyReadPathMachine.TestCase
+TestLossyReadPath.settings = _SETTINGS
 TestOverflowingReadPath = OverflowingReadPathMachine.TestCase
 TestOverflowingReadPath.settings = _SETTINGS
 TestResumingReadPath = ResumingReadPathMachine.TestCase

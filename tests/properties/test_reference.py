@@ -70,10 +70,10 @@ def test_every_stage_of_the_reference_recomputes_from_scratch():
     engine.delete_fact(Fact("link", "p", ("b", "c")))
     engine.run_to_quiescence()
     engine.run_stage()
-    counters = engine.eval_counters
-    assert counters["stages_full"] >= 3
-    assert counters["stages_delta"] == counters["stages_rederive"] == 0
-    assert counters["stages_skip"] == 0
+    counters = engine.metrics
+    assert counters["core", "stages_full"] >= 3
+    assert counters["core", "stages_delta"] == counters["core", "stages_rederive"] == 0
+    assert counters["core", "stages_skip"] == 0
 
 
 def test_every_stage_of_the_reference_derives_into_empty_relations():
@@ -116,10 +116,10 @@ def test_written_order_walks_every_body_as_written():
     planned = _loaded(WebdamLogEngine("p"))
     written = _loaded(written_order(WebdamLogEngine("p")))
     assert written.snapshot() == planned.snapshot()
-    assert planned.eval_counters["plans_computed"] > 0
+    assert planned.metrics["planner", "plans_computed"] > 0
     written.insert_fact(Fact("link", "p", ("d", "e")))
     written.run_to_quiescence()
-    assert written.eval_counters["plans_computed"] == 0
+    assert written.metrics["planner", "plans_computed"] == 0
     assert not any(written._planner._cache.values())
 
 
@@ -138,7 +138,7 @@ def test_every_reference_runs_in_written_order():
                runtime.peer("p").engine]
     for engine in engines:
         assert engine.query("tc")
-        assert engine.eval_counters["plans_computed"] == 0
+        assert engine.metrics["planner", "plans_computed"] == 0
 
 
 def test_a_reference_deployment_runs_a_reference_at_every_peer():

@@ -49,7 +49,7 @@ class TestDeltaStages:
         assert Fact("link", "p", (1, 2)) in lineage
         assert Fact("link", "p", (2, 3)) in lineage
 
-    def test_eval_counters_show_incremental_paths(self):
+    def test_metrics_show_incremental_paths(self):
         engine = tracked_engine()
         engine.run_to_quiescence()
         for i in range(4):
@@ -57,10 +57,10 @@ class TestDeltaStages:
             engine.run_to_quiescence()
         engine.delete_fact(Fact("link", "p", (0, 1)))
         engine.run_to_quiescence()
-        counters = engine.eval_counters
-        assert counters["stages_delta"] >= 4
-        assert counters["stages_rederive"] >= 1
-        assert counters["stages_full"] == 1  # only the program load
+        counters = engine.metrics
+        assert counters["core", "stages_delta"] >= 4
+        assert counters["core", "stages_rederive"] >= 1
+        assert counters["core", "stages_full"] == 1  # only the program load
 
 
 class TestRetraction:

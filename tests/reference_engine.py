@@ -52,7 +52,8 @@ class _WrittenOrderPlanner(BodyPlanner):
 
 def written_order(engine: WebdamLogEngine) -> WebdamLogEngine:
     """Make ``engine`` evaluate every rule body in written order."""
-    engine._planner = _WrittenOrderPlanner(engine.peer, engine._planner.stats)
+    engine._planner = _WrittenOrderPlanner(engine.peer, engine._planner.stats,
+                                           engine.metrics)
     return engine
 
 

@@ -189,13 +189,13 @@ class TestSystem:
         assert len(reports) == 3
         assert two_peer_system.current_round == 3
 
-    def test_totals_and_snapshot(self, two_peer_system):
+    def test_metrics_and_snapshot(self, two_peer_system):
         alice = two_peer_system.peer("alice")
         alice.insert_fact(Fact("r", "alice", (1,)))
         two_peer_system.converge()
-        totals = two_peer_system.totals()
-        assert totals["peers"] == 2
-        assert totals["extensional_facts"] == 1
+        metrics = two_peer_system.metrics()
+        assert metrics["runtime", "peers"] == 2
+        assert metrics["store", "extensional_facts"] == 1
         snapshot = two_peer_system.snapshot()
         assert "r@alice" in snapshot["alice"]
 

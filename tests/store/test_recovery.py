@@ -290,6 +290,42 @@ class TestReopen:
         reopened.close()
 
 
+def stored_rows(path):
+    """Rows over every relation table of one peer's database file."""
+    with closing(sqlite3.connect(str(path))) as database:
+        tables = database.execute("SELECT table_name FROM _repro_catalog").fetchall()
+        return sum(database.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+                   for (name,) in tables)
+
+
+class TestTheAttachIsCounted:
+    """A reopen decodes every stored row into its table's kept facts; the
+    peer's registry counts the rows and the time it took."""
+
+    def test_a_reopened_peer_counts_every_stored_row_it_decoded(self, tmp_path):
+        deployment = build(tmp_path)
+        seed(deployment)
+        deployment.converge()
+        assert deployment.metrics(peer="hub")["store", "rows_decoded"] == 0
+        deployment.close()
+        rows = stored_rows(tmp_path / "hub.db")
+        reopened = build(tmp_path)
+        metrics = reopened.metrics(peer="hub")
+        assert rows > 0 and metrics["store", "rows_decoded"] == rows
+        assert metrics["store", "attach_decode_s"] > 0
+        everyone = sum(stored_rows(tmp_path / f"{name}.db") for name in ("hub", "left", "right"))
+        assert reopened.metrics()["store", "rows_decoded"] == everyone
+        reopened.close()
+
+    def test_a_memory_peer_decodes_nothing(self):
+        deployment = system().storage("memory").peer("hub").program(PROGRAM_HUB).build()
+        deployment.peer("hub").insert(Fact("local", "hub", (1,)))
+        deployment.converge()
+        metrics = deployment.metrics(peer="hub")
+        assert ("store", "rows_decoded") not in metrics
+        assert ("store", "attach_decode_s") not in metrics
+
+
 class TestCrash:
     def test_uncommitted_inserts_roll_back(self, tmp_path):
         deployment = build(tmp_path)
@@ -446,9 +482,9 @@ class TestRecoveryWritesOnlyTheDifference:
         reopened, views = self.reopen(tmp_path)
         writes = derived_writes(reopened, reopened.converge)
         assert writes == []
-        counters = reopened.runtime.peer("hub").engine.eval_counters
-        assert counters["stages_full"] == 0
-        assert counters["substitutions_explored"] == 0
+        counters = reopened.metrics(peer="hub")
+        assert counters["core", "stages_full"] == 0
+        assert counters["core", "substitutions_explored"] == 0
         assert {name: sorted(view.rows()) for name, view in views.items()} == answers
         # The views stay live after the reopen.
         reopened.peer("hub").insert(Fact("rate", "hub", ("u0", 99, 5)))
@@ -479,8 +515,7 @@ class TestRecoveryWritesOnlyTheDifference:
 def first_path(deployment, name="hub"):
     """How the first stage of ``name`` in a reopened ``deployment`` ran:
     ``"full"`` when it recomputed every view, ``"resumed"`` otherwise."""
-    counters = deployment.runtime.peer(name).engine.eval_counters
-    return "full" if counters["stages_full"] else "resumed"
+    return "full" if deployment.metrics(peer=name)["core", "stages_full"] else "resumed"
 
 
 PROGRAM_SOLO = """
@@ -725,7 +760,7 @@ class TestResumeFromTheCommittedFixpoint:
         deployment.peer("hub").insert(Fact("local", "hub", (1,)))
         deployment.converge()
         engine = deployment.runtime.peer("hub").engine
-        before = dict(engine.eval_counters)
+        before = engine.metrics.copy()
         hub = deployment.peer("hub")
         rules = hub.rules()
         hub.unwrap().remove_rules([rule.rule_id for rule in rules])
@@ -733,8 +768,8 @@ class TestResumeFromTheCommittedFixpoint:
             hub.add_rule(str(rule))
         result = engine.run_stage()
         assert result.evaluation_path == "skip"
-        assert engine.eval_counters["substitutions_explored"] \
-            == before["substitutions_explored"]
+        assert engine.metrics["core", "substitutions_explored"] \
+            == before["core", "substitutions_explored"]
         hub.insert(Fact("local", "hub", (2,)))
         deployment.converge()
         assert Fact("big", "hub", (2,)) in hub.snapshot()["big@hub"]
