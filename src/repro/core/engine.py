@@ -85,11 +85,6 @@ class StageResult:
         """Total number of facts shipped to remote peers this stage."""
         return sum(len(update) for update in self.outgoing_updates)
 
-    def outgoing_message_count(self) -> int:
-        """Number of messages (updates + delegation installs/retracts) emitted."""
-        return (len(self.outgoing_updates) + len(self.delegations_to_install)
-                + len(self.delegations_to_retract))
-
     def has_outgoing(self) -> bool:
         """``True`` when the stage produced anything for other peers."""
         return bool(self.outgoing_updates or self.delegations_to_install

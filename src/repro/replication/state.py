@@ -3,9 +3,10 @@
 :class:`ReplicationState` is what a causal-mode peer owns.  It sits between
 the peer's engine and the transport:
 
-* **outbound** — the fact/delegation/provenance messages a stage produces are
-  converted into dotted ops on per-target :class:`ChannelOutbox`\\ es
-  (:meth:`encode_outgoing`), and :meth:`flush` turns the unsent ops into
+* **outbound** — the update a stage produces for each recipient (facts,
+  provenance, delegations) is converted into dotted ops on per-target
+  :class:`ChannelOutbox`\\ es (:meth:`encode_outgoing`), and :meth:`flush`
+  turns the unsent ops into
   :class:`~repro.runtime.messages.DeltaEnvelopeMessage`\\ s — plus the
   anti-entropy control traffic: a digest when a channel stays unacknowledged,
   answers to pulls, and the acks/pulls queued by the inbound side;
@@ -48,7 +49,6 @@ from repro.replication.channel import ChannelInbox, ChannelOutbox, Effect
 from repro.replication.dots import CausalContext
 from repro.runtime import wire
 from repro.runtime.messages import (
-    DelegationInstallMessage,
     DeltaEnvelopeMessage,
     FactMessage,
     Message,
@@ -175,26 +175,26 @@ class ReplicationState:
     # outbound: stage outputs -> ops -> envelopes
     # ------------------------------------------------------------------ #
 
-    def encode_outgoing(self, messages: Iterable[Message]) -> None:
+    def encode_outgoing(self, messages: Iterable[FactMessage]) -> None:
         """Absorb a stage's messages into channel ops.
 
-        Fact updates, delegation installs and retractions become dotted ops
-        on the target's outbox, shipped by the next :meth:`flush`.
+        Each message's fact updates, derivations, delegation installs and
+        retractions become dotted ops on the recipient's outbox, in that
+        order, shipped by the next :meth:`flush`.
         """
         for message in messages:
             box = self.outbox(message.recipient)
-            if isinstance(message, FactMessage):
-                for fact in sorted(message.inserted, key=str):
-                    box.insert(fact)
-                for fact in sorted(message.deleted, key=str):
-                    box.delete(fact)
-                for derivation in message.derivations:
-                    box.derivation(derivation,
-                                   anchor=derivation.fact in message.inserted)
-            elif isinstance(message, DelegationInstallMessage):
-                box.delegate(message.delegation_id, message.rule, message.schemas)
-            else:
-                box.undelegate(message.delegation_id)
+            for fact in sorted(message.inserted, key=str):
+                box.insert(fact)
+            for fact in sorted(message.deleted, key=str):
+                box.delete(fact)
+            for derivation in message.derivations:
+                box.derivation(derivation,
+                               anchor=derivation.fact in message.inserted)
+            for delegation_id, rule, schemas in message.installs:
+                box.delegate(delegation_id, rule, schemas)
+            for delegation_id in message.retracts:
+                box.undelegate(delegation_id)
             self._refile_outbox(box)
 
     def flush(self, now: int) -> List[Message]:

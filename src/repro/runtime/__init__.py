@@ -23,8 +23,6 @@ network of peers.
 
 from repro.runtime.messages import (
     FactMessage,
-    DelegationInstallMessage,
-    DelegationRetractMessage,
     Message,
 )
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
@@ -36,8 +34,6 @@ from repro.runtime.system import WebdamLogSystem
 __all__ = [
     "Message",
     "FactMessage",
-    "DelegationInstallMessage",
-    "DelegationRetractMessage",
     "InMemoryTransport",
     "NetworkStats",
     "Transport",

@@ -1,18 +1,17 @@
 """Messages exchanged between WebdamLog peers.
 
-Three kinds of payload travel on the network, mirroring step 3 of the
-computation stage described in the paper:
+Five kinds of message travel on the network:
 
-* **fact updates** (:class:`FactMessage`) — insertions and deletions for
-  relations located at the recipient;
-* **delegations** (:class:`DelegationInstallMessage`,
-  :class:`DelegationRetractMessage`) — rules installed at or retracted from
-  the recipient by a remote delegator;
+* **the stage update** (:class:`FactMessage`) — everything one stage sends
+  one recipient, mirroring step 3 of the computation stage described in the
+  paper: insertions and deletions for relations located at the recipient,
+  their provenance, and the delegated rules installed at or retracted from
+  the recipient;
 * **replication payloads** (:class:`DeltaEnvelopeMessage`,
   :class:`ReplicationDigestMessage`, :class:`ReplicationPullMessage`,
   :class:`ReplicationAckMessage`) — the dotted delta ops and anti-entropy
   control of causal replication (:mod:`repro.replication`), which replace
-  raw fact/delegation messages on every transport that does not promise
+  the raw stage update on every transport that does not promise
   exactly-once, in-order delivery.
 
 Every message can be encoded to / decoded from a JSON-compatible dictionary
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Tuple
 
 from repro.core import codec
 from repro.core.facts import Fact
@@ -69,65 +68,59 @@ class Message:
 
 @dataclass(frozen=True)
 class FactMessage(Message):
-    """Fact insertions/deletions addressed to relations of the recipient.
+    """Everything one stage of the sender ships the recipient.
 
-    ``derivations`` optionally carries the provenance of the inserted facts
-    (the sender's derivations, transitively down to its base facts) so
-    provenance-enabled receivers can answer why/lineage queries — and apply
-    lineage-based access control — across peer boundaries.
+    ``inserted`` / ``deleted`` are fact updates addressed to relations of
+    the recipient.  ``derivations`` optionally carries their provenance (the
+    sender's derivations, transitively down to its base facts, and fresh
+    alternative derivations of facts shipped earlier) so provenance-enabled
+    receivers can answer why/lineage queries — and apply lineage-based
+    access control — across peer boundaries.  ``installs`` are the delegated
+    rules to install at the recipient, as ``(delegation_id, rule, schemas)``
+    — the schemas (known to the delegator) of the relations the rule
+    mentions, so the recipient learns, for example, that the head relation
+    is intensional at the delegator (the paper's run-time relation
+    discovery); ``retracts`` are the ids of delegations to retract.
     """
 
     inserted: FrozenSet[Fact] = frozenset()
     deleted: FrozenSet[Fact] = frozenset()
     derivations: Tuple[Derivation, ...] = ()
+    installs: Tuple[Tuple[str, Rule, Tuple[RelationSchema, ...]], ...] = ()
+    retracts: Tuple[str, ...] = ()
 
     def payload_size(self) -> int:
-        """Number of facts (and attached derivations) carried."""
-        return len(self.inserted) + len(self.deleted) + len(self.derivations)
+        """Facts and derivations carried, plus one per delegated rule, per
+        schema it ships with and per retraction."""
+        return (len(self.inserted) + len(self.deleted) + len(self.derivations)
+                + sum(1 + len(schemas) for _, _, schemas in self.installs)
+                + len(self.retracts))
+
+    def effects(self) -> List[Tuple]:
+        """The message as the effect tuples a replication inbox emits, in the
+        order facts, derivations, installs, retracts.  Only the inserted
+        facts anchor a derivation; lineage intermediates live as long as an
+        anchor reaches them."""
+        effects: List[Tuple] = [("insert", fact) for fact in self.inserted]
+        effects.extend(("delete", fact) for fact in self.deleted)
+        effects.extend(("derivation", derivation, derivation.fact in self.inserted)
+                       for derivation in self.derivations)
+        effects.extend(("delegate", *install) for install in self.installs)
+        effects.extend(("undelegate", delegation_id) for delegation_id in self.retracts)
+        return effects
 
     def to_wire(self) -> Dict[str, Any]:
         encoded = super().to_wire()
         encoded["inserted"] = [codec.encode_fact(f) for f in sorted(self.inserted, key=str)]
         encoded["deleted"] = [codec.encode_fact(f) for f in sorted(self.deleted, key=str)]
         encoded["derivations"] = [wire.encode_derivation(d) for d in self.derivations]
-        return encoded
-
-
-@dataclass(frozen=True)
-class DelegationInstallMessage(Message):
-    """Install a delegated rule at the recipient.
-
-    ``schemas`` carries the schemas (known to the delegator) of the relations
-    mentioned in the delegated rule, so the recipient learns, for example,
-    that the head relation is intensional at the delegator.  This mirrors the
-    run-time relation discovery the paper describes.
-    """
-
-    delegation_id: str = ""
-    rule: Optional[Rule] = None
-    schemas: Tuple[RelationSchema, ...] = ()
-
-    def payload_size(self) -> int:
-        """A delegation counts as one rule plus its attached schemas."""
-        return 1 + len(self.schemas)
-
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["delegation_id"] = self.delegation_id
-        encoded["rule"] = codec.encode_rule(self.rule) if self.rule is not None else None
-        encoded["schemas"] = [codec.encode_schema(s) for s in self.schemas]
-        return encoded
-
-
-@dataclass(frozen=True)
-class DelegationRetractMessage(Message):
-    """Retract a previously installed delegation."""
-
-    delegation_id: str = ""
-
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["delegation_id"] = self.delegation_id
+        if self.installs:
+            encoded["installs"] = [
+                {"delegation_id": delegation_id, "rule": codec.encode_rule(rule),
+                 "schemas": [codec.encode_schema(s) for s in schemas]}
+                for delegation_id, rule, schemas in self.installs]
+        if self.retracts:
+            encoded["retracts"] = list(self.retracts)
         return encoded
 
 
@@ -210,19 +203,12 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
             deleted=frozenset(codec.decode_fact(f) for f in encoded.get("deleted", [])),
             derivations=tuple(wire.decode_derivation(d)
                               for d in encoded.get("derivations", [])),
+            installs=tuple(
+                (install["delegation_id"], codec.decode_rule(install["rule"]),
+                 tuple(codec.decode_schema(s) for s in install["schemas"]))
+                for install in encoded.get("installs", [])),
+            retracts=tuple(encoded.get("retracts", ())),
             **common,
-        )
-    if kind == "DelegationInstallMessage":
-        rule = encoded.get("rule")
-        return DelegationInstallMessage(
-            delegation_id=encoded.get("delegation_id", ""),
-            rule=codec.decode_rule(rule) if rule is not None else None,
-            schemas=tuple(codec.decode_schema(s) for s in encoded.get("schemas", [])),
-            **common,
-        )
-    if kind == "DelegationRetractMessage":
-        return DelegationRetractMessage(
-            delegation_id=encoded.get("delegation_id", ""), **common
         )
     if kind == "DeltaEnvelopeMessage":
         return DeltaEnvelopeMessage(

@@ -6,7 +6,7 @@ it to the rest of the system:
 * incoming messages are dispatched to the engine — delegation installs go
   through the :class:`~repro.acl.delegation_control.DelegationController`
   first, implementing the paper's control-of-delegation model;
-* the outputs of a stage are converted into messages for the transport,
+* the outputs of a stage are converted into one message per recipient,
   attaching the schemas of the relations a delegated rule mentions so the
   recipient discovers them (run-time relation discovery);
 * attached wrappers get ``before_stage`` / ``after_stage`` hooks so external
@@ -31,8 +31,6 @@ from repro.provenance.graph import Derivation as ProvenanceDerivation
 from repro.provenance.graph import Explanation, ProvenanceTracker
 from repro.replication.state import ReplicationState
 from repro.runtime.messages import (
-    DelegationInstallMessage,
-    DelegationRetractMessage,
     DeltaEnvelopeMessage,
     FactMessage,
     Message,
@@ -68,10 +66,11 @@ class Peer:
                                       storage_options=storage_options)
         if provenance:
             self.engine.provenance = ProvenanceTracker()
-        # ``replication=False`` ships raw fact/delegation messages, which
-        # assumes exactly-once, in-order delivery; ``True`` ships dotted delta
-        # envelopes with anti-entropy (see repro.replication).  The system
-        # decides from its transport's delivery promise.
+        # ``replication=False`` ships each stage's update to a recipient as
+        # one raw FactMessage, which assumes exactly-once, in-order delivery;
+        # ``True`` ships dotted delta envelopes with anti-entropy (see
+        # repro.replication).  The system decides from its transport's
+        # delivery promise.
         if replication:
             backend = self.engine.state.backend
             # A backend that keeps nothing is never restored from, so its
@@ -245,35 +244,24 @@ class Peer:
 
     def _dispatch(self, message: Message, now: int) -> None:
         """Hand one message to the engine / controller (see :meth:`deliver`)."""
-        if isinstance(message, (DeltaEnvelopeMessage, ReplicationDigestMessage,
-                                ReplicationPullMessage, ReplicationAckMessage)):
-            if self.replication is None:
-                raise TypeError(
-                    f"peer {self.name!r} has no causal replication but received "
-                    f"a {message.kind()}; every peer of a deployment must run "
-                    "over the same transport"
-                )
-            if isinstance(message, DeltaEnvelopeMessage):
-                effects = self.replication.apply_envelope(message, now)
-                self._apply_replication_effects(message.sender, effects)
-            elif isinstance(message, ReplicationDigestMessage):
-                self.replication.on_digest(message.sender, message.frontier, now)
-            elif isinstance(message, ReplicationPullMessage):
-                self.replication.on_pull(message.sender, message.want)
-            else:
-                self.replication.on_ack(message.sender, message.acked)
-        elif isinstance(message, FactMessage):
-            self.engine.receive_facts(message.sender, message.inserted, message.deleted)
-            for derivation in message.derivations:
-                # Only the message-inserted facts are anchors; lineage
-                # intermediates live as long as an anchor reaches them.
-                self._record_shipped(derivation,
-                                     anchor=derivation.fact in message.inserted)
-        elif isinstance(message, DelegationInstallMessage):
-            self._submit_delegation(message.sender, message.delegation_id,
-                                    message.rule, message.schemas)
-        elif isinstance(message, DelegationRetractMessage):
-            self.controller.submit_retraction(message.sender, message.delegation_id)
+        if isinstance(message, FactMessage):
+            self._apply_effects(message.sender, message.effects())
+            return
+        if self.replication is None:
+            raise TypeError(
+                f"peer {self.name!r} has no causal replication but received "
+                f"a {message.kind()}; every peer of a deployment must run "
+                "over the same transport"
+            )
+        if isinstance(message, DeltaEnvelopeMessage):
+            self._apply_effects(message.sender,
+                                self.replication.apply_envelope(message, now))
+        elif isinstance(message, ReplicationDigestMessage):
+            self.replication.on_digest(message.sender, message.frontier, now)
+        elif isinstance(message, ReplicationPullMessage):
+            self.replication.on_pull(message.sender, message.want)
+        elif isinstance(message, ReplicationAckMessage):
+            self.replication.on_ack(message.sender, message.acked)
         else:  # pragma: no cover - defensive
             raise TypeError(f"peer {self.name} cannot handle message {message!r}")
 
@@ -282,7 +270,7 @@ class Peer:
 
         A delegation install that would close a cycle through negation is
         refused alone: every other message of the batch, and every other
-        effect of a replication envelope, is still delivered, and the first
+        effect of the same message, is still delivered, and the first
         :class:`~repro.core.errors.StratificationError` is raised after the
         batch.
         """
@@ -295,20 +283,25 @@ class Peer:
             raise self._refused[0]
         return count
 
-    def _apply_replication_effects(self, origin: str, effects) -> None:
-        """Feed an envelope's visibility transitions to the engine.
+    def _apply_effects(self, origin: str, effects) -> None:
+        """Feed the effects of one update from ``origin`` to the engine.
 
-        The effects are exactly what the raw-message dispatch
-        would have done — fact updates through :meth:`receive_facts`,
-        delegations through the controller, derivations into the tracker —
-        so the engine's skip/delta/rederive input paths see no difference.
+        A raw :class:`FactMessage` and a replication envelope arrive here in
+        the same shape (:data:`repro.replication.channel.Effect` tuples):
+        delegations go through the controller, derivations into the tracker,
+        and the fact updates through one :meth:`receive_facts` call after
+        them (it only queues them for the next stage).  So the engine's
+        skip/delta/rederive input paths cannot tell the two delivery paths
+        apart.
         """
+        inserted: List[Fact] = []
+        deleted: List[Fact] = []
         for effect in effects:
             kind = effect[0]
             if kind == "insert":
-                self.engine.receive_facts(origin, inserted=(effect[1],))
+                inserted.append(effect[1])
             elif kind == "delete":
-                self.engine.receive_facts(origin, deleted=(effect[1],))
+                deleted.append(effect[1])
             elif kind == "delegate":
                 _, delegation_id, rule, schemas = effect
                 self._submit_delegation(origin, delegation_id, rule, schemas)
@@ -316,6 +309,8 @@ class Peer:
                 self.controller.submit_retraction(origin, effect[1])
             elif kind == "derivation":
                 self._record_shipped(effect[1], anchor=effect[2])
+        if inserted or deleted:
+            self.engine.receive_facts(origin, inserted, deleted)
 
     def _submit_delegation(self, sender: str, delegation_id: str,
                            rule: Optional[Rule],
@@ -394,40 +389,38 @@ class Peer:
     # ------------------------------------------------------------------ #
 
     def _messages_from(self, result: StageResult) -> List[Message]:
+        """One :class:`FactMessage` per recipient of the stage: its fact
+        update with the provenance shipped along, the fresh derivations
+        routed to it, and the delegations installed at or retracted from it.
+        Recipients come in the order they first appear in the update list,
+        then the fresh derivations, installs and retracts."""
+        updates = {update.target: update for update in result.outgoing_updates}
+        derivations: Dict[str, Tuple[ProvenanceDerivation, ...]] = {
+            target: self._derivations_for(target, update.inserted, update.deleted)
+            for target, update in updates.items()}
+        # Alternative derivations of facts already at a target: the facts
+        # themselves produce no update, so they may travel without one.
+        for target, fresh in self._fresh_derivations().items():
+            derivations[target] = derivations.get(target, ()) + fresh
+        installs: Dict[str, list] = {}
+        for delegation in result.delegations_to_install:
+            installs.setdefault(delegation.target, []).append(
+                (delegation.delegation_id, delegation.rule,
+                 self._schemas_for(delegation)))
+        retracts: Dict[str, list] = {}
+        for delegation in result.delegations_to_retract:
+            retracts.setdefault(delegation.target, []).append(delegation.delegation_id)
         messages: List[Message] = []
-        shipped: Dict[str, Tuple[ProvenanceDerivation, ...]] = {}
-        for update in result.outgoing_updates:
-            shipped[update.target] = self._derivations_for(
-                update.target, update.inserted, update.deleted)
-        extra = self._fresh_derivation_messages()
-        for update in result.outgoing_updates:
-            target = update.target
+        for target in dict.fromkeys([*updates, *derivations, *installs, *retracts]):
+            update = updates.get(target)
             messages.append(FactMessage(
                 sender=self.name,
                 recipient=target,
-                inserted=frozenset(update.inserted),
-                deleted=frozenset(update.deleted),
-                derivations=shipped[target] + extra.pop(target, ()),
-            ))
-        for target, derivations in extra.items():
-            # Alternative derivations of facts already at the target: the
-            # facts themselves produce no update, so they travel alone.
-            messages.append(FactMessage(
-                sender=self.name, recipient=target, derivations=derivations,
-            ))
-        for delegation in result.delegations_to_install:
-            messages.append(DelegationInstallMessage(
-                sender=self.name,
-                recipient=delegation.target,
-                delegation_id=delegation.delegation_id,
-                rule=delegation.rule,
-                schemas=self._schemas_for(delegation),
-            ))
-        for delegation in result.delegations_to_retract:
-            messages.append(DelegationRetractMessage(
-                sender=self.name,
-                recipient=delegation.target,
-                delegation_id=delegation.delegation_id,
+                inserted=update.inserted if update is not None else frozenset(),
+                deleted=update.deleted if update is not None else frozenset(),
+                derivations=derivations.get(target, ()),
+                installs=tuple(installs.get(target, ())),
+                retracts=tuple(retracts.get(target, ())),
             ))
         return messages
 
@@ -481,7 +474,7 @@ class Peer:
                 frontier.extend(derivation.support)
         return tuple(collected)
 
-    def _fresh_derivation_messages(self) -> Dict[str, Tuple[ProvenanceDerivation, ...]]:
+    def _fresh_derivations(self) -> Dict[str, Tuple[ProvenanceDerivation, ...]]:
         """Route newly recorded derivations to targets holding their facts.
 
         A fact that gains an *alternative* derivation is itself unchanged,

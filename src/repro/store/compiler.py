@@ -115,7 +115,7 @@ class BodyPushdown:
         if compiled is _EMPTY:
             return []
         rows = self.backend.execute(compiled.sql, compiled.params).fetchall()
-        self.backend.counters["compiled_statements"] += 1
+        self.backend.metrics["store", "compiled_statements"] += 1
         return [compiled.decode(row) for row in rows]
 
     def compile(self, rule: Rule, order: Optional[Sequence[int]] = None):
@@ -361,7 +361,7 @@ class BodyPushdown:
             if "integer overflow" in str(error):
                 return None  # Python's integers do not overflow
             raise
-        self.backend.counters["aggregate_statements"] += 1
+        self.backend.metrics["store", "aggregate_statements"] += 1
 
         results: List[Tuple] = []
         base = 2 * len(group_positions)

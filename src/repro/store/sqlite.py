@@ -332,10 +332,9 @@ class SqliteBackend:
         self._closed = False
         self._tables: Dict[Tuple[str, str, str], SqliteTable] = {}
         self._on_abort: List[Callable[[], None]] = []
-        #: Observability: statements executed on behalf of the rule compiler.
-        self.counters: Dict[str, int] = {"compiled_statements": 0, "aggregate_statements": 0}
-        #: The registry a table counts its attach on; the owning engine
-        #: hands in its own (see :mod:`repro.core.metrics`).
+        #: The registry a table counts its attach on and a commit its time
+        #: on; the owning engine hands in its own (see
+        #: :mod:`repro.core.metrics`).
         self.metrics: Metrics = Counter()
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS _repro_catalog ("
@@ -374,7 +373,9 @@ class SqliteBackend:
         if self._closed:
             return
         if self._in_txn:
+            start = perf_counter()
             self._conn.execute("COMMIT")
+            self.metrics["store", "commit_s"] += perf_counter() - start
             self._in_txn = False
 
     def close(self) -> None:

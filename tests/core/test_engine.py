@@ -347,6 +347,5 @@ class TestStageResult:
         result.outgoing_updates.append(OutgoingUpdate(
             target="q", inserted=frozenset({Fact("r", "q", (1,))})))
         assert result.outgoing_fact_count() == 1
-        assert result.outgoing_message_count() == 1
         assert result.has_outgoing()
         assert not result.is_quiescent()

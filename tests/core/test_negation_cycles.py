@@ -17,7 +17,7 @@ from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
 from repro.replication.dots import Op
-from repro.runtime.messages import DelegationInstallMessage, DeltaEnvelopeMessage, FactMessage
+from repro.runtime.messages import DeltaEnvelopeMessage, FactMessage
 from repro.runtime.peer import Peer
 
 SCHEMAS = """
@@ -241,15 +241,14 @@ class TestARefusedInstallDropsNothingElse:
 
     def _batch(self, replication, installs, fact):
         if not replication:
-            return [DelegationInstallMessage(
-                        sender="q", recipient="p", delegation_id=delegation_id,
-                        rule=parse_rule(rule, author="q"), schemas=schemas)
-                    for delegation_id, rule, schemas in installs[:1]] + [
-                    FactMessage(sender="q", recipient="p", inserted=frozenset({fact}))] + [
-                    DelegationInstallMessage(
-                        sender="q", recipient="p", delegation_id=delegation_id,
-                        rule=parse_rule(rule, author="q"), schemas=schemas)
-                    for delegation_id, rule, schemas in installs[1:]]
+            # Two stages' updates from q: the refused install alone, then
+            # the fact with the harmless install.
+            (bad_id, bad_rule, bad_schemas), (ok_id, ok_rule, ok_schemas) = installs
+            return [FactMessage(sender="q", recipient="p", installs=(
+                        (bad_id, parse_rule(bad_rule, author="q"), bad_schemas),)),
+                    FactMessage(sender="q", recipient="p", inserted=frozenset({fact}),
+                                installs=((ok_id, parse_rule(ok_rule, author="q"),
+                                           ok_schemas),))]
         ops = [Op(seq=1, kind="delegate", delegation_id=installs[0][0],
                   rule=parse_rule(installs[0][1], author="q"), schemas=installs[0][2]),
                Op(seq=2, kind="insert", fact=fact)]

@@ -39,8 +39,6 @@ from repro.provenance.graph import Derivation
 from repro.replication.state import META_KIND, ReplicationState
 from repro.runtime import wire
 from repro.runtime.messages import (
-    DelegationInstallMessage,
-    DelegationRetractMessage,
     DeltaEnvelopeMessage,
     FactMessage,
     ReplicationDigestMessage,
@@ -241,12 +239,11 @@ class ChannelMachine(RuleBasedStateMachine):
           install=st.booleans())
     def delegation(self, sender, which, install):
         if install:
-            message = DelegationInstallMessage(
-                sender=sender, recipient=other(sender),
-                delegation_id=f"d{which}", rule=RULE)
+            message = FactMessage(sender=sender, recipient=other(sender),
+                                  installs=((f"d{which}", RULE, ()),))
         else:
-            message = DelegationRetractMessage(
-                sender=sender, recipient=other(sender), delegation_id=f"d{which}")
+            message = FactMessage(sender=sender, recipient=other(sender),
+                                  retracts=(f"d{which}",))
         self.states[sender].encode_outgoing([message])
 
     # -- the wire ---------------------------------------------------------------- #

@@ -1,6 +1,10 @@
 """Tests of the runtime peer and the system orchestrator."""
 
+import itertools
+
 import pytest
+
+import repro.core.rules as rules_module
 
 from repro.acl.trust import TrustStore
 from repro.core.facts import Fact
@@ -10,8 +14,6 @@ from repro.replication.dots import Op
 from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
-    DelegationInstallMessage,
-    DelegationRetractMessage,
     FactMessage,
 )
 from repro.runtime.peer import Peer
@@ -21,8 +23,8 @@ from repro.store.memory import MemoryBackend
 
 
 class TestPeerMessageDispatch:
-    # These tests pin the raw wire format (fact/delegation messages) of a
-    # peer built without causal replication; with it stage outputs travel as
+    # These tests pin the raw wire format (one FactMessage per recipient per
+    # stage, delegations inside it) of a peer built without causal replication; with it stage outputs travel as
     # delta envelopes instead (covered by tests/replication).
 
     def test_fact_message_reaches_engine(self):
@@ -35,16 +37,16 @@ class TestPeerMessageDispatch:
     def test_delegation_install_auto_accept(self):
         peer = Peer("alice", trust=TrustStore("alice", trust_all=True))
         rule = parse_rule("v@bob($x) :- r@alice($x)", author="bob")
-        peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
-                                              delegation_id="d1", rule=rule))
+        peer.deliver(FactMessage(sender="bob", recipient="alice",
+                                 installs=(("d1", rule, ()),)))
         peer.run_stage()
         assert len(peer.installed_delegations()) == 1
 
     def test_delegation_install_pending_for_untrusted(self):
         peer = Peer("alice")
         rule = parse_rule("v@bob($x) :- r@alice($x)", author="bob")
-        peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
-                                              delegation_id="d1", rule=rule))
+        peer.deliver(FactMessage(sender="bob", recipient="alice",
+                                 installs=(("d1", rule, ()),)))
         peer.run_stage()
         assert len(peer.installed_delegations()) == 0
         assert len(peer.pending_delegations()) == 1
@@ -56,19 +58,17 @@ class TestPeerMessageDispatch:
         peer = Peer("alice", trust=TrustStore("alice", trust_all=True))
         rule = parse_rule("view@bob($x) :- r@alice($x)", author="bob")
         schema = RelationSchema("view", "bob", ("x",), kind=RelationKind.INTENSIONAL)
-        peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
-                                              delegation_id="d1", rule=rule,
-                                              schemas=(schema,)))
+        peer.deliver(FactMessage(sender="bob", recipient="alice",
+                                 installs=(("d1", rule, (schema,)),)))
         assert peer.engine.state.schemas.get("view", "bob") is not None
 
     def test_delegation_retract_message(self):
         peer = Peer("alice", trust=TrustStore("alice", trust_all=True))
         rule = parse_rule("v@bob($x) :- r@alice($x)", author="bob")
-        peer.deliver(DelegationInstallMessage(sender="bob", recipient="alice",
-                                              delegation_id="d1", rule=rule))
+        peer.deliver(FactMessage(sender="bob", recipient="alice",
+                                 installs=(("d1", rule, ()),)))
         peer.run_stage()
-        peer.deliver(DelegationRetractMessage(sender="bob", recipient="alice",
-                                              delegation_id="d1"))
+        peer.deliver(FactMessage(sender="bob", recipient="alice", retracts=("d1",)))
         peer.run_stage()
         assert len(peer.installed_delegations()) == 0
 
@@ -81,9 +81,9 @@ class TestPeerMessageDispatch:
                       "selectedAttendee@Jules($a), pictures@$a($id)")
         peer.insert_fact(Fact("selectedAttendee", "Jules", ("Emilien",)))
         _result, outgoing = peer.run_stage()
-        installs = [m for m in outgoing if isinstance(m, DelegationInstallMessage)]
+        installs = [install for m in outgoing for install in m.installs]
         assert len(installs) == 1
-        schema_names = {s.qualified_name for s in installs[0].schemas}
+        schema_names = {s.qualified_name for s in installs[0][2]}
         assert "attendeePictures@Jules" in schema_names
 
 
@@ -103,9 +103,8 @@ class TestLearningADelegatedRulesSchemas:
     def _deliver_install(self, peer, schema):
         rule = parse_rule(self.RULE, author="bob")
         if peer.replication is None:
-            peer.deliver(DelegationInstallMessage(
-                sender="bob", recipient="alice", delegation_id="d1", rule=rule,
-                schemas=(schema,)))
+            peer.deliver(FactMessage(
+                sender="bob", recipient="alice", installs=(("d1", rule, (schema,)),)))
         else:
             peer.deliver(DeltaEnvelopeMessage(
                 sender="bob", recipient="alice", frontier=1,
@@ -133,6 +132,82 @@ class TestLearningADelegatedRulesSchemas:
         peer.run_stage()
         assert peer.engine.state.schemas.get("view", "bob") == local
         assert len(peer.installed_delegations()) == 1
+
+
+class TestOneUpdatePerRecipientPerStage:
+    """A stage ships each recipient one update: new facts, their lineage, an
+    alternative derivation of a fact shipped earlier, a delegation installed
+    and one retracted all ride one raw :class:`FactMessage` — and, under
+    causal replication, become the same channel ops in the same order as
+    when installs and retracts travelled as messages of their own."""
+
+    PROGRAM = """
+    collection extensional persistent src@a(x);
+    collection extensional persistent alt@a(x);
+    collection extensional persistent sel@a(p, y);
+    collection intensional pics@a(x);
+    rule out@b($x) :- src@a($x);
+    rule out@b($x) :- alt@a($x);
+    rule pics@a($x) :- sel@a($p, $y), pic@$p($x, $y);
+    """
+
+    #: The second stage's ops on the channel a -> b, as the separate install
+    #: and retract messages produced them.
+    CAUSAL_OPS = [
+        (4, "insert", "out@b(2)"),
+        (5, "derivation", "out@b(2)", "rule-1000000", ("src@a(2)",), True),
+        (6, "derivation", "out@b(1)", "rule-1000001", ("alt@a(1)",), False),
+        (7, "delegate", "deleg-f8cb9d30a7d422d6", "pics@a($x) :- pic@b($x, 2)",
+         ("pics@a",)),
+        (8, "undelegate", "deleg-fd52462bf175eb4b"),
+    ]
+
+    def _second_stage(self, monkeypatch, replication):
+        # Rule ids, and the delegation ids hashed over them, come from a
+        # process-wide counter: pin it.
+        monkeypatch.setattr(rules_module, "_rule_counter", itertools.count(10 ** 6))
+        peer = Peer("a", provenance=True, replication=replication)
+        peer.load_program(self.PROGRAM)
+        peer.insert_fact(Fact("src", "a", (1,)))
+        peer.insert_fact(Fact("sel", "a", ("b", 1)))
+        peer.run_stage(1)
+        peer.insert_fact(Fact("src", "a", (2,)))
+        peer.insert_fact(Fact("alt", "a", (1,)))
+        peer.delete_fact(Fact("sel", "a", ("b", 1)))
+        peer.insert_fact(Fact("sel", "a", ("b", 2)))
+        return peer.run_stage(2)[1]
+
+    def test_the_raw_path_ships_one_message(self, monkeypatch):
+        (message,) = self._second_stage(monkeypatch, replication=False)
+        assert isinstance(message, FactMessage) and message.recipient == "b"
+        assert message.inserted == {Fact("out", "b", (2,))}
+        assert [(str(d.fact), d.support) for d in message.derivations] == [
+            ("out@b(2)", (Fact("src", "a", (2,)),)),
+            ("out@b(1)", (Fact("alt", "a", (1,)),))]
+        ((install_id, rule, schemas),) = message.installs
+        assert str(rule.body[0]) == "pic@b($x, 2)"
+        assert [s.qualified_name for s in schemas] == ["pics@a"]
+        (retracted,) = message.retracts
+        assert retracted != install_id
+        assert message.payload_size() == 1 + 2 + 2 + 1
+
+    def test_the_causal_path_emits_the_same_ops(self, monkeypatch):
+        (envelope,) = self._second_stage(monkeypatch, replication=True)
+        assert isinstance(envelope, DeltaEnvelopeMessage)
+        assert [self._describe(op) for op in envelope.ops] == self.CAUSAL_OPS
+
+    @staticmethod
+    def _describe(op):
+        if op.kind == "insert":
+            return (op.seq, op.kind, str(op.fact))
+        if op.kind == "derivation":
+            d = op.derivation
+            return (op.seq, op.kind, str(d.fact), d.rule_id,
+                    tuple(map(str, d.support)), op.anchor)
+        if op.kind == "delegate":
+            return (op.seq, op.kind, op.delegation_id, str(op.rule),
+                    tuple(s.qualified_name for s in op.schemas))
+        return (op.seq, op.kind, op.delegation_id)
 
 
 class TestSystem:

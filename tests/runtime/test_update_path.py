@@ -1,8 +1,9 @@
 """The transport decides how updates travel.
 
-A peer ships raw fact and delegation messages only over a transport that
-promises exactly-once, in-order delivery (``exactly_once_in_order``); over
-any other transport every peer replicates causally.
+A peer ships raw messages (one ``FactMessage`` per recipient per stage) only
+over a transport that promises exactly-once, in-order delivery
+(``exactly_once_in_order``); over any other transport every peer replicates
+causally.
 """
 
 import pytest

@@ -51,6 +51,25 @@ derivations = st.builds(
     author=st.one_of(st.none(), names),
 )
 
+#: A delegated rule: a head at its delegator, one body atom with a constant
+#: of any stored type (the bound value of the delegator's evaluated prefix).
+rules = st.builds(
+    lambda head, body, value, author, rule_id: Rule(
+        head=Atom(Constant(head), Constant(author), (Variable("x"),)),
+        body=(Atom(Constant(body), Constant("b"), (Variable("x"), Constant(value))),),
+        author=author, rule_id=rule_id),
+    names, names, values, names, names,
+)
+
+schemas = st.builds(
+    RelationSchema,
+    name=names, peer=names, columns=st.just(("x", "y")),
+    kind=st.sampled_from(RelationKind), persistent=st.booleans(),
+    key=st.sampled_from([(), ("x",)]),
+)
+
+installs = st.tuples(names, rules, st.lists(schemas, max_size=2).map(tuple))
+
 
 def typed(values):
     """Values as (type, repr): bit-exact for floats — ``nan`` equals itself,
@@ -191,6 +210,27 @@ class TestDerivationEncoding:
             assert all(map(same_fact, sorted(found, key=str), sorted(sent, key=str)))
         assert all(map(same_derivation, decoded.derivations, message.derivations))
         assert decoded.payload_size() == message.payload_size()
+
+    @given(st.lists(facts, max_size=2), st.lists(installs, max_size=3),
+           st.lists(names, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_fact_message_with_installs_and_retracts_roundtrip(
+            self, inserted, delegated, retracted):
+        message = FactMessage(
+            sender="a", recipient="b", inserted=frozenset(inserted),
+            installs=tuple(delegated), retracts=tuple(retracted),
+        )
+        decoded = message_from_wire(through_json(message.to_wire()))
+        assert len(decoded.installs) == len(message.installs)
+        for (found_id, found, found_schemas), (sent_id, sent, sent_schemas) in zip(
+                decoded.installs, message.installs):
+            assert (found_id, found_schemas) == (sent_id, sent_schemas)
+            assert ((found.rule_id, found.author, found.head, len(found.body))
+                    == (sent.rule_id, sent.author, sent.head, len(sent.body)))
+            assert constants_of(found) == constants_of(sent)
+        assert decoded.retracts == message.retracts
+        assert decoded.payload_size() == message.payload_size()
+        assert [e[0] for e in decoded.effects()] == [e[0] for e in message.effects()]
 
 
 class TestOneEncodingEverywhere:

@@ -70,7 +70,7 @@ class TestCompiledShapes:
         answers = pushed_down(engine)
         assert answers == evaluated(engine, answers)
         assert len(answers["hop2@p"]) == 4
-        assert engine.state.backend.counters["compiled_statements"] == 1
+        assert engine.metrics["store", "compiled_statements"] == 1
 
     def test_bound_argument_probe(self):
         engine = sqlite_engine("""
@@ -142,7 +142,7 @@ class TestCompiledShapes:
         pushdown = BodyPushdown(engine.state)
         assert pushdown.compile(rule) is _EMPTY
         assert pushdown.run(rule) == []
-        assert engine.state.backend.counters["compiled_statements"] == 0
+        assert engine.metrics["store", "compiled_statements"] == 0
 
     def test_a_stage_reading_an_empty_relation_gives_it_no_table(self):
         """Reading a declared relation that holds nothing writes no table,
@@ -230,8 +230,8 @@ class TestAggregatePushdown:
         deployment.converge()
         return deployment
 
-    def _counters(self, deployment):
-        return deployment.runtime.peer("hub").engine.state.backend.counters
+    def _metrics(self, deployment):
+        return deployment.metrics(peer="hub")
 
     def _answers(self, deployment, query):
         """``(the pushdown's rows or None, the view's rows)``, both sorted."""
@@ -246,7 +246,7 @@ class TestAggregatePushdown:
         deployment = self._deployment([("eu", 10), ("eu", 20), ("us", 5), ("us", 7)])
         pushed, rows = self._answers(deployment, "totals($r, sum($a)) :- sales@hub($r, $a)")
         assert pushed == rows == [("eu", 30), ("us", 12)]
-        assert self._counters(deployment)["aggregate_statements"] == 1
+        assert self._metrics(deployment)["store", "aggregate_statements"] == 1
         deployment.close()
 
     def test_float_sum_is_refused(self):
@@ -256,7 +256,7 @@ class TestAggregatePushdown:
         deployment = self._deployment([("eu", 0.1), ("eu", 0.2), ("us", 5)])
         pushed, rows = self._answers(deployment, "totals($r, sum($a)) :- sales@hub($r, $a)")
         assert pushed is None
-        assert self._counters(deployment)["aggregate_statements"] == 0
+        assert self._metrics(deployment)["store", "aggregate_statements"] == 0
         assert rows == [("eu", 0.1 + 0.2), ("us", 5)]
         deployment.close()
 
@@ -267,7 +267,7 @@ class TestAggregatePushdown:
             [("eu", 3), ("eu", 7), ("us", "cheap"), ("us", "dear")])
         pushed, rows = self._answers(deployment, "floor($r, min($a)) :- sales@hub($r, $a)")
         assert pushed is None
-        assert self._counters(deployment)["aggregate_statements"] == 0
+        assert self._metrics(deployment)["store", "aggregate_statements"] == 0
         assert rows == [("eu", 3), ("us", "cheap")]
         deployment.close()
 
@@ -304,5 +304,5 @@ class TestAggregatePushdown:
         pushed, rows = self._answers(
             deployment, "totals($r, sum($a), avg($a)) :- sales@hub($r, $a)")
         assert pushed == rows == [("eu", 2 ** 63 - 1, (2 ** 63 - 1) / 2)]
-        assert self._counters(deployment)["aggregate_statements"] == 1
+        assert self._metrics(deployment)["store", "aggregate_statements"] == 1
         deployment.close()

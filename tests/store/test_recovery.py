@@ -300,7 +300,8 @@ def stored_rows(path):
 
 class TestTheAttachIsCounted:
     """A reopen decodes every stored row into its table's kept facts; the
-    peer's registry counts the rows and the time it took."""
+    peer's registry counts the rows and the time it took, and the time each
+    stage's COMMIT took."""
 
     def test_a_reopened_peer_counts_every_stored_row_it_decoded(self, tmp_path):
         deployment = build(tmp_path)
@@ -317,6 +318,18 @@ class TestTheAttachIsCounted:
         assert reopened.metrics()["store", "rows_decoded"] == everyone
         reopened.close()
 
+    def test_a_durable_peer_times_its_commits(self, tmp_path):
+        deployment = build(tmp_path)
+        seed(deployment)
+        deployment.converge()
+        committed = deployment.metrics(peer="hub")["store", "commit_s"]
+        assert committed > 0
+        deployment.peer("hub").insert(Fact("local", "hub", (99,)))
+        deployment.converge()
+        assert deployment.metrics(peer="hub")["store", "commit_s"] > committed
+        assert deployment.metrics()["store", "commit_s"] > committed
+        deployment.close()
+
     def test_a_memory_peer_decodes_nothing(self):
         deployment = system().storage("memory").peer("hub").program(PROGRAM_HUB).build()
         deployment.peer("hub").insert(Fact("local", "hub", (1,)))
@@ -324,6 +337,7 @@ class TestTheAttachIsCounted:
         metrics = deployment.metrics(peer="hub")
         assert ("store", "rows_decoded") not in metrics
         assert ("store", "attach_decode_s") not in metrics
+        assert ("store", "commit_s") not in metrics
 
 
 class TestCrash:
