@@ -419,8 +419,10 @@ class System:
         A durable owner reopened while a view was open restores that view's
         rules with its program: an own rule equal to a compiled one up to
         variable names (:meth:`~repro.core.rules.Rule.canonical_key`) that no
-        open view holds is adopted instead of installed twice, so closing
-        the view asked again removes it.
+        open view holds is adopted instead of installed as a second copy, so
+        closing the view asked again removes it.  The restored rule is
+        usually equal outright (rules are named by their content); the
+        canonical key also adopts one a store kept under a ``rule-N`` id.
         """
         held = {rule_id for view in self._views for rule_id in view.compiled.rule_ids()}
         heads = {rule.head.relation for rule in compiled.rules}

@@ -11,7 +11,9 @@ and ``None`` apart, so values carry no type tags; only ``bytes`` and
 non-finite floats need an escape (``{"$bytes": hex}`` / ``{"$float": repr}``).
 Identity is preserved exactly: rules keep their ``rule_id`` / ``author`` /
 ``origin``, which is what makes a reopened peer re-derive the delegation ids
-its neighbours already know.
+its neighbours already know.  A rule built without an id is named by the
+digest of :func:`encode_rule_content`, so that encoding is part of every
+such id.
 """
 
 from __future__ import annotations
@@ -100,15 +102,21 @@ def decode_atom(encoded: Dict[str, Any]) -> Atom:
     )
 
 
-def encode_rule(rule: Rule) -> Dict[str, Any]:
-    """Encode a rule including its metadata."""
+def encode_rule_content(rule: Rule) -> Dict[str, Any]:
+    """Encode a rule without its id: what a rule built without one is named by."""
     return {
         "head": encode_atom(rule.head),
         "body": [encode_atom(a) for a in rule.body],
         "author": rule.author,
         "origin": rule.origin,
-        "rule_id": rule.rule_id,
     }
+
+
+def encode_rule(rule: Rule) -> Dict[str, Any]:
+    """Encode a rule including its metadata."""
+    encoded = encode_rule_content(rule)
+    encoded["rule_id"] = rule.rule_id
+    return encoded
 
 
 def decode_rule(encoded: Dict[str, Any]) -> Rule:

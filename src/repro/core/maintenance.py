@@ -135,8 +135,14 @@ class Maintenance:
         if rules_changed:
             if previous is not None:
                 added, removed = previous.changes(rules)
-                if added and removed and self._engine.provenance is None:
-                    added, removed = self._cancel_equal_swaps(added, removed)
+                if added and removed:
+                    # A rule removed and added again (a view asked again
+                    # over the rules a reopen restored) is no change: the
+                    # equal rule finds the memo the removed one left.
+                    both = set(added).intersection(removed)
+                    if both:
+                        added = [rule for rule in added if rule not in both]
+                        removed = [rule for rule in removed if rule not in both]
             # The one place a program change is found: every mutation path
             # shows as another rule set here, and moves the program version
             # (which drops the cached plans).
@@ -165,8 +171,6 @@ class Maintenance:
         # it recorded for *any* head, a remote one included.
         orphaned: Set[str] = set()
         for rule in removed:
-            if rule in rules:
-                continue  # replaced by an equal rule: nothing was removed
             head = previous.shape[id(rule)][1]
             if self._engine.provenance is None:
                 orphaned |= head_targets(head, local_intensional) & local_intensional
@@ -203,36 +207,6 @@ class Maintenance:
             result.evaluation_path = "skip"
             return self._memo_outcome()
         return outcome
-
-    def _cancel_equal_swaps(self, added: List[Rule], removed: List[Rule]
-                            ) -> Tuple[List[Rule], List[Rule]]:
-        """``(added, removed)`` without each removed rule that an added one
-        equals up to variable names and ``rule_id``
-        (:meth:`~repro.core.rules.Rule.canonical_key`), nor that added rule,
-        when the removed rule's memo is empty: the facts it derived are the
-        ones its twin derives, so the pair changes nothing (views asked
-        again over the rules a reopen restored).  A removed rule that
-        shipped something is removed as usual: its delegations name its
-        ``rule_id``.  Without a provenance tracker only (the graph records
-        rule ids)."""
-        unshipped: Dict[Tuple, List[Rule]] = {}
-        for rule in removed:
-            entry = self._rule_memo.get(rule)
-            if entry is None or entry.is_empty():
-                unshipped.setdefault(rule.canonical_key(), []).append(rule)
-        if not unshipped:
-            return added, removed
-        kept: List[Rule] = []
-        swapped: Set[int] = set()
-        for rule in added:
-            twins = unshipped.get(rule.canonical_key())
-            if not twins:
-                kept.append(rule)
-                continue
-            twin = twins.pop()
-            swapped.add(id(twin))
-            self._rule_memo.pop(twin, None)     # empty: the twin's is the same
-        return kept, [rule for rule in removed if id(rule) not in swapped]
 
     def _resume(self, analysis: ProgramAnalysis, added: List[Rule],
                 result: StageResult) -> None:

@@ -13,8 +13,9 @@ the time the literal is reached.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -22,19 +23,9 @@ from repro.core.errors import SafetyError, SchemaError
 from repro.core.terms import Constant, Term, Variable, make_term
 from repro.core.unification import CompiledRule, location_error
 
-
-_rule_counter = itertools.count(1)
-
-
-def ensure_rule_counter_above(value: int) -> None:
-    """Advance the global rule counter past ``value``.
-
-    Used after restoring persisted rules so that freshly generated
-    ``rule-N`` identifiers never collide with restored ones.
-    """
-    global _rule_counter
-    current = next(_rule_counter)
-    _rule_counter = itertools.count(max(current, value) + 1)
+#: Canonical JSON (sorted keys, no spaces) of the encoding a content id
+#: digests; one encoder, built once.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -183,22 +174,33 @@ class Rule:
         carry the id of the rule they were split from); ``None`` for rules
         written directly by a user.
     rule_id:
-        Unique identifier.  Automatically assigned when omitted.
+        Identifier.  When omitted, a digest of the rule's content (its
+        :mod:`~repro.core.codec` encoding without the id: head, body, author
+        and origin), so one rule is named alike in every process and every
+        build of a deployment.
     """
 
     head: Atom
     body: Tuple[Atom, ...]
     author: Optional[str] = None
     origin: Optional[str] = None
-    rule_id: str = field(default_factory=lambda: f"rule-{next(_rule_counter)}")
+    rule_id: str = ""
 
     def __post_init__(self):
         if not isinstance(self.body, tuple):
             object.__setattr__(self, "body", tuple(self.body))
+        if not self.rule_id:
+            object.__setattr__(self, "rule_id", self._content_id())
         if self.head.negated:
             raise SafetyError(f"rule head must not be negated: {self.head}")
         if not self.body:
             raise SafetyError(f"rule {self.rule_id} has an empty body")
+
+    def _content_id(self) -> str:
+        from repro.core.codec import encode_rule_content
+
+        encoded = _CANONICAL_JSON.encode(encode_rule_content(self))
+        return f"rule-{hashlib.sha256(encoded.encode('utf-8')).hexdigest()[:16]}"
 
     # -- inspection ------------------------------------------------------ #
 
@@ -296,8 +298,3 @@ class Rule:
     def __str__(self) -> str:
         body = ", ".join(str(atom) for atom in self.body)
         return f"{self.head} :- {body}"
-
-
-def fresh_rule_id(prefix: str = "rule") -> str:
-    """Return a new globally-unique rule identifier."""
-    return f"{prefix}-{next(_rule_counter)}"

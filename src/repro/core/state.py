@@ -19,7 +19,6 @@ the three stores.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -28,7 +27,7 @@ from repro.core.delegation import (Delegation, DelegationDiff, DelegationStore,
                                    DelegationTracker, InstalledDelegation)
 from repro.core.errors import SchemaError
 from repro.core.facts import ChangeFeed, ChangeFeeds, Delta, Fact, FactStore, patch_sorted
-from repro.core.rules import Rule, ensure_rule_counter_above
+from repro.core.rules import Rule
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
 from repro.store.memory import MemoryBackend
@@ -133,8 +132,6 @@ class PeerState:
         self.restored = bool(persisted_schemas or persisted_rules
                              or persisted_delegations
                              or self.store.relations() or self.derived.relations())
-        if self.restored:
-            self._advance_rule_counter()
         # The marker: the last commit closed a stage, with no provided fact
         # and nothing left for the next stage, so the derived tables hold the
         # fixpoint of the rest of the file.  ``resumable`` is what this open
@@ -153,23 +150,6 @@ class PeerState:
         self.pending = PendingInput()
         self.deferred_updates: Delta = Delta.empty()
         self.stage_counter = 0
-
-    def _advance_rule_counter(self) -> None:
-        """Keep fresh rule ids from colliding with restored ones.
-
-        Restored rules keep their persisted ``rule-N`` identifiers (delegation
-        ids are content-hashed over them, so identity must survive recovery);
-        the global counter is bumped past every numeric suffix seen.
-        """
-        highest = 0
-        for rule in self.own_rules:
-            for match in re.findall(r"(\d+)", rule.rule_id):
-                highest = max(highest, int(match))
-        for installed in self.delegations_in.all():
-            for match in re.findall(r"(\d+)", installed.rule.rule_id):
-                highest = max(highest, int(match))
-        if highest:
-            ensure_rule_counter_above(highest)
 
     # ------------------------------------------------------------------ #
     # durability
@@ -240,11 +220,21 @@ class PeerState:
     # ------------------------------------------------------------------ #
 
     def add_rule(self, rule: Rule) -> Rule:
-        """Add one of the peer's own rules (validated for safety)."""
+        """Add one of the peer's own rules (validated for safety).
+
+        A rule whose id the peer already holds (a second copy of one rule)
+        is stored as ``<id>#2``, ``<id>#3``..., so each copy keeps its own
+        ``rule`` record and is removed on its own."""
         rule.check_safety()
-        if rule.author is None:
-            rule = Rule(head=rule.head, body=rule.body, author=self.peer,
-                        origin=rule.origin, rule_id=rule.rule_id)
+        rule_id = rule.rule_id
+        held = {own.rule_id for own in self.own_rules}
+        copy = 1
+        while rule_id in held:
+            copy += 1
+            rule_id = f"{rule.rule_id}#{copy}"
+        if rule.author is None or rule_id != rule.rule_id:
+            rule = Rule(head=rule.head, body=rule.body, author=rule.author or self.peer,
+                        origin=rule.origin, rule_id=rule_id)
         self.own_rules.append(rule)
         self.backend.save_meta("rule", rule.rule_id, _record(codec.encode_rule(rule)))
         return rule

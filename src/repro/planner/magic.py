@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import SafetyError
 from repro.core.facts import Fact
-from repro.core.rules import Atom, Rule, fresh_rule_id
+from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind, RelationSchema
 from repro.core.terms import Constant
 
@@ -110,8 +110,7 @@ def apply_magic(view_name: str, owner: str, answer_rule: Rule,
 
     rewritten: List[Rule] = []
     # Seed: the answer's constants are demanded while the anchor fact exists.
-    seed = Rule(head=magic_atom(occurrence), body=(anchor_atom,),
-                author=owner, rule_id=fresh_rule_id(f"{view_name}-magic-seed"))
+    seed = Rule(head=magic_atom(occurrence), body=(anchor_atom,), author=owner)
     try:
         seed.check_safety()
     except SafetyError:
@@ -137,7 +136,6 @@ def apply_magic(view_name: str, owner: str, answer_rule: Rule,
                 head=magic_atom(atom),
                 body=(magic_atom(rule.head),) + tuple(rule.body[:position]),
                 author=rule.author or owner,
-                rule_id=fresh_rule_id(f"{view_name}-magic"),
             )
             try:
                 propagation.check_safety()

@@ -21,8 +21,7 @@ over both the in-memory and the TCP transports.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Tuple
 
 from repro.core import codec
@@ -33,20 +32,19 @@ from repro.provenance.graph import Derivation
 from repro.replication.dots import Op
 from repro.runtime import wire
 
-_message_counter = itertools.count(1)
-
-
-def _next_message_id() -> str:
-    return f"msg-{next(_message_counter)}"
-
-
 @dataclass(frozen=True)
 class Message:
-    """Base class for every message: sender, recipient and a unique identifier."""
+    """Base class for every message: sender, recipient and an identifier.
+
+    A deployment numbers each message as it sends it
+    (:meth:`~repro.runtime.system.WebdamLogSystem.activate_peer`), so ids
+    are unique within the deployment and the same on every build of it; a
+    message built by hand carries the id it is given (``""`` by default).
+    """
 
     sender: str
     recipient: str
-    message_id: str = field(default_factory=_next_message_id)
+    message_id: str = ""
 
     def payload_size(self) -> int:
         """Approximate payload size used by the network accounting (in items)."""
@@ -195,7 +193,7 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
     common = {
         "sender": encoded["sender"],
         "recipient": encoded["recipient"],
-        "message_id": encoded.get("message_id", _next_message_id()),
+        "message_id": encoded.get("message_id", ""),
     }
     if kind == "FactMessage":
         return FactMessage(

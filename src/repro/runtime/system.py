@@ -92,6 +92,8 @@ class WebdamLogSystem:
         self.storage = storage
         self.storage_options = dict(storage_options or {})
         self._round = 0
+        # Messages handed to the transport so far: the last one's number.
+        self._sent = 0
         # (name, peer) pairs in name order — the order every driver activates
         # in; rebuilt after add_peer/remove_peer.
         self._ordered: Optional[Tuple[Tuple[str, Peer], ...]] = None
@@ -242,6 +244,10 @@ class WebdamLogSystem:
         stage_result, outgoing = peer.run_stage(self._round)
         sent = 0
         for message in outgoing:
+            # Numbered as sent: ids follow the deployment's sends, not the
+            # messages the process built before (frozen, so stamped in place).
+            self._sent += 1
+            object.__setattr__(message, "message_id", f"msg-{self._sent}")
             try:
                 if self.transport.send(message):
                     sent += 1

@@ -232,6 +232,47 @@ def test_src_raises_no_deprecation_warning_of_its_own():
     assert offenders == []
 
 
+#: Modules allowed a process-wide ``itertools.count``: the gossip overlay
+#: (``repro.net``, kept for the benchmark's gossip workload) and the
+#: synthetic picture generator.
+PROCESS_COUNTERS_ALLOWED = ("repro.net", "repro.wepic.pictures")
+
+
+def test_src_binds_no_module_level_counter():
+    """An id drawn from a process-wide counter differs between two builds
+    of one deployment in one process: rules are named by their content and
+    a deployment numbers its own messages, so no module under
+    ``src/repro/`` binds an ``itertools.count`` at module level."""
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        if any(module == allowed or module.startswith(allowed + ".")
+               for allowed in PROCESS_COUNTERS_ALLOWED):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        counts = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                  for alias in node.names if alias.name == "count"}
+        statements = list(tree.body)
+        while statements:
+            statement = statements.pop()
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for child in ast.iter_child_nodes(statement):
+                if isinstance(child, ast.stmt):
+                    statements.append(child)
+                    continue
+                for node in ast.walk(child):
+                    function = getattr(node, "func", None)
+                    if (isinstance(function, ast.Attribute) and function.attr == "count"
+                            and isinstance(function.value, ast.Name)
+                            and function.value.id == "itertools") \
+                            or (isinstance(function, ast.Name) and function.id in counts):
+                        offenders.append(f"{module}:{node.lineno}")
+    assert offenders == []
+
+
 def test_metrics_is_the_one_counter_read():
     """A peer's work is counted in its engine's one registry and read
     through ``metrics``: no ``totals`` / ``counts`` chain beside it, no

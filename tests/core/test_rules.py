@@ -1,9 +1,15 @@
 """Tests of atoms, rules and the left-to-right safety conditions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.core import codec
 from repro.core.errors import SafetyError, SchemaError
-from repro.core.rules import Atom, Rule, fresh_rule_id
+from repro.core.parser import parse_rule
+from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
 
 
@@ -176,6 +182,52 @@ class TestRuleOperations:
         assert ":-" in str(rule)
         assert "pictures@$attendee" in str(rule)
 
-    def test_fresh_rule_ids_are_unique(self):
-        assert fresh_rule_id() != fresh_rule_id()
-        assert fresh_rule_id("deleg").startswith("deleg-")
+
+
+class TestContentIds:
+    """A rule built without an id is named by its content."""
+
+    TEXT = "rule attendeePictures@Jules($id) :- selectedAttendee@Jules($a), pictures@$a($id)"
+
+    def test_two_parses_of_one_text_give_one_id(self):
+        first = parse_rule(self.TEXT, author="Jules")
+        second = parse_rule(self.TEXT, author="Jules")
+        assert first is not second and first.rule_id == second.rule_id
+        assert first == second
+
+    def test_a_codec_round_trip_keeps_the_id(self):
+        rule = parse_rule(self.TEXT, author="Jules")
+        assert codec.decode_rule(codec.encode_rule(rule)) == rule
+        rebuilt = Rule(head=rule.head, body=rule.body, author=rule.author)
+        assert rebuilt.rule_id == rule.rule_id
+
+    def test_ones_of_three_types_give_three_ids(self):
+        ids = {Rule(head=Atom.of("v", "p", "$x"),
+                    body=(Atom.of("b", "p", "$x", constant),)).rule_id
+               for constant in (1, 1.0, True)}
+        assert len(ids) == 3
+
+    def test_author_and_origin_are_content(self):
+        head, body = Atom.of("v", "p", "$x"), (Atom.of("b", "p", "$x"),)
+        ids = {Rule(head=head, body=body).rule_id,
+               Rule(head=head, body=body, author="p").rule_id,
+               Rule(head=head, body=body, author="p", origin="rule-1").rule_id}
+        assert len(ids) == 3
+
+    def test_an_explicit_id_is_kept(self):
+        rule = Rule(head=Atom.of("v", "p", "$x"), body=(Atom.of("b", "p", "$x"),),
+                    rule_id="mine")
+        assert rule.rule_id == "mine"
+        assert rule.substitute({}).rule_id == "mine"
+
+    def test_the_id_is_the_same_under_every_hash_seed(self):
+        script = ("from repro.core.parser import parse_rule; "
+                  f"print(parse_rule({self.TEXT!r}, author='Jules').rule_id)")
+        src = os.path.join(os.path.dirname(codec.__file__), os.pardir, os.pardir)
+        ids = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(src))
+            ids.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True, text=True).stdout.strip())
+        assert ids == {parse_rule(self.TEXT, author="Jules").rule_id}

@@ -91,10 +91,10 @@ class ReplayDivergence(AssertionError):
 
 
 def wire_content(message) -> Dict[str, Any]:
-    """A message's wire form (from a live message or a log record) without
-    its ``message_id``, a process-wide counter."""
+    """A message's wire form (from a live message or a log record), its
+    ``message_id`` included: the deployment numbers its sends, so a re-run
+    numbers them alike."""
     wire = message.to_wire() if isinstance(message, Message) else dict(message)
-    wire.pop("message_id", None)
     return json.loads(json.dumps(wire))
 
 
@@ -103,8 +103,8 @@ class ReplayTransport:
 
     Built from the run's JSONL event log (``InMemoryTransport(event_log=
     NetEventLog(path))``).  :meth:`send` matches each message to the next
-    recorded ``send`` / ``drop`` of its sender, by wire form without
-    ``message_id``, in the same round; a ``drop`` is dropped again.
+    recorded ``send`` / ``drop`` of its sender, by whole wire form, in
+    the same round; a ``drop`` is dropped again.
     :meth:`receive` hands each peer, in each round, exactly the messages the
     recorded ``deliver`` sequence names, duplicates included, in the
     recorded order — the live messages this run sent.  So a failing lossy,

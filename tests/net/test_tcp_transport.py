@@ -7,6 +7,7 @@ quiet cycle, as an in-memory one does.
 """
 
 import asyncio
+import itertools
 import socket
 import time
 
@@ -49,8 +50,13 @@ def wait_for(predicate, timeout=8.0, interval=0.05):
     return predicate()
 
 
+#: Ids of the messages these tests build by hand: each one its own.
+_message_ids = itertools.count(1)
+
+
 def fact_message(sender="alice", recipient="bob", value="x"):
     return FactMessage(sender=sender, recipient=recipient,
+                       message_id=f"hand-{next(_message_ids)}",
                        inserted=frozenset({Fact("r", recipient, (value,))}))
 
 

@@ -38,7 +38,6 @@ recorded before the timers left the per-peer stage count
 
 import asyncio
 import hashlib
-import itertools
 import json
 from collections import Counter
 
@@ -46,7 +45,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.core.rules as rules_module
 from repro.api import InMemoryTransport, NetEventLog, system
 from repro.core import codec
 from repro.core.facts import Fact
@@ -480,21 +478,26 @@ CELLS = {
 #: sha256 (first 16 hex digits) over every ``(cycle, send | drop | deliver,
 #: sender, recipient, kind, canonical wire JSON)`` record of a run's
 #: :class:`~repro.net.events.NetEventLog` plus its final
-#: ``snapshot()``, recorded at the commit *before* digest and pull timers
-#: moved from a per-peer stage count to the scheduler's cycle count and
-#: waiting peers stopped running stages — where the lockstep and the
-#: reactive drivers (and an asyncio one since folded into ``aconverge``)
-#: already agreed on each.  A change that moves one of these
-#: has changed which message is sent, when, or in which order.
+#: ``snapshot()``.  First recorded at the commit *before* digest and pull
+#: timers moved from a per-peer stage count to the scheduler's cycle count
+#: and waiting peers stopped running stages.  Re-recorded when rules came
+#: to be named by their content and messages numbered by the deployment
+#: that sends them (the wire JSON now keeps its ``message_id``): the same
+#: messages in the same cycles with the same facts, but new rule,
+#: delegation and message ids, and one stage's delegations listed in the
+#: order of their new ids.  The lockstep, reactive and ``aconverge``
+#: drivers agree on each, under any hash seed and on a second run in one
+#: process.  A change that moves one of these has changed which message is
+#: sent, when, or in which order.
 STREAM_DIGESTS = {
-    ("three_peers", "clean"): "d7dda56bda7eb916",
-    ("three_peers", "lossy"): "790c4f8e85d85154",
-    ("three_peers", "slow"): "5c1793cd3c10fee8",
-    ("three_peers", "mesh"): "5a3469b191836c38",
-    ("wepic", "clean"): "941120fa570efdf8",
-    ("wepic", "lossy"): "19afa2988a95dcee",
-    ("wepic", "slow"): "9d3a102ceb56ea83",
-    ("wepic", "mesh"): "3a4a923f26d25900",
+    ("three_peers", "clean"): "5399f2fc6d691c8b",
+    ("three_peers", "lossy"): "b7eb06a3b2f687ad",
+    ("three_peers", "slow"): "d37b99fc7e5e4169",
+    ("three_peers", "mesh"): "b1a007be52755a38",
+    ("wepic", "clean"): "5f7a18336b5004ee",
+    ("wepic", "lossy"): "405ba21b321155aa",
+    ("wepic", "slow"): "6f956bb0606864fa",
+    ("wepic", "mesh"): "61b76dc9958a4d84",
 }
 
 #: The confluence suite's three-peer chain and its insert/delete script.
@@ -516,11 +519,9 @@ def stream_digest(log, snapshot):
         if record["action"] not in ("send", "drop", "deliver"):
             continue
         message = record["message"]
-        wire = message.to_wire()
-        del wire["message_id"]  # a process-wide counter
         digest.update(json.dumps(
             [int(record["ts"]), record["action"], message.sender,
-             message.recipient, message.kind(), wire],
+             message.recipient, message.kind(), message.to_wire()],
             sort_keys=True).encode())
     encoded = {peer: {relation: [codec.encode_fact(f) for f in sorted(facts, key=str)]
                       for relation, facts in sorted(relations.items())}
@@ -568,13 +569,10 @@ def run_wepic(transport, reference, asynchronous):
 class TestSameSeedSameMessages:
     @DRIVERS
     @pytest.mark.parametrize("deployment,cell", sorted(STREAM_DIGESTS))
-    def test_the_recorded_stream_is_reproduced(self, monkeypatch, deployment,
+    def test_the_recorded_stream_is_reproduced(self, deployment,
                                                cell, reference, asynchronous):
-        # Rule ids (and the delegation ids hashed over them) come from a
-        # process-wide counter and travel on the wire: pin it, so the digest
-        # does not depend on which tests ran before.  Every cell runs causal
-        # replication, the clean one too: its transport promises nothing.
-        monkeypatch.setattr(rules_module, "_rule_counter", itertools.count(10 ** 6))
+        # Every cell runs causal replication, the clean one too: its
+        # transport promises nothing.
         log = NetEventLog()
         transport = UnpromisedTransport(event_log=log, **CELLS[cell])
         run = run_three_peers if deployment == "three_peers" else run_wepic

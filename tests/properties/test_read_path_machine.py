@@ -14,22 +14,28 @@ down to the float bits and the order.  A plain view and a viewer's carry an
 its fixpoint, the facts an observer was told were added, minus those it was
 told were removed, are the view's ``facts()``.  The same machine runs over
 a transport that drops, duplicates and reorders messages, where the hub and
-the far peer replicate causally.
+the far peer replicate causally; each of its examples writes the
+transport's events to a JSONL file that a failing example names, and that
+``tests.fakes.ReplayTransport`` re-runs with no random draw.
 """
 
+import os
+import pathlib
 import shutil
 import tempfile
 
 import pytest
-from hypothesis import settings
+from hypothesis import currently_in_test_context, note, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import facts as facts_module
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
+from repro.net.events import NetEventLog
 from repro.runtime.inmemory import InMemoryTransport
 
+from tests.fakes import ReplayTransport
 from tests.properties.test_differential_reads import (
     FAR, HUB, LIKED_RULE, OVERLAP_RULE, VIEWS, bits, build, expected, open_view, pics,
     scan, users)
@@ -79,9 +85,8 @@ class ReadPathMachine(RuleBasedStateMachine):
             facts_module.FEED_FLOOR = self.feed_floor
         self.directory = (tempfile.mkdtemp(prefix="repro-reads-")
                           if self.backend == "sqlite" else None)
-        transport = InMemoryTransport(seed=7, **self.loss) if self.loss else None
         self.deployment = build(self.backend, provenance=self.provenance,
-                                path=self.directory, transport=transport)
+                                path=self.directory, transport=self._transport())
         if self.loss:
             assert all(peer.replication is not None
                        for peer in self.deployment.runtime.peers.values())
@@ -95,6 +100,10 @@ class ReadPathMachine(RuleBasedStateMachine):
         self.fresh = 0
         # Whether the last step ran the deployment to its fixpoint.
         self.settled = False
+
+    def _transport(self):
+        """The deployment's transport; ``None`` builds the default one."""
+        return None
 
     def open(self, name):
         open_view(self.deployment.peer(HUB), self.views, self.state, name)
@@ -278,6 +287,26 @@ class LossyReadPathMachine(ReadPathMachine):
 
     loss = {"drop_probability": 0.2, "duplicate_probability": 0.2, "reorder_window": 2}
     max_steps = 400
+    #: Where each example writes its transport's events, overwriting the
+    #: example before it: the log left behind is the last example's, which
+    #: is the failing one when the machine fails.
+    log_path = pathlib.Path(tempfile.gettempdir()) / f"repro-lossy-reads-{os.getpid()}.jsonl"
+    log = None
+
+    def _transport(self):
+        self.log_path.unlink(missing_ok=True)
+        self.log = NetEventLog(self.log_path, keep_in_memory=False)
+        if currently_in_test_context():
+            note(f"transport events: {self.log_path} "
+                 "(re-run them with tests.fakes.ReplayTransport)")
+        return InMemoryTransport(seed=7, event_log=self.log, **self.loss)
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            if self.log is not None:
+                self.log.close()
 
 
 class OverflowingReadPathMachine(ReadPathMachine):
@@ -483,8 +512,17 @@ TestReadPath = ReadPathMachine.TestCase
 TestReadPath.settings = _SETTINGS
 TestDurableReadPath = DurableReadPathMachine.TestCase
 TestDurableReadPath.settings = _SETTINGS
-TestLossyReadPath = LossyReadPathMachine.TestCase
-TestLossyReadPath.settings = _SETTINGS
+
+
+class TestLossyReadPath(LossyReadPathMachine.TestCase):
+    settings = _SETTINGS
+
+    def runTest(self):
+        super().runTest()
+        # Every example passed: no event log is worth keeping.
+        LossyReadPathMachine.log_path.unlink(missing_ok=True)
+
+
 TestOverflowingReadPath = OverflowingReadPathMachine.TestCase
 TestOverflowingReadPath.settings = _SETTINGS
 TestResumingReadPath = ResumingReadPathMachine.TestCase
@@ -533,3 +571,40 @@ def test_a_zero_held_under_both_signs_is_kept_once_per_source(backend, first, tm
         deployment.converge(max_steps=60)
         check()
     deployment.close()
+
+
+def test_a_recorded_lossy_run_replays_to_the_same_reads(tmp_path):
+    """One lossy machine run, re-run from the event log it wrote: the same
+    snapshots, reads and transport ``stats``, every recorded record used."""
+    class Recorded(LossyReadPathMachine):
+        log_path = tmp_path / "run.jsonl"
+
+    class Replayed(LossyReadPathMachine):
+        def _transport(self):
+            self.replay = ReplayTransport(Recorded.log_path)
+            return self.replay
+
+    def run(machine):
+        try:
+            machine.insert(("ann", 1, 5))
+            machine.far_insert(("bob", 2, 0.1))
+            machine.far_mirror(0)
+            machine.converge()
+            machine.toggle_view("total", settle=False)
+            machine.stages(3, mirror=True)
+            machine.delete(1)
+            machine.far_delete(2)
+            machine.toggle_view("wall", settle=True)
+            machine.read("board", settle=True)
+            machine.every_read_equals_the_uncached_read()
+            machine.every_observer_was_told_what_its_view_reads()
+            return (machine.deployment.snapshot(), machine.deployment.stats.as_dict(),
+                    {name: view.rows() for name, view in machine.views.items()})
+        finally:
+            machine.teardown()
+
+    recorded = run(Recorded())
+    assert recorded[1]["messages_dropped"] > 0
+    replayed_machine = Replayed()
+    assert run(replayed_machine) == recorded
+    replayed_machine.replay.finish()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import InMemoryTransport, NetEventLog, system
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.schema import RelationKind, RelationSchema
@@ -150,6 +151,27 @@ class TestReplicationMessages:
 
 class TestBatching:
     def test_message_ids_unique(self):
-        first = FactMessage(sender="a", recipient="b")
-        second = FactMessage(sender="a", recipient="b")
-        assert first.message_id != second.message_id
+        """A deployment numbers what it sends: the ids are unique within it
+        and the same on a second build in the same process; a message built
+        by hand keeps the id it is given."""
+        def sent_ids():
+            log = NetEventLog()
+            deployment = (system().transport(InMemoryTransport(event_log=log))
+                          .peer("a").program(
+                              "collection extensional persistent src@a(x);\n"
+                              "collection intensional out@b(x);\n"
+                              "fact src@a(1);\nfact src@a(2);\n"
+                              "rule out@b($x) :- src@a($x);")
+                          .peer("b").program("collection intensional out@b(x);")
+                          .build())
+            deployment.converge()
+            deployment.peer("a").delete(Fact("src", "a", (1,)))
+            deployment.converge()
+            return [record["message_id"] for record in log.events()
+                    if record["action"] == "send"]
+
+        first = sent_ids()
+        assert len(first) >= 2 and len(set(first)) == len(first) and "" not in first
+        assert sent_ids() == first
+        assert FactMessage(sender="a", recipient="b").message_id == ""
+        assert FactMessage(sender="a", recipient="b", message_id="m").message_id == "m"

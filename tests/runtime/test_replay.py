@@ -7,11 +7,8 @@ same order, with no random draw.  A failure found under loss, duplication
 and reordering then shrinks to a log.
 """
 
-import itertools
-
 import pytest
 
-import repro.core.rules as rules_module
 from repro.api import InMemoryTransport, NetEventLog, system
 from repro.core.facts import Fact
 
@@ -33,12 +30,9 @@ fact pictures@Emilien(2, "boat.jpg", "Emilien", "111000");
 """
 
 
-def quickstart(transport, monkeypatch, picture=3):
+def quickstart(transport, picture=3):
     """The quickstart's delegation, a picture added and the attendee
-    deselected, converged after each step.  Rule ids (and the delegation
-    ids hashed over them) travel on the wire: pin their counter, so a
-    replay numbers its rules as the recording did."""
-    monkeypatch.setattr(rules_module, "_rule_counter", itertools.count(10 ** 6))
+    deselected, converged after each step."""
     deployment = (system().transport(transport)
                   .peer("Jules").program(JULES)
                   .peer("Emilien").program(EMILIEN)
@@ -53,16 +47,31 @@ def quickstart(transport, monkeypatch, picture=3):
     return deployment, during
 
 
-@pytest.fixture
-def recorded(tmp_path, monkeypatch):
-    """A lossy, duplicating, reordering run, its JSONL log and its results."""
-    path = tmp_path / "run.jsonl"
+def record(path):
+    """A lossy, duplicating, reordering run logged to ``path``, and its
+    results."""
     with NetEventLog(path) as log:
         transport = InMemoryTransport(drop_probability=0.25, duplicate_probability=0.25,
                                       reorder_window=2, latency_jitter=1, seed=11,
                                       event_log=log)
-        deployment, during = quickstart(transport, monkeypatch)
+        return quickstart(transport)
+
+
+@pytest.fixture
+def recorded(tmp_path):
+    """A lossy, duplicating, reordering run, its JSONL log and its results."""
+    path = tmp_path / "run.jsonl"
+    deployment, during = record(path)
     return path, deployment, during
+
+
+def test_two_builds_in_one_process_write_the_same_log(recorded, tmp_path):
+    """Rule, delegation and message ids follow from the deployment alone:
+    a second build logs every record the first did, ids included."""
+    path, _, _ = recorded
+    record(tmp_path / "again.jsonl")
+    assert '"message_id": "msg-1"' in path.read_text()
+    assert (tmp_path / "again.jsonl").read_text() == path.read_text()
 
 
 def test_the_recording_exercises_every_fault(recorded):
@@ -72,7 +81,7 @@ def test_the_recording_exercises_every_fault(recorded):
     assert deployment.stats.messages_dropped > 0
 
 
-def test_a_replay_reaches_the_same_snapshots_and_stats(recorded, monkeypatch):
+def test_a_replay_reaches_the_same_snapshots_and_stats(recorded):
     path, original, during = recorded
     replay = ReplayTransport(path)
     handed = []
@@ -84,7 +93,7 @@ def test_a_replay_reaches_the_same_snapshots_and_stats(recorded, monkeypatch):
         return messages
 
     replay.receive = receive_and_note
-    deployment, replayed_during = quickstart(replay, monkeypatch)
+    deployment, replayed_during = quickstart(replay)
     replay.finish()
     # Each peer was handed the recorded deliveries, in the recorded order
     # (the rounds are enforced by the replay itself).
@@ -96,16 +105,16 @@ def test_a_replay_reaches_the_same_snapshots_and_stats(recorded, monkeypatch):
     assert deployment.stats.messages_dropped > 0
 
 
-def test_a_run_that_sends_something_else_names_the_record(recorded, monkeypatch):
+def test_a_run_that_sends_something_else_names_the_record(recorded):
     path, _, _ = recorded
     replay = ReplayTransport(path)
     # The first record that differs is the envelope carrying the picture.
     with pytest.raises(ReplayDivergence,
                        match=r"^record \d+ .*\[3, 'cat\.jpg'.*\[4, 'cat\.jpg'.* instead$"):
-        quickstart(replay, monkeypatch, picture=4)
+        quickstart(replay, picture=4)
 
 
-def test_a_record_never_reached_is_named(recorded, monkeypatch, tmp_path):
+def test_a_record_never_reached_is_named(recorded, tmp_path):
     path, _, _ = recorded
     lines = path.read_text().splitlines()
     extra = tmp_path / "extra.jsonl"
@@ -113,6 +122,6 @@ def test_a_record_never_reached_is_named(recorded, monkeypatch, tmp_path):
     last_send = max(i for i, line in enumerate(lines) if '"action": "send"' in line)
     extra.write_text("\n".join(lines + [lines[last_send].replace('"ts": ', '"ts": 1')]) + "\n")
     replay = ReplayTransport(extra)
-    quickstart(replay, monkeypatch)
+    quickstart(replay)
     with pytest.raises(ReplayDivergence, match=r"was never replayed"):
         replay.finish()

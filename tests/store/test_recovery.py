@@ -15,6 +15,7 @@ import pytest
 from repro.api import system
 from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
+from repro.core.parser import parse_rule
 from repro.replication.state import META_KIND
 from repro.store.memory import MemoryBackend
 
@@ -227,6 +228,44 @@ class TestReopen:
         assert second.rows() == ((1,),)
         second.close()
         assert len(hub.rules()) == len(PROGRAM_HUB_RULES)
+        reopened.close()
+
+    @pytest.mark.parametrize("removed", [0, 1])
+    def test_a_rule_added_twice_reopens_as_two_rules(self, tmp_path, removed):
+        """Each copy of one rule keeps its own ``rule`` record (the second
+        is stored as ``<id>#2``): a reopened peer holds the rules it had,
+        and removing either copy leaves what a peer never reopened keeps."""
+        rule = parse_rule("rule wall@hub($id) :- small@hub($id)", default_peer="hub")
+
+        def with_copies(path):
+            deployment = build(path, peers=("hub",))
+            deployment.peer("hub").insert(Fact("small", "hub", (7,)))
+            copies = [deployment.peer("hub").add_rule(rule).rule_id for _ in range(2)]
+            deployment.converge()
+            return deployment, copies
+
+        def after_removal(deployment, rule_id):
+            deployment.runtime.peer("hub").remove_rule(rule_id)
+            deployment.converge()
+            rules = [r.rule_id for r in deployment.peer("hub").rules()]
+            return rules, deployment.snapshot()
+
+        control, copies = with_copies(tmp_path / "control")
+        held = [r.rule_id for r in control.peer("hub").rules()]
+        expected = after_removal(control, copies[removed])
+        assert Fact("wall", "hub", (7,)) in expected[1]["hub"]["wall@hub"]
+        control.close()
+
+        deployment, _ = with_copies(tmp_path / "reopened")
+        deployment.close()
+        reopened = build(tmp_path / "reopened", peers=("hub",), programs=False)
+        assert [r.rule_id for r in reopened.peer("hub").rules()] == held
+        assert copies == [rule.rule_id, f"{rule.rule_id}#2"]
+        reopened.converge()
+        assert after_removal(reopened, copies[removed]) == expected
+        reopened.runtime.peer("hub").remove_rule(copies[1 - removed])
+        reopened.converge()
+        assert Fact("wall", "hub", (7,)) not in reopened.snapshot()["hub"].get("wall@hub", ())
         reopened.close()
 
     def test_delegation_reinstall_is_idempotent(self, tmp_path):
@@ -721,12 +760,11 @@ class TestResumeFromTheCommittedFixpoint:
     @pytest.mark.parametrize("die", [False, True])
     def test_a_delegating_rule_removed_and_added_again_still_reaches_its_peer(
             self, tmp_path, die):
-        """(e) An equal rule is no change only while the removed one shipped
-        nothing: the delegation names its rule, so the swap retracts it
-        and delegates again, the posts keep reaching the hub, and an
-        unfollow retracts the delegation that replaced it.  Removed before
-        the first stage after a reopen, the rule's delegations are
-        retracted although the tracker that sent them died."""
+        """(e) A delegating rule removed and added again is no change: the
+        equal rule has the same id, so it keeps the delegations its twin
+        sent, the posts keep reaching the hub, and an unfollow retracts
+        them.  The same before the first stage after a reopen, while the
+        rule's memo is still to be rebuilt."""
         def swap_and_post(deployment):
             hub = deployment.peer("hub")
             delegating = [rule for rule in hub.rules() if "posts" in str(rule)]
@@ -758,7 +796,7 @@ class TestResumeFromTheCommittedFixpoint:
         swap_and_post(deployment)
         assert Fact("wall", "hub", (50,)) in deployment.snapshot()["hub"]["wall@hub"]
         assert deployment.snapshot() == expected
-        # The old delegation went, the new one came: one each.
+        # Still one delegation at each leaf.
         assert [len(deployment.runtime.peer(name).engine.installed_delegations())
                 for name in ("left", "right")] == [1, 1]
         deployment.peer("hub").delete(Fact("follows", "hub", ("left",)))
@@ -768,7 +806,8 @@ class TestResumeFromTheCommittedFixpoint:
 
     def test_an_equal_rule_swap_is_no_program_change(self, tmp_path):
         """Views asked again over the rules a crash restored: removing a
-        rule and adding its equal under another id evaluates nothing."""
+        rule and adding it again (equal, so under the same id) evaluates
+        nothing."""
         deployment = build(tmp_path, peers=("hub",), programs=False)
         deployment.peer("hub").load_program(PROGRAM_SOLO)
         deployment.peer("hub").insert(Fact("local", "hub", (1,)))
