@@ -35,19 +35,22 @@ This package is the public facade over all of them:
 Direct construction of :class:`~repro.runtime.peer.Peer` and
 :class:`~repro.runtime.system.WebdamLogSystem` keeps working (the runtime's
 own tests use it), but applications should start from :func:`system`.
+
+:class:`TcpTransport`, :class:`NetEventLog` and :func:`read_events` resolve
+on first use (:mod:`repro.lazy`): a deployment that names none of them loads
+no asyncio, sockets or TCP framing.
 """
 
 from repro.runtime.inmemory import InMemoryTransport, NetworkStats
 from repro.runtime.scheduler import RoundReport, RunSummary
 from repro.provenance.graph import Explanation
-from repro.net.events import NetEventLog, read_events
-from repro.net.tcp import TcpTransport
 from repro.runtime.transport import Transport
 from repro.api.builder import BuildError, PeerBuilder, SystemBuilder, system
 from repro.api.errors import ReproApiError
 from repro.api.facade import PeerHandle, System
 from repro.api.query import FactCallback, Subscription
 from repro.api.views import CompiledView, LiveView, compile_query
+from repro.lazy import lazy_exports
 
 __all__ = [
     "ReproApiError",
@@ -72,3 +75,8 @@ __all__ = [
     "FactCallback",
     "Explanation",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.net.events": ("NetEventLog", "read_events"),
+    "repro.net.tcp": ("TcpTransport",),
+})

@@ -30,7 +30,7 @@ from repro.core.maintenance import Maintenance
 from repro.core.metrics import Metrics
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Rule
-from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
+from repro.core.schema import RelationSchema, SchemaRegistry
 from repro.core.state import PeerState
 # The module, not the function: stratification imports repro.core in turn.
 from repro.datalog import stratification
@@ -41,17 +41,24 @@ from repro.store.backend import resolve_backend
 
 @dataclass(frozen=True)
 class OutgoingUpdate:
-    """Fact updates addressed to one remote peer."""
+    """Fact updates addressed to one remote peer.
+
+    ``deleted`` are the user's explicit deletions, which apply to a relation
+    of either kind; ``withdrawn`` are facts the rules derived for the peer
+    and no longer derive, which only its intensional relations give up (a
+    derived fact in an extensional relation is an update, and stays).
+    """
 
     target: str
     inserted: FrozenSet[Fact] = frozenset()
     deleted: FrozenSet[Fact] = frozenset()
+    withdrawn: FrozenSet[Fact] = frozenset()
 
     def __len__(self) -> int:
-        return len(self.inserted) + len(self.deleted)
+        return len(self.inserted) + len(self.deleted) + len(self.withdrawn)
 
     def __bool__(self) -> bool:
-        return bool(self.inserted) or bool(self.deleted)
+        return bool(self.inserted or self.deleted or self.withdrawn)
 
 
 @dataclass
@@ -315,12 +322,14 @@ class WebdamLogEngine:
     # ------------------------------------------------------------------ #
 
     def receive_facts(self, sender: str, inserted: Iterable[Fact] = (),
-                      deleted: Iterable[Fact] = ()) -> None:
-        """Record fact updates received from ``sender`` for the next stage."""
-        for fact in inserted:
-            self.state.pending.inserted_facts.append((sender, fact))
-        for fact in deleted:
-            self.state.pending.deleted_facts.append((sender, fact))
+                      deleted: Iterable[Fact] = (),
+                      withdrawn: Iterable[Fact] = ()) -> None:
+        """Record fact updates received from ``sender`` for the next stage
+        (see :class:`OutgoingUpdate` for ``deleted`` and ``withdrawn``)."""
+        pending = self.state.pending
+        pending.inserted_facts.extend((sender, fact) for fact in inserted)
+        pending.deleted_facts.extend((sender, fact) for fact in deleted)
+        pending.withdrawn_facts.extend((sender, fact) for fact in withdrawn)
         self.mark_dirty()
 
     def receive_delegation(self, sender: str, delegation_id: str, rule: Rule) -> None:
@@ -561,6 +570,10 @@ class WebdamLogEngine:
                 self.state.remove_provided(fact, sender)
             else:
                 self.state.store.delete(fact)
+        for sender, fact in pending.withdrawn_facts:
+            consumed += 1
+            if self.state.is_local_intensional(fact):
+                self.state.remove_provided(fact, sender)
         for sender, delegation_id, rule in pending.delegations_to_install:
             consumed += 1
             known = self.state.delegations_in.get(delegation_id)
@@ -606,33 +619,28 @@ class WebdamLogEngine:
         for target in targets:
             current = current_by_target.get(target, set())
             previous = self._sent_remote.get(target, set())
+            # The signed diff of what the rules derive for the target.  Only
+            # the receiver knows its relation's kind: an intensional one
+            # gives a withdrawn fact up, an extensional one keeps it (the
+            # paper's semantics for updates to another peer's extensional
+            # relations).
             newly_derived = current - previous
-            vanished = previous - current
-            # Facts destined to relations known to be intensional at the
-            # remote peer are view facts: retract them when no longer
-            # derivable.  Unknown or extensional relations are insert-only
-            # updates (the paper's semantics for updates to extensional
-            # relations of other peers).
-            to_delete = {
-                fact for fact in vanished
-                if self.state.kind_of(fact.relation, fact.peer) is RelationKind.INTENSIONAL
-            }
-            if newly_derived or to_delete:
-                derived_updates[target] = (newly_derived, to_delete)
-            self._sent_remote[target] = (previous - to_delete) | current
+            withdrawn = previous - current
+            if newly_derived or withdrawn:
+                derived_updates[target] = (newly_derived, withdrawn)
+            self._sent_remote[target] = current
 
         # -- user-initiated updates to remote relations ------------------ #
         user_targets = set(self._pending_remote_inserts) | set(self._pending_remote_deletes)
         for target in sorted(targets | user_targets):
-            derived_ins, derived_del = derived_updates.get(target, (set(), set()))
-            user_ins = self._pending_remote_inserts.pop(target, set())
+            derived_ins, withdrawn = derived_updates.get(target, (set(), set()))
             user_del = self._pending_remote_deletes.pop(target, set())
-            inserted = frozenset(derived_ins | user_ins)
-            deleted = frozenset(derived_del | user_del)
-            if inserted or deleted:
-                result.outgoing_updates.append(
-                    OutgoingUpdate(target=target, inserted=inserted, deleted=deleted)
-                )
+            update = OutgoingUpdate(
+                target=target,
+                inserted=frozenset(derived_ins | self._pending_remote_inserts.pop(target, set())),
+                deleted=frozenset(user_del), withdrawn=frozenset(withdrawn - user_del))
+            if update:
+                result.outgoing_updates.append(update)
 
         # -- delegations -------------------------------------------------- #
         diff = self.state.delegation_tracker.diff(outcome.delegations)

@@ -55,24 +55,27 @@ class PendingInput:
 
     inserted_facts: List[Tuple[str, Fact]] = field(default_factory=list)
     deleted_facts: List[Tuple[str, Fact]] = field(default_factory=list)
+    #: Facts their senders' rules no longer derive (a deletion for a local
+    #: intensional relation only, decided when the stage consumes them).
+    withdrawn_facts: List[Tuple[str, Fact]] = field(default_factory=list)
     delegations_to_install: List[Tuple[str, str, Rule]] = field(default_factory=list)
     delegations_to_retract: List[Tuple[str, str]] = field(default_factory=list)
 
     def is_empty(self) -> bool:
         """``True`` when nothing is waiting."""
-        return not (self.inserted_facts or self.deleted_facts
-                    or self.delegations_to_install or self.delegations_to_retract)
+        return not self.size()
 
     def clear(self) -> None:
         """Drop every pending input."""
         self.inserted_facts.clear()
         self.deleted_facts.clear()
+        self.withdrawn_facts.clear()
         self.delegations_to_install.clear()
         self.delegations_to_retract.clear()
 
     def size(self) -> int:
         """Total number of pending items."""
-        return (len(self.inserted_facts) + len(self.deleted_facts)
+        return (len(self.inserted_facts) + len(self.deleted_facts) + len(self.withdrawn_facts)
                 + len(self.delegations_to_install) + len(self.delegations_to_retract))
 
 

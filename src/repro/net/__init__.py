@@ -22,43 +22,13 @@ virtual-clock simulator runs (the ``gossip_sim`` benchmark workload):
 * :mod:`repro.net.node` — the sans-io node composing the two protocols;
 * :mod:`repro.net.sim` — the virtual-clock many-node harness.
 
-See ``docs/net-protocol.md`` for the protocol specification.
+Each name below resolves from its module on first use
+(:mod:`repro.lazy`), so importing :mod:`repro.net.events` loads neither the
+framing, the TCP transport (asyncio) nor the overlay.  See
+``docs/net-protocol.md`` for the protocol specification.
 """
 
-from repro.net.events import NetEventLog, read_events
-from repro.net.frames import (
-    AckFrame,
-    DigestFrame,
-    EnvelopeFrame,
-    JoinFrame,
-    LeaveFrame,
-    MemberUpdate,
-    PingFrame,
-    PingReqFrame,
-    PullFrame,
-    frame_from_wire,
-)
-from repro.net.framing import (
-    MAX_FRAME_BYTES,
-    FrameError,
-    decode_body,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.net.gossip import GossipBuffer, GossipConfig
-from repro.net.membership import (
-    ALIVE,
-    DEAD,
-    LEFT,
-    SUSPECT,
-    Member,
-    MembershipTable,
-    SwimConfig,
-)
-from repro.net.node import GossipNode
-from repro.net.sim import SimulatedGossipNetwork
-from repro.net.tcp import TcpTransport
+from repro.lazy import lazy_exports
 
 __all__ = [
     "NetEventLog",
@@ -92,3 +62,18 @@ __all__ = [
     "SimulatedGossipNetwork",
     "TcpTransport",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.net.events": ("NetEventLog", "read_events"),
+    "repro.net.frames": ("MemberUpdate", "JoinFrame", "LeaveFrame", "PingFrame",
+                         "PingReqFrame", "AckFrame", "EnvelopeFrame",
+                         "DigestFrame", "PullFrame", "frame_from_wire"),
+    "repro.net.framing": ("FrameError", "MAX_FRAME_BYTES", "encode_frame",
+                          "decode_body", "read_frame", "write_frame"),
+    "repro.net.gossip": ("GossipBuffer", "GossipConfig"),
+    "repro.net.membership": ("ALIVE", "SUSPECT", "DEAD", "LEFT", "Member",
+                             "MembershipTable", "SwimConfig"),
+    "repro.net.node": ("GossipNode",),
+    "repro.net.sim": ("SimulatedGossipNetwork",),
+    "repro.net.tcp": ("TcpTransport",),
+})

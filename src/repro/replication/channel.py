@@ -35,7 +35,7 @@ from repro.provenance.graph import Derivation
 from repro.replication.dots import CausalContext, Op
 
 #: Effect tuples an inbox emits, consumed by the runtime:
-#: ``("insert", fact)``, ``("delete", fact)``,
+#: ``("insert", fact)``, ``("delete", fact)``, ``("withdraw", fact)``,
 #: ``("delegate", delegation_id, rule, schemas)``,
 #: ``("undelegate", delegation_id)``, ``("derivation", derivation, anchor)``.
 Effect = Tuple
@@ -110,17 +110,20 @@ class ChannelOutbox(_Journaled):
         self._row("live", seq, fact)
         return self._append(Op(seq=seq, kind="insert", fact=fact))
 
-    def delete(self, fact: Fact) -> Op:
+    def delete(self, fact: Fact, kind: str = "delete") -> Op:
         """Emit a delete op removing the fact's observed live dots.
 
         With no live dots the op is an *out-of-band* deletion (empty
         ``removed``): the receiver applies it directly, covering deletions of
         facts that reached it through other means (e.g. its own base facts).
+        ``kind="withdraw"`` is the same op for a fact the sender's rules no
+        longer derive, which the receiver applies to an intensional relation
+        only.
         """
         removed = tuple(sorted(self.live.pop(fact, ())))
         for seq in removed:
             self._row("live", seq, None)
-        return self._append(Op(seq=self._next_seq(), kind="delete",
+        return self._append(Op(seq=self._next_seq(), kind=kind,
                                fact=fact, removed=removed))
 
     def delegate(self, delegation_id: str, rule: Rule,
@@ -230,10 +233,10 @@ class ChannelInbox(_Journaled):
             dots.add(op.seq)
             self._row("vis", op.seq, op.fact)
             return [("insert", op.fact)] if len(dots) == 1 else []
-        if op.kind == "delete":
+        if op.kind in ("delete", "withdraw"):
             if not op.removed:
                 # Out-of-band deletion: no dot of this channel to remove.
-                return [("delete", op.fact)]
+                return [(op.kind, op.fact)]
             dots = self.visible.get(op.fact)
             for seq in op.removed:
                 if dots is not None and seq in dots:
@@ -244,7 +247,7 @@ class ChannelInbox(_Journaled):
                     self._row("tomb", seq, True)
             if dots is not None and not dots:
                 del self.visible[op.fact]
-                return [("delete", op.fact)]
+                return [(op.kind, op.fact)]
             return []
         if op.kind == "delegate":
             if self._advance_delegation(op):

@@ -29,10 +29,11 @@ from repro.core.schema import RelationSchema
 from repro.provenance.graph import Derivation
 
 #: The operation kinds a channel replicates.  ``insert``/``delete`` carry
-#: extensional (or provided-intensional) fact updates, ``delegate`` /
+#: extensional (or provided-intensional) fact updates, ``withdraw`` a derived
+#: fact its sender no longer derives, ``delegate`` /
 #: ``undelegate`` carry the delegation remainders of distributed rules, and
 #: ``derivation`` carries one provenance closure entry.
-OP_KINDS = ("insert", "delete", "delegate", "undelegate", "derivation")
+OP_KINDS = ("insert", "delete", "withdraw", "delegate", "undelegate", "derivation")
 
 
 class Dot(NamedTuple):
@@ -54,6 +55,7 @@ class Op:
     * ``delete`` — ``fact`` plus ``removed``, the sequence numbers of the
       insert dots this deletion observed (empty for an out-of-band deletion
       of a fact this channel never inserted);
+    * ``withdraw`` — as ``delete``, for a fact the sender no longer derives;
     * ``delegate`` — ``delegation_id``, ``rule``, ``schemas``;
     * ``undelegate`` — ``delegation_id``;
     * ``derivation`` — ``derivation`` and ``anchor``.

@@ -178,8 +178,8 @@ class ReplicationState:
     def encode_outgoing(self, messages: Iterable[FactMessage]) -> None:
         """Absorb a stage's messages into channel ops.
 
-        Each message's fact updates, derivations, delegation installs and
-        retractions become dotted ops on the recipient's outbox, in that
+        Each message's fact updates (inserts, deletes, withdrawals),
+        derivations, delegation installs and retractions become dotted ops on the recipient's outbox, in that
         order, shipped by the next :meth:`flush`.
         """
         for message in messages:
@@ -188,6 +188,8 @@ class ReplicationState:
                 box.insert(fact)
             for fact in sorted(message.deleted, key=str):
                 box.delete(fact)
+            for fact in sorted(message.withdrawn, key=str):
+                box.delete(fact, kind="withdraw")
             for derivation in message.derivations:
                 box.derivation(derivation,
                                anchor=derivation.fact in message.inserted)

@@ -68,8 +68,10 @@ class Message:
 class FactMessage(Message):
     """Everything one stage of the sender ships the recipient.
 
-    ``inserted`` / ``deleted`` are fact updates addressed to relations of
-    the recipient.  ``derivations`` optionally carries their provenance (the
+    ``inserted`` / ``deleted`` / ``withdrawn`` are fact updates addressed to
+    relations of the recipient (a ``withdrawn`` fact is one the sender's
+    rules no longer derive: only an intensional relation gives it up, see
+    :class:`~repro.core.engine.OutgoingUpdate`).  ``derivations`` optionally carries their provenance (the
     sender's derivations, transitively down to its base facts, and fresh
     alternative derivations of facts shipped earlier) so provenance-enabled
     receivers can answer why/lineage queries — and apply lineage-based
@@ -83,6 +85,7 @@ class FactMessage(Message):
 
     inserted: FrozenSet[Fact] = frozenset()
     deleted: FrozenSet[Fact] = frozenset()
+    withdrawn: FrozenSet[Fact] = frozenset()
     derivations: Tuple[Derivation, ...] = ()
     installs: Tuple[Tuple[str, Rule, Tuple[RelationSchema, ...]], ...] = ()
     retracts: Tuple[str, ...] = ()
@@ -90,17 +93,20 @@ class FactMessage(Message):
     def payload_size(self) -> int:
         """Facts and derivations carried, plus one per delegated rule, per
         schema it ships with and per retraction."""
-        return (len(self.inserted) + len(self.deleted) + len(self.derivations)
+        return (len(self.inserted) + len(self.deleted) + len(self.withdrawn)
+                + len(self.derivations)
                 + sum(1 + len(schemas) for _, _, schemas in self.installs)
                 + len(self.retracts))
 
     def effects(self) -> List[Tuple]:
         """The message as the effect tuples a replication inbox emits, in the
-        order facts, derivations, installs, retracts.  Only the inserted
+        order inserts, deletes, withdrawals, derivations, installs,
+        retracts.  Only the inserted
         facts anchor a derivation; lineage intermediates live as long as an
         anchor reaches them."""
         effects: List[Tuple] = [("insert", fact) for fact in self.inserted]
         effects.extend(("delete", fact) for fact in self.deleted)
+        effects.extend(("withdraw", fact) for fact in self.withdrawn)
         effects.extend(("derivation", derivation, derivation.fact in self.inserted)
                        for derivation in self.derivations)
         effects.extend(("delegate", *install) for install in self.installs)
@@ -111,6 +117,9 @@ class FactMessage(Message):
         encoded = super().to_wire()
         encoded["inserted"] = [codec.encode_fact(f) for f in sorted(self.inserted, key=str)]
         encoded["deleted"] = [codec.encode_fact(f) for f in sorted(self.deleted, key=str)]
+        if self.withdrawn:
+            encoded["withdrawn"] = [codec.encode_fact(f)
+                                    for f in sorted(self.withdrawn, key=str)]
         encoded["derivations"] = [wire.encode_derivation(d) for d in self.derivations]
         if self.installs:
             encoded["installs"] = [
@@ -199,6 +208,7 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
         return FactMessage(
             inserted=frozenset(codec.decode_fact(f) for f in encoded.get("inserted", [])),
             deleted=frozenset(codec.decode_fact(f) for f in encoded.get("deleted", [])),
+            withdrawn=frozenset(codec.decode_fact(f) for f in encoded.get("withdrawn", [])),
             derivations=tuple(wire.decode_derivation(d)
                               for d in encoded.get("derivations", [])),
             installs=tuple(

@@ -294,14 +294,11 @@ class Peer:
         skip/delta/rederive input paths cannot tell the two delivery paths
         apart.
         """
-        inserted: List[Fact] = []
-        deleted: List[Fact] = []
+        facts: Dict[str, List[Fact]] = {"insert": [], "delete": [], "withdraw": []}
         for effect in effects:
             kind = effect[0]
-            if kind == "insert":
-                inserted.append(effect[1])
-            elif kind == "delete":
-                deleted.append(effect[1])
+            if kind in facts:
+                facts[kind].append(effect[1])
             elif kind == "delegate":
                 _, delegation_id, rule, schemas = effect
                 self._submit_delegation(origin, delegation_id, rule, schemas)
@@ -309,8 +306,9 @@ class Peer:
                 self.controller.submit_retraction(origin, effect[1])
             elif kind == "derivation":
                 self._record_shipped(effect[1], anchor=effect[2])
-        if inserted or deleted:
-            self.engine.receive_facts(origin, inserted, deleted)
+        if any(facts.values()):
+            self.engine.receive_facts(origin, facts["insert"], facts["delete"],
+                                      facts["withdraw"])
 
     def _submit_delegation(self, sender: str, delegation_id: str,
                            rule: Optional[Rule],
@@ -396,7 +394,8 @@ class Peer:
         then the fresh derivations, installs and retracts."""
         updates = {update.target: update for update in result.outgoing_updates}
         derivations: Dict[str, Tuple[ProvenanceDerivation, ...]] = {
-            target: self._derivations_for(target, update.inserted, update.deleted)
+            target: self._derivations_for(target, update.inserted,
+                                          update.deleted or update.withdrawn)
             for target, update in updates.items()}
         # Alternative derivations of facts already at a target: the facts
         # themselves produce no update, so they may travel without one.
@@ -418,6 +417,7 @@ class Peer:
                 recipient=target,
                 inserted=update.inserted if update is not None else frozenset(),
                 deleted=update.deleted if update is not None else frozenset(),
+                withdrawn=update.withdrawn if update is not None else frozenset(),
                 derivations=derivations.get(target, ()),
                 installs=tuple(installs.get(target, ())),
                 retracts=tuple(retracts.get(target, ())),

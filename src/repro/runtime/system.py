@@ -18,7 +18,7 @@ Drive the system with :meth:`converge` / :meth:`step` (or ``await``
 
 from __future__ import annotations
 
-import asyncio
+import types
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +39,13 @@ if TYPE_CHECKING:
     from repro.runtime.transport import Transport
 
 __all__ = ["WebdamLogSystem", "RoundReport", "RunSummary"]
+
+
+@types.coroutine
+def _yield_to_loop():
+    """Give the running event loop one turn, as ``asyncio.sleep(0)`` does,
+    without importing asyncio into every deployment's process."""
+    yield
 
 
 class WebdamLogSystem:
@@ -329,7 +336,7 @@ class WebdamLogSystem:
         """
         summary = RunSummary(scheduler=self.scheduler.name)
         for _ in cycles(self.scheduler, self, summary, max_steps, extra_rounds):
-            await asyncio.sleep(0)
+            await _yield_to_loop()
         return summary
 
     # ------------------------------------------------------------------ #

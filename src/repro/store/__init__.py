@@ -15,6 +15,8 @@
 
 Select a backend per deployment with ``system().storage("sqlite", path=...)``
 or globally with the ``REPRO_STORE_BACKEND`` environment variable.
+:class:`SqliteBackend` resolves on first use (:mod:`repro.lazy`), so a
+deployment on the memory backend never loads ``sqlite3``.
 """
 
 from repro.store.backend import (
@@ -25,7 +27,7 @@ from repro.store.backend import (
     resolve_backend,
 )
 from repro.store.memory import MemoryBackend, MemoryTable
-from repro.store.sqlite import SqliteBackend
+from repro.lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_BACKEND_ENV",
@@ -37,3 +39,5 @@ __all__ = [
     "StoreError",
     "resolve_backend",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {"repro.store.sqlite": ("SqliteBackend",)})

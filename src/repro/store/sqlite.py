@@ -72,6 +72,9 @@ NUMERIC_TAGS = frozenset({_TAG_BOOL, _TAG_INT, _TAG_FLOAT})
 #: is associative, float accumulation order is not.
 EXACT_SUM_TAGS = frozenset({_TAG_BOOL, _TAG_INT})
 
+#: Tags whose values a column with no type affinity hands back as stored.
+_AS_FETCHED = frozenset({_TAG_INT, _TAG_FLOAT, _TAG_BYTES})
+
 #: The integers a SQLite column holds: signed 64-bit.
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
@@ -164,8 +167,8 @@ class SqliteTable:
         facts: List[Fact] = []
         if stored:
             start = perf_counter()
-            facts = [self._decode_fact(row) for row in backend.execute(
-                f'SELECT {self._col_list} FROM "{table_name}"')]
+            facts = self._decode_rows(backend.execute(
+                f'SELECT {self._col_list} FROM "{table_name}"').fetchall())
             backend.metrics["store", "rows_decoded"] += len(facts)
             backend.metrics["store", "attach_decode_s"] += perf_counter() - start
         self._kept: Union[MemoryTable, _Aborted] = MemoryTable(schema, facts)
@@ -187,10 +190,25 @@ class SqliteTable:
             params.append(stored)
         return tuple(params)
 
-    def _decode_fact(self, row) -> Fact:
-        values = tuple(decode_column(row[2 * i], row[2 * i + 1])
-                       for i in range(self._arity))
-        return Fact(self.schema.name, self.schema.peer, values)
+    def _decode_rows(self, rows: List[Tuple]) -> List[Fact]:
+        """The facts of ``rows``, in their order, decoded column by column:
+        a column whose tags are all int, float or bytes holds its values as
+        fetched, an all-str one is interned, and any other is decoded value
+        by value."""
+        name, peer = self.schema.name, self.schema.peer
+        if not self._arity or not rows:
+            return [Fact(name, peer, ()) for _ in rows]
+        fetched = list(zip(*rows))
+        columns = []
+        for tags, stored in zip(fetched[0::2], fetched[1::2]):
+            kinds = set(tags)
+            if kinds <= _AS_FETCHED:
+                columns.append(stored)
+            elif kinds == {_TAG_STR}:
+                columns.append(map(sys.intern, stored))
+            else:
+                columns.append(map(decode_column, tags, stored))
+        return [Fact(name, peer, values) for values in zip(*columns)]
 
     def _eq_clause(self, count: int) -> str:
         if not count:

@@ -145,7 +145,7 @@ class TestEvaluationPaths:
         engine.remove_rule(engine.rules()[0].rule_id)
         result = engine.run_stage()
         assert result.evaluation_path == "skip"
-        assert [u.deleted for u in result.outgoing_updates] == [
+        assert [u.withdrawn for u in result.outgoing_updates] == [
             frozenset({Fact("mirror", "bob", (1,))})]
 
     def test_negation_touching_delta_takes_the_rederive_path(self, engine):
@@ -295,7 +295,7 @@ class TestTupleLevelDeletes:
         assert result.outgoing_updates == []  # the second rule still derives it
         engine.delete_fact(Fact("b", "alice", (1,)))
         result = engine.run_stage()
-        assert [u.deleted for u in result.outgoing_updates] == [
+        assert [u.withdrawn for u in result.outgoing_updates] == [
             frozenset({Fact("mirror", "bob", (1,))})]
 
     def test_a_delegation_is_probed_from_what_it_fixes(self, engine):
@@ -390,7 +390,7 @@ class TestMemoisedOutputs:
         engine.delete_fact(Fact("mine", "alice", (1,)))
         result = engine.run_stage()
         assert result.evaluation_path == "rederive"
-        assert any(Fact("mirror", "bob", (1,)) in u.deleted
+        assert any(Fact("mirror", "bob", (1,)) in u.withdrawn
                    for u in result.outgoing_updates)
 
 

@@ -38,6 +38,7 @@ def outputs_of(results):
         for update in result.outgoing_updates:
             sent |= {("+", fact) for fact in update.inserted}
             sent |= {("-", fact) for fact in update.deleted}
+            sent |= {("withdrawn", fact) for fact in update.withdrawn}
         sent |= {("install", d.target, d.rule.canonical_key())
                  for d in result.delegations_to_install}
         sent |= {("retract", d.target, d.rule.canonical_key())
@@ -394,9 +395,10 @@ class TestStrictNoOps:
         assert engine.snapshot() == snapshot
         assert provenance_story(engine.provenance.graph) == story
 
-    def test_idle_stage_after_a_remote_relation_turns_intensional_retracts(self):
-        """The outcome is the one last emitted, yet what it no longer holds
-        has become a view fact to retract."""
+    def test_a_remote_fact_is_withdrawn_whatever_the_sender_knows_of_it(self):
+        """A remote head of unknown kind ships its signed diff (its receiver
+        decides what a withdrawal means), so declaring the kind afterwards
+        leaves nothing to retract."""
         engine = WebdamLogEngine("p")
         engine.load_program("""
         collection extensional persistent mine@p(x);
@@ -407,16 +409,14 @@ class TestStrictNoOps:
         engine.run_to_quiescence()
         engine.delete_fact(Fact("mine", "p", (1,)))
         results = engine.run_to_quiescence()
-        # mirror@q is of unknown kind: an insert-only update, nothing retracted.
-        assert outputs_of(results) == set()
+        assert outputs_of(results) == {("withdrawn", Fact("mirror", "q", (1,)))}
         assert engine.run_stage().evaluation_path == "skip"
 
         engine.declare(RelationSchema("mirror", "q", ("x",),
                                       kind=RelationKind.INTENSIONAL))
         result = engine.run_stage()
         assert result.evaluation_path == "skip"
-        assert outputs_of([result]) == {("-", Fact("mirror", "q", (1,)))}
-        assert outputs_of([engine.run_stage()]) == set()
+        assert outputs_of([result]) == set()
 
     def test_identical_redeclaration_changes_nothing(self):
         engine = WebdamLogEngine("p")

@@ -15,7 +15,7 @@ from repro.runtime.messages import DeltaEnvelopeMessage
 from repro.runtime.peer import Peer
 from repro.runtime.system import WebdamLogSystem
 
-from tests.fakes import ZeroLatencyTransport
+from tests.fakes import UnpromisedTransport, ZeroLatencyTransport
 
 #: One constructor argument per fault the in-memory transport can inject.
 FAULTS = {
@@ -100,3 +100,68 @@ def test_a_peer_without_causal_replication_rejects_envelopes():
     with pytest.raises(TypeError, match="no causal replication"):
         peer.deliver(DeltaEnvelopeMessage(sender="bob", recipient="alice",
                                           frontier=0, ops=()))
+
+
+#: The raw path, the causal path, and the causal path under every fault.
+PATHS = {
+    "raw": lambda: InMemoryTransport(),
+    "causal": lambda: UnpromisedTransport(),
+    "lossy": lambda: InMemoryTransport(loss_probability=0.3, duplicate_probability=0.3,
+                                       reorder_window=2, seed=5),
+}
+
+
+class TestARemoteHeadFollowsItsReceiver:
+    """A rule's remote head is read by its receiver's declaration, not by
+    what the sender knows of it: a receiver's intensional relation loses a
+    fact when its last support at the sender is gone; an extensional one
+    keeps it (a derived fact is an insert there).  The sender declares
+    nothing about ``out@b`` unless a test says so."""
+
+    RULE = "collection extensional persistent src@a(x);\nrule out@b($x) :- src@a($x);"
+
+    def deploy(self, path, at_b, at_a=""):
+        deployment = (system().transport(PATHS[path]())
+                      .peer("a").program(at_a + self.RULE)
+                      .peer("b").program(at_b).build())
+        deployment.peer("a").insert_many(["src@a(1)", "src@a(2)"])
+        self.settle(deployment)
+        assert self.out(deployment) == [(1,), (2,)]
+        deployment.peer("a").delete("src@a(1)")
+        self.settle(deployment)
+        return deployment
+
+    @staticmethod
+    def settle(deployment):
+        assert deployment.converge(max_steps=400).converged
+
+    @staticmethod
+    def out(deployment):
+        return sorted(fact.values for fact in deployment.peer("b").snapshot().get("out@b", ()))
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_an_intensional_receiver_loses_an_unsupported_fact(self, path):
+        deployment = self.deploy(path, "collection intensional out@b(x);")
+        assert self.out(deployment) == [(2,)]
+        deployment.peer("a").insert("src@a(1)")
+        self.settle(deployment)
+        assert self.out(deployment) == [(1,), (2,)]
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_an_extensional_receiver_keeps_a_derived_fact(self, path):
+        deployment = self.deploy(path, "collection extensional persistent out@b(x);")
+        assert self.out(deployment) == [(1,), (2,)]
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_the_receivers_declaration_wins_over_the_senders(self, path):
+        deployment = self.deploy(path, "collection extensional persistent out@b(x);",
+                                 at_a="collection intensional out@b(x);\n")
+        assert self.out(deployment) == [(1,), (2,)]
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_a_users_remote_delete_applies_to_an_extensional_receiver(self, path):
+        deployment = self.deploy(path, "collection extensional persistent out@b(x);")
+        deployment.peer("a").delete("out@b(1)")
+        self.settle(deployment)
+        assert self.out(deployment) == [(2,)]
+

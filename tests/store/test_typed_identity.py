@@ -4,7 +4,8 @@
 the facts holding them six facts — for :class:`Fact` equality and hashing,
 for the memory table's keys, indexes and probes (a bucket going from one
 fact to two and back to one included), and for a SQLite table, both new and
-attached again to the stored table of a file.
+attached again to the stored table of a file, whose columns a reopen
+decodes one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.core.facts import Fact, fact_identity, typed_value, typed_values
 from repro.core.schema import RelationKind, RelationSchema
 from repro.store.backend import STORE_NAMESPACE
 from repro.store.memory import MemoryBackend
-from repro.store.sqlite import SqliteBackend
+from repro.store.sqlite import SqliteBackend, decode_column
 
 VALUES = (1, True, 1.0, "1", b"1", None)
 
@@ -135,3 +136,45 @@ def test_a_memory_bucket_of_one_fact_is_that_fact():
     assert index[("x",)] is true
     table.delete(true)
     assert ("x",) not in index
+
+
+class TestAReopenDecodesColumnByColumn:
+    """A reopen decodes a stored table a column at a time: a column of ints,
+    floats or bytes as SQLite hands it back, a column of strings interned,
+    any other value by value.  Each way must give back the values, their
+    types and the rows' order that a value-by-value decode gives."""
+
+    SCHEMA = RelationSchema(name="mix", peer="p",
+                            columns=("mixed", "ints", "floats", "strs", "blobs", "bools"),
+                            kind=RelationKind.EXTENSIONAL)
+    MIXED = (True, 1, 1.0, None, b"1", "one", 2 ** 63 - 1)
+    INTS = (0, 1, -1, 2 ** 63 - 1, -2 ** 63, 7, 1)
+    FLOATS = (0.5, 1.0, -0.0, 2.0, 1e300, 3.25, 1.0)
+    STRS = ("one", "two", "one", "1", "", "two", "one")
+
+    def test_values_types_order_and_one_object_per_string(self, tmp_path):
+        facts = [Fact("mix", "p", (mixed, number, real, text, bytes([i]), i % 2 == 0))
+                 for i, (mixed, number, real, text)
+                 in enumerate(zip(self.MIXED, self.INTS, self.FLOATS, self.STRS))]
+        path = str(tmp_path / "mix.db")
+        first = SqliteBackend(path)
+        first.table(STORE_NAMESPACE, self.SCHEMA).insert_many(facts)
+        first.commit()
+        first.close()
+
+        again = SqliteBackend(path)
+        table = again.table(STORE_NAMESPACE, self.SCHEMA)
+        columns = ", ".join(f"t{i}, v{i}" for i in range(6))
+        one_by_one = [
+            Fact("mix", "p", tuple(decode_column(row[2 * i], row[2 * i + 1]) for i in range(6)))
+            for row in again.execute(f'SELECT {columns} FROM "{table.table_name}"')]
+        assert list(table) == one_by_one
+        assert typed(table) == typed(one_by_one)
+        assert sorted(map(repr, table)) == sorted(map(repr, facts))
+        assert sorted(typed(table)) == sorted(typed(facts))
+        strings = [value for fact in table for value in fact.values if isinstance(value, str)]
+        for a, b in itertools.combinations(strings, 2):
+            assert (a is b) == (a == b)
+        assert again.metrics["store", "rows_decoded"] == len(facts)
+        again.close()
+
