@@ -139,8 +139,8 @@ class WebdamLogEngine:
         # flushed at the next stage.
         self._pending_remote_inserts: Dict[str, Set[Fact]] = {}
         self._pending_remote_deletes: Dict[str, Set[Fact]] = {}
-        # Facts previously shipped to each target as the result of rule
-        # derivations; used to avoid re-sending and to retract view facts.
+        # The facts the rules derive for each target as last shipped: the
+        # next stage ships only its signed diff against them.
         self._sent_remote: Dict[str, Set[Fact]] = {}
         # Whether the engine needs a stage for reasons the stores cannot see:
         # raised by every method that hands it input (rule or program

@@ -179,8 +179,9 @@ class ReplicationState:
         """Absorb a stage's messages into channel ops.
 
         Each message's fact updates (inserts, deletes, withdrawals),
-        derivations, delegation installs and retractions become dotted ops on the recipient's outbox, in that
-        order, shipped by the next :meth:`flush`.
+        derivations, delegation installs and retractions become dotted ops
+        on the recipient's outbox, in that order, shipped by the next
+        :meth:`flush`.
         """
         for message in messages:
             box = self.outbox(message.recipient)

@@ -71,11 +71,12 @@ class FactMessage(Message):
     ``inserted`` / ``deleted`` / ``withdrawn`` are fact updates addressed to
     relations of the recipient (a ``withdrawn`` fact is one the sender's
     rules no longer derive: only an intensional relation gives it up, see
-    :class:`~repro.core.engine.OutgoingUpdate`).  ``derivations`` optionally carries their provenance (the
-    sender's derivations, transitively down to its base facts, and fresh
-    alternative derivations of facts shipped earlier) so provenance-enabled
-    receivers can answer why/lineage queries — and apply lineage-based
-    access control — across peer boundaries.  ``installs`` are the delegated
+    :class:`~repro.core.engine.OutgoingUpdate`).  ``derivations``
+    optionally carries their provenance (the sender's derivations,
+    transitively down to its base facts, and fresh alternative derivations
+    of facts shipped earlier) so provenance-enabled receivers can answer
+    why/lineage queries — and apply lineage-based access control — across
+    peer boundaries.  ``installs`` are the delegated
     rules to install at the recipient, as ``(delegation_id, rule, schemas)``
     — the schemas (known to the delegator) of the relations the rule
     mentions, so the recipient learns, for example, that the head relation
@@ -101,9 +102,8 @@ class FactMessage(Message):
     def effects(self) -> List[Tuple]:
         """The message as the effect tuples a replication inbox emits, in the
         order inserts, deletes, withdrawals, derivations, installs,
-        retracts.  Only the inserted
-        facts anchor a derivation; lineage intermediates live as long as an
-        anchor reaches them."""
+        retracts.  Only the inserted facts anchor a derivation; lineage
+        intermediates live as long as an anchor reaches them."""
         effects: List[Tuple] = [("insert", fact) for fact in self.inserted]
         effects.extend(("delete", fact) for fact in self.deleted)
         effects.extend(("withdraw", fact) for fact in self.withdrawn)
