@@ -15,6 +15,10 @@ interface."  (Section 3 of the paper.)
 * the user later calls :meth:`approve` or :meth:`reject`;
 * a retraction for a delegation that is still pending simply removes it from
   the queue; a retraction for an installed delegation is forwarded.
+
+A delegation is a binding of a template its delegator sent
+(:mod:`repro.core.delegation`), or a rule delegated whole; either is
+approved on its own, and waits shown as the rule it stands for.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.acl.trust import TrustStore
 from repro.core.engine import WebdamLogEngine
 from repro.core.errors import AccessControlError
+from repro.core.facts import Fact
 from repro.core.rules import Rule
 
 
@@ -39,11 +44,14 @@ class DelegationDecision(enum.Enum):
 
 @dataclass
 class PendingDelegation:
-    """A delegation waiting for explicit user approval."""
+    """A delegation waiting for explicit user approval: ``rule`` is the rule
+    it stands for, ``binding`` the binding fact it is (``None`` for a rule
+    delegated whole)."""
 
     delegation_id: str
     delegator: str
     rule: Rule
+    binding: Optional[Fact] = None
 
     def describe(self) -> str:
         """One-line description shown in the pending-delegations frame of the UI."""
@@ -75,7 +83,7 @@ class DelegationController:
 
     def submit(self, delegator: str, delegation_id: str, rule: Rule
                ) -> DelegationDecision:
-        """Handle an incoming delegation install."""
+        """Handle an incoming install of a rule delegated whole."""
         if self.trust.is_trusted(delegator):
             self.engine.receive_delegation(delegator, delegation_id, rule)
             return DelegationDecision.AUTO_ACCEPTED
@@ -83,8 +91,29 @@ class DelegationController:
             delegation_id=delegation_id, delegator=delegator, rule=rule)
         return DelegationDecision.PENDING
 
+    def submit_binding(self, delegator: str, binding: Fact) -> DelegationDecision:
+        """Handle an incoming binding of a template ``delegator`` sent."""
+        if self.trust.is_trusted(delegator):
+            self.engine.receive_binding(delegator, binding)
+            return DelegationDecision.AUTO_ACCEPTED
+        shown = self.engine.state.describe(binding)
+        if shown is not None:
+            self._pending[shown.delegation_id] = PendingDelegation(
+                shown.delegation_id, delegator, shown.rule, binding)
+        return DelegationDecision.PENDING
+
+    def submit_unbinding(self, delegator: str, binding: Fact) -> DelegationDecision:
+        """Handle an incoming retraction of a binding."""
+        if self._pending:
+            shown = self.engine.state.describe(binding)
+            if shown is not None and shown.delegation_id in self._pending:
+                return self.submit_retraction(delegator, shown.delegation_id)
+        self.engine.receive_unbinding(delegator, binding)
+        return DelegationDecision.RETRACTED
+
     def submit_retraction(self, delegator: str, delegation_id: str) -> DelegationDecision:
-        """Handle an incoming delegation retraction."""
+        """Handle an incoming retraction of a rule delegated whole (or of a
+        pending delegation, by the id it waits under)."""
         pending = self._pending.pop(delegation_id, None)
         if pending is not None:
             if pending.delegator != delegator:
@@ -115,7 +144,11 @@ class DelegationController:
         pending = self._pending.get(delegation_id)
         if pending is None:
             raise AccessControlError(f"no pending delegation with id {delegation_id!r}")
-        self.engine.receive_delegation(pending.delegator, pending.delegation_id, pending.rule)
+        if pending.binding is not None:
+            self.engine.receive_binding(pending.delegator, pending.binding)
+        else:
+            self.engine.receive_delegation(pending.delegator, pending.delegation_id,
+                                           pending.rule)
         del self._pending[delegation_id]
         return pending
 

@@ -16,68 +16,205 @@ delegate to ``Émilien`` the rule::
     attendeePictures@Jules($id, $name, $owner, $data) :-
         pictures@Émilien($id, $name, $owner, $data)
 
+Every delegation split from one rule at one remote literal, to one target,
+has the same **shape**: it differs from its siblings only in the values the
+prefix bound.  So a delegation travels as data.  The receiver holds one
+**template** per shape — the remainder with each bound argument left a
+variable, read from a *binding relation* ``_bind_<shape>@target`` by a first
+literal — and each delegation is one **binding**: a fact of that relation.
+An install is a fact insert, a retract a fact delete, and neither changes the
+receiver's program.  A bound value in a relation or peer position is part of
+the shape, so a template never has a variable location the prefix fixed.
+
 Delegations are *provisional*: they remain installed only as long as the
 facts that justified them hold at the delegator.  The engine therefore
-re-computes the set of required delegations at every stage and the
-:class:`DelegationTracker` diffs it against what was previously sent,
-emitting install and retract messages as needed.
+re-computes the set of required bindings at every stage and the
+:class:`DelegationTracker` diffs it against what was previously sent.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.errors import DelegationError
-from repro.core.rules import Rule
+from repro.core.facts import Fact
+from repro.core.rules import Atom, Rule
+from repro.core.terms import Constant, Variable
+from repro.core.unification import Substitution
+
+#: Every binding relation's name starts with this; no other relation may.
+BINDING_PREFIX = "_bind_"
 
 
-@dataclass(frozen=True)
+def binding_relation(shape: str) -> str:
+    """The binding relation of the shape named ``shape``."""
+    return BINDING_PREFIX + shape
+
+
+def is_binding(relation: str) -> bool:
+    """``True`` for the name of a binding relation."""
+    return relation.startswith(BINDING_PREFIX)
+
+
+def shape_of(relation: str) -> str:
+    """The name of the shape whose binding relation is ``relation``."""
+    return relation[len(BINDING_PREFIX):]
+
+
+def delegation_id(delegator: str, target: str, origin_rule_id: str, rule: Rule) -> str:
+    """The name a delegation is shown and approved by: a digest of its
+    delegator, target, origin rule and delegated rule up to variable names."""
+    canonical = repr((delegator, target, origin_rule_id, rule.canonical_key()))
+    return f"deleg-{hashlib.sha256(canonical.encode('utf-8')).hexdigest()[:16]}"
+
+
+def stands_for(template: Rule, values: Tuple, target: str) -> Rule:
+    """The delegated rule a binding of ``template`` with ``values`` stands
+    for: the template without its binding literal, the values substituted."""
+    substitution = {variable: Constant(value)
+                    for variable, value in zip(template.body[0].args, values)}
+    return Rule(head=template.head.substitute(substitution),
+                body=tuple(atom.substitute(substitution) for atom in template.body[1:]),
+                author=template.author, origin=template.origin,
+                rule_id=(f"{template.origin}@{target}" if template.origin
+                         else template.rule_id))
+
+
+class Shape:
+    """One delegated remainder with its bound arguments left open.
+
+    ``template`` is the rule the target installs: ``rule``'s head and body
+    from ``index`` on, the located values substituted, behind the literal
+    ``_bind_<name>@target(free...)``.  ``located`` are the values of the
+    prefix-bound variables in a relation or peer position."""
+
+    __slots__ = ("name", "relation", "delegator", "target", "rule", "split", "located",
+                 "template")
+
+    def __init__(self, split: "Split", delegator: str, target: str, located: Tuple):
+        rule = split.rule
+        self.delegator = delegator
+        self.target = target
+        self.rule = rule
+        self.split = split
+        self.located = located
+        substitution = {variable: Constant(value)
+                        for variable, value in zip(split.located, located)}
+        head = rule.head.substitute(substitution)
+        remainder = tuple(atom.substitute(substitution) for atom in rule.body[split.index:])
+        origin = rule.origin or rule.rule_id
+        # Named by content: the rule as written (a replacement may keep its
+        # id), the split point and the located values (``repr`` tells ``1``,
+        # ``True`` and ``1.0`` apart).
+        content = repr((delegator, target, split.content, located))
+        self.name = f"deleg-{hashlib.sha256(content.encode('utf-8')).hexdigest()[:16]}"
+        #: The binding relation: one string, shared by every binding.
+        self.relation = binding_relation(self.name)
+        self.template = Rule(
+            head=head,
+            body=(Atom(Constant(self.relation), Constant(target),
+                       split.free), *remainder),
+            author=delegator, origin=origin, rule_id=self.name)
+
+    def substitution(self, binding: Fact) -> Substitution:
+        """The prefix's bindings of ``rule`` that ``binding`` stands for."""
+        substitution: Substitution = {}
+        for variables, values in ((self.split.located, self.located),
+                                  (self.split.free, binding.values)):
+            for variable, value in zip(variables, values):
+                substitution[variable] = Constant(value)
+        return substitution
+
+
+class Split:
+    """What a rule delegates at one remote literal: which prefix-bound
+    variables the remainder reads, and the shapes met so far.
+
+    The prefix binds the same variables in every walk (a plan permutes only
+    the local prefix, so every literal before ``index`` was walked):
+    ``located`` are those in a relation or peer position of the head or the
+    remainder, ``free`` the others the remainder or the head reads, each in
+    order of first occurrence.  Kept per rule (:attr:`Rule.splits`)."""
+
+    __slots__ = ("rule", "index", "located", "free", "content", "_shapes")
+
+    def __init__(self, rule: Rule, index: int):
+        self.rule = rule
+        self.index = index
+        self.content = (rule.origin or rule.rule_id, str(rule), rule.author, index)
+        compiled = rule.compiled
+        bound: Set[Variable] = set()
+        for atom in compiled.body[:index]:
+            if not atom.negated:
+                bound.update(slot for slot in (atom.relation, atom.peer, *atom.args)
+                             if slot.__class__ is Variable)
+        order: Dict[Variable, bool] = {}
+        for atom in (compiled.head, *compiled.body[index:]):
+            for position, slot in enumerate((atom.relation, atom.peer, *atom.args)):
+                if slot.__class__ is Variable and slot in bound:
+                    order[slot] = order.get(slot, False) or position < 2
+        self.located = tuple(variable for variable, located in order.items() if located)
+        self.free = tuple(variable for variable, located in order.items() if not located)
+        self._shapes: Dict[Tuple, Shape] = {}
+
+    @classmethod
+    def of(cls, rule: Rule, index: int) -> "Split":
+        """The split of ``rule`` at body position ``index``, built once."""
+        split = rule.splits.get(index)
+        if split is None:
+            split = rule.splits[index] = cls(rule, index)
+        return split
+
+    def bind(self, delegator: str, target: str, substitution: Substitution,
+             shapes: Dict[str, Shape]) -> Fact:
+        """The binding the walk's ``substitution`` delegates to ``target``;
+        its shape is built the first time it is met, and filed in ``shapes``."""
+        located = tuple([substitution[variable].value for variable in self.located])
+        key = (delegator, target, located)
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = Shape(self, delegator, target, located)
+        shapes[shape.name] = shape
+        return Fact(shape.relation, target,
+                    tuple([substitution[variable].value for variable in self.free]))
+
+
 class Delegation:
-    """A rule to be installed at a remote peer.
+    """One binding as its delegator sends it, with its shape (``None`` for
+    one a reopened peer had out under a shape it has not met since).  The
+    rule it stands for is built only when asked for."""
 
-    Attributes
-    ----------
-    target:
-        Peer at which the rule must be installed.
-    rule:
-        The delegated rule (already partially instantiated).
-    delegator:
-        Peer that sends the delegation.
-    origin_rule_id:
-        Identifier of the rule at the delegator from which this delegation
-        was derived.
-    delegation_id:
-        Stable identifier: a hash of (delegator, target, canonical rule).
-        Re-deriving the same delegation at a later stage yields the same id,
-        which is what allows the tracker to avoid re-sending it.
-    """
+    __slots__ = ("binding", "shape")
 
-    target: str
-    rule: Rule
-    delegator: str
-    origin_rule_id: str
-    delegation_id: str = field(default="")
+    def __init__(self, binding: Fact, shape: Optional[Shape]):
+        self.binding = binding
+        self.shape = shape
 
-    def __post_init__(self):
-        if not self.delegation_id:
-            object.__setattr__(self, "delegation_id", self.compute_id())
+    @property
+    def target(self) -> str:
+        """The peer the delegation is installed at."""
+        return self.binding.peer
 
-    def compute_id(self) -> str:
-        """Stable content-based identifier of the delegation."""
-        canonical = repr((self.delegator, self.target, self.origin_rule_id,
-                          self.rule.canonical_key()))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-        return f"deleg-{digest}"
+    @property
+    def delegator(self) -> str:
+        """The peer that sends the delegation."""
+        return self.shape.delegator
 
-    def __str__(self) -> str:
-        return f"[{self.delegator} -> {self.target}] {self.rule}"
+    @property
+    def rule(self) -> Rule:
+        """The delegated rule the binding stands for."""
+        return stands_for(self.shape.template, self.binding.values, self.target)
+
+    def __repr__(self) -> str:
+        return f"Delegation({self.binding})"
 
 
 @dataclass(frozen=True)
 class InstalledDelegation:
-    """A delegation as seen by the *receiving* peer."""
+    """A delegation as seen by the *receiving* peer: a template as held
+    (``delegation_id`` its shape, ``rule`` the template), or one binding
+    as shown (``rule`` the delegated rule it stands for)."""
 
     delegation_id: str
     delegator: str
@@ -89,127 +226,182 @@ class InstalledDelegation:
 
 @dataclass
 class DelegationDiff:
-    """Difference between the delegations required now and those already sent."""
+    """Difference between the bindings required now and those already sent:
+    the templates the targets must learn first, the bindings to install and
+    retract, and the ``(target, shape)`` templates no rule will bind again."""
 
+    templates: List[Shape] = field(default_factory=list)
     to_install: List[Delegation] = field(default_factory=list)
     to_retract: List[Delegation] = field(default_factory=list)
+    retired: List[Tuple[str, str]] = field(default_factory=list)
 
     def __bool__(self) -> bool:
-        return bool(self.to_install) or bool(self.to_retract)
+        return bool(self.to_install or self.to_retract or self.retired)
 
     def counts(self) -> Tuple[int, int]:
         """``(installs, retracts)``."""
         return len(self.to_install), len(self.to_retract)
 
 
-class DelegationTracker:
-    """Tracks, per target peer, which delegations this peer currently has outstanding.
+def _order(binding: Fact) -> Tuple[str, str, str]:
+    """A deterministic order of bindings that keeps no rendering alive
+    (``repr`` tells ``1``, ``True`` and ``1.0`` apart)."""
+    return binding.relation, binding.peer, repr(binding.values)
 
-    The engine computes the full set of delegations required by the current
+
+class DelegationTracker:
+    """The bindings this peer has out, and the templates each target holds.
+
+    The engine computes the full set of bindings required by the current
     stage; :meth:`diff` compares it with the outstanding set and returns what
-    must be newly installed and what must be retracted.  :meth:`commit`
-    records the new outstanding set once the messages have actually been
-    emitted.
+    must be newly installed and retracted.  :meth:`commit` records the new
+    outstanding set once the messages have actually been emitted.
+    ``shapes`` holds every shape this peer's rules delegated, by name.
     """
 
     def __init__(self, owner: str):
         self.owner = owner
-        self._outstanding: Dict[str, Delegation] = {}
+        self.shapes: Dict[str, Shape] = {}
+        self._outstanding: Set[Fact] = set()
+        # Binding relations whose template was sent to their target.
+        self._templates: Set[str] = set()
         # Set by :meth:`restore`: the next diff installs every required
-        # delegation again, since what was in flight at the last commit is lost.
+        # binding (and its template) again, since what was in flight at the
+        # last commit is lost.
         self._resend = False
 
-    def restore(self, delegations: Iterable[Delegation]) -> None:
+    def restore(self, bindings: Iterable[Fact]) -> None:
         """Take back what a previous process had outstanding (a reopened
         durable peer): the next diff retracts what is no longer required
         and installs everything required, already outstanding or not."""
-        for delegation in delegations:
-            self._outstanding[delegation.delegation_id] = delegation
+        self._outstanding.update(bindings)
         self._resend = True
 
     def outstanding(self) -> Tuple[Delegation, ...]:
         """Every delegation currently believed to be installed remotely."""
-        return tuple(self._outstanding.values())
+        return tuple(Delegation(binding, self.shapes.get(shape_of(binding.relation)))
+                     for binding in sorted(self._outstanding, key=_order))
 
     def outstanding_for(self, target: str) -> Tuple[Delegation, ...]:
         """Outstanding delegations for one target peer."""
-        return tuple(d for d in self._outstanding.values() if d.target == target)
+        return tuple(d for d in self.outstanding() if d.target == target)
 
-    def diff(self, required: Iterable[Delegation]) -> DelegationDiff:
-        """Compare ``required`` with the outstanding set."""
-        required_by_id: Dict[str, Delegation] = {}
-        for delegation in required:
-            if delegation.delegator != self.owner:
-                raise DelegationError(
-                    f"peer {self.owner} cannot send a delegation authored by "
-                    f"{delegation.delegator}"
-                )
-            required_by_id[delegation.delegation_id] = delegation
-        diff = DelegationDiff()
-        for delegation_id, delegation in required_by_id.items():
-            if self._resend or delegation_id not in self._outstanding:
-                diff.to_install.append(delegation)
-        for delegation_id, delegation in self._outstanding.items():
-            if delegation_id not in required_by_id:
-                diff.to_retract.append(delegation)
-        diff.to_install.sort(key=lambda d: d.delegation_id)
-        diff.to_retract.sort(key=lambda d: d.delegation_id)
+    def diff(self, required: Set[Fact]) -> DelegationDiff:
+        """Compare ``required`` with the outstanding set.  A template whose
+        bindings all go is listed in ``retired`` only if its shape is no
+        longer one of this peer's (see :meth:`retire`)."""
+        installs = required if self._resend else required - self._outstanding
+        retracts = self._outstanding - required
+        shapes = self.shapes
+        diff = DelegationDiff(
+            to_install=[Delegation(binding, shapes[shape_of(binding.relation)])
+                        for binding in sorted(installs, key=_order)],
+            to_retract=[Delegation(binding, shapes.get(shape_of(binding.relation)))
+                        for binding in sorted(retracts, key=_order)])
+        sent = set() if self._resend else self._templates
+        fresh = {binding.relation for binding in installs} - sent
+        diff.templates = sorted((self.shapes[shape_of(relation)]
+                                 for relation in fresh), key=lambda shape: shape.name)
+        if retracts:
+            kept = {binding.relation for binding in required}
+            diff.retired = sorted({(binding.peer, shape_of(binding.relation)) for binding in retracts
+                                   if binding.relation not in kept})
         return diff
 
+    def retire(self, diff: DelegationDiff, live_rules: Iterable[Rule]) -> None:
+        """Keep in ``diff.retired`` only the templates whose rule is not
+        among ``live_rules``: a live rule may bind its shape again."""
+        if diff.retired:
+            live = {id(rule) for rule in live_rules}
+            diff.retired = [(target, name) for target, name in diff.retired
+                            if (shape := self.shapes.get(name)) is None
+                            or id(shape.rule) not in live]
+
     def commit(self, diff: DelegationDiff) -> None:
-        """Record that the install/retract messages of ``diff`` have been sent."""
+        """Record that ``diff``'s messages have been sent."""
         self._resend = False
-        for delegation in diff.to_retract:
-            self._outstanding.pop(delegation.delegation_id, None)
-        for delegation in diff.to_install:
-            self._outstanding[delegation.delegation_id] = delegation
+        self._outstanding.difference_update(d.binding for d in diff.to_retract)
+        self._outstanding.update(d.binding for d in diff.to_install)
+        self._templates.update(shape.relation for shape in diff.templates)
+        self._templates.difference_update(binding_relation(name) for _, name in diff.retired)
 
 
 class DelegationStore:
-    """Delegations installed *at* this peer by remote delegators."""
+    """The templates held at this peer, by shape, and which of them are in
+    the program (*active*).
+
+    A template is learned when it arrives and enters the program with its
+    first admitted binding; it stays there while its shape may be bound
+    again, so re-binding it changes no rule.  It leaves the program when its
+    delegator retires it, or when, bound to nothing, it stands in the way of
+    a change that would otherwise close a cycle through negation."""
 
     def __init__(self, owner: str):
         self.owner = owner
-        self._installed: Dict[str, InstalledDelegation] = {}
-        # (all(), rules()) in their deterministic order, rebuilt after an
-        # install or a retraction: every stage of the engine asks for the rules.
-        self._ordered: Optional[Tuple[Tuple[InstalledDelegation, ...],
-                                      Tuple[Rule, ...]]] = None
+        self._held: Dict[str, InstalledDelegation] = {}
+        self._active: Set[str] = set()
+        # Shapes of rules delegated whole (no binding literal).
+        self._whole: Set[str] = set()
+        # The active templates' rules in shape order, rebuilt after a change:
+        # every stage of the engine asks for them.
+        self._rules: Optional[Tuple[Rule, ...]] = None
 
     def __len__(self) -> int:
-        return len(self._installed)
+        return len(self._active)
 
-    def __contains__(self, delegation_id: str) -> bool:
-        return delegation_id in self._installed
+    def __contains__(self, shape: str) -> bool:
+        return shape in self._held
 
-    def get(self, delegation_id: str) -> Optional[InstalledDelegation]:
-        """The installed delegation with this id, or ``None``."""
-        return self._installed.get(delegation_id)
+    def get(self, shape: str) -> Optional[InstalledDelegation]:
+        """The template held for ``shape``, or ``None``."""
+        return self._held.get(shape)
 
-    def install(self, delegation_id: str, delegator: str, rule: Rule) -> InstalledDelegation:
-        """Install (or overwrite) a delegated rule."""
-        installed = InstalledDelegation(delegation_id=delegation_id, delegator=delegator,
-                                        rule=rule)
-        self._installed[delegation_id] = installed
-        self._ordered = None
-        return installed
+    def learn(self, shape: str, delegator: str, rule: Rule, whole: bool = False) -> bool:
+        """Hold a template (not yet in the program); ``False`` when the same
+        one was already held.  ``whole``: a rule delegated whole, a template
+        with no binding literal, in the program exactly while installed."""
+        held = self._held.get(shape)
+        if held is not None and held.delegator == delegator and held.rule == rule:
+            return False
+        self._held[shape] = InstalledDelegation(shape, delegator, rule)
+        if whole:
+            self._whole.add(shape)
+        else:
+            self._whole.discard(shape)
+        if shape in self._active:
+            self._rules = None
+        return True
 
-    def retract(self, delegation_id: str) -> Optional[InstalledDelegation]:
-        """Remove a delegated rule; returns it if it was installed."""
-        self._ordered = None
-        return self._installed.pop(delegation_id, None)
+    def is_whole(self, shape: str) -> bool:
+        """``True`` when ``shape`` is a rule delegated whole."""
+        return shape in self._whole
+
+    def is_active(self, shape: str) -> bool:
+        """``True`` when the template of ``shape`` is in the program."""
+        return shape in self._active
+
+    def activate(self, shape: str) -> None:
+        """Put a held template in the program."""
+        self._active.add(shape)
+        self._rules = None
+
+    def deactivate(self, shape: str) -> None:
+        """Take a template out of the program, still holding it."""
+        self._active.discard(shape)
+        self._rules = None
+
+    def forget(self, shape: str) -> Optional[InstalledDelegation]:
+        """Drop a template altogether; returns it if it was held."""
+        self.deactivate(shape)
+        self._whole.discard(shape)
+        return self._held.pop(shape, None)
+
+    def active(self) -> Tuple[InstalledDelegation, ...]:
+        """The templates in the program, in shape order."""
+        return tuple(self._held[shape] for shape in sorted(self._active))
 
     def rules(self) -> Tuple[Rule, ...]:
-        """The delegated rules, in a deterministic order."""
-        return self._ordering()[1]
-
-    def all(self) -> Tuple[InstalledDelegation, ...]:
-        """Every installed delegation, in a deterministic order."""
-        return self._ordering()[0]
-
-    def _ordering(self) -> Tuple[Tuple[InstalledDelegation, ...], Tuple[Rule, ...]]:
-        if self._ordered is None:
-            ordered = tuple(sorted(self._installed.values(),
-                                   key=lambda d: d.delegation_id))
-            self._ordered = (ordered, tuple(d.rule for d in ordered))
-        return self._ordered
+        """The active templates' rules, in a deterministic order."""
+        if self._rules is None:
+            self._rules = tuple(held.rule for held in self.active())
+        return self._rules

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+                    Union)
 
-from repro.core.delegation import Delegation
-from repro.core.errors import EvaluationError, SchemaError
+from repro.core.delegation import Delegation, Shape, binding_relation, shape_of
+from repro.core.errors import EvaluationError, SchemaError, StratificationError
 from repro.core.evaluation import RuleOutcome
 from repro.core.facts import Delta, Fact
 from repro.core.maintenance import Maintenance
@@ -85,8 +86,13 @@ class StageResult:
     #: changed that a local rule reads — nothing evaluated at all).
     evaluation_path: str = "full"
     outgoing_updates: List[OutgoingUpdate] = field(default_factory=list)
+    #: The templates targets learn before their first binding, the bindings
+    #: installed and retracted (:mod:`repro.core.delegation`), and the
+    #: ``(target, shape)`` templates no rule binds any more.
+    templates_to_install: List[Shape] = field(default_factory=list)
     delegations_to_install: List[Delegation] = field(default_factory=list)
     delegations_to_retract: List[Delegation] = field(default_factory=list)
+    templates_to_retract: List[Tuple[str, str]] = field(default_factory=list)
 
     def outgoing_fact_count(self) -> int:
         """Total number of facts shipped to remote peers this stage."""
@@ -95,7 +101,7 @@ class StageResult:
     def has_outgoing(self) -> bool:
         """``True`` when the stage produced anything for other peers."""
         return bool(self.outgoing_updates or self.delegations_to_install
-                    or self.delegations_to_retract)
+                    or self.delegations_to_retract or self.templates_to_retract)
 
     def is_quiescent(self) -> bool:
         """``True`` when the stage neither consumed inputs nor produced changes.
@@ -139,9 +145,10 @@ class WebdamLogEngine:
         # flushed at the next stage.
         self._pending_remote_inserts: Dict[str, Set[Fact]] = {}
         self._pending_remote_deletes: Dict[str, Set[Fact]] = {}
-        # The facts the rules derive for each target as last shipped: the
-        # next stage ships only its signed diff against them.
-        self._sent_remote: Dict[str, Set[Fact]] = {}
+        # The facts the rules derive for remote peers as last shipped (the
+        # outcome's own set, never written): the next stage ships only its
+        # signed diff against them.
+        self._sent_remote: Set[Fact] = set()
         # Whether the engine needs a stage for reasons the stores cannot see:
         # raised by every method that hands it input (rule or program
         # changes, received facts and delegations, facts queued for remote
@@ -268,8 +275,9 @@ class WebdamLogEngine:
         return tuple(self.state.own_rules)
 
     def installed_delegations(self):
-        """Delegations installed at this peer by remote delegators."""
-        return self.state.delegations_in.all()
+        """Delegations installed at this peer by remote delegators, each
+        binding shown as the rule it stands for."""
+        return self.state.installed_delegations()
 
     def insert_fact(self, fact: Union[str, Fact]) -> Delta:
         """Insert a base fact.  Local facts go to the store, remote facts are queued."""
@@ -325,60 +333,152 @@ class WebdamLogEngine:
                       deleted: Iterable[Fact] = (),
                       withdrawn: Iterable[Fact] = ()) -> None:
         """Record fact updates received from ``sender`` for the next stage
-        (see :class:`OutgoingUpdate` for ``deleted`` and ``withdrawn``)."""
+        (see :class:`OutgoingUpdate` for ``deleted`` and ``withdrawn``).  A
+        withdrawal aimed at a relation that is not local and intensional
+        changes nothing, so it is not kept and asks for no stage."""
         pending = self.state.pending
-        pending.inserted_facts.extend((sender, fact) for fact in inserted)
-        pending.deleted_facts.extend((sender, fact) for fact in deleted)
-        pending.withdrawn_facts.extend((sender, fact) for fact in withdrawn)
+        updates = ([(sender, fact) for fact in inserted],
+                   [(sender, fact) for fact in deleted],
+                   [(sender, fact) for fact in withdrawn
+                    if self.state.is_local_intensional(fact)])
+        if any(updates):
+            pending.inserted_facts.extend(updates[0])
+            pending.deleted_facts.extend(updates[1])
+            pending.withdrawn_facts.extend(updates[2])
+            self.mark_dirty()
+
+    def receive_template(self, sender: str, shape: str, rule: Rule) -> None:
+        """Learn ``sender``'s template of ``shape``: it enters the program
+        with the first binding of it admitted (:meth:`receive_binding`)."""
+        self.state.learn_template(shape, sender, rule)
+
+    def receive_binding(self, sender: str, binding: Fact) -> None:
+        """Record a delegation — one binding of a template ``sender`` sent —
+        for the next stage, which inserts it.
+
+        The template's first binding puts it in the program: refused with
+        :class:`~repro.core.errors.StratificationError`, and nothing
+        recorded, when it would close a cycle through negation.  A binding
+        of no template ``sender`` sent is dropped."""
+        shape = shape_of(binding.relation)
+        held = self.state.delegations_in.get(shape)
+        if (held is None or held.delegator != sender or binding.peer != self.peer
+                or binding.arity != held.rule.body[0].arity):
+            return
+        pending = self.state.pending.delegations
+        if not (self.state.delegations_in.is_active(shape)
+                and ("retire", shape) not in pending) \
+                and shape not in self._templates_after_inputs():
+            self._check_stratifiable((), activating={shape: held.rule})
+            pending.append(("activate", shape, held.rule, sender, False))
+        pending.append(("bind", binding))
         self.mark_dirty()
+
+    def receive_unbinding(self, sender: str, binding: Fact) -> None:
+        """Record a delegation retraction — a binding deleted — from its delegator."""
+        held = self.state.delegations_in.get(shape_of(binding.relation))
+        if held is not None and held.delegator == sender:
+            self.state.pending.delegations.append(("unbind", binding))
+            self.mark_dirty()
+
+    def receive_retirement(self, sender: str, shape: str) -> None:
+        """Record that ``sender`` retired its template of ``shape``: the
+        next stage drops it with every binding of it."""
+        held = self.state.delegations_in.get(shape)
+        delegator = held.delegator if held is not None else None
+        for change in self.state.pending.delegations:
+            if change[0] == "activate" and change[1] == shape:
+                delegator = change[3]
+        if delegator == sender:
+            self.state.pending.delegations.append(("retire", shape))
+            self.mark_dirty()
 
     def receive_delegation(self, sender: str, delegation_id: str, rule: Rule) -> None:
-        """Record a delegation install received from ``sender`` for the next stage.
+        """Record a rule delegated whole by ``sender`` for the next stage.
 
-        A delegated rule can close a cycle through negation that neither
-        peer's own program shows: such a delegation is refused with
-        :class:`~repro.core.errors.StratificationError`, and nothing is
-        recorded.
+        A rule delegated whole is a template that needs no binding: it is in
+        the program exactly while it is installed, under the shape
+        ``delegation_id``.  (A delegator's own rules delegate templates
+        with bindings; a whole rule arrives from a hand-built message or a
+        direct call.)  Refused with
+        :class:`~repro.core.errors.StratificationError`, and nothing
+        recorded, when it would close a cycle through negation.
         """
-        install = (sender, delegation_id, rule)
-        self._check_stratifiable((), installing=(install,))
-        self.state.pending.delegations_to_install.append(install)
+        self._check_stratifiable((), activating={delegation_id: rule})
+        self.state.pending.delegations.append(
+            ("activate", delegation_id, rule, sender, True))
         self.mark_dirty()
+
+    def receive_delegation_retraction(self, sender: str, delegation_id: str) -> None:
+        """Record the retraction of a rule ``sender`` delegated whole."""
+        self.receive_retirement(sender, delegation_id)
+
+    def _templates_after_inputs(self) -> Dict[str, Rule]:
+        """The templates in the program once the waiting inputs are consumed."""
+        templates = {held.delegation_id: held.rule
+                     for held in self.state.delegations_in.active()}
+        for change in self.state.pending.delegations:
+            if change[0] == "activate":
+                templates[change[1]] = change[2]
+            elif change[0] == "retire":
+                templates.pop(change[1], None)
+        return templates
 
     def _check_stratifiable(self, added: Sequence[Rule],
                             declared: Iterable[RelationSchema] = (),
                             replacing: Optional[str] = None,
-                            installing: Sequence[Tuple[str, str, Rule]] = ()) -> None:
+                            activating: Mapping[str, Rule] = {}) -> None:
         """Raise :class:`~repro.core.errors.StratificationError` when the
         program the next stage will run has a cycle through negation: the
         own rules (without ``replacing``), the ``added`` rules, the
-        ``declared`` schemas, and the delegations as :meth:`_consume_inputs`
-        will leave them — the waiting installs (and ``installing``, the
-        ``(sender, delegation_id, rule)`` about to wait) applied in order,
-        then the waiting retractions their delegator sent.  So no later
-        change can close a cycle with a waiting install that the stage would
-        then find, and a delegation already on its way out blocks nothing."""
-        delegated = {installed.delegation_id: (installed.delegator, installed.rule)
-                     for installed in self.state.delegations_in.all()}
-        pending = self.state.pending
-        for sender, delegation_id, rule in (*pending.delegations_to_install, *installing):
-            delegated[delegation_id] = (sender, rule)
-        for sender, delegation_id in pending.delegations_to_retract:
-            installed = delegated.get(delegation_id)
-            if installed is not None and installed[0] == sender:
-                del delegated[delegation_id]
-        rules = [rule for rule in self.state.own_rules if rule.rule_id != replacing]
-        rules.extend(rule for _, rule in delegated.values())
+        ``declared`` schemas, and the templates as :meth:`_consume_inputs`
+        will leave them (:meth:`_templates_after_inputs`), with
+        ``activating`` (shape to rule) about to enter.  So no later change
+        can close a cycle with a waiting delegation that the stage would then
+        find, and one already on its way out blocks nothing.
+
+        A template bound to nothing blocks nothing either: when the program
+        is refused only because of such templates, they leave it instead
+        (they return with their next binding, checked again)."""
+        state = self.state
+        templates = self._templates_after_inputs()
+        templates.update(activating)
+        rules = [rule for rule in state.own_rules if rule.rule_id != replacing]
         rules.extend(added)
-        intensional = self.state.schemas.intensional_at(self.peer).union(
+        intensional = state.schemas.intensional_at(self.peer).union(
             schema.qualified_name for schema in declared
             if schema.peer == self.peer and schema.is_intensional())
-        stratification.stratify(rules, intensional)
+        try:
+            stratification.stratify([*rules, *templates.values()], intensional)
+        except StratificationError:
+            idle = {shape for shape in templates
+                    if shape not in activating and not self._bound_after_inputs(shape)}
+            if not idle:
+                raise
+            stratification.stratify(
+                [*rules, *(rule for shape, rule in templates.items() if shape not in idle)],
+                intensional)
+            for shape in idle:
+                state.deactivate_template(shape)
+            state.pending.delegations = [
+                change for change in state.pending.delegations
+                if not (change[0] == "activate" and change[1] in idle)]
 
-    def receive_delegation_retraction(self, sender: str, delegation_id: str) -> None:
-        """Record a delegation retraction received from ``sender`` for the next stage."""
-        self.state.pending.delegations_to_retract.append((sender, delegation_id))
-        self.mark_dirty()
+    def _bound_after_inputs(self, shape: str) -> bool:
+        """Whether the template of ``shape`` has a binding once the waiting
+        inputs are consumed (a rule delegated whole is bound while held)."""
+        if self.state.delegations_in.is_whole(shape):
+            return True
+        relation = binding_relation(shape)
+        bound = set(self.state.bindings.facts(relation, self.peer))
+        for change in self.state.pending.delegations:
+            if change[0] == "activate" and change[1] == shape and change[4]:
+                return True
+            if change[0] in ("bind", "unbind") and change[1].relation == relation:
+                (bound.add if change[0] == "bind" else bound.discard)(change[1])
+            elif change[0] == "retire" and change[1] == shape:
+                bound.clear()
+        return bool(bound)
 
     def has_pending_input(self) -> bool:
         """``True`` when inputs are waiting to be consumed by the next stage."""
@@ -440,7 +540,8 @@ class WebdamLogEngine:
         # ---- step 2: local fixpoint ----------------------------------- #
         input_delta = (self._carryover_delta
                        .merge(self.state.store.peek_delta())
-                       .merge(self.state.provided.peek_delta()))
+                       .merge(self.state.provided.peek_delta())
+                       .merge(self.state.bindings.peek_delta()))
         self._carryover_delta = Delta.empty()
         outcome = self._maintenance.run(input_delta, result)
 
@@ -481,6 +582,7 @@ class WebdamLogEngine:
         # changed.  Readers learn what changed from their change feeds.
         self.state.store.take_delta()
         self.state.provided.take_delta()
+        self.state.bindings.take_delta()
         result.derived_changed = bool(self.state.derived.take_delta())
         # Stage boundary: everything this stage wrote — facts, schemas, rules,
         # delegations — becomes durable in one transaction.  This is the
@@ -574,31 +676,26 @@ class WebdamLogEngine:
             consumed += 1
             if self.state.is_local_intensional(fact):
                 self.state.remove_provided(fact, sender)
-        for sender, delegation_id, rule in pending.delegations_to_install:
-            consumed += 1
-            known = self.state.delegations_in.get(delegation_id)
-            if (known is not None and known.delegator == sender
-                    and known.rule == rule):
-                # A duplicated install delivery is a strict no-op, like a
-                # duplicated retraction below.
-                continue
-            self.state.install_delegation(delegation_id, sender, rule)
-        for sender, delegation_id in pending.delegations_to_retract:
-            installed = self.state.retract_delegation(delegation_id)
-            if installed is None:
-                # Unknown (or already-retracted) delegation: a duplicated
-                # retraction delivery must be a strict no-op — in particular
-                # it must not change the rule set, whose resulting recompute
-                # would touch provenance support counts twice.
-                continue
-            if installed.delegator != sender:
-                # Only the original delegator may retract; re-install (the
-                # rule set is net unchanged).
-                self.state.install_delegation(
-                    delegation_id, installed.delegator, installed.rule
-                )
-                continue
-            consumed += 1
+        # Delegations: a template enters the program with its first binding,
+        # a binding is a fact, and a retired template goes with its bindings.
+        held = self.state.delegations_in
+        for change in pending.delegations:
+            kind = change[0]
+            if kind == "bind":
+                consumed += 1
+                if held.is_active(shape_of(change[1].relation)):
+                    self.state.bindings.insert(change[1])
+            elif kind == "unbind":
+                if self.state.bindings.delete(change[1]):
+                    consumed += 1
+            elif kind == "activate":
+                _, shape, rule, sender, whole = change
+                consumed += whole
+                self.state.learn_template(shape, sender, rule, whole)
+                self.state.activate_template(shape)
+            elif change[1] in held:
+                consumed += 1
+                self.state.retire_template(change[1])
         pending.clear()
         return consumed
 
@@ -610,29 +707,23 @@ class WebdamLogEngine:
             return
         self._emitted = outcome
         # -- facts derived for remote peers ------------------------------ #
-        current_by_target: Dict[str, Set[Fact]] = {}
-        for fact in outcome.remote_facts:
-            current_by_target.setdefault(fact.peer, set()).add(fact)
-
-        targets = set(current_by_target) | set(self._sent_remote)
+        # The signed diff of what the rules derive for remote peers, against
+        # what was last shipped, by target; the set differences walk the
+        # stored hashes, so a stage pays a loop over what changed only.
+        # Only the receiver knows its relation's kind: an intensional one
+        # gives a withdrawn fact up, an extensional one keeps it (the paper's
+        # semantics for updates to another peer's extensional relations).
+        current = outcome.remote_facts
         derived_updates: Dict[str, Tuple[Set[Fact], Set[Fact]]] = {}
-        for target in targets:
-            current = current_by_target.get(target, set())
-            previous = self._sent_remote.get(target, set())
-            # The signed diff of what the rules derive for the target.  Only
-            # the receiver knows its relation's kind: an intensional one
-            # gives a withdrawn fact up, an extensional one keeps it (the
-            # paper's semantics for updates to another peer's extensional
-            # relations).
-            newly_derived = current - previous
-            withdrawn = previous - current
-            if newly_derived or withdrawn:
-                derived_updates[target] = (newly_derived, withdrawn)
-            self._sent_remote[target] = current
+        for side, facts in ((0, current - self._sent_remote),
+                            (1, self._sent_remote - current)):
+            for fact in facts:
+                derived_updates.setdefault(fact.peer, (set(), set()))[side].add(fact)
+        self._sent_remote = current
 
         # -- user-initiated updates to remote relations ------------------ #
         user_targets = set(self._pending_remote_inserts) | set(self._pending_remote_deletes)
-        for target in sorted(targets | user_targets):
+        for target in sorted(derived_updates.keys() | user_targets):
             derived_ins, withdrawn = derived_updates.get(target, (set(), set()))
             user_del = self._pending_remote_deletes.pop(target, set())
             update = OutgoingUpdate(
@@ -643,7 +734,11 @@ class WebdamLogEngine:
                 result.outgoing_updates.append(update)
 
         # -- delegations -------------------------------------------------- #
-        diff = self.state.delegation_tracker.diff(outcome.delegations)
+        tracker = self.state.delegation_tracker
+        diff = tracker.diff(outcome.delegations)
+        tracker.retire(diff, self.state.all_rules())
         self.state.sent_delegations(diff)
-        result.delegations_to_install = list(diff.to_install)
-        result.delegations_to_retract = list(diff.to_retract)
+        result.templates_to_install = diff.templates
+        result.delegations_to_install = diff.to_install
+        result.delegations_to_retract = diff.to_retract
+        result.templates_to_retract = diff.retired

@@ -8,8 +8,9 @@ right, maintaining a set of candidate substitutions:
 * a *negated* local literal filters out substitutions for which a matching
   fact exists;
 * the first literal located at a *remote* peer stops local evaluation for
-  that substitution: the partially instantiated remainder of the rule becomes
-  a :class:`~repro.core.delegation.Delegation` to that peer.
+  that substitution: the partially instantiated remainder of the rule is
+  delegated to that peer, as one binding of the remainder's shape
+  (:mod:`repro.core.delegation`).
 
 Substitutions that survive the whole body produce the head fact, which is
 classified as a local intensional derivation, a (deferred) local extensional
@@ -19,15 +20,14 @@ update, or a fact destined for a remote peer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple,
-                    Union)
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
-from repro.core.delegation import Delegation
+from repro.core.delegation import Shape, Split, is_binding, shape_of
 from repro.core.errors import EvaluationError
 from repro.core.facts import Fact
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind
-from repro.core.terms import Constant, Variable
+from repro.core.terms import Variable
 from repro.core.unification import CompiledAtom, Substitution
 
 #: Callable giving the evaluator access to local facts:
@@ -80,7 +80,8 @@ class RuleOutcome:
     local_intensional: Set[Fact] = field(default_factory=set)
     local_extensional: Set[Fact] = field(default_factory=set)
     remote_facts: Set[Fact] = field(default_factory=set)
-    delegations: Set[Delegation] = field(default_factory=set)
+    #: The bindings delegated (:mod:`repro.core.delegation`).
+    delegations: Set[Fact] = field(default_factory=set)
     substitutions_explored: int = 0
 
     def merge(self, other: "RuleOutcome") -> "RuleOutcome":
@@ -107,25 +108,6 @@ class _Derived(Exception):
     """Unwinds the body walk of :meth:`RuleEvaluator.derives` at its first hit."""
 
 
-def delegation_bindings(rule: Rule, delegation: Delegation) -> Substitution:
-    """The variables of ``rule`` that a delegation split from it fixes.
-
-    The delegated rule is ``rule``'s head and the remainder of its body under
-    the substitution of the local prefix: wherever ``rule`` has a variable
-    and the delegated rule a constant, the prefix bound it.
-    """
-    delegated = delegation.rule
-    remainder = rule.body[len(rule.body) - len(delegated.body):]
-    substitution: Substitution = {}
-    for pattern, atom in zip((rule.head, *remainder),
-                             (delegated.head, *delegated.body)):
-        for term, bound in zip((pattern.relation, pattern.peer, *pattern.args),
-                               (atom.relation, atom.peer, *atom.args)):
-            if isinstance(term, Variable) and isinstance(bound, Constant):
-                substitution[term] = bound
-    return substitution
-
-
 class RuleEvaluator:
     """Evaluates WebdamLog rules at a single peer.
 
@@ -146,7 +128,7 @@ class RuleEvaluator:
     def __init__(self, peer: str, fact_source: FactSource,
                  kind_resolver: Optional[KindResolver] = None,
                  on_derivation: Optional[Callable[[Fact, Rule, Tuple[Fact, ...]], None]] = None,
-                 planner=None):
+                 planner=None, shapes: Optional[Dict[str, Shape]] = None):
         self.peer = peer
         self.fact_source = fact_source
         self.kind_resolver = kind_resolver or (lambda relation, peer_name: None)
@@ -159,8 +141,10 @@ class RuleEvaluator:
         # delegation and negation semantics are order-identical; provenance
         # support tuples are normalised back to written order on emission.
         self.planner = planner
+        # Every shape this peer delegated, by name (the delegation tracker's).
+        self.shapes: Dict[str, Shape] = shapes if shapes is not None else {}
         # What a running :meth:`derives` probe is looking for.
-        self._wanted: Union[Fact, Delegation, None] = None
+        self._wanted: Optional[Fact] = None
 
     def _plan_of(self, rule: Rule, delta_index: Optional[int] = None,
                  bound: Optional[Substitution] = None):
@@ -194,17 +178,15 @@ class RuleEvaluator:
         of the predicates agreeing with its constant position.
         """
         outcome = RuleOutcome()
-        for index, literal in enumerate(rule.body):
-            if literal.negated:
-                continue
-            pattern = location_pattern(literal)
-            if None in pattern:
+        for index, relation, peer in rule.compiled.positive:
+            if relation is None or peer is None:
+                pattern = (relation, peer)
                 restricted: Set[Fact] = set()
                 for predicate, facts in delta.items():
                     if pattern_matches(pattern, predicate):
                         restricted |= facts
             else:
-                restricted = delta.get("%s@%s" % pattern, set())
+                restricted = delta.get(f"{relation}@{peer}", set())
             if not restricted:
                 continue
             self._evaluate_from(rule, 0, {}, outcome, (),
@@ -212,19 +194,22 @@ class RuleEvaluator:
                                 plan=self._plan_of(rule, delta_index=index))
         return outcome
 
-    def derives(self, rule: Rule,
-                wanted: Union[Fact, Delegation]) -> Tuple[bool, int]:
+    def derives(self, rule: Rule, wanted: Fact) -> Tuple[bool, int]:
         """Does ``rule`` produce ``wanted`` right now?  A head-bound probe.
 
         The body is walked from the substitution ``wanted`` fixes — the match
-        of the rule head against a wanted fact, :func:`delegation_bindings`
-        of a wanted delegation — and planned with those variables bound, so
-        every literal they reach is a hash probe instead of a scan; the walk
-        stops at the first derivation.  Nothing is recorded or collected.
-        Returns ``(found, substitutions explored)``.
+        of the rule head against a wanted fact, the prefix's bindings a
+        wanted delegation binding stands for (:meth:`Shape.substitution`) —
+        and planned with those variables bound, so every literal they reach
+        is a hash probe instead of a scan; the walk stops at the first
+        derivation.  Nothing is recorded or collected.  Returns ``(found,
+        substitutions explored)``.
         """
-        if isinstance(wanted, Delegation):
-            substitution = delegation_bindings(rule, wanted)
+        if is_binding(wanted.relation):
+            shape = self.shapes.get(shape_of(wanted.relation))
+            if shape is None:
+                return False, 0
+            substitution = shape.substitution(wanted)
         else:
             substitution = rule.compiled.head.match(wanted, {})
             if substitution is None:
@@ -329,26 +314,13 @@ class RuleEvaluator:
 
     def _emit_delegation(self, rule: Rule, index: int, substitution: Substitution,
                          target: str, outcome: RuleOutcome) -> None:
-        head = rule.head.substitute(substitution)
-        remainder = tuple(atom.substitute(substitution) for atom in rule.body[index:])
-        delegated_rule = Rule(
-            head=head,
-            body=remainder,
-            author=self.peer,
-            origin=rule.origin or rule.rule_id,
-            rule_id=f"{rule.rule_id}@{target}",
-        )
-        delegation = Delegation(
-            target=target,
-            rule=delegated_rule,
-            delegator=self.peer,
-            origin_rule_id=rule.origin or rule.rule_id,
-        )
+        split = rule.splits.get(index) or Split.of(rule, index)
+        binding = split.bind(self.peer, target, substitution, self.shapes)
         if self._wanted is not None:
-            if delegation == self._wanted:
+            if binding == self._wanted:
                 raise _Derived
             return
-        outcome.delegations.add(delegation)
+        outcome.delegations.add(binding)
 
     def _emit_head(self, rule: Rule, substitution: Substitution,
                    outcome: RuleOutcome,
@@ -368,8 +340,11 @@ class RuleEvaluator:
             # sorted back to written order, so provenance (and explain())
             # records identical derivations whatever order the planner chose
             # (the positions are distinct: no two facts are ever compared).
+            # A template's binding is the delegation, not a support: the
+            # derivation is the one the rule it stands for records.
             self.on_derivation(
-                fact, rule, tuple(supporting for _, supporting in sorted(support)))
+                fact, rule, tuple(supporting for index, supporting in sorted(support)
+                                  if index or not is_binding(supporting.relation)))
         if fact.peer != self.peer:
             outcome.remote_facts.add(fact)
             return

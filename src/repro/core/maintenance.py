@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.analysis import ProgramAnalysis
-from repro.core.delegation import Delegation
+from repro.core.delegation import is_binding
 from repro.core.errors import EvaluationError
 from repro.core.evaluation import RuleEvaluator, RuleOutcome, head_targets
 from repro.core.facts import Delta, Fact, fact_matches_bindings
@@ -24,6 +24,12 @@ def _ships(analysis: ProgramAnalysis, rule: Rule, peer: str) -> bool:
     return (None in head or head[1] != peer
             or "%s@%s" % head not in analysis.local_intensional
             or any(owner != peer for _, owner in body))
+
+
+def _is_template(rule: Rule) -> bool:
+    """``True`` for a delegation template (its first literal reads a binding)."""
+    relation = rule.body[0].relation_constant()
+    return relation is not None and is_binding(relation)
 
 
 def _count(result: StageResult, explored: int) -> None:
@@ -124,12 +130,11 @@ class Maintenance:
         if self._restored is not None:
             restored, self._restored = self._restored, None
             if self._engine.provenance is None:
-                previous = self._analysis = ProgramAnalysis(*restored)
+                previous = self._analysis = self._analyse(*restored)
                 resumed = True
         rules_changed = previous is None or not previous.matches(rules)
         if rules_changed or previous.local_intensional is not local_intensional:
-            analysis = self._analysis = ProgramAnalysis(
-                rules, local_intensional, previous)
+            analysis = self._analysis = self._analyse(rules, local_intensional, previous)
         else:
             analysis = previous
         if rules_changed:
@@ -144,10 +149,10 @@ class Maintenance:
                         added = [rule for rule in added if rule not in both]
                         removed = [rule for rule in removed if rule not in both]
             # The one place a program change is found: every mutation path
-            # shows as another rule set here, and moves the program version
-            # (which drops the cached plans).
+            # shows as another rule set here, and moves the program version;
+            # the plans of the rules it removed go.
             self._engine.program_version += 1
-            self._engine._planner.sync(self._engine.program_version)
+            self._engine._planner.forget(rule.rule_id for rule in removed)
 
         if resumed:
             self._resume(analysis, added, result)
@@ -168,8 +173,16 @@ class Maintenance:
         # A removed rule loses its memo, which retracts what it had sent.
         # What it derived into local intensional relations is only found by
         # rederiving those; under a provenance tracker so are the derivations
-        # it recorded for *any* head, a remote one included.
+        # it recorded for *any* head, a remote one included.  A retracted
+        # delegation binding orphans the same under a tracker: the recorded
+        # derivations leave the binding out of their support, so no tuple
+        # deletion reaches them.
         orphaned: Set[str] = set()
+        if self._engine.provenance is not None:
+            unbound = {fact.qualified_relation for fact in input_delta.deleted
+                       if is_binding(fact.relation)}
+            for rule in analysis.reading(unbound) if unbound else ():
+                orphaned |= analysis.targets[id(rule)] | self._shipped_predicates(rule)
         for rule in removed:
             head = previous.shape[id(rule)][1]
             if self._engine.provenance is None:
@@ -208,6 +221,12 @@ class Maintenance:
             return self._memo_outcome()
         return outcome
 
+    def _analyse(self, rules: Tuple[Rule, ...], local_intensional: FrozenSet[str],
+                 previous: Optional[ProgramAnalysis] = None) -> ProgramAnalysis:
+        """A new :class:`ProgramAnalysis`, counted as a program edit."""
+        self._engine.metrics["core", "program_edits"] += 1
+        return ProgramAnalysis(rules, local_intensional, previous)
+
     def _resume(self, analysis: ProgramAnalysis, added: List[Rule],
                 result: StageResult) -> None:
         """The first stage of a resumed engine: the derived tables hold the
@@ -240,6 +259,7 @@ class Maintenance:
             on_derivation=(provenance.record
                            if provenance is not None and not looks else None),
             planner=self._engine._planner,
+            shapes=self._state.delegation_tracker.shapes,
         )
 
     def _shipped_predicates(self, rule: Rule) -> Set[str]:
@@ -259,11 +279,15 @@ class Maintenance:
         The derived store is *not* cleared: previous derivations stay valid
         under insertions (negation is excluded by the caller).  Added rules
         are evaluated once in full, and each stratum drains the delta of the
-        facts new this stage (:meth:`_drain`).
+        facts new this stage (:meth:`_drain`).  A delegation template is
+        not: it enters the program with its first bindings, which are all
+        the facts of its binding relation and all in the delta, so draining
+        them is its full evaluation.
         """
         fresh: Dict[str, Set[Fact]] = {}
         for fact in inserted:
             fresh.setdefault(fact.qualified_relation, set()).add(fact)
+        added = [rule for rule in added if not _is_template(rule)]
         if all(self._drain(analysis, evaluator, result, fresh, stratum,
                            added if stratum == 0 else ())
                for stratum in range(len(analysis.strata))):
@@ -390,6 +414,18 @@ class Maintenance:
                 if not bindings or fact_matches_bindings(fact, bindings):
                     yield fact
 
+        # A delegation template left with no binding derives nothing: its
+        # memo goes whole, as a removed rule's does, and it is walked only
+        # for what it derived into local intensional relations.
+        idle: Set[int] = set()
+        emptied = {fact.qualified_relation for fact in dead if is_binding(fact.relation)
+                   and not state.bindings.count(fact.relation, fact.peer)}
+        for rule in analysis.reading(emptied) if emptied else ():
+            if self._rule_memo.pop(rule, None) is not None:
+                self._outcome = None
+            if not analysis.targets[id(rule)] & analysis.local_intensional:
+                idle.add(id(rule))
+
         looker = self._evaluator(before)
         lost: Dict[Rule, RuleOutcome] = {}
         wave = dead
@@ -400,6 +436,8 @@ class Maintenance:
                 delta.setdefault(fact.qualified_relation, set()).add(fact)
             wave = set()
             for rule in analysis.reading(delta):
+                if idle and id(rule) in idle:
+                    continue
                 outcome = looker.evaluate_rule_delta(rule, delta)
                 _count(result, outcome.substitutions_explored)
                 for fact in outcome.local_intensional:
@@ -427,7 +465,7 @@ class Maintenance:
 
         # -- 3. re-derive ---------------------------------------------------- #
         # A probe stops before the provenance hook: the stage's evaluator serves.
-        def survives(rule: Rule, wanted: Union[Fact, Delegation]) -> bool:
+        def survives(rule: Rule, wanted: Fact) -> bool:
             found, explored = evaluator.derives(rule, wanted)
             _count(result, explored)
             return found

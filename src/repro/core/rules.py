@@ -256,6 +256,12 @@ class Rule:
         """The head and body as the evaluator walks them, built on first use."""
         return CompiledRule.of(self)
 
+    @cached_property
+    def splits(self) -> Dict[int, object]:
+        """What the rule delegates at each remote body position, filled as
+        the evaluator meets them (:class:`repro.core.delegation.Split`)."""
+        return {}
+
     # -- transformation -------------------------------------------------- #
 
     def substitute(self, substitution: Dict[Variable, Term]) -> "Rule":

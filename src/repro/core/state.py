@@ -9,11 +9,14 @@ A peer's state consists of
   relations — a volatile third :class:`FactStore` on a private memory
   backend: they persist until the sender retracts them (or, for a relation
   declared ``scratch``, for a single stage) but never outlive the process,
-* the peer's **own rules**, and
-* the **delegations** installed at the peer by remote delegators.
+* the peer's **own rules**,
+* the delegation **templates** held at the peer, one per shape, and the
+  **bindings** remote delegators installed, one fact of a template's binding
+  relation per delegation, in a fourth store on the same backend
+  (:mod:`repro.core.delegation`).
 
 The state also exposes the *fact view* used by the evaluator: the union of
-the three stores.
+the stores.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import codec
-from repro.core.delegation import (Delegation, DelegationDiff, DelegationStore,
-                                   DelegationTracker, InstalledDelegation)
+from repro.core.delegation import (BINDING_PREFIX, DelegationDiff, DelegationStore,
+                                   DelegationTracker, InstalledDelegation, binding_relation,
+                                   delegation_id, shape_of, stands_for)
 from repro.core.errors import SchemaError
 from repro.core.facts import ChangeFeed, ChangeFeeds, Delta, Fact, FactStore, patch_sorted
 from repro.core.rules import Rule
@@ -35,18 +39,15 @@ from repro.store.memory import MemoryBackend
 
 #: The metadata record (kind, key) present while the file holds a fixpoint.
 _MARKER = ("stage", "fixpoint")
+#: The table namespaces of the bindings installed at a peer and of those it
+#: has out (the latter kept on a persistent backend only).
+BINDING_NAMESPACE = "bound"
+DELEGATED_NAMESPACE = "delegated"
 
 
 def _record(encoded) -> str:
     """A metadata record as stored: the canonical JSON of its codec encoding."""
     return json.dumps(encoded, sort_keys=True)
-
-
-def _decode_delegation(record) -> Delegation:
-    """A delegation this peer had out, from its ``delegated`` meta record."""
-    return Delegation(target=record["target"], rule=codec.decode_rule(record["rule"]),
-                      delegator=record["delegator"], origin_rule_id=record["origin_rule_id"],
-                      delegation_id=record["delegation_id"])
 
 
 @dataclass
@@ -58,8 +59,11 @@ class PendingInput:
     #: Facts their senders' rules no longer derive (a deletion for a local
     #: intensional relation only, decided when the stage consumes them).
     withdrawn_facts: List[Tuple[str, Fact]] = field(default_factory=list)
-    delegations_to_install: List[Tuple[str, str, Rule]] = field(default_factory=list)
-    delegations_to_retract: List[Tuple[str, str]] = field(default_factory=list)
+    #: Delegation inputs in arrival order: ``("activate", shape, rule,
+    #: sender, whole)`` puts a template in the program, ``("bind", binding)``
+    #: / ``("unbind", binding)`` insert and delete a binding, ``("retire",
+    #: shape)`` drops a template with its bindings.
+    delegations: List[Tuple] = field(default_factory=list)
 
     def is_empty(self) -> bool:
         """``True`` when nothing is waiting."""
@@ -70,13 +74,12 @@ class PendingInput:
         self.inserted_facts.clear()
         self.deleted_facts.clear()
         self.withdrawn_facts.clear()
-        self.delegations_to_install.clear()
-        self.delegations_to_retract.clear()
+        self.delegations.clear()
 
     def size(self) -> int:
         """Total number of pending items."""
         return (len(self.inserted_facts) + len(self.deleted_facts) + len(self.withdrawn_facts)
-                + len(self.delegations_to_install) + len(self.delegations_to_retract))
+                + len(self.delegations))
 
 
 class PeerState:
@@ -122,18 +125,23 @@ class PeerState:
         on_abort = getattr(self.backend, "on_abort", None)
         if on_abort is not None:
             on_abort(self.forget_reads)
+        # The bindings installed here: on private schemas (a binding relation
+        # is no relation of the peer's), read through the fact view.
+        self.bindings = FactStore(SchemaRegistry(), owner=peer, backend=self.backend,
+                                  namespace=BINDING_NAMESPACE)
         self.own_rules: List[Rule] = []
         self.delegations_in = DelegationStore(peer)
         persisted_rules = self.backend.load_meta("rule")
         for _key, payload in persisted_rules:
             self.own_rules.append(codec.decode_rule(json.loads(payload)))
-        persisted_delegations = self.backend.load_meta("delegation")
-        for _key, payload in persisted_delegations:
+        persisted_templates = self.backend.load_meta("template")
+        for shape, payload in persisted_templates:
             record = json.loads(payload)
-            self.delegations_in.install(record["delegation_id"], record["delegator"],
-                                        codec.decode_rule(record["rule"]))
-        self.restored = bool(persisted_schemas or persisted_rules
-                             or persisted_delegations
+            self.delegations_in.learn(shape, record["delegator"],
+                                      codec.decode_rule(record["rule"]), record["whole"])
+            if record["active"]:
+                self.delegations_in.activate(shape)
+        self.restored = bool(persisted_schemas or persisted_rules or persisted_templates
                              or self.store.relations() or self.derived.relations())
         # The marker: the last commit closed a stage, with no provided fact
         # and nothing left for the next stage, so the derived tables hold the
@@ -142,14 +150,17 @@ class PeerState:
         self._at_fixpoint = bool(self.backend.load_meta(_MARKER[0]))
         self.resumable = self.restored and self._at_fixpoint
         self._stage_ended = False
-        # The delegations this peer has out, persisted like the ones it
-        # holds: a reopened peer retracts those its program no longer
-        # derives, though the process that sent them died.
+        # The bindings this peer has out, persisted like the ones it holds: a
+        # reopened peer retracts those its program no longer derives, though
+        # the process that sent them died.
         self.delegation_tracker = DelegationTracker(peer)
-        persisted_out = self.backend.load_meta("delegated")
-        if persisted_out:
-            self.delegation_tracker.restore(
-                _decode_delegation(json.loads(payload)) for _key, payload in persisted_out)
+        self._delegated: Optional[FactStore] = None
+        if self.backend.persistent:
+            self._delegated = FactStore(SchemaRegistry(), owner=peer, backend=self.backend,
+                                        namespace=DELEGATED_NAMESPACE)
+            out = list(self._delegated.all_facts())
+            if out:
+                self.delegation_tracker.restore(out)
         self.pending = PendingInput()
         self.deferred_updates: Delta = Delta.empty()
         self.stage_counter = 0
@@ -269,47 +280,80 @@ class PeerState:
         return tuple(self.own_rules) + self.delegations_in.rules()
 
     # ------------------------------------------------------------------ #
-    # installed delegations (persisted on durable backends)
+    # delegation templates and bindings (persisted on durable backends)
     # ------------------------------------------------------------------ #
 
-    def install_delegation(self, delegation_id: str, delegator: str,
-                           rule: Rule) -> InstalledDelegation:
-        """Install a delegated rule and persist it.
+    def learn_template(self, shape: str, delegator: str, rule: Rule,
+                       whole: bool = False) -> None:
+        """Hold ``delegator``'s template of ``shape`` (out of the program
+        until :meth:`activate_template`).  ``whole``: a rule delegated
+        whole, which reads no binding relation."""
+        if self.delegations_in.learn(shape, delegator, rule, whole):
+            self._save_template(shape)
 
-        Content-hashed delegation ids make this idempotent: a delegator that
-        re-sends an install after the receiving peer recovered simply
-        overwrites the identical record.
-        """
-        installed = self.delegations_in.install(delegation_id, delegator, rule)
-        self.backend.save_meta("delegation", delegation_id, _record({
-            "delegation_id": installed.delegation_id,
-            "delegator": installed.delegator,
-            "rule": codec.encode_rule(installed.rule),
-        }))
-        return installed
+    def activate_template(self, shape: str) -> None:
+        """Put a held template in the program."""
+        if not self.delegations_in.is_active(shape):
+            self.delegations_in.activate(shape)
+            self._save_template(shape)
+
+    def deactivate_template(self, shape: str) -> None:
+        """Take a template out of the program, still holding it."""
+        if self.delegations_in.is_active(shape):
+            self.delegations_in.deactivate(shape)
+            self._save_template(shape)
+
+    def retire_template(self, shape: str) -> None:
+        """Drop a template and every binding of it (the bindings store's
+        delta carries their deletion into the stage)."""
+        if self.delegations_in.forget(shape) is None:
+            return
+        if self.backend.persistent:
+            self.backend.delete_meta("template", shape)
+        self.bindings.clear_relation(binding_relation(shape), self.peer)
+
+    def _save_template(self, shape: str) -> None:
+        if self.backend.persistent:
+            held = self.delegations_in.get(shape)
+            self.backend.save_meta("template", shape, _record({
+                "delegator": held.delegator, "rule": codec.encode_rule(held.rule),
+                "whole": self.delegations_in.is_whole(shape),
+                "active": self.delegations_in.is_active(shape)}))
+
+    def describe(self, binding: Fact) -> Optional[InstalledDelegation]:
+        """``binding`` as shown: the delegated rule it stands for, named as
+        its delegator names the delegation.  ``None`` when no template of it
+        is held."""
+        shape = shape_of(binding.relation)
+        held = self.delegations_in.get(shape)
+        if held is None:
+            return None
+        rule = stands_for(held.rule, binding.values, self.peer)
+        return InstalledDelegation(
+            delegation_id(held.delegator, self.peer, held.rule.origin, rule),
+            held.delegator, rule)
+
+    def installed_delegations(self) -> Tuple[InstalledDelegation, ...]:
+        """Every installed delegation as shown (:meth:`describe`), in id
+        order: each binding, and each rule delegated whole."""
+        shown: List[InstalledDelegation] = []
+        for held in self.delegations_in.active():
+            shape = held.delegation_id
+            if self.delegations_in.is_whole(shape):
+                shown.append(held)
+            else:
+                shown.extend(self.describe(binding) for binding in
+                             self.bindings.facts(binding_relation(shape), self.peer))
+        return tuple(sorted(shown, key=lambda d: d.delegation_id))
 
     def sent_delegations(self, diff: DelegationDiff) -> None:
         """Record that ``diff``'s installs and retractions went out, in the
         stage's transaction on a durable backend."""
         self.delegation_tracker.commit(diff)
-        if self.backend.persistent:
-            for delegation in diff.to_retract:
-                self.backend.delete_meta("delegated", delegation.delegation_id)
-            for delegation in diff.to_install:
-                self.backend.save_meta("delegated", delegation.delegation_id, _record({
-                    "delegation_id": delegation.delegation_id,
-                    "target": delegation.target,
-                    "delegator": delegation.delegator,
-                    "origin_rule_id": delegation.origin_rule_id,
-                    "rule": codec.encode_rule(delegation.rule),
-                }))
-
-    def retract_delegation(self, delegation_id: str) -> Optional[InstalledDelegation]:
-        """Retract a delegated rule and delete its persisted record."""
-        installed = self.delegations_in.retract(delegation_id)
-        if installed is not None:
-            self.backend.delete_meta("delegation", delegation_id)
-        return installed
+        if self._delegated is not None:
+            self._delegated.delete_many(d.binding for d in diff.to_retract)
+            self._delegated.insert_many(d.binding for d in diff.to_install)
+            self._delegated.take_delta()
 
     # ------------------------------------------------------------------ #
     # facts
@@ -419,6 +463,9 @@ class PeerState:
         instead of a relation scan.
         """
         if peer != self.peer:
+            return
+        if relation.startswith(BINDING_PREFIX):
+            yield from self.bindings.facts(relation, peer, bindings)
             return
         yield from self.store.facts(relation, peer, bindings)
         yield from self.derived.facts(relation, peer, bindings)

@@ -145,16 +145,22 @@ class CompiledAtom:
 
 
 class CompiledRule(NamedTuple):
-    """A rule's atoms compiled together, sharing one instance per variable."""
+    """A rule's atoms compiled together, sharing one instance per variable;
+    ``positive`` lists each positive body literal as ``(position, relation,
+    peer)``, ``None`` where the location is a variable (what a seminaive
+    pass restricts)."""
 
     head: CompiledAtom
     body: Tuple[CompiledAtom, ...]
+    positive: Tuple[Tuple[int, Optional[str], Optional[str]], ...]
 
     @classmethod
     def of(cls, rule: "Rule") -> "CompiledRule":
         variables: Dict[Variable, Variable] = {}
         body = tuple(CompiledAtom(atom, variables) for atom in rule.body)
-        return cls(CompiledAtom(rule.head, variables), body)
+        positive = tuple((index, atom.relation_constant(), atom.peer_constant())
+                         for index, atom in enumerate(rule.body) if not atom.negated)
+        return cls(CompiledAtom(rule.head, variables), body, positive)
 
 
 def match_atom_fact(atom: "Atom", fact: Fact,

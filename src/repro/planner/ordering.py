@@ -24,7 +24,7 @@ positions (constants, or variables bound by already-placed literals).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.metrics import Metrics
 from repro.core.rules import Atom, Rule
@@ -36,12 +36,12 @@ from repro.planner.stats import StatsProvider, drifted
 class BodyPlanner:
     """Plans rule-body evaluation order for one peer.
 
-    Plans are cached per ``(rule_id, delta_index, bound variables)``; the
-    cache is cleared on program-version bumps (rule/delegation changes, see
-    :attr:`repro.core.engine.WebdamLogEngine.program_version`) and a cached
-    plan is replanned when the count of any relation it reads has drifted by
-    more than the stats drift factor (insert/retract churn changes the
-    cheapest order).
+    Plans are cached per ``(rule_id, delta_index, bound variables)``; a
+    program change drops the plans of the rules it removed (:meth:`forget`:
+    a rule id names one rule's content, or the one own rule a replacement
+    keeps it for) and a cached plan is replanned when the count of any
+    relation it reads has drifted by more than the stats drift factor
+    (insert/retract churn changes the cheapest order).
     """
 
     def __init__(self, peer: str, stats: StatsProvider, metrics: Metrics):
@@ -49,7 +49,6 @@ class BodyPlanner:
         self.stats = stats
         #: The owning engine's registry (see :mod:`repro.core.metrics`).
         self.metrics = metrics
-        self._version = -1
         # {(rule_id, delta_index, bound variables):
         #      (plan, {(relation, peer): count at planning})}
         self._cache: Dict[Tuple[str, Optional[int], FrozenSet[Variable]],
@@ -59,11 +58,13 @@ class BodyPlanner:
     # cache management
     # ------------------------------------------------------------------ #
 
-    def sync(self, program_version: int) -> None:
-        """Drop every cached plan when the program version moved."""
-        if program_version != self._version:
-            self._version = program_version
-            self._cache.clear()
+    def forget(self, rule_ids: Iterable[str]) -> None:
+        """Drop the cached plans of the rules with these ids (rules the
+        program no longer holds)."""
+        gone = set(rule_ids)
+        if gone:
+            for key in [key for key in self._cache if key[0] in gone]:
+                del self._cache[key]
 
     # ------------------------------------------------------------------ #
     # planning entry points
@@ -137,6 +138,7 @@ class BodyPlanner:
         bound: Set[Variable] = set(initially_bound)
         order: List[int] = []
         remaining = set(range(prefix))
+        chose = False
 
         def place(index: int) -> None:
             order.append(index)
@@ -168,15 +170,19 @@ class BodyPlanner:
                 # every prefix positive is placed; bail out defensively.
                 return None, {}
             best_index, best_cost = positives[0], None
-            for index in positives:
-                cost = self._estimate(rule.body[index], bound)
-                if best_cost is None or cost < best_cost:
-                    best_index, best_cost = index, cost
+            if len(positives) > 1:
+                chose = True
+                for index in positives:
+                    cost = self._estimate(rule.body[index], bound)
+                    if best_cost is None or cost < best_cost:
+                        best_index, best_cost = index, cost
             place(best_index)
 
         order.extend(range(prefix, len(rule.body)))
+        # A plan that never chose between two literals is the only order
+        # there is: no count can make it stale, so none is kept to check.
         snapshot: Dict[Tuple[str, str], int] = {}
-        for index in range(prefix):
+        for index in range(prefix) if chose else ():
             atom = rule.body[index]
             relation, peer = atom.relation_constant(), atom.peer_constant()
             snapshot[(relation, peer)] = self.stats.count(relation, peer)

@@ -16,6 +16,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, Tuple
 
+from repro.core.delegation import BINDING_PREFIX
 from repro.core.facts import typed_value
 
 _values_of = attrgetter("values")
@@ -51,6 +52,8 @@ class StatsProvider:
     def count(self, relation: str, peer: str) -> int:
         """Current number of facts visible for ``relation@peer``."""
         state = self.state
+        if relation.startswith(BINDING_PREFIX):
+            return state.bindings.count(relation, peer)
         return (state.store.count(relation, peer)
                 + state.derived.count(relation, peer)
                 + state.provided.count(relation, peer))
@@ -70,7 +73,8 @@ class StatsProvider:
         if cached is None or drifted(cached[0], count):
             state = self.state
             columns = zip(*map(_values_of, chain(state.store.facts(relation, peer),
-                                                 state.derived.facts(relation, peer))))
+                                                 state.derived.facts(relation, peer),
+                                                 state.bindings.facts(relation, peer))))
             cached = self._distinct[key] = (count, tuple(
                 len(set(map(typed_value, column))) for column in columns))
         sizes = cached[1]  # empty for an empty relation

@@ -26,6 +26,7 @@ what changed since the last one, not what the channel holds.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.facts import Fact
@@ -36,16 +37,18 @@ from repro.replication.dots import CausalContext, Op
 
 #: Effect tuples an inbox emits, consumed by the runtime:
 #: ``("insert", fact)``, ``("delete", fact)``, ``("withdraw", fact)``,
-#: ``("delegate", delegation_id, rule, schemas)``,
+#: ``("delegate", delegation_id, rule, schemas)``, ``("bind", fact)``,
+#: ``("unbind", fact)``,
 #: ``("undelegate", delegation_id)``, ``("derivation", derivation, anchor)``.
 Effect = Tuple
 
 #: A channel's change journal: ``(row kind, seq)`` -> the value the row now
 #: holds, or ``None`` when the row is gone.  An outbox journals its
-#: retransmission log (``"op"`` -> the :class:`Op`) and its live insert dots
+#: retransmission log (``"op"`` -> the :class:`Op`), its live insert dots
 #: (``"live"`` -> the fact); an inbox its visible dots (``"vis"`` -> the
 #: fact), its tombstones (``"tomb"`` -> ``True``) and its delegation
 #: watermarks (``"dg"``, keyed by the winning op's seq -> the delegation id).
+#: Each half's rule dictionary rides its header.
 Journal = Dict[Tuple[str, int], object]
 
 
@@ -84,6 +87,10 @@ class ChannelOutbox(_Journaled):
         self.last_sent = 0
         #: The target raised a transport error (unknown peer): stop trying.
         self.unreachable = False
+        #: Rule id -> (its index on this channel, seq of the op that named
+        #: it): a derivation names its rule until that op is acknowledged,
+        #: then only gives the index.
+        self.rules: Dict[str, Tuple[int, int]] = {}
 
     # -- emitting ops --------------------------------------------------- #
 
@@ -97,18 +104,19 @@ class ChannelOutbox(_Journaled):
         self.seq += 1
         return self.seq
 
-    def insert(self, fact: Fact) -> Optional[Op]:
+    def insert(self, fact: Fact, kind: str = "insert") -> Optional[Op]:
         """Emit an insert op, or ``None`` when ``fact`` is already live.
 
         The suppression makes re-sends idempotent at the source: a fact the
         channel already carries (and has not deleted) needs no new dot.
+        ``kind="bind"`` is the same op for a delegation binding.
         """
         if fact in self.live:
             return None
         seq = self._next_seq()
         self.live[fact] = {seq}
         self._row("live", seq, fact)
-        return self._append(Op(seq=seq, kind="insert", fact=fact))
+        return self._append(Op(seq=seq, kind=kind, fact=fact))
 
     def delete(self, fact: Fact, kind: str = "delete") -> Op:
         """Emit a delete op removing the fact's observed live dots.
@@ -118,7 +126,7 @@ class ChannelOutbox(_Journaled):
         facts that reached it through other means (e.g. its own base facts).
         ``kind="withdraw"`` is the same op for a fact the sender's rules no
         longer derive, which the receiver applies to an intensional relation
-        only.
+        only; ``kind="unbind"`` for a delegation binding retracted.
         """
         removed = tuple(sorted(self.live.pop(fact, ())))
         for seq in removed:
@@ -139,9 +147,17 @@ class ChannelOutbox(_Journaled):
                                delegation_id=delegation_id))
 
     def derivation(self, derivation: Derivation, anchor: bool) -> Op:
-        """Emit a provenance-derivation op."""
-        return self._append(Op(seq=self._next_seq(), kind="derivation",
-                               derivation=derivation, anchor=anchor))
+        """Emit a provenance-derivation op.  Its rule id is sent once per
+        channel: the op names it while no op naming it is acknowledged (the
+        receiver then holds the name, and its dictionary is durable with its
+        causal context), and gives only the rule's index after that."""
+        seq = self._next_seq()
+        entry = self.rules.get(derivation.rule_id)
+        if entry is None:
+            entry = self.rules[derivation.rule_id] = (len(self.rules) + 1, seq)
+        return self._append(Op(seq=seq, kind="derivation", derivation=derivation,
+                               anchor=anchor, rule_index=entry[0],
+                               named=entry[1] > self.acked))
 
     # -- transmission and anti-entropy ---------------------------------- #
 
@@ -189,9 +205,14 @@ class ChannelOutbox(_Journaled):
 
     # -- what a persistence point stores --------------------------------- #
 
-    def header(self) -> Dict[str, int]:
-        """The fixed-size part of the channel (everything else is rows)."""
-        return {"seq": self.seq, "acked": self.acked}
+    def header(self) -> Dict[str, object]:
+        """The part of the channel that is not one row per op or dot: the
+        frontiers, and the rule dictionary once it holds anything."""
+        header: Dict[str, object] = {"seq": self.seq, "acked": self.acked}
+        if self.rules:
+            header["rules"] = sorted([index, rule_id, named_at]
+                                     for rule_id, (index, named_at) in self.rules.items())
+        return header
 
     def rows(self) -> Set[Tuple[str, int]]:
         """The ``(kind, seq)`` of every row the channel holds."""
@@ -218,13 +239,15 @@ class ChannelInbox(_Journaled):
         self.advertised = 0
         #: Contiguous frontier last acknowledged back to the origin.
         self.acked = 0
+        #: Rule index -> rule id, as the origin's ops named them.
+        self.rules: Dict[int, str] = {}
 
     def apply(self, op: Op) -> List[Effect]:
         """Join one op; returns the visibility-transition effects (if any)."""
         if not self.cc.add(op.seq):
             return []
         self.dirty = True
-        if op.kind == "insert":
+        if op.kind in ("insert", "bind"):
             if op.seq in self.tombstoned:
                 self.tombstoned.discard(op.seq)
                 self._row("tomb", op.seq, None)
@@ -232,8 +255,8 @@ class ChannelInbox(_Journaled):
             dots = self.visible.setdefault(op.fact, set())
             dots.add(op.seq)
             self._row("vis", op.seq, op.fact)
-            return [("insert", op.fact)] if len(dots) == 1 else []
-        if op.kind in ("delete", "withdraw"):
+            return [(op.kind, op.fact)] if len(dots) == 1 else []
+        if op.kind in ("delete", "withdraw", "unbind"):
             if not op.removed:
                 # Out-of-band deletion: no dot of this channel to remove.
                 return [(op.kind, op.fact)]
@@ -258,7 +281,12 @@ class ChannelInbox(_Journaled):
                 return [("undelegate", op.delegation_id)]
             return []
         if op.kind == "derivation":
-            return [("derivation", op.derivation, op.anchor)]
+            derivation = op.derivation
+            if op.named:
+                self.rules[op.rule_index] = derivation.rule_id
+            else:
+                derivation = replace(derivation, rule_id=self.rules[op.rule_index])
+            return [("derivation", derivation, op.anchor)]
         raise ValueError(f"unknown op kind {op.kind!r}")
 
     def _advance_delegation(self, op: Op) -> bool:
@@ -296,9 +324,13 @@ class ChannelInbox(_Journaled):
     # -- what a persistence point stores --------------------------------- #
 
     def header(self) -> Dict[str, object]:
-        """The part of the channel that is not one row per dot."""
-        return {"cc": self.cc.encode(), "advertised": self.advertised,
-                "acked": self.acked}
+        """The part of the channel that is not one row per dot, the rule
+        dictionary included once it holds anything."""
+        header: Dict[str, object] = {"cc": self.cc.encode(),
+                                     "advertised": self.advertised, "acked": self.acked}
+        if self.rules:
+            header["rules"] = sorted([index, rule_id] for index, rule_id in self.rules.items())
+        return header
 
     def rows(self) -> Set[Tuple[str, int]]:
         """The ``(kind, seq)`` of every row the channel holds."""

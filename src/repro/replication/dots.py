@@ -30,10 +30,13 @@ from repro.provenance.graph import Derivation
 
 #: The operation kinds a channel replicates.  ``insert``/``delete`` carry
 #: extensional (or provided-intensional) fact updates, ``withdraw`` a derived
-#: fact its sender no longer derives, ``delegate`` /
-#: ``undelegate`` carry the delegation remainders of distributed rules, and
-#: ``derivation`` carries one provenance closure entry.
-OP_KINDS = ("insert", "delete", "withdraw", "delegate", "undelegate", "derivation")
+#: fact its sender no longer derives, ``delegate`` / ``undelegate`` carry
+#: the delegation templates of distributed rules, ``bind`` / ``unbind`` the
+#: bindings of those templates (one per delegation, with the dots of
+#: ``insert`` / ``delete``), and ``derivation`` carries one provenance
+#: closure entry.
+OP_KINDS = ("insert", "delete", "withdraw", "delegate", "undelegate", "bind", "unbind",
+            "derivation")
 
 
 class Dot(NamedTuple):
@@ -51,14 +54,18 @@ class Op:
     channel the op travels on).  Exactly the fields of the op's ``kind`` are
     meaningful:
 
-    * ``insert`` — ``fact``;
+    * ``insert``, ``bind`` — ``fact``;
     * ``delete`` — ``fact`` plus ``removed``, the sequence numbers of the
       insert dots this deletion observed (empty for an out-of-band deletion
       of a fact this channel never inserted);
     * ``withdraw`` — as ``delete``, for a fact the sender no longer derives;
+    * ``unbind`` — as ``delete``, for a binding;
     * ``delegate`` — ``delegation_id``, ``rule``, ``schemas``;
     * ``undelegate`` — ``delegation_id``;
-    * ``derivation`` — ``derivation`` and ``anchor``.
+    * ``derivation`` — ``derivation`` and ``anchor``, plus ``rule_index``: the
+      index the channel gave the derivation's rule id.  ``named`` says the
+      op carries the id itself; an op that does not is decoded with an
+      empty id, which the receiving inbox fills from its dictionary.
     """
 
     seq: int
@@ -70,6 +77,8 @@ class Op:
     schemas: Tuple[RelationSchema, ...] = ()
     derivation: Optional[Derivation] = None
     anchor: bool = True
+    rule_index: int = 0
+    named: bool = True
 
     def dot(self, origin: str) -> Dot:
         """This op's dot on the channel from ``origin``."""

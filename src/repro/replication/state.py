@@ -179,7 +179,7 @@ class ReplicationState:
         """Absorb a stage's messages into channel ops.
 
         Each message's fact updates (inserts, deletes, withdrawals),
-        derivations, delegation installs and retractions become dotted ops
+        derivations, templates, bindings and retractions become dotted ops
         on the recipient's outbox, in that order, shipped by the next
         :meth:`flush`.
         """
@@ -196,6 +196,10 @@ class ReplicationState:
                                anchor=derivation.fact in message.inserted)
             for delegation_id, rule, schemas in message.installs:
                 box.delegate(delegation_id, rule, schemas)
+            for binding in message.bound:
+                box.insert(binding, kind="bind")
+            for binding in message.unbound:
+                box.delete(binding, kind="unbind")
             for delegation_id in message.retracts:
                 box.undelegate(delegation_id)
             self._refile_outbox(box)
@@ -380,6 +384,8 @@ class ReplicationState:
         * ``dg:<seq>:<origin>`` — one delegation's watermark (the id, under
           the seq of the op that won).
 
+        A header also holds its channel's rule dictionary, once it has one.
+
         A stage writes the rows its ops and acks touched plus the header of
         each channel that moved; a channel that did not move costs nothing.
         """
@@ -425,11 +431,15 @@ class ReplicationState:
                 if kind == "out":
                     box = self.outbox(rest)
                     box.seq, box.acked = int(header["seq"]), int(header["acked"])
+                    box.rules = {rule_id: (index, named_at)
+                                 for index, rule_id, named_at in header.get("rules", ())}
                 else:
                     box = self.inbox(rest)
                     box.cc = CausalContext.decode(header["cc"])
                     box.advertised = int(header["advertised"])
                     box.acked = int(header["acked"])
+                    box.rules = {index: rule_id
+                                 for index, rule_id in header.get("rules", ())}
                 continue
             seq, _, peer = rest.partition(":")
             seq = int(seq)

@@ -5,8 +5,8 @@ Five kinds of message travel on the network:
 * **the stage update** (:class:`FactMessage`) — everything one stage sends
   one recipient, mirroring step 3 of the computation stage described in the
   paper: insertions and deletions for relations located at the recipient,
-  their provenance, and the delegated rules installed at or retracted from
-  the recipient;
+  their provenance, and the delegations installed at or retracted from the
+  recipient (the templates it learns, then the bindings);
 * **replication payloads** (:class:`DeltaEnvelopeMessage`,
   :class:`ReplicationDigestMessage`, :class:`ReplicationPullMessage`,
   :class:`ReplicationAckMessage`) — the dotted delta ops and anti-entropy
@@ -76,12 +76,16 @@ class FactMessage(Message):
     transitively down to its base facts, and fresh alternative derivations
     of facts shipped earlier) so provenance-enabled receivers can answer
     why/lineage queries — and apply lineage-based access control — across
-    peer boundaries.  ``installs`` are the delegated
-    rules to install at the recipient, as ``(delegation_id, rule, schemas)``
-    — the schemas (known to the delegator) of the relations the rule
+    peer boundaries.  ``installs`` are the delegation templates the
+    recipient learns, once per shape, as ``(shape, template, schemas)`` —
+    the schemas (known to the delegator) of the relations the template
     mentions, so the recipient learns, for example, that the head relation
     is intensional at the delegator (the paper's run-time relation
-    discovery); ``retracts`` are the ids of delegations to retract.
+    discovery); a rule that does not read its shape's binding relation is
+    delegated whole.  ``bound`` / ``unbound`` are the delegations installed
+    and retracted, each a binding fact of a template
+    (:mod:`repro.core.delegation`); ``retracts`` are the shapes whose
+    template is retired with all its bindings.
     """
 
     inserted: FrozenSet[Fact] = frozenset()
@@ -89,27 +93,31 @@ class FactMessage(Message):
     withdrawn: FrozenSet[Fact] = frozenset()
     derivations: Tuple[Derivation, ...] = ()
     installs: Tuple[Tuple[str, Rule, Tuple[RelationSchema, ...]], ...] = ()
+    bound: Tuple[Fact, ...] = ()
+    unbound: Tuple[Fact, ...] = ()
     retracts: Tuple[str, ...] = ()
 
     def payload_size(self) -> int:
-        """Facts and derivations carried, plus one per delegated rule, per
-        schema it ships with and per retraction."""
+        """Facts and derivations carried, plus one per template, per schema
+        it ships with, per binding and per retraction."""
         return (len(self.inserted) + len(self.deleted) + len(self.withdrawn)
                 + len(self.derivations)
                 + sum(1 + len(schemas) for _, _, schemas in self.installs)
-                + len(self.retracts))
+                + len(self.bound) + len(self.unbound) + len(self.retracts))
 
     def effects(self) -> List[Tuple]:
         """The message as the effect tuples a replication inbox emits, in the
-        order inserts, deletes, withdrawals, derivations, installs,
-        retracts.  Only the inserted facts anchor a derivation; lineage
-        intermediates live as long as an anchor reaches them."""
+        order inserts, deletes, withdrawals, derivations, installs, bindings,
+        unbindings, retracts.  Only the inserted facts anchor a derivation;
+        lineage intermediates live as long as an anchor reaches them."""
         effects: List[Tuple] = [("insert", fact) for fact in self.inserted]
         effects.extend(("delete", fact) for fact in self.deleted)
         effects.extend(("withdraw", fact) for fact in self.withdrawn)
         effects.extend(("derivation", derivation, derivation.fact in self.inserted)
                        for derivation in self.derivations)
         effects.extend(("delegate", *install) for install in self.installs)
+        effects.extend(("bind", binding) for binding in self.bound)
+        effects.extend(("unbind", binding) for binding in self.unbound)
         effects.extend(("undelegate", delegation_id) for delegation_id in self.retracts)
         return effects
 
@@ -126,6 +134,10 @@ class FactMessage(Message):
                 {"delegation_id": delegation_id, "rule": codec.encode_rule(rule),
                  "schemas": [codec.encode_schema(s) for s in schemas]}
                 for delegation_id, rule, schemas in self.installs]
+        if self.bound:
+            encoded["bound"] = [codec.encode_fact(f) for f in self.bound]
+        if self.unbound:
+            encoded["unbound"] = [codec.encode_fact(f) for f in self.unbound]
         if self.retracts:
             encoded["retracts"] = list(self.retracts)
         return encoded
@@ -215,6 +227,8 @@ def message_from_wire(encoded: Dict[str, Any]) -> Message:
                 (install["delegation_id"], codec.decode_rule(install["rule"]),
                  tuple(codec.decode_schema(s) for s in install["schemas"]))
                 for install in encoded.get("installs", [])),
+            bound=tuple(codec.decode_fact(f) for f in encoded.get("bound", [])),
+            unbound=tuple(codec.decode_fact(f) for f in encoded.get("unbound", [])),
             retracts=tuple(encoded.get("retracts", ())),
             **common,
         )

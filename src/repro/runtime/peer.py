@@ -3,12 +3,12 @@
 :class:`Peer` owns one :class:`~repro.core.engine.WebdamLogEngine` and wires
 it to the rest of the system:
 
-* incoming messages are dispatched to the engine — delegation installs go
-  through the :class:`~repro.acl.delegation_control.DelegationController`
-  first, implementing the paper's control-of-delegation model;
+* incoming messages are dispatched to the engine — delegations go through
+  the :class:`~repro.acl.delegation_control.DelegationController` first,
+  implementing the paper's control-of-delegation model;
 * the outputs of a stage are converted into one message per recipient,
-  attaching the schemas of the relations a delegated rule mentions so the
-  recipient discovers them (run-time relation discovery);
+  attaching the schemas of the relations a delegation template mentions so
+  the recipient discovers them (run-time relation discovery);
 * attached wrappers get ``before_stage`` / ``after_stage`` hooks so external
   services (the simulated Facebook, email, Dropbox) can exchange facts with
   the engine.
@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.acl.delegation_control import DelegationController
 from repro.acl.trust import TrustStore
-from repro.core.delegation import Delegation
+from repro.core.delegation import binding_relation, is_binding, shape_of
 from repro.core.engine import StageResult, WebdamLogEngine
 from repro.core.errors import SchemaError, StratificationError
 from repro.core.facts import Delta, Fact
@@ -66,33 +66,42 @@ class Peer:
                                       storage_options=storage_options)
         if provenance:
             self.engine.provenance = ProvenanceTracker()
+        self.controller = DelegationController(self.engine, trust=trust)
+        self.wrappers: List = []
+        # Delegations refused while delivering the current batch.
+        self._refused: List[StratificationError] = []
+        # Bindings that arrived before their template (a reordering channel),
+        # by shape, in arrival order: submitted when the template comes.
+        self._parked: Dict[str, List[Tuple[Fact, bool]]] = {}
         # ``replication=False`` ships each stage's update to a recipient as
         # one raw FactMessage, which assumes exactly-once, in-order delivery;
         # ``True`` ships dotted delta envelopes with anti-entropy (see
         # repro.replication).  The system decides from its transport's
         # delivery promise.
+        self.replication: Optional[ReplicationState] = None
         if replication:
             backend = self.engine.state.backend
             # A backend that keeps nothing is never restored from, so its
             # peer journals no channel changes and persists none.
-            self.replication: Optional[ReplicationState] = ReplicationState(
+            self.replication = ReplicationState(
                 name, journal=backend.persistent, metrics=self.engine.metrics)
             self.replication.restore(backend)
             # Remote-provided facts are volatile engine state: a raw-message
             # restart recovers them because the restarted *sender* re-ships
             # everything, but a causal outbox's live-set dedup suppresses that
             # re-send.  The inbox already knows exactly which facts have been
-            # delivered, so re-inject them (idempotently) on reopen.
+            # delivered, so re-inject them (idempotently) on reopen.  Its
+            # bindings are durable, but one parked or pending when the
+            # process died is submitted again.
+            installed = self.engine.state.bindings
             for origin, box in sorted(self.replication.inboxes.items()):
-                if box.visible:
-                    self.engine.receive_facts(
-                        origin, inserted=tuple(sorted(box.visible, key=str)))
-        else:
-            self.replication = None
-        self.controller = DelegationController(self.engine, trust=trust)
-        self.wrappers: List = []
-        # Delegation installs refused while delivering the current batch.
-        self._refused: List[StratificationError] = []
+                visible = sorted(box.visible, key=str)
+                facts = [fact for fact in visible if not is_binding(fact.relation)]
+                if facts:
+                    self.engine.receive_facts(origin, inserted=facts)
+                self._apply_effects(origin, [("bind", fact) for fact in visible
+                                             if is_binding(fact.relation)
+                                             and not installed.contains(fact)])
         # Derivations already shipped to each target (keyed like the
         # tracker's remote memory), so updates carry each one only once —
         # plus the facts appearing in that shipped lineage, so *alternative*
@@ -288,21 +297,24 @@ class Peer:
 
         A raw :class:`FactMessage` and a replication envelope arrive here in
         the same shape (:data:`repro.replication.channel.Effect` tuples):
-        delegations go through the controller, derivations into the tracker,
-        and the fact updates through one :meth:`receive_facts` call after
-        them (it only queues them for the next stage).  So the engine's
-        skip/delta/rederive input paths cannot tell the two delivery paths
-        apart.
+        templates, bindings and retractions go through the controller,
+        derivations into the tracker, and the fact updates through one
+        :meth:`receive_facts` call after them (it only queues them for the
+        next stage).  So the engine's skip/delta/rederive input paths cannot
+        tell the two delivery paths apart.
         """
         facts: Dict[str, List[Fact]] = {"insert": [], "delete": [], "withdraw": []}
         for effect in effects:
             kind = effect[0]
             if kind in facts:
                 facts[kind].append(effect[1])
+            elif kind == "bind" or kind == "unbind":
+                self._submit_binding(origin, effect[1], kind == "bind")
             elif kind == "delegate":
-                _, delegation_id, rule, schemas = effect
-                self._submit_delegation(origin, delegation_id, rule, schemas)
+                _, shape, rule, schemas = effect
+                self._submit_template(origin, shape, rule, schemas)
             elif kind == "undelegate":
+                self._parked.pop(effect[1], None)
                 self.controller.submit_retraction(origin, effect[1])
             elif kind == "derivation":
                 self._record_shipped(effect[1], anchor=effect[2])
@@ -310,12 +322,13 @@ class Peer:
             self.engine.receive_facts(origin, facts["insert"], facts["delete"],
                                       facts["withdraw"])
 
-    def _submit_delegation(self, sender: str, delegation_id: str,
-                           rule: Optional[Rule],
-                           schemas: Iterable[RelationSchema]) -> None:
-        """Learn a delegated rule's schemas, then hand it to the controller.
+    def _submit_template(self, sender: str, shape: str, rule: Optional[Rule],
+                         schemas: Iterable[RelationSchema]) -> None:
+        """Learn a template's schemas, then the template — or hand a rule
+        delegated whole to the controller — and submit the bindings that
+        waited for it.
 
-        An install refused with a
+        A delegation refused with a
         :class:`~repro.core.errors.StratificationError` (by a schema or by
         the rule) is noted for :meth:`deliver_all` to raise.
         """
@@ -326,8 +339,31 @@ class Peer:
                 except SchemaError:
                     # Conflicting schema knowledge: keep the local declaration.
                     pass
-            if rule is not None:
-                self.controller.submit(sender, delegation_id, rule)
+            if rule is None:
+                return
+            first = rule.body[0]
+            if (first.relation_constant() == binding_relation(shape)
+                    and first.peer_constant() == self.name):
+                self.engine.receive_template(sender, shape, rule)
+            else:
+                self.controller.submit(sender, shape, rule)
+        except StratificationError as refused:
+            self._refused.append(refused)
+        for binding, install in self._parked.pop(shape, ()):
+            self._submit_binding(sender, binding, install)
+
+    def _submit_binding(self, sender: str, binding: Fact, install: bool) -> None:
+        """Hand a delegation binding, or its retraction, to the controller;
+        park it while its template has not arrived."""
+        shape = shape_of(binding.relation)
+        if shape not in self.engine.state.delegations_in:
+            self._parked.setdefault(shape, []).append((binding, install))
+            return
+        try:
+            if install:
+                self.controller.submit_binding(sender, binding)
+            else:
+                self.controller.submit_unbinding(sender, binding)
         except StratificationError as refused:
             self._refused.append(refused)
 
@@ -391,7 +427,8 @@ class Peer:
         update with the provenance shipped along, the fresh derivations
         routed to it, and the delegations installed at or retracted from it.
         Recipients come in the order they first appear in the update list,
-        then the fresh derivations, installs and retracts."""
+        then the fresh derivations, templates, bindings, unbindings and
+        retired templates."""
         updates = {update.target: update for update in result.outgoing_updates}
         derivations: Dict[str, Tuple[ProvenanceDerivation, ...]] = {
             target: self._derivations_for(target, update.inserted,
@@ -402,15 +439,21 @@ class Peer:
         for target, fresh in self._fresh_derivations().items():
             derivations[target] = derivations.get(target, ()) + fresh
         installs: Dict[str, list] = {}
+        for shape in result.templates_to_install:
+            installs.setdefault(shape.target, []).append(
+                (shape.name, shape.template, self._schemas_for(shape.template)))
+        bound: Dict[str, list] = {}
         for delegation in result.delegations_to_install:
-            installs.setdefault(delegation.target, []).append(
-                (delegation.delegation_id, delegation.rule,
-                 self._schemas_for(delegation)))
-        retracts: Dict[str, list] = {}
+            bound.setdefault(delegation.target, []).append(delegation.binding)
+        unbound: Dict[str, list] = {}
         for delegation in result.delegations_to_retract:
-            retracts.setdefault(delegation.target, []).append(delegation.delegation_id)
+            unbound.setdefault(delegation.target, []).append(delegation.binding)
+        retracts: Dict[str, list] = {}
+        for target, shape in result.templates_to_retract:
+            retracts.setdefault(target, []).append(shape)
         messages: List[Message] = []
-        for target in dict.fromkeys([*updates, *derivations, *installs, *retracts]):
+        for target in dict.fromkeys([*updates, *derivations, *installs, *bound, *unbound,
+                                     *retracts]):
             update = updates.get(target)
             messages.append(FactMessage(
                 sender=self.name,
@@ -420,6 +463,8 @@ class Peer:
                 withdrawn=update.withdrawn if update is not None else frozenset(),
                 derivations=derivations.get(target, ()),
                 installs=tuple(installs.get(target, ())),
+                bound=tuple(bound.get(target, ())),
+                unbound=tuple(unbound.get(target, ())),
                 retracts=tuple(retracts.get(target, ())),
             ))
         return messages
@@ -515,11 +560,11 @@ class Peer:
                 routed[target] = tuple(collected)
         return routed
 
-    def _schemas_for(self, delegation: Delegation) -> Tuple[RelationSchema, ...]:
-        """Schemas (known locally) of the relations mentioned by a delegated rule."""
+    def _schemas_for(self, template: Rule) -> Tuple[RelationSchema, ...]:
+        """Schemas (known locally) of the relations a template mentions."""
         schemas: List[RelationSchema] = []
         seen = set()
-        atoms: Tuple[Atom, ...] = (delegation.rule.head, *delegation.rule.body)
+        atoms: Tuple[Atom, ...] = (template.head, *template.body[1:])
         for atom in atoms:
             relation = atom.relation_constant()
             peer = atom.peer_constant()

@@ -23,9 +23,11 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.acl.trust import TrustStore
+from repro.core.engine import StageResult
 from repro.core.errors import TransportError
 from repro.core.facts import Fact
 from repro.runtime.inmemory import InMemoryTransport
+from repro.runtime.messages import Message
 from repro.runtime.peer import Peer, PeerStageReport
 from repro.runtime.scheduler import (
     ReactiveScheduler,
@@ -242,13 +244,22 @@ class WebdamLogSystem:
                       report: Optional[RoundReport] = None) -> PeerStageReport:
         """Run one stage at ``name``: deliver due messages, compute, send.
 
+        On the raw path, messages that leave the peer nothing to do
+        (:meth:`~repro.runtime.peer.Peer.needs_stage`) run no stage.
+
         The resulting :class:`~repro.runtime.peer.PeerStageReport` is folded
         into ``report`` (when given) and pushed to the stage observers.
         """
         peer = self.peers[name]
         incoming = self.transport.receive(name)
         delivered = peer.deliver_all(incoming, self._round)
-        stage_result, outgoing = peer.run_stage(self._round)
+        if delivered and peer.replication is None and not peer.needs_stage(self._round):
+            # Raw messages that left the engine nothing to do: no stage.
+            stage_result = StageResult(peer=name, stage=peer.engine.state.stage_counter,
+                                       evaluation_path="skip")
+            outgoing: List[Message] = []
+        else:
+            stage_result, outgoing = peer.run_stage(self._round)
         sent = 0
         for message in outgoing:
             # Numbered as sent: ids follow the deployment's sends, not the
@@ -358,7 +369,7 @@ class WebdamLogSystem:
             result.update({
                 ("store", "extensional_facts"): state.store.total_facts(),
                 ("store", "derived_facts"): state.derived.total_facts(),
-                ("core", "installed_delegations"): len(state.delegations_in),
+                ("core", "installed_delegations"): state.bindings.total_facts(),
                 ("acl", "pending_delegations"): len(one.pending_delegations()),
             })
         if peer is None:

@@ -20,26 +20,27 @@ from repro.replication.dots import Op
 # provenance payloads
 # --------------------------------------------------------------------------- #
 
-def encode_derivation(derivation: Derivation) -> Dict[str, Any]:
+def encode_derivation(derivation: Derivation, named: bool = True) -> Dict[str, Any]:
     """Encode a provenance :class:`~repro.provenance.graph.Derivation`.
 
     Peers running with provenance enabled attach derivations to their fact
     updates, so receivers can answer why/lineage queries across peer
-    boundaries.
+    boundaries.  ``named=False`` leaves the rule id out (a replication op
+    gives its channel's index of it instead).
     """
-    return {
-        "fact": codec.encode_fact(derivation.fact),
-        "rule_id": derivation.rule_id,
-        "support": [codec.encode_fact(f) for f in derivation.support],
-        "author": derivation.author,
-    }
+    encoded: Dict[str, Any] = {"fact": codec.encode_fact(derivation.fact)}
+    if named:
+        encoded["rule_id"] = derivation.rule_id
+    encoded["support"] = [codec.encode_fact(f) for f in derivation.support]
+    encoded["author"] = derivation.author
+    return encoded
 
 
 def decode_derivation(encoded: Dict[str, Any]) -> Derivation:
     """Inverse of :func:`encode_derivation`."""
     return Derivation(
         fact=codec.decode_fact(encoded["fact"]),
-        rule_id=encoded["rule_id"],
+        rule_id=encoded.get("rule_id", ""),
         support=tuple(codec.decode_fact(f) for f in encoded.get("support", [])),
         author=encoded.get("author"),
     )
@@ -68,8 +69,9 @@ def encode_op(op: Op) -> Dict[str, Any]:
     if op.schemas:
         encoded["schemas"] = [codec.encode_schema(s) for s in op.schemas]
     if op.derivation is not None:
-        encoded["derivation"] = encode_derivation(op.derivation)
+        encoded["derivation"] = encode_derivation(op.derivation, op.named)
         encoded["anchor"] = op.anchor
+        encoded["rule_index"] = op.rule_index
     return encoded
 
 
@@ -88,4 +90,6 @@ def decode_op(encoded: Dict[str, Any]) -> Op:
         schemas=tuple(codec.decode_schema(s) for s in encoded.get("schemas", [])),
         derivation=decode_derivation(derivation) if derivation is not None else None,
         anchor=encoded.get("anchor", True),
+        rule_index=encoded.get("rule_index", 0),
+        named=derivation is None or "rule_id" in derivation,
     )

@@ -100,12 +100,13 @@ def test_tcp_and_converge_take_exactly_the_ledger(name):
 
 #: What a store and an evaluator are built with: a SQLite database is a
 #: path (write-ahead log on for every file), an evaluator its peer, its
-#: facts and the engine's hooks — no switch that turns delegation off.
+#: facts and the engine's hooks (the delegation shapes met so far among
+#: them) — no switch that turns delegation off.
 ENGINE_KNOBS = {
     "SqliteBackend": (SqliteBackend.__init__, ("self", "path")),
     "RuleEvaluator": (RuleEvaluator.__init__,
                       ("self", "peer", "fact_source", "kind_resolver",
-                       "on_derivation", "planner")),
+                       "on_derivation", "planner", "shapes")),
 }
 
 

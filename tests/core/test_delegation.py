@@ -1,119 +1,133 @@
-"""Tests of delegation bookkeeping (tracker, store, diffing)."""
+"""Tests of delegation bookkeeping: shapes, the tracker's diff, the template store."""
 
-import pytest
-
-from repro.core.delegation import (
-    Delegation,
-    DelegationDiff,
-    DelegationStore,
-    DelegationTracker,
-    InstalledDelegation,
-)
-from repro.core.errors import DelegationError
+from repro.core.delegation import (DelegationStore, DelegationTracker, Split,
+                                   binding_relation, delegation_id, shape_of, stands_for)
+from repro.core.facts import Fact
 from repro.core.parser import parse_rule
+from repro.core.terms import Constant
+
+RULE = ("attendeePictures@Jules($id, $n) :- selectedAttendee@Jules($a, $n), "
+        "pictures@$a($id, $n)")
 
 
-def make_delegation(delegator="Jules", target="Emilien", body_peer=None, head="attendeePictures"):
-    body_peer = body_peer or target
-    rule = parse_rule(f"{head}@{delegator}($id) :- pictures@{body_peer}($id)",
-                      author=delegator)
-    return Delegation(target=target, rule=rule, delegator=delegator,
-                      origin_rule_id=rule.rule_id)
+def bind(tracker, rule, attendee, name, index=1):
+    """The binding ``rule`` delegates for ``selectedAttendee@Jules(attendee, name)``."""
+    split = Split.of(rule, index)
+    variables = {variable.name: variable for variable in split.located + split.free}
+    substitution = {variables["a"]: Constant(attendee), variables["n"]: Constant(name)}
+    return split.bind("Jules", attendee, substitution, tracker.shapes)
 
 
-class TestDelegation:
-    def test_id_is_stable_and_content_based(self):
-        rule = parse_rule("v@Jules($x) :- pictures@Emilien($x)", author="Jules")
-        first = Delegation(target="Emilien", rule=rule, delegator="Jules",
-                           origin_rule_id="origin-1")
-        second = Delegation(target="Emilien", rule=rule, delegator="Jules",
-                            origin_rule_id="origin-1")
-        assert first.delegation_id == second.delegation_id
-        assert first.delegation_id.startswith("deleg-")
+class TestShapes:
+    def test_a_located_value_is_part_of_the_shape(self):
+        tracker = DelegationTracker("Jules")
+        rule = parse_rule(RULE, author="Jules")
+        first = bind(tracker, rule, "Emilien", "x")
+        second = bind(tracker, rule, "Emilien", "y")
+        other = bind(tracker, rule, "Julia", "x")
+        assert first.relation == second.relation != other.relation
+        assert (first.peer, first.values, second.values) == ("Emilien", ("x",), ("y",))
+        assert len(tracker.shapes) == 2
+        shape = tracker.shapes[shape_of(first.relation)]
+        assert str(shape.template) == (
+            f"attendeePictures@Jules($id, $n) :- {first.relation}@Emilien($n), "
+            "pictures@Emilien($id, $n)")
 
-    def test_id_differs_per_target_and_origin(self):
-        a = make_delegation(target="Emilien")
-        b = make_delegation(target="Julia", body_peer="Julia")
-        assert a.delegation_id != b.delegation_id
+    def test_a_binding_stands_for_the_delegated_rule(self):
+        tracker = DelegationTracker("Jules")
+        rule = parse_rule(RULE, author="Jules")
+        binding = bind(tracker, rule, "Emilien", "x")
+        shape = tracker.shapes[shape_of(binding.relation)]
+        delegated = stands_for(shape.template, binding.values, "Emilien")
+        assert str(delegated) == (
+            'attendeePictures@Jules($id, "x") :- pictures@Emilien($id, "x")')
+        assert delegated.author == "Jules" and delegated.origin == rule.rule_id
+        # Named as the delegator names it: by content, up to variable names.
+        assert delegation_id("Jules", "Emilien", rule.rule_id, delegated).startswith("deleg-")
 
-    def test_str_rendering(self):
-        delegation = make_delegation()
-        assert "Jules -> Emilien" in str(delegation)
+    def test_shapes_are_named_by_content(self):
+        rule = parse_rule(RULE, author="Jules")
+        again = parse_rule(RULE, author="Jules")
+        assert rule is not again
+        assert (bind(DelegationTracker("Jules"), rule, "Emilien", "x")
+                == bind(DelegationTracker("Jules"), again, "Emilien", "x"))
 
 
 class TestDelegationTracker:
-    def test_first_diff_installs_everything(self):
-        tracker = DelegationTracker("Jules")
-        delegation = make_delegation()
-        diff = tracker.diff([delegation])
-        assert [d.delegation_id for d in diff.to_install] == [delegation.delegation_id]
-        assert not diff.to_retract
+    def setup_method(self):
+        self.tracker = DelegationTracker("Jules")
+        self.rule = parse_rule(RULE, author="Jules")
+
+    def test_the_first_binding_of_a_shape_sends_its_template(self):
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        diff = self.tracker.diff({binding})
+        assert [d.binding for d in diff.to_install] == [binding]
+        assert [shape.name for shape in diff.templates] == [shape_of(binding.relation)]
         assert diff.counts() == (1, 0)
+        self.tracker.commit(diff)
+        sibling = bind(self.tracker, self.rule, "Emilien", "y")
+        diff = self.tracker.diff({binding, sibling})
+        assert [d.binding for d in diff.to_install] == [sibling]
+        assert diff.templates == []
 
     def test_commit_then_same_required_is_noop(self):
-        tracker = DelegationTracker("Jules")
-        delegation = make_delegation()
-        tracker.commit(tracker.diff([delegation]))
-        diff = tracker.diff([delegation])
-        assert not diff
-        assert tracker.outstanding_for("Emilien") == (delegation,)
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        self.tracker.commit(self.tracker.diff({binding}))
+        assert not self.tracker.diff({binding})
+        assert [d.binding for d in self.tracker.outstanding_for("Emilien")] == [binding]
 
-    def test_vanished_delegation_is_retracted(self):
-        tracker = DelegationTracker("Jules")
-        delegation = make_delegation()
-        tracker.commit(tracker.diff([delegation]))
-        diff = tracker.diff([])
-        assert [d.delegation_id for d in diff.to_retract] == [delegation.delegation_id]
-        tracker.commit(diff)
-        assert not tracker.outstanding()
+    def test_a_live_rule_keeps_its_template_when_its_bindings_go(self):
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        self.tracker.commit(self.tracker.diff({binding}))
+        diff = self.tracker.diff(set())
+        assert [d.binding for d in diff.to_retract] == [binding]
+        self.tracker.retire(diff, [self.rule])
+        assert diff.retired == []
+        self.tracker.commit(diff)
+        assert not self.tracker.outstanding()
+        # Bound again: a fact, no template.
+        diff = self.tracker.diff({binding})
+        assert diff.templates == [] and [d.binding for d in diff.to_install] == [binding]
 
-    def test_mixed_install_and_retract(self):
-        tracker = DelegationTracker("Jules")
-        old = make_delegation(target="Emilien")
-        new = make_delegation(target="Julia", body_peer="Julia")
-        tracker.commit(tracker.diff([old]))
-        diff = tracker.diff([new])
-        assert {d.target for d in diff.to_install} == {"Julia"}
-        assert {d.target for d in diff.to_retract} == {"Emilien"}
+    def test_a_removed_rule_retires_its_templates(self):
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        self.tracker.commit(self.tracker.diff({binding}))
+        diff = self.tracker.diff(set())
+        self.tracker.retire(diff, [])
+        assert diff.retired == [("Emilien", shape_of(binding.relation))]
 
-    def test_rejects_foreign_delegations(self):
-        tracker = DelegationTracker("Jules")
-        foreign = make_delegation(delegator="Julia")
-        with pytest.raises(DelegationError):
-            tracker.diff([foreign])
+    def test_a_restored_tracker_sends_everything_again(self):
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        gone = Fact(binding_relation("deleg-gone"), "Julia", (1,))
+        self.tracker.restore([binding, gone])
+        diff = self.tracker.diff({binding})
+        assert [d.binding for d in diff.to_install] == [binding]
+        assert len(diff.templates) == 1
+        assert [d.binding for d in diff.to_retract] == [gone]
+        assert diff.retired == [("Julia", "deleg-gone")]
 
 
 class TestDelegationStore:
-    def test_install_and_rules(self):
+    def test_a_template_enters_the_program_when_activated(self):
         store = DelegationStore("Emilien")
-        delegation = make_delegation()
-        store.install(delegation.delegation_id, "Jules", delegation.rule)
-        assert len(store) == 1
-        assert delegation.delegation_id in store
-        assert store.rules() == (delegation.rule,)
+        rule = parse_rule("v@Jules($x) :- _bind_s@Emilien($x), pictures@Emilien($x)",
+                          author="Jules")
+        assert store.learn("s", "Jules", rule)
+        assert "s" in store and len(store) == 0 and store.rules() == ()
+        store.activate("s")
+        assert len(store) == 1 and store.rules() == (rule,)
+        assert not store.learn("s", "Jules", rule)
+        store.deactivate("s")
+        assert store.rules() == () and store.get("s").rule is rule
+        assert store.forget("s").delegator == "Jules"
+        assert store.forget("s") is None
 
-    def test_install_overwrites_same_id(self):
+    def test_rules_come_in_shape_order(self):
         store = DelegationStore("Emilien")
-        delegation = make_delegation()
-        other_rule = parse_rule("other@Jules($x) :- pictures@Emilien($x)", author="Jules")
-        store.install(delegation.delegation_id, "Jules", delegation.rule)
-        store.install(delegation.delegation_id, "Jules", other_rule)
-        assert len(store) == 1
-        assert store.rules()[0].head.relation_constant() == "other"
-
-    def test_retract(self):
-        store = DelegationStore("Emilien")
-        delegation = make_delegation()
-        store.install(delegation.delegation_id, "Jules", delegation.rule)
-        removed = store.retract(delegation.delegation_id)
-        assert removed is not None and removed.delegator == "Jules"
-        assert store.retract(delegation.delegation_id) is None
-        assert len(store) == 0
-
-    def test_all_ordering_is_deterministic(self):
-        store = DelegationStore("Emilien")
-        delegations = [make_delegation(head=f"rel{i}") for i in range(5)]
-        for delegation in delegations:
-            store.install(delegation.delegation_id, "Jules", delegation.rule)
-        ids = [d.delegation_id for d in store.all()]
-        assert ids == sorted(ids)
+        for shape in ("c", "a", "b"):
+            store.learn(shape, "Jules", parse_rule(f"{shape}@Jules($x) :- p@Emilien($x)",
+                                                   author="Jules"), whole=True)
+            store.activate(shape)
+        assert [held.delegation_id for held in store.active()] == ["a", "b", "c"]
+        assert [rule.head.relation_constant() for rule in store.rules()] == ["a", "b", "c"]
+        assert store.is_whole("a")

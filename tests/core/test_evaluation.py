@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.delegation import Delegation
+from repro.core.delegation import Delegation, shape_of
 from repro.core.errors import EvaluationError, SchemaError, StratificationError
 from repro.core.engine import WebdamLogEngine
 from repro.core.evaluation import RuleEvaluator, RuleOutcome
@@ -166,6 +166,12 @@ class TestWalkEdges:
         assert outcome.local_extensional == {Fact("out", "p", ("a", 1))}
 
 
+def delegations_of(evaluator, outcome):
+    """The outcome's bindings with the shapes the evaluator filed them under."""
+    return [Delegation(binding, evaluator.shapes[shape_of(binding.relation)])
+            for binding in sorted(outcome.delegations, key=str)]
+
+
 class TestDelegationEmission:
     def test_paper_delegation_example(self):
         """The exact example of the paper: Jules delegates to Émilien."""
@@ -178,7 +184,7 @@ class TestDelegationEmission:
         )
         outcome = evaluator.evaluate_rule(rule)
         assert len(outcome.delegations) == 1
-        delegation = next(iter(outcome.delegations))
+        (delegation,) = delegations_of(evaluator, outcome)
         assert delegation.target == "Emilien"
         assert delegation.delegator == "Jules"
         delegated = delegation.rule
@@ -196,7 +202,7 @@ class TestDelegationEmission:
             "selectedAttendee@Jules($a), pictures@$a($id)"
         )
         outcome = evaluator.evaluate_rule(rule)
-        targets = {d.target for d in outcome.delegations}
+        targets = {binding.peer for binding in outcome.delegations}
         assert targets == {"Emilien", "Julia"}
 
     def test_selected_attendee_local_means_no_delegation(self):
@@ -222,7 +228,8 @@ class TestDelegationEmission:
         )
         outcome = evaluator.evaluate_rule(rule)
         assert len(outcome.delegations) == 1
-        delegated = next(iter(outcome.delegations)).rule
+        (delegation,) = delegations_of(evaluator, outcome)
+        delegated = delegation.rule
         # Remainder keeps both the remote communicate literal and the
         # (back-at-Jules) selectedPictures literal.
         assert len(delegated.body) == 2
@@ -236,8 +243,35 @@ class TestDelegationEmission:
             "attendeePictures@Jules($id) :- selectedAttendee@Jules($a), pictures@$a($id)"
         )
         first = evaluator.evaluate_rule(rule).delegations
+        shapes = dict(evaluator.shapes)
         second = evaluator.evaluate_rule(rule).delegations
-        assert {d.delegation_id for d in first} == {d.delegation_id for d in second}
+        assert first == second
+        # The second evaluation met its shape again: nothing new was built.
+        assert all(evaluator.shapes[name] is shape for name, shape in shapes.items())
+
+    def test_a_delegation_is_a_binding_of_a_template(self):
+        """The paper's transfer rule: the located value (the attendee) is
+        part of the shape, the other bound values are the binding."""
+        facts = [Fact("selectedAttendee", "Jules", ("Emilien",)),
+                 Fact("selectedPictures", "Jules", ("sea.jpg", 1)),
+                 Fact("selectedPictures", "Jules", ("boat.jpg", 2))]
+        evaluator = RuleEvaluator("Jules", make_source(facts))
+        rule = parse_rule(
+            "$protocol@$attendee($attendee, $name, $id) :- "
+            "selectedAttendee@Jules($attendee), selectedPictures@Jules($name, $id), "
+            "communicate@$attendee($protocol)")
+        outcome = evaluator.evaluate_rule(rule)
+        assert {binding.values for binding in outcome.delegations} == {
+            ("sea.jpg", 1), ("boat.jpg", 2)}
+        (shape,) = evaluator.shapes.values()
+        assert {binding.relation for binding in outcome.delegations} == {
+            f"_bind_{shape.name}"}
+        assert str(shape.template) == (
+            f'$protocol@Emilien("Emilien", $name, $id) :- '
+            f'_bind_{shape.name}@Emilien($name, $id), communicate@Emilien($protocol)')
+        assert {str(d.rule) for d in delegations_of(evaluator, outcome)} == {
+            '$protocol@Emilien("Emilien", "boat.jpg", 2) :- communicate@Emilien($protocol)',
+            '$protocol@Emilien("Emilien", "sea.jpg", 1) :- communicate@Emilien($protocol)'}
 
 
 class TestProvenanceHook:

@@ -115,32 +115,30 @@ class TestBodyOrdering:
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.order = (0, 1)
 
-    def test_program_change_bumps_version_and_clears_cache(self):
+    def test_program_change_bumps_version_and_drops_the_removed_plans(self):
         """A program change is found by the next stage, not by the method
         that made it: only then does the version move and the plans of the
-        old program drop."""
+        rules it removed drop.  A surviving rule keeps its plans."""
         engine = make_engine()
-        rule = parse_rule(
-            "rule out@p($x, $y) :- big@p($x, $y), sel@p($x);",
-            default_peer="p")
-        key = (rule.rule_id, None, frozenset())
-        engine._planner.plan_rule(rule)
+        kept = engine.add_rule("rule out@p($x, $y) :- big@p($x, $y), sel@p($x);")
+        key = (kept.rule_id, None, frozenset())
+        engine._planner.plan_rule(kept)
         version = engine.program_version
-        added = engine.add_rule(
-            "rule out@p($x, $x) :- sel@p($x);")
+        added = engine.add_rule("rule out@p($x, $x) :- sel@p($x), big@p($x, $x);")
+        engine._planner.plan_rule(added)
+        added_key = (added.rule_id, None, frozenset())
         assert engine.program_version == version
-        assert key in engine._planner._cache
         engine.run_stage()
         assert engine.program_version > version
-        assert key not in engine._planner._cache
-        engine._planner.plan_rule(rule)
+        assert key in engine._planner._cache and added_key in engine._planner._cache
         version = engine.program_version
         engine.remove_rules([added.rule_id])
         assert engine.program_version == version
-        assert key in engine._planner._cache
+        assert added_key in engine._planner._cache
         engine.run_stage()
         assert engine.program_version > version
-        assert key not in engine._planner._cache
+        assert added_key not in engine._planner._cache
+        assert key in engine._planner._cache
 
 
 class TestQueryProgramParsing:

@@ -491,19 +491,24 @@ CELLS = {
 #: same snapshots, each derived retraction a ``withdraw`` op instead of a
 #: ``delete``, plus the withdrawals the receivers' extensional relations
 #: ignore (``mid@bob``, ``pictures@sigmod``) and the re-insert of a
-#: withdrawn ``mid@bob`` fact.  The lockstep, reactive and ``aconverge``
+#: withdrawn ``mid@bob`` fact.  Re-recorded when a causal channel came to
+#: send each rule id once (a derivation op gives the rule's index once the
+#: op that named it is acknowledged) and, for the Wepic cells, a delegation
+#: became a binding fact of a template sent once per shape (``bind`` /
+#: ``unbind`` ops instead of a rule per delegation): the same snapshots.
+#: The lockstep, reactive and ``aconverge``
 #: drivers agree on each, under any hash seed and on a second run in one
 #: process.  A change that moves one of these has changed which message is
 #: sent, when, or in which order.
 STREAM_DIGESTS = {
-    ("three_peers", "clean"): "6c8d2a58f94263f7",
-    ("three_peers", "lossy"): "ef6d4b91aeec0fcd",
-    ("three_peers", "slow"): "7d681481ad5ff6d7",
-    ("three_peers", "mesh"): "c80e34a1f80ed87a",
-    ("wepic", "clean"): "90b32bcd6a0e44b8",
-    ("wepic", "lossy"): "d4e120c1cc5ebf65",
-    ("wepic", "slow"): "9f9bc17bbb667031",
-    ("wepic", "mesh"): "8bf904381129b574",
+    ("three_peers", "clean"): "ba3dba8cb0023756",
+    ("three_peers", "lossy"): "a6d63be411e9cead",
+    ("three_peers", "slow"): "e1267bee20181e28",
+    ("three_peers", "mesh"): "3d06fb4198f6a1ab",
+    ("wepic", "clean"): "1d252b63e5abeb13",
+    ("wepic", "lossy"): "ef5064b495c073ed",
+    ("wepic", "slow"): "0c0359f718ee210f",
+    ("wepic", "mesh"): "eb57b211f7fb5572",
 }
 
 #: The confluence suite's three-peer chain and its insert/delete script.

@@ -151,14 +151,15 @@ class TestOneUpdatePerRecipientPerStage:
 
     #: The second stage's ops on the channel a -> b, as the separate install
     #: and retract messages produced them (the ids re-pinned when rules came
-    #: to be named by their content).
+    #: to be named by their content; re-pinned again when a delegation became
+    #: a binding of a template sent once, which the first stage's four ops
+    #: carried).
     CAUSAL_OPS = [
-        (4, "insert", "out@b(2)"),
-        (5, "derivation", "out@b(2)", "rule-7001f5928c8504fb", ("src@a(2)",), True),
-        (6, "derivation", "out@b(1)", "rule-60c8cf1b8db011ba", ("alt@a(1)",), False),
-        (7, "delegate", "deleg-517dffaa0cc17611", "pics@a($x) :- pic@b($x, 2)",
-         ("pics@a",)),
-        (8, "undelegate", "deleg-d0a2f84db390f38c"),
+        (5, "insert", "out@b(2)"),
+        (6, "derivation", "out@b(2)", "rule-7001f5928c8504fb", ("src@a(2)",), True),
+        (7, "derivation", "out@b(1)", "rule-60c8cf1b8db011ba", ("alt@a(1)",), False),
+        (8, "bind", "_bind_deleg-0597b6b7fd4b02c3@b(2)"),
+        (9, "unbind", "_bind_deleg-0597b6b7fd4b02c3@b(1)"),
     ]
 
     def _second_stage(self, replication):
@@ -180,12 +181,13 @@ class TestOneUpdatePerRecipientPerStage:
         assert [(str(d.fact), d.support) for d in message.derivations] == [
             ("out@b(2)", (Fact("src", "a", (2,)),)),
             ("out@b(1)", (Fact("alt", "a", (1,)),))]
-        ((install_id, rule, schemas),) = message.installs
-        assert str(rule.body[0]) == "pic@b($x, 2)"
-        assert [s.qualified_name for s in schemas] == ["pics@a"]
-        (retracted,) = message.retracts
-        assert retracted != install_id
-        assert message.payload_size() == 1 + 2 + 2 + 1
+        # The template went with the first stage's binding: this stage
+        # ships the new binding and retracts the old one, and no rule.
+        assert message.installs == () and message.retracts == ()
+        (bound,), (unbound,) = message.bound, message.unbound
+        assert bound.relation == unbound.relation and bound.relation.startswith("_bind_")
+        assert (bound.peer, bound.values, unbound.values) == ("b", (2,), (1,))
+        assert message.payload_size() == 1 + 2 + 1 + 1
 
     def test_the_causal_path_emits_the_same_ops(self):
         (envelope,) = self._second_stage(replication=True)
@@ -194,7 +196,7 @@ class TestOneUpdatePerRecipientPerStage:
 
     @staticmethod
     def _describe(op):
-        if op.kind == "insert":
+        if op.kind in ("insert", "bind", "unbind"):
             return (op.seq, op.kind, str(op.fact))
         if op.kind == "derivation":
             d = op.derivation

@@ -272,22 +272,23 @@ class TestOneEncodingEverywhere:
             state = PeerState("p", backend=backend)
             state.declare(schema)
             state.add_rule(rule)
-            state.install_delegation("deleg-1", "q", rule)
+            state.learn_template("deleg-1", "q", rule, whole=True)
+            state.activate_template("deleg-1")
             state.commit()
             written = {kind: backend.load_meta(kind)
-                       for kind in ("schema", "rule", "delegation")}
+                       for kind in ("schema", "rule", "template")}
             state.close()
 
             (_, stored_schema), = written["schema"]
             (_, stored_rule), = written["rule"]
-            (_, stored_delegation), = written["delegation"]
+            (shape, stored_template), = written["template"]
             assert codec.decode_schema(json.loads(stored_schema)) == schema
             decoded = codec.decode_rule(json.loads(stored_rule))
             assert (decoded.head.relation, decoded.rule_id, decoded.author) \
                 == (rule.head.relation, "rule-7", "q")
             assert constants_of(decoded) == constants_of(rule)
-            record = json.loads(stored_delegation)
-            assert (record["delegation_id"], record["delegator"]) == ("deleg-1", "q")
+            record = json.loads(stored_template)
+            assert (shape, record["delegator"], record["active"]) == ("deleg-1", "q", True)
             assert record["rule"] == json.loads(stored_rule) == through_json(
                 codec.encode_rule(rule))
 

@@ -274,7 +274,7 @@ class TestReopen:
         deployment.converge()
 
         def installed(dep):
-            return {name: len(dep.runtime.peer(name).engine.state.delegations_in.all())
+            return {name: len(dep.runtime.peer(name).installed_delegations())
                     for name in dep.peer_names()}
 
         first = installed(deployment)
