@@ -9,9 +9,14 @@ insert, bindings that survive a reopen at both ends — and what it must not
 change: trust per delegation, what a user sees, the answers.
 """
 
+from repro.acl.trust import TrustStore
 from repro.api import system
 from repro.core.delegation import binding_relation, is_binding
 from repro.core.facts import Fact
+from repro.core.parser import parse_rule
+from repro.replication.dots import Op
+from repro.runtime.messages import DeltaEnvelopeMessage
+from repro.runtime.peer import Peer
 from repro.wepic import build_demo_scenario
 
 PROGRAM_EDITS = ("core", "program_edits")
@@ -217,3 +222,27 @@ class TestTheMemoryBackendWritesNoDelegationRecord:
         deployment.peer("a").delete("sel@a(\"b\", 10)")
         deployment.converge()
         assert "template" not in saved and "delegation" not in saved
+
+
+class TestABindingBeforeItsTemplate:
+    def test_it_waits_at_the_peer_until_the_template_comes(self):
+        """On a reordering channel a binding can overtake its template: it
+        waits at the receiving peer, and installs when the template comes."""
+        peer = Peer("b", trust=TrustStore("b", trust_all=True), replication=True)
+        peer.load_program("collection extensional persistent pic@b(x, y);\n"
+                          "fact pic@b(1, 10);")
+        template = parse_rule(
+            "pics@a($x) :- _bind_s1@b($y), pic@b($x, $y)", default_peer="b", author="a")
+        binding = Fact(binding_relation("s1"), "b", (10,))
+        peer.deliver(DeltaEnvelopeMessage(sender="a", recipient="b", frontier=2,
+                                          ops=(Op(seq=2, kind="bind", fact=binding),)))
+        peer.run_stage()
+        assert peer.installed_delegations() == ()
+        peer.deliver(DeltaEnvelopeMessage(
+            sender="a", recipient="b", frontier=2,
+            ops=(Op(seq=1, kind="delegate", delegation_id="s1", rule=template),)))
+        result, _ = peer.run_stage()
+        (installed,) = peer.installed_delegations()
+        assert str(installed.rule) == "pics@a($x) :- pic@b($x, 10)"
+        assert [str(f) for u in result.outgoing_updates for f in u.inserted] == [
+            "pics@a(1)"]
