@@ -92,12 +92,13 @@ class DelegationController:
         return DelegationDecision.PENDING
 
     def submit_binding(self, delegator: str, binding: Fact) -> DelegationDecision:
-        """Handle an incoming binding of a template ``delegator`` sent."""
+        """Handle an incoming binding of a template ``delegator`` sent (a
+        binding of another peer's template is dropped, never shown)."""
         if self.trust.is_trusted(delegator):
             self.engine.receive_binding(delegator, binding)
             return DelegationDecision.AUTO_ACCEPTED
         shown = self.engine.state.describe(binding)
-        if shown is not None:
+        if shown is not None and shown.delegator == delegator:
             self._pending[shown.delegation_id] = PendingDelegation(
                 shown.delegation_id, delegator, shown.rule, binding)
         return DelegationDecision.PENDING

@@ -38,6 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.errors import DelegationError
 from repro.core.facts import Fact
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
@@ -60,6 +61,17 @@ def is_binding(relation: str) -> bool:
 def shape_of(relation: str) -> str:
     """The name of the shape whose binding relation is ``relation``."""
     return relation[len(BINDING_PREFIX):]
+
+
+#: The relation of a delegator's records of the templates it sent:
+#: ``_sent@target(shape, rule key)``.
+SENT_TEMPLATE = "_sent"
+
+
+def rule_key(rule: Rule) -> str:
+    """The delegating rule as written, which a shape's name is a digest of:
+    a template stays while a rule with this key is live."""
+    return repr((rule.origin or rule.rule_id, str(rule), rule.author))
 
 
 def delegation_id(delegator: str, target: str, origin_rule_id: str, rule: Rule) -> str:
@@ -263,18 +275,25 @@ class DelegationTracker:
         self.owner = owner
         self.shapes: Dict[str, Shape] = {}
         self._outstanding: Set[Fact] = set()
-        # Binding relations whose template was sent to their target.
-        self._templates: Set[str] = set()
+        # The templates sent, by binding relation: a ``_sent@target(shape,
+        # rule key)`` record each, so one whose rule is gone is retired.
+        self._templates: Dict[str, Fact] = {}
+        # The program version :meth:`retire` last looked at.
+        self._program: Optional[int] = None
         # Set by :meth:`restore`: the next diff installs every required
         # binding (and its template) again, since what was in flight at the
         # last commit is lost.
         self._resend = False
 
-    def restore(self, bindings: Iterable[Fact]) -> None:
+    def restore(self, bindings: Iterable[Fact], templates: Iterable[Fact] = ()) -> None:
         """Take back what a previous process had outstanding (a reopened
         durable peer): the next diff retracts what is no longer required
-        and installs everything required, already outstanding or not."""
+        and installs everything required, already outstanding or not, and
+        the first :meth:`retire` retires the ``templates`` (their
+        :data:`SENT_TEMPLATE` records) whose rule is gone."""
         self._outstanding.update(bindings)
+        for record in templates:
+            self._templates[binding_relation(record.values[0])] = record
         self._resend = True
 
     def outstanding(self) -> Tuple[Delegation, ...]:
@@ -289,7 +308,10 @@ class DelegationTracker:
     def diff(self, required: Set[Fact]) -> DelegationDiff:
         """Compare ``required`` with the outstanding set.  A template whose
         bindings all go is listed in ``retired`` only if its shape is no
-        longer one of this peer's (see :meth:`retire`)."""
+        longer one of this peer's (see :meth:`retire`).
+
+        Raises :class:`~repro.core.errors.DelegationError` for a binding of
+        a shape another peer delegates: a peer sends only its own."""
         installs = required if self._resend else required - self._outstanding
         retracts = self._outstanding - required
         shapes = self.shapes
@@ -298,8 +320,13 @@ class DelegationTracker:
                         for binding in sorted(installs, key=_order)],
             to_retract=[Delegation(binding, shapes.get(shape_of(binding.relation)))
                         for binding in sorted(retracts, key=_order)])
-        sent = set() if self._resend else self._templates
-        fresh = {binding.relation for binding in installs} - sent
+        for delegation in diff.to_install:
+            if delegation.shape.delegator != self.owner:
+                raise DelegationError(
+                    f"peer {self.owner} cannot send {delegation.binding}, a delegation "
+                    f"of {delegation.shape.delegator}")
+        sent = () if self._resend else self._templates
+        fresh = {binding.relation for binding in installs if binding.relation not in sent}
         diff.templates = sorted((self.shapes[shape_of(relation)]
                                  for relation in fresh), key=lambda shape: shape.name)
         if retracts:
@@ -308,22 +335,48 @@ class DelegationTracker:
                                    if binding.relation not in kept})
         return diff
 
-    def retire(self, diff: DelegationDiff, live_rules: Iterable[Rule]) -> None:
-        """Keep in ``diff.retired`` only the templates whose rule is not
-        among ``live_rules``: a live rule may bind its shape again."""
-        if diff.retired:
-            live = {id(rule) for rule in live_rules}
-            diff.retired = [(target, name) for target, name in diff.retired
-                            if (shape := self.shapes.get(name)) is None
-                            or id(shape.rule) not in live]
+    def needs_retire(self, version: int) -> bool:
+        """Whether the program moved to ``version`` since :meth:`retire`
+        last looked, with templates out that may have lost their rule."""
+        return version != self._program and bool(self._templates)
 
-    def commit(self, diff: DelegationDiff) -> None:
-        """Record that ``diff``'s messages have been sent."""
+    def retire(self, diff: DelegationDiff, live_rules: Iterable[Rule], version: int) -> None:
+        """Keep in ``diff.retired`` only the templates whose rule is not
+        among ``live_rules``: a live rule may bind its shape again.  After a
+        program change (``version`` moved) add every template sent whose
+        rule is gone, though none of its bindings went with this diff (they
+        went while the rule was live, or before a reopen)."""
+        changed = self.needs_retire(version)
+        self._program = version
+        if not (diff.retired or changed):
+            return
+        live = {rule_key(rule) for rule in live_rules}
+        retired = set()
+        for target, name in diff.retired:
+            record = self._templates.get(binding_relation(name))
+            if record is None or record.values[1] not in live:
+                retired.add((target, name))
+        if changed:
+            retired.update((record.peer, record.values[0])
+                           for record in self._templates.values()
+                           if record.values[1] not in live)
+        diff.retired = sorted(retired)
+
+    def commit(self, diff: DelegationDiff) -> Tuple[List[Fact], List[Fact]]:
+        """Record that ``diff``'s messages have been sent; returns the
+        :data:`SENT_TEMPLATE` records of the templates it sent and of those
+        it retired."""
         self._resend = False
         self._outstanding.difference_update(d.binding for d in diff.to_retract)
         self._outstanding.update(d.binding for d in diff.to_install)
-        self._templates.update(shape.relation for shape in diff.templates)
-        self._templates.difference_update(binding_relation(name) for _, name in diff.retired)
+        sent = []
+        for shape in diff.templates:
+            record = Fact(SENT_TEMPLATE, shape.target, (shape.name, rule_key(shape.rule)))
+            self._templates[shape.relation] = record
+            sent.append(record)
+        retired = [record for _, name in diff.retired
+                   if (record := self._templates.pop(binding_relation(name), None))]
+        return sent, retired
 
 
 class DelegationStore:
@@ -357,11 +410,20 @@ class DelegationStore:
         return self._held.get(shape)
 
     def learn(self, shape: str, delegator: str, rule: Rule, whole: bool = False) -> bool:
-        """Hold a template (not yet in the program); ``False`` when the same
-        one was already held.  ``whole``: a rule delegated whole, a template
-        with no binding literal, in the program exactly while installed."""
+        """Hold a template (not yet in the program); ``False`` when nothing
+        changed.  ``whole``: a rule delegated whole, a template with no
+        binding literal, in the program exactly while installed.
+
+        A held shape is never handed to another delegator, and a template
+        is never changed: a shape's name is its delegator's digest of the
+        rule, split point and located values, so another template under a
+        held name is forged, and would run over bindings admitted for the
+        held one.  Only a rule delegated whole may be replaced by its own
+        delegator: it reaches here through the controller's trust check and
+        the engine's stratification check."""
         held = self._held.get(shape)
-        if held is not None and held.delegator == delegator and held.rule == rule:
+        if held is not None and (held.delegator != delegator or held.rule == rule
+                                 or not (whole and shape in self._whole)):
             return False
         self._held[shape] = InstalledDelegation(shape, delegator, rule)
         if whole:
@@ -371,6 +433,12 @@ class DelegationStore:
         if shape in self._active:
             self._rules = None
         return True
+
+    def holds(self, shape: str, delegator: str, rule: Rule) -> bool:
+        """``True`` when the template held for ``shape`` is ``delegator``'s
+        ``rule``."""
+        held = self._held.get(shape)
+        return held is not None and held.delegator == delegator and held.rule == rule
 
     def is_whole(self, shape: str) -> bool:
         """``True`` when ``shape`` is a rule delegated whole."""

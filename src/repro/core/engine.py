@@ -385,11 +385,15 @@ class WebdamLogEngine:
         """Record that ``sender`` retired its template of ``shape``: the
         next stage drops it with every binding of it."""
         held = self.state.delegations_in.get(shape)
-        delegator = held.delegator if held is not None else None
+        # The holder as the waiting inputs will leave it: an unheld shape
+        # goes to the first delegator whose template activates it.
+        holder = held.delegator if held is not None else None
         for change in self.state.pending.delegations:
-            if change[0] == "activate" and change[1] == shape:
-                delegator = change[3]
-        if delegator == sender:
+            if change[0] == "activate" and change[1] == shape and holder is None:
+                holder = change[3]
+            elif change[0] == "retire" and change[1] == shape:
+                holder = None
+        if holder == sender:
             self.state.pending.delegations.append(("retire", shape))
             self.mark_dirty()
 
@@ -690,9 +694,10 @@ class WebdamLogEngine:
                     consumed += 1
             elif kind == "activate":
                 _, shape, rule, sender, whole = change
-                consumed += whole
                 self.state.learn_template(shape, sender, rule, whole)
-                self.state.activate_template(shape)
+                if held.holds(shape, sender, rule):
+                    consumed += whole
+                    self.state.activate_template(shape)
             elif change[1] in held:
                 consumed += 1
                 self.state.retire_template(change[1])
@@ -700,10 +705,13 @@ class WebdamLogEngine:
         return consumed
 
     def _emit_outputs(self, outcome: RuleOutcome, result: StageResult) -> None:
+        tracker = self.state.delegation_tracker
         if (outcome is self._emitted and not self._pending_remote_inserts
-                and not self._pending_remote_deletes):
+                and not self._pending_remote_deletes
+                and not tracker.needs_retire(self.program_version)):
             # The outcome last diffed, and nothing queued by the user: every
-            # sent set and outstanding delegation already matches it.
+            # sent set and outstanding delegation already matches it (and no
+            # program change left a sent template without its rule).
             return
         self._emitted = outcome
         # -- facts derived for remote peers ------------------------------ #
@@ -734,9 +742,8 @@ class WebdamLogEngine:
                 result.outgoing_updates.append(update)
 
         # -- delegations -------------------------------------------------- #
-        tracker = self.state.delegation_tracker
         diff = tracker.diff(outcome.delegations)
-        tracker.retire(diff, self.state.all_rules())
+        tracker.retire(diff, self.state.all_rules(), self.program_version)
         self.state.sent_delegations(diff)
         result.templates_to_install = diff.templates
         result.delegations_to_install = diff.to_install

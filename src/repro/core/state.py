@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import codec
-from repro.core.delegation import (BINDING_PREFIX, DelegationDiff, DelegationStore,
-                                   DelegationTracker, InstalledDelegation, binding_relation,
-                                   delegation_id, shape_of, stands_for)
+from repro.core.delegation import (BINDING_PREFIX, SENT_TEMPLATE, DelegationDiff,
+                                   DelegationStore, DelegationTracker, InstalledDelegation,
+                                   binding_relation, delegation_id, is_binding, shape_of,
+                                   stands_for)
 from repro.core.errors import SchemaError
 from repro.core.facts import ChangeFeed, ChangeFeeds, Delta, Fact, FactStore, patch_sorted
 from repro.core.rules import Rule
@@ -40,7 +41,8 @@ from repro.store.memory import MemoryBackend
 #: The metadata record (kind, key) present while the file holds a fixpoint.
 _MARKER = ("stage", "fixpoint")
 #: The table namespaces of the bindings installed at a peer and of those it
-#: has out (the latter kept on a persistent backend only).
+#: has out, with the records of the templates it sent (the latter kept on a
+#: persistent backend only).
 BINDING_NAMESPACE = "bound"
 DELEGATED_NAMESPACE = "delegated"
 
@@ -160,7 +162,9 @@ class PeerState:
                                         namespace=DELEGATED_NAMESPACE)
             out = list(self._delegated.all_facts())
             if out:
-                self.delegation_tracker.restore(out)
+                self.delegation_tracker.restore(
+                    [fact for fact in out if is_binding(fact.relation)],
+                    [fact for fact in out if fact.relation == SENT_TEMPLATE])
         self.pending = PendingInput()
         self.deferred_updates: Delta = Delta.empty()
         self.stage_counter = 0
@@ -349,10 +353,10 @@ class PeerState:
     def sent_delegations(self, diff: DelegationDiff) -> None:
         """Record that ``diff``'s installs and retractions went out, in the
         stage's transaction on a durable backend."""
-        self.delegation_tracker.commit(diff)
+        sent, retired = self.delegation_tracker.commit(diff)
         if self._delegated is not None:
-            self._delegated.delete_many(d.binding for d in diff.to_retract)
-            self._delegated.insert_many(d.binding for d in diff.to_install)
+            self._delegated.delete_many([*(d.binding for d in diff.to_retract), *retired])
+            self._delegated.insert_many([*(d.binding for d in diff.to_install), *sent])
             self._delegated.take_delta()
 
     # ------------------------------------------------------------------ #

@@ -71,8 +71,9 @@ class Peer:
         # Delegations refused while delivering the current batch.
         self._refused: List[StratificationError] = []
         # Bindings that arrived before their template (a reordering channel),
-        # by shape, in arrival order: submitted when the template comes.
-        self._parked: Dict[str, List[Tuple[Fact, bool]]] = {}
+        # by shape, in arrival order with their sender: submitted when that
+        # sender's template comes.
+        self._parked: Dict[str, List[Tuple[str, Fact, bool]]] = {}
         # ``replication=False`` ships each stage's update to a recipient as
         # one raw FactMessage, which assumes exactly-once, in-order delivery;
         # ``True`` ships dotted delta envelopes with anti-entropy (see
@@ -314,7 +315,7 @@ class Peer:
                 _, shape, rule, schemas = effect
                 self._submit_template(origin, shape, rule, schemas)
             elif kind == "undelegate":
-                self._parked.pop(effect[1], None)
+                self._unpark(origin, effect[1])
                 self.controller.submit_retraction(origin, effect[1])
             elif kind == "derivation":
                 self._record_shipped(effect[1], anchor=effect[2])
@@ -326,7 +327,7 @@ class Peer:
                          schemas: Iterable[RelationSchema]) -> None:
         """Learn a template's schemas, then the template — or hand a rule
         delegated whole to the controller — and submit the bindings that
-        waited for it.
+        waited for it: those ``sender`` sent.
 
         A delegation refused with a
         :class:`~repro.core.errors.StratificationError` (by a schema or by
@@ -349,15 +350,23 @@ class Peer:
                 self.controller.submit(sender, shape, rule)
         except StratificationError as refused:
             self._refused.append(refused)
-        for binding, install in self._parked.pop(shape, ()):
+        for binding, install in self._unpark(sender, shape):
             self._submit_binding(sender, binding, install)
+
+    def _unpark(self, sender: str, shape: str) -> List[Tuple[Fact, bool]]:
+        """Take the bindings of ``shape`` parked for its template: those
+        ``sender`` sent, in arrival order.  Another peer's are dropped, as
+        they would be at the engine: the template of a shape is its
+        delegator's alone."""
+        return [(binding, install) for origin, binding, install in self._parked.pop(shape, ())
+                if origin == sender]
 
     def _submit_binding(self, sender: str, binding: Fact, install: bool) -> None:
         """Hand a delegation binding, or its retraction, to the controller;
         park it while its template has not arrived."""
         shape = shape_of(binding.relation)
         if shape not in self.engine.state.delegations_in:
-            self._parked.setdefault(shape, []).append((binding, install))
+            self._parked.setdefault(shape, []).append((sender, binding, install))
             return
         try:
             if install:

@@ -1,7 +1,10 @@
 """Tests of delegation bookkeeping: shapes, the tracker's diff, the template store."""
 
+import pytest
+
 from repro.core.delegation import (DelegationStore, DelegationTracker, Split,
                                    binding_relation, delegation_id, shape_of, stands_for)
+from repro.core.errors import DelegationError
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.terms import Constant
@@ -81,7 +84,7 @@ class TestDelegationTracker:
         self.tracker.commit(self.tracker.diff({binding}))
         diff = self.tracker.diff(set())
         assert [d.binding for d in diff.to_retract] == [binding]
-        self.tracker.retire(diff, [self.rule])
+        self.tracker.retire(diff, [self.rule], 0)
         assert diff.retired == []
         self.tracker.commit(diff)
         assert not self.tracker.outstanding()
@@ -93,8 +96,37 @@ class TestDelegationTracker:
         binding = bind(self.tracker, self.rule, "Emilien", "x")
         self.tracker.commit(self.tracker.diff({binding}))
         diff = self.tracker.diff(set())
-        self.tracker.retire(diff, [])
+        self.tracker.retire(diff, [], 0)
         assert diff.retired == [("Emilien", shape_of(binding.relation))]
+
+    def test_a_program_change_retires_a_template_whose_bindings_went_before(self):
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        self.tracker.commit(self.tracker.diff({binding}))
+        diff = self.tracker.diff(set())
+        self.tracker.retire(diff, [self.rule], 0)
+        self.tracker.commit(diff)
+        # The rule is replaced later: no binding goes with that diff.
+        replacement = parse_rule(RULE.replace("pictures@", "photos@"), author="Jules")
+        assert not self.tracker.needs_retire(0) and self.tracker.needs_retire(1)
+        diff = self.tracker.diff(set())
+        self.tracker.retire(diff, [replacement], 1)
+        assert diff.retired == [("Emilien", shape_of(binding.relation))]
+        self.tracker.commit(diff)
+        assert not self.tracker.needs_retire(2)
+
+    def test_an_equal_rule_keeps_the_template_it_binds_again(self):
+        binding = bind(self.tracker, self.rule, "Emilien", "x")
+        self.tracker.commit(self.tracker.diff({binding}))
+        again = parse_rule(RULE, author="Jules")
+        diff = self.tracker.diff(set())
+        self.tracker.retire(diff, [again], 1)
+        assert diff.retired == []
+
+    def test_rejects_foreign_delegations(self):
+        tracker = DelegationTracker("Julia")
+        foreign = bind(tracker, self.rule, "Emilien", "x")
+        with pytest.raises(DelegationError):
+            tracker.diff({foreign})
 
     def test_a_restored_tracker_sends_everything_again(self):
         binding = bind(self.tracker, self.rule, "Emilien", "x")
@@ -121,6 +153,26 @@ class TestDelegationStore:
         assert store.rules() == () and store.get("s").rule is rule
         assert store.forget("s").delegator == "Jules"
         assert store.forget("s") is None
+
+    def test_a_held_template_is_never_taken_over_nor_changed(self):
+        store = DelegationStore("Emilien")
+        rule = parse_rule("v@Jules($x) :- _bind_s@Emilien($x), pictures@Emilien($x)",
+                          author="Jules")
+        forged = parse_rule("v@Jules($x) :- _bind_s@Emilien($x), secret@Emilien($x)",
+                            author="Mallory")
+        store.learn("s", "Jules", rule)
+        store.activate("s")
+        assert not store.learn("s", "Mallory", forged)
+        assert not store.learn("s", "Jules", forged)
+        assert store.rules() == (rule,) and store.holds("s", "Jules", rule)
+        assert not store.holds("s", "Mallory", forged)
+        # A rule delegated whole is replaced by its own delegator only.
+        whole = parse_rule("w@Jules($x) :- pictures@Emilien($x)", author="Jules")
+        other = parse_rule("w@Jules($x) :- secret@Emilien($x)", author="Jules")
+        store.learn("w", "Jules", whole, whole=True)
+        assert not store.learn("w", "Mallory", other, whole=True)
+        assert store.learn("w", "Jules", other, whole=True)
+        assert store.get("w").rule is other
 
     def test_rules_come_in_shape_order(self):
         store = DelegationStore("Emilien")

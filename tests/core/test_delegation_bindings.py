@@ -15,7 +15,7 @@ from repro.core.delegation import binding_relation, is_binding
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.replication.dots import Op
-from repro.runtime.messages import DeltaEnvelopeMessage
+from repro.runtime.messages import DeltaEnvelopeMessage, FactMessage
 from repro.runtime.peer import Peer
 from repro.wepic import build_demo_scenario
 
@@ -246,3 +246,115 @@ class TestABindingBeforeItsTemplate:
         assert str(installed.rule) == "pics@a($x) :- pic@b($x, 10)"
         assert [str(f) for u in result.outgoing_updates for f in u.inserted] == [
             "pics@a(1)"]
+
+
+class TestAShapeIsItsDelegatorsAlone:
+    def test_an_untrusted_template_under_a_trusted_shape_changes_no_rule(self):
+        """Another peer's template under a held shape's name is not taken:
+        the program keeps the trusted rule, and the forged peer's binding of
+        it installs nothing."""
+        peer = Peer("b", trust=TrustStore("b", trusted=("a",)))
+        peer.load_program("collection extensional persistent pic@b(x, y);\n"
+                          "collection extensional persistent secret@b(x, y);\n"
+                          "fact pic@b(1, 10); fact secret@b(7, 10);")
+        template = parse_rule(
+            "pics@a($x) :- _bind_s1@b($y), pic@b($x, $y)", default_peer="b", author="a")
+        forged = parse_rule(
+            "pics@a($x) :- _bind_s1@b($y), secret@b($x, $y)", default_peer="b", author="m")
+        binding = Fact(binding_relation("s1"), "b", (10,))
+        peer.deliver(FactMessage(sender="a", recipient="b", installs=(("s1", template, ()),),
+                                 bound=(binding,)))
+        peer.run_stage()
+        rules = peer.rules()
+        peer.deliver(FactMessage(sender="m", recipient="b", installs=(("s1", forged, ()),),
+                                 bound=(Fact(binding_relation("s1"), "b", (11,)),)))
+        result, _ = peer.run_stage()
+        assert peer.rules() == rules
+        held = peer.engine.state.delegations_in.get("s1")
+        assert (held.delegator, held.rule) == ("a", template)
+        assert list(peer.engine.state.bindings.all_facts()) == [binding]
+        assert peer.pending_delegations() == ()
+        assert [str(f) for u in result.outgoing_updates for f in u.inserted] == []
+        # Nor may the forged peer retire it.
+        peer.deliver(FactMessage(sender="m", recipient="b", retracts=("s1",)))
+        peer.run_stage()
+        assert peer.engine.state.delegations_in.is_active("s1")
+
+    def test_a_parked_binding_waits_for_its_own_senders_template(self):
+        peer = Peer("b", trust=TrustStore("b", trust_all=True), replication=True)
+        peer.load_program("collection extensional persistent pic@b(x, y);\n"
+                          "fact pic@b(1, 10);")
+        binding = Fact(binding_relation("s1"), "b", (10,))
+        peer.deliver(DeltaEnvelopeMessage(sender="x", recipient="b", frontier=2,
+                                          ops=(Op(seq=2, kind="bind", fact=binding),)))
+        peer.run_stage()
+        other = parse_rule(
+            "pics@y($x) :- _bind_s1@b($y), pic@b($x, $y)", default_peer="b", author="y")
+        peer.deliver(DeltaEnvelopeMessage(
+            sender="y", recipient="b", frontier=1,
+            ops=(Op(seq=1, kind="delegate", delegation_id="s1", rule=other),)))
+        result, _ = peer.run_stage()
+        assert peer.installed_delegations() == ()
+        assert peer.engine.state.delegations_in.is_active("s1") is False
+        assert result.outgoing_updates == []
+
+
+def reopen(path):
+    """The durable pair of :func:`pair` as it was stored: no program loaded
+    again (a second copy of a rule would be a rule of its own)."""
+    return (system().storage("sqlite", path=path).auto_accept_delegations(True)
+            .peer("a").peer("b").build())
+
+
+def replaced(deployment):
+    """Replace ``a``'s delegating rule by one that delegates another shape."""
+    handle = deployment.peer("a")
+    (rule,) = handle.rules()
+    handle.replace_rule(rule.rule_id, "pics@a($x) :- sel@a($p, $y), pic@$p($y, $x)")
+
+
+class TestARuleThatGoesRetiresItsTemplates:
+    def test_a_template_whose_bindings_went_earlier(self):
+        """The binding goes while the rule is live (the template stays);
+        the rule is replaced later: the receiver holds no template, and its
+        program is a fresh peer's."""
+        deployment = pair()
+        a = deployment.peer("a")
+        a.insert("sel@a(\"b\", 10)")
+        deployment.converge()
+        a.delete("sel@a(\"b\", 10)")
+        deployment.converge()
+        receiver = deployment.runtime.peer("b").engine
+        (held,) = receiver.state.delegations_in.active()
+        replaced(deployment)
+        deployment.converge()
+        assert receiver.state.delegations_in.active() == ()
+        assert held.delegation_id not in receiver.state.delegations_in
+        fresh = pair().runtime.peer("b").engine
+        assert receiver.rules() == fresh.rules()
+        assert receiver.state.delegation_tracker.outstanding() == ()
+        assert deployment.runtime.peer("a").engine.state.delegation_tracker._templates == {}
+
+    def test_a_template_whose_bindings_went_before_a_reopen(self, tmp_path):
+        deployment = pair(durable=str(tmp_path))
+        a = deployment.peer("a")
+        a.insert("sel@a(\"b\", 10)")
+        deployment.converge()
+        a.delete("sel@a(\"b\", 10)")
+        deployment.converge()
+        deployment.close()
+
+        reopened = reopen(str(tmp_path))
+        reopened.converge()
+        backend_b = reopened.runtime.peer("b").engine.state.backend
+        assert len(backend_b.load_meta("template")) == 1
+        replaced(reopened)
+        reopened.converge()
+        assert reopened.runtime.peer("b").engine.state.delegations_in.active() == ()
+        assert backend_b.load_meta("template") == []
+        reopened.close()
+
+        again = reopen(str(tmp_path))
+        assert again.runtime.peer("b").engine.state.delegations_in.active() == ()
+        assert again.runtime.peer("a").engine.state.delegation_tracker._templates == {}
+        again.close()
