@@ -64,14 +64,14 @@ def shape_of(relation: str) -> str:
 
 
 #: The relation of a delegator's records of the templates it sent:
-#: ``_sent@target(shape, rule key)``.
+#: ``_sent@target(shape, *rule key)``.
 SENT_TEMPLATE = "_sent"
 
 
-def rule_key(rule: Rule) -> str:
+def rule_key(rule: Rule) -> Tuple:
     """The delegating rule as written, which a shape's name is a digest of:
     a template stays while a rule with this key is live."""
-    return repr((rule.origin or rule.rule_id, str(rule), rule.author))
+    return (rule.origin or rule.rule_id, rule.text, rule.author)
 
 
 def delegation_id(delegator: str, target: str, origin_rule_id: str, rule: Rule) -> str:
@@ -154,7 +154,7 @@ class Split:
     def __init__(self, rule: Rule, index: int):
         self.rule = rule
         self.index = index
-        self.content = (rule.origin or rule.rule_id, str(rule), rule.author, index)
+        self.content = (*rule_key(rule), index)
         compiled = rule.compiled
         bound: Set[Variable] = set()
         for atom in compiled.body[:index]:
@@ -276,7 +276,7 @@ class DelegationTracker:
         self.shapes: Dict[str, Shape] = {}
         self._outstanding: Set[Fact] = set()
         # The templates sent, by binding relation: a ``_sent@target(shape,
-        # rule key)`` record each, so one whose rule is gone is retired.
+        # *rule key)`` record each, so one whose rule is gone is retired.
         self._templates: Dict[str, Fact] = {}
         # The program version :meth:`retire` last looked at.
         self._program: Optional[int] = None
@@ -354,12 +354,12 @@ class DelegationTracker:
         retired = set()
         for target, name in diff.retired:
             record = self._templates.get(binding_relation(name))
-            if record is None or record.values[1] not in live:
+            if record is None or record.values[1:] not in live:
                 retired.add((target, name))
         if changed:
             retired.update((record.peer, record.values[0])
                            for record in self._templates.values()
-                           if record.values[1] not in live)
+                           if record.values[1:] not in live)
         diff.retired = sorted(retired)
 
     def commit(self, diff: DelegationDiff) -> Tuple[List[Fact], List[Fact]]:
@@ -371,7 +371,7 @@ class DelegationTracker:
         self._outstanding.update(d.binding for d in diff.to_install)
         sent = []
         for shape in diff.templates:
-            record = Fact(SENT_TEMPLATE, shape.target, (shape.name, rule_key(shape.rule)))
+            record = Fact(SENT_TEMPLATE, shape.target, (shape.name, *rule_key(shape.rule)))
             self._templates[shape.relation] = record
             sent.append(record)
         retired = [record for _, name in diff.retired

@@ -301,6 +301,11 @@ class Rule:
 
         return (canon_atom(self.head), tuple(canon_atom(a) for a in self.body))
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The rule as written (what ``str`` gives), built once."""
         body = ", ".join(str(atom) for atom in self.body)
         return f"{self.head} :- {body}"
+
+    def __str__(self) -> str:
+        return self.text
