@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import DelegationError
 from repro.core.facts import Fact
@@ -71,7 +71,7 @@ SENT_TEMPLATE = "_sent"
 def rule_key(rule: Rule) -> Tuple:
     """The delegating rule as written, which a shape's name is a digest of:
     a template stays while a rule with this key is live."""
-    return (rule.origin or rule.rule_id, rule.text, rule.author)
+    return (rule.origin or rule.rule_id, str(rule), rule.author)
 
 
 def delegation_id(delegator: str, target: str, origin_rule_id: str, rule: Rule) -> str:
@@ -275,9 +275,11 @@ class DelegationTracker:
         self.owner = owner
         self.shapes: Dict[str, Shape] = {}
         self._outstanding: Set[Fact] = set()
-        # The templates sent, by binding relation: a ``_sent@target(shape,
-        # *rule key)`` record each, so one whose rule is gone is retired.
-        self._templates: Dict[str, Fact] = {}
+        # The templates sent: their target, by binding relation.
+        self._templates: Dict[str, str] = {}
+        # The delegating rule (:func:`rule_key`) of each template restored
+        # from disk, whose shape this process has not met.
+        self._written: Dict[str, Tuple] = {}
         # The program version :meth:`retire` last looked at.
         self._program: Optional[int] = None
         # Set by :meth:`restore`: the next diff installs every required
@@ -293,7 +295,9 @@ class DelegationTracker:
         :data:`SENT_TEMPLATE` records) whose rule is gone."""
         self._outstanding.update(bindings)
         for record in templates:
-            self._templates[binding_relation(record.values[0])] = record
+            relation = binding_relation(record.values[0])
+            self._templates[relation] = record.peer
+            self._written[relation] = record.values[1:]
         self._resend = True
 
     def outstanding(self) -> Tuple[Delegation, ...]:
@@ -340,26 +344,44 @@ class DelegationTracker:
         last looked, with templates out that may have lost their rule."""
         return version != self._program and bool(self._templates)
 
-    def retire(self, diff: DelegationDiff, live_rules: Iterable[Rule], version: int) -> None:
+    def retire(self, diff: DelegationDiff, live_rules: Sequence[Rule], version: int) -> None:
         """Keep in ``diff.retired`` only the templates whose rule is not
         among ``live_rules``: a live rule may bind its shape again.  After a
         program change (``version`` moved) add every template sent whose
         rule is gone, though none of its bindings went with this diff (they
-        went while the rule was live, or before a reopen)."""
+        went while the rule was live, or before a reopen).
+
+        A rule is matched by content, so an equal rule added again keeps
+        the templates its twin sent; a template restored from disk is
+        matched by its record (:func:`rule_key`)."""
         changed = self.needs_retire(version)
         self._program = version
         if not (diff.retired or changed):
             return
-        live = {rule_key(rule) for rule in live_rules}
-        retired = set()
-        for target, name in diff.retired:
-            record = self._templates.get(binding_relation(name))
-            if record is None or record.values[1:] not in live:
-                retired.add((target, name))
+        live = {id(rule) for rule in live_rules}
+        equal: Optional[Set[Rule]] = None
+        written: Optional[Set[Tuple]] = None
+
+        def gone(relation: str) -> bool:
+            nonlocal equal, written
+            shape = self.shapes.get(shape_of(relation))
+            if shape is not None:
+                if id(shape.rule) in live:
+                    return False
+                if equal is None:
+                    equal = set(live_rules)
+                return shape.rule not in equal
+            if relation not in self._written:
+                return True
+            if written is None:
+                written = {rule_key(rule) for rule in live_rules}
+            return self._written[relation] not in written
+
+        retired = {(target, name) for target, name in diff.retired
+                   if gone(binding_relation(name))}
         if changed:
-            retired.update((record.peer, record.values[0])
-                           for record in self._templates.values()
-                           if record.values[1:] not in live)
+            retired.update((target, shape_of(relation))
+                           for relation, target in self._templates.items() if gone(relation))
         diff.retired = sorted(retired)
 
     def commit(self, diff: DelegationDiff) -> Tuple[List[Fact], List[Fact]]:
@@ -371,11 +393,17 @@ class DelegationTracker:
         self._outstanding.update(d.binding for d in diff.to_install)
         sent = []
         for shape in diff.templates:
-            record = Fact(SENT_TEMPLATE, shape.target, (shape.name, *rule_key(shape.rule)))
-            self._templates[shape.relation] = record
-            sent.append(record)
-        retired = [record for _, name in diff.retired
-                   if (record := self._templates.pop(binding_relation(name), None))]
+            self._templates[shape.relation] = shape.target
+            self._written.pop(shape.relation, None)
+            sent.append(Fact(SENT_TEMPLATE, shape.target, (shape.name, *shape.split.content[:3])))
+        retired = []
+        for target, name in diff.retired:
+            relation = binding_relation(name)
+            if self._templates.pop(relation, None) is None:
+                continue
+            shape = self.shapes.get(name)
+            key = shape.split.content[:3] if shape is not None else self._written.pop(relation)
+            retired.append(Fact(SENT_TEMPLATE, target, (name, *key)))
         return sent, retired
 
 

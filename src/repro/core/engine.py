@@ -705,13 +705,13 @@ class WebdamLogEngine:
         return consumed
 
     def _emit_outputs(self, outcome: RuleOutcome, result: StageResult) -> None:
-        tracker = self.state.delegation_tracker
         if (outcome is self._emitted and not self._pending_remote_inserts
-                and not self._pending_remote_deletes
-                and not tracker.needs_retire(self.program_version)):
+                and not self._pending_remote_deletes):
             # The outcome last diffed, and nothing queued by the user: every
-            # sent set and outstanding delegation already matches it (and no
-            # program change left a sent template without its rule).
+            # sent set and outstanding delegation already matches it; only a
+            # program change may have left a sent template without its rule.
+            if self.state.delegation_tracker.needs_retire(self.program_version):
+                self._emit_delegations(outcome, result)
             return
         self._emitted = outcome
         # -- facts derived for remote peers ------------------------------ #
@@ -741,7 +741,12 @@ class WebdamLogEngine:
             if update:
                 result.outgoing_updates.append(update)
 
-        # -- delegations -------------------------------------------------- #
+        self._emit_delegations(outcome, result)
+
+    def _emit_delegations(self, outcome: RuleOutcome, result: StageResult) -> None:
+        """The bindings to install and retract, the templates to send first,
+        and those to retire, against what the peer has out."""
+        tracker = self.state.delegation_tracker
         diff = tracker.diff(outcome.delegations)
         tracker.retire(diff, self.state.all_rules(), self.program_version)
         self.state.sent_delegations(diff)

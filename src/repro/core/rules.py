@@ -301,11 +301,6 @@ class Rule:
 
         return (canon_atom(self.head), tuple(canon_atom(a) for a in self.body))
 
-    @cached_property
-    def text(self) -> str:
-        """The rule as written (what ``str`` gives), built once."""
+    def __str__(self) -> str:
         body = ", ".join(str(atom) for atom in self.body)
         return f"{self.head} :- {body}"
-
-    def __str__(self) -> str:
-        return self.text

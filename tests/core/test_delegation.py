@@ -114,13 +114,18 @@ class TestDelegationTracker:
         self.tracker.commit(diff)
         assert not self.tracker.needs_retire(2)
 
-    def test_an_equal_rule_keeps_the_template_it_binds_again(self):
+    def test_a_restored_template_stays_while_its_rule_as_written_is_live(self):
         binding = bind(self.tracker, self.rule, "Emilien", "x")
-        self.tracker.commit(self.tracker.diff({binding}))
-        again = parse_rule(RULE, author="Jules")
-        diff = self.tracker.diff(set())
-        self.tracker.retire(diff, [again], 1)
+        sent, _ = self.tracker.commit(self.tracker.diff({binding}))
+        reopened = DelegationTracker("Jules")
+        reopened.restore([], sent)
+        diff = reopened.diff(set())
+        reopened.retire(diff, (parse_rule(RULE, author="Jules"),), 0)
         assert diff.retired == []
+        diff = reopened.diff(set())
+        reopened.retire(diff, (parse_rule(RULE.replace("pictures@", "photos@"),
+                                          author="Jules"),), 1)
+        assert diff.retired == [("Emilien", shape_of(binding.relation))]
 
     def test_rejects_foreign_delegations(self):
         tracker = DelegationTracker("Julia")
