@@ -280,8 +280,9 @@ class DelegationTracker:
         # The delegating rule (:func:`rule_key`) of each template restored
         # from disk, whose shape this process has not met.
         self._written: Dict[str, Tuple] = {}
-        # The program version :meth:`retire` last looked at.
-        self._program: Optional[int] = None
+        # Set when rules left the program (or templates were restored): the
+        # next :meth:`retire` checks every template sent.
+        self._recheck = False
         # Set by :meth:`restore`: the next diff installs every required
         # binding (and its template) again, since what was in flight at the
         # last commit is lost.
@@ -298,6 +299,7 @@ class DelegationTracker:
             relation = binding_relation(record.values[0])
             self._templates[relation] = record.peer
             self._written[relation] = record.values[1:]
+        self._recheck = True
         self._resend = True
 
     def outstanding(self) -> Tuple[Delegation, ...]:
@@ -339,23 +341,28 @@ class DelegationTracker:
                                    if binding.relation not in kept})
         return diff
 
-    def needs_retire(self, version: int) -> bool:
-        """Whether the program moved to ``version`` since :meth:`retire`
-        last looked, with templates out that may have lost their rule."""
-        return version != self._program and bool(self._templates)
+    def rules_removed(self) -> None:
+        """Rules left the program: the next :meth:`retire` checks whether a
+        template sent lost its rule."""
+        self._recheck = True
 
-    def retire(self, diff: DelegationDiff, live_rules: Sequence[Rule], version: int) -> None:
+    def needs_retire(self) -> bool:
+        """Whether rules left the program since :meth:`retire` last looked,
+        with templates out that may have lost their rule."""
+        return self._recheck and bool(self._templates)
+
+    def retire(self, diff: DelegationDiff, live_rules: Sequence[Rule]) -> None:
         """Keep in ``diff.retired`` only the templates whose rule is not
-        among ``live_rules``: a live rule may bind its shape again.  After a
-        program change (``version`` moved) add every template sent whose
-        rule is gone, though none of its bindings went with this diff (they
-        went while the rule was live, or before a reopen).
+        among ``live_rules``: a live rule may bind its shape again.  After
+        rules left the program (:meth:`rules_removed`) add every template
+        sent whose rule is gone, though none of its bindings went with this
+        diff (they went while the rule was live, or before a reopen).
 
         A rule is matched by content, so an equal rule added again keeps
         the templates its twin sent; a template restored from disk is
         matched by its record (:func:`rule_key`)."""
-        changed = self.needs_retire(version)
-        self._program = version
+        changed = self.needs_retire()
+        self._recheck = False
         if not (diff.retired or changed):
             return
         live = {id(rule) for rule in live_rules}

@@ -709,8 +709,8 @@ class WebdamLogEngine:
                 and not self._pending_remote_deletes):
             # The outcome last diffed, and nothing queued by the user: every
             # sent set and outstanding delegation already matches it; only a
-            # program change may have left a sent template without its rule.
-            if self.state.delegation_tracker.needs_retire(self.program_version):
+            # removed rule may have left a sent template without its rule.
+            if self.state.delegation_tracker.needs_retire():
                 self._emit_delegations(outcome, result)
             return
         self._emitted = outcome
@@ -748,7 +748,7 @@ class WebdamLogEngine:
         and those to retire, against what the peer has out."""
         tracker = self.state.delegation_tracker
         diff = tracker.diff(outcome.delegations)
-        tracker.retire(diff, self.state.all_rules(), self.program_version)
+        tracker.retire(diff, self.state.all_rules())
         self.state.sent_delegations(diff)
         result.templates_to_install = diff.templates
         result.delegations_to_install = diff.to_install

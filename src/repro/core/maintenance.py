@@ -153,6 +153,8 @@ class Maintenance:
             # the plans of the rules it removed go.
             self._engine.program_version += 1
             self._engine._planner.forget(rule.rule_id for rule in removed)
+            if removed:
+                self._state.delegation_tracker.rules_removed()
 
         if resumed:
             self._resume(analysis, added, result)

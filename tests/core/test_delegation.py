@@ -84,7 +84,7 @@ class TestDelegationTracker:
         self.tracker.commit(self.tracker.diff({binding}))
         diff = self.tracker.diff(set())
         assert [d.binding for d in diff.to_retract] == [binding]
-        self.tracker.retire(diff, [self.rule], 0)
+        self.tracker.retire(diff, [self.rule])
         assert diff.retired == []
         self.tracker.commit(diff)
         assert not self.tracker.outstanding()
@@ -96,23 +96,26 @@ class TestDelegationTracker:
         binding = bind(self.tracker, self.rule, "Emilien", "x")
         self.tracker.commit(self.tracker.diff({binding}))
         diff = self.tracker.diff(set())
-        self.tracker.retire(diff, [], 0)
+        self.tracker.retire(diff, [])
         assert diff.retired == [("Emilien", shape_of(binding.relation))]
 
     def test_a_program_change_retires_a_template_whose_bindings_went_before(self):
         binding = bind(self.tracker, self.rule, "Emilien", "x")
         self.tracker.commit(self.tracker.diff({binding}))
         diff = self.tracker.diff(set())
-        self.tracker.retire(diff, [self.rule], 0)
+        self.tracker.retire(diff, [self.rule])
         self.tracker.commit(diff)
         # The rule is replaced later: no binding goes with that diff.
         replacement = parse_rule(RULE.replace("pictures@", "photos@"), author="Jules")
-        assert not self.tracker.needs_retire(0) and self.tracker.needs_retire(1)
+        assert not self.tracker.needs_retire()
+        self.tracker.rules_removed()
+        assert self.tracker.needs_retire()
         diff = self.tracker.diff(set())
-        self.tracker.retire(diff, [replacement], 1)
+        self.tracker.retire(diff, [replacement])
         assert diff.retired == [("Emilien", shape_of(binding.relation))]
         self.tracker.commit(diff)
-        assert not self.tracker.needs_retire(2)
+        self.tracker.rules_removed()
+        assert not self.tracker.needs_retire()
 
     def test_a_restored_template_stays_while_its_rule_as_written_is_live(self):
         binding = bind(self.tracker, self.rule, "Emilien", "x")
@@ -120,11 +123,12 @@ class TestDelegationTracker:
         reopened = DelegationTracker("Jules")
         reopened.restore([], sent)
         diff = reopened.diff(set())
-        reopened.retire(diff, (parse_rule(RULE, author="Jules"),), 0)
+        reopened.retire(diff, (parse_rule(RULE, author="Jules"),))
         assert diff.retired == []
+        reopened.rules_removed()
         diff = reopened.diff(set())
         reopened.retire(diff, (parse_rule(RULE.replace("pictures@", "photos@"),
-                                          author="Jules"),), 1)
+                                          author="Jules"),))
         assert diff.retired == [("Emilien", shape_of(binding.relation))]
 
     def test_rejects_foreign_delegations(self):
