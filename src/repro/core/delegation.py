@@ -430,9 +430,10 @@ class DelegationStore:
         self._active: Set[str] = set()
         # Shapes of rules delegated whole (no binding literal).
         self._whole: Set[str] = set()
-        # The active templates' rules in shape order, rebuilt after a change:
-        # every stage of the engine asks for them.
-        self._rules: Optional[Tuple[Rule, ...]] = None
+        # The active templates and their rules in shape order, rebuilt after
+        # a change: every stage, and every binding received, asks for them.
+        self._ordered: Optional[Tuple[Tuple[InstalledDelegation, ...],
+                                      Tuple[Rule, ...]]] = None
 
     def __len__(self) -> int:
         return len(self._active)
@@ -466,7 +467,7 @@ class DelegationStore:
         else:
             self._whole.discard(shape)
         if shape in self._active:
-            self._rules = None
+            self._ordered = None
         return True
 
     def holds(self, shape: str, delegator: str, rule: Rule) -> bool:
@@ -486,12 +487,12 @@ class DelegationStore:
     def activate(self, shape: str) -> None:
         """Put a held template in the program."""
         self._active.add(shape)
-        self._rules = None
+        self._ordered = None
 
     def deactivate(self, shape: str) -> None:
         """Take a template out of the program, still holding it."""
         self._active.discard(shape)
-        self._rules = None
+        self._ordered = None
 
     def forget(self, shape: str) -> Optional[InstalledDelegation]:
         """Drop a template altogether; returns it if it was held."""
@@ -501,10 +502,14 @@ class DelegationStore:
 
     def active(self) -> Tuple[InstalledDelegation, ...]:
         """The templates in the program, in shape order."""
-        return tuple(self._held[shape] for shape in sorted(self._active))
+        return self._ordering()[0]
 
     def rules(self) -> Tuple[Rule, ...]:
         """The active templates' rules, in a deterministic order."""
-        if self._rules is None:
-            self._rules = tuple(held.rule for held in self.active())
-        return self._rules
+        return self._ordering()[1]
+
+    def _ordering(self) -> Tuple[Tuple[InstalledDelegation, ...], Tuple[Rule, ...]]:
+        if self._ordered is None:
+            active = tuple(self._held[shape] for shape in sorted(self._active))
+            self._ordered = (active, tuple(held.rule for held in active))
+        return self._ordered

@@ -365,13 +365,10 @@ class WebdamLogEngine:
         if (held is None or held.delegator != sender or binding.peer != self.peer
                 or binding.arity != held.rule.body[0].arity):
             return
-        pending = self.state.pending.delegations
-        if not (self.state.delegations_in.is_active(shape)
-                and ("retire", shape) not in pending) \
-                and shape not in self._templates_after_inputs():
+        if not self._active_after_inputs(shape):
             self._check_stratifiable((), activating={shape: held.rule})
-            pending.append(("activate", shape, held.rule, sender, False))
-        pending.append(("bind", binding))
+            self.state.pending.delegations.append(("activate", shape, held.rule, sender, False))
+        self.state.pending.delegations.append(("bind", binding))
         self.mark_dirty()
 
     def receive_unbinding(self, sender: str, binding: Fact) -> None:
@@ -416,6 +413,18 @@ class WebdamLogEngine:
     def receive_delegation_retraction(self, sender: str, delegation_id: str) -> None:
         """Record the retraction of a rule ``sender`` delegated whole."""
         self.receive_retirement(sender, delegation_id)
+
+    def _active_after_inputs(self, shape: str) -> bool:
+        """Whether the template of ``shape`` is in the program once the
+        waiting inputs are consumed (:meth:`_templates_after_inputs`, for
+        one shape)."""
+        active = self.state.delegations_in.is_active(shape)
+        for change in self.state.pending.delegations:
+            if change[0] == "activate" and change[1] == shape:
+                active = True
+            elif change[0] == "retire" and change[1] == shape:
+                active = False
+        return active
 
     def _templates_after_inputs(self) -> Dict[str, Rule]:
         """The templates in the program once the waiting inputs are consumed."""
