@@ -365,7 +365,7 @@ class WebdamLogEngine:
         if (held is None or held.delegator != sender or binding.peer != self.peer
                 or binding.arity != held.rule.body[0].arity):
             return
-        if not self._active_after_inputs(shape):
+        if not self._after_inputs(shape)[1]:
             self._check_stratifiable((), activating={shape: held.rule})
             self.state.pending.delegations.append(("activate", shape, held.rule, sender, False))
         self.state.pending.delegations.append(("bind", binding))
@@ -381,16 +381,7 @@ class WebdamLogEngine:
     def receive_retirement(self, sender: str, shape: str) -> None:
         """Record that ``sender`` retired its template of ``shape``: the
         next stage drops it with every binding of it."""
-        held = self.state.delegations_in.get(shape)
-        # The holder as the waiting inputs will leave it: an unheld shape
-        # goes to the first delegator whose template activates it.
-        holder = held.delegator if held is not None else None
-        for change in self.state.pending.delegations:
-            if change[0] == "activate" and change[1] == shape and holder is None:
-                holder = change[3]
-            elif change[0] == "retire" and change[1] == shape:
-                holder = None
-        if holder == sender:
+        if self._after_inputs(shape)[0] == sender:
             self.state.pending.delegations.append(("retire", shape))
             self.mark_dirty()
 
@@ -414,17 +405,19 @@ class WebdamLogEngine:
         """Record the retraction of a rule ``sender`` delegated whole."""
         self.receive_retirement(sender, delegation_id)
 
-    def _active_after_inputs(self, shape: str) -> bool:
-        """Whether the template of ``shape`` is in the program once the
-        waiting inputs are consumed (:meth:`_templates_after_inputs`, for
-        one shape)."""
+    def _after_inputs(self, shape: str) -> Tuple[Optional[str], bool]:
+        """The delegator holding ``shape``, and whether its template is in
+        the program, once the waiting inputs are consumed: an unheld shape
+        goes to the first delegator whose template activates it."""
+        held = self.state.delegations_in.get(shape)
+        holder = held.delegator if held is not None else None
         active = self.state.delegations_in.is_active(shape)
         for change in self.state.pending.delegations:
-            if change[0] == "activate" and change[1] == shape:
-                active = True
+            if change[0] == "activate" and change[1] == shape and holder in (None, change[3]):
+                holder, active = change[3], True
             elif change[0] == "retire" and change[1] == shape:
-                active = False
-        return active
+                holder, active = None, False
+        return holder, active
 
     def _templates_after_inputs(self) -> Dict[str, Rule]:
         """The templates in the program once the waiting inputs are consumed."""

@@ -280,6 +280,27 @@ class TestAShapeIsItsDelegatorsAlone:
         peer.run_stage()
         assert peer.engine.state.delegations_in.is_active("s1")
 
+    def test_another_peers_rule_under_the_shape_does_not_stand_for_its_template(self):
+        """A rule delivered whole under a held, unbound shape's name is
+        refused when the stage consumes it, so it must not spare the
+        delegator's next binding the activation of its own template."""
+        peer = Peer("b", trust=TrustStore("b", trust_all=True))
+        peer.load_program("collection extensional persistent pic@b(x, y);\n"
+                          "fact pic@b(1, 10);")
+        template = parse_rule(
+            "pics@a($x) :- _bind_s1@b($y), pic@b($x, $y)", default_peer="b", author="a")
+        peer.deliver(FactMessage(sender="a", recipient="b", installs=(("s1", template, ()),)))
+        whole = parse_rule("pics@a($x) :- pic@b($x, 10)", default_peer="b", author="m")
+        peer.deliver(FactMessage(sender="m", recipient="b", installs=(("s1", whole, ()),)))
+        peer.deliver(FactMessage(sender="a", recipient="b",
+                                 bound=(Fact(binding_relation("s1"), "b", (10,)),)))
+        result, _ = peer.run_stage()
+        held = peer.engine.state.delegations_in.get("s1")
+        assert (held.delegator, held.rule) == ("a", template)
+        (installed,) = peer.installed_delegations()
+        assert str(installed.rule) == "pics@a($x) :- pic@b($x, 10)"
+        assert [str(f) for u in result.outgoing_updates for f in u.inserted] == ["pics@a(1)"]
+
     def test_a_parked_binding_waits_for_its_own_senders_template(self):
         peer = Peer("b", trust=TrustStore("b", trust_all=True), replication=True)
         peer.load_program("collection extensional persistent pic@b(x, y);\n"
