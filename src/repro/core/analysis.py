@@ -45,19 +45,27 @@ class ProgramAnalysis:
     :meth:`reading` — which the seminaive loop, DRed's over-delete waves and
     the closures below all ask — costs what the delta names, not what the
     program holds.
+
+    Every answer that depends on the program alone is memoized per
+    predicate for the analysis's lifetime: the readers of a predicate (per
+    stratum), whether it reaches a negated literal, the rules defining it.
+    A predicate's closure is exact per predicate (the closure of a union is
+    the union of the closures), so the memos grow with the program's
+    predicates, not with the stages run; a new program version is a new
+    analysis, which starts them empty.
     """
 
     __slots__ = ("rules", "local_intensional", "strata", "shape", "targets",
-                 "_by_head", "_negated", "_readers", "_stratum_of",
-                 "_by_predicate", "_defining")
+                 "_by_head", "_negated", "_readers", "_stratum_at",
+                 "_by_predicate", "_defining", "_reaches")
 
     def __init__(self, rules: Tuple[Rule, ...], local_intensional: FrozenSet[str],
                  previous: Optional["ProgramAnalysis"] = None):
         self.rules = rules
         self.local_intensional = local_intensional
         self.strata = stratification.stratify(rules, local_intensional)
-        # Keyed by id(rule): the analysis keeps its rules alive, and a stage
-        # asks per rule — hashing a Rule walks every term of it.  ``shape``
+        # Keyed by id(rule): the analysis keeps its rules alive, and tells a
+        # rule from an equal one by identity (changes()).  ``shape``
         # is (distinct body patterns, head pattern, negated body patterns);
         # the targets of one head pattern are one set, shared by its rules.
         self.shape: Dict[int, Tuple[Tuple[LocationPattern, ...], LocationPattern,
@@ -87,12 +95,18 @@ class ProgramAnalysis:
                 self._readers.setdefault(pattern, []).append(position)
             negated.update(shape[2])
         self._negated = frozenset(negated)
-        self._stratum_of: Dict[int, int] = {
-            id(rule): number for number, stratum in enumerate(self.strata)
-            for rule in stratum} if len(self.strata) > 1 else {}
-        # predicate -> positions of its readers, filled as stages ask.
-        self._by_predicate: Dict[str, Tuple[int, ...]] = {}
+        # The stratum of the rule at each position (empty for one stratum).
+        self._stratum_at: List[int] = []
+        if len(self.strata) > 1:
+            number_of = {id(rule): number for number, stratum in enumerate(self.strata)
+                         for rule in stratum}
+            self._stratum_at = [number_of[id(rule)] for rule in rules]
+        # Filled as stages ask: a predicate (or ``(predicate, stratum)``) ->
+        # the positions of its readers and those rules; a predicate -> its
+        # definitions; a predicate -> whether it reaches a negated literal.
+        self._by_predicate: Dict[object, Tuple[Tuple[int, ...], List[Rule]]] = {}
         self._defining: Dict[str, List[Rule]] = {}
+        self._reaches: Dict[str, bool] = {}
 
     def matches(self, rules: Tuple[Rule, ...]) -> bool:
         """``True`` when the analysis still describes exactly these rules."""
@@ -105,26 +119,40 @@ class ProgramAnalysis:
         return ([rule for rule in rules if id(rule) not in self.shape],
                 [rule for rule in self.rules if id(rule) not in current])
 
-    def _readers_of(self, predicate: str) -> Tuple[int, ...]:
-        positions = self._by_predicate.get(predicate)
-        if positions is None:
+    def _readers_of(self, predicate: str, stratum: Optional[int]
+                    ) -> Tuple[Tuple[int, ...], List[Rule]]:
+        key = predicate if stratum is None else (predicate, stratum)
+        readers = self._by_predicate.get(key)
+        if readers is None:
             found: Set[int] = set()
             for pattern in _patterns_of(predicate):
                 found.update(self._readers.get(pattern, ()))
-            positions = self._by_predicate[predicate] = tuple(sorted(found))
-        return positions
+            positions = sorted(found)
+            if stratum is not None:
+                positions = [at for at in positions if self._stratum_at[at] == stratum]
+            readers = self._by_predicate[key] = (
+                tuple(positions), [self.rules[at] for at in positions])
+        return readers
 
     def reading(self, predicates: Iterable[str],
                 stratum: Optional[int] = None) -> List[Rule]:
         """The rules whose body reads one of ``predicates``, in written order
-        (only the rules of stratum number ``stratum`` when given)."""
-        found: Set[int] = set()
-        for predicate in predicates:
-            found.update(self._readers_of(predicate))
-        rules = [self.rules[position] for position in sorted(found)]
-        if stratum is not None and self._stratum_of:
-            rules = [rule for rule in rules if self._stratum_of[id(rule)] == stratum]
-        return rules
+        (only the rules of stratum number ``stratum`` when given).
+
+        The list of a single reading predicate is the memo's own: a caller
+        that changes the list copies it first."""
+        if not self._stratum_at:
+            stratum = None
+        found = [readers for readers in (self._readers_of(predicate, stratum)
+                                         for predicate in predicates) if readers[0]]
+        if len(found) == 1:
+            return found[0][1]
+        if not found:
+            return []
+        positions: Set[int] = set()
+        for readers, _ in found:
+            positions.update(readers)
+        return [self.rules[at] for at in sorted(positions)]
 
     def defining(self, predicate: str) -> List[Rule]:
         """The rules whose head agrees with ``predicate`` (kept per predicate)."""
@@ -155,7 +183,16 @@ class ProgramAnalysis:
         """
         if not self._negated:
             return False
-        reachable = set(seed_predicates)
+        for predicate in seed_predicates:
+            reaches = self._reaches.get(predicate)
+            if reaches is None:
+                reaches = self._reaches[predicate] = self._reaches_negation_from(predicate)
+            if reaches:
+                return True
+        return False
+
+    def _reaches_negation_from(self, predicate: str) -> bool:
+        reachable = {predicate}
         frontier = reachable
         while frontier:
             grown: Set[str] = set()
@@ -198,7 +235,7 @@ class ProgramAnalysis:
                     deriving.setdefault(predicate, []).append(rule)
         affected = set(fresh)
         while fresh:
-            candidates = self.reading(fresh)
+            candidates = list(self.reading(fresh))
             for predicate in fresh:
                 candidates.extend(deriving.get(predicate, ()))
             fresh = set()

@@ -85,6 +85,9 @@ class StageResult:
     #: was removed or a relation became intensional) or ``"skip"`` (nothing
     #: changed that a local rule reads — nothing evaluated at all).
     evaluation_path: str = "full"
+    #: The ids of the rules that changed a derived fact or grew their memo
+    #: (what step 3 diffs) this stage, in the order they first did.
+    changing_rules: List[str] = field(default_factory=list)
     outgoing_updates: List[OutgoingUpdate] = field(default_factory=list)
     #: The templates targets learn before their first binding, the bindings
     #: installed and retracted (:mod:`repro.core.delegation`), and the
@@ -174,7 +177,8 @@ class WebdamLogEngine:
 
         Schema declarations are registered, facts of local relations are
         inserted, facts of remote relations are queued to be pushed at the
-        next stage, and rules are added to the peer's own program.  Raises
+        next stage, and rules are added to the peer's own program — on a
+        reopened peer, only those its store does not hold already.  Raises
         :class:`~repro.core.errors.StratificationError` before any of that
         when its rules and declarations would close a cycle through
         negation.
@@ -190,7 +194,7 @@ class WebdamLogEngine:
             else:
                 self.send_fact(fact)
         for rule in program.rules:
-            self.state.add_rule(rule)
+            self.state.load_rule(rule)
         self.mark_dirty()
         return program
 

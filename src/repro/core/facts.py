@@ -219,17 +219,22 @@ class Delta:
     @classmethod
     def insertion(cls, facts: Iterable[Fact]) -> "Delta":
         """Delta consisting only of insertions."""
-        return cls(inserted=frozenset(facts))
+        inserted = frozenset(facts)
+        return cls(inserted=inserted) if inserted else _EMPTY_DELTA
 
     @classmethod
     def deletion(cls, facts: Iterable[Fact]) -> "Delta":
         """Delta consisting only of deletions."""
-        return cls(deleted=frozenset(facts))
+        deleted = frozenset(facts)
+        return cls(deleted=deleted) if deleted else _EMPTY_DELTA
 
     @classmethod
     def empty(cls) -> "Delta":
-        """The empty delta."""
-        return cls()
+        """The empty delta: one shared instance (a delta is immutable)."""
+        return _EMPTY_DELTA
+
+
+_EMPTY_DELTA = Delta()
 
 
 #: The least number of facts a change feed holds before it gives up (see
@@ -562,13 +567,17 @@ class FactStore:
 
     def take_delta(self) -> Delta:
         """Return and reset the delta accumulated since the previous call."""
-        delta = Delta(frozenset(self._pending_inserted), frozenset(self._pending_deleted))
-        self._pending_inserted = set()
-        self._pending_deleted = set()
+        delta = self.peek_delta()
+        if delta:
+            self._pending_inserted = set()
+            self._pending_deleted = set()
         return delta
 
     def peek_delta(self) -> Delta:
-        """Return the accumulated delta without resetting it."""
+        """Return the accumulated delta without resetting it (the shared
+        :meth:`Delta.empty` when nothing is pending)."""
+        if not (self._pending_inserted or self._pending_deleted):
+            return _EMPTY_DELTA
         return Delta(frozenset(self._pending_inserted), frozenset(self._pending_deleted))
 
     def has_pending_changes(self) -> bool:

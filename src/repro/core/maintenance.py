@@ -244,7 +244,7 @@ class Maintenance:
                 evaluator = evaluator or self._evaluator()
                 outcome = evaluator.evaluate_rule(rule)
                 _count(result, outcome.substitutions_explored)
-                self._memo_merge(rule, outcome)
+                self._memo_merge(rule, outcome, result)
 
     def _evaluator(self, fact_source=None) -> RuleEvaluator:
         """The rule evaluator of one stage.
@@ -312,7 +312,7 @@ class Maintenance:
         displacement took it out, raises :class:`EvaluationError`: its key's
         value has cycled, and the drain would repeat it for ever."""
         _count(result, outcome.substitutions_explored)
-        self._memo_merge(rule, outcome)
+        noted = self._memo_merge(rule, outcome, result)
         for fact in outcome.local_intensional:
             if replaced and (into := replaced.get(fact.qualified_relation)):
                 into[1].append(fact)
@@ -320,6 +320,9 @@ class Maintenance:
             insert_delta = self._state.derived.insert(fact)
             if not insert_delta:
                 continue
+            if not noted:
+                noted = True
+                result.changing_rules.append(rule.rule_id)
             if insert_delta.deleted:
                 if not displacing:
                     return False
@@ -486,7 +489,7 @@ class Maintenance:
                 remote_facts={fact for fact in held.remote_facts
                               if survives(rule, fact)},
                 delegations={delegation for delegation in held.delegations
-                             if survives(rule, delegation)}))
+                             if survives(rule, delegation)}), result)
 
         # -- 4. propagate ------------------------------------------------------ #
         outcome = self._fixpoint_seminaive(analysis, evaluator, result,
@@ -572,13 +575,17 @@ class Maintenance:
                 self._absorb(rule, evaluator.evaluate_rule(rule), result, None,
                              replaced, displacing=True)
             for predicate, (schema, facts) in replaced.items():
-                self._state.derived.replace_relation(schema.name, schema.peer, facts)
+                if self._state.derived.replace_relation(schema.name, schema.peer, facts):
+                    result.changing_rules.extend(
+                        rule.rule_id for rule in analysis.defining(predicate))
                 result.derived_intensional += self._state.derived.count(
                     schema.name, schema.peer)
         return self._memo_outcome()
 
-    def _memo_merge(self, rule: Rule, outcome: RuleOutcome) -> None:
-        """Fold one evaluation's non-intensional outputs into the rule's memo.
+    def _memo_merge(self, rule: Rule, outcome: RuleOutcome, result: StageResult) -> bool:
+        """Fold one evaluation's non-intensional outputs into the rule's memo;
+        ``True``, with the rule named in ``result.changing_rules``, when the
+        memo grew.
 
         Local intensional facts live in the derived store (which *is* their
         memo); only the outputs that step 3 diffs are kept.
@@ -586,13 +593,16 @@ class Maintenance:
         entry = self._rule_memo.get(rule)
         if entry is None:
             entry = self._rule_memo[rule] = RuleOutcome()
-        if not (outcome.local_extensional <= entry.local_extensional
+        if (outcome.local_extensional <= entry.local_extensional
                 and outcome.remote_facts <= entry.remote_facts
                 and outcome.delegations <= entry.delegations):
-            entry.local_extensional |= outcome.local_extensional
-            entry.remote_facts |= outcome.remote_facts
-            entry.delegations |= outcome.delegations
-            self._outcome = None
+            return False
+        entry.local_extensional |= outcome.local_extensional
+        entry.remote_facts |= outcome.remote_facts
+        entry.delegations |= outcome.delegations
+        self._outcome = None
+        result.changing_rules.append(rule.rule_id)
+        return True
 
     def _memo_outcome(self) -> RuleOutcome:
         """The stage outcome: the union of every current rule's memo.

@@ -196,6 +196,13 @@ class Rule:
         if not self.body:
             raise SafetyError(f"rule {self.rule_id} has an empty body")
 
+    def __hash__(self) -> int:
+        # The id is a field equality compares, so equal rules hash alike; a
+        # rule is a dict and set key at every stage, and the generated hash
+        # would walk every term of it.  A substitute() copy keeps its id: it
+        # collides with the original only, and stays a distinct key.
+        return hash(self.rule_id)
+
     def _content_id(self) -> str:
         from repro.core.codec import encode_rule_content
 

@@ -136,6 +136,9 @@ class PeerState:
         persisted_rules = self.backend.load_meta("rule")
         for _key, payload in persisted_rules:
             self.own_rules.append(codec.decode_rule(json.loads(payload)))
+        # The ids of the restored rules no program loaded since has claimed
+        # (:meth:`load_rule`).
+        self._unclaimed: Set[str] = {rule.rule_id for rule in self.own_rules}
         persisted_templates = self.backend.load_meta("template")
         for shape, payload in persisted_templates:
             record = json.loads(payload)
@@ -257,10 +260,25 @@ class PeerState:
         self.backend.save_meta("rule", rule.rule_id, _record(codec.encode_rule(rule)))
         return rule
 
+    def load_rule(self, rule: Rule) -> Rule:
+        """:meth:`add_rule` for a rule of a loaded program, unless the store
+        a reopened peer restored already holds it: loading the program it
+        was built with again claims one restored copy per copy it names
+        (matched by content id, ``<id>#N`` copies included) and adds only
+        the rest."""
+        if self._unclaimed:
+            for held in self.own_rules:
+                if (held.rule_id in self._unclaimed
+                        and held.rule_id.partition("#")[0] == rule.rule_id):
+                    self._unclaimed.discard(held.rule_id)
+                    return held
+        return self.add_rule(rule)
+
     def remove_rule(self, rule_id: str) -> Optional[Rule]:
         """Remove an own rule by identifier; returns it when found."""
         for index, rule in enumerate(self.own_rules):
             if rule.rule_id == rule_id:
+                self._unclaimed.discard(rule_id)
                 self.backend.delete_meta("rule", rule_id)
                 return self.own_rules.pop(index)
         return None

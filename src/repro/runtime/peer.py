@@ -226,6 +226,12 @@ class Peer:
         """
         if self.replication is not None and self.replication.needs_attention(now):
             return True
+        return self.engine_needs_stage()
+
+    def engine_needs_stage(self) -> bool:
+        """``True`` when the engine or an attached wrapper asks for a stage
+        (:meth:`needs_stage` without replication's attention): when it does
+        not, delivered messages left the engine nothing to do."""
         if self.engine.needs_stage():
             return True
         for wrapper in self.wrappers:
@@ -418,14 +424,25 @@ class Peer:
         else:
             result = self.engine.run_stage(commit=False)
             self.replication.encode_outgoing(self._messages_from(result))
-            outgoing = self.replication.flush(now)
-            self.replication.persist(self.engine.state.backend)
-            self.engine.state.commit()
+            outgoing = self.flush_channels(now)
         for wrapper in self.wrappers:
             after = getattr(wrapper, "after_stage", None)
             if after is not None:
                 after(self, result)
         return result, outgoing
+
+    def flush_channels(self, now: int = 0) -> List[Message]:
+        """What the channels send in cycle ``now``: under causal replication
+        the ops encoded so far and the anti-entropy answers and retransmits
+        that fall due (:meth:`ReplicationState.flush`), the channels
+        persisted and committed with the stage's writes, if any; nothing on
+        the raw path.  Alone, it answers messages that ran no stage."""
+        if self.replication is None:
+            return []
+        outgoing = self.replication.flush(now)
+        self.replication.persist(self.engine.state.backend)
+        self.engine.state.commit()
+        return outgoing
 
     # ------------------------------------------------------------------ #
     # internals

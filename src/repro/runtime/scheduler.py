@@ -42,6 +42,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -104,6 +105,21 @@ class RunSummary:
             if not report.is_quiescent():
                 last_active = index
         return last_active
+
+    def unsettled(self) -> Dict[str, Tuple[str, ...]]:
+        """Why a run that stopped at ``max_steps`` did not converge: each
+        peer whose last stage was not quiescent, by name, with the ids of
+        the rules that changed a derived fact or grew their memo in that
+        stage (``StageResult.changing_rules``) — a rule that runs away is
+        named there.  Empty for a converged run."""
+        if self.converged:
+            return {}
+        last: Dict[str, PeerStageReport] = {}
+        for report in reversed(self.rounds):
+            for name, peer_report in report.peer_reports.items():
+                last.setdefault(name, peer_report)
+        return {name: tuple(dict.fromkeys(report.stage_result.changing_rules))
+                for name, report in sorted(last.items()) if not report.is_quiescent()}
 
     def total_messages(self) -> int:
         """Total messages sent across all cycles."""

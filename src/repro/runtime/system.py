@@ -244,8 +244,11 @@ class WebdamLogSystem:
                       report: Optional[RoundReport] = None) -> PeerStageReport:
         """Run one stage at ``name``: deliver due messages, compute, send.
 
-        On the raw path, messages that leave the peer nothing to do
-        (:meth:`~repro.runtime.peer.Peer.needs_stage`) run no stage.
+        Messages that leave the engine nothing to do
+        (:meth:`~repro.runtime.peer.Peer.engine_needs_stage`) run no stage:
+        raw ones, and under causal replication acks, digests, pulls and
+        duplicate envelopes, which the channels answer alone
+        (:meth:`~repro.runtime.peer.Peer.flush_channels`).
 
         The resulting :class:`~repro.runtime.peer.PeerStageReport` is folded
         into ``report`` (when given) and pushed to the stage observers.
@@ -253,11 +256,11 @@ class WebdamLogSystem:
         peer = self.peers[name]
         incoming = self.transport.receive(name)
         delivered = peer.deliver_all(incoming, self._round)
-        if delivered and peer.replication is None and not peer.needs_stage(self._round):
-            # Raw messages that left the engine nothing to do: no stage.
+        if delivered and not peer.engine_needs_stage():
+            # Messages that left the engine nothing to do: no stage.
             stage_result = StageResult(peer=name, stage=peer.engine.state.stage_counter,
                                        evaluation_path="skip")
-            outgoing: List[Message] = []
+            outgoing: List[Message] = peer.flush_channels(self._round)
         else:
             stage_result, outgoing = peer.run_stage(self._round)
         sent = 0

@@ -191,6 +191,32 @@ class TestDurableBindings:
         assert again.peer("b").installed_delegations() == ()
         again.close()
 
+    def test_rebuilding_with_its_programs_holds_each_rule_once(self, tmp_path):
+        """Building the chain again over the stored path loads the programs
+        into restored peers: each rule they name is one the store holds, so
+        the peers hold what a fresh build holds.  A copy added on purpose
+        stays a copy."""
+        fresh = pair()
+        expected = {name: fresh.peer(name).rules() for name in ("a", "b")}
+        deployment = pair(durable=str(tmp_path))
+        deployment.peer("a").insert("sel@a(\"b\", 10)")
+        deployment.converge()
+        deployment.close()
+
+        reopened = pair(durable=str(tmp_path))
+        assert {name: reopened.peer(name).rules() for name in ("a", "b")} == expected
+        reopened.converge()
+        assert {f.values for f in reopened.query("a", "pics").facts()} == {(1,), (3,)}
+        reopened.peer("a").load_program(SCHEMAS)
+        twice = reopened.peer("a").rules()
+        assert [rule.rule_id for rule in twice] == [
+            expected["a"][0].rule_id, expected["a"][0].rule_id + "#2"]
+        reopened.close()
+
+        again = pair(durable=str(tmp_path))
+        assert again.peer("a").rules() == twice
+        again.close()
+
     def test_the_bindings_are_rows_not_meta_records(self, tmp_path):
         deployment = pair(durable=str(tmp_path))
         deployment.peer("a").insert("sel@a(\"b\", 10)")
@@ -321,8 +347,8 @@ class TestAShapeIsItsDelegatorsAlone:
 
 
 def reopen(path):
-    """The durable pair of :func:`pair` as it was stored: no program loaded
-    again (a second copy of a rule would be a rule of its own)."""
+    """The durable pair of :func:`pair` as it was stored, built without
+    its programs: what the store holds and nothing else."""
     return (system().storage("sqlite", path=path).auto_accept_delegations(True)
             .peer("a").peer("b").build())
 

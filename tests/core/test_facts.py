@@ -107,6 +107,24 @@ class TestDelta:
         assert fact in merged2.inserted
         assert not merged2.deleted
 
+    def test_the_empty_delta_is_one_shared_instance(self):
+        assert Delta.empty() is Delta.empty()
+        assert Delta.insertion(()) is Delta.empty() is Delta.deletion(())
+
+    def test_an_empty_peek_or_take_returns_the_shared_empty_delta(self):
+        store = FactStore()
+        assert store.peek_delta() is Delta.empty()
+        assert store.take_delta() is Delta.empty()
+        fact = Fact("r", "p", (1,))
+        store.insert(fact)
+        assert store.peek_delta().inserted == frozenset({fact})
+        assert store.take_delta().inserted == frozenset({fact})
+        assert store.peek_delta() is Delta.empty() is store.take_delta()
+        # Changes that net out leave nothing pending either.
+        store.insert(Fact("r", "p", (2,)))
+        store.delete(Fact("r", "p", (2,)))
+        assert store.take_delta() is Delta.empty()
+
     def test_merge_accumulates_distinct_facts(self):
         a, b = Fact("r", "p", (1,)), Fact("r", "p", (2,))
         merged = Delta.insertion([a]).merge(Delta.insertion([b]))

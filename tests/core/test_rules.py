@@ -231,3 +231,38 @@ class TestContentIds:
             ids.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                    capture_output=True, text=True).stdout.strip())
         assert ids == {parse_rule(self.TEXT, author="Jules").rule_id}
+
+
+class TestRuleHash:
+    """A rule hashes by its content id: equal rules hash alike, and the
+    hash costs one string hash, not a walk over the rule's terms."""
+
+    TEXT = "rule attendeePictures@Jules($id) :- selectedAttendee@Jules($a), pictures@$a($id)"
+
+    def test_equal_rules_hash_equal(self):
+        first = parse_rule(self.TEXT, author="Jules")
+        second = parse_rule(self.TEXT, author="Jules")
+        assert first is not second and first == second
+        assert hash(first) == hash(second) == hash(first.rule_id)
+        assert len({first, second}) == 1
+        assert {first: 1}[second] == 1
+
+    def test_a_substitute_copy_sharing_the_id_stays_a_distinct_key(self):
+        rule = parse_rule(self.TEXT, author="Jules")
+        copy = rule.substitute({Variable("a"): Constant("Emilien")})
+        assert copy.rule_id == rule.rule_id and hash(copy) == hash(rule)
+        assert copy != rule
+        memo = {rule: "rule", copy: "copy"}
+        assert len(memo) == 2
+        assert memo[rule] == "rule" and memo[copy] == "copy"
+
+    def test_the_hash_does_not_walk_the_terms(self, monkeypatch):
+        rule = parse_rule(self.TEXT, author="Jules")
+
+        def walked(_self):
+            raise AssertionError("hashing a rule hashed one of its terms")
+
+        for walked_class in (Atom, Constant, Variable):
+            monkeypatch.setattr(walked_class, "__hash__", walked)
+        assert hash(rule) == hash(rule.rule_id)
+

@@ -276,6 +276,29 @@ class TestConvergeBounds:
         assert len(sys.peer("a").query("ack")) == 0
 
     @ENTRY_POINTS
+    def test_a_run_stopped_at_max_steps_names_the_rules_that_ran_away(self, asynchronous):
+        """Each peer's keyed relation takes the other's value one step on:
+        the two displace each other's value for ever.  The summary names
+        both peers, each with its rule, as what was still changing."""
+        def program(me, other):
+            return f"""
+            collection extensional persistent val@{me}(k*, v);
+            collection extensional persistent next@{me}(v, w);
+            fact next@{me}(0, 1); fact next@{me}(1, 2); fact next@{me}(2, 0);
+            rule val@{other}($k, $w) :- val@{me}($k, $v), next@{me}($v, $w);
+            """
+        deployment = (system().peer("a").program(program("a", "b") + "fact val@a(1, 0);")
+                      .peer("b").program(program("b", "a")).build())
+        summary = converge(deployment, asynchronous, max_steps=30)
+        assert not summary.converged and summary.round_count == 30
+        (rule_a,), (rule_b,) = deployment.peer("a").rules(), deployment.peer("b").rules()
+        assert summary.unsettled() == {"a": (rule_a.rule_id,), "b": (rule_b.rule_id,)}
+
+    def test_a_converged_run_names_nothing(self):
+        summary = build_ping_pong().converge()
+        assert summary.converged and summary.unsettled() == {}
+
+    @ENTRY_POINTS
     def test_extra_rounds_run_after_convergence(self, asynchronous):
         baseline = build_ping_pong().converge()
         sys = build_ping_pong()
